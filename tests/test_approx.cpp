@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -159,6 +160,17 @@ TEST(Approx, PruningParityAtTinyEps) {
   const auto exact = SeparatorShortestPaths<TropicalI>::build(scaled, tree);
 
   EXPECT_EQ(approx.stats().eplus_edges, exact.stats().eplus_edges);
+  // E+ itself, not only the distances it yields: same pairs, same bits.
+  const auto& ap = approx.engine().augmentation().shortcuts;
+  const auto& ex = exact.augmentation().shortcuts;
+  ASSERT_EQ(ap.size(), ex.size());
+  for (std::size_t i = 0; i < ap.size(); ++i) {
+    ASSERT_EQ(ap[i].from, ex[i].from) << "shortcut " << i;
+    ASSERT_EQ(ap[i].to, ex[i].to) << "shortcut " << i;
+    ASSERT_EQ(std::memcmp(&ap[i].value, &ex[i].value, sizeof(ap[i].value)),
+              0)
+        << "shortcut " << i;
+  }
   for (const Vertex src : {Vertex{0}, Vertex{37}}) {
     const auto a = approx.engine().distances(src);
     const auto e = exact.distances(src);

@@ -2,11 +2,13 @@
 // tree nodes yet always agree with a fresh build / Dijkstra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
+#include "core/builder_recursive.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -51,6 +53,56 @@ Digraph reweighted(const Digraph& g,
     b.add_edge(e.from, e.to, e.weight);
   }
   return std::move(b).build(/*dedup_min=*/false);
+}
+
+// The incremental E+ keeps one slot per pair, +inf (unreachable) slots
+// included, in first-seen order; the exact builder drops +inf pairs and
+// sorts. Normalize the incremental side and require the exact builder's
+// pairs and value bits.
+void expect_matches_exact_build(const IncrementalEngine& engine,
+                                const Digraph& reference,
+                                const SeparatorTree& tree) {
+  std::vector<Shortcut<TropicalD>> got;
+  for (const auto& e : engine.augmentation().shortcuts) {
+    if (!std::isinf(e.value)) got.push_back(e);
+  }
+  std::sort(got.begin(), got.end(), [](const auto& a, const auto& b) {
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  });
+  got.erase(std::unique(got.begin(), got.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.from == b.from && a.to == b.to;
+                        }),
+            got.end());
+  const auto want = build_augmentation_recursive<TropicalD>(
+      reference, tree, ClosureKind::kFloydWarshall);
+  ASSERT_EQ(got.size(), want.shortcuts.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& g = got[i];
+    const auto& w = want.shortcuts[i];
+    ASSERT_EQ(g.from, w.from) << "shortcut " << i;
+    ASSERT_EQ(g.to, w.to) << "shortcut " << i;
+    ASSERT_EQ(std::memcmp(&g.value, &w.value, sizeof(g.value)), 0)
+        << "shortcut " << i << " (" << g.from << "->" << g.to << ")";
+  }
+}
+
+TEST(Incremental, AugmentationBitIdenticalToExactBuild) {
+  const Fixture f = make_grid_fixture(11, 29);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  expect_matches_exact_build(engine, f.gg.graph, f.tree);
+
+  std::vector<EdgeTriple> updates;
+  Rng pick(31);
+  const auto edges = f.gg.graph.edge_list();
+  for (int i = 0; i < 10; ++i) {
+    const EdgeTriple& e = edges[pick.next_below(edges.size())];
+    updates.push_back({e.from, e.to, pick.next_double(0.25, 25.0)});
+  }
+  // A later update of the same arc wins, in the engine and the reference.
+  for (const EdgeTriple& u : updates) engine.update_edge(u.from, u.to, u.weight);
+  ASSERT_GT(engine.apply(), 0u);
+  expect_matches_exact_build(engine, reweighted(f.gg.graph, updates), f.tree);
 }
 
 TEST(Incremental, FreshBuildMatchesDijkstra) {
