@@ -26,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
+#include "util/vertex_index.hpp"  // detail::kNpos
 
 namespace sepsp {
 

@@ -17,6 +17,15 @@
 // sequential-k Floyd–Warshall closure saves the log factor of work at
 // depth |S| (ablated in bench S4).
 //
+// Steps i-v exist once, in detail::node_step. What a node *emits* is a
+// policy: the exact build writes the complete S x S and B x B pair sets
+// (CompleteEmission), the (1+eps) build prunes witnessed pairs
+// (approx/sparsify.hpp), and the incremental engine diffs the complete
+// set against the retained one (core/incremental.cpp). The level
+// driver (detail::run_algorithm41) sizes every node's output slice from
+// the policy, runs the levels deepest first with the nodes of a level
+// in parallel, and accounts the critical depth.
+//
 // Node tasks lease a scratch arena (builder_scratch.hpp): intermediate
 // matrices reuse storage across nodes, vertex->index lookups are O(1)
 // dense-map probes instead of per-arc binary searches, and shortcut
@@ -36,7 +45,6 @@
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
-#include "util/vertex_index.hpp"  // detail::index_of / kNpos
 
 namespace sepsp {
 
@@ -47,15 +55,6 @@ enum class ClosureKind {
 };
 
 namespace detail {
-
-template <Semiring S>
-void run_closure(Matrix<S>& m, ClosureKind kind) {
-  if (kind == ClosureKind::kSquaring) {
-    m = closure_by_squaring(std::move(m));
-  } else {
-    floyd_warshall(m);
-  }
-}
 
 template <Semiring S>
 void run_closure(Matrix<S>& m, ClosureKind kind, Matrix<S>& scratch) {
@@ -83,189 +82,223 @@ inline std::size_t offsets_from_counts(std::vector<std::size_t>& counts) {
 /// pairs minus the diagonal.
 inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 
-}  // namespace detail
-
-/// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
+/// What one node step computed, handed to the emission policy. `hs` is
+/// the closed H_S (0 x 0 at leaves); `b_to_s` / `s_to_b` are the step-iii
+/// rectangles (empty at leaves); `bm` is the boundary matrix.
 template <Semiring S>
-Augmentation<S> build_augmentation_recursive(
-    const Digraph& g, const SeparatorTree& tree,
-    ClosureKind closure = ClosureKind::kSquaring) {
-  using detail::kNpos;
+struct NodeValues {
+  const DecompNode& node;
+  const Matrix<S>& hs;
+  const Matrix<S>& b_to_s;
+  const Matrix<S>& s_to_b;
+  const Matrix<S>& bm;
+};
 
-  SEPSP_TRACE_SPAN("build.recursive");
-  const pram::CostScope scope;
-  Augmentation<S> aug;
-  aug.levels = compute_levels(tree);
-  aug.height = tree.height();
-  aug.ell = leaf_diameter_bound(tree);
+/// Steps i-v of Algorithm 4.1 for node `id`, then emit(NodeValues).
+/// Reads the children's boundary matrices from `bnd` and writes the
+/// node's own into `bm`. Leaves run Floyd–Warshall on the induced
+/// subgraph, whose arc weights come from weight_of(const Arc&);
+/// internal nodes close H_S with `closure`.
+template <Semiring S, typename WeightOf, typename Emit>
+void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
+               const std::vector<Matrix<S>>& bnd, ClosureKind closure,
+               const WeightOf& weight_of, RecursiveScratch<S>& sc,
+               Matrix<S>& bm, Emit&& emit) {
+  constexpr std::size_t kNpos = VertexIndexMap::kNpos;
+  const DecompNode& t = tree.node(id);
+  const std::span<const Vertex> st = t.separator;
+  const std::span<const Vertex> bt = t.boundary;
 
-  const std::size_t num_nodes = tree.num_nodes();
-  // Per-node boundary distance matrix (row/col i = i-th boundary vertex).
-  std::vector<Matrix<S>> bnd(num_nodes);
-
-  // Every node's shortcut count is known up front (complete graphs on
-  // its separator and boundary), so the output array is sized once and
-  // node tasks write disjoint slices — no per-node vectors to concat.
-  std::vector<std::size_t> offsets(num_nodes);
-  for (std::size_t id = 0; id < num_nodes; ++id) {
-    const DecompNode& t = tree.node(id);
-    if (t.is_leaf()) {
-      offsets[id] = detail::pair_count(t.boundary.size());
-    } else {
-      offsets[id] = detail::pair_count(t.separator.size()) +
-                    (t.boundary.empty()
-                         ? 0
-                         : detail::pair_count(t.boundary.size()));
-    }
-  }
-  aug.shortcuts.resize(detail::offsets_from_counts(offsets));
-
-  detail::ScratchPool<detail::RecursiveScratch<S>> scratch_pool([&] {
-    return std::make_unique<detail::RecursiveScratch<S>>(g.num_vertices());
-  });
-
-  // --- leaves: exact APSP on the (constant-size) induced subgraph -------
-  auto process_leaf = [&](std::size_t id) {
-    SEPSP_TRACE_SPAN("build.leaf");  // merged by name: calls = leaf count
-    auto scratch = scratch_pool.acquire();
-    const DecompNode& t = tree.node(id);
+  if (t.is_leaf()) {
+    // Exact APSP on the (constant-size) induced subgraph.
     const std::span<const Vertex> verts = t.vertices;
-    scratch->map0.bind(verts);
-    Matrix<S>& local = scratch->local;
+    sc.map0.bind(verts);
+    Matrix<S>& local = sc.local;
     local.reset(verts.size());
     for (std::size_t i = 0; i < verts.size(); ++i) {
       local.at(i, i) = S::one();
       for (const Arc& a : g.out(verts[i])) {
-        const std::size_t j = scratch->map0.find(a.to);
-        if (j != kNpos) local.merge(i, j, S::from_weight(a.weight));
+        const std::size_t j = sc.map0.find(a.to);
+        if (j != kNpos) local.merge(i, j, S::from_weight(weight_of(a)));
       }
     }
     floyd_warshall(local);  // leaves are O(1)-sized; any kernel is fine
-    const std::span<const Vertex> b = t.boundary;
-    Matrix<S> bm(b.size());
-    Shortcut<S>* out = aug.shortcuts.data() + offsets[id];
-    for (std::size_t p = 0; p < b.size(); ++p) {
-      const std::size_t ip = scratch->map0.find(b[p]);
-      for (std::size_t q = 0; q < b.size(); ++q) {
-        bm.at(p, q) = local.at(ip, scratch->map0.find(b[q]));
-        if (p != q) *out++ = {b[p], b[q], bm.at(p, q)};
+    bm.reset(bt.size());
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      const std::size_t ip = sc.map0.find(bt[p]);
+      for (std::size_t q = 0; q < bt.size(); ++q) {
+        bm.at(p, q) = local.at(ip, sc.map0.find(bt[q]));
       }
     }
-    SEPSP_DCHECK(out == aug.shortcuts.data() + offsets[id + 1]);
-    bnd[id] = std::move(bm);
-  };
+    sc.hs.reset(0);
+    sc.b_to_s.reset(0);
+    sc.s_to_b.reset(0);
+    emit(NodeValues<S>{t, sc.hs, sc.b_to_s, sc.s_to_b, bm});
+    return;
+  }
 
-  // --- internal nodes: steps i-v of Algorithm 4.1 -----------------------
-  auto process_internal = [&](std::size_t id) {
-    SEPSP_TRACE_SPAN("build.internal");  // merged: calls = internal nodes
-    auto scratch = scratch_pool.acquire();
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> st = t.separator;
-    const std::span<const Vertex> bt = t.boundary;
-    const std::array<std::size_t, 2> kids = {
-        static_cast<std::size_t>(t.child[0]),
-        static_cast<std::size_t>(t.child[1])};
-
-    // Index of each separator / boundary vertex inside each child's
-    // boundary list (kNpos when the vertex is not in that child).
-    scratch->map0.bind(tree.node(kids[0]).boundary);
-    scratch->map1.bind(tree.node(kids[1]).boundary);
-    const detail::VertexIndexMap* child_map[2] = {&scratch->map0,
-                                                  &scratch->map1};
-    for (int c = 0; c < 2; ++c) {
-      auto& s_in_child = scratch->s_in_child[c];
-      s_in_child.resize(st.size());
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        s_in_child[i] = child_map[c]->find(st[i]);
-        SEPSP_CHECK_MSG(s_in_child[i] != kNpos,
-                        "separator vertex missing from child boundary");
-      }
-      auto& b_in_child = scratch->b_in_child[c];
-      b_in_child.resize(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        b_in_child[p] = child_map[c]->find(bt[p]);
-      }
+  // Index of each separator / boundary vertex inside each child's
+  // boundary list (kNpos when the vertex is not in that child).
+  const std::array<const Matrix<S>*, 2> child = {
+      &bnd[static_cast<std::size_t>(t.child[0])],
+      &bnd[static_cast<std::size_t>(t.child[1])]};
+  sc.map0.bind(tree.node(static_cast<std::size_t>(t.child[0])).boundary);
+  sc.map1.bind(tree.node(static_cast<std::size_t>(t.child[1])).boundary);
+  const VertexIndexMap* child_map[2] = {&sc.map0, &sc.map1};
+  for (int c = 0; c < 2; ++c) {
+    auto& s_in_child = sc.s_in_child[c];
+    s_in_child.resize(st.size());
+    for (std::size_t i = 0; i < st.size(); ++i) {
+      s_in_child[i] = child_map[c]->find(st[i]);
+      SEPSP_CHECK_MSG(s_in_child[i] != kNpos,
+                      "separator vertex missing from child boundary");
     }
-
-    // Step i: H_S from the children's boundary distances.
-    Matrix<S>& hs = scratch->hs;
-    hs.reset(st.size());
-    for (int c = 0; c < 2; ++c) {
-      const Matrix<S>& cm = bnd[kids[c]];
-      const auto& s_in_child = scratch->s_in_child[c];
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        for (std::size_t j = 0; j < st.size(); ++j) {
-          hs.merge(i, j, cm.at(s_in_child[i], s_in_child[j]));
-        }
-      }
+    auto& b_in_child = sc.b_in_child[c];
+    b_in_child.resize(bt.size());
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      b_in_child[p] = child_map[c]->find(bt[p]);
     }
-    // Step ii: closure -> exact S x S distances in G(t).
-    detail::run_closure(hs, closure, scratch->square);
-    Shortcut<S>* out = aug.shortcuts.data() + offsets[id];
+  }
+
+  // Step i: H_S from the children's boundary distances.
+  Matrix<S>& hs = sc.hs;
+  hs.reset(st.size());
+  for (int c = 0; c < 2; ++c) {
+    const Matrix<S>& cm = *child[c];
+    const auto& s_in_child = sc.s_in_child[c];
     for (std::size_t i = 0; i < st.size(); ++i) {
       for (std::size_t j = 0; j < st.size(); ++j) {
-        if (i != j) *out++ = {st[i], st[j], hs.at(i, j)};
+        hs.merge(i, j, cm.at(s_in_child[i], s_in_child[j]));
       }
     }
+  }
+  // Step ii: closure -> exact S x S distances in G(t).
+  run_closure(hs, closure, sc.square);
 
-    if (!bt.empty()) {
-      // Step iii: B->S and S->B entries of H from the children.
-      Matrix<S>& b_to_s = scratch->b_to_s;
-      Matrix<S>& s_to_b = scratch->s_to_b;
-      b_to_s.reset(bt.size(), st.size());
-      s_to_b.reset(st.size(), bt.size());
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& s_in_child = scratch->s_in_child[c];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < st.size(); ++q) {
-            b_to_s.merge(p, q, cm.at(bp, s_in_child[q]));
-            s_to_b.merge(q, p, cm.at(s_in_child[q], bp));
-          }
-        }
-      }
-      // Step iv: 3-limited paths B -> S -> S -> B (H_S* includes the
-      // diagonal, so 1- and 2-hop crossings are covered too).
-      multiply_into(b_to_s, hs, scratch->tmp);
-      multiply_into(scratch->tmp, s_to_b, scratch->through);
-      const Matrix<S>& through = scratch->through;
-      // Step v: best of the separator crossing and staying in one child.
-      Matrix<S> bm(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
+  Matrix<S>& b_to_s = sc.b_to_s;
+  Matrix<S>& s_to_b = sc.s_to_b;
+  b_to_s.reset(bt.size(), st.size());
+  s_to_b.reset(st.size(), bt.size());
+  bm.reset(bt.size());
+  if (!bt.empty()) {
+    // Step iii: B->S and S->B entries of H from the children.
+    for (int c = 0; c < 2; ++c) {
+      const Matrix<S>& cm = *child[c];
+      const auto& s_in_child = sc.s_in_child[c];
+      const auto& b_in_child = sc.b_in_child[c];
       for (std::size_t p = 0; p < bt.size(); ++p) {
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          bm.merge(p, q, through.at(p, q));
+        const std::size_t bp = b_in_child[p];
+        if (bp == kNpos) continue;
+        for (std::size_t q = 0; q < st.size(); ++q) {
+          b_to_s.merge(p, q, cm.at(bp, s_in_child[q]));
+          s_to_b.merge(q, p, cm.at(s_in_child[q], bp));
         }
       }
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < bt.size(); ++q) {
-            const std::size_t bq = b_in_child[q];
-            if (bq == kNpos) continue;
-            bm.merge(p, q, cm.at(bp, bq));
-          }
-        }
-      }
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          if (p != q) *out++ = {bt[p], bt[q], bm.at(p, q)};
-        }
-      }
-      bnd[id] = std::move(bm);
-    } else {
-      bnd[id] = Matrix<S>(0);
     }
-    SEPSP_DCHECK(out == aug.shortcuts.data() + offsets[id + 1]);
-    // The children's matrices are no longer needed.
-    bnd[kids[0]].clear();
-    bnd[kids[1]].clear();
+    // Step iv: 3-limited paths B -> S -> S -> B (H_S* includes the
+    // diagonal, so 1- and 2-hop crossings are covered too).
+    multiply_into(b_to_s, hs, sc.tmp);
+    multiply_into(sc.tmp, s_to_b, sc.through);
+    const Matrix<S>& through = sc.through;
+    // Step v: best of the separator crossing and staying in one child.
+    for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      for (std::size_t q = 0; q < bt.size(); ++q) {
+        bm.merge(p, q, through.at(p, q));
+      }
+    }
+    for (int c = 0; c < 2; ++c) {
+      const Matrix<S>& cm = *child[c];
+      const auto& b_in_child = sc.b_in_child[c];
+      for (std::size_t p = 0; p < bt.size(); ++p) {
+        const std::size_t bp = b_in_child[p];
+        if (bp == kNpos) continue;
+        for (std::size_t q = 0; q < bt.size(); ++q) {
+          const std::size_t bq = b_in_child[q];
+          if (bq == kNpos) continue;
+          bm.merge(p, q, cm.at(bp, bq));
+        }
+      }
+    }
+  }
+  emit(NodeValues<S>{t, hs, b_to_s, s_to_b, bm});
+}
+
+/// Writes all ordered pairs (i != j) of `verts` with values m(i, j),
+/// i-major, and returns past-the-end.
+template <Semiring S>
+Shortcut<S>* emit_pairs(std::span<const Vertex> verts, const Matrix<S>& m,
+                        Shortcut<S>* out) {
+  for (std::size_t i = 0; i < verts.size(); ++i) {
+    for (std::size_t j = 0; j < verts.size(); ++j) {
+      if (i != j) *out++ = {verts[i], verts[j], m.at(i, j)};
+    }
+  }
+  return out;
+}
+
+/// The exact build's emission: the complete S x S and B x B pair sets.
+template <Semiring S>
+struct CompleteEmission {
+  static std::size_t capacity(const DecompNode& t) {
+    return pair_count(t.separator.size()) + pair_count(t.boundary.size());
+  }
+  void operator()(const NodeValues<S>& v,
+                  std::span<Shortcut<S>> slice) const {
+    Shortcut<S>* out = emit_pairs(v.node.separator, v.hs, slice.data());
+    out = emit_pairs(v.node.boundary, v.bm, out);
+    SEPSP_DCHECK(out == slice.data() + slice.size());
+  }
+};
+
+/// Output of the level driver: node id's emission occupies
+/// aug.shortcuts[offsets[id], offsets[id + 1]) (not yet deduplicated).
+template <Semiring S>
+struct LevelRun {
+  Augmentation<S> aug;
+  std::vector<std::size_t> offsets;
+  std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
+};
+
+/// Algorithm 4.1 over the whole tree: node_step on every node, deepest
+/// level first, the nodes of one level in parallel; node id emits via
+/// emit(values, slice) into a slice of emit.capacity(node) entries.
+/// A parent releases its children's boundary matrices once consumed
+/// unless `keep_bnd`. Fills levels, height, ell and critical_depth.
+template <Semiring S, typename Emit>
+LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
+                            ClosureKind closure, Emit& emit, bool keep_bnd) {
+  const std::size_t num_nodes = tree.num_nodes();
+  LevelRun<S> run;
+  run.aug.levels = compute_levels(tree);
+  run.aug.height = tree.height();
+  run.aug.ell = leaf_diameter_bound(tree);
+  run.bnd.resize(num_nodes);
+  // Every node's slice size is known up front, so the output array is
+  // sized once and node tasks write disjoint slices.
+  run.offsets.resize(num_nodes);
+  for (std::size_t id = 0; id < num_nodes; ++id) {
+    run.offsets[id] = emit.capacity(tree.node(id));
+  }
+  run.aug.shortcuts.resize(offsets_from_counts(run.offsets));
+
+  ScratchPool<RecursiveScratch<S>> scratch_pool([&] {
+    return std::make_unique<RecursiveScratch<S>>(g.num_vertices());
+  });
+  const auto arc_weight = [](const Arc& a) { return a.weight; };
+  auto process = [&](std::size_t id) {
+    auto scratch = scratch_pool.acquire();
+    const std::span<Shortcut<S>> slice(
+        run.aug.shortcuts.data() + run.offsets[id],
+        run.offsets[id + 1] - run.offsets[id]);
+    node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
+                 run.bnd[id],
+                 [&](const NodeValues<S>& v) { emit(v, slice); });
+    const DecompNode& t = tree.node(id);
+    if (!keep_bnd && !t.is_leaf()) {
+      run.bnd[static_cast<std::size_t>(t.child[0])].clear();
+      run.bnd[static_cast<std::size_t>(t.child[1])].clear();
+    }
   };
 
   const auto by_level = tree.ids_by_level();
@@ -275,13 +308,16 @@ Augmentation<S> build_augmentation_recursive(
     pram::ThreadPool::global().parallel_for(0, ids.size(), [&](std::size_t k) {
       const std::size_t id = ids[k];
       if (tree.node(id).is_leaf()) {
-        process_leaf(id);
+        SEPSP_TRACE_SPAN("build.leaf");  // merged by name: calls = leaves
+        process(id);
       } else {
-        process_internal(id);
+        SEPSP_TRACE_SPAN("build.internal");  // calls = internal nodes
+        process(id);
       }
     });
     // Critical path of this level = the largest node's kernel depth:
     // closure on |S| plus two rectangular products, or a leaf's FW.
+    // Emission is O(set^2), dominated by the kernels it rides along with.
     std::uint64_t level_depth = 1;
     for (const std::size_t id : ids) {
       const DecompNode& t = tree.node(id);
@@ -291,19 +327,33 @@ Augmentation<S> build_augmentation_recursive(
       } else {
         const std::uint64_t s = t.separator.size();
         const std::uint64_t log_s = s < 2 ? 1 : std::bit_width(s - 1);
-        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2)
-                                              : s;
+        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s;
         d += 2 * (log_s + 1);  // the two 3-limited products
       }
       level_depth = std::max(level_depth, d);
     }
-    aug.critical_depth += level_depth;
+    run.aug.critical_depth += level_depth;
   }
+  return run;
+}
 
+}  // namespace detail
+
+/// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
+template <Semiring S>
+Augmentation<S> build_augmentation_recursive(
+    const Digraph& g, const SeparatorTree& tree,
+    ClosureKind closure = ClosureKind::kSquaring) {
+  SEPSP_TRACE_SPAN("build.recursive");
+  const pram::CostScope scope;
+  detail::CompleteEmission<S> emit;
+  Augmentation<S> aug =
+      detail::run_algorithm41<S>(g, tree, closure, emit, /*keep_bnd=*/false)
+          .aug;
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
   SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::histogram("build.node_count").record(num_nodes);)
+                 obs::histogram("build.node_count").record(tree.num_nodes());)
   return aug;
 }
 

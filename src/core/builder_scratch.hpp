@@ -1,6 +1,6 @@
 // Per-node scratch arenas for the E+ builders.
 //
-// Both builders process many tree nodes per level, and every node used
+// The builders process many tree nodes per level, and every node used
 // to allocate its own index-lookup structures and intermediate matrices.
 // The arenas here let a node task lease a reusable scratch object
 // instead: matrix storage is re-shaped with Matrix::reset (no
@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/augment.hpp"
 #include "graph/digraph.hpp"
 #include "semiring/matrix.hpp"
 #include "util/check.hpp"
@@ -122,7 +123,8 @@ class ScratchPool {
   std::vector<std::unique_ptr<T>> free_;  // guarded by mutex_
 };
 
-/// Scratch for one node task of the recursive builder (Algorithm 4.1).
+/// Scratch for one Algorithm 4.1 node step (detail::node_step), shared
+/// by the builders and the incremental engine's recompute.
 template <Semiring S>
 struct RecursiveScratch {
   explicit RecursiveScratch(std::size_t num_vertices)
@@ -139,6 +141,10 @@ struct RecursiveScratch {
   Matrix<S> square;   // squaring-closure product buffer
   std::vector<std::size_t> s_in_child[2];
   std::vector<std::size_t> b_in_child[2];
+  // Incremental recompute: the new boundary matrix and shortcut values,
+  // staged here so they can be diffed against the retained ones.
+  Matrix<S> bm;
+  std::vector<Shortcut<S>> edges;
 };
 
 /// Scratch for one node task of the doubling builder (Algorithm 4.3).

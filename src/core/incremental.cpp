@@ -1,13 +1,12 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <unordered_map>
 
-#include "util/vertex_index.hpp"  // detail::index_of
+#include "core/builder_recursive.hpp"  // detail::node_step, run_algorithm41
 #include "core/builder_scratch.hpp"    // detail::ScratchPool
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
@@ -15,26 +14,7 @@
 
 namespace sepsp {
 
-using detail::index_of;
-using detail::kNpos;
 using S = TropicalD;
-
-namespace {
-
-/// Per-task arena for one node recomputation, leased from a ScratchPool
-/// (never thread_local: the pool's help-first joins can re-enter a
-/// worker mid-task). Matrices reuse their high-water storage across
-/// leases, so a steady update stream recomputes allocation-free.
-struct IncrScratch {
-  Matrix<S> local;             // leaf: full subgraph matrix
-  Matrix<S> hs;                // internal: separator closure
-  Matrix<S> b_to_s, s_to_b;    // internal: boundary<->separator blocks
-  Matrix<S> tmp, through;      // internal: product staging
-  Matrix<S> result;            // the recomputed boundary matrix
-  std::vector<Shortcut<S>> old_edges;  // stashed pre-recompute edges
-};
-
-}  // namespace
 
 struct IncrementalEngine::State {
   const Digraph* g = nullptr;
@@ -44,18 +24,20 @@ struct IncrementalEngine::State {
   std::vector<double> weights;
 
   /// Retained Algorithm-4.1 state: per-node boundary matrices and the
-  /// shortcut edges each node contributes (pair structure is fixed; only
-  /// values change under reweighting).
+  /// shortcut entries every node emits, node id's complete S x S and
+  /// B x B pair sets at [entry_off[id], entry_off[id + 1]) of `entries`
+  /// (pair structure is fixed; only values change under reweighting).
   std::vector<Matrix<S>> bnd;
-  std::vector<std::vector<Shortcut<S>>> per_node_edges;
+  std::vector<Shortcut<S>> entries;
+  std::vector<std::size_t> entry_off;
 
   /// E+ with one stable slot per distinct (from, to) pair — including
   /// currently-unreachable pairs (value +inf), which reweighting may
-  /// activate. slot_of mirrors per_node_edges; owners is a CSR from slot
-  /// to its contributing (node, index-in-node) entries.
-  std::vector<std::vector<std::uint32_t>> slot_of;
-  std::vector<std::size_t> owner_offset;        // size slots+1
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> owner_entries;
+  /// activate. entry_slot maps each entry to its slot; owners is a CSR
+  /// from slot to its contributing entries.
+  std::vector<std::uint32_t> entry_slot;
+  std::vector<std::size_t> owner_offset;  // size slots+1
+  std::vector<std::size_t> owner_entries;
 
   /// Staged changes. dirty_seen doubles as apply()'s queued flag (set
   /// for every node on the recompute worklist, cleared when the batch
@@ -72,27 +54,7 @@ struct IncrementalEngine::State {
   std::vector<std::vector<std::uint32_t>> arc_leaves;
   std::vector<std::uint8_t> arc_leaves_known;
 
-  /// Structural recompute plans, built once: the index maps recompute
-  /// would otherwise re-derive with index_of linear scans on every
-  /// batch. For a leaf: (local i, local j, flat arc) triples plus the
-  /// boundary's positions in the vertex list. For an internal node: the
-  /// separator's and boundary's positions in each child's boundary
-  /// (kNoPos where absent).
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  struct LeafPlan {
-    std::vector<std::array<std::uint32_t, 3>> arcs;
-    std::vector<std::uint32_t> boundary_pos;
-  };
-  struct ChildMaps {
-    std::array<std::vector<std::uint32_t>, 2> s_pos, b_pos;
-  };
-  std::vector<LeafPlan> leaf_plan;    // per node id, empty for internal
-  std::vector<ChildMaps> child_maps;  // per node id, empty for leaves
-
-  /// Per-entry change flags of the latest recompute, CSR-flat beside
-  /// slot_of (entry_off is the prefix sum of slot_of sizes). Empty
-  /// during the initial build, which needs no re-minimization.
-  std::vector<std::size_t> entry_off;
+  /// Per-entry change flags of the latest recompute, beside `entries`.
   std::vector<std::uint8_t> entry_changed;
 
   /// Epoch-stamped slot marks: the touched-slot worklist of apply()
@@ -113,165 +75,56 @@ struct IncrementalEngine::State {
 
   Augmentation<S> aug;
   std::optional<LeveledQuery<S>> query;
-  std::optional<detail::ScratchPool<IncrScratch>> scratch;
+  /// Per-task arenas for node recomputes (never thread_local: the
+  /// pool's help-first joins can re-enter a worker mid-task). Matrices
+  /// reuse their high-water storage across leases, so a steady update
+  /// stream recomputes allocation-free.
+  std::optional<detail::ScratchPool<detail::RecursiveScratch<S>>> scratch;
 
-  double effective(const Arc& a) const {
-    return weights[static_cast<std::size_t>(&a - g->arcs().data())];
-  }
-
-  void recompute_leaf(std::size_t id, IncrScratch& sc);
-  void recompute_internal(std::size_t id, IncrScratch& sc);
-
-  /// Recomputes node `id` into leased scratch and, when the boundary
-  /// matrix changed, copy-assigns it into bnd[id] (capacity reuse).
-  /// Writes only this node's rows (per_node_edges[id], bnd[id], its
-  /// entry_changed range) — safe to run concurrently for distinct nodes
-  /// of one tree level. Two distinct change signals come back: `matrix`
-  /// (the boundary matrix — drives upward propagation) and `edges` (the
-  /// contributed shortcut values — drives slot re-minimization; an
-  /// internal node's S x S closure entries can change while its
-  /// boundary matrix does not, and vice versa). The per-entry diff is
-  /// recorded in entry_changed so apply() re-minimizes only slots whose
-  /// contributed value actually moved, not every slot of a changed
-  /// node.
+  /// Recomputes node `id` with the shared Algorithm-4.1 node step (the
+  /// Floyd–Warshall closure the initial build used) into leased scratch
+  /// and, when the boundary matrix changed, copy-assigns it into bnd[id]
+  /// (capacity reuse). Writes only this node's rows (bnd[id] and its
+  /// entries / entry_changed range) — safe to run concurrently for
+  /// distinct nodes of one tree level. Two distinct change signals come
+  /// back: `matrix` (the boundary matrix — drives upward propagation)
+  /// and `edges` (the contributed shortcut values — drives slot
+  /// re-minimization; an internal node's S x S closure entries can
+  /// change while its boundary matrix does not, and vice versa). The
+  /// per-entry diff is recorded in entry_changed so apply()
+  /// re-minimizes only slots whose contributed value actually moved,
+  /// not every slot of a changed node.
   struct Recomputed {
     bool matrix = false;
     bool edges = false;
   };
-  Recomputed recompute_node(std::size_t id, IncrScratch& sc) {
-    sc.old_edges.swap(per_node_edges[id]);
-    if (tree->node(id).is_leaf()) {
-      recompute_leaf(id, sc);
-    } else {
-      recompute_internal(id, sc);
-    }
+  Recomputed recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
+    const std::size_t lo = entry_off[id];
+    const std::size_t n = entry_off[id + 1] - lo;
+    detail::node_step<S>(
+        *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
+        [&](const Arc& a) {
+          return weights[static_cast<std::size_t>(&a - g->arcs().data())];
+        },
+        sc, sc.bm, [&](const detail::NodeValues<S>& v) {
+          sc.edges.resize(n);
+          detail::CompleteEmission<S>{}(v, sc.edges);
+        });
     Recomputed r;
-    r.matrix = !(sc.result == bnd[id]);
-    if (r.matrix) bnd[id] = sc.result;
-    const std::vector<Shortcut<S>>& now = per_node_edges[id];
-    if (sc.old_edges.size() != now.size()) {
-      // Initial build (old list empty): every entry is new. The pair
-      // structure is fixed afterwards, so sizes never diverge again.
-      r.edges = true;
-      if (!entry_changed.empty()) {
-        std::fill_n(entry_changed.begin() +
-                        static_cast<std::ptrdiff_t>(entry_off[id]),
-                    now.size(), std::uint8_t{1});
-      }
-    } else {
-      std::uint8_t* flags =
-          entry_changed.empty() ? nullptr : entry_changed.data() + entry_off[id];
-      bool any = false;
-      for (std::size_t j = 0; j < now.size(); ++j) {
-        const bool moved = std::memcmp(&sc.old_edges[j].value, &now[j].value,
-                                       sizeof(S::Value)) != 0;
-        if (flags) flags[j] = moved ? 1 : 0;
-        any = any || moved;
-      }
-      r.edges = any;
+    r.matrix = !(sc.bm == bnd[id]);
+    if (r.matrix) bnd[id] = sc.bm;
+    Shortcut<S>* now = entries.data() + lo;
+    std::uint8_t* flags = entry_changed.data() + lo;
+    for (std::size_t j = 0; j < n; ++j) {
+      const bool moved = std::memcmp(&sc.edges[j].value, &now[j].value,
+                                     sizeof(S::Value)) != 0;
+      flags[j] = moved ? 1 : 0;
+      now[j].value = sc.edges[j].value;
+      r.edges = r.edges || moved;
     }
     return r;
   }
 };
-
-void IncrementalEngine::State::recompute_leaf(std::size_t id,
-                                              IncrScratch& sc) {
-  const DecompNode& t = tree->node(id);
-  const LeafPlan& plan = leaf_plan[id];
-  Matrix<S>& local = sc.local;
-  local.reset(t.vertices.size());
-  for (std::size_t i = 0; i < t.vertices.size(); ++i) local.at(i, i) = S::one();
-  for (const auto& e : plan.arcs) local.merge(e[0], e[1], weights[e[2]]);
-  floyd_warshall(local);
-  const std::span<const Vertex> b = t.boundary;
-  Matrix<S>& bm = sc.result;
-  bm.reset(b.size());
-  per_node_edges[id].clear();
-  for (std::size_t p = 0; p < b.size(); ++p) {
-    const std::uint32_t ip = plan.boundary_pos[p];
-    for (std::size_t q = 0; q < b.size(); ++q) {
-      bm.at(p, q) = local.at(ip, plan.boundary_pos[q]);
-      if (p != q) per_node_edges[id].push_back({b[p], b[q], bm.at(p, q)});
-    }
-  }
-}
-
-void IncrementalEngine::State::recompute_internal(std::size_t id,
-                                                  IncrScratch& sc) {
-  const DecompNode& t = tree->node(id);
-  const std::span<const Vertex> st = t.separator;
-  const std::span<const Vertex> bt = t.boundary;
-  const std::array<std::size_t, 2> kids = {
-      static_cast<std::size_t>(t.child[0]),
-      static_cast<std::size_t>(t.child[1])};
-  const ChildMaps& maps = child_maps[id];
-  per_node_edges[id].clear();
-
-  Matrix<S>& hs = sc.hs;
-  hs.reset(st.size());
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    const std::vector<std::uint32_t>& sp = maps.s_pos[c];
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      for (std::size_t j = 0; j < st.size(); ++j) {
-        hs.merge(i, j, cm.at(sp[i], sp[j]));
-      }
-    }
-  }
-  floyd_warshall(hs);
-  for (std::size_t i = 0; i < st.size(); ++i) {
-    for (std::size_t j = 0; j < st.size(); ++j) {
-      if (i != j) per_node_edges[id].push_back({st[i], st[j], hs.at(i, j)});
-    }
-  }
-
-  if (bt.empty()) {
-    sc.result.reset(0);
-    return;
-  }
-  Matrix<S>& b_to_s = sc.b_to_s;
-  Matrix<S>& s_to_b = sc.s_to_b;
-  b_to_s.reset(bt.size(), st.size());
-  s_to_b.reset(st.size(), bt.size());
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    const std::vector<std::uint32_t>& sp = maps.s_pos[c];
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      const std::uint32_t bp = maps.b_pos[c][p];
-      if (bp == kNoPos) continue;
-      for (std::size_t q = 0; q < st.size(); ++q) {
-        b_to_s.merge(p, q, cm.at(bp, sp[q]));
-        s_to_b.merge(q, p, cm.at(sp[q], bp));
-      }
-    }
-  }
-  multiply_into(b_to_s, hs, sc.tmp);
-  multiply_into(sc.tmp, s_to_b, sc.through);
-  Matrix<S>& bm = sc.result;
-  bm.reset(bt.size());
-  for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
-  for (std::size_t p = 0; p < bt.size(); ++p) {
-    for (std::size_t q = 0; q < bt.size(); ++q) {
-      bm.merge(p, q, sc.through.at(p, q));
-    }
-  }
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      const std::uint32_t bp = maps.b_pos[c][p];
-      if (bp == kNoPos) continue;
-      for (std::size_t q = 0; q < bt.size(); ++q) {
-        const std::uint32_t bq = maps.b_pos[c][q];
-        if (bq != kNoPos) bm.merge(p, q, cm.at(bp, bq));
-      }
-    }
-  }
-  for (std::size_t p = 0; p < bt.size(); ++p) {
-    for (std::size_t q = 0; q < bt.size(); ++q) {
-      if (p != q) per_node_edges[id].push_back({bt[p], bt[q], bm.at(p, q)});
-    }
-  }
-}
 
 IncrementalEngine IncrementalEngine::build(const Digraph& g,
                                            const SeparatorTree& tree) {
@@ -283,73 +136,23 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   s.tree = &tree;
   s.weights.reserve(g.num_edges());
   for (const Arc& a : g.arcs()) s.weights.push_back(a.weight);
-  s.bnd.resize(tree.num_nodes());
-  s.per_node_edges.resize(tree.num_nodes());
   s.dirty_seen.assign(tree.num_nodes(), 0);
   s.arc_staged.assign(g.num_edges(), 0);
   s.arc_leaves.resize(g.num_edges());
   s.arc_leaves_known.assign(g.num_edges(), 0);
-  s.scratch.emplace([] { return std::make_unique<IncrScratch>(); });
+  s.scratch.emplace([n = g.num_vertices()] {
+    return std::make_unique<detail::RecursiveScratch<S>>(n);
+  });
 
-  s.aug.levels = compute_levels(tree);
-  s.aug.height = tree.height();
-  s.aug.ell = leaf_diameter_bound(tree);
-
-  // Structural plans, derived once: every recompute of the same node
-  // reuses them instead of re-running index_of scans (those scans were
-  // a sizeable slice of the per-batch critical path).
-  s.leaf_plan.resize(tree.num_nodes());
-  s.child_maps.resize(tree.num_nodes());
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
-    const DecompNode& t = tree.node(id);
-    if (t.is_leaf()) {
-      State::LeafPlan& plan = s.leaf_plan[id];
-      const std::span<const Vertex> verts = t.vertices;
-      for (std::size_t i = 0; i < verts.size(); ++i) {
-        for (const Arc& a : g.out(verts[i])) {
-          const std::size_t j = index_of(verts, a.to);
-          if (j == kNpos) continue;
-          plan.arcs.push_back(
-              {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-               static_cast<std::uint32_t>(&a - g.arcs().data())});
-        }
-      }
-      plan.boundary_pos.reserve(t.boundary.size());
-      for (const Vertex v : t.boundary) {
-        const std::size_t ip = index_of(verts, v);
-        SEPSP_CHECK(ip != kNpos);
-        plan.boundary_pos.push_back(static_cast<std::uint32_t>(ip));
-      }
-    } else {
-      State::ChildMaps& maps = s.child_maps[id];
-      for (int c = 0; c < 2; ++c) {
-        const std::span<const Vertex> cb =
-            tree.node(static_cast<std::size_t>(t.child[c])).boundary;
-        maps.s_pos[c].reserve(t.separator.size());
-        for (const Vertex v : t.separator) {
-          const std::size_t i = index_of(cb, v);
-          SEPSP_CHECK(i != kNpos);
-          maps.s_pos[c].push_back(static_cast<std::uint32_t>(i));
-        }
-        maps.b_pos[c].reserve(t.boundary.size());
-        for (const Vertex v : t.boundary) {
-          const std::size_t i = index_of(cb, v);
-          maps.b_pos[c].push_back(i == kNpos ? State::kNoPos
-                                             : static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-  }
-
-  const auto by_level = tree.ids_by_level();
-  {
-    auto sc = s.scratch->acquire();
-    for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-      for (const std::size_t id : by_level[lvl]) {
-        s.recompute_node(id, *sc);
-      }
-    }
-  }
+  // The exact build with Floyd–Warshall closures, keeping every node's
+  // boundary matrix and complete emission for later recomputes.
+  detail::CompleteEmission<S> emit;
+  detail::LevelRun<S> run = detail::run_algorithm41<S>(
+      g, tree, ClosureKind::kFloydWarshall, emit, /*keep_bnd=*/true);
+  s.bnd = std::move(run.bnd);
+  s.entry_off = std::move(run.offsets);
+  s.aug = std::move(run.aug);
+  s.entries.swap(s.aug.shortcuts);  // the slots are laid out below
 
   // Stable slot layout: one aug shortcut per distinct (from, to) pair
   // (unreachable pairs kept at +inf so reweighting can activate them),
@@ -358,22 +161,16 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
     return (static_cast<std::uint64_t>(a) << 32) | b;
   };
   std::unordered_map<std::uint64_t, std::uint32_t> slot_index;
-  s.slot_of.resize(tree.num_nodes());
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
-    s.slot_of[id].reserve(s.per_node_edges[id].size());
-    for (const auto& e : s.per_node_edges[id]) {
-      const auto [it, inserted] = slot_index.try_emplace(
-          pack(e.from, e.to),
-          static_cast<std::uint32_t>(s.aug.shortcuts.size()));
-      if (inserted) s.aug.shortcuts.push_back({e.from, e.to, S::zero()});
-      s.slot_of[id].push_back(it->second);
-    }
+  s.entry_slot.reserve(s.entries.size());
+  for (const auto& e : s.entries) {
+    const auto [it, inserted] = slot_index.try_emplace(
+        pack(e.from, e.to), static_cast<std::uint32_t>(s.aug.shortcuts.size()));
+    if (inserted) s.aug.shortcuts.push_back({e.from, e.to, S::zero()});
+    s.entry_slot.push_back(it->second);
   }
   // Owner CSR + initial values.
   std::vector<std::size_t> counts(s.aug.shortcuts.size(), 0);
-  for (const auto& slots : s.slot_of) {
-    for (const std::uint32_t slot : slots) ++counts[slot];
-  }
+  for (const std::uint32_t slot : s.entry_slot) ++counts[slot];
   s.owner_offset.assign(s.aug.shortcuts.size() + 1, 0);
   for (std::size_t i = 0; i < counts.size(); ++i) {
     s.owner_offset[i + 1] = s.owner_offset[i] + counts[i];
@@ -381,21 +178,14 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   s.owner_entries.resize(s.owner_offset.back());
   std::vector<std::size_t> cursor(s.owner_offset.begin(),
                                   s.owner_offset.end() - 1);
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
-    for (std::size_t k = 0; k < s.slot_of[id].size(); ++k) {
-      const std::uint32_t slot = s.slot_of[id][k];
-      s.owner_entries[cursor[slot]++] = {static_cast<std::uint32_t>(id),
-                                         static_cast<std::uint32_t>(k)};
-      s.aug.shortcuts[slot].value = S::combine(
-          s.aug.shortcuts[slot].value, s.per_node_edges[id][k].value);
-    }
+  for (std::size_t e = 0; e < s.entries.size(); ++e) {
+    const std::uint32_t slot = s.entry_slot[e];
+    s.owner_entries[cursor[slot]++] = e;
+    s.aug.shortcuts[slot].value =
+        S::combine(s.aug.shortcuts[slot].value, s.entries[e].value);
   }
   s.slot_mark.assign(s.aug.shortcuts.size(), 0);
-  s.entry_off.assign(tree.num_nodes() + 1, 0);
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
-    s.entry_off[id + 1] = s.entry_off[id] + s.slot_of[id].size();
-  }
-  s.entry_changed.assign(s.entry_off.back(), 0);
+  s.entry_changed.assign(s.entries.size(), 0);
 
   s.query.emplace(g, s.aug);
   return engine;
@@ -517,11 +307,9 @@ std::size_t IncrementalEngine::apply() {
       const std::size_t id = ids[k];
       recomputed.push_back(id);
       if (changed[k].edges) {
-        const std::uint8_t* flags = s.entry_changed.data() + s.entry_off[id];
-        const std::vector<std::uint32_t>& slots = s.slot_of[id];
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          if (!flags[j]) continue;
-          const std::uint32_t slot = slots[j];
+        for (std::size_t e = s.entry_off[id]; e < s.entry_off[id + 1]; ++e) {
+          if (!s.entry_changed[e]) continue;
+          const std::uint32_t slot = s.entry_slot[e];
           if (s.slot_mark[slot] != s.mark_token) {
             s.slot_mark[slot] = s.mark_token;
             touched.push_back(slot);
@@ -556,8 +344,7 @@ std::size_t IncrementalEngine::apply() {
     auto value = S::zero();
     for (std::size_t o = s.owner_offset[slot]; o < s.owner_offset[slot + 1];
          ++o) {
-      const auto [node, k] = s.owner_entries[o];
-      value = S::combine(value, s.per_node_edges[node][k].value);
+      value = S::combine(value, s.entries[s.owner_entries[o]].value);
     }
     s.remin_values[i] = value;
     s.remin_changed[i] =

@@ -51,7 +51,6 @@
 #include "graph/digraph.hpp"
 #include "obs/obs.hpp"
 #include "pram/cost_model.hpp"
-#include "pram/thread_pool.hpp"
 #include "util/aligned.hpp"
 #include "util/page_source.hpp"
 #include "util/slab.hpp"
@@ -203,12 +202,6 @@ class EdgeBucket {
       const PinLease lease = pin_span(lo, len);
       f(lo, len, ext_->value + lo);
     }
-  }
-
-  /// Pins the bucket's whole byte range — for random-access scans
-  /// (run_parallel's block splits). No-op lease on owned buckets.
-  PinLease pin_all() const {
-    return ext_ ? pin_span(0, ext_->count) : PinLease{};
   }
 
   /// In-place value patch (incremental reweighting). Returns true when
@@ -659,35 +652,6 @@ class LeveledQuery {
     return r;
   }
 
-  /// Like run(), but each relaxation phase is executed in parallel over
-  /// its bucket on the global thread pool — the PRAM execution of the
-  /// schedule. Within a phase, updates go through lock-free
-  /// compare-exchange minimization (EREW combining in spirit); phase
-  /// boundaries are joins, so the schedule's phase-ordering argument is
-  /// preserved. Same results as run(); in-phase propagation can only
-  /// tighten intermediate values.
-  QueryResult<S> run_parallel(Vertex source) const {
-    QueryResult<S> r = init(source);
-    QueryStats s;
-    Value* d = r.dist.data();
-    scan_e_passes_parallel(d, s);
-    for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
-      relax_parallel(same_[l], d, s);
-      relax_parallel(down_[l], d, s);
-    }
-    for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-      relax_parallel(same_[l], d, s);
-      relax_parallel(up_[l], d, s);
-    }
-    scan_e_passes_parallel(d, s);
-    detect_negative_cycle(d, s);
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
-    note_run(s);
-    apply(s, r);
-    return r;
-  }
-
   /// Multi-source variant: every vertex of `sources` starts at one().
   /// Equivalent to a virtual super-source with zero-weight arcs to all
   /// of them (the reduction difference-constraint solving uses); the
@@ -867,51 +831,6 @@ class LeveledQuery {
   void scan_e_passes(Value* dist, QueryStats& s) const {
     for (std::size_t p = 0; p < aug_->ell; ++p) {
       if (!relax(base_, dist, s)) break;
-    }
-  }
-
-  /// Parallel relaxation pass: lock-free CAS minimization per target.
-  /// value(i) resolves an owned slab with a shift/mask (kSlabEntries is
-  /// a power of two) or indexes the mapped segment directly, so
-  /// arbitrary block splits stay cheap.
-  bool relax_parallel(const EdgeBucket<S>& edges, Value* dist,
-                      QueryStats& s) const {
-    std::atomic<bool> changed{false};
-    const Vertex* from = edges.from_data();
-    const Vertex* to = edges.to_data();
-    // Blocks split arbitrarily across threads, so an external bucket is
-    // pinned whole for the phase instead of chunk-by-chunk.
-    const PinLease lease = edges.pin_all();
-    pram::ThreadPool::global().parallel_blocks(
-        0, edges.size(), [&](std::size_t lo, std::size_t hi) {
-          bool local_changed = false;
-          for (std::size_t i = lo; i < hi; ++i) {
-            std::atomic_ref<Value> src(dist[from[i]]);
-            const Value du = src.load(std::memory_order_relaxed);
-            if (!S::improves(S::zero(), du)) continue;
-            const Value cand = S::extend(du, edges.value(i));
-            std::atomic_ref<Value> dst(dist[to[i]]);
-            Value current = dst.load(std::memory_order_relaxed);
-            while (S::improves(current, cand)) {
-              if (dst.compare_exchange_weak(current, cand,
-                                            std::memory_order_relaxed)) {
-                local_changed = true;
-                break;
-              }
-            }
-          }
-          if (local_changed) {
-            changed.store(true, std::memory_order_relaxed);
-          }
-        });
-    s.edges_scanned += edges.size();
-    ++s.phases;
-    return changed.load(std::memory_order_relaxed);
-  }
-
-  void scan_e_passes_parallel(Value* dist, QueryStats& s) const {
-    for (std::size_t p = 0; p < aug_->ell; ++p) {
-      if (!relax_parallel(base_, dist, s)) break;
     }
   }
 

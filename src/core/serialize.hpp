@@ -46,11 +46,6 @@ constexpr std::uint32_t kTreeVersion = 1;         ///< current tree format
 constexpr std::uint32_t kAugVersion = 2;          ///< current aug format
 constexpr std::uint32_t kMinVersion = 1;          ///< oldest readable
 
-/// Pre-versioning alias (deprecated): the single shared version number,
-/// valid while both formats sat at 1. Use kTreeVersion / kAugVersion.
-[[deprecated("use kTreeVersion / kAugVersion")]]
-constexpr std::uint32_t kVersion = 1;
-
 inline void set_error(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }

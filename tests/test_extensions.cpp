@@ -1,6 +1,6 @@
 // Extension features: the Remark-4.4 compact builder, the
-// fundamental-cycle separator, unit-disk (overlap) graphs, parallel
-// in-phase relaxation, and the q-face k-pair oracle.
+// fundamental-cycle separator, unit-disk (overlap) graphs, and the
+// q-face k-pair oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -169,38 +169,6 @@ TEST(UnitDisk, EngineMatchesDijkstraOnLargestComponent) {
     } else {
       EXPECT_NEAR(got.dist[v], want.dist[v], 1e-8);
     }
-  }
-}
-
-// --- parallel in-phase relaxation -----------------------------------------
-
-TEST(ParallelQuery, MatchesSequentialSchedule) {
-  Rng rng(9);
-  const GeneratedGraph gg =
-      make_grid({12, 12}, WeightModel::uniform(1, 9), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({12, 12}));
-  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  for (const Vertex src : {Vertex{0}, Vertex{71}, Vertex{143}}) {
-    const auto seq = engine.query_engine().run(src);
-    const auto par = engine.query_engine().run_parallel(src);
-    ASSERT_FALSE(par.negative_cycle);
-    for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
-      EXPECT_NEAR(seq.dist[v], par.dist[v], 1e-9) << v;
-    }
-  }
-}
-
-TEST(ParallelQuery, HandlesNegativeWeights) {
-  Rng rng(10);
-  const GeneratedGraph gg = make_grid({8, 8}, WeightModel::mixed_sign(), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
-  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto seq = engine.query_engine().run(5);
-  const auto par = engine.query_engine().run_parallel(5);
-  for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
-    EXPECT_NEAR(seq.dist[v], par.dist[v], 1e-9);
   }
 }
 

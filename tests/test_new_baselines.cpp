@@ -1,5 +1,4 @@
-// Delta-stepping, negative-cycle extraction and condensation
-// reachability.
+// Delta-stepping and negative-cycle extraction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,8 +6,6 @@
 #include "baseline/delta_stepping.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/negative_cycle.hpp"
-#include "baseline/reach.hpp"
-#include "core/condensation.hpp"
 #include "graph/generators.hpp"
 
 namespace sepsp {
@@ -97,56 +94,6 @@ TEST(NegativeCycle, TightZeroCycleIsNotNegative) {
   b.add_edge(0, 1, 2.0);
   b.add_edge(1, 0, -2.0);
   EXPECT_FALSE(find_negative_cycle(std::move(b).build()).has_value());
-}
-
-TEST(Condensation, ReachabilityThroughCycles) {
-  // Three 10-cycles chained by one-way bridges plus random chords.
-  Rng rng(6);
-  GraphBuilder b(30);
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 10; ++i) {
-      b.add_edge(static_cast<Vertex>(10 * c + i),
-                 static_cast<Vertex>(10 * c + (i + 1) % 10), 1.0);
-    }
-  }
-  b.add_edge(3, 14, 1.0);
-  b.add_edge(17, 25, 1.0);
-  const Digraph g = std::move(b).build();
-  const CondensedReachability cr = CondensedReachability::build(g);
-  EXPECT_EQ(cr.num_components(), 3u);
-  for (const Vertex src : {Vertex{0}, Vertex{12}, Vertex{29}}) {
-    const auto got = cr.reachable_from(src);
-    const auto want = bfs_reachable(g, src);
-    for (Vertex v = 0; v < 30; ++v) {
-      EXPECT_EQ(got[v] != 0, want[v] != 0) << src << "->" << v;
-    }
-  }
-}
-
-TEST(Condensation, RandomGraphsAgreeWithBfs) {
-  Rng rng(7);
-  for (int trial = 0; trial < 4; ++trial) {
-    const GeneratedGraph gg =
-        make_random_digraph(150, 300 + 50 * trial, WeightModel::unit(), rng);
-    const CondensedReachability cr = CondensedReachability::build(gg.graph);
-    EXPECT_LE(cr.num_components(), gg.graph.num_vertices());
-    for (const Vertex src : {Vertex{0}, Vertex{75}, Vertex{149}}) {
-      const auto got = cr.reachable_from(src);
-      const auto want = bfs_reachable(gg.graph, src);
-      for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
-        ASSERT_EQ(got[v] != 0, want[v] != 0) << src << "->" << v;
-      }
-    }
-  }
-}
-
-TEST(Condensation, StronglyConnectedGraphIsOneComponent) {
-  Rng rng(8);
-  const GeneratedGraph gg = make_grid({6, 6}, WeightModel::unit(), rng);
-  const CondensedReachability cr = CondensedReachability::build(gg.graph);
-  EXPECT_EQ(cr.num_components(), 1u);
-  const auto reach = cr.reachable_from(5);
-  for (Vertex v = 0; v < 36; ++v) EXPECT_TRUE(reach[v]);
 }
 
 }  // namespace

@@ -159,17 +159,14 @@ TEST_P(PropertySweep, AllQueryModesMatchGroundTruth) {
     const std::vector<double> want = ground_truth(src);
     const auto scheduled = engine.query_engine().run(src);
     const auto naive = engine.query_engine().run_unscheduled(src);
-    const auto parallel = engine.query_engine().run_parallel(src);
     ASSERT_FALSE(scheduled.negative_cycle);
     for (Vertex v = 0; v < gg_.graph.num_vertices(); ++v) {
       if (std::isinf(want[v])) {
         EXPECT_TRUE(std::isinf(scheduled.dist[v])) << v;
         EXPECT_TRUE(std::isinf(naive.dist[v])) << v;
-        EXPECT_TRUE(std::isinf(parallel.dist[v])) << v;
       } else {
         EXPECT_NEAR(scheduled.dist[v], want[v], 1e-8) << v;
         EXPECT_NEAR(naive.dist[v], want[v], 1e-8) << v;
-        EXPECT_NEAR(parallel.dist[v], want[v], 1e-8) << v;
       }
     }
   }
