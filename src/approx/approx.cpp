@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "approx/sparsify.hpp"
-#include "core/query_batch.hpp"
-#include "pram/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace sepsp {
@@ -43,28 +41,6 @@ QueryResult<TropicalD> rescaled_result(const QueryResult<TropicalI>& r,
   out.edges_scanned = r.edges_scanned;
   out.phases = r.phases;
   return out;
-}
-
-template <std::size_t B>
-std::vector<QueryResult<TropicalD>> batch_converged(
-    const SeparatorShortestPaths<TropicalI>& engine, double unit,
-    std::span<const Vertex> sources) {
-  std::vector<QueryResult<TropicalD>> results(sources.size());
-  if (sources.empty()) return results;
-  const BatchedLeveledQuery<TropicalI, B> batched(engine.query_engine());
-  const std::size_t blocks = (sources.size() + B - 1) / B;
-  pram::ThreadPool::global().parallel_for(
-      0, blocks,
-      [&](std::size_t blk) {
-        const std::size_t lo = blk * B;
-        const std::size_t len = std::min(B, sources.size() - lo);
-        const auto block = batched.run_block_converged(sources.subspan(lo, len));
-        for (std::size_t i = 0; i < len; ++i) {
-          results[lo + i] = rescaled_result(block[i], unit);
-        }
-      },
-      /*grain=*/1);
-  return results;
 }
 
 }  // namespace
@@ -147,8 +123,8 @@ QueryStats ApproxEngine::distances_into(Vertex source,
   // caller's double span — the value types differ).
   static thread_local std::vector<long long> scratch;
   scratch.resize(out.size());
-  const QueryStats stats = s.engine->query_engine().run_into_converged(
-      source, std::span<long long>(scratch));
+  const QueryStats stats =
+      s.engine->distances_into(source, std::span<long long>(scratch));
   for (std::size_t v = 0; v < out.size(); ++v) {
     out[v] = rescaled(scratch[v], s.unit);
   }
@@ -158,40 +134,13 @@ QueryStats ApproxEngine::distances_into(Vertex source,
 std::vector<QueryResult<TropicalD>> ApproxEngine::distances_batch(
     std::span<const Vertex> sources, BatchPolicy policy) const {
   const State& s = *state_;
-  if (policy.force_per_source) {
-    std::vector<QueryResult<TropicalD>> results(sources.size());
-    pram::ThreadPool::global().parallel_for(0, sources.size(),
-                                            [&](std::size_t i) {
-      QueryResult<TropicalD>& r = results[i];
-      r.dist.resize(s.scaled.num_vertices());
-      const QueryStats st = distances_into(sources[i], r.dist);
-      r.negative_cycle = st.negative_cycle;
-      r.edges_scanned = st.edges_scanned;
-      r.phases = st.phases;
-    });
-    return results;
+  const std::vector<QueryResult<TropicalI>> scaled =
+      s.engine->distances_batch(sources, policy);
+  std::vector<QueryResult<TropicalD>> results(scaled.size());
+  for (std::size_t i = 0; i < scaled.size(); ++i) {
+    results[i] = rescaled_result(scaled[i], s.unit);
   }
-  const std::size_t lanes =
-      policy.lanes == 0 ? s.engine->query_options().batch_lanes : policy.lanes;
-  switch (lanes) {
-    case 1:
-      return batch_converged<1>(*s.engine, s.unit, sources);
-    case 2:
-      return batch_converged<2>(*s.engine, s.unit, sources);
-    case 4:
-      return batch_converged<4>(*s.engine, s.unit, sources);
-    case 8:
-      return batch_converged<8>(*s.engine, s.unit, sources);
-    case 16:
-      return batch_converged<16>(*s.engine, s.unit, sources);
-    case 32:
-      return batch_converged<32>(*s.engine, s.unit, sources);
-    default:
-      SEPSP_CHECK_MSG(false,
-                      "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
-                      "(or 0 for the engine default)");
-      return {};
-  }
+  return results;
 }
 
 double ApproxEngine::eps() const { return state_->eps; }

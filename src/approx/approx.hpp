@@ -18,12 +18,14 @@
 // for positive weights. The build also reports the tighter factor it
 // actually certifies (delta_used = 0 when nothing was pruned).
 //
-// Queries run the leveled schedule plus a fixpoint polish
-// (LeveledQuery::run_into_converged / run_block_converged): pruning can
-// put two consecutive same-level hops on an optimal pruned path, which
-// the fixed sweep order alone does not cover. Everything else — the
-// buckets, the batched/SIMD TropicalI kernels, the structural sharing —
-// is the exact machinery, unchanged.
+// Queries go through the exact facade over the scaled graph and are
+// rescaled. The pruned augmentation has Augmentation::complete cleared,
+// so the leveled schedule ends in a fixpoint polish over E u E+:
+// pruning can put two consecutive same-level hops on an optimal pruned
+// path, which the fixed sweep order alone does not cover. Everything
+// else — the buckets, the batched/SIMD TropicalI kernels, the
+// structural sharing, the per-engine query counters — is the exact
+// machinery, unchanged.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +76,8 @@ class ApproxEngine {
   /// serving does no per-query heap traffic.
   QueryStats distances_into(Vertex source, std::span<double> out) const;
 
-  /// Batched many-source queries through the converged batched kernel;
-  /// same BatchPolicy semantics as the exact facade. Results are
+  /// Batched many-source queries through the exact facade's
+  /// distances_batch; same BatchPolicy semantics. Results are
   /// rescaled doubles (reported as TropicalD-valued QueryResults with
   /// the usual zero()-sentinel contract for unreachable vertices).
   std::vector<QueryResult<TropicalD>> distances_batch(

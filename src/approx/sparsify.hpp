@@ -52,8 +52,10 @@
 // pruned path can need two consecutive same-level hops — one more than
 // the bitonic witness structure the fixed leveled schedule is built
 // for — and a hop-compressed B x B pair needs the three-hop rectangle
-// composition. LeveledQuery::run_into_converged() (the approx query
-// path) closes both gaps with a fixpoint polish after the sweeps.
+// composition. The build therefore clears Augmentation::complete, and
+// every query over the result (LeveledQuery's walker) replaces the
+// schedule's trailing E passes with a fixpoint polish over E u E+,
+// which closes both gaps.
 #pragma once
 
 #include <algorithm>
@@ -408,6 +410,7 @@ inline Augmentation<TropicalI> build_augmentation_sparsified(
   });
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
+  aug.complete = false;
   const SparsifyStats st = emit.stats();
   if (stats != nullptr) *stats = st;
   SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());

@@ -46,6 +46,12 @@ struct Augmentation {
   /// Critical-path parallel depth of the build: per synchronized phase,
   /// the depth of the *largest* node kernel (the PRAM "time" of Table 1).
   std::uint64_t critical_depth = 0;
+  /// True when E+ is the complete emission, so Theorem 3.1's bitonic
+  /// witnesses exist and a query's tail is the ell trailing E passes.
+  /// The sparsified build (approx/sparsify.hpp) clears it: its queries
+  /// end with a fixpoint polish over E u E+ instead. No persistence
+  /// format carries it — approximate augmentations are never written.
+  bool complete = true;
 
   /// Theorem 3.1's bound on the min-weight diameter of G+.
   std::size_t diameter_bound() const { return 4 * height + 2 * ell + 1; }

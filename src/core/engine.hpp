@@ -34,7 +34,6 @@
 #include "core/builder_recursive.hpp"
 #include "core/engine_stats.hpp"
 #include "core/query.hpp"
-#include "core/query_batch.hpp"
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
 
@@ -47,16 +46,14 @@ enum class BuilderKind {
 };
 
 /// Kernel selection for distances_batch(). `lanes` is the number of
-/// sources relaxed per edge load by the source-batched kernel
-/// (compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for the
-/// engine's configured Options::Query::batch_lanes).
-/// `force_per_source` bypasses the batched kernel entirely and runs one
-/// independent scalar query per source — the baseline the batched
-/// kernel is benchmarked against, and the right choice when sources
-/// cannot amortize a shared edge stream.
+/// sources relaxed per edge load (LeveledQuery::run_block<B>,
+/// compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for the
+/// engine's configured Options::Query::batch_lanes). `{.lanes = 1}` is
+/// the per-source path: one independent scalar query per source — the
+/// baseline the batched kernel is benchmarked against, and the right
+/// choice when sources cannot amortize a shared edge stream.
 struct BatchPolicy {
   std::size_t lanes = 0;
-  bool force_per_source = false;
 };
 
 template <Semiring S = TropicalD>
@@ -65,7 +62,7 @@ class SeparatorShortestPaths {
   using Value = typename S::Value;
 
   /// Default lane width of the batched many-source path: each edge load
-  /// relaxes this many sources at once (see core/query_batch.hpp).
+  /// relaxes this many sources at once (see LeveledQuery::run_block).
   static constexpr std::size_t kBatchLanes = 8;
 
   struct Options {
@@ -232,16 +229,15 @@ class SeparatorShortestPaths {
   }
 
   /// Distances from many sources (the s-source workload of Corollary
-  /// 5.2). The BatchPolicy selects the kernel: by default sources are
-  /// grouped into blocks of Options::Query::batch_lanes lanes relaxed
-  /// simultaneously by the source-batched kernel (core/query_batch.hpp)
-  /// with blocks running in parallel on the thread pool;
-  /// `{.force_per_source = true}` instead runs one independent scalar
-  /// query per source. Per-source results are identical either way —
-  /// lanes never interact.
+  /// 5.2). The BatchPolicy selects the lane width: sources are grouped
+  /// into blocks of that many lanes relaxed simultaneously
+  /// (LeveledQuery::run_block<B>), blocks running in parallel on the
+  /// thread pool; `{.lanes = 1}` runs one scalar query per source.
+  /// Per-source results are identical either way — lanes never
+  /// interact. This switch is the one place a runtime lane width
+  /// becomes a compile-time one.
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
-    if (policy.force_per_source) return per_source_impl(sources);
     const std::size_t lanes =
         policy.lanes == 0 ? qopts_.batch_lanes : policy.lanes;
     switch (lanes) {
@@ -339,37 +335,19 @@ class SeparatorShortestPaths {
       std::span<const Vertex> sources) const {
     std::vector<QueryResult<S>> results(sources.size());
     if (sources.empty()) return results;
-    const BatchedLeveledQuery<S, B> batched(*query_);
     const std::size_t blocks = (sources.size() + B - 1) / B;
     pram::ThreadPool::global().parallel_for(
         0, blocks,
         [&](std::size_t blk) {
           const std::size_t lo = blk * B;
           const std::size_t len = std::min(B, sources.size() - lo);
-          auto block = batched.run_block(sources.subspan(lo, len));
+          auto block = query_->template run_block<B>(sources.subspan(lo, len));
           for (std::size_t i = 0; i < len; ++i) {
             results[lo + i] = std::move(block[i]);
           }
           note_block(B, len);
         },
         /*grain=*/1);
-    note_results(results);
-    return results;
-  }
-
-  /// The unbatched many-source path: one independent LeveledQuery::run
-  /// per source, parallelized across sources. Kept as the baseline the
-  /// batched kernel is benchmarked against (bench_x_batched) and as the
-  /// fallback when blocks cannot amortize (it re-streams E u E+ once per
-  /// source).
-  std::vector<QueryResult<S>> per_source_impl(
-      std::span<const Vertex> sources) const {
-    std::vector<QueryResult<S>> results(sources.size());
-    pram::ThreadPool::global().parallel_for(0, sources.size(),
-                                            [&](std::size_t i) {
-                                              results[i] =
-                                                  query_->run(sources[i]);
-                                            });
     note_results(results);
     return results;
   }

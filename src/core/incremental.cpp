@@ -70,7 +70,6 @@ struct IncrementalEngine::State {
   /// Applied update batches (the version tag snapshots carry).
   std::uint64_t epoch = 0;
 
-  bool run_parallel = true;
   ApplyStats last_stats;
 
   Augmentation<S> aug;
@@ -267,8 +266,8 @@ std::size_t IncrementalEngine::apply() {
   // deeper, already-final level — and writes only its own rows), so
   // they run on the work-stealing pool; the change flags are then
   // folded serially in worklist order, which makes the recomputed list
-  // and parent enqueue order — hence the whole batch — bit-identical to
-  // the serial path.
+  // and parent enqueue order — hence the whole batch — independent of
+  // how the pool scheduled the nodes.
   std::vector<std::vector<std::size_t>> by_level(s.tree->height() + 1);
   for (const std::size_t id : s.dirty_leaves) {
     by_level[s.tree->node(id).level].push_back(id);  // dirty_seen already 1
@@ -292,13 +291,13 @@ std::size_t IncrementalEngine::apply() {
         changed[k] = s.recompute_node(ids[k], *sc);
       }
     };
-    if (s.run_parallel && ids.size() > 1) {
+    if (ids.size() > 1) {
       pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block,
                                                  /*grain=*/2);
     } else {
       run_block(0, ids.size());
     }
-    // Serial fold in worklist order: bit-identical to the serial path.
+    // Serial fold in worklist order: deterministic whatever the pool did.
     // Only slots whose contributed value actually moved (the per-entry
     // diff recompute_node recorded) are marked for re-minimization — an
     // entry that kept its value cannot move its slot's minimum, and on
@@ -332,7 +331,7 @@ std::size_t IncrementalEngine::apply() {
   // its own owner entries, so the combines (and the did-it-change
   // checks) run on the pool into staging buffers; the refreshes — the
   // only writes into shared bucket storage — then run serially in
-  // worklist order, identical to the serial path. Most touched slots
+  // worklist order, whatever the pool's schedule. Most touched slots
   // re-minimize to their old value (the owner that changed was not the
   // minimum): the bucket already holds it, so the refresh — and its
   // slab detach — is skipped. Bitwise comparison keeps the skip exactly
@@ -350,7 +349,7 @@ std::size_t IncrementalEngine::apply() {
     s.remin_changed[i] =
         std::memcmp(&value, &s.aug.shortcuts[slot].value, sizeof(value)) != 0;
   };
-  if (s.run_parallel && touched.size() > 4096) {
+  if (touched.size() > 4096) {
     pram::ThreadPool::global().parallel_for(0, touched.size(), combine_one,
                                             /*grain=*/512);
   } else {
@@ -382,12 +381,6 @@ std::size_t IncrementalEngine::apply() {
   ++s.epoch;
   return recomputed.size();
 }
-
-void IncrementalEngine::set_parallel_apply(bool enabled) {
-  state_->run_parallel = enabled;
-}
-
-bool IncrementalEngine::parallel_apply() const { return state_->run_parallel; }
 
 IncrementalEngine::ApplyStats IncrementalEngine::last_apply_stats() const {
   return state_->last_stats;

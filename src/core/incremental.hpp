@@ -13,8 +13,8 @@
 // dirty region, never the whole structure.
 //   * Recompute: the affected tree nodes, processed per level on the
 //     work-stealing pool (nodes within a level are independent; the
-//     change-propagation order is serialized so results are
-//     bit-identical to the serial path — see set_parallel_apply()).
+//     change-propagation order is serialized, so results do not depend
+//     on the schedule the pool picks).
 //   * Re-minimize: a touched-slot worklist built from the recomputed
 //     nodes' slot lists (epoch-stamped dedup) — O(touched x owners),
 //     not O(|E+|).
@@ -63,16 +63,10 @@ class IncrementalEngine {
   /// Recomputes the affected part of E+ and refreshes the query engine.
   /// Returns the number of tree nodes recomputed. Each apply() that had
   /// staged changes advances epoch() by one. Dirty nodes are recomputed
-  /// in parallel per tree level (see set_parallel_apply()); the result
-  /// is bit-identical to the serial path either way.
+  /// in parallel per tree level; the result is deterministic — the same
+  /// batches give bit-identical matrices, shortcut values, and
+  /// recomputed counts on every run.
   std::size_t apply();
-
-  /// Toggles the pooled per-level recompute inside apply() (default on).
-  /// The serial path exists for ablation and debugging; both paths
-  /// produce bit-identical matrices, shortcut values, and recomputed
-  /// counts.
-  void set_parallel_apply(bool enabled);
-  bool parallel_apply() const;
 
   /// Counters of the most recent apply(): the three proportionality
   /// measures. `slabs_copied` counts value slabs detached from

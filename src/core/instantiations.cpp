@@ -6,7 +6,6 @@
 #include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
 #include "core/query.hpp"
-#include "core/query_batch.hpp"
 
 namespace sepsp {
 
@@ -42,16 +41,8 @@ template class LeveledQuery<TropicalI>;
 template class LeveledQuery<BooleanSR>;
 template class LeveledQuery<BottleneckSR>;
 
-// The default engine lane width for every semiring, plus the sweep of
-// widths the batched bench compares (tropical only).
-template class BatchedLeveledQuery<TropicalD, 8>;
-template class BatchedLeveledQuery<TropicalI, 8>;
-template class BatchedLeveledQuery<BooleanSR, 8>;
-template class BatchedLeveledQuery<BottleneckSR, 8>;
-template class BatchedLeveledQuery<TropicalD, 1>;
-template class BatchedLeveledQuery<TropicalD, 4>;
-template class BatchedLeveledQuery<TropicalD, 16>;
-
+// The facade's lane-width switch instantiates LeveledQuery::run_block
+// at every supported width.
 template class SeparatorShortestPaths<TropicalD>;
 template class SeparatorShortestPaths<TropicalI>;
 template class SeparatorShortestPaths<BooleanSR>;

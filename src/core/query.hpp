@@ -12,11 +12,21 @@
 // O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford (kept for the
 // T1b ablation as run_unscheduled()).
 //
+// One walker (LeveledQuery::walk<B>) runs that schedule for every
+// entry point. Its distance array is lane-major, dist[v * B + lane]:
+// B = 1 is the scalar query (run, run_into, run_multi, run_weighted)
+// with its guarded compare-then-store loop; B > 1 is the source-batched
+// query (run_block<B>, Corollary 5.2's s-source workload), which relaxes
+// B sources per edge load through the dispatched SIMD kernels
+// (semiring/simd.hpp). Lanes never interact, so every lane's distances
+// and counters equal a scalar run of its own source. The tail of the
+// schedule is a property of the augmentation: a complete E+ takes the
+// ell trailing E passes; a pruned one (Augmentation::complete cleared by
+// approx/sparsify.hpp) takes a fixpoint polish over E u E+ instead.
+//
 // Buckets are stored struct-of-arrays (from[]/to[]/value[]), sorted by
 // (from, to): one relaxation pass streams three flat arrays instead of
-// chasing interleaved structs, and the same layout feeds the
-// source-batched kernel (core/query_batch.hpp), which relaxes a block
-// of B sources per edge load.
+// chasing interleaved structs, at any lane width.
 //
 // Structural sharing: the pair structure of every bucket is frozen at
 // construction behind shared immutable blocks, and the value arrays
@@ -40,6 +50,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -51,6 +62,7 @@
 #include "graph/digraph.hpp"
 #include "obs/obs.hpp"
 #include "pram/cost_model.hpp"
+#include "semiring/simd.hpp"
 #include "util/aligned.hpp"
 #include "util/page_source.hpp"
 #include "util/slab.hpp"
@@ -112,10 +124,10 @@ struct ExternalBucketStore {
 /// pair arrays are frozen at construction into an immutable block
 /// shared by every fork; the values sit in slab-chunked copy-on-write
 /// storage so set_value() on one copy never disturbs another. Shared by
-/// the scalar kernel below, the batched kernel (core/query_batch.hpp),
-/// and the dispatched vector kernels (semiring/simd.hpp) — all arrays
-/// are 64-byte aligned and slab boundaries preserve that alignment, so
-/// bucket sweeps stream cache-line-aligned SoA runs.
+/// the scalar and lane loops of LeveledQuery and the dispatched vector
+/// kernels (semiring/simd.hpp) — all arrays are 64-byte aligned and slab
+/// boundaries preserve that alignment, so bucket sweeps stream
+/// cache-line-aligned SoA runs.
 ///
 /// A bucket is either *owned* (the above) or *external*: a read-only
 /// view into an mmapped engine image whose residency a PageSource
@@ -467,8 +479,8 @@ class LeveledQuery {
   /// construction; the buckets' pair structure never changes).
   std::size_t bucket_edges() const { return leveled_edges_; }
 
-  // Read-only access to the frozen schedule, shared with the batched
-  // kernel (core/query_batch.hpp). Buckets are indexed by level.
+  // Read-only access to the frozen schedule (stats, the store writer).
+  // Buckets are indexed by level.
   const Digraph& graph() const { return *g_; }
   /// Structural fields only (height, ell, levels, shortcut endpoints).
   /// On a fork the underlying augmentation may belong to a live engine
@@ -521,29 +533,6 @@ class LeveledQuery {
 #endif
   }
 
-  /// Observability hook shared with the batched kernel: credits `edges`
-  /// scans to the level-l buckets. No-op when SEPSP_OBS=OFF.
-  void note_level_scan(std::uint32_t level, std::uint64_t edges) const {
-#if SEPSP_OBS_ENABLED
-    level_scans_[level].fetch_add(edges, std::memory_order_relaxed);
-#else
-    (void)level;
-    (void)edges;
-#endif
-  }
-
-#if SEPSP_OBS_ENABLED
-  /// Observability hook (also used by the batched kernel, once per
-  /// lane): charges one run's counters into the process-wide registry.
-  void note_run(const QueryStats& s) const {
-    hooks_.runs->add(1);
-    hooks_.edges->add(s.edges_scanned);
-    hooks_.phases->add(s.phases);
-  }
-#else
-  void note_run(const QueryStats&) const {}
-#endif
-
   /// The scheduled single-source computation: O(ell|E| + bucket_edges())
   /// scans. Exact distances absent negative cycles; negative cycles
   /// reachable from `source` are detected and flagged.
@@ -564,90 +553,53 @@ class LeveledQuery {
     std::fill(dist.begin(), dist.end(), S::zero());
     dist[source] = S::one();
     QueryStats s;
-    run_schedule(dist.data(), s);
+    walk<1>(dist.data(), {&s, 1});
     return s;
   }
 
-  /// run_into() followed by Bellman–Ford passes over E u E+ until one
-  /// full pass changes nothing — the approximate-mode entry point
-  /// (src/approx). On an exact augmentation the schedule already lands
-  /// on the fixpoint and the polish is one confirming pass; on an
-  /// eps-pruned augmentation (approx/sparsify.hpp) a dropped shortcut's
-  /// retained two-hop witness can straddle the fixed sweep order, and
-  /// the polish closes exactly that gap: the result is the exact
-  /// distance in the pruned augmented graph, whatever the pruning did
-  /// to the bitonic-witness structure. Requires that no negative cycle
-  /// is reachable (the passes must converge); capped defensively at
-  /// num_vertices passes.
-  QueryStats run_into_converged(Vertex source, std::span<Value> dist) const {
-    SEPSP_CHECK(source < g_->num_vertices());
-    SEPSP_CHECK(dist.size() == g_->num_vertices());
-    std::fill(dist.begin(), dist.end(), S::zero());
-    dist[source] = S::one();
-    QueryStats s;
-    Value* d = dist.data();
-    {
-      SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(d, s);
+  /// The source-batched schedule: one walk for up to B sources over a
+  /// lane-major distance matrix, so each edge load relaxes all B lanes.
+  /// `sources.size()` may be short of B (ragged last block; the unused
+  /// lanes stay unseeded and are not reported). Returns one QueryResult
+  /// per source, in order, each equal to run() of that source —
+  /// distances bit for bit, counters and negative-cycle flag too.
+  template <std::size_t B>
+  std::vector<QueryResult<S>> run_block(
+      std::span<const Vertex> sources) const {
+    static_assert(B >= 1 && B <= 64, "lane count out of range");
+    SEPSP_CHECK(!sources.empty() && sources.size() <= B);
+    SEPSP_TRACE_SPAN("query.batch_block");
+    const std::size_t n = g_->num_vertices();
+    AlignedVector<Value> dist(padded_size<Value>(n * B), S::zero());
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      SEPSP_CHECK(sources[lane] < n);
+      dist[static_cast<std::size_t>(sources[lane]) * B + lane] = S::one();
     }
-    {
-      SEPSP_TRACE_SPAN("query.down_sweep");
-      for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
-        relax(same_[l], d, s);
-        relax(down_[l], d, s);
-        note_level_scan(l, same_[l].size() + down_[l].size());
-      }
+    std::array<QueryStats, B> acct{};
+    walk<B>(dist.data(), {acct.data(), sources.size()});
+    std::vector<QueryResult<S>> out(sources.size());
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      QueryResult<S>& r = out[lane];
+      r.dist.resize(n);
+      for (std::size_t v = 0; v < n; ++v) r.dist[v] = dist[v * B + lane];
+      apply(acct[lane], r);
     }
-    {
-      SEPSP_TRACE_SPAN("query.up_sweep");
-      for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-        relax(same_[l], d, s);
-        relax(up_[l], d, s);
-        note_level_scan(l, same_[l].size() + up_[l].size());
-      }
-    }
-    {
-      // The polish subsumes the schedule's trailing E passes: base_ and
-      // shortcut_ together cover E u E+ (the leveled buckets are
-      // duplicates), so iterating these two to quiescence is a superset
-      // of the ell trailing E passes.
-      SEPSP_TRACE_SPAN("query.converge");
-      const std::size_t cap = g_->num_vertices() + 1;
-      std::size_t round = 0;
-      for (; round < cap; ++round) {
-        bool changed = relax(base_, d, s);
-        changed = relax(shortcut_, d, s) || changed;
-        if (!changed) break;
-      }
-      SEPSP_CHECK_MSG(round < cap,
-                      "run_into_converged diverged (negative cycle?)");
-    }
-    {
-      SEPSP_TRACE_SPAN("query.detect_cycles");
-      detect_negative_cycle(d, s);
-    }
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
-    note_run(s);
-    return s;
+    return out;
   }
 
   /// Ablation baseline: diameter-bounded Bellman–Ford over E u E+,
   /// scanning every edge each phase (the "straightforward" algorithm the
   /// paper improves on in Section 3.2).
   QueryResult<S> run_unscheduled(Vertex source) const {
-    QueryResult<S> r = init(source);
+    SEPSP_CHECK(source < g_->num_vertices());
+    QueryResult<S> r;
+    r.dist.assign(g_->num_vertices(), S::zero());
+    r.dist[source] = S::one();
     QueryStats s;
-    const std::size_t max_phases = aug_->diameter_bound();
-    for (std::size_t p = 0; p < max_phases; ++p) {
-      bool changed = relax(base_, r.dist.data(), s);
-      changed = relax(shortcut_, r.dist.data(), s) || changed;
-      if (!changed) break;
-    }
-    detect_negative_cycle(r.dist.data(), s);
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
-    note_run(s);
+    const std::span<QueryStats> acct(&s, 1);
+    passes<1>(base_, &shortcut_, aug_->diameter_bound(), r.dist.data(), acct);
+    detect_negative_cycles<1>(r.dist.data(), acct);
+    charge(acct);
     apply(s, r);
     return r;
   }
@@ -664,7 +616,7 @@ class LeveledQuery {
       r.dist[s] = S::one();
     }
     QueryStats s;
-    run_schedule(r.dist.data(), s);
+    walk<1>(r.dist.data(), {&s, 1});
     apply(s, r);
     return r;
   }
@@ -681,44 +633,7 @@ class LeveledQuery {
       r.dist[v] = S::combine(r.dist[v], value);
     }
     QueryStats s;
-    run_schedule(r.dist.data(), s);
-    apply(s, r);
-    return r;
-  }
-
-  /// Plain Bellman–Ford on the *base* graph only (no E+), phase-limited
-  /// by `max_phases` (default n-1). The transitive-closure-bottleneck
-  /// comparison point for per-source parallel time.
-  QueryResult<S> run_base_only(Vertex source, std::size_t max_phases = 0) const {
-    QueryResult<S> r = init(source);
-    QueryStats s;
-    if (max_phases == 0) max_phases = g_->num_vertices();
-    for (std::size_t p = 0; p + 1 < max_phases; ++p) {
-      if (!relax(base_, r.dist.data(), s)) break;
-    }
-    if constexpr (S::kDetectNegativeCycles) {
-      const Vertex* from = base_.from_data();
-      const Vertex* to = base_.to_data();
-      bool found = false;
-      base_.for_each_values_run(
-          [&](std::size_t lo, std::size_t len, const Value* value) {
-            if (found) return;
-            for (std::size_t i = 0; i < len; ++i) {
-              if (!S::improves(S::zero(), r.dist[from[lo + i]])) continue;
-              if (S::detect_improves(
-                      r.dist[to[lo + i]],
-                      S::extend(r.dist[from[lo + i]], value[i]))) {
-                found = true;
-                return;
-              }
-            }
-          });
-      s.negative_cycle = found;
-      s.edges_scanned += base_.size();
-      ++s.phases;
-    }
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
+    walk<1>(r.dist.data(), {&s, 1});
     apply(s, r);
     return r;
   }
@@ -726,52 +641,275 @@ class LeveledQuery {
  private:
   LeveledQuery() = default;  // fork_shared() builds into this
 
-  void run_schedule(Value* dist, QueryStats& s) const {
+  /// The leveled schedule, once for every entry point. `dist` is
+  /// lane-major (dist[v * B + lane]) with one seeded lane per `acct`
+  /// entry; lanes past acct.size() stay at zero() and never move.
+  template <std::size_t B>
+  void walk(Value* dist, std::span<QueryStats> acct) const {
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(dist, s);
+      passes<B>(base_, nullptr, aug_->ell, dist, acct);
     }
     {
       SEPSP_TRACE_SPAN("query.down_sweep");
       for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
-        relax(same_[l], dist, s);
-        relax(down_[l], dist, s);
-        note_level_scan(l, same_[l].size() + down_[l].size());
+        sweep<B>(same_[l], dist, acct);
+        sweep<B>(down_[l], dist, acct);
+        note_level_scan(l, (same_[l].size() + down_[l].size()) * acct.size());
       }
     }
     {
       SEPSP_TRACE_SPAN("query.up_sweep");
       for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-        relax(same_[l], dist, s);
-        relax(up_[l], dist, s);
-        note_level_scan(l, same_[l].size() + up_[l].size());
+        sweep<B>(same_[l], dist, acct);
+        sweep<B>(up_[l], dist, acct);
+        note_level_scan(l, (same_[l].size() + up_[l].size()) * acct.size());
       }
     }
-    {
+    if (aug_->complete) {
       SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(dist, s);
+      passes<B>(base_, nullptr, aug_->ell, dist, acct);
+    } else {
+      // A pruned E+ breaks the bitonic witness structure the sweeps rely
+      // on (approx/sparsify.hpp), so the tail relaxes E u E+ — base_ and
+      // shortcut_ cover it; the leveled buckets are duplicates — to the
+      // fixpoint: exact distances in the pruned augmented graph. The
+      // polish subsumes the ell trailing E passes. Requires that no
+      // negative cycle is reachable; capped defensively.
+      SEPSP_TRACE_SPAN("query.converge");
+      const bool converged =
+          passes<B>(base_, &shortcut_, g_->num_vertices() + 1, dist, acct);
+      SEPSP_CHECK_MSG(converged, "query polish diverged (negative cycle?)");
     }
     {
       SEPSP_TRACE_SPAN("query.detect_cycles");
-      detect_negative_cycle(dist, s);
+      detect_negative_cycles<B>(dist, acct);
     }
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
-    note_run(s);
+    charge(acct);
   }
 
-  QueryResult<S> init(Vertex source) const {
-    SEPSP_CHECK(source < g_->num_vertices());
-    QueryResult<S> r;
-    r.dist.assign(g_->num_vertices(), S::zero());
-    r.dist[source] = S::one();
-    return r;
+  /// Up to `rounds` passes over `first` (then `second`, when given) with
+  /// per-lane early exit: a lane stops accruing counters after its first
+  /// pass that changed nothing (that pass still counts) and rides along
+  /// as a no-op, its distances already at these buckets' fixpoint.
+  /// Returns true once every lane has reached that fixpoint.
+  template <std::size_t B>
+  bool passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
+              std::size_t rounds, Value* dist,
+              std::span<QueryStats> acct) const {
+    std::array<std::uint8_t, B> active{};
+    std::fill_n(active.begin(), acct.size(), std::uint8_t{1});
+    std::size_t live = acct.size();
+    const std::size_t edges = first.size() + (second ? second->size() : 0);
+    const std::uint32_t phases = second ? 2 : 1;
+    for (std::size_t round = 0; round < rounds && live != 0; ++round) {
+      std::array<std::uint8_t, B> changed{};
+      relax<B, true>(first, dist, changed.data());
+      if (second) relax<B, true>(*second, dist, changed.data());
+      for (std::size_t lane = 0; lane < acct.size(); ++lane) {
+        if (!active[lane]) continue;
+        acct[lane].edges_scanned += edges;
+        acct[lane].phases += phases;
+        if (!changed[lane]) {
+          active[lane] = 0;
+          --live;
+        }
+      }
+    }
+    return live == 0;
+  }
+
+  /// One leveled-sweep bucket pass: every lane is charged the scan (the
+  /// sweeps scan their buckets unconditionally).
+  template <std::size_t B>
+  void sweep(const EdgeBucket<S>& edges, Value* dist,
+             std::span<QueryStats> acct) const {
+    relax<B, false>(edges, dist, nullptr);
+    for (QueryStats& s : acct) {
+      s.edges_scanned += edges.size();
+      ++s.phases;
+    }
+  }
+
+  /// One relaxation pass over a bucket in every lane; with kTrack, ORs
+  /// each lane's "improved" flag into changed[0..B). Values stream run
+  /// by run (a value slab, or a pinned chunk of a mapped image segment),
+  /// each a flat array alongside the shared pair arrays.
+  ///
+  /// B == 1 is the scalar loop: an unreached source is skipped and a
+  /// distance is stored only when it improves. B > 1 hands each run to
+  /// the dispatched vector kernel when the SIMD substrate has a vector
+  /// tier active (semiring/simd.hpp, bit-identical to the lane loop
+  /// here); on the scalar tier it keeps the compile-time-B lane loop,
+  /// the autovectorizable baseline the tiers are measured against.
+  /// combine() is a branch-free select and relax_extend() the
+  /// semiring's unguarded extend (bucket values are never zero(); an
+  /// unseeded lane stays at zero(), from which nothing improves).
+  template <std::size_t B, bool kTrack>
+  void relax(const EdgeBucket<S>& edges, Value* dist,
+             std::uint8_t* changed) const {
+    const Vertex* from = edges.from_data();
+    const Vertex* to = edges.to_data();
+    edges.for_each_values_run(
+        [&](std::size_t lo, std::size_t len, const Value* value) {
+          if constexpr (B == 1) {
+            bool any = false;
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value du = dist[from[lo + i]];
+              if (!S::improves(S::zero(), du)) continue;  // unreached
+              const Value cand = S::extend(du, value[i]);
+              if (S::improves(dist[to[lo + i]], cand)) {
+                dist[to[lo + i]] = cand;
+                any = true;
+              }
+            }
+            if constexpr (kTrack) changed[0] |= static_cast<std::uint8_t>(any);
+          } else {
+            if (simd::vector_dispatch_active<S>()) {
+              if constexpr (kTrack) {
+                simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value,
+                                              len, B, changed);
+              } else {
+                simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, B);
+              }
+              return;
+            }
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value* du =
+                  dist + static_cast<std::size_t>(from[lo + i]) * B;
+              Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
+              const Value w = value[i];
+              // Staging the source row in a local buffer severs the
+              // (only apparent) aliasing between the rows, so the lane
+              // loop SLP-vectorizes; a self-loop's exact row overlap is
+              // lane-independent either way.
+              Value src[B];
+              for (std::size_t lane = 0; lane < B; ++lane) src[lane] = du[lane];
+              for (std::size_t lane = 0; lane < B; ++lane) {
+                const Value next =
+                    S::combine(dw[lane], relax_extend<S>(src[lane], w));
+                if constexpr (kTrack) {
+                  changed[lane] |= static_cast<std::uint8_t>(next != dw[lane]);
+                }
+                dw[lane] = next;
+              }
+            }
+          }
+        });
+    if constexpr (B > 1) note_simd_cells(edges.size() * B);
+  }
+
+  /// Final verification pass over E u E+, per lane: the schedule reaches
+  /// a fixpoint when no negative cycle is reachable, so any significant
+  /// further improvement certifies one (S::detect_improves tolerates
+  /// floating-point drift between equivalent summation orders). Shortcut
+  /// values come from the engine's own store, never the augmentation
+  /// (fork safety).
+  template <std::size_t B>
+  void detect_negative_cycles(const Value* dist,
+                              std::span<QueryStats> acct) const {
+    if (!detect_cycles_) return;
+    if constexpr (S::kDetectNegativeCycles) {
+      std::array<bool, B> found{};
+      find_improvable<B>(base_, dist, acct.size(), found);
+      find_improvable<B>(shortcut_, dist, acct.size(), found);
+      for (std::size_t lane = 0; lane < acct.size(); ++lane) {
+        acct[lane].negative_cycle = found[lane];
+        acct[lane].edges_scanned += base_.size() + shortcut_.size();
+        ++acct[lane].phases;
+      }
+    }
+  }
+
+  /// Sets found[lane] for each of the first `lanes` lanes in which some
+  /// edge of the bucket still improves its head significantly. Like
+  /// relax(), B == 1 keeps the scalar loop, which stops at the first hit.
+  template <std::size_t B>
+  void find_improvable(const EdgeBucket<S>& edges, const Value* dist,
+                       std::size_t lanes, std::array<bool, B>& found) const {
+    const Vertex* from = edges.from_data();
+    const Vertex* to = edges.to_data();
+    edges.for_each_values_run(
+        [&](std::size_t lo, std::size_t len, const Value* value) {
+          if constexpr (B == 1) {
+            if (found[0]) return;
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value du = dist[from[lo + i]];
+              if (!S::improves(S::zero(), du)) continue;
+              if (S::detect_improves(dist[to[lo + i]],
+                                     S::extend(du, value[i]))) {
+                found[0] = true;
+                return;
+              }
+            }
+          } else {
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value* du =
+                  dist + static_cast<std::size_t>(from[lo + i]) * B;
+              const Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
+              for (std::size_t lane = 0; lane < lanes; ++lane) {
+                if (!S::improves(S::zero(), du[lane])) continue;
+                if (S::detect_improves(dw[lane],
+                                       S::extend(du[lane], value[i]))) {
+                  found[lane] = true;
+                }
+              }
+            }
+          }
+        });
+  }
+
+  /// PRAM accounting of one walk: work per lane (every lane's updates
+  /// really happen), depth once (the lanes share the physical phases).
+  void charge(std::span<const QueryStats> acct) const {
+    std::uint32_t depth = 0;
+    for (const QueryStats& s : acct) {
+      pram::CostMeter::charge_work(s.edges_scanned);
+      note_run(s);
+      depth = std::max(depth, s.phases);
+    }
+    pram::CostMeter::charge_depth(depth);
   }
 
   static void apply(const QueryStats& s, QueryResult<S>& r) {
     r.negative_cycle = s.negative_cycle;
     r.edges_scanned = s.edges_scanned;
     r.phases = s.phases;
+  }
+
+  /// Credits `edges` scans to the level-l buckets. No-op when
+  /// SEPSP_OBS=OFF.
+  void note_level_scan(std::uint32_t level, std::uint64_t edges) const {
+#if SEPSP_OBS_ENABLED
+    level_scans_[level].fetch_add(edges, std::memory_order_relaxed);
+#else
+    (void)level;
+    (void)edges;
+#endif
+  }
+
+  /// Charges one lane's counters into the process-wide registry.
+  void note_run(const QueryStats& s) const {
+#if SEPSP_OBS_ENABLED
+    hooks_.runs->add(1);
+    hooks_.edges->add(s.edges_scanned);
+    hooks_.phases->add(s.phases);
+#else
+    (void)s;
+#endif
+  }
+
+  /// Cells (edge x lane relaxations) routed through the dispatched
+  /// vector kernels. No-op on the scalar tier.
+  static void note_simd_cells(std::size_t cells) {
+#if SEPSP_OBS_ENABLED
+    if (simd::vector_dispatch_active<S>()) {
+      static obs::Counter& counter = obs::counter("simd.cells");
+      counter.add(cells);
+    }
+#else
+    (void)cells;
+#endif
   }
 
   /// A stable handle to one leveled-bucket entry (kNone when the edge
@@ -801,69 +939,6 @@ class LeveledQuery {
         return up_[slot.level].set_value(slot.pos, value) ? 1 : 0;
       default:
         return 0;
-    }
-  }
-
-  /// One relaxation pass over a bucket; true if any distance improved.
-  /// Streams the value slabs as flat runs alongside the shared pair
-  /// arrays — same memory behavior as the pre-slab flat loop.
-  bool relax(const EdgeBucket<S>& edges, Value* dist, QueryStats& s) const {
-    bool changed = false;
-    const Vertex* from = edges.from_data();
-    const Vertex* to = edges.to_data();
-    edges.for_each_values_run(
-        [&](std::size_t lo, std::size_t len, const Value* value) {
-          for (std::size_t i = 0; i < len; ++i) {
-            const Value du = dist[from[lo + i]];
-            if (!S::improves(S::zero(), du)) continue;  // unreached source
-            const Value cand = S::extend(du, value[i]);
-            if (S::improves(dist[to[lo + i]], cand)) {
-              dist[to[lo + i]] = cand;
-              changed = true;
-            }
-          }
-        });
-    s.edges_scanned += edges.size();
-    ++s.phases;
-    return changed;
-  }
-
-  void scan_e_passes(Value* dist, QueryStats& s) const {
-    for (std::size_t p = 0; p < aug_->ell; ++p) {
-      if (!relax(base_, dist, s)) break;
-    }
-  }
-
-  void detect_negative_cycle(const Value* dist, QueryStats& s) const {
-    if (!detect_cycles_) return;
-    if constexpr (S::kDetectNegativeCycles) {
-      // The schedule provably reaches a fixpoint when no negative cycle
-      // is reachable, so any significant further improvement certifies
-      // one (S::detect_improves tolerates floating-point drift between
-      // equivalent summation orders). Shortcut values come from the
-      // engine's own store, never the augmentation (fork safety).
-      auto scan = [&](const EdgeBucket<S>& edges) {
-        const Vertex* from = edges.from_data();
-        const Vertex* to = edges.to_data();
-        bool found = false;
-        edges.for_each_values_run(
-            [&](std::size_t lo, std::size_t len, const Value* value) {
-              if (found) return;
-              for (std::size_t i = 0; i < len; ++i) {
-                const Value du = dist[from[lo + i]];
-                if (!S::improves(S::zero(), du)) continue;
-                if (S::detect_improves(dist[to[lo + i]],
-                                       S::extend(du, value[i]))) {
-                  found = true;
-                  return;
-                }
-              }
-            });
-        return found;
-      };
-      s.edges_scanned += base_.size() + shortcut_.size();
-      ++s.phases;
-      if (scan(base_) || scan(shortcut_)) s.negative_cycle = true;
     }
   }
 

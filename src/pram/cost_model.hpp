@@ -8,9 +8,11 @@
 // dependent parallel phases. Table-1 benches compare the growth of these
 // counters against the paper's claimed bounds.
 //
-// Counters are sharded per thread to avoid contention; `snapshot()` sums
-// the shards. Instrumentation costs one relaxed increment per charged
-// unit and is kept out of innermost loops by charging in bulk.
+// The counters are two process-wide relaxed atomics shared by every
+// thread; `snapshot()` reads both. Each charge is one relaxed fetch_add,
+// kept out of innermost loops by charging in bulk (e.g. once per query
+// run). Concurrent chargers contend on the same cache line — sharding
+// the counters is an open observability item in ROADMAP.md.
 #pragma once
 
 #include <atomic>

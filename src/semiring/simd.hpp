@@ -3,11 +3,11 @@
 // Two call sites dominate both phases of the system: the 64x64 tile
 // rows of the blocked dense kernels (semiring/matrix.hpp, Algorithms
 // 4.1/4.3) and the lane-major bucket sweeps of the source-batched
-// leveled query (core/query_batch.hpp). Until now both leaned on
-// compiler autovectorization of scalar loops, which is fragile across
-// semirings and compilers; this layer replaces them with hand-written
-// fixed-width vector kernels selected once at startup by runtime CPU
-// dispatch.
+// leveled query (LeveledQuery::run_block, core/query.hpp). Until now
+// both leaned on compiler autovectorization of scalar loops, which is
+// fragile across semirings and compilers; this layer replaces them with
+// hand-written fixed-width vector kernels selected once at startup by
+// runtime CPU dispatch.
 //
 // Tiers. Four implementations of every kernel are compiled into the
 // library, each in its own translation unit with its own ISA flags:

@@ -9,7 +9,7 @@
 //    `lanes` sources — flushing early once the oldest request has
 //    waited `max_delay_us` — and resolve each group with one
 //    distances_batch call, so concurrent traffic rides the
-//    source-batched kernel (core/query_batch.hpp) instead of paying a
+//    source-batched kernel (LeveledQuery::run_block) instead of paying a
 //    full E u E+ stream per request. Overload is shed at admission
 //    (ReplyStatus::kShed), never by queueing without bound.
 //

@@ -88,8 +88,7 @@ TEST(EngineBatch, PolicyVariantsAgreeWithScalarQueries) {
 
   const auto def = engine.distances_batch(sources);
   const auto lanes4 = engine.distances_batch(sources, {.lanes = 4});
-  const auto scalar =
-      engine.distances_batch(sources, {.force_per_source = true});
+  const auto scalar = engine.distances_batch(sources, {.lanes = 1});
   ASSERT_EQ(def.size(), sources.size());
   ASSERT_EQ(lanes4.size(), sources.size());
   ASSERT_EQ(scalar.size(), sources.size());
@@ -155,7 +154,7 @@ TEST(EngineBatch, EmptySourceListYieldsEmptyResult) {
   const Fixture f = make_fixture(6);
   const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
   EXPECT_TRUE(engine.distances_batch({}).empty());
-  EXPECT_TRUE(engine.distances_batch({}, {.force_per_source = true}).empty());
+  EXPECT_TRUE(engine.distances_batch({}, {.lanes = 1}).empty());
 }
 
 // --- distances_into / QueryResult accessors ---------------------------
@@ -242,7 +241,7 @@ TEST(EngineStatsApi, ScalarAndBatchedScanTotalsAgree) {
   const auto sources = every_kth_vertex(f.gg.graph.num_vertices(), 3);
   ASSERT_NE(sources.size() % SeparatorShortestPaths<>::kBatchLanes, 0u);
 
-  (void)scalar_engine.distances_batch(sources, {.force_per_source = true});
+  (void)scalar_engine.distances_batch(sources, {.lanes = 1});
   (void)batched_engine.distances_batch(sources);
 
   const EngineStats ss = scalar_engine.stats();

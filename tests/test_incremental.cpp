@@ -290,13 +290,13 @@ TEST(Incremental, SnapshotsStructurallyShareUntouchedSlabs) {
   EXPECT_LT(st.slabs_copied, total);
 }
 
-TEST(Incremental, ParallelAndSerialApplyBitIdentical) {
+TEST(Incremental, ApplyIsDeterministic) {
+  // Two default engines driven through the same update batches must
+  // agree bit for bit: apply() recomputes a level's dirty nodes on the
+  // pool, and its serial fold must erase any trace of the schedule.
   const Fixture f = make_grid_fixture(12, 23);
-  IncrementalEngine par = IncrementalEngine::build(f.gg.graph, f.tree);
-  IncrementalEngine ser = IncrementalEngine::build(f.gg.graph, f.tree);
-  ser.set_parallel_apply(false);
-  EXPECT_TRUE(par.parallel_apply());
-  EXPECT_FALSE(ser.parallel_apply());
+  IncrementalEngine lhs = IncrementalEngine::build(f.gg.graph, f.tree);
+  IncrementalEngine rhs = IncrementalEngine::build(f.gg.graph, f.tree);
 
   Rng pick(9);
   const auto edges = f.gg.graph.edge_list();
@@ -305,21 +305,21 @@ TEST(Incremental, ParallelAndSerialApplyBitIdentical) {
     for (int i = 0; i < 12; ++i) {
       const EdgeTriple& e = edges[pick.next_below(edges.size())];
       const double w = pick.next_double(0.25, 25.0);
-      par.update_edge(e.from, e.to, w);
-      ser.update_edge(e.from, e.to, w);
+      lhs.update_edge(e.from, e.to, w);
+      rhs.update_edge(e.from, e.to, w);
     }
-    const std::size_t n_par = par.apply();
-    const std::size_t n_ser = ser.apply();
-    EXPECT_EQ(n_par, n_ser) << "round " << round;
-    const auto st_par = par.last_apply_stats();
-    const auto st_ser = ser.last_apply_stats();
-    EXPECT_EQ(st_par.nodes_recomputed, st_ser.nodes_recomputed);
-    EXPECT_EQ(st_par.slots_touched, st_ser.slots_touched);
+    const std::size_t n_lhs = lhs.apply();
+    const std::size_t n_rhs = rhs.apply();
+    EXPECT_EQ(n_lhs, n_rhs) << "round " << round;
+    const auto st_lhs = lhs.last_apply_stats();
+    const auto st_rhs = rhs.last_apply_stats();
+    EXPECT_EQ(st_lhs.nodes_recomputed, st_rhs.nodes_recomputed);
+    EXPECT_EQ(st_lhs.slots_touched, st_rhs.slots_touched);
 
     // Shortcut values and query results must be bit-identical, not just
-    // close: both paths run the same kernels in the same order.
-    const auto& sp = par.augmentation().shortcuts;
-    const auto& ss = ser.augmentation().shortcuts;
+    // close: both engines run the same kernels in the same order.
+    const auto& sp = lhs.augmentation().shortcuts;
+    const auto& ss = rhs.augmentation().shortcuts;
     ASSERT_EQ(sp.size(), ss.size());
     for (std::size_t i = 0; i < sp.size(); ++i) {
       ASSERT_EQ(std::memcmp(&sp[i].value, &ss[i].value, sizeof(sp[i].value)),
@@ -327,7 +327,7 @@ TEST(Incremental, ParallelAndSerialApplyBitIdentical) {
           << "shortcut " << i;
     }
     for (const Vertex s : {Vertex{0}, Vertex{71}, Vertex{143}}) {
-      EXPECT_TRUE(bit_equal(par.distances(s).dist, ser.distances(s).dist))
+      EXPECT_TRUE(bit_equal(lhs.distances(s).dist, rhs.distances(s).dist))
           << "round " << round << " source " << s;
     }
   }

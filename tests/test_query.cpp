@@ -245,20 +245,6 @@ TEST(Query, BatchMatchesSingles) {
   }
 }
 
-TEST(Query, RunBaseOnlyMatchesBellmanFord) {
-  Rng rng(9);
-  const GeneratedGraph gg = make_grid({6, 6}, WeightModel::mixed_sign(), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
-  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto got = engine.query_engine().run_base_only(0);
-  const auto want = bellman_ford_phases(gg.graph, 0);
-  ASSERT_FALSE(got.negative_cycle);
-  for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
-    EXPECT_NEAR(got.dist[v], want.dist[v], 1e-9);
-  }
-}
-
 TEST(Query, JohnsonAgreesOnNegativeWeights) {
   Rng rng(10);
   const GeneratedGraph gg = make_grid({9, 9}, WeightModel::mixed_sign(), rng);

@@ -1,12 +1,11 @@
-// Source-batched kernel correctness: BatchedLeveledQuery must reproduce
-// LeveledQuery::run lane for lane — distances (bit-identical: lanes
-// share edge order and arithmetic with the scalar kernel), per-lane
-// edges_scanned/phases accounting, per-lane negative-cycle flags,
-// ragged last blocks, and multi-source seeding as a degenerate lane.
+// Source-batched kernel correctness: LeveledQuery::run_block<B> must
+// reproduce LeveledQuery::run lane for lane — distances (bit-identical:
+// lanes share edge order and arithmetic with the scalar kernel),
+// per-lane edges_scanned/phases accounting, per-lane negative-cycle
+// flags, and ragged last blocks.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "core/query_batch.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 
@@ -50,37 +49,17 @@ TYPED_TEST(BatchParity, FullAndRaggedBlocksMatchScalarRuns) {
   const auto engine =
       SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
   const LeveledQuery<S>& scalar = engine.query_engine();
-  const BatchedLeveledQuery<S, 4> batched(scalar);
 
   // A full block and a ragged one (3 of 4 lanes seeded).
   const std::vector<Vertex> full{0, 13, 40, 80};
   const std::vector<Vertex> ragged{7, 7, 44};  // duplicate sources allowed
   for (const auto& sources : {full, ragged}) {
-    const auto block = batched.run_block(sources);
+    const auto block = scalar.template run_block<4>(sources);
     ASSERT_EQ(block.size(), sources.size());
     for (std::size_t i = 0; i < sources.size(); ++i) {
       expect_result_eq(block[i], scalar.run(sources[i]),
                        "lane " + std::to_string(i));
     }
-  }
-}
-
-TYPED_TEST(BatchParity, SeededLanesMatchRunMulti) {
-  using S = TypeParam;
-  const auto inst = TestFixture::make_instance();
-  const auto engine =
-      SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
-  const LeveledQuery<S>& scalar = engine.query_engine();
-  const BatchedLeveledQuery<S, 4> batched(scalar);
-
-  // Lane 1 is a single-source degenerate lane; the others are genuine
-  // multi-source seedings.
-  const std::vector<std::vector<Vertex>> lanes{{3, 41, 66}, {12}, {0, 80}};
-  const auto block = batched.run_seeded(lanes);
-  ASSERT_EQ(block.size(), lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    expect_result_eq(block[i], scalar.run_multi(lanes[i]),
-                     "seeded lane " + std::to_string(i));
   }
 }
 
@@ -93,7 +72,7 @@ TYPED_TEST(BatchParity, EngineBatchMatchesPerSourcePath) {
   std::vector<Vertex> sources(inst.gg.graph.num_vertices());
   for (Vertex v = 0; v < sources.size(); ++v) sources[v] = v;
   const auto batched = engine.distances_batch(sources);
-  const auto persource = engine.distances_batch(sources, {.force_per_source = true});
+  const auto persource = engine.distances_batch(sources, {.lanes = 1});
   ASSERT_EQ(batched.size(), persource.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     expect_result_eq(batched[i], persource[i],
@@ -116,10 +95,9 @@ TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_bfs_finder());
   const auto engine = SeparatorShortestPaths<>::build(g, tree);
-  const BatchedLeveledQuery<TropicalD, 8> batched(engine.query_engine());
 
   const std::vector<Vertex> sources{0, 2, 5, 1, 3, 6};
-  const auto block = batched.run_block(sources);
+  const auto block = engine.query_engine().run_block<8>(sources);
   const std::vector<bool> want{false, true, true, false, true, true};
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(block[i].negative_cycle, want[i]) << "source " << sources[i];
@@ -136,9 +114,8 @@ TEST(BatchQuery, WideLanesHandleShortBlocks) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const BatchedLeveledQuery<TropicalD, 16> batched(engine.query_engine());
   const std::vector<Vertex> sources{11, 29};
-  const auto block = batched.run_block(sources);
+  const auto block = engine.query_engine().run_block<16>(sources);
   ASSERT_EQ(block.size(), 2u);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     expect_result_eq(block[i], engine.query_engine().run(sources[i]),
@@ -163,9 +140,8 @@ TEST(BatchQuery, NegativeWeightsMatchScalarExactly) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const BatchedLeveledQuery<TropicalD, 4> batched(engine.query_engine());
   const std::vector<Vertex> sources{0, 21, 42, 63};
-  const auto block = batched.run_block(sources);
+  const auto block = engine.query_engine().run_block<4>(sources);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     expect_result_eq(block[i], engine.query_engine().run(sources[i]),
                      "source " + std::to_string(sources[i]));

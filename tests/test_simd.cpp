@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/query_batch.hpp"
 #include "graph/generators.hpp"
 #include "semiring/matrix.hpp"
 #include "semiring/simd.hpp"
@@ -276,15 +275,15 @@ TYPED_TEST(SimdKernelParity, BatchedQueryBitIdenticalAcrossTiers) {
   const auto tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
   const auto engine = SeparatorShortestPaths<S>::build(gg.graph, tree);
-  const BatchedLeveledQuery<S, 8> batched(engine.query_engine());
+  const LeveledQuery<S>& query = engine.query_engine();
   const std::vector<Vertex> sources{0, 13, 40, 44, 66, 80, 7};  // ragged
 
   simd::force_tier(simd::Tier::kScalar);
-  const auto ref = batched.run_block(sources);
+  const auto ref = query.template run_block<8>(sources);
   for (const simd::Tier t : runnable_tiers()) {
     SCOPED_TRACE(simd::tier_name(t));
     simd::force_tier(t);
-    const auto got = batched.run_block(sources);
+    const auto got = query.template run_block<8>(sources);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i],
@@ -314,15 +313,15 @@ TEST(SimdEndToEnd, NegativeWeightsBitIdenticalAcrossTiers) {
   const Digraph g = std::move(b).build();
   const auto tree = build_separator_tree(Skeleton(g), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<TropicalD>::build(g, tree);
-  const BatchedLeveledQuery<TropicalD, 8> batched(engine.query_engine());
+  const LeveledQuery<TropicalD>& query = engine.query_engine();
   const std::vector<Vertex> sources{0, 9, 27, 63};
 
   simd::force_tier(simd::Tier::kScalar);
-  const auto ref = batched.run_block(sources);
+  const auto ref = query.run_block<8>(sources);
   for (const simd::Tier t : runnable_tiers()) {
     SCOPED_TRACE(simd::tier_name(t));
     simd::force_tier(t);
-    const auto got = batched.run_block(sources);
+    const auto got = query.run_block<8>(sources);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i], "negative-weight lane");
     }
@@ -343,16 +342,16 @@ TEST(SimdEndToEnd, FuzzSweepAmbientTierVsScalar) {
         make_grid_finder({side, side}));
     const auto engine =
         SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
-    const BatchedLeveledQuery<TropicalD, 16> batched(engine.query_engine());
+    const LeveledQuery<TropicalD>& query = engine.query_engine();
     std::vector<Vertex> sources;
     for (std::size_t i = 0; i < 11; ++i) {
       sources.push_back(
           static_cast<Vertex>(rng.next_below(gg.graph.num_vertices())));
     }
     simd::force_tier(ambient);
-    const auto got = batched.run_block(sources);
+    const auto got = query.run_block<16>(sources);
     simd::force_tier(simd::Tier::kScalar);
-    const auto ref = batched.run_block(sources);
+    const auto ref = query.run_block<16>(sources);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i],
                             ("round " + std::to_string(round)).c_str());

@@ -77,7 +77,7 @@ void round_trip_semiring(const std::string& stem) {
   }
 
   // The batched kernel walks the same external buckets via a different
-  // code path (query_batch.hpp) — it must see identical bytes.
+  // lane width (LeveledQuery::run_block<8>) — it must see identical bytes.
   const auto want_batch = heap.distances_batch(sources);
   const auto got_batch = stored->engine().distances_batch(sources);
   ASSERT_EQ(got_batch.size(), want_batch.size());
