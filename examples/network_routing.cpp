@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   std::printf(
       "routing tables built in %.1f ms: %zu total entries "
       "(%.1f per router; a full next-hop matrix would need %zu)\n",
-      t_build.millis(), scheme.total_entries(),
-      static_cast<double>(scheme.total_entries()) / static_cast<double>(n),
+      t_build.millis(), scheme.total_label_entries(),
+      static_cast<double>(scheme.total_label_entries()) / static_cast<double>(n),
       n * n);
 
   Rng pick(9);

@@ -38,14 +38,13 @@
 #include "core/augment.hpp"
 #include "core/engine.hpp"
 #include "core/query.hpp"
+#include "core/routing.hpp"
 #include "graph/digraph.hpp"
 #include "separator/decomposition.hpp"
 
 namespace sepsp {
 
-class DistanceLabeling;  // core/labeling.hpp
-class RoutingScheme;     // core/routing.hpp
-class ApproxEngine;      // approx/approx.hpp
+class ApproxEngine;  // approx/approx.hpp
 
 class IncrementalEngine {
  public:
@@ -110,14 +109,13 @@ class IncrementalEngine {
   struct Snapshot {
     std::uint64_t epoch = 0;
     SeparatorShortestPaths<TropicalD>::Snapshot engine;
-    /// Optional epoch-tagged point-to-point structures, attached by the
+    /// Optional epoch-tagged point-to-point structure, attached by the
     /// serving runtime during successor-snapshot construction (null when
-    /// point-to-point serving is off): hub labels answering st-distance
-    /// by label merge and routing tables unpacking st-paths hop by hop.
-    /// Both are immutable and share the snapshot's lifetime, so replies
-    /// built from them stay valid across epoch swaps.
-    std::shared_ptr<const DistanceLabeling> labels;
-    std::shared_ptr<const RoutingScheme> routing;
+    /// point-to-point serving is off): the hub labels with next hops,
+    /// answering st-distance by label merge and st-path by unpacking the
+    /// route hop by hop. Immutable and shares the snapshot's lifetime,
+    /// so replies built from it stay valid across epoch swaps.
+    std::shared_ptr<const RoutingScheme> labels;
     /// Optional (1 + eps)-approximate engine over the same epoch's
     /// weights, attached by the serving runtime when
     /// ServiceOptions::approx is enabled (null otherwise). Immutable

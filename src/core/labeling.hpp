@@ -3,24 +3,27 @@
 // compact routing tables; hub labels are their modern form). Templated
 // over the semiring, so the same construction yields distance labels
 // (TropicalD/I), 2-hop reachability labels (BooleanSR) and widest-path
-// labels (BottleneckSR).
+// labels (BottleneckSR); with the next-hop payload it yields the
+// routing tables of core/routing.hpp.
 //
 // Every vertex v designates one leaf containing it; its label stores,
-// for every node t on that leaf's root path, the *global* values
-// v -> h and h -> v for each hub h in S(t). Exactness: let t_c be the
-// deepest common node of u's and v's designated paths. An optimal u-v
-// path either leaves V(t_c) — then it crosses B(t_c), which consists of
+// for every hub h separating a node on that leaf's root path, the
+// *global* values v -> h and h -> v. Exactness: let t_c be the deepest
+// common node of u's and v's designated paths. An optimal u-v path
+// either leaves V(t_c) — then it crosses B(t_c), which consists of
 // separator vertices of common ancestors, i.e. common hubs — or stays
 // inside V(t_c), where it must cross S(t_c) itself (the designated
 // paths split below t_c), again a common hub. The only remaining case
 // is u, v sharing the designated *leaf* with the path inside it, which
 // a per-leaf closure table covers.
 //
-// Construction runs the separator engine's source-batched kernel one
-// chunked batch per separator level (forward on g, backward on the
-// transpose) and scatters on the work-stealing pool: within a level
-// each vertex's designated leaf lies in at most one node's subtree, so
-// per-node scatter tasks never write the same label.
+// Construction lays every label out first (hub -> the vertices and
+// label slots it serves, from the separator tree alone), then runs the
+// separator engine's source-batched kernel over the *distinct* hubs in
+// chunks (forward on g, backward on the transpose) and scatters each
+// hub's two rows on the work-stealing pool. A vertex separating several
+// nodes is queried once; every (v, h) slot is written by exactly one
+// task, so the scatter is race-free and needs no sort or dedup.
 //
 // Sizes (k^mu-separator families): O(n^mu) hubs per vertex, O(n^{1+mu})
 // total — the query is two sorted-list merges, no graph access.
@@ -28,18 +31,28 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/path_tree.hpp"
 #include "graph/digraph.hpp"
 #include "pram/thread_pool.hpp"
-#include "semiring/matrix.hpp"
 #include "separator/decomposition.hpp"
 #include "util/vertex_index.hpp"  // detail::index_of
 
 namespace sepsp {
+
+/// What a hub-label build stores per (vertex, hub) entry besides the two
+/// hub values.
+enum class HubPayload {
+  kDistances,  ///< values only (every semiring)
+  kNextHops,   ///< plus the first arcs toward / away from the hub
+               ///< (TropicalD; core/routing.hpp)
+};
 
 /// A built labeling; answers point-to-point value queries.
 template <Semiring S>
@@ -48,22 +61,20 @@ class HubLabeling {
   using Value = typename S::Value;
   using Options = typename SeparatorShortestPaths<S>::Options;
 
-  /// Builds labels with 2 * (number of separator-vertex occurrences)
+  /// Builds labels with 2 * (number of distinct separator vertices)
   /// global single-source queries through the separator engine (forward
-  /// on g, backward on the transpose), batched per separator level.
-  /// Takes the engine facade's validated nested Options (PR 2
-  /// convention); the Build half configures the two internal engines,
-  /// the Query half their batched queries.
+  /// on g, backward on the transpose), batched in chunks. Takes the
+  /// engine facade's validated nested Options (PR 2 convention); the
+  /// Build half configures the two internal engines, the Query half
+  /// their batched queries.
   static HubLabeling build(const Digraph& g, const SeparatorTree& tree,
                            const Options& options = {});
 
   /// Builds labels against two already-built engines — `fwd` over g and
-  /// `bwd` over its transpose — instead of constructing them. This is
-  /// the epoch-swap hook of the serving runtime: the incremental
-  /// engines' snapshots carry the current weighting, so labels rebuild
-  /// without touching Algorithm 4.1. `arc_weights`, when nonempty,
-  /// overrides g's baked arc weights (indexed like g.arcs()) for the
-  /// per-leaf closure tables; it must match the weighting behind `fwd`.
+  /// `bwd` over its transpose — instead of constructing them.
+  /// `arc_weights`, when nonempty, overrides g's baked arc weights
+  /// (indexed like g.arcs()) for the per-leaf closure tables; it must
+  /// match the weighting behind `fwd`.
   static HubLabeling build_from_engines(const Digraph& g,
                                         const SeparatorTree& tree,
                                         const SeparatorShortestPaths<S>& fwd,
@@ -74,14 +85,12 @@ class HubLabeling {
   Value value(Vertex u, Vertex v) const;
 
   /// Number of hub entries in v's label.
-  std::size_t label_size(Vertex v) const { return state_->labels[v].size(); }
+  std::size_t label_size(Vertex v) const {
+    return state_->label_begin[v + 1] - state_->label_begin[v];
+  }
 
   /// Total hub entries across all labels (the "compact table" size).
-  std::size_t total_label_entries() const {
-    std::size_t total = 0;
-    for (const auto& label : state_->labels) total += label.size();
-    return total;
-  }
+  std::size_t total_label_entries() const { return state_->entries.size(); }
 
   /// Average label size.
   double average_label_size() const {
@@ -89,9 +98,30 @@ class HubLabeling {
            static_cast<double>(state_->n);
   }
 
- private:
+ protected:
   HubLabeling() = default;
 
+  /// The one hub-label builder behind every labeling and the routing
+  /// tables. kNextHops also needs `reversed` — g's transpose, the graph
+  /// behind `bwd` — and its weight override, for the path trees that
+  /// give the hop fields.
+  template <HubPayload P>
+  static HubLabeling build_payload(
+      const Digraph& g, const SeparatorTree& tree,
+      const SeparatorShortestPaths<S>& fwd,
+      const SeparatorShortestPaths<S>& bwd,
+      std::span<const double> arc_weights,
+      const Digraph* reversed = nullptr,
+      std::span<const double> reversed_arc_weights = {});
+
+  /// Best value over common hubs and the shared leaf table (u != v).
+  /// With `hop` — kNextHops builds only — also the first arc of a path
+  /// realizing it (kInvalidVertex when there is none).
+  Value best(Vertex u, Vertex v, Vertex* hop) const;
+
+  std::size_t num_vertices() const { return state_->n; }
+
+ private:
   struct Entry {
     Vertex hub;
     Value to_hub;    // value(v, hub)
@@ -99,12 +129,18 @@ class HubLabeling {
   };
   struct LeafTable {
     std::vector<Vertex> verts;
-    std::vector<Value> dist;  // |verts| x |verts|
+    std::vector<Value> dist;   // |verts| x |verts|
+    std::vector<Vertex> next;  // next-hop matrix; kNextHops only
   };
   struct State {
     std::size_t n = 0;
-    std::vector<std::vector<Entry>> labels;
-    std::vector<std::int32_t> leaf_of;
+    std::vector<std::size_t> label_begin;  // n + 1 offsets into entries
+    std::vector<Entry> entries;            // each label ascending by hub
+    // Per entry, kNextHops only: first arc of an optimal v -> hub path,
+    // and first arc after the hub of an optimal hub -> v path.
+    std::vector<Vertex> toward_hub;
+    std::vector<Vertex> hub_out;
+    std::vector<std::int32_t> leaf_of;  // designated leaf per vertex
     std::vector<LeafTable> leaf_tables;
     std::vector<std::int32_t> table_of_leaf;
   };
@@ -152,76 +188,6 @@ class ReachabilityLabeling : public HubLabeling<BooleanSR> {
 // implementation
 // ---------------------------------------------------------------------------
 
-namespace detail {
-
-/// Designated leaf per vertex (smallest-id leaf containing it) and, per
-/// tree node, the vertices whose designated leaf lies in its subtree —
-/// shared by the labeling and routing builds.
-struct DesignatedMap {
-  std::vector<std::int32_t> leaf_of;            // per vertex
-  std::vector<std::vector<Vertex>> designated;  // per tree node
-};
-
-inline DesignatedMap designate_leaves(const SeparatorTree& tree,
-                                      std::size_t n) {
-  DesignatedMap map;
-  map.leaf_of.assign(n, -1);
-  for (const std::size_t id : tree.leaf_ids()) {
-    for (const Vertex v : tree.node(id).vertices) {
-      if (map.leaf_of[v] < 0) map.leaf_of[v] = static_cast<std::int32_t>(id);
-    }
-  }
-  // Bottom-up union (children have larger ids than parents).
-  map.designated.resize(tree.num_nodes());
-  for (Vertex v = 0; v < n; ++v) {
-    map.designated[static_cast<std::size_t>(map.leaf_of[v])].push_back(v);
-  }
-  for (std::size_t id = tree.num_nodes(); id-- > 1;) {
-    const auto parent = static_cast<std::size_t>(tree.node(id).parent);
-    auto& up = map.designated[parent];
-    up.insert(up.end(), map.designated[id].begin(), map.designated[id].end());
-  }
-  return map;
-}
-
-/// One node's slice of a flattened per-level hub batch.
-struct HubSegment {
-  std::size_t node = 0;    // tree node id
-  std::size_t offset = 0;  // first hub in the chunk's source list
-  std::size_t count = 0;
-};
-
-/// Splits one separator level's hubs into batch chunks of at most
-/// `max_chunk` sources and hands each chunk's sources + per-node
-/// segments to `run`. A node's hubs may straddle two chunks; a segment
-/// never spans one, so per-segment scatter tasks stay race-free.
-template <typename Run>
-void for_each_hub_chunk(const SeparatorTree& tree,
-                        std::span<const std::size_t> level_ids,
-                        std::size_t max_chunk, Run&& run) {
-  std::vector<Vertex> sources;
-  std::vector<HubSegment> segments;
-  auto flush = [&] {
-    if (!sources.empty()) run(sources, segments);
-    sources.clear();
-    segments.clear();
-  };
-  for (const std::size_t id : level_ids) {
-    std::span<const Vertex> hubs = tree.node(id).separator;
-    while (!hubs.empty()) {
-      if (sources.size() >= max_chunk) flush();
-      const std::size_t take =
-          std::min(hubs.size(), max_chunk - sources.size());
-      segments.push_back({id, sources.size(), take});
-      sources.insert(sources.end(), hubs.begin(), hubs.begin() + take);
-      hubs = hubs.subspan(take);
-    }
-  }
-  flush();
-}
-
-}  // namespace detail
-
 template <Semiring S>
 HubLabeling<S> HubLabeling<S>::build(const Digraph& g,
                                      const SeparatorTree& tree,
@@ -240,92 +206,184 @@ HubLabeling<S> HubLabeling<S>::build_from_engines(
     const Digraph& g, const SeparatorTree& tree,
     const SeparatorShortestPaths<S>& fwd, const SeparatorShortestPaths<S>& bwd,
     std::span<const double> arc_weights) {
+  return build_payload<HubPayload::kDistances>(g, tree, fwd, bwd,
+                                               arc_weights);
+}
+
+template <Semiring S>
+template <HubPayload P>
+HubLabeling<S> HubLabeling<S>::build_payload(
+    const Digraph& g, const SeparatorTree& tree,
+    const SeparatorShortestPaths<S>& fwd, const SeparatorShortestPaths<S>& bwd,
+    std::span<const double> arc_weights, const Digraph* reversed,
+    std::span<const double> reversed_arc_weights) {
+  constexpr bool kHops = P == HubPayload::kNextHops;
+  static_assert(!kHops || std::is_same_v<S, TropicalD>,
+                "next hops need real-weight shortest-path trees");
   using detail::index_of;
+  const std::size_t n = g.num_vertices();
   SEPSP_CHECK(arc_weights.empty() || arc_weights.size() == g.num_edges());
+  if constexpr (kHops) {
+    SEPSP_CHECK(reversed != nullptr && reversed->num_vertices() == n &&
+                reversed->num_edges() == g.num_edges());
+    SEPSP_CHECK(reversed_arc_weights.empty() ||
+                reversed_arc_weights.size() == g.num_edges());
+  }
   auto state = std::make_shared<State>();
   State& s = *state;
-  s.n = g.num_vertices();
-  s.labels.resize(s.n);
+  s.n = n;
 
-  detail::DesignatedMap map = detail::designate_leaves(tree, s.n);
-  s.leaf_of = std::move(map.leaf_of);
-  const std::vector<std::vector<Vertex>>& designated = map.designated;
+  // Designated leaf per vertex: the smallest-id leaf containing it.
+  s.leaf_of.assign(n, -1);
+  for (const std::size_t id : tree.leaf_ids()) {
+    for (const Vertex v : tree.node(id).vertices) {
+      if (s.leaf_of[v] < 0) s.leaf_of[v] = static_cast<std::int32_t>(id);
+    }
+  }
+  // Hubs of every node's root path, ascending and distinct (parents have
+  // smaller ids than their children). v's label holds exactly the hubs
+  // of its designated leaf's path.
+  std::vector<std::vector<Vertex>> path_hubs(tree.num_nodes());
+  const std::vector<Vertex> above_root;
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& node = tree.node(id);
+    const std::vector<Vertex>& up =
+        node.parent < 0 ? above_root
+                        : path_hubs[static_cast<std::size_t>(node.parent)];
+    std::set_union(up.begin(), up.end(), node.separator.begin(),
+                   node.separator.end(), std::back_inserter(path_hubs[id]));
+  }
+  const auto hubs_of = [&](Vertex v) -> const std::vector<Vertex>& {
+    return path_hubs[static_cast<std::size_t>(s.leaf_of[v])];
+  };
 
-  // Level-major label construction: per separator level one (chunked)
-  // forward + backward source batch through the engines, then a pooled
-  // per-node scatter to the designated-descendant vertices. Nodes of
-  // one level have disjoint designated sets, so scatter tasks never
-  // touch the same label. Chunking bounds the batch's resident distance
-  // matrices (sources x n doubles per direction).
+  // Label layout (CSR over vertices) and its inverse: per hub, the
+  // vertices whose label holds it and the slot each one reserves.
+  s.label_begin.assign(n + 1, 0);
+  std::vector<std::size_t> hub_begin(n + 1, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    s.label_begin[v + 1] = s.label_begin[v] + hubs_of(v).size();
+    for (const Vertex h : hubs_of(v)) ++hub_begin[h + 1];
+  }
+  for (Vertex h = 0; h < n; ++h) hub_begin[h + 1] += hub_begin[h];
+  const std::size_t total = s.label_begin[n];
+  s.entries.resize(total);
+  std::vector<Vertex> target(total);
+  std::vector<std::size_t> target_slot(total);
+  std::vector<std::size_t> cursor(hub_begin.begin(), hub_begin.end() - 1);
+  for (Vertex v = 0; v < n; ++v) {
+    std::size_t slot = s.label_begin[v];
+    for (const Vertex h : hubs_of(v)) {
+      const std::size_t t = cursor[h]++;
+      target[t] = v;
+      target_slot[t] = slot++;
+    }
+  }
+  std::vector<Vertex> hubs;  // distinct, ascending
+  for (Vertex h = 0; h < n; ++h) {
+    if (hub_begin[h + 1] > hub_begin[h]) hubs.push_back(h);
+  }
+  if constexpr (kHops) {
+    s.toward_hub.assign(total, kInvalidVertex);
+    s.hub_out.assign(total, kInvalidVertex);
+  }
+
+  // One forward + one backward batch per chunk of distinct hubs, then a
+  // pooled per-hub scatter into the hub's reserved slots. Chunking bounds
+  // the resident rows (sources x n values per direction); per-lane
+  // parity makes a hub's row independent of the chunk it rides in.
   constexpr std::size_t kMaxChunk = 256;
   pram::ThreadPool& pool = pram::ThreadPool::global();
-  const auto by_level = tree.ids_by_level();
-  for (const std::vector<std::size_t>& ids : by_level) {
-    detail::for_each_hub_chunk(
-        tree, ids, kMaxChunk,
-        [&](std::span<const Vertex> sources,
-            std::span<const detail::HubSegment> segments) {
-          const auto from_batch = fwd.distances_batch(sources);
-          const auto to_batch = bwd.distances_batch(sources);
-          pool.parallel_for(
-              0, segments.size(),
-              [&](std::size_t si) {
-                const detail::HubSegment& seg = segments[si];
-                for (std::size_t k = 0; k < seg.count; ++k) {
-                  const std::size_t b = seg.offset + k;
-                  const Vertex h = sources[b];
-                  SEPSP_CHECK_MSG(!from_batch[b].negative_cycle &&
-                                      !to_batch[b].negative_cycle,
-                                  "hub labeling needs negative-cycle-free "
-                                  "input");
-                  for (const Vertex v : designated[seg.node]) {
-                    s.labels[v].push_back(
-                        {h, to_batch[b].dist[v], from_batch[b].dist[v]});
-                  }
+  for (std::size_t c0 = 0; c0 < hubs.size(); c0 += kMaxChunk) {
+    const std::span<const Vertex> chunk = std::span<const Vertex>(hubs).subspan(
+        c0, std::min(kMaxChunk, hubs.size() - c0));
+    const auto from_batch = fwd.distances_batch(chunk);
+    const auto to_batch = bwd.distances_batch(chunk);
+    pool.parallel_for(
+        0, chunk.size(),
+        [&](std::size_t b) {
+          const Vertex h = chunk[b];
+          const QueryResult<S>& from_h = from_batch[b];
+          const QueryResult<S>& to_h = to_batch[b];
+          SEPSP_CHECK_MSG(!from_h.negative_cycle && !to_h.negative_cycle,
+                          "hub labels need negative-cycle-free input");
+          const std::size_t t0 = hub_begin[h], t1 = hub_begin[h + 1];
+          for (std::size_t t = t0; t < t1; ++t) {
+            s.entries[target_slot[t]] = {h, to_h.dist[target[t]],
+                                         from_h.dist[target[t]]};
+          }
+          if constexpr (kHops) {
+            // Shortest-path trees give the hop fields:
+            //  * in g rooted at h: parents point backward along h -> v,
+            //    so the first arc after h toward v is found by lifting v
+            //    to depth 1;
+            //  * in gT rooted at h: the gT-parent of v is the
+            //    g-successor of v on an optimal v -> h path, i.e. v's
+            //    toward-hub hop.
+            const PathTree out_tree =
+                extract_path_tree(g, h, from_h.dist, arc_weights);
+            const PathTree in_tree = extract_path_tree(
+                *reversed, h, to_h.dist, reversed_arc_weights);
+            // first[v]: child of h on the tree path to v (memoized lift).
+            std::vector<Vertex> first(n, kInvalidVertex);
+            std::vector<Vertex> chain;
+            for (std::size_t t = t0; t < t1; ++t) {
+              Vertex at = target[t];
+              chain.clear();
+              while (at != h && at != kInvalidVertex &&
+                     first[at] == kInvalidVertex) {
+                chain.push_back(at);
+                const Vertex p = out_tree.parent[at];
+                if (p == h) {
+                  first[at] = at;
+                  break;
                 }
-              },
-              /*grain=*/1);
-        });
+                at = p;
+              }
+              const Vertex resolved =
+                  at == kInvalidVertex || at == h ? kInvalidVertex : first[at];
+              for (const Vertex c : chain) {
+                if (first[c] == kInvalidVertex) first[c] = resolved;
+              }
+              s.toward_hub[target_slot[t]] = in_tree.parent[target[t]];
+              s.hub_out[target_slot[t]] = first[target[t]];
+            }
+          }
+        },
+        /*grain=*/1);
   }
-  pool.parallel_for(
-      0, s.n,
-      [&](std::size_t v) {
-        auto& label = s.labels[v];
-        std::sort(label.begin(), label.end(),
-                  [](const Entry& a, const Entry& b) { return a.hub < b.hub; });
-        // Duplicate hubs (a vertex separating several ancestors) carry
-        // identical global values; keep one.
-        label.erase(std::unique(label.begin(), label.end(),
-                                [](const Entry& a, const Entry& b) {
-                                  return a.hub == b.hub;
-                                }),
-                    label.end());
-      },
-      /*grain=*/64);
 
-  // Per-leaf local closure tables (same-designated-leaf queries), one
-  // independent pool task per used leaf.
+  // Per-leaf closure tables (same-designated-leaf queries), one
+  // independent pool task per used leaf; kNextHops also records the
+  // Floyd–Warshall next hops.
   s.table_of_leaf.assign(tree.num_nodes(), -1);
   std::vector<std::size_t> used_leaves;
-  for (const std::size_t id : tree.leaf_ids()) {
-    bool used = false;
-    for (const Vertex v : tree.node(id).vertices) {
-      used = used || s.leaf_of[v] == static_cast<std::int32_t>(id);
-    }
-    if (!used) continue;
-    s.table_of_leaf[id] = static_cast<std::int32_t>(used_leaves.size());
-    used_leaves.push_back(id);
+  for (Vertex v = 0; v < n; ++v) {
+    const auto leaf = static_cast<std::size_t>(s.leaf_of[v]);
+    if (s.table_of_leaf[leaf] >= 0) continue;
+    s.table_of_leaf[leaf] = static_cast<std::int32_t>(used_leaves.size());
+    used_leaves.push_back(leaf);
   }
   s.leaf_tables.resize(used_leaves.size());
   const Arc* arc_base = g.arcs().data();
   pool.parallel_for(
       0, used_leaves.size(),
       [&](std::size_t li) {
-        const std::size_t id = used_leaves[li];
-        const std::span<const Vertex> verts = tree.node(id).vertices;
-        Matrix<S> m(verts.size());
-        for (std::size_t i = 0; i < verts.size(); ++i) {
-          m.at(i, i) = S::one();
+        const std::span<const Vertex> verts =
+            tree.node(used_leaves[li]).vertices;
+        const std::size_t k = verts.size();
+        LeafTable& table = s.leaf_tables[li];
+        table.verts.assign(verts.begin(), verts.end());
+        table.dist.assign(k * k, S::zero());
+        if constexpr (kHops) table.next.assign(k * k, kInvalidVertex);
+        const auto relax = [&](std::size_t cell, Value via, Vertex hop) {
+          if constexpr (kHops) {
+            if (S::improves(table.dist[cell], via)) table.next[cell] = hop;
+          }
+          table.dist[cell] = S::combine(table.dist[cell], via);
+        };
+        for (std::size_t i = 0; i < k; ++i) {
+          table.dist[i * k + i] = S::one();
           for (const Arc& a : g.out(verts[i])) {
             const std::size_t j = index_of(verts, a.to);
             if (j == detail::kNpos) continue;
@@ -333,16 +391,18 @@ HubLabeling<S> HubLabeling<S>::build_from_engines(
                 arc_weights.empty()
                     ? a.weight
                     : arc_weights[static_cast<std::size_t>(&a - arc_base)];
-            m.merge(i, j, S::from_weight(w));
+            relax(i * k + j, S::from_weight(w), a.to);
           }
         }
-        floyd_warshall(m);
-        LeafTable& table = s.leaf_tables[li];
-        table.verts.assign(verts.begin(), verts.end());
-        table.dist.resize(verts.size() * verts.size());
-        for (std::size_t i = 0; i < verts.size(); ++i) {
-          for (std::size_t j = 0; j < verts.size(); ++j) {
-            table.dist[i * verts.size() + j] = m.at(i, j);
+        for (std::size_t mid = 0; mid < k; ++mid) {
+          for (std::size_t i = 0; i < k; ++i) {
+            const Value to_mid = table.dist[i * k + mid];
+            if (!S::improves(S::zero(), to_mid)) continue;
+            const Vertex hop = kHops ? table.next[i * k + mid] : kInvalidVertex;
+            for (std::size_t j = 0; j < k; ++j) {
+              relax(i * k + j, S::extend(to_mid, table.dist[mid * k + j]),
+                    hop);
+            }
           }
         }
       },
@@ -355,28 +415,41 @@ HubLabeling<S> HubLabeling<S>::build_from_engines(
 
 template <Semiring S>
 typename S::Value HubLabeling<S>::value(Vertex u, Vertex v) const {
-  const State& s = *state_;
-  SEPSP_CHECK(u < s.n && v < s.n);
+  SEPSP_CHECK(u < state_->n && v < state_->n);
   if (u == v) return S::one();
+  return best(u, v, nullptr);
+}
+
+template <Semiring S>
+typename S::Value HubLabeling<S>::best(Vertex u, Vertex v, Vertex* hop) const {
+  const State& s = *state_;
   Value best = S::zero();
+  Vertex best_hop = kInvalidVertex;
   // Sorted merge over common hubs.
-  const auto& lu = s.labels[u];
-  const auto& lv = s.labels[v];
-  std::size_t i = 0, j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].hub < lv[j].hub) {
+  std::size_t i = s.label_begin[u], j = s.label_begin[v];
+  const std::size_t i_end = s.label_begin[u + 1], j_end = s.label_begin[v + 1];
+  while (i < i_end && j < j_end) {
+    const Entry& eu = s.entries[i];
+    const Entry& ev = s.entries[j];
+    if (eu.hub < ev.hub) {
       ++i;
-    } else if (lu[i].hub > lv[j].hub) {
+    } else if (eu.hub > ev.hub) {
       ++j;
     } else {
-      best = S::combine(best, S::extend(lu[i].to_hub, lv[j].from_hub));
+      const Value via = S::extend(eu.to_hub, ev.from_hub);
+      // Standing at the hub: leave along the hub's out-arc toward v;
+      // otherwise move toward the hub.
+      if (hop != nullptr && S::improves(best, via)) {
+        best_hop = u == eu.hub ? s.hub_out[j] : s.toward_hub[i];
+      }
+      best = S::combine(best, via);
       ++i;
       ++j;
     }
   }
   // Same designated leaf: paths that never leave the leaf subgraph.
   if (s.leaf_of[u] == s.leaf_of[v]) {
-    const auto& table = s.leaf_tables[static_cast<std::size_t>(
+    const LeafTable& table = s.leaf_tables[static_cast<std::size_t>(
         s.table_of_leaf[static_cast<std::size_t>(s.leaf_of[u])])];
     const auto iu = static_cast<std::size_t>(
         std::lower_bound(table.verts.begin(), table.verts.end(), u) -
@@ -384,8 +457,13 @@ typename S::Value HubLabeling<S>::value(Vertex u, Vertex v) const {
     const auto iv = static_cast<std::size_t>(
         std::lower_bound(table.verts.begin(), table.verts.end(), v) -
         table.verts.begin());
-    best = S::combine(best, table.dist[iu * table.verts.size() + iv]);
+    const std::size_t cell = iu * table.verts.size() + iv;
+    if (hop != nullptr && S::improves(best, table.dist[cell])) {
+      best_hop = table.next[cell];
+    }
+    best = S::combine(best, table.dist[cell]);
   }
+  if (hop != nullptr) *hop = best_hop;
   return best;
 }
 

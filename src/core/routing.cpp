@@ -1,43 +1,6 @@
 #include "core/routing.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "core/labeling.hpp"  // detail::designate_leaves / hub chunking
-#include "core/path_tree.hpp"
-#include "pram/thread_pool.hpp"
-#include "semiring/matrix.hpp"
-#include "util/vertex_index.hpp"  // detail::index_of
-
 namespace sepsp {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-struct RoutingScheme::State {
-  struct Entry {
-    Vertex hub;
-    double to_hub;        // d(v, hub)
-    double from_hub;      // d(hub, v)
-    Vertex toward_hub;    // first arc of an optimal v -> hub path
-    Vertex hub_out;       // first arc after hub of an optimal hub -> v path
-  };
-  struct LeafTable {
-    std::vector<Vertex> verts;
-    std::vector<double> dist;   // |verts|^2 row-major
-    std::vector<Vertex> next;   // Floyd–Warshall next-hop matrix
-  };
-  std::size_t n = 0;
-  std::vector<std::vector<Entry>> labels;
-  std::vector<std::int32_t> leaf_of;
-  std::vector<LeafTable> leaf_tables;
-  std::vector<std::int32_t> table_of_leaf;
-
-  /// Best (value, entry-pair) over common hubs and the same-leaf table.
-  /// Returns the chosen next hop directly.
-  double best(Vertex u, Vertex v, Vertex* hop) const;
-};
 
 RoutingScheme RoutingScheme::build(const Digraph& g, const SeparatorTree& tree,
                                    const Options& options) {
@@ -55,227 +18,16 @@ RoutingScheme RoutingScheme::build_from_engines(
     const SeparatorShortestPaths<TropicalD>& bwd, const Digraph& reversed,
     std::span<const double> arc_weights,
     std::span<const double> reversed_arc_weights) {
-  using detail::index_of;
-  SEPSP_CHECK(reversed.num_vertices() == g.num_vertices() &&
-              reversed.num_edges() == g.num_edges());
-  SEPSP_CHECK(arc_weights.empty() || arc_weights.size() == g.num_edges());
-  SEPSP_CHECK(reversed_arc_weights.empty() ||
-              reversed_arc_weights.size() == g.num_edges());
-  auto state = std::make_shared<State>();
-  State& s = *state;
-  s.n = g.num_vertices();
-  s.labels.resize(s.n);
-
-  detail::DesignatedMap map = detail::designate_leaves(tree, s.n);
-  s.leaf_of = std::move(map.leaf_of);
-  const std::vector<std::vector<Vertex>>& designated = map.designated;
-
-  // Level-major, like the labeling build: one chunked forward+backward
-  // source batch per separator level, then pooled per-node tasks that
-  // extract the two shortest-path trees per hub and scatter the hop
-  // fields. Nodes of one level have disjoint designated sets, so the
-  // scatter is race-free.
-  constexpr std::size_t kMaxChunk = 256;
-  pram::ThreadPool& pool = pram::ThreadPool::global();
-  const auto by_level = tree.ids_by_level();
-  for (const std::vector<std::size_t>& ids : by_level) {
-    detail::for_each_hub_chunk(
-        tree, ids, kMaxChunk,
-        [&](std::span<const Vertex> sources,
-            std::span<const detail::HubSegment> segments) {
-          const auto from_batch = fwd.distances_batch(sources);
-          const auto to_batch = bwd.distances_batch(sources);
-          pool.parallel_for(
-              0, segments.size(),
-              [&](std::size_t si) {
-                const detail::HubSegment& seg = segments[si];
-                for (std::size_t k = 0; k < seg.count; ++k) {
-                  const std::size_t b = seg.offset + k;
-                  const Vertex h = sources[b];
-                  const QueryResult<TropicalD>& from_h = from_batch[b];
-                  const QueryResult<TropicalD>& to_h = to_batch[b];
-                  SEPSP_CHECK_MSG(
-                      !from_h.negative_cycle && !to_h.negative_cycle,
-                      "routing needs negative-cycle-free input");
-                  // Shortest-path trees give the hop fields:
-                  //  * in g rooted at h: parents point backward along
-                  //    h -> v, so the first arc after h toward v is found
-                  //    by lifting v to depth 1;
-                  //  * in gT rooted at h: the gT-parent of v is the
-                  //    g-successor of v on an optimal v -> h path, i.e.
-                  //    v's toward-hub hop.
-                  const PathTree out_tree =
-                      extract_path_tree(g, h, from_h.dist, arc_weights);
-                  const PathTree in_tree = extract_path_tree(
-                      reversed, h, to_h.dist, reversed_arc_weights);
-                  // first_from_h[v]: child of h on the tree path to v
-                  // (O(n) memoized lift).
-                  std::vector<Vertex> first_from_h(s.n, kInvalidVertex);
-                  for (const Vertex v : designated[seg.node]) {
-                    Vertex cursor = v;
-                    std::vector<Vertex> chain;
-                    while (cursor != h && cursor != kInvalidVertex &&
-                           first_from_h[cursor] == kInvalidVertex) {
-                      chain.push_back(cursor);
-                      const Vertex p = out_tree.parent[cursor];
-                      if (p == h) {
-                        first_from_h[cursor] = cursor;
-                        break;
-                      }
-                      cursor = p;
-                    }
-                    const Vertex resolved =
-                        cursor == kInvalidVertex || cursor == h
-                            ? kInvalidVertex
-                            : first_from_h[cursor];
-                    for (const Vertex c : chain) {
-                      if (first_from_h[c] == kInvalidVertex) {
-                        first_from_h[c] = resolved;
-                      }
-                    }
-                  }
-                  for (const Vertex v : designated[seg.node]) {
-                    s.labels[v].push_back({h, to_h.dist[v], from_h.dist[v],
-                                           in_tree.parent[v],
-                                           first_from_h[v]});
-                  }
-                }
-              },
-              /*grain=*/1);
-        });
-  }
-  pool.parallel_for(
-      0, s.n,
-      [&](std::size_t v) {
-        auto& label = s.labels[v];
-        std::sort(label.begin(), label.end(),
-                  [](const State::Entry& a, const State::Entry& b) {
-                    return a.hub < b.hub;
-                  });
-        label.erase(
-            std::unique(label.begin(), label.end(),
-                        [](const State::Entry& a, const State::Entry& b) {
-                          return a.hub == b.hub;
-                        }),
-            label.end());
-      },
-      /*grain=*/64);
-
-  // Per-leaf tables with Floyd–Warshall next-hop reconstruction, one
-  // independent pool task per used leaf.
-  s.table_of_leaf.assign(tree.num_nodes(), -1);
-  std::vector<std::size_t> used_leaves;
-  for (const std::size_t id : tree.leaf_ids()) {
-    bool used = false;
-    for (const Vertex v : tree.node(id).vertices) {
-      used = used || s.leaf_of[v] == static_cast<std::int32_t>(id);
-    }
-    if (!used) continue;
-    s.table_of_leaf[id] = static_cast<std::int32_t>(used_leaves.size());
-    used_leaves.push_back(id);
-  }
-  s.leaf_tables.resize(used_leaves.size());
-  const Arc* arc_base = g.arcs().data();
-  pool.parallel_for(
-      0, used_leaves.size(),
-      [&](std::size_t li) {
-        const std::size_t id = used_leaves[li];
-        const std::span<const Vertex> verts = tree.node(id).vertices;
-        const std::size_t k = verts.size();
-        State::LeafTable& table = s.leaf_tables[li];
-        table.verts.assign(verts.begin(), verts.end());
-        table.dist.assign(k * k, kInf);
-        table.next.assign(k * k, kInvalidVertex);
-        for (std::size_t i = 0; i < k; ++i) {
-          table.dist[i * k + i] = 0;
-          for (const Arc& a : g.out(verts[i])) {
-            const std::size_t j = index_of(verts, a.to);
-            if (j == detail::kNpos) continue;
-            const double w =
-                arc_weights.empty()
-                    ? a.weight
-                    : arc_weights[static_cast<std::size_t>(&a - arc_base)];
-            if (w < table.dist[i * k + j]) {
-              table.dist[i * k + j] = w;
-              table.next[i * k + j] = verts[j];
-            }
-          }
-        }
-        for (std::size_t mid = 0; mid < k; ++mid) {
-          for (std::size_t i = 0; i < k; ++i) {
-            if (table.dist[i * k + mid] == kInf) continue;
-            for (std::size_t j = 0; j < k; ++j) {
-              const double via =
-                  table.dist[i * k + mid] + table.dist[mid * k + j];
-              if (via < table.dist[i * k + j]) {
-                table.dist[i * k + j] = via;
-                table.next[i * k + j] = table.next[i * k + mid];
-              }
-            }
-          }
-        }
-      },
-      /*grain=*/1);
-
-  RoutingScheme out;
-  out.state_ = std::move(state);
-  return out;
-}
-
-double RoutingScheme::State::best(Vertex u, Vertex v, Vertex* hop) const {
-  double best_value = kInf;
-  Vertex best_hop = kInvalidVertex;
-  const auto& lu = labels[u];
-  const auto& lv = labels[v];
-  std::size_t i = 0, j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].hub < lv[j].hub) {
-      ++i;
-    } else if (lu[i].hub > lv[j].hub) {
-      ++j;
-    } else {
-      const double via = lu[i].to_hub + lv[j].from_hub;
-      if (via < best_value) {
-        best_value = via;
-        // Standing at the hub: leave along the hub's out-arc toward v;
-        // otherwise move toward the hub.
-        best_hop = (u == lu[i].hub) ? lv[j].hub_out : lu[i].toward_hub;
-      }
-      ++i;
-      ++j;
-    }
-  }
-  if (leaf_of[u] == leaf_of[v]) {
-    const auto& table = leaf_tables[static_cast<std::size_t>(
-        table_of_leaf[static_cast<std::size_t>(leaf_of[u])])];
-    const auto iu = static_cast<std::size_t>(
-        std::lower_bound(table.verts.begin(), table.verts.end(), u) -
-        table.verts.begin());
-    const auto iv = static_cast<std::size_t>(
-        std::lower_bound(table.verts.begin(), table.verts.end(), v) -
-        table.verts.begin());
-    const double local = table.dist[iu * table.verts.size() + iv];
-    if (local < best_value) {
-      best_value = local;
-      best_hop = table.next[iu * table.verts.size() + iv];
-    }
-  }
-  if (hop != nullptr) *hop = best_hop;
-  return best_value;
+  return RoutingScheme(build_payload<HubPayload::kNextHops>(
+      g, tree, fwd, bwd, arc_weights, &reversed, reversed_arc_weights));
 }
 
 Vertex RoutingScheme::next_hop(Vertex u, Vertex v) const {
-  SEPSP_CHECK(u < state_->n && v < state_->n);
+  SEPSP_CHECK(u < num_vertices() && v < num_vertices());
   if (u == v) return kInvalidVertex;
   Vertex hop = kInvalidVertex;
-  const double d = state_->best(u, v, &hop);
-  return d == kInf ? kInvalidVertex : hop;
-}
-
-double RoutingScheme::distance(Vertex u, Vertex v) const {
-  SEPSP_CHECK(u < state_->n && v < state_->n);
-  if (u == v) return 0.0;
-  return state_->best(u, v, nullptr);
+  const double d = best(u, v, &hop);
+  return d == TropicalD::zero() ? kInvalidVertex : hop;
 }
 
 std::vector<Vertex> RoutingScheme::route(Vertex u, Vertex v) const {
@@ -287,16 +39,10 @@ std::vector<Vertex> RoutingScheme::route(Vertex u, Vertex v) const {
     if (hop == kInvalidVertex) return {};
     path.push_back(hop);
     cursor = hop;
-    SEPSP_CHECK_MSG(path.size() <= state_->n + 1,
+    SEPSP_CHECK_MSG(path.size() <= num_vertices() + 1,
                     "routing walk exceeded n hops (zero-weight cycle?)");
   }
   return path;
-}
-
-std::size_t RoutingScheme::total_entries() const {
-  std::size_t total = 0;
-  for (const auto& label : state_->labels) total += label.size();
-  return total;
 }
 
 }  // namespace sepsp

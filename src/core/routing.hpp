@@ -3,38 +3,39 @@
 // enough to *forward* along exact shortest paths hop by hop — no global
 // state at query time, the textbook compact-routing contract.
 //
-// Per label entry (hub h on the designated root path) the table holds:
+// The tables are the distance hub labels of core/labeling.hpp built with
+// the next-hop payload: per label entry (hub h on the designated root
+// path) the table holds
 //   * d(v, h) and the first arc of an optimal v -> h path,
-//   * d(h, v) and the first arc *after h* of an optimal h -> v path.
+//   * d(h, v) and the first arc *after h* of an optimal h -> v path,
 // plus a per-leaf next-hop matrix for same-leaf pairs. To forward a
-// packet at u toward v: pick the best hub h (label merge, as in
-// distance queries); if u == h step along h's out-hop toward v (stored
-// at v), else step toward h (stored at u). Every step lands on an
-// optimal u -> v path, so the walk realizes dist(u, v) exactly.
+// packet at u toward v: pick the best hub h (the label merge of distance
+// queries); if u == h step along h's out-hop toward v (stored at v),
+// else step toward h (stored at u). Every step lands on an optimal
+// u -> v path, so the walk realizes dist(u, v) exactly. One build answers
+// both st-distance (distance(), bit-identical to DistanceLabeling) and
+// st-path (route()).
 //
-// Positive-weight graphs only (zero-weight cycles could let the greedy
-// walk stall at constant remaining distance).
+// Positive-weight graphs only for routing (zero-weight cycles could let
+// the greedy walk stall at constant remaining distance); distance()
+// holds for any negative-cycle-free input.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/labeling.hpp"
 #include "graph/digraph.hpp"
 #include "separator/decomposition.hpp"
 
 namespace sepsp {
 
-class RoutingScheme {
+class RoutingScheme : public HubLabeling<TropicalD> {
  public:
-  using Options = SeparatorShortestPaths<TropicalD>::Options;
-
   /// Builds routing tables: two global queries + two O(m) tree
-  /// extractions per separator-vertex occurrence, batched per separator
-  /// level. Takes the engine facade's validated nested Options (PR 2
-  /// convention).
+  /// extractions per distinct separator vertex, batched in chunks. Takes
+  /// the engine facade's validated nested Options (PR 2 convention).
   static RoutingScheme build(const Digraph& g, const SeparatorTree& tree,
                              const Options& options = {});
 
@@ -54,20 +55,16 @@ class RoutingScheme {
   /// unreachable or u == v.
   Vertex next_hop(Vertex u, Vertex v) const;
 
-  /// Exact distance (same label merge the router uses).
-  double distance(Vertex u, Vertex v) const;
+  /// Exact distance; +infinity if unreachable.
+  double distance(Vertex u, Vertex v) const { return value(u, v); }
 
   /// Forwards hop by hop until v (or failure); returns the full vertex
-  /// path (empty when unreachable). Test/diagnostic helper.
+  /// path (empty when unreachable). The serving runtime's st-path answer.
   std::vector<Vertex> route(Vertex u, Vertex v) const;
 
-  /// Total table entries across all vertices.
-  std::size_t total_entries() const;
-
  private:
-  RoutingScheme() = default;
-  struct State;
-  std::shared_ptr<const State> state_;
+  explicit RoutingScheme(HubLabeling<TropicalD> base)
+      : HubLabeling<TropicalD>(std::move(base)) {}
 };
 
 }  // namespace sepsp

@@ -41,9 +41,9 @@ struct ServiceOptions {
   std::size_t cache_shards = 8;
 
   // --- point-to-point serving ------------------------------------------
-  /// Builds hub labels + routing tables per epoch so StDistance/StPath
+  /// Builds hub labels with next hops per epoch so StDistance/StPath
   /// requests resolve at submit time. Costs a transpose-engine build at
-  /// startup and a label/routing rebuild per apply_updates() (off the
+  /// startup and a label rebuild per apply_updates() (off the
   /// swap critical path, on the work-stealing pool). When false, st
   /// submits abort: a caller that never sends st traffic pays nothing.
   bool point_to_point = true;

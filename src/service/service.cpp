@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "approx/approx.hpp"
-#include "core/labeling.hpp"
 #include "core/routing.hpp"
 #include "obs/obs.hpp"
 #include "pram/topology.hpp"
@@ -273,7 +272,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     return ready(std::move(reply));
   }
 
-  SEPSP_CHECK(snap->labels != nullptr && snap->routing != nullptr);
+  SEPSP_CHECK(snap->labels != nullptr);
 
   std::shared_ptr<const CachedStAnswer> answer;
   if (opts_.cache_enabled) {
@@ -301,7 +300,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
       fresh.has_path = true;
       if (fresh.distance !=
           std::numeric_limits<double>::infinity()) {
-        fresh.path = snap->routing->route(s, t);
+        fresh.path = snap->labels->route(s, t);
       }
       const std::uint64_t unpack_ns = ns_between(unpack_begin, Clock::now());
       counters_.st_unpack_ns_sum.fetch_add(unpack_ns,
@@ -487,7 +486,7 @@ std::uint64_t QueryService::apply_updates(std::span<const EdgeUpdate> updates) {
   // The swap itself: freeze a structurally-shared snapshot (O(#slabs)
   // pointer copies — see IncrementalEngine::snapshot()) and publish it.
   // Timed separately from the dirty-region recompute above and from the
-  // label/routing rebuild in between (readers ride the old snapshot
+  // hub-label rebuild in between (readers ride the old snapshot
   // through that build — it stretches epoch lag, not swap latency).
   const auto fork_begin = Clock::now();
   IncrementalEngine::Snapshot next_snap = engine_->snapshot(opts_.engine);
@@ -527,11 +526,7 @@ void QueryService::attach_point_to_point(IncrementalEngine::Snapshot& snap) {
   // same weighting. engine_->weights() is safe to read: callers hold
   // update_mutex_ (or are the constructor, before any dispatcher runs).
   const IncrementalEngine::Snapshot bwd = bwd_engine_->snapshot(opts_.engine);
-  snap.labels = std::make_shared<const DistanceLabeling>(
-      DistanceLabeling::build_from_engines(engine_->graph(), engine_->tree(),
-                                           *snap.engine, *bwd.engine,
-                                           engine_->weights()));
-  snap.routing = std::make_shared<const RoutingScheme>(
+  snap.labels = std::make_shared<const RoutingScheme>(
       RoutingScheme::build_from_engines(engine_->graph(), engine_->tree(),
                                         *snap.engine, *bwd.engine, *reversed_,
                                         engine_->weights(),

@@ -30,12 +30,13 @@
 //
 //  * Point-to-point serving (ISSUE 7). StDistance and StPath requests
 //    resolve at submit time — no queue hop, no lane group — against the
-//    snapshot's epoch-tagged hub labels (core/labeling.hpp) and routing
-//    tables (core/routing.hpp). The service owns a second incremental
-//    engine over the reversed graph; apply_updates() mirrors every
-//    weight change into it and rebuilds labels + routing during
-//    successor-snapshot construction (off the swap critical path, on
-//    the work-stealing pool), so every epoch's st answers are exact
+//    snapshot's epoch-tagged hub labels with next hops (RoutingScheme,
+//    core/routing.hpp): one structure answers both kinds. The service
+//    owns a second incremental engine over the reversed graph;
+//    apply_updates() mirrors every weight change into it and rebuilds
+//    the labels once during successor-snapshot construction (off the
+//    swap critical path, on the work-stealing pool), so every epoch's
+//    st answers are exact
 //    under that epoch's weighting. A second sharded LRU keyed
 //    (epoch, s, t) caches st answers with the same bit-identical
 //    hit/miss parity as the distance cache.
@@ -93,7 +94,7 @@ class QueryService {
   /// alive, so a service can be constructed over an image larger than
   /// the pool budget. Serves single-source traffic (cache, coalescing,
   /// batched kernel) at a fixed epoch 0; apply_updates() aborts, and
-  /// `options.point_to_point` must be false (labels/routing need the
+  /// `options.point_to_point` must be false (the hub labels need the
   /// incremental engines).
   explicit QueryService(SeparatorShortestPaths<TropicalD>::Snapshot engine,
                         const ServiceOptions& options = {});
@@ -206,8 +207,8 @@ class QueryService {
     PaddedAtomicU64 st_merge_ns_max;
     PaddedAtomicU64 st_unpack_ns_sum;
     PaddedAtomicU64 st_unpack_ns_max;
-    // Per-epoch label + routing rebuild cost (off the swap critical
-    // path; see attach_point_to_point()).
+    // Per-epoch hub-label rebuild cost (off the swap critical path;
+    // see attach_point_to_point()).
     PaddedAtomicU64 label_builds;
     PaddedAtomicU64 label_build_ns_sum;
     PaddedAtomicU64 label_build_ns_last;
@@ -257,7 +258,7 @@ class QueryService {
   /// set for kStPath — paths have no approximate spelling).
   std::future<Reply> submit_st(Vertex s, Vertex t, RequestKind kind,
                                bool approx);
-  /// Builds this epoch's hub labels + routing tables from the two
+  /// Builds this epoch's hub labels (with next hops) from the two
   /// incremental engines and hangs them off `snap`. Called inside
   /// apply_updates() between snapshot fork and publish — readers keep
   /// the previous snapshot for the whole build, so the cost shows up as

@@ -57,8 +57,9 @@ struct ServiceStats {
   std::uint64_t st_merge_ns_max = 0;
   std::uint64_t st_unpack_ns_sum = 0;
   std::uint64_t st_unpack_ns_max = 0;
-  /// Per-epoch hub-label + routing-table rebuild cost (one build per
-  /// swap plus the constructor's; off the swap critical path).
+  /// Per-epoch hub-label rebuild cost: one build of the labels with
+  /// next hops (they answer st-distance and st-path alike) per swap,
+  /// plus the constructor's; off the swap critical path.
   std::uint64_t label_builds = 0;
   std::uint64_t label_build_ns_sum = 0;
   std::uint64_t label_build_ns_last = 0;
@@ -158,7 +159,7 @@ struct ServiceStats {
                      static_cast<double>(st_cache_misses);
   }
 
-  /// Mean per-epoch label + routing rebuild cost, in milliseconds.
+  /// Mean per-epoch hub-label build time, in milliseconds.
   double mean_label_build_ms() const {
     return label_builds == 0 ? 0.0
                              : static_cast<double>(label_build_ns_sum) / 1e6 /

@@ -3,6 +3,7 @@
 // cases (unreachability, negative weights, same-leaf pairs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/bellman_ford.hpp"
@@ -237,6 +238,40 @@ TEST(Labeling, BuildFromEnginesMatchesStandaloneBuild) {
           << u << "->" << v;
     }
   }
+}
+
+TEST(Labeling, OneQueryPerDistinctHub) {
+  // A vertex separating several tree nodes is one hub: the build queries
+  // it once per direction, not once per separator occurrence. On the
+  // 25 x 25 grid the grid finder's separators hold 1,679 occurrences of
+  // 621 distinct vertices.
+#if !SEPSP_OBS_ENABLED
+  GTEST_SKIP() << "engine query counters need SEPSP_OBS";
+#endif
+  Rng rng(10);
+  const GeneratedGraph gg =
+      make_grid({25, 25}, WeightModel::uniform(1, 10), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({25, 25}));
+  std::size_t occurrences = 0;
+  std::vector<char> is_hub(gg.graph.num_vertices(), 0);
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    occurrences += tree.node(id).separator.size();
+    for (const Vertex h : tree.node(id).separator) is_hub[h] = 1;
+  }
+  const auto distinct =
+      static_cast<std::uint64_t>(std::count(is_hub.begin(), is_hub.end(), 1));
+  EXPECT_EQ(occurrences, 1679u);
+  EXPECT_EQ(distinct, 621u);
+
+  const Digraph reversed = gg.graph.transpose();
+  const auto fwd = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
+  const auto bwd = SeparatorShortestPaths<TropicalD>::build(reversed, tree);
+  const std::uint64_t fwd_before = fwd.stats().queries;
+  const std::uint64_t bwd_before = bwd.stats().queries;
+  DistanceLabeling::build_from_engines(gg.graph, tree, fwd, bwd);
+  EXPECT_EQ(fwd.stats().queries - fwd_before, distinct);
+  EXPECT_EQ(bwd.stats().queries - bwd_before, distinct);
 }
 
 }  // namespace

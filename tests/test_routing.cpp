@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baseline/dijkstra.hpp"
 #include "core/incremental.hpp"
+#include "core/labeling.hpp"
 #include "core/routing.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -96,8 +98,8 @@ TEST(Routing, TablesAreCompact) {
   const RoutingScheme scheme = RoutingScheme::build(gg.graph, tree);
   const std::size_t n = gg.graph.num_vertices();
   // Far below the n^2 of explicit all-pairs next-hop matrices.
-  EXPECT_LT(scheme.total_entries(), n * n / 4);
-  EXPECT_GT(scheme.total_entries(), n);  // and nontrivial
+  EXPECT_LT(scheme.total_label_entries(), n * n / 4);
+  EXPECT_GT(scheme.total_label_entries(), n);  // and nontrivial
 }
 
 TEST(Routing, SelfRouteIsTrivial) {
@@ -159,6 +161,68 @@ TEST(Routing, BuildFromEnginesMatchesStandaloneBuild) {
       EXPECT_EQ(path.back(), v);
       EXPECT_NEAR(walk_weight(reweighted, path), truth.dist[v], 1e-9);
     }
+  }
+}
+
+TEST(Routing, DistanceBitIdenticalToDistanceLabeling) {
+  // The routing tables are the distance labels plus next hops: over all
+  // pairs their distances must match DistanceLabeling's bit for bit, on
+  // the grid, mesh, negative-weight mesh and directed-sparse instances.
+  struct Instance {
+    GeneratedGraph gg;
+    SeparatorTree tree;
+  };
+  std::vector<Instance> instances;
+  {
+    Rng rng(1);
+    GeneratedGraph gg = make_grid({9, 9}, WeightModel::uniform(1, 9), rng);
+    SeparatorTree tree =
+        build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
+    instances.push_back({std::move(gg), std::move(tree)});
+  }
+  {
+    Rng rng(2);
+    GeneratedGraph gg =
+        make_triangulated_grid(7, 9, WeightModel::uniform(1, 5), rng);
+    SeparatorTree tree = build_separator_tree(
+        Skeleton(gg.graph), make_geometric_finder(gg.coords));
+    instances.push_back({std::move(gg), std::move(tree)});
+  }
+  {
+    Rng rng(3);
+    GeneratedGraph gg =
+        make_triangulated_grid(6, 8, WeightModel::mixed_sign(6), rng);
+    SeparatorTree tree = build_separator_tree(
+        Skeleton(gg.graph), make_geometric_finder(gg.coords));
+    instances.push_back({std::move(gg), std::move(tree)});
+  }
+  {
+    Rng rng(3);
+    GeneratedGraph gg =
+        make_random_digraph(80, 200, WeightModel::uniform(1, 9), rng);
+    SeparatorTree tree =
+        build_separator_tree(Skeleton(gg.graph), make_bfs_finder());
+    instances.push_back({std::move(gg), std::move(tree)});
+  }
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    const Digraph& g = instances[k].gg.graph;
+    const RoutingScheme scheme = RoutingScheme::build(g, instances[k].tree);
+    const DistanceLabeling labeling =
+        DistanceLabeling::build(g, instances[k].tree);
+    EXPECT_EQ(scheme.total_label_entries(), labeling.total_label_entries())
+        << "instance " << k;
+    const std::size_t n = g.num_vertices();
+    std::vector<double> routed(n * n), labeled(n * n);
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = 0; v < n; ++v) {
+        routed[u * n + v] = scheme.distance(u, v);
+        labeled[u * n + v] = labeling.distance(u, v);
+      }
+    }
+    EXPECT_EQ(std::memcmp(routed.data(), labeled.data(),
+                          routed.size() * sizeof(double)),
+              0)
+        << "instance " << k;
   }
 }
 
