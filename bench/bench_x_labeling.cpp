@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
     if (sc == 0 && side > 17) break;
     const Instance inst = grid2d(side, wm, rng);
     WallTimer t_build;
-    const DistanceLabeling labeling =
-        DistanceLabeling::build(inst.gg.graph, inst.tree);
+    const auto labeling =
+        HubLabeling<TropicalD>::build(inst.gg.graph, inst.tree);
     const double build_ms = t_build.millis();
 
     // Query throughput over random pairs.
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     }
     WallTimer t_query;
     double checksum = 0;
-    for (const auto& [u, v] : pairs) checksum += labeling.distance(u, v);
+    for (const auto& [u, v] : pairs) checksum += labeling.value(u, v);
     const double query_us = t_query.micros() / static_cast<double>(kPairs);
 
     // Dijkstra per query (distinct sources) for comparison.

@@ -6,9 +6,10 @@
 //   ./dimacs_tool generate --out=net --side=24 --seed=1
 //       writes net.gr / net.co (triangulated planar mesh)
 //   ./dimacs_tool preprocess --graph=net
-//       writes net.tree / net.aug (decomposition + E+)
+//       writes net.img (the engine's v3 image, store/format.hpp)
 //   ./dimacs_tool query --graph=net --source=0 --target=575
-//       loads artifacts and answers (validates against Dijkstra)
+//       opens net.img and answers (validates against Dijkstra);
+//       exits 2 on a vertex id outside [0, n)
 //   ./dimacs_tool demo [--side=20]
 //       runs all three steps in a temp directory
 #include <cmath>
@@ -18,10 +19,11 @@
 
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
-#include "core/serialize.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "separator/finders.hpp"
+#include "store/stored_engine.hpp"
+#include "store/writer.hpp"
 #include "util/cli.hpp"
 
 using namespace sepsp;
@@ -67,18 +69,15 @@ int preprocess(const Args& args) {
     return 1;
   }
   const auto engine = SeparatorShortestPaths<>::build(*g, tree);
-  {
-    std::ofstream ts(name + ".tree", std::ios::binary);
-    save_tree(ts, tree);
+  const std::string image = name + ".img";
+  if (!store::write_engine_image(image, engine, &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", image.c_str(),
+                 error.c_str());
+    return 1;
   }
-  {
-    std::ofstream as(name + ".aug", std::ios::binary);
-    save_augmentation<TropicalD>(as, engine.augmentation());
-  }
-  std::printf("preprocessed %s: height %u, %zu shortcuts -> %s.tree, %s.aug\n",
+  std::printf("preprocessed %s: height %u, %zu shortcuts -> %s\n",
               name.c_str(), tree.height(),
-              engine.augmentation().shortcuts.size(), name.c_str(),
-              name.c_str());
+              engine.augmentation().shortcuts.size(), image.c_str());
   return 0;
 }
 
@@ -92,23 +91,37 @@ int query(const Args& args) {
                  error.c_str());
     return 1;
   }
-  std::ifstream as(name + ".aug", std::ios::binary);
-  auto aug = load_augmentation<TropicalD>(as);
-  if (!aug) {
-    std::fprintf(stderr, "cannot read %s.aug (run preprocess first)\n",
-                 name.c_str());
+  const auto stored =
+      store::StoredEngine<TropicalD>::open(name + ".img", {}, &error);
+  if (!stored) {
+    std::fprintf(stderr, "cannot open %s.img (run preprocess first): %s\n",
+                 name.c_str(), error.c_str());
     return 1;
   }
-  const auto engine =
-      SeparatorShortestPaths<>::from_augmentation(*g, std::move(*aug));
-  const auto source = static_cast<Vertex>(args.get_int("source", 0));
-  const auto target = static_cast<Vertex>(
-      args.get_int("target", static_cast<std::int64_t>(g->num_vertices()) - 1));
-  const auto r = engine.distances(source);
-  const DijkstraResult check = dijkstra(*g, source);
-  std::printf("dist(%u -> %u) = %.6f (dijkstra: %.6f)\n", source, target,
-              r.dist[target], check.dist[target]);
-  return std::fabs(r.dist[target] - check.dist[target]) < 1e-6 ? 0 : 1;
+  const auto& engine = stored->engine();
+  const std::size_t n = g->num_vertices();
+  if (engine.graph().num_vertices() != n) {
+    std::fprintf(stderr, "%s.img was built for %zu vertices, %s.gr has %zu\n",
+                 name.c_str(), engine.graph().num_vertices(), name.c_str(), n);
+    return 1;
+  }
+  const std::int64_t source = args.get_int("source", 0);
+  const std::int64_t target =
+      args.get_int("target", static_cast<std::int64_t>(n) - 1);
+  for (const std::int64_t v : {source, target}) {
+    if (v < 0 || static_cast<std::uint64_t>(v) >= n) {
+      std::fprintf(stderr, "vertex %lld out of range: %s has %zu vertices\n",
+                   static_cast<long long>(v), name.c_str(), n);
+      return 2;
+    }
+  }
+  const auto s = static_cast<Vertex>(source);
+  const auto t = static_cast<Vertex>(target);
+  const auto r = engine.distances(s);
+  const DijkstraResult check = dijkstra(*g, s);
+  std::printf("dist(%u -> %u) = %.6f (dijkstra: %.6f)\n", s, t, r.dist[t],
+              check.dist[t]);
+  return std::fabs(r.dist[t] - check.dist[t]) < 1e-6 ? 0 : 1;
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Dependency-impact audit via the reachability engine.
+// Dependency-impact audit via the separator engine over the Boolean
+// semiring.
 //
 // Scenario: a layered build/dependency DAG (modules on a grid of
 // packages x layers, edges to the next layer). "If module X changes,
@@ -10,7 +11,7 @@
 #include <cstdio>
 
 #include "baseline/reach.hpp"
-#include "core/reachability.hpp"
+#include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 #include "util/cli.hpp"
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   WallTimer t_prep;
   const SeparatorTree tree =
       build_separator_tree(Skeleton(dag), make_bfs_finder());
-  const ReachabilityEngine engine = ReachabilityEngine::build(dag, tree);
+  const auto engine = SeparatorShortestPaths<BooleanSR>::build(dag, tree);
   std::printf("preprocessed in %.1f ms (%zu Boolean shortcuts)\n",
               t_prep.millis(), engine.augmentation().shortcuts.size());
 
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   std::size_t widest = 0;
   Vertex widest_module = 0;
   for (std::size_t p = 0; p < packages; ++p) {
-    const auto affected = engine.reachable_from(id(p, 0));
+    const auto affected = engine.distances(id(p, 0)).dist;
     std::size_t count = 0;
     for (const auto bit : affected) count += bit;
     if (count > widest) {
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   // Validate against BFS and the dense closure.
   const BitMatrix closure = transitive_closure_dense(dag);
   for (const Vertex probe : {id(0, 0), id(packages / 2, 0), widest_module}) {
-    const auto got = engine.reachable_from(probe);
+    const auto got = engine.distances(probe).dist;
     const auto want = bfs_reachable(dag, probe);
     for (Vertex v = 0; v < n; ++v) {
       if ((got[v] != 0) != (want[v] != 0) ||

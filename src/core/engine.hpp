@@ -145,9 +145,10 @@ class SeparatorShortestPaths {
     return engine;
   }
 
-  /// Wraps a precomputed augmentation (e.g. loaded via
-  /// core/serialize.hpp) without rebuilding E+. Only the Query half of
-  /// the options applies (the Build half already happened elsewhere).
+  /// Wraps a precomputed augmentation (e.g. one the approximate or
+  /// incremental engine built) without rebuilding E+. Only the Query
+  /// half of the options applies (the Build half already happened
+  /// elsewhere).
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {

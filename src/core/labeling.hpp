@@ -70,17 +70,6 @@ class HubLabeling {
   static HubLabeling build(const Digraph& g, const SeparatorTree& tree,
                            const Options& options = {});
 
-  /// Builds labels against two already-built engines — `fwd` over g and
-  /// `bwd` over its transpose — instead of constructing them.
-  /// `arc_weights`, when nonempty, overrides g's baked arc weights
-  /// (indexed like g.arcs()) for the per-leaf closure tables; it must
-  /// match the weighting behind `fwd`.
-  static HubLabeling build_from_engines(const Digraph& g,
-                                        const SeparatorTree& tree,
-                                        const SeparatorShortestPaths<S>& fwd,
-                                        const SeparatorShortestPaths<S>& bwd,
-                                        std::span<const double> arc_weights = {});
-
   /// Exact best path value from u to v; zero() when no path exists.
   Value value(Vertex u, Vertex v) const;
 
@@ -147,43 +136,6 @@ class HubLabeling {
   std::shared_ptr<const State> state_;
 };
 
-/// Real-weight distance labels; distance() is +infinity if unreachable.
-class DistanceLabeling : public HubLabeling<TropicalD> {
- public:
-  static DistanceLabeling build(const Digraph& g, const SeparatorTree& tree,
-                                const Options& options = {}) {
-    return DistanceLabeling(HubLabeling<TropicalD>::build(g, tree, options));
-  }
-  static DistanceLabeling build_from_engines(
-      const Digraph& g, const SeparatorTree& tree,
-      const SeparatorShortestPaths<TropicalD>& fwd,
-      const SeparatorShortestPaths<TropicalD>& bwd,
-      std::span<const double> arc_weights = {}) {
-    return DistanceLabeling(HubLabeling<TropicalD>::build_from_engines(
-        g, tree, fwd, bwd, arc_weights));
-  }
-  double distance(Vertex u, Vertex v) const { return value(u, v); }
-
- private:
-  explicit DistanceLabeling(HubLabeling<TropicalD> base)
-      : HubLabeling<TropicalD>(std::move(base)) {}
-};
-
-/// 2-hop reachability labels: reachable(u, v) in O(|label| merges).
-class ReachabilityLabeling : public HubLabeling<BooleanSR> {
- public:
-  static ReachabilityLabeling build(const Digraph& g, const SeparatorTree& tree,
-                                    const Options& options = {}) {
-    return ReachabilityLabeling(
-        HubLabeling<BooleanSR>::build(g, tree, options));
-  }
-  bool reachable(Vertex u, Vertex v) const { return value(u, v) != 0; }
-
- private:
-  explicit ReachabilityLabeling(HubLabeling<BooleanSR> base)
-      : HubLabeling<BooleanSR>(std::move(base)) {}
-};
-
 // ---------------------------------------------------------------------------
 // implementation
 // ---------------------------------------------------------------------------
@@ -198,16 +150,7 @@ HubLabeling<S> HubLabeling<S>::build(const Digraph& g,
   const Digraph reversed = g.transpose();
   const auto fwd = SeparatorShortestPaths<S>::build(g, tree, resolved);
   const auto bwd = SeparatorShortestPaths<S>::build(reversed, tree, resolved);
-  return build_from_engines(g, tree, fwd, bwd);
-}
-
-template <Semiring S>
-HubLabeling<S> HubLabeling<S>::build_from_engines(
-    const Digraph& g, const SeparatorTree& tree,
-    const SeparatorShortestPaths<S>& fwd, const SeparatorShortestPaths<S>& bwd,
-    std::span<const double> arc_weights) {
-  return build_payload<HubPayload::kDistances>(g, tree, fwd, bwd,
-                                               arc_weights);
+  return build_payload<HubPayload::kDistances>(g, tree, fwd, bwd, {});
 }
 
 template <Semiring S>

@@ -13,7 +13,7 @@
 // queries); if u == h step along h's out-hop toward v (stored at v),
 // else step toward h (stored at u). Every step lands on an optimal
 // u -> v path, so the walk realizes dist(u, v) exactly. One build answers
-// both st-distance (distance(), bit-identical to DistanceLabeling) and
+// both st-distance (distance(), bit-identical to the values-only labels) and
 // st-path (route()).
 //
 // Positive-weight graphs only for routing (zero-weight cycles could let

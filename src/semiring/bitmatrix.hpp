@@ -1,11 +1,12 @@
 // Packed Boolean matrices: 64 adjacency bits per machine word.
 //
-// This is the library's stand-in for the paper's fast Boolean matrix
-// multiplication M(r) (Coppersmith–Winograd-style bounds are galactic;
-// every practical system uses word-packed cubic kernels). Reachability
-// variants of the builders route their separator-sized products through
-// this type, so the "separator-sized products beat n-sized products"
-// shape of the paper's reachability bounds is preserved.
+// The dense reachability baseline (baseline/reach.hpp's
+// transitive_closure_dense) squares n x n adjacency matrices of this
+// type: the n-sized M(n) product the paper's separator engine avoids.
+// The engine itself computes reachability as Algorithm 4.1 over
+// BooleanSR on the generic semiring kernels, so its separator-sized
+// products are charged per cell while this baseline is charged per
+// 64-bit word — a comparison that favours the baseline.
 #pragma once
 
 #include <cstdint>

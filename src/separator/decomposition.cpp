@@ -9,19 +9,6 @@
 
 namespace sepsp {
 
-SeparatorTree SeparatorTree::from_nodes(std::vector<DecompNode> nodes,
-                                        std::size_t num_graph_vertices) {
-  SEPSP_CHECK(!nodes.empty());
-  SeparatorTree tree;
-  tree.nodes_ = std::move(nodes);
-  tree.num_vertices_ = num_graph_vertices;
-  tree.height_ = 0;
-  for (const DecompNode& t : tree.nodes_) {
-    tree.height_ = std::max(tree.height_, t.level);
-  }
-  return tree;
-}
-
 std::vector<std::size_t> SeparatorTree::leaf_ids() const {
   std::vector<std::size_t> ids;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

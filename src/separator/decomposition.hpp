@@ -49,12 +49,6 @@ struct DecompNode {
 /// visits parents first and a backward sweep children first.
 class SeparatorTree {
  public:
-  /// Reassembles a tree from explicit nodes (deserialization; the node
-  /// vector must satisfy the structural invariants — call validate()
-  /// afterwards when the source is untrusted). Heights are recomputed.
-  static SeparatorTree from_nodes(std::vector<DecompNode> nodes,
-                                  std::size_t num_graph_vertices);
-
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_graph_vertices() const { return num_vertices_; }
 

@@ -1,8 +1,7 @@
 // Serialization v3: the page-aligned, separator-tree-clustered on-disk
 // image of a built engine (ISSUE 9 / ROADMAP "continent-scale graphs").
 //
-// Unlike the v1/v2 stream formats (core/serialize.hpp), which are
-// parsed element-by-element into heap structures, a v3 image is laid
+// The v3 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
@@ -25,8 +24,9 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers always emit version 3; v1/v2 streams remain
-// readable through core/serialize.hpp.
+// copyable). Writers emit and readers accept version 3 only; 1 and 2
+// were retired stream formats. The image holds no separator tree:
+// queries read only the levels and the buckets.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +79,9 @@ static_assert(std::is_trivially_copyable_v<SegmentRecord> &&
                   sizeof(SegmentRecord) == 32,
               "SegmentRecord is on-disk; its layout is frozen");
 
-/// Fixed header in page 0. Structural metadata mirrors what
-/// core/serialize.hpp's v2 augmentation carries, so engine.stats()
-/// reports the same build-cost fields either way.
+/// Fixed header in page 0. It carries the augmentation's structural
+/// and build-cost metadata, so a stored engine's stats() reports the
+/// same build-cost fields as the heap engine it was written from.
 struct Header {
   std::uint32_t magic = kMagic;
   std::uint32_t version = kVersion;

@@ -161,8 +161,15 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   const std::uint64_t dir_bytes =
       static_cast<std::uint64_t>(h.num_segments) * sizeof(SegmentRecord);
   if (h.directory_offset % kPageBytes != 0 ||
-      h.directory_offset + dir_bytes > file_bytes) {
+      h.directory_offset > file_bytes ||
+      dir_bytes > file_bytes - h.directory_offset) {
     set_error(error, "v3 image: directory out of bounds");
+    return std::nullopt;
+  }
+  // Every level owns nine bucket records, so the (file-bounded)
+  // directory caps the height before it sizes any per-level array.
+  if (h.height >= h.num_segments / 9) {
+    set_error(error, "v3 image: height exceeds the directory");
     return std::nullopt;
   }
   std::vector<SegmentRecord> directory(h.num_segments);

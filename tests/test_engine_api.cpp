@@ -1,16 +1,14 @@
 // The SeparatorShortestPaths facade: nested Options with validated()
 // coherence checks, the unified distances_batch(sources, BatchPolicy)
 // entry point, allocation-free distances_into, the QueryResult
-// accessors, engine.stats(), the snapshot hooks (freeze /
-// weight-overriding from_augmentation), and the versioned augmentation
-// save/load round trip.
+// accessors, engine.stats(), and the snapshot hooks (freeze /
+// weight-overriding from_augmentation).
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <sstream>
 
 #include "core/engine.hpp"
-#include "core/serialize.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 
@@ -261,91 +259,6 @@ TEST(EngineStatsApi, ScalarAndBatchedScanTotalsAgree) {
     EXPECT_GT(bs.lane_occupancy(), 0.0);
     EXPECT_LT(bs.lane_occupancy(), 1.0);  // ragged last block
   }
-}
-
-// --- serialization round trip & versioning ----------------------------
-
-template <Semiring S>
-void round_trip_exact_distances() {
-  const Fixture f = make_fixture();
-  const auto original = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
-  std::stringstream ss;
-  save_augmentation<S>(ss, original.augmentation());
-  std::string error;
-  auto loaded = load_augmentation<S>(ss, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->critical_depth, original.augmentation().critical_depth);
-  EXPECT_EQ(loaded->build_cost.work, original.augmentation().build_cost.work);
-  const auto revived =
-      SeparatorShortestPaths<S>::from_augmentation(f.gg.graph,
-                                                   std::move(*loaded));
-  for (const Vertex src : {Vertex{0}, Vertex{13}, Vertex{42}, Vertex{63}}) {
-    EXPECT_EQ(revived.distances(src).dist, original.distances(src).dist);
-  }
-}
-
-TEST(EngineSerialize, RoundTripExactTropicalD) {
-  round_trip_exact_distances<TropicalD>();
-}
-TEST(EngineSerialize, RoundTripExactTropicalI) {
-  round_trip_exact_distances<TropicalI>();
-}
-TEST(EngineSerialize, RoundTripExactBoolean) {
-  round_trip_exact_distances<BooleanSR>();
-}
-TEST(EngineSerialize, RoundTripExactBottleneck) {
-  round_trip_exact_distances<BottleneckSR>();
-}
-
-TEST(EngineSerialize, ReadsVersion1Payloads) {
-  // Hand-written v1 layout (no build-cost metadata): must still load,
-  // with the v2 fields defaulting to zero.
-  const Fixture f = make_fixture(6);
-  const auto aug =
-      build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
-  std::stringstream ss;
-  using serial_detail::write_pod;
-  using serial_detail::write_vec;
-  write_pod(ss, serial_detail::kAugMagic);
-  write_pod(ss, std::uint32_t{1});
-  write_pod(ss, static_cast<std::uint64_t>(aug.levels.level.size()));
-  write_pod(ss, aug.height);
-  write_pod(ss, static_cast<std::uint64_t>(aug.ell));
-  write_vec(ss, aug.levels.level);
-  write_vec(ss, aug.levels.node);
-  write_vec(ss, aug.shortcuts);
-
-  std::string error;
-  const auto loaded = load_augmentation<TropicalD>(ss, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->height, aug.height);
-  EXPECT_EQ(loaded->shortcuts.size(), aug.shortcuts.size());
-  EXPECT_EQ(loaded->critical_depth, 0u);
-  EXPECT_EQ(loaded->build_cost.work, 0u);
-}
-
-TEST(EngineSerialize, RejectsUnknownFutureVersionWithClearError) {
-  std::stringstream ss;
-  serial_detail::write_pod(ss, serial_detail::kAugMagic);
-  serial_detail::write_pod(ss, std::uint32_t{99});
-  std::string error;
-  EXPECT_FALSE(load_augmentation<TropicalD>(ss, &error).has_value());
-  EXPECT_NE(error.find("unsupported format version 99"), std::string::npos);
-}
-
-TEST(EngineSerialize, RejectsWrongMagicWithClearError) {
-  std::stringstream ss("definitely not an augmentation");
-  std::string error;
-  EXPECT_FALSE(load_augmentation<TropicalD>(ss, &error).has_value());
-  EXPECT_NE(error.find("bad magic"), std::string::npos);
-}
-
-TEST(EngineSerialize, TreeLoaderReportsTruncation) {
-  std::stringstream ss;
-  serial_detail::write_pod(ss, serial_detail::kTreeMagic);
-  std::string error;
-  EXPECT_FALSE(load_tree(ss, &error).has_value());
-  EXPECT_NE(error.find("truncated"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Distance labeling (compact APSP representation): exactness against
-// Dijkstra / Bellman–Ford over all pairs, label-size scaling, and edge
-// cases (unreachability, negative weights, same-leaf pairs).
+// Hub labeling (compact APSP representation): exactness of the
+// HubLabeling<S>::build labels against Dijkstra / Bellman–Ford, BFS and
+// a dense closure over all pairs, label-size scaling, and edge cases
+// (unreachability, negative weights, same-leaf pairs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +10,8 @@
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/reach.hpp"
-#include "core/incremental.hpp"
 #include "core/labeling.hpp"
+#include "core/routing.hpp"
 #include "semiring/matrix.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -20,7 +21,7 @@ namespace {
 
 void check_all_pairs(const Digraph& g, const SeparatorTree& tree,
                      bool negative = false) {
-  const DistanceLabeling labeling = DistanceLabeling::build(g, tree);
+  const auto labeling = HubLabeling<TropicalD>::build(g, tree);
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     std::vector<double> want;
     if (negative) {
@@ -31,7 +32,7 @@ void check_all_pairs(const Digraph& g, const SeparatorTree& tree,
       want = dijkstra(g, u).dist;
     }
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      const double got = labeling.distance(u, v);
+      const double got = labeling.value(u, v);
       if (std::isinf(want[v])) {
         EXPECT_TRUE(std::isinf(got)) << u << "->" << v;
       } else {
@@ -80,9 +81,9 @@ TEST(Labeling, SelfDistanceIsZero) {
   const GeneratedGraph gg = make_grid({5, 5}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
-  const DistanceLabeling labeling = DistanceLabeling::build(gg.graph, tree);
+  const auto labeling = HubLabeling<TropicalD>::build(gg.graph, tree);
   for (Vertex v = 0; v < 25; ++v) {
-    EXPECT_DOUBLE_EQ(labeling.distance(v, v), 0.0);
+    EXPECT_DOUBLE_EQ(labeling.value(v, v), 0.0);
   }
 }
 
@@ -94,8 +95,7 @@ TEST(Labeling, LabelSizesScaleLikeSqrtNOnGrids) {
     const GeneratedGraph gg = make_grid(dims, WeightModel::uniform(1, 9), rng);
     const SeparatorTree tree =
         build_separator_tree(Skeleton(gg.graph), make_grid_finder(dims));
-    const DistanceLabeling labeling =
-        DistanceLabeling::build(gg.graph, tree);
+    const auto labeling = HubLabeling<TropicalD>::build(gg.graph, tree);
     const double avg = labeling.average_label_size();
     // Hubs per vertex ~ sum of separator sizes up the path = O(sqrt n):
     // far below n.
@@ -123,11 +123,11 @@ TEST(Labeling, ReachabilityLabelsMatchBfs) {
   const Digraph g = std::move(b).build();
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_grid_finder({8, 8}));
-  const ReachabilityLabeling labels = ReachabilityLabeling::build(g, tree);
+  const auto labels = HubLabeling<BooleanSR>::build(g, tree);
   for (Vertex u = 0; u < g.num_vertices(); u += 5) {
     const auto want = bfs_reachable(g, u);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(labels.reachable(u, v), want[v] != 0) << u << "->" << v;
+      EXPECT_EQ(labels.value(u, v) != 0, want[v] != 0) << u << "->" << v;
     }
   }
 }
@@ -159,15 +159,15 @@ TEST(Labeling, DoublingBuilderVariantAgrees) {
   const GeneratedGraph gg = make_grid({6, 6}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
-  DistanceLabeling::Options recursive;
+  HubLabeling<TropicalD>::Options recursive;
   recursive.build.builder = BuilderKind::kRecursive;
-  DistanceLabeling::Options doubling;
+  HubLabeling<TropicalD>::Options doubling;
   doubling.build.builder = BuilderKind::kDoubling;
-  const DistanceLabeling a = DistanceLabeling::build(gg.graph, tree, recursive);
-  const DistanceLabeling b = DistanceLabeling::build(gg.graph, tree, doubling);
+  const auto a = HubLabeling<TropicalD>::build(gg.graph, tree, recursive);
+  const auto b = HubLabeling<TropicalD>::build(gg.graph, tree, doubling);
   for (Vertex u = 0; u < 36; u += 5) {
     for (Vertex v = 0; v < 36; v += 3) {
-      EXPECT_NEAR(a.distance(u, v), b.distance(u, v), 1e-9);
+      EXPECT_NEAR(a.value(u, v), b.value(u, v), 1e-9);
     }
   }
 }
@@ -182,60 +182,14 @@ TEST(Labeling, OptionsFacadeBuildIsDeterministic) {
   const GeneratedGraph gg = make_grid({5, 5}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
-  DistanceLabeling::Options doubling;
+  HubLabeling<TropicalD>::Options doubling;
   doubling.build.builder = BuilderKind::kDoubling;
-  const DistanceLabeling a = DistanceLabeling::build(gg.graph, tree, doubling);
-  const DistanceLabeling b = DistanceLabeling::build(gg.graph, tree, doubling);
+  const auto a = HubLabeling<TropicalD>::build(gg.graph, tree, doubling);
+  const auto b = HubLabeling<TropicalD>::build(gg.graph, tree, doubling);
   EXPECT_EQ(a.total_label_entries(), b.total_label_entries());
   for (Vertex u = 0; u < 25; ++u) {
     for (Vertex v = 0; v < 25; v += 2) {
-      EXPECT_DOUBLE_EQ(a.distance(u, v), b.distance(u, v));
-    }
-  }
-}
-
-TEST(Labeling, BuildFromEnginesMatchesStandaloneBuild) {
-  // The serving runtime's epoch-swap hook: building against externally
-  // owned forward/backward engines (with an effective-weight override)
-  // must agree with the self-contained build over an equivalently
-  // reweighted graph.
-  Rng rng(9);
-  const GeneratedGraph gg = make_grid({6, 6}, WeightModel::uniform(1, 9), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
-  IncrementalEngine fwd = IncrementalEngine::build(gg.graph, tree);
-  fwd.update_edge(0, 1, 0.25);
-  fwd.update_edge(7, 8, 11.0);
-  fwd.apply();
-
-  // Backward engine over the reversed graph under the same weighting.
-  GraphBuilder rb(gg.graph.num_vertices());
-  const auto arcs = gg.graph.arcs();
-  const auto arc_src = gg.graph.arc_sources();
-  const auto weights = fwd.weights();
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    rb.add_edge(arcs[i].to, arc_src[i], weights[i]);
-  }
-  const Digraph reversed = std::move(rb).build(/*dedup_min=*/false);
-  const IncrementalEngine bwd = IncrementalEngine::build(reversed, tree);
-
-  const auto fwd_snap = fwd.snapshot();
-  const auto bwd_snap = bwd.snapshot();
-  const DistanceLabeling from_engines = DistanceLabeling::build_from_engines(
-      gg.graph, tree, *fwd_snap.engine, *bwd_snap.engine, fwd.weights());
-
-  GraphBuilder wb(gg.graph.num_vertices());
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    wb.add_edge(arc_src[i], arcs[i].to, weights[i]);
-  }
-  const Digraph reweighted = std::move(wb).build(/*dedup_min=*/false);
-  const DistanceLabeling standalone =
-      DistanceLabeling::build(reweighted, tree);
-  for (Vertex u = 0; u < 36; ++u) {
-    for (Vertex v = 0; v < 36; v += 2) {
-      EXPECT_DOUBLE_EQ(from_engines.distance(u, v),
-                       standalone.distance(u, v))
-          << u << "->" << v;
+      EXPECT_DOUBLE_EQ(a.value(u, v), b.value(u, v));
     }
   }
 }
@@ -269,7 +223,7 @@ TEST(Labeling, OneQueryPerDistinctHub) {
   const auto bwd = SeparatorShortestPaths<TropicalD>::build(reversed, tree);
   const std::uint64_t fwd_before = fwd.stats().queries;
   const std::uint64_t bwd_before = bwd.stats().queries;
-  DistanceLabeling::build_from_engines(gg.graph, tree, fwd, bwd);
+  RoutingScheme::build_from_engines(gg.graph, tree, fwd, bwd, reversed);
   EXPECT_EQ(fwd.stats().queries - fwd_before, distinct);
   EXPECT_EQ(bwd.stats().queries - bwd_before, distinct);
 }

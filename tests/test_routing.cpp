@@ -164,9 +164,10 @@ TEST(Routing, BuildFromEnginesMatchesStandaloneBuild) {
   }
 }
 
-TEST(Routing, DistanceBitIdenticalToDistanceLabeling) {
+TEST(Routing, DistanceBitIdenticalToValuesOnlyLabels) {
   // The routing tables are the distance labels plus next hops: over all
-  // pairs their distances must match DistanceLabeling's bit for bit, on
+  // pairs their distances must match the values-only
+  // HubLabeling<TropicalD>::build labels bit for bit, on
   // the grid, mesh, negative-weight mesh and directed-sparse instances.
   struct Instance {
     GeneratedGraph gg;
@@ -207,8 +208,7 @@ TEST(Routing, DistanceBitIdenticalToDistanceLabeling) {
   for (std::size_t k = 0; k < instances.size(); ++k) {
     const Digraph& g = instances[k].gg.graph;
     const RoutingScheme scheme = RoutingScheme::build(g, instances[k].tree);
-    const DistanceLabeling labeling =
-        DistanceLabeling::build(g, instances[k].tree);
+    const auto labeling = HubLabeling<TropicalD>::build(g, instances[k].tree);
     EXPECT_EQ(scheme.total_label_entries(), labeling.total_label_entries())
         << "instance " << k;
     const std::size_t n = g.num_vertices();
@@ -216,7 +216,7 @@ TEST(Routing, DistanceBitIdenticalToDistanceLabeling) {
     for (Vertex u = 0; u < n; ++u) {
       for (Vertex v = 0; v < n; ++v) {
         routed[u * n + v] = scheme.distance(u, v);
-        labeled[u * n + v] = labeling.distance(u, v);
+        labeled[u * n + v] = labeling.value(u, v);
       }
     }
     EXPECT_EQ(std::memcmp(routed.data(), labeled.data(),

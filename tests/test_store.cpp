@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,14 @@ void round_trip_semiring(const std::string& stem) {
 
   auto stored = store::StoredEngine<S>::open(file.path, {}, &error);
   ASSERT_TRUE(stored.has_value()) << error;
+
+  // The header carries the build-cost metadata engine.stats() reports.
+  const EngineStats heap_stats = heap.stats();
+  const EngineStats stored_stats = stored->engine().stats();
+  EXPECT_EQ(stored_stats.critical_depth, heap_stats.critical_depth);
+  EXPECT_EQ(stored_stats.build_work, heap_stats.build_work);
+  EXPECT_EQ(stored_stats.build_depth, heap_stats.build_depth);
+  EXPECT_EQ(stored_stats.eplus_edges, heap_stats.eplus_edges);
 
   using Value = typename S::Value;
   const std::vector<Vertex> sources = {0, 13, 40, 77, 80};
@@ -252,18 +261,40 @@ class StoreDamage : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Writes `bytes` to the temp path and expects open() to fail with a
-  /// non-empty reason.
-  void expect_rejected(const std::vector<char>& bytes, const char* what) {
+  /// Writes `bytes` to the temp path and opens it; `error` receives the
+  /// loader's reason.
+  std::optional<store::StoredEngine<TropicalD>> open_bytes(
+      const std::vector<char>& bytes, std::string* error) {
     {
       std::ofstream out(path_, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
+    error->clear();
+    return store::StoredEngine<TropicalD>::open(path_, {}, error);
+  }
+
+  /// Expects open() to fail on `bytes` with a non-empty reason, and
+  /// returns the reason.
+  std::string expect_rejected(const std::vector<char>& bytes,
+                              const char* what) {
     std::string error;
-    const auto stored =
-        store::StoredEngine<TropicalD>::open(path_, {}, &error);
-    EXPECT_FALSE(stored.has_value()) << what;
+    EXPECT_FALSE(open_bytes(bytes, &error).has_value()) << what;
     EXPECT_FALSE(error.empty()) << what;
+    return error;
+  }
+
+  store::Header header() const {
+    store::Header h;
+    std::memcpy(&h, image_.data(), sizeof h);
+    return h;
+  }
+
+  std::vector<store::SegmentRecord> directory() const {
+    const store::Header h = header();
+    std::vector<store::SegmentRecord> dir(h.num_segments);
+    std::memcpy(dir.data(), image_.data() + h.directory_offset,
+                dir.size() * sizeof(store::SegmentRecord));
+    return dir;
   }
 
   std::string path_ = temp_path("damage");
@@ -306,6 +337,121 @@ TEST_F(StoreDamage, RejectsCorruptDirectory) {
   std::memcpy(bad.data() + dir + offsetof(store::SegmentRecord, offset),
               &garbage, sizeof garbage);
   expect_rejected(bad, "out-of-range segment offset");
+
+  // A directory one page short of 2^64 and two pages long: offset +
+  // size wraps around to one page, inside the file.
+  store::Header h = header();
+  h.directory_offset = ~std::uint64_t{0} << 12;
+  h.num_segments = 2 * kPageBytes / sizeof(store::SegmentRecord);
+  auto wrapped = image_;
+  std::memcpy(wrapped.data(), &h, sizeof h);
+  expect_rejected(wrapped, "wrapping directory offset");
+}
+
+TEST_F(StoreDamage, RejectsUnknownVersion) {
+  // Versions 1 and 2 were the retired stream formats; 4 and later are
+  // layouts this reader cannot know. All must be refused by name.
+  for (const std::uint32_t version : {0u, 1u, 2u, 4u, 99u}) {
+    auto bad = image_;
+    std::memcpy(bad.data() + offsetof(store::Header, version), &version,
+                sizeof version);
+    const std::string reason = expect_rejected(bad, "unknown version");
+    EXPECT_NE(reason.find("unsupported version " + std::to_string(version)),
+              std::string::npos)
+        << reason;
+  }
+}
+
+TEST_F(StoreDamage, SurvivesByteFlipFuzz) {
+  // Seeded single-byte flips across the header, the directory and the
+  // segment payloads. A flip may survive (a weight, say); the contract
+  // is that open() either refuses with a reason or yields an engine
+  // that answers a query, and never aborts.
+  const store::Header h = header();
+  const std::vector<store::SegmentRecord> dir = directory();
+  Rng rng(17);
+  std::vector<std::size_t> positions;
+  for (std::size_t pos = 0; pos < sizeof(store::Header); ++pos) {
+    positions.push_back(pos);
+  }
+  const std::size_t dir_bytes = dir.size() * sizeof(store::SegmentRecord);
+  for (int i = 0; i < 200; ++i) {
+    positions.push_back(h.directory_offset + rng.next_below(dir_bytes));
+  }
+  for (int i = 0; i < 200; ++i) {
+    const store::SegmentRecord& rec = dir[rng.next_below(dir.size())];
+    if (rec.bytes == 0) continue;
+    positions.push_back(rec.offset + rng.next_below(rec.bytes));
+  }
+  std::size_t opened = 0;
+  for (const std::size_t pos : positions) {
+    auto bad = image_;
+    bad[pos] = static_cast<char>(bad[pos] ^ (1 + rng.next_below(255)));
+    std::string error;
+    const auto stored = open_bytes(bad, &error);
+    if (!stored) {
+      EXPECT_FALSE(error.empty()) << "flip at byte " << pos;
+      continue;
+    }
+    ++opened;
+    const QueryResult<TropicalD> r = stored->engine().distances(0);
+    EXPECT_EQ(r.dist.size(), stored->engine().graph().num_vertices())
+        << "flip at byte " << pos;
+  }
+  // Payload flips mostly land in values the loader cannot judge.
+  EXPECT_GT(opened, 0u);
+}
+
+TEST_F(StoreDamage, HugeCountsDoNotAllocate) {
+  // A consistent forgery: the header claims 2^40 arcs and every
+  // arc-sized record claims 2^40 elements with matching byte sizes, so
+  // only the byte-bounds check against the file stands between the
+  // loader and a multi-TiB read or resize.
+  store::Header h = header();
+  std::vector<store::SegmentRecord> dir = directory();
+  const std::uint64_t arcs = h.num_edges;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  h.num_edges = huge;
+  std::size_t forged = 0;
+  for (store::SegmentRecord& rec : dir) {
+    if (rec.count != arcs) continue;
+    rec.bytes = rec.bytes / rec.count * huge;
+    rec.count = huge;
+    ++forged;
+  }
+  ASSERT_GE(forged, 3u);  // arc targets, arc weights, base bucket
+  auto bad = image_;
+  std::memcpy(bad.data(), &h, sizeof h);
+  std::memcpy(bad.data() + h.directory_offset, dir.data(),
+              dir.size() * sizeof(store::SegmentRecord));
+  expect_rejected(bad, "2^40-element records");
+
+  // The height sizes the per-level bucket arrays; one just below the
+  // header's plausibility cap must be refused by the directory bound.
+  store::Header tall = header();
+  tall.height = (1u << 28) - 1;
+  auto bad_height = image_;
+  std::memcpy(bad_height.data(), &tall, sizeof tall);
+  expect_rejected(bad_height, "2^28-level height");
+}
+
+TEST_F(StoreDamage, RejectsOutOfRangeShortcutEndpoint) {
+  // Kernels index dist[] by bucket endpoints unchecked, so open() must
+  // refuse an endpoint >= n.
+  const store::Header h = header();
+  for (const store::SegmentRecord& rec : directory()) {
+    if (rec.kind != static_cast<std::uint32_t>(
+                        store::SegmentKind::kShortcutTo)) {
+      continue;
+    }
+    ASSERT_GT(rec.count, 0u);
+    auto bad = image_;
+    const auto past_end = static_cast<Vertex>(h.num_vertices);
+    std::memcpy(bad.data() + rec.offset, &past_end, sizeof past_end);
+    expect_rejected(bad, "shortcut endpoint == n");
+    return;
+  }
+  FAIL() << "image has no shortcut-target segment";
 }
 
 TEST_F(StoreDamage, RejectsMissingFile) {
