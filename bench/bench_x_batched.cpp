@@ -82,8 +82,8 @@ void run_instance(const Instance& inst, Table& table) {
   }
 
   // Engine observability snapshot for this instance: schedule shape plus
-  // the cumulative counters the runs above accrued (all-zero dynamic
-  // fields when the library is built with SEPSP_OBS=OFF).
+  // the cumulative counters the runs above accrued (filled in every
+  // build mode; only the process-wide kernel/SIMD reads need SEPSP_OBS).
   const EngineStats stats = engine.stats();
   json()
       .row("stats")

@@ -37,7 +37,6 @@
 #include "baseline/dijkstra.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
-#include "obs/stats.hpp"
 #include "separator/finders.hpp"
 #include "service/service.hpp"
 #include "service/sharded.hpp"
@@ -173,17 +172,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sharded_stats.swap_fanouts),
               sharded_stats.mean_swap_wall_us());
 
-  if (obs::compiled_in()) {
-    const auto snap = obs::StatsRegistry::instance().snapshot();
-    for (const auto& h : snap.histograms) {
-      if (h.name == "service.coalesce_us" && h.count > 0) {
-        std::printf("coalesce wait: ~p50 %.0f us, ~p99 %.0f us (%llu batches)\n",
-                    obs::StatsSnapshot::quantile(h, 0.5),
-                    obs::StatsSnapshot::quantile(h, 0.99),
-                    static_cast<unsigned long long>(h.count));
-      }
-    }
-  }
+  std::printf("coalesce wait: mean %.1f us, max %.1f us (%llu batches)\n",
+              sharded_stats.total.mean_coalesce_us(),
+              static_cast<double>(sharded_stats.total.coalesce_ns_max) / 1e3,
+              static_cast<unsigned long long>(sharded_stats.total.batches));
 
   // Validate the final epoch against Dijkstra on the final weights.
   GraphBuilder b(n);

@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
     }
   }
   // 6. Observability: schedule shape + cumulative query counters
-  //    (dynamic counters stay zero when built with SEPSP_OBS=OFF).
+  //    (filled in every build mode), then the process-wide registry
+  //    and trace spans when built with SEPSP_OBS=ON.
   if (args.get_bool("stats", false)) {
     engine.stats().print(std::cout);
     if (obs::compiled_in()) {

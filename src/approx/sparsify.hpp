@@ -68,7 +68,7 @@
 
 #include "core/augment.hpp"
 #include "core/builder_recursive.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "semiring/matrix.hpp"
 
 namespace sepsp {
@@ -411,10 +411,7 @@ inline Augmentation<TropicalI> build_augmentation_sparsified(
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
   aug.complete = false;
-  const SparsifyStats st = emit.stats();
-  if (stats != nullptr) *stats = st;
-  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::counter("approx.eplus_dropped").add(st.dropped);)
+  if (stats != nullptr) *stats = emit.stats();
   return aug;
 }
 

@@ -23,7 +23,7 @@
 #include "core/augment.hpp"
 #include "core/builder_recursive.hpp"  // ClosureKind, detail helpers
 #include "core/builder_scratch.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
 #include "util/vertex_index.hpp"  // detail::kNpos
@@ -243,8 +243,6 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
 
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
-  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::counter("build.doubling_iterations").add(iterations_run);)
   return aug;
 }
 

@@ -42,7 +42,7 @@
 
 #include "core/augment.hpp"
 #include "core/builder_scratch.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
 
@@ -352,8 +352,6 @@ Augmentation<S> build_augmentation_recursive(
           .aug;
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
-  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::histogram("build.node_count").record(tree.num_nodes());)
   return aug;
 }
 

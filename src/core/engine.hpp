@@ -26,6 +26,7 @@
 // been removed; see docs/API.md for the migration table.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -126,7 +127,6 @@ class SeparatorShortestPaths {
                                       const Options& options = {}) {
     SEPSP_CHECK(tree.num_graph_vertices() == g.num_vertices());
     SEPSP_TRACE_SPAN("engine.build");
-    SEPSP_OBS_ONLY(obs::counter("engine.builds").add(1);)
     const Options resolved = options.validated();
     SEPSP_CHECK_MSG(resolved.build.approx_eps == 0.0,
                     "the exact engine cannot honor "
@@ -140,8 +140,6 @@ class SeparatorShortestPaths {
                                              resolved.build.doubling));
     engine.query_ = std::make_unique<LeveledQuery<S>>(
         g, *engine.aug_, resolved.query.detect_negative_cycles);
-    SEPSP_OBS_ONLY(
-        obs::counter("engine.shortcuts").add(engine.aug_->shortcuts.size());)
     return engine;
   }
 
@@ -270,11 +268,11 @@ class SeparatorShortestPaths {
   }
 
   /// Structural schedule statistics plus cumulative query counters.
-  /// Structural fields are always populated; the dynamic counters
-  /// (queries, edges_scanned, lane occupancy, per-level scans) require
-  /// the library to be compiled with SEPSP_OBS=ON and stay zero
-  /// otherwise. Counters are per-engine (not process-wide) and cover
-  /// queries issued through this facade.
+  /// Every field but the four process-wide kernel/pool/SIMD reads is
+  /// populated in every build mode. The query counters (queries,
+  /// edges_scanned, phases, lane occupancy, per-level scans) are
+  /// per-engine (not process-wide) and cover queries issued through
+  /// this facade.
   EngineStats stats() const {
     EngineStats st;
     st.num_vertices = g_->num_vertices();
@@ -299,7 +297,6 @@ class SeparatorShortestPaths {
       st.levels.push_back({l, same[l].size(), down[l].size(), up[l].size(),
                            query_->level_edges_scanned(l)});
     }
-#if SEPSP_OBS_ENABLED
     st.queries = counters_->queries.load(std::memory_order_relaxed);
     st.edges_scanned = counters_->edges.load(std::memory_order_relaxed);
     st.phases = counters_->phases.load(std::memory_order_relaxed);
@@ -308,6 +305,7 @@ class SeparatorShortestPaths {
         counters_->lanes_used.load(std::memory_order_relaxed);
     st.batch_lane_capacity =
         counters_->lane_capacity.load(std::memory_order_relaxed);
+#if SEPSP_OBS_ENABLED
     // Process-wide kernel/scheduler counters (shared by all engines):
     st.kernel_tiles = obs::counter("kernel.tiles").value();
     st.kernel_cells = obs::counter("kernel.cells").value();
@@ -320,11 +318,9 @@ class SeparatorShortestPaths {
  private:
   explicit SeparatorShortestPaths(const Digraph& g,
                                   const typename Options::Query& qopts)
-      : g_(&g), qopts_(qopts) {
-#if SEPSP_OBS_ENABLED
-    counters_ = std::make_unique<EngineCounters>();
-#endif
-  }
+      : g_(&g),
+        qopts_(qopts),
+        counters_(std::make_unique<EngineCounters>()) {}
 
   static constexpr bool valid_lane_width(std::size_t lanes) {
     return lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8 ||
@@ -353,7 +349,6 @@ class SeparatorShortestPaths {
     return results;
   }
 
-#if SEPSP_OBS_ENABLED
   struct EngineCounters {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> edges{0};
@@ -382,11 +377,6 @@ class SeparatorShortestPaths {
     counters_->edges.fetch_add(edges, std::memory_order_relaxed);
     counters_->phases.fetch_add(phases, std::memory_order_relaxed);
   }
-#else
-  void note_run(const QueryStats&) const {}
-  void note_block(std::size_t, std::size_t) const {}
-  void note_results(std::span<const QueryResult<S>>) const {}
-#endif
 
   const Digraph* g_;
   typename Options::Query qopts_;
@@ -397,9 +387,7 @@ class SeparatorShortestPaths {
   // reads go through the query's own slab store).
   std::shared_ptr<const Augmentation<S>> aug_;
   std::unique_ptr<LeveledQuery<S>> query_;
-#if SEPSP_OBS_ENABLED
   std::unique_ptr<EngineCounters> counters_;
-#endif
 };
 
 }  // namespace sepsp

@@ -1,10 +1,12 @@
 // Structural and cumulative runtime statistics of one
 // SeparatorShortestPaths engine — the payload of engine.stats().
 //
-// Structural fields (graph/augmentation/schedule shape, build cost) are
-// always populated. Dynamic fields (query counters, batch lane
-// occupancy, per-level scans) accumulate only when the library is built
-// with SEPSP_OBS=ON; with observability compiled out they stay zero.
+// Structural fields (graph/augmentation/schedule shape, build cost) and
+// the engine's own dynamic fields (query counters, batch lane
+// occupancy, per-level scans) are populated in every build mode; this
+// ledger is their only record. Only the four process-wide reads
+// (kernel tiles/cells, pool steals, SIMD cells) come from the obs
+// registry and stay zero when the library is built with SEPSP_OBS=OFF.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,7 @@ struct EngineLevelStats {
   std::size_t same_edges = 0;  ///< level-l same-level bucket size
   std::size_t down_edges = 0;  ///< level-l descending bucket size
   std::size_t up_edges = 0;    ///< level-l ascending bucket size
-  std::uint64_t edges_scanned = 0;  ///< cumulative scans (0 when OBS off)
+  std::uint64_t edges_scanned = 0;  ///< cumulative scans
 };
 
 struct EngineStats {
@@ -54,15 +56,16 @@ struct EngineStats {
   /// and fed back via ApproxEngine::note_observed_error (0 until then).
   double max_observed_error = 0.0;
 
-  // --- dynamic (all zero when SEPSP_OBS=OFF) -------------------------
+  // --- dynamic (per engine, every build mode) ------------------------
   std::uint64_t queries = 0;        ///< engine-initiated query runs
   std::uint64_t edges_scanned = 0;  ///< summed over those runs
   std::uint64_t phases = 0;         ///< summed over those runs
   std::uint64_t batch_blocks = 0;      ///< batched kernel blocks executed
   std::uint64_t batch_lanes_used = 0;  ///< seeded lanes over those blocks
   std::uint64_t batch_lane_capacity = 0;  ///< blocks * lane width
-  // Unlike the query counters above, the three below are process-wide
-  // (the dense kernels and the thread pool are shared by all engines):
+  // Unlike the query counters above, the four below are process-wide
+  // (the dense kernels and the thread pool are shared by all engines)
+  // and stay zero when SEPSP_OBS=OFF:
   std::uint64_t kernel_tiles = 0;  ///< blocked-kernel tile tasks executed
   std::uint64_t kernel_cells = 0;  ///< min-plus cell updates issued
   std::uint64_t pool_steals = 0;   ///< work-stealing pool steals

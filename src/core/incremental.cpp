@@ -8,7 +8,7 @@
 
 #include "core/builder_recursive.hpp"  // detail::node_step, run_algorithm41
 #include "core/builder_scratch.hpp"    // detail::ScratchPool
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
 
@@ -368,11 +368,6 @@ std::size_t IncrementalEngine::apply() {
   }
 
   s.last_stats = {recomputed.size(), touched.size(), slabs_copied};
-  SEPSP_OBS_ONLY({
-    obs::counter("incr.nodes_recomputed").add(recomputed.size());
-    obs::counter("incr.slots_touched").add(touched.size());
-    obs::counter("incr.slabs_copied").add(slabs_copied);
-  })
 
   for (const std::size_t id : recomputed) s.dirty_seen[id] = 0;
   s.dirty_leaves.clear();

@@ -70,8 +70,7 @@ class IncrementalEngine {
   /// Counters of the most recent apply(): the three proportionality
   /// measures. `slabs_copied` counts value slabs detached from
   /// outstanding snapshots by this batch's refreshes (the incremental
-  /// cost the next snapshot() inherits). Mirrored into the obs counters
-  /// incr.nodes_recomputed / incr.slots_touched / incr.slabs_copied.
+  /// cost the next snapshot() inherits).
   struct ApplyStats {
     std::size_t nodes_recomputed = 0;
     std::size_t slots_touched = 0;

@@ -42,11 +42,13 @@
 // the engine's own slab store, never through the (possibly live,
 // possibly mutating) Augmentation the engine was built from.
 //
-// Observability: when compiled with SEPSP_OBS (see obs/obs.hpp), each
-// run charges the process-wide "query.*" counters, per-bucket-level scan
-// totals (level_edges_scanned()), and phase timing spans. All hooks sit
-// at phase granularity — the inner relaxation loops are identical in
-// both modes.
+// Observability: each run charges the per-bucket-level scan totals
+// (level_edges_scanned()) in every build mode; the per-query counters
+// live in the facade's EngineStats ledger, not here. When compiled with
+// SEPSP_OBS (see obs/obs.hpp) a walk also records phase timing spans
+// and the process-wide simd.cells counter. All hooks sit at phase
+// granularity — the inner relaxation loops are identical in both
+// modes.
 #pragma once
 
 #include <algorithm>
@@ -236,7 +238,7 @@ class EdgeBucket {
     return out;
   }
 
-  // --- sharing introspection (tests, obs) -------------------------------
+  // --- sharing introspection (tests, stats) -----------------------------
   std::size_t slab_count() const { return values_.slab_count(); }
   std::size_t slabs_shared_with(const EdgeBucket& other) const {
     return values_.slabs_shared_with(other.values_);
@@ -301,9 +303,7 @@ class LeveledQuery {
     SlotTable st;
     st.base.assign(g.num_edges(), Slot{});
     st.shortcut.assign(aug.shortcuts.size(), Slot{});
-#if SEPSP_OBS_ENABLED
     level_scans_.reset(new std::atomic<std::uint64_t>[h + 1]());
-#endif
 
     // Base arcs participate twice: in the E passes (always) and, when
     // both endpoints have defined levels, as 1-edge "shortcuts" in the
@@ -418,9 +418,7 @@ class LeveledQuery {
                             buckets.up[l].count;
     }
     // slots_ stays null: stored engines cannot be reweighted.
-#if SEPSP_OBS_ENABLED
     out.level_scans_.reset(new std::atomic<std::uint64_t>[h + 1]());
-#endif
     return out;
   }
 
@@ -431,7 +429,7 @@ class LeveledQuery {
   /// the live (origin) engine may be refreshed — never a fork, never a
   /// stored (from_store) engine. Returns the number of value slabs the
   /// write had to detach from outstanding forks (the
-  /// `incr.slabs_copied` unit).
+  /// unit of `IncrementalEngine::ApplyStats::slabs_copied`).
   std::size_t refresh_base(std::size_t arc_index, Value value) {
     SEPSP_CHECK_MSG(slots_ != nullptr,
                     "refresh_base on a stored (read-only) query engine");
@@ -468,9 +466,7 @@ class LeveledQuery {
     for (auto& b : up_) out.up_.push_back(b.fork());
     out.leveled_edges_ = leveled_edges_;
     out.slots_ = slots_;
-#if SEPSP_OBS_ENABLED
     out.level_scans_.reset(new std::atomic<std::uint64_t>[aug_->height + 1]());
-#endif
     return out;
   }
   LeveledQuery fork_shared() { return fork_shared(detect_cycles_); }
@@ -522,15 +518,9 @@ class LeveledQuery {
   }
 
   /// Cumulative edges scanned in level-l buckets across every scheduled
-  /// run of this query object (scalar and batched). Always 0 when the
-  /// library is compiled with SEPSP_OBS=OFF.
+  /// run of this query object (scalar and batched).
   std::uint64_t level_edges_scanned(std::uint32_t level) const {
-#if SEPSP_OBS_ENABLED
     return level_scans_[level].load(std::memory_order_relaxed);
-#else
-    (void)level;
-    return 0;
-#endif
   }
 
   /// The scheduled single-source computation: O(ell|E| + bucket_edges())
@@ -865,7 +855,6 @@ class LeveledQuery {
     std::uint32_t depth = 0;
     for (const QueryStats& s : acct) {
       pram::CostMeter::charge_work(s.edges_scanned);
-      note_run(s);
       depth = std::max(depth, s.phases);
     }
     pram::CostMeter::charge_depth(depth);
@@ -877,26 +866,9 @@ class LeveledQuery {
     r.phases = s.phases;
   }
 
-  /// Credits `edges` scans to the level-l buckets. No-op when
-  /// SEPSP_OBS=OFF.
+  /// Credits `edges` scans to the level-l buckets.
   void note_level_scan(std::uint32_t level, std::uint64_t edges) const {
-#if SEPSP_OBS_ENABLED
     level_scans_[level].fetch_add(edges, std::memory_order_relaxed);
-#else
-    (void)level;
-    (void)edges;
-#endif
-  }
-
-  /// Charges one lane's counters into the process-wide registry.
-  void note_run(const QueryStats& s) const {
-#if SEPSP_OBS_ENABLED
-    hooks_.runs->add(1);
-    hooks_.edges->add(s.edges_scanned);
-    hooks_.phases->add(s.phases);
-#else
-    (void)s;
-#endif
   }
 
   /// Cells (edge x lane relaxations) routed through the dispatched
@@ -950,17 +922,8 @@ class LeveledQuery {
   std::vector<EdgeBucket<S>> same_, down_, up_;
   std::size_t leveled_edges_ = 0;
   std::shared_ptr<const SlotTable> slots_;
-#if SEPSP_OBS_ENABLED
-  /// Cached registry handles (looked up once; hot paths add relaxed).
-  struct ObsHooks {
-    obs::Counter* runs = &obs::counter("query.runs");
-    obs::Counter* edges = &obs::counter("query.edges_scanned");
-    obs::Counter* phases = &obs::counter("query.phases");
-  };
-  ObsHooks hooks_;
   /// Cumulative per-level scan totals; indexed by bucket level.
   std::unique_ptr<std::atomic<std::uint64_t>[]> level_scans_;
-#endif
 };
 
 /// Measured minimum-weight diameter of the augmented graph from one

@@ -11,8 +11,14 @@
 // (never per edge), so the ON cost is one clock read + one mutex hop per
 // phase.
 //
+// The registry holds only process-wide instruments (pool.*, kernel.*,
+// simd.*): state shared by every engine. A metric of one instance (an
+// engine, a service, a buffer pool, an incremental apply) lives in its
+// owner's ledger — EngineStats, ServiceStats, BufferPool::Stats,
+// IncrementalEngine::ApplyStats — and nowhere else.
+//
 // Usage:
-//   obs::counter("query.runs").add(1);
+//   obs::counter("kernel.cells").add(cells);
 //   obs::gauge("pool.threads").set(n);
 //   obs::histogram("pool.region_items").record(range);
 //   { SEPSP_TRACE_SPAN("build.level"); ... }     // timed scope

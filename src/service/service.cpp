@@ -8,7 +8,7 @@
 
 #include "approx/approx.hpp"
 #include "core/routing.hpp"
-#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "pram/topology.hpp"
 #include "util/check.hpp"
 
@@ -130,7 +130,6 @@ std::future<Reply> QueryService::submit(SingleSource request) {
   if (request.approx) {
     counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
   }
-  SEPSP_OBS_ONLY(obs::counter("service.submitted").add();)
 
   if (queue_.closed()) {
     // Stopped services reject uniformly — even sources the cache could
@@ -148,7 +147,6 @@ std::future<Reply> QueryService::submit(SingleSource request) {
       counters_.completed.fetch_add(1, std::memory_order_relaxed);
       (request.approx ? counters_.approx_cache_hits : counters_.cache_hits)
           .fetch_add(1, std::memory_order_relaxed);
-      SEPSP_OBS_ONLY(obs::counter("service.cache.hits").add();)
       Reply reply;
       reply.epoch = snap->epoch;
       reply.cache_hit = true;
@@ -172,13 +170,10 @@ std::future<Reply> QueryService::submit(SingleSource request) {
       rejected.status = ReplyStatus::kStopped;
     } else {
       counters_.shed.fetch_add(1, std::memory_order_relaxed);
-      SEPSP_OBS_ONLY(obs::counter("service.shed").add();)
       rejected.status = ReplyStatus::kShed;
     }
     pending.promise.set_value(std::move(rejected));
   }
-  SEPSP_OBS_ONLY(obs::gauge("service.queue_depth")
-                     .set(static_cast<std::int64_t>(queue_.depth()));)
   return future;
 }
 
@@ -214,10 +209,6 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   if (approx) {
     counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
   }
-  SEPSP_OBS_ONLY({
-    obs::counter("service.submitted").add();
-    obs::counter(want_path ? "service.st_path" : "service.st_distance").add();
-  })
 
   if (queue_.closed()) {
     counters_.stopped.fetch_add(1, std::memory_order_relaxed);
@@ -288,13 +279,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     fresh.distance = snap->labels->distance(s, t);
     const std::uint64_t merge_ns = ns_between(merge_begin, Clock::now());
     counters_.st_merge_ns_sum.fetch_add(merge_ns, std::memory_order_relaxed);
-    std::uint64_t prev =
-        counters_.st_merge_ns_max.load(std::memory_order_relaxed);
-    while (prev < merge_ns &&
-           !counters_.st_merge_ns_max.compare_exchange_weak(
-               prev, merge_ns, std::memory_order_relaxed)) {
-    }
-    SEPSP_OBS_ONLY(obs::histogram("service.st_merge_ns").record(merge_ns);)
+    counters_.st_merge_ns_max.fetch_max(merge_ns);
     if (want_path) {
       const auto unpack_begin = Clock::now();
       fresh.has_path = true;
@@ -305,13 +290,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
       const std::uint64_t unpack_ns = ns_between(unpack_begin, Clock::now());
       counters_.st_unpack_ns_sum.fetch_add(unpack_ns,
                                            std::memory_order_relaxed);
-      prev = counters_.st_unpack_ns_max.load(std::memory_order_relaxed);
-      while (prev < unpack_ns &&
-             !counters_.st_unpack_ns_max.compare_exchange_weak(
-                 prev, unpack_ns, std::memory_order_relaxed)) {
-      }
-      SEPSP_OBS_ONLY(
-          obs::histogram("service.st_unpack_ns").record(unpack_ns);)
+      counters_.st_unpack_ns_max.fetch_max(unpack_ns);
     }
     auto owned = std::make_shared<const CachedStAnswer>(std::move(fresh));
     if (opts_.cache_enabled) st_cache_.insert(snap->epoch, s, t, owned);
@@ -320,9 +299,6 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   counters_.completed.fetch_add(1, std::memory_order_relaxed);
   (hit ? counters_.st_cache_hits : counters_.st_cache_misses)
       .fetch_add(1, std::memory_order_relaxed);
-  SEPSP_OBS_ONLY(obs::counter(hit ? "service.st_cache.hits"
-                                  : "service.st_cache.misses")
-                     .add();)
   Reply reply;
   reply.kind = kind;
   reply.epoch = snap->epoch;
@@ -375,17 +351,7 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     wait_max = std::max(wait_max, wait);
   }
   counters_.coalesce_ns_sum.fetch_add(wait_sum, std::memory_order_relaxed);
-  std::uint64_t prev =
-      counters_.coalesce_ns_max.load(std::memory_order_relaxed);
-  while (prev < wait_max && !counters_.coalesce_ns_max.compare_exchange_weak(
-                                prev, wait_max, std::memory_order_relaxed)) {
-  }
-  SEPSP_OBS_ONLY({
-    obs::counter("service.batches").add();
-    obs::histogram("service.batch_fill").record(group.size());
-    obs::histogram("service.coalesce_us").record(wait_sum / 1000 /
-                                                 group.size());
-  })
+  counters_.coalesce_ns_max.fetch_max(wait_max);
 
   // Every request in the group resolves against ONE snapshot load: the
   // group's answers are mutually consistent even mid-swap.
@@ -426,7 +392,6 @@ void QueryService::flush_group(std::vector<Pending>& group) {
           std::move(results[i].dist), results[i].negative_cycle});
       if (opts_.cache_enabled) cache_.insert(snap->epoch, misses[i], value);
       answers[static_cast<std::uint64_t>(misses[i]) << 1] = std::move(value);
-      SEPSP_OBS_ONLY(obs::counter("service.cache.misses").add();)
     }
   }
 
@@ -444,7 +409,6 @@ void QueryService::flush_group(std::vector<Pending>& group) {
       }
       answers[(static_cast<std::uint64_t>(approx_misses[i]) << 1) | 1] =
           std::move(value);
-      SEPSP_OBS_ONLY(obs::counter("service.cache.misses").add();)
     }
   }
 
@@ -480,9 +444,6 @@ std::uint64_t QueryService::apply_updates(std::span<const EdgeUpdate> updates) {
   // window.
   counters_.epoch_lag.store(next - current()->epoch,
                             std::memory_order_relaxed);
-  SEPSP_OBS_ONLY(obs::gauge("service.epoch_lag")
-                     .set(static_cast<std::int64_t>(
-                         counters_.epoch_lag.load(std::memory_order_relaxed)));)
   // The swap itself: freeze a structurally-shared snapshot (O(#slabs)
   // pointer copies — see IncrementalEngine::snapshot()) and publish it.
   // Timed separately from the dirty-region recompute above and from the
@@ -501,20 +462,11 @@ std::uint64_t QueryService::apply_updates(std::span<const EdgeUpdate> updates) {
   counters_.swaps.fetch_add(1, std::memory_order_relaxed);
   counters_.swap_ns_sum.fetch_add(swap_ns, std::memory_order_relaxed);
   counters_.swap_ns_last.store(swap_ns, std::memory_order_relaxed);
-  std::uint64_t prev = counters_.swap_ns_max.load(std::memory_order_relaxed);
-  while (prev < swap_ns && !counters_.swap_ns_max.compare_exchange_weak(
-                               prev, swap_ns, std::memory_order_relaxed)) {
-  }
+  counters_.swap_ns_max.fetch_max(swap_ns);
   cache_.invalidate_older_than(next);
   st_cache_.invalidate_older_than(next);
   approx_cache_.invalidate_older_than(next);
   approx_st_cache_.invalidate_older_than(next);
-  SEPSP_OBS_ONLY({
-    obs::counter("service.epoch_swaps").add();
-    obs::gauge("service.epoch").set(static_cast<std::int64_t>(next));
-    obs::gauge("service.epoch_lag").set(0);
-    obs::histogram("service.swap_us").record(swap_ns / 1000);
-  })
   return next;
 }
 
@@ -535,8 +487,6 @@ void QueryService::attach_point_to_point(IncrementalEngine::Snapshot& snap) {
   counters_.label_builds.fetch_add(1, std::memory_order_relaxed);
   counters_.label_build_ns_sum.fetch_add(build_ns, std::memory_order_relaxed);
   counters_.label_build_ns_last.store(build_ns, std::memory_order_relaxed);
-  SEPSP_OBS_ONLY(obs::histogram("service.label_build_us")
-                     .record(build_ns / 1000);)
 }
 
 void QueryService::attach_approx(IncrementalEngine::Snapshot& snap) {
@@ -555,8 +505,6 @@ void QueryService::attach_approx(IncrementalEngine::Snapshot& snap) {
   counters_.approx_build_ns_sum.fetch_add(build_ns,
                                           std::memory_order_relaxed);
   counters_.approx_build_ns_last.store(build_ns, std::memory_order_relaxed);
-  SEPSP_OBS_ONLY(obs::histogram("service.approx_build_us")
-                     .record(build_ns / 1000);)
 }
 
 ServiceStats QueryService::stats() const {

@@ -50,10 +50,10 @@
 //    reply is tagged with the engine's certified error bound.
 //
 //  * Observability. Per-stage TraceSpans (service.submit / flush /
-//    batch / swap / label_build) plus counters and histograms for queue
-//    depth, batch occupancy, coalesce latency, hit rate, shed count,
-//    per-kind traffic, label-merge latency, and epoch lag, surfaced
-//    through ServiceStats in every build mode (stats.hpp).
+//    batch / swap / label_build) under SEPSP_OBS, plus one ledger of
+//    queue depth, batch occupancy, coalesce latency, hit rate, shed
+//    count, per-kind traffic, label-merge latency, and epoch lag,
+//    surfaced through ServiceStats in every build mode (stats.hpp).
 //
 // Thread-safety: submit(), query(), stats(), epoch(), and
 // apply_updates() may all be called concurrently from any threads.
@@ -221,8 +221,7 @@ class QueryService {
     PaddedAtomicU64 epoch_lag;
     // Snapshot+publish latency of apply_updates() — the epoch-swap cost
     // the structurally-shared snapshots keep proportional to the dirty
-    // region. Mirrored into the service.swap_us histogram under
-    // SEPSP_OBS.
+    // region.
     PaddedAtomicU64 swap_ns_sum;
     PaddedAtomicU64 swap_ns_max;
     PaddedAtomicU64 swap_ns_last;

@@ -19,13 +19,6 @@ std::uint64_t now_ns() {
           .count());
 }
 
-void fetch_max(PaddedAtomicU64& cell, std::uint64_t v) {
-  std::uint64_t prev = cell.load(std::memory_order_relaxed);
-  while (prev < v && !cell.compare_exchange_weak(prev, v,
-                                                 std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 ShardedOptions ShardedOptions::validated(const pram::Topology& topo) const {
@@ -139,7 +132,7 @@ std::uint64_t ShardedService::apply_updates(
   const std::uint64_t wall = now_ns() - start;
   swap_fanouts_.fetch_add(1, std::memory_order_relaxed);
   swap_wall_ns_sum_.fetch_add(wall, std::memory_order_relaxed);
-  fetch_max(swap_wall_ns_max_, wall);
+  swap_wall_ns_max_.fetch_max(wall);
   return epochs[0];
 }
 

@@ -1,11 +1,10 @@
 // Point-in-time counters of one QueryService — the payload of
 // QueryService::stats().
 //
-// Unlike EngineStats' dynamic half, these are populated in every build
-// mode: the service's counters sit at request/batch/swap granularity
-// (never per edge), so they are kept as plain relaxed atomics inside
-// the service and merely *mirrored* into the process-wide obs registry
-// when SEPSP_OBS is compiled in.
+// Populated in every build mode, like EngineStats: the service's
+// counters sit at request/batch/swap granularity (never per edge) and
+// are kept as padded relaxed atomics inside the service. This ledger is
+// their only record; the process-wide obs registry holds none of them.
 #pragma once
 
 #include <cstddef>

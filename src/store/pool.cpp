@@ -4,7 +4,6 @@
 #include <fstream>
 #include <vector>
 
-#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 #if defined(__linux__)
@@ -215,7 +214,6 @@ void BufferPool::evict_to_budget() {
     }
   }
   flush();
-  note_obs();
 #endif
 }
 
@@ -231,30 +229,7 @@ BufferPool::Stats BufferPool::stats() const {
       ++s.pinned_pages;
     }
   }
-  note_obs();
   return s;
-}
-
-void BufferPool::note_obs() const {
-#if SEPSP_OBS_ENABLED
-  // Counters register cumulative process totals, so each pool pushes
-  // the delta since its last refresh; exchange() keeps concurrent
-  // refreshes from double-pushing the same delta.
-  static obs::Counter& faults = obs::counter("store.faults");
-  static obs::Counter& evictions = obs::counter("store.evictions");
-  const std::uint64_t f = faults_.load(std::memory_order_relaxed);
-  const std::uint64_t e = evictions_.load(std::memory_order_relaxed);
-  const std::uint64_t pf = obs_faults_pushed_.exchange(f);
-  const std::uint64_t pe = obs_evictions_pushed_.exchange(e);
-  if (f > pf) faults.add(f - pf);
-  if (e > pe) evictions.add(e - pe);
-  obs::gauge("store.resident_bytes")
-      .set(static_cast<std::int64_t>(
-          resident_pages_.load(std::memory_order_relaxed) * kPageBytes));
-  obs::gauge("store.hugepage_adoptions")
-      .set(static_cast<std::int64_t>(
-          hugepage_adoptions().load(std::memory_order_relaxed)));
-#endif
 }
 
 bool BufferPool::page_resident(std::size_t page) const {

@@ -17,9 +17,8 @@
 // That is what makes the whole pool safe with lock-free pins and a
 // single mutex confined to the eviction sweep.
 //
-// Observability: store.faults / store.evictions counters and the
-// store.resident_bytes gauge, refreshed on every eviction sweep and
-// stats() call.
+// Observability: faults, evictions and resident bytes are counted in
+// the pool's own ledger, read through stats().
 #pragma once
 
 #include <atomic>
@@ -78,7 +77,7 @@ class BufferPool final : public PageSource {
     std::uint64_t pinned_pages = 0;    ///< pages with a nonzero pin count
     std::uint64_t budget_bytes = 0;
   };
-  /// Accounting snapshot; also refreshes the store.* obs instruments.
+  /// Accounting snapshot.
   Stats stats() const;
 
   // --- test hooks -------------------------------------------------------
@@ -97,7 +96,6 @@ class BufferPool final : public PageSource {
   BufferPool() = default;
   void admit(std::size_t page);
   void evict_to_budget();
-  void note_obs() const;
 
   int fd_ = -1;
   std::byte* base_ = nullptr;
@@ -110,9 +108,6 @@ class BufferPool final : public PageSource {
   std::atomic<std::uint64_t> resident_pages_{0};
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  /// High-water marks already pushed into the obs counters.
-  mutable std::atomic<std::uint64_t> obs_faults_pushed_{0};
-  mutable std::atomic<std::uint64_t> obs_evictions_pushed_{0};
   std::mutex evict_mutex_;  ///< serializes the clock sweep only
   std::size_t clock_hand_ = 0;
 };

@@ -9,16 +9,9 @@
 // multiple of the vector width.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <vector>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 namespace sepsp {
 
@@ -35,50 +28,6 @@ inline constexpr std::size_t kPageBytes = 4096;
 constexpr std::size_t round_up_to_page(std::size_t bytes) {
   return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
 }
-
-/// How many large allocations the SEPSP_HUGEPAGES opt-in has advised
-/// into transparent huge pages. A plain atomic rather than an obs
-/// counter: sepsp_util sits below sepsp_obs in the link order, so the
-/// pool mirrors this into obs (store.hugepage_adoptions) instead.
-inline std::atomic<std::uint64_t>& hugepage_adoptions() {
-  static std::atomic<std::uint64_t> count{0};
-  return count;
-}
-
-namespace detail {
-
-/// SEPSP_HUGEPAGES=1 opts large AlignedVector allocations into
-/// MADV_HUGEPAGE. Off by default: THP can inflate RSS on sparse access
-/// patterns, which is exactly what the out-of-core RSS gate measures.
-inline bool hugepages_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("SEPSP_HUGEPAGES");
-    return e != nullptr && *e != '\0' && *e != '0';
-  }();
-  return enabled;
-}
-
-inline void maybe_advise_hugepages(void* p, std::size_t bytes) {
-#if defined(__linux__)
-  // THP only pays off when the kernel can actually assemble 2 MiB
-  // extents; smaller allocations would just churn khugepaged.
-  constexpr std::size_t kHugeThreshold = std::size_t{2} << 20;
-  if (bytes < kHugeThreshold || !hugepages_enabled()) return;
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t begin = (addr + kPageBytes - 1) & ~(kPageBytes - 1);
-  const std::uintptr_t end = (addr + bytes) & ~(kPageBytes - 1);
-  if (end <= begin) return;
-  if (madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE) ==
-      0) {
-    hugepage_adoptions().fetch_add(1, std::memory_order_relaxed);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
-}
-
-}  // namespace detail
 
 /// Minimal C++17 aligned allocator: storage from the over-aligned
 /// operator new. Stateless — all instances are interchangeable.
@@ -98,10 +47,8 @@ struct AlignedAllocator {
   constexpr AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
-    T* p = static_cast<T*>(::operator new(bytes, std::align_val_t{Align}));
-    detail::maybe_advise_hugepages(p, bytes);
-    return p;
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{Align}));
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t{Align});

@@ -7,8 +7,8 @@
 // a ledger bumped on every request turns into a cross-core ping-pong
 // exactly at the throughputs it exists to measure. PaddedAtomicU64
 // gives each counter its own line; the forwarding surface mirrors the
-// std::atomic member functions the serving runtime uses, so call sites
-// are unchanged.
+// std::atomic member functions the serving runtime uses, plus the
+// fetch_max its latency maxima need.
 //
 // 64 bytes is hardcoded rather than read from
 // std::hardware_destructive_interference_size: GCC warns on ABI
@@ -42,10 +42,12 @@ struct alignas(kCacheLineBytes) PaddedAtomicU64 {
              std::memory_order order = std::memory_order_seq_cst) {
     value.store(v, order);
   }
-  bool compare_exchange_weak(std::uint64_t& expected, std::uint64_t desired,
-                             std::memory_order order =
-                                 std::memory_order_seq_cst) {
-    return value.compare_exchange_weak(expected, desired, order);
+  /// Raises the value to at least `v` (relaxed): the ledgers' maxima.
+  void fetch_max(std::uint64_t v) {
+    std::uint64_t prev = value.load(std::memory_order_relaxed);
+    while (prev < v && !value.compare_exchange_weak(
+                           prev, v, std::memory_order_relaxed)) {
+    }
   }
 
   std::atomic<std::uint64_t> value{0};

@@ -81,7 +81,7 @@ class SlabVector {
 
   /// Writes value `v` at index `i`, cloning the containing slab first
   /// when it may be aliased by a fork (copy-on-write). Returns true
-  /// when a clone happened — the unit the `incr.slabs_copied` counter
+  /// when a clone happened — the unit `ApplyStats::slabs_copied`
   /// accumulates.
   bool set(std::size_t i, T v) {
     SEPSP_DCHECK(i < size_);

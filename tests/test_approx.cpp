@@ -233,20 +233,18 @@ TEST(Approx, StatsExposeApproxFields) {
 }
 
 TEST(Approx, StatsCountServedQueries) {
-  if constexpr (obs::compiled_in()) {
-    Rng rng(9);
-    const GeneratedGraph gg =
-        make_grid({20, 20}, WeightModel::uniform(1, 9), rng);
-    const SeparatorTree tree =
-        build_separator_tree(Skeleton(gg.graph), make_grid_finder({20, 20}));
-    const ApproxEngine engine = build_approx(gg.graph, tree, 0.3);
-    (void)engine.distances_batch(std::vector<Vertex>{0, 7, 13, 40});
-    (void)engine.distances(5);
-    const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.queries, 5u);
-    EXPECT_GT(stats.edges_scanned, 0u);
-    EXPECT_GT(stats.batch_blocks, 0u);
-  }
+  Rng rng(9);
+  const GeneratedGraph gg =
+      make_grid({20, 20}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({20, 20}));
+  const ApproxEngine engine = build_approx(gg.graph, tree, 0.3);
+  (void)engine.distances_batch(std::vector<Vertex>{0, 7, 13, 40});
+  (void)engine.distances(5);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries, 5u);
+  EXPECT_GT(stats.edges_scanned, 0u);
+  EXPECT_GT(stats.batch_blocks, 0u);
 }
 
 TEST(Approx, ObservedErrorFeedback) {

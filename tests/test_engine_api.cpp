@@ -208,7 +208,7 @@ TEST(EngineStatsApi, StructuralFieldsAlwaysPopulated) {
   EXPECT_NE(os.str().find("engine stats"), std::string::npos);
 }
 
-TEST(EngineStatsApi, CountersTrackQueriesWhenCompiledIn) {
+TEST(EngineStatsApi, CountersTrackQueries) {
   const Fixture f = make_fixture();
   const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
   const auto sources = every_kth_vertex(f.gg.graph.num_vertices(), 7);
@@ -217,14 +217,9 @@ TEST(EngineStatsApi, CountersTrackQueriesWhenCompiledIn) {
     expected_edges += engine.distances(s).edges_scanned;
   }
   const EngineStats st = engine.stats();
-  if constexpr (obs::compiled_in()) {
-    EXPECT_EQ(st.queries, sources.size());
-    EXPECT_EQ(st.edges_scanned, expected_edges);
-    EXPECT_GT(st.phases, 0u);
-  } else {
-    EXPECT_EQ(st.queries, 0u);
-    EXPECT_EQ(st.edges_scanned, 0u);
-  }
+  EXPECT_EQ(st.queries, sources.size());
+  EXPECT_EQ(st.edges_scanned, expected_edges);
+  EXPECT_GT(st.phases, 0u);
 }
 
 TEST(EngineStatsApi, ScalarAndBatchedScanTotalsAgree) {
@@ -244,21 +239,19 @@ TEST(EngineStatsApi, ScalarAndBatchedScanTotalsAgree) {
 
   const EngineStats ss = scalar_engine.stats();
   const EngineStats bs = batched_engine.stats();
-  if constexpr (obs::compiled_in()) {
-    EXPECT_EQ(ss.queries, sources.size());
-    EXPECT_EQ(bs.queries, sources.size());
-    EXPECT_EQ(ss.edges_scanned, bs.edges_scanned);
-    EXPECT_EQ(ss.phases, bs.phases);
-    // Per-level charges agree too (the schedule's bucket scans).
-    ASSERT_EQ(ss.levels.size(), bs.levels.size());
-    for (std::size_t l = 0; l < ss.levels.size(); ++l) {
-      EXPECT_EQ(ss.levels[l].edges_scanned, bs.levels[l].edges_scanned)
-          << "level " << l;
-    }
-    EXPECT_GT(bs.batch_blocks, 0u);
-    EXPECT_GT(bs.lane_occupancy(), 0.0);
-    EXPECT_LT(bs.lane_occupancy(), 1.0);  // ragged last block
+  EXPECT_EQ(ss.queries, sources.size());
+  EXPECT_EQ(bs.queries, sources.size());
+  EXPECT_EQ(ss.edges_scanned, bs.edges_scanned);
+  EXPECT_EQ(ss.phases, bs.phases);
+  // Per-level charges agree too (the schedule's bucket scans).
+  ASSERT_EQ(ss.levels.size(), bs.levels.size());
+  for (std::size_t l = 0; l < ss.levels.size(); ++l) {
+    EXPECT_EQ(ss.levels[l].edges_scanned, bs.levels[l].edges_scanned)
+        << "level " << l;
   }
+  EXPECT_GT(bs.batch_blocks, 0u);
+  EXPECT_GT(bs.lane_occupancy(), 0.0);
+  EXPECT_LT(bs.lane_occupancy(), 1.0);  // ragged last block
 }
 
 }  // namespace

@@ -199,9 +199,6 @@ TEST(Labeling, OneQueryPerDistinctHub) {
   // it once per direction, not once per separator occurrence. On the
   // 25 x 25 grid the grid finder's separators hold 1,679 occurrences of
   // 621 distinct vertices.
-#if !SEPSP_OBS_ENABLED
-  GTEST_SKIP() << "engine query counters need SEPSP_OBS";
-#endif
   Rng rng(10);
   const GeneratedGraph gg =
       make_grid({25, 25}, WeightModel::uniform(1, 10), rng);

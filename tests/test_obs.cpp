@@ -4,11 +4,23 @@
 // observability-off build, where the same calls must compile to no-ops.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
+#include "core/engine.hpp"
+#include "core/incremental.hpp"
+#include "graph/generators.hpp"
 #include "obs/obs.hpp"
 #include "obs/sink.hpp"
+#include "separator/finders.hpp"
+#include "service/service.hpp"
+#include "store/stored_engine.hpp"
+#include "store/writer.hpp"
 
 namespace sepsp::obs {
 namespace {
@@ -165,6 +177,73 @@ TEST(Sink, JsonRecordsAreTyped) {
     EXPECT_NE(out.find("\"kind\": \"counter\""), std::string::npos);
     EXPECT_NE(out.find("\"test.obs.json\""), std::string::npos);
     EXPECT_NE(out.find("\"kind\": \"span\""), std::string::npos);
+  }
+}
+
+/// Every instrument name the registry holds, of any kind.
+std::set<std::string> registry_names() {
+  const StatsSnapshot snap = StatsRegistry::instance().snapshot();
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) names.insert(c.first);
+  for (const auto& g : snap.gauges) names.insert(g.first);
+  for (const auto& h : snap.histograms) names.insert(h.name);
+  return names;
+}
+
+TEST(Obs, InstanceMetricsStayOutOfRegistry) {
+  // Per-instance metrics live in their owner's ledger (EngineStats,
+  // ServiceStats, ApplyStats, BufferPool::Stats); the registry holds
+  // only process-wide instruments. Drive every owner, then check that
+  // no instance-scoped name was registered along the way.
+  StatsRegistry::instance().reset_values();
+  const std::set<std::string> before = registry_names();
+
+  Rng rng(3);
+  const GeneratedGraph gg =
+      make_grid({9, 9}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
+  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
+  {
+    service::ServiceOptions opts;
+    opts.lanes = 4;
+    opts.dispatchers = 1;
+    opts.point_to_point = true;
+    opts.approx.enabled = true;
+    opts.approx.eps = 0.3;
+    service::QueryService svc(IncrementalEngine::build(gg.graph, tree), opts);
+    EXPECT_TRUE(svc.query(service::SingleSource{0}).ok());
+    EXPECT_TRUE(svc.query(service::SingleSource{0}).ok());  // cache hit
+    EXPECT_TRUE(svc.query(service::SingleSource{40, /*approx=*/true}).ok());
+    EXPECT_TRUE(svc.query(service::StDistance{0, 80}).ok());
+    EXPECT_TRUE(svc.query(service::StPath{0, 80}).ok());
+    const Arc arc = gg.graph.out(0)[0];
+    svc.apply_updates(
+        std::vector<service::EdgeUpdate>{{0, arc.to, arc.weight + 1}});
+    EXPECT_TRUE(svc.query(service::SingleSource{0}).ok());
+    const service::ServiceStats st = svc.stats();
+    EXPECT_EQ(st.completed, 6u);
+    EXPECT_EQ(st.epoch_swaps, 1u);
+  }
+
+  const std::string path = testing::TempDir() + "sepsp_obs_registry.sep3";
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(path, engine, &error)) << error;
+  {
+    auto stored = store::StoredEngine<TropicalD>::open(path, {}, &error);
+    ASSERT_TRUE(stored.has_value()) << error;
+    (void)stored->engine().distances(0);
+    EXPECT_GT(stored->pool().stats().faults, 0u);
+  }
+  std::remove(path.c_str());
+
+  constexpr std::string_view kInstancePrefixes[] = {
+      "service.", "query.", "incr.", "store.", "build.", "engine.", "approx."};
+  for (const std::string& name : registry_names()) {
+    if (before.count(name) != 0) continue;
+    for (const std::string_view prefix : kInstancePrefixes) {
+      EXPECT_FALSE(name.starts_with(prefix)) << name << " was registered";
+    }
   }
 }
 
