@@ -16,14 +16,12 @@
 // the lane width the coalescer always has a full group's worth of
 // demand queued.
 //
-// The sharded scenarios (ISSUE 8) measure the topology-placed
-// front-end (service/sharded.hpp) under a production-shaped workload
-// (workload.hpp): closed-loop Zipf rows for 1, 2, and N shards, a
-// sharded-vs-single speedup row pinned to the dispatcher-serialized
-// configuration sharding relieves, Poisson open-loop SLO rows
+// The scaling scenarios run one instance under a production-shaped
+// workload (workload.hpp): a dispatcher-scaling row (1 vs one
+// dispatcher per hardware thread under miss-heavy load — the knob that
+// spends more cores on one shared E+), and Poisson open-loop SLO rows
 // (sustained qps at coordinated-omission-corrected p99 < 1 ms) with a
-// concurrent update stream, and a memcmp parity row proving a sharded
-// deployment answers bit-identically to a single instance.
+// concurrent update stream, per dispatcher count.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -35,19 +33,14 @@
 
 #include "bench_common.hpp"
 #include "core/incremental.hpp"
-#include "pram/topology.hpp"
 #include "service/service.hpp"
-#include "service/sharded.hpp"
 #include "workload.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
 using service::QueryService;
 using service::Reply;
-using service::RoutingPolicy;
 using service::ServiceOptions;
-using service::ShardedOptions;
-using service::ShardedService;
 using service::StDistance;
 using service::StPath;
 
@@ -79,14 +72,13 @@ struct LoadResult {
   }
 };
 
-/// Drives `clients` closed-loop threads against the service for
-/// `duration`, each querying uniformly from `pool`. Service is
-/// anything with query(Vertex) -> Reply (QueryService or the sharded
-/// front-end).
-template <typename Service>
-LoadResult run_load(Service& service, std::size_t clients,
-                    const std::vector<Vertex>& pool,
-                    std::chrono::milliseconds duration) {
+/// Drives `clients` closed-loop threads for `duration`: each sends its
+/// next request (`ask(rng)`, with a per-client Rng seeded `seed + c`)
+/// only after the previous reply resolved.
+template <typename Ask>
+LoadResult run_closed_loop(std::size_t clients, std::uint64_t seed,
+                           std::chrono::milliseconds duration,
+                           const Ask& ask) {
   std::atomic<std::uint64_t> ok{0}, failed{0}, hits{0};
   std::vector<std::vector<std::uint64_t>> lat(clients);
   std::vector<std::thread> fleet;
@@ -95,9 +87,9 @@ LoadResult run_load(Service& service, std::size_t clients,
   const auto deadline = std::chrono::steady_clock::now() + duration;
   for (std::size_t c = 0; c < clients; ++c) {
     fleet.emplace_back([&, c] {
-      Rng pick(1000 + c);
+      Rng pick(seed + c);
       while (std::chrono::steady_clock::now() < deadline) {
-        const Reply r = service.query(pool[pick.next_below(pool.size())]);
+        const Reply r = ask(pick);
         if (!r.ok()) {
           failed.fetch_add(1, std::memory_order_relaxed);
           continue;
@@ -118,6 +110,16 @@ LoadResult run_load(Service& service, std::size_t clients,
     result.latencies_ns.insert(result.latencies_ns.end(), v.begin(), v.end());
   }
   return result;
+}
+
+/// Closed-loop single-source load, each client querying uniformly from
+/// `pool`.
+LoadResult run_load(QueryService& service, std::size_t clients,
+                    const std::vector<Vertex>& pool,
+                    std::chrono::milliseconds duration) {
+  return run_closed_loop(clients, 1000, duration, [&](Rng& pick) {
+    return service.query(pool[pick.next_below(pool.size())]);
+  });
 }
 
 ServiceOptions make_options(std::size_t lanes, bool cache) {
@@ -150,39 +152,11 @@ std::vector<std::pair<Vertex, Vertex>> pick_pairs(std::size_t n,
 LoadResult run_st_load(QueryService& service, std::size_t clients,
                        const std::vector<std::pair<Vertex, Vertex>>& pairs,
                        bool want_path, std::chrono::milliseconds duration) {
-  std::atomic<std::uint64_t> ok{0}, failed{0}, hits{0};
-  std::vector<std::vector<std::uint64_t>> lat(clients);
-  std::vector<std::thread> fleet;
-  fleet.reserve(clients);
-  WallTimer timer;
-  const auto deadline = std::chrono::steady_clock::now() + duration;
-  for (std::size_t c = 0; c < clients; ++c) {
-    fleet.emplace_back([&, c] {
-      Rng pick(3000 + c);
-      while (std::chrono::steady_clock::now() < deadline) {
-        const auto& [s, t] = pairs[pick.next_below(pairs.size())];
-        const Reply r = want_path ? service.query(StPath{s, t})
-                                  : service.query(StDistance{s, t});
-        if (!r.ok()) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        ok.fetch_add(1, std::memory_order_relaxed);
-        if (r.cache_hit) hits.fetch_add(1, std::memory_order_relaxed);
-        lat[c].push_back(r.latency_ns);
-      }
-    });
-  }
-  for (std::thread& t : fleet) t.join();
-  LoadResult result;
-  result.seconds = timer.seconds();
-  result.ok = ok.load();
-  result.failed = failed.load();
-  result.cache_hits = hits.load();
-  for (const auto& v : lat) {
-    result.latencies_ns.insert(result.latencies_ns.end(), v.begin(), v.end());
-  }
-  return result;
+  return run_closed_loop(clients, 3000, duration, [&](Rng& pick) {
+    const auto& [s, t] = pairs[pick.next_below(pairs.size())];
+    return want_path ? service.query(StPath{s, t})
+                     : service.query(StDistance{s, t});
+  });
 }
 
 }  // namespace
@@ -459,123 +433,64 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sharded serving: topology-placed replicas under Zipf load ---------
-  // One closed-loop row per shard count (1, 2, N = physical cores). A
-  // pre-drawn Zipf sample fed through the uniform closed-loop driver
-  // keeps the marginal skewed while reusing run_load.
-  const pram::Topology& topo = pram::Topology::system();
-  const double theta = 0.99;  // YCSB-style production skew
+  // --- dispatcher scaling: one instance, more cores ----------------------
+  // Miss-heavy lean load (cache off, 2 clients per dispatcher) against
+  // one dispatcher, then one dispatcher per hardware thread: every
+  // dispatcher runs its own batch kernel over the one shared snapshot.
+  // The row carries hardware_threads so CI gates the expected gain on
+  // hardware that can express it (a 1-thread runner reports ~1x).
+  const std::size_t hw_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t max_dispatchers = std::max<std::size_t>(2, hw_threads);
   {
-    ZipfVertexPool pool(inst.n(), 256, theta, 77);
-    ZipfGenerator sample_draw(pool.by_rank().size(), theta, 78);
-    std::vector<Vertex> zipf_sample(4096);
-    for (Vertex& v : zipf_sample) v = pool.by_rank()[sample_draw.next()];
-
-    std::vector<std::size_t> shard_counts{1, 2};
-    if (topo.physical_cores > 2) shard_counts.push_back(topo.physical_cores);
-    for (const std::size_t n_shards : shard_counts) {
-      ShardedOptions sopts;
-      sopts.shards = static_cast<unsigned>(n_shards);
-      sopts.shard = make_options(8, /*cache=*/true);
-      ShardedService svc(inst.gg.graph, inst.tree, sopts);
-      LoadResult r = run_load(svc, 2 * 8, zipf_sample, duration);
-      const auto st = svc.stats();
-      const double p50 = r.latency_us(0.50);
-      const double p99 = r.latency_us(0.99);
-      table.add_row()
-          .cell("sharded-" + std::to_string(n_shards))
-          .cell(std::uint64_t{8})
-          .cell(std::uint64_t{16})
-          .cell(r.qps(), 0)
-          .cell(p50, 0)
-          .cell(p99, 0)
-          .cell(r.latency_us(0.999), 0)
-          .cell(st.total.batch_occupancy(), 3)
-          .cell(st.total.hit_rate(), 3)
-          .cell(st.total.shed)
-          .cell(st.total.epoch_swaps);
-      json()
-          .row("sharded_load")
-          .field("shards", static_cast<std::uint64_t>(n_shards))
-          .field("qps", r.qps())
-          .field("p50_us", p50)
-          .field("p99_us", p99)
-          .field("hit_rate", st.total.hit_rate())
-          .field("occupancy", st.total.batch_occupancy())
-          .field("balance", st.completed_balance())
-          .field("completed", st.total.completed)
-          .field("shed", st.total.shed)
-          .field("failed", r.failed)
-          .field("epochs_consistent",
-                 static_cast<std::uint64_t>(st.epochs_consistent ? 1 : 0));
-    }
-  }
-
-  // --- sharded vs single speedup -----------------------------------------
-  // The configuration sharding relieves: one dispatcher serializes the
-  // batch kernel of a single instance (the PR-5 deployment), so N
-  // miss-heavy shards at one dispatcher each should approach Nx on an
-  // N-core box. The row carries physical_cores so CI gates the >= 1.5x
-  // expectation on hardware that can express it (a 1-core runner
-  // reports ~1x and validates shape only).
-  {
-    const std::size_t n_shards =
-        std::max<std::size_t>(2, topo.physical_cores);
-    ServiceOptions lean = make_options(8, /*cache=*/false);
-    lean.dispatchers = 1;
-    double single_qps = 0;
-    {
+    const std::size_t clients = 2 * max_dispatchers;
+    std::uint64_t failed = 0;
+    const auto serve = [&](std::size_t dispatchers) {
+      ServiceOptions lean = make_options(8, /*cache=*/false);
+      lean.dispatchers = static_cast<unsigned>(dispatchers);
       QueryService svc(IncrementalEngine::build(inst.gg.graph, inst.tree),
                        lean);
-      single_qps = run_load(svc, 2 * n_shards, wide_pool, duration).qps();
-    }
-    double sharded_qps = 0;
-    {
-      ShardedOptions sopts;
-      sopts.shards = static_cast<unsigned>(n_shards);
-      sopts.shard = lean;
-      ShardedService svc(inst.gg.graph, inst.tree, sopts);
-      sharded_qps = run_load(svc, 2 * n_shards, wide_pool, duration).qps();
-    }
-    const double speedup = single_qps == 0 ? 0 : sharded_qps / single_qps;
-    std::cout << "sharded speedup: " << sharded_qps << " qps over "
-              << n_shards << " shards vs " << single_qps
-              << " qps single (" << speedup << "x) on "
-              << topo.physical_cores << " physical cores\n";
+      const LoadResult r = run_load(svc, clients, wide_pool, duration);
+      failed += r.failed;
+      return r.qps();
+    };
+    const double single_qps = serve(1);
+    const double scaled_qps = serve(max_dispatchers);
+    const double speedup = single_qps == 0 ? 0 : scaled_qps / single_qps;
+    std::cout << "dispatcher scaling: " << scaled_qps << " qps at "
+              << max_dispatchers << " dispatchers vs " << single_qps
+              << " qps at 1 (" << speedup << "x) on " << hw_threads
+              << " hardware threads\n";
     json()
-        .row("sharded_speedup")
-        .field("shards", static_cast<std::uint64_t>(n_shards))
-        .field("physical_cores",
-               static_cast<std::uint64_t>(topo.physical_cores))
-        .field("numa_nodes", static_cast<std::uint64_t>(topo.nodes.size()))
+        .row("dispatcher_scaling")
+        .field("dispatchers", static_cast<std::uint64_t>(max_dispatchers))
+        .field("hardware_threads", static_cast<std::uint64_t>(hw_threads))
+        .field("clients", static_cast<std::uint64_t>(clients))
         .field("single_qps", single_qps)
-        .field("sharded_qps", sharded_qps)
-        .field("speedup", speedup);
+        .field("scaled_qps", scaled_qps)
+        .field("speedup", speedup)
+        .field("failed", failed);
   }
 
   // --- SLO: Poisson open-loop arrivals + concurrent update stream --------
   // Ladders offered rate (fractions of a closed-loop calibration) and
   // reports the highest rate whose coordinated-omission-corrected p99
-  // stays under the 1 ms budget, per shard count, while an updater
-  // thread swaps epochs throughout. Hot-replicated routing spreads the
-  // Zipf head over every shard.
+  // stays under the 1 ms budget, per dispatcher count, while an updater
+  // thread swaps epochs throughout.
   {
+    const double theta = 0.99;  // YCSB-style production skew
     ZipfVertexPool pool(inst.n(), 256, theta, 79);
     const double kP99BudgetUs = 1000.0;
     const std::size_t kInjectors = 4;
-    std::vector<std::size_t> shard_counts{1,
-                                          std::max<std::size_t>(
-                                              2, topo.physical_cores)};
-    for (const std::size_t n_shards : shard_counts) {
-      ShardedOptions sopts;
-      sopts.shards = static_cast<unsigned>(n_shards);
-      sopts.shard = make_options(8, /*cache=*/true);
+    for (const std::size_t dispatchers :
+         {std::size_t{1}, max_dispatchers}) {
+      ServiceOptions opts = make_options(8, /*cache=*/true);
+      opts.dispatchers = static_cast<unsigned>(dispatchers);
       // Latency-first coalescing: a 300 us flush deadline would spend
       // a third of the 1 ms p99 budget waiting for lane-mates.
-      sopts.shard.max_delay_us = 50;
-      sopts.routing.kind = RoutingPolicy::Kind::kHotReplicated;
-      sopts.routing.hot_sources = pool.hottest(8);
-      ShardedService svc(inst.gg.graph, inst.tree, sopts);
+      opts.max_delay_us = 50;
+      QueryService svc(IncrementalEngine::build(inst.gg.graph, inst.tree),
+                       opts);
 
       // The update stream runs through calibration AND the rate
       // ladder: churn keeps invalidating cache entries, so the
@@ -620,7 +535,7 @@ int main(int argc, char** argv) {
         }
         json()
             .row("slo")
-            .field("shards", static_cast<std::uint64_t>(n_shards))
+            .field("dispatchers", static_cast<std::uint64_t>(dispatchers))
             .field("offered_qps", o.offered_qps)
             .field("achieved_qps", o.achieved_qps())
             .field("p50_us", p50)
@@ -635,61 +550,13 @@ int main(int argc, char** argv) {
       const auto st = svc.stats();
       json()
           .row("slo_summary")
-          .field("shards", static_cast<std::uint64_t>(n_shards))
+          .field("dispatchers", static_cast<std::uint64_t>(dispatchers))
           .field("sustained_qps", sustained_qps)
           .field("p99_budget_us", kP99BudgetUs)
-          .field("balance", st.completed_balance())
-          .field("hit_rate", st.total.hit_rate())
-          .field("swap_fanouts", st.swap_fanouts)
-          .field("mean_swap_wall_us", st.mean_swap_wall_us())
-          .field("max_swap_wall_us",
-                 static_cast<double>(st.swap_wall_ns_max) / 1e3)
-          .field("epochs_consistent",
-                 static_cast<std::uint64_t>(st.epochs_consistent ? 1 : 0));
-    }
-  }
-
-  // --- sharded parity: a sharded deployment answers bit-identically ------
-  // Mixed SingleSource / StDistance / StPath traffic against a
-  // 2-shard front-end and a single-instance oracle over the same
-  // graph; every reply payload must memcmp equal.
-  {
-    ServiceOptions opts = make_options(8, /*cache=*/true);
-    opts.point_to_point = true;
-    QueryService oracle(
-        IncrementalEngine::build(st_inst.gg.graph, st_inst.tree), opts);
-    ShardedOptions sopts;
-    sopts.shards = 2;
-    sopts.shard = opts;
-    ShardedService sharded(st_inst.gg.graph, st_inst.tree, sopts);
-    bool identical = true;
-    Rng pick(83);
-    for (int i = 0; i < 16 && identical; ++i) {
-      const auto s = static_cast<Vertex>(pick.next_below(st_inst.n()));
-      const auto t = static_cast<Vertex>(pick.next_below(st_inst.n()));
-      const Reply a = oracle.query(service::SingleSource{s});
-      const Reply b = sharded.query(service::SingleSource{s});
-      identical &= a.ok() && b.ok() && a.dist().size() == b.dist().size() &&
-                   std::memcmp(a.dist().data(), b.dist().data(),
-                               a.dist().size() * sizeof(double)) == 0;
-      const Reply c = oracle.query(StDistance{s, t});
-      const Reply d = sharded.query(StDistance{s, t});
-      identical &= c.ok() && d.ok() &&
-                   std::memcmp(&c.st->distance, &d.st->distance,
-                               sizeof(double)) == 0;
-      const Reply e = oracle.query(StPath{s, t});
-      const Reply f = sharded.query(StPath{s, t});
-      identical &= e.ok() && f.ok() &&
-                   std::memcmp(&e.st->distance, &f.st->distance,
-                               sizeof(double)) == 0 &&
-                   e.st->path == f.st->path;
-    }
-    json().row("sharded_parity").field(
-        "bit_identical", static_cast<std::uint64_t>(identical ? 1 : 0));
-    if (!identical) {
-      std::cerr << "FAIL: sharded reply differs from the single-instance "
-                   "oracle\n";
-      return 1;
+          .field("hit_rate", st.hit_rate())
+          .field("swaps", st.epoch_swaps)
+          .field("mean_swap_us", st.mean_swap_us())
+          .field("max_swap_us", static_cast<double>(st.swap_ns_max) / 1e3);
     }
   }
 

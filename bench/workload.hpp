@@ -17,9 +17,7 @@
 //    hottest handful of keys absorb most of the traffic.
 //
 //  * ZipfVertexPool — maps ranks onto a shuffled vertex permutation so
-//    popularity is uncorrelated with vertex numbering (and therefore
-//    with the hash-routing of service/sharded.hpp), and exposes the
-//    popularity head (`hottest(k)`) for hot-replicated routing.
+//    popularity is uncorrelated with vertex numbering.
 //
 //  * run_open_loop — Poisson arrivals at a fixed offered rate against
 //    anything with submit(SingleSource): each injector precomputes its
@@ -99,8 +97,7 @@ class ZipfGenerator {
 };
 
 /// Zipf popularity over a vertex universe: rank r maps through a
-/// shuffled permutation so popularity is independent of vertex ids (and
-/// of the sharded front-end's source hashing).
+/// shuffled permutation so popularity is independent of vertex ids.
 class ZipfVertexPool {
  public:
   /// Popularity over `universe` vertices of an n-vertex graph with
@@ -119,12 +116,6 @@ class ZipfVertexPool {
   }
 
   Vertex next() { return by_rank_[zipf_.next()]; }
-
-  /// The k most popular vertices (the hot-replication set).
-  std::vector<Vertex> hottest(std::size_t k) const {
-    k = std::min(k, by_rank_.size());
-    return {by_rank_.begin(), by_rank_.begin() + static_cast<std::ptrdiff_t>(k)};
-  }
 
   const std::vector<Vertex>& by_rank() const { return by_rank_; }
 
@@ -165,7 +156,7 @@ struct OpenLoopResult {
 /// Drives `injectors` Poisson streams (rate_qps split evenly) of
 /// Zipf-distributed single-source requests against `service` for
 /// `duration`. Service is anything with submit(SingleSource) ->
-/// future<Reply> (QueryService or ShardedService). Each injector owns
+/// future<Reply> (a QueryService). Each injector owns
 /// an independent popularity stream over the same rank->vertex map, so
 /// the aggregate keeps the configured skew.
 template <typename Service>

@@ -1,20 +1,18 @@
-// A dispatch server under live load: the sharded serving front-end
-// (src/service/sharded.hpp) over a city grid, with concurrent ETA
+// A dispatch server under live load: one QueryService
+// (src/service/service.hpp) over a city grid, with concurrent ETA
 // clients and an incident feed swapping weighting epochs underneath
 // them.
 //
 // Scenario: emergency dispatch keeps asking "distances from depot d"
-// while traffic incidents keep changing road speeds. The front-end
-// routes each request to one of its topology-placed QueryService
-// shards (one per NUMA node by default; --shards overrides); every
-// shard coalesces concurrent requests into source-batched kernel
-// calls, answers repeats from its epoch-tagged distance cache, and
-// each incident batch fans out as parallel per-shard RCU-style
-// snapshot swaps — clients are never blocked and never see a
-// half-updated weighting, and replies are bit-identical regardless of
-// which shard answers.
+// while traffic incidents keep changing road speeds. The service
+// coalesces concurrent requests into source-batched kernel calls on
+// its dispatcher threads (one per hardware thread by default;
+// --dispatchers overrides), answers repeats from its epoch-tagged
+// distance cache, and applies each incident batch as an RCU-style
+// snapshot swap — clients are never blocked and never see a
+// half-updated weighting.
 //
-// With --eps > 0 the fleet runs in approximate mode: every shard also
+// With --eps > 0 the fleet runs in approximate mode: the service also
 // carries the (1 + eps)-approximate engine (src/approx) per epoch,
 // distance and st-distance requests resolve against it (paths have no
 // approximate spelling and stay exact), each reply is tagged with the
@@ -23,8 +21,9 @@
 // Dijkstra on the final weights.
 //
 //   ./dispatch_server [--side=32] [--clients=4] [--requests=200]
-//                     [--incidents=8] [--depots=12] [--shards=0]
+//                     [--incidents=8] [--depots=12] [--dispatchers=N]
 //                     [--seed=7] [--eps=0]
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -39,14 +38,12 @@
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 #include "service/service.hpp"
-#include "service/sharded.hpp"
 #include "util/cli.hpp"
 
 using namespace sepsp;
+using service::QueryService;
 using service::Reply;
 using service::ServiceOptions;
-using service::ShardedOptions;
-using service::ShardedService;
 using service::SingleSource;
 using service::StDistance;
 using service::StPath;
@@ -58,7 +55,8 @@ int main(int argc, char** argv) {
   const auto requests = args.get_uint("requests", 200, 1);
   const auto incidents = args.get_uint("incidents", 8, 0);
   const auto depots = args.get_uint("depots", 12, 1);
-  const auto shards = args.get_uint("shards", 0, 0);
+  const auto dispatchers = args.get_uint(
+      "dispatchers", std::max(1u, std::thread::hardware_concurrency()), 1);
   const double eps = args.get_double("eps", 0.0);
   const bool approx = eps > 0.0;
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
@@ -77,23 +75,17 @@ int main(int argc, char** argv) {
     d = static_cast<Vertex>(rng.next_below(n));
   }
 
-  ShardedOptions opts;
-  opts.shards = static_cast<unsigned>(shards);  // 0 = one per NUMA node
-  opts.shard.lanes = 8;
-  opts.shard.max_delay_us = 150;
-  opts.shard.cache_capacity_bytes = std::size_t{8} << 20;
-  // Depot traffic is skewed: replicate the depots across every shard
-  // so their cached vectors serve from each shard's local cache.
-  opts.routing.kind = service::RoutingPolicy::Kind::kHotReplicated;
-  opts.routing.hot_sources = depot_pool;
+  ServiceOptions opts;
+  opts.lanes = 8;
+  opts.max_delay_us = 150;
+  opts.dispatchers = static_cast<unsigned>(dispatchers);
+  opts.cache_capacity_bytes = std::size_t{8} << 20;
   if (approx) {
-    opts.shard.approx.enabled = true;
-    opts.shard.approx.eps = eps;
+    opts.approx.enabled = true;
+    opts.approx.eps = eps;
   }
-  ShardedService service(city.graph, tree, opts);
-  std::printf("serving with %zu shard(s) over %zu NUMA node(s), %zu cores\n",
-              service.shard_count(), service.topology().nodes.size(),
-              service.topology().physical_cores);
+  QueryService service(IncrementalEngine::build(city.graph, tree), opts);
+  std::printf("serving with %zu dispatcher(s)\n", dispatchers);
   if (approx) {
     std::printf("approximate mode: eps = %.3f (ETAs may overshoot by at most "
                 "the replies' tagged bound)\n", eps);
@@ -164,18 +156,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ok.load()),
               static_cast<unsigned long long>(hits.load()),
               static_cast<unsigned long long>(failures.load()));
-  const auto sharded_stats = service.stats();
-  sharded_stats.total.print(std::cout);
-  std::printf("shard balance %.3f over %zu shard(s); %llu swap fan-outs, "
-              "mean wall %.1f us\n",
-              sharded_stats.completed_balance(), sharded_stats.shards.size(),
-              static_cast<unsigned long long>(sharded_stats.swap_fanouts),
-              sharded_stats.mean_swap_wall_us());
-
+  const auto stats = service.stats();
+  stats.print(std::cout);
   std::printf("coalesce wait: mean %.1f us, max %.1f us (%llu batches)\n",
-              sharded_stats.total.mean_coalesce_us(),
-              static_cast<double>(sharded_stats.total.coalesce_ns_max) / 1e3,
-              static_cast<unsigned long long>(sharded_stats.total.batches));
+              stats.mean_coalesce_us(),
+              static_cast<double>(stats.coalesce_ns_max) / 1e3,
+              static_cast<unsigned long long>(stats.batches));
 
   // Validate the final epoch against Dijkstra on the final weights.
   GraphBuilder b(n);

@@ -19,11 +19,6 @@
 //
 // The facade is templated on the semiring (paper remark iii); the
 // default TropicalD computes real-weight shortest paths.
-//
-// History note: the pre-redesign flat Options fields and the split
-// batch entry points (distances_batch_lanes<B>,
-// distances_batch_persource) were deprecated for one release and have
-// been removed; see docs/API.md for the migration table.
 #pragma once
 
 #include <atomic>

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "semiring/semiring.hpp"
@@ -25,9 +24,11 @@ struct ServiceOptions {
   /// that would exceed it is shed with ReplyStatus::kShed instead of
   /// growing the queue without bound.
   std::size_t max_queue = 1024;
-  /// Dispatcher threads draining the queue into lane groups. 0 means no
-  /// background dispatch: requests queue until stop() drains them —
-  /// only useful for tests that need deterministic queue states.
+  /// Dispatcher threads draining the queue into lane groups; raise it
+  /// to serve miss traffic on more cores (every dispatcher runs its own
+  /// batch kernel against the shared snapshot). 0 means no background
+  /// dispatch: requests queue until stop() drains them — only useful
+  /// for tests that need deterministic queue states.
   unsigned dispatchers = 1;
 
   // --- distance cache -------------------------------------------------
@@ -45,20 +46,13 @@ struct ServiceOptions {
   /// requests resolve at submit time. Costs a transpose-engine build at
   /// startup and a label rebuild per apply_updates() (off the
   /// swap critical path, on the work-stealing pool). When false, st
-  /// submits abort: a caller that never sends st traffic pays nothing.
+  /// submits resolve kInvalid: a caller that never sends st traffic
+  /// pays nothing.
   bool point_to_point = true;
   /// Byte budget of the (epoch, s, t)-keyed answer cache.
   std::size_t st_cache_capacity_bytes = std::size_t{16} << 20;
   /// Lock shards of the st-cache; rounded up to a power of two.
   std::size_t st_cache_shards = 8;
-
-  // --- placement --------------------------------------------------------
-  /// Logical CPUs this service's dispatcher threads pin themselves to
-  /// (dispatcher i pins to pin_cpus[i % size]). Empty = no pinning.
-  /// Used by the sharded front-end (service/sharded.hpp) to keep each
-  /// shard's workers on the shard's home NUMA node; pinning is
-  /// advisory — a rejected affinity call is ignored.
-  std::vector<int> pin_cpus;
 
   // --- approximate serving ----------------------------------------------
   struct Approx {
@@ -67,8 +61,8 @@ struct ServiceOptions {
     /// apply_updates() — so requests submitted with `approx = true`
     /// resolve against it. Approximate answers live in their own
     /// (epoch, mode)-keyed caches and replies carry the engine's
-    /// certified error bound. When false, approx submits abort: a
-    /// caller that never sends approx traffic pays nothing.
+    /// certified error bound. When false, approx submits resolve
+    /// kInvalid: a caller that never sends approx traffic pays nothing.
     bool enabled = false;
     /// End-to-end relative-error budget of that engine, in (0, 1].
     double eps = 0.1;

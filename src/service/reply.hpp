@@ -79,6 +79,10 @@ enum class ReplyStatus : std::uint8_t {
   kOk,       ///< answered; the kind's payload is set
   kShed,     ///< rejected at admission (queue full) — retry or degrade
   kStopped,  ///< the service was stopped before the request was admitted
+  /// The request cannot be served as sent — a vertex outside [0, n), or
+  /// a kind or mode this service was not configured for (st without
+  /// point_to_point, approx without approx.enabled). Do not retry.
+  kInvalid,
 };
 
 /// What a submitted request resolves to. The payload matching `kind` is

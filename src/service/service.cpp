@@ -9,7 +9,6 @@
 #include "approx/approx.hpp"
 #include "core/routing.hpp"
 #include "obs/trace.hpp"
-#include "pram/topology.hpp"
 #include "util/check.hpp"
 
 namespace sepsp::service {
@@ -29,6 +28,14 @@ std::future<Reply> ready(Reply reply) {
   std::promise<Reply> p;
   p.set_value(std::move(reply));
   return p.get_future();
+}
+
+/// A resolved non-ok reply of `kind`.
+std::future<Reply> rejected(ReplyStatus status, RequestKind kind) {
+  Reply reply;
+  reply.status = status;
+  reply.kind = kind;
+  return ready(std::move(reply));
 }
 
 }  // namespace
@@ -105,12 +112,7 @@ QueryService::QueryService(SeparatorShortestPaths<TropicalD>::Snapshot engine,
 void QueryService::start_dispatchers() {
   dispatchers_.reserve(opts_.dispatchers);
   for (unsigned i = 0; i < opts_.dispatchers; ++i) {
-    dispatchers_.emplace_back([this, i] {
-      if (!opts_.pin_cpus.empty()) {
-        pram::pin_current_thread({opts_.pin_cpus[i % opts_.pin_cpus.size()]});
-      }
-      dispatcher_loop();
-    });
+    dispatchers_.emplace_back([this] { dispatcher_loop(); });
   }
 }
 
@@ -120,24 +122,21 @@ std::future<Reply> QueryService::submit(SingleSource request) {
   SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
   const Vertex source = request.source;
-  SEPSP_CHECK_MSG(source < num_vertices_,
-                  "QueryService::submit: source out of range");
-  SEPSP_CHECK_MSG(!request.approx || opts_.approx.enabled,
-                  "QueryService: approximate requests need "
-                  "ServiceOptions::approx.enabled");
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   counters_.single_source.fetch_add(1, std::memory_order_relaxed);
   if (request.approx) {
     counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (source >= num_vertices_ || (request.approx && !opts_.approx.enabled)) {
+    counters_.invalid.fetch_add(1, std::memory_order_relaxed);
+    return rejected(ReplyStatus::kInvalid, RequestKind::kSingleSource);
   }
 
   if (queue_.closed()) {
     // Stopped services reject uniformly — even sources the cache could
     // still answer — so "stopped" is observable, not load-dependent.
     counters_.stopped.fetch_add(1, std::memory_order_relaxed);
-    Reply rejected;
-    rejected.status = ReplyStatus::kStopped;
-    return ready(std::move(rejected));
+    return rejected(ReplyStatus::kStopped, RequestKind::kSingleSource);
   }
 
   if (opts_.cache_enabled) {
@@ -164,15 +163,15 @@ std::future<Reply> QueryService::submit(SingleSource request) {
   if (!queue_.push(std::move(pending))) {
     // push() leaves `pending` untouched on failure, but the future we
     // already extracted is the one the caller gets — resolve it here.
-    Reply rejected;
+    Reply reply;
     if (queue_.closed()) {
       counters_.stopped.fetch_add(1, std::memory_order_relaxed);
-      rejected.status = ReplyStatus::kStopped;
+      reply.status = ReplyStatus::kStopped;
     } else {
       counters_.shed.fetch_add(1, std::memory_order_relaxed);
-      rejected.status = ReplyStatus::kShed;
+      reply.status = ReplyStatus::kShed;
     }
-    pending.promise.set_value(std::move(rejected));
+    pending.promise.set_value(std::move(reply));
   }
   return future;
 }
@@ -191,17 +190,6 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
                                            RequestKind kind, bool approx) {
   SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
-  // Approximate st answers come from the approximate distance cache,
-  // not from hub labels, so they need approx.enabled but *not*
-  // point_to_point.
-  SEPSP_CHECK_MSG(!approx || opts_.approx.enabled,
-                  "QueryService: approximate requests need "
-                  "ServiceOptions::approx.enabled");
-  SEPSP_CHECK_MSG(approx || opts_.point_to_point,
-                  "QueryService: st requests need ServiceOptions::"
-                  "point_to_point");
-  SEPSP_CHECK_MSG(s < num_vertices_ && t < num_vertices_,
-                  "QueryService::submit: st endpoint out of range");
   const bool want_path = kind == RequestKind::kStPath;
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   (want_path ? counters_.st_path : counters_.st_distance)
@@ -209,13 +197,18 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   if (approx) {
     counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
   }
+  // Approximate st answers come from the approximate distance cache,
+  // not from hub labels, so they need approx.enabled but *not*
+  // point_to_point.
+  const bool served = approx ? opts_.approx.enabled : opts_.point_to_point;
+  if (!served || s >= num_vertices_ || t >= num_vertices_) {
+    counters_.invalid.fetch_add(1, std::memory_order_relaxed);
+    return rejected(ReplyStatus::kInvalid, kind);
+  }
 
   if (queue_.closed()) {
     counters_.stopped.fetch_add(1, std::memory_order_relaxed);
-    Reply rejected;
-    rejected.status = ReplyStatus::kStopped;
-    rejected.kind = kind;
-    return ready(std::move(rejected));
+    return rejected(ReplyStatus::kStopped, kind);
   }
 
   // One snapshot load answers the whole request: the epoch the cache is
@@ -513,6 +506,7 @@ ServiceStats QueryService::stats() const {
   out.completed = counters_.completed.load(std::memory_order_relaxed);
   out.shed = counters_.shed.load(std::memory_order_relaxed);
   out.stopped = counters_.stopped.load(std::memory_order_relaxed);
+  out.invalid = counters_.invalid.load(std::memory_order_relaxed);
   out.single_source = counters_.single_source.load(std::memory_order_relaxed);
   out.st_distance = counters_.st_distance.load(std::memory_order_relaxed);
   out.st_path = counters_.st_path.load(std::memory_order_relaxed);

@@ -106,8 +106,9 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Submits one single-source distance request. Resolution order:
-  /// cache hit -> future is ready on return; queue full -> ready with
-  /// kShed; stopped -> ready with kStopped; otherwise the future
+  /// source out of range (or approx without approx.enabled) -> ready
+  /// with kInvalid; stopped -> ready with kStopped; cache hit -> ready
+  /// on return; queue full -> ready with kShed; otherwise the future
   /// resolves when the request's lane group executes.
   std::future<Reply> submit(SingleSource request);
 
@@ -120,13 +121,15 @@ class QueryService {
   /// Submits one point-to-point distance request. Resolves at submit
   /// time (the returned future is always ready): st-cache hit, or one
   /// sorted label merge against the current snapshot's hub labels.
-  /// Requires ServiceOptions::point_to_point (aborts otherwise).
+  /// Requires ServiceOptions::point_to_point and both endpoints in
+  /// range (kInvalid otherwise).
   std::future<Reply> submit(StDistance request);
 
   /// Submits one point-to-point path request. Resolves at submit time:
   /// st-cache hit carrying a path, or a label merge plus a hop-by-hop
   /// routing-table walk. A cached path-less StDistance answer for the
-  /// same (s, t) is upgraded in place. Requires point_to_point.
+  /// same (s, t) is upgraded in place. Requires point_to_point and
+  /// both endpoints in range (kInvalid otherwise).
   std::future<Reply> submit(StPath request);
 
   /// Convenience synchronous spellings of submit(...).get().
@@ -169,6 +172,7 @@ class QueryService {
     PaddedAtomicU64 completed;
     PaddedAtomicU64 shed;
     PaddedAtomicU64 stopped;
+    PaddedAtomicU64 invalid;
     // Per-request hit accounting (a "hit" is any request answered
     // without running the kernel for it — submit-time cache hits,
     // flush-time re-check hits, and in-group dedup shares). The raw

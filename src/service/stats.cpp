@@ -1,70 +1,8 @@
 #include "service/stats.hpp"
 
-#include <algorithm>
-
 #include "util/table.hpp"
 
 namespace sepsp::service {
-
-void accumulate(ServiceStats& into, const ServiceStats& shard) {
-  into.submitted += shard.submitted;
-  into.completed += shard.completed;
-  into.shed += shard.shed;
-  into.stopped += shard.stopped;
-  into.single_source += shard.single_source;
-  into.st_distance += shard.st_distance;
-  into.st_path += shard.st_path;
-  into.cache_hits += shard.cache_hits;
-  into.cache_misses += shard.cache_misses;
-  into.cache_evictions += shard.cache_evictions;
-  into.cache_invalidations += shard.cache_invalidations;
-  into.cache_entries += shard.cache_entries;
-  into.cache_bytes += shard.cache_bytes;
-  into.cache_capacity_bytes += shard.cache_capacity_bytes;
-  into.st_cache_hits += shard.st_cache_hits;
-  into.st_cache_misses += shard.st_cache_misses;
-  into.st_cache_evictions += shard.st_cache_evictions;
-  into.st_cache_invalidations += shard.st_cache_invalidations;
-  into.st_cache_entries += shard.st_cache_entries;
-  into.st_cache_bytes += shard.st_cache_bytes;
-  into.st_cache_capacity_bytes += shard.st_cache_capacity_bytes;
-  into.st_merge_ns_sum += shard.st_merge_ns_sum;
-  into.st_merge_ns_max = std::max(into.st_merge_ns_max, shard.st_merge_ns_max);
-  into.st_unpack_ns_sum += shard.st_unpack_ns_sum;
-  into.st_unpack_ns_max =
-      std::max(into.st_unpack_ns_max, shard.st_unpack_ns_max);
-  into.label_builds += shard.label_builds;
-  into.label_build_ns_sum += shard.label_build_ns_sum;
-  into.label_build_ns_last =
-      std::max(into.label_build_ns_last, shard.label_build_ns_last);
-  into.approx_requests += shard.approx_requests;
-  into.approx_cache_hits += shard.approx_cache_hits;
-  into.approx_cache_misses += shard.approx_cache_misses;
-  into.approx_st_hits += shard.approx_st_hits;
-  into.approx_st_misses += shard.approx_st_misses;
-  into.approx_cache_evictions += shard.approx_cache_evictions;
-  into.approx_cache_invalidations += shard.approx_cache_invalidations;
-  into.approx_cache_entries += shard.approx_cache_entries;
-  into.approx_cache_bytes += shard.approx_cache_bytes;
-  into.approx_builds += shard.approx_builds;
-  into.approx_build_ns_sum += shard.approx_build_ns_sum;
-  into.approx_build_ns_last =
-      std::max(into.approx_build_ns_last, shard.approx_build_ns_last);
-  into.batches += shard.batches;
-  into.batch_lanes_used += shard.batch_lanes_used;
-  into.batch_lane_capacity += shard.batch_lane_capacity;
-  into.coalesce_ns_sum += shard.coalesce_ns_sum;
-  into.coalesce_ns_max =
-      std::max(into.coalesce_ns_max, shard.coalesce_ns_max);
-  into.queue_depth += shard.queue_depth;
-  into.queue_peak += shard.queue_peak;
-  into.epoch = std::min(into.epoch, shard.epoch);
-  into.epoch_swaps = std::max(into.epoch_swaps, shard.epoch_swaps);
-  into.epoch_lag = std::max(into.epoch_lag, shard.epoch_lag);
-  into.swap_ns_sum += shard.swap_ns_sum;
-  into.swap_ns_max = std::max(into.swap_ns_max, shard.swap_ns_max);
-  into.swap_ns_last = std::max(into.swap_ns_last, shard.swap_ns_last);
-}
 
 void ServiceStats::print(std::ostream& os) const {
   Table t("service stats");
@@ -73,6 +11,7 @@ void ServiceStats::print(std::ostream& os) const {
   t.add_row().cell("completed").cell(with_commas(completed));
   t.add_row().cell("shed").cell(with_commas(shed));
   t.add_row().cell("stopped").cell(with_commas(stopped));
+  t.add_row().cell("invalid").cell(with_commas(invalid));
   t.add_row().cell("cache hits").cell(with_commas(cache_hits));
   t.add_row().cell("cache misses").cell(with_commas(cache_misses));
   t.add_row().cell("cache hit rate").cell(hit_rate(), 3);

@@ -19,6 +19,9 @@ struct ServiceStats {
   std::uint64_t completed = 0;  ///< replies resolved with kOk
   std::uint64_t shed = 0;       ///< rejected at admission (queue full)
   std::uint64_t stopped = 0;    ///< rejected because the service stopped
+  /// Rejected as unservable client input (ReplyStatus::kInvalid);
+  /// submitted == completed + shed + stopped + invalid.
+  std::uint64_t invalid = 0;
   /// Per-kind admission counts; their sum is `submitted`.
   std::uint64_t single_source = 0;
   std::uint64_t st_distance = 0;
@@ -184,16 +187,5 @@ struct ServiceStats {
   /// Human-readable rendering (one summary table).
   void print(std::ostream& os) const;
 };
-
-/// Accumulates one shard's ledger into a cross-shard aggregate (the
-/// sharded front-end's stats()). Additive counters and byte/entry
-/// gauges sum; *_ns_max fields take the max; `epoch` takes the
-/// *minimum* (the weighting every shard is guaranteed to serve) and
-/// `epoch_swaps`/`epoch_lag` the maximum (shards swap in lockstep, so
-/// the max counts fan-outs, not shards x fan-outs). Time *sums* stay
-/// sums — mean_swap_us() over an aggregate therefore reads as total
-/// swap *work* per fan-out across shards, not wall latency; the
-/// sharded front-end reports fan-out wall latency separately.
-void accumulate(ServiceStats& into, const ServiceStats& shard);
 
 }  // namespace sepsp::service

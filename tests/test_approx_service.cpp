@@ -206,26 +206,6 @@ TEST(ApproxService, ApplyUpdatesRebuildsTheApproxEngine) {
                       after.error_bound);
 }
 
-TEST(ApproxServiceDeath, RejectsApproxTrafficWhenDisabled) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Fixture f = make_fixture(5, 5);
-  ServiceOptions opts;
-  opts.dispatchers = 0;
-  opts.point_to_point = false;
-  EXPECT_DEATH(
-      {
-        QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
-        (void)svc.submit(SingleSource{0, /*approx=*/true});
-      },
-      "approx");
-  EXPECT_DEATH(
-      {
-        QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
-        (void)svc.submit(StDistance{0, 1, /*approx=*/true});
-      },
-      "approx");
-}
-
 /// Per-epoch exact ground truth for a fixed source pool (same pattern
 /// as test_service_stress.cpp): the updater publishes each epoch's
 /// oracle before the service can serve it.

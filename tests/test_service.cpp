@@ -278,7 +278,8 @@ TEST(Service, StatsLedgerBalances) {
   EXPECT_EQ(late.status, ReplyStatus::kStopped);
   const auto stats = svc.stats();
   EXPECT_EQ(stats.submitted, 6u);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.shed + stats.stopped + stats.invalid);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.completed);
 }
 
@@ -446,7 +447,8 @@ TEST(ServiceSt, MixedKindLedgerBalances) {
   EXPECT_EQ(stats.st_path, 2u);
   EXPECT_EQ(stats.single_source + stats.st_distance + stats.st_path,
             stats.submitted);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.shed + stats.stopped + stats.invalid);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.st_cache_hits +
                 stats.st_cache_misses,
             stats.completed);
@@ -461,13 +463,77 @@ TEST(ServiceSt, StoppedServiceRejectsStRequests) {
   EXPECT_EQ(r.kind, RequestKind::kStDistance);
 }
 
-TEST(ServiceStDeathTest, StRequestWithoutPointToPointAborts) {
+// Client input the service cannot serve resolves kInvalid — it never
+// aborts the process — and the ledger keeps balancing:
+// submitted == completed + shed + stopped + invalid.
+void expect_ledger_balances(const QueryService& svc) {
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.shed + stats.stopped + stats.invalid);
+  EXPECT_EQ(stats.single_source + stats.st_distance + stats.st_path,
+            stats.submitted);
+}
+
+TEST(ServiceInvalid, StRequestWithoutPointToPoint) {
   const Fixture f = make_grid_fixture(8, 27);
   ServiceOptions opts;
   opts.point_to_point = false;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   EXPECT_TRUE(svc.query(7).ok());  // single-source still serves
-  EXPECT_DEATH((void)svc.query(StDistance{0, 1}), "point_to_point");
+  const Reply d = svc.query(StDistance{0, 1});
+  EXPECT_EQ(d.status, ReplyStatus::kInvalid);
+  EXPECT_EQ(d.kind, RequestKind::kStDistance);
+  const Reply p = svc.query(StPath{0, 1});
+  EXPECT_EQ(p.status, ReplyStatus::kInvalid);
+  EXPECT_EQ(p.kind, RequestKind::kStPath);
+  EXPECT_EQ(svc.stats().invalid, 2u);
+  expect_ledger_balances(svc);
+}
+
+TEST(ServiceInvalid, SourceOutOfRange) {
+  const Fixture f = make_grid_fixture(8, 28);
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
+  const Reply r = svc.query(SingleSource{64});  // n == 64
+  EXPECT_EQ(r.status, ReplyStatus::kInvalid);
+  EXPECT_EQ(r.kind, RequestKind::kSingleSource);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(svc.query(63).ok());  // the service keeps serving
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.batches, 1u);  // the invalid request never queued
+  expect_ledger_balances(svc);
+}
+
+TEST(ServiceInvalid, StEndpointOutOfRange) {
+  const Fixture f = make_grid_fixture(8, 29);
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
+  EXPECT_EQ(svc.query(StDistance{64, 0}).status, ReplyStatus::kInvalid);
+  EXPECT_EQ(svc.query(StDistance{0, 64}).status, ReplyStatus::kInvalid);
+  EXPECT_EQ(svc.query(StPath{0, 1000}).status, ReplyStatus::kInvalid);
+  EXPECT_TRUE(svc.query(StPath{0, 63}).ok());
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.invalid, 3u);
+  EXPECT_EQ(stats.st_cache_hits + stats.st_cache_misses, stats.completed);
+  expect_ledger_balances(svc);
+}
+
+TEST(ServiceInvalid, ApproxRequestWithoutApproxEngine) {
+  const Fixture f = make_grid_fixture(5, 30);
+  ServiceOptions opts;
+  opts.dispatchers = 0;
+  opts.point_to_point = false;
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
+  const Reply ss = svc.submit(SingleSource{0, /*approx=*/true}).get();
+  EXPECT_EQ(ss.status, ReplyStatus::kInvalid);
+  EXPECT_EQ(ss.kind, RequestKind::kSingleSource);
+  const Reply st = svc.submit(StDistance{0, 1, /*approx=*/true}).get();
+  EXPECT_EQ(st.status, ReplyStatus::kInvalid);
+  EXPECT_EQ(st.kind, RequestKind::kStDistance);
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.invalid, 2u);
+  EXPECT_EQ(stats.queue_depth, 0u);  // resolved at submit, never queued
+  expect_ledger_balances(svc);
 }
 
 TEST(StCacheTest, EpochInvalidationAndPairKeying) {

@@ -490,7 +490,8 @@ TEST(ServiceStress, StopUnderLoadResolvesEveryFuture) {
   EXPECT_EQ(resolved.load(), kThreads * kPerThread);
   const auto stats = svc.stats();
   EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.shed + stats.stopped + stats.invalid);
 }
 
 }  // namespace
