@@ -14,7 +14,8 @@
 // after the previous reply resolves, so offered load self-adjusts to
 // service capacity (C in-flight requests at all times) — with C = 2x
 // the lane width the coalescer always has a full group's worth of
-// demand queued.
+// demand queued, and with a pool of two or more participants one
+// dispatch runs both groups in parallel.
 //
 // The scaling scenarios run one instance under a production-shaped
 // workload (workload.hpp): a dispatcher-scaling row (1 vs one

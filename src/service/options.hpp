@@ -12,23 +12,28 @@ namespace sepsp::service {
 
 struct ServiceOptions {
   // --- batch coalescer ------------------------------------------------
-  /// Lane-group width B: requests are coalesced into distances_batch
-  /// calls of at most this many sources (one batched-kernel block).
-  /// Must be a width the kernel dispatches: 1, 2, 4, 8, 16, or 32.
+  /// Lane-group width B: requests are coalesced into groups of this
+  /// many sources (one batched-kernel block each). A full group also
+  /// takes the backlog already queued behind it, up to one group per
+  /// pool participant, into the same distances_batch call, whose
+  /// blocks run in parallel. Must be a width the kernel dispatches: 1,
+  /// 2, 4, 8, 16, or 32.
   std::size_t lanes = 8;
   /// Flush deadline: a partial lane group is dispatched once its oldest
-  /// request has waited this long. 0 flushes immediately (no
-  /// coalescing beyond what is already queued).
+  /// request has waited this long; a full group never waits for it. 0
+  /// flushes immediately (no coalescing beyond what is already
+  /// queued).
   std::uint32_t max_delay_us = 200;
   /// Admission bound on queued (not yet dispatched) requests; a submit
   /// that would exceed it is shed with ReplyStatus::kShed instead of
   /// growing the queue without bound.
   std::size_t max_queue = 1024;
-  /// Dispatcher threads draining the queue into lane groups; raise it
-  /// to serve miss traffic on more cores (every dispatcher runs its own
-  /// batch kernel against the shared snapshot). 0 means no background
-  /// dispatch: requests queue until stop() drains them — only useful
-  /// for tests that need deterministic queue states.
+  /// Dispatcher threads draining the queue into lane groups. One
+  /// dispatcher already fans a backlog over the pool; raise it when the
+  /// miss traffic arrives as many small groups (every dispatcher runs
+  /// its own batch kernel against the shared snapshot). 0 means no
+  /// background dispatch: requests queue until stop() drains them —
+  /// only useful for tests that need deterministic queue states.
   unsigned dispatchers = 1;
 
   // --- distance cache -------------------------------------------------

@@ -3,13 +3,14 @@
 //
 // Producers (submit() callers) push one pending request under a single
 // mutex hop; consumers (dispatcher threads) pop a *batch*: block for
-// the first request, then keep collecting arrivals until the lane
-// group is full or the oldest popped request has aged past the flush
-// deadline. One lock round-trip admits a request and one drains a
-// whole lane group, so the queue costs O(1) lock hops per request and
-// per batch — lock-light in the sense that matters here (the relaxed
-// ring alternatives save nanoseconds the 10^2..10^4-ns batch kernel
-// cannot see, and a plain mutex is trivially TSan-clean).
+// the first request, keep collecting arrivals until the lane group is
+// full or the oldest popped request has aged past the flush deadline,
+// then take whatever backlog is already queued, without waiting, up to
+// the dispatch cap. One lock round-trip admits a request and one
+// drains a whole dispatch, so the queue costs O(1) lock hops per
+// request and per batch — lock-light in the sense that matters here
+// (the relaxed ring alternatives save nanoseconds the 10^2..10^4-ns
+// batch kernel cannot see, and a plain mutex is trivially TSan-clean).
 //
 // Admission control: push() reports failure instead of growing past
 // the configured bound; the caller sheds the request.
@@ -33,8 +34,8 @@ struct Pending {
   Vertex source = 0;
   std::promise<Reply> promise;
   std::chrono::steady_clock::time_point enqueued;
-  /// Resolve against the approximate engine (mode of the lane group the
-  /// dispatcher folds this request into; modes never share a group).
+  /// Resolve against the approximate engine (the dispatcher runs each
+  /// mode's misses in its own kernel call; modes never share a block).
   bool approx = false;
 };
 
@@ -56,20 +57,23 @@ class SubmitQueue {
   }
 
   /// Pops the next batch into `out` (cleared first): blocks until a
-  /// request arrives, then collects up to `max` requests, waiting at
+  /// request arrives, then collects up to `lanes` requests, waiting at
   /// most until the first one has aged `max_delay` past its enqueue
-  /// time. Returns false only when the queue is closed *and* drained —
-  /// the dispatcher's exit condition; every admitted request is
-  /// delivered to some batch first.
-  bool pop_batch(std::vector<Pending>& out, std::size_t max,
-                 std::chrono::microseconds max_delay) {
+  /// time. A full lane group then also takes, without waiting, the
+  /// requests already queued behind it, up to `max` (>= `lanes`) in
+  /// all; at `max == lanes` this is exactly one lane group. Returns
+  /// false only when the queue is closed *and* drained — the
+  /// dispatcher's exit condition; every admitted request is delivered
+  /// to some batch first.
+  bool pop_batch(std::vector<Pending>& out, std::size_t lanes,
+                 std::size_t max, std::chrono::microseconds max_delay) {
     out.clear();
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;  // closed and drained
     out.push_back(take_front());
     const auto deadline = out.front().enqueued + max_delay;
-    while (out.size() < max) {
+    while (out.size() < lanes) {
       if (!items_.empty()) {
         out.push_back(take_front());
         continue;
@@ -82,6 +86,9 @@ class SubmitQueue {
       }
       if (items_.empty()) break;  // woken by close()
     }
+    // The backlog: only a full group can find one (a partial group
+    // left the loop above on an empty queue).
+    while (out.size() < max && !items_.empty()) out.push_back(take_front());
     return true;
   }
 

@@ -9,6 +9,7 @@
 #include "approx/approx.hpp"
 #include "core/routing.hpp"
 #include "obs/trace.hpp"
+#include "pram/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace sepsp::service {
@@ -302,10 +303,14 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
 }
 
 void QueryService::dispatcher_loop() {
+  // One lane group per pool participant: distances_batch runs a
+  // dispatch's blocks in parallel, so a backlog leaves in one dispatch.
+  const std::size_t max =
+      opts_.lanes * pram::ThreadPool::global().concurrency();
   std::vector<Pending> group;
-  group.reserve(opts_.lanes);
+  group.reserve(max);
   const std::chrono::microseconds delay(opts_.max_delay_us);
-  while (queue_.pop_batch(group, opts_.lanes, delay)) {
+  while (queue_.pop_batch(group, opts_.lanes, max, delay)) {
     flush_group(group);
   }
 }
@@ -333,9 +338,12 @@ void QueryService::resolve(Pending& p, const Snapshot& snap,
 void QueryService::flush_group(std::vector<Pending>& group) {
   SEPSP_TRACE_SPAN("service.flush");
   const auto dispatched = Clock::now();
-  counters_.batches.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t blocks = (group.size() + opts_.lanes - 1) / opts_.lanes;
+  counters_.dispatches.fetch_add(1, std::memory_order_relaxed);
+  counters_.batches.fetch_add(blocks, std::memory_order_relaxed);
   counters_.lanes_used.fetch_add(group.size(), std::memory_order_relaxed);
-  counters_.lane_capacity.fetch_add(opts_.lanes, std::memory_order_relaxed);
+  counters_.lane_capacity.fetch_add(blocks * opts_.lanes,
+                                    std::memory_order_relaxed);
   std::uint64_t wait_sum = 0;
   std::uint64_t wait_max = 0;
   for (const Pending& p : group) {
@@ -359,8 +367,13 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     return (static_cast<std::uint64_t>(p.source) << 1) |
            static_cast<std::uint64_t>(p.approx);
   };
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CachedDistances>>
-      answers;
+  struct Answer {
+    std::shared_ptr<const CachedDistances> value;
+    /// Computed in this flush and not yet charged to a request: the
+    /// first request of the key is the miss, its followers are hits.
+    bool uncharged = false;
+  };
+  std::unordered_map<std::uint64_t, Answer> answers;
   std::vector<Vertex> misses;         // exact-mode sources to compute
   std::vector<Vertex> approx_misses;  // approx-mode sources to compute
   misses.reserve(group.size());
@@ -370,10 +383,9 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     DistanceCache& cache = p.approx ? approx_cache_ : cache_;
     std::shared_ptr<const CachedDistances> value =
         opts_.cache_enabled ? cache.lookup(snap->epoch, p.source) : nullptr;
-    if (value == nullptr) {
-      (p.approx ? approx_misses : misses).push_back(p.source);
-    }
-    answers.emplace(k, std::move(value));
+    const bool miss = value == nullptr;
+    if (miss) (p.approx ? approx_misses : misses).push_back(p.source);
+    answers.emplace(k, Answer{std::move(value), miss});
   }
 
   if (!misses.empty()) {
@@ -384,7 +396,8 @@ void QueryService::flush_group(std::vector<Pending>& group) {
       auto value = std::make_shared<const CachedDistances>(CachedDistances{
           std::move(results[i].dist), results[i].negative_cycle});
       if (opts_.cache_enabled) cache_.insert(snap->epoch, misses[i], value);
-      answers[static_cast<std::uint64_t>(misses[i]) << 1] = std::move(value);
+      answers[static_cast<std::uint64_t>(misses[i]) << 1].value =
+          std::move(value);
     }
   }
 
@@ -400,19 +413,17 @@ void QueryService::flush_group(std::vector<Pending>& group) {
       if (opts_.cache_enabled) {
         approx_cache_.insert(snap->epoch, approx_misses[i], value);
       }
-      answers[(static_cast<std::uint64_t>(approx_misses[i]) << 1) | 1] =
+      answers[(static_cast<std::uint64_t>(approx_misses[i]) << 1) | 1].value =
           std::move(value);
     }
   }
 
   for (Pending& p : group) {
-    auto& value = answers[key(p)];
+    Answer& answer = answers[key(p)];
     // `hit` reports whether the request was answered without running
     // the kernel for it — true for dedup winners' followers too.
-    const std::vector<Vertex>& computed = p.approx ? approx_misses : misses;
-    const bool hit = std::find(computed.begin(), computed.end(), p.source) ==
-                     computed.end();
-    resolve(p, snap, value, hit);
+    const bool hit = !std::exchange(answer.uncharged, false);
+    resolve(p, snap, answer.value, hit);
   }
 }
 
@@ -559,6 +570,7 @@ ServiceStats QueryService::stats() const {
       counters_.label_build_ns_sum.load(std::memory_order_relaxed);
   out.label_build_ns_last =
       counters_.label_build_ns_last.load(std::memory_order_relaxed);
+  out.dispatches = counters_.dispatches.load(std::memory_order_relaxed);
   out.batches = counters_.batches.load(std::memory_order_relaxed);
   out.batch_lanes_used = counters_.lanes_used.load(std::memory_order_relaxed);
   out.batch_lane_capacity =
@@ -581,17 +593,10 @@ ServiceStats QueryService::stats() const {
 void QueryService::stop() {
   std::call_once(stop_once_, [this] {
     queue_.close();
-    if (dispatchers_.empty()) {
-      // No background dispatch configured: drain on the caller's
-      // thread so the no-admitted-request-dropped contract still
-      // holds.
-      std::vector<Pending> group;
-      group.reserve(opts_.lanes);
-      while (queue_.pop_batch(group, opts_.lanes,
-                              std::chrono::microseconds(0))) {
-        flush_group(group);
-      }
-    }
+    // No background dispatch configured: drain on the caller's thread
+    // so the no-admitted-request-dropped contract still holds. A closed
+    // queue never waits out the flush deadline.
+    if (dispatchers_.empty()) dispatcher_loop();
     for (std::thread& t : dispatchers_) t.join();
   });
 }

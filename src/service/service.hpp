@@ -5,13 +5,15 @@
 //
 //  * Batch coalescer. submit() admits a single-source distance request
 //    into a bounded MPMC queue (queue.hpp) and returns a future.
-//    Dispatcher threads drain the queue into lane groups of at most
-//    `lanes` sources — flushing early once the oldest request has
-//    waited `max_delay_us` — and resolve each group with one
-//    distances_batch call, so concurrent traffic rides the
-//    source-batched kernel (LeveledQuery::run_block) instead of paying a
-//    full E u E+ stream per request. Overload is shed at admission
-//    (ReplyStatus::kShed), never by queueing without bound.
+//    Dispatcher threads drain the queue into lane groups of `lanes`
+//    sources — flushing a partial group once its oldest request has
+//    waited `max_delay_us` — and a full group also takes the backlog
+//    already queued behind it, up to one group per pool participant.
+//    Each dispatch resolves with one distances_batch call, which runs
+//    its lane blocks in parallel on the pool, so concurrent traffic
+//    rides the source-batched kernel (LeveledQuery::run_block) instead
+//    of paying a full E u E+ stream per request. Overload is shed at
+//    admission (ReplyStatus::kShed), never by queueing without bound.
 //
 //  * Distance cache. A sharded byte-accounted LRU (cache.hpp) keyed by
 //    source and tagged by epoch. Hits resolve at submit time without
@@ -45,7 +47,7 @@
 //    enabled, every epoch additionally carries a (1 + eps)-approximate
 //    engine (src/approx) built beside the exact snapshot inside
 //    apply_updates(). Requests submitted with `approx = true` coalesce
-//    into their own lane groups, resolve against that engine, and are
+//    into their own lane blocks, resolve against that engine, and are
 //    cached in separate (epoch, mode)-keyed caches; each approximate
 //    reply is tagged with the engine's certified error bound.
 //
@@ -179,6 +181,7 @@ class QueryService {
     // DistanceCache counters would double-count the two-phase lookup.
     PaddedAtomicU64 cache_hits;
     PaddedAtomicU64 cache_misses;
+    PaddedAtomicU64 dispatches;
     PaddedAtomicU64 batches;
     PaddedAtomicU64 lanes_used;
     PaddedAtomicU64 lane_capacity;

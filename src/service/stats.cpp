@@ -54,6 +54,7 @@ void ServiceStats::print(std::ostream& os) const {
     t.add_row().cell("approx builds").cell(with_commas(approx_builds));
     t.add_row().cell("mean approx build ms").cell(mean_approx_build_ms(), 2);
   }
+  t.add_row().cell("dispatches").cell(with_commas(dispatches));
   t.add_row().cell("batches").cell(with_commas(batches));
   t.add_row().cell("batch occupancy").cell(batch_occupancy(), 3);
   t.add_row().cell("mean coalesce us").cell(mean_coalesce_us(), 1);

@@ -87,9 +87,13 @@ struct ServiceStats {
   std::uint64_t approx_build_ns_last = 0;
 
   // --- coalescer ----------------------------------------------------------
-  std::uint64_t batches = 0;            ///< lane groups dispatched
-  std::uint64_t batch_lanes_used = 0;   ///< sources across those groups
-  std::uint64_t batch_lane_capacity = 0;  ///< groups * lane width
+  /// Batches popped off the queue and flushed: one lane group, or a
+  /// backlog of up to one group per pool participant.
+  std::uint64_t dispatches = 0;
+  /// Lane blocks, ceil(requests / lanes) per dispatch.
+  std::uint64_t batches = 0;
+  std::uint64_t batch_lanes_used = 0;     ///< requests across those blocks
+  std::uint64_t batch_lane_capacity = 0;  ///< blocks * lane width
   std::uint64_t coalesce_ns_sum = 0;  ///< submit -> dispatch wait, summed
   std::uint64_t coalesce_ns_max = 0;
   std::size_t queue_depth = 0;  ///< sampled at stats() time
@@ -108,8 +112,8 @@ struct ServiceStats {
   std::uint64_t swap_ns_max = 0;
   std::uint64_t swap_ns_last = 0;
 
-  /// Mean fraction of dispatched lane-group slots that carried a
-  /// request (1.0 = every group full).
+  /// Mean fraction of dispatched lane-block slots that carried a
+  /// request, in [0, 1] (1.0 = every block full).
   double batch_occupancy() const {
     return batch_lane_capacity == 0
                ? 0.0

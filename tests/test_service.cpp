@@ -14,6 +14,7 @@
 #include "baseline/dijkstra.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
+#include "pram/thread_pool.hpp"
 #include "separator/finders.hpp"
 #include "service/cache.hpp"
 #include "service/service.hpp"
@@ -150,11 +151,46 @@ TEST(Service, DeduplicatesRepeatedSourcesWithinAGroup) {
   svc.stop();
   Reply first = futures[0].get();
   ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first.cache_hit);  // the request that ran the kernel
   for (int i = 1; i < 4; ++i) {
     const Reply r = futures[i].get();
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value.get(), first.value.get());  // one kernel run shared
+    EXPECT_TRUE(r.cache_hit) << i;                // followers are hits
   }
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.cache_hits, 3u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+}
+
+TEST(Service, OneDispatchFansABacklogAcrossThePool) {
+  // A queued backlog leaves in dispatches of one full lane group per
+  // pool participant, each dispatch running its blocks in parallel.
+  constexpr std::size_t kLanes = 4;
+  const std::size_t participants = pram::ThreadPool::global().concurrency();
+  const std::size_t requests = 2 * kLanes * participants;
+  std::size_t side = 8;
+  while (side * side < requests) ++side;
+  const Fixture f = make_grid_fixture(side, 12);
+  ServiceOptions opts;
+  opts.lanes = kLanes;
+  opts.dispatchers = 0;  // queue everything; stop() drains
+  opts.cache_enabled = false;
+  opts.max_queue = requests;
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
+  std::vector<std::future<Reply>> futures;
+  for (Vertex s = 0; s < requests; ++s) futures.push_back(svc.submit(s));
+  svc.stop();
+  for (Vertex s = 0; s < requests; ++s) {
+    const Reply r = futures[s].get();
+    ASSERT_TRUE(r.ok()) << s;
+    expect_matches_dijkstra(r.dist(), f.gg.graph, s);
+  }
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.dispatches, 2u);
+  EXPECT_EQ(stats.batches, 2 * participants);
+  EXPECT_EQ(stats.batch_lanes_used, requests);
+  EXPECT_DOUBLE_EQ(stats.batch_occupancy(), 1.0);
 }
 
 TEST(Service, ShedsOnOverloadAndDrainsAdmittedOnStop) {
