@@ -23,6 +23,7 @@
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
 #include "semiring/simd.hpp"
+#include "util/vertex_index.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;

@@ -59,12 +59,9 @@ ApproxEngine ApproxEngine::build_with_weights(const Digraph& g,
                                               const Options& options) {
   SEPSP_CHECK(tree.num_graph_vertices() == g.num_vertices());
   SEPSP_TRACE_SPAN("approx.build");
-  const Options resolved = options.validated();
-  SEPSP_CHECK_MSG(resolved.build.approx_eps > 0.0,
-                  "ApproxEngine needs Options::Build::approx_eps in (0, 1]");
-  SEPSP_CHECK_MSG(resolved.build.builder == BuilderKind::kRecursive,
-                  "the sparsified build prunes Algorithm 4.1's emission "
-                  "sites; BuilderKind::kDoubling is not supported");
+  SEPSP_CHECK_MSG(
+      options.build.approx_eps > 0.0 && options.build.approx_eps <= 1.0,
+      "ApproxEngine needs Options::Build::approx_eps in (0, 1]");
   SEPSP_CHECK(weights.size() == g.num_edges());
 
   // The state is heap-allocated before anything is built into it: the
@@ -72,7 +69,7 @@ ApproxEngine ApproxEngine::build_with_weights(const Digraph& g,
   // its final address when the engine is constructed.
   auto state = std::make_shared<State>();
   State& s = *state;
-  s.eps = resolved.build.approx_eps;
+  s.eps = options.build.approx_eps;
   // Budget split: (1 + eps_r)(1 + delta) = 1 + eps exactly.
   s.eps_round = s.eps / 2.0;
   s.delta = s.eps_round / (1.0 + s.eps_round);
@@ -94,11 +91,10 @@ ApproxEngine ApproxEngine::build_with_weights(const Digraph& g,
   }
   s.scaled = std::move(builder_scaled).build();
 
-  Augmentation<TropicalI> aug = build_augmentation_sparsified(
-      s.scaled, tree, resolved.build.closure, s.delta, &s.sparsify);
+  Augmentation<TropicalI> aug =
+      build_augmentation_sparsified(s.scaled, tree, s.delta, &s.sparsify);
 
-  Options engine_opts = resolved;
-  engine_opts.build.approx_eps = 0.0;  // the exact facade rejects it
+  SeparatorShortestPaths<TropicalI>::Options engine_opts;
   engine_opts.query.detect_negative_cycles = false;  // weights are positive
   s.engine.emplace(SeparatorShortestPaths<TropicalI>::from_augmentation(
       s.scaled, std::move(aug), engine_opts));

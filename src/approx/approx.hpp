@@ -41,13 +41,16 @@ namespace sepsp {
 
 class ApproxEngine {
  public:
-  /// The exact facade's options type: Options::Build::approx_eps is the
-  /// end-to-end budget (required nonzero here, rejected by the exact
-  /// build()); the Query half applies as usual except that
-  /// detect_negative_cycles is forced off (positive weights are a
-  /// precondition). Only the recursive builder supports the sparsified
-  /// emission — BuilderKind::kDoubling is rejected.
-  using Options = SeparatorShortestPaths<TropicalI>::Options;
+  /// Build options only: queries run with the exact facade's default
+  /// query options, negative-cycle detection off (positive weights are
+  /// a precondition).
+  struct Options {
+    struct Build {
+      /// End-to-end relative-error budget, in (0, 1]; split between
+      /// weight rounding and shortcut pruning.
+      double approx_eps = 0.0;
+    } build;
+  };
 
   /// Preprocesses with budget options.build.approx_eps in (0, 1]. All
   /// weights must be > 0. The caller must keep `g` alive for the
@@ -77,9 +80,10 @@ class ApproxEngine {
   QueryStats distances_into(Vertex source, std::span<double> out) const;
 
   /// Batched many-source queries through the exact facade's
-  /// distances_batch; same BatchPolicy semantics. Results are
-  /// rescaled doubles (reported as TropicalD-valued QueryResults with
-  /// the usual zero()-sentinel contract for unreachable vertices).
+  /// distances_batch; same BatchPolicy semantics (lanes = 0 picks the
+  /// exact facade's default width). Results are rescaled doubles
+  /// (reported as TropicalD-valued QueryResults with the usual
+  /// zero()-sentinel contract for unreachable vertices).
   std::vector<QueryResult<TropicalD>> distances_batch(
       std::span<const Vertex> sources, BatchPolicy policy = {}) const;
 

@@ -387,10 +387,11 @@ class PrunedEmission {
 /// PrunedEmission policy, so only the emitted shortcut sets differ.
 /// `delta` is the per-level pruning budget (relative slack);
 /// `delta < kMinPruneDelta` (in particular 0) reproduces the exact
-/// builder's output bit-for-bit.
+/// builder's output bit-for-bit. H_S is closed by Floyd–Warshall, as
+/// in the exact engine's build.
 inline Augmentation<TropicalI> build_augmentation_sparsified(
-    const Digraph& g, const SeparatorTree& tree, ClosureKind closure,
-    double delta, SparsifyStats* stats = nullptr) {
+    const Digraph& g, const SeparatorTree& tree, double delta,
+    SparsifyStats* stats = nullptr) {
   using S = TropicalI;
 
   SEPSP_TRACE_SPAN("build.sparsified");
@@ -398,7 +399,8 @@ inline Augmentation<TropicalI> build_augmentation_sparsified(
   const pram::CostScope scope;
   detail::PrunedEmission emit(delta);
   Augmentation<S> aug =
-      detail::run_algorithm41<S>(g, tree, closure, emit, /*keep_bnd=*/false)
+      detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall, emit,
+                                 /*keep_bnd=*/false)
           .aug;
 
   // Padding and unreachable entries all carry zero(); dedup would sort

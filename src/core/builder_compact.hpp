@@ -145,8 +145,7 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
   // --- doubling iterations over the shared triples -----------------------
   const std::size_t n = g.num_vertices();
   const std::size_t log_n = n < 2 ? 1 : std::bit_width(n - 1);
-  const std::size_t max_iterations =
-      2 * log_n + 2 * aug.height + options.extra_iterations;
+  const std::size_t max_iterations = 2 * log_n + 2 * aug.height;
   std::size_t iterations_run = 0;
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
     ++iterations_run;

@@ -35,10 +35,6 @@ struct DoublingOptions {
   /// Stop as soon as a whole iteration changes nothing (on by default;
   /// the paper's fixed 2 ceil(log n) + 2 d_G count is an upper bound).
   bool early_exit = true;
-  /// Extra iterations beyond the proven bound (testing hook).
-  std::size_t extra_iterations = 0;
-
-  bool operator==(const DoublingOptions&) const = default;
 };
 
 /// Builds E+ with Algorithm 4.3. The tree must decompose g's skeleton.
@@ -48,7 +44,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
                                             const DoublingOptions& options = {}) {
   using detail::kNpos;
 
-  SEPSP_TRACE_SPAN("build.doubling");
+  SEPSP_TRACE_SPAN("build.path_doubling");
   const pram::CostScope scope;
   Augmentation<S> aug;
   aug.levels = compute_levels(tree);
@@ -134,8 +130,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   // Step ii: the doubling loop.
   const std::size_t n = g.num_vertices();
   const std::size_t log_n = n < 2 ? 1 : std::bit_width(n - 1);
-  const std::size_t max_iterations =
-      2 * log_n + 2 * aug.height + options.extra_iterations;
+  const std::size_t max_iterations = 2 * log_n + 2 * aug.height;
   std::vector<std::uint8_t> node_changed(num_nodes, 0);
   std::size_t iterations_run = 0;
   std::uint64_t per_iter_depth = 0;
@@ -162,7 +157,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   // once deep subtrees have converged.
   std::vector<std::uint8_t> dirty(num_nodes, 1);
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    SEPSP_TRACE_SPAN("build.doubling_iter");  // merged: calls = iterations
+    SEPSP_TRACE_SPAN("build.path_doubling_iter");  // merged: calls = iterations
     ++iterations_run;
     // (1) one squaring step everywhere (dirty nodes only).
     pram::ThreadPool::global().parallel_for(0, num_nodes, [&](std::size_t id) {

@@ -15,7 +15,9 @@
 // Work per node: O(|S|^3 log|S| + |B|^2 |S| + |B| |S|^2) with the
 // polylog-depth squaring closure (the paper's Table-1 bound); the
 // sequential-k Floyd–Warshall closure saves the log factor of work at
-// depth |S| (ablated in bench S4).
+// depth |S| (ablated in bench S4). Every engine closes H_S with
+// Floyd–Warshall, so all of them emit the same E+ bits; the squaring
+// closure serves the benches that reproduce the paper's depth.
 //
 // Steps i-v exist once, in detail::node_step. What a node *emits* is a
 // policy: the exact build writes the complete S x S and B x B pair sets

@@ -7,8 +7,7 @@
 //   auto tree   = build_separator_tree(sk, make_grid_finder({64, 64}));
 //
 //   SeparatorShortestPaths<>::Options opts;
-//   opts.build.builder = BuilderKind::kRecursive;  // Options::Build
-//   opts.query.detect_negative_cycles = true;      // Options::Query
+//   opts.query.detect_negative_cycles = true;  // the only options: queries
 //   auto engine = SeparatorShortestPaths<>::build(grid.graph, tree, opts);
 //
 //   auto result = engine.distances(source);            // one source
@@ -26,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
 #include "core/engine_stats.hpp"
 #include "core/query.hpp"
@@ -34,12 +32,6 @@
 #include "pram/thread_pool.hpp"
 
 namespace sepsp {
-
-/// Which E+ construction to run.
-enum class BuilderKind {
-  kRecursive,  ///< Algorithm 4.1 (less work, depth grows with d_G)
-  kDoubling,   ///< Algorithm 4.3 (polylog depth, +log-factor work)
-};
 
 /// Kernel selection for distances_batch(). `lanes` is the number of
 /// sources relaxed per edge load (LeveledQuery::run_block<B>,
@@ -62,18 +54,6 @@ class SeparatorShortestPaths {
   static constexpr std::size_t kBatchLanes = 8;
 
   struct Options {
-    /// Preprocessing knobs (consumed once, inside build()).
-    struct Build {
-      BuilderKind builder = BuilderKind::kRecursive;
-      ClosureKind closure = ClosureKind::kSquaring;  ///< Alg 4.1 APSP kernel
-      DoublingOptions doubling;                      ///< Alg 4.3 knobs
-      /// End-to-end relative-error budget of the approximate mode, in
-      /// [0, 1]. 0 (the default) means exact. A nonzero budget is only
-      /// honored by ApproxEngine (src/approx/approx.hpp), which splits
-      /// it between weight rounding and shortcut pruning; the exact
-      /// build() rejects it rather than silently ignore it.
-      double approx_eps = 0.0;
-    };
     /// Query-time knobs (consulted on every query).
     struct Query {
       /// Skip the per-query negative-cycle verification pass (sound when
@@ -85,63 +65,41 @@ class SeparatorShortestPaths {
       std::size_t batch_lanes = kBatchLanes;
     };
 
-    Build build;
     Query query;
 
-    /// Verifies coherence; called by build() on every options object.
-    /// Rejected combinations (SEPSP_CHECK): a batch_lanes width the
-    /// batched kernel cannot dispatch, a non-default Algorithm 4.1
-    /// closure paired with the doubling builder, and non-default
-    /// doubling knobs paired with the recursive builder.
+    /// Verifies coherence; called by every constructor. Rejects
+    /// (SEPSP_CHECK) a batch_lanes width the batched kernel cannot
+    /// dispatch.
     Options validated() const {
-      Options r = *this;
-      SEPSP_CHECK_MSG(valid_lane_width(r.query.batch_lanes),
+      SEPSP_CHECK_MSG(valid_lane_width(query.batch_lanes),
                       "Options::Query::batch_lanes must be one of "
                       "1, 2, 4, 8, 16, 32");
-      SEPSP_CHECK_MSG(!(r.build.builder == BuilderKind::kDoubling &&
-                        r.build.closure != ClosureKind::kSquaring),
-                      "Options::Build::closure selects Algorithm 4.1's APSP "
-                      "kernel; it is meaningless with the doubling builder");
-      SEPSP_CHECK_MSG(!(r.build.builder == BuilderKind::kRecursive &&
-                        !(r.build.doubling == DoublingOptions{})),
-                      "Options::Build::doubling configures Algorithm 4.3; it "
-                      "is meaningless with the recursive builder");
-      SEPSP_CHECK_MSG(r.build.approx_eps >= 0.0 && r.build.approx_eps <= 1.0,
-                      "Options::Build::approx_eps must lie in [0, 1]");
-      return r;
+      return *this;
     }
   };
 
-  /// Preprocesses g against the given decomposition of its skeleton.
-  /// Cost: Table 1 preprocessing row (O(n + n^{3 mu}) work for k^mu
-  /// separator families). The caller must keep `g` alive (and at a
-  /// stable address) for the engine's lifetime; the engine itself is
-  /// safely movable (its internal state lives behind unique_ptrs).
+  /// Preprocesses g against the given decomposition of its skeleton
+  /// with Algorithm 4.1, closing each H_S by Floyd–Warshall — the
+  /// closure IncrementalEngine uses, so both build one E+ bit for bit.
+  /// Algorithm 4.3 (build_augmentation_doubling) builds the same set;
+  /// wrap its result with from_augmentation(). Cost: Table 1
+  /// preprocessing row (O(n + n^{3 mu}) work for k^mu separator
+  /// families). The caller must keep `g` alive (and at a stable
+  /// address) for the engine's lifetime; the engine itself is safely
+  /// movable (its internal state lives behind unique_ptrs).
   static SeparatorShortestPaths build(const Digraph& g,
                                       const SeparatorTree& tree,
                                       const Options& options = {}) {
     SEPSP_CHECK(tree.num_graph_vertices() == g.num_vertices());
     SEPSP_TRACE_SPAN("engine.build");
-    const Options resolved = options.validated();
-    SEPSP_CHECK_MSG(resolved.build.approx_eps == 0.0,
-                    "the exact engine cannot honor "
-                    "Options::Build::approx_eps — build an ApproxEngine "
-                    "(src/approx/approx.hpp) instead");
-    SeparatorShortestPaths engine(g, resolved.query);
-    engine.aug_ = std::make_shared<const Augmentation<S>>(
-        resolved.build.builder == BuilderKind::kRecursive
-            ? build_augmentation_recursive<S>(g, tree, resolved.build.closure)
-            : build_augmentation_doubling<S>(g, tree,
-                                             resolved.build.doubling));
-    engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *engine.aug_, resolved.query.detect_negative_cycles);
-    return engine;
+    return from_augmentation(g,
+                             build_augmentation_recursive<S>(
+                                 g, tree, ClosureKind::kFloydWarshall),
+                             options);
   }
 
-  /// Wraps a precomputed augmentation (e.g. one the approximate or
-  /// incremental engine built) without rebuilding E+. Only the Query
-  /// half of the options applies (the Build half already happened
-  /// elsewhere).
+  /// Wraps a precomputed augmentation (e.g. one the approximate engine
+  /// or Algorithm 4.3 built) without rebuilding E+.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {
@@ -168,24 +126,6 @@ class SeparatorShortestPaths {
     SeparatorShortestPaths engine(g, resolved.query);
     engine.aug_ = std::move(aug);
     engine.query_ = std::make_unique<LeveledQuery<S>>(std::move(query));
-    return engine;
-  }
-
-  /// Like from_augmentation(), but overrides the value of every base
-  /// arc with S::from_weight(arc_weights[i]) (indexed like g.arcs()).
-  /// This is the snapshot hook of IncrementalEngine::snapshot(): a
-  /// reweighted engine can be frozen into an immutable engine without
-  /// materializing a reweighted Digraph. The shortcut values inside
-  /// `aug` must already reflect the same weighting.
-  static SeparatorShortestPaths from_augmentation(
-      const Digraph& g, Augmentation<S> aug,
-      std::span<const double> arc_weights, const Options& options = {}) {
-    SEPSP_CHECK(arc_weights.size() == g.num_edges());
-    SeparatorShortestPaths engine =
-        from_augmentation(g, std::move(aug), options);
-    for (std::size_t arc = 0; arc < arc_weights.size(); ++arc) {
-      engine.query_->refresh_base(arc, S::from_weight(arc_weights[arc]));
-    }
     return engine;
   }
 

@@ -63,10 +63,8 @@ class HubLabeling {
 
   /// Builds labels with 2 * (number of distinct separator vertices)
   /// global single-source queries through the separator engine (forward
-  /// on g, backward on the transpose), batched in chunks. Takes the
-  /// engine facade's validated nested Options (PR 2 convention); the
-  /// Build half configures the two internal engines, the Query half
-  /// their batched queries.
+  /// on g, backward on the transpose), batched in chunks. `options`
+  /// are the two internal engines' query options.
   static HubLabeling build(const Digraph& g, const SeparatorTree& tree,
                            const Options& options = {});
 

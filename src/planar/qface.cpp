@@ -40,8 +40,7 @@ struct QFacePipeline::State {
   }
 };
 
-QFacePipeline QFacePipeline::build(const HammockGraph& hg,
-                                   BuilderKind builder) {
+QFacePipeline QFacePipeline::build(const HammockGraph& hg) {
   auto state = std::make_shared<State>();
   State& s = *state;
   s.hg = &hg;
@@ -118,10 +117,7 @@ QFacePipeline QFacePipeline::build(const HammockGraph& hg,
   const Skeleton gp_skel(s.gprime);
   s.tree = build_separator_tree(gp_skel,
                                 make_geometric_finder(std::move(gp_coords)));
-  typename SeparatorShortestPaths<TropicalD>::Options opts;
-  opts.build.builder = builder;
-  s.engine.emplace(
-      SeparatorShortestPaths<TropicalD>::build(s.gprime, s.tree, opts));
+  s.engine.emplace(SeparatorShortestPaths<TropicalD>::build(s.gprime, s.tree));
 
   // All-pairs table on G' for the k-pair oracle: O(q) engine queries on
   // the O(q)-sized reduced graph.
@@ -180,13 +176,6 @@ std::size_t QFacePipeline::reduced_vertices() const {
 }
 std::size_t QFacePipeline::reduced_edges() const {
   return state_->gprime.num_edges();
-}
-const SeparatorTree& QFacePipeline::reduced_tree() const {
-  return state_->tree;
-}
-const SeparatorShortestPaths<TropicalD>& QFacePipeline::reduced_engine()
-    const {
-  return *state_->engine;
 }
 
 std::vector<double> QFacePipeline::distances(Vertex source) const {

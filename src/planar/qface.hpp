@@ -30,9 +30,7 @@ namespace sepsp {
 class QFacePipeline {
  public:
   /// Preprocesses the hammock graph (which must outlive the pipeline).
-  /// `builder` picks the E+ algorithm for the reduced graph G'.
-  static QFacePipeline build(const HammockGraph& hg,
-                             BuilderKind builder = BuilderKind::kRecursive);
+  static QFacePipeline build(const HammockGraph& hg);
 
   /// Distances from `source` to every vertex of the original graph.
   std::vector<double> distances(Vertex source) const;
@@ -52,8 +50,6 @@ class QFacePipeline {
   /// |V(G')| — should be O(q).
   std::size_t reduced_vertices() const;
   std::size_t reduced_edges() const;
-  const SeparatorTree& reduced_tree() const;
-  const SeparatorShortestPaths<TropicalD>& reduced_engine() const;
 
  private:
   QFacePipeline() = default;

@@ -75,8 +75,8 @@ struct ServiceOptions {
   Approx approx;
 
   // --- snapshot engines -------------------------------------------------
-  /// Options for the engines frozen at each epoch swap; only the Query
-  /// half applies (builds already happened in the incremental engine).
+  /// Query options of the engines frozen at each epoch swap (the
+  /// incremental engine already built their E+).
   SeparatorShortestPaths<TropicalD>::Options engine;
 
   /// Verifies coherence (fatal SEPSP_CHECK on nonsense): a lane width

@@ -17,8 +17,7 @@ Digraph DifferenceSystem::constraint_graph() const {
   return std::move(builder).build();
 }
 
-DifferenceSolution DifferenceSystem::solve(const SeparatorTree* tree,
-                                           BuilderKind builder) const {
+DifferenceSolution DifferenceSystem::solve(const SeparatorTree* tree) const {
   const Digraph g = constraint_graph();
   SeparatorTree local_tree;
   if (tree == nullptr) {
@@ -26,9 +25,7 @@ DifferenceSolution DifferenceSystem::solve(const SeparatorTree* tree,
     local_tree = build_separator_tree(skel, make_auto_finder(skel));
     tree = &local_tree;
   }
-  typename SeparatorShortestPaths<TropicalD>::Options opts;
-  opts.build.builder = builder;
-  const auto engine = SeparatorShortestPaths<TropicalD>::build(g, *tree, opts);
+  const auto engine = SeparatorShortestPaths<TropicalD>::build(g, *tree);
 
   // Virtual source with 0-arcs to every variable == all-ones multi-source.
   std::vector<Vertex> all(num_variables_);

@@ -62,8 +62,7 @@ class DifferenceSystem {
   /// decomposition of the constraint graph, preprocesses E+, runs one
   /// multi-source query. The engine path is what the paper's bound
   /// O(n^{1+2mu} + mn) refers to.
-  DifferenceSolution solve(const SeparatorTree* tree = nullptr,
-                           BuilderKind builder = BuilderKind::kRecursive) const;
+  DifferenceSolution solve(const SeparatorTree* tree = nullptr) const;
 
   /// Reference solver (Bellman–Ford with an explicit virtual source);
   /// used by tests to cross-check the engine path.

@@ -72,8 +72,8 @@ class StoredEngine {
 
   struct OpenOptions {
     PoolOptions pool;
-    /// Only the Query half applies (detect_negative_cycles etc.); the
-    /// build already happened in the process that wrote the image.
+    /// Query options (detect_negative_cycles etc.); the build already
+    /// happened in the process that wrote the image.
     typename SeparatorShortestPaths<S>::Options engine;
     /// Readahead for the hottest part of the image: the bucket segments
     /// of the top `hot_levels` levels (every query's sweeps scan them,

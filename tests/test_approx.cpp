@@ -280,24 +280,6 @@ TEST(Approx, RejectsEpsOutOfRange) {
       { (void)ApproxEngine::build(gg.graph, tree, ApproxEngine::Options{}); },
       "approx_eps");
   EXPECT_DEATH({ (void)build_approx(gg.graph, tree, 1.5); }, "approx_eps");
-  // The exact facade refuses to silently ignore a nonzero budget.
-  typename SeparatorShortestPaths<>::Options opts;
-  opts.build.approx_eps = 0.5;
-  EXPECT_DEATH(
-      { (void)SeparatorShortestPaths<>::build(gg.graph, tree, opts); },
-      "ApproxEngine");
-}
-
-TEST(Approx, RejectsDoublingBuilder) {
-  Rng rng(5);
-  const GeneratedGraph gg = make_grid({4, 4}, WeightModel::uniform(1, 9), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({4, 4}));
-  ApproxEngine::Options opts;
-  opts.build.approx_eps = 0.1;
-  opts.build.builder = BuilderKind::kDoubling;
-  EXPECT_DEATH({ (void)ApproxEngine::build(gg.graph, tree, opts); },
-               "kDoubling");
 }
 
 TEST(EngineFastPath, SkippingDetectionSavesScansAndStaysExact) {

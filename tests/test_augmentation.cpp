@@ -11,6 +11,7 @@
 #include "baseline/dijkstra.hpp"
 #include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
+#include "core/engine.hpp"
 #include "core/query.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -126,7 +127,8 @@ TEST(Augmentation, AugmentationShrinksRadiusDramatically) {
 
 TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
   for (const Family& f : families()) {
-    const auto rec = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
+    const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
+    const Augmentation<TropicalD>& rec = engine.augmentation();
     const auto dbl = build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
     // The shortcut edge sets coincide (same Et definition); values match.
     ASSERT_EQ(rec.shortcuts.size(), dbl.shortcuts.size()) << f.name;

@@ -1,8 +1,7 @@
-// The SeparatorShortestPaths facade: nested Options with validated()
-// coherence checks, the unified distances_batch(sources, BatchPolicy)
-// entry point, allocation-free distances_into, the QueryResult
-// accessors, engine.stats(), and the snapshot hooks (freeze /
-// weight-overriding from_augmentation).
+// The SeparatorShortestPaths facade: query Options with validated()
+// checks, the unified distances_batch(sources, BatchPolicy) entry
+// point, allocation-free distances_into, the QueryResult accessors,
+// engine.stats(), and the freeze() snapshot hook.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -41,19 +40,10 @@ std::vector<Vertex> every_kth_vertex(std::size_t n, std::size_t k) {
 
 TEST(EngineOptions, NestedFieldsAreTheSourceOfTruth) {
   SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = BuilderKind::kDoubling;
   opts.query.detect_negative_cycles = false;
   const auto v = opts.validated();
-  EXPECT_EQ(v.build.builder, BuilderKind::kDoubling);
   EXPECT_FALSE(v.query.detect_negative_cycles);
   EXPECT_EQ(v.query.batch_lanes, SeparatorShortestPaths<>::kBatchLanes);
-}
-
-TEST(EngineOptions, ValidatedPreservesNonDefaultNestedValues) {
-  SeparatorShortestPaths<>::Options opts;
-  opts.build.closure = ClosureKind::kFloydWarshall;
-  const auto v = opts.validated();
-  EXPECT_EQ(v.build.closure, ClosureKind::kFloydWarshall);
 }
 
 using EngineOptionsDeathTest = ::testing::Test;
@@ -62,19 +52,6 @@ TEST(EngineOptionsDeathTest, RejectsUndispatchableLaneWidth) {
   SeparatorShortestPaths<>::Options opts;
   opts.query.batch_lanes = 3;
   EXPECT_DEATH((void)opts.validated(), "batch_lanes");
-}
-
-TEST(EngineOptionsDeathTest, RejectsClosureWithDoublingBuilder) {
-  SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = BuilderKind::kDoubling;
-  opts.build.closure = ClosureKind::kFloydWarshall;
-  EXPECT_DEATH((void)opts.validated(), "closure");
-}
-
-TEST(EngineOptionsDeathTest, RejectsDoublingKnobsWithRecursiveBuilder) {
-  SeparatorShortestPaths<>::Options opts;
-  opts.build.doubling.extra_iterations = 1;
-  EXPECT_DEATH((void)opts.validated(), "doubling");
 }
 
 // --- batch entry points ----------------------------------------------
@@ -126,26 +103,6 @@ TEST(EngineSnapshot, FreezeYieldsSharedImmutableEngineWithSameResults) {
   EXPECT_EQ(snap->distances(7).dist, expected);
   EXPECT_EQ(alias->distances(7).dist, expected);
   EXPECT_EQ(snap.use_count(), 2);
-}
-
-TEST(EngineSnapshot, FromAugmentationWithWeightOverrides) {
-  // Reweight every arc to 1.0: the overridden engine must agree with an
-  // engine built from a graph that actually carries those weights.
-  const Fixture f = make_fixture(6);
-  GraphBuilder b(f.gg.graph.num_vertices());
-  for (const EdgeTriple& e : f.gg.graph.edge_list()) {
-    b.add_edge(e.from, e.to, 1.0);
-  }
-  const Digraph unit = std::move(b).build(/*dedup_min=*/false);
-  const auto want = SeparatorShortestPaths<>::build(unit, f.tree);
-
-  const auto unit_aug = want.augmentation();  // shortcuts match weighting
-  const std::vector<double> weights(f.gg.graph.num_edges(), 1.0);
-  const auto overridden = SeparatorShortestPaths<>::from_augmentation(
-      f.gg.graph, unit_aug, weights);
-  for (const Vertex src : {Vertex{0}, Vertex{15}, Vertex{35}}) {
-    EXPECT_EQ(overridden.distances(src).dist, want.distances(src).dist);
-  }
 }
 
 TEST(EngineBatch, EmptySourceListYieldsEmptyResult) {

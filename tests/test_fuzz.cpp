@@ -7,6 +7,7 @@
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/cycle_separator.hpp"
@@ -80,6 +81,17 @@ FuzzInstance random_instance(std::uint64_t seed) {
   return inst;
 }
 
+// The engine's own Algorithm 4.1 build, or an Algorithm 4.3 E+ wrapped
+// in the facade.
+SeparatorShortestPaths<> make_engine(const FuzzInstance& inst, bool doubling) {
+  if (!doubling) {
+    return SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
+  }
+  return SeparatorShortestPaths<>::from_augmentation(
+      inst.gg.graph,
+      build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree));
+}
+
 TEST(Fuzz, FortyRandomConfigurations) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -88,11 +100,7 @@ TEST(Fuzz, FortyRandomConfigurations) {
     ASSERT_EQ(err, std::nullopt) << *err;
 
     Rng pick(seed * 31 + 7);
-    typename SeparatorShortestPaths<>::Options opts;
-    opts.build.builder =
-        pick.next_bool() ? BuilderKind::kRecursive : BuilderKind::kDoubling;
-    const auto engine =
-        SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree, opts);
+    const auto engine = make_engine(inst, /*doubling=*/!pick.next_bool());
     const auto source =
         static_cast<Vertex>(pick.next_below(inst.gg.graph.num_vertices()));
     const auto got = engine.distances(source);
@@ -124,11 +132,7 @@ TEST(Fuzz, BatchedLanesAlwaysMatchScalarQueries) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const FuzzInstance inst = random_instance(seed);
     Rng pick(seed * 17 + 3);
-    typename SeparatorShortestPaths<>::Options opts;
-    opts.build.builder =
-        pick.next_bool() ? BuilderKind::kRecursive : BuilderKind::kDoubling;
-    const auto engine =
-        SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree, opts);
+    const auto engine = make_engine(inst, /*doubling=*/!pick.next_bool());
     std::vector<Vertex> sources;
     const std::size_t count = 3 + pick.next_below(15);
     for (std::size_t i = 0; i < count; ++i) {

@@ -8,7 +8,7 @@
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
-#include "core/builder_recursive.hpp"
+#include "core/engine.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -74,8 +74,8 @@ void expect_matches_exact_build(const IncrementalEngine& engine,
                           return a.from == b.from && a.to == b.to;
                         }),
             got.end());
-  const auto want = build_augmentation_recursive<TropicalD>(
-      reference, tree, ClosureKind::kFloydWarshall);
+  const auto engine_build = SeparatorShortestPaths<>::build(reference, tree);
+  const Augmentation<TropicalD>& want = engine_build.augmentation();
   ASSERT_EQ(got.size(), want.shortcuts.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     const auto& g = got[i];

@@ -7,6 +7,7 @@
 
 #include "baseline/dijkstra.hpp"
 #include "baseline/johnson.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "core/path_tree.hpp"
 #include "graph/generators.hpp"
@@ -49,9 +50,8 @@ TEST(Integration, MixedSign3DGridFullPipeline) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder(dims));
   ASSERT_EQ(tree.validate(Skeleton(gg.graph)), std::nullopt);
 
-  typename SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = BuilderKind::kDoubling;
-  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree, opts);
+  const auto engine = SeparatorShortestPaths<>::from_augmentation(
+      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
   const auto johnson = Johnson::build(gg.graph);
   ASSERT_TRUE(johnson.has_value());
 

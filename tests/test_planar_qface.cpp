@@ -112,18 +112,5 @@ TEST(QFace, PointToPointQueries) {
   EXPECT_NEAR(p.distance(3, 3), 0.0, 1e-12);
 }
 
-TEST(QFace, BothBuildersWork) {
-  Rng rng(9);
-  const HammockGraph hg =
-      make_hammock_ring(5, 5, WeightModel::uniform(1, 9), rng);
-  const QFacePipeline a = QFacePipeline::build(hg, BuilderKind::kRecursive);
-  const QFacePipeline b = QFacePipeline::build(hg, BuilderKind::kDoubling);
-  const auto da = a.distances(10);
-  const auto db = b.distances(10);
-  for (Vertex v = 0; v < hg.graph.num_vertices(); ++v) {
-    EXPECT_NEAR(da[v], db[v], 1e-9);
-  }
-}
-
 }  // namespace
 }  // namespace sepsp

@@ -25,18 +25,19 @@
 namespace sepsp {
 namespace {
 
+// `doubling` builds the engine's E+ with Algorithm 4.3 (wrapped in the
+// facade) instead of the engine's own Algorithm 4.1 build.
 struct Sweep {
   std::string family;
   std::string weights;
-  BuilderKind builder = BuilderKind::kRecursive;
+  bool doubling = false;
   std::size_t leaf_size = 4;
 };
 
 std::string sweep_name(const ::testing::TestParamInfo<Sweep>& info) {
   std::string name = info.param.family + "_" + info.param.weights + "_" +
-                     (info.param.builder == BuilderKind::kRecursive ? "rec"
-                                                                    : "dbl") +
-                     "_leaf" + std::to_string(info.param.leaf_size);
+                     (info.param.doubling ? "dbl" : "rec") + "_leaf" +
+                     std::to_string(info.param.leaf_size);
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
 }
@@ -151,10 +152,12 @@ TEST_P(PropertySweep, Theorem31RadiusBound) {
 }
 
 TEST_P(PropertySweep, AllQueryModesMatchGroundTruth) {
-  typename SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = GetParam().builder;
   const auto engine =
-      SeparatorShortestPaths<>::build(gg_.graph, tree_, opts);
+      GetParam().doubling
+          ? SeparatorShortestPaths<>::from_augmentation(
+                gg_.graph,
+                build_augmentation_doubling<TropicalD>(gg_.graph, tree_))
+          : SeparatorShortestPaths<>::build(gg_.graph, tree_);
   for (const Vertex src : sample_sources(3)) {
     const std::vector<double> want = ground_truth(src);
     const auto scheduled = engine.query_engine().run(src);
@@ -214,24 +217,24 @@ TEST_P(PropertySweep, HubLabelingSpotCheck) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PropertySweep,
     ::testing::Values(
-        Sweep{"grid2d", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"grid2d", "mixed", BuilderKind::kDoubling, 4},
-        Sweep{"grid2d", "unit", BuilderKind::kRecursive, 2},
-        Sweep{"grid2d", "uniform", BuilderKind::kRecursive, 16},
-        Sweep{"grid3d", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"grid3d", "mixed", BuilderKind::kRecursive, 8},
-        Sweep{"tree", "uniform", BuilderKind::kDoubling, 4},
-        Sweep{"tree", "mixed", BuilderKind::kRecursive, 2},
-        Sweep{"mesh-geo", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"mesh-geo", "mixed", BuilderKind::kRecursive, 4},
-        Sweep{"mesh-cycle", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"mesh-cycle", "unit", BuilderKind::kDoubling, 8},
-        Sweep{"unitdisk", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"unitdisk", "mixed", BuilderKind::kRecursive, 4},
-        Sweep{"sparse", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"sparse", "unit", BuilderKind::kDoubling, 2},
-        Sweep{"ktree", "uniform", BuilderKind::kRecursive, 4},
-        Sweep{"ktree", "mixed", BuilderKind::kRecursive, 8}),
+        Sweep{"grid2d", "uniform", false, 4},
+        Sweep{"grid2d", "mixed", true, 4},
+        Sweep{"grid2d", "unit", false, 2},
+        Sweep{"grid2d", "uniform", false, 16},
+        Sweep{"grid3d", "uniform", false, 4},
+        Sweep{"grid3d", "mixed", false, 8},
+        Sweep{"tree", "uniform", true, 4},
+        Sweep{"tree", "mixed", false, 2},
+        Sweep{"mesh-geo", "uniform", false, 4},
+        Sweep{"mesh-geo", "mixed", false, 4},
+        Sweep{"mesh-cycle", "uniform", false, 4},
+        Sweep{"mesh-cycle", "unit", true, 8},
+        Sweep{"unitdisk", "uniform", false, 4},
+        Sweep{"unitdisk", "mixed", false, 4},
+        Sweep{"sparse", "uniform", false, 4},
+        Sweep{"sparse", "unit", true, 2},
+        Sweep{"ktree", "uniform", false, 4},
+        Sweep{"ktree", "mixed", false, 8}),
     sweep_name);
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/johnson.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -16,16 +17,17 @@
 namespace sepsp {
 namespace {
 
-// Parameterized sweep: (family, weight model, builder).
+// Parameterized sweep: (family, weight model, E+ builder). The
+// doubling cases build E+ with Algorithm 4.3 and wrap it in the facade.
 struct Case {
   std::string family;
   std::string weights;
-  BuilderKind builder;
+  bool doubling = false;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.family + "_" + info.param.weights + "_" +
-         (info.param.builder == BuilderKind::kRecursive ? "rec" : "dbl");
+         (info.param.doubling ? "dbl" : "rec");
 }
 
 class QuerySweep : public ::testing::TestWithParam<Case> {
@@ -68,14 +70,20 @@ class QuerySweep : public ::testing::TestWithParam<Case> {
     }
     return inst;
   }
+
+  static SeparatorShortestPaths<> make_engine(const Instance& inst) {
+    if (!GetParam().doubling) {
+      return SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
+    }
+    return SeparatorShortestPaths<>::from_augmentation(
+        inst.gg.graph,
+        build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree));
+  }
 };
 
 TEST_P(QuerySweep, MatchesGroundTruthFromManySources) {
   const Instance inst = make_instance();
-  typename SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = GetParam().builder;
-  const auto engine =
-      SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree, opts);
+  const auto engine = make_engine(inst);
 
   const bool negative_weights = GetParam().weights == "mixed";
   Rng pick(55);
@@ -104,10 +112,7 @@ TEST_P(QuerySweep, MatchesGroundTruthFromManySources) {
 
 TEST_P(QuerySweep, UnscheduledAgreesWithScheduled) {
   const Instance inst = make_instance();
-  typename SeparatorShortestPaths<>::Options opts;
-  opts.build.builder = GetParam().builder;
-  const auto engine =
-      SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree, opts);
+  const auto engine = make_engine(inst);
   const Vertex source = 3;
   const auto scheduled = engine.query_engine().run(source);
   const auto naive = engine.query_engine().run_unscheduled(source);
@@ -123,18 +128,18 @@ TEST_P(QuerySweep, UnscheduledAgreesWithScheduled) {
 INSTANTIATE_TEST_SUITE_P(
     Families, QuerySweep,
     ::testing::Values(
-        Case{"grid2d", "uniform", BuilderKind::kRecursive},
-        Case{"grid2d", "uniform", BuilderKind::kDoubling},
-        Case{"grid2d", "mixed", BuilderKind::kRecursive},
-        Case{"grid2d", "unit", BuilderKind::kRecursive},
-        Case{"grid3d", "uniform", BuilderKind::kRecursive},
-        Case{"grid3d", "mixed", BuilderKind::kDoubling},
-        Case{"tree", "uniform", BuilderKind::kRecursive},
-        Case{"tree", "mixed", BuilderKind::kRecursive},
-        Case{"mesh", "uniform", BuilderKind::kDoubling},
-        Case{"mesh", "mixed", BuilderKind::kRecursive},
-        Case{"sparse", "uniform", BuilderKind::kRecursive},
-        Case{"sparse", "uniform", BuilderKind::kDoubling}),
+        Case{"grid2d", "uniform", false},
+        Case{"grid2d", "uniform", true},
+        Case{"grid2d", "mixed", false},
+        Case{"grid2d", "unit", false},
+        Case{"grid3d", "uniform", false},
+        Case{"grid3d", "mixed", true},
+        Case{"tree", "uniform", false},
+        Case{"tree", "mixed", false},
+        Case{"mesh", "uniform", true},
+        Case{"mesh", "mixed", false},
+        Case{"sparse", "uniform", false},
+        Case{"sparse", "uniform", true}),
     case_name);
 
 TEST(Query, UnreachableVerticesStayInfinite) {

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "baseline/dijkstra.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "semiring/matrix.hpp"
@@ -104,10 +105,9 @@ TEST(SemiringEngines, BothBuildersAgreeOnBottleneck) {
       make_grid({6, 6}, WeightModel::uniform(1, 30), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
-  typename SeparatorShortestPaths<BottleneckSR>::Options dbl;
-  dbl.build.builder = BuilderKind::kDoubling;
   const auto a = SeparatorShortestPaths<BottleneckSR>::build(gg.graph, tree);
-  const auto b = SeparatorShortestPaths<BottleneckSR>::build(gg.graph, tree, dbl);
+  const auto b = SeparatorShortestPaths<BottleneckSR>::from_augmentation(
+      gg.graph, build_augmentation_doubling<BottleneckSR>(gg.graph, tree));
   const auto ra = a.distances(0);
   const auto rb = b.distances(0);
   EXPECT_EQ(ra.dist, rb.dist);

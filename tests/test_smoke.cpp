@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/dijkstra.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -20,12 +21,14 @@ TEST(Smoke, GridEndToEnd) {
       build_separator_tree(skel, make_grid_finder(dims));
   ASSERT_EQ(tree.validate(skel), std::nullopt) << *tree.validate(skel);
 
-  for (const BuilderKind kind :
-       {BuilderKind::kRecursive, BuilderKind::kDoubling}) {
-    typename SeparatorShortestPaths<>::Options opts;
-    opts.build.builder = kind;
+  // Algorithm 4.1 is the engine's build; Algorithm 4.3's E+ is wrapped
+  // in the same facade.
+  for (const bool doubling : {false, true}) {
     const auto engine =
-        SeparatorShortestPaths<>::build(gg.graph, tree, opts);
+        doubling ? SeparatorShortestPaths<>::from_augmentation(
+                       gg.graph,
+                       build_augmentation_doubling<TropicalD>(gg.graph, tree))
+                 : SeparatorShortestPaths<>::build(gg.graph, tree);
     for (const Vertex source : {Vertex{0}, Vertex{40}, Vertex{80}}) {
       const QueryResult<TropicalD> got = engine.distances(source);
       ASSERT_FALSE(got.negative_cycle);

@@ -121,7 +121,7 @@ TEST(Solver, AcceptsExternalDecomposition) {
   const Digraph g = sys.constraint_graph();
   const Skeleton skel(g);
   const SeparatorTree tree = build_separator_tree(skel, make_tree_finder());
-  const auto sol = sys.solve(&tree, BuilderKind::kDoubling);
+  const auto sol = sys.solve(&tree);
   expect_satisfies(sys, cs, sol);
 }
 
