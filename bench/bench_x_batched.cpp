@@ -97,6 +97,7 @@ void run_instance(const Instance& inst, Table& table) {
       .field("diameter_bound", stats.diameter_bound)
       .field("build_work", stats.build_work)
       .field("critical_depth", stats.critical_depth)
+      .field("cycle_certified", stats.cycle_certified ? 1 : 0)
       .field("queries", stats.queries)
       .field("edges_scanned", stats.edges_scanned)
       .field("phases", stats.phases)

@@ -52,6 +52,13 @@ struct Augmentation {
   /// end with a fixpoint polish over E u E+ instead. No persistence
   /// format carries it — approximate augmentations are never written.
   bool complete = true;
+  /// The build certified that G has no negative cycle: Algorithm 4.1
+  /// with Floyd–Warshall closures found no diagonal cell below one()
+  /// (builder_recursive.hpp). Engines frozen over a certified
+  /// augmentation skip the per-query verification pass. False means
+  /// "not certified", not "has a cycle": Algorithm 4.3 builds, v3 images
+  /// and hand-built augmentations keep the pass.
+  bool cycle_free = false;
 
   /// Theorem 3.1's bound on the min-weight diameter of G+.
   std::size_t diameter_bound() const { return 4 * height + 2 * ell + 1; }

@@ -87,6 +87,11 @@ inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 /// What one node step computed, handed to the emission policy. `hs` is
 /// the closed H_S (0 x 0 at leaves); `b_to_s` / `s_to_b` are the step-iii
 /// rectangles (empty at leaves); `bm` is the boundary matrix.
+/// `negative_diagonal` is set when the node's closure — the leaf's
+/// Floyd–Warshall matrix or the closed H_S — has a diagonal cell
+/// strictly better than one(): a negative closed walk in G. With
+/// Floyd–Warshall closures, G has a negative cycle exactly when some
+/// node sets it (docs/ALGORITHMS.md, "The negative-cycle certificate").
 template <Semiring S>
 struct NodeValues {
   const DecompNode& node;
@@ -94,7 +99,21 @@ struct NodeValues {
   const Matrix<S>& b_to_s;
   const Matrix<S>& s_to_b;
   const Matrix<S>& bm;
+  bool negative_diagonal = false;
 };
+
+/// True when some diagonal cell of the square matrix `m` is strictly
+/// better than one() (below 0 in the tropical semirings; never for
+/// BooleanSR or BottleneckSR). Exact comparison, no tolerance: rounding
+/// can only report a cycle that is not there, which keeps the query-time
+/// verification pass on.
+template <Semiring S>
+bool has_negative_diagonal(const Matrix<S>& m) {
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (S::improves(S::one(), m.at(i, i))) return true;
+  }
+  return false;
+}
 
 /// Steps i-v of Algorithm 4.1 for node `id`, then emit(NodeValues).
 /// Reads the children's boundary matrices from `bnd` and writes the
@@ -135,7 +154,8 @@ void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
     sc.hs.reset(0);
     sc.b_to_s.reset(0);
     sc.s_to_b.reset(0);
-    emit(NodeValues<S>{t, sc.hs, sc.b_to_s, sc.s_to_b, bm});
+    emit(NodeValues<S>{t, sc.hs, sc.b_to_s, sc.s_to_b, bm,
+                       has_negative_diagonal(local)});
     return;
   }
 
@@ -223,7 +243,7 @@ void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
       }
     }
   }
-  emit(NodeValues<S>{t, hs, b_to_s, s_to_b, bm});
+  emit(NodeValues<S>{t, hs, b_to_s, s_to_b, bm, has_negative_diagonal(hs)});
 }
 
 /// Writes all ordered pairs (i != j) of `verts` with values m(i, j),
@@ -260,13 +280,19 @@ struct LevelRun {
   Augmentation<S> aug;
   std::vector<std::size_t> offsets;
   std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
+  /// Per node: NodeValues::negative_diagonal of its step.
+  std::vector<std::uint8_t> negative_diagonal;
 };
 
 /// Algorithm 4.1 over the whole tree: node_step on every node, deepest
 /// level first, the nodes of one level in parallel; node id emits via
 /// emit(values, slice) into a slice of emit.capacity(node) entries.
 /// A parent releases its children's boundary matrices once consumed
-/// unless `keep_bnd`. Fills levels, height, ell and critical_depth.
+/// unless `keep_bnd`. Fills levels, height, ell and critical_depth, and
+/// sets cycle_free when the closures are Floyd–Warshall and no node has
+/// a negative diagonal. The squaring closure never certifies: its
+/// ceil(log2(|S| - 1)) squarings cover every simple path of H_S but not
+/// every simple cycle (a cycle through all of S needs |S| hops).
 template <Semiring S, typename Emit>
 LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
                             ClosureKind closure, Emit& emit, bool keep_bnd) {
@@ -276,6 +302,7 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   run.aug.height = tree.height();
   run.aug.ell = leaf_diameter_bound(tree);
   run.bnd.resize(num_nodes);
+  run.negative_diagonal.assign(num_nodes, 0);
   // Every node's slice size is known up front, so the output array is
   // sized once and node tasks write disjoint slices.
   run.offsets.resize(num_nodes);
@@ -294,8 +321,10 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
         run.aug.shortcuts.data() + run.offsets[id],
         run.offsets[id + 1] - run.offsets[id]);
     node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
-                 run.bnd[id],
-                 [&](const NodeValues<S>& v) { emit(v, slice); });
+                 run.bnd[id], [&](const NodeValues<S>& v) {
+                   run.negative_diagonal[id] = v.negative_diagonal ? 1 : 0;
+                   emit(v, slice);
+                 });
     const DecompNode& t = tree.node(id);
     if (!keep_bnd && !t.is_leaf()) {
       run.bnd[static_cast<std::size_t>(t.child[0])].clear();
@@ -336,6 +365,10 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
     }
     run.aug.critical_depth += level_depth;
   }
+  run.aug.cycle_free = closure == ClosureKind::kFloydWarshall &&
+                       std::none_of(run.negative_diagonal.begin(),
+                                    run.negative_diagonal.end(),
+                                    [](std::uint8_t f) { return f != 0; });
   return run;
 }
 

@@ -56,9 +56,11 @@ class SeparatorShortestPaths {
   struct Options {
     /// Query-time knobs (consulted on every query).
     struct Query {
-      /// Skip the per-query negative-cycle verification pass (sound when
-      /// the input is known cycle-free, e.g. nonnegative weights); saves
-      /// one full E u E+ scan per source.
+      /// Run the per-query negative-cycle verification pass (one full
+      /// E u E+ scan per source) unless the build certified the graph
+      /// cycle-free (Augmentation::cycle_free). false skips it always —
+      /// sound when the caller knows the input is cycle-free (e.g.
+      /// nonnegative weights).
       bool detect_negative_cycles = true;
       /// Default lane width for distances_batch(); one of 1, 2, 4, 8,
       /// 16, 32.
@@ -99,16 +101,19 @@ class SeparatorShortestPaths {
   }
 
   /// Wraps a precomputed augmentation (e.g. one the approximate engine
-  /// or Algorithm 4.3 built) without rebuilding E+.
+  /// or Algorithm 4.3 built) without rebuilding E+. The engine freezes
+  /// aug.cycle_free: a certified augmentation's queries skip the
+  /// verification pass.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {
     SEPSP_CHECK(aug.levels.level.size() == g.num_vertices());
     const Options resolved = options.validated();
-    SeparatorShortestPaths engine(g, resolved.query);
+    SeparatorShortestPaths engine(g, resolved.query, aug.cycle_free);
     engine.aug_ = std::make_shared<const Augmentation<S>>(std::move(aug));
     engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *engine.aug_, resolved.query.detect_negative_cycles);
+        g, *engine.aug_,
+        resolved.query.detect_negative_cycles && !engine.cycle_certified_);
     return engine;
   }
 
@@ -117,13 +122,18 @@ class SeparatorShortestPaths {
   /// IncrementalEngine::snapshot(). `aug` is the (possibly aliasing)
   /// shared handle keeping the query's augmentation alive; `query` must
   /// have been produced by LeveledQuery::fork_shared() or
-  /// LeveledQuery::from_store() against that augmentation. Cost:
-  /// O(#slabs) pointer moves — no value copies.
+  /// LeveledQuery::from_store() against that augmentation.
+  /// `cycle_certified` is the certificate of the weighting the query
+  /// froze, read by the caller at fork time (the aliased augmentation's
+  /// copy may change under a later IncrementalEngine::apply()); the
+  /// caller forks the query with the pass off exactly when it is set.
+  /// Cost: O(#slabs) pointer moves — no value copies.
   static SeparatorShortestPaths from_forked_query(
       const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
-      LeveledQuery<S> query, const Options& options = {}) {
+      LeveledQuery<S> query, bool cycle_certified,
+      const Options& options = {}) {
     const Options resolved = options.validated();
-    SeparatorShortestPaths engine(g, resolved.query);
+    SeparatorShortestPaths engine(g, resolved.query, cycle_certified);
     engine.aug_ = std::move(aug);
     engine.query_ = std::make_unique<LeveledQuery<S>>(std::move(query));
     return engine;
@@ -144,6 +154,10 @@ class SeparatorShortestPaths {
   const Augmentation<S>& augmentation() const { return *aug_; }
   const LeveledQuery<S>& query_engine() const { return *query_; }
   const typename Options::Query& query_options() const { return qopts_; }
+  /// The certificate frozen with this engine: true when the build proved
+  /// the weighting free of negative cycles, so queries skip the
+  /// verification pass (QueryResult::negative_cycle is then false).
+  bool cycle_certified() const { return cycle_certified_; }
 
   /// Distances from one source; O(ell |E| + |E+|) work.
   QueryResult<S> distances(Vertex source) const {
@@ -223,6 +237,7 @@ class SeparatorShortestPaths {
     st.build_work = aug_->build_cost.work;
     st.build_depth = aug_->build_cost.depth;
     st.critical_depth = aug_->critical_depth;
+    st.cycle_certified = cycle_certified_;
     st.simd_tier = simd::tier_name(simd::active_tier());
     const auto same = query_->same_buckets();
     const auto down = query_->down_buckets();
@@ -251,10 +266,12 @@ class SeparatorShortestPaths {
   }
 
  private:
-  explicit SeparatorShortestPaths(const Digraph& g,
-                                  const typename Options::Query& qopts)
+  SeparatorShortestPaths(const Digraph& g,
+                         const typename Options::Query& qopts,
+                         bool cycle_certified)
       : g_(&g),
         qopts_(qopts),
+        cycle_certified_(cycle_certified),
         counters_(std::make_unique<EngineCounters>()) {}
 
   static constexpr bool valid_lane_width(std::size_t lanes) {
@@ -315,6 +332,9 @@ class SeparatorShortestPaths {
 
   const Digraph* g_;
   typename Options::Query qopts_;
+  // Frozen at construction, never re-read from aug_: a snapshot's aug_
+  // aliases a live IncrementalEngine that apply() keeps rewriting.
+  bool cycle_certified_;
   // Stable-address handles so the engine can be moved (the query holds
   // a pointer to the augmentation). The augmentation is shared because
   // snapshot engines built via from_forked_query() alias the live

@@ -40,6 +40,10 @@ struct EngineStats {
   std::uint64_t build_work = 0;    ///< PRAM work charged building E+
   std::uint64_t build_depth = 0;   ///< summed kernel phases of the build
   std::uint64_t critical_depth = 0;  ///< critical-path depth of the build
+  /// The build certified no negative cycle, so queries skip the
+  /// verification pass (the engine's frozen copy of
+  /// Augmentation::cycle_free; false for v3 images and Algorithm 4.3).
+  bool cycle_certified = false;
   std::string simd_tier;  ///< active SIMD dispatch tier (scalar/sse/avx2/avx512)
   std::vector<EngineLevelStats> levels;
 
@@ -95,6 +99,8 @@ struct EngineStats {
     summary.add_row().cell("build work").cell(with_commas(build_work));
     summary.add_row().cell("build depth").cell(with_commas(build_depth));
     summary.add_row().cell("critical depth").cell(with_commas(critical_depth));
+    summary.add_row().cell("cycle certified").cell(
+        cycle_certified ? "yes" : "no");
     summary.add_row().cell("queries").cell(with_commas(queries));
     summary.add_row().cell("edges scanned").cell(with_commas(edges_scanned));
     summary.add_row().cell("phases").cell(with_commas(phases));

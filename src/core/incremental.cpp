@@ -31,6 +31,14 @@ struct IncrementalEngine::State {
   std::vector<Shortcut<S>> entries;
   std::vector<std::size_t> entry_off;
 
+  /// The negative-cycle certificate, per node: node id's closure has a
+  /// diagonal cell below one() (NodeValues::negative_diagonal), and how
+  /// many nodes do. apply() refreshes the flags of exactly the nodes it
+  /// recomputes; any other node's inputs did not change, so its flag
+  /// still holds. aug.cycle_free mirrors negative_nodes == 0.
+  std::vector<std::uint8_t> negative_diagonal;
+  std::size_t negative_nodes = 0;
+
   /// E+ with one stable slot per distinct (from, to) pair — including
   /// currently-unreachable pairs (value +inf), which reweighting may
   /// activate. entry_slot maps each entry to its slot; owners is a CSR
@@ -92,14 +100,17 @@ struct IncrementalEngine::State {
   /// change while its boundary matrix does not, and vice versa). The
   /// per-entry diff is recorded in entry_changed so apply()
   /// re-minimizes only slots whose contributed value actually moved,
-  /// not every slot of a changed node.
+  /// not every slot of a changed node. `negative_diagonal` is the
+  /// node's fresh certificate flag, folded in serially by apply().
   struct Recomputed {
     bool matrix = false;
     bool edges = false;
+    bool negative_diagonal = false;
   };
   Recomputed recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
     const std::size_t lo = entry_off[id];
     const std::size_t n = entry_off[id + 1] - lo;
+    Recomputed r;
     detail::node_step<S>(
         *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
         [&](const Arc& a) {
@@ -108,8 +119,8 @@ struct IncrementalEngine::State {
         sc, sc.bm, [&](const detail::NodeValues<S>& v) {
           sc.edges.resize(n);
           detail::CompleteEmission<S>{}(v, sc.edges);
+          r.negative_diagonal = v.negative_diagonal;
         });
-    Recomputed r;
     r.matrix = !(sc.bm == bnd[id]);
     if (r.matrix) bnd[id] = sc.bm;
     Shortcut<S>* now = entries.data() + lo;
@@ -150,6 +161,9 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
       g, tree, ClosureKind::kFloydWarshall, emit, /*keep_bnd=*/true);
   s.bnd = std::move(run.bnd);
   s.entry_off = std::move(run.offsets);
+  s.negative_diagonal = std::move(run.negative_diagonal);
+  s.negative_nodes = static_cast<std::size_t>(std::count(
+      s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
   s.aug = std::move(run.aug);
   s.entries.swap(s.aug.shortcuts);  // the slots are laid out below
 
@@ -305,6 +319,11 @@ std::size_t IncrementalEngine::apply() {
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const std::size_t id = ids[k];
       recomputed.push_back(id);
+      const std::uint8_t negative = changed[k].negative_diagonal ? 1 : 0;
+      if (negative != s.negative_diagonal[id]) {
+        s.negative_diagonal[id] = negative;
+        negative ? ++s.negative_nodes : --s.negative_nodes;
+      }
       if (changed[k].edges) {
         for (std::size_t e = s.entry_off[id]; e < s.entry_off[id + 1]; ++e) {
           if (!s.entry_changed[e]) continue;
@@ -367,6 +386,7 @@ std::size_t IncrementalEngine::apply() {
     slabs_copied += s.query->refresh_base(arc, S::from_weight(s.weights[arc]));
   }
 
+  s.aug.cycle_free = s.negative_nodes == 0;
   s.last_stats = {recomputed.size(), touched.size(), slabs_copied};
 
   for (const std::size_t id : recomputed) s.dirty_seen[id] = 0;
@@ -402,15 +422,18 @@ IncrementalEngine::Snapshot IncrementalEngine::snapshot(
   // augmentation — no copies proportional to the structure. The aug
   // values may keep mutating under later apply() calls; the snapshot
   // never reads them (its query resolves values from its own forked
-  // slabs).
+  // slabs). Likewise the certificate is copied here, at freeze time: a
+  // certified epoch's queries skip the negative-cycle pass.
   std::shared_ptr<const Augmentation<S>> aug_alias(state_, &s.aug);
+  const bool certified = s.aug.cycle_free;
   Snapshot snap;
   snap.epoch = s.epoch;
   snap.engine = SeparatorShortestPaths<S>::freeze(
       SeparatorShortestPaths<S>::from_forked_query(
           *s.g, std::move(aug_alias),
-          s.query->fork_shared(options.query.detect_negative_cycles),
-          options));
+          s.query->fork_shared(options.query.detect_negative_cycles &&
+                               !certified),
+          certified, options));
   return snap;
 }
 

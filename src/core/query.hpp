@@ -292,7 +292,9 @@ class LeveledQuery {
 
   /// `detect_negative_cycles == false` skips the final verification pass
   /// (one full scan of E u E+ per query) — sound when the caller knows
-  /// the graph has no negative cycle (e.g. nonnegative weights).
+  /// the graph has no negative cycle: the build certified it
+  /// (Augmentation::cycle_free; the facade passes the flag through
+  /// `detect && !cycle_free`), or the weights are nonnegative.
   LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
                bool detect_negative_cycles = true)
       : g_(&g), aug_(&aug), detect_cycles_(detect_negative_cycles) {

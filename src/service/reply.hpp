@@ -83,6 +83,11 @@ enum class ReplyStatus : std::uint8_t {
   /// a kind or mode this service was not configured for (st without
   /// point_to_point, approx without approx.enabled). Do not retry.
   kInvalid,
+  /// This epoch's weighting has a negative cycle (st-distance and
+  /// st-path: the build could not certify it cycle-free, so the epoch
+  /// carries no hub labels). `epoch` names it; retry after the next
+  /// update.
+  kFailed,
 };
 
 /// What a submitted request resolves to. The payload matching `kind` is
@@ -92,7 +97,7 @@ struct Reply {
   ReplyStatus status = ReplyStatus::kOk;
   RequestKind kind = RequestKind::kSingleSource;
   /// Weighting version the answer was computed against (the snapshot's
-  /// epoch at resolution time). Meaningful only when ok().
+  /// epoch at resolution time). Meaningful only when ok() or kFailed.
   std::uint64_t epoch = 0;
   bool cache_hit = false;
   /// Nanoseconds from submit() to resolution (queue wait + coalesce

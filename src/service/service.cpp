@@ -31,11 +31,13 @@ std::future<Reply> ready(Reply reply) {
   return p.get_future();
 }
 
-/// A resolved non-ok reply of `kind`.
-std::future<Reply> rejected(ReplyStatus status, RequestKind kind) {
+/// A resolved non-ok reply of `kind` (naming `epoch` for kFailed).
+std::future<Reply> rejected(ReplyStatus status, RequestKind kind,
+                            std::uint64_t epoch = 0) {
   Reply reply;
   reply.status = status;
   reply.kind = kind;
+  reply.epoch = epoch;
   return ready(std::move(reply));
 }
 
@@ -257,7 +259,12 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     return ready(std::move(reply));
   }
 
-  SEPSP_CHECK(snap->labels != nullptr);
+  if (snap->labels == nullptr) {
+    // attach_point_to_point() left this epoch without labels: its
+    // weighting has a negative cycle, so st distances are undefined.
+    counters_.failed.fetch_add(1, std::memory_order_relaxed);
+    return rejected(ReplyStatus::kFailed, kind, snap->epoch);
+  }
 
   std::shared_ptr<const CachedStAnswer> answer;
   if (opts_.cache_enabled) {
@@ -482,6 +489,13 @@ void QueryService::attach_point_to_point(IncrementalEngine::Snapshot& snap) {
   // same weighting. engine_->weights() is safe to read: callers hold
   // update_mutex_ (or are the constructor, before any dispatcher runs).
   const IncrementalEngine::Snapshot bwd = bwd_engine_->snapshot(opts_.engine);
+  // Hub labels need exact distances, which a negative cycle leaves
+  // undefined. An epoch the build could not certify cycle-free is
+  // published without labels; its st requests resolve kFailed.
+  if (!snap.engine->cycle_certified() || !bwd.engine->cycle_certified()) {
+    snap.labels = nullptr;
+    return;
+  }
   snap.labels = std::make_shared<const RoutingScheme>(
       RoutingScheme::build_from_engines(engine_->graph(), engine_->tree(),
                                         *snap.engine, *bwd.engine, *reversed_,
@@ -518,6 +532,7 @@ ServiceStats QueryService::stats() const {
   out.shed = counters_.shed.load(std::memory_order_relaxed);
   out.stopped = counters_.stopped.load(std::memory_order_relaxed);
   out.invalid = counters_.invalid.load(std::memory_order_relaxed);
+  out.failed = counters_.failed.load(std::memory_order_relaxed);
   out.single_source = counters_.single_source.load(std::memory_order_relaxed);
   out.st_distance = counters_.st_distance.load(std::memory_order_relaxed);
   out.st_path = counters_.st_path.load(std::memory_order_relaxed);

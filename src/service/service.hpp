@@ -38,8 +38,10 @@
 //    apply_updates() mirrors every weight change into it and rebuilds
 //    the labels once during successor-snapshot construction (off the
 //    swap critical path, on the work-stealing pool), so every epoch's
-//    st answers are exact
-//    under that epoch's weighting. A second sharded LRU keyed
+//    st answers are exact under that epoch's weighting. An epoch whose
+//    weighting has a negative cycle carries no labels, and its st
+//    requests resolve kFailed until an update removes the cycle. A
+//    second sharded LRU keyed
 //    (epoch, s, t) caches st answers with the same bit-identical
 //    hit/miss parity as the distance cache.
 //
@@ -124,14 +126,16 @@ class QueryService {
   /// time (the returned future is always ready): st-cache hit, or one
   /// sorted label merge against the current snapshot's hub labels.
   /// Requires ServiceOptions::point_to_point and both endpoints in
-  /// range (kInvalid otherwise).
+  /// range (kInvalid otherwise); kFailed when the current epoch's
+  /// weighting has a negative cycle.
   std::future<Reply> submit(StDistance request);
 
   /// Submits one point-to-point path request. Resolves at submit time:
   /// st-cache hit carrying a path, or a label merge plus a hop-by-hop
   /// routing-table walk. A cached path-less StDistance answer for the
   /// same (s, t) is upgraded in place. Requires point_to_point and
-  /// both endpoints in range (kInvalid otherwise).
+  /// both endpoints in range (kInvalid otherwise); kFailed like
+  /// StDistance.
   std::future<Reply> submit(StPath request);
 
   /// Convenience synchronous spellings of submit(...).get().
@@ -175,6 +179,7 @@ class QueryService {
     PaddedAtomicU64 shed;
     PaddedAtomicU64 stopped;
     PaddedAtomicU64 invalid;
+    PaddedAtomicU64 failed;
     // Per-request hit accounting (a "hit" is any request answered
     // without running the kernel for it — submit-time cache hits,
     // flush-time re-check hits, and in-group dedup shares). The raw
@@ -265,7 +270,9 @@ class QueryService {
   std::future<Reply> submit_st(Vertex s, Vertex t, RequestKind kind,
                                bool approx);
   /// Builds this epoch's hub labels (with next hops) from the two
-  /// incremental engines and hangs them off `snap`. Called inside
+  /// incremental engines and hangs them off `snap` — or leaves
+  /// snap.labels null when either engine's snapshot is not certified
+  /// cycle-free (Augmentation::cycle_free). Called inside
   /// apply_updates() between snapshot fork and publish — readers keep
   /// the previous snapshot for the whole build, so the cost shows up as
   /// epoch lag, never as swap latency.

@@ -12,6 +12,7 @@ void ServiceStats::print(std::ostream& os) const {
   t.add_row().cell("shed").cell(with_commas(shed));
   t.add_row().cell("stopped").cell(with_commas(stopped));
   t.add_row().cell("invalid").cell(with_commas(invalid));
+  t.add_row().cell("failed").cell(with_commas(failed));
   t.add_row().cell("cache hits").cell(with_commas(cache_hits));
   t.add_row().cell("cache misses").cell(with_commas(cache_misses));
   t.add_row().cell("cache hit rate").cell(hit_rate(), 3);

@@ -19,9 +19,12 @@ struct ServiceStats {
   std::uint64_t completed = 0;  ///< replies resolved with kOk
   std::uint64_t shed = 0;       ///< rejected at admission (queue full)
   std::uint64_t stopped = 0;    ///< rejected because the service stopped
-  /// Rejected as unservable client input (ReplyStatus::kInvalid);
-  /// submitted == completed + shed + stopped + invalid.
+  /// Rejected as unservable client input (ReplyStatus::kInvalid).
   std::uint64_t invalid = 0;
+  /// st requests against an epoch with a negative cycle
+  /// (ReplyStatus::kFailed);
+  /// submitted == completed + shed + stopped + invalid + failed.
+  std::uint64_t failed = 0;
   /// Per-kind admission counts; their sum is `submitted`.
   std::uint64_t single_source = 0;
   std::uint64_t st_distance = 0;

@@ -15,7 +15,11 @@
 // The engine is read-only (refresh/apply paths abort) and bit-identical
 // to the heap engine the image was written from: the image stores the
 // heap engine's sorted bucket arrays verbatim, and the kernels scan
-// them in the same order.
+// them in the same order. Distances, that is: a v3 image carries no
+// negative-cycle certificate (Augmentation::cycle_free), so a stored
+// engine keeps the per-query verification pass that a certified heap
+// engine skips, and its replies count one more E u E+ phase. The format
+// is unchanged on purpose.
 //
 // Lifetime: StoredEngine is a shared handle. snapshot() returns the
 // facade as SeparatorShortestPaths<S>::Snapshot whose control block
@@ -340,13 +344,17 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   }
 
   // --- assemble ----------------------------------------------------------
+  // A v3 image carries no negative-cycle certificate (the format is
+  // unchanged on purpose), so a stored engine keeps the verification
+  // pass whenever detect_negative_cycles asks for it.
   const auto resolved = options.engine.validated();
   LeveledQuery<S> query = LeveledQuery<S>::from_store(
       *impl->graph, *impl->aug, buckets,
       resolved.query.detect_negative_cycles);
   impl->engine = std::make_unique<SeparatorShortestPaths<S>>(
       SeparatorShortestPaths<S>::from_forked_query(
-          *impl->graph, impl->aug, std::move(query), resolved));
+          *impl->graph, impl->aug, std::move(query),
+          /*cycle_certified=*/false, resolved));
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {
     const std::uint32_t l = h.height - i;
     for (const ExternalBucketStore<Value>* b :

@@ -290,12 +290,29 @@ TEST(EngineFastPath, SkippingDetectionSavesScansAndStaysExact) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({12, 12}));
   typename SeparatorShortestPaths<>::Options fast;
   fast.query.detect_negative_cycles = false;
-  const auto checked = SeparatorShortestPaths<>::build(gg.graph, tree);
+  // The build certifies these positive weights cycle-free, which skips
+  // the pass already; an uncertified copy of its augmentation pays it.
+  auto uncertified = build_augmentation_recursive<TropicalD>(
+      gg.graph, tree, ClosureKind::kFloydWarshall);
+  ASSERT_TRUE(uncertified.cycle_free);
+  uncertified.cycle_free = false;
+  const auto checked =
+      SeparatorShortestPaths<>::from_augmentation(gg.graph, uncertified);
   const auto unchecked = SeparatorShortestPaths<>::build(gg.graph, tree, fast);
+  const auto certified = SeparatorShortestPaths<>::build(gg.graph, tree);
   const auto a = checked.distances(0);
   const auto b = unchecked.distances(0);
+  const auto c = certified.distances(0);
   EXPECT_EQ(a.dist, b.dist);
   EXPECT_LT(b.edges_scanned, a.edges_scanned);
+  // The pass is exactly one scan of E u E+ and one phase.
+  EXPECT_EQ(a.edges_scanned - b.edges_scanned,
+            gg.graph.num_edges() + checked.stats().eplus_edges);
+  EXPECT_EQ(a.phases, b.phases + 1);
+  // A certified engine skips it without being asked.
+  EXPECT_EQ(c.dist, b.dist);
+  EXPECT_EQ(c.edges_scanned, b.edges_scanned);
+  EXPECT_EQ(c.phases, b.phases);
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 //        in G+ equal distances in G,
 //   (ii) the min-weight diameter of G+ respects 4 d_G + 2 ell + 1,
 //   plus: both builders agree, shortcut endpoints have defined levels,
-//   and shortcut weights are exactly dist_{G(t)} on the node subgraphs.
+//   shortcut weights are exactly dist_{G(t)} on the node subgraphs, and
+//   the negative-cycle certificate (Augmentation::cycle_free) agrees
+//   with a Bellman–Ford oracle.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
+#include "baseline/negative_cycle.hpp"
 #include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
@@ -215,6 +219,222 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
     ASSERT_NE(it, best.end());
     EXPECT_EQ(e.value, it->second) << e.from << "->" << e.to;
   }
+}
+
+// --- the negative-cycle certificate -----------------------------------
+
+// `g` with every arc reweighted by weight_of(edge) and the extra arcs
+// appended (parallel arcs keep the minimum). The skeleton is unchanged
+// whenever the extra arcs join skeleton neighbours (or are self-loops).
+template <typename WeightOf>
+Digraph reweight(const Digraph& g, const WeightOf& weight_of,
+                 const std::vector<EdgeTriple>& extra = {}) {
+  GraphBuilder b(g.num_vertices());
+  for (EdgeTriple e : g.edge_list()) {
+    e.weight = weight_of(e);
+    b.add_edge(e.from, e.to, e.weight);
+  }
+  b.add_edges(extra);
+  return std::move(b).build();
+}
+
+// Checks the certificate of the build and of the engine over g against
+// the oracle; returns the oracle's verdict.
+bool expect_certificate_matches_oracle(const Digraph& g,
+                                       const SeparatorTree& tree,
+                                       const std::string& what) {
+  const bool oracle = !find_negative_cycle(g).has_value();
+  EXPECT_EQ(build_augmentation_recursive<TropicalD>(
+                g, tree, ClosureKind::kFloydWarshall)
+                .cycle_free,
+            oracle)
+      << what;
+  if (oracle) {
+    // TropicalI certifies too. Only on cycle-free input: around a
+    // negative cycle Floyd–Warshall cells can double per pivot, past
+    // the range of long long.
+    EXPECT_TRUE(build_augmentation_recursive<TropicalI>(
+                    g, tree, ClosureKind::kFloydWarshall)
+                    .cycle_free)
+        << what;
+  }
+  const auto engine = SeparatorShortestPaths<>::build(g, tree);
+  EXPECT_EQ(engine.cycle_certified(), oracle) << what;
+  EXPECT_EQ(engine.stats().cycle_certified, oracle) << what;
+  // Certified or not, replies keep the oracle's per-source verdict, and
+  // a certified engine's distances are exact.
+  const Vertex source = static_cast<Vertex>(g.num_vertices() / 2);
+  const auto got = engine.distances(source);
+  const BellmanFordResult want = bellman_ford(g, source);
+  EXPECT_EQ(got.negative_cycle, want.negative_cycle) << what;
+  if (oracle) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(got.dist[v], want.dist[v]) << what << " v=" << v;
+    }
+  }
+  return oracle;
+}
+
+TEST(CycleCertificate, MatchesOracleOnRandomMixedSignInstances) {
+  // Integer weights keep every sum exact in double, so the certificate
+  // is held to the oracle exactly. Half the instances are potential-
+  // shifted (never a negative cycle, zero-weight cycles common); half
+  // draw raw mixed-sign weights; every fifth plants a negative 2-cycle.
+  Rng rng(2023);
+  std::size_t certified = 0;
+  std::size_t cyclic = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    GeneratedGraph gg;
+    SeparatorFinder finder;
+    switch (trial % 3) {
+      case 0: {
+        const std::size_t side = 3 + rng.next_below(4);
+        gg = make_grid({side, side}, WeightModel::unit(), rng);
+        finder = make_grid_finder({side, side});
+        break;
+      }
+      case 1:
+        gg = make_grid({3, 3, 3}, WeightModel::unit(), rng);
+        finder = make_grid_finder({3, 3, 3});
+        break;
+      default: {
+        const std::size_t n = 20 + rng.next_below(30);
+        gg = make_random_digraph(n, 3 * n, WeightModel::unit(), rng);
+        finder = make_bfs_finder();
+        break;
+      }
+    }
+    const Digraph& base = gg.graph;
+    std::vector<double> h(base.num_vertices(), 0.0);
+    const bool shifted = trial % 2 == 0;
+    if (shifted) {
+      for (double& x : h) x = static_cast<double>(rng.next_int(-6, 6));
+    }
+    const std::int64_t lo = -1 - static_cast<std::int64_t>(trial / 2 % 4);
+    std::vector<EdgeTriple> extra;
+    if (trial % 5 == 1 && base.num_edges() > 0) {
+      const EdgeTriple e = base.edge_list()[rng.next_below(base.num_edges())];
+      extra.push_back({e.to, e.from, -20.0});  // w(e) <= 16: cycle <= -4
+    }
+    const Digraph g = reweight(
+        base,
+        [&](const EdgeTriple& e) {
+          return shifted ? static_cast<double>(rng.next_int(0, 4)) +
+                               h[e.from] - h[e.to]
+                         : static_cast<double>(rng.next_int(lo, 9));
+        },
+        extra);
+    const SeparatorTree tree = build_separator_tree(Skeleton(g), finder);
+    const bool oracle = expect_certificate_matches_oracle(
+        g, tree, "trial " + std::to_string(trial));
+    ++(oracle ? certified : cyclic);
+  }
+  // Both verdicts are well represented.
+  EXPECT_GE(certified, 80u);
+  EXPECT_GE(cyclic, 60u);
+}
+
+TEST(CycleCertificate, NegativeSelfLoop) {
+  Rng rng(11);
+  const GeneratedGraph gg = make_grid({4, 4}, WeightModel::unit(), rng);
+  const Digraph g = reweight(
+      gg.graph, [](const EdgeTriple& e) { return e.weight; }, {{5, 5, -1.0}});
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(g), make_grid_finder({4, 4}));
+  EXPECT_FALSE(expect_certificate_matches_oracle(g, tree, "self-loop"));
+}
+
+TEST(CycleCertificate, TwoCycleThroughTheRootSeparator) {
+  // s in S(root), v beside it: s -> v -> s weighs w(s, v) + w(v, s).
+  Rng rng(12);
+  const GeneratedGraph gg = make_grid({5, 5}, WeightModel::unit(), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
+  const Vertex s = tree.root().separator.front();
+  Vertex v = kInvalidVertex;
+  for (const Arc& a : gg.graph.out(s)) {
+    if (!std::binary_search(tree.root().separator.begin(),
+                            tree.root().separator.end(), a.to)) {
+      v = a.to;
+    }
+  }
+  ASSERT_NE(v, kInvalidVertex);
+  auto two_cycle = [&](double there, double back) {
+    return reweight(gg.graph, [&](const EdgeTriple& e) {
+      if (e.from == s && e.to == v) return there;
+      if (e.from == v && e.to == s) return back;
+      return e.weight;
+    });
+  };
+  EXPECT_FALSE(
+      expect_certificate_matches_oracle(two_cycle(1.0, -2.0), tree, "-1"));
+  // Weight exactly zero (every other s-v walk weighs >= 0 too): no
+  // negative cycle, and the strict check must certify it.
+  EXPECT_TRUE(
+      expect_certificate_matches_oracle(two_cycle(3.0, -3.0), tree, "zero"));
+}
+
+TEST(CycleCertificate, RingAroundTheSeparatorIsCaughtByTheRootClosure) {
+  // Arcs running one way around the square ring 1 <= x, y <= 5 of a 7x7
+  // grid weigh -1, all others +1: only walks around most of the ring are
+  // negative, so no child holds a negative cycle and the root's closed
+  // H_S must report it.
+  constexpr std::size_t kSide = 7;
+  Rng rng(13);
+  const GeneratedGraph gg =
+      make_grid({kSide, kSide}, WeightModel::unit(), rng);
+  std::vector<Vertex> ring;
+  auto at = [](std::size_t x, std::size_t y) {
+    return static_cast<Vertex>(y * kSide + x);
+  };
+  for (std::size_t x = 1; x < 5; ++x) ring.push_back(at(x, 1));
+  for (std::size_t y = 1; y < 5; ++y) ring.push_back(at(5, y));
+  for (std::size_t x = 5; x > 1; --x) ring.push_back(at(x, 5));
+  for (std::size_t y = 5; y > 1; --y) ring.push_back(at(1, y));
+  const Digraph g = reweight(gg.graph, [&](const EdgeTriple& e) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (e.from == ring[i] && e.to == ring[(i + 1) % ring.size()]) {
+        return -1.0;
+      }
+    }
+    return 1.0;
+  });
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(g), make_grid_finder({kSide, kSide}));
+  EXPECT_FALSE(expect_certificate_matches_oracle(g, tree, "ring"));
+  detail::CompleteEmission<TropicalD> emit;
+  const auto run = detail::run_algorithm41<TropicalD>(
+      g, tree, ClosureKind::kFloydWarshall, emit, /*keep_bnd=*/false);
+  EXPECT_EQ(run.negative_diagonal[0], 1);  // node 0 is the root
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    if (tree.node(id).is_leaf()) {
+      EXPECT_EQ(run.negative_diagonal[id], 0) << "leaf " << id;
+    }
+  }
+}
+
+TEST(CycleCertificate, OnlyFloydWarshallBuildsCertify) {
+  // The squaring closure and Algorithm 4.3 carry no certificate, so
+  // engines wrapping them keep the verification pass.
+  Rng rng(14);
+  const GeneratedGraph gg = make_grid({6, 6}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
+  EXPECT_TRUE(build_augmentation_recursive<TropicalD>(
+                  gg.graph, tree, ClosureKind::kFloydWarshall)
+                  .cycle_free);
+  EXPECT_FALSE(build_augmentation_recursive<TropicalD>(
+                   gg.graph, tree, ClosureKind::kSquaring)
+                   .cycle_free);
+  const auto dbl = build_augmentation_doubling<TropicalD>(gg.graph, tree);
+  EXPECT_FALSE(dbl.cycle_free);
+  const auto engine = SeparatorShortestPaths<>::from_augmentation(gg.graph, dbl);
+  EXPECT_FALSE(engine.cycle_certified());
+  EXPECT_TRUE(engine.query_engine().detects_negative_cycles());
+  EXPECT_FALSE(
+      SeparatorShortestPaths<>::build(gg.graph, tree)
+          .query_engine()
+          .detects_negative_cycles());
 }
 
 }  // namespace

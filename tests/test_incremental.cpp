@@ -8,6 +8,7 @@
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
+#include "baseline/negative_cycle.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
@@ -256,6 +257,68 @@ TEST(Incremental, HeldSnapshotStaysBitIdenticalAcrossApplies) {
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_TRUE(bit_equal(before[i], batched[i].dist))
         << "batched source " << sources[i];
+  }
+}
+
+TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
+  // After every apply() the certificate must equal a fresh build's and
+  // the oracle's, and a snapshot must answer exactly like the fresh
+  // build: the same distance bits and per-source cycle flags, whether
+  // its queries skip the pass (certified) or run it.
+  const Fixture f = make_grid_fixture(9, 31);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  EXPECT_TRUE(engine.augmentation().cycle_free);
+  const std::vector<Vertex> sources{0, 1, 13, 40, 44, 80};
+  struct Batch {
+    std::vector<EdgeTriple> updates;
+    bool cycle_free;
+  };
+  const std::vector<Batch> batches{
+      {{{0, 1, -20.0}}, false},                   // corner 2-cycle
+      {{{60, 61, 2.0}}, false},                   // far away: cycle stays
+      {{{0, 1, 3.0}}, true},                      // removed
+      {{{40, 41, -30.0}, {41, 40, 1.0}}, false},  // at the grid's centre
+      {{{40, 41, 5.0}, {13, 14, -0.5}}, true},    // removed; a mild
+                                                  // negative arc stays
+  };
+  std::vector<EdgeTriple> applied;  // cumulative, one entry per arc
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (const EdgeTriple& u : batches[b].updates) {
+      engine.update_edge(u.from, u.to, u.weight);
+      const auto it = std::find_if(
+          applied.begin(), applied.end(), [&](const EdgeTriple& a) {
+            return a.from == u.from && a.to == u.to;
+          });
+      if (it == applied.end()) {
+        applied.push_back(u);
+      } else {
+        *it = u;
+      }
+    }
+    engine.apply();
+    const Digraph reference = reweighted(f.gg.graph, applied);
+    const bool oracle = !find_negative_cycle(reference).has_value();
+    ASSERT_EQ(oracle, batches[b].cycle_free) << "batch " << b;
+    const auto fresh = SeparatorShortestPaths<>::build(reference, f.tree);
+    EXPECT_EQ(fresh.cycle_certified(), oracle) << "batch " << b;
+    EXPECT_EQ(engine.augmentation().cycle_free, oracle) << "batch " << b;
+
+    const IncrementalEngine::Snapshot snap = engine.snapshot();
+    EXPECT_EQ(snap.engine->cycle_certified(), oracle) << "batch " << b;
+    EXPECT_EQ(snap.engine->stats().cycle_certified, oracle) << "batch " << b;
+    EXPECT_EQ(snap.engine->query_engine().detects_negative_cycles(), !oracle)
+        << "batch " << b;
+    const auto got = snap.engine->distances_batch(sources, {.lanes = 4});
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const auto want = fresh.distances(sources[i]);
+      EXPECT_TRUE(bit_equal(got[i].dist, want.dist))
+          << "batch " << b << " source " << sources[i];
+      EXPECT_EQ(got[i].negative_cycle, want.negative_cycle)
+          << "batch " << b << " source " << sources[i];
+      EXPECT_EQ(want.negative_cycle,
+                bellman_ford(reference, sources[i]).negative_cycle)
+          << "batch " << b << " source " << sources[i];
+    }
   }
 }
 

@@ -490,6 +490,49 @@ TEST(ServiceSt, MixedKindLedgerBalances) {
             stats.completed);
 }
 
+TEST(ServiceSt, NegativeCycleEpochFailsStRequestsUntilAnUpdateRemovesIt) {
+  // An update that plants a negative cycle must not abort the service:
+  // that epoch carries no hub labels, its st requests resolve kFailed,
+  // and the next update that removes the cycle restores exact answers.
+  const Fixture f = make_grid_fixture(8, 27);
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
+  ASSERT_TRUE(svc.query(StDistance{0, 63}).ok());
+
+  const std::vector<EdgeUpdate> plant{{0, 1, -20.0}};  // 0 -> 1 -> 0 < 0
+  ASSERT_EQ(svc.apply_updates(plant), 1u);
+  for (const Reply& r :
+       {svc.query(StDistance{0, 63}), svc.query(StPath{9, 2})}) {
+    EXPECT_EQ(r.status, ReplyStatus::kFailed);
+    EXPECT_EQ(r.epoch, 1u);
+    EXPECT_EQ(r.st, nullptr);
+  }
+  EXPECT_EQ(svc.query(StDistance{0, 63}).kind, RequestKind::kStDistance);
+  EXPECT_EQ(svc.query(StPath{0, 63}).kind, RequestKind::kStPath);
+  // Single-source requests keep being answered, with the pass's verdict.
+  const Reply ss = svc.query(SingleSource{0});
+  ASSERT_TRUE(ss.ok());
+  EXPECT_TRUE(ss.value->negative_cycle);
+
+  const std::vector<EdgeUpdate> heal{{0, 1, 4.0}};
+  ASSERT_EQ(svc.apply_updates(heal), 2u);
+  const Digraph shadow = reweighted(f.gg.graph, heal);
+  for (const auto& [s, t] : {std::pair<Vertex, Vertex>{0, 63}, {9, 2}}) {
+    const Reply dist = svc.query(StDistance{s, t});
+    const Reply path = svc.query(StPath{s, t});
+    ASSERT_TRUE(dist.ok());
+    ASSERT_TRUE(path.ok());
+    EXPECT_EQ(dist.epoch, 2u);
+    const double want = dijkstra(shadow, s).dist[t];
+    EXPECT_NEAR(dist.distance(), want, 1e-9) << s << "->" << t;
+    EXPECT_NEAR(path.distance(), want, 1e-9) << s << "->" << t;
+    EXPECT_NEAR(walk_weight(shadow, path.path()), want, 1e-9);
+  }
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped +
+                                 stats.invalid + stats.failed);
+}
+
 TEST(ServiceSt, StoppedServiceRejectsStRequests) {
   const Fixture f = make_grid_fixture(8, 26);
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
@@ -501,11 +544,11 @@ TEST(ServiceSt, StoppedServiceRejectsStRequests) {
 
 // Client input the service cannot serve resolves kInvalid — it never
 // aborts the process — and the ledger keeps balancing:
-// submitted == completed + shed + stopped + invalid.
+// submitted == completed + shed + stopped + invalid + failed.
 void expect_ledger_balances(const QueryService& svc) {
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.submitted,
-            stats.completed + stats.shed + stats.stopped + stats.invalid);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped +
+                                 stats.invalid + stats.failed);
   EXPECT_EQ(stats.single_source + stats.st_distance + stats.st_path,
             stats.submitted);
 }
