@@ -1,12 +1,12 @@
 #include "approx/approx.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <utility>
 
-#include "approx/sparsify.hpp"
 #include "util/check.hpp"
 
 namespace sepsp {
@@ -15,9 +15,6 @@ struct ApproxEngine::State {
   Digraph scaled;  // integer-valued weights (stored in doubles)
   double eps = 0.0;
   double unit = 1.0;
-  double eps_round = 0.0;  ///< rounding half of the budget
-  double delta = 0.0;      ///< pruning half of the budget
-  SparsifyStats sparsify;
   std::optional<SeparatorShortestPaths<TropicalI>> engine;
   /// Monotone max of oracle-measured relative errors (stats feedback).
   mutable std::atomic<double> observed{0.0};
@@ -70,16 +67,26 @@ ApproxEngine ApproxEngine::build_with_weights(const Digraph& g,
   auto state = std::make_shared<State>();
   State& s = *state;
   s.eps = options.build.approx_eps;
-  // Budget split: (1 + eps_r)(1 + delta) = 1 + eps exactly.
-  s.eps_round = s.eps / 2.0;
-  s.delta = s.eps_round / (1.0 + s.eps_round);
 
   double min_weight = std::numeric_limits<double>::infinity();
+  double max_weight = 0.0;
   for (const double w : weights) {
     SEPSP_CHECK_MSG(w > 0, "approx engine needs positive weights");
     min_weight = std::min(min_weight, w);
+    max_weight = std::max(max_weight, w);
   }
-  s.unit = std::isinf(min_weight) ? 1.0 : s.eps_round * min_weight;
+  s.unit = std::isinf(min_weight) ? 1.0 : s.eps * min_weight;
+  // A shortest path has at most n - 1 arcs, each rounded to at most
+  // ceil(w_max / u) units. Keeping that product below kInf keeps every
+  // rounded weight in long long range and every finite distance below
+  // the "unreachable" sentinel (a lone vertex still counts one arc, for
+  // its self-loops).
+  const double max_arcs =
+      static_cast<double>(std::max<std::size_t>(g.num_vertices(), 2) - 1);
+  SEPSP_CHECK_MSG(max_arcs * std::ceil(max_weight / s.unit) <
+                      static_cast<double>(TropicalI::kInf),
+                  "approx engine: (n - 1) * ceil(w_max / u) must stay below "
+                  "TropicalI::kInf; raise eps or narrow the weight range");
 
   GraphBuilder builder_scaled(g.num_vertices());
   const std::span<const Arc> arcs = g.arcs();
@@ -90,14 +97,7 @@ ApproxEngine ApproxEngine::build_with_weights(const Digraph& g,
                             std::ceil(weights[i] / s.unit));
   }
   s.scaled = std::move(builder_scaled).build();
-
-  Augmentation<TropicalI> aug =
-      build_augmentation_sparsified(s.scaled, tree, s.delta, &s.sparsify);
-
-  SeparatorShortestPaths<TropicalI>::Options engine_opts;
-  engine_opts.query.detect_negative_cycles = false;  // weights are positive
-  s.engine.emplace(SeparatorShortestPaths<TropicalI>::from_augmentation(
-      s.scaled, std::move(aug), engine_opts));
+  s.engine.emplace(SeparatorShortestPaths<TropicalI>::build(s.scaled, tree));
 
   ApproxEngine out;
   out.state_ = std::move(state);
@@ -142,10 +142,7 @@ std::vector<QueryResult<TropicalD>> ApproxEngine::distances_batch(
 double ApproxEngine::eps() const { return state_->eps; }
 double ApproxEngine::unit() const { return state_->unit; }
 
-double ApproxEngine::certified_error() const {
-  const State& s = *state_;
-  return (1.0 + s.eps_round) * (1.0 + s.sparsify.delta_used) - 1.0;
-}
+double ApproxEngine::certified_error() const { return state_->eps; }
 
 double ApproxEngine::max_observed_error() const {
   return state_->observed.load(std::memory_order_relaxed);
@@ -160,15 +157,6 @@ void ApproxEngine::note_observed_error(double rel_error) const {
   }
 }
 
-std::uint64_t ApproxEngine::eplus_kept() const {
-  return state_->sparsify.kept;
-}
-std::uint64_t ApproxEngine::eplus_dropped() const {
-  // Witness-pruned pairs plus hop-compressed B x B pairs: everything
-  // the exact builder would have emitted that this build elided.
-  return state_->sparsify.dropped + state_->sparsify.hop_compressed;
-}
-
 const SeparatorShortestPaths<TropicalI>& ApproxEngine::engine() const {
   return *state_->engine;
 }
@@ -178,8 +166,6 @@ EngineStats ApproxEngine::stats() const {
   EngineStats st = s.engine->stats();
   st.approx_eps = s.eps;
   st.approx_unit = s.unit;
-  st.eplus_kept = s.sparsify.kept;
-  st.eplus_dropped = s.sparsify.dropped + s.sparsify.hop_compressed;
   st.certified_error = certified_error();
   st.max_observed_error = max_observed_error();
   return st;

@@ -1,34 +1,19 @@
-// (1 + eps)-approximate engine: weight rounding + shortcut pruning.
+// (1 + eps)-approximate engine: the exact engine over rounded weights.
 //
-// The error budget eps splits in two:
+// Weights are rounded *up* to multiples of the unit u = eps * w_min and
+// the exact TropicalI engine is built over the rounded graph —
+// bit-reproducible across platforms, no floating-point drift. Its E+
+// and its distances are those of SeparatorShortestPaths<TropicalI>
+// over that graph, bit for bit.
 //
-//   * Rounding (eps_r = eps / 2): weights are rounded *up* to multiples
-//     of the unit u = eps_r * w_min and the whole pipeline runs over
-//     the exact integer semiring TropicalI — bit-reproducible across
-//     platforms, no floating-point drift. A path of k edges gains at
-//     most k * u <= eps_r * dist (Klein–Sairam-style scaling, as in the
-//     seed this subsystem replaces).
-//   * Pruning (delta = eps_r / (1 + eps_r)): the sparsified Algorithm
-//     4.1 build (approx/sparsify.hpp) drops emitted shortcuts that a
-//     retained pivot witnesses within relative slack delta, shrinking
-//     |E+| and every |E+|-proportional build/query phase.
-//
-// Composition: (1 + eps_r)(1 + delta) = 1 + eps exactly, so
-//     dist(u,v) <= approx(u,v) <= (1 + eps) * dist(u,v)
-// for positive weights. The build also reports the tighter factor it
-// actually certifies (delta_used = 0 when nothing was pruned).
-//
-// Queries go through the exact facade over the scaled graph and are
-// rescaled. The pruned augmentation has Augmentation::complete cleared,
-// so the leveled schedule ends in a fixpoint polish over E u E+:
-// pruning can put two consecutive same-level hops on an optimal pruned
-// path, which the fixed sweep order alone does not cover. Everything
-// else — the buckets, the batched/SIMD TropicalI kernels, the
-// structural sharing, the per-engine query counters — is the exact
-// machinery, unchanged.
+// Guarantee, for positive weights: rounding up never undercuts, and a
+// shortest path of k arcs has k <= dist / w_min (every arc weighs at
+// least w_min), so rounding adds at most k * u <= eps * dist:
+//     dist(s,t) <= approx(s,t) <= (1 + eps) * dist(s,t).
+// The Floyd–Warshall build certifies the positive rounded weights free
+// of negative cycles, so queries skip the verification pass.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -42,18 +27,19 @@ namespace sepsp {
 class ApproxEngine {
  public:
   /// Build options only: queries run with the exact facade's default
-  /// query options, negative-cycle detection off (positive weights are
-  /// a precondition).
+  /// query options (the build certifies the rounded weights cycle-free,
+  /// so no query pays the verification pass).
   struct Options {
     struct Build {
-      /// End-to-end relative-error budget, in (0, 1]; split between
-      /// weight rounding and shortcut pruning.
+      /// End-to-end relative-error budget, in (0, 1]; the whole of it
+      /// goes to weight rounding.
       double approx_eps = 0.0;
     } build;
   };
 
   /// Preprocesses with budget options.build.approx_eps in (0, 1]. All
-  /// weights must be > 0. The caller must keep `g` alive for the
+  /// weights must be > 0, and every rounded distance must stay below
+  /// TropicalI::kInf: (n - 1) * ceil(w_max / u) < kInf. The caller must keep `g` alive for the
   /// engine's lifetime (the engine snapshots the weights into its own
   /// scaled graph, but not the structure).
   static ApproxEngine build(const Digraph& g, const SeparatorTree& tree,
@@ -88,11 +74,10 @@ class ApproxEngine {
       std::span<const Vertex> sources, BatchPolicy policy = {}) const;
 
   double eps() const;   ///< the end-to-end budget the build was given
-  double unit() const;  ///< the rounding unit actually used
+  double unit() const;  ///< the rounding unit u = eps * w_min
 
-  /// The error factor minus one this build certifies:
-  /// (1 + eps_r)(1 + delta_used) - 1 <= eps. Replies served from this
-  /// engine are tagged with it.
+  /// The error factor minus one this build certifies: eps. Replies
+  /// served from this engine are tagged with it.
   double certified_error() const;
 
   /// Largest relative error measured against an exact oracle and fed
@@ -100,15 +85,12 @@ class ApproxEngine {
   double max_observed_error() const;
   void note_observed_error(double rel_error) const;
 
-  std::uint64_t eplus_kept() const;     ///< finite shortcuts emitted
-  std::uint64_t eplus_dropped() const;  ///< shortcuts pruned away
-
   /// The underlying exact-machinery engine over the scaled graph
   /// (integer distances; tests and benches introspect it).
   const SeparatorShortestPaths<TropicalI>& engine() const;
 
   /// Exact-facade stats of the underlying engine plus the approx block
-  /// (approx_eps, unit, kept/dropped, certified vs. observed error).
+  /// (approx_eps, unit, certified vs. observed error).
   EngineStats stats() const;
 
  private:

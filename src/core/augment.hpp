@@ -46,12 +46,6 @@ struct Augmentation {
   /// Critical-path parallel depth of the build: per synchronized phase,
   /// the depth of the *largest* node kernel (the PRAM "time" of Table 1).
   std::uint64_t critical_depth = 0;
-  /// True when E+ is the complete emission, so Theorem 3.1's bitonic
-  /// witnesses exist and a query's tail is the ell trailing E passes.
-  /// The sparsified build (approx/sparsify.hpp) clears it: its queries
-  /// end with a fixpoint polish over E u E+ instead. No persistence
-  /// format carries it — approximate augmentations are never written.
-  bool complete = true;
   /// The build certified that G has no negative cycle: Algorithm 4.1
   /// with Floyd–Warshall closures found no diagonal cell below one()
   /// (builder_recursive.hpp). Engines frozen over a certified
@@ -67,13 +61,30 @@ struct Augmentation {
 /// Sorts shortcuts by (from, to) and keeps the best value per pair,
 /// dropping pairs whose value is zero() ("no path") and self loops that
 /// cannot improve anything (value >= one() is useless on the diagonal).
+/// The sort is two stable counting-sort passes, by `to` and then by
+/// `from`: linear in |edges| + n, where a comparison sort of the raw
+/// Algorithm 4.1 emission (each pair about three times) dominated the
+/// build. The result is sized to the distinct pairs.
 template <Semiring S>
 void dedup_shortcuts(std::vector<Shortcut<S>>& edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const Shortcut<S>& a, const Shortcut<S>& b) {
-              if (a.from != b.from) return a.from < b.from;
-              return a.to < b.to;
-            });
+  std::size_t n = 0;
+  for (const Shortcut<S>& e : edges) {
+    n = std::max<std::size_t>({n, std::size_t{e.from} + 1,
+                               std::size_t{e.to} + 1});
+  }
+  {
+    std::vector<Shortcut<S>> tmp(edges.size());
+    std::vector<std::size_t> pos(n + 1);
+    const auto scatter = [&](const std::vector<Shortcut<S>>& in,
+                             std::vector<Shortcut<S>>& out, auto key) {
+      std::fill(pos.begin(), pos.end(), 0);
+      for (const Shortcut<S>& e : in) ++pos[key(e) + 1];
+      for (std::size_t v = 0; v < n; ++v) pos[v + 1] += pos[v];
+      for (const Shortcut<S>& e : in) out[pos[key(e)]++] = e;
+    };
+    scatter(edges, tmp, [](const Shortcut<S>& e) { return e.to; });
+    scatter(tmp, edges, [](const Shortcut<S>& e) { return e.from; });
+  }
   std::size_t out = 0;
   for (std::size_t i = 0; i < edges.size();) {
     std::size_t j = i;
@@ -92,6 +103,7 @@ void dedup_shortcuts(std::vector<Shortcut<S>>& edges) {
     i = j;
   }
   edges.resize(out);
+  edges.shrink_to_fit();
 }
 
 /// ell: upper bound on the min-weight diameter of every leaf subgraph.

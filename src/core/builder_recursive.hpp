@@ -19,14 +19,13 @@
 // Floyd–Warshall, so all of them emit the same E+ bits; the squaring
 // closure serves the benches that reproduce the paper's depth.
 //
-// Steps i-v exist once, in detail::node_step. What a node *emits* is a
-// policy: the exact build writes the complete S x S and B x B pair sets
-// (CompleteEmission), the (1+eps) build prunes witnessed pairs
-// (approx/sparsify.hpp), and the incremental engine diffs the complete
-// set against the retained one (core/incremental.cpp). The level
-// driver (detail::run_algorithm41) sizes every node's output slice from
-// the policy, runs the levels deepest first with the nodes of a level
-// in parallel, and accounts the critical depth.
+// Steps i-v exist once, in detail::node_step, which writes the node's
+// complete S x S and B x B pair sets into its slice of the output. The
+// exact build (detail::run_algorithm41) sizes every node's slice up
+// front, runs the levels deepest first with the nodes of a level in
+// parallel, and accounts the critical depth; the incremental engine
+// (core/incremental.cpp) reruns node_step into scratch and diffs the
+// result against the retained entries.
 //
 // Node tasks lease a scratch arena (builder_scratch.hpp): intermediate
 // matrices reuse storage across nodes, vertex->index lookups are O(1)
@@ -84,23 +83,18 @@ inline std::size_t offsets_from_counts(std::vector<std::size_t>& counts) {
 /// pairs minus the diagonal.
 inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 
-/// What one node step computed, handed to the emission policy. `hs` is
-/// the closed H_S (0 x 0 at leaves); `b_to_s` / `s_to_b` are the step-iii
-/// rectangles (empty at leaves); `bm` is the boundary matrix.
-/// `negative_diagonal` is set when the node's closure — the leaf's
-/// Floyd–Warshall matrix or the closed H_S — has a diagonal cell
-/// strictly better than one(): a negative closed walk in G. With
-/// Floyd–Warshall closures, G has a negative cycle exactly when some
-/// node sets it (docs/ALGORITHMS.md, "The negative-cycle certificate").
+/// Writes all ordered pairs (i != j) of `verts` with values m(i, j),
+/// i-major, and returns past-the-end.
 template <Semiring S>
-struct NodeValues {
-  const DecompNode& node;
-  const Matrix<S>& hs;
-  const Matrix<S>& b_to_s;
-  const Matrix<S>& s_to_b;
-  const Matrix<S>& bm;
-  bool negative_diagonal = false;
-};
+Shortcut<S>* emit_pairs(std::span<const Vertex> verts, const Matrix<S>& m,
+                        Shortcut<S>* out) {
+  for (std::size_t i = 0; i < verts.size(); ++i) {
+    for (std::size_t j = 0; j < verts.size(); ++j) {
+      if (i != j) *out++ = {verts[i], verts[j], m.at(i, j)};
+    }
+  }
+  return out;
+}
 
 /// True when some diagonal cell of the square matrix `m` is strictly
 /// better than one() (below 0 in the tropical semirings; never for
@@ -115,16 +109,22 @@ bool has_negative_diagonal(const Matrix<S>& m) {
   return false;
 }
 
-/// Steps i-v of Algorithm 4.1 for node `id`, then emit(NodeValues).
-/// Reads the children's boundary matrices from `bnd` and writes the
-/// node's own into `bm`. Leaves run Floyd–Warshall on the induced
-/// subgraph, whose arc weights come from weight_of(const Arc&);
-/// internal nodes close H_S with `closure`.
-template <Semiring S, typename WeightOf, typename Emit>
-void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
+/// Steps i-v of Algorithm 4.1 for node `id`. Reads the children's
+/// boundary matrices from `bnd`, writes the node's own into `bm` and its
+/// complete S x S and B x B pair sets, i-major, into `out`
+/// (pair_count(|S|) + pair_count(|B|) entries). Leaves run Floyd–Warshall on the
+/// induced subgraph, whose arc weights come from weight_of(const Arc&);
+/// internal nodes close H_S with `closure`. Returns true when the
+/// node's closure — the leaf's Floyd–Warshall matrix or the closed H_S —
+/// has a diagonal cell strictly better than one(): a negative closed
+/// walk in G. With Floyd–Warshall closures, G has a negative cycle
+/// exactly when some node returns true (docs/ALGORITHMS.md, "The
+/// negative-cycle certificate").
+template <Semiring S, typename WeightOf>
+bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
                const std::vector<Matrix<S>>& bnd, ClosureKind closure,
                const WeightOf& weight_of, RecursiveScratch<S>& sc,
-               Matrix<S>& bm, Emit&& emit) {
+               Matrix<S>& bm, std::span<Shortcut<S>> out) {
   constexpr std::size_t kNpos = VertexIndexMap::kNpos;
   const DecompNode& t = tree.node(id);
   const std::span<const Vertex> st = t.separator;
@@ -151,12 +151,10 @@ void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
         bm.at(p, q) = local.at(ip, sc.map0.find(bt[q]));
       }
     }
-    sc.hs.reset(0);
-    sc.b_to_s.reset(0);
-    sc.s_to_b.reset(0);
-    emit(NodeValues<S>{t, sc.hs, sc.b_to_s, sc.s_to_b, bm,
-                       has_negative_diagonal(local)});
-    return;
+    // A leaf has no separator: its emission is the B x B set alone.
+    SEPSP_DCHECK(out.size() == pair_count(bt.size()));
+    emit_pairs(bt, bm, out.data());
+    return has_negative_diagonal(local);
   }
 
   // Index of each separator / boundary vertex inside each child's
@@ -243,59 +241,35 @@ void node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
       }
     }
   }
-  emit(NodeValues<S>{t, hs, b_to_s, s_to_b, bm, has_negative_diagonal(hs)});
+  Shortcut<S>* end = emit_pairs(st, hs, out.data());
+  end = emit_pairs(bt, bm, end);
+  SEPSP_DCHECK(end == out.data() + out.size());
+  return has_negative_diagonal(hs);
 }
 
-/// Writes all ordered pairs (i != j) of `verts` with values m(i, j),
-/// i-major, and returns past-the-end.
-template <Semiring S>
-Shortcut<S>* emit_pairs(std::span<const Vertex> verts, const Matrix<S>& m,
-                        Shortcut<S>* out) {
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    for (std::size_t j = 0; j < verts.size(); ++j) {
-      if (i != j) *out++ = {verts[i], verts[j], m.at(i, j)};
-    }
-  }
-  return out;
-}
-
-/// The exact build's emission: the complete S x S and B x B pair sets.
-template <Semiring S>
-struct CompleteEmission {
-  static std::size_t capacity(const DecompNode& t) {
-    return pair_count(t.separator.size()) + pair_count(t.boundary.size());
-  }
-  void operator()(const NodeValues<S>& v,
-                  std::span<Shortcut<S>> slice) const {
-    Shortcut<S>* out = emit_pairs(v.node.separator, v.hs, slice.data());
-    out = emit_pairs(v.node.boundary, v.bm, out);
-    SEPSP_DCHECK(out == slice.data() + slice.size());
-  }
-};
-
-/// Output of the level driver: node id's emission occupies
+/// Output of the level driver: node id's pair sets occupy
 /// aug.shortcuts[offsets[id], offsets[id + 1]) (not yet deduplicated).
 template <Semiring S>
 struct LevelRun {
   Augmentation<S> aug;
   std::vector<std::size_t> offsets;
   std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
-  /// Per node: NodeValues::negative_diagonal of its step.
+  /// Per node: what its node_step returned.
   std::vector<std::uint8_t> negative_diagonal;
 };
 
 /// Algorithm 4.1 over the whole tree: node_step on every node, deepest
-/// level first, the nodes of one level in parallel; node id emits via
-/// emit(values, slice) into a slice of emit.capacity(node) entries.
+/// level first, the nodes of one level in parallel; node id writes its
+/// pair sets into its own slice.
 /// A parent releases its children's boundary matrices once consumed
 /// unless `keep_bnd`. Fills levels, height, ell and critical_depth, and
 /// sets cycle_free when the closures are Floyd–Warshall and no node has
 /// a negative diagonal. The squaring closure never certifies: its
 /// ceil(log2(|S| - 1)) squarings cover every simple path of H_S but not
 /// every simple cycle (a cycle through all of S needs |S| hops).
-template <Semiring S, typename Emit>
+template <Semiring S>
 LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
-                            ClosureKind closure, Emit& emit, bool keep_bnd) {
+                            ClosureKind closure, bool keep_bnd) {
   const std::size_t num_nodes = tree.num_nodes();
   LevelRun<S> run;
   run.aug.levels = compute_levels(tree);
@@ -307,7 +281,9 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   // sized once and node tasks write disjoint slices.
   run.offsets.resize(num_nodes);
   for (std::size_t id = 0; id < num_nodes; ++id) {
-    run.offsets[id] = emit.capacity(tree.node(id));
+    const DecompNode& t = tree.node(id);
+    run.offsets[id] =
+        pair_count(t.separator.size()) + pair_count(t.boundary.size());
   }
   run.aug.shortcuts.resize(offsets_from_counts(run.offsets));
 
@@ -320,11 +296,11 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
     const std::span<Shortcut<S>> slice(
         run.aug.shortcuts.data() + run.offsets[id],
         run.offsets[id + 1] - run.offsets[id]);
-    node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
-                 run.bnd[id], [&](const NodeValues<S>& v) {
-                   run.negative_diagonal[id] = v.negative_diagonal ? 1 : 0;
-                   emit(v, slice);
-                 });
+    run.negative_diagonal[id] =
+        node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
+                     run.bnd[id], slice)
+            ? 1
+            : 0;
     const DecompNode& t = tree.node(id);
     if (!keep_bnd && !t.is_leaf()) {
       run.bnd[static_cast<std::size_t>(t.child[0])].clear();
@@ -381,10 +357,8 @@ Augmentation<S> build_augmentation_recursive(
     ClosureKind closure = ClosureKind::kSquaring) {
   SEPSP_TRACE_SPAN("build.recursive");
   const pram::CostScope scope;
-  detail::CompleteEmission<S> emit;
   Augmentation<S> aug =
-      detail::run_algorithm41<S>(g, tree, closure, emit, /*keep_bnd=*/false)
-          .aug;
+      detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false).aug;
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
   return aug;

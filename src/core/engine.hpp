@@ -35,8 +35,8 @@ namespace sepsp {
 
 /// Kernel selection for distances_batch(). `lanes` is the number of
 /// sources relaxed per edge load (LeveledQuery::run_block<B>,
-/// compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for the
-/// engine's configured Options::Query::batch_lanes). `{.lanes = 1}` is
+/// compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for
+/// SeparatorShortestPaths::kBatchLanes). `{.lanes = 1}` is
 /// the per-source path: one independent scalar query per source — the
 /// baseline the batched kernel is benchmarked against, and the right
 /// choice when sources cannot amortize a shared edge stream.
@@ -62,22 +62,9 @@ class SeparatorShortestPaths {
       /// sound when the caller knows the input is cycle-free (e.g.
       /// nonnegative weights).
       bool detect_negative_cycles = true;
-      /// Default lane width for distances_batch(); one of 1, 2, 4, 8,
-      /// 16, 32.
-      std::size_t batch_lanes = kBatchLanes;
     };
 
     Query query;
-
-    /// Verifies coherence; called by every constructor. Rejects
-    /// (SEPSP_CHECK) a batch_lanes width the batched kernel cannot
-    /// dispatch.
-    Options validated() const {
-      SEPSP_CHECK_MSG(valid_lane_width(query.batch_lanes),
-                      "Options::Query::batch_lanes must be one of "
-                      "1, 2, 4, 8, 16, 32");
-      return *this;
-    }
   };
 
   /// Preprocesses g against the given decomposition of its skeleton
@@ -100,20 +87,18 @@ class SeparatorShortestPaths {
                              options);
   }
 
-  /// Wraps a precomputed augmentation (e.g. one the approximate engine
-  /// or Algorithm 4.3 built) without rebuilding E+. The engine freezes
-  /// aug.cycle_free: a certified augmentation's queries skip the
-  /// verification pass.
+  /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
+  /// without rebuilding E+. The engine freezes aug.cycle_free: a
+  /// certified augmentation's queries skip the verification pass.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {
     SEPSP_CHECK(aug.levels.level.size() == g.num_vertices());
-    const Options resolved = options.validated();
-    SeparatorShortestPaths engine(g, resolved.query, aug.cycle_free);
+    SeparatorShortestPaths engine(g, options.query, aug.cycle_free);
     engine.aug_ = std::make_shared<const Augmentation<S>>(std::move(aug));
     engine.query_ = std::make_unique<LeveledQuery<S>>(
         g, *engine.aug_,
-        resolved.query.detect_negative_cycles && !engine.cycle_certified_);
+        options.query.detect_negative_cycles && !engine.cycle_certified_);
     return engine;
   }
 
@@ -132,8 +117,7 @@ class SeparatorShortestPaths {
       const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
       LeveledQuery<S> query, bool cycle_certified,
       const Options& options = {}) {
-    const Options resolved = options.validated();
-    SeparatorShortestPaths engine(g, resolved.query, cycle_certified);
+    SeparatorShortestPaths engine(g, options.query, cycle_certified);
     engine.aug_ = std::move(aug);
     engine.query_ = std::make_unique<LeveledQuery<S>>(std::move(query));
     return engine;
@@ -186,9 +170,7 @@ class SeparatorShortestPaths {
   /// becomes a compile-time one.
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
-    const std::size_t lanes =
-        policy.lanes == 0 ? qopts_.batch_lanes : policy.lanes;
-    switch (lanes) {
+    switch (policy.lanes == 0 ? kBatchLanes : policy.lanes) {
       case 1:
         return batch_impl<1>(sources);
       case 2:
@@ -273,11 +255,6 @@ class SeparatorShortestPaths {
         qopts_(qopts),
         cycle_certified_(cycle_certified),
         counters_(std::make_unique<EngineCounters>()) {}
-
-  static constexpr bool valid_lane_width(std::size_t lanes) {
-    return lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8 ||
-           lanes == 16 || lanes == 32;
-  }
 
   template <std::size_t B>
   std::vector<QueryResult<S>> batch_impl(

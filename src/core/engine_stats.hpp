@@ -51,10 +51,7 @@ struct EngineStats {
   // --- on an exact engine) --------------------------------------------
   double approx_eps = 0.0;   ///< end-to-end relative-error budget
   double approx_unit = 0.0;  ///< rounding unit u the weights were scaled by
-  std::uint64_t eplus_kept = 0;     ///< shortcuts the pruned build emitted
-  std::uint64_t eplus_dropped = 0;  ///< shortcuts pruned under a witness
-  /// Composed bound the build certifies: (1+eps_round)(1+delta_used)-1,
-  /// always <= approx_eps.
+  /// Relative-error bound the build certifies (equal to approx_eps).
   double certified_error = 0.0;
   /// Largest relative error actually measured against an exact oracle
   /// and fed back via ApproxEngine::note_observed_error (0 until then).
@@ -113,8 +110,6 @@ struct EngineStats {
     if (approx_eps > 0.0) {
       summary.add_row().cell("approx eps").cell(approx_eps, 4);
       summary.add_row().cell("approx unit").cell(approx_unit, 6);
-      summary.add_row().cell("E+ kept").cell(with_commas(eplus_kept));
-      summary.add_row().cell("E+ dropped").cell(with_commas(eplus_dropped));
       summary.add_row().cell("certified error").cell(certified_error, 4);
       summary.add_row().cell("max observed error").cell(max_observed_error, 4);
     }

@@ -32,7 +32,7 @@ struct IncrementalEngine::State {
   std::vector<std::size_t> entry_off;
 
   /// The negative-cycle certificate, per node: node id's closure has a
-  /// diagonal cell below one() (NodeValues::negative_diagonal), and how
+  /// diagonal cell below one() (what detail::node_step returned), and how
   /// many nodes do. apply() refreshes the flags of exactly the nodes it
   /// recomputes; any other node's inputs did not change, so its flag
   /// still holds. aug.cycle_free mirrors negative_nodes == 0.
@@ -111,16 +111,13 @@ struct IncrementalEngine::State {
     const std::size_t lo = entry_off[id];
     const std::size_t n = entry_off[id + 1] - lo;
     Recomputed r;
-    detail::node_step<S>(
+    sc.edges.resize(n);
+    r.negative_diagonal = detail::node_step<S>(
         *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
         [&](const Arc& a) {
           return weights[static_cast<std::size_t>(&a - g->arcs().data())];
         },
-        sc, sc.bm, [&](const detail::NodeValues<S>& v) {
-          sc.edges.resize(n);
-          detail::CompleteEmission<S>{}(v, sc.edges);
-          r.negative_diagonal = v.negative_diagonal;
-        });
+        sc, sc.bm, std::span<Shortcut<S>>(sc.edges));
     r.matrix = !(sc.bm == bnd[id]);
     if (r.matrix) bnd[id] = sc.bm;
     Shortcut<S>* now = entries.data() + lo;
@@ -155,10 +152,9 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   });
 
   // The exact build with Floyd–Warshall closures, keeping every node's
-  // boundary matrix and complete emission for later recomputes.
-  detail::CompleteEmission<S> emit;
+  // boundary matrix and pair sets for later recomputes.
   detail::LevelRun<S> run = detail::run_algorithm41<S>(
-      g, tree, ClosureKind::kFloydWarshall, emit, /*keep_bnd=*/true);
+      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
   s.bnd = std::move(run.bnd);
   s.entry_off = std::move(run.offsets);
   s.negative_diagonal = std::move(run.negative_diagonal);

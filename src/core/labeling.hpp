@@ -144,10 +144,9 @@ HubLabeling<S> HubLabeling<S>::build(const Digraph& g,
                                      const Options& options) {
   // Forward and backward engines share the tree (remark iv: the
   // decomposition depends only on the undirected skeleton).
-  const Options resolved = options.validated();
   const Digraph reversed = g.transpose();
-  const auto fwd = SeparatorShortestPaths<S>::build(g, tree, resolved);
-  const auto bwd = SeparatorShortestPaths<S>::build(reversed, tree, resolved);
+  const auto fwd = SeparatorShortestPaths<S>::build(g, tree, options);
+  const auto bwd = SeparatorShortestPaths<S>::build(reversed, tree, options);
   return build_payload<HubPayload::kDistances>(g, tree, fwd, bwd, {});
 }
 

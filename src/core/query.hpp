@@ -19,10 +19,7 @@
 // query (run_block<B>, Corollary 5.2's s-source workload), which relaxes
 // B sources per edge load through the dispatched SIMD kernels
 // (semiring/simd.hpp). Lanes never interact, so every lane's distances
-// and counters equal a scalar run of its own source. The tail of the
-// schedule is a property of the augmentation: a complete E+ takes the
-// ell trailing E passes; a pruned one (Augmentation::complete cleared by
-// approx/sparsify.hpp) takes a fixpoint polish over E u E+ instead.
+// and counters equal a scalar run of its own source.
 //
 // Buckets are stored struct-of-arrays (from[]/to[]/value[]), sorted by
 // (from, to): one relaxation pass streams three flat arrays instead of
@@ -658,20 +655,9 @@ class LeveledQuery {
         note_level_scan(l, (same_[l].size() + up_[l].size()) * acct.size());
       }
     }
-    if (aug_->complete) {
+    {
       SEPSP_TRACE_SPAN("query.e_passes");
       passes<B>(base_, nullptr, aug_->ell, dist, acct);
-    } else {
-      // A pruned E+ breaks the bitonic witness structure the sweeps rely
-      // on (approx/sparsify.hpp), so the tail relaxes E u E+ — base_ and
-      // shortcut_ cover it; the leveled buckets are duplicates — to the
-      // fixpoint: exact distances in the pruned augmented graph. The
-      // polish subsumes the ell trailing E passes. Requires that no
-      // negative cycle is reachable; capped defensively.
-      SEPSP_TRACE_SPAN("query.converge");
-      const bool converged =
-          passes<B>(base_, &shortcut_, g_->num_vertices() + 1, dist, acct);
-      SEPSP_CHECK_MSG(converged, "query polish diverged (negative cycle?)");
     }
     {
       SEPSP_TRACE_SPAN("query.detect_cycles");
@@ -684,9 +670,8 @@ class LeveledQuery {
   /// per-lane early exit: a lane stops accruing counters after its first
   /// pass that changed nothing (that pass still counts) and rides along
   /// as a no-op, its distances already at these buckets' fixpoint.
-  /// Returns true once every lane has reached that fixpoint.
   template <std::size_t B>
-  bool passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
+  void passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
               std::size_t rounds, Value* dist,
               std::span<QueryStats> acct) const {
     std::array<std::uint8_t, B> active{};
@@ -708,7 +693,6 @@ class LeveledQuery {
         }
       }
     }
-    return live == 0;
   }
 
   /// One leveled-sweep bucket pass: every lane is charged the scan (the

@@ -4,11 +4,10 @@ namespace sepsp {
 
 RoutingScheme RoutingScheme::build(const Digraph& g, const SeparatorTree& tree,
                                    const Options& options) {
-  const Options resolved = options.validated();
   const Digraph reversed = g.transpose();
-  const auto fwd = SeparatorShortestPaths<TropicalD>::build(g, tree, resolved);
+  const auto fwd = SeparatorShortestPaths<TropicalD>::build(g, tree, options);
   const auto bwd =
-      SeparatorShortestPaths<TropicalD>::build(reversed, tree, resolved);
+      SeparatorShortestPaths<TropicalD>::build(reversed, tree, options);
   return build_from_engines(g, tree, fwd, bwd, reversed);
 }
 

@@ -34,8 +34,8 @@ namespace sepsp {
 class RoutingScheme : public HubLabeling<TropicalD> {
  public:
   /// Builds routing tables: two global queries + two O(m) tree
-  /// extractions per distinct separator vertex, batched in chunks. Takes
-  /// the engine facade's validated nested Options (PR 2 convention).
+  /// extractions per distinct separator vertex, batched in chunks.
+  /// `options` are the two internal engines' query options.
   static RoutingScheme build(const Digraph& g, const SeparatorTree& tree,
                              const Options& options = {});
 

@@ -100,7 +100,6 @@ struct ServiceOptions {
     SEPSP_CHECK_MSG(!r.approx.enabled ||
                         (r.approx.eps > 0.0 && r.approx.eps <= 1.0),
                     "ServiceOptions::approx.eps must lie in (0, 1]");
-    r.engine = r.engine.validated();
     return r;
   }
 };

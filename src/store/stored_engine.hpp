@@ -347,14 +347,13 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   // A v3 image carries no negative-cycle certificate (the format is
   // unchanged on purpose), so a stored engine keeps the verification
   // pass whenever detect_negative_cycles asks for it.
-  const auto resolved = options.engine.validated();
   LeveledQuery<S> query = LeveledQuery<S>::from_store(
       *impl->graph, *impl->aug, buckets,
-      resolved.query.detect_negative_cycles);
+      options.engine.query.detect_negative_cycles);
   impl->engine = std::make_unique<SeparatorShortestPaths<S>>(
       SeparatorShortestPaths<S>::from_forked_query(
           *impl->graph, impl->aug, std::move(query),
-          /*cycle_certified=*/false, resolved));
+          /*cycle_certified=*/false, options.engine));
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {
     const std::uint32_t l = h.height - i;
     for (const ExternalBucketStore<Value>* b :

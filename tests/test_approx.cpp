@@ -1,10 +1,12 @@
 // (1 + eps)-approximate engine (src/approx): the end-to-end guarantee
 // holds for every pair and every eps, the error actually shrinks with
-// eps, pruning at eps -> 0 degenerates to the exact build bit for bit,
-// the allocation-free and batched query paths agree with the scalar
-// one, and the option plumbing rejects every invalid spelling.
+// eps, the engine is the exact TropicalI build over the rounded weights
+// bit for bit, the allocation-free and batched query paths agree with
+// the scalar one, and the option plumbing rejects every invalid
+// spelling and every weight range TropicalI cannot hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -84,7 +86,6 @@ TEST(Approx, SingleVertexGraph) {
   const std::vector<double> got = engine.distances(0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 0.0);
-  EXPECT_EQ(engine.eplus_dropped(), 0u);
 }
 
 TEST(Approx, ErrorShrinksWithEps) {
@@ -126,55 +127,64 @@ TEST(Approx, UnitScalesWithEps) {
   const GeneratedGraph gg = make_grid({5, 5}, WeightModel::uniform(2, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
-  // unit = (eps / 2) * w_min, so the ratio of units tracks the ratio of
+  // unit = eps * w_min, so the ratio of units tracks the ratio of
   // budgets.
   const ApproxEngine coarse = build_approx(gg.graph, tree, 0.5);
   const ApproxEngine fine = build_approx(gg.graph, tree, 0.05);
   EXPECT_NEAR(coarse.unit() / fine.unit(), 10.0, 1e-9);
 }
 
-// eps -> 0 must degenerate to the exact build *bit for bit*: the
-// pruning slack floors at one integer unit, so nothing is ever dropped
-// on a tie, and the sparsified builder walks the exact builder's
-// emission order.
-TEST(Approx, PruningParityAtTinyEps) {
+// The approximate engine *is* the exact TropicalI engine over the
+// weights rounded up to multiples of u = eps * w_min: the same E+ bits,
+// the same distances, the same schedule counters, and the same
+// negative-cycle certificate, at every budget.
+TEST(Approx, MatchesExactBuildOverRoundedWeights) {
   Rng rng(6);
   const GeneratedGraph gg =
       make_grid({8, 8}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
-  const double eps = 1e-6;
-  const ApproxEngine approx = build_approx(gg.graph, tree, eps);
-  EXPECT_EQ(approx.eplus_dropped(), 0u);
-
-  // Rebuild the scaled graph exactly as the approx build does and run
-  // the exact TropicalI engine over it.
-  GraphBuilder b(gg.graph.num_vertices());
   const std::span<const Arc> arcs = gg.graph.arcs();
   const std::span<const Vertex> arc_src = gg.graph.arc_sources();
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    b.add_edge(arc_src[i], arcs[i].to,
-               std::ceil(arcs[i].weight / approx.unit()));
-  }
-  const Digraph scaled = std::move(b).build(/*dedup_min=*/false);
-  const auto exact = SeparatorShortestPaths<TropicalI>::build(scaled, tree);
+  double w_min = arcs[0].weight;
+  for (const Arc& a : arcs) w_min = std::min(w_min, a.weight);
+  for (const double eps : {1.0, 0.3, 0.1, 0.01, 1e-6}) {
+    const ApproxEngine approx = build_approx(gg.graph, tree, eps);
+    EXPECT_EQ(approx.unit(), eps * w_min) << "eps=" << eps;
+    EXPECT_EQ(approx.certified_error(), eps);
+    EXPECT_TRUE(approx.engine().cycle_certified()) << "eps=" << eps;
 
-  EXPECT_EQ(approx.stats().eplus_edges, exact.stats().eplus_edges);
-  // E+ itself, not only the distances it yields: same pairs, same bits.
-  const auto& ap = approx.engine().augmentation().shortcuts;
-  const auto& ex = exact.augmentation().shortcuts;
-  ASSERT_EQ(ap.size(), ex.size());
-  for (std::size_t i = 0; i < ap.size(); ++i) {
-    ASSERT_EQ(ap[i].from, ex[i].from) << "shortcut " << i;
-    ASSERT_EQ(ap[i].to, ex[i].to) << "shortcut " << i;
-    ASSERT_EQ(std::memcmp(&ap[i].value, &ex[i].value, sizeof(ap[i].value)),
-              0)
-        << "shortcut " << i;
-  }
-  for (const Vertex src : {Vertex{0}, Vertex{37}}) {
-    const auto a = approx.engine().distances(src);
-    const auto e = exact.distances(src);
-    EXPECT_EQ(a.dist, e.dist) << "src=" << src;
+    GraphBuilder b(gg.graph.num_vertices());
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      b.add_edge(arc_src[i], arcs[i].to,
+                 std::ceil(arcs[i].weight / approx.unit()));
+    }
+    const Digraph scaled = std::move(b).build();
+    const auto exact = SeparatorShortestPaths<TropicalI>::build(scaled, tree);
+
+    // E+ itself, not only the distances it yields: same pairs, same bits.
+    const auto& ap = approx.engine().augmentation().shortcuts;
+    const auto& ex = exact.augmentation().shortcuts;
+    ASSERT_EQ(ap.size(), ex.size()) << "eps=" << eps;
+    for (std::size_t i = 0; i < ap.size(); ++i) {
+      ASSERT_EQ(ap[i].from, ex[i].from) << "eps=" << eps << " shortcut " << i;
+      ASSERT_EQ(ap[i].to, ex[i].to) << "eps=" << eps << " shortcut " << i;
+      ASSERT_EQ(std::memcmp(&ap[i].value, &ex[i].value, sizeof(ap[i].value)),
+                0)
+          << "eps=" << eps << " shortcut " << i;
+    }
+    for (const Vertex src : {Vertex{0}, Vertex{37}}) {
+      const auto a = approx.engine().distances(src);
+      const auto e = exact.distances(src);
+      EXPECT_EQ(a.dist, e.dist) << "eps=" << eps << " src=" << src;
+      EXPECT_EQ(a.edges_scanned, e.edges_scanned) << "eps=" << eps;
+      EXPECT_EQ(a.phases, e.phases) << "eps=" << eps;
+      const std::vector<double> rescaled = approx.distances(src);
+      for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
+        EXPECT_EQ(rescaled[v], static_cast<double>(e.dist[v]) * approx.unit())
+            << "eps=" << eps << " src=" << src << " v=" << v;
+      }
+    }
   }
 }
 
@@ -220,16 +230,8 @@ TEST(Approx, StatsExposeApproxFields) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.approx_eps, 0.3);
   EXPECT_GT(stats.approx_unit, 0.0);
-  EXPECT_EQ(stats.eplus_kept, engine.eplus_kept());
-  EXPECT_EQ(stats.eplus_dropped, engine.eplus_dropped());
-  EXPECT_GT(engine.eplus_dropped(), 0u);
   EXPECT_LE(stats.certified_error, 0.3 + 1e-12);
   EXPECT_GT(stats.certified_error, 0.0);
-
-  // Pruning must shrink |E+| against the exact build of the same
-  // instance.
-  const auto exact = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
-  EXPECT_LT(stats.eplus_edges, exact.stats().eplus_edges);
 }
 
 TEST(Approx, StatsCountServedQueries) {
@@ -267,6 +269,32 @@ TEST(Approx, RejectsNonPositiveWeights) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_bfs_finder());
   EXPECT_DEATH({ (void)build_approx(g, tree, 0.1); }, "positive");
+}
+
+TEST(Approx, RejectsWeightRangesTropicalICannotHold) {
+  // {1, 1e18} at eps = 0.1: the heavy arc alone rounds to 1e19 units,
+  // past long long's range.
+  {
+    GraphBuilder b(2);
+    b.add_edge(0, 1, 1.0);
+    b.add_edge(1, 0, 1e18);
+    const Digraph g = std::move(b).build();
+    const SeparatorTree tree =
+        build_separator_tree(Skeleton(g), make_bfs_finder());
+    EXPECT_DEATH({ (void)build_approx(g, tree, 0.1); }, "kInf");
+  }
+  // Every arc fits, but the path 0 -> 1 -> 2 rounds to 2e18 units, past
+  // TropicalI::kInf = 2^60: vertex 2 would read as unreachable.
+  {
+    GraphBuilder b(4);
+    b.add_edge(0, 1, 1e17);
+    b.add_edge(1, 2, 1e17);
+    b.add_edge(2, 3, 1.0);
+    const Digraph g = std::move(b).build();
+    const SeparatorTree tree =
+        build_separator_tree(Skeleton(g), make_bfs_finder());
+    EXPECT_DEATH({ (void)build_approx(g, tree, 0.1); }, "kInf");
+  }
 }
 
 TEST(Approx, RejectsEpsOutOfRange) {

@@ -402,9 +402,8 @@ TEST(CycleCertificate, RingAroundTheSeparatorIsCaughtByTheRootClosure) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_grid_finder({kSide, kSide}));
   EXPECT_FALSE(expect_certificate_matches_oracle(g, tree, "ring"));
-  detail::CompleteEmission<TropicalD> emit;
   const auto run = detail::run_algorithm41<TropicalD>(
-      g, tree, ClosureKind::kFloydWarshall, emit, /*keep_bnd=*/false);
+      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
   EXPECT_EQ(run.negative_diagonal[0], 1);  // node 0 is the root
   for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
     if (tree.node(id).is_leaf()) {

@@ -1,5 +1,4 @@
-// The SeparatorShortestPaths facade: query Options with validated()
-// checks, the unified distances_batch(sources, BatchPolicy) entry
+// The SeparatorShortestPaths facade: nested query Options, the unified distances_batch(sources, BatchPolicy) entry
 // point, allocation-free distances_into, the QueryResult accessors,
 // engine.stats(), and the freeze() snapshot hook.
 #include <gtest/gtest.h>
@@ -39,19 +38,13 @@ std::vector<Vertex> every_kth_vertex(std::size_t n, std::size_t k) {
 // --- Options ----------------------------------------------------------
 
 TEST(EngineOptions, NestedFieldsAreTheSourceOfTruth) {
+  const Fixture f = make_fixture();
   SeparatorShortestPaths<>::Options opts;
+  EXPECT_TRUE(opts.query.detect_negative_cycles);
   opts.query.detect_negative_cycles = false;
-  const auto v = opts.validated();
-  EXPECT_FALSE(v.query.detect_negative_cycles);
-  EXPECT_EQ(v.query.batch_lanes, SeparatorShortestPaths<>::kBatchLanes);
-}
-
-using EngineOptionsDeathTest = ::testing::Test;
-
-TEST(EngineOptionsDeathTest, RejectsUndispatchableLaneWidth) {
-  SeparatorShortestPaths<>::Options opts;
-  opts.query.batch_lanes = 3;
-  EXPECT_DEATH((void)opts.validated(), "batch_lanes");
+  const auto engine =
+      SeparatorShortestPaths<>::build(f.gg.graph, f.tree, opts);
+  EXPECT_FALSE(engine.query_options().detect_negative_cycles);
 }
 
 // --- batch entry points ----------------------------------------------
@@ -74,20 +67,6 @@ TEST(EngineBatch, PolicyVariantsAgreeWithScalarQueries) {
     EXPECT_EQ(scalar[i].dist, one.dist);
     EXPECT_EQ(def[i].edges_scanned, one.edges_scanned);
     EXPECT_EQ(lanes4[i].edges_scanned, one.edges_scanned);
-  }
-}
-
-TEST(EngineBatch, EngineDefaultLaneWidthComesFromOptions) {
-  const Fixture f = make_fixture();
-  SeparatorShortestPaths<>::Options opts;
-  opts.query.batch_lanes = 2;
-  const auto engine =
-      SeparatorShortestPaths<>::build(f.gg.graph, f.tree, opts);
-  EXPECT_EQ(engine.query_options().batch_lanes, 2u);
-  const auto sources = every_kth_vertex(f.gg.graph.num_vertices(), 9);
-  const auto batch = engine.distances_batch(sources);  // uses lanes = 2
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(batch[i].dist, engine.distances(sources[i]).dist);
   }
 }
 

@@ -163,7 +163,6 @@ TEST(Labeling, OptionsFacadeBuildIsDeterministic) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
   HubLabeling<TropicalD>::Options opts;
-  opts.query.batch_lanes = 4;
   const auto a = HubLabeling<TropicalD>::build(gg.graph, tree, opts);
   const auto b = HubLabeling<TropicalD>::build(gg.graph, tree, opts);
   EXPECT_EQ(a.total_label_entries(), b.total_label_entries());
