@@ -9,10 +9,14 @@
 //                       cells, cells_per_sec, speedup_vs_naive
 //   kind="kernel_tier": kernel, n, tier, threads, seconds, cells,
 //                       cells_per_sec, speedup_vs_scalar_tier
+//   kind="node_shape":  kernel (product|floyd_warshall), shape, rows, mid,
+//                       cols, mode (reference|<tier>), cells, ns_per_cell,
+//                       speedup_vs_reference
 //   kind="index_map":   list_size, lookups, mode, seconds, lookups_per_sec
 //   kind="arc_source":  n, arcs, mode (binary_search|memoized), seconds,
 //                       arcs_per_sec
 #include <algorithm>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -148,9 +152,9 @@ void simd_info_row() {
       .field("active", simd::tier_name(simd::active_tier()));
 }
 
-/// Blocked-kernel throughput per dispatch tier. The scalar tier is the
-/// PR 3 blocked-scalar status quo, so speedup_vs_scalar_tier reads off
-/// exactly what the vector substrate buys at each ISA width.
+/// Blocked-kernel throughput per dispatch tier. The scalar tier runs the
+/// same blocking with plain scalar loops, so speedup_vs_scalar_tier
+/// reads off exactly what the vector substrate buys at each ISA width.
 void tier_rows(int threads) {
   std::vector<std::size_t> sizes = {128, 256};
   if (scale() >= 1) sizes.push_back(512);
@@ -203,8 +207,96 @@ void tier_rows(int threads) {
   }
   simd::force_tier(ambient);
   table.print(std::cout);
-  std::cout << "(all modes blocked; scalar = PR 3 autovectorized loops, "
+  std::cout << "(all modes blocked; scalar = plain loops, "
                "other columns = explicit vector kernels per ISA)\n";
+}
+
+Matrix<TropicalD> random_rect(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix<TropicalD> m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      m.at(i, j) = rng.next_double(1.0, 10.0);
+    }
+  }
+  return m;
+}
+
+/// The dense kernels at the shapes Algorithm 4.1 runs on a 9x9x9 grid
+/// (the update-neg3d instance): |B| x |S| x |S| and |B| x |S| x |B|
+/// products and |S|-wide closures. ns per cell update for the
+/// element-at-a-time reference and for the dispatched kernel on every
+/// tier — the kernel layer of an incremental update batch.
+void node_shape_rows() {
+  struct Shape {
+    const char* kernel;
+    std::size_t rows, mid, cols;
+  };
+  const Shape shapes[] = {
+      {"product", 81, 45, 81},    {"product", 81, 45, 45},
+      {"product", 81, 25, 81},    {"product", 61, 25, 61},
+      {"product", 59, 15, 59},    {"product", 26, 9, 26},
+      {"floyd_warshall", 81, 81, 81}, {"floyd_warshall", 45, 45, 45}};
+  std::vector<simd::Tier> tiers;
+  for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
+    tiers.push_back(static_cast<simd::Tier>(t));
+  }
+  Table table("X — kernels at 9x9x9 node shapes (ns per cell update)");
+  std::vector<std::string> header = {"kernel", "shape", "reference"};
+  for (const simd::Tier t : tiers) header.push_back(simd::tier_name(t));
+  table.set_header(header);
+
+  const simd::Tier ambient = simd::active_tier();
+  Rng rng(41);
+  for (const Shape& sh : shapes) {
+    const bool fw = std::string(sh.kernel) == "floyd_warshall";
+    const auto a = random_rect(sh.rows, sh.mid, rng);
+    const auto b = random_rect(sh.mid, sh.cols, rng);
+    const std::uint64_t cells =
+        static_cast<std::uint64_t>(sh.rows) * sh.mid * sh.cols;
+    Matrix<TropicalD> out;
+    const auto run = [&] {
+      if (fw) {
+        out = a;
+        floyd_warshall(out);
+      } else {
+        multiply_into(a, b, out);
+      }
+    };
+    char shape_buf[48];
+    std::snprintf(shape_buf, sizeof shape_buf, "%zux%zux%zu", sh.rows, sh.mid,
+                  sh.cols);
+    const std::string shape = shape_buf;
+    auto row = table.add_row();
+    row.cell(sh.kernel).cell(shape);
+    double reference_ns = 0;
+    const auto emit = [&](const char* mode, double seconds) {
+      const double ns = seconds * 1e9 / static_cast<double>(cells);
+      if (reference_ns == 0) reference_ns = ns;
+      row.cell(ns, 3);
+      json()
+          .row("node_shape")
+          .field("kernel", sh.kernel)
+          .field("shape", shape)
+          .field("rows", static_cast<std::uint64_t>(sh.rows))
+          .field("mid", static_cast<std::uint64_t>(sh.mid))
+          .field("cols", static_cast<std::uint64_t>(sh.cols))
+          .field("mode", mode)
+          .field("cells", cells)
+          .field("ns_per_cell", ns)
+          .field("speedup_vs_reference", reference_ns / ns);
+    };
+    blocked_kernels_enabled().store(false);
+    emit("reference", time_reps(run));
+    blocked_kernels_enabled().store(true);
+    for (const simd::Tier t : tiers) {
+      simd::force_tier(t);
+      emit(simd::tier_name(t), time_reps(run));
+    }
+  }
+  simd::force_tier(ambient);
+  table.print(std::cout);
+  std::cout << "(reference = element-at-a-time loops; tier columns = the "
+               "dispatched product / fw_panel kernels)\n";
 }
 
 // The satellite micro-bench: per-arc vertex->index resolution on lists
@@ -331,6 +423,7 @@ int main(int argc, char** argv) {
   simd_info_row();
   kernel_rows(threads);
   tier_rows(threads);
+  node_shape_rows();
   index_map_rows();
   arc_source_rows();
   blocked_kernels_enabled().store(true);  // leave the default in place

@@ -286,6 +286,7 @@ std::size_t IncrementalEngine::apply() {
   std::vector<std::size_t> recomputed;
   std::vector<std::uint32_t> touched;
   std::vector<State::Recomputed> changed;
+  std::optional<obs::TraceSpan> phase(std::in_place, "incremental.recompute");
   for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
     // The level worklist can grow while deeper levels run (parent
     // enqueue), but never once its own level starts.
@@ -351,6 +352,7 @@ std::size_t IncrementalEngine::apply() {
   // minimum): the bucket already holds it, so the refresh — and its
   // slab detach — is skipped. Bitwise comparison keeps the skip exactly
   // as strict as the parity contract.
+  phase.emplace("incremental.reminimize");
   s.remin_values.resize(touched.size());
   s.remin_changed.assign(touched.size(), 0);
   const auto combine_one = [&](std::size_t i) {
@@ -370,6 +372,7 @@ std::size_t IncrementalEngine::apply() {
   } else {
     for (std::size_t i = 0; i < touched.size(); ++i) combine_one(i);
   }
+  phase.emplace("incremental.refresh");
   std::size_t slabs_copied = 0;
   for (std::size_t i = 0; i < touched.size(); ++i) {
     if (!s.remin_changed[i]) continue;

@@ -8,19 +8,20 @@
 //     all-pairs baseline whose O(n^3) work is the transitive-closure
 //     bottleneck the paper attacks)
 //
-// The public kernels are cache-blocked: work is tiled into kKernelTile
-// square tiles dispatched as tasks on the work-stealing pool (so a
-// single large closure — e.g. the root separator clique — parallelizes
-// even when it is the only node at its tree level), with row pointers
-// hoisted out of the inner loops and no per-cell bounds checks on the
-// hot path. The element-at-a-time reference kernels (multiply_reference
-// & friends) are kept for the parity suite (tests/test_kernels.cpp) and
-// the naive-vs-blocked rows of bench_x_kernels; blocked and reference
-// kernels produce bit-identical results (identical combine order per
-// cell for multiply/square; identical values for Floyd–Warshall, where
-// cross-tile association of float sums is exercised with exact integer
-// weights — see docs/ALGORITHMS.md "Execution substrate & kernel
-// blocking").
+// The public kernels are blocked into kKernelTile square tiles, each
+// tile one dispatched SIMD kernel call (semiring/simd.hpp: simd::product
+// per output tile, simd::fw_panel per Floyd–Warshall k-panel). Kernels
+// below kSerialKernelCells cell updates run on the calling thread;
+// larger ones run one pool task per tile (so a single large closure —
+// e.g. the root separator clique — parallelizes even when it is the
+// only node at its tree level). The element-at-a-time reference kernels
+// (multiply_reference & friends) are kept for the parity suite
+// (tests/test_kernels.cpp) and the naive-vs-blocked rows of
+// bench_x_kernels; blocked and reference kernels produce bit-identical
+// results (identical combine order per cell for multiply/square;
+// identical values for Floyd–Warshall, where cross-tile association of
+// float sums is exercised with exact integer weights — see
+// docs/ALGORITHMS.md "Execution substrate & kernel blocking").
 //
 // All kernels charge the PRAM cost model exactly as the reference
 // versions do: work = cell updates, depth = phases (a product counts as
@@ -43,9 +44,13 @@
 
 namespace sepsp {
 
-/// Tile edge of the blocked kernels: 64x64 doubles = 32 KiB per tile, so
-/// the three tiles a product touches stay L2-resident.
-inline constexpr std::size_t kKernelTile = 64;
+using simd::kKernelTile;
+
+/// Kernels with fewer cell updates than this run as direct kernel calls
+/// on the calling thread: below it a pool fork costs more than it saves
+/// (an 81-wide Floyd–Warshall ran slower on two pool threads than on
+/// one).
+inline constexpr std::size_t kSerialKernelCells = std::size_t{1} << 20;
 
 /// Test/bench hook: when false, the public kernels dispatch to the
 /// element-at-a-time reference implementations. Bit-identical results
@@ -163,70 +168,36 @@ void multiply_reference_into(const Matrix<S>& a, const Matrix<S>& b,
   }
 }
 
-/// Blocked product: (row-tile, col-tile) tasks on the pool, k-tiles
-/// innermost so per-cell combine order matches the reference exactly
-/// (k strictly ascending for every output cell -> bit-identical). The
-/// register blocking is scalar-times-row: aik stays in a register while
-/// the j-loop streams one b-row into one out-row, which GCC vectorizes
-/// cleanly. (A 2-row-paired variant reusing each b-row for two output
-/// rows measured ~40% SLOWER at -O3 — the branchy pair dispatch defeats
-/// the vectorizer — so one row at a time it is.)
+/// Blocked product: one simd::product call per 64x64 output tile, over
+/// the whole k range (k ascending for every output cell, exactly the
+/// reference's combine order -> bit-identical), or a single call for a
+/// product below kSerialKernelCells.
 template <Semiring S>
 void multiply_blocked_into(const Matrix<S>& a, const Matrix<S>& b,
                            Matrix<S>& out) {
-  using Value = typename S::Value;
   const std::size_t rows = a.rows();
   const std::size_t mid = a.cols();
   const std::size_t cols = b.cols();
   constexpr std::size_t T = kKernelTile;
   const std::size_t row_tiles = tiles_of(rows);
   const std::size_t col_tiles = tiles_of(cols);
+  SEPSP_OBS_ONLY(
+      KernelObs::get().tiles.add(row_tiles * col_tiles * tiles_of(mid));)
+  if (rows * mid * cols < kSerialKernelCells) {
+    simd::product<S>(out.row(0), cols, a.row(0), mid, b.row(0), cols, rows,
+                     mid, cols);
+    return;
+  }
   pram::ThreadPool::global().parallel_for(
       0, row_tiles * col_tiles,
       [&](std::size_t tile) {
         const std::size_t i0 = (tile / col_tiles) * T;
         const std::size_t j0 = (tile % col_tiles) * T;
-        const std::size_t i1 = std::min(rows, i0 + T);
-        const std::size_t j1 = std::min(cols, j0 + T);
-        for (std::size_t k0 = 0; k0 < mid; k0 += T) {
-          const std::size_t k1 = std::min(mid, k0 + T);
-          for (std::size_t i = i0; i < i1; ++i) {
-            const Value* arow = a.row(i);
-            Value* orow = out.row(i);
-            for (std::size_t k = k0; k < k1; ++k) {
-              const Value aik = arow[k];
-              if (!S::improves(S::zero(), aik)) continue;
-              const Value* brow = b.row(k);
-              simd::tile_row<S>(orow + j0, brow + j0, aik, j1 - j0);
-            }
-          }
-        }
+        simd::product<S>(out.row(i0) + j0, cols, a.row(i0), mid,
+                         b.row(0) + j0, cols, std::min(T, rows - i0), mid,
+                         std::min(T, cols - j0));
       },
       /*grain=*/1);
-  SEPSP_OBS_ONLY(
-      KernelObs::get().tiles.add(row_tiles * col_tiles * tiles_of(mid));)
-}
-
-/// One Floyd–Warshall update sweep over the [i0,i1) x [j0,j1) block with
-/// intermediates k in [k0,k1), k ascending outermost (the in-place FW
-/// recursion order). Serial; callers parallelize across independent
-/// blocks.
-template <Semiring S>
-void fw_sweep(Matrix<S>& m, std::size_t i0, std::size_t i1, std::size_t j0,
-              std::size_t j1, std::size_t k0, std::size_t k1) {
-  using Value = typename S::Value;
-  for (std::size_t k = k0; k < k1; ++k) {
-    const Value* krow = m.row(k);
-    for (std::size_t i = i0; i < i1; ++i) {
-      Value* irow = m.row(i);
-      const Value mik = irow[k];
-      if (!S::improves(S::zero(), mik)) continue;
-      // When i == k the rows alias exactly; tile_row loads each chunk
-      // before storing it, so per-cell semantics match the scalar loop
-      // (which likewise reads krow[j] before writing irow[j]).
-      simd::tile_row<S>(irow + j0, krow + j0, mik, j1 - j0);
-    }
-  }
 }
 
 /// Reference closure: the seed's sequential-in-k loop, serial over rows.
@@ -234,15 +205,24 @@ template <Semiring S>
 void floyd_warshall_reference(Matrix<S>& m) {
   const std::size_t n = m.rows();
   for (std::size_t i = 0; i < n; ++i) m.merge(i, i, S::one());
-  fw_sweep(m, 0, n, 0, n, 0, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto mik = m.at(i, k);
+      if (!S::improves(S::zero(), mik)) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        m.merge(i, j, S::extend(mik, m.at(k, j)));
+      }
+    }
+  }
 }
 
-/// Blocked closure: the classic three-phase tiling. Per k-panel, the
-/// diagonal tile is closed first (it carries the in-panel dependency),
-/// then the row and column panels (each tile depends only on itself and
-/// the closed diagonal), then all interior tiles in parallel per
-/// k-panel (each reads only the finished panels). Matrices that fit one
-/// tile take the diagonal phase only, which IS the reference loop.
+/// Blocked closure: the classic three-phase tiling. Per k-panel, one
+/// simd::fw_panel call closes the diagonal tile (it carries the
+/// in-panel dependency), then the row and column panels (each reads
+/// only itself and the closed diagonal); then every interior tile is
+/// one simd::product of its column-panel and row-panel tiles (each
+/// reads only the finished panels). Matrices that fit one tile take the
+/// diagonal phase only, which IS the reference loop.
 template <Semiring S>
 void floyd_warshall_blocked(Matrix<S>& m) {
   const std::size_t n = m.rows();
@@ -251,39 +231,27 @@ void floyd_warshall_blocked(Matrix<S>& m) {
   const std::size_t nt = tiles_of(n);
   auto lo = [&](std::size_t t) { return t * T; };
   auto hi = [&](std::size_t t) { return std::min(n, t * T + T); };
-  auto& pool = pram::ThreadPool::global();
   for (std::size_t kt = 0; kt < nt; ++kt) {
     const std::size_t k0 = lo(kt), k1 = hi(kt);
-    // Phase 1: diagonal tile, in place.
-    fw_sweep(m, k0, k1, k0, k1, k0, k1);
+    simd::fw_panel<S>(m.row(0), n, n, k0, k1);
     if (nt == 1) break;
-    // Phase 2: row panel (kt, j) and column panel (i, kt), all tiles
-    // independent. Index 0..nt-2 maps to the non-diagonal tiles; the
-    // first nt-1 are row-panel, the rest column-panel.
-    pool.parallel_for(
-        0, 2 * (nt - 1),
-        [&](std::size_t x) {
-          const bool is_row = x < nt - 1;
-          std::size_t t = is_row ? x : x - (nt - 1);
-          if (t >= kt) ++t;  // skip the diagonal
-          if (is_row) {
-            fw_sweep(m, k0, k1, lo(t), hi(t), k0, k1);
-          } else {
-            fw_sweep(m, lo(t), hi(t), k0, k1, k0, k1);
-          }
-        },
-        /*grain=*/1);
-    // Phase 3: interior tiles, all independent of each other.
-    pool.parallel_for(
-        0, (nt - 1) * (nt - 1),
-        [&](std::size_t x) {
-          std::size_t it = x / (nt - 1);
-          std::size_t jt = x % (nt - 1);
-          if (it >= kt) ++it;
-          if (jt >= kt) ++jt;
-          fw_sweep(m, lo(it), hi(it), lo(jt), hi(jt), k0, k1);
-        },
-        /*grain=*/1);
+    // Interior tiles, all independent of each other.
+    const auto interior = [&](std::size_t x) {
+      std::size_t it = x / (nt - 1);
+      std::size_t jt = x % (nt - 1);
+      if (it >= kt) ++it;
+      if (jt >= kt) ++jt;
+      simd::product<S>(m.row(lo(it)) + lo(jt), n, m.row(lo(it)) + k0, n,
+                       m.row(k0) + lo(jt), n, hi(it) - lo(it), k1 - k0,
+                       hi(jt) - lo(jt));
+    };
+    const std::size_t interior_tiles = (nt - 1) * (nt - 1);
+    if (n * n * n < kSerialKernelCells) {
+      for (std::size_t x = 0; x < interior_tiles; ++x) interior(x);
+    } else {
+      pram::ThreadPool::global().parallel_for(0, interior_tiles, interior,
+                                              /*grain=*/1);
+    }
   }
   SEPSP_OBS_ONLY(detail::KernelObs::get().tiles.add(nt * nt * nt);)
 }

@@ -72,7 +72,10 @@ struct TropicalD {
 };
 
 /// Min-plus semiring over 64-bit integers; edge weights are rounded.
-/// Useful for exact equality tests.
+/// Useful for exact equality tests. Sums saturate: at kInf ("no path")
+/// above and at -kInf below, so values stay in [-kInf, kInf] and a
+/// closure over a negative cycle (whose cells can double per pivot)
+/// bottoms out at -kInf instead of overflowing.
 struct TropicalI {
   using Value = long long;
   static constexpr Value kInf = (1LL << 60);
@@ -81,7 +84,7 @@ struct TropicalI {
   static constexpr Value combine(Value a, Value b) { return a < b ? a : b; }
   static constexpr Value extend(Value a, Value b) {
     if (a >= kInf || b >= kInf) return kInf;
-    return a + b;
+    return floored(a + b);
   }
   static constexpr bool improves(Value current, Value candidate) {
     return candidate < current;
@@ -90,7 +93,11 @@ struct TropicalI {
   /// either exact (< kInf) or exactly kInf, so one select saturates
   /// (kInf + negative b must not look reachable).
   static constexpr Value extend_unguarded(Value a, Value b) {
-    return a == kInf ? kInf : a + b;
+    return a == kInf ? kInf : floored(a + b);
+  }
+  /// The -kInf floor of a sum of two values in [-kInf, kInf].
+  static constexpr Value floored(Value sum) {
+    return sum < -kInf ? -kInf : sum;
   }
   static Value from_weight(double w) { return static_cast<Value>(w); }
   static constexpr bool kDetectNegativeCycles = true;

@@ -17,46 +17,18 @@ namespace sepsp::simd {
 namespace kernels {
 
 // Per-tier kernel symbols (defined in simd_<tier>.cpp via
-// simd_kernels.inc). Declarations stamped per suffix.
-#define SEPSP_SIMD_DECLARE_TIER(SUF)                                          \
-  void tile_row_minplus_d_##SUF(double*, const double*, double, std::size_t); \
-  int combine_row_minplus_d_##SUF(double*, const double*, std::size_t);       \
-  void sweep_minplus_d_##SUF(double*, const std::uint32_t*,                   \
-                             const std::uint32_t*, const double*,             \
-                             std::size_t, std::size_t);                       \
-  void sweep_tracked_minplus_d_##SUF(double*, const std::uint32_t*,           \
-                                     const std::uint32_t*, const double*,     \
-                                     std::size_t, std::size_t,                \
-                                     std::uint8_t*);                          \
-  void tile_row_minplus_i_##SUF(long long*, const long long*, long long,      \
-                                std::size_t);                                 \
-  int combine_row_minplus_i_##SUF(long long*, const long long*, std::size_t); \
-  void sweep_minplus_i_##SUF(long long*, const std::uint32_t*,                \
-                             const std::uint32_t*, const long long*,          \
-                             std::size_t, std::size_t);                       \
-  void sweep_tracked_minplus_i_##SUF(long long*, const std::uint32_t*,        \
-                                     const std::uint32_t*, const long long*,  \
-                                     std::size_t, std::size_t,                \
-                                     std::uint8_t*);                          \
-  void tile_row_maxmin_d_##SUF(double*, const double*, double, std::size_t);  \
-  int combine_row_maxmin_d_##SUF(double*, const double*, std::size_t);        \
-  void sweep_maxmin_d_##SUF(double*, const std::uint32_t*,                    \
-                            const std::uint32_t*, const double*, std::size_t, \
-                            std::size_t);                                     \
-  void sweep_tracked_maxmin_d_##SUF(double*, const std::uint32_t*,            \
-                                    const std::uint32_t*, const double*,      \
-                                    std::size_t, std::size_t, std::uint8_t*); \
-  void tile_row_orand_b_##SUF(unsigned char*, const unsigned char*,           \
-                              unsigned char, std::size_t);                    \
-  int combine_row_orand_b_##SUF(unsigned char*, const unsigned char*,         \
-                                std::size_t);                                 \
-  void sweep_orand_b_##SUF(unsigned char*, const std::uint32_t*,              \
-                           const std::uint32_t*, const unsigned char*,        \
-                           std::size_t, std::size_t);                         \
-  void sweep_tracked_orand_b_##SUF(unsigned char*, const std::uint32_t*,      \
-                                   const std::uint32_t*,                      \
-                                   const unsigned char*, std::size_t,         \
-                                   std::size_t, std::uint8_t*);
+// simd_kernels.inc). Declarations stamped per kind and suffix.
+#define SEPSP_SIMD_DECLARE_KIND(KIND, V, SUF)     \
+  ProductKernel<V> product_##KIND##_##SUF;        \
+  FwPanelKernel<V> fw_panel_##KIND##_##SUF;       \
+  CombineRowKernel<V> combine_row_##KIND##_##SUF; \
+  SweepKernel<V> sweep_##KIND##_##SUF;            \
+  SweepTrackedKernel<V> sweep_tracked_##KIND##_##SUF;
+#define SEPSP_SIMD_DECLARE_TIER(SUF)                 \
+  SEPSP_SIMD_DECLARE_KIND(minplus_d, double, SUF)    \
+  SEPSP_SIMD_DECLARE_KIND(minplus_i, long long, SUF) \
+  SEPSP_SIMD_DECLARE_KIND(maxmin_d, double, SUF)     \
+  SEPSP_SIMD_DECLARE_KIND(orand_b, unsigned char, SUF)
 
 SEPSP_SIMD_DECLARE_TIER(scalar)
 #if defined(SEPSP_SIMD_HAS_V128)
@@ -69,25 +41,22 @@ SEPSP_SIMD_DECLARE_TIER(avx2)
 SEPSP_SIMD_DECLARE_TIER(avx512)
 #endif
 #undef SEPSP_SIMD_DECLARE_TIER
+#undef SEPSP_SIMD_DECLARE_KIND
 
 }  // namespace kernels
 
 namespace {
 
-#define SEPSP_SIMD_TIER_TABLE(SUF)                                           \
-  KernelTable {                                                              \
-    &kernels::tile_row_minplus_d_##SUF, &kernels::combine_row_minplus_d_##SUF, \
-        &kernels::sweep_minplus_d_##SUF,                                     \
-        &kernels::sweep_tracked_minplus_d_##SUF,                             \
-        &kernels::tile_row_minplus_i_##SUF,                                  \
-        &kernels::combine_row_minplus_i_##SUF,                               \
-        &kernels::sweep_minplus_i_##SUF,                                     \
-        &kernels::sweep_tracked_minplus_i_##SUF,                             \
-        &kernels::tile_row_maxmin_d_##SUF,                                   \
-        &kernels::combine_row_maxmin_d_##SUF, &kernels::sweep_maxmin_d_##SUF, \
-        &kernels::sweep_tracked_maxmin_d_##SUF,                              \
-        &kernels::tile_row_orand_b_##SUF, &kernels::combine_row_orand_b_##SUF, \
-        &kernels::sweep_orand_b_##SUF, &kernels::sweep_tracked_orand_b_##SUF \
+#define SEPSP_SIMD_KIND_ENTRIES(KIND, SUF)                             \
+  &kernels::product_##KIND##_##SUF, &kernels::fw_panel_##KIND##_##SUF, \
+      &kernels::combine_row_##KIND##_##SUF,                            \
+      &kernels::sweep_##KIND##_##SUF, &kernels::sweep_tracked_##KIND##_##SUF
+#define SEPSP_SIMD_TIER_TABLE(SUF)               \
+  KernelTable {                                  \
+    SEPSP_SIMD_KIND_ENTRIES(minplus_d, SUF),     \
+        SEPSP_SIMD_KIND_ENTRIES(minplus_i, SUF), \
+        SEPSP_SIMD_KIND_ENTRIES(maxmin_d, SUF),  \
+        SEPSP_SIMD_KIND_ENTRIES(orand_b, SUF)    \
   }
 
 // Indexed by Tier; tiers not compiled in alias the best lower tier.
@@ -116,6 +85,7 @@ const KernelTable kTables[4] = {
 #endif
 };
 #undef SEPSP_SIMD_TIER_TABLE
+#undef SEPSP_SIMD_KIND_ENTRIES
 
 constexpr Tier min_tier(Tier a, Tier b) {
   return static_cast<int>(a) < static_cast<int>(b) ? a : b;

@@ -1,18 +1,20 @@
 // Explicit SIMD substrate for the semiring hot loops.
 //
-// Two call sites dominate both phases of the system: the 64x64 tile
-// rows of the blocked dense kernels (semiring/matrix.hpp, Algorithms
-// 4.1/4.3) and the lane-major bucket sweeps of the source-batched
-// leveled query (LeveledQuery::run_block, core/query.hpp). Until now
-// both leaned on compiler autovectorization of scalar loops, which is
-// fragile across semirings and compilers; this layer replaces them with
+// Two kinds of call site dominate both phases of the system: the dense
+// min-plus kernels of Algorithms 4.1/4.3 (semiring/matrix.hpp: the
+// rectangular products and the Floyd–Warshall closure) and the
+// lane-major bucket sweeps of the source-batched leveled query
+// (LeveledQuery::run_block, core/query.hpp). This layer gives both
 // hand-written fixed-width vector kernels selected once at startup by
-// runtime CPU dispatch.
+// runtime CPU dispatch. A dense kernel is one dispatched call per
+// 64x64 output tile (product) or per k-panel (fw_panel), never one per
+// row.
 //
 // Tiers. Four implementations of every kernel are compiled into the
 // library, each in its own translation unit with its own ISA flags:
 //
-//   kScalar  plain scalar loops (the PR 3 status quo; always present)
+//   kScalar  plain scalar loops (always present; the bit-identity
+//            oracle)
 //   kSse     128-bit vectors (x86-64 baseline SSE2; portable fallback —
 //            the same generic-vector code lowers to NEON on aarch64)
 //   kAvx2    256-bit vectors, compiled with -mavx2
@@ -21,9 +23,9 @@
 // The kernels are written against GCC/Clang fixed-width vector
 // extensions (elementwise +, ?:, comparisons), NOT raw intrinsics: the
 // language guarantees per-element semantics identical to the scalar
-// operators, so every tier is bit-identical to the scalar reference by
-// construction — the same guarantee PR 3 established for cache
-// blocking, now extended across ISAs and enforced by tests/test_simd.
+// operators, and every kernel keeps the scalar loops' per-cell order of
+// combines, so every tier is bit-identical to the scalar reference by
+// construction — enforced by tests/test_simd and tests/test_kernels.
 //
 // Dispatch. simd::active_tier() is resolved once: the highest tier both
 // compiled in (SEPSP_SIMD CMake option; tier TU availability) and
@@ -31,10 +33,10 @@
 // SEPSP_FORCE_ISA environment variable (scalar|sse|avx2|avx512; forcing
 // above hardware/compile support clamps down). Tests may override it at
 // runtime with force_tier(). The templated entry points below read the
-// active tier per call (one relaxed atomic load per bucket sweep / tile
-// row) and fall back to the inline scalar loop for semirings without a
-// vector kind or when the scalar tier is active — so code compiled
-// against this header never changes meaning, only speed.
+// active tier per call (one relaxed atomic load per kernel call or
+// bucket sweep); semirings without a vector kind run the same loop
+// nests inline with a scalar row step, so code compiled against this
+// header never changes meaning, only speed.
 //
 // Alignment contract. Kernels use unaligned-tolerant loads; callers
 // that want the aligned fast path allocate through AlignedVector
@@ -44,6 +46,7 @@
 // correctness requirement.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -88,6 +91,90 @@ Tier active_tier();
 /// calls process-wide.
 Tier force_tier(Tier t);
 
+// --- dense kernel loop nests -------------------------------------------
+// The per-cell order of the two dense kernels, written once. The scalar
+// tier runs these loops whole; the vector tiers run fw_panel_loops with
+// a vector row step and keep product_loops' order inside their
+// register blocks. `row(o, b, a, n)` performs
+//   o[j] = combine(o[j], extend(a, b[j]))   for j < n,
+// reading each b[j] before writing o[j] (o == b aliases exactly when a
+// Floyd–Warshall pivot row updates itself); it is only called with
+// a != zero(), because both loops skip a zero() multiplier exactly as
+// the reference product does.
+
+/// Tile edge of the blocked kernels: 64x64 doubles = 32 KiB per tile,
+/// so the three tiles a product touches stay L2-resident.
+inline constexpr std::size_t kKernelTile = 64;
+
+/// o ⊕= a ⊗ b over strided sub-rectangles: o is rows x cols (row stride
+/// ldo), a is rows x mid (lda), b is mid x cols (ldb). Every cell
+/// combines its candidates in ascending k, one kKernelTile slice of k
+/// at a time (so the slice of b stays cache-resident). o must not
+/// overlap a or b.
+template <Semiring S, typename Row>
+inline void product_loops(typename S::Value* o, std::size_t ldo,
+                          const typename S::Value* a, std::size_t lda,
+                          const typename S::Value* b, std::size_t ldb,
+                          std::size_t rows, std::size_t mid, std::size_t cols,
+                          Row row) {
+  for (std::size_t k0 = 0; k0 < mid; k0 += kKernelTile) {
+    const std::size_t k1 = std::min(mid, k0 + kKernelTile);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t k = k0; k < k1; ++k) {
+        const auto aik = a[i * lda + k];
+        if (!S::improves(S::zero(), aik)) continue;  // aik == zero: skip
+        row(o + i * ldo, b + k * ldb, aik, cols);
+      }
+    }
+  }
+}
+
+/// The sequential phases of one k-panel K = [k0, k1) of blocked
+/// Floyd–Warshall over the n x n matrix m (row stride ld):
+///   - the diagonal tile K x K, closed in place (the reference loop
+///     restricted to K — for n <= kKernelTile this is the whole
+///     closure);
+///   - the row panel K x (not K), each cell sweeping k in K through
+///     the closed diagonal, one kKernelTile column chunk at a time;
+///   - the column panel (not K) x K, row by row.
+/// What is left for the k-panel is the interior (not K) x (not K),
+/// which reads only the finished panels: a product per tile.
+template <Semiring S, typename Row>
+inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
+                           std::size_t n, std::size_t k0, std::size_t k1,
+                           Row row) {
+  const auto sweep = [&](std::size_t i0, std::size_t i1, std::size_t j0,
+                         std::size_t j1) {
+    for (std::size_t k = k0; k < k1; ++k) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const auto mik = m[i * ld + k];
+        if (!S::improves(S::zero(), mik)) continue;
+        row(m + i * ld + j0, m + k * ld + j0, mik, j1 - j0);
+      }
+    }
+  };
+  sweep(k0, k1, k0, k1);
+  for (std::size_t j0 = 0; j0 < k0; j0 += kKernelTile) {
+    sweep(k0, k1, j0, std::min(k0, j0 + kKernelTile));
+  }
+  for (std::size_t j0 = k1; j0 < n; j0 += kKernelTile) {
+    sweep(k0, k1, j0, std::min(n, j0 + kKernelTile));
+  }
+  // A column-panel row reads only itself and the closed diagonal, so
+  // running each row through all of K is the same per-cell order.
+  const auto column_panel = [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t k = k0; k < k1; ++k) {
+        const auto mik = m[i * ld + k];
+        if (!S::improves(S::zero(), mik)) continue;
+        row(m + i * ld + k0, m + k * ld + k0, mik, k1 - k0);
+      }
+    }
+  };
+  column_panel(0, k0);
+  column_panel(k1, n);
+}
+
 // --- kernel function table ---------------------------------------------
 // One entry per (kernel, semiring kind). Kinds cover the value domains
 // the shipped semirings relax over:
@@ -97,11 +184,15 @@ Tier force_tier(Tier t);
 //   orand_b    uint8     or / and           (BooleanSR)
 //
 // Kernel shapes (V = kind's value type):
-//   tile_row(o, b, a, n):      o[j] = combine(o[j], extend(a, b[j])),
-//                              the blocked kernels' innermost row.
-//                              Caller guarantees a != zero() for the
-//                              double kinds (the tile loops skip zero
-//                              aik); the int/bool kinds are total.
+//   product(o, ldo, a, lda, b, ldb, rows, mid, cols):
+//                              o ⊕= a ⊗ b over strided sub-rectangles,
+//                              the order of product_loops; vector tiers
+//                              keep a block of output rows x 2 vectors
+//                              in registers across each kKernelTile
+//                              slice of k.
+//   fw_panel(m, ld, n, k0, k1): the sequential phases of one
+//                              Floyd–Warshall k-panel, the order of
+//                              fw_panel_loops, as inline row loops.
 //   combine_row(dst, src, n):  dst[j] = combine(dst[j], src[j]);
 //                              returns nonzero iff any improves() —
 //                              square_step's fused change detection.
@@ -113,43 +204,50 @@ Tier force_tier(Tier t);
 //                              pass. lanes <= 64.
 //   sweep_tracked(..., changed): same, OR-ing per-lane improvement
 //                              flags into changed[0..lanes).
+template <typename V>
+using ProductKernel = void(V* o, std::size_t ldo, const V* a,
+                           std::size_t lda, const V* b, std::size_t ldb,
+                           std::size_t rows, std::size_t mid,
+                           std::size_t cols);
+template <typename V>
+using FwPanelKernel = void(V* m, std::size_t ld, std::size_t n,
+                           std::size_t k0, std::size_t k1);
+template <typename V>
+using CombineRowKernel = int(V* dst, const V* src, std::size_t n);
+template <typename V>
+using SweepKernel = void(V* dist, const std::uint32_t* from,
+                         const std::uint32_t* to, const V* value,
+                         std::size_t m, std::size_t lanes);
+template <typename V>
+using SweepTrackedKernel = void(V* dist, const std::uint32_t* from,
+                                const std::uint32_t* to, const V* value,
+                                std::size_t m, std::size_t lanes,
+                                std::uint8_t* changed);
+
 struct KernelTable {
-  void (*tile_row_minplus_d)(double*, const double*, double, std::size_t);
-  int (*combine_row_minplus_d)(double*, const double*, std::size_t);
-  void (*sweep_minplus_d)(double*, const std::uint32_t*, const std::uint32_t*,
-                          const double*, std::size_t, std::size_t);
-  void (*sweep_tracked_minplus_d)(double*, const std::uint32_t*,
-                                  const std::uint32_t*, const double*,
-                                  std::size_t, std::size_t, std::uint8_t*);
+  ProductKernel<double>* product_minplus_d;
+  FwPanelKernel<double>* fw_panel_minplus_d;
+  CombineRowKernel<double>* combine_row_minplus_d;
+  SweepKernel<double>* sweep_minplus_d;
+  SweepTrackedKernel<double>* sweep_tracked_minplus_d;
 
-  void (*tile_row_minplus_i)(long long*, const long long*, long long,
-                             std::size_t);
-  int (*combine_row_minplus_i)(long long*, const long long*, std::size_t);
-  void (*sweep_minplus_i)(long long*, const std::uint32_t*,
-                          const std::uint32_t*, const long long*, std::size_t,
-                          std::size_t);
-  void (*sweep_tracked_minplus_i)(long long*, const std::uint32_t*,
-                                  const std::uint32_t*, const long long*,
-                                  std::size_t, std::size_t, std::uint8_t*);
+  ProductKernel<long long>* product_minplus_i;
+  FwPanelKernel<long long>* fw_panel_minplus_i;
+  CombineRowKernel<long long>* combine_row_minplus_i;
+  SweepKernel<long long>* sweep_minplus_i;
+  SweepTrackedKernel<long long>* sweep_tracked_minplus_i;
 
-  void (*tile_row_maxmin_d)(double*, const double*, double, std::size_t);
-  int (*combine_row_maxmin_d)(double*, const double*, std::size_t);
-  void (*sweep_maxmin_d)(double*, const std::uint32_t*, const std::uint32_t*,
-                         const double*, std::size_t, std::size_t);
-  void (*sweep_tracked_maxmin_d)(double*, const std::uint32_t*,
-                                 const std::uint32_t*, const double*,
-                                 std::size_t, std::size_t, std::uint8_t*);
+  ProductKernel<double>* product_maxmin_d;
+  FwPanelKernel<double>* fw_panel_maxmin_d;
+  CombineRowKernel<double>* combine_row_maxmin_d;
+  SweepKernel<double>* sweep_maxmin_d;
+  SweepTrackedKernel<double>* sweep_tracked_maxmin_d;
 
-  void (*tile_row_orand_b)(unsigned char*, const unsigned char*, unsigned char,
-                           std::size_t);
-  int (*combine_row_orand_b)(unsigned char*, const unsigned char*,
-                             std::size_t);
-  void (*sweep_orand_b)(unsigned char*, const std::uint32_t*,
-                        const std::uint32_t*, const unsigned char*,
-                        std::size_t, std::size_t);
-  void (*sweep_tracked_orand_b)(unsigned char*, const std::uint32_t*,
-                                const std::uint32_t*, const unsigned char*,
-                                std::size_t, std::size_t, std::uint8_t*);
+  ProductKernel<unsigned char>* product_orand_b;
+  FwPanelKernel<unsigned char>* fw_panel_orand_b;
+  CombineRowKernel<unsigned char>* combine_row_orand_b;
+  SweepKernel<unsigned char>* sweep_orand_b;
+  SweepTrackedKernel<unsigned char>* sweep_tracked_orand_b;
 };
 
 /// The kernel set for a tier. Tiers not compiled in alias the next
@@ -157,35 +255,40 @@ struct KernelTable {
 const KernelTable& table(Tier t);
 
 /// Maps a shipped semiring to its KernelTable members. Semirings
-/// without a specialization fall back to the inline scalar loops in the
-/// dispatch wrappers below (and never touch the table).
+/// without a specialization run the loop nests above with a scalar row
+/// step and the inline scalar loops in the dispatch wrappers below (and
+/// never touch the table).
 template <typename S>
 struct KindTraits;
 
 template <>
 struct KindTraits<TropicalD> {
-  static constexpr auto kTileRow = &KernelTable::tile_row_minplus_d;
+  static constexpr auto kProduct = &KernelTable::product_minplus_d;
+  static constexpr auto kFwPanel = &KernelTable::fw_panel_minplus_d;
   static constexpr auto kCombineRow = &KernelTable::combine_row_minplus_d;
   static constexpr auto kSweep = &KernelTable::sweep_minplus_d;
   static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_minplus_d;
 };
 template <>
 struct KindTraits<TropicalI> {
-  static constexpr auto kTileRow = &KernelTable::tile_row_minplus_i;
+  static constexpr auto kProduct = &KernelTable::product_minplus_i;
+  static constexpr auto kFwPanel = &KernelTable::fw_panel_minplus_i;
   static constexpr auto kCombineRow = &KernelTable::combine_row_minplus_i;
   static constexpr auto kSweep = &KernelTable::sweep_minplus_i;
   static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_minplus_i;
 };
 template <>
 struct KindTraits<BottleneckSR> {
-  static constexpr auto kTileRow = &KernelTable::tile_row_maxmin_d;
+  static constexpr auto kProduct = &KernelTable::product_maxmin_d;
+  static constexpr auto kFwPanel = &KernelTable::fw_panel_maxmin_d;
   static constexpr auto kCombineRow = &KernelTable::combine_row_maxmin_d;
   static constexpr auto kSweep = &KernelTable::sweep_maxmin_d;
   static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_maxmin_d;
 };
 template <>
 struct KindTraits<BooleanSR> {
-  static constexpr auto kTileRow = &KernelTable::tile_row_orand_b;
+  static constexpr auto kProduct = &KernelTable::product_orand_b;
+  static constexpr auto kFwPanel = &KernelTable::fw_panel_orand_b;
   static constexpr auto kCombineRow = &KernelTable::combine_row_orand_b;
   static constexpr auto kSweep = &KernelTable::sweep_orand_b;
   static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_orand_b;
@@ -193,32 +296,52 @@ struct KindTraits<BooleanSR> {
 
 /// True when S has a vector kernel kind (the four shipped semirings).
 template <typename S>
-concept VectorizableSemiring = requires { KindTraits<S>::kTileRow; };
+concept VectorizableSemiring = requires { KindTraits<S>::kProduct; };
 
 template <typename S>
 inline constexpr bool kVectorizable = VectorizableSemiring<S>;
 
 // --- dispatched entry points -------------------------------------------
-// Each reads active_tier() once per call; the scalar tier (and any
-// semiring without a kind) takes the inline loop, which is the exact
-// pre-SIMD code — autovectorizable by the compiler as before, so the
-// scalar tier measures the PR 3 status quo.
+// Each reads active_tier() once per call. The dense kernels go through
+// the table on every tier (the scalar tier's entries are the loop nests
+// above); the row and sweep kernels take their inline loop on the
+// scalar tier. Semirings without a kind always run inline.
 
-/// Blocked-kernel tile row: o[j] = combine(o[j], extend(a, b[j])).
-/// Contract for the floating-point kinds: a != S::zero() (the tile
-/// loops skip zero aik before reaching here).
+/// Scalar row step of the dense loop nests, for semirings without a
+/// vector kind.
 template <Semiring S>
-inline void tile_row(typename S::Value* o, const typename S::Value* b,
-                     typename S::Value a, std::size_t n) {
-  if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kTileRow)(o, b, a, n);
-      return;
+struct ScalarRow {
+  void operator()(typename S::Value* o, const typename S::Value* b,
+                  typename S::Value a, std::size_t n) const {
+    for (std::size_t j = 0; j < n; ++j) {
+      o[j] = S::combine(o[j], S::extend(a, b[j]));
     }
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    o[j] = S::combine(o[j], S::extend(a, b[j]));
+};
+
+/// o ⊕= a ⊗ b over strided sub-rectangles (see product_loops).
+template <Semiring S>
+inline void product(typename S::Value* o, std::size_t ldo,
+                    const typename S::Value* a, std::size_t lda,
+                    const typename S::Value* b, std::size_t ldb,
+                    std::size_t rows, std::size_t mid, std::size_t cols) {
+  if constexpr (kVectorizable<S>) {
+    (*(table(active_tier()).*KindTraits<S>::kProduct))(o, ldo, a, lda, b, ldb,
+                                                      rows, mid, cols);
+  } else {
+    product_loops<S>(o, ldo, a, lda, b, ldb, rows, mid, cols, ScalarRow<S>{});
+  }
+}
+
+/// The sequential phases of Floyd–Warshall k-panel [k0, k1) of the
+/// n x n matrix m (see fw_panel_loops).
+template <Semiring S>
+inline void fw_panel(typename S::Value* m, std::size_t ld, std::size_t n,
+                     std::size_t k0, std::size_t k1) {
+  if constexpr (kVectorizable<S>) {
+    (*(table(active_tier()).*KindTraits<S>::kFwPanel))(m, ld, n, k0, k1);
+  } else {
+    fw_panel_loops<S>(m, ld, n, k0, k1, ScalarRow<S>{});
   }
 }
 

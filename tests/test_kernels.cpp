@@ -1,8 +1,10 @@
 // Parity suite for the cache-blocked dense kernels: blocked and
 // reference (element-at-a-time) implementations must produce
-// bit-identical results — same bytes, not just "close" — over TropicalD
-// and the boolean semiring, on random matrices and adversarial
-// tile-boundary shapes.
+// bit-identical results — same bytes, not just "close" — on random
+// matrices and adversarial tile-boundary shapes, over all four shipped
+// semirings and on every SIMD tier this machine can run (the blocked
+// kernels are one dispatched simd::product / simd::fw_panel call per
+// tile or panel).
 //
 // Why bit-identity is the right bar: multiply/square_step preserve the
 // per-cell combine order (k strictly ascending for every output cell),
@@ -12,13 +14,16 @@
 // builders' end-to-end parity below exercises the full pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
 #include "graph/generators.hpp"
+#include "semiring/simd.hpp"
 #include "semiring/matrix.hpp"
 #include "semiring/semiring.hpp"
 #include "separator/finders.hpp"
@@ -285,6 +290,158 @@ TEST(KernelParity, ClosureBySquaringParity) {
       reference = closure_by_squaring(input);
     }
     expect_bit_identical(blocked, reference, "closure_by_squaring");
+  }
+}
+
+// --- every tier, every kind ---------------------------------------------
+
+/// Restores the ambient dispatch tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : saved_(simd::active_tier()) {}
+  ~TierGuard() { simd::force_tier(saved_); }
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+
+ private:
+  simd::Tier saved_;
+};
+
+std::vector<simd::Tier> runnable_tiers() {
+  std::vector<simd::Tier> tiers;
+  for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
+    tiers.push_back(static_cast<simd::Tier>(t));
+  }
+  return tiers;
+}
+
+/// Random matrix over S: entries from_weight(w) with probability
+/// `density`, w an integer in [1, 20] or a real in [0.25, 8).
+template <Semiring S>
+Matrix<S> random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
+                        double density, bool integer_weights) {
+  Matrix<S> m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (!rng.next_bool(density)) continue;
+      m.at(i, j) = S::from_weight(integer_weights
+                                      ? static_cast<double>(rng.next_int(1, 20))
+                                      : rng.next_double(0.25, 8.0));
+    }
+  }
+  return m;
+}
+
+template <typename S>
+class TierParity : public ::testing::Test {};
+using AllSemirings =
+    ::testing::Types<TropicalD, TropicalI, BooleanSR, BottleneckSR>;
+TYPED_TEST_SUITE(TierParity, AllSemirings);
+
+TYPED_TEST(TierParity, MultiplyEveryDimensionEveryTier) {
+  using S = TypeParam;
+  TierGuard guard;
+  Rng rng(31);
+  std::vector<std::array<std::size_t, 3>> shapes;
+  for (std::size_t d = 1; d <= 130; ++d) {
+    shapes.push_back({d, 1 + d % 9, 1 + (d * 7) % 23});
+    shapes.push_back({1 + d % 11, d, 1 + (d * 5) % 19});
+    shapes.push_back({1 + (d * 3) % 13, 1 + d % 7, d});
+  }
+  // The |B| x |S| x |S| and |B| x |S| x |B| products of a 9^3 grid's
+  // nodes, and a product past kSerialKernelCells (one pool task per
+  // tile).
+  for (const auto& sh : {std::array<std::size_t, 3>{81, 45, 81},
+                         {81, 45, 45}, {81, 25, 81}, {61, 25, 61},
+                         {59, 15, 59}, {26, 9, 26}, {130, 70, 130}}) {
+    shapes.push_back(sh);
+  }
+  for (const auto& sh : shapes) {
+    SCOPED_TRACE(::testing::Message() << sh[0] << "x" << sh[1] << "x" << sh[2]);
+    const auto a = random_matrix<S>(sh[0], sh[1], rng, 0.6, false);
+    const auto b = random_matrix<S>(sh[1], sh[2], rng, 0.6, false);
+    Matrix<S> reference;
+    {
+      KernelMode mode(false);
+      multiply_into(a, b, reference);
+    }
+    for (const simd::Tier t : runnable_tiers()) {
+      simd::force_tier(t);
+      Matrix<S> blocked;
+      multiply_into(a, b, blocked);
+      ASSERT_EQ(blocked, reference) << simd::tier_name(t);
+      if constexpr (std::is_same_v<typename S::Value, double>) {
+        expect_bit_identical(blocked, reference, simd::tier_name(t));
+      }
+    }
+  }
+}
+
+TYPED_TEST(TierParity, FloydWarshallEveryTier) {
+  using S = TypeParam;
+  TierGuard guard;
+  Rng rng(32);
+  for (const std::size_t n : {1u, 15u, 45u, 63u, 64u, 65u, 81u, 128u, 130u}) {
+    // Integer weights keep multi-tile re-association exact; up to one
+    // tile the blocked kernel is the reference loop, so real weights are
+    // bit-exact too.
+    for (const bool integer_weights : {true, false}) {
+      if (!integer_weights && n > kKernelTile) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " integer=" << integer_weights);
+      const auto input = random_matrix<S>(n, n, rng, 0.2, integer_weights);
+      Matrix<S> reference = input;
+      {
+        KernelMode mode(false);
+        floyd_warshall(reference);
+      }
+      for (const simd::Tier t : runnable_tiers()) {
+        simd::force_tier(t);
+        Matrix<S> blocked = input;
+        floyd_warshall(blocked);
+        expect_bit_identical(blocked, reference, simd::tier_name(t));
+      }
+    }
+  }
+}
+
+TEST(KernelParity, TropicalINegativeCycleSaturatesAtFloor) {
+  // A negative cycle through every vertex: Floyd–Warshall cells can
+  // double per pivot, so without the -kInf floor they overflow long long
+  // (undefined behaviour; the sanitizer job runs this test). With it,
+  // the closure reports a negative diagonal and stays in range.
+  constexpr long long kInf = TropicalI::kInf;
+  EXPECT_EQ(TropicalI::extend(-kInf, -kInf), -kInf);
+  EXPECT_EQ(TropicalI::extend(-kInf, kInf), kInf);
+  EXPECT_EQ(TropicalI::extend_unguarded(-kInf, -1), -kInf);
+  EXPECT_EQ(TropicalI::extend(-kInf + 5, -4), -kInf + 1);
+  TierGuard guard;
+  for (const std::size_t n : {15u, 65u, 130u}) {
+    SCOPED_TRACE(n);
+    Matrix<TropicalI> input(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      input.at(i, (i + 1) % n) = -(kInf / 4);
+      input.at(i, (i + 7) % n) = 3;
+    }
+    Matrix<TropicalI> reference = input;
+    {
+      KernelMode mode(false);
+      floyd_warshall(reference);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LT(reference.at(i, i), 0) << "row " << i;
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_GE(reference.at(i, j), -kInf);
+        EXPECT_LE(reference.at(i, j), kInf);
+      }
+    }
+    EXPECT_EQ(reference.at(0, 0), -kInf);
+    for (const simd::Tier t : runnable_tiers()) {
+      simd::force_tier(t);
+      Matrix<TropicalI> blocked = input;
+      floyd_warshall(blocked);
+      EXPECT_EQ(blocked, reference) << simd::tier_name(t);
+    }
   }
 }
 

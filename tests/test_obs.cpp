@@ -125,6 +125,34 @@ TEST(Trace, NestedSpansFormTree) {
 #endif
 }
 
+TEST(Trace, IncrementalApplySpansOnePerPhase) {
+  Rng rng(8);
+  const auto gg = make_grid({6, 6}, WeightModel::uniform(1, 9), rng);
+  const auto tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
+  IncrementalEngine engine = IncrementalEngine::build(gg.graph, tree);
+  const Arc& arc = gg.graph.arcs()[0];
+  engine.update_edge(gg.graph.arc_sources()[0], arc.to, arc.weight + 3);
+  trace_reset();
+  engine.apply();
+  const TraceSnapshotNode root = trace_snapshot();
+#if SEPSP_OBS_ENABLED
+  const TraceSnapshotNode* apply = find_trace_node(root, "incremental.apply");
+  ASSERT_NE(apply, nullptr);
+  EXPECT_EQ(apply->calls, 1u);
+  std::vector<std::string> phases;
+  for (const TraceSnapshotNode& child : apply->children) {
+    phases.push_back(child.name);
+    EXPECT_EQ(child.calls, 1u) << child.name;
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"incremental.recompute",
+                                              "incremental.reminimize",
+                                              "incremental.refresh"}));
+#else
+  EXPECT_TRUE(root.children.empty());
+#endif
+}
+
 TEST(Trace, ResetClearsRecordedSpans) {
   {
     SEPSP_TRACE_SPAN("test.cleared");

@@ -7,6 +7,12 @@
 // identity is checked with memcmp, not operator== (so a -0.0 vs +0.0
 // divergence would be caught).
 //
+// The dense kernels (product, fw_panel) are checked entry by entry:
+// every tier against the scalar tier, the scalar tier against a naive
+// per-cell loop, at every width 1..130, at the node shapes of a 9^3
+// grid, on strided sub-rectangles with guard cells around them, and with
+// whole rows and columns of zero().
+//
 // Also covered: tier naming/parsing, SEPSP_FORCE_ISA resolution (the CI
 // force-isa job runs this whole binary under each forced tier — the
 // ForcedTierMatchesEnv test is what fails if dispatch ignored the env),
@@ -147,16 +153,6 @@ void check_kernel_parity(simd::Tier tier) {
   const simd::KernelTable& st = simd::table(simd::Tier::kScalar);
 
   for (const std::size_t n : {1u, 3u, 7u, 16u, 33u, 64u, 100u}) {
-    // tile_row: o = combine(o, extend(a, b)) over a row.
-    std::vector<Value> o(n), b(n);
-    for (auto& v : o) v = Gen<S>::dist_value(rng);
-    for (auto& v : b) v = Gen<S>::dist_value(rng);
-    const Value a = Gen<S>::edge_value(rng);
-    std::vector<Value> o_vec = o, o_ref = o;
-    (vt.*simd::KindTraits<S>::kTileRow)(o_vec.data(), b.data(), a, n);
-    (st.*simd::KindTraits<S>::kTileRow)(o_ref.data(), b.data(), a, n);
-    EXPECT_TRUE(bits_equal(o_vec, o_ref)) << "tile_row n=" << n;
-
     // combine_row: fused merge + any-improvement flag.
     std::vector<Value> dst(n), src(n);
     for (auto& v : dst) v = Gen<S>::dist_value(rng);
@@ -215,6 +211,137 @@ class SimdKernelParity : public ::testing::Test {};
 using AllSemirings =
     ::testing::Types<TropicalD, TropicalI, BooleanSR, BottleneckSR>;
 TYPED_TEST_SUITE(SimdKernelParity, AllSemirings);
+
+// --- dense kernels: product and fw_panel entries -----------------------
+
+/// A rows x cols sub-rectangle at (kPad, kPad) of a buffer with row
+/// stride cols + 2 * kPad, surrounded by guard cells that no kernel may
+/// touch.
+template <typename S>
+struct Strided {
+  using Value = typename S::Value;
+  static constexpr std::size_t kPad = 3;
+  std::size_t rows, cols, ld;
+  std::vector<Value> cells;
+
+  Strided(std::size_t r, std::size_t c, Rng& rng)
+      : rows(r), cols(c), ld(c + 2 * kPad), cells((r + 2 * kPad) * ld) {
+    for (auto& v : cells) v = Gen<S>::dist_value(rng);
+  }
+  Value* at(std::size_t i, std::size_t j) {
+    return cells.data() + (i + kPad) * ld + (j + kPad);
+  }
+  const Value* at(std::size_t i, std::size_t j) const {
+    return cells.data() + (i + kPad) * ld + (j + kPad);
+  }
+};
+
+/// Naive o ⊕= a ⊗ b, one cell at a time: k ascending, zero() multipliers
+/// skipped — the order every tier's product must reproduce.
+template <typename S>
+void naive_product(Strided<S>& o, const Strided<S>& a, const Strided<S>& b,
+                   std::size_t mid) {
+  for (std::size_t i = 0; i < o.rows; ++i) {
+    for (std::size_t j = 0; j < o.cols; ++j) {
+      auto acc = *o.at(i, j);
+      for (std::size_t k = 0; k < mid; ++k) {
+        const auto aik = *a.at(i, k);
+        if (!S::improves(S::zero(), aik)) continue;
+        acc = S::combine(acc, S::extend(aik, *b.at(k, j)));
+      }
+      *o.at(i, j) = acc;
+    }
+  }
+}
+
+/// One product shape on every runnable tier: each tier's entry must
+/// match the naive loop bit for bit, guard cells included.
+template <typename S>
+void check_product_shape(std::size_t rows, std::size_t mid, std::size_t cols,
+                         Rng& rng) {
+  SCOPED_TRACE(::testing::Message()
+               << rows << "x" << mid << "x" << cols << " " << typeid(S).name());
+  Strided<S> o(rows, cols, rng), a(rows, mid, rng), b(mid, cols, rng);
+  // Whole rows and columns of zero(): a row of a, a column of a, a row
+  // of b (each skipped or absorbed exactly as the naive loop does).
+  for (std::size_t k = 0; k < mid; ++k) *a.at(rows / 2, k) = S::zero();
+  for (std::size_t i = 0; i < rows; ++i) *a.at(i, mid / 2) = S::zero();
+  for (std::size_t j = 0; j < cols; ++j) *b.at(mid - 1, j) = S::zero();
+  Strided<S> want = o;
+  naive_product(want, a, b, mid);
+  for (const simd::Tier t : runnable_tiers()) {
+    Strided<S> got = o;
+    (*(simd::table(t).*simd::KindTraits<S>::kProduct))(
+        got.at(0, 0), got.ld, a.at(0, 0), a.ld, b.at(0, 0), b.ld, rows, mid,
+        cols);
+    ASSERT_TRUE(bits_equal(got.cells, want.cells))
+        << "product tier=" << simd::tier_name(t);
+  }
+}
+
+TYPED_TEST(SimdKernelParity, ProductEveryWidthEveryTier) {
+  using S = TypeParam;
+  Rng rng(401);
+  for (std::size_t d = 1; d <= 130; ++d) {
+    // d runs through every value in each of the three dimensions; the
+    // partners cycle through the row-block and vector-width remainders.
+    check_product_shape<S>(1 + d % 11, 1 + d % 7, d, rng);
+    check_product_shape<S>(d, 1 + d % 5, 1 + d % 19, rng);
+    check_product_shape<S>(1 + d % 13, d, 1 + d % 17, rng);
+  }
+}
+
+TYPED_TEST(SimdKernelParity, ProductNodeShapesEveryTier) {
+  using S = TypeParam;
+  Rng rng(402);
+  // |B| x |S| x |S| and |B| x |S| x |B| products of a 9^3 grid's nodes.
+  const std::size_t shapes[][3] = {{81, 45, 81}, {81, 45, 45}, {81, 25, 81},
+                                   {61, 25, 61}, {59, 15, 59}, {26, 9, 26},
+                                   {64, 64, 64}, {130, 130, 130}};
+  for (const auto& sh : shapes) {
+    check_product_shape<S>(sh[0], sh[1], sh[2], rng);
+  }
+}
+
+/// Runs the whole blocked Floyd–Warshall over an n x n strided
+/// sub-rectangle with one tier's entries: fw_panel per k-panel, then a
+/// product per interior tile (the order of floyd_warshall_blocked).
+template <typename S>
+void fw_with_table(const simd::KernelTable& kt, Strided<S>& m) {
+  const std::size_t n = m.rows;
+  const std::size_t T = kKernelTile;
+  for (std::size_t k0 = 0; k0 < n; k0 += T) {
+    const std::size_t k1 = std::min(n, k0 + T);
+    (*(kt.*simd::KindTraits<S>::kFwPanel))(m.at(0, 0), m.ld, n, k0, k1);
+    for (std::size_t i0 = 0; i0 < n; i0 += T) {
+      for (std::size_t j0 = 0; j0 < n; j0 += T) {
+        if (i0 == k0 || j0 == k0) continue;
+        (*(kt.*simd::KindTraits<S>::kProduct))(
+            m.at(i0, j0), m.ld, m.at(i0, k0), m.ld, m.at(k0, j0), m.ld,
+            std::min(n, i0 + T) - i0, k1 - k0, std::min(n, j0 + T) - j0);
+      }
+    }
+  }
+}
+
+TYPED_TEST(SimdKernelParity, FwPanelStridedEveryTier) {
+  using S = TypeParam;
+  Rng rng(403);
+  for (const std::size_t n : {1u, 15u, 45u, 63u, 64u, 65u, 81u, 128u, 130u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Strided<S> input(n, n, rng);
+    for (std::size_t j = 0; j < n; ++j) *input.at(n / 2, j) = S::zero();
+    Strided<S> want = input;
+    fw_with_table(simd::table(simd::Tier::kScalar), want);
+    for (const simd::Tier t : runnable_tiers()) {
+      Strided<S> got = input;
+      fw_with_table(simd::table(t), got);
+      ASSERT_TRUE(bits_equal(got.cells, want.cells))
+          << "fw_panel tier=" << simd::tier_name(t);
+    }
+  }
+}
+
 
 TYPED_TEST(SimdKernelParity, EveryRunnableTierMatchesScalarBitwise) {
   for (const simd::Tier t : runnable_tiers()) {
