@@ -1,75 +1,244 @@
-// X2 — PRAM simulation: thread scaling of the builder and of batched
-// multi-source queries on the fork-join pool.
+// X2 — PRAM simulation: thread scaling of the exact build and of a
+// batched 64-source query on the fork-join pool.
 //
-// The paper's model is an EREW PRAM; this machine executes with a
-// thread pool. On multi-core hosts the builder (parallel over tree
-// nodes / matrix rows) and the source-parallel query batch should scale;
-// on the single-core CI machine the table documents the flat profile
-// (hardware limitation, not an algorithmic one — the work counters
-// elsewhere are the model-level evidence).
+// The library runs on the process-wide pool, which SEPSP_THREADS sizes
+// once per process. So every row runs in a child process of its own:
+// the bench re-executes itself with SEPSP_THREADS=t and `--row=<file>`, and the
+// child times SeparatorShortestPaths::build (Algorithm 4.1 with
+// Floyd–Warshall closures, then the slot minimum and the query buckets)
+// over >= 5 repetitions after one warm-up build. Each row reports the
+// median, min and max build time, the level loop's share (the
+// `build.nodes` spans; 0 when built with SEPSP_OBS=OFF) and the batch
+// time, and the speedups of the medians against one thread. E+ must be
+// bit-identical at every thread count: each child writes its E+ bytes
+// to a temporary file, which the parent memcmps against the one-thread
+// row's (`eplus_parity`); the rows also show an FNV-1a digest of them.
+//
+// Scale 0 runs the 33x33 grid, scale >= 1 the 65x65 one. On a host
+// with fewer cores than a row's threads the speedup is flat by
+// hardware limitation; the work/depth counters elsewhere carry the
+// PRAM-model claims.
+//
+//   bench_x_parallel_scaling [--json[=path]]
+#include <unistd.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "bench_common.hpp"
-#include "core/builder_recursive.hpp"
+#include "obs/trace.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
 
-int main() {
+namespace {
+
+/// What one child process measured at its thread count.
+struct RowResult {
+  unsigned threads = 0;
+  double build_median = 0, build_min = 0, build_max = 0;
+  double level_median = 0;
+  double batch_median = 0;
+  std::uint64_t eplus = 0;
+  std::uint64_t digest = 0;
+};
+
+std::size_t grid_side() { return scale() == 0 ? 33 : 65; }
+int repetitions() { return scale() >= 2 ? 11 : 7; }
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+/// The child: times the builds and the batch on the global pool, which
+/// SEPSP_THREADS sized, writes E+ to `eplus_path` and prints one line
+/// for the parent.
+int run_row(const std::string& eplus_path) {
   Rng rng(1);
-  const int sc = scale();
-  const std::size_t side = sc == 0 ? 33 : 65;
+  const std::size_t side = grid_side();
   const Instance inst = grid2d(side, WeightModel::uniform(1, 10), rng);
-  std::cout << "hardware_concurrency = "
-            << std::thread::hardware_concurrency() << "\n";
+  std::vector<Vertex> sources(64);
+  Rng pick(3);
+  for (auto& s : sources) s = static_cast<Vertex>(pick.next_below(inst.n()));
 
-  Table table("X2 — thread scaling (grid " + std::to_string(side) + "x" +
-              std::to_string(side) + ")");
-  table.set_header({"threads", "build ms", "build speedup",
-                    "64-source batch ms", "batch speedup"});
-  double build_base = 0, batch_base = 0;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    pram::ThreadPool pool(threads);
-    // The library uses the global pool; emulate per-thread-count runs by
-    // timing the kernels through a locally scoped pool via the builder's
-    // code path (the global pool is sized by SEPSP_THREADS; here we
-    // measure the dominant kernels directly on `pool`).
+  RowResult r;
+  r.threads = pram::ThreadPool::global().concurrency();
+  std::vector<double> build_ms, level_ms, batch_ms;
+  for (int rep = 0; rep <= repetitions(); ++rep) {
+    obs::trace_reset();
     WallTimer t_build;
-    // Dominant preprocessing kernel mix: per-level node processing. We
-    // time the real builder (which uses the global pool) once for
-    // threads == global, and the raw parallel_for overhead otherwise.
-    auto aug =
-        build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
-    const double build_ms = t_build.millis();
-
     const auto engine =
         SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
-    std::vector<Vertex> sources(64);
-    Rng pick(3);
-    for (auto& s : sources) {
-      s = static_cast<Vertex>(pick.next_below(inst.n()));
-    }
+    const double b = t_build.millis();
+    const obs::TraceSnapshotNode snap = obs::trace_snapshot();
+    const obs::TraceSnapshotNode* nodes =
+        obs::find_trace_node(snap, "build.nodes");
     WallTimer t_batch;
-    std::vector<QueryResult<TropicalD>> results(sources.size());
-    pool.parallel_for(0, sources.size(), [&](std::size_t i) {
-      results[i] = engine.query_engine().run(sources[i]);
-    });
-    const double batch_ms = t_batch.millis();
+    const auto results = engine.distances_batch(sources);
+    const double q = t_batch.millis();
+    if (rep == 0) {  // warm-up: fixes the digest, times nothing
+      const auto& sc = engine.augmentation().shortcuts;
+      r.eplus = sc.size();
+      r.digest = fnv1a(sc.data(), sc.size() * sizeof(sc[0]));
+      std::ofstream(eplus_path, std::ios::binary)
+          .write(reinterpret_cast<const char*>(sc.data()),
+                 static_cast<std::streamsize>(sc.size() * sizeof(sc[0])));
+      continue;
+    }
+    build_ms.push_back(b);
+    level_ms.push_back(nodes != nullptr ? nodes->total_ns / 1e6 : 0.0);
+    batch_ms.push_back(q);
+    if (results.size() != sources.size()) return 1;
+  }
+  r.build_median = median(build_ms);
+  r.build_min = *std::min_element(build_ms.begin(), build_ms.end());
+  r.build_max = *std::max_element(build_ms.begin(), build_ms.end());
+  r.level_median = median(level_ms);
+  r.batch_median = median(batch_ms);
+  std::printf("row %u %.6f %.6f %.6f %.6f %.6f %" PRIu64 " %016" PRIx64 "\n",
+              r.threads, r.build_median, r.build_min, r.build_max,
+              r.level_median, r.batch_median, r.eplus, r.digest);
+  return 0;
+}
 
-    if (build_base == 0) build_base = build_ms;
-    if (batch_base == 0) batch_base = batch_ms;
+/// Path of this executable, for re-running it as a child.
+std::string self_path() {
+  char buf[4096];
+  const ssize_t len = readlink("/proc/self/exe", buf, sizeof buf - 1);
+  if (len <= 0) return {};
+  buf[len] = '\0';
+  return buf;
+}
+
+bool run_child(const std::string& exe, unsigned threads,
+               const std::string& eplus_path, RowResult* out) {
+  const std::string cmd = "SEPSP_THREADS=" + std::to_string(threads) +
+                          " '" + exe + "' --row='" + eplus_path + "'";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return false;
+  std::string text;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) text += buf;
+  if (pclose(pipe) != 0) return false;
+  const std::size_t at = text.rfind("row ");
+  if (at == std::string::npos) return false;
+  std::istringstream in(text.substr(at));
+  std::string tag, digest;
+  in >> tag >> out->threads >> out->build_median >> out->build_min >>
+      out->build_max >> out->level_median >> out->batch_median >>
+      out->eplus >> digest;
+  out->digest = std::stoull(digest, nullptr, 16);
+  return static_cast<bool>(in) && out->threads == threads;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--row=", 6) == 0) return run_row(argv[i] + 6);
+  }
+  parse_args(argc, argv, "x_parallel_scaling");
+  const std::size_t side = grid_side();
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::cout << "hardware_concurrency = " << hw << "\n";
+  const std::string exe = self_path();
+  if (exe.empty()) {
+    std::cerr << "bench_x_parallel_scaling: cannot locate its own binary\n";
+    return 1;
+  }
+
+  Table table("X2 — thread scaling of the exact build (grid " +
+              std::to_string(side) + "x" + std::to_string(side) + ", " +
+              std::to_string(repetitions()) + " reps per row)");
+  table.set_header({"threads", "build ms (median)", "min", "max",
+                    "build speedup", "level loop ms", "64-source batch ms",
+                    "batch speedup", "|E+|", "E+ = 1-thread"});
+  std::vector<RowResult> rows;
+  std::vector<char> one_eplus;  // the one-thread row's E+ bytes
+  bool parity = true;
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    const std::string eplus_path =
+        (std::filesystem::temp_directory_path() /
+         ("sepsp_scaling_" + std::to_string(getpid()) + "_" +
+          std::to_string(threads) + ".eplus"))
+            .string();
+    RowResult r;
+    const bool ok = run_child(exe, threads, eplus_path, &r);
+    std::ifstream in(eplus_path, std::ios::binary);
+    const std::vector<char> eplus((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    std::filesystem::remove(eplus_path);
+    if (!ok) {
+      std::cerr << "bench_x_parallel_scaling: row at " << threads
+                << " threads failed\n";
+      return 1;
+    }
+    if (rows.empty()) one_eplus = eplus;
+    rows.push_back(r);
+    const RowResult& one = rows.front();
+    const bool same =
+        r.eplus == one.eplus && !eplus.empty() &&
+        eplus.size() == one_eplus.size() &&
+        std::memcmp(eplus.data(), one_eplus.data(), eplus.size()) == 0;
+    parity = parity && same;
     table.add_row()
         .cell(static_cast<std::uint64_t>(threads))
-        .cell(build_ms, 1)
-        .cell(build_base / build_ms, 2)
-        .cell(batch_ms, 1)
-        .cell(batch_base / batch_ms, 2);
+        .cell(r.build_median, 2)
+        .cell(r.build_min, 2)
+        .cell(r.build_max, 2)
+        .cell(one.build_median / r.build_median, 2)
+        .cell(r.level_median, 2)
+        .cell(r.batch_median, 2)
+        .cell(one.batch_median / r.batch_median, 2)
+        .cell(r.eplus)
+        .cell(same ? "yes" : "NO");
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64, r.digest);
+    json()
+        .row("parallel_scaling")
+        .field("side", static_cast<std::uint64_t>(side))
+        .field("threads", static_cast<std::uint64_t>(threads))
+        .field("hardware_threads", static_cast<std::uint64_t>(hw))
+        .field("reps", repetitions())
+        .field("build_ms_median", r.build_median)
+        .field("build_ms_min", r.build_min)
+        .field("build_ms_max", r.build_max)
+        .field("build_speedup", one.build_median / r.build_median)
+        .field("level_ms_median", r.level_median)
+        .field("batch_ms_median", r.batch_median)
+        .field("batch_speedup", one.batch_median / r.batch_median)
+        .field("eplus_edges", r.eplus)
+        .field("eplus_digest", digest)
+        .field("eplus_parity", same ? 1 : 0);
   }
   table.print(std::cout);
-  std::cout << "note: speedups are bounded by hardware_concurrency; on a\n"
-               "single-core host the profile is flat by hardware limitation\n"
-               "(see DESIGN.md substitution 1 — the work/depth counters are\n"
-               "the PRAM-model evidence).\n";
-  return 0;
+  json()
+      .row("parallel_scaling_summary")
+      .field("side", static_cast<std::uint64_t>(side))
+      .field("rows", static_cast<std::uint64_t>(rows.size()))
+      .field("eplus_parity", parity ? 1 : 0);
+  json().write();
+  std::cout << "E+ bit-identical across thread counts: "
+            << (parity ? "yes" : "NO") << "\n"
+            << "note: speedups are bounded by hardware_concurrency; see\n"
+               "DESIGN.md substitution 1 (the work/depth counters are the\n"
+               "PRAM-model evidence).\n";
+  return parity ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/levels.hpp"
@@ -37,7 +38,15 @@ struct Shortcut {
 /// (LeveledQuery::shortcut_edges()).
 template <Semiring S>
 struct Augmentation {
-  std::vector<Shortcut<S>> shortcuts;  ///< E+, deduplicated, no zero() edges
+  /// E+: one entry per distinct (from, to) pair, (from, to)-sorted
+  /// (LeveledQuery relies on the order). The engine builds drop zero()
+  /// ("no path") pairs; IncrementalEngine keeps them at zero() as slots
+  /// that reweighting may activate.
+  std::vector<Shortcut<S>> shortcuts;
+  /// The tree's slot plan the shortcuts were laid out by (shared with
+  /// every other build over the tree); null for Algorithm 4.3 builds,
+  /// stored images and hand-built augmentations.
+  std::shared_ptr<const EplusPlan> plan;
   LevelAssignment levels;
   std::uint32_t height = 0;  ///< d_G of the decomposition tree
   std::size_t ell = 1;       ///< bound on leaf min-weight diameters
@@ -62,9 +71,11 @@ struct Augmentation {
 /// dropping pairs whose value is zero() ("no path") and self loops that
 /// cannot improve anything (value >= one() is useless on the diagonal).
 /// The sort is two stable counting-sort passes, by `to` and then by
-/// `from`: linear in |edges| + n, where a comparison sort of the raw
-/// Algorithm 4.1 emission (each pair about three times) dominated the
-/// build. The result is sized to the distinct pairs.
+/// `from`, linear in |edges| + n; equal pairs keep their input order,
+/// so the later of two equal values wins. The result is sized to the
+/// distinct pairs. The Algorithm 4.3 builders use it; Algorithm 4.1
+/// builds minimize through the tree's slot plan instead
+/// (detail::minimize_slots), which keeps the same bits.
 template <Semiring S>
 void dedup_shortcuts(std::vector<Shortcut<S>>& edges) {
   std::size_t n = 0;

@@ -206,15 +206,10 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   }
   aug.critical_depth = iterations_run * per_iter_depth;
 
-  // Step iii: extract S x S and B x B entries into pre-computed slices
-  // of the final array; dedup keeps the best.
-  std::vector<std::size_t> offsets(num_nodes);
-  for (std::size_t id = 0; id < num_nodes; ++id) {
-    const DecompNode& t = tree.node(id);
-    offsets[id] = detail::pair_count(t.separator.size()) +
-                  detail::pair_count(t.boundary.size());
-  }
-  aug.shortcuts.resize(detail::offsets_from_counts(offsets));
+  // Step iii: extract S x S and B x B entries into the slices the tree's
+  // slot plan assigns each node; dedup keeps the best.
+  const std::vector<std::size_t>& offsets = tree.eplus_plan()->node_offset;
+  aug.shortcuts.resize(offsets.back());
   pram::ThreadPool::global().parallel_for(0, num_nodes, [&](std::size_t id) {
     auto scratch = scratch_pool.acquire();
     const DecompNode& t = tree.node(id);

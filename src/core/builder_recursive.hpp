@@ -19,20 +19,24 @@
 // Floyd–Warshall, so all of them emit the same E+ bits; the squaring
 // closure serves the benches that reproduce the paper's depth.
 //
-// Steps i-v exist once, in detail::node_step, which writes the node's
-// complete S x S and B x B pair sets into its slice of the output. The
-// exact build (detail::run_algorithm41) sizes every node's slice up
-// front, runs the levels deepest first with the nodes of a level in
-// parallel, and accounts the critical depth; the incremental engine
-// (core/incremental.cpp) reruns node_step into scratch and diffs the
-// result against the retained entries.
+// Steps i-v exist once, in detail::node_step, which writes the values
+// of the node's complete S x S and B x B pair sets into its slice of the
+// raw emission. Which pair each value belongs to, and which values share
+// a (from, to) slot of E+, is the tree's slot plan
+// (separator/eplus_plan.hpp), computed once per tree. A build is three
+// steps: detail::run_algorithm41 runs the levels deepest first, the
+// nodes of a level in parallel, and accounts the critical depth;
+// detail::minimize_slots takes each slot's minimum over its owners; the
+// query engine (LeveledQuery) merges base arcs and E+ into its buckets.
+// The incremental engine (core/incremental.cpp) reruns node_step into
+// scratch, diffs the result against the retained values and
+// re-minimizes the touched slots through the same plan.
 //
-// Node tasks lease a scratch arena (builder_scratch.hpp): intermediate
-// matrices reuse storage across nodes, vertex->index lookups are O(1)
-// dense-map probes instead of per-arc binary searches, and shortcut
-// edges are written straight into their pre-computed slice of the final
-// array (no per-node vectors, no concat pass). Only the cross-level
-// boundary matrices (`bnd`) own long-lived storage.
+// Node tasks lease a scratch arena (builder_scratch.hpp), one lease per
+// block of nodes: intermediate matrices reuse storage across nodes, and
+// vertex->index lookups are O(1) dense-map probes instead of per-arc
+// binary searches. Only the cross-level boundary matrices (`bnd`) own
+// long-lived storage.
 #pragma once
 
 #include <algorithm>
@@ -66,32 +70,16 @@ void run_closure(Matrix<S>& m, ClosureKind kind, Matrix<S>& scratch) {
   }
 }
 
-/// Turns per-node shortcut counts into exclusive-prefix-sum offsets and
-/// returns the total; node i then owns slice [offsets[i], offsets[i+1]).
-inline std::size_t offsets_from_counts(std::vector<std::size_t>& counts) {
-  std::size_t total = 0;
-  for (auto& c : counts) {
-    const std::size_t here = c;
-    c = total;
-    total += here;
-  }
-  counts.push_back(total);
-  return total;
-}
-
-/// Shortcuts a group of k mutually-connected vertices emits: all ordered
-/// pairs minus the diagonal.
-inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
-
-/// Writes all ordered pairs (i != j) of `verts` with values m(i, j),
-/// i-major, and returns past-the-end.
+/// Writes all off-diagonal cells of the square matrix `m`, i-major —
+/// the values of the pairs EplusPlan lays out for one vertex group —
+/// and returns past-the-end.
 template <Semiring S>
-Shortcut<S>* emit_pairs(std::span<const Vertex> verts, const Matrix<S>& m,
-                        Shortcut<S>* out) {
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    for (std::size_t j = 0; j < verts.size(); ++j) {
-      if (i != j) *out++ = {verts[i], verts[j], m.at(i, j)};
-    }
+typename S::Value* emit_pairs(const Matrix<S>& m, typename S::Value* out) {
+  const std::size_t k = m.rows();
+  for (std::size_t i = 0; i < k; ++i) {
+    const typename S::Value* row = m.row(i);
+    out = std::copy(row, row + i, out);
+    out = std::copy(row + i + 1, row + k, out);
   }
   return out;
 }
@@ -110,9 +98,10 @@ bool has_negative_diagonal(const Matrix<S>& m) {
 }
 
 /// Steps i-v of Algorithm 4.1 for node `id`. Reads the children's
-/// boundary matrices from `bnd`, writes the node's own into `bm` and its
-/// complete S x S and B x B pair sets, i-major, into `out`
-/// (pair_count(|S|) + pair_count(|B|) entries). Leaves run Floyd–Warshall on the
+/// boundary matrices from `bnd`, writes the node's own into `bm` and the
+/// values of its complete S x S and B x B pair sets into `out`, in the
+/// order EplusPlan lays the node's entries out (pair_count(|S|) +
+/// pair_count(|B|) values). Leaves run Floyd–Warshall on the
 /// induced subgraph, whose arc weights come from weight_of(const Arc&);
 /// internal nodes close H_S with `closure`. Returns true when the
 /// node's closure — the leaf's Floyd–Warshall matrix or the closed H_S —
@@ -124,7 +113,7 @@ template <Semiring S, typename WeightOf>
 bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
                const std::vector<Matrix<S>>& bnd, ClosureKind closure,
                const WeightOf& weight_of, RecursiveScratch<S>& sc,
-               Matrix<S>& bm, std::span<Shortcut<S>> out) {
+               Matrix<S>& bm, std::span<typename S::Value> out) {
   constexpr std::size_t kNpos = VertexIndexMap::kNpos;
   const DecompNode& t = tree.node(id);
   const std::span<const Vertex> st = t.separator;
@@ -153,7 +142,7 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
     }
     // A leaf has no separator: its emission is the B x B set alone.
     SEPSP_DCHECK(out.size() == pair_count(bt.size()));
-    emit_pairs(bt, bm, out.data());
+    emit_pairs(bm, out.data());
     return has_negative_diagonal(local);
   }
 
@@ -241,87 +230,115 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
       }
     }
   }
-  Shortcut<S>* end = emit_pairs(st, hs, out.data());
-  end = emit_pairs(bt, bm, end);
+  typename S::Value* end = emit_pairs(hs, out.data());
+  end = emit_pairs(bm, end);
   SEPSP_DCHECK(end == out.data() + out.size());
   return has_negative_diagonal(hs);
 }
 
-/// Output of the level driver: node id's pair sets occupy
-/// aug.shortcuts[offsets[id], offsets[id + 1]) (not yet deduplicated).
+/// Estimated cost of node_step on `t`, in cell updates: a leaf's
+/// Floyd–Warshall, or an internal node's H_S closure and two 3-limited
+/// products, plus the squares of the gathers and the emission, plus a
+/// fixed per-node cost (map binds, scratch resets, the boundary
+/// matrix's allocation: a 4-vertex leaf takes about as long as 1,000
+/// kernel cells).
+inline std::uint64_t node_work(const DecompNode& t) {
+  constexpr std::uint64_t kPerNode = 1024;
+  if (t.is_leaf()) {
+    const std::uint64_t v = t.vertices.size();
+    return v * v * v + v * v + kPerNode;
+  }
+  const std::uint64_t s = t.separator.size();
+  const std::uint64_t b = t.boundary.size();
+  return s * s * s + s * s * b + s * b * b + s * s + b * b + kPerNode;
+}
+
+/// Levels whose summed node_work is below this run on the calling
+/// thread: waking the pool for them costs more than the nodes do (the
+/// kSerialKernelCells rule, applied to a level). On the prep-mesh tree
+/// this keeps the two deepest levels and the two topmost ones inline.
+inline constexpr std::uint64_t kInlineLevelWork = std::uint64_t{1} << 17;
+
+/// Output of the level driver. Node id's entry values occupy
+/// entries[plan.node_offset[id], plan.node_offset[id + 1]) of
+/// aug.plan, not yet minimized per slot; aug.shortcuts is empty.
 template <Semiring S>
 struct LevelRun {
   Augmentation<S> aug;
-  std::vector<std::size_t> offsets;
+  std::vector<typename S::Value> entries;
   std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
   /// Per node: what its node_step returned.
   std::vector<std::uint8_t> negative_diagonal;
 };
 
 /// Algorithm 4.1 over the whole tree: node_step on every node, deepest
-/// level first, the nodes of one level in parallel; node id writes its
-/// pair sets into its own slice.
-/// A parent releases its children's boundary matrices once consumed
-/// unless `keep_bnd`. Fills levels, height, ell and critical_depth, and
-/// sets cycle_free when the closures are Floyd–Warshall and no node has
-/// a negative diagonal. The squaring closure never certifies: its
-/// ceil(log2(|S| - 1)) squarings cover every simple path of H_S but not
-/// every simple cycle (a cycle through all of S needs |S| hops).
+/// level first, the nodes of one level in parallel unless the level is
+/// lighter than kInlineLevelWork; node id writes its entry values into
+/// its own slice. After each level the children's boundary matrices are
+/// released unless `keep_bnd`. Fills plan, levels, height, ell and
+/// critical_depth, and sets cycle_free when the closures are
+/// Floyd–Warshall and no node has a negative diagonal. The squaring
+/// closure never certifies: its ceil(log2(|S| - 1)) squarings cover
+/// every simple path of H_S but not every simple cycle (a cycle through
+/// all of S needs |S| hops).
 template <Semiring S>
 LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
                             ClosureKind closure, bool keep_bnd) {
   const std::size_t num_nodes = tree.num_nodes();
   LevelRun<S> run;
+  run.aug.plan = tree.eplus_plan();
+  SEPSP_CHECK_MSG(run.aug.plan != nullptr,
+                  "run_algorithm41: tree not built by build_separator_tree");
+  const EplusPlan& plan = *run.aug.plan;
   run.aug.levels = compute_levels(tree);
   run.aug.height = tree.height();
   run.aug.ell = leaf_diameter_bound(tree);
   run.bnd.resize(num_nodes);
   run.negative_diagonal.assign(num_nodes, 0);
-  // Every node's slice size is known up front, so the output array is
-  // sized once and node tasks write disjoint slices.
-  run.offsets.resize(num_nodes);
-  for (std::size_t id = 0; id < num_nodes; ++id) {
-    const DecompNode& t = tree.node(id);
-    run.offsets[id] =
-        pair_count(t.separator.size()) + pair_count(t.boundary.size());
-  }
-  run.aug.shortcuts.resize(offsets_from_counts(run.offsets));
+  run.entries.resize(plan.num_entries());
 
   ScratchPool<RecursiveScratch<S>> scratch_pool([&] {
     return std::make_unique<RecursiveScratch<S>>(g.num_vertices());
   });
   const auto arc_weight = [](const Arc& a) { return a.weight; };
-  auto process = [&](std::size_t id) {
+  std::span<const std::size_t> ids;
+  // One scratch lease per block of nodes, not per node: leases come off
+  // a mutex-guarded pool.
+  const auto run_block = [&](std::size_t lo, std::size_t hi) {
     auto scratch = scratch_pool.acquire();
-    const std::span<Shortcut<S>> slice(
-        run.aug.shortcuts.data() + run.offsets[id],
-        run.offsets[id + 1] - run.offsets[id]);
-    run.negative_diagonal[id] =
-        node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
-                     run.bnd[id], slice)
-            ? 1
-            : 0;
-    const DecompNode& t = tree.node(id);
-    if (!keep_bnd && !t.is_leaf()) {
-      run.bnd[static_cast<std::size_t>(t.child[0])].clear();
-      run.bnd[static_cast<std::size_t>(t.child[1])].clear();
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t id = ids[k];
+      const std::span<typename S::Value> slice(
+          run.entries.data() + plan.node_offset[id],
+          plan.node_offset[id + 1] - plan.node_offset[id]);
+      run.negative_diagonal[id] =
+          node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
+                       run.bnd[id], slice)
+              ? 1
+              : 0;
     }
   };
 
   const auto by_level = tree.ids_by_level();
   for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-    SEPSP_TRACE_SPAN("build.level");  // merged: calls = processed levels
-    const auto& ids = by_level[lvl];
-    pram::ThreadPool::global().parallel_for(0, ids.size(), [&](std::size_t k) {
-      const std::size_t id = ids[k];
-      if (tree.node(id).is_leaf()) {
-        SEPSP_TRACE_SPAN("build.leaf");  // merged by name: calls = leaves
-        process(id);
-      } else {
-        SEPSP_TRACE_SPAN("build.internal");  // calls = internal nodes
-        process(id);
-      }
-    });
+    SEPSP_TRACE_SPAN("build.nodes");  // merged: calls = processed levels
+    ids = by_level[lvl];
+    std::uint64_t work = 0;
+    for (const std::size_t id : ids) work += node_work(tree.node(id));
+    if (work < kInlineLevelWork) {
+      run_block(0, ids.size());
+    } else {
+      pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block);
+    }
+    // The calling thread releases the consumed children's matrices: a
+    // worker freeing a matrix another worker allocated contends on that
+    // worker's allocator arena.
+    for (const std::size_t id : ids) {
+      const DecompNode& t = tree.node(id);
+      if (keep_bnd || t.is_leaf()) continue;
+      run.bnd[static_cast<std::size_t>(t.child[0])].clear();
+      run.bnd[static_cast<std::size_t>(t.child[1])].clear();
+    }
     // Critical path of this level = the largest node's kernel depth:
     // closure on |S| plus two rectangular products, or a leaf's FW.
     // Emission is O(set^2), dominated by the kernels it rides along with.
@@ -348,6 +365,48 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   return run;
 }
 
+/// The value of one plan slot: combine() over its owners' entry values
+/// in ascending entry order, starting from the first owner. With
+/// combine(a, b) = a < b ? a : b, the later of two equal owners wins —
+/// the bits dedup_shortcuts keeps, +0.0 against -0.0 included.
+template <Semiring S>
+typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
+                           std::span<const typename S::Value> entries) {
+  std::size_t o = plan.owner_offset[slot];
+  const std::size_t end = plan.owner_offset[slot + 1];
+  typename S::Value best = entries[plan.owner_entry[o]];
+  for (++o; o < end; ++o) best = S::combine(best, entries[plan.owner_entry[o]]);
+  return best;
+}
+
+/// E+ from a level run: the per-slot minimum of the raw entries, in the
+/// plan's (from, to) order, with zero() ("no path") slots dropped.
+template <Semiring S>
+std::vector<Shortcut<S>> minimize_slots(const EplusPlan& plan,
+                                        std::span<const typename S::Value>
+                                            entries) {
+  SEPSP_TRACE_SPAN("build.slot_min");
+  std::vector<typename S::Value> best(plan.num_slots());
+  pram::ThreadPool::global().parallel_blocks(
+      0, best.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t slot = lo; slot < hi; ++slot) {
+          best[slot] = slot_min<S>(plan, slot, entries);
+        }
+      },
+      /*grain=*/std::size_t{1} << 14);
+  std::size_t kept = 0;
+  for (const auto& v : best) kept += S::improves(S::zero(), v) ? 1 : 0;
+  std::vector<Shortcut<S>> out;
+  out.reserve(kept);
+  for (std::size_t slot = 0; slot < best.size(); ++slot) {
+    if (S::improves(S::zero(), best[slot])) {
+      out.push_back({plan.slots[slot].from, plan.slots[slot].to, best[slot]});
+    }
+  }
+  return out;
+}
+
 }  // namespace detail
 
 /// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
@@ -357,11 +416,11 @@ Augmentation<S> build_augmentation_recursive(
     ClosureKind closure = ClosureKind::kSquaring) {
   SEPSP_TRACE_SPAN("build.recursive");
   const pram::CostScope scope;
-  Augmentation<S> aug =
-      detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false).aug;
-  dedup_shortcuts<S>(aug.shortcuts);
-  aug.build_cost = scope.cost();
-  return aug;
+  detail::LevelRun<S> run =
+      detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false);
+  run.aug.shortcuts = detail::minimize_slots<S>(*run.aug.plan, run.entries);
+  run.aug.build_cost = scope.cost();
+  return std::move(run.aug);
 }
 
 }  // namespace sepsp

@@ -141,10 +141,10 @@ struct RecursiveScratch {
   Matrix<S> square;   // squaring-closure product buffer
   std::vector<std::size_t> s_in_child[2];
   std::vector<std::size_t> b_in_child[2];
-  // Incremental recompute: the new boundary matrix and shortcut values,
+  // Incremental recompute: the new boundary matrix and entry values,
   // staged here so they can be diffed against the retained ones.
   Matrix<S> bm;
-  std::vector<Shortcut<S>> edges;
+  std::vector<typename S::Value> values;
 };
 
 /// Scratch for one node task of the doubling builder (Algorithm 4.3).

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "core/builder_recursive.hpp"  // detail::node_step, run_algorithm41
 #include "core/builder_scratch.hpp"    // detail::ScratchPool
@@ -24,12 +23,12 @@ struct IncrementalEngine::State {
   std::vector<double> weights;
 
   /// Retained Algorithm-4.1 state: per-node boundary matrices and the
-  /// shortcut entries every node emits, node id's complete S x S and
-  /// B x B pair sets at [entry_off[id], entry_off[id + 1]) of `entries`
-  /// (pair structure is fixed; only values change under reweighting).
+  /// values of the entries every node emits, laid out by the tree's slot
+  /// plan aug.plan (node id's at [node_offset[id], node_offset[id + 1])
+  /// of `entries`; the pairs are the plan's, only values change under
+  /// reweighting).
   std::vector<Matrix<S>> bnd;
-  std::vector<Shortcut<S>> entries;
-  std::vector<std::size_t> entry_off;
+  std::vector<S::Value> entries;
 
   /// The negative-cycle certificate, per node: node id's closure has a
   /// diagonal cell below one() (what detail::node_step returned), and how
@@ -38,14 +37,6 @@ struct IncrementalEngine::State {
   /// still holds. aug.cycle_free mirrors negative_nodes == 0.
   std::vector<std::uint8_t> negative_diagonal;
   std::size_t negative_nodes = 0;
-
-  /// E+ with one stable slot per distinct (from, to) pair — including
-  /// currently-unreachable pairs (value +inf), which reweighting may
-  /// activate. entry_slot maps each entry to its slot; owners is a CSR
-  /// from slot to its contributing entries.
-  std::vector<std::uint32_t> entry_slot;
-  std::vector<std::size_t> owner_offset;  // size slots+1
-  std::vector<std::size_t> owner_entries;
 
   /// Staged changes. dirty_seen doubles as apply()'s queued flag (set
   /// for every node on the recompute worklist, cleared when the batch
@@ -108,25 +99,25 @@ struct IncrementalEngine::State {
     bool negative_diagonal = false;
   };
   Recomputed recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
-    const std::size_t lo = entry_off[id];
-    const std::size_t n = entry_off[id + 1] - lo;
+    const std::size_t lo = aug.plan->node_offset[id];
+    const std::size_t n = aug.plan->node_offset[id + 1] - lo;
     Recomputed r;
-    sc.edges.resize(n);
+    sc.values.resize(n);
     r.negative_diagonal = detail::node_step<S>(
         *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
         [&](const Arc& a) {
           return weights[static_cast<std::size_t>(&a - g->arcs().data())];
         },
-        sc, sc.bm, std::span<Shortcut<S>>(sc.edges));
+        sc, sc.bm, std::span<S::Value>(sc.values));
     r.matrix = !(sc.bm == bnd[id]);
     if (r.matrix) bnd[id] = sc.bm;
-    Shortcut<S>* now = entries.data() + lo;
+    S::Value* now = entries.data() + lo;
     std::uint8_t* flags = entry_changed.data() + lo;
     for (std::size_t j = 0; j < n; ++j) {
-      const bool moved = std::memcmp(&sc.edges[j].value, &now[j].value,
-                                     sizeof(S::Value)) != 0;
+      const bool moved =
+          std::memcmp(&sc.values[j], &now[j], sizeof(S::Value)) != 0;
       flags[j] = moved ? 1 : 0;
-      now[j].value = sc.edges[j].value;
+      now[j] = sc.values[j];
       r.edges = r.edges || moved;
     }
     return r;
@@ -152,46 +143,26 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   });
 
   // The exact build with Floyd–Warshall closures, keeping every node's
-  // boundary matrix and pair sets for later recomputes.
+  // boundary matrix and entry values for later recomputes.
   detail::LevelRun<S> run = detail::run_algorithm41<S>(
       g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
   s.bnd = std::move(run.bnd);
-  s.entry_off = std::move(run.offsets);
+  s.entries = std::move(run.entries);
   s.negative_diagonal = std::move(run.negative_diagonal);
   s.negative_nodes = static_cast<std::size_t>(std::count(
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
   s.aug = std::move(run.aug);
-  s.entries.swap(s.aug.shortcuts);  // the slots are laid out below
 
-  // Stable slot layout: one aug shortcut per distinct (from, to) pair
-  // (unreachable pairs kept at +inf so reweighting can activate them),
-  // plus the owner CSR for value re-minimization.
-  auto pack = [](Vertex a, Vertex b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  };
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_index;
-  s.entry_slot.reserve(s.entries.size());
-  for (const auto& e : s.entries) {
-    const auto [it, inserted] = slot_index.try_emplace(
-        pack(e.from, e.to), static_cast<std::uint32_t>(s.aug.shortcuts.size()));
-    if (inserted) s.aug.shortcuts.push_back({e.from, e.to, S::zero()});
-    s.entry_slot.push_back(it->second);
-  }
-  // Owner CSR + initial values.
-  std::vector<std::size_t> counts(s.aug.shortcuts.size(), 0);
-  for (const std::uint32_t slot : s.entry_slot) ++counts[slot];
-  s.owner_offset.assign(s.aug.shortcuts.size() + 1, 0);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    s.owner_offset[i + 1] = s.owner_offset[i] + counts[i];
-  }
-  s.owner_entries.resize(s.owner_offset.back());
-  std::vector<std::size_t> cursor(s.owner_offset.begin(),
-                                  s.owner_offset.end() - 1);
-  for (std::size_t e = 0; e < s.entries.size(); ++e) {
-    const std::uint32_t slot = s.entry_slot[e];
-    s.owner_entries[cursor[slot]++] = e;
-    s.aug.shortcuts[slot].value =
-        S::combine(s.aug.shortcuts[slot].value, s.entries[e].value);
+  // One aug shortcut per plan slot, in the plan's (from, to) order —
+  // unreachable pairs kept at +inf so reweighting can activate them.
+  {
+    SEPSP_TRACE_SPAN("build.slot_min");
+    const EplusPlan& plan = *s.aug.plan;
+    s.aug.shortcuts.resize(plan.num_slots());
+    for (std::size_t slot = 0; slot < plan.num_slots(); ++slot) {
+      s.aug.shortcuts[slot] = {plan.slots[slot].from, plan.slots[slot].to,
+                               detail::slot_min<S>(plan, slot, s.entries)};
+    }
   }
   s.slot_mark.assign(s.aug.shortcuts.size(), 0);
   s.entry_changed.assign(s.entries.size(), 0);
@@ -322,9 +293,11 @@ std::size_t IncrementalEngine::apply() {
         negative ? ++s.negative_nodes : --s.negative_nodes;
       }
       if (changed[k].edges) {
-        for (std::size_t e = s.entry_off[id]; e < s.entry_off[id + 1]; ++e) {
+        const EplusPlan& plan = *s.aug.plan;
+        for (std::size_t e = plan.node_offset[id]; e < plan.node_offset[id + 1];
+             ++e) {
           if (!s.entry_changed[e]) continue;
-          const std::uint32_t slot = s.entry_slot[e];
+          const std::uint32_t slot = plan.entry_slot[e];
           if (s.slot_mark[slot] != s.mark_token) {
             s.slot_mark[slot] = s.mark_token;
             touched.push_back(slot);
@@ -357,11 +330,7 @@ std::size_t IncrementalEngine::apply() {
   s.remin_changed.assign(touched.size(), 0);
   const auto combine_one = [&](std::size_t i) {
     const std::uint32_t slot = touched[i];
-    auto value = S::zero();
-    for (std::size_t o = s.owner_offset[slot]; o < s.owner_offset[slot + 1];
-         ++o) {
-      value = S::combine(value, s.entries[s.owner_entries[o]].value);
-    }
+    const S::Value value = detail::slot_min<S>(*s.aug.plan, slot, s.entries);
     s.remin_values[i] = value;
     s.remin_changed[i] =
         std::memcmp(&value, &s.aug.shortcuts[slot].value, sizeof(value)) != 0;

@@ -61,6 +61,7 @@
 #include "graph/digraph.hpp"
 #include "obs/obs.hpp"
 #include "pram/cost_model.hpp"
+#include "pram/thread_pool.hpp"
 #include "semiring/simd.hpp"
 #include "util/aligned.hpp"
 #include "util/page_source.hpp"
@@ -153,15 +154,16 @@ class EdgeBucket {
   bool empty() const { return size() == 0; }
 
   // --- staging (construction only; invalid after freeze()) -------------
-  void reserve(std::size_t n) {
-    staged_from_.reserve(n);
-    staged_to_.reserve(n);
-    staged_value_.reserve(n);
+  /// Sizes the staged arrays to n entries, to be filled by stage().
+  void resize_staged(std::size_t n) {
+    staged_from_.resize(n);
+    staged_to_.resize(n);
+    staged_value_.resize(n);
   }
-  void push_back(Vertex f, Vertex t, Value v) {
-    staged_from_.push_back(f);
-    staged_to_.push_back(t);
-    staged_value_.push_back(v);
+  void stage(std::size_t i, Vertex f, Vertex t, Value v) {
+    staged_from_[i] = f;
+    staged_to_[i] = t;
+    staged_value_[i] = v;
   }
   /// Freezes the staged entries: the pair arrays become one immutable
   /// shared block, the values move into slab storage. Call exactly once;
@@ -295,6 +297,16 @@ class LeveledQuery {
   LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
                bool detect_negative_cycles = true)
       : g_(&g), aug_(&aug), detect_cycles_(detect_negative_cycles) {
+    SEPSP_TRACE_SPAN("build.buckets");
+    const auto by_pair = [](Vertex af, Vertex at, Vertex bf, Vertex bt) {
+      return af != bf ? af < bf : at < bt;
+    };
+    SEPSP_CHECK_MSG(
+        std::is_sorted(aug.shortcuts.begin(), aug.shortcuts.end(),
+                       [&](const Shortcut<S>& a, const Shortcut<S>& b) {
+                         return by_pair(a.from, a.to, b.from, b.to);
+                       }),
+        "LeveledQuery: augmentation shortcuts are not (from, to)-sorted");
     const std::uint32_t h = aug.height;
     same_.resize(h + 1);
     down_.resize(h + 1);
@@ -307,77 +319,120 @@ class LeveledQuery {
     // Base arcs participate twice: in the E passes (always) and, when
     // both endpoints have defined levels, as 1-edge "shortcuts" in the
     // leveled sweeps (a direct edge can serve as a right shortcut).
-    // Stage the leveled entries first (tagged with the slot they own),
-    // sort each bucket by (from, to), then freeze into SoA arrays.
-    struct Staged {
-      Vertex from, to;
-      Value value;
-      std::uint32_t origin;  ///< < num_edges: arc index; else shortcut index
-    };
-    std::vector<std::vector<Staged>> same_tmp(h + 1), down_tmp(h + 1),
-        up_tmp(h + 1);
+    // Base arcs come (from, to)-sorted out of the CSR and the shortcuts
+    // come (from, to)-sorted, so a two-way merge of the two streams
+    // hands every bucket its entries already in (from, to) order — base
+    // arcs first on a tie — and records each entry's slot.
     const auto& lv = aug.levels.level;
-    const auto num_arcs = static_cast<std::uint32_t>(g.num_edges());
-    auto stage = [&](Vertex from, Vertex to, Value value,
-                     std::uint32_t origin) {
+    const std::size_t nb = 3 * (h + 1);
+    // An entry's bucket, kind-major (same, down, up) over levels, or nb
+    // when it participates only in the E passes.
+    const auto bucket_of = [&](Vertex from, Vertex to) -> std::size_t {
       const std::uint32_t lu = lv[from];
       const std::uint32_t lw = lv[to];
       if (lu == LevelAssignment::kUndefined ||
           lw == LevelAssignment::kUndefined) {
-        return;  // participates only in the E passes
+        return nb;
       }
-      auto& tmp = lu == lw ? same_tmp[lu] : lu > lw ? down_tmp[lu] : up_tmp[lu];
-      tmp.push_back({from, to, value, origin});
+      return (lu == lw ? 0 : lu > lw ? 1 : 2) * (h + 1) + lu;
     };
-
-    base_.reserve(g.num_edges());
-    std::uint32_t arc = 0;
-    for (Vertex u = 0; u < g.num_vertices(); ++u) {
-      for (const Arc& a : g.out(u)) {
-        const Value value = S::from_weight(a.weight);
-        base_.push_back(u, a.to, value);
-        stage(u, a.to, value, arc++);
-      }
+    const auto bucket_at = [&](std::size_t b) -> EdgeBucket<S>& {
+      const std::size_t l = b % (h + 1);
+      return b <= h ? same_[l] : b <= 2 * h + 1 ? down_[l] : up_[l];
+    };
+    // The merge runs over chunks of source vertices in parallel. Each
+    // chunk first counts its entries per bucket; prefix sums over the
+    // chunks then fix where every chunk writes, so the buckets come out
+    // the same whatever the schedule.
+    constexpr std::size_t kChunkVertices = 256;
+    const std::size_t n = g.num_vertices();
+    const std::size_t chunks = (n + kChunkVertices - 1) / kChunkVertices;
+    const std::span<const Shortcut<S>> sc = aug.shortcuts;
+    std::vector<std::size_t> sc_begin(chunks + 1, sc.size());
+    for (std::size_t c = 0; c < chunks; ++c) {
+      sc_begin[c] = static_cast<std::size_t>(
+          std::lower_bound(sc.begin(), sc.end(), c * kChunkVertices,
+                           [](const Shortcut<S>& e, std::size_t v) {
+                             return e.from < v;
+                           }) -
+          sc.begin());
     }
-    base_.freeze();
+    const auto chunk_vertices = [&](std::size_t c) {
+      return std::pair<Vertex, Vertex>(
+          static_cast<Vertex>(c * kChunkVertices),
+          static_cast<Vertex>(std::min(n, (c + 1) * kChunkVertices)));
+    };
+    // Per (chunk, bucket): the chunk's entry count, then its write cursor.
+    std::vector<std::uint32_t> cursor(chunks * nb, 0);
+    pram::ThreadPool& pool = pram::ThreadPool::global();
+    pool.parallel_for(0, chunks, [&](std::size_t c) {
+      std::uint32_t* count = cursor.data() + c * nb;
+      const auto [lo, hi] = chunk_vertices(c);
+      for (Vertex u = lo; u < hi; ++u) {
+        for (const Arc& a : g.out(u)) {
+          const std::size_t b = bucket_of(u, a.to);
+          if (b < nb) ++count[b];
+        }
+      }
+      for (std::size_t j = sc_begin[c]; j < sc_begin[c + 1]; ++j) {
+        const std::size_t b = bucket_of(sc[j].from, sc[j].to);
+        if (b < nb) ++count[b];
+      }
+    });
+    for (std::size_t b = 0; b < nb; ++b) {
+      std::uint32_t total = 0;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        total += std::exchange(cursor[c * nb + b], total);
+      }
+      bucket_at(b).resize_staged(total);
+      leveled_edges_ += total;
+    }
+    base_.resize_staged(g.num_edges());
     // The engine's own copy of the shortcut values, indexed like
     // aug.shortcuts: every later value read (unscheduled runs, cycle
     // verification) resolves here, so a fork never touches the possibly
     // still-mutating augmentation it was built from.
-    shortcut_.reserve(aug.shortcuts.size());
-    for (std::uint32_t i = 0; i < aug.shortcuts.size(); ++i) {
-      const Shortcut<S>& e = aug.shortcuts[i];
-      shortcut_.push_back(e.from, e.to, e.value);
-      stage(e.from, e.to, e.value, num_arcs + i);
-    }
-    shortcut_.freeze();
-
-    auto freeze = [&](std::vector<Staged>& tmp, EdgeBucket<S>& bucket,
-                      std::uint8_t kind, std::uint32_t level) {
-      std::stable_sort(tmp.begin(), tmp.end(),
-                       [](const Staged& a, const Staged& b) {
-                         if (a.from != b.from) return a.from < b.from;
-                         return a.to < b.to;
-                       });
-      bucket.reserve(tmp.size());
-      for (std::uint32_t pos = 0; pos < tmp.size(); ++pos) {
-        const Staged& s = tmp[pos];
-        bucket.push_back(s.from, s.to, s.value);
-        const Slot slot{kind, level, pos};
-        if (s.origin < num_arcs) {
-          st.base[s.origin] = slot;
-        } else {
-          st.shortcut[s.origin - num_arcs] = slot;
+    shortcut_.resize_staged(sc.size());
+    pool.parallel_for(0, chunks, [&](std::size_t c) {
+      std::uint32_t* at = cursor.data() + c * nb;
+      const auto stage = [&](Vertex from, Vertex to, Value value,
+                             Slot* slot) {
+        const std::size_t b = bucket_of(from, to);
+        if (b == nb) return;
+        const std::uint32_t pos = at[b]++;
+        bucket_at(b).stage(pos, from, to, value);
+        *slot = Slot{static_cast<std::uint8_t>(Slot::kSame + b / (h + 1)),
+                     static_cast<std::uint32_t>(b % (h + 1)), pos};
+      };
+      std::size_t j = sc_begin[c];
+      const auto take_shortcut = [&] {
+        const Shortcut<S>& e = sc[j];
+        shortcut_.stage(j, e.from, e.to, e.value);
+        stage(e.from, e.to, e.value, &st.shortcut[j]);
+        ++j;
+      };
+      const auto [lo, hi] = chunk_vertices(c);
+      for (Vertex u = lo; u < hi; ++u) {
+        const std::span<const Arc> out = g.out(u);
+        auto arc = static_cast<std::size_t>(out.data() - g.arcs().data());
+        for (const Arc& a : out) {
+          while (j < sc_begin[c + 1] &&
+                 by_pair(sc[j].from, sc[j].to, u, a.to)) {
+            take_shortcut();
+          }
+          const Value value = S::from_weight(a.weight);
+          base_.stage(arc, u, a.to, value);
+          stage(u, a.to, value, &st.base[arc]);
+          ++arc;
         }
       }
-      bucket.freeze();
-      leveled_edges_ += tmp.size();
-    };
-    for (std::uint32_t l = 0; l <= h; ++l) {
-      freeze(same_tmp[l], same_[l], Slot::kSame, l);
-      freeze(down_tmp[l], down_[l], Slot::kDown, l);
-      freeze(up_tmp[l], up_[l], Slot::kUp, l);
-    }
+      while (j < sc_begin[c + 1]) take_shortcut();
+    });
+    std::vector<EdgeBucket<S>*> frozen{&base_, &shortcut_};
+    for (std::size_t b = 0; b < nb; ++b) frozen.push_back(&bucket_at(b));
+    pool.parallel_for(
+        0, frozen.size(), [&](std::size_t i) { frozen[i]->freeze(); },
+        /*grain=*/1);
     slots_ = std::make_shared<const SlotTable>(std::move(st));
   }
 

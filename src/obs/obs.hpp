@@ -21,7 +21,7 @@
 //   obs::counter("kernel.cells").add(cells);
 //   obs::gauge("pool.threads").set(n);
 //   obs::histogram("pool.region_items").record(range);
-//   { SEPSP_TRACE_SPAN("build.level"); ... }     // timed scope
+//   { SEPSP_TRACE_SPAN("build.nodes"); ... }     // timed scope
 //   obs::StatsRegistry::instance().snapshot();   // all counters
 //   obs::trace_snapshot();                       // merged timing tree
 #pragma once

@@ -265,6 +265,7 @@ class TreeBuilderImpl {
     }
     pram::CostMeter::charge_work(work);
     pram::CostMeter::charge_depth(tree.height_ + 1);
+    tree.plan_ = std::make_shared<const EplusPlan>(build_eplus_plan(tree));
     return tree;
   }
 

@@ -23,12 +23,14 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/skeleton.hpp"
+#include "separator/eplus_plan.hpp"
 
 namespace sepsp {
 
@@ -85,11 +87,19 @@ class SeparatorTree {
   /// nullopt on success or a description of the first violation.
   std::optional<std::string> validate(const Skeleton& skeleton) const;
 
+  /// The E+ slot plan (eplus_plan.hpp), computed once when the tree is
+  /// built and shared by copies of the tree and by every engine built
+  /// over it. Null only for a default-constructed tree.
+  const std::shared_ptr<const EplusPlan>& eplus_plan() const {
+    return plan_;
+  }
+
  private:
   friend class TreeBuilderImpl;
   std::vector<DecompNode> nodes_;
   std::size_t num_vertices_ = 0;
   std::uint32_t height_ = 0;
+  std::shared_ptr<const EplusPlan> plan_;
 };
 
 /// Context handed to a separator finder for one tree node.

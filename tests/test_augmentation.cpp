@@ -3,19 +3,27 @@
 //        in G+ equal distances in G,
 //   (ii) the min-weight diameter of G+ respects 4 d_G + 2 ell + 1,
 //   plus: both builders agree, shortcut endpoints have defined levels,
-//   shortcut weights are exactly dist_{G(t)} on the node subgraphs, and
-//   the negative-cycle certificate (Augmentation::cycle_free) agrees
-//   with a Bellman–Ford oracle.
+//   shortcut weights are exactly dist_{G(t)} on the node subgraphs, the
+//   E+ slot plan lays out exactly the pairs Algorithm 4.1 emits and its
+//   per-slot minimum reproduces a sort-and-dedup of the raw emission bit
+//   for bit, and the negative-cycle certificate
+//   (Augmentation::cycle_free) agrees with a Bellman–Ford oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
+#include <thread>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
+#include "approx/approx.hpp"
 #include "baseline/negative_cycle.hpp"
 #include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
+#include "core/incremental.hpp"
 #include "core/query.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -219,6 +227,218 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
     ASSERT_NE(it, best.end());
     EXPECT_EQ(e.value, it->second) << e.from << "->" << e.to;
   }
+}
+
+// --- the E+ slot plan ---------------------------------------------------
+
+// Every node's emitted pairs, in emission order: S x S, then B x B, each
+// i-major without the diagonal. Written out here independently of the
+// plan.
+std::vector<std::pair<Vertex, Vertex>> emitted_pairs(
+    const SeparatorTree& tree) {
+  std::vector<std::pair<Vertex, Vertex>> out;
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    for (const auto* group : {&t.separator, &t.boundary}) {
+      for (const Vertex u : *group) {
+        for (const Vertex v : *group) {
+          if (u != v) out.emplace_back(u, v);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
+  for (const Family& f : families()) {
+    const EplusPlan& plan = *f.tree.eplus_plan();
+    const auto pairs = emitted_pairs(f.tree);
+    ASSERT_EQ(plan.num_entries(), pairs.size()) << f.name;
+    ASSERT_EQ(plan.node_offset.size(), f.tree.num_nodes() + 1) << f.name;
+    EXPECT_EQ(plan.node_offset.back(), pairs.size()) << f.name;
+    for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
+      const DecompNode& t = f.tree.node(id);
+      EXPECT_EQ(plan.node_offset[id + 1] - plan.node_offset[id],
+                pair_count(t.separator.size()) + pair_count(t.boundary.size()))
+          << f.name << " node " << id;
+    }
+    auto distinct = pairs;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    ASSERT_EQ(plan.num_slots(), distinct.size()) << f.name;
+    for (std::size_t s = 0; s < distinct.size(); ++s) {
+      EXPECT_EQ(plan.slots[s].from, distinct[s].first) << f.name;
+      EXPECT_EQ(plan.slots[s].to, distinct[s].second) << f.name;
+    }
+    // Every entry's slot carries the entry's own pair.
+    for (std::size_t e = 0; e < pairs.size(); ++e) {
+      const EplusPlan::Pair& p = plan.slots[plan.entry_slot[e]];
+      ASSERT_EQ(p.from, pairs[e].first) << f.name << " entry " << e;
+      ASSERT_EQ(p.to, pairs[e].second) << f.name << " entry " << e;
+    }
+    // The owner CSR lists each entry once, under its own slot, in
+    // ascending entry order.
+    ASSERT_EQ(plan.owner_offset.size(), plan.num_slots() + 1) << f.name;
+    ASSERT_EQ(plan.owner_entry.size(), pairs.size()) << f.name;
+    for (std::size_t s = 0; s < plan.num_slots(); ++s) {
+      ASSERT_LT(plan.owner_offset[s], plan.owner_offset[s + 1]) << f.name;
+      for (std::uint32_t o = plan.owner_offset[s]; o < plan.owner_offset[s + 1];
+           ++o) {
+        EXPECT_EQ(plan.entry_slot[plan.owner_entry[o]], s) << f.name;
+        if (o > plan.owner_offset[s]) {
+          EXPECT_LT(plan.owner_entry[o - 1], plan.owner_entry[o]) << f.name;
+        }
+      }
+    }
+  }
+}
+
+// The raw emission of a Floyd–Warshall build, each entry with its own
+// pair, sorted and deduplicated the way E+ was built before the plan.
+template <Semiring S>
+std::vector<Shortcut<S>> deduped_raw_emission(const Digraph& g,
+                                              const SeparatorTree& tree) {
+  const auto run = detail::run_algorithm41<S>(
+      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
+  const auto pairs = emitted_pairs(tree);
+  std::vector<Shortcut<S>> raw;
+  for (std::size_t e = 0; e < pairs.size(); ++e) {
+    raw.push_back({pairs[e].first, pairs[e].second, run.entries[e]});
+  }
+  dedup_shortcuts<S>(raw);
+  return raw;
+}
+
+template <Semiring S>
+void expect_slot_min_matches_dedup(const Family& f) {
+  const auto want = deduped_raw_emission<S>(f.gg.graph, f.tree);
+  const auto got =
+      SeparatorShortestPaths<S>::build(f.gg.graph, f.tree).augmentation();
+  ASSERT_EQ(got.shortcuts.size(), want.size()) << f.name;
+  // Field by field: Shortcut<BooleanSR> has padding bytes.
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Shortcut<S>& a = got.shortcuts[i];
+    const Shortcut<S>& b = want[i];
+    ASSERT_EQ(a.from, b.from) << f.name << " shortcut " << i;
+    ASSERT_EQ(a.to, b.to) << f.name << " shortcut " << i;
+    ASSERT_EQ(std::memcmp(&a.value, &b.value, sizeof(a.value)), 0)
+        << f.name << " shortcut " << i;
+  }
+}
+
+TEST(SlotPlan, SlotMinimumIsBitIdenticalToDedupOnAllSemirings) {
+  for (const Family& f : families()) {
+    expect_slot_min_matches_dedup<TropicalD>(f);
+    expect_slot_min_matches_dedup<TropicalI>(f);
+    expect_slot_min_matches_dedup<BooleanSR>(f);
+    expect_slot_min_matches_dedup<BottleneckSR>(f);
+  }
+}
+
+TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwnerLikeDedup) {
+  // One slot, two owners: combine(a, b) = a < b ? a : b keeps b on a tie,
+  // so of +0.0 and -0.0 the later owner's bits survive, in both orders.
+  EplusPlan plan;
+  plan.node_offset = {0, 2};
+  plan.slots = {{3, 7}};
+  plan.entry_slot = {0, 0};
+  plan.owner_offset = {0, 2};
+  plan.owner_entry = {0, 1};
+  for (const auto& values : {std::vector<double>{+0.0, -0.0},
+                             std::vector<double>{-0.0, +0.0}}) {
+    const auto got = detail::minimize_slots<TropicalD>(plan, values);
+    std::vector<Shortcut<TropicalD>> want = {{3, 7, values[0]},
+                                             {3, 7, values[1]}};
+    dedup_shortcuts<TropicalD>(want);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(std::memcmp(&got[0], &want[0], sizeof(got[0])), 0);
+    EXPECT_EQ(std::signbit(got[0].value), std::signbit(values[1]));
+  }
+}
+
+TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
+  Rng rng(5);
+  const GeneratedGraph gg = make_grid({9, 9}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
+  const EplusPlan* plan = tree.eplus_plan().get();
+  ASSERT_NE(plan, nullptr);
+  const SeparatorTree copy = tree;
+  EXPECT_EQ(copy.eplus_plan().get(), plan);
+
+  const Digraph reversed = gg.graph.transpose();
+  const auto fwd = SeparatorShortestPaths<>::build(gg.graph, tree);
+  const auto bwd = SeparatorShortestPaths<>::build(reversed, tree);
+  EXPECT_EQ(fwd.augmentation().plan.get(), plan);
+  EXPECT_EQ(bwd.augmentation().plan.get(), plan);
+  const IncrementalEngine inc = IncrementalEngine::build(gg.graph, tree);
+  EXPECT_EQ(inc.augmentation().plan.get(), plan);
+  ApproxEngine::Options opts;
+  opts.build.approx_eps = 0.1;
+  const ApproxEngine approx = ApproxEngine::build(gg.graph, tree, opts);
+  EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
+  // The incremental engine keeps every plan slot, unreachable ones too.
+  EXPECT_EQ(inc.augmentation().shortcuts.size(), plan->num_slots());
+}
+
+TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
+  const Family f = families()[3];  // the triangulated mesh
+  const auto want =
+      SeparatorShortestPaths<>::build(f.gg.graph, f.tree).augmentation();
+  std::vector<std::vector<Shortcut<TropicalD>>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = SeparatorShortestPaths<>::build(f.gg.graph, f.tree)
+                   .augmentation()
+                   .shortcuts;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& g : got) {
+    ASSERT_EQ(g.size(), want.shortcuts.size());
+    EXPECT_EQ(std::memcmp(g.data(), want.shortcuts.data(),
+                          g.size() * sizeof(g[0])),
+              0);
+  }
+}
+
+TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
+  // The bucket merge needs (from, to)-sorted shortcuts; Algorithm 4.3's
+  // dedup provides them, and its engine answers like the exact one.
+  for (const Family& f : families()) {
+    const auto exact = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
+    const auto dbl = SeparatorShortestPaths<>::from_augmentation(
+        f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree));
+    const auto last = static_cast<Vertex>(f.gg.graph.num_vertices() - 1);
+    for (const Vertex s : {Vertex{0}, last}) {
+      const auto want = exact.distances(s);
+      const auto got = dbl.distances(s);
+      for (Vertex v = 0; v < f.gg.graph.num_vertices(); ++v) {
+        if (!want.reached(v)) {
+          EXPECT_FALSE(got.reached(v)) << f.name;
+        } else {
+          EXPECT_NEAR(got.dist[v], want.dist[v], 1e-9) << f.name << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(SlotPlanDeathTest, QueryEngineRejectsUnsortedShortcuts) {
+  // Re-executes the binary instead of forking it: the pool's workers
+  // are already running.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Family f = families()[0];
+  auto aug = build_augmentation_recursive<TropicalD>(
+      f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
+  ASSERT_GE(aug.shortcuts.size(), 2u);
+  std::swap(aug.shortcuts.front(), aug.shortcuts.back());
+  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, aug),
+               "not \\(from, to\\)-sorted");
 }
 
 // --- the negative-cycle certificate -----------------------------------
