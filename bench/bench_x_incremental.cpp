@@ -13,11 +13,36 @@
 //    row sits at the serial work-ratio ceiling, ~8-9x on one core).
 //
 // --json emits one "incremental_rebuild" row per grid (the classic
-// per-update table) and one "incremental_sweep" row per (grid, dirty
+// per-update table), one "incremental_sweep" row per (grid, dirty
 // fraction) with swap latency, nodes/slots touched, and the speedup
-// over the measured full-rebuild baseline.
+// over the measured full-rebuild baseline, and one "incremental_stream"
+// row per thread count.
+//
+// The stream rows time apply() the way the update-neg3d workload drives
+// it: a 9x9x9 grid with mixed-sign weights, batches that raise four
+// random arcs by up to 5 and then restore them. The global pool is
+// sized once per process, so each thread count (1, and the pool size)
+// runs in a child process of its own (the bench re-executes itself with
+// SEPSP_THREADS=t and `--stream-row=<file>`). A row reports apply()'s
+// p50 as the median, min and max over the repetitions, the nodes
+// recomputed and entries moved per batch, whether E+ after the stream
+// is memcmp-equal to a fresh build over the same weights, and whether
+// it is memcmp-equal to the one-thread row's (the child writes its E+
+// bytes to the file).
+//
+//   bench_x_incremental [--json[=path]]
+#include <unistd.h>
+
 #include <algorithm>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <iterator>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "baseline/dijkstra.hpp"
@@ -47,9 +72,226 @@ bool exact_from_zero(const IncrementalEngine& engine, const Instance& inst) {
   return exact;
 }
 
+/// What one stream child measured at its thread count.
+struct StreamRow {
+  unsigned threads = 0;
+  double p50_median = 0, p50_min = 0, p50_max = 0;
+  double nodes = 0, moved = 0;  // per batch
+  int fresh_parity = 0;
+  std::uint64_t digest = 0;
+};
+
+constexpr std::size_t kStreamSide = 9;
+constexpr int kStreamReps = 5;
+int stream_batches() { return scale() == 0 ? 200 : 1000; }
+
+std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+/// The stream child: times every apply() of kStreamReps runs of
+/// stream_batches() batches on the global pool, which SEPSP_THREADS
+/// sized, then raises one more batch, checks E+ against a fresh build
+/// over the same weights, writes E+ to `eplus_path` and prints one line
+/// for the parent.
+int run_stream_row(const std::string& eplus_path) {
+  Rng rng(1);
+  const GeneratedGraph gg =
+      make_grid({kStreamSide, kStreamSide, kStreamSide},
+                WeightModel::mixed_sign(10.0), rng);
+  const SeparatorTree tree = build_separator_tree(
+      Skeleton(gg.graph),
+      make_grid_finder({kStreamSide, kStreamSide, kStreamSide}));
+  const Digraph& g = gg.graph;
+  IncrementalEngine engine = IncrementalEngine::build(g, tree);
+  const auto sources = g.arc_sources();
+  Rng pick(2);
+  std::vector<std::size_t> raised;
+  const auto raise = [&] {
+    raised.clear();
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t arc = pick.next_below(g.num_edges());
+      raised.push_back(arc);
+      engine.update_edge(sources[arc], g.arcs()[arc].to,
+                         g.arcs()[arc].weight + pick.next_double(0.0, 5.0));
+    }
+  };
+  const auto restore = [&] {
+    for (const std::size_t arc : raised) {
+      engine.update_edge(sources[arc], g.arcs()[arc].to, g.arcs()[arc].weight);
+    }
+  };
+
+  StreamRow r;
+  r.threads = pram::ThreadPool::global().concurrency();
+  std::vector<double> p50s, ms;
+  std::uint64_t nodes = 0, moved = 0, batches = 0;
+  for (int rep = 0; rep < kStreamReps; ++rep) {
+    ms.clear();
+    for (int b = 0; b < stream_batches(); ++b) {
+      b % 2 == 0 ? raise() : restore();
+      WallTimer t;
+      engine.apply();
+      ms.push_back(t.millis());
+      const IncrementalEngine::ApplyStats st = engine.last_apply_stats();
+      nodes += st.nodes_recomputed;
+      moved += st.entries_moved;
+      ++batches;
+    }
+    std::sort(ms.begin(), ms.end());
+    p50s.push_back(ms[ms.size() / 2]);
+  }
+  std::sort(p50s.begin(), p50s.end());
+  r.p50_median = p50s[p50s.size() / 2];
+  r.p50_min = p50s.front();
+  r.p50_max = p50s.back();
+  r.nodes = static_cast<double>(nodes) / static_cast<double>(batches);
+  r.moved = static_cast<double>(moved) / static_cast<double>(batches);
+
+  // One raised batch left applied, so E+ differs from the base build.
+  raise();
+  engine.apply();
+  GraphBuilder b(g.num_vertices());
+  for (std::size_t arc = 0; arc < g.num_edges(); ++arc) {
+    b.add_edge(sources[arc], g.arcs()[arc].to, engine.weights()[arc]);
+  }
+  const auto fresh =
+      SeparatorShortestPaths<>::build(std::move(b).build(), tree);
+  // The engine keeps every plan slot, +inf ones too; the exact build
+  // drops those. Both are in (from, to) order.
+  std::vector<Shortcut<TropicalD>> live;
+  for (const auto& e : engine.augmentation().shortcuts) {
+    if (!std::isinf(e.value)) live.push_back(e);
+  }
+  const auto& want = fresh.augmentation().shortcuts;
+  r.fresh_parity =
+      live.size() == want.size() &&
+              std::memcmp(live.data(), want.data(),
+                          live.size() * sizeof(live[0])) == 0
+          ? 1
+          : 0;
+  const auto& sc = engine.augmentation().shortcuts;
+  r.digest = fnv1a(sc.data(), sc.size() * sizeof(sc[0]));
+  std::ofstream(eplus_path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(sc.data()),
+             static_cast<std::streamsize>(sc.size() * sizeof(sc[0])));
+  std::printf("stream %u %.6f %.6f %.6f %.3f %.3f %d %016" PRIx64 "\n",
+              r.threads, r.p50_median, r.p50_min, r.p50_max, r.nodes,
+              r.moved, r.fresh_parity, r.digest);
+  return 0;
+}
+
+/// Path of this executable, for re-running it as a child.
+std::string self_path() {
+  char buf[4096];
+  const ssize_t len = readlink("/proc/self/exe", buf, sizeof buf - 1);
+  if (len <= 0) return {};
+  buf[len] = '\0';
+  return buf;
+}
+
+bool run_stream_child(const std::string& exe, unsigned threads,
+                      const std::string& eplus_path, StreamRow* out) {
+  const std::string cmd = "SEPSP_THREADS=" + std::to_string(threads) + " '" +
+                          exe + "' --stream-row='" + eplus_path + "'";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return false;
+  std::string text;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) text += buf;
+  if (pclose(pipe) != 0) return false;
+  const std::size_t at = text.rfind("stream ");
+  if (at == std::string::npos) return false;
+  std::istringstream in(text.substr(at));
+  std::string tag, digest;
+  in >> tag >> out->threads >> out->p50_median >> out->p50_min >>
+      out->p50_max >> out->nodes >> out->moved >> out->fresh_parity >> digest;
+  out->digest = std::stoull(digest, nullptr, 16);
+  return static_cast<bool>(in) && out->threads == threads;
+}
+
+/// The stream rows at 1 thread and at the pool's size. Returns false
+/// when a child fails or E+ differs from a fresh build or across thread
+/// counts.
+bool stream_rows() {
+  const std::string exe = self_path();
+  if (exe.empty()) {
+    std::cerr << "bench_x_incremental: cannot locate its own binary\n";
+    return false;
+  }
+  const unsigned pool = pram::ThreadPool::global().concurrency();
+  std::vector<unsigned> counts{1};
+  if (pool > 1) counts.push_back(pool);
+  Table table("X5c — update-neg3d-shaped stream: apply() p50 over " +
+              std::to_string(kStreamReps) + " reps of " +
+              std::to_string(stream_batches()) + " batches (9x9x9 mixed-sign "
+              "grid, 4 arcs raised, then restored)");
+  table.set_header({"threads", "p50 ms (median)", "min", "max",
+                    "nodes/batch", "entries moved/batch", "E+ = fresh",
+                    "E+ = 1-thread"});
+  bool ok = true;
+  std::vector<char> one_eplus;
+  for (const unsigned threads : counts) {
+    const std::string eplus_path =
+        (std::filesystem::temp_directory_path() /
+         ("sepsp_stream_" + std::to_string(getpid()) + "_" +
+          std::to_string(threads) + ".eplus"))
+            .string();
+    StreamRow r;
+    const bool ran = run_stream_child(exe, threads, eplus_path, &r);
+    std::ifstream in(eplus_path, std::ios::binary);
+    const std::vector<char> eplus((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    std::filesystem::remove(eplus_path);
+    if (!ran) {
+      std::cerr << "bench_x_incremental: stream row at " << threads
+                << " threads failed\n";
+      return false;
+    }
+    if (one_eplus.empty()) one_eplus = eplus;
+    const bool same = !eplus.empty() && eplus == one_eplus;
+    ok = ok && same && r.fresh_parity == 1;
+    table.add_row()
+        .cell(static_cast<std::uint64_t>(threads))
+        .cell(r.p50_median, 3)
+        .cell(r.p50_min, 3)
+        .cell(r.p50_max, 3)
+        .cell(r.nodes, 1)
+        .cell(r.moved, 1)
+        .cell(r.fresh_parity == 1 ? "yes" : "NO")
+        .cell(same ? "yes" : "NO");
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64, r.digest);
+    json()
+        .row("incremental_stream")
+        .field("side", static_cast<std::uint64_t>(kStreamSide))
+        .field("threads", static_cast<std::uint64_t>(threads))
+        .field("reps", kStreamReps)
+        .field("batches", stream_batches())
+        .field("apply_ms_p50_median", r.p50_median)
+        .field("apply_ms_p50_min", r.p50_min)
+        .field("apply_ms_p50_max", r.p50_max)
+        .field("nodes_per_batch", r.nodes)
+        .field("entries_moved_per_batch", r.moved)
+        .field("eplus_fresh_parity", r.fresh_parity)
+        .field("eplus_thread_parity", same ? 1 : 0)
+        .field("eplus_digest", digest);
+  }
+  table.print(std::cout);
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--stream-row=", 13) == 0) {
+      return run_stream_row(argv[i] + 13);
+    }
+  }
   parse_args(argc, argv, "x_incremental");
   Rng rng(1);
   const WeightModel wm = WeightModel::uniform(1, 10);
@@ -193,14 +435,17 @@ int main(int argc, char** argv) {
   sweep.print(std::cout);
 
   const bool exact = exact_from_zero(engine, inst);
+  const bool stream_ok = stream_rows();
   json()
       .row("summary")
       .field("full_rebuild_ms", rebuild_ms)
-      .field("exact", exact ? 1 : 0);
+      .field("exact", exact ? 1 : 0)
+      .field("stream_parity", stream_ok ? 1 : 0);
   std::cout << "shape check: nodes-per-update stays O(log n) while the tree\n"
                "grows linearly; swap latency tracks the dirty fraction and\n"
                "beats the full rebuild by >=10x in the <=1% dirty regime.\n"
-               "exact=" << (exact ? "yes" : "NO") << "\n";
+               "exact=" << (exact ? "yes" : "NO")
+            << " stream E+ parity=" << (stream_ok ? "yes" : "NO") << "\n";
   json().write();
-  return exact ? 0 : 1;
+  return exact && stream_ok ? 0 : 1;
 }

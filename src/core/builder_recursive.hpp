@@ -19,24 +19,26 @@
 // Floyd–Warshall, so all of them emit the same E+ bits; the squaring
 // closure serves the benches that reproduce the paper's depth.
 //
-// Steps i-v exist once, in detail::node_step, which writes the values
-// of the node's complete S x S and B x B pair sets into its slice of the
-// raw emission. Which pair each value belongs to, and which values share
-// a (from, to) slot of E+, is the tree's slot plan
-// (separator/eplus_plan.hpp), computed once per tree. A build is three
-// steps: detail::run_algorithm41 runs the levels deepest first, the
-// nodes of a level in parallel, and accounts the critical depth;
+// Steps i-v exist once, in detail::node_step, which leaves the node's
+// closed H_S and boundary matrix behind; the node's entries — the values
+// of its complete S x S and B x B pair sets — are those matrices'
+// off-diagonal cells. Which pair each value belongs to, and which values
+// share a (from, to) slot of E+, is the tree's slot plan
+// (separator/eplus_plan.hpp), computed once per tree; where each
+// internal node reads its children's matrices is the gather plan beside
+// it. A build is three steps: detail::run_algorithm41 runs the levels
+// deepest first, the nodes of a level in parallel, copies each node's
+// entries into its slice and accounts the critical depth;
 // detail::minimize_slots takes each slot's minimum over its owners; the
 // query engine (LeveledQuery) merges base arcs and E+ into its buckets.
-// The incremental engine (core/incremental.cpp) reruns node_step into
-// scratch, diffs the result against the retained values and
-// re-minimizes the touched slots through the same plan.
+// The incremental engine (core/incremental.cpp) reruns node_step, diffs
+// the two matrices row by row against the retained entries and
+// re-minimizes the slots of the entries that moved.
 //
 // Node tasks lease a scratch arena (builder_scratch.hpp), one lease per
-// block of nodes: intermediate matrices reuse storage across nodes, and
-// vertex->index lookups are O(1) dense-map probes instead of per-arc
-// binary searches. Only the cross-level boundary matrices (`bnd`) own
-// long-lived storage.
+// block of nodes: intermediate matrices reuse storage across nodes.
+// Only the cross-level boundary matrices (`bnd`) own long-lived
+// storage.
 #pragma once
 
 #include <algorithm>
@@ -98,150 +100,140 @@ bool has_negative_diagonal(const Matrix<S>& m) {
 }
 
 /// Steps i-v of Algorithm 4.1 for node `id`. Reads the children's
-/// boundary matrices from `bnd`, writes the node's own into `bm` and the
-/// values of its complete S x S and B x B pair sets into `out`, in the
-/// order EplusPlan lays the node's entries out (pair_count(|S|) +
-/// pair_count(|B|) values). Leaves run Floyd–Warshall on the
-/// induced subgraph, whose arc weights come from weight_of(const Arc&);
-/// internal nodes close H_S with `closure`. Returns true when the
-/// node's closure — the leaf's Floyd–Warshall matrix or the closed H_S —
-/// has a diagonal cell strictly better than one(): a negative closed
-/// walk in G. With Floyd–Warshall closures, G has a negative cycle
-/// exactly when some node returns true (docs/ALGORITHMS.md, "The
-/// negative-cycle certificate").
+/// boundary matrices from `bnd`, writes the node's closed H_S into
+/// sc.hs (0 x 0 at a leaf) and its boundary matrix into `bm`. The
+/// node's entries, in the order EplusPlan lays them out, are the
+/// off-diagonal cells of sc.hs and then of `bm`, each i-major
+/// (emit_pairs). Leaves run Floyd–Warshall on the induced subgraph,
+/// whose arc weights come from weight_of(const Arc&); internal nodes
+/// gather through the tree's GatherPlan and close H_S with `closure`.
+/// Returns true when the node's closure — the leaf's Floyd–Warshall
+/// matrix or the closed H_S — has a diagonal cell strictly better than
+/// one(): a negative closed walk in G. With Floyd–Warshall closures, G
+/// has a negative cycle exactly when some node returns true
+/// (docs/ALGORITHMS.md, "The negative-cycle certificate").
 template <Semiring S, typename WeightOf>
 bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
                const std::vector<Matrix<S>>& bnd, ClosureKind closure,
                const WeightOf& weight_of, RecursiveScratch<S>& sc,
-               Matrix<S>& bm, std::span<typename S::Value> out) {
-  constexpr std::size_t kNpos = VertexIndexMap::kNpos;
+               Matrix<S>& bm) {
+  using Value = typename S::Value;
   const DecompNode& t = tree.node(id);
-  const std::span<const Vertex> st = t.separator;
-  const std::span<const Vertex> bt = t.boundary;
+  const std::size_t ns = t.separator.size();
+  const std::size_t nb = t.boundary.size();
+  Matrix<S>& hs = sc.hs;
 
   if (t.is_leaf()) {
     // Exact APSP on the (constant-size) induced subgraph.
     const std::span<const Vertex> verts = t.vertices;
-    sc.map0.bind(verts);
+    sc.map.bind(verts);
     Matrix<S>& local = sc.local;
     local.reset(verts.size());
     for (std::size_t i = 0; i < verts.size(); ++i) {
       local.at(i, i) = S::one();
       for (const Arc& a : g.out(verts[i])) {
-        const std::size_t j = sc.map0.find(a.to);
-        if (j != kNpos) local.merge(i, j, S::from_weight(weight_of(a)));
+        const std::size_t j = sc.map.find(a.to);
+        if (j != VertexIndexMap::kNpos) {
+          local.merge(i, j, S::from_weight(weight_of(a)));
+        }
       }
     }
     floyd_warshall(local);  // leaves are O(1)-sized; any kernel is fine
-    bm.reset(bt.size());
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      const std::size_t ip = sc.map0.find(bt[p]);
-      for (std::size_t q = 0; q < bt.size(); ++q) {
-        bm.at(p, q) = local.at(ip, sc.map0.find(bt[q]));
+    bm.reset(nb);
+    for (std::size_t p = 0; p < nb; ++p) {
+      const std::size_t ip = sc.map.find(t.boundary[p]);
+      for (std::size_t q = 0; q < nb; ++q) {
+        bm.at(p, q) = local.at(ip, sc.map.find(t.boundary[q]));
       }
     }
-    // A leaf has no separator: its emission is the B x B set alone.
-    SEPSP_DCHECK(out.size() == pair_count(bt.size()));
-    emit_pairs(bm, out.data());
+    hs.reset(0);  // a leaf has no separator: its entries are B x B alone
     return has_negative_diagonal(local);
   }
 
-  // Index of each separator / boundary vertex inside each child's
-  // boundary list (kNpos when the vertex is not in that child).
+  // Child c's positions of S(t) and of the B(t) vertices it contains
+  // come from the tree's gather plan; every gather below is a row read.
+  const GatherPlan& plan = tree.eplus_plan()->gather;
   const std::array<const Matrix<S>*, 2> child = {
       &bnd[static_cast<std::size_t>(t.child[0])],
       &bnd[static_cast<std::size_t>(t.child[1])]};
-  sc.map0.bind(tree.node(static_cast<std::size_t>(t.child[0])).boundary);
-  sc.map1.bind(tree.node(static_cast<std::size_t>(t.child[1])).boundary);
-  const VertexIndexMap* child_map[2] = {&sc.map0, &sc.map1};
-  for (int c = 0; c < 2; ++c) {
-    auto& s_in_child = sc.s_in_child[c];
-    s_in_child.resize(st.size());
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      s_in_child[i] = child_map[c]->find(st[i]);
-      SEPSP_CHECK_MSG(s_in_child[i] != kNpos,
-                      "separator vertex missing from child boundary");
-    }
-    auto& b_in_child = sc.b_in_child[c];
-    b_in_child.resize(bt.size());
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      b_in_child[p] = child_map[c]->find(bt[p]);
-    }
-  }
 
   // Step i: H_S from the children's boundary distances.
-  Matrix<S>& hs = sc.hs;
-  hs.reset(st.size());
+  hs.reset(ns);
   for (int c = 0; c < 2; ++c) {
     const Matrix<S>& cm = *child[c];
-    const auto& s_in_child = sc.s_in_child[c];
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      for (std::size_t j = 0; j < st.size(); ++j) {
-        hs.merge(i, j, cm.at(s_in_child[i], s_in_child[j]));
+    const std::span<const std::uint32_t> s_in = plan.s_in_child(id, c);
+    for (std::size_t i = 0; i < ns; ++i) {
+      const Value* src = cm.row(s_in[i]);
+      Value* dst = hs.row(i);
+      for (std::size_t j = 0; j < ns; ++j) {
+        dst[j] = S::combine(dst[j], src[s_in[j]]);
       }
     }
   }
   // Step ii: closure -> exact S x S distances in G(t).
   run_closure(hs, closure, sc.square);
 
+  if (nb == 0) {
+    bm.reset(0);
+    return has_negative_diagonal(hs);
+  }
+  // Step iii: B->S and S->B entries of H from the children.
   Matrix<S>& b_to_s = sc.b_to_s;
   Matrix<S>& s_to_b = sc.s_to_b;
-  b_to_s.reset(bt.size(), st.size());
-  s_to_b.reset(st.size(), bt.size());
-  bm.reset(bt.size());
-  if (!bt.empty()) {
-    // Step iii: B->S and S->B entries of H from the children.
-    for (int c = 0; c < 2; ++c) {
-      const Matrix<S>& cm = *child[c];
-      const auto& s_in_child = sc.s_in_child[c];
-      const auto& b_in_child = sc.b_in_child[c];
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        const std::size_t bp = b_in_child[p];
-        if (bp == kNpos) continue;
-        for (std::size_t q = 0; q < st.size(); ++q) {
-          b_to_s.merge(p, q, cm.at(bp, s_in_child[q]));
-          s_to_b.merge(q, p, cm.at(s_in_child[q], bp));
-        }
+  b_to_s.reset(nb, ns);
+  s_to_b.reset(ns, nb);
+  for (int c = 0; c < 2; ++c) {
+    const Matrix<S>& cm = *child[c];
+    const std::span<const std::uint32_t> s_in = plan.s_in_child(id, c);
+    const std::span<const std::uint32_t> rows = plan.b_rows(id, c);
+    const std::span<const std::uint32_t> b_in = plan.b_in_child(id, c);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const Value* src = cm.row(b_in[k]);
+      Value* dst = b_to_s.row(rows[k]);
+      for (std::size_t q = 0; q < ns; ++q) {
+        dst[q] = S::combine(dst[q], src[s_in[q]]);
       }
     }
-    // Step iv: 3-limited paths B -> S -> S -> B (H_S* includes the
-    // diagonal, so 1- and 2-hop crossings are covered too).
-    multiply_into(b_to_s, hs, sc.tmp);
-    multiply_into(sc.tmp, s_to_b, sc.through);
-    const Matrix<S>& through = sc.through;
-    // Step v: best of the separator crossing and staying in one child.
-    for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      for (std::size_t q = 0; q < bt.size(); ++q) {
-        bm.merge(p, q, through.at(p, q));
-      }
-    }
-    for (int c = 0; c < 2; ++c) {
-      const Matrix<S>& cm = *child[c];
-      const auto& b_in_child = sc.b_in_child[c];
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        const std::size_t bp = b_in_child[p];
-        if (bp == kNpos) continue;
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          const std::size_t bq = b_in_child[q];
-          if (bq == kNpos) continue;
-          bm.merge(p, q, cm.at(bp, bq));
-        }
+    for (std::size_t q = 0; q < ns; ++q) {
+      const Value* src = cm.row(s_in[q]);
+      Value* dst = s_to_b.row(q);
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        dst[rows[k]] = S::combine(dst[rows[k]], src[b_in[k]]);
       }
     }
   }
-  typename S::Value* end = emit_pairs(hs, out.data());
-  end = emit_pairs(bm, end);
-  SEPSP_DCHECK(end == out.data() + out.size());
+  // Step iv: 3-limited paths B -> S -> S -> B (H_S* includes the
+  // diagonal, so 1- and 2-hop crossings are covered too), written
+  // straight into bm: combine(zero(), x) is x, bit for bit, in every
+  // semiring, so bm holds exactly the crossing matrix.
+  multiply_into(b_to_s, hs, sc.tmp);
+  multiply_into(sc.tmp, s_to_b, bm);
+  // Step v: best of the empty path, the separator crossing and staying
+  // in one child, combined per cell in that order.
+  for (std::size_t p = 0; p < nb; ++p) {
+    bm.at(p, p) = S::combine(S::one(), bm.at(p, p));
+  }
+  for (int c = 0; c < 2; ++c) {
+    const Matrix<S>& cm = *child[c];
+    const std::span<const std::uint32_t> rows = plan.b_rows(id, c);
+    const std::span<const std::uint32_t> b_in = plan.b_in_child(id, c);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const Value* src = cm.row(b_in[k]);
+      Value* dst = bm.row(rows[k]);
+      for (std::size_t l = 0; l < rows.size(); ++l) {
+        dst[rows[l]] = S::combine(dst[rows[l]], src[b_in[l]]);
+      }
+    }
+  }
   return has_negative_diagonal(hs);
 }
 
 /// Estimated cost of node_step on `t`, in cell updates: a leaf's
 /// Floyd–Warshall, or an internal node's H_S closure and two 3-limited
 /// products, plus the squares of the gathers and the emission, plus a
-/// fixed per-node cost (map binds, scratch resets, the boundary
-/// matrix's allocation: a 4-vertex leaf takes about as long as 1,000
-/// kernel cells).
+/// fixed per-node cost (scratch resets, the boundary matrix's
+/// allocation: a 4-vertex leaf takes about as long as 1,000 kernel
+/// cells).
 inline std::uint64_t node_work(const DecompNode& t) {
   constexpr std::uint64_t kPerNode = 1024;
   if (t.is_leaf()) {
@@ -258,6 +250,20 @@ inline std::uint64_t node_work(const DecompNode& t) {
 /// kSerialKernelCells rule, applied to a level). On the prep-mesh tree
 /// this keeps the two deepest levels and the two topmost ones inline.
 inline constexpr std::uint64_t kInlineLevelWork = std::uint64_t{1} << 17;
+
+/// One past the deepest level holding a node whose node_work reaches
+/// kInlineLevelWork (0 when none does): every node at this level and
+/// below is too light to be worth a pool task of its own. The
+/// incremental engine recomputes each dirty subtree rooted here as one
+/// pool task. On the 9x9x9 grid this is level 4 (of levels 0-13).
+inline std::uint32_t subtree_split_level(const SeparatorTree& tree) {
+  std::uint32_t split = 0;
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    if (node_work(t) >= kInlineLevelWork) split = std::max(split, t.level + 1);
+  }
+  return split;
+}
 
 /// Output of the level driver. Node id's entry values occupy
 /// entries[plan.node_offset[id], plan.node_offset[id + 1]) of
@@ -313,9 +319,12 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
           plan.node_offset[id + 1] - plan.node_offset[id]);
       run.negative_diagonal[id] =
           node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
-                       run.bnd[id], slice)
+                       run.bnd[id])
               ? 1
               : 0;
+      typename S::Value* end = emit_pairs(scratch->hs, slice.data());
+      end = emit_pairs(run.bnd[id], end);
+      SEPSP_DCHECK(end == slice.data() + slice.size());
     }
   };
 

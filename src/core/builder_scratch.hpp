@@ -127,24 +127,18 @@ class ScratchPool {
 /// by the builders and the incremental engine's recompute.
 template <Semiring S>
 struct RecursiveScratch {
-  explicit RecursiveScratch(std::size_t num_vertices)
-      : map0(num_vertices), map1(num_vertices) {}
+  explicit RecursiveScratch(std::size_t num_vertices) : map(num_vertices) {}
 
-  VertexIndexMap map0;  // leaf: t.vertices / internal: child-0 boundary
-  VertexIndexMap map1;  // internal: child-1 boundary
-  Matrix<S> local;      // leaf: APSP on the induced subgraph
-  Matrix<S> hs;         // H_S and its closure
+  VertexIndexMap map;  // leaf: t.vertices
+  Matrix<S> local;     // leaf: APSP on the induced subgraph
+  Matrix<S> hs;        // H_S and its closure (0 x 0 at a leaf)
   Matrix<S> b_to_s;
   Matrix<S> s_to_b;
-  Matrix<S> tmp;      // b_to_s (x) hs
-  Matrix<S> through;  // tmp (x) s_to_b
-  Matrix<S> square;   // squaring-closure product buffer
-  std::vector<std::size_t> s_in_child[2];
-  std::vector<std::size_t> b_in_child[2];
-  // Incremental recompute: the new boundary matrix and entry values,
-  // staged here so they can be diffed against the retained ones.
-  Matrix<S> bm;
-  std::vector<typename S::Value> values;
+  Matrix<S> tmp;     // b_to_s (x) hs
+  Matrix<S> square;  // squaring-closure product buffer
+  // Incremental recompute: the boundary matrix's diagonal before the
+  // step rewrites it (its off-diagonal cells are the retained entries).
+  std::vector<typename S::Value> diag;
 };
 
 /// Scratch for one node task of the doubling builder (Algorithm 4.3).

@@ -53,9 +53,6 @@ struct IncrementalEngine::State {
   std::vector<std::vector<std::uint32_t>> arc_leaves;
   std::vector<std::uint8_t> arc_leaves_known;
 
-  /// Per-entry change flags of the latest recompute, beside `entries`.
-  std::vector<std::uint8_t> entry_changed;
-
   /// Epoch-stamped slot marks: the touched-slot worklist of apply()
   /// dedupes via mark_token instead of clearing a bitmap per batch.
   std::vector<std::uint64_t> slot_mark;
@@ -79,48 +76,137 @@ struct IncrementalEngine::State {
   /// stream recomputes allocation-free.
   std::optional<detail::ScratchPool<detail::RecursiveScratch<S>>> scratch;
 
-  /// Recomputes node `id` with the shared Algorithm-4.1 node step (the
-  /// Floyd–Warshall closure the initial build used) into leased scratch
-  /// and, when the boundary matrix changed, copy-assigns it into bnd[id]
-  /// (capacity reuse). Writes only this node's rows (bnd[id] and its
-  /// entries / entry_changed range) — safe to run concurrently for
-  /// distinct nodes of one tree level. Two distinct change signals come
-  /// back: `matrix` (the boundary matrix — drives upward propagation)
-  /// and `edges` (the contributed shortcut values — drives slot
-  /// re-minimization; an internal node's S x S closure entries can
-  /// change while its boundary matrix does not, and vice versa). The
-  /// per-entry diff is recorded in entry_changed so apply()
-  /// re-minimizes only slots whose contributed value actually moved,
-  /// not every slot of a changed node. `negative_diagonal` is the
-  /// node's fresh certificate flag, folded in serially by apply().
-  struct Recomputed {
-    bool matrix = false;
-    bool edges = false;
-    bool negative_diagonal = false;
-  };
-  Recomputed recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
-    const std::size_t lo = aug.plan->node_offset[id];
-    const std::size_t n = aug.plan->node_offset[id + 1] - lo;
-    Recomputed r;
-    sc.values.resize(n);
-    r.negative_diagonal = detail::node_step<S>(
-        *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
-        [&](const Arc& a) {
-          return weights[static_cast<std::size_t>(&a - g->arcs().data())];
-        },
-        sc, sc.bm, std::span<S::Value>(sc.values));
-    r.matrix = !(sc.bm == bnd[id]);
-    if (r.matrix) bnd[id] = sc.bm;
-    S::Value* now = entries.data() + lo;
-    std::uint8_t* flags = entry_changed.data() + lo;
-    for (std::size_t j = 0; j < n; ++j) {
-      const bool moved =
-          std::memcmp(&sc.values[j], &now[j], sizeof(S::Value)) != 0;
-      flags[j] = moved ? 1 : 0;
-      now[j] = sc.values[j];
-      r.edges = r.edges || moved;
+  /// detail::subtree_split_level: nodes at this level and deeper are
+  /// recomputed inside subtree tasks, one pool task per dirty subtree
+  /// rooted at this level, which runs its dirty nodes bottom-up with no
+  /// barrier; the heavier nodes above run one per pool block, level by
+  /// level.
+  std::uint32_t split_level = 0;
+
+  /// One pool task of apply() — a subtree task below the split, or one
+  /// node of a level above it — and what it did, kept until the serial
+  /// fold reads it.
+  struct Unit {
+    std::uint32_t top = 0;             ///< the subtree's root
+    bool top_changed = false;          ///< bnd[top] changed
+    std::vector<std::uint32_t> pending;     ///< run_subtree's worklist
+    std::vector<std::uint32_t> recomputed;  ///< node ids, in run order
+    std::vector<std::uint32_t> moved;  ///< entries whose value changed
+    std::ptrdiff_t negative_delta = 0;  ///< change of negative_nodes
+
+    void reset(std::uint32_t node) {
+      top = node;
+      top_changed = false;
+      pending.clear();
+      recomputed.clear();
+      moved.clear();
+      negative_delta = 0;
     }
-    return r;
+  };
+  std::vector<Unit> units;  // high-water storage reused across batches
+  /// apply()'s (subtree root, dirty leaf) pairs.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> task_leaves;
+
+  /// Copies the cells of the square matrix `m` whose bits differ from
+  /// its retained entries entries[base, base + pair_count(m.rows())) —
+  /// off-diagonal, i-major — and appends their entry indices to `moved`.
+  /// Row i of the entries is [i(k - 1), (i + 1)(k - 1)), split around
+  /// the diagonal; a row whose two segments memcmp equal is skipped
+  /// whole. Returns whether any cell moved.
+  bool diff_rows(const Matrix<S>& m, std::uint32_t base,
+                 std::vector<std::uint32_t>& moved) {
+    const std::size_t k = m.rows();
+    if (k < 2) return false;  // no off-diagonal cells, no entries
+    S::Value* old = entries.data() + base;
+    bool any = false;
+    for (std::size_t i = 0; i < k; ++i, old += k - 1) {
+      const S::Value* row = m.row(i);
+      if (std::memcmp(old, row, i * sizeof(S::Value)) == 0 &&
+          std::memcmp(old + i, row + i + 1, (k - 1 - i) * sizeof(S::Value)) ==
+              0) {
+        continue;
+      }
+      any = true;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (j == i) continue;
+        const std::size_t col = j < i ? j : j - 1;
+        if (std::memcmp(&old[col], &row[j], sizeof(S::Value)) == 0) continue;
+        old[col] = row[j];
+        moved.push_back(static_cast<std::uint32_t>(
+            static_cast<std::size_t>(old - entries.data()) + col));
+      }
+    }
+    return any;
+  }
+
+  /// Recomputes node `id` with the shared Algorithm-4.1 node step (the
+  /// Floyd–Warshall closure the initial build used), writing its
+  /// boundary matrix straight into bnd[id], and diffs the closed H_S and
+  /// the boundary matrix row by row against the retained entries: only
+  /// cells that moved are written, and their indices go to u.moved (the
+  /// slots to re-minimize). Updates the node's certificate flag and
+  /// records the change in u. Writes only this node's state — bnd[id],
+  /// its entries and flag — so distinct nodes whose children are final
+  /// may run concurrently. Returns whether bnd[id] changed (any bit,
+  /// diagonal included): that drives upward propagation. An internal
+  /// node's S x S entries can move while its boundary matrix does not,
+  /// and vice versa.
+  bool recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc,
+                      Unit& u) {
+    Matrix<S>& bm = bnd[id];
+    sc.diag.resize(bm.rows());
+    for (std::size_t p = 0; p < bm.rows(); ++p) sc.diag[p] = bm.at(p, p);
+    const std::uint8_t negative =
+        detail::node_step<S>(
+            *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
+            [&](const Arc& a) {
+              return weights[static_cast<std::size_t>(&a - g->arcs().data())];
+            },
+            sc, bm)
+            ? 1
+            : 0;
+    if (negative != negative_diagonal[id]) {
+      negative_diagonal[id] = negative;
+      u.negative_delta += negative ? 1 : -1;
+    }
+    u.recomputed.push_back(static_cast<std::uint32_t>(id));
+    const auto base = static_cast<std::uint32_t>(aug.plan->node_offset[id]);
+    diff_rows(sc.hs, base, u.moved);
+    bool matrix = diff_rows(
+        bm, base + static_cast<std::uint32_t>(pair_count(sc.hs.rows())),
+        u.moved);
+    for (std::size_t p = 0; p < bm.rows() && !matrix; ++p) {
+      matrix = std::memcmp(&sc.diag[p], &bm.at(p, p), sizeof(S::Value)) != 0;
+    }
+    return matrix;
+  }
+
+  /// One subtree task: recomputes the dirty nodes of the subtree rooted
+  /// at u.top, starting from the dirty nodes in u.pending. Children
+  /// carry larger ids than their parent (preorder), so taking the
+  /// largest pending id first recomputes every node after all of its
+  /// dirty descendants — bottom-up with no barrier. A parent is queued
+  /// when a child's boundary matrix changed; the root's change is left
+  /// in u.top_changed for the fold.
+  void run_subtree(Unit& u, detail::RecursiveScratch<S>& sc) {
+    std::vector<std::uint32_t>& heap = u.pending;
+    std::make_heap(heap.begin(), heap.end());
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end());
+      const std::uint32_t id = heap.back();
+      heap.pop_back();
+      if (!recompute_node(id, sc, u)) continue;
+      if (id == u.top) {
+        u.top_changed = true;
+        continue;
+      }
+      const auto pid = static_cast<std::uint32_t>(tree->node(id).parent);
+      if (!dirty_seen[pid]) {  // pid lies in this subtree: no other task
+        dirty_seen[pid] = 1;   // reads or writes its flag
+        heap.push_back(pid);
+        std::push_heap(heap.begin(), heap.end());
+      }
+    }
   }
 };
 
@@ -165,7 +251,7 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
     }
   }
   s.slot_mark.assign(s.aug.shortcuts.size(), 0);
-  s.entry_changed.assign(s.entries.size(), 0);
+  s.split_level = detail::subtree_split_level(tree);
 
   s.query.emplace(g, s.aug);
   return engine;
@@ -239,79 +325,106 @@ std::size_t IncrementalEngine::apply() {
   State& s = *state_;
   if (s.dirty_leaves.empty() && s.updated_arcs.empty()) return 0;
   SEPSP_TRACE_SPAN("incremental.apply");
-  // Recompute bottom-up, level by level. A node is recomputed when a
-  // weight it reads changed (leaves) or when a child's boundary matrix
-  // changed; propagation stops as soon as a recomputation reproduces the
-  // old matrix, so local updates rarely climb far. Within a level the
-  // dirty nodes are independent (each reads its children — a strictly
-  // deeper, already-final level — and writes only its own rows), so
-  // they run on the work-stealing pool; the change flags are then
-  // folded serially in worklist order, which makes the recomputed list
-  // and parent enqueue order — hence the whole batch — independent of
-  // how the pool scheduled the nodes.
-  std::vector<std::vector<std::size_t>> by_level(s.tree->height() + 1);
-  for (const std::size_t id : s.dirty_leaves) {
-    by_level[s.tree->node(id).level].push_back(id);  // dirty_seen already 1
-  }
+  // Recompute bottom-up. A node is recomputed when a weight it reads
+  // changed (leaves) or when a child's boundary matrix changed;
+  // propagation stops as soon as a recomputation reproduces the old
+  // matrix bit for bit, so local updates rarely climb far. Two phases:
+  //   * subtrees: below split_level every dirty subtree is one pool task
+  //     that runs its dirty nodes bottom-up (run_subtree);
+  //   * levels: the heavier nodes above it run level by level, one node
+  //     per pool block (each reads its children — a strictly deeper,
+  //     already-final level — and writes only its own state).
+  // Each task reports into its own Unit, and the units are folded
+  // serially in a fixed order (subtree roots ascending, then each
+  // level's worklist order), which makes the recomputed set, the
+  // touched-slot list and the parent enqueue order — hence the whole
+  // batch — independent of how the pool scheduled the tasks.
+  const SeparatorTree& tree = *s.tree;
+  const EplusPlan& plan = *s.aug.plan;
+  const std::uint32_t split = s.split_level;
+  std::vector<std::vector<std::uint32_t>> by_level(split);
   ++s.mark_token;
-  std::vector<std::size_t> recomputed;
+  std::vector<std::uint32_t> recomputed;
   std::vector<std::uint32_t> touched;
-  std::vector<State::Recomputed> changed;
-  std::optional<obs::TraceSpan> phase(std::in_place, "incremental.recompute");
-  for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-    // The level worklist can grow while deeper levels run (parent
-    // enqueue), but never once its own level starts.
-    const std::vector<std::size_t>& ids = by_level[lvl];
-    if (ids.empty()) continue;
-    changed.assign(ids.size(), {});
-    // One scratch lease per block, not per node: the lease comes off a
-    // mutex-guarded pool, and a wide level would otherwise serialize on
-    // it.
-    auto run_block = [&](std::size_t lo, std::size_t hi) {
-      auto sc = s.scratch->acquire();
-      for (std::size_t k = lo; k < hi; ++k) {
-        changed[k] = s.recompute_node(ids[k], *sc);
+  std::size_t entries_moved = 0;
+  const auto fold = [&](const State::Unit& u) {
+    recomputed.insert(recomputed.end(), u.recomputed.begin(),
+                      u.recomputed.end());
+    s.negative_nodes = static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(s.negative_nodes) + u.negative_delta);
+    entries_moved += u.moved.size();
+    for (const std::uint32_t e : u.moved) {
+      const std::uint32_t slot = plan.entry_slot[e];
+      if (s.slot_mark[slot] != s.mark_token) {
+        s.slot_mark[slot] = s.mark_token;
+        touched.push_back(slot);
       }
-    };
-    if (ids.size() > 1) {
-      pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block,
-                                                 /*grain=*/2);
-    } else {
-      run_block(0, ids.size());
     }
-    // Serial fold in worklist order: deterministic whatever the pool did.
-    // Only slots whose contributed value actually moved (the per-entry
-    // diff recompute_node recorded) are marked for re-minimization — an
-    // entry that kept its value cannot move its slot's minimum, and on
-    // big nodes most entries sit far from any dirty leaf.
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const std::size_t id = ids[k];
-      recomputed.push_back(id);
-      const std::uint8_t negative = changed[k].negative_diagonal ? 1 : 0;
-      if (negative != s.negative_diagonal[id]) {
-        s.negative_diagonal[id] = negative;
-        negative ? ++s.negative_nodes : --s.negative_nodes;
+    const std::int32_t parent = tree.node(u.top).parent;
+    if (u.top_changed && parent >= 0) {
+      const auto pid = static_cast<std::uint32_t>(parent);
+      if (!s.dirty_seen[pid]) {
+        s.dirty_seen[pid] = 1;
+        by_level[tree.node(pid).level].push_back(pid);
       }
-      if (changed[k].edges) {
-        const EplusPlan& plan = *s.aug.plan;
-        for (std::size_t e = plan.node_offset[id]; e < plan.node_offset[id + 1];
-             ++e) {
-          if (!s.entry_changed[e]) continue;
-          const std::uint32_t slot = plan.entry_slot[e];
-          if (s.slot_mark[slot] != s.mark_token) {
-            s.slot_mark[slot] = s.mark_token;
-            touched.push_back(slot);
-          }
-        }
+    }
+  };
+  // Runs units [0, count) as pool tasks, one per block, then folds them
+  // in index order.
+  const auto run_units = [&](std::size_t count) {
+    pram::ThreadPool::global().parallel_blocks(
+        0, count,
+        [&](std::size_t lo, std::size_t hi) {
+          auto sc = s.scratch->acquire();
+          for (std::size_t k = lo; k < hi; ++k) s.run_subtree(s.units[k], *sc);
+        },
+        /*grain=*/1);
+    for (std::size_t k = 0; k < count; ++k) fold(s.units[k]);
+  };
+  std::optional<obs::TraceSpan> phase(std::in_place, "incremental.recompute");
+  {
+    SEPSP_TRACE_SPAN("incremental.subtrees");
+    // Each dirty leaf at or below the split joins the task of its
+    // ancestor at the split level; the rest wait for their level.
+    s.task_leaves.clear();
+    for (const std::size_t leaf : s.dirty_leaves) {  // dirty_seen already 1
+      const auto id = static_cast<std::uint32_t>(leaf);
+      if (tree.node(id).level < split) {
+        by_level[tree.node(id).level].push_back(id);
+        continue;
       }
-      const std::int32_t parent = s.tree->node(id).parent;
-      if (parent >= 0 && changed[k].matrix) {
-        const auto pid = static_cast<std::size_t>(parent);
-        if (!s.dirty_seen[pid]) {
-          s.dirty_seen[pid] = 1;
-          by_level[s.tree->node(pid).level].push_back(pid);
-        }
+      std::uint32_t root = id;
+      while (tree.node(root).level > split) {
+        root = static_cast<std::uint32_t>(tree.node(root).parent);
       }
+      s.task_leaves.emplace_back(root, id);
+    }
+    std::sort(s.task_leaves.begin(), s.task_leaves.end());
+    std::size_t tasks = 0;
+    for (std::size_t i = 0; i < s.task_leaves.size(); ++i) {
+      const std::uint32_t root = s.task_leaves[i].first;
+      if (i == 0 || root != s.task_leaves[i - 1].first) {
+        if (s.units.size() == tasks) s.units.emplace_back();
+        s.units[tasks++].reset(root);
+      }
+      s.units[tasks - 1].pending.push_back(s.task_leaves[i].second);
+    }
+    run_units(tasks);
+  }
+  {
+    SEPSP_TRACE_SPAN("incremental.levels");
+    for (std::size_t lvl = split; lvl-- > 0;) {
+      // The level worklist can grow while deeper levels run (parent
+      // enqueue), but never once its own level starts.
+      const std::vector<std::uint32_t>& ids = by_level[lvl];
+      if (ids.empty()) continue;
+      // A node above the split runs as a one-node subtree task.
+      if (s.units.size() < ids.size()) s.units.resize(ids.size());
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        s.units[k].reset(ids[k]);
+        s.units[k].pending.push_back(ids[k]);
+      }
+      run_units(ids.size());
     }
   }
 
@@ -355,9 +468,10 @@ std::size_t IncrementalEngine::apply() {
   }
 
   s.aug.cycle_free = s.negative_nodes == 0;
-  s.last_stats = {recomputed.size(), touched.size(), slabs_copied};
+  s.last_stats = {recomputed.size(), touched.size(), slabs_copied,
+                  entries_moved};
 
-  for (const std::size_t id : recomputed) s.dirty_seen[id] = 0;
+  for (const std::uint32_t id : recomputed) s.dirty_seen[id] = 0;
   s.dirty_leaves.clear();
   for (const std::size_t arc : s.updated_arcs) s.arc_staged[arc] = 0;
   s.updated_arcs.clear();

@@ -11,13 +11,19 @@
 //
 // Proportionality contract: every phase of apply() is bounded by the
 // dirty region, never the whole structure.
-//   * Recompute: the affected tree nodes, processed per level on the
-//     work-stealing pool (nodes within a level are independent; the
-//     change-propagation order is serialized, so results do not depend
-//     on the schedule the pool picks).
-//   * Re-minimize: a touched-slot worklist built from the recomputed
-//     nodes' slot lists (epoch-stamped dedup) — O(touched x owners),
-//     not O(|E+|).
+//   * Recompute: the affected tree nodes, on the work-stealing pool.
+//     Below a split level derived from the tree's node work, each dirty
+//     subtree is one pool task that recomputes its dirty nodes bottom-up
+//     with no barrier; the heavier nodes above it run level by level,
+//     one node per pool block. Each recompute writes its boundary matrix
+//     in place and diffs it and the closed H_S row by row against the
+//     node's retained entries (a memcmp per row, per-cell work only on
+//     rows that differ), writing only the entries that moved. The tasks'
+//     results are folded serially in a fixed order, so results and
+//     ApplyStats do not depend on the schedule the pool picks.
+//   * Re-minimize: a touched-slot worklist built from the moved entries
+//     (epoch-stamped dedup) — O(moved + touched x owners), not O(|E+|)
+//     and not O(entries of the recomputed nodes).
 //   * Snapshot: the query engine's bucket values live in slab-chunked
 //     copy-on-write storage (util/slab.hpp), so snapshot() is a
 //     structural fork — O(#slabs) pointer copies — and the refreshes of
@@ -61,13 +67,13 @@ class IncrementalEngine {
 
   /// Recomputes the affected part of E+ and refreshes the query engine.
   /// Returns the number of tree nodes recomputed. Each apply() that had
-  /// staged changes advances epoch() by one. Dirty nodes are recomputed
-  /// in parallel per tree level; the result is deterministic — the same
-  /// batches give bit-identical matrices, shortcut values, and
-  /// recomputed counts on every run.
+  /// staged changes advances epoch() by one. Dirty subtrees and the
+  /// dirty nodes of each level above them are recomputed in parallel;
+  /// the result is deterministic — the same batches give bit-identical
+  /// matrices, shortcut values, and ApplyStats on every run.
   std::size_t apply();
 
-  /// Counters of the most recent apply(): the three proportionality
+  /// Counters of the most recent apply(): the proportionality
   /// measures. `slabs_copied` counts value slabs detached from
   /// outstanding snapshots by this batch's refreshes (the incremental
   /// cost the next snapshot() inherits).
@@ -75,6 +81,10 @@ class IncrementalEngine {
     std::size_t nodes_recomputed = 0;
     std::size_t slots_touched = 0;
     std::size_t slabs_copied = 0;
+    /// Entries of the recomputed nodes whose value bits changed; every
+    /// touched slot owns at least one of them, so slots_touched <=
+    /// entries_moved <= the recomputed nodes' entries.
+    std::size_t entries_moved = 0;
   };
   ApplyStats last_apply_stats() const;
 

@@ -9,6 +9,48 @@
 #include "util/check.hpp"
 
 namespace sepsp {
+namespace {
+
+GatherPlan build_gather_plan(const SeparatorTree& tree) {
+  GatherPlan gp;
+  const std::size_t num_nodes = tree.num_nodes();
+  gp.sep_offset.assign(2 * num_nodes + 1, 0);
+  gp.bnd_offset.assign(2 * num_nodes + 1, 0);
+  for (std::size_t id = 0; id < num_nodes; ++id) {
+    const DecompNode& t = tree.node(id);
+    for (int c = 0; c < 2; ++c) {
+      const std::size_t k = 2 * id + static_cast<std::size_t>(c);
+      if (!t.is_leaf()) {
+        // Both lists are sorted: one merge finds every position.
+        const std::vector<Vertex>& bc =
+            tree.node(static_cast<std::size_t>(t.child[c])).boundary;
+        std::size_t j = 0;
+        for (const Vertex v : t.separator) {
+          while (j < bc.size() && bc[j] < v) ++j;
+          SEPSP_CHECK_MSG(j < bc.size() && bc[j] == v,
+                          "separator vertex missing from child boundary");
+          gp.sep_index.push_back(static_cast<std::uint32_t>(j));
+        }
+        j = 0;
+        for (std::size_t p = 0; p < t.boundary.size(); ++p) {
+          while (j < bc.size() && bc[j] < t.boundary[p]) ++j;
+          if (j < bc.size() && bc[j] == t.boundary[p]) {
+            gp.bnd_row.push_back(static_cast<std::uint32_t>(p));
+            gp.bnd_index.push_back(static_cast<std::uint32_t>(j));
+          }
+        }
+      }
+      gp.sep_offset[k + 1] = static_cast<std::uint32_t>(gp.sep_index.size());
+      gp.bnd_offset[k + 1] = static_cast<std::uint32_t>(gp.bnd_row.size());
+    }
+  }
+  gp.sep_index.shrink_to_fit();
+  gp.bnd_row.shrink_to_fit();
+  gp.bnd_index.shrink_to_fit();
+  return gp;
+}
+
+}  // namespace
 
 EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   SEPSP_TRACE_SPAN("build.plan");
@@ -78,6 +120,7 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   plan.owner_entry = std::move(order);
   plan.slots.shrink_to_fit();
   plan.owner_offset.shrink_to_fit();
+  plan.gather = build_gather_plan(tree);
   return plan;
 }
 

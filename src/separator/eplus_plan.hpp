@@ -9,10 +9,15 @@
 // plan is computed once per tree and read by every build over it: the
 // exact engine, the (1 + eps) engine, both directions of the hub-label
 // and routing builds, and the incremental engine's epochs.
+//
+// Beside it rides the gather plan: where each internal node's steps
+// read its children's boundary matrices. It too depends only on the
+// tree.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -20,6 +25,41 @@
 namespace sepsp {
 
 class SeparatorTree;
+
+/// Where Algorithm 4.1's node step reads the children's boundary
+/// matrices. For internal node t and child c in {0, 1}, key k = 2t + c:
+///  - sep_index[sep_offset[k], sep_offset[k + 1]) holds, for each S(t)
+///    vertex in order, its index in B(c) (S(t) lies in both children's
+///    boundaries, so the list has |S(t)| entries);
+///  - bnd_row[bnd_offset[k], bnd_offset[k + 1]) lists the positions p of
+///    the B(t) vertices that B(c) contains, ascending, and bnd_index the
+///    same vertices' indices in B(c).
+/// A leaf's ranges are empty.
+struct GatherPlan {
+  std::vector<std::uint32_t> sep_offset;  ///< size 2 * num_nodes + 1
+  std::vector<std::uint32_t> sep_index;
+  std::vector<std::uint32_t> bnd_offset;  ///< size 2 * num_nodes + 1
+  std::vector<std::uint32_t> bnd_row;
+  std::vector<std::uint32_t> bnd_index;
+
+  std::span<const std::uint32_t> s_in_child(std::size_t id, int c) const {
+    return range(sep_index, sep_offset, id, c);
+  }
+  std::span<const std::uint32_t> b_rows(std::size_t id, int c) const {
+    return range(bnd_row, bnd_offset, id, c);
+  }
+  std::span<const std::uint32_t> b_in_child(std::size_t id, int c) const {
+    return range(bnd_index, bnd_offset, id, c);
+  }
+
+ private:
+  static std::span<const std::uint32_t> range(
+      const std::vector<std::uint32_t>& v,
+      const std::vector<std::uint32_t>& offset, std::size_t id, int c) {
+    const std::size_t k = 2 * id + static_cast<std::size_t>(c);
+    return {v.data() + offset[k], v.data() + offset[k + 1]};
+  }
+};
 
 /// Weight-independent layout of E+ over one separator tree.
 struct EplusPlan {
@@ -41,6 +81,8 @@ struct EplusPlan {
   /// least one owner.
   std::vector<std::uint32_t> owner_offset;
   std::vector<std::uint32_t> owner_entry;
+  /// The children's boundary positions every internal node gathers.
+  GatherPlan gather;
 
   std::size_t num_entries() const { return entry_slot.size(); }
   std::size_t num_slots() const { return slots.size(); }
@@ -51,7 +93,8 @@ struct EplusPlan {
 inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 
 /// Computes the plan of `tree`: two stable counting-sort passes over the
-/// emitted pairs (by `to`, then by `from`), O(entries + n).
+/// emitted pairs (by `to`, then by `from`), O(entries + n), and the
+/// gather plan, one merge of sorted vertex lists per (node, child).
 EplusPlan build_eplus_plan(const SeparatorTree& tree);
 
 }  // namespace sepsp

@@ -6,7 +6,8 @@
 //   shortcut weights are exactly dist_{G(t)} on the node subgraphs, the
 //   E+ slot plan lays out exactly the pairs Algorithm 4.1 emits and its
 //   per-slot minimum reproduces a sort-and-dedup of the raw emission bit
-//   for bit, and the negative-cycle certificate
+//   for bit, the gather plan lists every child position, node_step is bit
+//   for bit the textbook steps i-v, and the negative-cycle certificate
 //   (Augmentation::cycle_free) agrees with a Bellman–Ford oracle.
 #include <gtest/gtest.h>
 
@@ -356,6 +357,190 @@ TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwnerLikeDedup) {
     ASSERT_EQ(want.size(), 1u);
     EXPECT_EQ(std::memcmp(&got[0], &want[0], sizeof(got[0])), 0);
     EXPECT_EQ(std::signbit(got[0].value), std::signbit(values[1]));
+  }
+}
+
+TEST(SlotPlan, GatherPlanListsEveryChildPosition) {
+  for (const Family& f : families()) {
+    const GatherPlan& gp = f.tree.eplus_plan()->gather;
+    const std::size_t num_nodes = f.tree.num_nodes();
+    ASSERT_EQ(gp.sep_offset.size(), 2 * num_nodes + 1) << f.name;
+    ASSERT_EQ(gp.bnd_offset.size(), 2 * num_nodes + 1) << f.name;
+    EXPECT_EQ(gp.sep_offset.back(), gp.sep_index.size()) << f.name;
+    EXPECT_EQ(gp.bnd_offset.back(), gp.bnd_row.size()) << f.name;
+    EXPECT_EQ(gp.bnd_row.size(), gp.bnd_index.size()) << f.name;
+    for (std::size_t id = 0; id < num_nodes; ++id) {
+      const DecompNode& t = f.tree.node(id);
+      for (int c = 0; c < 2; ++c) {
+        const auto s_in = gp.s_in_child(id, c);
+        const auto rows = gp.b_rows(id, c);
+        const auto b_in = gp.b_in_child(id, c);
+        ASSERT_EQ(rows.size(), b_in.size()) << f.name << " node " << id;
+        if (t.is_leaf()) {
+          EXPECT_TRUE(s_in.empty()) << f.name << " leaf " << id;
+          EXPECT_TRUE(rows.empty()) << f.name << " leaf " << id;
+          continue;
+        }
+        const std::vector<Vertex>& bc =
+            f.tree.node(static_cast<std::size_t>(t.child[c])).boundary;
+        // Every separator vertex, at its position in the child boundary.
+        ASSERT_EQ(s_in.size(), t.separator.size()) << f.name << " node " << id;
+        for (std::size_t i = 0; i < s_in.size(); ++i) {
+          ASSERT_LT(s_in[i], bc.size()) << f.name << " node " << id;
+          EXPECT_EQ(bc[s_in[i]], t.separator[i]) << f.name << " node " << id;
+        }
+        // Exactly the boundary vertices the child shares, ascending.
+        std::size_t shared = 0;
+        for (const Vertex v : t.boundary) {
+          shared += std::binary_search(bc.begin(), bc.end(), v) ? 1 : 0;
+        }
+        ASSERT_EQ(rows.size(), shared) << f.name << " node " << id;
+        for (std::size_t k = 0; k < rows.size(); ++k) {
+          if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << f.name;
+          ASSERT_LT(rows[k], t.boundary.size()) << f.name << " node " << id;
+          ASSERT_LT(b_in[k], bc.size()) << f.name << " node " << id;
+          EXPECT_EQ(bc[b_in[k]], t.boundary[rows[k]])
+              << f.name << " node " << id;
+        }
+      }
+    }
+  }
+}
+
+// Steps i-v as the paper states them, written out independently of the
+// gather plan: vertex -> index maps over the children's boundaries, a
+// kNpos branch per cell, and the crossing matrix kept apart from the
+// boundary matrix until step v merges them.
+template <Semiring S>
+void textbook_node_step(const Digraph& g, const SeparatorTree& tree,
+                        std::size_t id, const std::vector<Matrix<S>>& bnd,
+                        Matrix<S>& hs, Matrix<S>& bm) {
+  constexpr std::size_t kNpos = detail::VertexIndexMap::kNpos;
+  const DecompNode& t = tree.node(id);
+  const std::vector<Vertex>& st = t.separator;
+  const std::vector<Vertex>& bt = t.boundary;
+  if (t.is_leaf()) {
+    detail::VertexIndexMap map(g.num_vertices());
+    map.bind(t.vertices);
+    Matrix<S> local(t.vertices.size(), t.vertices.size());
+    for (std::size_t i = 0; i < t.vertices.size(); ++i) {
+      local.at(i, i) = S::one();
+      for (const Arc& a : g.out(t.vertices[i])) {
+        const std::size_t j = map.find(a.to);
+        if (j != kNpos) local.merge(i, j, S::from_weight(a.weight));
+      }
+    }
+    floyd_warshall(local);
+    bm.reset(bt.size());
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      for (std::size_t q = 0; q < bt.size(); ++q) {
+        bm.at(p, q) = local.at(map.find(bt[p]), map.find(bt[q]));
+      }
+    }
+    hs.reset(0);
+    return;
+  }
+  std::vector<std::size_t> s_in[2], b_in[2];
+  for (int c = 0; c < 2; ++c) {
+    detail::VertexIndexMap map(g.num_vertices());
+    map.bind(tree.node(static_cast<std::size_t>(t.child[c])).boundary);
+    for (const Vertex v : st) s_in[c].push_back(map.find(v));
+    for (const Vertex v : bt) b_in[c].push_back(map.find(v));
+  }
+  const Matrix<S>* child[2] = {&bnd[static_cast<std::size_t>(t.child[0])],
+                               &bnd[static_cast<std::size_t>(t.child[1])]};
+  // i. H_S from the children.
+  hs.reset(st.size());
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < st.size(); ++i) {
+      for (std::size_t j = 0; j < st.size(); ++j) {
+        hs.merge(i, j, child[c]->at(s_in[c][i], s_in[c][j]));
+      }
+    }
+  }
+  // ii. Its closure.
+  floyd_warshall(hs);
+  // iii. B -> S and S -> B.
+  Matrix<S> b_to_s(bt.size(), st.size());
+  Matrix<S> s_to_b(st.size(), bt.size());
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      if (b_in[c][p] == kNpos) continue;
+      for (std::size_t q = 0; q < st.size(); ++q) {
+        b_to_s.merge(p, q, child[c]->at(b_in[c][p], s_in[c][q]));
+        s_to_b.merge(q, p, child[c]->at(s_in[c][q], b_in[c][p]));
+      }
+    }
+  }
+  // iv. The 3-limited crossing.
+  const Matrix<S> through = multiply(multiply(b_to_s, hs), s_to_b);
+  // v. The empty path, the crossing, then each child's direct distance.
+  bm.reset(bt.size());
+  for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
+  for (std::size_t p = 0; p < bt.size(); ++p) {
+    for (std::size_t q = 0; q < bt.size(); ++q) {
+      bm.merge(p, q, through.at(p, q));
+    }
+  }
+  for (int c = 0; c < 2; ++c) {
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      for (std::size_t q = 0; q < bt.size(); ++q) {
+        if (b_in[c][p] == kNpos || b_in[c][q] == kNpos) continue;
+        bm.merge(p, q, child[c]->at(b_in[c][p], b_in[c][q]));
+      }
+    }
+  }
+}
+
+template <Semiring S>
+bool bit_equal(const Matrix<S>& a, const Matrix<S>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.rows() * a.cols() == 0 ||
+          std::memcmp(a.row(0), b.row(0),
+                      a.rows() * a.cols() * sizeof(typename S::Value)) == 0);
+}
+
+template <Semiring S>
+void expect_node_step_matches_textbook(const Family& f) {
+  const auto run = detail::run_algorithm41<S>(
+      f.gg.graph, f.tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
+  const EplusPlan& plan = *f.tree.eplus_plan();
+  detail::RecursiveScratch<S> sc(f.gg.graph.num_vertices());
+  Matrix<S> bm, want_hs, want_bm;
+  std::vector<typename S::Value> got_values, want_values;
+  for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
+    detail::node_step<S>(f.gg.graph, f.tree, id, run.bnd,
+                         ClosureKind::kFloydWarshall,
+                         [](const Arc& a) { return a.weight; }, sc, bm);
+    textbook_node_step<S>(f.gg.graph, f.tree, id, run.bnd, want_hs, want_bm);
+    ASSERT_TRUE(bit_equal(sc.hs, want_hs)) << f.name << " node " << id;
+    ASSERT_TRUE(bit_equal(bm, want_bm)) << f.name << " node " << id;
+    ASSERT_TRUE(bit_equal(run.bnd[id], want_bm)) << f.name << " node " << id;
+    // The node's entries: what the build stored, what node_step's
+    // matrices emit, and what the textbook matrices emit.
+    const std::size_t lo = plan.node_offset[id];
+    const std::size_t n = plan.node_offset[id + 1] - lo;
+    if (n == 0) continue;
+    got_values.resize(n);
+    want_values.resize(n);
+    detail::emit_pairs(bm, detail::emit_pairs(sc.hs, got_values.data()));
+    detail::emit_pairs(want_bm,
+                       detail::emit_pairs(want_hs, want_values.data()));
+    const std::size_t bytes = n * sizeof(typename S::Value);
+    EXPECT_EQ(std::memcmp(got_values.data(), want_values.data(), bytes), 0)
+        << f.name << " node " << id;
+    EXPECT_EQ(std::memcmp(run.entries.data() + lo, want_values.data(), bytes),
+              0)
+        << f.name << " node " << id;
+  }
+}
+
+TEST(NodeStep, BitIdenticalToTheTextbookStepsOnAllSemirings) {
+  for (const Family& f : families()) {
+    expect_node_step_matches_textbook<TropicalD>(f);
+    expect_node_step_matches_textbook<TropicalI>(f);
+    expect_node_step_matches_textbook<BooleanSR>(f);
+    expect_node_step_matches_textbook<BottleneckSR>(f);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
 #include "baseline/negative_cycle.hpp"
+#include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
@@ -394,6 +395,224 @@ TEST(Incremental, ApplyIsDeterministic) {
           << "round " << round << " source " << s;
     }
   }
+}
+
+// Leaves whose subgraph contains both endpoints of some arc in
+// `updates`: the nodes an apply() of them recomputes first.
+std::vector<std::uint8_t> leaves_reading(
+    const SeparatorTree& tree, const std::vector<EdgeTriple>& updates) {
+  std::vector<std::uint8_t> dirty(tree.num_nodes(), 0);
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    if (!t.is_leaf()) continue;
+    for (const EdgeTriple& u : updates) {
+      if (std::binary_search(t.vertices.begin(), t.vertices.end(), u.from) &&
+          std::binary_search(t.vertices.begin(), t.vertices.end(), u.to)) {
+        dirty[id] = 1;
+      }
+    }
+  }
+  return dirty;
+}
+
+TEST(Incremental, ApplyStatsCountTheEntriesThatMoved) {
+  // Two fresh Floyd–Warshall builds, before and after the batch, fix
+  // what apply() must do: recompute the dirty leaves and every parent of
+  // a recomputed node whose boundary matrix changed bits, and move
+  // exactly the entries whose bits differ between the builds.
+  const Fixture f = make_grid_fixture(9, 37);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  const std::vector<EdgeTriple> updates{{3, 4, 0.5}, {40, 49, 7.5},
+                                        {70, 71, 2.25}};
+  for (const EdgeTriple& u : updates) engine.update_edge(u.from, u.to, u.weight);
+  engine.apply();
+  const IncrementalEngine::ApplyStats st = engine.last_apply_stats();
+
+  using S = TropicalD;
+  const auto before = detail::run_algorithm41<S>(
+      f.gg.graph, f.tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
+  const auto after = detail::run_algorithm41<S>(
+      reweighted(f.gg.graph, updates), f.tree, ClosureKind::kFloydWarshall,
+      /*keep_bnd=*/true);
+  const auto matrix_moved = [&](std::size_t id) {
+    const Matrix<S>& a = before.bnd[id];
+    const Matrix<S>& b = after.bnd[id];
+    return a.rows() * a.cols() > 0 &&
+           std::memcmp(a.row(0), b.row(0),
+                       a.rows() * a.cols() * sizeof(S::Value)) != 0;
+  };
+  std::vector<std::uint8_t> recomputed = leaves_reading(f.tree, updates);
+  for (std::size_t id = f.tree.num_nodes(); id-- > 0;) {  // children first
+    const DecompNode& t = f.tree.node(id);
+    if (t.is_leaf()) continue;
+    for (const std::int32_t c : t.child) {
+      const auto cid = static_cast<std::size_t>(c);
+      if (recomputed[cid] && matrix_moved(cid)) recomputed[id] = 1;
+    }
+  }
+  const EplusPlan& plan = *f.tree.eplus_plan();
+  std::size_t nodes = 0, entries = 0, moved = 0;
+  for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
+    const std::size_t lo = plan.node_offset[id];
+    const std::size_t hi = plan.node_offset[id + 1];
+    std::size_t differ = 0;
+    for (std::size_t e = lo; e < hi; ++e) {
+      differ += std::memcmp(&before.entries[e], &after.entries[e],
+                            sizeof(S::Value)) != 0
+                    ? 1
+                    : 0;
+    }
+    if (!recomputed[id]) {
+      EXPECT_EQ(differ, 0u) << "node " << id << " moved but was not recomputed";
+      continue;
+    }
+    ++nodes;
+    entries += hi - lo;
+    moved += differ;
+  }
+  EXPECT_EQ(st.nodes_recomputed, nodes);
+  EXPECT_EQ(st.entries_moved, moved);
+  EXPECT_GT(st.slots_touched, 0u);
+  EXPECT_LE(st.slots_touched, st.entries_moved);
+  EXPECT_LE(st.entries_moved, entries);
+  expect_matches_exact_build(engine, reweighted(f.gg.graph, updates), f.tree);
+}
+
+TEST(Incremental, ResettingCurrentWeightsRecomputesOnlyLeaves) {
+  const Fixture f = make_grid_fixture(9, 39);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  const std::vector<EdgeTriple> same{{0, 1, 0.0}, {40, 41, 0.0},
+                                     {41, 50, 0.0}, {79, 80, 0.0}};
+  for (const EdgeTriple& u : same) {
+    engine.update_edge(u.from, u.to, engine.weight(u.from, u.to));
+  }
+  const std::vector<std::uint8_t> leaves = leaves_reading(f.tree, same);
+  const auto dirty = static_cast<std::size_t>(
+      std::count(leaves.begin(), leaves.end(), 1));
+  ASSERT_GT(dirty, 0u);
+  EXPECT_EQ(engine.apply(), dirty);
+  const IncrementalEngine::ApplyStats st = engine.last_apply_stats();
+  EXPECT_EQ(st.nodes_recomputed, dirty);
+  EXPECT_EQ(st.entries_moved, 0u);
+  EXPECT_EQ(st.slots_touched, 0u);
+  expect_matches_exact_build(engine, f.gg.graph, f.tree);
+}
+
+// The update-neg3d shape on a side^3 mixed-sign grid: four-arc batches
+// that raise arcs and then restore them, one arc moved from +0.0 to
+// -0.0, E+ held to a fresh build's bits every 10 batches, and two
+// engines fed the same batches agreeing bit for bit whatever the pool's
+// schedule.
+void expect_raise_restore_stream_exact(std::size_t side) {
+  SCOPED_TRACE("side " + std::to_string(side));
+  Rng rng(41);
+  Fixture f{make_grid({side, side, side}, WeightModel::mixed_sign(10.0), rng),
+            {}};
+  f.tree = build_separator_tree(Skeleton(f.gg.graph),
+                                make_grid_finder({side, side, side}));
+  IncrementalEngine lhs = IncrementalEngine::build(f.gg.graph, f.tree);
+  IncrementalEngine rhs = IncrementalEngine::build(f.gg.graph, f.tree);
+  const std::vector<EdgeTriple> original = f.gg.graph.edge_list();
+  std::vector<EdgeTriple> current = original;
+  const auto stage = [&](std::size_t arc, double w) {
+    current[arc].weight = w;
+    lhs.update_edge(current[arc].from, current[arc].to, w);
+    rhs.update_edge(current[arc].from, current[arc].to, w);
+  };
+  const auto fresh_reference = [&] {
+    GraphBuilder b(f.gg.graph.num_vertices());
+    for (const EdgeTriple& e : current) b.add_edge(e.from, e.to, e.weight);
+    return std::move(b).build(/*dedup_min=*/false);
+  };
+  // The signed-zero arc. A leaf's Floyd–Warshall adds one() = +0.0 to
+  // it (0.0 + -0.0 is +0.0), so its sign reaches no matrix; the base
+  // arc's refresh carries it.
+  const std::size_t zero_arc = original.size() / 2;
+
+  Rng pick(43);
+  std::vector<std::size_t> raised;
+  constexpr int kBatches = 64;
+  for (int b = 0; b < kBatches; ++b) {
+    if (b == 60) {
+      stage(zero_arc, +0.0);
+    } else if (b == 61) {
+      stage(zero_arc, -0.0);
+    } else if (b == 62) {
+      stage(zero_arc, original[zero_arc].weight);
+    } else if (b % 2 == 0) {
+      raised.clear();
+      for (int k = 0; k < 4; ++k) {
+        const std::size_t arc = pick.next_below(original.size());
+        raised.push_back(arc);
+        stage(arc, current[arc].weight + pick.next_double(0.0, 5.0));
+      }
+    } else {
+      for (const std::size_t arc : raised) stage(arc, original[arc].weight);
+    }
+    const std::size_t n_lhs = lhs.apply();
+    const std::size_t n_rhs = rhs.apply();
+    ASSERT_EQ(n_lhs, n_rhs) << "batch " << b;
+    const auto st_lhs = lhs.last_apply_stats();
+    const auto st_rhs = rhs.last_apply_stats();
+    EXPECT_EQ(st_lhs.slots_touched, st_rhs.slots_touched) << "batch " << b;
+    EXPECT_EQ(st_lhs.entries_moved, st_rhs.entries_moved) << "batch " << b;
+    EXPECT_LE(st_lhs.slots_touched, st_lhs.entries_moved) << "batch " << b;
+    if (b == 61) {
+      EXPECT_TRUE(std::signbit(
+          lhs.weight(original[zero_arc].from, original[zero_arc].to)));
+    }
+    const auto& sl = lhs.augmentation().shortcuts;
+    const auto& sr = rhs.augmentation().shortcuts;
+    ASSERT_EQ(sl.size(), sr.size());
+    ASSERT_EQ(std::memcmp(sl.data(), sr.data(), sl.size() * sizeof(sl[0])), 0)
+        << "batch " << b;
+    if (b % 10 == 9 || b == 60 || b == 61) {
+      expect_matches_exact_build(lhs, fresh_reference(), f.tree);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(Incremental, RaiseAndRestoreStreamStaysBitIdenticalToFreshBuilds) {
+  // 5^3: every node is lighter than kInlineLevelWork, so apply() runs the
+  // whole tree as one subtree task. 8^3: its top levels are heavier, so
+  // apply() runs dirty subtrees as parallel pool tasks and the levels
+  // above them one node per block.
+  for (const std::size_t side : {5u, 8u}) {
+    expect_raise_restore_stream_exact(side);
+    if (HasFatalFailure()) return;
+  }
+  Rng rng(41);
+  const GeneratedGraph gg =
+      make_grid({8, 8, 8}, WeightModel::mixed_sign(10.0), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8, 8}));
+  const std::uint32_t split = detail::subtree_split_level(tree);
+  EXPECT_GE(split, 2u);
+  EXPECT_LT(split, tree.height());
+}
+
+TEST(Incremental, TreeWithoutEntriesStaysExact) {
+  // A 5-vertex path splits at one vertex into leaves whose boundary is
+  // that vertex alone: every group has fewer than two vertices, so E+
+  // has no entries and the row diff has nothing to compare.
+  GraphBuilder b(5);
+  for (Vertex v = 0; v + 1 < 5; ++v) {
+    b.add_edge(v, v + 1, 1.0 + v);
+    b.add_edge(v + 1, v, 2.0 + v);
+  }
+  const Digraph g = std::move(b).build();
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(g), make_tree_finder());
+  ASSERT_GT(tree.num_nodes(), 1u);
+  ASSERT_EQ(tree.eplus_plan()->num_entries(), 0u);
+  IncrementalEngine engine = IncrementalEngine::build(g, tree);
+  engine.update_edge(1, 2, 0.5);
+  engine.update_edge(3, 2, 7.0);
+  EXPECT_GT(engine.apply(), 0u);
+  EXPECT_EQ(engine.last_apply_stats().entries_moved, 0u);
+  const Digraph reference = reweighted(g, {{1, 2, 0.5}, {3, 2, 7.0}});
+  for (Vertex s = 0; s < 5; ++s) expect_matches_dijkstra(engine, reference, s);
 }
 
 TEST(Incremental, SnapshotWithStagedUpdatesAborts) {
