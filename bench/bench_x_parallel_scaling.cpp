@@ -7,9 +7,10 @@
 // child times SeparatorShortestPaths::build (Algorithm 4.1 with
 // Floyd–Warshall closures, then the slot minimum and the query buckets)
 // over >= 5 repetitions after one warm-up build. Each row reports the
-// median, min and max build time, the level loop's share (the
-// `build.nodes` spans; 0 when built with SEPSP_OBS=OFF) and the batch
-// time, and the speedups of the medians against one thread. E+ must be
+// median, min and max build time, the tree pass's share (the
+// `build.nodes` span, JSON field `level_ms_median`; 0 when built with
+// SEPSP_OBS=OFF) and the batch time, and the speedups of the medians
+// against one thread. E+ must be
 // bit-identical at every thread count: each child writes its E+ bytes
 // to a temporary file, which the parent memcmps against the one-thread
 // row's (`eplus_parity`); the rows also show an FNV-1a digest of them.
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
               std::to_string(side) + "x" + std::to_string(side) + ", " +
               std::to_string(repetitions()) + " reps per row)");
   table.set_header({"threads", "build ms (median)", "min", "max",
-                    "build speedup", "level loop ms", "64-source batch ms",
+                    "build speedup", "tree pass ms", "64-source batch ms",
                     "batch speedup", "|E+|", "E+ = 1-thread"});
   std::vector<RowResult> rows;
   std::vector<char> one_eplus;  // the one-thread row's E+ bytes

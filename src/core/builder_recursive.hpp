@@ -1,9 +1,9 @@
 // Algorithm 4.1: computing E+ leaves-up.
 //
-// Nodes are processed level by level from the deepest level to the root;
-// within a level all nodes are processed in parallel. A node t keeps a
-// |B(t)| x |B(t)| matrix of exact distances in G(t) between its boundary
-// vertices; the parent combines its two children's matrices:
+// A node is processed once both of its children are; disjoint subtrees
+// run in parallel. A node t keeps a |B(t)| x |B(t)| matrix of exact
+// distances in G(t) between its boundary vertices; the parent combines
+// its two children's matrices:
 //
 //   i.   H_S: complete graph on S(t), entry = best child distance
 //   ii.  APSP closure of H_S                      -> S x S shortcuts
@@ -26,19 +26,22 @@
 // share a (from, to) slot of E+, is the tree's slot plan
 // (separator/eplus_plan.hpp), computed once per tree; where each
 // internal node reads its children's matrices is the gather plan beside
-// it. A build is three steps: detail::run_algorithm41 runs the levels
-// deepest first, the nodes of a level in parallel, copies each node's
-// entries into its slice and accounts the critical depth;
-// detail::minimize_slots takes each slot's minimum over its owners; the
-// query engine (LeveledQuery) merges base arcs and E+ into its buckets.
-// The incremental engine (core/incremental.cpp) reruns node_step, diffs
-// the two matrices row by row against the retained entries and
-// re-minimizes the slots of the entries that moved.
+// it. node_step runs under one scheduler, detail::tree_pass: a
+// fork-join pass over the tree that runs light subtrees serially and
+// forks the children of heavier nodes. A build is three steps:
+// detail::run_algorithm41 runs node_step on every node in one tree_pass
+// and copies each node's entries into its slice; detail::minimize_slots
+// takes each slot's minimum over its owners; the query engine
+// (LeveledQuery) merges base arcs and E+ into its buckets. The
+// incremental engine (core/incremental.cpp) reruns node_step in a
+// tree_pass over the dirty nodes, diffs the two matrices row by row
+// against the retained entries and re-minimizes the slots of the
+// entries that moved.
 //
 // Node tasks lease a scratch arena (builder_scratch.hpp), one lease per
-// block of nodes: intermediate matrices reuse storage across nodes.
-// Only the cross-level boundary matrices (`bnd`) own long-lived
-// storage.
+// serial subtree and one per forked node: intermediate matrices reuse
+// storage across nodes. Only the boundary matrices (`bnd`), which
+// parents read, own long-lived storage.
 #pragma once
 
 #include <algorithm>
@@ -245,31 +248,113 @@ inline std::uint64_t node_work(const DecompNode& t) {
   return s * s * s + s * s * b + s * b * b + s * s + b * b + kPerNode;
 }
 
-/// Levels whose summed node_work is below this run on the calling
-/// thread: waking the pool for them costs more than the nodes do (the
-/// kSerialKernelCells rule, applied to a level). On the prep-mesh tree
-/// this keeps the two deepest levels and the two topmost ones inline.
+/// Subtrees whose summed node_work is below this run serially on one
+/// thread: waking the pool for them costs more than their nodes do (the
+/// kSerialKernelCells rule, applied to a subtree). On the prep-mesh tree
+/// this leaves 32 serial subtrees, on the 9x9x9 grid 64.
 inline constexpr std::uint64_t kInlineLevelWork = std::uint64_t{1} << 17;
 
-/// One past the deepest level holding a node whose node_work reaches
-/// kInlineLevelWork (0 when none does): every node at this level and
-/// below is too light to be worth a pool task of its own. The
-/// incremental engine recomputes each dirty subtree rooted here as one
-/// pool task. On the 9x9x9 grid this is level 4 (of levels 0-13).
-inline std::uint32_t subtree_split_level(const SeparatorTree& tree) {
-  std::uint32_t split = 0;
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+/// Summed node_work of every node's subtree, by node id.
+inline std::vector<std::uint64_t> subtree_work(const SeparatorTree& tree) {
+  std::vector<std::uint64_t> work(tree.num_nodes());
+  for (std::size_t id = tree.num_nodes(); id-- > 0;) {  // children first
     const DecompNode& t = tree.node(id);
-    if (node_work(t) >= kInlineLevelWork) split = std::max(split, t.level + 1);
+    work[id] = node_work(t);
+    if (!t.is_leaf()) {
+      work[id] += work[static_cast<std::size_t>(t.child[0])] +
+                  work[static_cast<std::size_t>(t.child[1])];
+    }
   }
-  return split;
+  return work;
 }
 
-/// Output of the level driver. Node id's entry values occupy
+/// tree_pass below the fork cutoff: the subtree rooted at `id` in
+/// postorder on the calling thread, on one scratch object.
+template <typename Scratch, typename Enter, typename Visit>
+bool serial_pass(const SeparatorTree& tree, std::size_t id,
+                 const Enter& enter, const Visit& visit, Scratch& sc) {
+  bool changed = false;
+  for (const std::int32_t c : tree.node(id).child) {
+    const auto child = static_cast<std::size_t>(c);
+    if (c >= 0 && enter(child) && serial_pass(tree, child, enter, visit, sc)) {
+      changed = true;
+    }
+  }
+  return visit(id, changed, sc);
+}
+
+/// The one scheduler of Algorithm 4.1's node step: a leaves-up pass over
+/// the subtree rooted at `id` that enters the children for which
+/// enter(child) holds and calls visit(node, changed, scratch) on every
+/// node it enters, after all of that node's entered children; `changed`
+/// is whether any of their visits returned true, and the pass returns
+/// the root's visit. A subtree whose summed node_work (`work`, from
+/// subtree_work) is below kInlineLevelWork runs serially in postorder,
+/// in one task on one scratch lease; a heavier node forks its entered
+/// children on the pool and visits itself right after the join. Every
+/// node is visited once, after its children, so visits that write only
+/// their own node's state and read only their children's never race.
+template <typename Scratch, typename Enter, typename Visit>
+bool tree_pass(const SeparatorTree& tree, std::span<const std::uint64_t> work,
+               ScratchPool<Scratch>& scratch, std::size_t id,
+               const Enter& enter, const Visit& visit) {
+  if (work[id] < kInlineLevelWork) {
+    auto sc = scratch.acquire();
+    return serial_pass(tree, id, enter, visit, *sc);
+  }
+  std::array<std::size_t, 2> entered{};
+  std::size_t n = 0;
+  for (const std::int32_t c : tree.node(id).child) {
+    const auto child = static_cast<std::size_t>(c);
+    if (c >= 0 && enter(child)) entered[n++] = child;
+  }
+  // A single entered child runs inline: its range is one grain.
+  std::array<bool, 2> changed = {false, false};
+  pram::ThreadPool::global().parallel_blocks(
+      0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          changed[k] =
+              tree_pass(tree, work, scratch, entered[k], enter, visit);
+        }
+      },
+      /*grain=*/1);
+  auto sc = scratch.acquire();
+  return visit(id, changed[0] || changed[1], *sc);
+}
+
+/// Algorithm 4.1's critical path in kernel steps, as the PRAM model
+/// schedules it (every node of a level at once): the sum over tree
+/// levels of the largest node depth on the level, at least 1. A node's
+/// depth is its closure on |S| plus the two 3-limited rectangular
+/// products, or a leaf's Floyd–Warshall; emission is O(set^2),
+/// dominated by the kernels it rides along with.
+inline std::uint64_t critical_depth(const SeparatorTree& tree,
+                                    ClosureKind closure) {
+  std::vector<std::uint64_t> level_depth(tree.height() + 1, 1);
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    std::uint64_t d = 0;
+    if (t.is_leaf()) {
+      d = t.vertices.size();
+    } else {
+      const std::uint64_t s = t.separator.size();
+      const std::uint64_t log_s = s < 2 ? 1 : std::bit_width(s - 1);
+      d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s;
+      d += 2 * (log_s + 1);
+    }
+    level_depth[t.level] = std::max(level_depth[t.level], d);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t d : level_depth) total += d;
+  return total;
+}
+
+/// Output of run_algorithm41. Node id's entry values occupy
 /// entries[plan.node_offset[id], plan.node_offset[id + 1]) of
 /// aug.plan, not yet minimized per slot; aug.shortcuts is empty.
 template <Semiring S>
-struct LevelRun {
+struct TreeRun {
   Augmentation<S> aug;
   std::vector<typename S::Value> entries;
   std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
@@ -277,21 +362,19 @@ struct LevelRun {
   std::vector<std::uint8_t> negative_diagonal;
 };
 
-/// Algorithm 4.1 over the whole tree: node_step on every node, deepest
-/// level first, the nodes of one level in parallel unless the level is
-/// lighter than kInlineLevelWork; node id writes its entry values into
-/// its own slice. After each level the children's boundary matrices are
-/// released unless `keep_bnd`. Fills plan, levels, height, ell and
-/// critical_depth, and sets cycle_free when the closures are
-/// Floyd–Warshall and no node has a negative diagonal. The squaring
-/// closure never certifies: its ceil(log2(|S| - 1)) squarings cover
-/// every simple path of H_S but not every simple cycle (a cycle through
-/// all of S needs |S| hops).
+/// Algorithm 4.1 over the whole tree: node_step on every node in one
+/// tree_pass; node id writes its entry values into its own slice, then
+/// releases its children's boundary matrices unless `keep_bnd`. Fills
+/// plan, levels, height, ell and critical_depth, and sets cycle_free
+/// when the closures are Floyd–Warshall and no node has a negative
+/// diagonal. The squaring closure never certifies: its
+/// ceil(log2(|S| - 1)) squarings cover every simple path of H_S but not
+/// every simple cycle (a cycle through all of S needs |S| hops).
 template <Semiring S>
-LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
-                            ClosureKind closure, bool keep_bnd) {
+TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
+                           ClosureKind closure, bool keep_bnd) {
   const std::size_t num_nodes = tree.num_nodes();
-  LevelRun<S> run;
+  TreeRun<S> run;
   run.aug.plan = tree.eplus_plan();
   SEPSP_CHECK_MSG(run.aug.plan != nullptr,
                   "run_algorithm41: tree not built by build_separator_tree");
@@ -299,6 +382,7 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   run.aug.levels = compute_levels(tree);
   run.aug.height = tree.height();
   run.aug.ell = leaf_diameter_bound(tree);
+  run.aug.critical_depth = critical_depth(tree, closure);
   run.bnd.resize(num_nodes);
   run.negative_diagonal.assign(num_nodes, 0);
   run.entries.resize(plan.num_entries());
@@ -307,65 +391,29 @@ LevelRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
     return std::make_unique<RecursiveScratch<S>>(g.num_vertices());
   });
   const auto arc_weight = [](const Arc& a) { return a.weight; };
-  std::span<const std::size_t> ids;
-  // One scratch lease per block of nodes, not per node: leases come off
-  // a mutex-guarded pool.
-  const auto run_block = [&](std::size_t lo, std::size_t hi) {
-    auto scratch = scratch_pool.acquire();
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t id = ids[k];
-      const std::span<typename S::Value> slice(
-          run.entries.data() + plan.node_offset[id],
-          plan.node_offset[id + 1] - plan.node_offset[id]);
-      run.negative_diagonal[id] =
-          node_step<S>(g, tree, id, run.bnd, closure, arc_weight, *scratch,
-                       run.bnd[id])
-              ? 1
-              : 0;
-      typename S::Value* end = emit_pairs(scratch->hs, slice.data());
-      end = emit_pairs(run.bnd[id], end);
-      SEPSP_DCHECK(end == slice.data() + slice.size());
-    }
-  };
-
-  const auto by_level = tree.ids_by_level();
-  for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-    SEPSP_TRACE_SPAN("build.nodes");  // merged: calls = processed levels
-    ids = by_level[lvl];
-    std::uint64_t work = 0;
-    for (const std::size_t id : ids) work += node_work(tree.node(id));
-    if (work < kInlineLevelWork) {
-      run_block(0, ids.size());
-    } else {
-      pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block);
-    }
-    // The calling thread releases the consumed children's matrices: a
-    // worker freeing a matrix another worker allocated contends on that
-    // worker's allocator arena.
-    for (const std::size_t id : ids) {
-      const DecompNode& t = tree.node(id);
-      if (keep_bnd || t.is_leaf()) continue;
+  const auto visit = [&](std::size_t id, bool, RecursiveScratch<S>& sc) {
+    run.negative_diagonal[id] =
+        node_step<S>(g, tree, id, run.bnd, closure, arc_weight, sc,
+                     run.bnd[id])
+            ? 1
+            : 0;
+    const std::span<typename S::Value> slice(
+        run.entries.data() + plan.node_offset[id],
+        plan.node_offset[id + 1] - plan.node_offset[id]);
+    typename S::Value* end = emit_pairs(sc.hs, slice.data());
+    end = emit_pairs(run.bnd[id], end);
+    SEPSP_DCHECK(end == slice.data() + slice.size());
+    const DecompNode& t = tree.node(id);
+    if (!keep_bnd && !t.is_leaf()) {
       run.bnd[static_cast<std::size_t>(t.child[0])].clear();
       run.bnd[static_cast<std::size_t>(t.child[1])].clear();
     }
-    // Critical path of this level = the largest node's kernel depth:
-    // closure on |S| plus two rectangular products, or a leaf's FW.
-    // Emission is O(set^2), dominated by the kernels it rides along with.
-    std::uint64_t level_depth = 1;
-    for (const std::size_t id : ids) {
-      const DecompNode& t = tree.node(id);
-      std::uint64_t d = 0;
-      if (t.is_leaf()) {
-        d = t.vertices.size();  // leaf Floyd–Warshall
-      } else {
-        const std::uint64_t s = t.separator.size();
-        const std::uint64_t log_s = s < 2 ? 1 : std::bit_width(s - 1);
-        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s;
-        d += 2 * (log_s + 1);  // the two 3-limited products
-      }
-      level_depth = std::max(level_depth, d);
-    }
-    run.aug.critical_depth += level_depth;
+    return true;
+  };
+  if (num_nodes > 0) {
+    SEPSP_TRACE_SPAN("build.nodes");
+    tree_pass(tree, subtree_work(tree), scratch_pool, 0,
+              [](std::size_t) { return true; }, visit);
   }
   run.aug.cycle_free = closure == ClosureKind::kFloydWarshall &&
                        std::none_of(run.negative_diagonal.begin(),
@@ -388,7 +436,7 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
   return best;
 }
 
-/// E+ from a level run: the per-slot minimum of the raw entries, in the
+/// E+ from a tree run: the per-slot minimum of the raw entries, in the
 /// plan's (from, to) order, with zero() ("no path") slots dropped.
 template <Semiring S>
 std::vector<Shortcut<S>> minimize_slots(const EplusPlan& plan,
@@ -425,7 +473,7 @@ Augmentation<S> build_augmentation_recursive(
     ClosureKind closure = ClosureKind::kSquaring) {
   SEPSP_TRACE_SPAN("build.recursive");
   const pram::CostScope scope;
-  detail::LevelRun<S> run =
+  detail::TreeRun<S> run =
       detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false);
   run.aug.shortcuts = detail::minimize_slots<S>(*run.aug.plan, run.entries);
   run.aug.build_cost = scope.cost();

@@ -137,8 +137,12 @@ struct RecursiveScratch {
   Matrix<S> tmp;     // b_to_s (x) hs
   Matrix<S> square;  // squaring-closure product buffer
   // Incremental recompute: the boundary matrix's diagonal before the
-  // step rewrites it (its off-diagonal cells are the retained entries).
+  // step rewrites it (its off-diagonal cells are the retained entries),
+  // and the indices of the entries that moved in the update batch tagged
+  // `batch`, appended by every node recomputed on this scratch.
   std::vector<typename S::Value> diag;
+  std::vector<std::uint32_t> moved;
+  std::uint64_t batch = 0;
 };
 
 /// Scratch for one node task of the doubling builder (Algorithm 4.3).

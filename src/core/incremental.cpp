@@ -5,7 +5,7 @@
 #include <limits>
 #include <optional>
 
-#include "core/builder_recursive.hpp"  // detail::node_step, run_algorithm41
+#include "core/builder_recursive.hpp"  // detail::node_step, tree_pass
 #include "core/builder_scratch.hpp"    // detail::ScratchPool
 #include "obs/trace.hpp"
 #include "pram/thread_pool.hpp"
@@ -38,11 +38,12 @@ struct IncrementalEngine::State {
   std::vector<std::uint8_t> negative_diagonal;
   std::size_t negative_nodes = 0;
 
-  /// Staged changes. dirty_seen doubles as apply()'s queued flag (set
-  /// for every node on the recompute worklist, cleared when the batch
-  /// finishes); arc_staged dedupes updated_arcs.
-  std::vector<std::size_t> dirty_leaves;
-  std::vector<std::uint8_t> dirty_seen;    // per tree node
+  /// Staged changes. dirty marks the dirty region: the leaves whose
+  /// weights changed and all of their ancestors (update_edge marks up the
+  /// parent chain; apply()'s pass enters exactly the marked nodes and its
+  /// fold clears them). arc_staged dedupes updated_arcs, which is empty
+  /// exactly when nothing is staged.
+  std::vector<std::uint8_t> dirty;         // per tree node
   std::vector<std::size_t> updated_arcs;   // flat arc indices
   std::vector<std::uint8_t> arc_staged;    // per flat arc
 
@@ -55,8 +56,10 @@ struct IncrementalEngine::State {
 
   /// Epoch-stamped slot marks: the touched-slot worklist of apply()
   /// dedupes via mark_token instead of clearing a bitmap per batch.
+  /// mark_token also tags each scratch's moved list with its batch.
   std::vector<std::uint64_t> slot_mark;
   std::uint64_t mark_token = 0;
+  std::vector<std::uint32_t> touched;  // apply()'s slots, high-water storage
 
   /// Staging buffers for the pooled re-minimize combines (high-water
   /// storage reused across batches).
@@ -76,49 +79,33 @@ struct IncrementalEngine::State {
   /// stream recomputes allocation-free.
   std::optional<detail::ScratchPool<detail::RecursiveScratch<S>>> scratch;
 
-  /// detail::subtree_split_level: nodes at this level and deeper are
-  /// recomputed inside subtree tasks, one pool task per dirty subtree
-  /// rooted at this level, which runs its dirty nodes bottom-up with no
-  /// barrier; the heavier nodes above run one per pool block, level by
-  /// level.
-  std::uint32_t split_level = 0;
+  /// detail::subtree_work of the tree: where apply()'s pass forks.
+  std::vector<std::uint64_t> work;
 
-  /// One pool task of apply() — a subtree task below the split, or one
-  /// node of a level above it — and what it did, kept until the serial
-  /// fold reads it.
-  struct Unit {
-    std::uint32_t top = 0;             ///< the subtree's root
-    bool top_changed = false;          ///< bnd[top] changed
-    std::vector<std::uint32_t> pending;     ///< run_subtree's worklist
-    std::vector<std::uint32_t> recomputed;  ///< node ids, in run order
-    std::vector<std::uint32_t> moved;  ///< entries whose value changed
-    std::ptrdiff_t negative_delta = 0;  ///< change of negative_nodes
-
-    void reset(std::uint32_t node) {
-      top = node;
-      top_changed = false;
-      pending.clear();
-      recomputed.clear();
-      moved.clear();
-      negative_delta = 0;
-    }
+  /// What apply()'s pass did at each node, kept until the fold reads
+  /// it: node id's visit writes only delta[id]. A recomputed node's
+  /// moved entry indices are sc->moved[begin, begin + moved) of the
+  /// scratch it ran on, which only one task holds at a time.
+  struct NodeDelta {
+    /// The scratch the node was recomputed on; null when it was not.
+    const detail::RecursiveScratch<S>* sc = nullptr;
+    std::uint32_t begin = 0;
+    std::uint32_t moved = 0;  ///< entries whose value bits changed
+    bool flipped = false;     ///< negative_diagonal[id] changed
   };
-  std::vector<Unit> units;  // high-water storage reused across batches
-  /// apply()'s (subtree root, dirty leaf) pairs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> task_leaves;
+  std::vector<NodeDelta> delta;
 
   /// Copies the cells of the square matrix `m` whose bits differ from
   /// its retained entries entries[base, base + pair_count(m.rows())) —
   /// off-diagonal, i-major — and appends their entry indices to `moved`.
   /// Row i of the entries is [i(k - 1), (i + 1)(k - 1)), split around
   /// the diagonal; a row whose two segments memcmp equal is skipped
-  /// whole. Returns whether any cell moved.
-  bool diff_rows(const Matrix<S>& m, std::uint32_t base,
+  /// whole.
+  void diff_rows(const Matrix<S>& m, std::size_t base,
                  std::vector<std::uint32_t>& moved) {
     const std::size_t k = m.rows();
-    if (k < 2) return false;  // no off-diagonal cells, no entries
+    if (k < 2) return;  // no off-diagonal cells, no entries
     S::Value* old = entries.data() + base;
-    bool any = false;
     for (std::size_t i = 0; i < k; ++i, old += k - 1) {
       const S::Value* row = m.row(i);
       if (std::memcmp(old, row, i * sizeof(S::Value)) == 0 &&
@@ -126,7 +113,6 @@ struct IncrementalEngine::State {
               0) {
         continue;
       }
-      any = true;
       for (std::size_t j = 0; j < k; ++j) {
         if (j == i) continue;
         const std::size_t col = j < i ? j : j - 1;
@@ -136,23 +122,20 @@ struct IncrementalEngine::State {
             static_cast<std::size_t>(old - entries.data()) + col));
       }
     }
-    return any;
   }
 
   /// Recomputes node `id` with the shared Algorithm-4.1 node step (the
   /// Floyd–Warshall closure the initial build used), writing its
   /// boundary matrix straight into bnd[id], and diffs the closed H_S and
   /// the boundary matrix row by row against the retained entries: only
-  /// cells that moved are written, and their indices go to u.moved (the
-  /// slots to re-minimize). Updates the node's certificate flag and
-  /// records the change in u. Writes only this node's state — bnd[id],
-  /// its entries and flag — so distinct nodes whose children are final
-  /// may run concurrently. Returns whether bnd[id] changed (any bit,
-  /// diagonal included): that drives upward propagation. An internal
-  /// node's S x S entries can move while its boundary matrix does not,
-  /// and vice versa.
-  bool recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc,
-                      Unit& u) {
+  /// cells that moved are written, and their indices go to sc.moved
+  /// (the slots to re-minimize). Updates the node's certificate flag and
+  /// records the change in delta[id]. Writes only this node's state, so
+  /// distinct nodes whose children are final may run concurrently.
+  /// Returns whether bnd[id] changed (any bit, diagonal included): that
+  /// drives upward propagation. An internal node's S x S entries can move
+  /// while its boundary matrix does not, and vice versa.
+  bool recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
     Matrix<S>& bm = bnd[id];
     sc.diag.resize(bm.rows());
     for (std::size_t p = 0; p < bm.rows(); ++p) sc.diag[p] = bm.at(p, p);
@@ -165,47 +148,53 @@ struct IncrementalEngine::State {
             sc, bm)
             ? 1
             : 0;
-    if (negative != negative_diagonal[id]) {
-      negative_diagonal[id] = negative;
-      u.negative_delta += negative ? 1 : -1;
+    NodeDelta& d = delta[id];
+    d.flipped = negative != negative_diagonal[id];
+    negative_diagonal[id] = negative;
+    if (sc.batch != mark_token) {  // first node of this batch on sc
+      sc.batch = mark_token;
+      sc.moved.clear();
     }
-    u.recomputed.push_back(static_cast<std::uint32_t>(id));
-    const auto base = static_cast<std::uint32_t>(aug.plan->node_offset[id]);
-    diff_rows(sc.hs, base, u.moved);
-    bool matrix = diff_rows(
-        bm, base + static_cast<std::uint32_t>(pair_count(sc.hs.rows())),
-        u.moved);
+    d.sc = &sc;
+    d.begin = static_cast<std::uint32_t>(sc.moved.size());
+    const std::size_t base = aug.plan->node_offset[id];
+    diff_rows(sc.hs, base, sc.moved);
+    const std::size_t mid = sc.moved.size();
+    diff_rows(bm, base + pair_count(sc.hs.rows()), sc.moved);
+    d.moved = static_cast<std::uint32_t>(sc.moved.size() - d.begin);
+    bool matrix = sc.moved.size() != mid;
     for (std::size_t p = 0; p < bm.rows() && !matrix; ++p) {
       matrix = std::memcmp(&sc.diag[p], &bm.at(p, p), sizeof(S::Value)) != 0;
     }
     return matrix;
   }
 
-  /// One subtree task: recomputes the dirty nodes of the subtree rooted
-  /// at u.top, starting from the dirty nodes in u.pending. Children
-  /// carry larger ids than their parent (preorder), so taking the
-  /// largest pending id first recomputes every node after all of its
-  /// dirty descendants — bottom-up with no barrier. A parent is queued
-  /// when a child's boundary matrix changed; the root's change is left
-  /// in u.top_changed for the fold.
-  void run_subtree(Unit& u, detail::RecursiveScratch<S>& sc) {
-    std::vector<std::uint32_t>& heap = u.pending;
-    std::make_heap(heap.begin(), heap.end());
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end());
-      const std::uint32_t id = heap.back();
-      heap.pop_back();
-      if (!recompute_node(id, sc, u)) continue;
-      if (id == u.top) {
-        u.top_changed = true;
-        continue;
+  /// Folds the pass's per-node results over the dirty region below `id`,
+  /// in preorder, into last_stats, negative_nodes and the touched-slot
+  /// worklist, and clears the region's marks and deltas.
+  void fold(std::size_t id) {
+    dirty[id] = 0;
+    NodeDelta& d = delta[id];
+    if (d.sc != nullptr) {
+      ++last_stats.nodes_recomputed;
+      last_stats.entries_moved += d.moved;
+      if (d.flipped) {
+        negative_nodes = negative_diagonal[id] ? negative_nodes + 1
+                                               : negative_nodes - 1;
       }
-      const auto pid = static_cast<std::uint32_t>(tree->node(id).parent);
-      if (!dirty_seen[pid]) {  // pid lies in this subtree: no other task
-        dirty_seen[pid] = 1;   // reads or writes its flag
-        heap.push_back(pid);
-        std::push_heap(heap.begin(), heap.end());
+      const std::uint32_t* e = d.sc->moved.data() + d.begin;
+      for (std::uint32_t k = 0; k < d.moved; ++k) {
+        const std::uint32_t slot = aug.plan->entry_slot[e[k]];
+        if (slot_mark[slot] != mark_token) {
+          slot_mark[slot] = mark_token;
+          touched.push_back(slot);
+        }
       }
+      d = {};
+    }
+    for (const std::int32_t c : tree->node(id).child) {
+      const auto child = static_cast<std::size_t>(c);
+      if (c >= 0 && dirty[child]) fold(child);
     }
   }
 };
@@ -220,7 +209,7 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   s.tree = &tree;
   s.weights.reserve(g.num_edges());
   for (const Arc& a : g.arcs()) s.weights.push_back(a.weight);
-  s.dirty_seen.assign(tree.num_nodes(), 0);
+  s.dirty.assign(tree.num_nodes(), 0);
   s.arc_staged.assign(g.num_edges(), 0);
   s.arc_leaves.resize(g.num_edges());
   s.arc_leaves_known.assign(g.num_edges(), 0);
@@ -230,7 +219,7 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
 
   // The exact build with Floyd–Warshall closures, keeping every node's
   // boundary matrix and entry values for later recomputes.
-  detail::LevelRun<S> run = detail::run_algorithm41<S>(
+  detail::TreeRun<S> run = detail::run_algorithm41<S>(
       g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
   s.bnd = std::move(run.bnd);
   s.entries = std::move(run.entries);
@@ -251,7 +240,8 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
     }
   }
   s.slot_mark.assign(s.aug.shortcuts.size(), 0);
-  s.split_level = detail::subtree_split_level(tree);
+  s.work = detail::subtree_work(tree);
+  s.delta.resize(tree.num_nodes());
 
   s.query.emplace(g, s.aug);
   return engine;
@@ -313,120 +303,44 @@ void IncrementalEngine::update_edge(Vertex u, Vertex v, double weight) {
     s.arc_leaves[first] = std::move(leaves);
     s.arc_leaves_known[first] = 1;
   }
-  for (const std::uint32_t id : s.arc_leaves[first]) {
-    if (!s.dirty_seen[id]) {
-      s.dirty_seen[id] = 1;
-      s.dirty_leaves.push_back(id);
+  // Mark each leaf and its ancestors up to the first one already marked.
+  for (const std::uint32_t leaf : s.arc_leaves[first]) {
+    auto id = static_cast<std::int32_t>(leaf);
+    while (id >= 0 && !s.dirty[static_cast<std::size_t>(id)]) {
+      s.dirty[static_cast<std::size_t>(id)] = 1;
+      id = s.tree->node(static_cast<std::size_t>(id)).parent;
     }
   }
 }
 
 std::size_t IncrementalEngine::apply() {
   State& s = *state_;
-  if (s.dirty_leaves.empty() && s.updated_arcs.empty()) return 0;
+  if (s.updated_arcs.empty()) return 0;
   SEPSP_TRACE_SPAN("incremental.apply");
-  // Recompute bottom-up. A node is recomputed when a weight it reads
-  // changed (leaves) or when a child's boundary matrix changed;
-  // propagation stops as soon as a recomputation reproduces the old
-  // matrix bit for bit, so local updates rarely climb far. Two phases:
-  //   * subtrees: below split_level every dirty subtree is one pool task
-  //     that runs its dirty nodes bottom-up (run_subtree);
-  //   * levels: the heavier nodes above it run level by level, one node
-  //     per pool block (each reads its children — a strictly deeper,
-  //     already-final level — and writes only its own state).
-  // Each task reports into its own Unit, and the units are folded
-  // serially in a fixed order (subtree roots ascending, then each
-  // level's worklist order), which makes the recomputed set, the
-  // touched-slot list and the parent enqueue order — hence the whole
-  // batch — independent of how the pool scheduled the tasks.
-  const SeparatorTree& tree = *s.tree;
-  const EplusPlan& plan = *s.aug.plan;
-  const std::uint32_t split = s.split_level;
-  std::vector<std::vector<std::uint32_t>> by_level(split);
-  ++s.mark_token;
-  std::vector<std::uint32_t> recomputed;
-  std::vector<std::uint32_t> touched;
-  std::size_t entries_moved = 0;
-  const auto fold = [&](const State::Unit& u) {
-    recomputed.insert(recomputed.end(), u.recomputed.begin(),
-                      u.recomputed.end());
-    s.negative_nodes = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(s.negative_nodes) + u.negative_delta);
-    entries_moved += u.moved.size();
-    for (const std::uint32_t e : u.moved) {
-      const std::uint32_t slot = plan.entry_slot[e];
-      if (s.slot_mark[slot] != s.mark_token) {
-        s.slot_mark[slot] = s.mark_token;
-        touched.push_back(slot);
-      }
-    }
-    const std::int32_t parent = tree.node(u.top).parent;
-    if (u.top_changed && parent >= 0) {
-      const auto pid = static_cast<std::uint32_t>(parent);
-      if (!s.dirty_seen[pid]) {
-        s.dirty_seen[pid] = 1;
-        by_level[tree.node(pid).level].push_back(pid);
-      }
-    }
-  };
-  // Runs units [0, count) as pool tasks, one per block, then folds them
-  // in index order.
-  const auto run_units = [&](std::size_t count) {
-    pram::ThreadPool::global().parallel_blocks(
-        0, count,
-        [&](std::size_t lo, std::size_t hi) {
-          auto sc = s.scratch->acquire();
-          for (std::size_t k = lo; k < hi; ++k) s.run_subtree(s.units[k], *sc);
-        },
-        /*grain=*/1);
-    for (std::size_t k = 0; k < count; ++k) fold(s.units[k]);
-  };
+  // Recompute bottom-up in one detail::tree_pass over the dirty region.
+  // A node is recomputed when a weight it reads changed (leaves) or when
+  // a child's boundary matrix changed; propagation stops as soon as a
+  // recomputation reproduces the old matrix bit for bit, so local
+  // updates rarely climb far. Each visit reads only its children's
+  // final matrices and writes only its own node's state; the per-node
+  // results are then folded serially in preorder, which makes the
+  // touched-slot list — hence the whole batch — independent of how the
+  // pool scheduled the pass.
   std::optional<obs::TraceSpan> phase(std::in_place, "incremental.recompute");
-  {
-    SEPSP_TRACE_SPAN("incremental.subtrees");
-    // Each dirty leaf at or below the split joins the task of its
-    // ancestor at the split level; the rest wait for their level.
-    s.task_leaves.clear();
-    for (const std::size_t leaf : s.dirty_leaves) {  // dirty_seen already 1
-      const auto id = static_cast<std::uint32_t>(leaf);
-      if (tree.node(id).level < split) {
-        by_level[tree.node(id).level].push_back(id);
-        continue;
-      }
-      std::uint32_t root = id;
-      while (tree.node(root).level > split) {
-        root = static_cast<std::uint32_t>(tree.node(root).parent);
-      }
-      s.task_leaves.emplace_back(root, id);
-    }
-    std::sort(s.task_leaves.begin(), s.task_leaves.end());
-    std::size_t tasks = 0;
-    for (std::size_t i = 0; i < s.task_leaves.size(); ++i) {
-      const std::uint32_t root = s.task_leaves[i].first;
-      if (i == 0 || root != s.task_leaves[i - 1].first) {
-        if (s.units.size() == tasks) s.units.emplace_back();
-        s.units[tasks++].reset(root);
-      }
-      s.units[tasks - 1].pending.push_back(s.task_leaves[i].second);
-    }
-    run_units(tasks);
+  s.last_stats = {};
+  s.touched.clear();
+  ++s.mark_token;
+  if (s.dirty[0]) {
+    detail::tree_pass(
+        *s.tree, s.work, *s.scratch, 0,
+        [&s](std::size_t id) { return s.dirty[id] != 0; },
+        [&s](std::size_t id, bool changed, detail::RecursiveScratch<S>& sc) {
+          return (changed || s.tree->node(id).is_leaf()) &&
+                 s.recompute_node(id, sc);
+        });
+    s.fold(0);
   }
-  {
-    SEPSP_TRACE_SPAN("incremental.levels");
-    for (std::size_t lvl = split; lvl-- > 0;) {
-      // The level worklist can grow while deeper levels run (parent
-      // enqueue), but never once its own level starts.
-      const std::vector<std::uint32_t>& ids = by_level[lvl];
-      if (ids.empty()) continue;
-      // A node above the split runs as a one-node subtree task.
-      if (s.units.size() < ids.size()) s.units.resize(ids.size());
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        s.units[k].reset(ids[k]);
-        s.units[k].pending.push_back(ids[k]);
-      }
-      run_units(ids.size());
-    }
-  }
+  const std::vector<std::uint32_t>& touched = s.touched;
 
   // Re-minimize only the touched slots — O(touched x owners) instead of
   // a full O(|E+|) scan per batch. Each slot's minimum depends only on
@@ -468,15 +382,13 @@ std::size_t IncrementalEngine::apply() {
   }
 
   s.aug.cycle_free = s.negative_nodes == 0;
-  s.last_stats = {recomputed.size(), touched.size(), slabs_copied,
-                  entries_moved};
+  s.last_stats.slots_touched = touched.size();
+  s.last_stats.slabs_copied = slabs_copied;
 
-  for (const std::uint32_t id : recomputed) s.dirty_seen[id] = 0;
-  s.dirty_leaves.clear();
   for (const std::size_t arc : s.updated_arcs) s.arc_staged[arc] = 0;
   s.updated_arcs.clear();
   ++s.epoch;
-  return recomputed.size();
+  return s.last_stats.nodes_recomputed;
 }
 
 IncrementalEngine::ApplyStats IncrementalEngine::last_apply_stats() const {
@@ -496,7 +408,7 @@ std::span<const double> IncrementalEngine::weights() const {
 IncrementalEngine::Snapshot IncrementalEngine::snapshot(
     const SeparatorShortestPaths<TropicalD>::Options& options) const {
   State& s = *state_;
-  SEPSP_CHECK_MSG(s.dirty_leaves.empty() && s.updated_arcs.empty(),
+  SEPSP_CHECK_MSG(s.updated_arcs.empty(),
                   "staged updates pending — call apply() before snapshot()");
   // Structural fork: the snapshot aliases every value slab of the live
   // query engine (future refreshes detach only touched slabs) and keeps
@@ -521,6 +433,7 @@ IncrementalEngine::Snapshot IncrementalEngine::snapshot(
 
 double IncrementalEngine::weight(Vertex u, Vertex v) const {
   const State& s = *state_;
+  SEPSP_CHECK(u < s.g->num_vertices() && v < s.g->num_vertices());
   const auto arcs = s.g->out(u);
   const auto lo = std::lower_bound(
       arcs.begin(), arcs.end(), v,
@@ -540,7 +453,7 @@ double IncrementalEngine::weight(Vertex u, Vertex v) const {
 }
 
 QueryResult<TropicalD> IncrementalEngine::distances(Vertex source) const {
-  SEPSP_CHECK_MSG(state_->dirty_leaves.empty() && state_->updated_arcs.empty(),
+  SEPSP_CHECK_MSG(state_->updated_arcs.empty(),
                   "staged updates pending — call apply() first");
   return state_->query->run(source);
 }

@@ -11,16 +11,18 @@
 //
 // Proportionality contract: every phase of apply() is bounded by the
 // dirty region, never the whole structure.
-//   * Recompute: the affected tree nodes, on the work-stealing pool.
-//     Below a split level derived from the tree's node work, each dirty
-//     subtree is one pool task that recomputes its dirty nodes bottom-up
-//     with no barrier; the heavier nodes above it run level by level,
-//     one node per pool block. Each recompute writes its boundary matrix
-//     in place and diffs it and the closed H_S row by row against the
-//     node's retained entries (a memcmp per row, per-cell work only on
-//     rows that differ), writing only the entries that moved. The tasks'
-//     results are folded serially in a fixed order, so results and
-//     ApplyStats do not depend on the schedule the pool picks.
+//   * Recompute: the affected tree nodes, in the build's fork-join pass
+//     (detail::tree_pass) restricted to the dirty region — the changed
+//     arcs' leaves and their ancestors, which update_edge marks. A
+//     light subtree runs serially as one pool task; a heavier node
+//     forks its dirty children and recomputes itself right after the
+//     join, with no level barrier. Each recompute writes its boundary
+//     matrix in place and diffs it and the closed H_S row by row
+//     against the node's retained entries (a memcmp per row, per-cell
+//     work only on rows that differ), writing only the entries that
+//     moved. The per-node results are folded serially in preorder over
+//     the dirty region, so results and ApplyStats do not depend on the
+//     schedule the pool picks.
 //   * Re-minimize: a touched-slot worklist built from the moved entries
 //     (epoch-stamped dedup) — O(moved + touched x owners), not O(|E+|)
 //     and not O(entries of the recomputed nodes).
@@ -62,15 +64,16 @@ class IncrementalEngine {
   /// Aborts if the arc does not exist. Cheap; takes effect at apply().
   /// The arc's containing leaves are memoized on first touch, so a
   /// streaming workload hitting the same arcs pays an O(#leaves) lookup
-  /// per call, not a subtree walk.
+  /// per call, not a subtree walk, plus marking the leaves' ancestors
+  /// up to the first one already marked.
   void update_edge(Vertex u, Vertex v, double weight);
 
   /// Recomputes the affected part of E+ and refreshes the query engine.
   /// Returns the number of tree nodes recomputed. Each apply() that had
-  /// staged changes advances epoch() by one. Dirty subtrees and the
-  /// dirty nodes of each level above them are recomputed in parallel;
-  /// the result is deterministic — the same batches give bit-identical
-  /// matrices, shortcut values, and ApplyStats on every run.
+  /// staged changes advances epoch() by one. Disjoint dirty subtrees are
+  /// recomputed in parallel; the result is deterministic — the same
+  /// batches give bit-identical matrices, shortcut values, and
+  /// ApplyStats on every run.
   std::size_t apply();
 
   /// Counters of the most recent apply(): the proportionality
@@ -134,7 +137,9 @@ class IncrementalEngine {
   Snapshot snapshot(
       const SeparatorShortestPaths<TropicalD>::Options& options = {}) const;
 
-  /// Current weight of arc u -> v (staged updates included once applied).
+  /// Current weight of arc u -> v (staged updates included once
+  /// applied); +infinity when the arc does not exist. Aborts if u or v
+  /// is out of range.
   double weight(Vertex u, Vertex v) const;
 
   /// Single-source distances under the current weights.

@@ -17,14 +17,6 @@ std::vector<std::size_t> SeparatorTree::leaf_ids() const {
   return ids;
 }
 
-std::vector<std::vector<std::size_t>> SeparatorTree::ids_by_level() const {
-  std::vector<std::vector<std::size_t>> by_level(height_ + 1);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    by_level[nodes_[i].level].push_back(i);
-  }
-  return by_level;
-}
-
 SeparatorTree::Stats SeparatorTree::stats() const {
   Stats s;
   s.num_nodes = nodes_.size();

@@ -63,9 +63,6 @@ class SeparatorTree {
   /// Ids of all leaves.
   std::vector<std::size_t> leaf_ids() const;
 
-  /// Ids grouped by level, level 0 first.
-  std::vector<std::vector<std::size_t>> ids_by_level() const;
-
   /// Summary statistics used by benches and docs.
   struct Stats {
     std::size_t num_nodes = 0;

@@ -7,7 +7,8 @@
 //   E+ slot plan lays out exactly the pairs Algorithm 4.1 emits and its
 //   per-slot minimum reproduces a sort-and-dedup of the raw emission bit
 //   for bit, the gather plan lists every child position, node_step is bit
-//   for bit the textbook steps i-v, and the negative-cycle certificate
+//   for bit the textbook steps i-v, critical_depth is the level
+//   schedule's depth, and the negative-cycle certificate
 //   (Augmentation::cycle_free) agrees with a Bellman–Ford oracle.
 #include <gtest/gtest.h>
 
@@ -166,6 +167,51 @@ TEST(Augmentation, ClosureKindsAgree) {
       EXPECT_NEAR(sq.shortcuts[i].value, fw.shortcuts[i].value, 1e-9)
           << f.name;
     }
+  }
+}
+
+// Algorithm 4.1's depth as a level-synchronous PRAM schedule counts it:
+// per tree level the deepest node — a leaf's Floyd–Warshall, one step per
+// vertex, or an internal node's closure of H_S (|S| steps by
+// Floyd–Warshall, L(L + 2) by squaring, L = ceil(log2 |S|), at least 1)
+// plus two products of depth L + 1 — and at least 1, summed over the
+// levels.
+std::uint64_t level_schedule_depth(const SeparatorTree& tree,
+                                   ClosureKind closure) {
+  std::vector<std::uint64_t> deepest(tree.height() + 1, 1);
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    std::uint64_t d = t.vertices.size();
+    if (!t.is_leaf()) {
+      const std::uint64_t s = t.separator.size();
+      std::uint64_t log_s = 1;
+      while (s > 2 && (std::uint64_t{1} << log_s) < s) ++log_s;
+      d = (closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s) +
+          2 * (log_s + 1);
+    }
+    deepest[t.level] = std::max(deepest[t.level], d);
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t d : deepest) total += d;
+  return total;
+}
+
+TEST(Augmentation, CriticalDepthSumsTheDeepestNodePerLevel) {
+  for (const Family& f : families()) {
+    for (const ClosureKind closure :
+         {ClosureKind::kSquaring, ClosureKind::kFloydWarshall}) {
+      const std::uint64_t want = level_schedule_depth(f.tree, closure);
+      EXPECT_EQ(build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree,
+                                                        closure)
+                    .critical_depth,
+                want)
+          << f.name;
+    }
+    EXPECT_EQ(SeparatorShortestPaths<>::build(f.gg.graph, f.tree)
+                  .augmentation()
+                  .critical_depth,
+              level_schedule_depth(f.tree, ClosureKind::kFloydWarshall))
+        << f.name;
   }
 }
 

@@ -148,21 +148,12 @@ TEST(Decomposition, SingleVertexGraph) {
   EXPECT_EQ(tree.num_nodes(), 1u);
 }
 
-TEST(Decomposition, IdsByLevelAndLeafIdsConsistent) {
+TEST(Decomposition, LeafIdsListEveryLeaf) {
   Rng rng(9);
   const std::vector<std::size_t> dims = {8, 8};
   const GeneratedGraph gg = make_grid(dims, WeightModel::unit(), rng);
   const Skeleton skel(gg.graph);
   const SeparatorTree tree = build_separator_tree(skel, make_grid_finder(dims));
-  const auto by_level = tree.ids_by_level();
-  std::size_t total = 0;
-  for (std::size_t lvl = 0; lvl < by_level.size(); ++lvl) {
-    for (const std::size_t id : by_level[lvl]) {
-      EXPECT_EQ(tree.node(id).level, lvl);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, tree.num_nodes());
   for (const std::size_t id : tree.leaf_ids()) {
     EXPECT_TRUE(tree.node(id).is_leaf());
   }

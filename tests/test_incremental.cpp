@@ -554,8 +554,12 @@ void expect_raise_restore_stream_exact(std::size_t side) {
     ASSERT_EQ(n_lhs, n_rhs) << "batch " << b;
     const auto st_lhs = lhs.last_apply_stats();
     const auto st_rhs = rhs.last_apply_stats();
+    EXPECT_EQ(st_lhs.nodes_recomputed, st_rhs.nodes_recomputed)
+        << "batch " << b;
     EXPECT_EQ(st_lhs.slots_touched, st_rhs.slots_touched) << "batch " << b;
+    EXPECT_EQ(st_lhs.slabs_copied, st_rhs.slabs_copied) << "batch " << b;
     EXPECT_EQ(st_lhs.entries_moved, st_rhs.entries_moved) << "batch " << b;
+    EXPECT_EQ(st_lhs.nodes_recomputed, n_lhs) << "batch " << b;
     EXPECT_LE(st_lhs.slots_touched, st_lhs.entries_moved) << "batch " << b;
     if (b == 61) {
       EXPECT_TRUE(std::signbit(
@@ -574,10 +578,10 @@ void expect_raise_restore_stream_exact(std::size_t side) {
 }
 
 TEST(Incremental, RaiseAndRestoreStreamStaysBitIdenticalToFreshBuilds) {
-  // 5^3: every node is lighter than kInlineLevelWork, so apply() runs the
-  // whole tree as one subtree task. 8^3: its top levels are heavier, so
-  // apply() runs dirty subtrees as parallel pool tasks and the levels
-  // above them one node per block.
+  // On both trees apply()'s pass forks the dirty children of the top
+  // nodes on the pool and runs the light subtrees below them as serial
+  // tasks: 7 forked nodes over 8 serial subtrees on 5^3, 53 over 54 on
+  // 8^3.
   for (const std::size_t side : {5u, 8u}) {
     expect_raise_restore_stream_exact(side);
     if (HasFatalFailure()) return;
@@ -587,9 +591,20 @@ TEST(Incremental, RaiseAndRestoreStreamStaysBitIdenticalToFreshBuilds) {
       make_grid({8, 8, 8}, WeightModel::mixed_sign(10.0), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8, 8}));
-  const std::uint32_t split = detail::subtree_split_level(tree);
-  EXPECT_GE(split, 2u);
-  EXPECT_LT(split, tree.height());
+  const std::vector<std::uint64_t> work = detail::subtree_work(tree);
+  std::size_t forked = 0;
+  std::size_t serial = 0;  // light subtrees whose parent forks
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const std::int32_t parent = tree.node(id).parent;
+    if (work[id] >= detail::kInlineLevelWork) {
+      ++forked;
+    } else if (parent >= 0 && work[static_cast<std::size_t>(parent)] >=
+                                  detail::kInlineLevelWork) {
+      ++serial;
+    }
+  }
+  EXPECT_GE(forked, 2u);
+  EXPECT_EQ(serial, forked + 1);  // every forked node is internal
 }
 
 TEST(Incremental, TreeWithoutEntriesStaysExact) {
@@ -626,6 +641,14 @@ TEST(Incremental, ApplyWithoutUpdatesIsNoop) {
   const Fixture f = make_grid_fixture(6, 8);
   IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
   EXPECT_EQ(engine.apply(), 0u);
+}
+
+TEST(Incremental, WeightOfOutOfRangeVertexAborts) {
+  const Fixture f = make_grid_fixture(6, 10);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  const auto n = static_cast<Vertex>(f.gg.graph.num_vertices());
+  EXPECT_DEATH({ (void)engine.weight(n, 0); }, "num_vertices");
+  EXPECT_DEATH({ (void)engine.weight(0, n); }, "num_vertices");
 }
 
 TEST(Incremental, QueryBeforeApplyAborts) {
