@@ -59,8 +59,9 @@ struct Augmentation {
   /// with Floyd–Warshall closures found no diagonal cell below one()
   /// (builder_recursive.hpp). Engines frozen over a certified
   /// augmentation skip the per-query verification pass. False means
-  /// "not certified", not "has a cycle": Algorithm 4.3 builds, v3 images
-  /// and hand-built augmentations keep the pass.
+  /// "not certified", not "has a cycle": Algorithm 4.3 builds and
+  /// hand-built augmentations keep the pass. A v4 image stores the flag
+  /// of the engine it was written from.
   bool cycle_free = false;
 
   /// Theorem 3.1's bound on the min-weight diameter of G+.

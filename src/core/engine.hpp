@@ -209,7 +209,7 @@ class SeparatorShortestPaths {
     st.num_vertices = g_->num_vertices();
     st.num_edges = g_->num_edges();
     // Counted through the query engine, not the augmentation: an engine
-    // opened from a v3 image carries a structural augmentation whose
+    // opened from a v4 image carries a structural augmentation whose
     // shortcut list is empty (the values live in the image's segments).
     st.eplus_edges = query_->shortcut_edges().size();
     st.bucket_edges = query_->bucket_edges();

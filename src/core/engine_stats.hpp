@@ -42,7 +42,8 @@ struct EngineStats {
   std::uint64_t critical_depth = 0;  ///< critical-path depth of the build
   /// The build certified no negative cycle, so queries skip the
   /// verification pass (the engine's frozen copy of
-  /// Augmentation::cycle_free; false for v3 images and Algorithm 4.3).
+  /// Augmentation::cycle_free, or the v4 image's certificate flag; false
+  /// for Algorithm 4.3).
   bool cycle_certified = false;
   std::string simd_tier;  ///< active SIMD dispatch tier (scalar/sse/avx2/avx512)
   std::vector<EngineLevelStats> levels;

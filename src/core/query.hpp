@@ -187,7 +187,9 @@ class EdgeBucket {
     if (ext_) return ext_->to;
     return pairs_ ? pairs_->to.data() : nullptr;
   }
-  /// Owned value store (slab introspection, writer streaming). External
+  /// The mapped segments behind an external bucket; null when owned.
+  const ExternalBucketStore<Value>* external() const { return ext_.get(); }
+  /// Owned value store (slab introspection, the image writer). External
   /// buckets have no slab store — read through for_each_values_run().
   const SlabVector<Value>& values() const { return values_; }
   Value value(std::size_t i) const {
@@ -268,7 +270,7 @@ class EdgeBucket {
   std::shared_ptr<const ExternalBucketStore<Value>> ext_;
 };
 
-/// Assembled view of one v3 engine image's bucket segments, produced by
+/// Assembled view of one v4 engine image's bucket segments, produced by
 /// the store subsystem (store/stored_engine.hpp) and consumed by
 /// LeveledQuery::from_store(). All pointers reference the mapped image
 /// and must outlive the query engine; `same`/`down`/`up` are indexed by
@@ -436,7 +438,7 @@ class LeveledQuery {
     slots_ = std::make_shared<const SlotTable>(std::move(st));
   }
 
-  /// Assembles a query engine over an mmapped v3 engine image: every
+  /// Assembles a query engine over an mmapped v4 engine image: every
   /// bucket is an external view into the image's segments, scanned
   /// through page pins instead of owned vectors. The segments hold the
   /// heap engine's already-sorted bucket arrays verbatim (the writer

@@ -1,12 +1,12 @@
-// Serialization v3: the page-aligned, separator-tree-clustered on-disk
-// image of a built engine (ISSUE 9 / ROADMAP "continent-scale graphs").
+// Serialization v4: the page-aligned, separator-tree-clustered on-disk
+// image of a built engine (ROADMAP "continent-scale graphs").
 //
-// The v3 image is the repository's one persistence format. It is laid
+// The v4 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
 // which pages are resident. Segments appear in query scan order —
-// level/node assignments, the graph CSR, the base bucket, then the
+// the level assignment, the graph CSR, the base bucket, then the
 // per-level same/down/up buckets in the order the leveled schedule
 // sweeps them, and finally the shortcut bucket the negative-cycle
 // verification pass scans last — so a cold query faults pages in long
@@ -16,6 +16,10 @@
 // arrays byte for byte; an engine opened from the image replays the
 // identical edge order and produces bit-identical distances (the
 // memcmp-enforced parity contract every kernel in this repo obeys).
+// The header's kFlagCycleCertified bit carries the writer's
+// negative-cycle certificate (Augmentation::cycle_free as frozen into
+// the engine), so a stored engine skips the per-query verification
+// pass exactly when the heap engine it was written from does.
 //
 // Layout:
 //   page 0                     Header (fixed size, rest of page zero)
@@ -24,9 +28,10 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers emit and readers accept version 3 only; 1 and 2
-// were retired stream formats. The image holds no separator tree:
-// queries read only the levels and the buckets.
+// copyable). Writers emit and readers accept version 4 only: 1 and 2
+// were retired stream formats, and 3 lacked the header flags and
+// carried a node-of segment no reader used. The image holds no
+// separator tree: queries read only the levels and the buckets.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +42,21 @@
 
 namespace sepsp::store {
 
-inline constexpr std::uint32_t kMagic = 0x33504553;  // "SEP3" little-endian
-inline constexpr std::uint32_t kVersion = 3;
+/// "SEP3" little-endian: the family's magic since v3; `version` tells
+/// the layouts apart.
+inline constexpr std::uint32_t kMagic = 0x33504553;
+inline constexpr std::uint32_t kVersion = 4;
+
+/// Header::flags bits. Readers reject any bit outside kKnownFlags.
+inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< cycle_free
+inline constexpr std::uint64_t kKnownFlags = kFlagCycleCertified;
 
 /// What one directory entry's payload is. From/to segments are Vertex
 /// (u32) arrays; value segments are Value arrays; the CSR offsets are
-/// u64, arc weights double, levels u32, nodes i32.
+/// u64, arc weights double, levels u32. Kind 2 is retired (v3 stored
+/// LevelAssignment::node there).
 enum class SegmentKind : std::uint32_t {
   kLevelOf = 1,       ///< LevelAssignment::level, n entries
-  kNodeOf = 2,        ///< LevelAssignment::node, n entries
   kGraphOffsets = 3,  ///< CSR row offsets, n + 1 entries
   kGraphArcTo = 4,    ///< CSR arc targets, m entries
   kGraphArcWeight = 5,  ///< CSR arc weights, m entries
@@ -80,8 +91,9 @@ static_assert(std::is_trivially_copyable_v<SegmentRecord> &&
               "SegmentRecord is on-disk; its layout is frozen");
 
 /// Fixed header in page 0. It carries the augmentation's structural
-/// and build-cost metadata, so a stored engine's stats() reports the
-/// same build-cost fields as the heap engine it was written from.
+/// and build-cost metadata and the certificate flag, so a stored
+/// engine's stats() reports the same build-cost fields and
+/// cycle_certified as the heap engine it was written from.
 struct Header {
   std::uint32_t magic = kMagic;
   std::uint32_t version = kVersion;
@@ -99,8 +111,9 @@ struct Header {
   std::uint64_t build_depth = 0;
   std::uint64_t directory_offset = 0;  ///< page-aligned
   std::uint64_t file_bytes = 0;        ///< total image size
+  std::uint64_t flags = 0;             ///< kFlag* bits
 };
-static_assert(std::is_trivially_copyable_v<Header> && sizeof(Header) == 104,
+static_assert(std::is_trivially_copyable_v<Header> && sizeof(Header) == 112,
               "Header is on-disk; its layout is frozen");
 
 /// Per-semiring format tag: a reader opening an image under the wrong

@@ -1,4 +1,4 @@
-// vmcache-style buffer manager over an mmapped v3 engine image.
+// vmcache-style buffer manager over an mmapped v4 engine image.
 //
 // The image is mapped read-only in one shot; what the pool manages is
 // *residency*, not address translation — pointers into the mapping are

@@ -1,5 +1,5 @@
 // Open-from-file engine: the query half of SeparatorShortestPaths
-// served out of a v3 image (store/format.hpp) through a buffer pool
+// served out of a v4 image (store/format.hpp) through a buffer pool
 // (store/pool.hpp).
 //
 // open() maps the image, validates the header and every directory
@@ -15,11 +15,11 @@
 // The engine is read-only (refresh/apply paths abort) and bit-identical
 // to the heap engine the image was written from: the image stores the
 // heap engine's sorted bucket arrays verbatim, and the kernels scan
-// them in the same order. Distances, that is: a v3 image carries no
-// negative-cycle certificate (Augmentation::cycle_free), so a stored
-// engine keeps the per-query verification pass that a certified heap
-// engine skips, and its replies count one more E u E+ phase. The format
-// is unchanged on purpose.
+// them in the same order. The image's certificate flag is frozen the
+// way from_augmentation() freezes Augmentation::cycle_free: a certified
+// image's engine skips the per-query verification pass, an uncertified
+// one keeps it (if detect_negative_cycles asks), so replies match the
+// heap engine's in distances, negative_cycle, edges_scanned and phases.
 //
 // Lifetime: StoredEngine is a shared handle. snapshot() returns the
 // facade as SeparatorShortestPaths<S>::Snapshot whose control block
@@ -27,6 +27,7 @@
 // over it may outlive the StoredEngine value itself.
 #pragma once
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -47,6 +48,14 @@ inline void set_error(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
+/// `bits` as "0x" and lowercase hex digits.
+inline std::string hex(std::uint64_t bits) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
 /// Element size a segment kind must have — directory records are
 /// validated against it so a corrupt count can never read past a
 /// segment or misalign an array view.
@@ -63,7 +72,7 @@ inline std::size_t element_bytes(SegmentKind kind, std::size_t value_bytes) {
     case SegmentKind::kUpValue:
       return value_bytes;
     default:
-      return sizeof(std::uint32_t);  // vertex ids, levels, node ids
+      return sizeof(std::uint32_t);  // vertex ids, levels
   }
 }
 
@@ -124,6 +133,7 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
                                                      const OpenOptions& options,
                                                      std::string* error) {
   using open_detail::element_bytes;
+  using open_detail::hex;
   using open_detail::set_error;
   auto impl = std::make_shared<Impl>();
   impl->pool = BufferPool::open(path, options.pool, error);
@@ -133,31 +143,35 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
 
   // --- header -----------------------------------------------------------
   if (file_bytes < sizeof(Header)) {
-    set_error(error, "v3 image: file smaller than the header");
+    set_error(error, "v4 image: file smaller than the header");
     return std::nullopt;
   }
   Header h;
   std::memcpy(&h, base, sizeof h);
   if (h.magic != kMagic) {
-    set_error(error, "v3 image: bad magic (not an engine image)");
+    set_error(error, "v4 image: bad magic (not an engine image)");
     return std::nullopt;
   }
   if (h.version != kVersion) {
-    set_error(error, "v3 image: unsupported version " +
+    set_error(error, "v4 image: unsupported version " +
                          std::to_string(h.version) + " (this build reads " +
                          std::to_string(kVersion) + ")");
     return std::nullopt;
   }
   if (h.semiring_tag != semiring_tag<S>() || h.value_bytes != sizeof(Value)) {
-    set_error(error, "v3 image: semiring mismatch (image tag 0x" +
-                         std::to_string(h.semiring_tag) + ", this engine 0x" +
-                         std::to_string(semiring_tag<S>()) + ")");
+    set_error(error, "v4 image: semiring mismatch (image tag " +
+                         hex(h.semiring_tag) + ", this engine " +
+                         hex(semiring_tag<S>()) + ")");
+    return std::nullopt;
+  }
+  if ((h.flags & ~kKnownFlags) != 0) {
+    set_error(error, "v4 image: unknown header flags " + hex(h.flags));
     return std::nullopt;
   }
   if (h.page_bytes != kPageBytes || h.file_bytes != file_bytes ||
       h.num_vertices > (1ULL << 32) || h.num_edges > (1ULL << 40) ||
       h.height > (1u << 28)) {
-    set_error(error, "v3 image: implausible header (truncated or corrupt)");
+    set_error(error, "v4 image: implausible header (truncated or corrupt)");
     return std::nullopt;
   }
 
@@ -167,13 +181,13 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   if (h.directory_offset % kPageBytes != 0 ||
       h.directory_offset > file_bytes ||
       dir_bytes > file_bytes - h.directory_offset) {
-    set_error(error, "v3 image: directory out of bounds");
+    set_error(error, "v4 image: directory out of bounds");
     return std::nullopt;
   }
   // Every level owns nine bucket records, so the (file-bounded)
   // directory caps the height before it sizes any per-level array.
   if (h.height >= h.num_segments / 9) {
-    set_error(error, "v3 image: height exceeds the directory");
+    set_error(error, "v4 image: height exceeds the directory");
     return std::nullopt;
   }
   std::vector<SegmentRecord> directory(h.num_segments);
@@ -192,12 +206,12 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     if (rec.offset % kPageBytes != 0 || rec.offset > file_bytes ||
         rec.bytes > file_bytes - rec.offset ||
         rec.count != rec.bytes / elem || rec.bytes != rec.count * elem) {
-      set_error(error, "v3 image: segment record out of bounds");
+      set_error(error, "v4 image: segment record out of bounds");
       return std::nullopt;
     }
     if (!index.emplace(key(static_cast<SegmentKind>(rec.kind), rec.level),
                        &rec).second) {
-      set_error(error, "v3 image: duplicate segment record");
+      set_error(error, "v4 image: duplicate segment record");
       return std::nullopt;
     }
   }
@@ -212,16 +226,16 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   };
 
   // --- structural state (heap, O(n)) ------------------------------------
+  const bool certified = (h.flags & kFlagCycleCertified) != 0;
   const std::uint64_t n = h.num_vertices;
   const std::uint64_t m = h.num_edges;
   const SegmentRecord* level_rec = find(SegmentKind::kLevelOf, 0, n);
-  const SegmentRecord* node_rec = find(SegmentKind::kNodeOf, 0, n);
   const SegmentRecord* off_rec = find(SegmentKind::kGraphOffsets, 0, n + 1);
   const SegmentRecord* to_rec = find(SegmentKind::kGraphArcTo, 0, m);
   const SegmentRecord* w_rec = find(SegmentKind::kGraphArcWeight, 0, m);
-  if (level_rec == nullptr || node_rec == nullptr || off_rec == nullptr ||
-      to_rec == nullptr || w_rec == nullptr) {
-    set_error(error, "v3 image: missing or miscounted structural segment");
+  if (level_rec == nullptr || off_rec == nullptr || to_rec == nullptr ||
+      w_rec == nullptr) {
+    set_error(error, "v4 image: missing or miscounted structural segment");
     return std::nullopt;
   }
   {
@@ -237,18 +251,18 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     const auto* arc_weight =
         reinterpret_cast<const double*>(data_at(w_rec));
     if (offsets[0] != 0 || offsets[n] != m) {
-      set_error(error, "v3 image: CSR offsets do not cover the arcs");
+      set_error(error, "v4 image: CSR offsets do not cover the arcs");
       return std::nullopt;
     }
     GraphBuilder builder(n);
     for (Vertex u = 0; u < n; ++u) {
       if (offsets[u + 1] < offsets[u] || offsets[u + 1] > m) {
-        set_error(error, "v3 image: CSR offsets not monotone");
+        set_error(error, "v4 image: CSR offsets not monotone");
         return std::nullopt;
       }
       for (std::uint64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
         if (arc_to[i] >= n) {
-          set_error(error, "v3 image: arc target out of range");
+          set_error(error, "v4 image: arc target out of range");
           return std::nullopt;
         }
         builder.add_edge(u, arc_to[i], arc_weight[i]);
@@ -266,15 +280,13 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     aug->critical_depth = h.critical_depth;
     aug->build_cost.work = h.build_work;
     aug->build_cost.depth = h.build_depth;
+    aug->cycle_free = certified;
     aug->levels.height = h.height;
     aug->levels.level.resize(n);
-    aug->levels.node.resize(n);
     PinLease lease;
     lease.add(impl->pool.get(), level_rec->offset, level_rec->bytes);
-    lease.add(impl->pool.get(), node_rec->offset, node_rec->bytes);
     std::memcpy(aug->levels.level.data(), data_at(level_rec),
                 level_rec->bytes);
-    std::memcpy(aug->levels.node.data(), data_at(node_rec), node_rec->bytes);
     // aug->shortcuts stays empty: shortcut values live in the image's
     // bucket segments; every kernel reads them via shortcut_edges().
     impl->aug = std::move(aug);
@@ -319,7 +331,7 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   }
   if (!ok || buckets.base.count != m ||
       buckets.shortcut.count != h.num_shortcuts) {
-    set_error(error, "v3 image: missing or inconsistent bucket segments");
+    set_error(error, "v4 image: missing or inconsistent bucket segments");
     return std::nullopt;
   }
   // Leveled bucket entries reference vertices; validate once here so
@@ -339,21 +351,21 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
          endpoints_ok(buckets.up[l]);
   }
   if (!ok) {
-    set_error(error, "v3 image: bucket endpoint out of range");
+    set_error(error, "v4 image: bucket endpoint out of range");
     return std::nullopt;
   }
 
   // --- assemble ----------------------------------------------------------
-  // A v3 image carries no negative-cycle certificate (the format is
-  // unchanged on purpose), so a stored engine keeps the verification
-  // pass whenever detect_negative_cycles asks for it.
+  // The certificate freezes as in from_augmentation(): the verification
+  // pass runs only if detect_negative_cycles asks and the image is not
+  // certified.
   LeveledQuery<S> query = LeveledQuery<S>::from_store(
       *impl->graph, *impl->aug, buckets,
-      options.engine.query.detect_negative_cycles);
+      options.engine.query.detect_negative_cycles && !certified);
   impl->engine = std::make_unique<SeparatorShortestPaths<S>>(
       SeparatorShortestPaths<S>::from_forked_query(
-          *impl->graph, impl->aug, std::move(query),
-          /*cycle_certified=*/false, options.engine));
+          *impl->graph, impl->aug, std::move(query), certified,
+          options.engine));
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {
     const std::uint32_t l = h.height - i;
     for (const ExternalBucketStore<Value>* b :

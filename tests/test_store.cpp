@@ -1,7 +1,8 @@
-// Out-of-core engine (src/store/): v3 image round trips under every
-// semiring, the buffer pool's residency accounting, eviction storms
-// under a tiny budget, open-time validation of damaged images, writer
-// determinism, and the read-only service path.
+// Out-of-core engine (src/store/): v4 image round trips under every
+// semiring, the certificate flag, the buffer pool's residency
+// accounting, eviction storms under a tiny budget, rewriting an image
+// that a live engine still maps, open-time validation of damaged
+// images, writer determinism, and the read-only service path.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,9 +12,11 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
@@ -45,24 +48,45 @@ std::vector<char> slurp(const std::string& path) {
                            std::istreambuf_iterator<char>());
 }
 
-/// Builds a heap engine over a weighted grid, writes its v3 image, and
-/// checks that the stored engine answers bit-identically (memcmp over
-/// the raw value buffers) for single and batched sources.
-template <Semiring S>
-void round_trip_semiring(const std::string& stem) {
-  Rng rng(11);
-  const GeneratedGraph gg =
-      make_grid({9, 9}, WeightModel::uniform(1, 50), rng);
-  const SeparatorTree tree =
-      build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
-  const auto heap = SeparatorShortestPaths<S>::build(gg.graph, tree);
+store::Header read_header(const std::string& path) {
+  const std::vector<char> bytes = slurp(path);
+  store::Header h;
+  EXPECT_GE(bytes.size(), sizeof h);
+  if (bytes.size() >= sizeof h) std::memcpy(&h, bytes.data(), sizeof h);
+  return h;
+}
 
+/// One reply against another: memcmp-equal distances and equal
+/// negative_cycle, edges_scanned and phases.
+template <Semiring S>
+void expect_same_reply(const QueryResult<S>& got, const QueryResult<S>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.dist.size(), want.dist.size()) << what;
+  EXPECT_EQ(std::memcmp(got.dist.data(), want.dist.data(),
+                        want.dist.size() * sizeof(typename S::Value)),
+            0)
+      << what;
+  EXPECT_EQ(got.negative_cycle, want.negative_cycle) << what;
+  EXPECT_EQ(got.edges_scanned, want.edges_scanned) << what;
+  EXPECT_EQ(got.phases, want.phases) << what;
+}
+
+/// Writes `heap`'s image, opens it and checks that the stored engine
+/// carries the heap engine's certificate and build-cost metadata and
+/// answers exactly as it does, for single and batched sources.
+template <Semiring S>
+void expect_round_trip(const SeparatorShortestPaths<S>& heap,
+                       const std::vector<Vertex>& sources,
+                       const std::string& stem) {
   TempFile file(temp_path(stem));
   std::string error;
   ASSERT_TRUE(store::write_engine_image(file.path, heap, &error)) << error;
+  EXPECT_EQ(read_header(file.path).flags,
+            heap.cycle_certified() ? store::kFlagCycleCertified : 0u);
 
   auto stored = store::StoredEngine<S>::open(file.path, {}, &error);
   ASSERT_TRUE(stored.has_value()) << error;
+  EXPECT_EQ(stored->engine().cycle_certified(), heap.cycle_certified());
 
   // The header carries the build-cost metadata engine.stats() reports.
   const EngineStats heap_stats = heap.stats();
@@ -71,18 +95,11 @@ void round_trip_semiring(const std::string& stem) {
   EXPECT_EQ(stored_stats.build_work, heap_stats.build_work);
   EXPECT_EQ(stored_stats.build_depth, heap_stats.build_depth);
   EXPECT_EQ(stored_stats.eplus_edges, heap_stats.eplus_edges);
+  EXPECT_EQ(stored_stats.cycle_certified, heap_stats.cycle_certified);
 
-  using Value = typename S::Value;
-  const std::vector<Vertex> sources = {0, 13, 40, 77, 80};
   for (const Vertex s : sources) {
-    const auto want = heap.distances(s);
-    const auto got = stored->engine().distances(s);
-    ASSERT_EQ(got.dist.size(), want.dist.size());
-    EXPECT_EQ(std::memcmp(got.dist.data(), want.dist.data(),
-                          want.dist.size() * sizeof(Value)),
-              0)
-        << "source " << s;
-    EXPECT_EQ(got.negative_cycle, want.negative_cycle);
+    expect_same_reply(stored->engine().distances(s), heap.distances(s),
+                      "source " + std::to_string(s));
   }
 
   // The batched kernel walks the same external buckets via a different
@@ -91,17 +108,64 @@ void round_trip_semiring(const std::string& stem) {
   const auto got_batch = stored->engine().distances_batch(sources);
   ASSERT_EQ(got_batch.size(), want_batch.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(std::memcmp(got_batch[i].dist.data(), want_batch[i].dist.data(),
-                          want_batch[i].dist.size() * sizeof(Value)),
-              0)
-        << "batched source " << sources[i];
+    expect_same_reply(got_batch[i], want_batch[i],
+                      "batched source " + std::to_string(sources[i]));
   }
+}
+
+/// Builds a heap engine over a weighted grid (Algorithm 4.1, so the
+/// build certifies it cycle-free) and round-trips it.
+template <Semiring S>
+void round_trip_semiring(const std::string& stem) {
+  Rng rng(11);
+  const GeneratedGraph gg =
+      make_grid({9, 9}, WeightModel::uniform(1, 50), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
+  const auto heap = SeparatorShortestPaths<S>::build(gg.graph, tree);
+  EXPECT_TRUE(heap.cycle_certified());
+  expect_round_trip(heap, {0, 13, 40, 77, 80}, stem);
 }
 
 TEST(Store, RoundTripTropicalD) { round_trip_semiring<TropicalD>("trod"); }
 TEST(Store, RoundTripTropicalI) { round_trip_semiring<TropicalI>("troi"); }
 TEST(Store, RoundTripBoolean) { round_trip_semiring<BooleanSR>("bool"); }
 TEST(Store, RoundTripBottleneck) { round_trip_semiring<BottleneckSR>("botn"); }
+
+TEST(Store, UncertifiedAlgorithm43EngineKeepsThePass) {
+  // Algorithm 4.3 certifies nothing, so the image carries flag 0 and
+  // the stored engine keeps the verification pass, like its heap twin.
+  Rng rng(11);
+  const GeneratedGraph gg =
+      make_grid({9, 9}, WeightModel::uniform(1, 50), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
+  const auto heap = SeparatorShortestPaths<TropicalD>::from_augmentation(
+      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
+  EXPECT_FALSE(heap.cycle_certified());
+  expect_round_trip(heap, {0, 13, 40, 77, 80}, "alg43");
+}
+
+TEST(Store, NegativeCycleIsFlaggedAsByTheHeapEngine) {
+  // A grid plus a negative 3-cycle: the build cannot certify it, and
+  // the stored engine flags the cycle from exactly the sources the heap
+  // engine does.
+  Rng rng(4);
+  const GeneratedGraph gg =
+      make_grid({6, 6}, WeightModel::uniform(1, 5), rng);
+  GraphBuilder b(gg.graph.num_vertices());
+  b.add_edges(gg.graph.edge_list());
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(1, 6, 1.0);
+  b.add_edge(6, 0, -10.0);
+  const Digraph g = std::move(b).build(/*dedup_min=*/true);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(g), make_grid_finder({6, 6}));
+  const auto heap = SeparatorShortestPaths<TropicalD>::build(g, tree);
+  EXPECT_FALSE(heap.cycle_certified());
+  EXPECT_TRUE(heap.distances(0).negative_cycle);
+  expect_round_trip(heap, {0, 6, 20, 35}, "negcycle");
+}
 
 TEST(Store, WriterIsDeterministic) {
   Rng rng(12);
@@ -118,6 +182,90 @@ TEST(Store, WriterIsDeterministic) {
   const auto ba = slurp(a.path), bb = slurp(b.path);
   ASSERT_FALSE(ba.empty());
   EXPECT_EQ(ba, bb) << "two writes of the same engine must be byte-identical";
+  EXPECT_EQ(ba.size(), read_header(a.path).file_bytes);
+
+  // A write over an existing file replaces it with the same bytes.
+  ASSERT_TRUE(store::write_engine_image(b.path, heap, &error)) << error;
+  EXPECT_EQ(slurp(b.path), ba) << "a write over an existing image";
+}
+
+// ---------------------------------------------------------------------
+// Rewriting an image path: the writer creates a fresh inode, so an
+// engine that still maps the old image keeps reading its own bytes.
+
+TEST(Store, RewritingAMappedImageKeepsTheOldEngineServing) {
+  Rng rng(18);
+  const GeneratedGraph gg =
+      make_grid({33, 33}, WeightModel::uniform(1, 20), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({33, 33}));
+  const auto heap = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
+  // A tiny engine: its image ends before the big one's first bucket
+  // page, so rewriting the file in place would leave every page the
+  // next query faults past the end of the file (SIGBUS).
+  const GeneratedGraph small =
+      make_grid({2, 2}, WeightModel::uniform(1, 20), rng);
+  const auto other = SeparatorShortestPaths<TropicalD>::build(
+      small.graph,
+      build_separator_tree(Skeleton(small.graph), make_grid_finder({2, 2})));
+
+  TempFile file(temp_path("rewrite"));
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(file.path, heap, &error)) << error;
+  store::StoredEngine<TropicalD>::OpenOptions opts;
+  opts.pool.budget_bytes = std::size_t{64} << 10;
+  auto stored = store::StoredEngine<TropicalD>::open(file.path, opts, &error);
+  ASSERT_TRUE(stored.has_value()) << error;
+  ASSERT_GT(stored->image_bytes(), 8 * opts.pool.budget_bytes);
+  expect_same_reply(stored->engine().distances(0), heap.distances(0),
+                    "before the rewrite");
+
+  ASSERT_TRUE(store::write_engine_image(file.path, other, &error)) << error;
+  // The 64 KiB budget evicted most pages; the next query refaults them
+  // from the old image, not from the new file at the same path.
+  for (const Vertex s : {Vertex{0}, Vertex{544}, Vertex{1088}}) {
+    expect_same_reply(stored->engine().distances(s), heap.distances(s),
+                      "after the rewrite, source " + std::to_string(s));
+  }
+#if defined(__linux__)
+  EXPECT_GT(stored->pool().stats().evictions, 0u);
+#endif
+  auto reopened = store::StoredEngine<TropicalD>::open(file.path, {}, &error);
+  ASSERT_TRUE(reopened.has_value()) << error;
+  expect_same_reply(reopened->engine().distances(3), other.distances(3),
+                    "the new image");
+}
+
+TEST(Store, StoredEngineWrittenOntoItsOwnPathReopensBitIdentical) {
+  Rng rng(19);
+  const GeneratedGraph gg =
+      make_grid({12, 12}, WeightModel::uniform(1, 20), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({12, 12}));
+  const auto heap = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
+
+  TempFile file(temp_path("self"));
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(file.path, heap, &error)) << error;
+  const std::vector<char> original = slurp(file.path);
+  store::StoredEngine<TropicalD>::OpenOptions opts;
+  opts.pool.budget_bytes = 4 * kPageBytes;
+  auto stored = store::StoredEngine<TropicalD>::open(file.path, opts, &error);
+  ASSERT_TRUE(stored.has_value()) << error;
+
+  // The writer reads the stored engine's segments out of its own
+  // mapping, under pins, while it replaces the file they came from.
+  ASSERT_TRUE(store::write_engine_image(file.path, stored->engine(), &error))
+      << error;
+  EXPECT_EQ(slurp(file.path), original);
+  EXPECT_EQ(stored->pool().stats().pinned_pages, 0u);
+  EXPECT_GT(stored->pool().stats().faults, 0u);
+  expect_same_reply(stored->engine().distances(7), heap.distances(7),
+                    "the written-out engine");
+  auto reopened = store::StoredEngine<TropicalD>::open(file.path, {}, &error);
+  ASSERT_TRUE(reopened.has_value()) << error;
+  expect_same_reply(reopened->engine().distances(7), heap.distances(7),
+                    "the reopened image");
 }
 
 // ---------------------------------------------------------------------
@@ -312,7 +460,14 @@ TEST_F(StoreDamage, RejectsWrongSemiring) {
   const auto as_bool =
       store::StoredEngine<BooleanSR>::open(path_, {}, &error);
   EXPECT_FALSE(as_bool.has_value());
-  EXPECT_FALSE(error.empty());
+  // Both tags, in hex.
+  for (const std::uint32_t tag : {store::semiring_tag<TropicalD>(),
+                                  store::semiring_tag<BooleanSR>()}) {
+    std::ostringstream want;
+    want << "0x" << std::hex << tag;
+    EXPECT_NE(error.find(want.str()), std::string::npos)
+        << error << " lacks " << want.str();
+  }
 }
 
 TEST_F(StoreDamage, RejectsTruncation) {
@@ -349,15 +504,28 @@ TEST_F(StoreDamage, RejectsCorruptDirectory) {
 }
 
 TEST_F(StoreDamage, RejectsUnknownVersion) {
-  // Versions 1 and 2 were the retired stream formats; 4 and later are
-  // layouts this reader cannot know. All must be refused by name.
-  for (const std::uint32_t version : {0u, 1u, 2u, 4u, 99u}) {
+  // Versions 1 and 2 were the retired stream formats, 3 the layout
+  // without header flags; 5 and later are layouts this reader cannot
+  // know. All must be refused by name.
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 99u}) {
     auto bad = image_;
     std::memcpy(bad.data() + offsetof(store::Header, version), &version,
                 sizeof version);
     const std::string reason = expect_rejected(bad, "unknown version");
     EXPECT_NE(reason.find("unsupported version " + std::to_string(version)),
               std::string::npos)
+        << reason;
+  }
+}
+
+TEST_F(StoreDamage, RejectsUnknownFlags) {
+  for (const std::uint64_t flag : {std::uint64_t{2}, std::uint64_t{1} << 63}) {
+    store::Header h = header();
+    h.flags |= flag;
+    auto bad = image_;
+    std::memcpy(bad.data(), &h, sizeof h);
+    const std::string reason = expect_rejected(bad, "unknown flag bit");
+    EXPECT_NE(reason.find("unknown header flags"), std::string::npos)
         << reason;
   }
 }
