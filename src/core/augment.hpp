@@ -1,6 +1,12 @@
 // The augmentation E+ of Section 3: shortcut edges whose weights are
-// exact subgraph distances, shared by both builder algorithms and the
-// query engine.
+// exact subgraph distances, shared by every builder and the query
+// engine.
+//
+// Every build lays E+ out by the tree's slot plan
+// (separator/eplus_plan.hpp): one shortcut per plan slot, in the plan's
+// (from, to) order, zero() ("no path") where no owner node has a path.
+// The query engine pairs these values with the plan's tree-only bucket
+// layout, so a build writes values and nothing else.
 #pragma once
 
 #include <algorithm>
@@ -8,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/levels.hpp"
 #include "graph/digraph.hpp"
 #include "pram/cost_model.hpp"
 #include "semiring/semiring.hpp"
@@ -38,14 +43,17 @@ struct Shortcut {
 /// (LeveledQuery::shortcut_edges()).
 template <Semiring S>
 struct Augmentation {
-  /// E+: one entry per distinct (from, to) pair, (from, to)-sorted
-  /// (LeveledQuery relies on the order). The engine builds drop zero()
-  /// ("no path") pairs; IncrementalEngine keeps them at zero() as slots
-  /// that reweighting may activate.
+  /// E+: one entry per slot of `plan`, in plan order, so
+  /// shortcuts[s] is the pair plan->slots[s] with its value. A slot no
+  /// owner node has a path for keeps zero(): every engine keeps every
+  /// slot, so reweighting may activate it and every engine over the
+  /// tree shares one bucket layout.
   std::vector<Shortcut<S>> shortcuts;
-  /// The tree's slot plan the shortcuts were laid out by (shared with
-  /// every other build over the tree); null for Algorithm 4.3 builds,
-  /// stored images and hand-built augmentations.
+  /// The tree's slot plan the shortcuts are laid out by (shared with
+  /// every other build over the tree). Every builder sets it; the query
+  /// engine rejects an augmentation without one. Null only for the
+  /// structural augmentation of a stored engine, which has no
+  /// shortcuts.
   std::shared_ptr<const EplusPlan> plan;
   LevelAssignment levels;
   std::uint32_t height = 0;  ///< d_G of the decomposition tree
@@ -67,56 +75,6 @@ struct Augmentation {
   /// Theorem 3.1's bound on the min-weight diameter of G+.
   std::size_t diameter_bound() const { return 4 * height + 2 * ell + 1; }
 };
-
-/// Sorts shortcuts by (from, to) and keeps the best value per pair,
-/// dropping pairs whose value is zero() ("no path") and self loops that
-/// cannot improve anything (value >= one() is useless on the diagonal).
-/// The sort is two stable counting-sort passes, by `to` and then by
-/// `from`, linear in |edges| + n; equal pairs keep their input order,
-/// so the later of two equal values wins. The result is sized to the
-/// distinct pairs. The Algorithm 4.3 builders use it; Algorithm 4.1
-/// builds minimize through the tree's slot plan instead
-/// (detail::minimize_slots), which keeps the same bits.
-template <Semiring S>
-void dedup_shortcuts(std::vector<Shortcut<S>>& edges) {
-  std::size_t n = 0;
-  for (const Shortcut<S>& e : edges) {
-    n = std::max<std::size_t>({n, std::size_t{e.from} + 1,
-                               std::size_t{e.to} + 1});
-  }
-  {
-    std::vector<Shortcut<S>> tmp(edges.size());
-    std::vector<std::size_t> pos(n + 1);
-    const auto scatter = [&](const std::vector<Shortcut<S>>& in,
-                             std::vector<Shortcut<S>>& out, auto key) {
-      std::fill(pos.begin(), pos.end(), 0);
-      for (const Shortcut<S>& e : in) ++pos[key(e) + 1];
-      for (std::size_t v = 0; v < n; ++v) pos[v + 1] += pos[v];
-      for (const Shortcut<S>& e : in) out[pos[key(e)]++] = e;
-    };
-    scatter(edges, tmp, [](const Shortcut<S>& e) { return e.to; });
-    scatter(tmp, edges, [](const Shortcut<S>& e) { return e.from; });
-  }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < edges.size();) {
-    std::size_t j = i;
-    auto best = edges[i].value;
-    for (++j; j < edges.size() && edges[j].from == edges[i].from &&
-              edges[j].to == edges[i].to;
-         ++j) {
-      best = S::combine(best, edges[j].value);
-    }
-    const bool useless =
-        !S::improves(S::zero(), best) ||  // no path
-        (edges[i].from == edges[i].to && !S::improves(S::one(), best));
-    if (!useless) {
-      edges[out++] = {edges[i].from, edges[i].to, best};
-    }
-    i = j;
-  }
-  edges.resize(out);
-  edges.shrink_to_fit();
-}
 
 /// ell: upper bound on the min-weight diameter of every leaf subgraph.
 /// Absent negative cycles a shortest path inside a leaf uses at most

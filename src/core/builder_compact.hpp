@@ -42,7 +42,11 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
 
   const pram::CostScope scope;
   Augmentation<S> aug;
-  aug.levels = compute_levels(tree);
+  aug.plan = tree.eplus_plan();
+  SEPSP_CHECK_MSG(aug.plan != nullptr,
+                  "build_augmentation_compact: tree not built by "
+                  "build_separator_tree");
+  aug.levels = aug.plan->levels;
   aug.height = tree.height();
   aug.ell = leaf_diameter_bound(tree);
 
@@ -164,22 +168,23 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
   aug.critical_depth = iterations_run;  // one synchronous phase per round
 
   // --- extraction: E_t = S x S u B x B per node --------------------------
-  std::vector<Shortcut<S>> out;
+  // In the plan's entry order, so fill_shortcuts takes each slot's best.
+  std::vector<Value> entries;
+  entries.reserve(aug.plan->num_entries());
   for (std::size_t id = 0; id < num_nodes; ++id) {
     const DecompNode& t = tree.node(id);
     auto emit = [&](std::span<const Vertex> group) {
       for (const Vertex u : group) {
         for (const Vertex v : group) {
           if (u == v) continue;
-          out.push_back({u, v, weight[edge_index.at(pack(u, v))]});
+          entries.push_back(weight[edge_index.at(pack(u, v))]);
         }
       }
     };
     emit(t.separator);
     emit(t.boundary);
   }
-  aug.shortcuts = std::move(out);
-  dedup_shortcuts<S>(aug.shortcuts);
+  detail::fill_shortcuts<S>(aug, entries);
   aug.build_cost = scope.cost();
   return aug;
 }

@@ -12,8 +12,10 @@
 //
 // Node tasks lease scratch arenas (builder_scratch.hpp): the squaring
 // product buffer is reused across nodes and iterations, vertex lookups
-// are dense-map probes, and the extraction step writes shortcuts into
-// pre-computed slices of the final array (no per-node vectors).
+// are dense-map probes, and the extraction step writes each node's
+// entries into the slice the tree's slot plan assigns it (no per-node
+// vectors), in the order Algorithm 4.1 emits them; detail::fill_shortcuts
+// then takes every slot's minimum, as in an Algorithm 4.1 build.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +49,11 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   SEPSP_TRACE_SPAN("build.path_doubling");
   const pram::CostScope scope;
   Augmentation<S> aug;
-  aug.levels = compute_levels(tree);
+  aug.plan = tree.eplus_plan();
+  SEPSP_CHECK_MSG(aug.plan != nullptr,
+                  "build_augmentation_doubling: tree not built by "
+                  "build_separator_tree");
+  aug.levels = aug.plan->levels;
   aug.height = tree.height();
   aug.ell = leaf_diameter_bound(tree);
 
@@ -207,31 +213,31 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   aug.critical_depth = iterations_run * per_iter_depth;
 
   // Step iii: extract S x S and B x B entries into the slices the tree's
-  // slot plan assigns each node; dedup keeps the best.
-  const std::vector<std::size_t>& offsets = tree.eplus_plan()->node_offset;
-  aug.shortcuts.resize(offsets.back());
+  // slot plan assigns each node; fill_shortcuts keeps each slot's best.
+  const std::vector<std::size_t>& offsets = aug.plan->node_offset;
+  std::vector<typename S::Value> entries(aug.plan->num_entries());
   pram::ThreadPool::global().parallel_for(0, num_nodes, [&](std::size_t id) {
     auto scratch = scratch_pool.acquire();
     const DecompNode& t = tree.node(id);
     const std::span<const Vertex> verts = vh[id];
     const Matrix<S>& m = mat[id];
     scratch->map0.bind(verts);
-    Shortcut<S>* out = aug.shortcuts.data() + offsets[id];
+    typename S::Value* out = entries.data() + offsets[id];
     auto emit = [&](std::span<const Vertex> group) {
       for (const Vertex u : group) {
         const std::size_t i = scratch->map0.find(u);
         for (const Vertex v : group) {
           if (u == v) continue;
-          *out++ = {u, v, m.at(i, scratch->map0.find(v))};
+          *out++ = m.at(i, scratch->map0.find(v));
         }
       }
     };
     emit(t.separator);
     emit(t.boundary);
-    SEPSP_DCHECK(out == aug.shortcuts.data() + offsets[id + 1]);
+    SEPSP_DCHECK(out == entries.data() + offsets[id + 1]);
   });
 
-  dedup_shortcuts<S>(aug.shortcuts);
+  detail::fill_shortcuts<S>(aug, entries);
   aug.build_cost = scope.cost();
   return aug;
 }

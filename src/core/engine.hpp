@@ -81,15 +81,31 @@ class SeparatorShortestPaths {
                                       const Options& options = {}) {
     SEPSP_CHECK(tree.num_graph_vertices() == g.num_vertices());
     SEPSP_TRACE_SPAN("engine.build");
-    return from_augmentation(g,
-                             build_augmentation_recursive<S>(
-                                 g, tree, ClosureKind::kFloydWarshall),
-                             options);
+    const pram::CostScope scope;
+    detail::TreeRun<S> run = detail::run_algorithm41<S>(
+        g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
+    run.aug.build_cost = scope.cost();
+    SeparatorShortestPaths engine(g, options.query, run.aug.cycle_free);
+    auto aug = std::make_shared<Augmentation<S>>(std::move(run.aug));
+    aug->shortcuts.resize(aug->plan->num_slots());
+    // One pass over the slots: each slot's minimum goes into the
+    // augmentation and straight into the query engine's buckets.
+    engine.query_ = std::make_unique<LeveledQuery<S>>(
+        g, *aug,
+        options.query.detect_negative_cycles && !engine.cycle_certified_,
+        [&](std::size_t slot) {
+          return detail::set_slot<S>(*aug, slot, run.entries);
+        });
+    engine.aug_ = std::move(aug);
+    return engine;
   }
 
   /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
-  /// without rebuilding E+. The engine freezes aug.cycle_free: a
-  /// certified augmentation's queries skip the verification pass.
+  /// without rebuilding E+. `aug` must carry its tree's slot plan and
+  /// one shortcut per plan slot, in plan order, as every builder
+  /// leaves it; anything else aborts. The engine freezes
+  /// aug.cycle_free: a certified augmentation's queries skip the
+  /// verification pass.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {

@@ -228,22 +228,17 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
   s.aug = std::move(run.aug);
 
-  // One aug shortcut per plan slot, in the plan's (from, to) order —
-  // unreachable pairs kept at +inf so reweighting can activate them.
-  {
-    SEPSP_TRACE_SPAN("build.slot_min");
-    const EplusPlan& plan = *s.aug.plan;
-    s.aug.shortcuts.resize(plan.num_slots());
-    for (std::size_t slot = 0; slot < plan.num_slots(); ++slot) {
-      s.aug.shortcuts[slot] = {plan.slots[slot].from, plan.slots[slot].to,
-                               detail::slot_min<S>(plan, slot, s.entries)};
-    }
-  }
+  // One aug shortcut per plan slot, unreachable pairs kept at +inf so
+  // reweighting can activate them — the same E+ an exact build has,
+  // written in the same single pass as the query engine's buckets.
+  s.aug.shortcuts.resize(s.aug.plan->num_slots());
+  s.query.emplace(g, s.aug, /*detect_negative_cycles=*/true,
+                  [&s](std::size_t slot) {
+                    return detail::set_slot<S>(s.aug, slot, s.entries);
+                  });
   s.slot_mark.assign(s.aug.shortcuts.size(), 0);
   s.work = detail::subtree_work(tree);
   s.delta.resize(tree.num_nodes());
-
-  s.query.emplace(g, s.aug);
   return engine;
 }
 

@@ -51,10 +51,10 @@ struct TropicalD {
   static constexpr bool improves(Value current, Value candidate) {
     return candidate < current;
   }
-  /// extend() without the no-path guard — valid whenever b != zero(),
-  /// which relaxation kernels guarantee for edge values (no-path edges
-  /// are dropped at construction). Branch-free (IEEE: inf + finite =
-  /// inf), so multi-lane relaxation loops vectorize.
+  /// extend() without the no-path guard: IEEE inf + finite = inf, and
+  /// we never produce -inf, so it equals extend() for every value a
+  /// relaxation sees, a zero() edge value included. Branch-free, so
+  /// multi-lane relaxation loops vectorize.
   static constexpr Value extend_unguarded(Value a, Value b) { return a + b; }
   static constexpr Value from_weight(double w) { return w; }
   /// Relaxation can cycle indefinitely when negative cycles exist.
@@ -89,11 +89,11 @@ struct TropicalI {
   static constexpr bool improves(Value current, Value candidate) {
     return candidate < current;
   }
-  /// Branch-free-selectable extend for b != zero(): dist values are
-  /// either exact (< kInf) or exactly kInf, so one select saturates
-  /// (kInf + negative b must not look reachable).
+  /// extend() for relaxation loops: dist values are either exact
+  /// (< kInf) or exactly kInf, so one select per side saturates (kInf +
+  /// negative b must not look reachable, nor negative a + a kInf edge).
   static constexpr Value extend_unguarded(Value a, Value b) {
-    return a == kInf ? kInf : floored(a + b);
+    return a == kInf || b == kInf ? kInf : floored(a + b);
   }
   /// The -kInf floor of a sum of two values in [-kInf, kInf].
   static constexpr Value floored(Value sum) {
@@ -155,11 +155,10 @@ concept HasUnguardedExtend = requires(typename S::Value a, typename S::Value b) 
 };
 
 /// extend() for relaxation hot loops: selects the semiring's branch-free
-/// extend_unguarded() when it exists, else the guarded extend(). Valid
-/// whenever b != zero(), which every relaxation kernel guarantees for
-/// edge values (no-path entries are dropped when buckets are built);
-/// bit-identical to extend() on all such inputs (test_semiring enforces
-/// the equivalence). This is the single home of the guarded/unguarded
+/// extend_unguarded() when it exists, else the guarded extend().
+/// Bit-identical to extend() for every edge value b, zero() included
+/// (buckets keep zero() "no path" slots), and every a a relaxation can
+/// hold (test_semiring enforces the equivalence). This is the single home of the guarded/unguarded
 /// selection shared by the scalar, lane-batched, and SIMD kernels —
 /// do not re-derive it at call sites.
 template <Semiring S>

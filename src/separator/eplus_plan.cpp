@@ -50,6 +50,69 @@ GatherPlan build_gather_plan(const SeparatorTree& tree) {
   return gp;
 }
 
+/// level(v) for every vertex: the minimum tree level among the nodes
+/// whose separator holds v.
+LevelAssignment compute_levels(const SeparatorTree& tree) {
+  LevelAssignment out;
+  const std::size_t n = tree.num_graph_vertices();
+  out.level.assign(n, LevelAssignment::kUndefined);
+  out.height = tree.height();
+  std::vector<std::uint8_t> in_leaf(n, 0);
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& t = tree.node(id);
+    for (const Vertex v : t.separator) {
+      out.level[v] = std::min(out.level[v], t.level);
+    }
+    if (t.is_leaf()) {
+      for (const Vertex v : t.vertices) in_leaf[v] = 1;
+    }
+  }
+  // Every vertex reaches a leaf: only separator membership duplicates a
+  // vertex into both children, and nothing drops one.
+  for (std::size_t v = 0; v < n; ++v) {
+    SEPSP_CHECK_MSG(in_leaf[v] != 0, "vertex missing from every leaf");
+  }
+  return out;
+}
+
+/// Assigns every slot its leveled bucket and position, and fills the
+/// buckets' pair blocks: one counting pass sizes the buckets, a second
+/// places the slots. Slots arrive (from, to)-sorted, so every bucket
+/// does too.
+void lay_out_buckets(EplusPlan& plan) {
+  const std::vector<std::uint32_t>& level = plan.levels.level;
+  const std::size_t num_slots = plan.num_slots();
+  std::vector<std::uint32_t> cursor(3 * plan.num_levels(), 0);
+  plan.slot_bucket.resize(num_slots);
+  for (std::size_t s = 0; s < num_slots; ++s) {
+    const std::uint32_t lu = level[plan.slots.from[s]];
+    const std::uint32_t lw = level[plan.slots.to[s]];
+    SEPSP_CHECK_MSG(lu != LevelAssignment::kUndefined &&
+                        lw != LevelAssignment::kUndefined,
+                    "E+ slot endpoint without a level");
+    const EplusPlan::Kind kind = lu == lw  ? EplusPlan::kSame
+                                 : lu > lw ? EplusPlan::kDown
+                                           : EplusPlan::kUp;
+    const auto b = static_cast<std::uint32_t>(plan.bucket_index(kind, lu));
+    plan.slot_bucket[s] = b;
+    ++cursor[b];
+  }
+  plan.buckets.resize(cursor.size());
+  for (std::size_t b = 0; b < cursor.size(); ++b) {
+    plan.buckets[b].from.resize(cursor[b]);
+    plan.buckets[b].to.resize(cursor[b]);
+    cursor[b] = 0;
+  }
+  plan.slot_pos.resize(num_slots);
+  for (std::size_t s = 0; s < num_slots; ++s) {
+    const std::uint32_t b = plan.slot_bucket[s];
+    const std::uint32_t pos = cursor[b]++;
+    plan.slot_pos[s] = pos;
+    plan.buckets[b].from[pos] = plan.slots.from[s];
+    plan.buckets[b].to[pos] = plan.slots.to[s];
+  }
+}
+
 }  // namespace
 
 EplusPlan build_eplus_plan(const SeparatorTree& tree) {
@@ -107,19 +170,24 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   scatter(from, [&](std::size_t i) { return by_to[i]; }, order);
 
   plan.entry_slot.resize(total);
+  PairBlock& slots = plan.slots;
   for (std::size_t k = 0; k < total; ++k) {
     const std::uint32_t entry = order[k];
-    if (plan.slots.empty() || plan.slots.back().from != from[entry] ||
-        plan.slots.back().to != to[entry]) {
-      plan.slots.push_back({from[entry], to[entry]});
+    if (slots.from.empty() || slots.from.back() != from[entry] ||
+        slots.to.back() != to[entry]) {
+      slots.from.push_back(from[entry]);
+      slots.to.push_back(to[entry]);
       plan.owner_offset.push_back(static_cast<std::uint32_t>(k));
     }
-    plan.entry_slot[entry] = static_cast<std::uint32_t>(plan.slots.size() - 1);
+    plan.entry_slot[entry] = static_cast<std::uint32_t>(slots.size() - 1);
   }
   plan.owner_offset.push_back(static_cast<std::uint32_t>(total));
   plan.owner_entry = std::move(order);
-  plan.slots.shrink_to_fit();
+  slots.from.shrink_to_fit();
+  slots.to.shrink_to_fit();
   plan.owner_offset.shrink_to_fit();
+  plan.levels = compute_levels(tree);
+  lay_out_buckets(plan);
   plan.gather = build_gather_plan(tree);
   return plan;
 }

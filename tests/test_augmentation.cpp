@@ -2,11 +2,14 @@
 //   (i)  shortcut weights never undercut true distances, and distances
 //        in G+ equal distances in G,
 //   (ii) the min-weight diameter of G+ respects 4 d_G + 2 ell + 1,
-//   plus: both builders agree, shortcut endpoints have defined levels,
-//   shortcut weights are exactly dist_{G(t)} on the node subgraphs, the
-//   E+ slot plan lays out exactly the pairs Algorithm 4.1 emits and its
-//   per-slot minimum reproduces a sort-and-dedup of the raw emission bit
-//   for bit, the gather plan lists every child position, node_step is bit
+//   plus: both builders agree, every build lays E+ out one shortcut per
+//   plan slot with defined endpoint levels, shortcut weights are exactly
+//   dist_{G(t)} on the node subgraphs, the E+ slot plan lays out exactly
+//   the pairs Algorithm 4.1 emits and its per-slot minimum reproduces a
+//   stable sort and per-pair combine of the raw emission bit for bit,
+//   every base arc between leveled vertices is dominated by its slot
+//   (why the leveled sweeps can leave base arcs out), the gather plan
+//   lists every child position, node_step is bit
 //   for bit the textbook steps i-v, critical_depth is the level
 //   schedule's depth, and the negative-cycle certificate
 //   (Augmentation::cycle_free) agrees with a Bellman–Ford oracle.
@@ -99,12 +102,27 @@ TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
 TEST(Augmentation, ShortcutEndpointsHaveDefinedLevels) {
   for (const Family& f : families()) {
     const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
-    for (const auto& e : aug.shortcuts) {
+    // One shortcut per plan slot, in plan order; zero() slots included.
+    const EplusPlan& plan = *f.tree.eplus_plan();
+    ASSERT_EQ(aug.plan.get(), &plan) << f.name;
+    ASSERT_EQ(aug.shortcuts.size(), plan.num_slots()) << f.name;
+    for (std::size_t i = 0; i < aug.shortcuts.size(); ++i) {
+      const auto& e = aug.shortcuts[i];
+      EXPECT_EQ(e.from, plan.slots.from[i]) << f.name;
+      EXPECT_EQ(e.to, plan.slots.to[i]) << f.name;
       EXPECT_TRUE(aug.levels.defined(e.from)) << f.name;
       EXPECT_TRUE(aug.levels.defined(e.to)) << f.name;
       EXPECT_NE(e.from, e.to) << f.name;
-      EXPECT_TRUE(TropicalD::improves(TropicalD::zero(), e.value)) << f.name;
     }
+  }
+}
+
+// EXPECT_NEAR, with two zero() ("no path") values counting as equal.
+void expect_same_value(double got, double want, const std::string& what) {
+  if (std::isinf(want)) {
+    EXPECT_EQ(got, want) << what;
+  } else {
+    EXPECT_NEAR(got, want, 1e-9) << what;
   }
 }
 
@@ -149,9 +167,10 @@ TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
     for (std::size_t i = 0; i < rec.shortcuts.size(); ++i) {
       EXPECT_EQ(rec.shortcuts[i].from, dbl.shortcuts[i].from) << f.name;
       EXPECT_EQ(rec.shortcuts[i].to, dbl.shortcuts[i].to) << f.name;
-      EXPECT_NEAR(rec.shortcuts[i].value, dbl.shortcuts[i].value, 1e-9)
-          << f.name << " edge " << rec.shortcuts[i].from << "->"
-          << rec.shortcuts[i].to;
+      expect_same_value(rec.shortcuts[i].value, dbl.shortcuts[i].value,
+                        f.name + " edge " +
+                            std::to_string(rec.shortcuts[i].from) + "->" +
+                            std::to_string(rec.shortcuts[i].to));
     }
   }
 }
@@ -164,8 +183,7 @@ TEST(Augmentation, ClosureKindsAgree) {
         f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
     ASSERT_EQ(sq.shortcuts.size(), fw.shortcuts.size()) << f.name;
     for (std::size_t i = 0; i < sq.shortcuts.size(); ++i) {
-      EXPECT_NEAR(sq.shortcuts[i].value, fw.shortcuts[i].value, 1e-9)
-          << f.name;
+      expect_same_value(sq.shortcuts[i].value, fw.shortcuts[i].value, f.name);
     }
   }
 }
@@ -239,7 +257,8 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   const auto aug = build_augmentation_recursive<TropicalI>(gg.graph, tree);
-  // Reference: global dedup of per-node brute-force subgraph distances.
+  // Reference: the best per-node brute-force subgraph distance of every
+  // emitted pair, kInf ("no path") included.
   std::map<std::pair<Vertex, Vertex>, long long> best;
   for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
     const DecompNode& t = tree.node(id);
@@ -258,7 +277,6 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
           if (u == v) continue;
           const long long d =
               m.at(sub.local_of[u], sub.local_of[v]);
-          if (d >= TropicalI::kInf) continue;
           const auto key = std::make_pair(u, v);
           const auto it = best.find(key);
           if (it == best.end() || d < it->second) best[key] = d;
@@ -316,14 +334,16 @@ TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
                    distinct.end());
     ASSERT_EQ(plan.num_slots(), distinct.size()) << f.name;
     for (std::size_t s = 0; s < distinct.size(); ++s) {
-      EXPECT_EQ(plan.slots[s].from, distinct[s].first) << f.name;
-      EXPECT_EQ(plan.slots[s].to, distinct[s].second) << f.name;
+      EXPECT_EQ(plan.slots.from[s], distinct[s].first) << f.name;
+      EXPECT_EQ(plan.slots.to[s], distinct[s].second) << f.name;
     }
     // Every entry's slot carries the entry's own pair.
     for (std::size_t e = 0; e < pairs.size(); ++e) {
-      const EplusPlan::Pair& p = plan.slots[plan.entry_slot[e]];
-      ASSERT_EQ(p.from, pairs[e].first) << f.name << " entry " << e;
-      ASSERT_EQ(p.to, pairs[e].second) << f.name << " entry " << e;
+      const std::uint32_t slot = plan.entry_slot[e];
+      ASSERT_EQ(plan.slots.from[slot], pairs[e].first)
+          << f.name << " entry " << e;
+      ASSERT_EQ(plan.slots.to[slot], pairs[e].second)
+          << f.name << " entry " << e;
     }
     // The owner CSR lists each entry once, under its own slot, in
     // ascending entry order.
@@ -343,10 +363,12 @@ TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
 }
 
 // The raw emission of a Floyd–Warshall build, each entry with its own
-// pair, sorted and deduplicated the way E+ was built before the plan.
+// pair, stable-sorted by (from, to) and combined per pair in emission
+// order — E+ as a sort-and-combine computes it, written out here
+// independently of the plan. zero() pairs are kept.
 template <Semiring S>
-std::vector<Shortcut<S>> deduped_raw_emission(const Digraph& g,
-                                              const SeparatorTree& tree) {
+std::vector<Shortcut<S>> sorted_raw_emission(const Digraph& g,
+                                             const SeparatorTree& tree) {
   const auto run = detail::run_algorithm41<S>(
       g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
   const auto pairs = emitted_pairs(tree);
@@ -354,13 +376,23 @@ std::vector<Shortcut<S>> deduped_raw_emission(const Digraph& g,
   for (std::size_t e = 0; e < pairs.size(); ++e) {
     raw.push_back({pairs[e].first, pairs[e].second, run.entries[e]});
   }
-  dedup_shortcuts<S>(raw);
-  return raw;
+  std::stable_sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  });
+  std::vector<Shortcut<S>> out;
+  for (const Shortcut<S>& e : raw) {
+    if (!out.empty() && out.back().from == e.from && out.back().to == e.to) {
+      out.back().value = S::combine(out.back().value, e.value);
+    } else {
+      out.push_back(e);
+    }
+  }
+  return out;
 }
 
 template <Semiring S>
-void expect_slot_min_matches_dedup(const Family& f) {
-  const auto want = deduped_raw_emission<S>(f.gg.graph, f.tree);
+void expect_slot_min_matches_sort(const Family& f) {
+  const auto want = sorted_raw_emission<S>(f.gg.graph, f.tree);
   const auto got =
       SeparatorShortestPaths<S>::build(f.gg.graph, f.tree).augmentation();
   ASSERT_EQ(got.shortcuts.size(), want.size()) << f.name;
@@ -375,34 +407,95 @@ void expect_slot_min_matches_dedup(const Family& f) {
   }
 }
 
-TEST(SlotPlan, SlotMinimumIsBitIdenticalToDedupOnAllSemirings) {
+TEST(SlotPlan, SlotMinimumIsBitIdenticalToSortAndCombineOnAllSemirings) {
   for (const Family& f : families()) {
-    expect_slot_min_matches_dedup<TropicalD>(f);
-    expect_slot_min_matches_dedup<TropicalI>(f);
-    expect_slot_min_matches_dedup<BooleanSR>(f);
-    expect_slot_min_matches_dedup<BottleneckSR>(f);
+    expect_slot_min_matches_sort<TropicalD>(f);
+    expect_slot_min_matches_sort<TropicalI>(f);
+    expect_slot_min_matches_sort<BooleanSR>(f);
+    expect_slot_min_matches_sort<BottleneckSR>(f);
   }
 }
 
-TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwnerLikeDedup) {
+TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwner) {
   // One slot, two owners: combine(a, b) = a < b ? a : b keeps b on a tie,
   // so of +0.0 and -0.0 the later owner's bits survive, in both orders.
   EplusPlan plan;
   plan.node_offset = {0, 2};
-  plan.slots = {{3, 7}};
+  plan.slots.from = {3};
+  plan.slots.to = {7};
   plan.entry_slot = {0, 0};
   plan.owner_offset = {0, 2};
   plan.owner_entry = {0, 1};
   for (const auto& values : {std::vector<double>{+0.0, -0.0},
                              std::vector<double>{-0.0, +0.0}}) {
-    const auto got = detail::minimize_slots<TropicalD>(plan, values);
-    std::vector<Shortcut<TropicalD>> want = {{3, 7, values[0]},
-                                             {3, 7, values[1]}};
-    dedup_shortcuts<TropicalD>(want);
-    ASSERT_EQ(got.size(), 1u);
-    ASSERT_EQ(want.size(), 1u);
-    EXPECT_EQ(std::memcmp(&got[0], &want[0], sizeof(got[0])), 0);
-    EXPECT_EQ(std::signbit(got[0].value), std::signbit(values[1]));
+    const double got = detail::slot_min<TropicalD>(plan, 0, values);
+    EXPECT_EQ(std::signbit(got), std::signbit(values[1]));
+  }
+}
+
+// A mixed-sign variant of a family: integer weights shifted by a vertex
+// potential, so some arcs are negative but no cycle is.
+Family mixed_sign(const Family& f, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> h(f.gg.graph.num_vertices());
+  for (double& x : h) x = static_cast<double>(rng.next_int(-6, 6));
+  GraphBuilder b(f.gg.graph.num_vertices());
+  for (const EdgeTriple& e : f.gg.graph.edge_list()) {
+    b.add_edge(e.from, e.to, std::round(e.weight) + h[e.from] - h[e.to]);
+  }
+  Family out{f.name + "/mixed-sign", f.gg, f.tree};
+  out.gg.graph = std::move(b).build();
+  return out;
+}
+
+// The claim that lets the leveled sweeps leave base arcs out: an arc
+// (u, v) between vertices with levels lies in some leaf L, both ends are
+// in B(L), so (u, v) is a slot of the same bucket and its built value is
+// at least as good as the arc's.
+template <Semiring S>
+void expect_base_arcs_dominated(const Family& f) {
+  const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
+  const Augmentation<S>& aug = engine.augmentation();
+  const EplusPlan& plan = *aug.plan;
+  const auto& from = plan.slots.from;
+  const auto& to = plan.slots.to;
+  std::size_t checked = 0;
+  for (const EdgeTriple& e : f.gg.graph.edge_list()) {
+    if (e.from == e.to || !aug.levels.defined(e.from) ||
+        !aug.levels.defined(e.to)) {
+      continue;
+    }
+    // Slots are (from, to)-sorted: binary search for the pair.
+    std::size_t lo = 0, hi = plan.num_slots();
+    while (lo < hi) {
+      const std::size_t mid = (lo + hi) / 2;
+      if (from[mid] < e.from || (from[mid] == e.from && to[mid] < e.to)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    ASSERT_LT(lo, plan.num_slots()) << f.name << " " << e.from << "->" << e.to;
+    ASSERT_EQ(from[lo], e.from) << f.name << " " << e.from << "->" << e.to;
+    ASSERT_EQ(to[lo], e.to) << f.name << " " << e.from << "->" << e.to;
+    EXPECT_FALSE(S::improves(aug.shortcuts[lo].value, S::from_weight(e.weight)))
+        << f.name << " " << e.from << "->" << e.to;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << f.name;
+}
+
+TEST(SlotPlan, BaseArcsBetweenLeveledVerticesAreDominatedByTheirSlots) {
+  std::vector<Family> all = families();
+  const std::size_t plain = all.size();
+  for (std::size_t i = 0; i < plain; ++i) {
+    all.push_back(mixed_sign(all[i], 40 + i));
+  }
+  for (const Family& f : all) {
+    expect_base_arcs_dominated<TropicalD>(f);
+    expect_base_arcs_dominated<TropicalI>(f);
+    expect_base_arcs_dominated<BooleanSR>(f);
+    expect_base_arcs_dominated<BottleneckSR>(f);
   }
 }
 
@@ -611,8 +704,11 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   opts.build.approx_eps = 0.1;
   const ApproxEngine approx = ApproxEngine::build(gg.graph, tree, opts);
   EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
-  // The incremental engine keeps every plan slot, unreachable ones too.
+  // Every engine keeps every plan slot, unreachable ones too.
   EXPECT_EQ(inc.augmentation().shortcuts.size(), plan->num_slots());
+  EXPECT_EQ(fwd.augmentation().shortcuts.size(), plan->num_slots());
+  EXPECT_EQ(approx.engine().augmentation().shortcuts.size(),
+            plan->num_slots());
 }
 
 TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
@@ -638,8 +734,8 @@ TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
 }
 
 TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
-  // The bucket merge needs (from, to)-sorted shortcuts; Algorithm 4.3's
-  // dedup provides them, and its engine answers like the exact one.
+  // Algorithm 4.3 lays its shortcuts out by the plan too, so its
+  // engine shares the bucket layout and answers like the exact one.
   for (const Family& f : families()) {
     const auto exact = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
     const auto dbl = SeparatorShortestPaths<>::from_augmentation(
@@ -659,17 +755,27 @@ TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
   }
 }
 
-TEST(SlotPlanDeathTest, QueryEngineRejectsUnsortedShortcuts) {
-  // Re-executes the binary instead of forking it: the pool's workers
-  // are already running.
+TEST(SlotPlanDeathTest, QueryEngineRejectsAnAugmentationOffItsPlan) {
+  // Slot order is structural (the buckets come from the plan), so what
+  // the engine checks is that the augmentation has a plan and one
+  // shortcut per slot. Re-executes the binary instead of forking it: the
+  // pool's workers are already running.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Family f = families()[0];
-  auto aug = build_augmentation_recursive<TropicalD>(
+  const auto aug = build_augmentation_recursive<TropicalD>(
       f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
-  ASSERT_GE(aug.shortcuts.size(), 2u);
-  std::swap(aug.shortcuts.front(), aug.shortcuts.back());
-  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, aug),
-               "not \\(from, to\\)-sorted");
+  auto planless = aug;
+  planless.plan = nullptr;
+  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, planless),
+               "has no slot plan");
+  auto short_by_one = aug;
+  ASSERT_FALSE(short_by_one.shortcuts.empty());
+  short_by_one.shortcuts.pop_back();
+  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, short_by_one),
+               "disagrees with its slot plan");
+  EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,
+                                                           short_by_one),
+               "disagrees with its slot plan");
 }
 
 // --- the negative-cycle certificate -----------------------------------

@@ -57,25 +57,14 @@ Digraph reweighted(const Digraph& g,
   return std::move(b).build(/*dedup_min=*/false);
 }
 
-// The incremental E+ keeps one slot per pair, +inf (unreachable) slots
-// included, in first-seen order; the exact builder drops +inf pairs and
-// sorts. Normalize the incremental side and require the exact builder's
-// pairs and value bits.
+// The incremental E+ and the exact builder's both keep one shortcut per
+// plan slot, +inf (unreachable) slots included, in plan order: require
+// the exact builder's pairs and value bits, slot for slot.
 void expect_matches_exact_build(const IncrementalEngine& engine,
                                 const Digraph& reference,
                                 const SeparatorTree& tree) {
-  std::vector<Shortcut<TropicalD>> got;
-  for (const auto& e : engine.augmentation().shortcuts) {
-    if (!std::isinf(e.value)) got.push_back(e);
-  }
-  std::sort(got.begin(), got.end(), [](const auto& a, const auto& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  });
-  got.erase(std::unique(got.begin(), got.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.from == b.from && a.to == b.to;
-                        }),
-            got.end());
+  const std::vector<Shortcut<TropicalD>>& got =
+      engine.augmentation().shortcuts;
   const auto engine_build = SeparatorShortestPaths<>::build(reference, tree);
   const Augmentation<TropicalD>& want = engine_build.augmentation();
   ASSERT_EQ(got.size(), want.shortcuts.size());

@@ -1,8 +1,9 @@
-// Tests for the level/node labeling of Section 3.1.
+// Tests for the level labeling of Section 3.1, computed with the tree's
+// slot plan (separator/eplus_plan.hpp).
 #include <gtest/gtest.h>
 
-#include "core/levels.hpp"
 #include "graph/generators.hpp"
+#include "separator/decomposition.hpp"
 #include "separator/finders.hpp"
 
 namespace sepsp {
@@ -20,15 +21,22 @@ LevelsFixture make_setup(std::uint64_t seed = 1) {
   LevelsFixture s{make_grid({9, 9}, WeightModel::unit(), rng), {}, {}, {}};
   s.skel = Skeleton(s.gg.graph);
   s.tree = build_separator_tree(s.skel, make_grid_finder({9, 9}));
-  s.levels = compute_levels(s.tree);
+  s.levels = s.tree.eplus_plan()->levels;
   return s;
 }
 
-TEST(Levels, EveryVertexHasANode) {
+TEST(Levels, EveryVertexLiesInALeaf) {
+  // The invariant the plan checks while it computes the levels ("vertex
+  // missing from every leaf"): only separator membership copies a vertex
+  // into both children, and nothing drops one.
   const LevelsFixture s = make_setup();
+  std::vector<int> in_leaf(s.gg.graph.num_vertices(), 0);
+  for (const std::size_t id : s.tree.leaf_ids()) {
+    for (const Vertex v : s.tree.node(id).vertices) in_leaf[v] = 1;
+  }
+  ASSERT_EQ(s.levels.level.size(), s.gg.graph.num_vertices());
   for (Vertex v = 0; v < s.gg.graph.num_vertices(); ++v) {
-    ASSERT_GE(s.levels.node[v], 0);
-    ASSERT_LT(static_cast<std::size_t>(s.levels.node[v]), s.tree.num_nodes());
+    EXPECT_EQ(in_leaf[v], 1) << v;
   }
 }
 
@@ -47,17 +55,17 @@ TEST(Levels, DefinedLevelsAreMinOverSeparators) {
   }
 }
 
-TEST(Levels, NodeAttainsTheLevel) {
+TEST(Levels, SomeSeparatorAttainsEachDefinedLevel) {
   const LevelsFixture s = make_setup();
-  for (Vertex v = 0; v < s.gg.graph.num_vertices(); ++v) {
-    const DecompNode& t = s.tree.node(static_cast<std::size_t>(s.levels.node[v]));
-    if (s.levels.defined(v)) {
-      EXPECT_EQ(t.level, s.levels.level[v]);
-      EXPECT_TRUE(std::binary_search(t.separator.begin(), t.separator.end(), v));
-    } else {
-      EXPECT_TRUE(t.is_leaf());
-      EXPECT_TRUE(std::binary_search(t.vertices.begin(), t.vertices.end(), v));
+  std::vector<int> attained(s.gg.graph.num_vertices(), 0);
+  for (std::size_t id = 0; id < s.tree.num_nodes(); ++id) {
+    const DecompNode& t = s.tree.node(id);
+    for (const Vertex v : t.separator) {
+      if (s.levels.level[v] == t.level) attained[v] = 1;
     }
+  }
+  for (Vertex v = 0; v < s.gg.graph.num_vertices(); ++v) {
+    EXPECT_EQ(attained[v], s.levels.defined(v) ? 1 : 0) << v;
   }
 }
 

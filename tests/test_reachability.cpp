@@ -165,23 +165,21 @@ std::vector<Instance> suite_instances() {
 }
 
 TEST(Reachability, BooleanEplusIsTropicalSupport) {
-  // Algorithm 4.1 over the Boolean semiring emits exactly the pairs the
-  // tropical build connects by a finite path: the Boolean E+ is the
-  // support of the tropical one.
+  // Algorithm 4.1 over the Boolean semiring connects exactly the pairs
+  // the tropical build connects by a finite path: the Boolean E+ is the
+  // support of the tropical one, slot for slot.
   for (const Instance& inst : suite_instances()) {
     const auto reach =
         build_augmentation_recursive<BooleanSR>(inst.g, inst.tree);
     const auto dist =
         build_augmentation_recursive<TropicalD>(inst.g, inst.tree);
-    std::vector<std::pair<Vertex, Vertex>> want;
-    for (const auto& e : dist.shortcuts) {
-      if (std::isfinite(e.value)) want.emplace_back(e.from, e.to);
-    }
-    ASSERT_EQ(reach.shortcuts.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(reach.shortcuts[i].from, want[i].first);
-      EXPECT_EQ(reach.shortcuts[i].to, want[i].second);
-      EXPECT_EQ(reach.shortcuts[i].value, BooleanSR::one());
+    ASSERT_EQ(reach.shortcuts.size(), dist.shortcuts.size());
+    for (std::size_t i = 0; i < dist.shortcuts.size(); ++i) {
+      EXPECT_EQ(reach.shortcuts[i].from, dist.shortcuts[i].from);
+      EXPECT_EQ(reach.shortcuts[i].to, dist.shortcuts[i].to);
+      EXPECT_EQ(reach.shortcuts[i].value,
+                std::isfinite(dist.shortcuts[i].value) ? BooleanSR::one()
+                                                       : BooleanSR::zero());
     }
   }
 }

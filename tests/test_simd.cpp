@@ -86,13 +86,15 @@ struct Gen<TropicalD> {
         return rng.next_double(-100.0, 100.0);
     }
   }
-  /// Edge / tile-scalar values: never zero() (the kernels' contract).
+  /// Edge / tile-scalar values, zero() ("no path" slots) included.
   static double edge_value(Rng& rng) {
-    switch (rng.next_below(6)) {
+    switch (rng.next_below(7)) {
       case 0:
         return 0.0;
       case 1:
         return std::numeric_limits<double>::denorm_min();
+      case 2:
+        return TropicalD::zero();
       default:
         return rng.next_double(-10.0, 10.0);
     }
@@ -106,6 +108,7 @@ struct Gen<TropicalI> {
     return static_cast<long long>(rng.next_below(2001)) - 1000;
   }
   static long long edge_value(Rng& rng) {
+    if (rng.next_below(6) == 0) return TropicalI::zero();  // kInf
     return static_cast<long long>(rng.next_below(41)) - 20;
   }
 };
@@ -115,7 +118,9 @@ struct Gen<BooleanSR> {
   static std::uint8_t dist_value(Rng& rng) {
     return static_cast<std::uint8_t>(rng.next_below(2));
   }
-  static std::uint8_t edge_value(Rng&) { return 1; }  // never zero()
+  static std::uint8_t edge_value(Rng& rng) {
+    return static_cast<std::uint8_t>(rng.next_below(6) != 0);
+  }
 };
 
 template <>
@@ -132,7 +137,10 @@ struct Gen<BottleneckSR> {
         return rng.next_double(-100.0, 100.0);
     }
   }
-  static double edge_value(Rng& rng) { return rng.next_double(0.1, 50.0); }
+  static double edge_value(Rng& rng) {
+    if (rng.next_below(6) == 0) return BottleneckSR::zero();  // -inf
+    return rng.next_double(0.1, 50.0);
+  }
 };
 
 template <typename V>
@@ -189,6 +197,15 @@ void check_kernel_parity(simd::Tier tier) {
     (st.*simd::KindTraits<S>::kSweep)(dr.data(), from.data(), to.data(),
                                       value.data(), m, lanes);
     EXPECT_TRUE(bits_equal(dv, dr)) << "sweep lanes=" << lanes;
+    // And both equal the guarded extend, edge by edge.
+    std::vector<Value> dg = dist0;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        Value& d = dg[to[i] * lanes + l];
+        d = S::combine(d, S::extend(dg[from[i] * lanes + l], value[i]));
+      }
+    }
+    EXPECT_TRUE(bits_equal(dr, dg)) << "guarded sweep lanes=" << lanes;
 
     std::vector<Value> tv = dist0, tr = dist0;
     std::vector<std::uint8_t> cv(lanes, 0), cr(lanes, 0);
