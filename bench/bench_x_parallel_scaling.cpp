@@ -5,12 +5,14 @@
 // once per process. So every row runs in a child process of its own:
 // the bench re-executes itself with SEPSP_THREADS=t and `--row=<file>`, and the
 // child times SeparatorShortestPaths::build (Algorithm 4.1 with
-// Floyd–Warshall closures, then the slot minimum and the query buckets)
-// over >= 5 repetitions after one warm-up build. Each row reports the
-// median, min and max build time, the tree pass's share (the
-// `build.nodes` span, JSON field `level_ms_median`; 0 when built with
-// SEPSP_OBS=OFF) and the batch time, and the speedups of the medians
-// against one thread. E+ must be
+// Floyd–Warshall closures, then one fused pass that writes every slot's
+// minimum into the query buckets) over >= 5 repetitions after one
+// warm-up build. Each row reports the median, min and max build time,
+// the two phases' shares — the tree pass (the `build.nodes` span, JSON
+// field `tree_pass_ms_median`) and the post-pass (the `build.buckets`
+// span, `post_pass_ms_median`); both 0 when built with SEPSP_OBS=OFF —
+// and the batch time, and the speedups of the medians against one
+// thread. E+ must be
 // bit-identical at every thread count: each child writes its E+ bytes
 // to a temporary file, which the parent memcmps against the one-thread
 // row's (`eplus_parity`); the rows also show an FNV-1a digest of them.
@@ -47,7 +49,8 @@ namespace {
 struct RowResult {
   unsigned threads = 0;
   double build_median = 0, build_min = 0, build_max = 0;
-  double level_median = 0;
+  double tree_pass_median = 0;
+  double post_pass_median = 0;
   double batch_median = 0;
   std::uint64_t eplus = 0;
   std::uint64_t digest = 0;
@@ -81,7 +84,7 @@ int run_row(const std::string& eplus_path) {
 
   RowResult r;
   r.threads = pram::ThreadPool::global().concurrency();
-  std::vector<double> build_ms, level_ms, batch_ms;
+  std::vector<double> build_ms, tree_pass_ms, post_pass_ms, batch_ms;
   for (int rep = 0; rep <= repetitions(); ++rep) {
     obs::trace_reset();
     WallTimer t_build;
@@ -89,8 +92,10 @@ int run_row(const std::string& eplus_path) {
         SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
     const double b = t_build.millis();
     const obs::TraceSnapshotNode snap = obs::trace_snapshot();
-    const obs::TraceSnapshotNode* nodes =
-        obs::find_trace_node(snap, "build.nodes");
+    const auto span_ms = [&](const char* name) {
+      const obs::TraceSnapshotNode* node = obs::find_trace_node(snap, name);
+      return node != nullptr ? node->total_ns / 1e6 : 0.0;
+    };
     WallTimer t_batch;
     const auto results = engine.distances_batch(sources);
     const double q = t_batch.millis();
@@ -104,18 +109,22 @@ int run_row(const std::string& eplus_path) {
       continue;
     }
     build_ms.push_back(b);
-    level_ms.push_back(nodes != nullptr ? nodes->total_ns / 1e6 : 0.0);
+    tree_pass_ms.push_back(span_ms("build.nodes"));
+    post_pass_ms.push_back(span_ms("build.buckets"));
     batch_ms.push_back(q);
     if (results.size() != sources.size()) return 1;
   }
   r.build_median = median(build_ms);
   r.build_min = *std::min_element(build_ms.begin(), build_ms.end());
   r.build_max = *std::max_element(build_ms.begin(), build_ms.end());
-  r.level_median = median(level_ms);
+  r.tree_pass_median = median(tree_pass_ms);
+  r.post_pass_median = median(post_pass_ms);
   r.batch_median = median(batch_ms);
-  std::printf("row %u %.6f %.6f %.6f %.6f %.6f %" PRIu64 " %016" PRIx64 "\n",
+  std::printf("row %u %.6f %.6f %.6f %.6f %.6f %.6f %" PRIu64
+              " %016" PRIx64 "\n",
               r.threads, r.build_median, r.build_min, r.build_max,
-              r.level_median, r.batch_median, r.eplus, r.digest);
+              r.tree_pass_median, r.post_pass_median, r.batch_median,
+              r.eplus, r.digest);
   return 0;
 }
 
@@ -143,8 +152,8 @@ bool run_child(const std::string& exe, unsigned threads,
   std::istringstream in(text.substr(at));
   std::string tag, digest;
   in >> tag >> out->threads >> out->build_median >> out->build_min >>
-      out->build_max >> out->level_median >> out->batch_median >>
-      out->eplus >> digest;
+      out->build_max >> out->tree_pass_median >> out->post_pass_median >>
+      out->batch_median >> out->eplus >> digest;
   out->digest = std::stoull(digest, nullptr, 16);
   return static_cast<bool>(in) && out->threads == threads;
 }
@@ -169,7 +178,8 @@ int main(int argc, char** argv) {
               std::to_string(side) + "x" + std::to_string(side) + ", " +
               std::to_string(repetitions()) + " reps per row)");
   table.set_header({"threads", "build ms (median)", "min", "max",
-                    "build speedup", "tree pass ms", "64-source batch ms",
+                    "build speedup", "tree pass ms", "post-pass ms",
+                    "64-source batch ms",
                     "batch speedup", "|E+|", "E+ = 1-thread"});
   std::vector<RowResult> rows;
   std::vector<char> one_eplus;  // the one-thread row's E+ bytes
@@ -205,7 +215,8 @@ int main(int argc, char** argv) {
         .cell(r.build_min, 2)
         .cell(r.build_max, 2)
         .cell(one.build_median / r.build_median, 2)
-        .cell(r.level_median, 2)
+        .cell(r.tree_pass_median, 2)
+        .cell(r.post_pass_median, 2)
         .cell(r.batch_median, 2)
         .cell(one.batch_median / r.batch_median, 2)
         .cell(r.eplus)
@@ -222,7 +233,8 @@ int main(int argc, char** argv) {
         .field("build_ms_min", r.build_min)
         .field("build_ms_max", r.build_max)
         .field("build_speedup", one.build_median / r.build_median)
-        .field("level_ms_median", r.level_median)
+        .field("tree_pass_ms_median", r.tree_pass_median)
+        .field("post_pass_ms_median", r.post_pass_median)
         .field("batch_ms_median", r.batch_median)
         .field("batch_speedup", one.batch_median / r.batch_median)
         .field("eplus_edges", r.eplus)

@@ -3,7 +3,9 @@
 // adversarial graphs (cliques, stars, disconnected graphs).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -181,6 +183,99 @@ TEST(Decomposition, ValidatorCatchesCorruption) {
   // A skeleton of the wrong size must be rejected.
   const GeneratedGraph other = make_grid({5, 5}, WeightModel::unit(), rng);
   EXPECT_NE(tree.validate(Skeleton(other.graph)), std::nullopt);
+}
+
+// The slot plan's bucket layout: every slot sits in exactly one leveled
+// bucket, the one its endpoints' levels name, and every bucket is a
+// (from, to)-sorted, 64-byte-aligned pair block.
+void expect_bucket_layout(const SeparatorTree& tree, const std::string& what) {
+  const EplusPlan& plan = *tree.eplus_plan();
+  const LevelAssignment& lv = plan.levels;
+  ASSERT_EQ(lv.height, tree.height()) << what;
+  ASSERT_EQ(plan.buckets.size(), 3 * plan.num_levels()) << what;
+  ASSERT_EQ(plan.slot_bucket.size(), plan.num_slots()) << what;
+  ASSERT_EQ(plan.slot_pos.size(), plan.num_slots()) << what;
+  const auto aligned = [](const PairBlock& b) {
+    const auto at = [](const Vertex* p) {
+      return reinterpret_cast<std::uintptr_t>(p) % kSimdAlign == 0;
+    };
+    return b.size() == 0 || (at(b.from.data()) && at(b.to.data()));
+  };
+  EXPECT_TRUE(aligned(plan.slots)) << what;
+  std::size_t bucketed = 0;
+  std::vector<std::vector<int>> seen(plan.buckets.size());
+  for (std::size_t b = 0; b < plan.buckets.size(); ++b) {
+    const PairBlock& block = plan.buckets[b];
+    ASSERT_EQ(block.from.size(), block.to.size()) << what;
+    EXPECT_TRUE(aligned(block)) << what << " bucket " << b;
+    for (std::size_t i = 1; i < block.size(); ++i) {
+      EXPECT_TRUE(block.from[i - 1] < block.from[i] ||
+                  (block.from[i - 1] == block.from[i] &&
+                   block.to[i - 1] < block.to[i]))
+          << what << " bucket " << b << " position " << i;
+    }
+    seen[b].assign(block.size(), 0);
+    bucketed += block.size();
+  }
+  EXPECT_EQ(bucketed, plan.num_slots()) << what;
+  for (std::size_t s = 0; s < plan.num_slots(); ++s) {
+    const Vertex u = plan.slots.from[s];
+    const Vertex v = plan.slots.to[s];
+    // Every slot joins two vertices of some S(t) or B(t): both levelled.
+    ASSERT_TRUE(lv.defined(u) && lv.defined(v)) << what << " slot " << s;
+    const EplusPlan::Kind kind = lv.level[u] == lv.level[v] ? EplusPlan::kSame
+                                 : lv.level[u] > lv.level[v] ? EplusPlan::kDown
+                                                             : EplusPlan::kUp;
+    const std::size_t b = plan.slot_bucket[s];
+    ASSERT_EQ(b, plan.bucket_index(kind, lv.level[u])) << what << " slot " << s;
+    const std::size_t pos = plan.slot_pos[s];
+    ASSERT_LT(pos, plan.buckets[b].size()) << what << " slot " << s;
+    EXPECT_EQ(plan.buckets[b].from[pos], u) << what << " slot " << s;
+    EXPECT_EQ(plan.buckets[b].to[pos], v) << what << " slot " << s;
+    EXPECT_EQ(seen[b][pos]++, 0) << what << " slot " << s;
+  }
+}
+
+TEST(Decomposition, PlanLaysOutEveryLeveledBucket) {
+  Rng rng(17);
+  {
+    const GeneratedGraph gg = make_grid({12, 12}, WeightModel::unit(), rng);
+    expect_bucket_layout(
+        build_separator_tree(Skeleton(gg.graph), make_grid_finder({12, 12})),
+        "grid12x12");
+  }
+  {
+    const GeneratedGraph gg = make_grid({5, 5, 5}, WeightModel::unit(), rng);
+    expect_bucket_layout(build_separator_tree(Skeleton(gg.graph),
+                                              make_grid_finder({5, 5, 5})),
+                         "grid5^3");
+  }
+  {
+    const GeneratedGraph gg =
+        make_triangulated_grid(10, 10, WeightModel::unit(), rng);
+    expect_bucket_layout(build_separator_tree(Skeleton(gg.graph),
+                                              make_geometric_finder(gg.coords)),
+                         "trimesh");
+  }
+  {
+    const GeneratedGraph gg = make_random_tree(120, WeightModel::unit(), rng);
+    expect_bucket_layout(
+        build_separator_tree(Skeleton(gg.graph), make_tree_finder()), "tree");
+  }
+  {
+    const GeneratedGraph gg =
+        make_random_digraph(150, 450, WeightModel::unit(), rng);
+    expect_bucket_layout(
+        build_separator_tree(Skeleton(gg.graph), make_bfs_finder()),
+        "digraph");
+  }
+  {
+    // A single leaf: no slots, one level of empty buckets.
+    const GeneratedGraph gg = make_grid({2, 2}, WeightModel::unit(), rng);
+    const SeparatorTree tree =
+        build_separator_tree(Skeleton(gg.graph), make_grid_finder({2, 2}));
+    expect_bucket_layout(tree, "grid2x2");
+  }
 }
 
 TEST(Decomposition, AutoFinderPicksSensibly) {
