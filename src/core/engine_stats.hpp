@@ -32,8 +32,9 @@ struct EngineStats {
   // --- structural (always populated) ---------------------------------
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
-  std::size_t eplus_edges = 0;   ///< |E+|
-  std::size_t bucket_edges = 0;  ///< leveled entries incl. E+ re-bucketing
+  std::size_t eplus_edges = 0;   ///< |E+|: every slot of the tree's plan
+  std::size_t bucket_edges = 0;  ///< leveled-bucket entries: E+ again (base
+                                 ///< arcs feed only the E passes)
   std::uint32_t height = 0;      ///< separator-tree height d_G
   std::size_t ell = 1;           ///< leaf min-weight-diameter bound
   std::size_t diameter_bound = 0;  ///< Theorem 3.1: 4 height + 2 ell + 1
