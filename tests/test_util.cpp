@@ -155,11 +155,19 @@ std::vector<double> iota_values(std::size_t n) {
   return v;
 }
 
+// A fresh slab vector holding `values`, filled through init() as the
+// query engine fills its buckets.
+SlabVector<double> slab_vector(const std::vector<double>& values) {
+  SlabVector<double> out(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) out.init(i, values[i]);
+  return out;
+}
+
 TEST(SlabVector, RoundTripsContentsAcrossSlabBoundaries) {
   // A ragged tail: two full slabs plus a partial third.
   const std::size_t n = 2 * SlabVector<double>::kSlabEntries + 100;
   const auto init = iota_values(n);
-  const SlabVector<double> v{std::span<const double>(init)};
+  const SlabVector<double> v = slab_vector(init);
   ASSERT_EQ(v.size(), n);
   EXPECT_EQ(v.slab_count(), 3u);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(v[i], init[i]) << i;
@@ -178,7 +186,7 @@ TEST(SlabVector, RoundTripsContentsAcrossSlabBoundaries) {
 
 TEST(SlabVector, ForkAliasesEverySlab) {
   const auto init = iota_values(SlabVector<double>::kSlabEntries + 5);
-  SlabVector<double> owner{std::span<const double>(init)};
+  SlabVector<double> owner = slab_vector(init);
   const SlabVector<double> fork = owner.fork();
   ASSERT_EQ(fork.slab_count(), owner.slab_count());
   for (std::size_t s = 0; s < owner.slab_count(); ++s) {
@@ -189,7 +197,7 @@ TEST(SlabVector, ForkAliasesEverySlab) {
 
 TEST(SlabVector, SetClonesSharedSlabOnceAndFreezesForks) {
   const std::size_t n = 2 * SlabVector<double>::kSlabEntries;
-  SlabVector<double> owner{std::span<const double>(iota_values(n))};
+  SlabVector<double> owner = slab_vector(iota_values(n));
   const SlabVector<double> fork = owner.fork();
 
   // First write to a shared slab clones it; the fork keeps the old
@@ -211,7 +219,7 @@ TEST(SlabVector, SetClonesSharedSlabOnceAndFreezesForks) {
 }
 
 TEST(SlabVector, RepeatedForksStayIndependent) {
-  SlabVector<double> owner{std::span<const double>(iota_values(64))};
+  SlabVector<double> owner = slab_vector(iota_values(64));
   const SlabVector<double> epoch0 = owner.fork();
   owner.set(0, 100.0);
   const SlabVector<double> epoch1 = owner.fork();
