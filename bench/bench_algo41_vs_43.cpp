@@ -70,7 +70,7 @@ int main() {
           .cell(with_commas(v.aug.build_cost.work))
           .cell(v.aug.critical_depth)
           .cell(v.ms, 1)
-          .cell(v.aug.shortcuts.size());
+          .cell(v.aug.values.size());
     }
   }
   table.print(std::cout);

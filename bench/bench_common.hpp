@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,32 @@ struct MemorySample {
     return s;
   }
 };
+
+/// E+ in slot order as packed (from, to, value) records: the bytes the
+/// E+ digests hash and the per-thread-count E+ dumps hold.
+inline std::string eplus_bytes(const Augmentation<TropicalD>& aug) {
+  std::string out;
+  out.reserve(aug.values.size() * (2 * sizeof(Vertex) + sizeof(double)));
+  const PairBlock& slots = aug.plan->slots;
+  const auto put = [&out](const auto& x) {
+    out.append(reinterpret_cast<const char*>(&x), sizeof x);
+  };
+  for (std::size_t s = 0; s < aug.values.size(); ++s) {
+    put(slots.from[s]);
+    put(slots.to[s]);
+    put(aug.values[s]);
+  }
+  return out;
+}
+
+/// FNV-1a over `bytes`.
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
 
 /// Machine-readable bench output: a flat list of records written as a
 /// JSON array, so a perf trajectory can be captured as BENCH_*.json and

@@ -88,13 +88,20 @@ int main() {
     const auto aug = build_augmentation_recursive<TropicalD>(gg.graph, tree);
     // Hop-minimal optimal path 0 -> 256 in G+, via synchronous BF with
     // parent tracking.
-    std::vector<Shortcut<TropicalD>> edges;
+    struct Edge {
+      Vertex from, to;
+      double value;
+    };
+    std::vector<Edge> edges;
     for (Vertex u = 0; u < gg.graph.num_vertices(); ++u) {
       for (const Arc& a : gg.graph.out(u)) {
         edges.push_back({u, a.to, a.weight});
       }
     }
-    edges.insert(edges.end(), aug.shortcuts.begin(), aug.shortcuts.end());
+    for (std::size_t slot = 0; slot < aug.values.size(); ++slot) {
+      edges.push_back({aug.plan->slots.from[slot], aug.plan->slots.to[slot],
+                       aug.values[slot]});
+    }
     std::vector<double> dist(gg.graph.num_vertices(), TropicalD::zero());
     std::vector<Vertex> parent(gg.graph.num_vertices(), kInvalidVertex);
     dist[0] = 0;

@@ -26,14 +26,14 @@ void run_family(const std::string& header, double mu,
     table.add_row()
         .cell(static_cast<std::uint64_t>(inst.n()))
         .cell(static_cast<std::uint64_t>(inst.m()))
-        .cell(aug.shortcuts.size())
-        .cell(static_cast<double>(aug.shortcuts.size()) /
+        .cell(aug.values.size())
+        .cell(static_cast<double>(aug.values.size()) /
                   (n + std::pow(n, 2.0 * mu)),
               3)
-        .cell(static_cast<double>(aug.shortcuts.size()) / (n * std::log2(n)),
+        .cell(static_cast<double>(aug.values.size()) / (n * std::log2(n)),
               3);
     ns.push_back(n);
-    sizes.push_back(static_cast<double>(aug.shortcuts.size()));
+    sizes.push_back(static_cast<double>(aug.values.size()));
   }
   table.print(std::cout);
   std::cout << "fitted |E+| exponent: " << fit_log_log_slope(ns, sizes)

@@ -51,7 +51,7 @@ Augmentation<TropicalD> timed_build(const Instance& inst, bool blocked) {
       .field("seconds", seconds)
       .field("work", aug.build_cost.work)
       .field("critical_depth", aug.critical_depth)
-      .field("eplus", static_cast<std::uint64_t>(aug.shortcuts.size()));
+      .field("eplus", static_cast<std::uint64_t>(aug.values.size()));
   return aug;
 }
 
@@ -71,7 +71,7 @@ void run_family(const std::string& header, double mu,
         .cell(static_cast<std::uint64_t>(inst.tree.height()))
         .cell(with_commas(aug.build_cost.work))
         .cell(static_cast<double>(aug.build_cost.work) / predicted, 3)
-        .cell(aug.shortcuts.size());
+        .cell(aug.values.size());
     ns->push_back(n);
     works->push_back(static_cast<double>(aug.build_cost.work));
   }

@@ -35,7 +35,7 @@ void report(Table& table, const std::string& graph,
       .cell(static_cast<std::uint64_t>(s.height))
       .cell(s.max_separator)
       .cell(s.max_boundary)
-      .cell(aug.shortcuts.size())
+      .cell(aug.values.size())
       .cell(with_commas(aug.build_cost.work));
 }
 

@@ -85,13 +85,6 @@ constexpr std::size_t kStreamSide = 9;
 constexpr int kStreamReps = 5;
 int stream_batches() { return scale() == 0 ? 200 : 1000; }
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
-  return h;
-}
-
 /// The stream child: times every apply() of kStreamReps runs of
 /// stream_batches() batches on the global pool, which SEPSP_THREADS
 /// sized, then raises one more batch, checks E+ against a fresh build
@@ -160,24 +153,12 @@ int run_stream_row(const std::string& eplus_path) {
   }
   const auto fresh =
       SeparatorShortestPaths<>::build(std::move(b).build(), tree);
-  // The engine keeps every plan slot, +inf ones too; the exact build
-  // drops those. Both are in (from, to) order.
-  std::vector<Shortcut<TropicalD>> live;
-  for (const auto& e : engine.augmentation().shortcuts) {
-    if (!std::isinf(e.value)) live.push_back(e);
-  }
-  const auto& want = fresh.augmentation().shortcuts;
-  r.fresh_parity =
-      live.size() == want.size() &&
-              std::memcmp(live.data(), want.data(),
-                          live.size() * sizeof(live[0])) == 0
-          ? 1
-          : 0;
-  const auto& sc = engine.augmentation().shortcuts;
-  r.digest = fnv1a(sc.data(), sc.size() * sizeof(sc[0]));
+  // Both keep every plan slot, +inf ones too, over one plan.
+  const std::string sc = eplus_bytes(engine.augmentation());
+  r.fresh_parity = sc == eplus_bytes(fresh.augmentation()) ? 1 : 0;
+  r.digest = fnv1a(sc);
   std::ofstream(eplus_path, std::ios::binary)
-      .write(reinterpret_cast<const char*>(sc.data()),
-             static_cast<std::streamsize>(sc.size() * sizeof(sc[0])));
+      .write(sc.data(), static_cast<std::streamsize>(sc.size()));
   std::printf("stream %u %.6f %.6f %.6f %.3f %.3f %d %016" PRIx64 "\n",
               r.threads, r.p50_median, r.p50_min, r.p50_max, r.nodes,
               r.moved, r.fresh_parity, r.digest);

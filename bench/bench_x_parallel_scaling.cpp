@@ -64,13 +64,6 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
-  return h;
-}
-
 /// The child: times the builds and the batch on the global pool, which
 /// SEPSP_THREADS sized, writes E+ to `eplus_path` and prints one line
 /// for the parent.
@@ -100,12 +93,11 @@ int run_row(const std::string& eplus_path) {
     const auto results = engine.distances_batch(sources);
     const double q = t_batch.millis();
     if (rep == 0) {  // warm-up: fixes the digest, times nothing
-      const auto& sc = engine.augmentation().shortcuts;
-      r.eplus = sc.size();
-      r.digest = fnv1a(sc.data(), sc.size() * sizeof(sc[0]));
+      const std::string sc = eplus_bytes(engine.augmentation());
+      r.eplus = engine.augmentation().values.size();
+      r.digest = fnv1a(sc);
       std::ofstream(eplus_path, std::ios::binary)
-          .write(reinterpret_cast<const char*>(sc.data()),
-                 static_cast<std::streamsize>(sc.size() * sizeof(sc[0])));
+          .write(sc.data(), static_cast<std::streamsize>(sc.size()));
       continue;
     }
     build_ms.push_back(b);

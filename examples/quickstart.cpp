@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
   const auto& aug = engine.augmentation();
   std::printf("E+: %zu shortcuts, diameter bound %zu (%.1f ms)\n",
-              aug.shortcuts.size(), aug.diameter_bound(), t_build.millis());
+              aug.values.size(), aug.diameter_bound(), t_build.millis());
 
   // 4. Query several sources; cross-check against Dijkstra.
   Rng pick(7);

@@ -3,10 +3,11 @@
 // engine.
 //
 // Every build lays E+ out by the tree's slot plan
-// (separator/eplus_plan.hpp): one shortcut per plan slot, in the plan's
-// (from, to) order, zero() ("no path") where no owner node has a path.
-// The query engine pairs these values with the plan's tree-only bucket
-// layout, so a build writes values and nothing else.
+// (separator/eplus_plan.hpp): one value per plan slot, in the plan's
+// sweep order, zero() ("no path") where no owner node has a path. The
+// pairs are the plan's, never copied: a build writes values and
+// nothing else, and the query engine pairs them with the plan's slot
+// array.
 #pragma once
 
 #include <algorithm>
@@ -21,39 +22,29 @@
 
 namespace sepsp {
 
-/// One shortcut edge of E+ with its semiring value.
-template <Semiring S>
-struct Shortcut {
-  Vertex from = 0;
-  Vertex to = 0;
-  typename S::Value value{};
-};
-
 /// The computed augmentation: E+ plus the labeling the query needs.
 /// Distances in (V, E u E+) equal distances in G, and every distance is
 /// realized by a path of size <= 4*height + 2*ell + 1 (Theorem 3.1).
 ///
-/// Value-mutation discipline: the structural fields (shortcut
-/// endpoints, levels, height, ell, build_cost) are immutable after
-/// construction and safe to share across threads. The shortcut *values*
-/// are owned by whoever built the augmentation — a live
+/// Value-mutation discipline: the structural fields (plan, levels,
+/// height, ell, build_cost) are immutable after construction and safe
+/// to share across threads. The slot *values* are owned by whoever built the augmentation — a live
 /// IncrementalEngine rewrites them in apply() — so concurrent readers
 /// (snapshot query engines) must never resolve values through this
 /// struct; they read from their own copy-on-write store
 /// (LeveledQuery::shortcut_edges()).
 template <Semiring S>
 struct Augmentation {
-  /// E+: one entry per slot of `plan`, in plan order, so
-  /// shortcuts[s] is the pair plan->slots[s] with its value. A slot no
-  /// owner node has a path for keeps zero(): every engine keeps every
-  /// slot, so reweighting may activate it and every engine over the
-  /// tree shares one bucket layout.
-  std::vector<Shortcut<S>> shortcuts;
-  /// The tree's slot plan the shortcuts are laid out by (shared with
-  /// every other build over the tree). Every builder sets it; the query
+  /// E+: one value per slot of `plan`, in plan order, so values[s]
+  /// belongs to the pair (plan->slots.from[s], plan->slots.to[s]). A
+  /// slot no owner node has a path for keeps zero(): every engine keeps
+  /// every slot, so reweighting may activate it and every engine over
+  /// the tree shares one slot array.
+  std::vector<typename S::Value> values;
+  /// The tree's slot plan the values are laid out by (shared with every
+  /// other build over the tree). Every builder sets it; the query
   /// engine rejects an augmentation without one. Null only for the
-  /// structural augmentation of a stored engine, which has no
-  /// shortcuts.
+  /// structural augmentation of a stored engine, which has no values.
   std::shared_ptr<const EplusPlan> plan;
   LevelAssignment levels;
   std::uint32_t height = 0;  ///< d_G of the decomposition tree
@@ -68,7 +59,7 @@ struct Augmentation {
   /// (builder_recursive.hpp). Engines frozen over a certified
   /// augmentation skip the per-query verification pass. False means
   /// "not certified", not "has a cycle": Algorithm 4.3 builds and
-  /// hand-built augmentations keep the pass. A v4 image stores the flag
+  /// hand-built augmentations keep the pass. A v5 image stores the flag
   /// of the engine it was written from.
   bool cycle_free = false;
 

@@ -168,7 +168,7 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
   aug.critical_depth = iterations_run;  // one synchronous phase per round
 
   // --- extraction: E_t = S x S u B x B per node --------------------------
-  // In the plan's entry order, so fill_shortcuts takes each slot's best.
+  // In the plan's entry order, so fill_values takes each slot's best.
   std::vector<Value> entries;
   entries.reserve(aug.plan->num_entries());
   for (std::size_t id = 0; id < num_nodes; ++id) {
@@ -184,7 +184,7 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
     emit(t.separator);
     emit(t.boundary);
   }
-  detail::fill_shortcuts<S>(aug, entries);
+  detail::fill_values<S>(aug, entries);
   aug.build_cost = scope.cost();
   return aug;
 }

@@ -14,7 +14,7 @@
 // product buffer is reused across nodes and iterations, vertex lookups
 // are dense-map probes, and the extraction step writes each node's
 // entries into the slice the tree's slot plan assigns it (no per-node
-// vectors), in the order Algorithm 4.1 emits them; detail::fill_shortcuts
+// vectors), in the order Algorithm 4.1 emits them; detail::fill_values
 // then takes every slot's minimum, as in an Algorithm 4.1 build.
 #pragma once
 
@@ -213,7 +213,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   aug.critical_depth = iterations_run * per_iter_depth;
 
   // Step iii: extract S x S and B x B entries into the slices the tree's
-  // slot plan assigns each node; fill_shortcuts keeps each slot's best.
+  // slot plan assigns each node; fill_values keeps each slot's best.
   const std::vector<std::size_t>& offsets = aug.plan->node_offset;
   std::vector<typename S::Value> entries(aug.plan->num_entries());
   pram::ThreadPool::global().parallel_for(0, num_nodes, [&](std::size_t id) {
@@ -237,7 +237,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
     SEPSP_DCHECK(out == entries.data() + offsets[id + 1]);
   });
 
-  detail::fill_shortcuts<S>(aug, entries);
+  detail::fill_values<S>(aug, entries);
   aug.build_cost = scope.cost();
   return aug;
 }

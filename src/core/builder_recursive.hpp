@@ -34,11 +34,11 @@
 // parallel pass takes each slot's minimum over its owners (slot_min).
 // The engine builds (SeparatorShortestPaths::build, IncrementalEngine)
 // write it into the augmentation and straight into the query engine's
-// value slabs, beside the plan's pair blocks (detail::set_slot under
+// value slabs, beside the plan's slot array (detail::set_slot under
 // LeveledQuery's slot-value constructor); build_augmentation_recursive
-// writes the augmentation alone (detail::fill_shortcuts). Algorithm 4.3
+// writes the augmentation alone (detail::fill_values). Algorithm 4.3
 // and Remark 4.4 (builder_doubling.hpp, builder_compact.hpp) emit their
-// entries in the same order and finish through the same fill_shortcuts.
+// entries in the same order and finish through the same fill_values.
 // The incremental engine
 // (core/incremental.cpp) reruns node_step in a tree_pass over the dirty
 // nodes, diffs the two matrices row by row against the retained entries
@@ -358,8 +358,8 @@ inline std::uint64_t critical_depth(const SeparatorTree& tree,
 
 /// Output of run_algorithm41. Node id's entry values occupy
 /// entries[plan.node_offset[id], plan.node_offset[id + 1]) of
-/// aug.plan, not yet minimized per slot; aug.shortcuts is empty until
-/// fill_shortcuts.
+/// aug.plan, not yet minimized per slot; aug.values is empty until
+/// fill_values.
 template <Semiring S>
 struct TreeRun {
   Augmentation<S> aug;
@@ -443,31 +443,28 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
   return best;
 }
 
-/// Sets aug.shortcuts[slot] to the slot's pair and its slot_min over
-/// the raw entries (indexed like the plan's entries), and returns the
-/// value. aug.shortcuts must already hold one entry per slot.
+/// Sets aug.values[slot] to the slot's slot_min over the raw entries
+/// (indexed like the plan's entries), and returns it. aug.values must
+/// already hold one entry per slot.
 template <Semiring S>
 typename S::Value set_slot(Augmentation<S>& aug, std::size_t slot,
                            std::span<const typename S::Value> entries) {
-  const EplusPlan& plan = *aug.plan;
-  const typename S::Value value = slot_min<S>(plan, slot, entries);
-  aug.shortcuts[slot] = {plan.slots.from[slot], plan.slots.to[slot], value};
-  return value;
+  return aug.values[slot] = slot_min<S>(*aug.plan, slot, entries);
 }
 
-/// E+ from a build's raw entries: aug.shortcuts gets one shortcut per
-/// slot of aug.plan, in plan order, valued by slot_min — zero() where no
-/// owner has a path. One parallel pass. The engine builds fuse this pass
-/// with their bucket fill instead (LeveledQuery's slot-value
+/// E+ from a build's raw entries: aug.values gets one value per slot of
+/// aug.plan, in plan order, the slot_min — zero() where no owner has a
+/// path. One parallel pass. The engine builds fuse this pass with their
+/// query engine's value fill instead (LeveledQuery's slot-value
 /// constructor).
 template <Semiring S>
-void fill_shortcuts(Augmentation<S>& aug,
-                    std::span<const typename S::Value> entries) {
+void fill_values(Augmentation<S>& aug,
+                 std::span<const typename S::Value> entries) {
   SEPSP_TRACE_SPAN("build.slot_min");
   SEPSP_CHECK(entries.size() == aug.plan->num_entries());
-  aug.shortcuts.resize(aug.plan->num_slots());
+  aug.values.resize(aug.plan->num_slots());
   pram::ThreadPool::global().parallel_blocks(
-      0, aug.shortcuts.size(),
+      0, aug.values.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t slot = lo; slot < hi; ++slot) {
           set_slot<S>(aug, slot, entries);
@@ -487,7 +484,7 @@ Augmentation<S> build_augmentation_recursive(
   const pram::CostScope scope;
   detail::TreeRun<S> run =
       detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false);
-  detail::fill_shortcuts<S>(run.aug, run.entries);
+  detail::fill_values<S>(run.aug, run.entries);
   run.aug.build_cost = scope.cost();
   return std::move(run.aug);
 }

@@ -87,9 +87,9 @@ class SeparatorShortestPaths {
     run.aug.build_cost = scope.cost();
     SeparatorShortestPaths engine(g, options.query, run.aug.cycle_free);
     auto aug = std::make_shared<Augmentation<S>>(std::move(run.aug));
-    aug->shortcuts.resize(aug->plan->num_slots());
+    aug->values.resize(aug->plan->num_slots());
     // One pass over the slots: each slot's minimum goes into the
-    // augmentation and straight into the query engine's buckets.
+    // augmentation and straight into the query engine.
     engine.query_ = std::make_unique<LeveledQuery<S>>(
         g, *aug,
         options.query.detect_negative_cycles && !engine.cycle_certified_,
@@ -102,7 +102,7 @@ class SeparatorShortestPaths {
 
   /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
   /// without rebuilding E+. `aug` must carry its tree's slot plan and
-  /// one shortcut per plan slot, in plan order, as every builder
+  /// one value per plan slot, in plan order, as every builder
   /// leaves it; anything else aborts. The engine freezes
   /// aug.cycle_free: a certified augmentation's queries skip the
   /// verification pass.
@@ -225,8 +225,8 @@ class SeparatorShortestPaths {
     st.num_vertices = g_->num_vertices();
     st.num_edges = g_->num_edges();
     // Counted through the query engine, not the augmentation: an engine
-    // opened from a v4 image carries a structural augmentation whose
-    // shortcut list is empty (the values live in the image's segments).
+    // opened from a v5 image carries a structural augmentation with no
+    // plan and no values (E+ lives in the image's segments).
     st.eplus_edges = query_->shortcut_edges().size();
     st.bucket_edges = query_->bucket_edges();
     st.height = aug_->height;
@@ -237,12 +237,11 @@ class SeparatorShortestPaths {
     st.critical_depth = aug_->critical_depth;
     st.cycle_certified = cycle_certified_;
     st.simd_tier = simd::tier_name(simd::active_tier());
-    const auto same = query_->same_buckets();
-    const auto down = query_->down_buckets();
-    const auto up = query_->up_buckets();
     st.levels.reserve(aug_->height + 1);
     for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-      st.levels.push_back({l, same[l].size(), down[l].size(), up[l].size(),
+      st.levels.push_back({l, query_->bucket(EplusPlan::kSame, l).size(),
+                           query_->bucket(EplusPlan::kDown, l).size(),
+                           query_->bucket(EplusPlan::kUp, l).size(),
                            query_->level_edges_scanned(l)});
     }
     st.queries = counters_->queries.load(std::memory_order_relaxed);

@@ -33,8 +33,8 @@ struct EngineStats {
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
   std::size_t eplus_edges = 0;   ///< |E+|: every slot of the tree's plan
-  std::size_t bucket_edges = 0;  ///< leveled-bucket entries: E+ again (base
-                                 ///< arcs feed only the E passes)
+  std::size_t bucket_edges = 0;  ///< leveled-bucket entries: every E+ slot
+                                 ///< (the buckets are ranges of E+)
   std::uint32_t height = 0;      ///< separator-tree height d_G
   std::size_t ell = 1;           ///< leaf min-weight-diameter bound
   std::size_t diameter_bound = 0;  ///< Theorem 3.1: 4 height + 2 ell + 1
@@ -43,7 +43,7 @@ struct EngineStats {
   std::uint64_t critical_depth = 0;  ///< critical-path depth of the build
   /// The build certified no negative cycle, so queries skip the
   /// verification pass (the engine's frozen copy of
-  /// Augmentation::cycle_free, or the v4 image's certificate flag; false
+  /// Augmentation::cycle_free, or the image's certificate flag; false
   /// for Algorithm 4.3).
   bool cycle_certified = false;
   std::string simd_tier;  ///< active SIMD dispatch tier (scalar/sse/avx2/avx512)

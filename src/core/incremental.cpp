@@ -228,15 +228,15 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
   s.aug = std::move(run.aug);
 
-  // One aug shortcut per plan slot, unreachable pairs kept at +inf so
+  // One aug value per plan slot, unreachable pairs kept at +inf so
   // reweighting can activate them — the same E+ an exact build has,
-  // written in the same single pass as the query engine's buckets.
-  s.aug.shortcuts.resize(s.aug.plan->num_slots());
+  // written in the same single pass as the query engine's values.
+  s.aug.values.resize(s.aug.plan->num_slots());
   s.query.emplace(g, s.aug, /*detect_negative_cycles=*/true,
                   [&s](std::size_t slot) {
                     return detail::set_slot<S>(s.aug, slot, s.entries);
                   });
-  s.slot_mark.assign(s.aug.shortcuts.size(), 0);
+  s.slot_mark.assign(s.aug.values.size(), 0);
   s.work = detail::subtree_work(tree);
   s.delta.resize(tree.num_nodes());
   return engine;
@@ -355,7 +355,7 @@ std::size_t IncrementalEngine::apply() {
     const S::Value value = detail::slot_min<S>(*s.aug.plan, slot, s.entries);
     s.remin_values[i] = value;
     s.remin_changed[i] =
-        std::memcmp(&value, &s.aug.shortcuts[slot].value, sizeof(value)) != 0;
+        std::memcmp(&value, &s.aug.values[slot], sizeof(value)) != 0;
   };
   if (touched.size() > 4096) {
     pram::ThreadPool::global().parallel_for(0, touched.size(), combine_one,
@@ -369,7 +369,7 @@ std::size_t IncrementalEngine::apply() {
     if (!s.remin_changed[i]) continue;
     const std::uint32_t slot = touched[i];
     const S::Value value = s.remin_values[i];
-    s.aug.shortcuts[slot].value = value;
+    s.aug.values[slot] = value;
     slabs_copied += s.query->refresh_shortcut(slot, value);
   }
   for (const std::size_t arc : s.updated_arcs) {

@@ -21,20 +21,22 @@
 // (semiring/simd.hpp). Lanes never interact, so every lane's distances
 // and counters equal a scalar run of its own source.
 //
-// Buckets are stored struct-of-arrays (from[]/to[]/value[]), sorted by
-// (from, to): one relaxation pass streams three flat arrays instead of
-// chasing interleaved structs, at any lane width. The leveled buckets
-// hold E+ alone. Base arcs feed the ell E passes and the verification
-// pass only: an arc (u, v) whose endpoints both have levels lies in
-// some leaf L, so u and v are both in B(L) and the slot (u, v) — in the
-// same bucket, valued at most w(u, v) — relaxes everything the arc
-// would (docs/ALGORITHMS.md §4).
+// Edges are stored struct-of-arrays (from[]/to[]/value[]): one
+// relaxation pass streams three flat arrays instead of chasing
+// interleaved structs, at any lane width. E+ is one such array, its
+// slots numbered in sweep order by the tree's slot plan
+// (separator/eplus_plan.hpp): every leveled bucket is a range of it,
+// (from, to)-sorted, and the sweeps read those ranges in the order they
+// lie. The leveled buckets hold E+ alone. Base arcs feed the ell E
+// passes and the verification pass only: an arc (u, v) whose endpoints
+// both have levels lies in some leaf L, so u and v are both in B(L) and
+// the slot (u, v) — in the same bucket, valued at most w(u, v) —
+// relaxes everything the arc would (docs/ALGORITHMS.md §4).
 //
-// Structural sharing: the pair structure of every bucket is tree-only.
-// The leveled buckets and the slot bucket alias the pair blocks of the
-// tree's slot plan (separator/eplus_plan.hpp), shared by every engine
-// over the tree; each engine owns only its values, which live in
-// slab-chunked copy-on-write storage (util/slab.hpp).
+// Structural sharing: the pair structure of E+ is tree-only. Every
+// engine over the tree aliases the plan's slot array and owns only one
+// value per slot, in slab-chunked copy-on-write storage
+// (util/slab.hpp).
 // fork_shared() therefore produces an independent query engine in
 // O(#slabs) pointer copies — the representation behind
 // IncrementalEngine::snapshot()'s proportional epoch swaps: a fork
@@ -127,15 +129,13 @@ struct ExternalBucketStore {
   PageSource* pages = nullptr;
 };
 
-/// One relaxation bucket in struct-of-arrays layout. The (from, to)
-/// pair arrays are an immutable PairBlock shared by every fork (and,
-/// for E+ buckets, by every engine over the tree); the values sit in
-/// slab-chunked copy-on-write storage so set_value() on one copy never
-/// disturbs another. Shared by
-/// the scalar and lane loops of LeveledQuery and the dispatched vector
-/// kernels (semiring/simd.hpp) — all arrays are 64-byte aligned and slab
-/// boundaries preserve that alignment, so bucket sweeps stream
-/// cache-line-aligned SoA runs.
+/// One edge array in struct-of-arrays layout. The (from, to) pair
+/// arrays are an immutable PairBlock shared by every fork (and, for E+,
+/// by every engine over the tree); the values sit in slab-chunked
+/// copy-on-write storage so set_value() on one copy never disturbs
+/// another. Shared by the scalar and lane loops of LeveledQuery and the
+/// dispatched vector kernels (semiring/simd.hpp), which tolerate
+/// unaligned runs: a range that starts inside a slab streams from there.
 ///
 /// A bucket is either *owned* (the above) or *external*: a read-only
 /// view into an mmapped engine image whose residency a PageSource
@@ -188,27 +188,32 @@ class EdgeBucket {
     return ext_ ? ext_->value[i] : values_[i];
   }
 
-  /// Streams the values as contiguous runs f(lo, len, value_ptr) — the
-  /// single value-access path of every relaxation kernel. Owned buckets
-  /// yield one run per value slab; external buckets yield fixed-size
-  /// chunks, each scanned under a page pin covering the chunk's
-  /// from/to/value bytes (residency accounting + eviction protection).
-  /// Run boundaries differ between the modes but edge order does not.
+  /// Streams the values of edges [lo, hi) as contiguous runs
+  /// f(lo, len, value_ptr) — the single value-access path of every
+  /// relaxation kernel. Owned arrays yield one run per value slab
+  /// touched; external ones yield fixed-size chunks, each scanned under
+  /// a page pin covering the chunk's from/to/value bytes (residency
+  /// accounting + eviction protection). Run boundaries differ between
+  /// the modes but edge order does not.
   template <typename F>
-  void for_each_values_run(F&& f) const {
+  void for_each_values_run(std::size_t lo, std::size_t hi, F&& f) const {
     if (!ext_) {
-      values_.for_each_run(std::forward<F>(f));
+      values_.for_each_run(lo, hi, std::forward<F>(f));
       return;
     }
     // 8 slabs' worth per chunk: large enough that pin bookkeeping
     // vanishes against the scan, small enough that a sweep's pinned
     // working set stays a handful of pages per array.
     constexpr std::size_t kChunk = 8 * SlabVector<Value>::kSlabEntries;
-    for (std::size_t lo = 0; lo < ext_->count; lo += kChunk) {
-      const std::size_t len = std::min(kChunk, ext_->count - lo);
+    for (; lo < hi; lo += kChunk) {
+      const std::size_t len = std::min(kChunk, hi - lo);
       const PinLease lease = pin_span(lo, len);
       f(lo, len, ext_->value + lo);
     }
+  }
+  template <typename F>
+  void for_each_values_run(F&& f) const {
+    for_each_values_run(0, size(), std::forward<F>(f));
   }
 
   /// In-place value patch (incremental reweighting). Returns true when
@@ -256,17 +261,26 @@ class EdgeBucket {
   std::shared_ptr<const ExternalBucketStore<Value>> ext_;
 };
 
-/// Assembled view of one v4 engine image's bucket segments, produced by
+/// Assembled view of one v5 engine image's edge segments, produced by
 /// the store subsystem (store/stored_engine.hpp) and consumed by
 /// LeveledQuery::from_store(). All pointers reference the mapped image
-/// and must outlive the query engine; `same`/`down`/`up` are indexed by
-/// level, size height + 1.
+/// and must outlive the query engine. `eplus` is E+ in sweep order and
+/// `bucket_offset` its bucket table (EplusPlan::bucket_offset).
 template <Semiring S>
 struct StoredBuckets {
   using Value = typename S::Value;
   ExternalBucketStore<Value> base;
-  ExternalBucketStore<Value> shortcut;
-  std::vector<ExternalBucketStore<Value>> same, down, up;
+  ExternalBucketStore<Value> eplus;
+  std::vector<std::uint64_t> bucket_offset;
+};
+
+/// Edges [lo, hi) of one edge array; a leveled bucket is such a range
+/// of E+.
+struct EdgeRange {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+
+  std::size_t size() const { return hi - lo; }
 };
 
 /// Precomputed edge buckets for the leveled schedule; reusable across
@@ -283,21 +297,18 @@ class LeveledQuery {
   /// (Augmentation::cycle_free; the facade passes the flag through
   /// `detect && !cycle_free`), or the weights are nonnegative.
   ///
-  /// `aug` must carry its tree's slot plan and one shortcut per plan
-  /// slot, in plan order (the Augmentation contract). The buckets alias
-  /// the plan's pair blocks; one parallel pass copies every slot's
-  /// value into the slot bucket and into its leveled bucket.
+  /// `aug` must carry its tree's slot plan and one value per plan slot,
+  /// in plan order (the Augmentation contract). E+ aliases the plan's
+  /// slot array; one parallel pass copies every slot's value.
   LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
                bool detect_negative_cycles = true)
       : LeveledQuery(g, aug, detect_negative_cycles,
-                     [&aug](std::size_t slot) {
-                       return aug.shortcuts[slot].value;
-                     }) {}
+                     [&aug](std::size_t slot) { return aug.values[slot]; }) {}
 
   /// As above, with slot s's value given by slot_value(s), called once
   /// per slot from the pool's threads — the engine builds pass one that
-  /// computes the slot minimum and writes aug.shortcuts[s] too, so a
-  /// build's values go straight into the buckets in a single pass.
+  /// computes the slot minimum and writes aug.values[s] too, so a
+  /// build's values go straight into the engine in a single pass.
   template <typename SlotValue>
   LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
                bool detect_negative_cycles, const SlotValue& slot_value)
@@ -309,8 +320,8 @@ class LeveledQuery {
     SEPSP_CHECK_MSG(plan_ != nullptr,
                     "LeveledQuery: the augmentation has no slot plan");
     const EplusPlan& plan = *plan_;
-    SEPSP_CHECK_MSG(aug.shortcuts.size() == plan.num_slots(),
-                    "LeveledQuery: the augmentation's shortcut count "
+    SEPSP_CHECK_MSG(aug.values.size() == plan.num_slots(),
+                    "LeveledQuery: the augmentation's value count "
                     "disagrees with its slot plan");
     SEPSP_CHECK(plan.num_levels() == std::size_t{aug.height} + 1);
     const std::uint32_t h = aug.height;
@@ -335,60 +346,38 @@ class LeveledQuery {
       base_ = EdgeBucket<S>(std::move(pairs), std::move(values));
     }
 
-    // E+: the engine's own copy of the slot values, in slot order (every
-    // later value read — unscheduled runs, cycle verification — resolves
-    // here, so a fork never touches the possibly still-mutating
-    // augmentation it was built from), and each slot's value again in
-    // its leveled bucket.
-    SlabVector<Value> slot_values(plan.num_slots());
-    std::vector<SlabVector<Value>> bucket_values;
-    bucket_values.reserve(plan.buckets.size());
-    for (const PairBlock& b : plan.buckets) bucket_values.emplace_back(b.size());
+    // E+: the engine's own copy of the slot values, in slot order. Every
+    // later value read resolves here, so a fork never touches the
+    // possibly still-mutating augmentation it was built from.
+    SlabVector<Value> values(plan.num_slots());
     pram::ThreadPool::global().parallel_blocks(
         0, plan.num_slots(),
         [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t s = lo; s < hi; ++s) {
-            const Value v = slot_value(s);
-            slot_values.init(s, v);
-            bucket_values[plan.slot_bucket[s]].init(plan.slot_pos[s], v);
-          }
+          for (std::size_t s = lo; s < hi; ++s) values.init(s, slot_value(s));
         },
         /*grain=*/std::size_t{1} << 14);
-    const auto aliased = [&](const PairBlock& block) {
-      return std::shared_ptr<const PairBlock>(plan_, &block);
-    };
-    shortcut_ = EdgeBucket<S>(aliased(plan.slots), std::move(slot_values));
-    same_.reserve(h + 1);
-    down_.reserve(h + 1);
-    up_.reserve(h + 1);
-    for (std::uint32_t l = 0; l <= h; ++l) {
-      for (const EplusPlan::Kind kind :
-           {EplusPlan::kSame, EplusPlan::kDown, EplusPlan::kUp}) {
-        const std::size_t b = plan.bucket_index(kind, l);
-        leveled(b).emplace_back(aliased(plan.buckets[b]),
-                                std::move(bucket_values[b]));
-      }
-    }
-    leveled_edges_ = plan.num_slots();
+    shortcut_ = EdgeBucket<S>(
+        std::shared_ptr<const PairBlock>(plan_, &plan.slots),
+        std::move(values));
+    bucket_offset_ = plan.bucket_offset;
   }
 
-  /// Assembles a query engine over an mmapped v4 engine image: every
-  /// bucket is an external view into the image's segments, scanned
-  /// through page pins instead of owned vectors. The segments hold the
-  /// heap engine's already-sorted bucket arrays verbatim (the writer
-  /// streams them in order), so this engine replays the exact same edge
-  /// order and produces bit-identical distances. The resulting engine
-  /// is read-only: refresh_* is fatal. `g`, `aug`, and the mapped image
-  /// behind `buckets` must outlive it.
+  /// Assembles a query engine over an mmapped v5 engine image: base and
+  /// E+ are external views into the image's segments, scanned through
+  /// page pins instead of owned vectors. The segments hold the heap
+  /// engine's arrays verbatim, so this engine replays the exact same
+  /// edge order and produces bit-identical distances. The resulting
+  /// engine is read-only: refresh_* is fatal. `g`, `aug`, and the mapped
+  /// image behind `buckets` must outlive it.
   static LeveledQuery from_store(const Digraph& g, const Augmentation<S>& aug,
                                  const StoredBuckets<S>& buckets,
                                  bool detect_negative_cycles = true) {
     const std::uint32_t h = aug.height;
-    SEPSP_CHECK_MSG(buckets.same.size() == h + 1 &&
-                        buckets.down.size() == h + 1 &&
-                        buckets.up.size() == h + 1,
-                    "from_store: bucket levels disagree with the "
-                    "augmentation height");
+    SEPSP_CHECK_MSG(
+        buckets.bucket_offset.size() == EplusPlan::num_buckets(h) + 1 &&
+            buckets.bucket_offset.back() == buckets.eplus.count,
+        "from_store: bucket table disagrees with the augmentation height "
+        "or the E+ count");
     SEPSP_CHECK_MSG(buckets.base.count == g.num_edges(),
                     "from_store: base bucket count != num_edges");
     LeveledQuery out;
@@ -396,17 +385,8 @@ class LeveledQuery {
     out.aug_ = &aug;
     out.detect_cycles_ = detect_negative_cycles;
     out.base_ = EdgeBucket<S>::from_external(buckets.base);
-    out.shortcut_ = EdgeBucket<S>::from_external(buckets.shortcut);
-    out.same_.reserve(h + 1);
-    out.down_.reserve(h + 1);
-    out.up_.reserve(h + 1);
-    for (std::uint32_t l = 0; l <= h; ++l) {
-      out.same_.push_back(EdgeBucket<S>::from_external(buckets.same[l]));
-      out.down_.push_back(EdgeBucket<S>::from_external(buckets.down[l]));
-      out.up_.push_back(EdgeBucket<S>::from_external(buckets.up[l]));
-      out.leveled_edges_ += buckets.same[l].count + buckets.down[l].count +
-                            buckets.up[l].count;
-    }
+    out.shortcut_ = EdgeBucket<S>::from_external(buckets.eplus);
+    out.bucket_offset_ = buckets.bucket_offset;
     // plan_ stays null: stored engines cannot be reweighted.
     out.level_scans_.reset(new std::atomic<std::uint64_t>[h + 1]());
     return out;
@@ -415,11 +395,10 @@ class LeveledQuery {
   /// Value patching for incremental reweighting: the pair structure of
   /// the buckets is fixed by the tree; these refresh a single entry's
   /// value in place. `arc_index` indexes g.arcs(); `slot` indexes the
-  /// augmentation's shortcut list (the plan's slots). Only the live
-  /// (origin) engine may be refreshed — never a fork, never a stored
-  /// (from_store) engine. Returns the number of value slabs the write
-  /// had to detach from outstanding forks (the unit of
-  /// `IncrementalEngine::ApplyStats::slabs_copied`).
+  /// plan's slots. Only the live (origin) engine may be refreshed —
+  /// never a fork, never a stored (from_store) engine. Returns the
+  /// number of value slabs the write had to detach from outstanding
+  /// forks (the unit of `IncrementalEngine::ApplyStats::slabs_copied`).
   std::size_t refresh_base(std::size_t arc_index, Value value) {
     SEPSP_CHECK_MSG(plan_ != nullptr,
                     "refresh_base on a stored (read-only) query engine");
@@ -428,11 +407,7 @@ class LeveledQuery {
   std::size_t refresh_shortcut(std::size_t slot, Value value) {
     SEPSP_CHECK_MSG(plan_ != nullptr,
                     "refresh_shortcut on a stored (read-only) query engine");
-    const std::uint32_t b = plan_->slot_bucket[slot];
-    const std::size_t levels = plan_->num_levels();
-    EdgeBucket<S>& bucket = leveled(b)[b % levels];
-    return (shortcut_.set_value(slot, value) ? 1 : 0) +
-           (bucket.set_value(plan_->slot_pos[slot], value) ? 1 : 0);
+    return shortcut_.set_value(slot, value) ? 1 : 0;
   }
 
   /// Structurally-shared snapshot of this query engine: O(#slabs)
@@ -450,25 +425,17 @@ class LeveledQuery {
     out.detect_cycles_ = detect_negative_cycles;
     out.base_ = base_.fork();
     out.shortcut_ = shortcut_.fork();
-    out.same_.reserve(same_.size());
-    out.down_.reserve(down_.size());
-    out.up_.reserve(up_.size());
-    for (auto& b : same_) out.same_.push_back(b.fork());
-    for (auto& b : down_) out.down_.push_back(b.fork());
-    for (auto& b : up_) out.up_.push_back(b.fork());
-    out.leveled_edges_ = leveled_edges_;
+    out.bucket_offset_ = bucket_offset_;
     out.plan_ = plan_;
     out.level_scans_.reset(new std::atomic<std::uint64_t>[aug_->height + 1]());
     return out;
   }
   LeveledQuery fork_shared() { return fork_shared(detect_cycles_); }
 
-  /// Number of bucketed (leveled) edges: |E+|, every plan slot (cached
-  /// at construction; the buckets' pair structure never changes).
-  std::size_t bucket_edges() const { return leveled_edges_; }
+  /// Number of bucketed (leveled) edges: |E+|, every plan slot.
+  std::size_t bucket_edges() const { return shortcut_.size(); }
 
   // Read-only access to the frozen schedule (stats, the store writer).
-  // Buckets are indexed by level.
   const Digraph& graph() const { return *g_; }
   /// Structural fields only (height, ell, levels, shortcut endpoints).
   /// On a fork the underlying augmentation may belong to a live engine
@@ -479,34 +446,29 @@ class LeveledQuery {
   std::size_t ell() const { return aug_->ell; }
   bool detects_negative_cycles() const { return detect_cycles_; }
   const EdgeBucket<S>& base_edges() const { return base_; }
-  /// E+ in shortcut-index order with this engine's own (fork-stable)
+  /// E+ in slot (sweep) order with this engine's own (fork-stable)
   /// values.
   const EdgeBucket<S>& shortcut_edges() const { return shortcut_; }
-  std::span<const EdgeBucket<S>> same_buckets() const { return same_; }
-  std::span<const EdgeBucket<S>> down_buckets() const { return down_; }
-  std::span<const EdgeBucket<S>> up_buckets() const { return up_; }
+  /// The bucket table (EplusPlan::bucket_offset) over shortcut_edges().
+  std::span<const std::uint64_t> bucket_offsets() const {
+    return bucket_offset_;
+  }
+  /// Kind's level-l bucket as a range of shortcut_edges().
+  EdgeRange bucket(EplusPlan::Kind kind, std::uint32_t level) const {
+    const std::size_t k = EplusPlan::bucket_rank(kind, level, aug_->height);
+    return {bucket_offset_[k], bucket_offset_[k + 1]};
+  }
 
   /// Value slabs shared (pointer-identical) between this engine's
-  /// buckets and `other`'s — the structural-sharing test hook.
+  /// arrays and `other`'s — the structural-sharing test hook.
   std::size_t slabs_shared_with(const LeveledQuery& other) const {
-    std::size_t shared = base_.slabs_shared_with(other.base_) +
-                         shortcut_.slabs_shared_with(other.shortcut_);
-    for (std::size_t l = 0; l < same_.size(); ++l) {
-      shared += same_[l].slabs_shared_with(other.same_[l]) +
-                down_[l].slabs_shared_with(other.down_[l]) +
-                up_[l].slabs_shared_with(other.up_[l]);
-    }
-    return shared;
+    return base_.slabs_shared_with(other.base_) +
+           shortcut_.slabs_shared_with(other.shortcut_);
   }
-  /// Total value slabs across all buckets (denominator for sharing
+  /// Total value slabs across both arrays (denominator for sharing
   /// ratios).
   std::size_t total_slabs() const {
-    std::size_t slabs = base_.slab_count() + shortcut_.slab_count();
-    for (std::size_t l = 0; l < same_.size(); ++l) {
-      slabs += same_[l].slab_count() + down_[l].slab_count() +
-               up_[l].slab_count();
-    }
-    return slabs;
+    return base_.slab_count() + shortcut_.slab_count();
   }
 
   /// Cumulative edges scanned in level-l buckets across every scheduled
@@ -635,17 +597,21 @@ class LeveledQuery {
     {
       SEPSP_TRACE_SPAN("query.down_sweep");
       for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
-        sweep<B>(same_[l], dist, acct);
-        sweep<B>(down_[l], dist, acct);
-        note_level_scan(l, (same_[l].size() + down_[l].size()) * acct.size());
+        const EdgeRange same = bucket(EplusPlan::kSame, l);
+        const EdgeRange down = bucket(EplusPlan::kDown, l);
+        sweep<B>(same, dist, acct);
+        sweep<B>(down, dist, acct);
+        note_level_scan(l, (same.size() + down.size()) * acct.size());
       }
     }
     {
       SEPSP_TRACE_SPAN("query.up_sweep");
       for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-        sweep<B>(same_[l], dist, acct);
-        sweep<B>(up_[l], dist, acct);
-        note_level_scan(l, (same_[l].size() + up_[l].size()) * acct.size());
+        const EdgeRange same = bucket(EplusPlan::kSame, l);
+        const EdgeRange up = bucket(EplusPlan::kUp, l);
+        sweep<B>(same, dist, acct);
+        sweep<B>(up, dist, acct);
+        note_level_scan(l, (same.size() + up.size()) * acct.size());
       }
     }
     {
@@ -674,8 +640,10 @@ class LeveledQuery {
     const std::uint32_t phases = second ? 2 : 1;
     for (std::size_t round = 0; round < rounds && live != 0; ++round) {
       std::array<std::uint8_t, B> changed{};
-      relax<B, true>(first, dist, changed.data());
-      if (second) relax<B, true>(*second, dist, changed.data());
+      relax<B, true>(first, {0, first.size()}, dist, changed.data());
+      if (second) {
+        relax<B, true>(*second, {0, second->size()}, dist, changed.data());
+      }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         if (!active[lane]) continue;
         acct[lane].edges_scanned += edges;
@@ -691,16 +659,16 @@ class LeveledQuery {
   /// One leveled-sweep bucket pass: every lane is charged the scan (the
   /// sweeps scan their buckets unconditionally).
   template <std::size_t B>
-  void sweep(const EdgeBucket<S>& edges, Value* dist,
-             std::span<QueryStats> acct) const {
-    relax<B, false>(edges, dist, nullptr);
+  void sweep(EdgeRange range, Value* dist, std::span<QueryStats> acct) const {
+    relax<B, false>(shortcut_, range, dist, nullptr);
     for (QueryStats& s : acct) {
-      s.edges_scanned += edges.size();
+      s.edges_scanned += range.size();
       ++s.phases;
     }
   }
 
-  /// One relaxation pass over a bucket in every lane; with kTrack, ORs
+  /// One relaxation pass over edges [range.lo, range.hi) in every lane;
+  /// with kTrack, ORs
   /// each lane's "improved" flag into changed[0..B). Values stream run
   /// by run (a value slab, or a pinned chunk of a mapped image segment),
   /// each a flat array alongside the shared pair arrays.
@@ -716,11 +684,12 @@ class LeveledQuery {
   /// too; an unseeded lane stays at zero(), from which nothing
   /// improves).
   template <std::size_t B, bool kTrack>
-  void relax(const EdgeBucket<S>& edges, Value* dist,
+  void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
              std::uint8_t* changed) const {
     const Vertex* from = edges.from_data();
     const Vertex* to = edges.to_data();
     edges.for_each_values_run(
+        range.lo, range.hi,
         [&](std::size_t lo, std::size_t len, const Value* value) {
           if constexpr (B == 1) {
             bool any = false;
@@ -766,7 +735,7 @@ class LeveledQuery {
             }
           }
         });
-    if constexpr (B > 1) note_simd_cells(edges.size() * B);
+    if constexpr (B > 1) note_simd_cells(range.size() * B);
   }
 
   /// Final verification pass over E u E+, per lane: the schedule reaches
@@ -864,25 +833,16 @@ class LeveledQuery {
 #endif
   }
 
-  /// The leveled buckets of one kind, by the plan's kind-major bucket
-  /// index b (bucket b is leveled(b)[b % levels]).
-  std::vector<EdgeBucket<S>>& leveled(std::size_t b) {
-    const std::size_t kind = b / plan_->num_levels();
-    return kind == EplusPlan::kSame ? same_
-           : kind == EplusPlan::kDown ? down_
-                                      : up_;
-  }
-
   const Digraph* g_ = nullptr;
   const Augmentation<S>* aug_ = nullptr;
-  /// The slot plan whose pair blocks the E+ buckets alias; null for a
-  /// stored engine.
+  /// The slot plan whose slot array E+ aliases; null for a stored
+  /// engine.
   std::shared_ptr<const EplusPlan> plan_;
   bool detect_cycles_ = true;
   EdgeBucket<S> base_;
-  EdgeBucket<S> shortcut_;  ///< E+ values, slot order
-  std::vector<EdgeBucket<S>> same_, down_, up_;
-  std::size_t leveled_edges_ = 0;
+  EdgeBucket<S> shortcut_;  ///< E+, slot (sweep) order
+  /// Bucket k is shortcut_[bucket_offset_[k], bucket_offset_[k + 1]).
+  std::vector<std::uint64_t> bucket_offset_;
   /// Cumulative per-level scan totals; indexed by bucket level.
   std::unique_ptr<std::atomic<std::uint64_t>[]> level_scans_;
 };
@@ -898,14 +858,10 @@ std::size_t measure_shortcut_radius(const Digraph& g,
                                     const Augmentation<S>& aug,
                                     Vertex source) {
   using Value = typename S::Value;
-  std::vector<Shortcut<S>> edges;
-  edges.reserve(g.num_edges() + aug.shortcuts.size());
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    for (const Arc& a : g.out(u)) {
-      edges.push_back({u, a.to, S::from_weight(a.weight)});
-    }
-  }
-  edges.insert(edges.end(), aug.shortcuts.begin(), aug.shortcuts.end());
+  SEPSP_CHECK_MSG(
+      aug.plan != nullptr && aug.values.size() == aug.plan->num_slots(),
+      "measure_shortcut_radius: the augmentation has no slot values");
+  const PairBlock& slots = aug.plan->slots;
 
   // Synchronous (Jacobi) relaxation: after phase k, dist[v] is exactly
   // the best value over walks of at most k edges, so the last phase that
@@ -927,10 +883,16 @@ std::size_t measure_shortcut_radius(const Digraph& g,
   std::vector<Value> next(g.num_vertices());
   for (std::size_t phase = 1;; ++phase) {
     next.assign(dist.begin(), dist.end());
-    for (const Shortcut<S>& e : edges) {
-      if (!S::improves(S::zero(), dist[e.from])) continue;
-      const Value cand = S::extend(dist[e.from], e.value);
-      if (S::improves(next[e.to], cand)) next[e.to] = cand;
+    const auto relax = [&](Vertex u, Vertex v, Value w) {
+      if (!S::improves(S::zero(), dist[u])) return;
+      const Value cand = S::extend(dist[u], w);
+      if (S::improves(next[v], cand)) next[v] = cand;
+    };
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      for (const Arc& a : g.out(u)) relax(u, a.to, S::from_weight(a.weight));
+    }
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      relax(slots.from[s], slots.to[s], aug.values[s]);
     }
     bool changed = false;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {

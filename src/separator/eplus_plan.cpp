@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <span>
 
 #include "obs/trace.hpp"
@@ -75,44 +76,6 @@ LevelAssignment compute_levels(const SeparatorTree& tree) {
   return out;
 }
 
-/// Assigns every slot its leveled bucket and position, and fills the
-/// buckets' pair blocks: one counting pass sizes the buckets, a second
-/// places the slots. Slots arrive (from, to)-sorted, so every bucket
-/// does too.
-void lay_out_buckets(EplusPlan& plan) {
-  const std::vector<std::uint32_t>& level = plan.levels.level;
-  const std::size_t num_slots = plan.num_slots();
-  std::vector<std::uint32_t> cursor(3 * plan.num_levels(), 0);
-  plan.slot_bucket.resize(num_slots);
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    const std::uint32_t lu = level[plan.slots.from[s]];
-    const std::uint32_t lw = level[plan.slots.to[s]];
-    SEPSP_CHECK_MSG(lu != LevelAssignment::kUndefined &&
-                        lw != LevelAssignment::kUndefined,
-                    "E+ slot endpoint without a level");
-    const EplusPlan::Kind kind = lu == lw  ? EplusPlan::kSame
-                                 : lu > lw ? EplusPlan::kDown
-                                           : EplusPlan::kUp;
-    const auto b = static_cast<std::uint32_t>(plan.bucket_index(kind, lu));
-    plan.slot_bucket[s] = b;
-    ++cursor[b];
-  }
-  plan.buckets.resize(cursor.size());
-  for (std::size_t b = 0; b < cursor.size(); ++b) {
-    plan.buckets[b].from.resize(cursor[b]);
-    plan.buckets[b].to.resize(cursor[b]);
-    cursor[b] = 0;
-  }
-  plan.slot_pos.resize(num_slots);
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    const std::uint32_t b = plan.slot_bucket[s];
-    const std::uint32_t pos = cursor[b]++;
-    plan.slot_pos[s] = pos;
-    plan.buckets[b].from[pos] = plan.slots.from[s];
-    plan.buckets[b].to[pos] = plan.slots.to[s];
-  }
-}
-
 }  // namespace
 
 EplusPlan build_eplus_plan(const SeparatorTree& tree) {
@@ -130,11 +93,16 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   SEPSP_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
                   "E+ emission exceeds 2^32 entries");
 
-  // The raw pairs, in emission order.
+  // The raw pairs, in emission order. Every endpoint has a level: it
+  // lies in some S(t) or B(t).
+  plan.levels = compute_levels(tree);
+  const std::vector<std::uint32_t>& level = plan.levels.level;
   std::vector<Vertex> from(total), to(total);
   std::size_t e = 0;
   const auto emit = [&](std::span<const Vertex> verts) {
     for (const Vertex u : verts) {
+      SEPSP_CHECK_MSG(level[u] != LevelAssignment::kUndefined,
+                      "E+ slot endpoint without a level");
       for (const Vertex v : verts) {
         if (u == v) continue;
         from[e] = u;
@@ -152,42 +120,83 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   // Entry indices sorted by (from, to), ties in ascending entry order:
   // a stable counting sort by `to`, then one by `from`.
   const std::size_t n = tree.num_graph_vertices();
-  std::vector<std::uint32_t> pos(n + 1);
-  std::vector<std::uint32_t> by_to(total);
+  std::vector<std::uint32_t> pos;
   std::vector<std::uint32_t> order(total);
-  const auto scatter = [&](const std::vector<Vertex>& key, auto&& source,
-                           std::vector<std::uint32_t>& out) {
-    std::fill(pos.begin(), pos.end(), 0);
-    for (std::size_t i = 0; i < total; ++i) ++pos[key[source(i)] + 1];
+  std::vector<std::uint32_t> sorted(total);
+  const auto sort_by = [&](const std::vector<Vertex>& key) {
+    pos.assign(n + 1, 0);
+    for (const std::uint32_t entry : order) ++pos[key[entry] + 1];
     for (std::size_t v = 0; v < n; ++v) pos[v + 1] += pos[v];
-    for (std::size_t i = 0; i < total; ++i) {
-      const std::uint32_t entry = source(i);
-      out[pos[key[entry]]++] = entry;
-    }
+    for (const std::uint32_t entry : order) sorted[pos[key[entry]]++] = entry;
+    order.swap(sorted);
   };
-  scatter(to, [](std::size_t i) { return static_cast<std::uint32_t>(i); },
-          by_to);
-  scatter(from, [&](std::size_t i) { return by_to[i]; }, order);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  sort_by(to);
+  sort_by(from);
 
-  plan.entry_slot.resize(total);
-  PairBlock& slots = plan.slots;
+  // The runs of equal pairs in that order, one per slot, and the bucket
+  // rank of each.
+  const std::uint32_t height = plan.levels.height;
+  const std::size_t num_buckets = EplusPlan::num_buckets(height);
+  std::vector<std::uint32_t> run_start;
+  std::vector<std::uint32_t> run_rank;
   for (std::size_t k = 0; k < total; ++k) {
     const std::uint32_t entry = order[k];
-    if (slots.from.empty() || slots.from.back() != from[entry] ||
-        slots.to.back() != to[entry]) {
-      slots.from.push_back(from[entry]);
-      slots.to.push_back(to[entry]);
-      plan.owner_offset.push_back(static_cast<std::uint32_t>(k));
+    if (k > 0 && from[order[k - 1]] == from[entry] &&
+        to[order[k - 1]] == to[entry]) {
+      continue;
     }
-    plan.entry_slot[entry] = static_cast<std::uint32_t>(slots.size() - 1);
+    const std::uint32_t lu = level[from[entry]];
+    const std::uint32_t lw = level[to[entry]];
+    const EplusPlan::Kind kind = lu == lw  ? EplusPlan::kSame
+                                 : lu > lw ? EplusPlan::kDown
+                                           : EplusPlan::kUp;
+    run_start.push_back(static_cast<std::uint32_t>(k));
+    run_rank.push_back(
+        static_cast<std::uint32_t>(EplusPlan::bucket_rank(kind, lu, height)));
   }
-  plan.owner_offset.push_back(static_cast<std::uint32_t>(total));
-  plan.owner_entry = std::move(order);
-  slots.from.shrink_to_fit();
-  slots.to.shrink_to_fit();
-  plan.owner_offset.shrink_to_fit();
-  plan.levels = compute_levels(tree);
-  lay_out_buckets(plan);
+  const std::size_t num_slots = run_start.size();
+  run_start.push_back(static_cast<std::uint32_t>(total));
+
+  // A stable counting sort of the runs by rank numbers the slots, so
+  // each bucket keeps (from, to) order. It sorts runs, not entries: a
+  // third pass over the entries would read `from` and `to` at random
+  // twice more.
+  std::vector<std::uint64_t>& bucket = plan.bucket_offset;
+  bucket.assign(num_buckets + 1, 0);
+  for (const std::uint32_t r : run_rank) ++bucket[r + 1];
+  for (std::size_t k = 0; k < num_buckets; ++k) bucket[k + 1] += bucket[k];
+  std::vector<std::uint32_t> slot_of_run(num_slots);
+  plan.owner_offset.assign(num_slots + 1, 0);
+  {
+    std::vector<std::uint64_t> next(bucket.begin(), bucket.end() - 1);
+    for (std::size_t r = 0; r < num_slots; ++r) {
+      const auto s = static_cast<std::uint32_t>(next[run_rank[r]]++);
+      slot_of_run[r] = s;
+      plan.owner_offset[s + 1] = run_start[r + 1] - run_start[r];
+    }
+  }
+  for (std::size_t s = 0; s < num_slots; ++s) {
+    plan.owner_offset[s + 1] += plan.owner_offset[s];
+  }
+
+  // Every slot's pair and owners (its run, in ascending entry order),
+  // and every entry's slot.
+  PairBlock& slots = plan.slots;
+  slots.from.resize(num_slots);
+  slots.to.resize(num_slots);
+  plan.entry_slot.resize(total);
+  for (std::size_t r = 0; r < num_slots; ++r) {
+    const std::uint32_t s = slot_of_run[r];
+    slots.from[s] = from[order[run_start[r]]];
+    slots.to[s] = to[order[run_start[r]]];
+    std::uint32_t o = plan.owner_offset[s];
+    for (std::uint32_t k = run_start[r]; k < run_start[r + 1]; ++k) {
+      plan.entry_slot[order[k]] = s;
+      sorted[o++] = order[k];
+    }
+  }
+  plan.owner_entry = std::move(sorted);
   plan.gather = build_gather_plan(tree);
   return plan;
 }

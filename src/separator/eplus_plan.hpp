@@ -1,5 +1,5 @@
 // The E+ slot plan: where every Algorithm 4.1 emission entry lands, and
-// where every slot sits in the query's leveled buckets.
+// in which order the query's leveled schedule scans every slot.
 //
 // Node t of the separator tree emits the complete S(t) x S(t) and
 // B(t) x B(t) pair sets (diagonal skipped, i-major over the sorted
@@ -13,11 +13,13 @@
 //
 // The vertex levels of Section 3.1 depend only on the tree too, and so
 // does the bucket every slot falls into in the leveled schedule of
-// Section 3.2 (same, down or up, by its endpoints' levels). The plan
-// therefore also lays the buckets out: one 64-byte-aligned SoA pair
-// block per bucket, each (from, to)-sorted, plus one for the slots
-// themselves. Every query engine over the tree aliases these blocks
-// and owns only its values.
+// Section 3.2 (same, down or up, by its endpoints' levels). Section 3.2
+// adds no edges: it fixes the order in which E u E+ is scanned. The
+// plan therefore numbers the slots in sweep order — for l = h..0 the
+// level-l same bucket then the level-l down bucket, then the up
+// buckets of levels 0..h — and (from, to) order inside each bucket.
+// Every bucket is a range of the one slot array, so every query engine
+// over the tree aliases that array and owns one value per slot.
 //
 // Beside it rides the gather plan: where each internal node's steps
 // read its children's boundary matrices. It too depends only on the
@@ -88,8 +90,9 @@ struct LevelAssignment {
   bool defined(Vertex v) const { return level[v] != kUndefined; }
 };
 
-/// The (from, to) structure of one relaxation bucket, struct-of-arrays
-/// and 64-byte aligned. Immutable once built; engines share it.
+/// The (from, to) structure of an edge array (E+, or the base arcs),
+/// struct-of-arrays and 64-byte aligned. Immutable once built; engines
+/// share it.
 struct PairBlock {
   AlignedVector<Vertex> from;
   AlignedVector<Vertex> to;
@@ -104,12 +107,37 @@ struct EplusPlan {
   /// level(from).
   enum Kind : std::uint32_t { kSame = 0, kDown = 1, kUp = 2 };
 
+  /// Buckets over a tree of the given height: three per level.
+  static std::size_t num_buckets(std::uint32_t height) {
+    return 3 * (std::size_t{height} + 1);
+  }
+  /// The position of kind's level-l bucket in sweep order: the down
+  /// sweep's same(h), down(h), ..., same(0), down(0), then up(0..h).
+  static std::size_t bucket_rank(Kind kind, std::uint32_t level,
+                                 std::uint32_t height) {
+    const std::size_t from_top = std::size_t{height} - level;
+    switch (kind) {
+      case kSame:
+        return 2 * from_top;
+      case kDown:
+        return 2 * from_top + 1;
+      default:
+        return 2 * (std::size_t{height} + 1) + level;
+    }
+  }
+
   /// Node id's entries occupy [node_offset[id], node_offset[id + 1]):
   /// its S x S pairs, then its B x B pairs, each i-major without the
   /// diagonal. Size num_nodes + 1.
   std::vector<std::size_t> node_offset;
-  /// One slot per distinct pair, in (from, to) order.
+  /// One slot per distinct pair, in sweep order: by bucket rank, then
+  /// (from, to).
   PairBlock slots;
+  /// Bucket k holds slots [bucket_offset[k], bucket_offset[k + 1]),
+  /// k = bucket_rank(kind, level, levels.height). Both endpoints of
+  /// every slot have a level (they lie in some S(t)), so every slot sits
+  /// in exactly one bucket. Size num_buckets(levels.height) + 1.
+  std::vector<std::uint64_t> bucket_offset;
   /// The slot of every entry.
   std::vector<std::uint32_t> entry_slot;
   /// Owner CSR: slot s's entries are owner_entry[owner_offset[s] ..
@@ -122,33 +150,22 @@ struct EplusPlan {
 
   /// Vertex levels; levels.height is the tree's height.
   LevelAssignment levels;
-  /// The leveled buckets' pair blocks, kind-major: kind's level-l
-  /// bucket is buckets[bucket_index(kind, l)]. Each holds the slots whose
-  /// endpoints' levels put them there, in slot order.
-  std::vector<PairBlock> buckets;
-  /// Per slot: its index into `buckets` and its position there. Both
-  /// endpoints of every slot have a level (they lie in some S(t)), so
-  /// every slot sits in exactly one bucket.
-  std::vector<std::uint32_t> slot_bucket;
-  std::vector<std::uint32_t> slot_pos;
 
   std::size_t num_entries() const { return entry_slot.size(); }
   std::size_t num_slots() const { return slots.size(); }
   std::size_t num_levels() const { return std::size_t{levels.height} + 1; }
-  std::size_t bucket_index(Kind kind, std::uint32_t level) const {
-    return kind * num_levels() + level;
-  }
 };
 
 /// Entries a group of k mutually-connected vertices emits: all ordered
 /// pairs minus the diagonal.
 inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 
-/// Computes the plan of `tree`: two stable counting-sort passes over the
-/// emitted pairs (by `to`, then by `from`), O(entries + n); the levels,
-/// O(sum |S(t)| + sum_leaf |V(t)|); the bucket layout, two counting
-/// passes over the slots; and the gather plan, one merge of sorted
-/// vertex lists per (node, child). Aborts when a vertex lies in no leaf.
+/// Computes the plan of `tree`: the levels, O(sum |S(t)| + sum_leaf
+/// |V(t)|); two stable counting-sort passes over the emitted pairs (by
+/// `to`, then by `from`), O(entries + n), and one over the distinct
+/// pairs by bucket rank, O(slots + height); and the gather plan, one
+/// merge of sorted vertex lists per (node, child). Aborts when a vertex
+/// lies in no leaf.
 EplusPlan build_eplus_plan(const SeparatorTree& tree);
 
 }  // namespace sepsp

@@ -1,21 +1,22 @@
-// Serialization v4: the page-aligned, separator-tree-clustered on-disk
-// image of a built engine (ROADMAP "continent-scale graphs").
+// Serialization v5: the page-aligned on-disk image of a built engine
+// (ROADMAP "continent-scale graphs").
 //
-// The v4 image is the repository's one persistence format. It is laid
+// The v5 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
-// which pages are resident. Segments appear in query scan order —
-// the level assignment, the graph CSR, the base bucket, then the
-// per-level same/down/up buckets in the order the leveled schedule
-// sweeps them, and finally the shortcut bucket the negative-cycle
-// verification pass scans last — so a cold query faults pages in long
-// sequential runs along its root-to-leaf path instead of seeking.
+// which pages are resident. Segments appear in query scan order — the
+// level assignment, the bucket table, the graph CSR, the base arcs,
+// then E+ — and E+ is stored once, its slots numbered in sweep order
+// (separator/eplus_plan.hpp): the leveled schedule's buckets are ranges
+// of it, named by the kBucketOffsets table, laid out in the order the
+// sweeps scan them. A cold query therefore faults pages in long
+// sequential runs instead of seeking.
 //
-// The bucket segments hold the heap engine's already-(from, to)-sorted
-// arrays byte for byte; an engine opened from the image replays the
-// identical edge order and produces bit-identical distances (the
-// memcmp-enforced parity contract every kernel in this repo obeys).
+// The edge segments hold the heap engine's arrays byte for byte; an
+// engine opened from the image replays the identical edge order and
+// produces bit-identical distances (the memcmp-enforced parity
+// contract every kernel in this repo obeys).
 // The header's kFlagCycleCertified bit carries the writer's
 // negative-cycle certificate (Augmentation::cycle_free as frozen into
 // the engine), so a stored engine skips the per-query verification
@@ -28,10 +29,11 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers emit and readers accept version 4 only: 1 and 2
-// were retired stream formats, and 3 lacked the header flags and
-// carried a node-of segment no reader used. The image holds no
-// separator tree: queries read only the levels and the buckets.
+// copyable). Writers emit and readers accept version 5 only: 1 and 2
+// were retired stream formats, 3 lacked the header flags and carried a
+// node-of segment no reader used, and 4 stored E+ twice (in slot order
+// and again per leveled bucket). The image holds no separator tree:
+// queries read only the levels, the bucket table and the edges.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +47,17 @@ namespace sepsp::store {
 /// "SEP3" little-endian: the family's magic since v3; `version` tells
 /// the layouts apart.
 inline constexpr std::uint32_t kMagic = 0x33504553;
-inline constexpr std::uint32_t kVersion = 4;
+inline constexpr std::uint32_t kVersion = 5;
 
 /// Header::flags bits. Readers reject any bit outside kKnownFlags.
 inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< cycle_free
 inline constexpr std::uint64_t kKnownFlags = kFlagCycleCertified;
 
 /// What one directory entry's payload is. From/to segments are Vertex
-/// (u32) arrays; value segments are Value arrays; the CSR offsets are
-/// u64, arc weights double, levels u32. Kind 2 is retired (v3 stored
-/// LevelAssignment::node there).
+/// (u32) arrays; value segments are Value arrays; the CSR offsets and
+/// the bucket table are u64, arc weights double, levels u32. Kind 2 is
+/// retired (v3 stored LevelAssignment::node there), and so are kinds
+/// 12-20 (v4's per-level copies of the leveled buckets).
 enum class SegmentKind : std::uint32_t {
   kLevelOf = 1,       ///< LevelAssignment::level, n entries
   kGraphOffsets = 3,  ///< CSR row offsets, n + 1 entries
@@ -63,25 +66,19 @@ enum class SegmentKind : std::uint32_t {
   kBaseFrom = 6,
   kBaseTo = 7,
   kBaseValue = 8,
-  kShortcutFrom = 9,
+  kShortcutFrom = 9,  ///< E+ in sweep order, num_shortcuts entries
   kShortcutTo = 10,
   kShortcutValue = 11,
-  kSameFrom = 12,  ///< per level (SegmentRecord::level)
-  kSameTo = 13,
-  kSameValue = 14,
-  kDownFrom = 15,
-  kDownTo = 16,
-  kDownValue = 17,
-  kUpFrom = 18,
-  kUpTo = 19,
-  kUpValue = 20,
+  /// EplusPlan::bucket_offset: 3 (height + 1) + 1 entries, from 0 to
+  /// num_shortcuts, non-decreasing.
+  kBucketOffsets = 21,
 };
 
 /// One directory entry. `offset` is page-aligned; `bytes` is the
 /// unpadded payload size (count * element size — the reader verifies).
 struct SegmentRecord {
   std::uint32_t kind = 0;
-  std::uint32_t level = 0;  ///< bucket level; 0 for unleveled kinds
+  std::uint32_t level = 0;  ///< always 0; kept so the layout stays frozen
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
   std::uint64_t count = 0;

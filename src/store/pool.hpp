@@ -1,4 +1,4 @@
-// vmcache-style buffer manager over an mmapped v4 engine image.
+// vmcache-style buffer manager over an mmapped engine image.
 //
 // The image is mapped read-only in one shot; what the pool manages is
 // *residency*, not address translation — pointers into the mapping are
@@ -65,7 +65,7 @@ class BufferPool final : public PageSource {
   void pin(std::uint64_t offset, std::uint64_t bytes) override;
   void unpin(std::uint64_t offset, std::uint64_t bytes) override;
 
-  /// Readahead for a hot range (e.g. the top levels' bucket segments):
+  /// Readahead for a hot range (e.g. the top levels' E+ ranges):
   /// madvise(WILLNEED) plus residency accounting, without the per-page
   /// touch of pin(). Prefetched pages are ordinary eviction candidates.
   void prefetch(std::uint64_t offset, std::uint64_t bytes);

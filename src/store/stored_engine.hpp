@@ -1,21 +1,22 @@
 // Open-from-file engine: the query half of SeparatorShortestPaths
-// served out of a v4 image (store/format.hpp) through a buffer pool
+// served out of a v5 image (store/format.hpp) through a buffer pool
 // (store/pool.hpp).
 //
 // open() maps the image, validates the header and every directory
 // record against the file's byte bounds (malformed input returns
 // nullopt + reason, never a crash), materializes the small structural
-// state on the heap — the CSR graph and a shortcut-less Augmentation,
-// O(n) bytes — and assembles a LeveledQuery whose buckets are external
-// views into the mapping (LeveledQuery::from_store). Bucket sweeps then
+// state on the heap — the CSR graph, a value-less Augmentation and the
+// bucket table, O(n + height) bytes — and assembles a LeveledQuery
+// whose edge arrays are external views into the mapping
+// (LeveledQuery::from_store). Bucket sweeps then
 // resolve their bytes through page pins, so the resident set is bounded
 // by the pool budget plus the pinned working set of in-flight queries,
 // not by |E u E+|.
 //
 // The engine is read-only (refresh/apply paths abort) and bit-identical
 // to the heap engine the image was written from: the image stores the
-// heap engine's sorted bucket arrays verbatim, and the kernels scan
-// them in the same order. The image's certificate flag is frozen the
+// heap engine's edge arrays and bucket table verbatim, and the kernels
+// scan them in the same order. The image's certificate flag is frozen the
 // way from_augmentation() freezes Augmentation::cycle_free: a certified
 // image's engine skips the per-query verification pass, an uncertified
 // one keeps it (if detect_negative_cycles asks), so replies match the
@@ -27,6 +28,7 @@
 // over it may outlive the StoredEngine value itself.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -62,14 +64,12 @@ inline std::string hex(std::uint64_t bits) {
 inline std::size_t element_bytes(SegmentKind kind, std::size_t value_bytes) {
   switch (kind) {
     case SegmentKind::kGraphOffsets:
+    case SegmentKind::kBucketOffsets:
       return sizeof(std::uint64_t);
     case SegmentKind::kGraphArcWeight:
       return sizeof(double);
     case SegmentKind::kBaseValue:
     case SegmentKind::kShortcutValue:
-    case SegmentKind::kSameValue:
-    case SegmentKind::kDownValue:
-    case SegmentKind::kUpValue:
       return value_bytes;
     default:
       return sizeof(std::uint32_t);  // vertex ids, levels
@@ -88,8 +88,8 @@ class StoredEngine {
     /// Query options (detect_negative_cycles etc.); the build already
     /// happened in the process that wrote the image.
     typename SeparatorShortestPaths<S>::Options engine;
-    /// Readahead for the hottest part of the image: the bucket segments
-    /// of the top `hot_levels` levels (every query's sweeps scan them,
+    /// Readahead for the hottest part of the image: the E+ ranges of the
+    /// top `hot_levels` levels' buckets (every query's sweeps scan them,
     /// so they are the highest-traffic pages). 0 disables.
     std::uint32_t hot_levels = 0;
   };
@@ -143,35 +143,35 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
 
   // --- header -----------------------------------------------------------
   if (file_bytes < sizeof(Header)) {
-    set_error(error, "v4 image: file smaller than the header");
+    set_error(error, "image: file smaller than the header");
     return std::nullopt;
   }
   Header h;
   std::memcpy(&h, base, sizeof h);
   if (h.magic != kMagic) {
-    set_error(error, "v4 image: bad magic (not an engine image)");
+    set_error(error, "image: bad magic (not an engine image)");
     return std::nullopt;
   }
   if (h.version != kVersion) {
-    set_error(error, "v4 image: unsupported version " +
+    set_error(error, "image: unsupported version " +
                          std::to_string(h.version) + " (this build reads " +
                          std::to_string(kVersion) + ")");
     return std::nullopt;
   }
   if (h.semiring_tag != semiring_tag<S>() || h.value_bytes != sizeof(Value)) {
-    set_error(error, "v4 image: semiring mismatch (image tag " +
+    set_error(error, "image: semiring mismatch (image tag " +
                          hex(h.semiring_tag) + ", this engine " +
                          hex(semiring_tag<S>()) + ")");
     return std::nullopt;
   }
   if ((h.flags & ~kKnownFlags) != 0) {
-    set_error(error, "v4 image: unknown header flags " + hex(h.flags));
+    set_error(error, "image: unknown header flags " + hex(h.flags));
     return std::nullopt;
   }
   if (h.page_bytes != kPageBytes || h.file_bytes != file_bytes ||
       h.num_vertices > (1ULL << 32) || h.num_edges > (1ULL << 40) ||
       h.height > (1u << 28)) {
-    set_error(error, "v4 image: implausible header (truncated or corrupt)");
+    set_error(error, "image: implausible header (truncated or corrupt)");
     return std::nullopt;
   }
 
@@ -181,43 +181,33 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   if (h.directory_offset % kPageBytes != 0 ||
       h.directory_offset > file_bytes ||
       dir_bytes > file_bytes - h.directory_offset) {
-    set_error(error, "v4 image: directory out of bounds");
-    return std::nullopt;
-  }
-  // Every level owns nine bucket records, so the (file-bounded)
-  // directory caps the height before it sizes any per-level array.
-  if (h.height >= h.num_segments / 9) {
-    set_error(error, "v4 image: height exceeds the directory");
+    set_error(error, "image: directory out of bounds");
     return std::nullopt;
   }
   std::vector<SegmentRecord> directory(h.num_segments);
   if (h.num_segments != 0) {
     std::memcpy(directory.data(), base + h.directory_offset, dir_bytes);
   }
-  // (kind, level) -> record; every record is bounds- and size-checked
-  // before any pointer into the mapping is formed.
-  std::unordered_map<std::uint64_t, const SegmentRecord*> index;
-  auto key = [](SegmentKind kind, std::uint32_t level) {
-    return (static_cast<std::uint64_t>(kind) << 32) | level;
-  };
+  // kind -> record; every record is bounds- and size-checked before any
+  // pointer into the mapping is formed.
+  std::unordered_map<std::uint32_t, const SegmentRecord*> index;
   for (const SegmentRecord& rec : directory) {
     const std::size_t elem =
         element_bytes(static_cast<SegmentKind>(rec.kind), h.value_bytes);
     if (rec.offset % kPageBytes != 0 || rec.offset > file_bytes ||
         rec.bytes > file_bytes - rec.offset ||
         rec.count != rec.bytes / elem || rec.bytes != rec.count * elem) {
-      set_error(error, "v4 image: segment record out of bounds");
+      set_error(error, "image: segment record out of bounds");
       return std::nullopt;
     }
-    if (!index.emplace(key(static_cast<SegmentKind>(rec.kind), rec.level),
-                       &rec).second) {
-      set_error(error, "v4 image: duplicate segment record");
+    if (!index.emplace(rec.kind, &rec).second) {
+      set_error(error, "image: duplicate segment record");
       return std::nullopt;
     }
   }
-  auto find = [&](SegmentKind kind, std::uint32_t level, std::uint64_t count)
+  auto find = [&](SegmentKind kind, std::uint64_t count)
       -> const SegmentRecord* {
-    const auto it = index.find(key(kind, level));
+    const auto it = index.find(static_cast<std::uint32_t>(kind));
     if (it == index.end() || it->second->count != count) return nullptr;
     return it->second;
   };
@@ -225,17 +215,47 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     return base + rec->offset;
   };
 
+  // --- bucket table -----------------------------------------------------
+  // Its (file-bounded) count caps the height before anything is sized
+  // by it; its entries must split [0, num_shortcuts) into ranges.
+  std::vector<std::uint64_t> bucket_offset;
+  {
+    const std::uint64_t want = EplusPlan::num_buckets(h.height) + 1;
+    const SegmentRecord* rec = find(SegmentKind::kBucketOffsets, want);
+    if (rec == nullptr) {
+      set_error(error, "image: bucket table missing or its count is not "
+                       "3 (height + 1) + 1");
+      return std::nullopt;
+    }
+    bucket_offset.resize(want);
+    PinLease lease;
+    lease.add(impl->pool.get(), rec->offset, rec->bytes);
+    std::memcpy(bucket_offset.data(), data_at(rec), rec->bytes);
+    if (bucket_offset.front() != 0) {
+      set_error(error, "image: bucket table does not start at 0");
+      return std::nullopt;
+    }
+    if (bucket_offset.back() != h.num_shortcuts) {
+      set_error(error, "image: bucket table does not end at num_shortcuts");
+      return std::nullopt;
+    }
+    if (!std::is_sorted(bucket_offset.begin(), bucket_offset.end())) {
+      set_error(error, "image: bucket table not monotone");
+      return std::nullopt;
+    }
+  }
+
   // --- structural state (heap, O(n)) ------------------------------------
   const bool certified = (h.flags & kFlagCycleCertified) != 0;
   const std::uint64_t n = h.num_vertices;
   const std::uint64_t m = h.num_edges;
-  const SegmentRecord* level_rec = find(SegmentKind::kLevelOf, 0, n);
-  const SegmentRecord* off_rec = find(SegmentKind::kGraphOffsets, 0, n + 1);
-  const SegmentRecord* to_rec = find(SegmentKind::kGraphArcTo, 0, m);
-  const SegmentRecord* w_rec = find(SegmentKind::kGraphArcWeight, 0, m);
+  const SegmentRecord* level_rec = find(SegmentKind::kLevelOf, n);
+  const SegmentRecord* off_rec = find(SegmentKind::kGraphOffsets, n + 1);
+  const SegmentRecord* to_rec = find(SegmentKind::kGraphArcTo, m);
+  const SegmentRecord* w_rec = find(SegmentKind::kGraphArcWeight, m);
   if (level_rec == nullptr || off_rec == nullptr || to_rec == nullptr ||
       w_rec == nullptr) {
-    set_error(error, "v4 image: missing or miscounted structural segment");
+    set_error(error, "image: missing or miscounted structural segment");
     return std::nullopt;
   }
   {
@@ -251,18 +271,18 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     const auto* arc_weight =
         reinterpret_cast<const double*>(data_at(w_rec));
     if (offsets[0] != 0 || offsets[n] != m) {
-      set_error(error, "v4 image: CSR offsets do not cover the arcs");
+      set_error(error, "image: CSR offsets do not cover the arcs");
       return std::nullopt;
     }
     GraphBuilder builder(n);
     for (Vertex u = 0; u < n; ++u) {
       if (offsets[u + 1] < offsets[u] || offsets[u + 1] > m) {
-        set_error(error, "v4 image: CSR offsets not monotone");
+        set_error(error, "image: CSR offsets not monotone");
         return std::nullopt;
       }
       for (std::uint64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
         if (arc_to[i] >= n) {
-          set_error(error, "v4 image: arc target out of range");
+          set_error(error, "image: arc target out of range");
           return std::nullopt;
         }
         builder.add_edge(u, arc_to[i], arc_weight[i]);
@@ -287,23 +307,23 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     lease.add(impl->pool.get(), level_rec->offset, level_rec->bytes);
     std::memcpy(aug->levels.level.data(), data_at(level_rec),
                 level_rec->bytes);
-    // aug->shortcuts stays empty: shortcut values live in the image's
-    // bucket segments; every kernel reads them via shortcut_edges().
+    // aug->plan and aug->values stay empty: E+ lives in the image's
+    // segments; every kernel reads it via shortcut_edges().
     impl->aug = std::move(aug);
   }
 
-  // --- bucket views ------------------------------------------------------
+  // --- edge views -------------------------------------------------------
   StoredBuckets<S> buckets;
+  buckets.bucket_offset = std::move(bucket_offset);
   auto view = [&](SegmentKind from_kind, SegmentKind to_kind,
-                  SegmentKind value_kind, std::uint32_t level,
+                  SegmentKind value_kind, std::uint64_t count,
                   ExternalBucketStore<Value>* out) {
-    const auto fit = index.find(key(from_kind, level));
-    if (fit == index.end()) return false;
-    const std::uint64_t count = fit->second->count;
-    const SegmentRecord* from_rec = fit->second;
-    const SegmentRecord* to_rec2 = find(to_kind, level, count);
-    const SegmentRecord* value_rec = find(value_kind, level, count);
-    if (to_rec2 == nullptr || value_rec == nullptr) return false;
+    const SegmentRecord* from_rec = find(from_kind, count);
+    const SegmentRecord* to_rec2 = find(to_kind, count);
+    const SegmentRecord* value_rec = find(value_kind, count);
+    if (from_rec == nullptr || to_rec2 == nullptr || value_rec == nullptr) {
+      return false;
+    }
     out->from = reinterpret_cast<const Vertex*>(data_at(from_rec));
     out->to = reinterpret_cast<const Vertex*>(data_at(to_rec2));
     out->value = reinterpret_cast<const Value*>(data_at(value_rec));
@@ -314,28 +334,15 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     out->pages = impl->pool.get();
     return true;
   };
-  bool ok = view(SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
-                 SegmentKind::kBaseValue, 0, &buckets.base) &&
-            view(SegmentKind::kShortcutFrom, SegmentKind::kShortcutTo,
-                 SegmentKind::kShortcutValue, 0, &buckets.shortcut);
-  buckets.same.resize(h.height + 1);
-  buckets.down.resize(h.height + 1);
-  buckets.up.resize(h.height + 1);
-  for (std::uint32_t l = 0; ok && l <= h.height; ++l) {
-    ok = view(SegmentKind::kSameFrom, SegmentKind::kSameTo,
-              SegmentKind::kSameValue, l, &buckets.same[l]) &&
-         view(SegmentKind::kDownFrom, SegmentKind::kDownTo,
-              SegmentKind::kDownValue, l, &buckets.down[l]) &&
-         view(SegmentKind::kUpFrom, SegmentKind::kUpTo, SegmentKind::kUpValue,
-              l, &buckets.up[l]);
-  }
-  if (!ok || buckets.base.count != m ||
-      buckets.shortcut.count != h.num_shortcuts) {
-    set_error(error, "v4 image: missing or inconsistent bucket segments");
+  if (!view(SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
+            SegmentKind::kBaseValue, m, &buckets.base) ||
+      !view(SegmentKind::kShortcutFrom, SegmentKind::kShortcutTo,
+            SegmentKind::kShortcutValue, h.num_shortcuts, &buckets.eplus)) {
+    set_error(error, "image: missing or inconsistent edge segments");
     return std::nullopt;
   }
-  // Leveled bucket entries reference vertices; validate once here so
-  // the kernels can index dist[] unchecked, exactly like heap buckets.
+  // Edge endpoints index vertices; validate once here so the kernels
+  // can index dist[] unchecked, exactly like heap arrays.
   auto endpoints_ok = [&](const ExternalBucketStore<Value>& b) {
     PinLease lease;
     lease.add(impl->pool.get(), b.from_offset, b.count * sizeof(Vertex));
@@ -345,13 +352,8 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     }
     return true;
   };
-  ok = endpoints_ok(buckets.base) && endpoints_ok(buckets.shortcut);
-  for (std::uint32_t l = 0; ok && l <= h.height; ++l) {
-    ok = endpoints_ok(buckets.same[l]) && endpoints_ok(buckets.down[l]) &&
-         endpoints_ok(buckets.up[l]);
-  }
-  if (!ok) {
-    set_error(error, "v4 image: bucket endpoint out of range");
+  if (!endpoints_ok(buckets.base) || !endpoints_ok(buckets.eplus)) {
+    set_error(error, "image: edge endpoint out of range");
     return std::nullopt;
   }
 
@@ -366,13 +368,19 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
       SeparatorShortestPaths<S>::from_forked_query(
           *impl->graph, impl->aug, std::move(query), certified,
           options.engine));
+  const LeveledQuery<S>& q = impl->engine->query_engine();
+  const ExternalBucketStore<Value>& eplus = buckets.eplus;
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {
     const std::uint32_t l = h.height - i;
-    for (const ExternalBucketStore<Value>* b :
-         {&buckets.same[l], &buckets.down[l], &buckets.up[l]}) {
-      impl->pool->prefetch(b->from_offset, b->count * sizeof(Vertex));
-      impl->pool->prefetch(b->to_offset, b->count * sizeof(Vertex));
-      impl->pool->prefetch(b->value_offset, b->count * sizeof(Value));
+    for (const EplusPlan::Kind kind :
+         {EplusPlan::kSame, EplusPlan::kDown, EplusPlan::kUp}) {
+      const EdgeRange r = q.bucket(kind, l);
+      impl->pool->prefetch(eplus.from_offset + r.lo * sizeof(Vertex),
+                           r.size() * sizeof(Vertex));
+      impl->pool->prefetch(eplus.to_offset + r.lo * sizeof(Vertex),
+                           r.size() * sizeof(Vertex));
+      impl->pool->prefetch(eplus.value_offset + r.lo * sizeof(Value),
+                           r.size() * sizeof(Value));
     }
   }
   return StoredEngine(std::move(impl));

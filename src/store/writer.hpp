@@ -1,9 +1,10 @@
-// v4 image writer: gathers a built engine into the page-aligned layout
+// v5 image writer: gathers a built engine into the page-aligned layout
 // of store/format.hpp and writes it with pwritev.
 //
-// The writer serializes the *query engine's* bucket arrays — already
-// (from, to)-sorted at construction — byte for byte, never re-deriving
-// them from the augmentation. That is the whole parity story: an engine
+// The writer serializes the *query engine's* edge arrays — base arcs in
+// CSR order, E+ in sweep order — and its bucket table byte for byte,
+// never re-deriving them from the augmentation. E+ is already in scan
+// order, so nothing is reordered. That is the whole parity story: an engine
 // opened from the image (store/stored_engine.hpp) replays the identical
 // edge order, so its distances memcmp-equal the heap engine's. The
 // header's certificate flag is the engine's cycle_certified(), so a
@@ -21,7 +22,7 @@
 // fails the header's file_bytes check. Write-to-temp plus rename()
 // would keep the old inode too, but ext4 flushes a file renamed over
 // another (auto_da_alloc): about 2 ms against 0.6 ms for unlink plus
-// create on a 1.7 MiB image.
+// create on a 1.7 MiB v4 image.
 //
 // Output is deterministic: same engine, same bytes (no timestamps, all
 // padding zeroed) — images are content-addressable and diffable.
@@ -37,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,7 +134,7 @@ class GatherWriter {
 
 }  // namespace writer_detail
 
-/// Writes `engine` as a v4 image at `path`, replacing whatever directory
+/// Writes `engine` as a v5 image at `path`, replacing whatever directory
 /// entry was there with a fresh file. Returns false and fills `error` on
 /// I/O failure (and removes the partial file). The engine may be
 /// heap-built or itself opened from an image, even from `path`
@@ -157,12 +159,11 @@ bool write_engine_image(const std::string& path,
     const SlabVector<Value>* slabs = nullptr;
   };
   std::vector<Segment> segments;
-  auto add_array = [&](SegmentKind kind, std::uint32_t level, const auto* data,
-                       std::uint64_t count, PageSource* pages = nullptr,
+  auto add_array = [&](SegmentKind kind, const auto* data, std::uint64_t count,
+                       PageSource* pages = nullptr,
                        std::uint64_t page_offset = 0) -> Segment& {
     Segment& s = segments.emplace_back();
     s.rec.kind = static_cast<std::uint32_t>(kind);
-    s.rec.level = level;
     s.rec.count = count;
     s.rec.bytes = count * sizeof(*data);
     s.data = data;
@@ -170,33 +171,32 @@ bool write_engine_image(const std::string& path,
     s.page_offset = page_offset;
     return s;
   };
-  // A bucket's three SoA segments, read where they live: the mapped
-  // segments of a stored engine, or the pair block and value slabs of
-  // a heap one.
+  // An edge array's three SoA segments, read where they live: the
+  // mapped segments of a stored engine, or the pair block and value
+  // slabs of a heap one.
   auto add_bucket = [&](const EdgeBucket<S>& bucket, SegmentKind from_kind,
-                        SegmentKind to_kind, SegmentKind value_kind,
-                        std::uint32_t level) {
+                        SegmentKind to_kind, SegmentKind value_kind) {
     const std::uint64_t count = bucket.size();
     if (const ExternalBucketStore<Value>* ext = bucket.external()) {
-      add_array(from_kind, level, ext->from, count, ext->pages,
-                ext->from_offset);
-      add_array(to_kind, level, ext->to, count, ext->pages, ext->to_offset);
-      add_array(value_kind, level, ext->value, count, ext->pages,
-                ext->value_offset);
+      add_array(from_kind, ext->from, count, ext->pages, ext->from_offset);
+      add_array(to_kind, ext->to, count, ext->pages, ext->to_offset);
+      add_array(value_kind, ext->value, count, ext->pages, ext->value_offset);
       return;
     }
-    add_array(from_kind, level, bucket.from_data(), count);
-    add_array(to_kind, level, bucket.to_data(), count);
-    add_array(value_kind, level, static_cast<const Value*>(nullptr), count)
-        .slabs = &bucket.values();
+    add_array(from_kind, bucket.from_data(), count);
+    add_array(to_kind, bucket.to_data(), count);
+    add_array(value_kind, static_cast<const Value*>(nullptr), count).slabs =
+        &bucket.values();
   };
 
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t m = g.num_edges();
-  const std::uint32_t h = aug.height;
 
   // --- segment plan, in query scan order -------------------------------
-  add_array(SegmentKind::kLevelOf, 0, aug.levels.level.data(), n);
+  add_array(SegmentKind::kLevelOf, aug.levels.level.data(), n);
+  const std::span<const std::uint64_t> bucket_offsets = q.bucket_offsets();
+  add_array(SegmentKind::kBucketOffsets, bucket_offsets.data(),
+            bucket_offsets.size());
   // The CSR as three flat arrays; rebuilt exactly on open since arcs
   // are already sorted.
   std::vector<std::uint64_t> offsets(n + 1, 0);
@@ -211,30 +211,15 @@ bool write_engine_image(const std::string& path,
       ++i;
     }
   }
-  add_array(SegmentKind::kGraphOffsets, 0, offsets.data(), n + 1);
-  add_array(SegmentKind::kGraphArcTo, 0, arc_to.data(), m);
-  add_array(SegmentKind::kGraphArcWeight, 0, arc_weight.data(), m);
+  add_array(SegmentKind::kGraphOffsets, offsets.data(), n + 1);
+  add_array(SegmentKind::kGraphArcTo, arc_to.data(), m);
+  add_array(SegmentKind::kGraphArcWeight, arc_weight.data(), m);
   add_bucket(q.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
-             SegmentKind::kBaseValue, 0);
-  // Down sweep runs l = h..0 scanning same[l] then down[l]; the up
-  // sweep re-scans same[l] (one stored copy serves both) then up[l].
-  const auto same = q.same_buckets();
-  const auto down = q.down_buckets();
-  const auto up = q.up_buckets();
-  for (std::uint32_t l = h + 1; l-- > 0;) {
-    add_bucket(same[l], SegmentKind::kSameFrom, SegmentKind::kSameTo,
-               SegmentKind::kSameValue, l);
-    add_bucket(down[l], SegmentKind::kDownFrom, SegmentKind::kDownTo,
-               SegmentKind::kDownValue, l);
-  }
-  for (std::uint32_t l = 0; l <= h; ++l) {
-    add_bucket(up[l], SegmentKind::kUpFrom, SegmentKind::kUpTo,
-               SegmentKind::kUpValue, l);
-  }
-  // The verification pass scans base (already early in the image) then
-  // the full shortcut list — placed last, after the sweep buckets.
+             SegmentKind::kBaseValue);
+  // E+ in sweep order: the down sweep's same/down buckets from level h
+  // down, then the up buckets from level 0 up.
   add_bucket(q.shortcut_edges(), SegmentKind::kShortcutFrom,
-             SegmentKind::kShortcutTo, SegmentKind::kShortcutValue, 0);
+             SegmentKind::kShortcutTo, SegmentKind::kShortcutValue);
 
   // --- assign offsets ---------------------------------------------------
   Header header;
@@ -244,7 +229,7 @@ bool write_engine_image(const std::string& path,
   header.num_edges = m;
   header.num_shortcuts = q.shortcut_edges().size();
   header.ell = aug.ell;
-  header.height = h;
+  header.height = aug.height;
   header.num_segments = static_cast<std::uint32_t>(segments.size());
   header.critical_depth = aug.critical_depth;
   header.build_work = aug.build_cost.work;

@@ -24,7 +24,7 @@ inline constexpr std::size_t kSimdAlign = 64;
 inline constexpr std::size_t kPageBytes = 4096;
 
 /// Rounds a byte count up to a whole number of pages — segment padding
-/// in the v4 image writer and budget math in the buffer pool.
+/// in the image writer and budget math in the buffer pool.
 constexpr std::size_t round_up_to_page(std::size_t bytes) {
   return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
 }

@@ -113,15 +113,22 @@ class SlabVector {
     return out;
   }
 
-  /// Streams the contents as contiguous runs (one per slab):
-  /// f(begin_index, count, data_pointer). The hot-loop access path —
-  /// within a run the values are flat and 64-byte aligned.
+  /// Streams entries [lo, hi) as contiguous runs, split at slab
+  /// boundaries: f(begin_index, count, data_pointer). The hot-loop
+  /// access path — within a run the values are flat.
+  template <typename F>
+  void for_each_run(std::size_t lo, std::size_t hi, F&& f) const {
+    SEPSP_DCHECK(lo <= hi && hi <= size_);
+    while (lo < hi) {
+      const std::size_t s = lo / kSlabEntries;
+      const std::size_t end = std::min(hi, (s + 1) * kSlabEntries);
+      f(lo, end - lo, slabs_[s]->data.data() + lo % kSlabEntries);
+      lo = end;
+    }
+  }
   template <typename F>
   void for_each_run(F&& f) const {
-    for (std::size_t s = 0; s < slabs_.size(); ++s) {
-      const std::size_t lo = s * kSlabEntries;
-      f(lo, std::min(kSlabEntries, size_ - lo), slabs_[s]->data.data());
-    }
+    for_each_run(0, size_, std::forward<F>(f));
   }
 
   // --- sharing introspection (tests, obs) -----------------------------

@@ -86,14 +86,17 @@ std::vector<Family> families() {
 TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
   for (const Family& f : families()) {
     const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
-    // Group shortcuts by source to reuse one Dijkstra per source.
-    std::map<Vertex, std::vector<const Shortcut<TropicalD>*>> by_source;
-    for (const auto& e : aug.shortcuts) by_source[e.from].push_back(&e);
-    for (const auto& [source, edges] : by_source) {
+    // Group slots by source to reuse one Dijkstra per source.
+    const PairBlock& slots = aug.plan->slots;
+    std::map<Vertex, std::vector<std::size_t>> by_source;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      by_source[slots.from[s]].push_back(s);
+    }
+    for (const auto& [source, in_slots] : by_source) {
       const DijkstraResult dj = dijkstra(f.gg.graph, source);
-      for (const auto* e : edges) {
-        EXPECT_GE(e->value, dj.dist[e->to] - 1e-9)
-            << f.name << " shortcut " << e->from << "->" << e->to;
+      for (const std::size_t s : in_slots) {
+        EXPECT_GE(aug.values[s], dj.dist[slots.to[s]] - 1e-9)
+            << f.name << " shortcut " << source << "->" << slots.to[s];
       }
     }
   }
@@ -102,17 +105,16 @@ TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
 TEST(Augmentation, ShortcutEndpointsHaveDefinedLevels) {
   for (const Family& f : families()) {
     const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
-    // One shortcut per plan slot, in plan order; zero() slots included.
+    // One value per plan slot, in plan order; zero() slots included.
     const EplusPlan& plan = *f.tree.eplus_plan();
     ASSERT_EQ(aug.plan.get(), &plan) << f.name;
-    ASSERT_EQ(aug.shortcuts.size(), plan.num_slots()) << f.name;
-    for (std::size_t i = 0; i < aug.shortcuts.size(); ++i) {
-      const auto& e = aug.shortcuts[i];
-      EXPECT_EQ(e.from, plan.slots.from[i]) << f.name;
-      EXPECT_EQ(e.to, plan.slots.to[i]) << f.name;
-      EXPECT_TRUE(aug.levels.defined(e.from)) << f.name;
-      EXPECT_TRUE(aug.levels.defined(e.to)) << f.name;
-      EXPECT_NE(e.from, e.to) << f.name;
+    ASSERT_EQ(aug.values.size(), plan.num_slots()) << f.name;
+    for (std::size_t i = 0; i < plan.num_slots(); ++i) {
+      const Vertex u = plan.slots.from[i];
+      const Vertex v = plan.slots.to[i];
+      EXPECT_TRUE(aug.levels.defined(u)) << f.name;
+      EXPECT_TRUE(aug.levels.defined(v)) << f.name;
+      EXPECT_NE(u, v) << f.name;
     }
   }
 }
@@ -162,15 +164,15 @@ TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
     const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
     const Augmentation<TropicalD>& rec = engine.augmentation();
     const auto dbl = build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
-    // The shortcut edge sets coincide (same Et definition); values match.
-    ASSERT_EQ(rec.shortcuts.size(), dbl.shortcuts.size()) << f.name;
-    for (std::size_t i = 0; i < rec.shortcuts.size(); ++i) {
-      EXPECT_EQ(rec.shortcuts[i].from, dbl.shortcuts[i].from) << f.name;
-      EXPECT_EQ(rec.shortcuts[i].to, dbl.shortcuts[i].to) << f.name;
-      expect_same_value(rec.shortcuts[i].value, dbl.shortcuts[i].value,
-                        f.name + " edge " +
-                            std::to_string(rec.shortcuts[i].from) + "->" +
-                            std::to_string(rec.shortcuts[i].to));
+    // The shortcut edge sets coincide (same Et definition, one plan);
+    // values match.
+    ASSERT_EQ(rec.plan, dbl.plan) << f.name;
+    ASSERT_EQ(rec.values.size(), dbl.values.size()) << f.name;
+    const PairBlock& slots = rec.plan->slots;
+    for (std::size_t i = 0; i < rec.values.size(); ++i) {
+      expect_same_value(rec.values[i], dbl.values[i],
+                        f.name + " edge " + std::to_string(slots.from[i]) +
+                            "->" + std::to_string(slots.to[i]));
     }
   }
 }
@@ -181,9 +183,9 @@ TEST(Augmentation, ClosureKindsAgree) {
         f.gg.graph, f.tree, ClosureKind::kSquaring);
     const auto fw = build_augmentation_recursive<TropicalD>(
         f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
-    ASSERT_EQ(sq.shortcuts.size(), fw.shortcuts.size()) << f.name;
-    for (std::size_t i = 0; i < sq.shortcuts.size(); ++i) {
-      expect_same_value(sq.shortcuts[i].value, fw.shortcuts[i].value, f.name);
+    ASSERT_EQ(sq.values.size(), fw.values.size()) << f.name;
+    for (std::size_t i = 0; i < sq.values.size(); ++i) {
+      expect_same_value(sq.values[i], fw.values[i], f.name);
     }
   }
 }
@@ -242,9 +244,9 @@ TEST(Augmentation, DoublingWithoutEarlyExitMatches) {
   full.early_exit = false;
   const auto a = build_augmentation_doubling<TropicalD>(gg.graph, tree);
   const auto b = build_augmentation_doubling<TropicalD>(gg.graph, tree, full);
-  ASSERT_EQ(a.shortcuts.size(), b.shortcuts.size());
-  for (std::size_t i = 0; i < a.shortcuts.size(); ++i) {
-    EXPECT_NEAR(a.shortcuts[i].value, b.shortcuts[i].value, 1e-12);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t i = 0; i < a.values.size(); ++i) {
+    EXPECT_NEAR(a.values[i], b.values[i], 1e-12);
   }
 }
 
@@ -286,11 +288,13 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
     emit(t.separator);
     emit(t.boundary);
   }
-  ASSERT_EQ(aug.shortcuts.size(), best.size());
-  for (const auto& e : aug.shortcuts) {
-    const auto it = best.find({e.from, e.to});
+  const PairBlock& slots = aug.plan->slots;
+  ASSERT_EQ(aug.values.size(), best.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const auto it = best.find({slots.from[s], slots.to[s]});
     ASSERT_NE(it, best.end());
-    EXPECT_EQ(e.value, it->second) << e.from << "->" << e.to;
+    EXPECT_EQ(aug.values[s], it->second)
+        << slots.from[s] << "->" << slots.to[s];
   }
 }
 
@@ -315,7 +319,7 @@ std::vector<std::pair<Vertex, Vertex>> emitted_pairs(
   return out;
 }
 
-TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
+TEST(SlotPlan, SlotsAreTheDistinctEmittedPairsOnceEach) {
   for (const Family& f : families()) {
     const EplusPlan& plan = *f.tree.eplus_plan();
     const auto pairs = emitted_pairs(f.tree);
@@ -332,11 +336,15 @@ TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
+    // Slots are in sweep order, not (from, to) order: sorted, they are
+    // the distinct pairs, each exactly once.
     ASSERT_EQ(plan.num_slots(), distinct.size()) << f.name;
-    for (std::size_t s = 0; s < distinct.size(); ++s) {
-      EXPECT_EQ(plan.slots.from[s], distinct[s].first) << f.name;
-      EXPECT_EQ(plan.slots.to[s], distinct[s].second) << f.name;
+    std::vector<std::pair<Vertex, Vertex>> slot_pairs;
+    for (std::size_t s = 0; s < plan.num_slots(); ++s) {
+      slot_pairs.emplace_back(plan.slots.from[s], plan.slots.to[s]);
     }
+    std::sort(slot_pairs.begin(), slot_pairs.end());
+    EXPECT_EQ(slot_pairs, distinct) << f.name;
     // Every entry's slot carries the entry's own pair.
     for (std::size_t e = 0; e < pairs.size(); ++e) {
       const std::uint32_t slot = plan.entry_slot[e];
@@ -363,46 +371,34 @@ TEST(SlotPlan, SlotsAreTheSortedDistinctEmittedPairs) {
 }
 
 // The raw emission of a Floyd–Warshall build, each entry with its own
-// pair, stable-sorted by (from, to) and combined per pair in emission
-// order — E+ as a sort-and-combine computes it, written out here
-// independently of the plan. zero() pairs are kept.
+// pair, combined per pair in emission order — E+ as a sort-and-combine
+// computes it, written out here independently of the plan. zero()
+// pairs are kept.
 template <Semiring S>
-std::vector<Shortcut<S>> sorted_raw_emission(const Digraph& g,
-                                             const SeparatorTree& tree) {
+std::map<std::pair<Vertex, Vertex>, typename S::Value> combined_raw_emission(
+    const Digraph& g, const SeparatorTree& tree) {
   const auto run = detail::run_algorithm41<S>(
       g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
   const auto pairs = emitted_pairs(tree);
-  std::vector<Shortcut<S>> raw;
+  std::map<std::pair<Vertex, Vertex>, typename S::Value> out;
   for (std::size_t e = 0; e < pairs.size(); ++e) {
-    raw.push_back({pairs[e].first, pairs[e].second, run.entries[e]});
-  }
-  std::stable_sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  });
-  std::vector<Shortcut<S>> out;
-  for (const Shortcut<S>& e : raw) {
-    if (!out.empty() && out.back().from == e.from && out.back().to == e.to) {
-      out.back().value = S::combine(out.back().value, e.value);
-    } else {
-      out.push_back(e);
-    }
+    const auto [it, fresh] = out.emplace(pairs[e], run.entries[e]);
+    if (!fresh) it->second = S::combine(it->second, run.entries[e]);
   }
   return out;
 }
 
 template <Semiring S>
 void expect_slot_min_matches_sort(const Family& f) {
-  const auto want = sorted_raw_emission<S>(f.gg.graph, f.tree);
+  const auto want = combined_raw_emission<S>(f.gg.graph, f.tree);
   const auto got =
       SeparatorShortestPaths<S>::build(f.gg.graph, f.tree).augmentation();
-  ASSERT_EQ(got.shortcuts.size(), want.size()) << f.name;
-  // Field by field: Shortcut<BooleanSR> has padding bytes.
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const Shortcut<S>& a = got.shortcuts[i];
-    const Shortcut<S>& b = want[i];
-    ASSERT_EQ(a.from, b.from) << f.name << " shortcut " << i;
-    ASSERT_EQ(a.to, b.to) << f.name << " shortcut " << i;
-    ASSERT_EQ(std::memcmp(&a.value, &b.value, sizeof(a.value)), 0)
+  const PairBlock& slots = got.plan->slots;
+  ASSERT_EQ(got.values.size(), want.size()) << f.name;
+  for (std::size_t i = 0; i < got.values.size(); ++i) {
+    const auto it = want.find({slots.from[i], slots.to[i]});
+    ASSERT_NE(it, want.end()) << f.name << " shortcut " << i;
+    ASSERT_EQ(std::memcmp(&got.values[i], &it->second, sizeof(it->second)), 0)
         << f.name << " shortcut " << i;
   }
 }
@@ -465,8 +461,16 @@ void expect_base_arcs_dominated(const Family& f) {
         !aug.levels.defined(e.to)) {
       continue;
     }
-    // Slots are (from, to)-sorted: binary search for the pair.
-    std::size_t lo = 0, hi = plan.num_slots();
+    // Every bucket is (from, to)-sorted: binary search the pair's.
+    const std::uint32_t lu = aug.levels.level[e.from];
+    const std::uint32_t lw = aug.levels.level[e.to];
+    const EplusPlan::Kind kind = lu == lw  ? EplusPlan::kSame
+                                 : lu > lw ? EplusPlan::kDown
+                                           : EplusPlan::kUp;
+    const std::size_t k = EplusPlan::bucket_rank(kind, lu, aug.height);
+    std::size_t lo = plan.bucket_offset[k];
+    const std::size_t end = plan.bucket_offset[k + 1];
+    std::size_t hi = end;
     while (lo < hi) {
       const std::size_t mid = (lo + hi) / 2;
       if (from[mid] < e.from || (from[mid] == e.from && to[mid] < e.to)) {
@@ -475,10 +479,10 @@ void expect_base_arcs_dominated(const Family& f) {
         hi = mid;
       }
     }
-    ASSERT_LT(lo, plan.num_slots()) << f.name << " " << e.from << "->" << e.to;
+    ASSERT_LT(lo, end) << f.name << " " << e.from << "->" << e.to;
     ASSERT_EQ(from[lo], e.from) << f.name << " " << e.from << "->" << e.to;
     ASSERT_EQ(to[lo], e.to) << f.name << " " << e.from << "->" << e.to;
-    EXPECT_FALSE(S::improves(aug.shortcuts[lo].value, S::from_weight(e.weight)))
+    EXPECT_FALSE(S::improves(aug.values[lo], S::from_weight(e.weight)))
         << f.name << " " << e.from << "->" << e.to;
     ++checked;
   }
@@ -705,29 +709,28 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   const ApproxEngine approx = ApproxEngine::build(gg.graph, tree, opts);
   EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
   // Every engine keeps every plan slot, unreachable ones too.
-  EXPECT_EQ(inc.augmentation().shortcuts.size(), plan->num_slots());
-  EXPECT_EQ(fwd.augmentation().shortcuts.size(), plan->num_slots());
-  EXPECT_EQ(approx.engine().augmentation().shortcuts.size(),
-            plan->num_slots());
+  EXPECT_EQ(inc.augmentation().values.size(), plan->num_slots());
+  EXPECT_EQ(fwd.augmentation().values.size(), plan->num_slots());
+  EXPECT_EQ(approx.engine().augmentation().values.size(), plan->num_slots());
 }
 
 TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
   const Family f = families()[3];  // the triangulated mesh
   const auto want =
       SeparatorShortestPaths<>::build(f.gg.graph, f.tree).augmentation();
-  std::vector<std::vector<Shortcut<TropicalD>>> got(4);
+  std::vector<std::vector<double>> got(4);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < got.size(); ++i) {
     threads.emplace_back([&, i] {
       got[i] = SeparatorShortestPaths<>::build(f.gg.graph, f.tree)
                    .augmentation()
-                   .shortcuts;
+                   .values;
     });
   }
   for (std::thread& t : threads) t.join();
   for (const auto& g : got) {
-    ASSERT_EQ(g.size(), want.shortcuts.size());
-    EXPECT_EQ(std::memcmp(g.data(), want.shortcuts.data(),
+    ASSERT_EQ(g.size(), want.values.size());
+    EXPECT_EQ(std::memcmp(g.data(), want.values.data(),
                           g.size() * sizeof(g[0])),
               0);
   }
@@ -758,7 +761,7 @@ TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
 TEST(SlotPlanDeathTest, QueryEngineRejectsAnAugmentationOffItsPlan) {
   // Slot order is structural (the buckets come from the plan), so what
   // the engine checks is that the augmentation has a plan and one
-  // shortcut per slot. Re-executes the binary instead of forking it: the
+  // value per slot. Re-executes the binary instead of forking it: the
   // pool's workers are already running.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Family f = families()[0];
@@ -769,8 +772,8 @@ TEST(SlotPlanDeathTest, QueryEngineRejectsAnAugmentationOffItsPlan) {
   EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, planless),
                "has no slot plan");
   auto short_by_one = aug;
-  ASSERT_FALSE(short_by_one.shortcuts.empty());
-  short_by_one.shortcuts.pop_back();
+  ASSERT_FALSE(short_by_one.values.empty());
+  short_by_one.values.pop_back();
   EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, short_by_one),
                "disagrees with its slot plan");
   EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,

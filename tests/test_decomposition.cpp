@@ -3,6 +3,8 @@
 // adversarial graphs (cliques, stars, disconnected graphs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -185,39 +187,51 @@ TEST(Decomposition, ValidatorCatchesCorruption) {
   EXPECT_NE(tree.validate(Skeleton(other.graph)), std::nullopt);
 }
 
-// The slot plan's bucket layout: every slot sits in exactly one leveled
-// bucket, the one its endpoints' levels name, and every bucket is a
-// (from, to)-sorted, 64-byte-aligned pair block.
+// The slot plan's bucket layout: the slots are in sweep order, the
+// bucket table splits them into 3 (height + 1) ranges, every range is
+// (from, to)-sorted, and every slot lies in the range its endpoints'
+// levels name.
 void expect_bucket_layout(const SeparatorTree& tree, const std::string& what) {
   const EplusPlan& plan = *tree.eplus_plan();
   const LevelAssignment& lv = plan.levels;
   ASSERT_EQ(lv.height, tree.height()) << what;
-  ASSERT_EQ(plan.buckets.size(), 3 * plan.num_levels()) << what;
-  ASSERT_EQ(plan.slot_bucket.size(), plan.num_slots()) << what;
-  ASSERT_EQ(plan.slot_pos.size(), plan.num_slots()) << what;
-  const auto aligned = [](const PairBlock& b) {
-    const auto at = [](const Vertex* p) {
-      return reinterpret_cast<std::uintptr_t>(p) % kSimdAlign == 0;
-    };
-    return b.size() == 0 || (at(b.from.data()) && at(b.to.data()));
-  };
-  EXPECT_TRUE(aligned(plan.slots)) << what;
-  std::size_t bucketed = 0;
-  std::vector<std::vector<int>> seen(plan.buckets.size());
-  for (std::size_t b = 0; b < plan.buckets.size(); ++b) {
-    const PairBlock& block = plan.buckets[b];
-    ASSERT_EQ(block.from.size(), block.to.size()) << what;
-    EXPECT_TRUE(aligned(block)) << what << " bucket " << b;
-    for (std::size_t i = 1; i < block.size(); ++i) {
-      EXPECT_TRUE(block.from[i - 1] < block.from[i] ||
-                  (block.from[i - 1] == block.from[i] &&
-                   block.to[i - 1] < block.to[i]))
-          << what << " bucket " << b << " position " << i;
+  const std::size_t buckets = EplusPlan::num_buckets(lv.height);
+  ASSERT_EQ(buckets, 3 * plan.num_levels()) << what;
+  ASSERT_EQ(plan.bucket_offset.size(), buckets + 1) << what;
+  EXPECT_EQ(plan.bucket_offset.front(), 0u) << what;
+  EXPECT_EQ(plan.bucket_offset.back(), plan.num_slots()) << what;
+  // Sweep order: the down sweep's same(h), down(h), ..., same(0),
+  // down(0), then up(0..h) — every (kind, level) once.
+  std::vector<int> rank_seen(buckets, 0);
+  for (std::uint32_t l = 0; l <= lv.height; ++l) {
+    const std::size_t down_from_top = 2 * std::size_t{lv.height - l};
+    const std::size_t same =
+        EplusPlan::bucket_rank(EplusPlan::kSame, l, lv.height);
+    const std::size_t down =
+        EplusPlan::bucket_rank(EplusPlan::kDown, l, lv.height);
+    const std::size_t up = EplusPlan::bucket_rank(EplusPlan::kUp, l, lv.height);
+    EXPECT_EQ(same, down_from_top) << what;
+    EXPECT_EQ(down, down_from_top + 1) << what;
+    EXPECT_EQ(up, 2 * plan.num_levels() + l) << what;
+    for (const std::size_t k : {same, down, up}) {
+      ASSERT_LT(k, buckets) << what;
+      ++rank_seen[k];
     }
-    seen[b].assign(block.size(), 0);
-    bucketed += block.size();
   }
-  EXPECT_EQ(bucketed, plan.num_slots()) << what;
+  EXPECT_EQ(std::count(rank_seen.begin(), rank_seen.end(), 1),
+            static_cast<std::ptrdiff_t>(buckets))
+      << what;
+  for (std::size_t k = 0; k < buckets; ++k) {
+    ASSERT_LE(plan.bucket_offset[k], plan.bucket_offset[k + 1]) << what;
+    for (std::size_t s = plan.bucket_offset[k] + 1;
+         s < plan.bucket_offset[k + 1]; ++s) {
+      EXPECT_TRUE(plan.slots.from[s - 1] < plan.slots.from[s] ||
+                  (plan.slots.from[s - 1] == plan.slots.from[s] &&
+                   plan.slots.to[s - 1] < plan.slots.to[s]))
+          << what << " bucket " << k << " slot " << s;
+    }
+  }
+  ASSERT_EQ(plan.slots.to.size(), plan.num_slots()) << what;
   for (std::size_t s = 0; s < plan.num_slots(); ++s) {
     const Vertex u = plan.slots.from[s];
     const Vertex v = plan.slots.to[s];
@@ -226,13 +240,10 @@ void expect_bucket_layout(const SeparatorTree& tree, const std::string& what) {
     const EplusPlan::Kind kind = lv.level[u] == lv.level[v] ? EplusPlan::kSame
                                  : lv.level[u] > lv.level[v] ? EplusPlan::kDown
                                                              : EplusPlan::kUp;
-    const std::size_t b = plan.slot_bucket[s];
-    ASSERT_EQ(b, plan.bucket_index(kind, lv.level[u])) << what << " slot " << s;
-    const std::size_t pos = plan.slot_pos[s];
-    ASSERT_LT(pos, plan.buckets[b].size()) << what << " slot " << s;
-    EXPECT_EQ(plan.buckets[b].from[pos], u) << what << " slot " << s;
-    EXPECT_EQ(plan.buckets[b].to[pos], v) << what << " slot " << s;
-    EXPECT_EQ(seen[b][pos]++, 0) << what << " slot " << s;
+    const std::size_t k =
+        EplusPlan::bucket_rank(kind, lv.level[u], lv.height);
+    EXPECT_GE(s, plan.bucket_offset[k]) << what << " slot " << s;
+    EXPECT_LT(s, plan.bucket_offset[k + 1]) << what << " slot " << s;
   }
 }
 

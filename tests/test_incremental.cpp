@@ -57,24 +57,22 @@ Digraph reweighted(const Digraph& g,
   return std::move(b).build(/*dedup_min=*/false);
 }
 
-// The incremental E+ and the exact builder's both keep one shortcut per
+// The incremental E+ and the exact builder's both keep one value per
 // plan slot, +inf (unreachable) slots included, in plan order: require
-// the exact builder's pairs and value bits, slot for slot.
+// the exact builder's plan and value bits, slot for slot.
 void expect_matches_exact_build(const IncrementalEngine& engine,
                                 const Digraph& reference,
                                 const SeparatorTree& tree) {
-  const std::vector<Shortcut<TropicalD>>& got =
-      engine.augmentation().shortcuts;
+  const Augmentation<TropicalD>& got = engine.augmentation();
   const auto engine_build = SeparatorShortestPaths<>::build(reference, tree);
   const Augmentation<TropicalD>& want = engine_build.augmentation();
-  ASSERT_EQ(got.size(), want.shortcuts.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const auto& g = got[i];
-    const auto& w = want.shortcuts[i];
-    ASSERT_EQ(g.from, w.from) << "shortcut " << i;
-    ASSERT_EQ(g.to, w.to) << "shortcut " << i;
-    ASSERT_EQ(std::memcmp(&g.value, &w.value, sizeof(g.value)), 0)
-        << "shortcut " << i << " (" << g.from << "->" << g.to << ")";
+  ASSERT_EQ(got.plan, want.plan);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  const PairBlock& slots = want.plan->slots;
+  for (std::size_t i = 0; i < got.values.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got.values[i], &want.values[i], sizeof(double)), 0)
+        << "shortcut " << i << " (" << slots.from[i] << "->" << slots.to[i]
+        << ")";
   }
 }
 
@@ -371,12 +369,11 @@ TEST(Incremental, ApplyIsDeterministic) {
 
     // Shortcut values and query results must be bit-identical, not just
     // close: both engines run the same kernels in the same order.
-    const auto& sp = lhs.augmentation().shortcuts;
-    const auto& ss = rhs.augmentation().shortcuts;
+    const auto& sp = lhs.augmentation().values;
+    const auto& ss = rhs.augmentation().values;
     ASSERT_EQ(sp.size(), ss.size());
     for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&sp[i].value, &ss[i].value, sizeof(sp[i].value)),
-                0)
+      ASSERT_EQ(std::memcmp(&sp[i], &ss[i], sizeof(sp[i])), 0)
           << "shortcut " << i;
     }
     for (const Vertex s : {Vertex{0}, Vertex{71}, Vertex{143}}) {
@@ -554,8 +551,8 @@ void expect_raise_restore_stream_exact(std::size_t side) {
       EXPECT_TRUE(std::signbit(
           lhs.weight(original[zero_arc].from, original[zero_arc].to)));
     }
-    const auto& sl = lhs.augmentation().shortcuts;
-    const auto& sr = rhs.augmentation().shortcuts;
+    const auto& sl = lhs.augmentation().values;
+    const auto& sr = rhs.augmentation().values;
     ASSERT_EQ(sl.size(), sr.size());
     ASSERT_EQ(std::memcmp(sl.data(), sr.data(), sl.size() * sizeof(sl[0])), 0)
         << "batch " << b;

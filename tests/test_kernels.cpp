@@ -459,12 +459,11 @@ void check_build_parity(const BuildFn& build) {
     KernelMode mode(false);
     reference = build();
   }
-  ASSERT_EQ(blocked.shortcuts.size(), reference.shortcuts.size());
-  for (std::size_t i = 0; i < blocked.shortcuts.size(); ++i) {
-    EXPECT_EQ(blocked.shortcuts[i].from, reference.shortcuts[i].from);
-    EXPECT_EQ(blocked.shortcuts[i].to, reference.shortcuts[i].to);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(blocked.shortcuts[i].value),
-              std::bit_cast<std::uint64_t>(reference.shortcuts[i].value))
+  ASSERT_EQ(blocked.plan, reference.plan);
+  ASSERT_EQ(blocked.values.size(), reference.values.size());
+  for (std::size_t i = 0; i < blocked.values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(blocked.values[i]),
+              std::bit_cast<std::uint64_t>(reference.values[i]))
         << "shortcut " << i;
   }
   EXPECT_EQ(blocked.build_cost.work, reference.build_cost.work);

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
@@ -125,18 +127,18 @@ TEST_P(PropertySweep, ShortcutInvariants) {
       build_augmentation_recursive<TropicalD>(gg_.graph, tree_);
   // Endpoint levels defined; sampled value domination.
   Rng pick(5);
-  std::vector<double> truth;
-  Vertex truth_source = kInvalidVertex;
+  std::map<Vertex, std::vector<double>> truth;
   std::size_t checked = 0;
-  for (const auto& e : aug.shortcuts) {
-    ASSERT_TRUE(aug.levels.defined(e.from));
-    ASSERT_TRUE(aug.levels.defined(e.to));
+  const PairBlock& slots = aug.plan->slots;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const Vertex u = slots.from[s];
+    const Vertex v = slots.to[s];
+    ASSERT_TRUE(aug.levels.defined(u));
+    ASSERT_TRUE(aug.levels.defined(v));
     if (checked < 200 && pick.next_bool(0.1)) {
-      if (e.from != truth_source) {
-        truth = ground_truth(e.from);
-        truth_source = e.from;
-      }
-      EXPECT_GE(e.value, truth[e.to] - 1e-8);
+      auto [it, fresh] = truth.try_emplace(u);
+      if (fresh) it->second = ground_truth(u);
+      EXPECT_GE(aug.values[s], it->second[v] - 1e-8);
       ++checked;
     }
   }

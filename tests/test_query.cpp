@@ -4,6 +4,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -184,37 +185,33 @@ std::vector<LayoutCase> layout_cases() {
   return out;
 }
 
-// Every bucket of `q` (the slot bucket, then same/down/up per level) with
-// its plan pair block.
-template <Semiring S>
-std::vector<std::pair<const EdgeBucket<S>*, const PairBlock*>> plan_buckets(
-    const LeveledQuery<S>& q, const EplusPlan& plan) {
-  std::vector<std::pair<const EdgeBucket<S>*, const PairBlock*>> out;
-  out.emplace_back(&q.shortcut_edges(), &plan.slots);
-  const auto block = [&](EplusPlan::Kind kind, std::uint32_t l) {
-    return &plan.buckets[plan.bucket_index(kind, l)];
-  };
-  for (std::uint32_t l = 0; l < plan.num_levels(); ++l) {
-    out.emplace_back(&q.same_buckets()[l], block(EplusPlan::kSame, l));
-    out.emplace_back(&q.down_buckets()[l], block(EplusPlan::kDown, l));
-    out.emplace_back(&q.up_buckets()[l], block(EplusPlan::kUp, l));
-  }
-  return out;
-}
-
+// `q`'s E+ is the plan's slot array (one value per slot, no second
+// copy), and its buckets are the plan's ranges of it.
 template <Semiring S>
 void expect_aliases_plan(const LeveledQuery<S>& q, const EplusPlan& plan,
                          const std::string& what) {
-  ASSERT_EQ(q.same_buckets().size(), plan.num_levels()) << what;
-  for (const auto& [bucket, block] : plan_buckets(q, plan)) {
-    ASSERT_EQ(bucket->size(), block->size()) << what;
-    EXPECT_EQ(bucket->from_data(), block->from.data()) << what;
-    EXPECT_EQ(bucket->to_data(), block->to.data()) << what;
+  const EdgeBucket<S>& eplus = q.shortcut_edges();
+  ASSERT_EQ(eplus.size(), plan.num_slots()) << what;
+  EXPECT_EQ(eplus.from_data(), plan.slots.from.data()) << what;
+  EXPECT_EQ(eplus.to_data(), plan.slots.to.data()) << what;
+  EXPECT_EQ(eplus.values().size(), plan.num_slots()) << what;
+  ASSERT_TRUE(std::equal(q.bucket_offsets().begin(), q.bucket_offsets().end(),
+                         plan.bucket_offset.begin(), plan.bucket_offset.end()))
+      << what;
+  for (std::uint32_t l = 0; l < plan.num_levels(); ++l) {
+    for (const EplusPlan::Kind kind :
+         {EplusPlan::kSame, EplusPlan::kDown, EplusPlan::kUp}) {
+      const std::size_t k =
+          EplusPlan::bucket_rank(kind, l, plan.levels.height);
+      const EdgeRange r = q.bucket(kind, l);
+      EXPECT_EQ(r.lo, plan.bucket_offset[k]) << what;
+      EXPECT_EQ(r.hi, plan.bucket_offset[k + 1]) << what;
+    }
   }
   EXPECT_EQ(q.bucket_edges(), plan.num_slots()) << what;
 }
 
-TEST(Query, EnginesOverOneTreeShareTheBucketPairBlocks) {
+TEST(Query, EnginesOverOneTreeShareTheSlotArray) {
   for (const LayoutCase& c : layout_cases()) {
     const EplusPlan& plan = *c.tree.eplus_plan();
     const auto exact = SeparatorShortestPaths<>::build(c.gg.graph, c.tree);
@@ -262,15 +259,11 @@ TEST(Query, FreshExactAndIncrementalBucketsAreByteIdentical) {
     const EplusPlan& plan = *c.tree.eplus_plan();
     const auto exact = SeparatorShortestPaths<>::build(c.gg.graph, c.tree);
     const IncrementalEngine inc = IncrementalEngine::build(c.gg.graph, c.tree);
-    const auto want = plan_buckets(exact.query_engine(), plan);
-    const auto got = plan_buckets(inc.query_engine(), plan);
-    ASSERT_EQ(got.size(), want.size()) << c.name;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      const auto w = bucket_values(*want[i].first);
-      const auto g = bucket_values(*got[i].first);
-      EXPECT_TRUE(same_bits(g, w)) << c.name << " bucket " << i;
-      for (const double v : w) saw_zero_slot = saw_zero_slot || std::isinf(v);
-    }
+    ASSERT_EQ(inc.query_engine().shortcut_edges().size(), plan.num_slots());
+    const auto w = bucket_values(exact.query_engine().shortcut_edges());
+    const auto g = bucket_values(inc.query_engine().shortcut_edges());
+    EXPECT_TRUE(same_bits(g, w)) << c.name;
+    for (const double v : w) saw_zero_slot = saw_zero_slot || std::isinf(v);
     EXPECT_TRUE(same_bits(bucket_values(inc.query_engine().base_edges()),
                           bucket_values(exact.query_engine().base_edges())))
         << c.name;

@@ -85,11 +85,11 @@ TEST(Reachability, AugmentationUsesBooleanShortcuts) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<BooleanSR>::build(gg.graph, tree);
   const Augmentation<BooleanSR>& aug = engine.augmentation();
-  EXPECT_GT(aug.shortcuts.size(), 0u);
-  for (const auto& e : aug.shortcuts) {
-    EXPECT_EQ(e.value, BooleanSR::one());
-    EXPECT_TRUE(aug.levels.defined(e.from));
-    EXPECT_TRUE(aug.levels.defined(e.to));
+  EXPECT_GT(aug.values.size(), 0u);
+  for (std::size_t s = 0; s < aug.values.size(); ++s) {
+    EXPECT_EQ(aug.values[s], BooleanSR::one());
+    EXPECT_TRUE(aug.levels.defined(aug.plan->slots.from[s]));
+    EXPECT_TRUE(aug.levels.defined(aug.plan->slots.to[s]));
   }
 }
 
@@ -173,13 +173,12 @@ TEST(Reachability, BooleanEplusIsTropicalSupport) {
         build_augmentation_recursive<BooleanSR>(inst.g, inst.tree);
     const auto dist =
         build_augmentation_recursive<TropicalD>(inst.g, inst.tree);
-    ASSERT_EQ(reach.shortcuts.size(), dist.shortcuts.size());
-    for (std::size_t i = 0; i < dist.shortcuts.size(); ++i) {
-      EXPECT_EQ(reach.shortcuts[i].from, dist.shortcuts[i].from);
-      EXPECT_EQ(reach.shortcuts[i].to, dist.shortcuts[i].to);
-      EXPECT_EQ(reach.shortcuts[i].value,
-                std::isfinite(dist.shortcuts[i].value) ? BooleanSR::one()
-                                                       : BooleanSR::zero());
+    ASSERT_EQ(reach.plan, dist.plan);
+    ASSERT_EQ(reach.values.size(), dist.values.size());
+    for (std::size_t i = 0; i < dist.values.size(); ++i) {
+      EXPECT_EQ(reach.values[i], std::isfinite(dist.values[i])
+                                     ? BooleanSR::one()
+                                     : BooleanSR::zero());
     }
   }
 }

@@ -1,10 +1,11 @@
-// Out-of-core engine (src/store/): v4 image round trips under every
+// Out-of-core engine (src/store/): v5 image round trips under every
 // semiring, the certificate flag, the buffer pool's residency
 // accounting, eviction storms under a tiny budget, rewriting an image
 // that a live engine still maps, open-time validation of damaged
 // images, writer determinism, and the read-only service path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -356,7 +357,9 @@ TEST(Store, PoolRefaultAfterEvictionReadsIdenticalBytes) {
 // ---------------------------------------------------------------------
 // Eviction storm through the full engine: a budget of two pages is far
 // below any real working set, so every bucket sweep cycles the pool —
-// results must still be bit-identical.
+// results must still be bit-identical. The batched pass runs its lane
+// blocks on the thread pool, so several queries pin, fault and evict
+// pages of the one buffer pool at once.
 
 TEST(Store, EvictionStormKeepsBitParity) {
   Rng rng(13);
@@ -382,6 +385,17 @@ TEST(Store, EvictionStormKeepsBitParity) {
                           want.dist.size() * sizeof(double)),
               0)
         << "source " << s;
+  }
+  // Every vertex as a source: 100 sources make 13 lane blocks.
+  std::vector<Vertex> sources(gg.graph.num_vertices());
+  for (Vertex v = 0; v < sources.size(); ++v) sources[v] = v;
+  ASSERT_GT(sources.size(),
+            4 * SeparatorShortestPaths<TropicalD>::kBatchLanes);
+  const auto want = heap.distances_batch(sources);
+  const auto got = stored->engine().distances_batch(sources);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_same_reply(got[i], want[i], "batched source " + std::to_string(i));
   }
 #if defined(__linux__)
   EXPECT_GT(stored->pool().stats().evictions, 0u)
@@ -505,9 +519,10 @@ TEST_F(StoreDamage, RejectsCorruptDirectory) {
 
 TEST_F(StoreDamage, RejectsUnknownVersion) {
   // Versions 1 and 2 were the retired stream formats, 3 the layout
-  // without header flags; 5 and later are layouts this reader cannot
-  // know. All must be refused by name.
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 99u}) {
+  // without header flags, 4 the layout that stored E+ twice; 6 and
+  // later are layouts this reader cannot know. All must be refused by
+  // name.
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 99u}) {
     auto bad = image_;
     std::memcpy(bad.data() + offsetof(store::Header, version), &version,
                 sizeof version);
@@ -594,8 +609,8 @@ TEST_F(StoreDamage, HugeCountsDoNotAllocate) {
               dir.size() * sizeof(store::SegmentRecord));
   expect_rejected(bad, "2^40-element records");
 
-  // The height sizes the per-level bucket arrays; one just below the
-  // header's plausibility cap must be refused by the directory bound.
+  // The height sizes the bucket table; one just below the header's
+  // plausibility cap must be refused by the table's file-bounded count.
   store::Header tall = header();
   tall.height = (1u << 28) - 1;
   auto bad_height = image_;
@@ -620,6 +635,102 @@ TEST_F(StoreDamage, RejectsOutOfRangeShortcutEndpoint) {
     return;
   }
   FAIL() << "image has no shortcut-target segment";
+}
+
+// The bucket table splits E+ into the sweep's ranges; the kernels index
+// E+ by it unchecked, so every malformed table is refused by name.
+class StoreBucketTable : public StoreDamage {
+ protected:
+  const store::SegmentRecord& table_record() const {
+    for (const store::SegmentRecord& rec : dir_) {
+      if (rec.kind ==
+          static_cast<std::uint32_t>(store::SegmentKind::kBucketOffsets)) {
+        return rec;
+      }
+    }
+    ADD_FAILURE() << "image has no bucket table";
+    return dir_.front();
+  }
+  std::vector<std::uint64_t> table() const {
+    const store::SegmentRecord& rec = table_record();
+    std::vector<std::uint64_t> out(rec.count);
+    std::memcpy(out.data(), image_.data() + rec.offset, rec.bytes);
+    return out;
+  }
+  /// The image with its table's entries replaced by `t` (same count).
+  std::vector<char> with_table(const std::vector<std::uint64_t>& t) const {
+    auto bad = image_;
+    std::memcpy(bad.data() + table_record().offset, t.data(),
+                t.size() * sizeof(std::uint64_t));
+    return bad;
+  }
+  void expect_reason(const std::vector<char>& bytes, const char* what,
+                     const std::string& want) {
+    const std::string reason = expect_rejected(bytes, what);
+    EXPECT_NE(reason.find(want), std::string::npos) << reason;
+  }
+  void SetUp() override {
+    StoreDamage::SetUp();
+    dir_ = directory();
+  }
+
+  std::vector<store::SegmentRecord> dir_;
+};
+
+TEST_F(StoreBucketTable, IsWellFormedInAWrittenImage) {
+  const store::Header h = header();
+  const std::vector<std::uint64_t> t = table();
+  ASSERT_EQ(t.size(), 3 * (std::size_t{h.height} + 1) + 1);
+  EXPECT_EQ(t.front(), 0u);
+  EXPECT_EQ(t.back(), h.num_shortcuts);
+  EXPECT_TRUE(std::is_sorted(t.begin(), t.end()));
+}
+
+TEST_F(StoreBucketTable, RejectsANonMonotoneTable) {
+  std::vector<std::uint64_t> t = table();
+  std::size_t k = 1;
+  while (k + 1 < t.size() - 1 && t[k] == t[k + 1]) ++k;
+  ASSERT_LT(t[k], t[k + 1]);
+  t[k] = t[k + 1] + 1;
+  expect_reason(with_table(t), "non-monotone table", "not monotone");
+}
+
+TEST_F(StoreBucketTable, RejectsATableNotStartingAtZero) {
+  std::vector<std::uint64_t> t = table();
+  t.front() = 1;
+  expect_reason(with_table(t), "table starting at 1", "does not start at 0");
+}
+
+TEST_F(StoreBucketTable, RejectsATableNotEndingAtTheShortcutCount) {
+  const std::uint64_t count = header().num_shortcuts;
+  for (const std::uint64_t end : {count - 1, count + 1, ~std::uint64_t{0}}) {
+    std::vector<std::uint64_t> t = table();
+    t.back() = end;
+    expect_reason(with_table(t), "table end != num_shortcuts",
+                  "does not end at num_shortcuts");
+  }
+}
+
+TEST_F(StoreBucketTable, RejectsATableOfTheWrongCount) {
+  const store::Header h = header();
+  const std::size_t index = static_cast<std::size_t>(
+      &table_record() - dir_.data());
+  for (const std::uint64_t count : {table().size() - 1, table().size() + 1,
+                                    std::uint64_t{0}}) {
+    std::vector<store::SegmentRecord> dir = dir_;
+    dir[index].count = count;
+    dir[index].bytes = count * sizeof(std::uint64_t);
+    auto bad = image_;
+    std::memcpy(bad.data() + h.directory_offset, dir.data(),
+                dir.size() * sizeof(store::SegmentRecord));
+    expect_reason(bad, "table of the wrong count", "count is not");
+  }
+  // A height one level off is the same mismatch, seen from the header.
+  store::Header taller = h;
+  ++taller.height;
+  auto bad = image_;
+  std::memcpy(bad.data(), &taller, sizeof taller);
+  expect_reason(bad, "height one above the table", "count is not");
 }
 
 TEST_F(StoreDamage, RejectsMissingFile) {
