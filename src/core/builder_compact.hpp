@@ -168,7 +168,8 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
   aug.critical_depth = iterations_run;  // one synchronous phase per round
 
   // --- extraction: E_t = S x S u B x B per node --------------------------
-  // In the plan's entry order, so fill_values takes each slot's best.
+  // As the plan lays out each node's group matrices, diagonals included
+  // (never read), so fill_values takes each slot's best.
   std::vector<Value> entries;
   entries.reserve(aug.plan->num_entries());
   for (std::size_t id = 0; id < num_nodes; ++id) {
@@ -176,7 +177,6 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
     auto emit = [&](std::span<const Vertex> group) {
       for (const Vertex u : group) {
         for (const Vertex v : group) {
-          if (u == v) continue;
           entries.push_back(weight[edge_index.at(pack(u, v))]);
         }
       }

@@ -13,9 +13,10 @@
 // Node tasks lease scratch arenas (builder_scratch.hpp): the squaring
 // product buffer is reused across nodes and iterations, vertex lookups
 // are dense-map probes, and the extraction step writes each node's
-// entries into the slice the tree's slot plan assigns it (no per-node
-// vectors), in the order Algorithm 4.1 emits them; detail::fill_values
-// then takes every slot's minimum, as in an Algorithm 4.1 build.
+// S x S and B x B group matrices into the slice the tree's slot plan
+// assigns it (no per-node vectors), in the layout of Algorithm 4.1's
+// node matrices; detail::fill_values then takes every slot's minimum,
+// as in an Algorithm 4.1 build.
 #pragma once
 
 #include <algorithm>
@@ -212,8 +213,9 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   }
   aug.critical_depth = iterations_run * per_iter_depth;
 
-  // Step iii: extract S x S and B x B entries into the slices the tree's
-  // slot plan assigns each node; fill_values keeps each slot's best.
+  // Step iii: extract the S x S and B x B group matrices into the slices
+  // the tree's slot plan assigns each node; fill_values keeps each
+  // slot's best and never reads a diagonal cell.
   const std::vector<std::size_t>& offsets = aug.plan->node_offset;
   std::vector<typename S::Value> entries(aug.plan->num_entries());
   pram::ThreadPool::global().parallel_for(0, num_nodes, [&](std::size_t id) {
@@ -227,7 +229,6 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
       for (const Vertex u : group) {
         const std::size_t i = scratch->map0.find(u);
         for (const Vertex v : group) {
-          if (u == v) continue;
           *out++ = m.at(i, scratch->map0.find(v));
         }
       }

@@ -20,40 +20,45 @@
 // closure serves the benches that reproduce the paper's depth.
 //
 // Steps i-v exist once, in detail::node_step, which leaves the node's
-// closed H_S and boundary matrix behind; the node's entries — the values
-// of its complete S x S and B x B pair sets — are those matrices'
-// off-diagonal cells. Which pair each value belongs to, which values
-// share a (from, to) slot of E+, and which leveled bucket every slot
-// sits in are the tree's slot plan (separator/eplus_plan.hpp), computed
-// once per tree; where each internal node reads its children's matrices
-// is the gather plan beside it. node_step runs under one scheduler,
-// detail::tree_pass: a fork-join pass over the tree that runs light
-// subtrees serially and forks the children of heavier nodes. A build is
-// two steps: detail::run_algorithm41 runs node_step on every node in
-// one tree_pass and copies each node's entries into its slice; then one
-// parallel pass takes each slot's minimum over its owners (slot_min).
-// The engine builds (SeparatorShortestPaths::build, IncrementalEngine)
-// write it into the augmentation and straight into the query engine's
-// value slabs, beside the plan's slot array (detail::set_slot under
-// LeveledQuery's slot-value constructor); build_augmentation_recursive
-// writes the augmentation alone (detail::fill_values). Algorithm 4.3
-// and Remark 4.4 (builder_doubling.hpp, builder_compact.hpp) emit their
-// entries in the same order and finish through the same fill_values.
-// The incremental engine
-// (core/incremental.cpp) reruns node_step in a tree_pass over the dirty
-// nodes, diffs the two matrices row by row against the retained entries
-// and re-minimizes the slots of the entries that moved.
+// closed H_S and boundary matrix in its scratch lease. The tree's slot
+// plan (separator/eplus_plan.hpp), computed once per tree, lays every
+// node's two matrices out whole in one arena of entries: node id's
+// slice is its H_S, then its boundary matrix, row-major, diagonals
+// included. The off-diagonal cells are the node's entries — the values
+// of its complete S x S and B x B pair sets — and the plan says which
+// (from, to) slot of E+ each one belongs to, which entries share a
+// slot, and which leveled bucket every slot sits in. Parents read their
+// children's boundary matrices straight from the arena, at the
+// positions the gather plan beside it lists. node_step runs under one
+// scheduler, detail::tree_pass: a fork-join pass over the tree that
+// runs light subtrees serially and forks the children of heavier nodes.
+// A build is two steps: detail::run_algorithm41 runs node_step on every
+// node in one tree_pass and copies the node's two matrices into its
+// slice; then one parallel pass takes each slot's minimum over its
+// owners (slot_min). The engine builds (SeparatorShortestPaths::build,
+// IncrementalEngine) write it into the augmentation and straight into
+// the query engine's value slabs, beside the plan's slot array
+// (detail::set_slot under LeveledQuery's slot-value constructor);
+// build_augmentation_recursive writes the augmentation alone
+// (detail::fill_values). Algorithm 4.3 and Remark 4.4
+// (builder_doubling.hpp, builder_compact.hpp) write their V_H group
+// matrices in the same layout and finish through the same fill_values.
+// The incremental engine (core/incremental.cpp) keeps the arena, reruns
+// node_step in a tree_pass over the dirty nodes, diffs the two matrices
+// row by row against the node's slice and re-minimizes the slots of the
+// entries that moved.
 //
 // Node tasks lease a scratch arena (builder_scratch.hpp), one lease per
-// serial subtree and one per forked node: intermediate matrices reuse
-// storage across nodes. Only the boundary matrices (`bnd`), which
-// parents read, own long-lived storage.
+// serial subtree and one per forked node: every matrix a node step
+// builds reuses storage across nodes, so the tree pass allocates nothing
+// per node.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "core/augment.hpp"
@@ -81,20 +86,6 @@ void run_closure(Matrix<S>& m, ClosureKind kind, Matrix<S>& scratch) {
   }
 }
 
-/// Writes all off-diagonal cells of the square matrix `m`, i-major —
-/// the values of the pairs EplusPlan lays out for one vertex group —
-/// and returns past-the-end.
-template <Semiring S>
-typename S::Value* emit_pairs(const Matrix<S>& m, typename S::Value* out) {
-  const std::size_t k = m.rows();
-  for (std::size_t i = 0; i < k; ++i) {
-    const typename S::Value* row = m.row(i);
-    out = std::copy(row, row + i, out);
-    out = std::copy(row + i + 1, row + k, out);
-  }
-  return out;
-}
-
 /// True when some diagonal cell of the square matrix `m` is strictly
 /// better than one() (below 0 in the tropical semirings; never for
 /// BooleanSR or BottleneckSR). Exact comparison, no tolerance: rounding
@@ -109,28 +100,27 @@ bool has_negative_diagonal(const Matrix<S>& m) {
 }
 
 /// Steps i-v of Algorithm 4.1 for node `id`. Reads the children's
-/// boundary matrices from `bnd`, writes the node's closed H_S into
-/// sc.hs (0 x 0 at a leaf) and its boundary matrix into `bm`. The
-/// node's entries, in the order EplusPlan lays them out, are the
-/// off-diagonal cells of sc.hs and then of `bm`, each i-major
-/// (emit_pairs). Leaves run Floyd–Warshall on the induced subgraph,
-/// whose arc weights come from weight_of(const Arc&); internal nodes
-/// gather through the tree's GatherPlan and close H_S with `closure`.
-/// Returns true when the node's closure — the leaf's Floyd–Warshall
-/// matrix or the closed H_S — has a diagonal cell strictly better than
-/// one(): a negative closed walk in G. With Floyd–Warshall closures, G
-/// has a negative cycle exactly when some node returns true
-/// (docs/ALGORITHMS.md, "The negative-cycle certificate").
+/// boundary matrices from their slices of `entries`, laid out by the
+/// tree's slot plan, and writes the node's closed H_S into sc.hs (0 x 0
+/// at a leaf) and its boundary matrix into sc.bm. Leaves run
+/// Floyd–Warshall on the induced subgraph, whose arc weights come from
+/// weight_of(const Arc&); internal nodes gather through the tree's
+/// GatherPlan and close H_S with `closure`. Returns true when the node's
+/// closure — the leaf's Floyd–Warshall matrix or the closed H_S — has a
+/// diagonal cell strictly better than one(): a negative closed walk in
+/// G. With Floyd–Warshall closures, G has a negative cycle exactly when
+/// some node returns true (docs/ALGORITHMS.md, "The negative-cycle
+/// certificate").
 template <Semiring S, typename WeightOf>
 bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
-               const std::vector<Matrix<S>>& bnd, ClosureKind closure,
-               const WeightOf& weight_of, RecursiveScratch<S>& sc,
-               Matrix<S>& bm) {
+               std::span<const typename S::Value> entries, ClosureKind closure,
+               const WeightOf& weight_of, RecursiveScratch<S>& sc) {
   using Value = typename S::Value;
   const DecompNode& t = tree.node(id);
   const std::size_t ns = t.separator.size();
   const std::size_t nb = t.boundary.size();
   Matrix<S>& hs = sc.hs;
+  Matrix<S>& bm = sc.bm;
 
   if (t.is_leaf()) {
     // Exact APSP on the (constant-size) induced subgraph.
@@ -155,24 +145,37 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
         bm.at(p, q) = local.at(ip, sc.map.find(t.boundary[q]));
       }
     }
-    hs.reset(0);  // a leaf has no separator: its entries are B x B alone
+    hs.reset(0);  // a leaf has no separator: its slice is B x B alone
     return has_negative_diagonal(local);
   }
 
-  // Child c's positions of S(t) and of the B(t) vertices it contains
-  // come from the tree's gather plan; every gather below is a row read.
-  const GatherPlan& plan = tree.eplus_plan()->gather;
-  const std::array<const Matrix<S>*, 2> child = {
-      &bnd[static_cast<std::size_t>(t.child[0])],
-      &bnd[static_cast<std::size_t>(t.child[1])]};
+  // Child c's boundary matrix ends its slice: |B(c)| rows of |B(c)|
+  // cells after its |S(c)|^2 H_S cells. Its positions of S(t) and of
+  // the B(t) vertices it contains come from the tree's gather plan;
+  // every gather below is a row read.
+  const EplusPlan& eplus = *tree.eplus_plan();
+  const GatherPlan& plan = eplus.gather;
+  std::array<std::span<const Value>, 2> child;
+  std::array<std::size_t, 2> stride{};
+  for (int c = 0; c < 2; ++c) {
+    const auto cid = static_cast<std::size_t>(t.child[c]);
+    const DecompNode& ct = tree.node(cid);
+    stride[c] = ct.boundary.size();
+    child[c] = entries.subspan(
+        eplus.node_offset[cid] + ct.separator.size() * ct.separator.size(),
+        stride[c] * stride[c]);
+  }
+  const auto child_row = [&](int c, std::size_t r) {
+    SEPSP_DCHECK(r < stride[c]);
+    return child[c].data() + r * stride[c];
+  };
 
   // Step i: H_S from the children's boundary distances.
   hs.reset(ns);
   for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = *child[c];
     const std::span<const std::uint32_t> s_in = plan.s_in_child(id, c);
     for (std::size_t i = 0; i < ns; ++i) {
-      const Value* src = cm.row(s_in[i]);
+      const Value* src = child_row(c, s_in[i]);
       Value* dst = hs.row(i);
       for (std::size_t j = 0; j < ns; ++j) {
         dst[j] = S::combine(dst[j], src[s_in[j]]);
@@ -192,19 +195,18 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
   b_to_s.reset(nb, ns);
   s_to_b.reset(ns, nb);
   for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = *child[c];
     const std::span<const std::uint32_t> s_in = plan.s_in_child(id, c);
     const std::span<const std::uint32_t> rows = plan.b_rows(id, c);
     const std::span<const std::uint32_t> b_in = plan.b_in_child(id, c);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      const Value* src = cm.row(b_in[k]);
+      const Value* src = child_row(c, b_in[k]);
       Value* dst = b_to_s.row(rows[k]);
       for (std::size_t q = 0; q < ns; ++q) {
         dst[q] = S::combine(dst[q], src[s_in[q]]);
       }
     }
     for (std::size_t q = 0; q < ns; ++q) {
-      const Value* src = cm.row(s_in[q]);
+      const Value* src = child_row(c, s_in[q]);
       Value* dst = s_to_b.row(q);
       for (std::size_t k = 0; k < rows.size(); ++k) {
         dst[rows[k]] = S::combine(dst[rows[k]], src[b_in[k]]);
@@ -223,11 +225,10 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
     bm.at(p, p) = S::combine(S::one(), bm.at(p, p));
   }
   for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = *child[c];
     const std::span<const std::uint32_t> rows = plan.b_rows(id, c);
     const std::span<const std::uint32_t> b_in = plan.b_in_child(id, c);
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      const Value* src = cm.row(b_in[k]);
+      const Value* src = child_row(c, b_in[k]);
       Value* dst = bm.row(rows[k]);
       for (std::size_t l = 0; l < rows.size(); ++l) {
         dst[rows[l]] = S::combine(dst[rows[l]], src[b_in[l]]);
@@ -239,10 +240,10 @@ bool node_step(const Digraph& g, const SeparatorTree& tree, std::size_t id,
 
 /// Estimated cost of node_step on `t`, in cell updates: a leaf's
 /// Floyd–Warshall, or an internal node's H_S closure and two 3-limited
-/// products, plus the squares of the gathers and the emission, plus a
-/// fixed per-node cost (scratch resets, the boundary matrix's
-/// allocation: a 4-vertex leaf takes about as long as 1,000 kernel
-/// cells).
+/// products, plus the squares of the gathers and the copy into the
+/// arena, plus a fixed per-node cost (scratch resets and call overhead;
+/// when it was measured, each node still allocated its boundary matrix
+/// and a 4-vertex leaf took about as long as 1,000 kernel cells).
 inline std::uint64_t node_work(const DecompNode& t) {
   constexpr std::uint64_t kPerNode = 1024;
   if (t.is_leaf()) {
@@ -333,8 +334,8 @@ bool tree_pass(const SeparatorTree& tree, std::span<const std::uint64_t> work,
 /// schedules it (every node of a level at once): the sum over tree
 /// levels of the largest node depth on the level, at least 1. A node's
 /// depth is its closure on |S| plus the two 3-limited rectangular
-/// products, or a leaf's Floyd–Warshall; emission is O(set^2),
-/// dominated by the kernels it rides along with.
+/// products, or a leaf's Floyd–Warshall; the copy into the arena is
+/// O(set^2), dominated by the kernels it rides along with.
 inline std::uint64_t critical_depth(const SeparatorTree& tree,
                                     ClosureKind closure) {
   std::vector<std::uint64_t> level_depth(tree.height() + 1, 1);
@@ -356,22 +357,22 @@ inline std::uint64_t critical_depth(const SeparatorTree& tree,
   return total;
 }
 
-/// Output of run_algorithm41. Node id's entry values occupy
-/// entries[plan.node_offset[id], plan.node_offset[id + 1]) of
-/// aug.plan, not yet minimized per slot; aug.values is empty until
-/// fill_values.
+/// Output of run_algorithm41. Node id's closed H_S and boundary matrix
+/// occupy entries[plan.node_offset[id], plan.node_offset[id + 1]) of
+/// aug.plan, as the plan lays them out; the off-diagonal cells are the
+/// node's entry values, not yet minimized per slot. aug.values is empty
+/// until fill_values.
 template <Semiring S>
 struct TreeRun {
   Augmentation<S> aug;
-  std::vector<typename S::Value> entries;
-  std::vector<Matrix<S>> bnd;  ///< boundary matrices, when kept
+  std::unique_ptr<typename S::Value[]> arena;  ///< owns `entries`
+  std::span<typename S::Value> entries;
   /// Per node: what its node_step returned.
   std::vector<std::uint8_t> negative_diagonal;
 };
 
 /// Algorithm 4.1 over the whole tree: node_step on every node in one
-/// tree_pass; node id writes its entry values into its own slice, then
-/// releases its children's boundary matrices unless `keep_bnd`. Fills
+/// tree_pass; node id copies its two matrices into its own slice. Fills
 /// plan, levels, height, ell and critical_depth, and sets cycle_free
 /// when the closures are Floyd–Warshall and no node has a negative
 /// diagonal. The squaring closure never certifies: its
@@ -379,7 +380,8 @@ struct TreeRun {
 /// every simple cycle (a cycle through all of S needs |S| hops).
 template <Semiring S>
 TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
-                           ClosureKind closure, bool keep_bnd) {
+                           ClosureKind closure) {
+  using Value = typename S::Value;
   const std::size_t num_nodes = tree.num_nodes();
   TreeRun<S> run;
   run.aug.plan = tree.eplus_plan();
@@ -390,31 +392,24 @@ TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   run.aug.height = tree.height();
   run.aug.ell = leaf_diameter_bound(tree);
   run.aug.critical_depth = critical_depth(tree, closure);
-  run.bnd.resize(num_nodes);
   run.negative_diagonal.assign(num_nodes, 0);
-  run.entries.resize(plan.num_entries());
+  // Every cell is written by its node's visit before any parent reads
+  // it, so the arena starts uninitialized.
+  run.arena = std::make_unique_for_overwrite<Value[]>(plan.num_entries());
+  run.entries = {run.arena.get(), plan.num_entries()};
 
   ScratchPool<RecursiveScratch<S>> scratch_pool([&] {
     return std::make_unique<RecursiveScratch<S>>(g.num_vertices());
   });
   const auto arc_weight = [](const Arc& a) { return a.weight; };
   const auto visit = [&](std::size_t id, bool, RecursiveScratch<S>& sc) {
-    run.negative_diagonal[id] =
-        node_step<S>(g, tree, id, run.bnd, closure, arc_weight, sc,
-                     run.bnd[id])
-            ? 1
-            : 0;
-    const std::span<typename S::Value> slice(
-        run.entries.data() + plan.node_offset[id],
-        plan.node_offset[id + 1] - plan.node_offset[id]);
-    typename S::Value* end = emit_pairs(sc.hs, slice.data());
-    end = emit_pairs(run.bnd[id], end);
-    SEPSP_DCHECK(end == slice.data() + slice.size());
-    const DecompNode& t = tree.node(id);
-    if (!keep_bnd && !t.is_leaf()) {
-      run.bnd[static_cast<std::size_t>(t.child[0])].clear();
-      run.bnd[static_cast<std::size_t>(t.child[1])].clear();
-    }
+    const bool negative =
+        node_step<S>(g, tree, id, run.entries, closure, arc_weight, sc);
+    run.negative_diagonal[id] = negative ? 1 : 0;
+    Value* out = run.entries.data() + plan.node_offset[id];
+    out = std::copy_n(sc.hs.row(0), sc.hs.rows() * sc.hs.cols(), out);
+    out = std::copy_n(sc.bm.row(0), sc.bm.rows() * sc.bm.cols(), out);
+    SEPSP_DCHECK(out == run.entries.data() + plan.node_offset[id + 1]);
     return true;
   };
   if (num_nodes > 0) {
@@ -443,8 +438,8 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
   return best;
 }
 
-/// Sets aug.values[slot] to the slot's slot_min over the raw entries
-/// (indexed like the plan's entries), and returns it. aug.values must
+/// Sets aug.values[slot] to the slot's slot_min over the entry arena
+/// (laid out by the plan), and returns it. aug.values must
 /// already hold one entry per slot.
 template <Semiring S>
 typename S::Value set_slot(Augmentation<S>& aug, std::size_t slot,
@@ -452,7 +447,7 @@ typename S::Value set_slot(Augmentation<S>& aug, std::size_t slot,
   return aug.values[slot] = slot_min<S>(*aug.plan, slot, entries);
 }
 
-/// E+ from a build's raw entries: aug.values gets one value per slot of
+/// E+ from a build's entry arena: aug.values gets one value per slot of
 /// aug.plan, in plan order, the slot_min — zero() where no owner has a
 /// path. One parallel pass. The engine builds fuse this pass with their
 /// query engine's value fill instead (LeveledQuery's slot-value
@@ -482,8 +477,7 @@ Augmentation<S> build_augmentation_recursive(
     ClosureKind closure = ClosureKind::kSquaring) {
   SEPSP_TRACE_SPAN("build.recursive");
   const pram::CostScope scope;
-  detail::TreeRun<S> run =
-      detail::run_algorithm41<S>(g, tree, closure, /*keep_bnd=*/false);
+  detail::TreeRun<S> run = detail::run_algorithm41<S>(g, tree, closure);
   detail::fill_values<S>(run.aug, run.entries);
   run.aug.build_cost = scope.cost();
   return std::move(run.aug);

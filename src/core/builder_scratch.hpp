@@ -1,12 +1,13 @@
 // Per-node scratch arenas for the E+ builders.
 //
-// The builders process many tree nodes per level, and every node used
-// to allocate its own index-lookup structures and intermediate matrices.
-// The arenas here let a node task lease a reusable scratch object
-// instead: matrix storage is re-shaped with Matrix::reset (no
-// allocation once grown to the high-water mark) and vertex->index
-// lookups use an epoch-stamped dense map (O(1) per probe, O(list) per
-// bind, no clearing pass).
+// The builders process many tree nodes per level. A node task leases a
+// reusable scratch object for its index lookups and matrices, its own
+// closed H_S and boundary matrix included: matrix storage is re-shaped
+// with Matrix::reset (no allocation once grown to the high-water mark)
+// and vertex->index lookups use an epoch-stamped dense map (O(1) per
+// probe, O(list) per bind, no clearing pass). What outlives the node —
+// its two matrices — is copied into the node's slice of the entry arena
+// the slot plan lays out.
 //
 // IMPORTANT: leases come from a mutex-protected pool, NOT from
 // thread_local storage. The work-stealing pool's joins are help-first —
@@ -132,15 +133,14 @@ struct RecursiveScratch {
   VertexIndexMap map;  // leaf: t.vertices
   Matrix<S> local;     // leaf: APSP on the induced subgraph
   Matrix<S> hs;        // H_S and its closure (0 x 0 at a leaf)
+  Matrix<S> bm;        // the boundary matrix
   Matrix<S> b_to_s;
   Matrix<S> s_to_b;
   Matrix<S> tmp;     // b_to_s (x) hs
   Matrix<S> square;  // squaring-closure product buffer
-  // Incremental recompute: the boundary matrix's diagonal before the
-  // step rewrites it (its off-diagonal cells are the retained entries),
-  // and the indices of the entries that moved in the update batch tagged
-  // `batch`, appended by every node recomputed on this scratch.
-  std::vector<typename S::Value> diag;
+  // Incremental recompute: the indices of the entries that moved in the
+  // update batch tagged `batch`, appended by every node recomputed on
+  // this scratch.
   std::vector<std::uint32_t> moved;
   std::uint64_t batch = 0;
 };

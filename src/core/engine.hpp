@@ -82,8 +82,8 @@ class SeparatorShortestPaths {
     SEPSP_CHECK(tree.num_graph_vertices() == g.num_vertices());
     SEPSP_TRACE_SPAN("engine.build");
     const pram::CostScope scope;
-    detail::TreeRun<S> run = detail::run_algorithm41<S>(
-        g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
+    detail::TreeRun<S> run =
+        detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
     run.aug.build_cost = scope.cost();
     SeparatorShortestPaths engine(g, options.query, run.aug.cycle_free);
     auto aug = std::make_shared<Augmentation<S>>(std::move(run.aug));

@@ -22,13 +22,12 @@ struct IncrementalEngine::State {
   /// Effective weight per flat arc index (indexes g->arcs()).
   std::vector<double> weights;
 
-  /// Retained Algorithm-4.1 state: per-node boundary matrices and the
-  /// values of the entries every node emits, laid out by the tree's slot
-  /// plan aug.plan (node id's at [node_offset[id], node_offset[id + 1])
-  /// of `entries`; the pairs are the plan's, only values change under
-  /// reweighting).
-  std::vector<Matrix<S>> bnd;
-  std::vector<S::Value> entries;
+  /// Retained Algorithm-4.1 state: the entry arena, every node's closed
+  /// H_S and boundary matrix laid out by the tree's slot plan aug.plan
+  /// (node id's at [node_offset[id], node_offset[id + 1]) of `entries`;
+  /// the pairs are the plan's, only values change under reweighting).
+  std::unique_ptr<S::Value[]> arena;  ///< owns `entries`
+  std::span<S::Value> entries;
 
   /// The negative-cycle certificate, per node: node id's closure has a
   /// diagonal cell below one() (what detail::node_step returned), and how
@@ -96,56 +95,49 @@ struct IncrementalEngine::State {
   std::vector<NodeDelta> delta;
 
   /// Copies the cells of the square matrix `m` whose bits differ from
-  /// its retained entries entries[base, base + pair_count(m.rows())) —
-  /// off-diagonal, i-major — and appends their entry indices to `moved`.
-  /// Row i of the entries is [i(k - 1), (i + 1)(k - 1)), split around
-  /// the diagonal; a row whose two segments memcmp equal is skipped
-  /// whole.
-  void diff_rows(const Matrix<S>& m, std::size_t base,
+  /// its retained copy entries[base, base + m.rows()^2) — row-major,
+  /// diagonal included — and appends the entry indices of the
+  /// off-diagonal ones, the cells that own a slot, to `moved`. A row
+  /// whose bits memcmp equal is skipped whole. Returns whether any cell
+  /// moved, diagonal included.
+  bool diff_rows(const Matrix<S>& m, std::size_t base,
                  std::vector<std::uint32_t>& moved) {
     const std::size_t k = m.rows();
-    if (k < 2) return;  // no off-diagonal cells, no entries
-    S::Value* old = entries.data() + base;
-    for (std::size_t i = 0; i < k; ++i, old += k - 1) {
+    bool any = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t first = base + i * k;
+      S::Value* old = entries.data() + first;
       const S::Value* row = m.row(i);
-      if (std::memcmp(old, row, i * sizeof(S::Value)) == 0 &&
-          std::memcmp(old + i, row + i + 1, (k - 1 - i) * sizeof(S::Value)) ==
-              0) {
-        continue;
-      }
+      if (std::memcmp(old, row, k * sizeof(S::Value)) == 0) continue;
+      any = true;
       for (std::size_t j = 0; j < k; ++j) {
-        if (j == i) continue;
-        const std::size_t col = j < i ? j : j - 1;
-        if (std::memcmp(&old[col], &row[j], sizeof(S::Value)) == 0) continue;
-        old[col] = row[j];
-        moved.push_back(static_cast<std::uint32_t>(
-            static_cast<std::size_t>(old - entries.data()) + col));
+        if (std::memcmp(&old[j], &row[j], sizeof(S::Value)) == 0) continue;
+        old[j] = row[j];
+        if (j != i) moved.push_back(static_cast<std::uint32_t>(first + j));
       }
     }
+    return any;
   }
 
   /// Recomputes node `id` with the shared Algorithm-4.1 node step (the
-  /// Floyd–Warshall closure the initial build used), writing its
-  /// boundary matrix straight into bnd[id], and diffs the closed H_S and
-  /// the boundary matrix row by row against the retained entries: only
-  /// cells that moved are written, and their indices go to sc.moved
-  /// (the slots to re-minimize). Updates the node's certificate flag and
-  /// records the change in delta[id]. Writes only this node's state, so
-  /// distinct nodes whose children are final may run concurrently.
-  /// Returns whether bnd[id] changed (any bit, diagonal included): that
-  /// drives upward propagation. An internal node's S x S entries can move
-  /// while its boundary matrix does not, and vice versa.
+  /// Floyd–Warshall closure the initial build used) into scratch, and
+  /// diffs the closed H_S and the boundary matrix row by row against the
+  /// node's slice of the arena: only cells that moved are written, and
+  /// the indices of the off-diagonal ones go to sc.moved (the slots to
+  /// re-minimize). Updates the node's certificate flag and records the
+  /// change in delta[id]. Writes only this node's state, so distinct
+  /// nodes whose children are final may run concurrently. Returns
+  /// whether the boundary matrix changed (any bit, diagonal included):
+  /// that drives upward propagation. An internal node's S x S entries
+  /// can move while its boundary matrix does not, and vice versa.
   bool recompute_node(std::size_t id, detail::RecursiveScratch<S>& sc) {
-    Matrix<S>& bm = bnd[id];
-    sc.diag.resize(bm.rows());
-    for (std::size_t p = 0; p < bm.rows(); ++p) sc.diag[p] = bm.at(p, p);
     const std::uint8_t negative =
         detail::node_step<S>(
-            *g, *tree, id, bnd, ClosureKind::kFloydWarshall,
+            *g, *tree, id, entries, ClosureKind::kFloydWarshall,
             [&](const Arc& a) {
               return weights[static_cast<std::size_t>(&a - g->arcs().data())];
             },
-            sc, bm)
+            sc)
             ? 1
             : 0;
     NodeDelta& d = delta[id];
@@ -159,13 +151,9 @@ struct IncrementalEngine::State {
     d.begin = static_cast<std::uint32_t>(sc.moved.size());
     const std::size_t base = aug.plan->node_offset[id];
     diff_rows(sc.hs, base, sc.moved);
-    const std::size_t mid = sc.moved.size();
-    diff_rows(bm, base + pair_count(sc.hs.rows()), sc.moved);
+    const bool matrix =
+        diff_rows(sc.bm, base + sc.hs.rows() * sc.hs.rows(), sc.moved);
     d.moved = static_cast<std::uint32_t>(sc.moved.size() - d.begin);
-    bool matrix = sc.moved.size() != mid;
-    for (std::size_t p = 0; p < bm.rows() && !matrix; ++p) {
-      matrix = std::memcmp(&sc.diag[p], &bm.at(p, p), sizeof(S::Value)) != 0;
-    }
     return matrix;
   }
 
@@ -217,12 +205,12 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
     return std::make_unique<detail::RecursiveScratch<S>>(n);
   });
 
-  // The exact build with Floyd–Warshall closures, keeping every node's
-  // boundary matrix and entry values for later recomputes.
-  detail::TreeRun<S> run = detail::run_algorithm41<S>(
-      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
-  s.bnd = std::move(run.bnd);
-  s.entries = std::move(run.entries);
+  // The exact build with Floyd–Warshall closures, keeping its entry
+  // arena — every node's two matrices — for later recomputes.
+  detail::TreeRun<S> run =
+      detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
+  s.arena = std::move(run.arena);
+  s.entries = run.entries;
   s.negative_diagonal = std::move(run.negative_diagonal);
   s.negative_nodes = static_cast<std::size_t>(std::count(
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));

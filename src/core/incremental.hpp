@@ -4,10 +4,11 @@
 // changes never invalidate the tree — and they invalidate only part of
 // E+: an edge (u, v) is inside G(t) exactly for the tree nodes
 // containing both endpoints, a root-path-shaped set that branches only
-// where both endpoints sit in a separator. This engine keeps every
-// node's boundary-distance matrix from the Algorithm-4.1 build alive
-// and, after a batch of weight updates, recomputes just the affected
-// nodes bottom-up before splicing their shortcut lists back into E+.
+// where both endpoints sit in a separator. This engine keeps the
+// Algorithm-4.1 build's entry arena alive — every node's closed H_S and
+// boundary-distance matrix, laid out by the tree's slot plan — and,
+// after a batch of weight updates, recomputes just the affected nodes
+// bottom-up before re-minimizing the E+ slots whose entries moved.
 //
 // Proportionality contract: every phase of apply() is bounded by the
 // dirty region, never the whole structure.
@@ -16,13 +17,13 @@
 //     arcs' leaves and their ancestors, which update_edge marks. A
 //     light subtree runs serially as one pool task; a heavier node
 //     forks its dirty children and recomputes itself right after the
-//     join, with no level barrier. Each recompute writes its boundary
-//     matrix in place and diffs it and the closed H_S row by row
-//     against the node's retained entries (a memcmp per row, per-cell
-//     work only on rows that differ), writing only the entries that
-//     moved. The per-node results are folded serially in preorder over
-//     the dirty region, so results and ApplyStats do not depend on the
-//     schedule the pool picks.
+//     join, with no level barrier. Each recompute runs the node step
+//     into scratch and diffs the closed H_S and the boundary matrix row
+//     by row against the node's slice of the arena (a memcmp per row,
+//     per-cell work only on rows that differ), writing only the cells
+//     that moved. The per-node results are folded serially in preorder
+//     over the dirty region, so results and ApplyStats do not depend on
+//     the schedule the pool picks.
 //   * Re-minimize: a touched-slot worklist built from the moved entries
 //     (epoch-stamped dedup) — O(moved + touched x owners), not O(|E+|)
 //     and not O(entries of the recomputed nodes).
@@ -84,9 +85,10 @@ class IncrementalEngine {
     std::size_t nodes_recomputed = 0;
     std::size_t slots_touched = 0;
     std::size_t slabs_copied = 0;
-    /// Entries of the recomputed nodes whose value bits changed; every
-    /// touched slot owns at least one of them, so slots_touched <=
-    /// entries_moved <= the recomputed nodes' entries.
+    /// Off-diagonal entries (the ones that own a slot) of the
+    /// recomputed nodes whose value bits changed; every touched slot
+    /// owns at least one of them, so slots_touched <= entries_moved <=
+    /// the recomputed nodes' off-diagonal entries.
     std::size_t entries_moved = 0;
   };
   ApplyStats last_apply_stats() const;

@@ -112,14 +112,6 @@ class Matrix {
   }
   void reset(std::size_t n) { reset(n, n); }
 
-  /// Releases the storage (free child matrices once a parent consumed
-  /// them — Algorithm 4.1 keeps only one tree level alive).
-  void clear() {
-    rows_ = cols_ = 0;
-    cells_.clear();
-    cells_.shrink_to_fit();
-  }
-
   bool operator==(const Matrix& rhs) const = default;
 
  private:

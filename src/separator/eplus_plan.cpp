@@ -1,8 +1,6 @@
 #include "separator/eplus_plan.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 #include <span>
 
 #include "obs/trace.hpp"
@@ -87,26 +85,30 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   for (std::size_t id = 0; id < num_nodes; ++id) {
     plan.node_offset[id] = total;
     const DecompNode& t = tree.node(id);
-    total += pair_count(t.separator.size()) + pair_count(t.boundary.size());
+    total += t.separator.size() * t.separator.size() +
+             t.boundary.size() * t.boundary.size();
   }
   plan.node_offset[num_nodes] = total;
-  SEPSP_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
-                  "E+ emission exceeds 2^32 entries");
+  SEPSP_CHECK_MSG(total < EplusPlan::kNoSlot,
+                  "E+ node matrices exceed 2^32 - 1 entries");
 
-  // The raw pairs, in emission order. Every endpoint has a level: it
-  // lies in some S(t) or B(t).
+  // Every entry's pair, in arena order, and the off-diagonal entries in
+  // ascending order. Every endpoint has a level: it lies in some S(t) or
+  // B(t).
   plan.levels = compute_levels(tree);
   const std::vector<std::uint32_t>& level = plan.levels.level;
   std::vector<Vertex> from(total), to(total);
+  std::vector<std::uint32_t> order;
+  order.reserve(total);
   std::size_t e = 0;
   const auto emit = [&](std::span<const Vertex> verts) {
     for (const Vertex u : verts) {
       SEPSP_CHECK_MSG(level[u] != LevelAssignment::kUndefined,
                       "E+ slot endpoint without a level");
       for (const Vertex v : verts) {
-        if (u == v) continue;
         from[e] = u;
         to[e] = v;
+        if (u != v) order.push_back(static_cast<std::uint32_t>(e));
         ++e;
       }
     }
@@ -117,12 +119,12 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   }
   SEPSP_DCHECK(e == total);
 
-  // Entry indices sorted by (from, to), ties in ascending entry order:
-  // a stable counting sort by `to`, then one by `from`.
+  // Off-diagonal entries sorted by (from, to), ties in ascending entry
+  // order: a stable counting sort by `to`, then one by `from`.
+  const std::size_t pairs = order.size();
   const std::size_t n = tree.num_graph_vertices();
   std::vector<std::uint32_t> pos;
-  std::vector<std::uint32_t> order(total);
-  std::vector<std::uint32_t> sorted(total);
+  std::vector<std::uint32_t> sorted(pairs);
   const auto sort_by = [&](const std::vector<Vertex>& key) {
     pos.assign(n + 1, 0);
     for (const std::uint32_t entry : order) ++pos[key[entry] + 1];
@@ -130,7 +132,6 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
     for (const std::uint32_t entry : order) sorted[pos[key[entry]]++] = entry;
     order.swap(sorted);
   };
-  std::iota(order.begin(), order.end(), std::uint32_t{0});
   sort_by(to);
   sort_by(from);
 
@@ -140,7 +141,7 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   const std::size_t num_buckets = EplusPlan::num_buckets(height);
   std::vector<std::uint32_t> run_start;
   std::vector<std::uint32_t> run_rank;
-  for (std::size_t k = 0; k < total; ++k) {
+  for (std::size_t k = 0; k < pairs; ++k) {
     const std::uint32_t entry = order[k];
     if (k > 0 && from[order[k - 1]] == from[entry] &&
         to[order[k - 1]] == to[entry]) {
@@ -156,7 +157,7 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
         static_cast<std::uint32_t>(EplusPlan::bucket_rank(kind, lu, height)));
   }
   const std::size_t num_slots = run_start.size();
-  run_start.push_back(static_cast<std::uint32_t>(total));
+  run_start.push_back(static_cast<std::uint32_t>(pairs));
 
   // A stable counting sort of the runs by rank numbers the slots, so
   // each bucket keeps (from, to) order. It sorts runs, not entries: a
@@ -181,11 +182,11 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
   }
 
   // Every slot's pair and owners (its run, in ascending entry order),
-  // and every entry's slot.
+  // and every off-diagonal entry's slot.
   PairBlock& slots = plan.slots;
   slots.from.resize(num_slots);
   slots.to.resize(num_slots);
-  plan.entry_slot.resize(total);
+  plan.entry_slot.assign(total, EplusPlan::kNoSlot);
   for (std::size_t r = 0; r < num_slots; ++r) {
     const std::uint32_t s = slot_of_run[r];
     slots.from[s] = from[order[run_start[r]]];

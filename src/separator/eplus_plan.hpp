@@ -1,15 +1,20 @@
-// The E+ slot plan: where every Algorithm 4.1 emission entry lands, and
-// in which order the query's leveled schedule scans every slot.
+// The E+ slot plan: where every cell of Algorithm 4.1's node matrices
+// lands, and in which order the query's leveled schedule scans every
+// slot.
 //
-// Node t of the separator tree emits the complete S(t) x S(t) and
-// B(t) x B(t) pair sets (diagonal skipped, i-major over the sorted
-// vertex lists). E+ is their union, one slot per distinct (from, to)
-// pair with the best value of its owners. Which entries share a slot
-// depends only on the tree, never on the weights or the semiring (the
-// decomposition depends only on the skeleton, paper remark iv), so the
-// plan is computed once per tree and read by every build over it: the
-// exact engine, the (1 + eps) engine, both directions of the hub-label
-// and routing builds, and the incremental engine's epochs.
+// Node t of the separator tree holds two matrices: its closed H_S over
+// S(t) x S(t) and its boundary matrix over B(t) x B(t), row-major over
+// the sorted vertex lists. The plan lays both out whole, one after the
+// other, in one arena of entries. Their off-diagonal cells are the
+// complete S x S and B x B pair sets the node contributes to E+; the
+// diagonal cells own no slot. E+ is the union of the pairs, one slot
+// per distinct (from, to) pair with the best value of its owners. Which
+// entries share a slot depends only on the tree, never on the weights
+// or the semiring (the decomposition depends only on the skeleton,
+// paper remark iv), so the plan is computed once per tree and read by
+// every build over it: the exact engine, the (1 + eps) engine, both
+// directions of the hub-label and routing builds, and the incremental
+// engine's epochs.
 //
 // The vertex levels of Section 3.1 depend only on the tree too, and so
 // does the bucket every slot falls into in the leveled schedule of
@@ -126,9 +131,12 @@ struct EplusPlan {
     }
   }
 
+  /// entry_slot of a diagonal cell, which no pair owns.
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
   /// Node id's entries occupy [node_offset[id], node_offset[id + 1]):
-  /// its S x S pairs, then its B x B pairs, each i-major without the
-  /// diagonal. Size num_nodes + 1.
+  /// its closed H_S (|S|^2 cells, row-major), then its boundary matrix
+  /// (|B|^2 cells, row-major), diagonals included. Size num_nodes + 1.
   std::vector<std::size_t> node_offset;
   /// One slot per distinct pair, in sweep order: by bucket rank, then
   /// (from, to).
@@ -138,11 +146,11 @@ struct EplusPlan {
   /// every slot have a level (they lie in some S(t)), so every slot sits
   /// in exactly one bucket. Size num_buckets(levels.height) + 1.
   std::vector<std::uint64_t> bucket_offset;
-  /// The slot of every entry.
+  /// The slot of every entry; kNoSlot for a diagonal cell.
   std::vector<std::uint32_t> entry_slot;
   /// Owner CSR: slot s's entries are owner_entry[owner_offset[s] ..
   /// owner_offset[s + 1]), in ascending entry order. Every slot has at
-  /// least one owner.
+  /// least one owner; no diagonal cell is one.
   std::vector<std::uint32_t> owner_offset;
   std::vector<std::uint32_t> owner_entry;
   /// The children's boundary positions every internal node gathers.
@@ -156,16 +164,12 @@ struct EplusPlan {
   std::size_t num_levels() const { return std::size_t{levels.height} + 1; }
 };
 
-/// Entries a group of k mutually-connected vertices emits: all ordered
-/// pairs minus the diagonal.
-inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
-
 /// Computes the plan of `tree`: the levels, O(sum |S(t)| + sum_leaf
-/// |V(t)|); two stable counting-sort passes over the emitted pairs (by
-/// `to`, then by `from`), O(entries + n), and one over the distinct
-/// pairs by bucket rank, O(slots + height); and the gather plan, one
-/// merge of sorted vertex lists per (node, child). Aborts when a vertex
-/// lies in no leaf.
+/// |V(t)|); two stable counting-sort passes over the off-diagonal
+/// entries (by `to`, then by `from`), O(entries + n), and one over the
+/// distinct pairs by bucket rank, O(slots + height); and the gather
+/// plan, one merge of sorted vertex lists per (node, child). Aborts
+/// when a vertex lies in no leaf.
 EplusPlan build_eplus_plan(const SeparatorTree& tree);
 
 }  // namespace sepsp

@@ -300,19 +300,16 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
 
 // --- the E+ slot plan ---------------------------------------------------
 
-// Every node's emitted pairs, in emission order: S x S, then B x B, each
-// i-major without the diagonal. Written out here independently of the
-// plan.
-std::vector<std::pair<Vertex, Vertex>> emitted_pairs(
-    const SeparatorTree& tree) {
+// Every entry's pair, in arena order: each node's S x S, then its
+// B x B, row-major over the sorted vertex lists, diagonal included.
+// Written out here independently of the plan.
+std::vector<std::pair<Vertex, Vertex>> entry_pairs(const SeparatorTree& tree) {
   std::vector<std::pair<Vertex, Vertex>> out;
   for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
     const DecompNode& t = tree.node(id);
     for (const auto* group : {&t.separator, &t.boundary}) {
       for (const Vertex u : *group) {
-        for (const Vertex v : *group) {
-          if (u != v) out.emplace_back(u, v);
-        }
+        for (const Vertex v : *group) out.emplace_back(u, v);
       }
     }
   }
@@ -322,22 +319,27 @@ std::vector<std::pair<Vertex, Vertex>> emitted_pairs(
 TEST(SlotPlan, SlotsAreTheDistinctEmittedPairsOnceEach) {
   for (const Family& f : families()) {
     const EplusPlan& plan = *f.tree.eplus_plan();
-    const auto pairs = emitted_pairs(f.tree);
+    const auto pairs = entry_pairs(f.tree);
     ASSERT_EQ(plan.num_entries(), pairs.size()) << f.name;
     ASSERT_EQ(plan.node_offset.size(), f.tree.num_nodes() + 1) << f.name;
     EXPECT_EQ(plan.node_offset.back(), pairs.size()) << f.name;
     for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
       const DecompNode& t = f.tree.node(id);
       EXPECT_EQ(plan.node_offset[id + 1] - plan.node_offset[id],
-                pair_count(t.separator.size()) + pair_count(t.boundary.size()))
+                t.separator.size() * t.separator.size() +
+                    t.boundary.size() * t.boundary.size())
           << f.name << " node " << id;
     }
-    auto distinct = pairs;
+    std::vector<std::pair<Vertex, Vertex>> distinct;
+    for (const auto& p : pairs) {
+      if (p.first != p.second) distinct.push_back(p);
+    }
+    const std::size_t off_diagonal = distinct.size();
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
                    distinct.end());
     // Slots are in sweep order, not (from, to) order: sorted, they are
-    // the distinct pairs, each exactly once.
+    // the distinct off-diagonal pairs, each exactly once.
     ASSERT_EQ(plan.num_slots(), distinct.size()) << f.name;
     std::vector<std::pair<Vertex, Vertex>> slot_pairs;
     for (std::size_t s = 0; s < plan.num_slots(); ++s) {
@@ -345,43 +347,57 @@ TEST(SlotPlan, SlotsAreTheDistinctEmittedPairsOnceEach) {
     }
     std::sort(slot_pairs.begin(), slot_pairs.end());
     EXPECT_EQ(slot_pairs, distinct) << f.name;
-    // Every entry's slot carries the entry's own pair.
+    // A diagonal entry has no slot; every other entry's slot carries the
+    // entry's own pair.
     for (std::size_t e = 0; e < pairs.size(); ++e) {
       const std::uint32_t slot = plan.entry_slot[e];
+      if (pairs[e].first == pairs[e].second) {
+        ASSERT_EQ(slot, EplusPlan::kNoSlot) << f.name << " entry " << e;
+        continue;
+      }
+      ASSERT_LT(slot, plan.num_slots()) << f.name << " entry " << e;
       ASSERT_EQ(plan.slots.from[slot], pairs[e].first)
           << f.name << " entry " << e;
       ASSERT_EQ(plan.slots.to[slot], pairs[e].second)
           << f.name << " entry " << e;
     }
-    // The owner CSR lists each entry once, under its own slot, in
-    // ascending entry order.
+    // The owner CSR lists each off-diagonal entry exactly once, under
+    // its own slot, in ascending entry order, and no diagonal entry.
     ASSERT_EQ(plan.owner_offset.size(), plan.num_slots() + 1) << f.name;
-    ASSERT_EQ(plan.owner_entry.size(), pairs.size()) << f.name;
+    ASSERT_EQ(plan.owner_entry.size(), off_diagonal) << f.name;
+    std::vector<std::size_t> owned(pairs.size(), 0);
     for (std::size_t s = 0; s < plan.num_slots(); ++s) {
       ASSERT_LT(plan.owner_offset[s], plan.owner_offset[s + 1]) << f.name;
       for (std::uint32_t o = plan.owner_offset[s]; o < plan.owner_offset[s + 1];
            ++o) {
+        ASSERT_LT(plan.owner_entry[o], pairs.size()) << f.name;
+        ++owned[plan.owner_entry[o]];
         EXPECT_EQ(plan.entry_slot[plan.owner_entry[o]], s) << f.name;
         if (o > plan.owner_offset[s]) {
           EXPECT_LT(plan.owner_entry[o - 1], plan.owner_entry[o]) << f.name;
         }
       }
     }
+    for (std::size_t e = 0; e < pairs.size(); ++e) {
+      EXPECT_EQ(owned[e], pairs[e].first == pairs[e].second ? 0u : 1u)
+          << f.name << " entry " << e;
+    }
   }
 }
 
-// The raw emission of a Floyd–Warshall build, each entry with its own
-// pair, combined per pair in emission order — E+ as a sort-and-combine
+// The off-diagonal entries of a Floyd–Warshall build, each with its own
+// pair, combined per pair in arena order — E+ as a sort-and-combine
 // computes it, written out here independently of the plan. zero()
 // pairs are kept.
 template <Semiring S>
 std::map<std::pair<Vertex, Vertex>, typename S::Value> combined_raw_emission(
     const Digraph& g, const SeparatorTree& tree) {
-  const auto run = detail::run_algorithm41<S>(
-      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
-  const auto pairs = emitted_pairs(tree);
+  const auto run =
+      detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
+  const auto pairs = entry_pairs(tree);
   std::map<std::pair<Vertex, Vertex>, typename S::Value> out;
   for (std::size_t e = 0; e < pairs.size(); ++e) {
+    if (pairs[e].first == pairs[e].second) continue;
     const auto [it, fresh] = out.emplace(pairs[e], run.entries[e]);
     if (!fresh) it->second = S::combine(it->second, run.entries[e]);
   }
@@ -413,19 +429,24 @@ TEST(SlotPlan, SlotMinimumIsBitIdenticalToSortAndCombineOnAllSemirings) {
 }
 
 TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwner) {
-  // One slot, two owners: combine(a, b) = a < b ? a : b keeps b on a tie,
-  // so of +0.0 and -0.0 the later owner's bits survive, in both orders.
+  // Two nodes whose boundary is {3, 7}: slot 0 (3 -> 7) has two owners,
+  // cell (0, 1) of each node's 2 x 2 boundary matrix. combine(a, b) =
+  // a < b ? a : b keeps b on a tie, so of +0.0 and -0.0 the later
+  // owner's bits survive, in both orders.
+  constexpr std::uint32_t kNo = EplusPlan::kNoSlot;
   EplusPlan plan;
-  plan.node_offset = {0, 2};
-  plan.slots.from = {3};
-  plan.slots.to = {7};
-  plan.entry_slot = {0, 0};
-  plan.owner_offset = {0, 2};
-  plan.owner_entry = {0, 1};
-  for (const auto& values : {std::vector<double>{+0.0, -0.0},
-                             std::vector<double>{-0.0, +0.0}}) {
+  plan.node_offset = {0, 4, 8};
+  plan.slots.from = {3, 7};
+  plan.slots.to = {7, 3};
+  plan.entry_slot = {kNo, 0, 1, kNo, kNo, 0, 1, kNo};
+  plan.owner_offset = {0, 2, 4};
+  plan.owner_entry = {1, 5, 2, 6};
+  for (const auto& [first, later] : {std::pair{+0.0, -0.0},
+                                     std::pair{-0.0, +0.0}}) {
+    const std::vector<double> values{0.0, first, 5.0, 0.0,
+                                     0.0, later, 5.0, 0.0};
     const double got = detail::slot_min<TropicalD>(plan, 0, values);
-    EXPECT_EQ(std::signbit(got), std::signbit(values[1]));
+    EXPECT_EQ(std::signbit(got), std::signbit(later));
   }
 }
 
@@ -645,36 +666,43 @@ bool bit_equal(const Matrix<S>& a, const Matrix<S>& b) {
 
 template <Semiring S>
 void expect_node_step_matches_textbook(const Family& f) {
-  const auto run = detail::run_algorithm41<S>(
-      f.gg.graph, f.tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
+  using Value = typename S::Value;
+  const auto run = detail::run_algorithm41<S>(f.gg.graph, f.tree,
+                                              ClosureKind::kFloydWarshall);
   const EplusPlan& plan = *f.tree.eplus_plan();
   detail::RecursiveScratch<S> sc(f.gg.graph.num_vertices());
-  Matrix<S> bm, want_hs, want_bm;
-  std::vector<typename S::Value> got_values, want_values;
-  for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
-    detail::node_step<S>(f.gg.graph, f.tree, id, run.bnd,
+  // The textbook steps run leaves-up (children have larger ids) on their
+  // own boundary matrices, never on the build's arena.
+  std::vector<Matrix<S>> want_bnd(f.tree.num_nodes());
+  Matrix<S> want_hs;
+  for (std::size_t id = f.tree.num_nodes(); id-- > 0;) {
+    detail::node_step<S>(f.gg.graph, f.tree, id, run.entries,
                          ClosureKind::kFloydWarshall,
-                         [](const Arc& a) { return a.weight; }, sc, bm);
-    textbook_node_step<S>(f.gg.graph, f.tree, id, run.bnd, want_hs, want_bm);
+                         [](const Arc& a) { return a.weight; }, sc);
+    textbook_node_step<S>(f.gg.graph, f.tree, id, want_bnd, want_hs,
+                          want_bnd[id]);
+    const Matrix<S>& want_bm = want_bnd[id];
     ASSERT_TRUE(bit_equal(sc.hs, want_hs)) << f.name << " node " << id;
-    ASSERT_TRUE(bit_equal(bm, want_bm)) << f.name << " node " << id;
-    ASSERT_TRUE(bit_equal(run.bnd[id], want_bm)) << f.name << " node " << id;
-    // The node's entries: what the build stored, what node_step's
-    // matrices emit, and what the textbook matrices emit.
+    ASSERT_TRUE(bit_equal(sc.bm, want_bm)) << f.name << " node " << id;
+    // The node's slice of the build's arena: the textbook H_S, then the
+    // textbook boundary matrix, whole.
+    const std::size_t hs_cells = want_hs.rows() * want_hs.cols();
+    const std::size_t bm_cells = want_bm.rows() * want_bm.cols();
     const std::size_t lo = plan.node_offset[id];
-    const std::size_t n = plan.node_offset[id + 1] - lo;
-    if (n == 0) continue;
-    got_values.resize(n);
-    want_values.resize(n);
-    detail::emit_pairs(bm, detail::emit_pairs(sc.hs, got_values.data()));
-    detail::emit_pairs(want_bm,
-                       detail::emit_pairs(want_hs, want_values.data()));
-    const std::size_t bytes = n * sizeof(typename S::Value);
-    EXPECT_EQ(std::memcmp(got_values.data(), want_values.data(), bytes), 0)
+    ASSERT_EQ(plan.node_offset[id + 1] - lo, hs_cells + bm_cells)
         << f.name << " node " << id;
-    EXPECT_EQ(std::memcmp(run.entries.data() + lo, want_values.data(), bytes),
-              0)
-        << f.name << " node " << id;
+    if (hs_cells > 0) {
+      EXPECT_EQ(std::memcmp(run.entries.data() + lo, want_hs.row(0),
+                            hs_cells * sizeof(Value)),
+                0)
+          << f.name << " node " << id;
+    }
+    if (bm_cells > 0) {
+      EXPECT_EQ(std::memcmp(run.entries.data() + lo + hs_cells,
+                            want_bm.row(0), bm_cells * sizeof(Value)),
+                0)
+          << f.name << " node " << id;
+    }
   }
 }
 
@@ -963,7 +991,7 @@ TEST(CycleCertificate, RingAroundTheSeparatorIsCaughtByTheRootClosure) {
       build_separator_tree(Skeleton(g), make_grid_finder({kSide, kSide}));
   EXPECT_FALSE(expect_certificate_matches_oracle(g, tree, "ring"));
   const auto run = detail::run_algorithm41<TropicalD>(
-      g, tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/false);
+      g, tree, ClosureKind::kFloydWarshall);
   EXPECT_EQ(run.negative_diagonal[0], 1);  // node 0 is the root
   for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
     if (tree.node(id).is_leaf()) {

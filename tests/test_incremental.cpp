@@ -415,17 +415,20 @@ TEST(Incremental, ApplyStatsCountTheEntriesThatMoved) {
   const IncrementalEngine::ApplyStats st = engine.last_apply_stats();
 
   using S = TropicalD;
-  const auto before = detail::run_algorithm41<S>(
-      f.gg.graph, f.tree, ClosureKind::kFloydWarshall, /*keep_bnd=*/true);
+  const auto before = detail::run_algorithm41<S>(f.gg.graph, f.tree,
+                                                 ClosureKind::kFloydWarshall);
   const auto after = detail::run_algorithm41<S>(
-      reweighted(f.gg.graph, updates), f.tree, ClosureKind::kFloydWarshall,
-      /*keep_bnd=*/true);
+      reweighted(f.gg.graph, updates), f.tree, ClosureKind::kFloydWarshall);
+  const EplusPlan& plan = *f.tree.eplus_plan();
+  // Node id's boundary matrix ends its slice of each run's arena.
   const auto matrix_moved = [&](std::size_t id) {
-    const Matrix<S>& a = before.bnd[id];
-    const Matrix<S>& b = after.bnd[id];
-    return a.rows() * a.cols() > 0 &&
-           std::memcmp(a.row(0), b.row(0),
-                       a.rows() * a.cols() * sizeof(S::Value)) != 0;
+    const DecompNode& t = f.tree.node(id);
+    const std::size_t lo =
+        plan.node_offset[id] + t.separator.size() * t.separator.size();
+    const std::size_t cells = t.boundary.size() * t.boundary.size();
+    return cells > 0 && std::memcmp(before.entries.data() + lo,
+                                    after.entries.data() + lo,
+                                    cells * sizeof(S::Value)) != 0;
   };
   std::vector<std::uint8_t> recomputed = leaves_reading(f.tree, updates);
   for (std::size_t id = f.tree.num_nodes(); id-- > 0;) {  // children first
@@ -436,13 +439,15 @@ TEST(Incremental, ApplyStatsCountTheEntriesThatMoved) {
       if (recomputed[cid] && matrix_moved(cid)) recomputed[id] = 1;
     }
   }
-  const EplusPlan& plan = *f.tree.eplus_plan();
+  // Entries are the off-diagonal cells, the ones that own a slot.
   std::size_t nodes = 0, entries = 0, moved = 0;
   for (std::size_t id = 0; id < f.tree.num_nodes(); ++id) {
     const std::size_t lo = plan.node_offset[id];
     const std::size_t hi = plan.node_offset[id + 1];
-    std::size_t differ = 0;
+    std::size_t cells = 0, differ = 0;
     for (std::size_t e = lo; e < hi; ++e) {
+      if (plan.entry_slot[e] == EplusPlan::kNoSlot) continue;
+      ++cells;
       differ += std::memcmp(&before.entries[e], &after.entries[e],
                             sizeof(S::Value)) != 0
                     ? 1
@@ -453,7 +458,7 @@ TEST(Incremental, ApplyStatsCountTheEntriesThatMoved) {
       continue;
     }
     ++nodes;
-    entries += hi - lo;
+    entries += cells;
     moved += differ;
   }
   EXPECT_EQ(st.nodes_recomputed, nodes);
@@ -596,7 +601,7 @@ TEST(Incremental, RaiseAndRestoreStreamStaysBitIdenticalToFreshBuilds) {
 TEST(Incremental, TreeWithoutEntriesStaysExact) {
   // A 5-vertex path splits at one vertex into leaves whose boundary is
   // that vertex alone: every group has fewer than two vertices, so E+
-  // has no entries and the row diff has nothing to compare.
+  // has no slots and the row diff compares diagonal cells alone.
   GraphBuilder b(5);
   for (Vertex v = 0; v + 1 < 5; ++v) {
     b.add_edge(v, v + 1, 1.0 + v);
@@ -606,7 +611,7 @@ TEST(Incremental, TreeWithoutEntriesStaysExact) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_tree_finder());
   ASSERT_GT(tree.num_nodes(), 1u);
-  ASSERT_EQ(tree.eplus_plan()->num_entries(), 0u);
+  ASSERT_EQ(tree.eplus_plan()->num_slots(), 0u);
   IncrementalEngine engine = IncrementalEngine::build(g, tree);
   engine.update_edge(1, 2, 0.5);
   engine.update_edge(3, 2, 7.0);
@@ -614,6 +619,32 @@ TEST(Incremental, TreeWithoutEntriesStaysExact) {
   EXPECT_EQ(engine.last_apply_stats().entries_moved, 0u);
   const Digraph reference = reweighted(g, {{1, 2, 0.5}, {3, 2, 7.0}});
   for (Vertex s = 0; s < 5; ++s) expect_matches_dijkstra(engine, reference, s);
+}
+
+TEST(Incremental, DiagonalOnlyMoveQueuesTheParent) {
+  // 0 <-> 1 -> 3 -> 2 and back. The root separates {1, 2}; leaf
+  // {0, 1, 2} has boundary {1, 2}, and 2 is isolated there. Turning the
+  // 2-cycle 1 -> 0 -> 1 negative moves only that leaf's diagonal cell
+  // (1, 1): its off-diagonal cells stay +inf. The root must still be
+  // recomputed, because its closed H_S prepends the cycle to 1 -> 3 -> 2
+  // and that owner is the minimum of slot (1, 2).
+  GraphBuilder b(4);
+  for (const auto& [u, v] : {std::pair<Vertex, Vertex>{0, 1}, {1, 0},
+                             {1, 3}, {3, 1}, {3, 2}, {2, 3}}) {
+    b.add_edge(u, v, 1.0);
+  }
+  const Digraph g = std::move(b).build();
+  const SeparatorTree tree = build_separator_tree(
+      Skeleton(g),
+      [](const SubgraphContext&) { return std::vector<Vertex>{1, 2}; },
+      {.leaf_size = 3});
+  ASSERT_EQ(tree.num_nodes(), 3u);
+  ASSERT_EQ(tree.node(0).separator, (std::vector<Vertex>{1, 2}));
+  IncrementalEngine engine = IncrementalEngine::build(g, tree);
+  engine.update_edge(0, 1, -5.0);
+  EXPECT_EQ(engine.apply(), 2u);  // the leaf holding 0 -> 1, then the root
+  EXPECT_FALSE(engine.augmentation().cycle_free);
+  expect_matches_exact_build(engine, reweighted(g, {{0, 1, -5.0}}), tree);
 }
 
 TEST(Incremental, SnapshotWithStagedUpdatesAborts) {

@@ -215,12 +215,6 @@ TEST(Matrix, SquareStepReportsFixpoint) {
   EXPECT_DOUBLE_EQ(m.at(0, 2), 2.0);
 }
 
-TEST(Matrix, ClearReleasesShape) {
-  Matrix<TropicalD> m(5);
-  m.clear();
-  EXPECT_EQ(m.rows(), 0u);
-}
-
 TEST(Matrix, BooleanClosureIsReachability) {
   // Path 0 -> 1 -> 2 -> 3.
   Matrix<BooleanSR> m(4);
