@@ -58,19 +58,20 @@ struct MemorySample {
   }
 };
 
-/// E+ in slot order as packed (from, to, value) records: the bytes the
-/// E+ digests hash and the per-thread-count E+ dumps hold.
-inline std::string eplus_bytes(const Augmentation<TropicalD>& aug) {
+/// A query engine's E+ in slot order as packed (from, to, value)
+/// records: the bytes the E+ digests hash and the per-thread-count E+
+/// dumps hold.
+inline std::string eplus_bytes(const LeveledQuery<TropicalD>& query) {
+  const EdgeBucket<TropicalD>& eplus = query.shortcut_edges();
   std::string out;
-  out.reserve(aug.values.size() * (2 * sizeof(Vertex) + sizeof(double)));
-  const PairBlock& slots = aug.plan->slots;
+  out.reserve(eplus.size() * (2 * sizeof(Vertex) + sizeof(double)));
   const auto put = [&out](const auto& x) {
     out.append(reinterpret_cast<const char*>(&x), sizeof x);
   };
-  for (std::size_t s = 0; s < aug.values.size(); ++s) {
-    put(slots.from[s]);
-    put(slots.to[s]);
-    put(aug.values[s]);
+  for (std::size_t s = 0; s < eplus.size(); ++s) {
+    put(eplus.from_data()[s]);
+    put(eplus.to_data()[s]);
+    put(eplus.value(s));
   }
   return out;
 }

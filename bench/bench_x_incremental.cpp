@@ -154,8 +154,8 @@ int run_stream_row(const std::string& eplus_path) {
   const auto fresh =
       SeparatorShortestPaths<>::build(std::move(b).build(), tree);
   // Both keep every plan slot, +inf ones too, over one plan.
-  const std::string sc = eplus_bytes(engine.augmentation());
-  r.fresh_parity = sc == eplus_bytes(fresh.augmentation()) ? 1 : 0;
+  const std::string sc = eplus_bytes(engine.query_engine());
+  r.fresh_parity = sc == eplus_bytes(fresh.query_engine()) ? 1 : 0;
   r.digest = fnv1a(sc);
   std::ofstream(eplus_path, std::ios::binary)
       .write(sc.data(), static_cast<std::streamsize>(sc.size()));

@@ -77,7 +77,7 @@ int preprocess(const Args& args) {
   }
   std::printf("preprocessed %s: height %u, %zu shortcuts -> %s\n",
               name.c_str(), tree.height(),
-              engine.augmentation().values.size(), image.c_str());
+              engine.stats().eplus_edges, image.c_str());
   return 0;
 }
 

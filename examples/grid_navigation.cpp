@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   const auto engine = SeparatorShortestPaths<>::build(world.graph, tree);
   std::printf("preprocessed in %.1f ms: height %u, %zu shortcuts\n",
               t_prep.millis(), tree.height(),
-              engine.augmentation().values.size());
+              engine.stats().eplus_edges);
 
   // Depot positions.
   std::vector<Vertex> depot_cells;

@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
   // 3. Preprocess: build the shortcut set E+ (Algorithm 4.1).
   WallTimer t_build;
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto& aug = engine.augmentation();
+  const EngineStats build_stats = engine.stats();
   std::printf("E+: %zu shortcuts, diameter bound %zu (%.1f ms)\n",
-              aug.values.size(), aug.diameter_bound(), t_build.millis());
+              build_stats.eplus_edges, build_stats.diameter_bound,
+              t_build.millis());
 
   // 4. Query several sources; cross-check against Dijkstra.
   Rng pick(7);

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       build_separator_tree(Skeleton(dag), make_bfs_finder());
   const auto engine = SeparatorShortestPaths<BooleanSR>::build(dag, tree);
   std::printf("preprocessed in %.1f ms (%zu Boolean shortcuts)\n",
-              t_prep.millis(), engine.augmentation().values.size());
+              t_prep.millis(), engine.stats().eplus_edges);
 
   // Audit every module in layer 0: blast radius of a change.
   WallTimer t_audit;

@@ -26,25 +26,25 @@ namespace sepsp {
 /// Distances in (V, E u E+) equal distances in G, and every distance is
 /// realized by a path of size <= 4*height + 2*ell + 1 (Theorem 3.1).
 ///
-/// Value-mutation discipline: the structural fields (plan, levels,
-/// height, ell, build_cost) are immutable after construction and safe
-/// to share across threads. The slot *values* are owned by whoever built the augmentation — a live
-/// IncrementalEngine rewrites them in apply() — so concurrent readers
-/// (snapshot query engines) must never resolve values through this
-/// struct; they read from their own copy-on-write store
-/// (LeveledQuery::shortcut_edges()).
+/// An engine's augmentation (SeparatorShortestPaths::augmentation(),
+/// IncrementalEngine::augmentation()) is immutable structure — plan,
+/// levels, height, ell, costs and the build-time certificate — with no
+/// values: an engine keeps E+'s values only in its query engine
+/// (LeveledQuery::shortcut_edges()). Only the free-function builders
+/// fill `values`, and from_augmentation() consumes them.
 template <Semiring S>
 struct Augmentation {
-  /// E+: one value per slot of `plan`, in plan order, so values[s]
-  /// belongs to the pair (plan->slots.from[s], plan->slots.to[s]). A
-  /// slot no owner node has a path for keeps zero(): every engine keeps
-  /// every slot, so reweighting may activate it and every engine over
-  /// the tree shares one slot array.
+  /// E+ as a free-function builder returns it: one value per slot of
+  /// `plan`, in plan order, so values[s] belongs to the pair
+  /// (plan->slots.from[s], plan->slots.to[s]). A slot no owner node has
+  /// a path for keeps zero(): every engine keeps every slot, so
+  /// reweighting may activate it and every engine over the tree shares
+  /// one slot array. Empty in an engine's augmentation.
   std::vector<typename S::Value> values;
   /// The tree's slot plan the values are laid out by (shared with every
-  /// other build over the tree). Every builder sets it; the query
-  /// engine rejects an augmentation without one. Null only for the
-  /// structural augmentation of a stored engine, which has no values.
+  /// other build over the tree). Every builder sets it;
+  /// from_augmentation() rejects an augmentation without one. Null only
+  /// in a stored engine's augmentation.
   std::shared_ptr<const EplusPlan> plan;
   LevelAssignment levels;
   std::uint32_t height = 0;  ///< d_G of the decomposition tree
@@ -60,7 +60,9 @@ struct Augmentation {
   /// augmentation skip the per-query verification pass. False means
   /// "not certified", not "has a cycle": Algorithm 4.3 builds and
   /// hand-built augmentations keep the pass. A v5 image stores the flag
-  /// of the engine it was written from.
+  /// of the engine it was written from. An IncrementalEngine's keeps the
+  /// build's flag; each snapshot freezes the current one
+  /// (cycle_certified()).
   bool cycle_free = false;
 
   /// Theorem 3.1's bound on the min-weight diameter of G+.

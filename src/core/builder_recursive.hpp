@@ -36,10 +36,9 @@
 // node in one tree_pass and copies the node's two matrices into its
 // slice; then one parallel pass takes each slot's minimum over its
 // owners (slot_min). The engine builds (SeparatorShortestPaths::build,
-// IncrementalEngine) write it into the augmentation and straight into
-// the query engine's value slabs, beside the plan's slot array
-// (detail::set_slot under LeveledQuery's slot-value constructor);
-// build_augmentation_recursive writes the augmentation alone
+// IncrementalEngine) write it once, straight into the query engine's
+// value slabs beside the plan's slot array (LeveledQuery's slot-value
+// constructor); build_augmentation_recursive writes aug.values instead
 // (detail::fill_values). Algorithm 4.3 and Remark 4.4
 // (builder_doubling.hpp, builder_compact.hpp) write their V_H group
 // matrices in the same layout and finish through the same fill_values.
@@ -360,8 +359,8 @@ inline std::uint64_t critical_depth(const SeparatorTree& tree,
 /// Output of run_algorithm41. Node id's closed H_S and boundary matrix
 /// occupy entries[plan.node_offset[id], plan.node_offset[id + 1]) of
 /// aug.plan, as the plan lays them out; the off-diagonal cells are the
-/// node's entry values, not yet minimized per slot. aug.values is empty
-/// until fill_values.
+/// node's entry values, not yet minimized per slot. aug.values stays
+/// empty in the engine builds; fill_values fills it for the free ones.
 template <Semiring S>
 struct TreeRun {
   Augmentation<S> aug;
@@ -438,31 +437,23 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
   return best;
 }
 
-/// Sets aug.values[slot] to the slot's slot_min over the entry arena
-/// (laid out by the plan), and returns it. aug.values must
-/// already hold one entry per slot.
-template <Semiring S>
-typename S::Value set_slot(Augmentation<S>& aug, std::size_t slot,
-                           std::span<const typename S::Value> entries) {
-  return aug.values[slot] = slot_min<S>(*aug.plan, slot, entries);
-}
-
 /// E+ from a build's entry arena: aug.values gets one value per slot of
 /// aug.plan, in plan order, the slot_min — zero() where no owner has a
-/// path. One parallel pass. The engine builds fuse this pass with their
-/// query engine's value fill instead (LeveledQuery's slot-value
+/// path. One parallel pass. The engine builds write the slot minima
+/// into their query engine instead (LeveledQuery's slot-value
 /// constructor).
 template <Semiring S>
 void fill_values(Augmentation<S>& aug,
                  std::span<const typename S::Value> entries) {
   SEPSP_TRACE_SPAN("build.slot_min");
-  SEPSP_CHECK(entries.size() == aug.plan->num_entries());
-  aug.values.resize(aug.plan->num_slots());
+  const EplusPlan& plan = *aug.plan;
+  SEPSP_CHECK(entries.size() == plan.num_entries());
+  aug.values.resize(plan.num_slots());
   pram::ThreadPool::global().parallel_blocks(
       0, aug.values.size(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t slot = lo; slot < hi; ++slot) {
-          set_slot<S>(aug, slot, entries);
+          aug.values[slot] = slot_min<S>(plan, slot, entries);
         }
       },
       /*grain=*/std::size_t{1} << 14);

@@ -86,35 +86,43 @@ class SeparatorShortestPaths {
         detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
     run.aug.build_cost = scope.cost();
     SeparatorShortestPaths engine(g, options.query, run.aug.cycle_free);
-    auto aug = std::make_shared<Augmentation<S>>(std::move(run.aug));
-    aug->values.resize(aug->plan->num_slots());
-    // One pass over the slots: each slot's minimum goes into the
-    // augmentation and straight into the query engine.
+    engine.aug_ = std::make_shared<const Augmentation<S>>(std::move(run.aug));
+    // One pass over the slots writes each slot's minimum straight into
+    // the query engine, E+'s one copy.
+    const EplusPlan& plan = *engine.aug_->plan;
     engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *aug,
+        g, *engine.aug_,
         options.query.detect_negative_cycles && !engine.cycle_certified_,
         [&](std::size_t slot) {
-          return detail::set_slot<S>(*aug, slot, run.entries);
+          return detail::slot_min<S>(plan, slot, run.entries);
         });
-    engine.aug_ = std::move(aug);
     return engine;
   }
 
   /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
   /// without rebuilding E+. `aug` must carry its tree's slot plan and
-  /// one value per plan slot, in plan order, as every builder
-  /// leaves it; anything else aborts. The engine freezes
-  /// aug.cycle_free: a certified augmentation's queries skip the
-  /// verification pass.
+  /// one value per plan slot, in plan order, as every free builder
+  /// leaves it; anything else aborts. The values move into the query
+  /// engine, and the engine's augmentation keeps none. The engine
+  /// freezes aug.cycle_free: a certified augmentation's queries skip
+  /// the verification pass.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {
     SEPSP_CHECK(aug.levels.level.size() == g.num_vertices());
+    SEPSP_CHECK_MSG(aug.plan != nullptr,
+                    "from_augmentation: the augmentation has no slot plan");
+    SEPSP_CHECK_MSG(aug.values.size() == aug.plan->num_slots(),
+                    "from_augmentation: the augmentation's value count "
+                    "disagrees with its slot plan");
     SeparatorShortestPaths engine(g, options.query, aug.cycle_free);
-    engine.aug_ = std::make_shared<const Augmentation<S>>(std::move(aug));
+    auto frozen = std::make_shared<Augmentation<S>>(std::move(aug));
     engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *engine.aug_,
-        options.query.detect_negative_cycles && !engine.cycle_certified_);
+        g, *frozen,
+        options.query.detect_negative_cycles && !engine.cycle_certified_,
+        [&](std::size_t slot) { return frozen->values[slot]; });
+    frozen->values = {};
+    engine.aug_ = std::move(frozen);
     return engine;
   }
 
@@ -125,9 +133,9 @@ class SeparatorShortestPaths {
   /// have been produced by LeveledQuery::fork_shared() or
   /// LeveledQuery::from_store() against that augmentation.
   /// `cycle_certified` is the certificate of the weighting the query
-  /// froze, read by the caller at fork time (the aliased augmentation's
-  /// copy may change under a later IncrementalEngine::apply()); the
-  /// caller forks the query with the pass off exactly when it is set.
+  /// froze, read by the caller at fork time (the aliased augmentation
+  /// keeps the build's); the caller forks the query with the pass off
+  /// exactly when it is set.
   /// Cost: O(#slabs) pointer moves — no value copies.
   static SeparatorShortestPaths from_forked_query(
       const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
@@ -151,6 +159,8 @@ class SeparatorShortestPaths {
   }
 
   const Digraph& graph() const { return *g_; }
+  /// Immutable structure with no values: E+'s values are
+  /// query_engine().shortcut_edges().
   const Augmentation<S>& augmentation() const { return *aug_; }
   const LeveledQuery<S>& query_engine() const { return *query_; }
   const typename Options::Query& query_options() const { return qopts_; }
@@ -224,9 +234,9 @@ class SeparatorShortestPaths {
     EngineStats st;
     st.num_vertices = g_->num_vertices();
     st.num_edges = g_->num_edges();
-    // Counted through the query engine, not the augmentation: an engine
-    // opened from a v5 image carries a structural augmentation with no
-    // plan and no values (E+ lives in the image's segments).
+    // Counted through the query engine, not the augmentation: no
+    // engine's augmentation has values, and a stored engine's has no
+    // plan either (E+ lives in the image's segments).
     st.eplus_edges = query_->shortcut_edges().size();
     st.bucket_edges = query_->bucket_edges();
     st.height = aug_->height;
@@ -325,13 +335,12 @@ class SeparatorShortestPaths {
   const Digraph* g_;
   typename Options::Query qopts_;
   // Frozen at construction, never re-read from aug_: a snapshot's aug_
-  // aliases a live IncrementalEngine that apply() keeps rewriting.
+  // is its IncrementalEngine's, which keeps the build's certificate.
   bool cycle_certified_;
   // Stable-address handles so the engine can be moved (the query holds
   // a pointer to the augmentation). The augmentation is shared because
   // snapshot engines built via from_forked_query() alias the live
-  // IncrementalEngine's augmentation (structural fields only — value
-  // reads go through the query's own slab store).
+  // IncrementalEngine's (immutable) augmentation.
   std::shared_ptr<const Augmentation<S>> aug_;
   std::unique_ptr<LeveledQuery<S>> query_;
   std::unique_ptr<EngineCounters> counters_;

@@ -33,7 +33,8 @@ struct IncrementalEngine::State {
   /// diagonal cell below one() (what detail::node_step returned), and how
   /// many nodes do. apply() refreshes the flags of exactly the nodes it
   /// recomputes; any other node's inputs did not change, so its flag
-  /// still holds. aug.cycle_free mirrors negative_nodes == 0.
+  /// still holds. negative_nodes == 0 is the current certificate; the
+  /// augmentation keeps the build's.
   std::vector<std::uint8_t> negative_diagonal;
   std::size_t negative_nodes = 0;
 
@@ -70,6 +71,8 @@ struct IncrementalEngine::State {
 
   ApplyStats last_stats;
 
+  /// The build's structure: immutable, no values. E+'s values live in
+  /// `query` alone.
   Augmentation<S> aug;
   std::optional<LeveledQuery<S>> query;
   /// Per-task arenas for node recomputes (never thread_local: the
@@ -216,15 +219,15 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
   s.aug = std::move(run.aug);
 
-  // One aug value per plan slot, unreachable pairs kept at +inf so
+  // One value per plan slot, unreachable pairs kept at +inf so
   // reweighting can activate them — the same E+ an exact build has,
-  // written in the same single pass as the query engine's values.
-  s.aug.values.resize(s.aug.plan->num_slots());
+  // written in the same single pass, into the query engine alone.
+  const EplusPlan& plan = *s.aug.plan;
   s.query.emplace(g, s.aug, /*detect_negative_cycles=*/true,
-                  [&s](std::size_t slot) {
-                    return detail::set_slot<S>(s.aug, slot, s.entries);
+                  [&](std::size_t slot) {
+                    return detail::slot_min<S>(plan, slot, s.entries);
                   });
-  s.slot_mark.assign(s.aug.values.size(), 0);
+  s.slot_mark.assign(plan.num_slots(), 0);
   s.work = detail::subtree_work(tree);
   s.delta.resize(tree.num_nodes());
   return engine;
@@ -333,17 +336,19 @@ std::size_t IncrementalEngine::apply() {
   // worklist order, whatever the pool's schedule. Most touched slots
   // re-minimize to their old value (the owner that changed was not the
   // minimum): the bucket already holds it, so the refresh — and its
-  // slab detach — is skipped. Bitwise comparison keeps the skip exactly
-  // as strict as the parity contract.
+  // slab detach — is skipped. The old value is read from the live query
+  // engine, E+'s one copy; bitwise comparison keeps the skip exactly as
+  // strict as the parity contract.
   phase.emplace("incremental.reminimize");
   s.remin_values.resize(touched.size());
   s.remin_changed.assign(touched.size(), 0);
+  const EdgeBucket<S>& eplus = s.query->shortcut_edges();
   const auto combine_one = [&](std::size_t i) {
     const std::uint32_t slot = touched[i];
     const S::Value value = detail::slot_min<S>(*s.aug.plan, slot, s.entries);
+    const S::Value old = eplus.value(slot);
     s.remin_values[i] = value;
-    s.remin_changed[i] =
-        std::memcmp(&value, &s.aug.values[slot], sizeof(value)) != 0;
+    s.remin_changed[i] = std::memcmp(&value, &old, sizeof(value)) != 0;
   };
   if (touched.size() > 4096) {
     pram::ThreadPool::global().parallel_for(0, touched.size(), combine_one,
@@ -355,16 +360,12 @@ std::size_t IncrementalEngine::apply() {
   std::size_t slabs_copied = 0;
   for (std::size_t i = 0; i < touched.size(); ++i) {
     if (!s.remin_changed[i]) continue;
-    const std::uint32_t slot = touched[i];
-    const S::Value value = s.remin_values[i];
-    s.aug.values[slot] = value;
-    slabs_copied += s.query->refresh_shortcut(slot, value);
+    slabs_copied += s.query->refresh_shortcut(touched[i], s.remin_values[i]);
   }
   for (const std::size_t arc : s.updated_arcs) {
     slabs_copied += s.query->refresh_base(arc, S::from_weight(s.weights[arc]));
   }
 
-  s.aug.cycle_free = s.negative_nodes == 0;
   s.last_stats.slots_touched = touched.size();
   s.last_stats.slabs_copied = slabs_copied;
 
@@ -396,13 +397,11 @@ IncrementalEngine::Snapshot IncrementalEngine::snapshot(
   // Structural fork: the snapshot aliases every value slab of the live
   // query engine (future refreshes detach only touched slabs) and keeps
   // this engine's whole state alive through an aliasing handle to the
-  // augmentation — no copies proportional to the structure. The aug
-  // values may keep mutating under later apply() calls; the snapshot
-  // never reads them (its query resolves values from its own forked
-  // slabs). Likewise the certificate is copied here, at freeze time: a
-  // certified epoch's queries skip the negative-cycle pass.
+  // immutable augmentation — no copies proportional to the structure.
+  // The current certificate is frozen here: a certified epoch's queries
+  // skip the negative-cycle pass.
   std::shared_ptr<const Augmentation<S>> aug_alias(state_, &s.aug);
-  const bool certified = s.aug.cycle_free;
+  const bool certified = s.negative_nodes == 0;
   Snapshot snap;
   snap.epoch = s.epoch;
   snap.engine = SeparatorShortestPaths<S>::freeze(

@@ -147,6 +147,9 @@ class IncrementalEngine {
   /// Single-source distances under the current weights.
   QueryResult<TropicalD> distances(Vertex source) const;
 
+  /// The build's structure: immutable, with no values and the build's
+  /// certificate. E+'s values are query_engine().shortcut_edges(); the
+  /// current certificate is snapshot().engine->cycle_certified().
   const Augmentation<TropicalD>& augmentation() const;
 
   /// The live query engine (sharing introspection for tests/benches).

@@ -45,8 +45,7 @@
 // thread while the origin keeps being patched; it must never be
 // refreshed itself. All value reads on the query path — including the
 // shortcut values of the negative-cycle verification pass — go through
-// the engine's own slab store, never through the (possibly live,
-// possibly mutating) Augmentation the engine was built from.
+// the engine's own slab store; an engine's Augmentation holds none.
 //
 // Observability: each run charges the per-bucket-level scan totals
 // (level_edges_scanned()) in every build mode; the per-query counters
@@ -297,18 +296,11 @@ class LeveledQuery {
   /// (Augmentation::cycle_free; the facade passes the flag through
   /// `detect && !cycle_free`), or the weights are nonnegative.
   ///
-  /// `aug` must carry its tree's slot plan and one value per plan slot,
-  /// in plan order (the Augmentation contract). E+ aliases the plan's
-  /// slot array; one parallel pass copies every slot's value.
-  LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
-               bool detect_negative_cycles = true)
-      : LeveledQuery(g, aug, detect_negative_cycles,
-                     [&aug](std::size_t slot) { return aug.values[slot]; }) {}
-
-  /// As above, with slot s's value given by slot_value(s), called once
-  /// per slot from the pool's threads — the engine builds pass one that
-  /// computes the slot minimum and writes aug.values[s] too, so a
-  /// build's values go straight into the engine in a single pass.
+  /// `aug` must carry its tree's slot plan. E+ aliases the plan's slot
+  /// array; slot s's value is slot_value(s), called once per slot from
+  /// the pool's threads in one parallel pass — the engine builds pass
+  /// the slot minimum over their entry arena, from_augmentation() the
+  /// free builder's value. The engine's values are E+'s only copy.
   template <typename SlotValue>
   LeveledQuery(const Digraph& g, const Augmentation<S>& aug,
                bool detect_negative_cycles, const SlotValue& slot_value)
@@ -317,12 +309,8 @@ class LeveledQuery {
         plan_(aug.plan),
         detect_cycles_(detect_negative_cycles) {
     SEPSP_TRACE_SPAN("build.buckets");
-    SEPSP_CHECK_MSG(plan_ != nullptr,
-                    "LeveledQuery: the augmentation has no slot plan");
+    SEPSP_DCHECK(plan_ != nullptr);
     const EplusPlan& plan = *plan_;
-    SEPSP_CHECK_MSG(aug.values.size() == plan.num_slots(),
-                    "LeveledQuery: the augmentation's value count "
-                    "disagrees with its slot plan");
     SEPSP_CHECK(plan.num_levels() == std::size_t{aug.height} + 1);
     const std::uint32_t h = aug.height;
     level_scans_.reset(new std::atomic<std::uint64_t>[h + 1]());
@@ -346,9 +334,7 @@ class LeveledQuery {
       base_ = EdgeBucket<S>(std::move(pairs), std::move(values));
     }
 
-    // E+: the engine's own copy of the slot values, in slot order. Every
-    // later value read resolves here, so a fork never touches the
-    // possibly still-mutating augmentation it was built from.
+    // E+'s values, in slot order: every value read resolves here.
     SlabVector<Value> values(plan.num_slots());
     pram::ThreadPool::global().parallel_blocks(
         0, plan.num_slots(),
@@ -430,17 +416,13 @@ class LeveledQuery {
     out.level_scans_.reset(new std::atomic<std::uint64_t>[aug_->height + 1]());
     return out;
   }
-  LeveledQuery fork_shared() { return fork_shared(detect_cycles_); }
 
   /// Number of bucketed (leveled) edges: |E+|, every plan slot.
   std::size_t bucket_edges() const { return shortcut_.size(); }
 
   // Read-only access to the frozen schedule (stats, the store writer).
   const Digraph& graph() const { return *g_; }
-  /// Structural fields only (height, ell, levels, shortcut endpoints).
-  /// On a fork the underlying augmentation may belong to a live engine
-  /// whose shortcut *values* mutate concurrently — read values through
-  /// shortcut_edges() instead, as every internal path does.
+  /// Immutable structure with no values: read E+ through shortcut_edges().
   const Augmentation<S>& augmentation() const { return *aug_; }
   std::uint32_t height() const { return aug_->height; }
   std::size_t ell() const { return aug_->ell; }
@@ -741,9 +723,7 @@ class LeveledQuery {
   /// Final verification pass over E u E+, per lane: the schedule reaches
   /// a fixpoint when no negative cycle is reachable, so any significant
   /// further improvement certifies one (S::detect_improves tolerates
-  /// floating-point drift between equivalent summation orders). Shortcut
-  /// values come from the engine's own store, never the augmentation
-  /// (fork safety).
+  /// floating-point drift between equivalent summation orders).
   template <std::size_t B>
   void detect_negative_cycles(const Value* dist,
                               std::span<QueryStats> acct) const {
@@ -851,8 +831,8 @@ class LeveledQuery {
 /// source: runs full-edge-set phases to convergence; the last phase that
 /// updated v is the minimum size of an optimal path to v. Returns the
 /// max over reached vertices (Theorem 3.1 / Figure 2 verification).
-/// Reads `aug` values directly — pass an augmentation you own (or one
-/// no live engine is concurrently reweighting).
+/// Reads `aug.values`, so `aug` must come from a free-function builder:
+/// an engine's augmentation has none.
 template <Semiring S>
 std::size_t measure_shortcut_radius(const Digraph& g,
                                     const Augmentation<S>& aug,

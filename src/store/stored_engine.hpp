@@ -307,8 +307,8 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     lease.add(impl->pool.get(), level_rec->offset, level_rec->bytes);
     std::memcpy(aug->levels.level.data(), data_at(level_rec),
                 level_rec->bytes);
-    // aug->plan and aug->values stay empty: E+ lives in the image's
-    // segments; every kernel reads it via shortcut_edges().
+    // aug->plan stays null and, as in every engine, aug->values empty:
+    // E+ lives in the image's segments, read via shortcut_edges().
     impl->aug = std::move(aug);
   }
 

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -32,9 +33,21 @@
 #include "core/query.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
+#include "store/stored_engine.hpp"
+#include "store/writer.hpp"
 
 namespace sepsp {
 namespace {
+
+// An engine's E+ values, in slot order: its query engine holds the one
+// copy (an engine's augmentation has none).
+template <Semiring S>
+std::vector<typename S::Value> eplus_values(const LeveledQuery<S>& query) {
+  const EdgeBucket<S>& eplus = query.shortcut_edges();
+  std::vector<typename S::Value> out(eplus.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = eplus.value(i);
+  return out;
+}
 
 struct Family {
   std::string name;
@@ -162,15 +175,15 @@ TEST(Augmentation, AugmentationShrinksRadiusDramatically) {
 TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
   for (const Family& f : families()) {
     const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
-    const Augmentation<TropicalD>& rec = engine.augmentation();
+    const std::vector<double> rec = eplus_values(engine.query_engine());
     const auto dbl = build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
     // The shortcut edge sets coincide (same Et definition, one plan);
     // values match.
-    ASSERT_EQ(rec.plan, dbl.plan) << f.name;
-    ASSERT_EQ(rec.values.size(), dbl.values.size()) << f.name;
-    const PairBlock& slots = rec.plan->slots;
-    for (std::size_t i = 0; i < rec.values.size(); ++i) {
-      expect_same_value(rec.values[i], dbl.values[i],
+    ASSERT_EQ(engine.augmentation().plan, dbl.plan) << f.name;
+    ASSERT_EQ(rec.size(), dbl.values.size()) << f.name;
+    const PairBlock& slots = dbl.plan->slots;
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+      expect_same_value(rec[i], dbl.values[i],
                         f.name + " edge " + std::to_string(slots.from[i]) +
                             "->" + std::to_string(slots.to[i]));
     }
@@ -407,14 +420,14 @@ std::map<std::pair<Vertex, Vertex>, typename S::Value> combined_raw_emission(
 template <Semiring S>
 void expect_slot_min_matches_sort(const Family& f) {
   const auto want = combined_raw_emission<S>(f.gg.graph, f.tree);
-  const auto got =
-      SeparatorShortestPaths<S>::build(f.gg.graph, f.tree).augmentation();
-  const PairBlock& slots = got.plan->slots;
-  ASSERT_EQ(got.values.size(), want.size()) << f.name;
-  for (std::size_t i = 0; i < got.values.size(); ++i) {
+  const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
+  const auto got = eplus_values(engine.query_engine());
+  const PairBlock& slots = engine.augmentation().plan->slots;
+  ASSERT_EQ(got.size(), want.size()) << f.name;
+  for (std::size_t i = 0; i < got.size(); ++i) {
     const auto it = want.find({slots.from[i], slots.to[i]});
     ASSERT_NE(it, want.end()) << f.name << " shortcut " << i;
-    ASSERT_EQ(std::memcmp(&got.values[i], &it->second, sizeof(it->second)), 0)
+    ASSERT_EQ(std::memcmp(&got[i], &it->second, sizeof(it->second)), 0)
         << f.name << " shortcut " << i;
   }
 }
@@ -473,6 +486,7 @@ template <Semiring S>
 void expect_base_arcs_dominated(const Family& f) {
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
   const Augmentation<S>& aug = engine.augmentation();
+  const EdgeBucket<S>& eplus = engine.query_engine().shortcut_edges();
   const EplusPlan& plan = *aug.plan;
   const auto& from = plan.slots.from;
   const auto& to = plan.slots.to;
@@ -503,7 +517,7 @@ void expect_base_arcs_dominated(const Family& f) {
     ASSERT_LT(lo, end) << f.name << " " << e.from << "->" << e.to;
     ASSERT_EQ(from[lo], e.from) << f.name << " " << e.from << "->" << e.to;
     ASSERT_EQ(to[lo], e.to) << f.name << " " << e.from << "->" << e.to;
-    EXPECT_FALSE(S::improves(aug.values[lo], S::from_weight(e.weight)))
+    EXPECT_FALSE(S::improves(eplus.value(lo), S::from_weight(e.weight)))
         << f.name << " " << e.from << "->" << e.to;
     ++checked;
   }
@@ -730,37 +744,64 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   const auto bwd = SeparatorShortestPaths<>::build(reversed, tree);
   EXPECT_EQ(fwd.augmentation().plan.get(), plan);
   EXPECT_EQ(bwd.augmentation().plan.get(), plan);
-  const IncrementalEngine inc = IncrementalEngine::build(gg.graph, tree);
+  const auto wrapped = SeparatorShortestPaths<>::from_augmentation(
+      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
+  EXPECT_EQ(wrapped.augmentation().plan.get(), plan);
+  IncrementalEngine inc = IncrementalEngine::build(gg.graph, tree);
   EXPECT_EQ(inc.augmentation().plan.get(), plan);
   ApproxEngine::Options opts;
   opts.build.approx_eps = 0.1;
   const ApproxEngine approx = ApproxEngine::build(gg.graph, tree, opts);
   EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
-  // Every engine keeps every plan slot, unreachable ones too.
-  EXPECT_EQ(inc.augmentation().values.size(), plan->num_slots());
-  EXPECT_EQ(fwd.augmentation().values.size(), plan->num_slots());
-  EXPECT_EQ(approx.engine().augmentation().values.size(), plan->num_slots());
+
+  // Every engine keeps every plan slot, unreachable ones too, in its
+  // query engine alone: no engine's augmentation holds values.
+  const auto expect_one_copy = [&](const auto& engine, const char* kind) {
+    EXPECT_TRUE(engine.augmentation().values.empty()) << kind;
+    EXPECT_EQ(engine.stats().eplus_edges, plan->num_slots()) << kind;
+  };
+  expect_one_copy(fwd, "build");
+  expect_one_copy(bwd, "build (reversed)");
+  expect_one_copy(wrapped, "from_augmentation");
+  expect_one_copy(approx.engine(), "ApproxEngine::engine()");
+  const auto expect_incremental = [&](const char* when) {
+    EXPECT_TRUE(inc.augmentation().values.empty()) << when;
+    EXPECT_EQ(inc.query_engine().shortcut_edges().size(), plan->num_slots())
+        << when;
+    expect_one_copy(*inc.snapshot().engine, when);
+  };
+  expect_incremental("IncrementalEngine");
+  inc.update_edge(0, 1, 100.0);
+  inc.apply();
+  expect_incremental("IncrementalEngine after apply()");
+
+  const std::string path = ::testing::TempDir() + "sepsp_one_plan.img";
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(path, fwd, &error)) << error;
+  {
+    const auto stored = store::StoredEngine<TropicalD>::open(path, {}, &error);
+    ASSERT_TRUE(stored.has_value()) << error;
+    expect_one_copy(stored->engine(), "StoredEngine");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
   const Family f = families()[3];  // the triangulated mesh
-  const auto want =
-      SeparatorShortestPaths<>::build(f.gg.graph, f.tree).augmentation();
+  const std::vector<double> want = eplus_values(
+      SeparatorShortestPaths<>::build(f.gg.graph, f.tree).query_engine());
   std::vector<std::vector<double>> got(4);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < got.size(); ++i) {
     threads.emplace_back([&, i] {
-      got[i] = SeparatorShortestPaths<>::build(f.gg.graph, f.tree)
-                   .augmentation()
-                   .values;
+      got[i] = eplus_values(
+          SeparatorShortestPaths<>::build(f.gg.graph, f.tree).query_engine());
     });
   }
   for (std::thread& t : threads) t.join();
   for (const auto& g : got) {
-    ASSERT_EQ(g.size(), want.values.size());
-    EXPECT_EQ(std::memcmp(g.data(), want.values.data(),
-                          g.size() * sizeof(g[0])),
-              0);
+    ASSERT_EQ(g.size(), want.size());
+    EXPECT_EQ(std::memcmp(g.data(), want.data(), g.size() * sizeof(g[0])), 0);
   }
 }
 
@@ -788,22 +829,21 @@ TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
 
 TEST(SlotPlanDeathTest, QueryEngineRejectsAnAugmentationOffItsPlan) {
   // Slot order is structural (the buckets come from the plan), so what
-  // the engine checks is that the augmentation has a plan and one
-  // value per slot. Re-executes the binary instead of forking it: the
-  // pool's workers are already running.
+  // from_augmentation checks is that the augmentation has a plan and
+  // one value per slot. Re-executes the binary instead of forking it:
+  // the pool's workers are already running.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Family f = families()[0];
   const auto aug = build_augmentation_recursive<TropicalD>(
       f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
   auto planless = aug;
   planless.plan = nullptr;
-  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, planless),
+  EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,
+                                                           planless),
                "has no slot plan");
   auto short_by_one = aug;
   ASSERT_FALSE(short_by_one.values.empty());
   short_by_one.values.pop_back();
-  EXPECT_DEATH(LeveledQuery<TropicalD>(f.gg.graph, short_by_one),
-               "disagrees with its slot plan");
   EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,
                                                            short_by_one),
                "disagrees with its slot plan");

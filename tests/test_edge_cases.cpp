@@ -104,7 +104,7 @@ TEST(EdgeCases, SingleLeafTreeDegradesToBellmanFord) {
   const SeparatorTree tree = tree_of(gg.graph, /*leaf_size=*/64);
   EXPECT_EQ(tree.num_nodes(), 1u);
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  EXPECT_TRUE(engine.augmentation().values.empty());
+  EXPECT_TRUE(engine.query_engine().shortcut_edges().empty());
   const auto got = engine.distances(0);
   const auto want = dijkstra(gg.graph, 0);
   for (Vertex v = 0; v < 36; ++v) {

@@ -134,7 +134,8 @@ TEST(EngineStatsApi, StructuralFieldsAlwaysPopulated) {
   const EngineStats st = engine.stats();
   EXPECT_EQ(st.num_vertices, f.gg.graph.num_vertices());
   EXPECT_EQ(st.num_edges, f.gg.graph.num_edges());
-  EXPECT_EQ(st.eplus_edges, engine.augmentation().values.size());
+  EXPECT_EQ(st.eplus_edges, engine.query_engine().shortcut_edges().size());
+  EXPECT_EQ(st.eplus_edges, f.tree.eplus_plan()->num_slots());
   EXPECT_EQ(st.height, f.tree.height());
   EXPECT_EQ(st.diameter_bound, engine.augmentation().diameter_bound());
   EXPECT_EQ(st.levels.size(), static_cast<std::size_t>(st.height) + 1);

@@ -57,20 +57,29 @@ Digraph reweighted(const Digraph& g,
   return std::move(b).build(/*dedup_min=*/false);
 }
 
+// An engine's E+ values in slot order, read from its query engine (E+'s
+// one copy: an engine's augmentation holds no values).
+std::vector<double> eplus_values(const LeveledQuery<TropicalD>& query) {
+  const EdgeBucket<TropicalD>& eplus = query.shortcut_edges();
+  std::vector<double> out(eplus.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = eplus.value(i);
+  return out;
+}
+
 // The incremental E+ and the exact builder's both keep one value per
 // plan slot, +inf (unreachable) slots included, in plan order: require
 // the exact builder's plan and value bits, slot for slot.
 void expect_matches_exact_build(const IncrementalEngine& engine,
                                 const Digraph& reference,
                                 const SeparatorTree& tree) {
-  const Augmentation<TropicalD>& got = engine.augmentation();
   const auto engine_build = SeparatorShortestPaths<>::build(reference, tree);
-  const Augmentation<TropicalD>& want = engine_build.augmentation();
-  ASSERT_EQ(got.plan, want.plan);
-  ASSERT_EQ(got.values.size(), want.values.size());
-  const PairBlock& slots = want.plan->slots;
-  for (std::size_t i = 0; i < got.values.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&got.values[i], &want.values[i], sizeof(double)), 0)
+  ASSERT_EQ(engine.augmentation().plan, engine_build.augmentation().plan);
+  const std::vector<double> got = eplus_values(engine.query_engine());
+  const std::vector<double> want = eplus_values(engine_build.query_engine());
+  ASSERT_EQ(got.size(), want.size());
+  const PairBlock& slots = engine.augmentation().plan->slots;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
         << "shortcut " << i << " (" << slots.from[i] << "->" << slots.to[i]
         << ")";
   }
@@ -248,6 +257,38 @@ TEST(Incremental, HeldSnapshotStaysBitIdenticalAcrossApplies) {
   }
 }
 
+TEST(Incremental, HeldSnapshotAugmentationStaysFrozenAcrossApply) {
+  // A snapshot's augmentation() is the engine's build structure, which
+  // never changes: a batch that moves slots and creates a negative
+  // cycle leaves it without values, with the build's certificate and
+  // with the same structural fields.
+  const Fixture f = make_grid_fixture(9, 31);
+  IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+  const IncrementalEngine::Snapshot held = engine.snapshot();
+  const Augmentation<TropicalD>& aug = held.engine->augmentation();
+  const Augmentation<TropicalD> before = aug;
+  EXPECT_TRUE(before.values.empty());
+  EXPECT_TRUE(before.cycle_free);
+
+  engine.update_edge(0, 1, -20.0);  // a corner 2-cycle
+  engine.apply();
+  ASSERT_GT(engine.last_apply_stats().slots_touched, 0u);
+  ASSERT_FALSE(engine.snapshot().engine->cycle_certified());
+
+  EXPECT_TRUE(aug.values.empty());
+  EXPECT_EQ(aug.values, before.values);
+  EXPECT_EQ(aug.cycle_free, before.cycle_free);
+  EXPECT_EQ(aug.plan, before.plan);
+  EXPECT_EQ(aug.levels.level, before.levels.level);
+  EXPECT_EQ(aug.levels.height, before.levels.height);
+  EXPECT_EQ(aug.height, before.height);
+  EXPECT_EQ(aug.ell, before.ell);
+  EXPECT_EQ(aug.critical_depth, before.critical_depth);
+  EXPECT_EQ(aug.build_cost.work, before.build_cost.work);
+  EXPECT_EQ(aug.build_cost.depth, before.build_cost.depth);
+  EXPECT_TRUE(held.engine->cycle_certified());
+}
+
 TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
   // After every apply() the certificate must equal a fresh build's and
   // the oracle's, and a snapshot must answer exactly like the fresh
@@ -255,7 +296,7 @@ TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
   // its queries skip the pass (certified) or run it.
   const Fixture f = make_grid_fixture(9, 31);
   IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
-  EXPECT_TRUE(engine.augmentation().cycle_free);
+  EXPECT_TRUE(engine.snapshot().engine->cycle_certified());
   const std::vector<Vertex> sources{0, 1, 13, 40, 44, 80};
   struct Batch {
     std::vector<EdgeTriple> updates;
@@ -289,7 +330,9 @@ TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
     ASSERT_EQ(oracle, batches[b].cycle_free) << "batch " << b;
     const auto fresh = SeparatorShortestPaths<>::build(reference, f.tree);
     EXPECT_EQ(fresh.cycle_certified(), oracle) << "batch " << b;
-    EXPECT_EQ(engine.augmentation().cycle_free, oracle) << "batch " << b;
+    // The augmentation keeps the build's certificate; the current one
+    // is the snapshot's.
+    EXPECT_TRUE(engine.augmentation().cycle_free) << "batch " << b;
 
     const IncrementalEngine::Snapshot snap = engine.snapshot();
     EXPECT_EQ(snap.engine->cycle_certified(), oracle) << "batch " << b;
@@ -369,8 +412,8 @@ TEST(Incremental, ApplyIsDeterministic) {
 
     // Shortcut values and query results must be bit-identical, not just
     // close: both engines run the same kernels in the same order.
-    const auto& sp = lhs.augmentation().values;
-    const auto& ss = rhs.augmentation().values;
+    const std::vector<double> sp = eplus_values(lhs.query_engine());
+    const std::vector<double> ss = eplus_values(rhs.query_engine());
     ASSERT_EQ(sp.size(), ss.size());
     for (std::size_t i = 0; i < sp.size(); ++i) {
       ASSERT_EQ(std::memcmp(&sp[i], &ss[i], sizeof(sp[i])), 0)
@@ -556,8 +599,8 @@ void expect_raise_restore_stream_exact(std::size_t side) {
       EXPECT_TRUE(std::signbit(
           lhs.weight(original[zero_arc].from, original[zero_arc].to)));
     }
-    const auto& sl = lhs.augmentation().values;
-    const auto& sr = rhs.augmentation().values;
+    const std::vector<double> sl = eplus_values(lhs.query_engine());
+    const std::vector<double> sr = eplus_values(rhs.query_engine());
     ASSERT_EQ(sl.size(), sr.size());
     ASSERT_EQ(std::memcmp(sl.data(), sr.data(), sl.size() * sizeof(sl[0])), 0)
         << "batch " << b;
@@ -643,7 +686,7 @@ TEST(Incremental, DiagonalOnlyMoveQueuesTheParent) {
   IncrementalEngine engine = IncrementalEngine::build(g, tree);
   engine.update_edge(0, 1, -5.0);
   EXPECT_EQ(engine.apply(), 2u);  // the leaf holding 0 -> 1, then the root
-  EXPECT_FALSE(engine.augmentation().cycle_free);
+  EXPECT_FALSE(engine.snapshot().engine->cycle_certified());
   expect_matches_exact_build(engine, reweighted(g, {{0, 1, -5.0}}), tree);
 }
 
