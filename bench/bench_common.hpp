@@ -58,11 +58,11 @@ struct MemorySample {
   }
 };
 
-/// A query engine's E+ in slot order as packed (from, to, value)
-/// records: the bytes the E+ digests hash and the per-thread-count E+
-/// dumps hold.
-inline std::string eplus_bytes(const LeveledQuery<TropicalD>& query) {
-  const EdgeBucket<TropicalD>& eplus = query.shortcut_edges();
+/// An engine's E+ in slot order as packed (from, to, value) records:
+/// the bytes the E+ digests hash and the per-thread-count E+ dumps hold.
+inline std::string eplus_bytes(
+    const SeparatorShortestPaths<TropicalD>& engine) {
+  const EdgeBucket<TropicalD>& eplus = engine.shortcut_edges();
   std::string out;
   out.reserve(eplus.size() * (2 * sizeof(Vertex) + sizeof(double)));
   const auto put = [&out](const auto& x) {

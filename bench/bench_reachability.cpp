@@ -49,7 +49,7 @@ int main() {
     (void)transitive_closure_dense(g);
     const auto dense = dense_scope.cost();
 
-    const auto query = engine.query_engine().run(0);
+    const auto query = engine.distances(0);
     const pram::CostScope bfs_scope;
     (void)bfs_reachable(g, 0);
     const auto bfs_cost = bfs_scope.cost();

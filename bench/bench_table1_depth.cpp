@@ -35,7 +35,7 @@ int main() {
         build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree);
     const auto engine =
         SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
-    const auto query = engine.query_engine().run(0);
+    const auto query = engine.distances(0);
     // Jacobi (synchronous) phases = the PRAM round count of Section 2.2.
     const auto raw = bellman_ford_phases(inst.gg.graph, 0, 0, /*jacobi=*/true);
     const double lg = std::log2(static_cast<double>(inst.n()));

@@ -31,8 +31,8 @@ void run_family(const std::string& header, double mu,
     const int kSources = 3;
     for (int i = 0; i < kSources; ++i) {
       const auto src = static_cast<Vertex>(pick.next_below(inst.n()));
-      sched += engine.query_engine().run(src).edges_scanned;
-      naive += engine.query_engine().run_unscheduled(src).edges_scanned;
+      sched += engine.distances(src).edges_scanned;
+      naive += engine.distances_unscheduled(src).edges_scanned;
       raw += bellman_ford_phases(inst.gg.graph, src).edges_scanned;
       heap += dijkstra(inst.gg.graph, src).heap_ops;
     }

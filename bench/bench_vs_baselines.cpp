@@ -49,7 +49,7 @@ int main() {
       std::uint64_t engine_scans = 0;
       std::uint64_t engine_phases = 0;
       for (const Vertex src : sources) {
-        const auto r = engine.query_engine().run(src);
+        const auto r = engine.distances(src);
         engine_scans += r.edges_scanned;
         engine_phases += r.phases;
       }
@@ -124,7 +124,7 @@ int main() {
       WallTimer t_e;
       std::vector<QueryResult<TropicalD>> engine_results;
       for (const Vertex src : sources) {
-        engine_results.push_back(engine.query_engine().run(src));
+        engine_results.push_back(engine.distances(src));
       }
       const double engine_ms = build_ms + t_e.millis();
       WallTimer t_j;

@@ -2,7 +2,7 @@
 //
 // The per-source path re-streams the whole bucketed edge set E u E+ for
 // every source, so distances_batch is memory-bandwidth-bound; the
-// batched kernel (LeveledQuery::run_block<B>) loads each edge once per
+// batched kernel (distances_batch at B lanes) loads each edge once per
 // phase and relaxes B lanes, amortizing the traffic. This bench
 // measures sources/sec for the per-source baseline (lane width 1, the
 // scalar schedule) and for lane widths B in {4, 8, 16} on the usual

@@ -151,11 +151,11 @@ int run_stream_row(const std::string& eplus_path) {
   for (std::size_t arc = 0; arc < g.num_edges(); ++arc) {
     b.add_edge(sources[arc], g.arcs()[arc].to, engine.weights()[arc]);
   }
-  const auto fresh =
-      SeparatorShortestPaths<>::build(std::move(b).build(), tree);
+  const Digraph reweighted = std::move(b).build();
+  const auto fresh = SeparatorShortestPaths<>::build(reweighted, tree);
   // Both keep every plan slot, +inf ones too, over one plan.
-  const std::string sc = eplus_bytes(engine.query_engine());
-  r.fresh_parity = sc == eplus_bytes(fresh.query_engine()) ? 1 : 0;
+  const std::string sc = eplus_bytes(*engine.snapshot().engine);
+  r.fresh_parity = sc == eplus_bytes(fresh) ? 1 : 0;
   r.digest = fnv1a(sc);
   std::ofstream(eplus_path, std::ios::binary)
       .write(sc.data(), static_cast<std::streamsize>(sc.size()));

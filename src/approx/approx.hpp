@@ -26,7 +26,7 @@ namespace sepsp {
 
 class ApproxEngine {
  public:
-  /// Build options only: queries run with the exact facade's default
+  /// Build options only: queries run with the exact engine's default
   /// query options (the build certifies the rounded weights cycle-free,
   /// so no query pays the verification pass).
   struct Options {
@@ -65,9 +65,9 @@ class ApproxEngine {
   /// serving does no per-query heap traffic.
   QueryStats distances_into(Vertex source, std::span<double> out) const;
 
-  /// Batched many-source queries through the exact facade's
+  /// Batched many-source queries through the exact engine's
   /// distances_batch; same BatchPolicy semantics (lanes = 0 picks the
-  /// exact facade's default width). Results are rescaled doubles
+  /// exact engine's default width). Results are rescaled doubles
   /// (reported as TropicalD-valued QueryResults with the usual
   /// zero()-sentinel contract for unreachable vertices).
   std::vector<QueryResult<TropicalD>> distances_batch(
@@ -89,7 +89,7 @@ class ApproxEngine {
   /// (integer distances; tests and benches introspect it).
   const SeparatorShortestPaths<TropicalI>& engine() const;
 
-  /// Exact-facade stats of the underlying engine plus the approx block
+  /// Exact-engine stats of the underlying engine plus the approx block
   /// (approx_eps, unit, certified vs. observed error).
   EngineStats stats() const;
 

@@ -6,8 +6,7 @@
 // (separator/eplus_plan.hpp): one value per plan slot, in the plan's
 // sweep order, zero() ("no path") where no owner node has a path. The
 // pairs are the plan's, never copied: a build writes values and
-// nothing else, and the query engine pairs them with the plan's slot
-// array.
+// nothing else, and the engine pairs them with the plan's slot array.
 #pragma once
 
 #include <algorithm>
@@ -29,9 +28,10 @@ namespace sepsp {
 /// An engine's augmentation (SeparatorShortestPaths::augmentation(),
 /// IncrementalEngine::augmentation()) is immutable structure — plan,
 /// levels, height, ell, costs and the build-time certificate — with no
-/// values: an engine keeps E+'s values only in its query engine
-/// (LeveledQuery::shortcut_edges()). Only the free-function builders
-/// fill `values`, and from_augmentation() consumes them.
+/// values: an engine keeps E+'s values only in its own edge arrays
+/// (SeparatorShortestPaths::shortcut_edges()). Only the free-function
+/// builders fill `values`, and from_augmentation() consumes them. A
+/// stored engine's has no plan and no vertex levels either.
 template <Semiring S>
 struct Augmentation {
   /// E+ as a free-function builder returns it: one value per slot of
@@ -59,7 +59,7 @@ struct Augmentation {
   /// (builder_recursive.hpp). Engines frozen over a certified
   /// augmentation skip the per-query verification pass. False means
   /// "not certified", not "has a cycle": Algorithm 4.3 builds and
-  /// hand-built augmentations keep the pass. A v5 image stores the flag
+  /// hand-built augmentations keep the pass. A v6 image stores the flag
   /// of the engine it was written from. An IncrementalEngine's keeps the
   /// build's flag; each snapshot freezes the current one
   /// (cycle_certified()).

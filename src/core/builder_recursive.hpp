@@ -36,8 +36,8 @@
 // node in one tree_pass and copies the node's two matrices into its
 // slice; then one parallel pass takes each slot's minimum over its
 // owners (slot_min). The engine builds (SeparatorShortestPaths::build,
-// IncrementalEngine) write it once, straight into the query engine's
-// value slabs beside the plan's slot array (LeveledQuery's slot-value
+// IncrementalEngine) write it once, straight into the engine's value
+// slabs beside the plan's slot array (SeparatorShortestPaths' slot-value
 // constructor); build_augmentation_recursive writes aug.values instead
 // (detail::fill_values). Algorithm 4.3 and Remark 4.4
 // (builder_doubling.hpp, builder_compact.hpp) write their V_H group
@@ -440,7 +440,7 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
 /// E+ from a build's entry arena: aug.values gets one value per slot of
 /// aug.plan, in plan order, the slot_min — zero() where no owner has a
 /// path. One parallel pass. The engine builds write the slot minima
-/// into their query engine instead (LeveledQuery's slot-value
+/// into their engine instead (SeparatorShortestPaths' slot-value
 /// constructor).
 template <Semiring S>
 void fill_values(Augmentation<S>& aug,

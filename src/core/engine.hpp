@@ -1,4 +1,4 @@
-// Public facade: preprocess once, query many sources.
+// The engine: preprocess once, query many sources (Section 3.2).
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -16,30 +16,92 @@
 //                     {.lanes = 16});
 //   engine.stats().print(std::cout);                   // observability
 //
-// The facade is templated on the semiring (paper remark iii); the
-// default TropicalD computes real-weight shortest paths.
+// The engine is templated on the semiring (paper remark iii); the
+// default TropicalD computes real-weight shortest paths. It is the
+// augmented graph G+ = (V, E u E+) and its query schedule in one class:
+// the base arcs and E+ as edge arrays, the bucket table, the leveled
+// walker and one counter ledger.
+//
+// Theorem 3.1's witness paths have the form
+//   [<= ell edges of E] [shortcuts with a bitonic level sequence]
+//   [<= ell edges of E]
+// where consecutive equal levels appear at most twice. The leveled
+// schedule exploits this: after ell full passes over E, one descending
+// sweep scans, per level L, first the level-L same-level edges and then
+// the edges dropping below L; an ascending sweep mirrors it; ell full E
+// passes finish. Each bucket is scanned O(1) times, so the per-source
+// work is O(ell |E| + |E U E+|) instead of the naive
+// O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford (kept for the
+// T1b ablation as distances_unscheduled()).
+//
+// One walker (walk<B>) runs that schedule for every entry point. Its
+// distance array is lane-major, dist[v * B + lane]: B = 1 is the scalar
+// query (distances, distances_into, distances_seeded) with its guarded
+// compare-then-store loop; B > 1 is the source-batched query
+// (distances_batch, Corollary 5.2's s-source workload), which relaxes B
+// sources per edge load through the dispatched SIMD kernels
+// (semiring/simd.hpp). Lanes never interact, so every lane's distances
+// and counters equal a scalar run of its own source.
+//
+// Edges are stored struct-of-arrays (EdgeBucket, core/query.hpp). E+ is
+// one such array, its slots numbered in sweep order by the tree's slot
+// plan (separator/eplus_plan.hpp): every leveled bucket is a range of
+// it, (from, to)-sorted, and the sweeps read those ranges in the order
+// they lie. The leveled buckets hold E+ alone. Base arcs feed the ell E
+// passes and the verification pass only: an arc (u, v) whose endpoints
+// both have levels lies in some leaf L, so u and v are both in B(L) and
+// the slot (u, v) — in the same bucket, valued at most w(u, v) —
+// relaxes everything the arc would (docs/ALGORITHMS.md §4).
+//
+// Structural sharing: the pair structure of E+ is tree-only. Every
+// engine over the tree aliases the plan's slot array and owns only one
+// value per slot, in slab-chunked copy-on-write storage
+// (util/slab.hpp); an engine's Augmentation holds none. Two owners
+// reach behind the public API: IncrementalEngine patches its live
+// engine's values in place and freezes O(#slabs) forks of it as
+// snapshots, and store::StoredEngine assembles an engine whose arrays
+// are views into a mapped image.
+//
+// Observability: every walk credits the engine's one ledger — queries,
+// edges scanned, phases, and the per-level bucket scans of scheduled
+// walks — in every build mode (stats()). When compiled with SEPSP_OBS
+// (see obs/obs.hpp) a walk also records phase timing spans and the
+// process-wide simd.cells counter. All hooks sit at phase granularity —
+// the inner relaxation loops are identical in both modes.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/builder_recursive.hpp"
 #include "core/engine_stats.hpp"
 #include "core/query.hpp"
 #include "obs/obs.hpp"
+#include "pram/cost_model.hpp"
 #include "pram/thread_pool.hpp"
+#include "semiring/simd.hpp"
+#include "util/aligned.hpp"
 
 namespace sepsp {
 
+class IncrementalEngine;  // core/incremental.hpp
+namespace store {
+template <Semiring S>
+class StoredEngine;  // store/stored_engine.hpp
+}  // namespace store
+
 /// Kernel selection for distances_batch(). `lanes` is the number of
-/// sources relaxed per edge load (LeveledQuery::run_block<B>,
-/// compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for
-/// SeparatorShortestPaths::kBatchLanes). `{.lanes = 1}` is
-/// the per-source path: one independent scalar query per source — the
-/// baseline the batched kernel is benchmarked against, and the right
-/// choice when sources cannot amortize a shared edge stream.
+/// sources relaxed per edge load (compile-time-dispatched; one of 1, 2,
+/// 4, 8, 16, 32, or 0 for SeparatorShortestPaths::kBatchLanes).
+/// `{.lanes = 1}` is the per-source path: one independent scalar query
+/// per source — the baseline the batched kernel is benchmarked against,
+/// and the right choice when sources cannot amortize a shared edge
+/// stream.
 struct BatchPolicy {
   std::size_t lanes = 0;
 };
@@ -50,11 +112,11 @@ class SeparatorShortestPaths {
   using Value = typename S::Value;
 
   /// Default lane width of the batched many-source path: each edge load
-  /// relaxes this many sources at once (see LeveledQuery::run_block).
+  /// relaxes this many sources at once.
   static constexpr std::size_t kBatchLanes = 8;
 
   struct Options {
-    /// Query-time knobs (consulted on every query).
+    /// Query-time knobs.
     struct Query {
       /// Run the per-query negative-cycle verification pass (one full
       /// E u E+ scan per source) unless the build certified the graph
@@ -75,7 +137,7 @@ class SeparatorShortestPaths {
   /// preprocessing row (O(n + n^{3 mu}) work for k^mu separator
   /// families). The caller must keep `g` alive (and at a stable
   /// address) for the engine's lifetime; the engine itself is safely
-  /// movable (its internal state lives behind unique_ptrs).
+  /// movable (its counters live behind a unique_ptr).
   static SeparatorShortestPaths build(const Digraph& g,
                                       const SeparatorTree& tree,
                                       const Options& options = {}) {
@@ -85,27 +147,24 @@ class SeparatorShortestPaths {
     detail::TreeRun<S> run =
         detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
     run.aug.build_cost = scope.cost();
-    SeparatorShortestPaths engine(g, options.query, run.aug.cycle_free);
-    engine.aug_ = std::make_shared<const Augmentation<S>>(std::move(run.aug));
+    const bool certified = run.aug.cycle_free;
+    auto aug = std::make_shared<const Augmentation<S>>(std::move(run.aug));
     // One pass over the slots writes each slot's minimum straight into
-    // the query engine, E+'s one copy.
-    const EplusPlan& plan = *engine.aug_->plan;
-    engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *engine.aug_,
-        options.query.detect_negative_cycles && !engine.cycle_certified_,
-        [&](std::size_t slot) {
+    // the engine, E+'s one copy.
+    const EplusPlan& plan = *aug->plan;
+    return SeparatorShortestPaths(
+        g, std::move(aug), options, certified, [&](std::size_t slot) {
           return detail::slot_min<S>(plan, slot, run.entries);
         });
-    return engine;
   }
 
   /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
   /// without rebuilding E+. `aug` must carry its tree's slot plan and
   /// one value per plan slot, in plan order, as every free builder
-  /// leaves it; anything else aborts. The values move into the query
-  /// engine, and the engine's augmentation keeps none. The engine
-  /// freezes aug.cycle_free: a certified augmentation's queries skip
-  /// the verification pass.
+  /// leaves it; anything else aborts. The values move into the engine,
+  /// and the engine's augmentation keeps none. The engine freezes
+  /// aug.cycle_free: a certified augmentation's queries skip the
+  /// verification pass.
   static SeparatorShortestPaths from_augmentation(const Digraph& g,
                                                   Augmentation<S> aug,
                                                   const Options& options = {}) {
@@ -115,35 +174,12 @@ class SeparatorShortestPaths {
     SEPSP_CHECK_MSG(aug.values.size() == aug.plan->num_slots(),
                     "from_augmentation: the augmentation's value count "
                     "disagrees with its slot plan");
-    SeparatorShortestPaths engine(g, options.query, aug.cycle_free);
+    const bool certified = aug.cycle_free;
     auto frozen = std::make_shared<Augmentation<S>>(std::move(aug));
-    engine.query_ = std::make_unique<LeveledQuery<S>>(
-        g, *frozen,
-        options.query.detect_negative_cycles && !engine.cycle_certified_,
+    SeparatorShortestPaths engine(
+        g, frozen, options, certified,
         [&](std::size_t slot) { return frozen->values[slot]; });
     frozen->values = {};
-    engine.aug_ = std::move(frozen);
-    return engine;
-  }
-
-  /// Wraps an already-forked LeveledQuery into a facade without
-  /// reconstructing anything: the structurally-shared snapshot path of
-  /// IncrementalEngine::snapshot(). `aug` is the (possibly aliasing)
-  /// shared handle keeping the query's augmentation alive; `query` must
-  /// have been produced by LeveledQuery::fork_shared() or
-  /// LeveledQuery::from_store() against that augmentation.
-  /// `cycle_certified` is the certificate of the weighting the query
-  /// froze, read by the caller at fork time (the aliased augmentation
-  /// keeps the build's); the caller forks the query with the pass off
-  /// exactly when it is set.
-  /// Cost: O(#slabs) pointer moves — no value copies.
-  static SeparatorShortestPaths from_forked_query(
-      const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
-      LeveledQuery<S> query, bool cycle_certified,
-      const Options& options = {}) {
-    SeparatorShortestPaths engine(g, options.query, cycle_certified);
-    engine.aug_ = std::move(aug);
-    engine.query_ = std::make_unique<LeveledQuery<S>>(std::move(query));
     return engine;
   }
 
@@ -160,19 +196,51 @@ class SeparatorShortestPaths {
 
   const Digraph& graph() const { return *g_; }
   /// Immutable structure with no values: E+'s values are
-  /// query_engine().shortcut_edges().
+  /// shortcut_edges().
   const Augmentation<S>& augmentation() const { return *aug_; }
-  const LeveledQuery<S>& query_engine() const { return *query_; }
-  const typename Options::Query& query_options() const { return qopts_; }
   /// The certificate frozen with this engine: true when the build proved
   /// the weighting free of negative cycles, so queries skip the
   /// verification pass (QueryResult::negative_cycle is then false).
   bool cycle_certified() const { return cycle_certified_; }
+  /// Whether queries run the verification pass: decided once, at
+  /// construction, as Options::query.detect_negative_cycles && !certified.
+  bool detects_negative_cycles() const { return detect_cycles_; }
 
-  /// Distances from one source; O(ell |E| + |E+|) work.
+  // --- the augmented graph (stats, the store writer) ---------------------
+  const EdgeBucket<S>& base_edges() const { return base_; }
+  /// E+ in slot (sweep) order with this engine's own (fork-stable)
+  /// values.
+  const EdgeBucket<S>& shortcut_edges() const { return shortcut_; }
+  /// The bucket table (EplusPlan::bucket_offset) over shortcut_edges().
+  std::span<const std::uint64_t> bucket_offsets() const {
+    return bucket_offset_;
+  }
+  /// Kind's level-l bucket as a range of shortcut_edges().
+  EdgeRange bucket(EplusPlan::Kind kind, std::uint32_t level) const {
+    const std::size_t k = EplusPlan::bucket_rank(kind, level, aug_->height);
+    return {bucket_offset_[k], bucket_offset_[k + 1]};
+  }
+  /// Value slabs shared (pointer-identical) between this engine's
+  /// arrays and `other`'s — the structural-sharing test hook.
+  std::size_t slabs_shared_with(const SeparatorShortestPaths& other) const {
+    return base_.slabs_shared_with(other.base_) +
+           shortcut_.slabs_shared_with(other.shortcut_);
+  }
+  /// Total value slabs across both arrays (denominator for sharing
+  /// ratios).
+  std::size_t total_slabs() const {
+    return base_.slab_count() + shortcut_.slab_count();
+  }
+
+  // --- queries -------------------------------------------------------------
+
+  /// Distances from one source; O(ell |E| + |E+|) work. Exact distances
+  /// absent negative cycles; negative cycles reachable from `source` are
+  /// detected and flagged.
   QueryResult<S> distances(Vertex source) const {
-    QueryResult<S> r = query_->run(source);
-    note_run(QueryStats{r.negative_cycle, r.edges_scanned, r.phases});
+    QueryResult<S> r;
+    r.dist.resize(g_->num_vertices());
+    static_cast<QueryStats&>(r) = distances_into(source, r.dist);
     return r;
   }
 
@@ -181,19 +249,23 @@ class SeparatorShortestPaths {
   /// counters. Reuse one buffer across queries to keep a serving hot
   /// path free of per-query heap traffic.
   QueryStats distances_into(Vertex source, std::span<Value> out) const {
-    const QueryStats s = query_->run_into(source, out);
-    note_run(s);
+    SEPSP_CHECK(source < g_->num_vertices());
+    SEPSP_CHECK(out.size() == g_->num_vertices());
+    std::fill(out.begin(), out.end(), S::zero());
+    out[source] = S::one();
+    QueryStats s;
+    walk<1>(out.data(), {&s, 1});
     return s;
   }
 
   /// Distances from many sources (the s-source workload of Corollary
   /// 5.2). The BatchPolicy selects the lane width: sources are grouped
-  /// into blocks of that many lanes relaxed simultaneously
-  /// (LeveledQuery::run_block<B>), blocks running in parallel on the
-  /// thread pool; `{.lanes = 1}` runs one scalar query per source.
-  /// Per-source results are identical either way — lanes never
-  /// interact. This switch is the one place a runtime lane width
-  /// becomes a compile-time one.
+  /// into blocks of that many lanes relaxed simultaneously, blocks
+  /// running in parallel on the thread pool; `{.lanes = 1}` runs one
+  /// scalar query per source. Per-source results are identical either
+  /// way — distances bit for bit, counters and negative-cycle flag too:
+  /// lanes never interact. This switch is the one place a runtime lane
+  /// width becomes a compile-time one.
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
     switch (policy.lanes == 0 ? kBatchLanes : policy.lanes) {
@@ -217,28 +289,53 @@ class SeparatorShortestPaths {
     }
   }
 
-  /// All-pairs driver (s = n sources).
-  std::vector<QueryResult<S>> all_pairs() const {
-    std::vector<Vertex> sources(g_->num_vertices());
-    for (Vertex v = 0; v < sources.size(); ++v) sources[v] = v;
-    return distances_batch(sources);
+  /// Multi-source query with per-seed initial values: equivalent to a
+  /// virtual source with an arc of the given value to each seed (the
+  /// q-face pipeline enters G' from in-hammock offsets; one() seeds on
+  /// every vertex are the super-source of difference-constraint
+  /// solving). The schedule's correctness argument is per-path and
+  /// source-agnostic.
+  QueryResult<S> distances_seeded(
+      std::span<const std::pair<Vertex, Value>> seeds) const {
+    QueryResult<S> r;
+    r.dist.assign(g_->num_vertices(), S::zero());
+    for (const auto& [v, value] : seeds) {
+      SEPSP_CHECK(v < g_->num_vertices());
+      r.dist[v] = S::combine(r.dist[v], value);
+    }
+    walk<1>(r.dist.data(), {static_cast<QueryStats*>(&r), 1});
+    return r;
+  }
+
+  /// Ablation baseline: diameter-bounded Bellman–Ford over E u E+,
+  /// scanning every edge each phase (the "straightforward" algorithm the
+  /// paper improves on in Section 3.2).
+  QueryResult<S> distances_unscheduled(Vertex source) const {
+    SEPSP_CHECK(source < g_->num_vertices());
+    QueryResult<S> r;
+    r.dist.assign(g_->num_vertices(), S::zero());
+    r.dist[source] = S::one();
+    const std::span<QueryStats> acct(static_cast<QueryStats*>(&r), 1);
+    passes<1>(base_, &shortcut_, aug_->diameter_bound(), r.dist.data(), acct);
+    detect_negative_cycles<1>(r.dist.data(), acct);
+    charge(acct);
+    return r;
   }
 
   /// Structural schedule statistics plus cumulative query counters.
   /// Every field but the four process-wide kernel/pool/SIMD reads is
   /// populated in every build mode. The query counters (queries,
   /// edges_scanned, phases, lane occupancy, per-level scans) are
-  /// per-engine (not process-wide) and cover queries issued through
-  /// this facade.
+  /// per-engine (not process-wide) and cover every query entry point.
   EngineStats stats() const {
     EngineStats st;
     st.num_vertices = g_->num_vertices();
     st.num_edges = g_->num_edges();
-    // Counted through the query engine, not the augmentation: no
+    // Counted through the engine's arrays, not the augmentation: no
     // engine's augmentation has values, and a stored engine's has no
     // plan either (E+ lives in the image's segments).
-    st.eplus_edges = query_->shortcut_edges().size();
-    st.bucket_edges = query_->bucket_edges();
+    st.eplus_edges = shortcut_.size();
+    st.bucket_edges = shortcut_.size();
     st.height = aug_->height;
     st.ell = aug_->ell;
     st.diameter_bound = aug_->diameter_bound();
@@ -249,10 +346,10 @@ class SeparatorShortestPaths {
     st.simd_tier = simd::tier_name(simd::active_tier());
     st.levels.reserve(aug_->height + 1);
     for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-      st.levels.push_back({l, query_->bucket(EplusPlan::kSame, l).size(),
-                           query_->bucket(EplusPlan::kDown, l).size(),
-                           query_->bucket(EplusPlan::kUp, l).size(),
-                           query_->level_edges_scanned(l)});
+      st.levels.push_back(
+          {l, bucket(EplusPlan::kSame, l).size(),
+           bucket(EplusPlan::kDown, l).size(), bucket(EplusPlan::kUp, l).size(),
+           counters_->level_scans[l].load(std::memory_order_relaxed)});
     }
     st.queries = counters_->queries.load(std::memory_order_relaxed);
     st.edges_scanned = counters_->edges.load(std::memory_order_relaxed);
@@ -273,13 +370,134 @@ class SeparatorShortestPaths {
   }
 
  private:
+  friend class IncrementalEngine;
+  template <Semiring>
+  friend class store::StoredEngine;
+
+  /// The one place the verification-pass decision is made: an engine
+  /// with no edge arrays yet, over `aug`, freezing `cycle_certified`.
   SeparatorShortestPaths(const Digraph& g,
-                         const typename Options::Query& qopts,
-                         bool cycle_certified)
+                         std::shared_ptr<const Augmentation<S>> aug,
+                         const Options& options, bool cycle_certified)
       : g_(&g),
-        qopts_(qopts),
+        aug_(std::move(aug)),
         cycle_certified_(cycle_certified),
-        counters_(std::make_unique<EngineCounters>()) {}
+        detect_cycles_(options.query.detect_negative_cycles &&
+                       !cycle_certified),
+        counters_(std::make_unique<Counters>(aug_->height + 1)) {}
+
+  /// The slot-value constructor. `aug` must carry its tree's slot plan.
+  /// E+ aliases the plan's slot array; slot s's value is slot_value(s),
+  /// called once per slot from the pool's threads in one parallel pass
+  /// — build() and IncrementalEngine pass the slot minimum over their
+  /// entry arena, from_augmentation() the free builder's value. The
+  /// engine's values are E+'s only copy.
+  template <typename SlotValue>
+  SeparatorShortestPaths(const Digraph& g,
+                         std::shared_ptr<const Augmentation<S>> aug,
+                         const Options& options, bool cycle_certified,
+                         const SlotValue& slot_value)
+      : SeparatorShortestPaths(g, std::move(aug), options, cycle_certified) {
+    SEPSP_TRACE_SPAN("build.buckets");
+    plan_ = aug_->plan;
+    SEPSP_DCHECK(plan_ != nullptr);
+    const EplusPlan& plan = *plan_;
+    SEPSP_CHECK(plan.num_levels() == std::size_t{aug_->height} + 1);
+
+    // Base arcs, in CSR order (arc index = position).
+    {
+      const std::size_t m = g.num_edges();
+      auto pairs = std::make_shared<PairBlock>();
+      pairs->from.resize(m);
+      pairs->to.resize(m);
+      SlabVector<Value> values(m);
+      std::size_t arc = 0;
+      for (Vertex u = 0; u < g.num_vertices(); ++u) {
+        for (const Arc& a : g.out(u)) {
+          pairs->from[arc] = u;
+          pairs->to[arc] = a.to;
+          values.init(arc, S::from_weight(a.weight));
+          ++arc;
+        }
+      }
+      base_ = EdgeBucket<S>(std::move(pairs), std::move(values));
+    }
+
+    // E+'s values, in slot order: every value read resolves here.
+    SlabVector<Value> values(plan.num_slots());
+    pram::ThreadPool::global().parallel_blocks(
+        0, plan.num_slots(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) values.init(s, slot_value(s));
+        },
+        /*grain=*/std::size_t{1} << 14);
+    shortcut_ = EdgeBucket<S>(
+        std::shared_ptr<const PairBlock>(plan_, &plan.slots),
+        std::move(values));
+    bucket_offset_ = plan.bucket_offset;
+  }
+
+  /// An engine over a mapped image (store::StoredEngine::open): base and
+  /// E+ are external views into the image's segments, scanned through
+  /// page pins instead of owned vectors. The segments hold the heap
+  /// engine's arrays verbatim, so this engine replays the exact same
+  /// edge order and produces bit-identical distances. It is read-only:
+  /// the refresh hooks abort on it. `g`, `aug`, and the mapped image
+  /// behind `buckets` must outlive it.
+  static SeparatorShortestPaths from_store(
+      const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
+      const StoredBuckets<S>& buckets, const Options& options) {
+    SEPSP_CHECK_MSG(
+        buckets.bucket_offset.size() ==
+                EplusPlan::num_buckets(aug->height) + 1 &&
+            buckets.bucket_offset.back() == buckets.eplus.count,
+        "from_store: bucket table disagrees with the augmentation height "
+        "or the E+ count");
+    SEPSP_CHECK_MSG(buckets.base.count == g.num_edges(),
+                    "from_store: base bucket count != num_edges");
+    const bool certified = aug->cycle_free;
+    SeparatorShortestPaths out(g, std::move(aug), options, certified);
+    out.base_ = EdgeBucket<S>::from_external(buckets.base);
+    out.shortcut_ = EdgeBucket<S>::from_external(buckets.eplus);
+    out.bucket_offset_ = buckets.bucket_offset;
+    // plan_ stays null: stored engines cannot be reweighted.
+    return out;
+  }
+
+  /// Value patching for incremental reweighting (IncrementalEngine's
+  /// live engine): the pair structure of the arrays is fixed by the
+  /// tree; these refresh a single entry's value in place. `arc_index`
+  /// indexes g.arcs(); `slot` indexes the plan's slots. Never a fork,
+  /// never a stored engine. Returns the number of value slabs the write
+  /// had to detach from outstanding forks (the unit of
+  /// `IncrementalEngine::ApplyStats::slabs_copied`).
+  std::size_t refresh_base(std::size_t arc_index, Value value) {
+    SEPSP_CHECK_MSG(plan_ != nullptr,
+                    "refresh_base on a stored (read-only) engine");
+    return base_.set_value(arc_index, value) ? 1 : 0;
+  }
+  std::size_t refresh_shortcut(std::size_t slot, Value value) {
+    SEPSP_CHECK_MSG(plan_ != nullptr,
+                    "refresh_shortcut on a stored (read-only) engine");
+    return shortcut_.set_value(slot, value) ? 1 : 0;
+  }
+
+  /// Structurally-shared copy (IncrementalEngine::snapshot()): O(#slabs)
+  /// pointer copies, no value copies, and a fresh ledger. The fork
+  /// answers queries (scalar and batched) bit-identically to this
+  /// engine at fork time, from any thread, and stays frozen while this
+  /// engine keeps being refreshed — each refresh detaches only the slab
+  /// it touches. The fork must never be refreshed. It shares this
+  /// engine's augmentation and freezes `cycle_certified`, the
+  /// certificate of the weighting it copies.
+  SeparatorShortestPaths fork(const Options& options, bool cycle_certified) {
+    SeparatorShortestPaths out(*g_, aug_, options, cycle_certified);
+    out.plan_ = plan_;
+    out.base_ = base_.fork();
+    out.shortcut_ = shortcut_.fork();
+    out.bucket_offset_ = bucket_offset_;
+    return out;
+  }
 
   template <std::size_t B>
   std::vector<QueryResult<S>> batch_impl(
@@ -292,58 +510,322 @@ class SeparatorShortestPaths {
         [&](std::size_t blk) {
           const std::size_t lo = blk * B;
           const std::size_t len = std::min(B, sources.size() - lo);
-          auto block = query_->template run_block<B>(sources.subspan(lo, len));
-          for (std::size_t i = 0; i < len; ++i) {
-            results[lo + i] = std::move(block[i]);
-          }
-          note_block(B, len);
+          batch_block<B>(sources.subspan(lo, len),
+                         std::span(results).subspan(lo, len));
         },
         /*grain=*/1);
-    note_results(results);
     return results;
   }
 
-  struct EngineCounters {
+  /// The source-batched schedule: one walk for up to B sources over a
+  /// lane-major distance matrix, so each edge load relaxes all B lanes.
+  /// `sources.size()` may be short of B (ragged last block; the unused
+  /// lanes stay unseeded and are not reported). Writes one QueryResult
+  /// per source into `out`, in order, each equal to distances() of that
+  /// source — distances bit for bit, counters and negative-cycle flag
+  /// too.
+  template <std::size_t B>
+  void batch_block(std::span<const Vertex> sources,
+                   std::span<QueryResult<S>> out) const {
+    static_assert(B >= 1 && B <= 64, "lane count out of range");
+    SEPSP_CHECK(!sources.empty() && sources.size() <= B);
+    SEPSP_TRACE_SPAN("query.batch_block");
+    const std::size_t n = g_->num_vertices();
+    AlignedVector<Value> dist(padded_size<Value>(n * B), S::zero());
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      SEPSP_CHECK(sources[lane] < n);
+      dist[static_cast<std::size_t>(sources[lane]) * B + lane] = S::one();
+    }
+    std::array<QueryStats, B> acct{};
+    walk<B>(dist.data(), {acct.data(), sources.size()});
+    for (std::size_t lane = 0; lane < sources.size(); ++lane) {
+      QueryResult<S>& r = out[lane];
+      r.dist.resize(n);
+      for (std::size_t v = 0; v < n; ++v) r.dist[v] = dist[v * B + lane];
+      static_cast<QueryStats&>(r) = acct[lane];
+    }
+    counters_->blocks.fetch_add(1, std::memory_order_relaxed);
+    counters_->lanes_used.fetch_add(sources.size(), std::memory_order_relaxed);
+    counters_->lane_capacity.fetch_add(B, std::memory_order_relaxed);
+  }
+
+  /// The leveled schedule, once for every entry point. `dist` is
+  /// lane-major (dist[v * B + lane]) with one seeded lane per `acct`
+  /// entry; lanes past acct.size() stay at zero() and never move.
+  template <std::size_t B>
+  void walk(Value* dist, std::span<QueryStats> acct) const {
+    {
+      SEPSP_TRACE_SPAN("query.e_passes");
+      passes<B>(base_, nullptr, aug_->ell, dist, acct);
+    }
+    {
+      SEPSP_TRACE_SPAN("query.down_sweep");
+      for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
+        const EdgeRange same = bucket(EplusPlan::kSame, l);
+        const EdgeRange down = bucket(EplusPlan::kDown, l);
+        sweep<B>(same, dist, acct);
+        sweep<B>(down, dist, acct);
+        note_level_scan(l, (same.size() + down.size()) * acct.size());
+      }
+    }
+    {
+      SEPSP_TRACE_SPAN("query.up_sweep");
+      for (std::uint32_t l = 0; l <= aug_->height; ++l) {
+        const EdgeRange same = bucket(EplusPlan::kSame, l);
+        const EdgeRange up = bucket(EplusPlan::kUp, l);
+        sweep<B>(same, dist, acct);
+        sweep<B>(up, dist, acct);
+        note_level_scan(l, (same.size() + up.size()) * acct.size());
+      }
+    }
+    {
+      SEPSP_TRACE_SPAN("query.e_passes");
+      passes<B>(base_, nullptr, aug_->ell, dist, acct);
+    }
+    {
+      SEPSP_TRACE_SPAN("query.detect_cycles");
+      detect_negative_cycles<B>(dist, acct);
+    }
+    charge(acct);
+  }
+
+  /// Up to `rounds` passes over `first` (then `second`, when given) with
+  /// per-lane early exit: a lane stops accruing counters after its first
+  /// pass that changed nothing (that pass still counts) and rides along
+  /// as a no-op, its distances already at these buckets' fixpoint.
+  template <std::size_t B>
+  void passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
+              std::size_t rounds, Value* dist,
+              std::span<QueryStats> acct) const {
+    std::array<std::uint8_t, B> active{};
+    std::fill_n(active.begin(), acct.size(), std::uint8_t{1});
+    std::size_t live = acct.size();
+    const std::size_t edges = first.size() + (second ? second->size() : 0);
+    const std::uint32_t phases = second ? 2 : 1;
+    for (std::size_t round = 0; round < rounds && live != 0; ++round) {
+      std::array<std::uint8_t, B> changed{};
+      relax<B, true>(first, {0, first.size()}, dist, changed.data());
+      if (second) {
+        relax<B, true>(*second, {0, second->size()}, dist, changed.data());
+      }
+      for (std::size_t lane = 0; lane < acct.size(); ++lane) {
+        if (!active[lane]) continue;
+        acct[lane].edges_scanned += edges;
+        acct[lane].phases += phases;
+        if (!changed[lane]) {
+          active[lane] = 0;
+          --live;
+        }
+      }
+    }
+  }
+
+  /// One leveled-sweep bucket pass: every lane is charged the scan (the
+  /// sweeps scan their buckets unconditionally).
+  template <std::size_t B>
+  void sweep(EdgeRange range, Value* dist, std::span<QueryStats> acct) const {
+    relax<B, false>(shortcut_, range, dist, nullptr);
+    for (QueryStats& s : acct) {
+      s.edges_scanned += range.size();
+      ++s.phases;
+    }
+  }
+
+  /// One relaxation pass over edges [range.lo, range.hi) in every lane;
+  /// with kTrack, ORs
+  /// each lane's "improved" flag into changed[0..B). Values stream run
+  /// by run (a value slab, or a pinned chunk of a mapped image segment),
+  /// each a flat array alongside the shared pair arrays.
+  ///
+  /// B == 1 is the scalar loop: an unreached source is skipped and a
+  /// distance is stored only when it improves. B > 1 hands each run to
+  /// the dispatched vector kernel when the SIMD substrate has a vector
+  /// tier active (semiring/simd.hpp, bit-identical to the lane loop
+  /// here); on the scalar tier it keeps the compile-time-B lane loop,
+  /// the autovectorizable baseline the tiers are measured against.
+  /// combine() is a branch-free select and relax_extend() the
+  /// semiring's unguarded extend (exact for zero() "no path" slot values
+  /// too; an unseeded lane stays at zero(), from which nothing
+  /// improves).
+  template <std::size_t B, bool kTrack>
+  void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
+             std::uint8_t* changed) const {
+    const Vertex* from = edges.from_data();
+    const Vertex* to = edges.to_data();
+    edges.for_each_values_run(
+        range.lo, range.hi,
+        [&](std::size_t lo, std::size_t len, const Value* value) {
+          if constexpr (B == 1) {
+            bool any = false;
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value du = dist[from[lo + i]];
+              if (!S::improves(S::zero(), du)) continue;  // unreached
+              const Value cand = S::extend(du, value[i]);
+              if (S::improves(dist[to[lo + i]], cand)) {
+                dist[to[lo + i]] = cand;
+                any = true;
+              }
+            }
+            if constexpr (kTrack) changed[0] |= static_cast<std::uint8_t>(any);
+          } else {
+            if (simd::vector_dispatch_active<S>()) {
+              if constexpr (kTrack) {
+                simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value,
+                                              len, B, changed);
+              } else {
+                simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, B);
+              }
+              return;
+            }
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value* du =
+                  dist + static_cast<std::size_t>(from[lo + i]) * B;
+              Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
+              const Value w = value[i];
+              // Staging the source row in a local buffer severs the
+              // (only apparent) aliasing between the rows, so the lane
+              // loop SLP-vectorizes; a self-loop's exact row overlap is
+              // lane-independent either way.
+              Value src[B];
+              for (std::size_t lane = 0; lane < B; ++lane) src[lane] = du[lane];
+              for (std::size_t lane = 0; lane < B; ++lane) {
+                const Value next =
+                    S::combine(dw[lane], relax_extend<S>(src[lane], w));
+                if constexpr (kTrack) {
+                  changed[lane] |= static_cast<std::uint8_t>(next != dw[lane]);
+                }
+                dw[lane] = next;
+              }
+            }
+          }
+        });
+    if constexpr (B > 1) note_simd_cells(range.size() * B);
+  }
+
+  /// Final verification pass over E u E+, per lane: the schedule reaches
+  /// a fixpoint when no negative cycle is reachable, so any significant
+  /// further improvement certifies one (S::detect_improves tolerates
+  /// floating-point drift between equivalent summation orders).
+  template <std::size_t B>
+  void detect_negative_cycles(const Value* dist,
+                              std::span<QueryStats> acct) const {
+    if (!detect_cycles_) return;
+    if constexpr (S::kDetectNegativeCycles) {
+      std::array<bool, B> found{};
+      find_improvable<B>(base_, dist, acct.size(), found);
+      find_improvable<B>(shortcut_, dist, acct.size(), found);
+      for (std::size_t lane = 0; lane < acct.size(); ++lane) {
+        acct[lane].negative_cycle = found[lane];
+        acct[lane].edges_scanned += base_.size() + shortcut_.size();
+        ++acct[lane].phases;
+      }
+    }
+  }
+
+  /// Sets found[lane] for each of the first `lanes` lanes in which some
+  /// edge of the bucket still improves its head significantly. Like
+  /// relax(), B == 1 keeps the scalar loop, which stops at the first hit.
+  template <std::size_t B>
+  void find_improvable(const EdgeBucket<S>& edges, const Value* dist,
+                       std::size_t lanes, std::array<bool, B>& found) const {
+    const Vertex* from = edges.from_data();
+    const Vertex* to = edges.to_data();
+    edges.for_each_values_run(
+        [&](std::size_t lo, std::size_t len, const Value* value) {
+          if constexpr (B == 1) {
+            if (found[0]) return;
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value du = dist[from[lo + i]];
+              if (!S::improves(S::zero(), du)) continue;
+              if (S::detect_improves(dist[to[lo + i]],
+                                     S::extend(du, value[i]))) {
+                found[0] = true;
+                return;
+              }
+            }
+          } else {
+            for (std::size_t i = 0; i < len; ++i) {
+              const Value* du =
+                  dist + static_cast<std::size_t>(from[lo + i]) * B;
+              const Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
+              for (std::size_t lane = 0; lane < lanes; ++lane) {
+                if (!S::improves(S::zero(), du[lane])) continue;
+                if (S::detect_improves(dw[lane],
+                                       S::extend(du[lane], value[i]))) {
+                  found[lane] = true;
+                }
+              }
+            }
+          }
+        });
+  }
+
+  /// Accounting of one walk, its one path into the ledger: PRAM work per
+  /// lane (every lane's updates really happen), depth once (the lanes
+  /// share the physical phases), and one query per lane with its scans
+  /// and phases.
+  void charge(std::span<const QueryStats> acct) const {
+    std::uint32_t depth = 0;
+    std::uint64_t edges = 0, phases = 0;
+    for (const QueryStats& s : acct) {
+      pram::CostMeter::charge_work(s.edges_scanned);
+      depth = std::max(depth, s.phases);
+      edges += s.edges_scanned;
+      phases += s.phases;
+    }
+    pram::CostMeter::charge_depth(depth);
+    counters_->queries.fetch_add(acct.size(), std::memory_order_relaxed);
+    counters_->edges.fetch_add(edges, std::memory_order_relaxed);
+    counters_->phases.fetch_add(phases, std::memory_order_relaxed);
+  }
+
+  /// Credits `edges` scans to the level-l buckets.
+  void note_level_scan(std::uint32_t level, std::uint64_t edges) const {
+    counters_->level_scans[level].fetch_add(edges, std::memory_order_relaxed);
+  }
+
+  /// Cells (edge x lane relaxations) routed through the dispatched
+  /// vector kernels. No-op on the scalar tier.
+  static void note_simd_cells(std::size_t cells) {
+#if SEPSP_OBS_ENABLED
+    if (simd::vector_dispatch_active<S>()) {
+      static obs::Counter& counter = obs::counter("simd.cells");
+      counter.add(cells);
+    }
+#else
+    (void)cells;
+#endif
+  }
+
+  /// The engine's one ledger; cumulative over every query of this
+  /// engine (a fork starts its own).
+  struct Counters {
+    explicit Counters(std::size_t levels) : level_scans(levels) {}
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> edges{0};
     std::atomic<std::uint64_t> phases{0};
     std::atomic<std::uint64_t> blocks{0};
     std::atomic<std::uint64_t> lanes_used{0};
     std::atomic<std::uint64_t> lane_capacity{0};
+    /// Scans of the level-l buckets, indexed by bucket level.
+    std::vector<std::atomic<std::uint64_t>> level_scans;
   };
-  void note_run(const QueryStats& s) const {
-    counters_->queries.fetch_add(1, std::memory_order_relaxed);
-    counters_->edges.fetch_add(s.edges_scanned, std::memory_order_relaxed);
-    counters_->phases.fetch_add(s.phases, std::memory_order_relaxed);
-  }
-  void note_block(std::size_t width, std::size_t used) const {
-    counters_->blocks.fetch_add(1, std::memory_order_relaxed);
-    counters_->lanes_used.fetch_add(used, std::memory_order_relaxed);
-    counters_->lane_capacity.fetch_add(width, std::memory_order_relaxed);
-  }
-  void note_results(std::span<const QueryResult<S>> results) const {
-    std::uint64_t edges = 0, phases = 0;
-    for (const QueryResult<S>& r : results) {
-      edges += r.edges_scanned;
-      phases += r.phases;
-    }
-    counters_->queries.fetch_add(results.size(), std::memory_order_relaxed);
-    counters_->edges.fetch_add(edges, std::memory_order_relaxed);
-    counters_->phases.fetch_add(phases, std::memory_order_relaxed);
-  }
 
   const Digraph* g_;
-  typename Options::Query qopts_;
-  // Frozen at construction, never re-read from aug_: a snapshot's aug_
-  // is its IncrementalEngine's, which keeps the build's certificate.
-  bool cycle_certified_;
-  // Stable-address handles so the engine can be moved (the query holds
-  // a pointer to the augmentation). The augmentation is shared because
-  // snapshot engines built via from_forked_query() alias the live
-  // IncrementalEngine's (immutable) augmentation.
+  /// Shared: a fork aliases its origin's (immutable) augmentation.
   std::shared_ptr<const Augmentation<S>> aug_;
-  std::unique_ptr<LeveledQuery<S>> query_;
-  std::unique_ptr<EngineCounters> counters_;
+  /// The slot plan whose slot array E+ aliases; null for a stored
+  /// engine.
+  std::shared_ptr<const EplusPlan> plan_;
+  // Frozen at construction, never re-read from aug_: a fork's aug_ is
+  // its IncrementalEngine's, which keeps the build's certificate.
+  bool cycle_certified_;
+  bool detect_cycles_;
+  EdgeBucket<S> base_;
+  EdgeBucket<S> shortcut_;  ///< E+, slot (sweep) order
+  /// Bucket k is shortcut_[bucket_offset_[k], bucket_offset_[k + 1]).
+  std::vector<std::uint64_t> bucket_offset_;
+  std::unique_ptr<Counters> counters_;
 };
 
 }  // namespace sepsp

@@ -32,7 +32,7 @@ struct EngineStats {
   // --- structural (always populated) ---------------------------------
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
-  std::size_t eplus_edges = 0;   ///< |E+|: every plan slot, in the query engine
+  std::size_t eplus_edges = 0;   ///< |E+|: every plan slot, in the engine
   std::size_t bucket_edges = 0;  ///< leveled-bucket entries: every E+ slot
                                  ///< (the buckets are ranges of E+)
   std::uint32_t height = 0;      ///< separator-tree height d_G

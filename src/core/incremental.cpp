@@ -23,7 +23,7 @@ struct IncrementalEngine::State {
   std::vector<double> weights;
 
   /// Retained Algorithm-4.1 state: the entry arena, every node's closed
-  /// H_S and boundary matrix laid out by the tree's slot plan aug.plan
+  /// H_S and boundary matrix laid out by the tree's slot plan `plan`
   /// (node id's at [node_offset[id], node_offset[id + 1]) of `entries`;
   /// the pairs are the plan's, only values change under reweighting).
   std::unique_ptr<S::Value[]> arena;  ///< owns `entries`
@@ -71,10 +71,12 @@ struct IncrementalEngine::State {
 
   ApplyStats last_stats;
 
-  /// The build's structure: immutable, no values. E+'s values live in
-  /// `query` alone.
-  Augmentation<S> aug;
-  std::optional<LeveledQuery<S>> query;
+  /// The live engine: the build's immutable augmentation (no values)
+  /// and E+'s one copy, patched in place by apply(). It always runs the
+  /// verification pass; snapshot() freezes forks of it.
+  std::optional<SeparatorShortestPaths<S>> engine;
+  /// The tree's slot plan (the live engine's augmentation's).
+  const EplusPlan* plan = nullptr;
   /// Per-task arenas for node recomputes (never thread_local: the
   /// pool's help-first joins can re-enter a worker mid-task). Matrices
   /// reuse their high-water storage across leases, so a steady update
@@ -152,7 +154,7 @@ struct IncrementalEngine::State {
     }
     d.sc = &sc;
     d.begin = static_cast<std::uint32_t>(sc.moved.size());
-    const std::size_t base = aug.plan->node_offset[id];
+    const std::size_t base = plan->node_offset[id];
     diff_rows(sc.hs, base, sc.moved);
     const bool matrix =
         diff_rows(sc.bm, base + sc.hs.rows() * sc.hs.rows(), sc.moved);
@@ -175,7 +177,7 @@ struct IncrementalEngine::State {
       }
       const std::uint32_t* e = d.sc->moved.data() + d.begin;
       for (std::uint32_t k = 0; k < d.moved; ++k) {
-        const std::uint32_t slot = aug.plan->entry_slot[e[k]];
+        const std::uint32_t slot = plan->entry_slot[e[k]];
         if (slot_mark[slot] != mark_token) {
           slot_mark[slot] = mark_token;
           touched.push_back(slot);
@@ -217,16 +219,18 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   s.negative_diagonal = std::move(run.negative_diagonal);
   s.negative_nodes = static_cast<std::size_t>(std::count(
       s.negative_diagonal.begin(), s.negative_diagonal.end(), 1));
-  s.aug = std::move(run.aug);
+  s.plan = run.aug.plan.get();
 
   // One value per plan slot, unreachable pairs kept at +inf so
   // reweighting can activate them — the same E+ an exact build has,
-  // written in the same single pass, into the query engine alone.
-  const EplusPlan& plan = *s.aug.plan;
-  s.query.emplace(g, s.aug, /*detect_negative_cycles=*/true,
-                  [&](std::size_t slot) {
-                    return detail::slot_min<S>(plan, slot, s.entries);
-                  });
+  // written in the same single pass, into the live engine alone. The
+  // weighting will change, so the live engine certifies nothing.
+  const EplusPlan& plan = *s.plan;
+  s.engine.emplace(SeparatorShortestPaths<S>(
+      g, std::make_shared<const Augmentation<S>>(std::move(run.aug)), {},
+      /*cycle_certified=*/false, [&](std::size_t slot) {
+        return detail::slot_min<S>(plan, slot, s.entries);
+      }));
   s.slot_mark.assign(plan.num_slots(), 0);
   s.work = detail::subtree_work(tree);
   s.delta.resize(tree.num_nodes());
@@ -336,16 +340,16 @@ std::size_t IncrementalEngine::apply() {
   // worklist order, whatever the pool's schedule. Most touched slots
   // re-minimize to their old value (the owner that changed was not the
   // minimum): the bucket already holds it, so the refresh — and its
-  // slab detach — is skipped. The old value is read from the live query
+  // slab detach — is skipped. The old value is read from the live
   // engine, E+'s one copy; bitwise comparison keeps the skip exactly as
   // strict as the parity contract.
   phase.emplace("incremental.reminimize");
   s.remin_values.resize(touched.size());
   s.remin_changed.assign(touched.size(), 0);
-  const EdgeBucket<S>& eplus = s.query->shortcut_edges();
+  const EdgeBucket<S>& eplus = s.engine->shortcut_edges();
   const auto combine_one = [&](std::size_t i) {
     const std::uint32_t slot = touched[i];
-    const S::Value value = detail::slot_min<S>(*s.aug.plan, slot, s.entries);
+    const S::Value value = detail::slot_min<S>(*s.plan, slot, s.entries);
     const S::Value old = eplus.value(slot);
     s.remin_values[i] = value;
     s.remin_changed[i] = std::memcmp(&value, &old, sizeof(value)) != 0;
@@ -360,10 +364,10 @@ std::size_t IncrementalEngine::apply() {
   std::size_t slabs_copied = 0;
   for (std::size_t i = 0; i < touched.size(); ++i) {
     if (!s.remin_changed[i]) continue;
-    slabs_copied += s.query->refresh_shortcut(touched[i], s.remin_values[i]);
+    slabs_copied += s.engine->refresh_shortcut(touched[i], s.remin_values[i]);
   }
   for (const std::size_t arc : s.updated_arcs) {
-    slabs_copied += s.query->refresh_base(arc, S::from_weight(s.weights[arc]));
+    slabs_copied += s.engine->refresh_base(arc, S::from_weight(s.weights[arc]));
   }
 
   s.last_stats.slots_touched = touched.size();
@@ -395,21 +399,14 @@ IncrementalEngine::Snapshot IncrementalEngine::snapshot(
   SEPSP_CHECK_MSG(s.updated_arcs.empty(),
                   "staged updates pending — call apply() before snapshot()");
   // Structural fork: the snapshot aliases every value slab of the live
-  // query engine (future refreshes detach only touched slabs) and keeps
-  // this engine's whole state alive through an aliasing handle to the
+  // engine (future refreshes detach only touched slabs) and shares its
   // immutable augmentation — no copies proportional to the structure.
   // The current certificate is frozen here: a certified epoch's queries
   // skip the negative-cycle pass.
-  std::shared_ptr<const Augmentation<S>> aug_alias(state_, &s.aug);
-  const bool certified = s.negative_nodes == 0;
   Snapshot snap;
   snap.epoch = s.epoch;
   snap.engine = SeparatorShortestPaths<S>::freeze(
-      SeparatorShortestPaths<S>::from_forked_query(
-          *s.g, std::move(aug_alias),
-          s.query->fork_shared(options.query.detect_negative_cycles &&
-                               !certified),
-          certified, options));
+      s.engine->fork(options, /*cycle_certified=*/s.negative_nodes == 0));
   return snap;
 }
 
@@ -437,15 +434,11 @@ double IncrementalEngine::weight(Vertex u, Vertex v) const {
 QueryResult<TropicalD> IncrementalEngine::distances(Vertex source) const {
   SEPSP_CHECK_MSG(state_->updated_arcs.empty(),
                   "staged updates pending — call apply() first");
-  return state_->query->run(source);
+  return state_->engine->distances(source);
 }
 
 const Augmentation<TropicalD>& IncrementalEngine::augmentation() const {
-  return state_->aug;
-}
-
-const LeveledQuery<TropicalD>& IncrementalEngine::query_engine() const {
-  return *state_->query;
+  return state_->engine->augmentation();
 }
 
 }  // namespace sepsp

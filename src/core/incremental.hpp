@@ -27,11 +27,11 @@
 //   * Re-minimize: a touched-slot worklist built from the moved entries
 //     (epoch-stamped dedup) — O(moved + touched x owners), not O(|E+|)
 //     and not O(entries of the recomputed nodes).
-//   * Snapshot: the query engine's bucket values live in slab-chunked
-//     copy-on-write storage (util/slab.hpp), so snapshot() is a
-//     structural fork — O(#slabs) pointer copies — and the refreshes of
-//     the *next* apply() detach only the slabs they touch. A held
-//     snapshot stays bit-identical forever.
+//   * Snapshot: the live engine's bucket values live in slab-chunked
+//     copy-on-write storage (util/slab.hpp), so snapshot() freezes a
+//     fork of it — O(#slabs) pointer copies — and the refreshes of the
+//     *next* apply() detach only the slabs they touch. A held snapshot
+//     stays bit-identical forever, and outlives this engine.
 //
 // Cost per batch: the Algorithm-4.1 node cost summed over the affected
 // subtree path — O(polylog) nodes for a few edges, against the full
@@ -46,7 +46,6 @@
 
 #include "core/augment.hpp"
 #include "core/engine.hpp"
-#include "core/query.hpp"
 #include "core/routing.hpp"
 #include "graph/digraph.hpp"
 #include "separator/decomposition.hpp"
@@ -69,7 +68,7 @@ class IncrementalEngine {
   /// up to the first one already marked.
   void update_edge(Vertex u, Vertex v, double weight);
 
-  /// Recomputes the affected part of E+ and refreshes the query engine.
+  /// Recomputes the affected part of E+ and refreshes the live engine.
   /// Returns the number of tree nodes recomputed. Each apply() that had
   /// staged changes advances epoch() by one. Disjoint dirty subtrees are
   /// recomputed in parallel; the result is deterministic — the same
@@ -112,14 +111,15 @@ class IncrementalEngine {
 
   /// Freezes the current weighting — applied updates only; aborts when
   /// updates are staged but not applied — into an immutable, shareable
-  /// query engine. The snapshot structurally shares the live query
-  /// engine's bucket values (copy-on-write slabs): taking it costs
-  /// O(#slabs) pointer copies, and later apply() calls copy only the
-  /// slabs they actually touch, so readers keep resolving against the
-  /// snapshot they hold while successors are built (the epoch-swap
-  /// contract of the serving runtime, src/service/). The snapshot keeps
-  /// the engine's internal state alive; it does not copy it. Only the
-  /// Query half of `options` applies.
+  /// engine: a fork of the live engine that structurally shares its
+  /// bucket values (copy-on-write slabs). Taking it costs O(#slabs)
+  /// pointer copies, and later apply() calls copy only the slabs they
+  /// actually touch, so readers keep resolving against the snapshot they
+  /// hold while successors are built (the epoch-swap contract of the
+  /// serving runtime, src/service/). The snapshot shares the build's
+  /// immutable augmentation and needs nothing else of this engine: it
+  /// stays valid after the engine is destroyed (the graph must still
+  /// outlive it). It freezes the current certificate.
   struct Snapshot {
     std::uint64_t epoch = 0;
     SeparatorShortestPaths<TropicalD>::Snapshot engine;
@@ -148,12 +148,10 @@ class IncrementalEngine {
   QueryResult<TropicalD> distances(Vertex source) const;
 
   /// The build's structure: immutable, with no values and the build's
-  /// certificate. E+'s values are query_engine().shortcut_edges(); the
-  /// current certificate is snapshot().engine->cycle_certified().
+  /// certificate. E+'s current values are
+  /// snapshot().engine->shortcut_edges(); the current certificate is
+  /// snapshot().engine->cycle_certified().
   const Augmentation<TropicalD>& augmentation() const;
-
-  /// The live query engine (sharing introspection for tests/benches).
-  const LeveledQuery<TropicalD>& query_engine() const;
 
  private:
   IncrementalEngine() = default;

@@ -5,7 +5,6 @@
 #include "core/builder_doubling.hpp"
 #include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
-#include "core/query.hpp"
 
 namespace sepsp {
 
@@ -36,13 +35,8 @@ template Augmentation<BooleanSR> build_augmentation_compact<BooleanSR>(
 template Augmentation<BottleneckSR> build_augmentation_compact<BottleneckSR>(
     const Digraph&, const SeparatorTree&, const DoublingOptions&);
 
-template class LeveledQuery<TropicalD>;
-template class LeveledQuery<TropicalI>;
-template class LeveledQuery<BooleanSR>;
-template class LeveledQuery<BottleneckSR>;
-
-// The facade's lane-width switch instantiates LeveledQuery::run_block
-// at every supported width.
+// The engine's lane-width switch instantiates its walk at every
+// supported width.
 template class SeparatorShortestPaths<TropicalD>;
 template class SeparatorShortestPaths<TropicalI>;
 template class SeparatorShortestPaths<BooleanSR>;

@@ -82,12 +82,6 @@ bool Digraph::find_arc(Vertex u, Vertex v, double* weight) const {
   return true;
 }
 
-double Digraph::total_weight() const {
-  double sum = 0;
-  for (const Arc& a : arcs_) sum += a.weight;
-  return sum;
-}
-
 Digraph GraphBuilder::build(bool dedup_min) && {
   std::sort(edges_.begin(), edges_.end(),
             [](const EdgeTriple& a, const EdgeTriple& b) {

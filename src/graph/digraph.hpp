@@ -81,9 +81,6 @@ class Digraph {
   /// among parallel (u, v) arcs.
   bool find_arc(Vertex u, Vertex v, double* weight = nullptr) const;
 
-  /// Sum of all arc weights (diagnostic).
-  double total_weight() const;
-
  private:
   friend class GraphBuilder;
 

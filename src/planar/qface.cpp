@@ -200,8 +200,7 @@ std::vector<double> QFacePipeline::distances(Vertex source) const {
       seeds.emplace_back(s.attach_local[src_ham.attachments[k]], d);
     }
   }
-  const QueryResult<TropicalD> gp =
-      s.engine->query_engine().run_weighted(seeds);
+  const QueryResult<TropicalD> gp = s.engine->distances_seeded(seeds);
   SEPSP_CHECK_MSG(!gp.negative_cycle, "negative cycle in reduced graph");
 
   // 3. Combine: dist(v) = min_k  gp[attach_k(h(v))] + in-hammock tail.

@@ -4,9 +4,9 @@
 // min-plus kernels of Algorithms 4.1/4.3 (semiring/matrix.hpp: the
 // rectangular products and the Floyd–Warshall closure) and the
 // lane-major bucket sweeps of the source-batched leveled query
-// (LeveledQuery::run_block, core/query.hpp). This layer gives both
-// hand-written fixed-width vector kernels selected once at startup by
-// runtime CPU dispatch. A dense kernel is one dispatched call per
+// (SeparatorShortestPaths::distances_batch, core/engine.hpp). This
+// layer gives both hand-written fixed-width vector kernels selected
+// once at startup by runtime CPU dispatch. A dense kernel is one dispatched call per
 // 64x64 output tile (product) or per k-panel (fw_panel), never one per
 // row.
 //

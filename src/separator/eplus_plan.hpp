@@ -23,8 +23,8 @@
 // plan therefore numbers the slots in sweep order — for l = h..0 the
 // level-l same bucket then the level-l down bucket, then the up
 // buckets of levels 0..h — and (from, to) order inside each bucket.
-// Every bucket is a range of the one slot array, so every query engine
-// over the tree aliases that array and owns one value per slot.
+// Every bucket is a range of the one slot array, so every engine over
+// the tree aliases that array and owns one value per slot.
 //
 // Beside it rides the gather plan: where each internal node's steps
 // read its children's boundary matrices. It too depends only on the

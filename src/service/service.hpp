@@ -11,7 +11,7 @@
 //    already queued behind it, up to one group per pool participant.
 //    Each dispatch resolves with one distances_batch call, which runs
 //    its lane blocks in parallel on the pool, so concurrent traffic
-//    rides the source-batched kernel (LeveledQuery::run_block) instead
+//    rides the source-batched kernel (the engine's lane blocks) instead
 //    of paying a full E u E+ stream per request. Overload is shed at
 //    admission (ReplyStatus::kShed), never by queueing without bound.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/negative_cycle.hpp"
@@ -27,10 +28,10 @@ DifferenceSolution DifferenceSystem::solve(const SeparatorTree* tree) const {
   }
   const auto engine = SeparatorShortestPaths<TropicalD>::build(g, *tree);
 
-  // Virtual source with 0-arcs to every variable == all-ones multi-source.
-  std::vector<Vertex> all(num_variables_);
-  for (Vertex v = 0; v < num_variables_; ++v) all[v] = v;
-  const QueryResult<TropicalD> r = engine.query_engine().run_multi(all);
+  // Virtual source with 0-arcs to every variable == one() seeds on all.
+  std::vector<std::pair<Vertex, double>> all(num_variables_);
+  for (Vertex v = 0; v < num_variables_; ++v) all[v] = {v, TropicalD::one()};
+  const QueryResult<TropicalD> r = engine.distances_seeded(all);
   if (r.negative_cycle) return extract_certificate(g);
 
   DifferenceSolution sol;

@@ -1,13 +1,13 @@
-// Serialization v5: the page-aligned on-disk image of a built engine
+// Serialization v6: the page-aligned on-disk image of a built engine
 // (ROADMAP "continent-scale graphs").
 //
-// The v5 image is the repository's one persistence format. It is laid
+// The v6 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
 // which pages are resident. Segments appear in query scan order — the
-// level assignment, the bucket table, the graph CSR, the base arcs,
-// then E+ — and E+ is stored once, its slots numbered in sweep order
+// bucket table, the graph CSR, the base arcs, then E+ — and E+ is
+// stored once, its slots numbered in sweep order
 // (separator/eplus_plan.hpp): the leveled schedule's buckets are ranges
 // of it, named by the kBucketOffsets table, laid out in the order the
 // sweeps scan them. A cold query therefore faults pages in long
@@ -29,11 +29,12 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers emit and readers accept version 5 only: 1 and 2
+// copyable). Writers emit and readers accept version 6 only: 1 and 2
 // were retired stream formats, 3 lacked the header flags and carried a
-// node-of segment no reader used, and 4 stored E+ twice (in slot order
-// and again per leveled bucket). The image holds no separator tree:
-// queries read only the levels, the bucket table and the edges.
+// node-of segment no reader used, 4 stored E+ twice (in slot order and
+// again per leveled bucket), and 5 carried the vertex levels no query
+// reads. The image holds no separator tree and no levels: queries read
+// only the bucket table and the edges.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ namespace sepsp::store {
 /// "SEP3" little-endian: the family's magic since v3; `version` tells
 /// the layouts apart.
 inline constexpr std::uint32_t kMagic = 0x33504553;
-inline constexpr std::uint32_t kVersion = 5;
+inline constexpr std::uint32_t kVersion = 6;
 
 /// Header::flags bits. Readers reject any bit outside kKnownFlags.
 inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< cycle_free
@@ -55,11 +56,11 @@ inline constexpr std::uint64_t kKnownFlags = kFlagCycleCertified;
 
 /// What one directory entry's payload is. From/to segments are Vertex
 /// (u32) arrays; value segments are Value arrays; the CSR offsets and
-/// the bucket table are u64, arc weights double, levels u32. Kind 2 is
-/// retired (v3 stored LevelAssignment::node there), and so are kinds
-/// 12-20 (v4's per-level copies of the leveled buckets).
+/// the bucket table are u64, arc weights double. Kind 1 is retired (v5
+/// stored LevelAssignment::level there), and so are kind 2 (v3's
+/// LevelAssignment::node) and kinds 12-20 (v4's per-level copies of the
+/// leveled buckets).
 enum class SegmentKind : std::uint32_t {
-  kLevelOf = 1,       ///< LevelAssignment::level, n entries
   kGraphOffsets = 3,  ///< CSR row offsets, n + 1 entries
   kGraphArcTo = 4,    ///< CSR arc targets, m entries
   kGraphArcWeight = 5,  ///< CSR arc weights, m entries

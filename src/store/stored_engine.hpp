@@ -1,14 +1,14 @@
 // Open-from-file engine: the query half of SeparatorShortestPaths
-// served out of a v5 image (store/format.hpp) through a buffer pool
+// served out of a v6 image (store/format.hpp) through a buffer pool
 // (store/pool.hpp).
 //
 // open() maps the image, validates the header and every directory
 // record against the file's byte bounds (malformed input returns
 // nullopt + reason, never a crash), materializes the small structural
-// state on the heap — the CSR graph, a value-less Augmentation and the
-// bucket table, O(n + height) bytes — and assembles a LeveledQuery
-// whose edge arrays are external views into the mapping
-// (LeveledQuery::from_store). Bucket sweeps then
+// state on the heap — the CSR graph, a value-less, level-less
+// Augmentation and the bucket table, O(n + m + height) bytes — and
+// builds the engine straight from the mapped buckets: its edge arrays
+// are external views into the mapping. Bucket sweeps then
 // resolve their bytes through page pins, so the resident set is bounded
 // by the pool budget plus the pinned working set of in-flight queries,
 // not by |E u E+|.
@@ -23,7 +23,7 @@
 // heap engine's in distances, negative_cycle, edges_scanned and phases.
 //
 // Lifetime: StoredEngine is a shared handle. snapshot() returns the
-// facade as SeparatorShortestPaths<S>::Snapshot whose control block
+// engine as SeparatorShortestPaths<S>::Snapshot whose control block
 // keeps the pool, graph, and augmentation alive — a QueryService built
 // over it may outlive the StoredEngine value itself.
 #pragma once
@@ -72,7 +72,7 @@ inline std::size_t element_bytes(SegmentKind kind, std::size_t value_bytes) {
     case SegmentKind::kShortcutValue:
       return value_bytes;
     default:
-      return sizeof(std::uint32_t);  // vertex ids, levels
+      return sizeof(std::uint32_t);  // vertex ids
   }
 }
 
@@ -104,7 +104,7 @@ class StoredEngine {
   BufferPool& pool() const { return *impl_->pool; }
   std::uint64_t image_bytes() const { return impl_->pool->size(); }
 
-  /// The facade as a shareable snapshot: the aliasing control block
+  /// The engine as a shareable snapshot: the aliasing control block
   /// keeps the whole Impl (pool included) alive for as long as any
   /// QueryService or caller holds it.
   typename SeparatorShortestPaths<S>::Snapshot snapshot() const {
@@ -114,12 +114,11 @@ class StoredEngine {
 
  private:
   // Destruction order matters bottom-up: the engine references the
-  // graph/augmentation, whose buckets reference the mapping — so the
-  // pool is declared first and destroyed last.
+  // graph, and its buckets reference the mapping — so the pool is
+  // declared first and destroyed last.
   struct Impl {
     std::unique_ptr<BufferPool> pool;
     std::unique_ptr<Digraph> graph;
-    std::shared_ptr<const Augmentation<S>> aug;
     std::unique_ptr<SeparatorShortestPaths<S>> engine;
   };
 
@@ -249,12 +248,10 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   const bool certified = (h.flags & kFlagCycleCertified) != 0;
   const std::uint64_t n = h.num_vertices;
   const std::uint64_t m = h.num_edges;
-  const SegmentRecord* level_rec = find(SegmentKind::kLevelOf, n);
   const SegmentRecord* off_rec = find(SegmentKind::kGraphOffsets, n + 1);
   const SegmentRecord* to_rec = find(SegmentKind::kGraphArcTo, m);
   const SegmentRecord* w_rec = find(SegmentKind::kGraphArcWeight, m);
-  if (level_rec == nullptr || off_rec == nullptr || to_rec == nullptr ||
-      w_rec == nullptr) {
+  if (off_rec == nullptr || to_rec == nullptr || w_rec == nullptr) {
     set_error(error, "image: missing or miscounted structural segment");
     return std::nullopt;
   }
@@ -293,24 +290,18 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     impl->graph =
         std::make_unique<Digraph>(std::move(builder).build(false));
   }
-  {
-    auto aug = std::make_shared<Augmentation<S>>();
-    aug->height = h.height;
-    aug->ell = h.ell;
-    aug->critical_depth = h.critical_depth;
-    aug->build_cost.work = h.build_work;
-    aug->build_cost.depth = h.build_depth;
-    aug->cycle_free = certified;
-    aug->levels.height = h.height;
-    aug->levels.level.resize(n);
-    PinLease lease;
-    lease.add(impl->pool.get(), level_rec->offset, level_rec->bytes);
-    std::memcpy(aug->levels.level.data(), data_at(level_rec),
-                level_rec->bytes);
-    // aug->plan stays null and, as in every engine, aug->values empty:
-    // E+ lives in the image's segments, read via shortcut_edges().
-    impl->aug = std::move(aug);
-  }
+  auto aug = std::make_shared<Augmentation<S>>();
+  aug->height = h.height;
+  aug->ell = h.ell;
+  aug->critical_depth = h.critical_depth;
+  aug->build_cost.work = h.build_work;
+  aug->build_cost.depth = h.build_depth;
+  aug->cycle_free = certified;
+  aug->levels.height = h.height;
+  // aug->plan stays null, aug->levels.level and, as in every engine,
+  // aug->values empty: no query reads vertex levels (the walk reads the
+  // bucket table), and E+ lives in the image's segments, read via
+  // shortcut_edges().
 
   // --- edge views -------------------------------------------------------
   StoredBuckets<S> buckets;
@@ -361,20 +352,16 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   // The certificate freezes as in from_augmentation(): the verification
   // pass runs only if detect_negative_cycles asks and the image is not
   // certified.
-  LeveledQuery<S> query = LeveledQuery<S>::from_store(
-      *impl->graph, *impl->aug, buckets,
-      options.engine.query.detect_negative_cycles && !certified);
   impl->engine = std::make_unique<SeparatorShortestPaths<S>>(
-      SeparatorShortestPaths<S>::from_forked_query(
-          *impl->graph, impl->aug, std::move(query), certified,
-          options.engine));
-  const LeveledQuery<S>& q = impl->engine->query_engine();
+      SeparatorShortestPaths<S>::from_store(*impl->graph, std::move(aug),
+                                            buckets, options.engine));
+  const SeparatorShortestPaths<S>& engine = *impl->engine;
   const ExternalBucketStore<Value>& eplus = buckets.eplus;
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {
     const std::uint32_t l = h.height - i;
     for (const EplusPlan::Kind kind :
          {EplusPlan::kSame, EplusPlan::kDown, EplusPlan::kUp}) {
-      const EdgeRange r = q.bucket(kind, l);
+      const EdgeRange r = engine.bucket(kind, l);
       impl->pool->prefetch(eplus.from_offset + r.lo * sizeof(Vertex),
                            r.size() * sizeof(Vertex));
       impl->pool->prefetch(eplus.to_offset + r.lo * sizeof(Vertex),

@@ -1,7 +1,7 @@
-// v5 image writer: gathers a built engine into the page-aligned layout
+// v6 image writer: gathers a built engine into the page-aligned layout
 // of store/format.hpp and writes it with pwritev.
 //
-// The writer serializes the *query engine's* edge arrays — base arcs in
+// The writer serializes the *engine's* edge arrays — base arcs in
 // CSR order, E+ in sweep order — and its bucket table byte for byte,
 // never re-deriving them from the augmentation. E+ is already in scan
 // order, so nothing is reordered. That is the whole parity story: an engine
@@ -134,7 +134,7 @@ class GatherWriter {
 
 }  // namespace writer_detail
 
-/// Writes `engine` as a v5 image at `path`, replacing whatever directory
+/// Writes `engine` as a v6 image at `path`, replacing whatever directory
 /// entry was there with a fresh file. Returns false and fills `error` on
 /// I/O failure (and removes the partial file). The engine may be
 /// heap-built or itself opened from an image, even from `path`
@@ -146,7 +146,6 @@ bool write_engine_image(const std::string& path,
   using Value = typename S::Value;
   const Digraph& g = engine.graph();
   const Augmentation<S>& aug = engine.augmentation();
-  const LeveledQuery<S>& q = engine.query_engine();
 
   // One directory entry and where its payload lives: a contiguous array
   // (backed by `pages` on a stored engine), or an owned bucket's value
@@ -193,8 +192,8 @@ bool write_engine_image(const std::string& path,
   const std::uint64_t m = g.num_edges();
 
   // --- segment plan, in query scan order -------------------------------
-  add_array(SegmentKind::kLevelOf, aug.levels.level.data(), n);
-  const std::span<const std::uint64_t> bucket_offsets = q.bucket_offsets();
+  const std::span<const std::uint64_t> bucket_offsets =
+      engine.bucket_offsets();
   add_array(SegmentKind::kBucketOffsets, bucket_offsets.data(),
             bucket_offsets.size());
   // The CSR as three flat arrays; rebuilt exactly on open since arcs
@@ -214,11 +213,11 @@ bool write_engine_image(const std::string& path,
   add_array(SegmentKind::kGraphOffsets, offsets.data(), n + 1);
   add_array(SegmentKind::kGraphArcTo, arc_to.data(), m);
   add_array(SegmentKind::kGraphArcWeight, arc_weight.data(), m);
-  add_bucket(q.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
+  add_bucket(engine.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
              SegmentKind::kBaseValue);
   // E+ in sweep order: the down sweep's same/down buckets from level h
   // down, then the up buckets from level 0 up.
-  add_bucket(q.shortcut_edges(), SegmentKind::kShortcutFrom,
+  add_bucket(engine.shortcut_edges(), SegmentKind::kShortcutFrom,
              SegmentKind::kShortcutTo, SegmentKind::kShortcutValue);
 
   // --- assign offsets ---------------------------------------------------
@@ -227,7 +226,7 @@ bool write_engine_image(const std::string& path,
   header.value_bytes = sizeof(Value);
   header.num_vertices = n;
   header.num_edges = m;
-  header.num_shortcuts = q.shortcut_edges().size();
+  header.num_shortcuts = engine.shortcut_edges().size();
   header.ell = aug.ell;
   header.height = aug.height;
   header.num_segments = static_cast<std::uint32_t>(segments.size());

@@ -165,9 +165,8 @@ TEST(Approx, MatchesExactBuildOverRoundedWeights) {
     // E+ itself, not only the distances it yields: same pairs, same bits.
     ASSERT_EQ(approx.engine().augmentation().plan, exact.augmentation().plan)
         << "eps=" << eps;
-    const EdgeBucket<TropicalI>& ap =
-        approx.engine().query_engine().shortcut_edges();
-    const EdgeBucket<TropicalI>& ex = exact.query_engine().shortcut_edges();
+    const EdgeBucket<TropicalI>& ap = approx.engine().shortcut_edges();
+    const EdgeBucket<TropicalI>& ex = exact.shortcut_edges();
     ASSERT_EQ(ap.size(), ex.size()) << "eps=" << eps;
     for (std::size_t i = 0; i < ap.size(); ++i) {
       const TropicalI::Value a = ap.value(i);

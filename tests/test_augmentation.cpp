@@ -39,11 +39,12 @@
 namespace sepsp {
 namespace {
 
-// An engine's E+ values, in slot order: its query engine holds the one
+// An engine's E+ values, in slot order: its edge arrays hold the one
 // copy (an engine's augmentation has none).
 template <Semiring S>
-std::vector<typename S::Value> eplus_values(const LeveledQuery<S>& query) {
-  const EdgeBucket<S>& eplus = query.shortcut_edges();
+std::vector<typename S::Value> eplus_values(
+    const SeparatorShortestPaths<S>& engine) {
+  const EdgeBucket<S>& eplus = engine.shortcut_edges();
   std::vector<typename S::Value> out(eplus.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = eplus.value(i);
   return out;
@@ -175,7 +176,7 @@ TEST(Augmentation, AugmentationShrinksRadiusDramatically) {
 TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
   for (const Family& f : families()) {
     const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
-    const std::vector<double> rec = eplus_values(engine.query_engine());
+    const std::vector<double> rec = eplus_values(engine);
     const auto dbl = build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
     // The shortcut edge sets coincide (same Et definition, one plan);
     // values match.
@@ -421,7 +422,7 @@ template <Semiring S>
 void expect_slot_min_matches_sort(const Family& f) {
   const auto want = combined_raw_emission<S>(f.gg.graph, f.tree);
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
-  const auto got = eplus_values(engine.query_engine());
+  const auto got = eplus_values(engine);
   const PairBlock& slots = engine.augmentation().plan->slots;
   ASSERT_EQ(got.size(), want.size()) << f.name;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -486,7 +487,7 @@ template <Semiring S>
 void expect_base_arcs_dominated(const Family& f) {
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
   const Augmentation<S>& aug = engine.augmentation();
-  const EdgeBucket<S>& eplus = engine.query_engine().shortcut_edges();
+  const EdgeBucket<S>& eplus = engine.shortcut_edges();
   const EplusPlan& plan = *aug.plan;
   const auto& from = plan.slots.from;
   const auto& to = plan.slots.to;
@@ -755,7 +756,7 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
 
   // Every engine keeps every plan slot, unreachable ones too, in its
-  // query engine alone: no engine's augmentation holds values.
+  // own edge arrays alone: no engine's augmentation holds values.
   const auto expect_one_copy = [&](const auto& engine, const char* kind) {
     EXPECT_TRUE(engine.augmentation().values.empty()) << kind;
     EXPECT_EQ(engine.stats().eplus_edges, plan->num_slots()) << kind;
@@ -766,8 +767,6 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   expect_one_copy(approx.engine(), "ApproxEngine::engine()");
   const auto expect_incremental = [&](const char* when) {
     EXPECT_TRUE(inc.augmentation().values.empty()) << when;
-    EXPECT_EQ(inc.query_engine().shortcut_edges().size(), plan->num_slots())
-        << when;
     expect_one_copy(*inc.snapshot().engine, when);
   };
   expect_incremental("IncrementalEngine");
@@ -789,13 +788,13 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
 TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
   const Family f = families()[3];  // the triangulated mesh
   const std::vector<double> want = eplus_values(
-      SeparatorShortestPaths<>::build(f.gg.graph, f.tree).query_engine());
+      SeparatorShortestPaths<>::build(f.gg.graph, f.tree));
   std::vector<std::vector<double>> got(4);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < got.size(); ++i) {
     threads.emplace_back([&, i] {
       got[i] = eplus_values(
-          SeparatorShortestPaths<>::build(f.gg.graph, f.tree).query_engine());
+          SeparatorShortestPaths<>::build(f.gg.graph, f.tree));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -1057,11 +1056,9 @@ TEST(CycleCertificate, OnlyFloydWarshallBuildsCertify) {
   EXPECT_FALSE(dbl.cycle_free);
   const auto engine = SeparatorShortestPaths<>::from_augmentation(gg.graph, dbl);
   EXPECT_FALSE(engine.cycle_certified());
-  EXPECT_TRUE(engine.query_engine().detects_negative_cycles());
+  EXPECT_TRUE(engine.detects_negative_cycles());
   EXPECT_FALSE(
-      SeparatorShortestPaths<>::build(gg.graph, tree)
-          .query_engine()
-          .detects_negative_cycles());
+      SeparatorShortestPaths<>::build(gg.graph, tree).detects_negative_cycles());
 }
 
 }  // namespace

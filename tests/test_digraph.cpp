@@ -22,7 +22,9 @@ TEST(Digraph, BasicShape) {
   EXPECT_EQ(g.out(0)[0].to, 1u);
   EXPECT_DOUBLE_EQ(g.out(0)[0].weight, 1.0);
   EXPECT_EQ(g.out_degree(2), 1u);
-  EXPECT_DOUBLE_EQ(g.total_weight(), 6.0);
+  double total = 0;
+  for (const Arc& a : g.arcs()) total += a.weight;
+  EXPECT_DOUBLE_EQ(total, 6.0);
 }
 
 TEST(Digraph, EmptyGraph) {

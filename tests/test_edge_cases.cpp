@@ -104,7 +104,7 @@ TEST(EdgeCases, SingleLeafTreeDegradesToBellmanFord) {
   const SeparatorTree tree = tree_of(gg.graph, /*leaf_size=*/64);
   EXPECT_EQ(tree.num_nodes(), 1u);
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  EXPECT_TRUE(engine.query_engine().shortcut_edges().empty());
+  EXPECT_TRUE(engine.shortcut_edges().empty());
   const auto got = engine.distances(0);
   const auto want = dijkstra(gg.graph, 0);
   for (Vertex v = 0; v < 36; ++v) {
@@ -170,7 +170,7 @@ TEST(EdgeCases, EmptySeedSetsAndEmptyBatches) {
   const auto engine =
       SeparatorShortestPaths<>::build(gg.graph, tree_of(gg.graph));
   // No seeds: nothing is reachable, nothing crashes.
-  const auto none = engine.query_engine().run_weighted({});
+  const auto none = engine.distances_seeded({});
   for (Vertex v = 0; v < 16; ++v) EXPECT_TRUE(std::isinf(none.dist[v]));
   EXPECT_FALSE(none.negative_cycle);
   const auto batch = engine.distances_batch({});

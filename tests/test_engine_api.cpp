@@ -1,11 +1,15 @@
-// The SeparatorShortestPaths facade: nested query Options, the unified distances_batch(sources, BatchPolicy) entry
-// point, allocation-free distances_into, the QueryResult accessors,
-// engine.stats(), and the freeze() snapshot hook.
+// The SeparatorShortestPaths engine: nested query Options, the unified
+// distances_batch(sources, BatchPolicy) entry point, allocation-free
+// distances_into, the QueryResult accessors, engine.stats() and its one
+// ledger, and the freeze() snapshot hook.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -38,13 +42,27 @@ std::vector<Vertex> every_kth_vertex(std::size_t n, std::size_t k) {
 // --- Options ----------------------------------------------------------
 
 TEST(EngineOptions, NestedFieldsAreTheSourceOfTruth) {
+  // Algorithm 4.3 certifies nothing, so only the option decides whether
+  // the verification pass (one more phase, |E| + |E+| more scans) runs.
   const Fixture f = make_fixture();
   SeparatorShortestPaths<>::Options opts;
   EXPECT_TRUE(opts.query.detect_negative_cycles);
+  const auto checked = SeparatorShortestPaths<>::from_augmentation(
+      f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree),
+      opts);
   opts.query.detect_negative_cycles = false;
-  const auto engine =
-      SeparatorShortestPaths<>::build(f.gg.graph, f.tree, opts);
-  EXPECT_FALSE(engine.query_options().detect_negative_cycles);
+  const auto unchecked = SeparatorShortestPaths<>::from_augmentation(
+      f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree),
+      opts);
+  EXPECT_TRUE(checked.detects_negative_cycles());
+  EXPECT_FALSE(unchecked.detects_negative_cycles());
+  const auto a = checked.distances(0);
+  const auto b = unchecked.distances(0);
+  EXPECT_EQ(a.dist, b.dist);
+  EXPECT_EQ(a.phases, b.phases + 1);
+  EXPECT_EQ(a.edges_scanned,
+            b.edges_scanned + f.gg.graph.num_edges() +
+                checked.shortcut_edges().size());
 }
 
 // --- batch entry points ----------------------------------------------
@@ -107,7 +125,7 @@ TEST(EngineQuery, DistancesIntoMatchesAllocatingPath) {
   }
 }
 
-TEST(EngineQuery, ReachedAndDistOrHonorTheSentinel) {
+TEST(EngineQuery, ReachedHonorsTheSentinel) {
   // Two-vertex graph with a single arc 0 -> 1: vertex 0 cannot be
   // reached from 1, so its entry stays at the zero() sentinel.
   GraphBuilder b(2);
@@ -119,11 +137,10 @@ TEST(EngineQuery, ReachedAndDistOrHonorTheSentinel) {
   const auto from1 = engine.distances(1);
   EXPECT_TRUE(from1.reached(1));
   EXPECT_FALSE(from1.reached(0));
-  EXPECT_EQ(from1.dist_or(0, -7.0), -7.0);
-  EXPECT_EQ(from1.dist_or(1, -7.0), 0.0);
+  EXPECT_EQ(from1.dist[1], 0.0);
   const auto from0 = engine.distances(0);
   EXPECT_TRUE(from0.reached(1));
-  EXPECT_EQ(from0.dist_or(1, -7.0), 3.0);
+  EXPECT_EQ(from0.dist[1], 3.0);
 }
 
 // --- stats ------------------------------------------------------------
@@ -134,7 +151,7 @@ TEST(EngineStatsApi, StructuralFieldsAlwaysPopulated) {
   const EngineStats st = engine.stats();
   EXPECT_EQ(st.num_vertices, f.gg.graph.num_vertices());
   EXPECT_EQ(st.num_edges, f.gg.graph.num_edges());
-  EXPECT_EQ(st.eplus_edges, engine.query_engine().shortcut_edges().size());
+  EXPECT_EQ(st.eplus_edges, engine.shortcut_edges().size());
   EXPECT_EQ(st.eplus_edges, f.tree.eplus_plan()->num_slots());
   EXPECT_EQ(st.height, f.tree.height());
   EXPECT_EQ(st.diameter_bound, engine.augmentation().diameter_bound());
@@ -157,6 +174,70 @@ TEST(EngineStatsApi, CountersTrackQueries) {
   EXPECT_EQ(st.queries, sources.size());
   EXPECT_EQ(st.edges_scanned, expected_edges);
   EXPECT_GT(st.phases, 0u);
+}
+
+TEST(EngineStatsApi, EveryEntryPointChargesTheOneLedger) {
+  // Each public query entry point advances the engine's ledger by
+  // exactly what it returned; scheduled walks also charge their bucket
+  // scans per level, and the unscheduled ablation charges none.
+  const Fixture f = make_fixture();
+  const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
+  const std::size_t n = f.gg.graph.num_vertices();
+  const auto sources = every_kth_vertex(n, 5);  // ragged at 8 lanes
+  ASSERT_NE(sources.size() % 8, 0u);
+  std::vector<double> buf(n);
+  const std::vector<std::pair<Vertex, double>> seeds{{0, 0.0}, {41, 2.5}};
+  const auto batch = [&](std::size_t lanes) {
+    const auto results = engine.distances_batch(sources, {.lanes = lanes});
+    return std::vector<QueryStats>(results.begin(), results.end());
+  };
+  struct Call {
+    const char* name;
+    std::function<std::vector<QueryStats>()> run;
+    bool scheduled;
+  };
+  const std::vector<Call> calls{
+      {"distances",
+       [&] { return std::vector<QueryStats>{engine.distances(3)}; }, true},
+      {"distances_into",
+       [&] { return std::vector<QueryStats>{engine.distances_into(17, buf)}; },
+       true},
+      {"distances_batch lanes=1", [&] { return batch(1); }, true},
+      {"distances_batch lanes=8", [&] { return batch(8); }, true},
+      {"distances_seeded",
+       [&] {
+         return std::vector<QueryStats>{engine.distances_seeded(seeds)};
+       },
+       true},
+      {"distances_unscheduled",
+       [&] {
+         return std::vector<QueryStats>{engine.distances_unscheduled(5)};
+       },
+       false},
+  };
+  for (const Call& c : calls) {
+    const EngineStats before = engine.stats();
+    const std::vector<QueryStats> got = c.run();
+    const EngineStats after = engine.stats();
+    std::uint64_t edges = 0, phases = 0;
+    for (const QueryStats& s : got) {
+      edges += s.edges_scanned;
+      phases += s.phases;
+    }
+    EXPECT_EQ(after.queries - before.queries, got.size()) << c.name;
+    EXPECT_EQ(after.edges_scanned - before.edges_scanned, edges) << c.name;
+    EXPECT_EQ(after.phases - before.phases, phases) << c.name;
+    // A scheduled walk scans the same buckets twice (down and up
+    // sweeps) and each down and up bucket once, per query.
+    for (std::size_t l = 0; l < after.levels.size(); ++l) {
+      const EngineLevelStats& lv = after.levels[l];
+      const std::uint64_t per_query =
+          2 * lv.same_edges + lv.down_edges + lv.up_edges;
+      EXPECT_EQ(lv.edges_scanned - before.levels[l].edges_scanned,
+                c.scheduled ? per_query * got.size() : 0u)
+          << c.name << " level " << l;
+    }
+  }
 }
 
 TEST(EngineStatsApi, ScalarAndBatchedScanTotalsAgree) {

@@ -82,7 +82,7 @@ FuzzInstance random_instance(std::uint64_t seed) {
 }
 
 // The engine's own Algorithm 4.1 build, or an Algorithm 4.3 E+ wrapped
-// in the facade.
+// in an engine (from_augmentation).
 SeparatorShortestPaths<> make_engine(const FuzzInstance& inst, bool doubling) {
   if (!doubling) {
     return SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
@@ -142,7 +142,7 @@ TEST(Fuzz, BatchedLanesAlwaysMatchScalarQueries) {
     const auto batched = engine.distances_batch(sources);
     ASSERT_EQ(batched.size(), sources.size());
     for (std::size_t i = 0; i < sources.size(); ++i) {
-      const auto scalar = engine.query_engine().run(sources[i]);
+      const auto scalar = engine.distances(sources[i]);
       ASSERT_EQ(batched[i].dist, scalar.dist) << "source " << sources[i];
       ASSERT_EQ(batched[i].negative_cycle, scalar.negative_cycle);
       ASSERT_EQ(batched[i].edges_scanned, scalar.edges_scanned);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
@@ -57,10 +58,11 @@ Digraph reweighted(const Digraph& g,
   return std::move(b).build(/*dedup_min=*/false);
 }
 
-// An engine's E+ values in slot order, read from its query engine (E+'s
+// An engine's E+ values in slot order, read from its edge arrays (E+'s
 // one copy: an engine's augmentation holds no values).
-std::vector<double> eplus_values(const LeveledQuery<TropicalD>& query) {
-  const EdgeBucket<TropicalD>& eplus = query.shortcut_edges();
+std::vector<double> eplus_values(
+    const SeparatorShortestPaths<TropicalD>& engine) {
+  const EdgeBucket<TropicalD>& eplus = engine.shortcut_edges();
   std::vector<double> out(eplus.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = eplus.value(i);
   return out;
@@ -74,8 +76,8 @@ void expect_matches_exact_build(const IncrementalEngine& engine,
                                 const SeparatorTree& tree) {
   const auto engine_build = SeparatorShortestPaths<>::build(reference, tree);
   ASSERT_EQ(engine.augmentation().plan, engine_build.augmentation().plan);
-  const std::vector<double> got = eplus_values(engine.query_engine());
-  const std::vector<double> want = eplus_values(engine_build.query_engine());
+  const std::vector<double> got = eplus_values(*engine.snapshot().engine);
+  const std::vector<double> want = eplus_values(engine_build);
   ASSERT_EQ(got.size(), want.size());
   const PairBlock& slots = engine.augmentation().plan->slots;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -337,7 +339,7 @@ TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
     const IncrementalEngine::Snapshot snap = engine.snapshot();
     EXPECT_EQ(snap.engine->cycle_certified(), oracle) << "batch " << b;
     EXPECT_EQ(snap.engine->stats().cycle_certified, oracle) << "batch " << b;
-    EXPECT_EQ(snap.engine->query_engine().detects_negative_cycles(), !oracle)
+    EXPECT_EQ(snap.engine->detects_negative_cycles(), !oracle)
         << "batch " << b;
     const auto got = snap.engine->distances_batch(sources, {.lanes = 4});
     for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -353,16 +355,53 @@ TEST(Incremental, CycleCertificateFollowsBatchesThatCreateAndRemoveCycles) {
   }
 }
 
+TEST(Incremental, SnapshotOutlivesItsEngine) {
+  // A snapshot shares the live engine's augmentation and value slabs
+  // but needs nothing else of the IncrementalEngine: after another
+  // batch and the engine's destruction it still answers, bit for bit,
+  // what it answered when taken.
+  const Fixture f = make_grid_fixture(10, 24);
+  const std::vector<Vertex> sources{0, 37, 99};
+  IncrementalEngine::Snapshot snap;
+  std::vector<std::vector<double>> before;
+  std::vector<QueryResult<TropicalD>> batch_before;
+  {
+    auto engine = std::make_unique<IncrementalEngine>(
+        IncrementalEngine::build(f.gg.graph, f.tree));
+    engine->update_edge(3, 4, 0.5);
+    engine->apply();
+    snap = engine->snapshot();
+    for (const Vertex s : sources) {
+      before.push_back(snap.engine->distances(s).dist);
+    }
+    batch_before = snap.engine->distances_batch(sources);
+    engine->update_edge(3, 4, 40.0);
+    engine->update_edge(55, 56, 0.25);
+    engine->apply();
+    ASSERT_GT(engine->last_apply_stats().slabs_copied, 0u);
+  }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_TRUE(bit_equal(snap.engine->distances(sources[i]).dist, before[i]))
+        << "source " << sources[i];
+  }
+  const auto batch_after = snap.engine->distances_batch(sources);
+  ASSERT_EQ(batch_after.size(), batch_before.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_TRUE(bit_equal(batch_after[i].dist, batch_before[i].dist))
+        << "source " << sources[i];
+    EXPECT_EQ(batch_after[i].edges_scanned, batch_before[i].edges_scanned);
+  }
+}
+
 TEST(Incremental, SnapshotsStructurallyShareUntouchedSlabs) {
   const Fixture f = make_grid_fixture(12, 22);
   IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
 
   const IncrementalEngine::Snapshot s1 = engine.snapshot();
-  const std::size_t total = engine.query_engine().total_slabs();
+  const std::size_t total = s1.engine->total_slabs();
   ASSERT_GT(total, 0u);
-  // A snapshot taken with no intervening apply aliases every slab.
-  EXPECT_EQ(engine.query_engine().slabs_shared_with(s1.engine->query_engine()),
-            total);
+  // Snapshots taken with no intervening apply alias every slab.
+  EXPECT_EQ(s1.engine->slabs_shared_with(*engine.snapshot().engine), total);
 
   engine.update_edge(5, 6, 0.25);
   engine.apply();
@@ -372,9 +411,7 @@ TEST(Incremental, SnapshotsStructurallyShareUntouchedSlabs) {
   EXPECT_GT(st.slabs_copied, 0u);
 
   const IncrementalEngine::Snapshot s2 = engine.snapshot();
-  const auto& q1 = s1.engine->query_engine();
-  const auto& q2 = s2.engine->query_engine();
-  const std::size_t shared = q1.slabs_shared_with(q2);
+  const std::size_t shared = s1.engine->slabs_shared_with(*s2.engine);
   // A point update detaches only the touched slabs: successive epochs
   // keep aliasing the rest, and exactly the apply()'s copy count is
   // missing. (On this small fixture most buckets are a single slab, so
@@ -412,8 +449,8 @@ TEST(Incremental, ApplyIsDeterministic) {
 
     // Shortcut values and query results must be bit-identical, not just
     // close: both engines run the same kernels in the same order.
-    const std::vector<double> sp = eplus_values(lhs.query_engine());
-    const std::vector<double> ss = eplus_values(rhs.query_engine());
+    const std::vector<double> sp = eplus_values(*lhs.snapshot().engine);
+    const std::vector<double> ss = eplus_values(*rhs.snapshot().engine);
     ASSERT_EQ(sp.size(), ss.size());
     for (std::size_t i = 0; i < sp.size(); ++i) {
       ASSERT_EQ(std::memcmp(&sp[i], &ss[i], sizeof(sp[i])), 0)
@@ -599,8 +636,8 @@ void expect_raise_restore_stream_exact(std::size_t side) {
       EXPECT_TRUE(std::signbit(
           lhs.weight(original[zero_arc].from, original[zero_arc].to)));
     }
-    const std::vector<double> sl = eplus_values(lhs.query_engine());
-    const std::vector<double> sr = eplus_values(rhs.query_engine());
+    const std::vector<double> sl = eplus_values(*lhs.snapshot().engine);
+    const std::vector<double> sr = eplus_values(*rhs.snapshot().engine);
     ASSERT_EQ(sl.size(), sr.size());
     ASSERT_EQ(std::memcmp(sl.data(), sr.data(), sl.size() * sizeof(sl[0])), 0)
         << "batch " << b;

@@ -94,7 +94,9 @@ TEST(Integration, AllPairsOnSmallGraphIsSymmetricallyConsistent) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto apsp = engine.all_pairs();
+  std::vector<Vertex> every(gg.graph.num_vertices());
+  for (Vertex v = 0; v < every.size(); ++v) every[v] = v;
+  const auto apsp = engine.distances_batch(every);
   ASSERT_EQ(apsp.size(), 25u);
   // Triangle inequality across the all-pairs table.
   for (Vertex a = 0; a < 25; ++a) {

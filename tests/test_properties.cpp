@@ -28,7 +28,7 @@ namespace sepsp {
 namespace {
 
 // `doubling` builds the engine's E+ with Algorithm 4.3 (wrapped in the
-// facade) instead of the engine's own Algorithm 4.1 build.
+// engine) instead of the engine's own Algorithm 4.1 build.
 struct Sweep {
   std::string family;
   std::string weights;
@@ -162,8 +162,8 @@ TEST_P(PropertySweep, AllQueryModesMatchGroundTruth) {
           : SeparatorShortestPaths<>::build(gg_.graph, tree_);
   for (const Vertex src : sample_sources(3)) {
     const std::vector<double> want = ground_truth(src);
-    const auto scheduled = engine.query_engine().run(src);
-    const auto naive = engine.query_engine().run_unscheduled(src);
+    const auto scheduled = engine.distances(src);
+    const auto naive = engine.distances_unscheduled(src);
     ASSERT_FALSE(scheduled.negative_cycle);
     for (Vertex v = 0; v < gg_.graph.num_vertices(); ++v) {
       if (std::isinf(want[v])) {

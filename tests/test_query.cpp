@@ -25,7 +25,7 @@ namespace sepsp {
 namespace {
 
 // Parameterized sweep: (family, weight model, E+ builder). The
-// doubling cases build E+ with Algorithm 4.3 and wrap it in the facade.
+// doubling cases build E+ with Algorithm 4.3 and wrap it in an engine.
 struct Case {
   std::string family;
   std::string weights;
@@ -121,8 +121,8 @@ TEST_P(QuerySweep, UnscheduledAgreesWithScheduled) {
   const Instance inst = make_instance();
   const auto engine = make_engine(inst);
   const Vertex source = 3;
-  const auto scheduled = engine.query_engine().run(source);
-  const auto naive = engine.query_engine().run_unscheduled(source);
+  const auto scheduled = engine.distances(source);
+  const auto naive = engine.distances_unscheduled(source);
   for (Vertex v = 0; v < inst.gg.graph.num_vertices(); ++v) {
     if (std::isinf(scheduled.dist[v])) {
       EXPECT_TRUE(std::isinf(naive.dist[v]));
@@ -188,8 +188,8 @@ std::vector<LayoutCase> layout_cases() {
 // `q`'s E+ is the plan's slot array (one value per slot, no second
 // copy), and its buckets are the plan's ranges of it.
 template <Semiring S>
-void expect_aliases_plan(const LeveledQuery<S>& q, const EplusPlan& plan,
-                         const std::string& what) {
+void expect_aliases_plan(const SeparatorShortestPaths<S>& q,
+                         const EplusPlan& plan, const std::string& what) {
   const EdgeBucket<S>& eplus = q.shortcut_edges();
   ASSERT_EQ(eplus.size(), plan.num_slots()) << what;
   EXPECT_EQ(eplus.from_data(), plan.slots.from.data()) << what;
@@ -208,30 +208,28 @@ void expect_aliases_plan(const LeveledQuery<S>& q, const EplusPlan& plan,
       EXPECT_EQ(r.hi, plan.bucket_offset[k + 1]) << what;
     }
   }
-  EXPECT_EQ(q.bucket_edges(), plan.num_slots()) << what;
+  EXPECT_EQ(q.stats().bucket_edges, plan.num_slots()) << what;
 }
 
 TEST(Query, EnginesOverOneTreeShareTheSlotArray) {
   for (const LayoutCase& c : layout_cases()) {
     const EplusPlan& plan = *c.tree.eplus_plan();
     const auto exact = SeparatorShortestPaths<>::build(c.gg.graph, c.tree);
-    expect_aliases_plan(exact.query_engine(), plan, c.name + " exact");
+    expect_aliases_plan(exact, plan, c.name + " exact");
     const auto dbl = SeparatorShortestPaths<>::from_augmentation(
         c.gg.graph, build_augmentation_doubling<TropicalD>(c.gg.graph, c.tree));
-    expect_aliases_plan(dbl.query_engine(), plan, c.name + " 4.3");
+    expect_aliases_plan(dbl, plan, c.name + " 4.3");
+    // The live engine of an IncrementalEngine, and so the forks its
+    // snapshots freeze, share them too.
     const IncrementalEngine inc = IncrementalEngine::build(c.gg.graph, c.tree);
-    expect_aliases_plan(inc.query_engine(), plan, c.name + " incremental");
-    // The engine a snapshot forks shares them too.
-    expect_aliases_plan(inc.snapshot().engine->query_engine(), plan,
-                        c.name + " snapshot");
+    expect_aliases_plan(*inc.snapshot().engine, plan, c.name + " snapshot");
     bool positive = true;
     for (const Arc& a : c.gg.graph.arcs()) positive = positive && a.weight > 0;
     if (positive) {
       ApproxEngine::Options opts;
       opts.build.approx_eps = 0.1;
       const ApproxEngine approx = ApproxEngine::build(c.gg.graph, c.tree, opts);
-      expect_aliases_plan(approx.engine().query_engine(), plan,
-                          c.name + " approx");
+      expect_aliases_plan(approx.engine(), plan, c.name + " approx");
     }
   }
 }
@@ -259,13 +257,14 @@ TEST(Query, FreshExactAndIncrementalBucketsAreByteIdentical) {
     const EplusPlan& plan = *c.tree.eplus_plan();
     const auto exact = SeparatorShortestPaths<>::build(c.gg.graph, c.tree);
     const IncrementalEngine inc = IncrementalEngine::build(c.gg.graph, c.tree);
-    ASSERT_EQ(inc.query_engine().shortcut_edges().size(), plan.num_slots());
-    const auto w = bucket_values(exact.query_engine().shortcut_edges());
-    const auto g = bucket_values(inc.query_engine().shortcut_edges());
+    const SeparatorShortestPaths<>::Snapshot snap = inc.snapshot().engine;
+    ASSERT_EQ(snap->shortcut_edges().size(), plan.num_slots());
+    const auto w = bucket_values(exact.shortcut_edges());
+    const auto g = bucket_values(snap->shortcut_edges());
     EXPECT_TRUE(same_bits(g, w)) << c.name;
     for (const double v : w) saw_zero_slot = saw_zero_slot || std::isinf(v);
-    EXPECT_TRUE(same_bits(bucket_values(inc.query_engine().base_edges()),
-                          bucket_values(exact.query_engine().base_edges())))
+    EXPECT_TRUE(same_bits(bucket_values(snap->base_edges()),
+                          bucket_values(exact.base_edges())))
         << c.name;
   }
   // The directed case keeps zero() slots, which the exact build used to
@@ -327,7 +326,9 @@ TEST(Query, MultiSourceEqualsMinOverSources) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
   const std::vector<Vertex> sources{0, 27, 63};
-  const auto multi = engine.query_engine().run_multi(sources);
+  std::vector<std::pair<Vertex, double>> seeds;
+  for (const Vertex s : sources) seeds.emplace_back(s, TropicalD::one());
+  const auto multi = engine.distances_seeded(seeds);
   std::vector<QueryResult<TropicalD>> singles;
   for (const Vertex s : sources) singles.push_back(engine.distances(s));
   for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
@@ -344,7 +345,7 @@ TEST(Query, WeightedSeedsActAsVirtualSource) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({7, 7}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
   const std::vector<std::pair<Vertex, double>> seeds{{0, 5.0}, {48, 1.0}};
-  const auto got = engine.query_engine().run_weighted(seeds);
+  const auto got = engine.distances_seeded(seeds);
   const auto d0 = engine.distances(0);
   const auto d48 = engine.distances(48);
   for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
@@ -360,8 +361,8 @@ TEST(Query, ScheduledScansFewerEdgesThanNaive) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({16, 16}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto sched = engine.query_engine().run(0);
-  const auto naive = engine.query_engine().run_unscheduled(0);
+  const auto sched = engine.distances(0);
+  const auto naive = engine.distances_unscheduled(0);
   // The whole point of Section 3.2: O(1) passes per bucket vs diam passes.
   EXPECT_LT(sched.edges_scanned, naive.edges_scanned);
 }

@@ -1,5 +1,5 @@
-// Source-batched kernel correctness: LeveledQuery::run_block<B> must
-// reproduce LeveledQuery::run lane for lane — distances (bit-identical:
+// Source-batched kernel correctness: distances_batch at B lanes must
+// reproduce distances() lane for lane — distances (bit-identical:
 // lanes share edge order and arithmetic with the scalar kernel),
 // per-lane edges_scanned/phases accounting, per-lane negative-cycle
 // flags, and ragged last blocks.
@@ -48,16 +48,15 @@ TYPED_TEST(BatchParity, FullAndRaggedBlocksMatchScalarRuns) {
   const auto inst = TestFixture::make_instance();
   const auto engine =
       SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
-  const LeveledQuery<S>& scalar = engine.query_engine();
 
   // A full block and a ragged one (3 of 4 lanes seeded).
   const std::vector<Vertex> full{0, 13, 40, 80};
   const std::vector<Vertex> ragged{7, 7, 44};  // duplicate sources allowed
   for (const auto& sources : {full, ragged}) {
-    const auto block = scalar.template run_block<4>(sources);
+    const auto block = engine.distances_batch(sources, {.lanes = 4});
     ASSERT_EQ(block.size(), sources.size());
     for (std::size_t i = 0; i < sources.size(); ++i) {
-      expect_result_eq(block[i], scalar.run(sources[i]),
+      expect_result_eq(block[i], engine.distances(sources[i]),
                        "lane " + std::to_string(i));
     }
   }
@@ -97,11 +96,11 @@ TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
   const auto engine = SeparatorShortestPaths<>::build(g, tree);
 
   const std::vector<Vertex> sources{0, 2, 5, 1, 3, 6};
-  const auto block = engine.query_engine().run_block<8>(sources);
+  const auto block = engine.distances_batch(sources, {.lanes = 8});
   const std::vector<bool> want{false, true, true, false, true, true};
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(block[i].negative_cycle, want[i]) << "source " << sources[i];
-    expect_result_eq(block[i], engine.query_engine().run(sources[i]),
+    expect_result_eq(block[i], engine.distances(sources[i]),
                      "source " + std::to_string(sources[i]));
   }
 }
@@ -115,10 +114,10 @@ TEST(BatchQuery, WideLanesHandleShortBlocks) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
   const std::vector<Vertex> sources{11, 29};
-  const auto block = engine.query_engine().run_block<16>(sources);
+  const auto block = engine.distances_batch(sources, {.lanes = 16});
   ASSERT_EQ(block.size(), 2u);
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    expect_result_eq(block[i], engine.query_engine().run(sources[i]),
+    expect_result_eq(block[i], engine.distances(sources[i]),
                      "source " + std::to_string(sources[i]));
   }
 }
@@ -141,9 +140,9 @@ TEST(BatchQuery, NegativeWeightsMatchScalarExactly) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
   const std::vector<Vertex> sources{0, 21, 42, 63};
-  const auto block = engine.query_engine().run_block<4>(sources);
+  const auto block = engine.distances_batch(sources, {.lanes = 4});
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    expect_result_eq(block[i], engine.query_engine().run(sources[i]),
+    expect_result_eq(block[i], engine.distances(sources[i]),
                      "source " + std::to_string(sources[i]));
   }
 }
@@ -154,7 +153,9 @@ TEST(BatchQuery, AllPairsUsesBatchedKernel) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const auto all = engine.all_pairs();
+  std::vector<Vertex> every(gg.graph.num_vertices());
+  for (Vertex v = 0; v < every.size(); ++v) every[v] = v;
+  const auto all = engine.distances_batch(every);
   ASSERT_EQ(all.size(), gg.graph.num_vertices());
   for (Vertex s = 0; s < gg.graph.num_vertices(); ++s) {
     EXPECT_EQ(all[s].dist, engine.distances(s).dist) << "source " << s;

@@ -85,7 +85,7 @@ TEST(Reachability, AugmentationUsesBooleanShortcuts) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<BooleanSR>::build(gg.graph, tree);
   const Augmentation<BooleanSR>& aug = engine.augmentation();
-  const EdgeBucket<BooleanSR>& eplus = engine.query_engine().shortcut_edges();
+  const EdgeBucket<BooleanSR>& eplus = engine.shortcut_edges();
   EXPECT_GT(eplus.size(), 0u);
   for (std::size_t s = 0; s < eplus.size(); ++s) {
     EXPECT_EQ(eplus.value(s), BooleanSR::one());

@@ -419,15 +419,14 @@ TYPED_TEST(SimdKernelParity, BatchedQueryBitIdenticalAcrossTiers) {
   const auto tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
   const auto engine = SeparatorShortestPaths<S>::build(gg.graph, tree);
-  const LeveledQuery<S>& query = engine.query_engine();
   const std::vector<Vertex> sources{0, 13, 40, 44, 66, 80, 7};  // ragged
 
   simd::force_tier(simd::Tier::kScalar);
-  const auto ref = query.template run_block<8>(sources);
+  const auto ref = engine.distances_batch(sources, {.lanes = 8});
   for (const simd::Tier t : runnable_tiers()) {
     SCOPED_TRACE(simd::tier_name(t));
     simd::force_tier(t);
-    const auto got = query.template run_block<8>(sources);
+    const auto got = engine.distances_batch(sources, {.lanes = 8});
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i],
@@ -457,15 +456,14 @@ TEST(SimdEndToEnd, NegativeWeightsBitIdenticalAcrossTiers) {
   const Digraph g = std::move(b).build();
   const auto tree = build_separator_tree(Skeleton(g), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<TropicalD>::build(g, tree);
-  const LeveledQuery<TropicalD>& query = engine.query_engine();
   const std::vector<Vertex> sources{0, 9, 27, 63};
 
   simd::force_tier(simd::Tier::kScalar);
-  const auto ref = query.run_block<8>(sources);
+  const auto ref = engine.distances_batch(sources, {.lanes = 8});
   for (const simd::Tier t : runnable_tiers()) {
     SCOPED_TRACE(simd::tier_name(t));
     simd::force_tier(t);
-    const auto got = query.run_block<8>(sources);
+    const auto got = engine.distances_batch(sources, {.lanes = 8});
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i], "negative-weight lane");
     }
@@ -486,16 +484,15 @@ TEST(SimdEndToEnd, FuzzSweepAmbientTierVsScalar) {
         make_grid_finder({side, side}));
     const auto engine =
         SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
-    const LeveledQuery<TropicalD>& query = engine.query_engine();
     std::vector<Vertex> sources;
     for (std::size_t i = 0; i < 11; ++i) {
       sources.push_back(
           static_cast<Vertex>(rng.next_below(gg.graph.num_vertices())));
     }
     simd::force_tier(ambient);
-    const auto got = query.run_block<16>(sources);
+    const auto got = engine.distances_batch(sources, {.lanes = 16});
     simd::force_tier(simd::Tier::kScalar);
-    const auto ref = query.run_block<16>(sources);
+    const auto ref = engine.distances_batch(sources, {.lanes = 16});
     for (std::size_t i = 0; i < ref.size(); ++i) {
       expect_result_bits_eq(got[i], ref[i],
                             ("round " + std::to_string(round)).c_str());

@@ -22,7 +22,7 @@ TEST(Smoke, GridEndToEnd) {
   ASSERT_EQ(tree.validate(skel), std::nullopt) << *tree.validate(skel);
 
   // Algorithm 4.1 is the engine's build; Algorithm 4.3's E+ is wrapped
-  // in the same facade.
+  // in the same engine class.
   for (const bool doubling : {false, true}) {
     const auto engine =
         doubling ? SeparatorShortestPaths<>::from_augmentation(

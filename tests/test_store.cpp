@@ -1,4 +1,4 @@
-// Out-of-core engine (src/store/): v5 image round trips under every
+// Out-of-core engine (src/store/): v6 image round trips under every
 // semiring, the certificate flag, the buffer pool's residency
 // accounting, eviction storms under a tiny budget, rewriting an image
 // that a live engine still maps, open-time validation of damaged
@@ -104,7 +104,7 @@ void expect_round_trip(const SeparatorShortestPaths<S>& heap,
   }
 
   // The batched kernel walks the same external buckets via a different
-  // lane width (LeveledQuery::run_block<8>) — it must see identical bytes.
+  // lane width (8 lanes) — it must see identical bytes.
   const auto want_batch = heap.distances_batch(sources);
   const auto got_batch = stored->engine().distances_batch(sources);
   ASSERT_EQ(got_batch.size(), want_batch.size());
@@ -522,7 +522,7 @@ TEST_F(StoreDamage, RejectsUnknownVersion) {
   // without header flags, 4 the layout that stored E+ twice; 6 and
   // later are layouts this reader cannot know. All must be refused by
   // name.
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 99u}) {
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 99u}) {
     auto bad = image_;
     std::memcpy(bad.data() + offsetof(store::Header, version), &version,
                 sizeof version);

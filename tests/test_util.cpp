@@ -156,7 +156,7 @@ std::vector<double> iota_values(std::size_t n) {
 }
 
 // A fresh slab vector holding `values`, filled through init() as the
-// query engine fills its buckets.
+// engine fills its buckets.
 SlabVector<double> slab_vector(const std::vector<double>& values) {
   SlabVector<double> out(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) out.init(i, values[i]);
