@@ -9,7 +9,6 @@
 #include "bench_common.hpp"
 #include "core/builder_compact.hpp"
 #include "core/builder_doubling.hpp"
-#include "core/builder_recursive.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
@@ -27,50 +26,50 @@ int main() {
     const Instance inst = grid2d(side, wm, rng);
     struct Variant {
       const char* name;
-      Augmentation<TropicalD> aug;
+      EngineStats stats;
       double ms;
     };
     std::vector<Variant> variants;
     {
       WallTimer t;
-      auto aug = build_augmentation_recursive<TropicalD>(
+      const auto engine = build_augmentation_recursive<TropicalD>(
           inst.gg.graph, inst.tree, ClosureKind::kSquaring);
-      variants.push_back({"4.1 squaring", std::move(aug), t.millis()});
+      variants.push_back({"4.1 squaring", engine.stats(), t.millis()});
     }
     {
       WallTimer t;
-      auto aug = build_augmentation_recursive<TropicalD>(
+      const auto engine = build_augmentation_recursive<TropicalD>(
           inst.gg.graph, inst.tree, ClosureKind::kFloydWarshall);
-      variants.push_back({"4.1 floyd-warshall", std::move(aug), t.millis()});
+      variants.push_back({"4.1 floyd-warshall", engine.stats(), t.millis()});
     }
     {
       WallTimer t;
-      auto aug =
+      const auto engine =
           build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree);
-      variants.push_back({"4.3 early-exit", std::move(aug), t.millis()});
+      variants.push_back({"4.3 early-exit", engine.stats(), t.millis()});
     }
     {
       WallTimer t;
       DoublingOptions opts;
       opts.early_exit = false;
-      auto aug = build_augmentation_doubling<TropicalD>(inst.gg.graph,
-                                                        inst.tree, opts);
-      variants.push_back({"4.3 full-iterations", std::move(aug), t.millis()});
+      const auto engine = build_augmentation_doubling<TropicalD>(
+          inst.gg.graph, inst.tree, opts);
+      variants.push_back({"4.3 full-iterations", engine.stats(), t.millis()});
     }
     {
       WallTimer t;
-      auto aug =
+      const auto engine =
           build_augmentation_compact<TropicalD>(inst.gg.graph, inst.tree);
-      variants.push_back({"4.3 remark-4.4", std::move(aug), t.millis()});
+      variants.push_back({"4.3 remark-4.4", engine.stats(), t.millis()});
     }
     for (const Variant& v : variants) {
       table.add_row()
           .cell(static_cast<std::uint64_t>(inst.n()))
           .cell(v.name)
-          .cell(with_commas(v.aug.build_cost.work))
-          .cell(v.aug.critical_depth)
+          .cell(with_commas(v.stats.build_work))
+          .cell(v.stats.critical_depth)
           .cell(v.ms, 1)
-          .cell(v.aug.values.size());
+          .cell(v.stats.eplus_edges);
     }
   }
   table.print(std::cout);

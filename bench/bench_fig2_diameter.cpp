@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/builder_recursive.hpp"
-#include "core/query.hpp"
+#include "core/engine.hpp"
 #include "graph/algorithms.hpp"
 
 using namespace sepsp;
@@ -54,14 +53,14 @@ int main() {
   }
 
   for (const Instance& inst : instances) {
-    const auto aug =
+    const auto engine =
         build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
+    const Augmentation& aug = engine.augmentation();
     Rng pick(5);
     std::size_t radius = 0, raw = 0;
     for (int trial = 0; trial < 3; ++trial) {
       const auto src = static_cast<Vertex>(pick.next_below(inst.n()));
-      radius =
-          std::max(radius, measure_shortcut_radius(inst.gg.graph, aug, src));
+      radius = std::max(radius, measure_shortcut_radius(engine, src));
       raw = std::max(raw, raw_hop_radius(inst.gg.graph, src));
     }
     table.add_row()
@@ -85,7 +84,9 @@ int main() {
     const GeneratedGraph gg = make_path(257, wm, lrng, true);
     const SeparatorTree tree =
         build_separator_tree(Skeleton(gg.graph), make_tree_finder());
-    const auto aug = build_augmentation_recursive<TropicalD>(gg.graph, tree);
+    const auto engine =
+        build_augmentation_recursive<TropicalD>(gg.graph, tree);
+    const EdgeBucket<TropicalD>& eplus = engine.shortcut_edges();
     // Hop-minimal optimal path 0 -> 256 in G+, via synchronous BF with
     // parent tracking.
     struct Edge {
@@ -98,9 +99,9 @@ int main() {
         edges.push_back({u, a.to, a.weight});
       }
     }
-    for (std::size_t slot = 0; slot < aug.values.size(); ++slot) {
-      edges.push_back({aug.plan->slots.from[slot], aug.plan->slots.to[slot],
-                       aug.values[slot]});
+    for (std::size_t slot = 0; slot < eplus.size(); ++slot) {
+      edges.push_back({eplus.from_data()[slot], eplus.to_data()[slot],
+                       eplus.value(slot)});
     }
     std::vector<double> dist(gg.graph.num_vertices(), TropicalD::zero());
     std::vector<Vertex> parent(gg.graph.num_vertices(), kInvalidVertex);
@@ -129,14 +130,15 @@ int main() {
                  "is bitonic:\n  ";
     for (auto it = path.rbegin(); it != path.rend(); ++it) {
       const Vertex v = *it;
-      if (aug.levels.defined(v)) {
-        std::cout << v << "(" << aug.levels.level[v] << ") ";
+      const LevelAssignment& levels = engine.augmentation().plan->levels;
+      if (levels.defined(v)) {
+        std::cout << v << "(" << levels.level[v] << ") ";
       } else {
         std::cout << v << "(-) ";
       }
     }
     std::cout << "\n  " << path.size() - 1 << " hops vs raw 256 hops; bound "
-              << aug.diameter_bound() << ".\n";
+              << engine.augmentation().diameter_bound() << ".\n";
   }
   return 0;
 }

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/builder_recursive.hpp"
+#include "core/engine.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
@@ -20,20 +20,19 @@ void run_family(const std::string& header, double mu,
       {"n", "|E|", "|E+|", "|E+|/(n+n^2mu)", "|E+|/(n log n)"});
   std::vector<double> ns, sizes;
   for (const Instance& inst : instances) {
-    const auto aug =
-        build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
+    const std::size_t eplus =
+        build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree)
+            .shortcut_edges()
+            .size();
     const double n = static_cast<double>(inst.n());
     table.add_row()
         .cell(static_cast<std::uint64_t>(inst.n()))
         .cell(static_cast<std::uint64_t>(inst.m()))
-        .cell(aug.values.size())
-        .cell(static_cast<double>(aug.values.size()) /
-                  (n + std::pow(n, 2.0 * mu)),
-              3)
-        .cell(static_cast<double>(aug.values.size()) / (n * std::log2(n)),
-              3);
+        .cell(eplus)
+        .cell(static_cast<double>(eplus) / (n + std::pow(n, 2.0 * mu)), 3)
+        .cell(static_cast<double>(eplus) / (n * std::log2(n)), 3);
     ns.push_back(n);
-    sizes.push_back(static_cast<double>(aug.values.size()));
+    sizes.push_back(static_cast<double>(eplus));
   }
   table.print(std::cout);
   std::cout << "fitted |E+| exponent: " << fit_log_log_slope(ns, sizes)

@@ -12,7 +12,6 @@
 #include "baseline/bellman_ford.hpp"
 #include "bench_common.hpp"
 #include "core/builder_doubling.hpp"
-#include "core/builder_recursive.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
@@ -29,10 +28,12 @@ int main() {
   for (std::size_t side : {17u, 25u, 33u, 49u, 65u, 97u}) {
     if (s == 0 && side > 33) break;
     const Instance inst = grid2d(side, wm, rng);
-    const auto rec =
-        build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
-    const auto dbl =
-        build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree);
+    const Augmentation rec =
+        build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree)
+            .augmentation();
+    const Augmentation dbl =
+        build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree)
+            .augmentation();
     const auto engine =
         SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
     const auto query = engine.distances(0);

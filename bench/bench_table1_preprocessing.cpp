@@ -19,7 +19,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/builder_recursive.hpp"
+#include "core/engine.hpp"
 #include "pram/cost_model.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
@@ -34,11 +34,13 @@ int pool_threads() {
 }
 
 /// One timed build; emits the JSON row when --json is active.
-Augmentation<TropicalD> timed_build(const Instance& inst, bool blocked) {
+EngineStats timed_build(const Instance& inst, bool blocked) {
   blocked_kernels_enabled().store(blocked);
   WallTimer timer;
-  auto aug = build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
+  const auto engine =
+      build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
   const double seconds = timer.seconds();
+  const EngineStats st = engine.stats();
   blocked_kernels_enabled().store(true);
   json()
       .row("preprocessing")
@@ -49,10 +51,10 @@ Augmentation<TropicalD> timed_build(const Instance& inst, bool blocked) {
       .field("threads", pool_threads())
       .field("kernels", blocked ? "blocked" : "naive")
       .field("seconds", seconds)
-      .field("work", aug.build_cost.work)
-      .field("critical_depth", aug.critical_depth)
-      .field("eplus", static_cast<std::uint64_t>(aug.values.size()));
-  return aug;
+      .field("work", st.build_work)
+      .field("critical_depth", st.critical_depth)
+      .field("eplus", static_cast<std::uint64_t>(st.eplus_edges));
+  return st;
 }
 
 void run_family(const std::string& header, double mu,
@@ -62,18 +64,18 @@ void run_family(const std::string& header, double mu,
   table.set_header({"n", "m", "height", "build work", "work / n^max(1,3mu)",
                     "E+ size"});
   for (const Instance& inst : instances) {
-    const auto aug = timed_build(inst, /*blocked=*/true);
+    const EngineStats st = timed_build(inst, /*blocked=*/true);
     const double n = static_cast<double>(inst.n());
     const double predicted = std::pow(n, std::max(1.0, 3.0 * mu));
     table.add_row()
         .cell(static_cast<std::uint64_t>(inst.n()))
         .cell(static_cast<std::uint64_t>(inst.m()))
         .cell(static_cast<std::uint64_t>(inst.tree.height()))
-        .cell(with_commas(aug.build_cost.work))
-        .cell(static_cast<double>(aug.build_cost.work) / predicted, 3)
-        .cell(aug.values.size());
+        .cell(with_commas(st.build_work))
+        .cell(static_cast<double>(st.build_work) / predicted, 3)
+        .cell(st.eplus_edges);
     ns->push_back(n);
-    works->push_back(static_cast<double>(aug.build_cost.work));
+    works->push_back(static_cast<double>(st.build_work));
   }
   table.print(std::cout);
   std::cout << "fitted work exponent: " << fit_log_log_slope(*ns, *works)
@@ -150,8 +152,10 @@ int main(int argc, char** argv) {
     for (std::size_t side : {9u, 13u, 17u, 23u}) {
       Rng local(7);
       const Instance inst = grid2d(side, wm, local);
-      const auto aug =
-          build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
+      const std::uint64_t eplus_work =
+          build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree)
+              .augmentation()
+              .build_cost.work;
       Matrix<TropicalD> dense(inst.n());
       for (Vertex u = 0; u < inst.n(); ++u) {
         dense.at(u, u) = 0;
@@ -166,7 +170,7 @@ int main(int argc, char** argv) {
           .cell(static_cast<std::uint64_t>(inst.n()))
           .cell(with_commas(baseline.work))
           .cell(static_cast<double>(baseline.work) /
-                    static_cast<double>(aug.build_cost.work),
+                    static_cast<double>(eplus_work),
                 1);
     }
     table.print(std::cout);

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/builder_recursive.hpp"
+#include "core/engine.hpp"
 #include "separator/cycle_separator.hpp"
 #include "separator/treewidth_separator.hpp"
 
@@ -28,15 +28,16 @@ void report(Table& table, const std::string& graph,
     std::exit(1);
   }
   const auto s = tree.stats();
-  const auto aug = build_augmentation_recursive<TropicalD>(g, tree);
+  const EngineStats st =
+      build_augmentation_recursive<TropicalD>(g, tree).stats();
   table.add_row()
       .cell(graph)
       .cell(finder_name)
       .cell(static_cast<std::uint64_t>(s.height))
       .cell(s.max_separator)
       .cell(s.max_boundary)
-      .cell(aug.values.size())
-      .cell(with_commas(aug.build_cost.work));
+      .cell(st.eplus_edges)
+      .cell(with_commas(st.build_work));
 }
 
 }  // namespace

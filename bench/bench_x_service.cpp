@@ -127,8 +127,9 @@ ServiceOptions make_options(std::size_t lanes, bool cache) {
   ServiceOptions opts;
   opts.lanes = lanes;
   opts.max_delay_us = 300;
-  opts.cache_enabled = cache;
-  opts.cache_capacity_bytes = std::size_t{32} << 20;
+  // A zero budget stores nothing: the cache-off rows take every miss.
+  opts.cache_capacity_bytes = cache ? std::size_t{32} << 20 : 0;
+  if (!cache) opts.st_cache_capacity_bytes = 0;
   // The single-source scenarios skip the per-epoch label/routing build;
   // the point-to-point scenario opts back in.
   opts.point_to_point = false;

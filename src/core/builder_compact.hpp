@@ -29,24 +29,24 @@
 
 namespace sepsp {
 
-/// Builds E+ per Remark 4.4. Semantics: same distances as the other
-/// builders; individual shortcut values may be tighter (closer to
-/// dist_G) than the per-node dist_{G(t)}.
+/// Builds G+ per Remark 4.4 and returns the engine over it. Semantics:
+/// same distances as the other builders; individual shortcut values may
+/// be tighter (closer to dist_G) than the per-node dist_{G(t)}. Like
+/// Algorithm 4.3 it certifies nothing.
 template <Semiring S>
-Augmentation<S> build_augmentation_compact(const Digraph& g,
-                                           const SeparatorTree& tree,
-                                           const DoublingOptions& options = {}) {
+SeparatorShortestPaths<S> build_augmentation_compact(
+    const Digraph& g, const SeparatorTree& tree,
+    const DoublingOptions& options = {}) {
   using detail::index_of;
   using detail::kNpos;
   using Value = typename S::Value;
 
   const pram::CostScope scope;
-  Augmentation<S> aug;
+  Augmentation aug;
   aug.plan = tree.eplus_plan();
   SEPSP_CHECK_MSG(aug.plan != nullptr,
                   "build_augmentation_compact: tree not built by "
                   "build_separator_tree");
-  aug.levels = aug.plan->levels;
   aug.height = tree.height();
   aug.ell = leaf_diameter_bound(tree);
 
@@ -169,7 +169,7 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
 
   // --- extraction: E_t = S x S u B x B per node --------------------------
   // As the plan lays out each node's group matrices, diagonals included
-  // (never read), so fill_values takes each slot's best.
+  // (never read), so the engine takes each slot's best.
   std::vector<Value> entries;
   entries.reserve(aug.plan->num_entries());
   for (std::size_t id = 0; id < num_nodes; ++id) {
@@ -184,9 +184,9 @@ Augmentation<S> build_augmentation_compact(const Digraph& g,
     emit(t.separator);
     emit(t.boundary);
   }
-  detail::fill_values<S>(aug, entries);
   aug.build_cost = scope.cost();
-  return aug;
+  return detail::make_engine<S>(g, std::move(aug), /*cycle_certified=*/false,
+                                entries);
 }
 
 }  // namespace sepsp

@@ -15,17 +15,16 @@
 // are dense-map probes, and the extraction step writes each node's
 // S x S and B x B group matrices into the slice the tree's slot plan
 // assigns it (no per-node vectors), in the layout of Algorithm 4.1's
-// node matrices; detail::fill_values then takes every slot's minimum,
-// as in an Algorithm 4.1 build.
+// node matrices. That arena becomes the returned engine's E+ values, one
+// slot minimum per slot, as in an Algorithm 4.1 build.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 
-#include "core/augment.hpp"
-#include "core/builder_recursive.hpp"  // ClosureKind, detail helpers
 #include "core/builder_scratch.hpp"
+#include "core/engine.hpp"
 #include "obs/trace.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
@@ -40,21 +39,22 @@ struct DoublingOptions {
   bool early_exit = true;
 };
 
-/// Builds E+ with Algorithm 4.3. The tree must decompose g's skeleton.
+/// Builds G+ with Algorithm 4.3 and returns the engine over it. The
+/// tree must decompose g's skeleton. The build certifies nothing: the
+/// engine keeps the per-query verification pass.
 template <Semiring S>
-Augmentation<S> build_augmentation_doubling(const Digraph& g,
-                                            const SeparatorTree& tree,
-                                            const DoublingOptions& options = {}) {
+SeparatorShortestPaths<S> build_augmentation_doubling(
+    const Digraph& g, const SeparatorTree& tree,
+    const DoublingOptions& options = {}) {
   using detail::kNpos;
 
   SEPSP_TRACE_SPAN("build.path_doubling");
   const pram::CostScope scope;
-  Augmentation<S> aug;
+  Augmentation aug;
   aug.plan = tree.eplus_plan();
   SEPSP_CHECK_MSG(aug.plan != nullptr,
                   "build_augmentation_doubling: tree not built by "
                   "build_separator_tree");
-  aug.levels = aug.plan->levels;
   aug.height = tree.height();
   aug.ell = leaf_diameter_bound(tree);
 
@@ -214,7 +214,7 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
   aug.critical_depth = iterations_run * per_iter_depth;
 
   // Step iii: extract the S x S and B x B group matrices into the slices
-  // the tree's slot plan assigns each node; fill_values keeps each
+  // the tree's slot plan assigns each node; the engine keeps each
   // slot's best and never reads a diagonal cell.
   const std::vector<std::size_t>& offsets = aug.plan->node_offset;
   std::vector<typename S::Value> entries(aug.plan->num_entries());
@@ -238,9 +238,9 @@ Augmentation<S> build_augmentation_doubling(const Digraph& g,
     SEPSP_DCHECK(out == entries.data() + offsets[id + 1]);
   });
 
-  detail::fill_values<S>(aug, entries);
   aug.build_cost = scope.cost();
-  return aug;
+  return detail::make_engine<S>(g, std::move(aug), /*cycle_certified=*/false,
+                                entries);
 }
 
 }  // namespace sepsp

@@ -34,14 +34,14 @@
 // runs light subtrees serially and forks the children of heavier nodes.
 // A build is two steps: detail::run_algorithm41 runs node_step on every
 // node in one tree_pass and copies the node's two matrices into its
-// slice; then one parallel pass takes each slot's minimum over its
-// owners (slot_min). The engine builds (SeparatorShortestPaths::build,
-// IncrementalEngine) write it once, straight into the engine's value
-// slabs beside the plan's slot array (SeparatorShortestPaths' slot-value
-// constructor); build_augmentation_recursive writes aug.values instead
-// (detail::fill_values). Algorithm 4.3 and Remark 4.4
-// (builder_doubling.hpp, builder_compact.hpp) write their V_H group
-// matrices in the same layout and finish through the same fill_values.
+// slice; then the engine's slot-value constructor takes each slot's
+// minimum over its owners (slot_min) in one parallel pass, straight
+// into the engine's value slabs beside the plan's slot array. Every
+// build ends in that step — SeparatorShortestPaths::build and
+// build_augmentation_recursive (core/engine.hpp), IncrementalEngine,
+// and Algorithm 4.3 and Remark 4.4 (builder_doubling.hpp,
+// builder_compact.hpp), which write their V_H group matrices in the same
+// layout — so every builder returns the engine over G+.
 // The incremental engine (core/incremental.cpp) keeps the arena, reruns
 // node_step in a tree_pass over the dirty nodes, diffs the two matrices
 // row by row against the node's slice and re-minimizes the slots of the
@@ -359,24 +359,26 @@ inline std::uint64_t critical_depth(const SeparatorTree& tree,
 /// Output of run_algorithm41. Node id's closed H_S and boundary matrix
 /// occupy entries[plan.node_offset[id], plan.node_offset[id + 1]) of
 /// aug.plan, as the plan lays them out; the off-diagonal cells are the
-/// node's entry values, not yet minimized per slot. aug.values stays
-/// empty in the engine builds; fill_values fills it for the free ones.
+/// node's entry values, not yet minimized per slot.
 template <Semiring S>
 struct TreeRun {
-  Augmentation<S> aug;
+  Augmentation aug;
   std::unique_ptr<typename S::Value[]> arena;  ///< owns `entries`
   std::span<typename S::Value> entries;
   /// Per node: what its node_step returned.
   std::vector<std::uint8_t> negative_diagonal;
+  /// The build's certificate, handed to the engine: G has no negative
+  /// cycle (Floyd–Warshall closures, no node with a negative diagonal).
+  bool cycle_free = false;
 };
 
 /// Algorithm 4.1 over the whole tree: node_step on every node in one
 /// tree_pass; node id copies its two matrices into its own slice. Fills
-/// plan, levels, height, ell and critical_depth, and sets cycle_free
-/// when the closures are Floyd–Warshall and no node has a negative
-/// diagonal. The squaring closure never certifies: its
-/// ceil(log2(|S| - 1)) squarings cover every simple path of H_S but not
-/// every simple cycle (a cycle through all of S needs |S| hops).
+/// plan, height, ell and critical_depth, and sets cycle_free when the
+/// closures are Floyd–Warshall and no node has a negative diagonal. The
+/// squaring closure never certifies: its ceil(log2(|S| - 1)) squarings
+/// cover every simple path of H_S but not every simple cycle (a cycle
+/// through all of S needs |S| hops).
 template <Semiring S>
 TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
                            ClosureKind closure) {
@@ -387,7 +389,6 @@ TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
   SEPSP_CHECK_MSG(run.aug.plan != nullptr,
                   "run_algorithm41: tree not built by build_separator_tree");
   const EplusPlan& plan = *run.aug.plan;
-  run.aug.levels = plan.levels;
   run.aug.height = tree.height();
   run.aug.ell = leaf_diameter_bound(tree);
   run.aug.critical_depth = critical_depth(tree, closure);
@@ -416,10 +417,10 @@ TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
     tree_pass(tree, subtree_work(tree), scratch_pool, 0,
               [](std::size_t) { return true; }, visit);
   }
-  run.aug.cycle_free = closure == ClosureKind::kFloydWarshall &&
-                       std::none_of(run.negative_diagonal.begin(),
-                                    run.negative_diagonal.end(),
-                                    [](std::uint8_t f) { return f != 0; });
+  run.cycle_free = closure == ClosureKind::kFloydWarshall &&
+                   std::none_of(run.negative_diagonal.begin(),
+                                run.negative_diagonal.end(),
+                                [](std::uint8_t f) { return f != 0; });
   return run;
 }
 
@@ -437,41 +438,6 @@ typename S::Value slot_min(const EplusPlan& plan, std::size_t slot,
   return best;
 }
 
-/// E+ from a build's entry arena: aug.values gets one value per slot of
-/// aug.plan, in plan order, the slot_min — zero() where no owner has a
-/// path. One parallel pass. The engine builds write the slot minima
-/// into their engine instead (SeparatorShortestPaths' slot-value
-/// constructor).
-template <Semiring S>
-void fill_values(Augmentation<S>& aug,
-                 std::span<const typename S::Value> entries) {
-  SEPSP_TRACE_SPAN("build.slot_min");
-  const EplusPlan& plan = *aug.plan;
-  SEPSP_CHECK(entries.size() == plan.num_entries());
-  aug.values.resize(plan.num_slots());
-  pram::ThreadPool::global().parallel_blocks(
-      0, aug.values.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t slot = lo; slot < hi; ++slot) {
-          aug.values[slot] = slot_min<S>(plan, slot, entries);
-        }
-      },
-      /*grain=*/std::size_t{1} << 14);
-}
-
 }  // namespace detail
-
-/// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
-template <Semiring S>
-Augmentation<S> build_augmentation_recursive(
-    const Digraph& g, const SeparatorTree& tree,
-    ClosureKind closure = ClosureKind::kSquaring) {
-  SEPSP_TRACE_SPAN("build.recursive");
-  const pram::CostScope scope;
-  detail::TreeRun<S> run = detail::run_algorithm41<S>(g, tree, closure);
-  detail::fill_values<S>(run.aug, run.entries);
-  run.aug.build_cost = scope.cost();
-  return std::move(run.aug);
-}
 
 }  // namespace sepsp

@@ -20,7 +20,12 @@
 // default TropicalD computes real-weight shortest paths. It is the
 // augmented graph G+ = (V, E u E+) and its query schedule in one class:
 // the base arcs and E+ as edge arrays, the bucket table, the leveled
-// walker and one counter ledger.
+// walker and one counter ledger. Every E+ builder returns one: build()
+// and build_augmentation_recursive (Algorithm 4.1, below),
+// build_augmentation_doubling (Algorithm 4.3) and
+// build_augmentation_compact (Remark 4.4) all end in the same step,
+// which turns the build's entry arena into the engine's E+ values with
+// one slot minimum per slot.
 //
 // Theorem 3.1's witness paths have the form
 //   [<= ell edges of E] [shortcuts with a bitonic level sequence]
@@ -56,7 +61,7 @@
 // Structural sharing: the pair structure of E+ is tree-only. Every
 // engine over the tree aliases the plan's slot array and owns only one
 // value per slot, in slab-chunked copy-on-write storage
-// (util/slab.hpp); an engine's Augmentation holds none. Two owners
+// (util/slab.hpp); its Augmentation is build metadata. Two owners
 // reach behind the public API: IncrementalEngine patches its live
 // engine's values in place and freezes O(#slabs) forks of it as
 // snapshots, and store::StoredEngine assembles an engine whose arrays
@@ -95,6 +100,18 @@ template <Semiring S>
 class StoredEngine;  // store/stored_engine.hpp
 }  // namespace store
 
+template <Semiring S = TropicalD>
+class SeparatorShortestPaths;
+
+namespace detail {
+/// The last step of every free E+ builder: the engine over `aug` whose
+/// E+ values are the slot minima of the build's entry arena.
+template <Semiring S>
+SeparatorShortestPaths<S> make_engine(
+    const Digraph& g, Augmentation aug, bool cycle_certified,
+    std::span<const typename S::Value> entries);
+}  // namespace detail
+
 /// Kernel selection for distances_batch(). `lanes` is the number of
 /// sources relaxed per edge load (compile-time-dispatched; one of 1, 2,
 /// 4, 8, 16, 32, or 0 for SeparatorShortestPaths::kBatchLanes).
@@ -106,7 +123,7 @@ struct BatchPolicy {
   std::size_t lanes = 0;
 };
 
-template <Semiring S = TropicalD>
+template <Semiring S>
 class SeparatorShortestPaths {
  public:
   using Value = typename S::Value;
@@ -120,7 +137,7 @@ class SeparatorShortestPaths {
     struct Query {
       /// Run the per-query negative-cycle verification pass (one full
       /// E u E+ scan per source) unless the build certified the graph
-      /// cycle-free (Augmentation::cycle_free). false skips it always —
+      /// cycle-free (cycle_certified()). false skips it always —
       /// sound when the caller knows the input is cycle-free (e.g.
       /// nonnegative weights).
       bool detect_negative_cycles = true;
@@ -132,12 +149,11 @@ class SeparatorShortestPaths {
   /// Preprocesses g against the given decomposition of its skeleton
   /// with Algorithm 4.1, closing each H_S by Floyd–Warshall — the
   /// closure IncrementalEngine uses, so both build one E+ bit for bit.
-  /// Algorithm 4.3 (build_augmentation_doubling) builds the same set;
-  /// wrap its result with from_augmentation(). Cost: Table 1
-  /// preprocessing row (O(n + n^{3 mu}) work for k^mu separator
-  /// families). The caller must keep `g` alive (and at a stable
-  /// address) for the engine's lifetime; the engine itself is safely
-  /// movable (its counters live behind a unique_ptr).
+  /// Algorithm 4.3 (build_augmentation_doubling) builds the same set.
+  /// Cost: Table 1 preprocessing row (O(n + n^{3 mu}) work for k^mu
+  /// separator families). The caller must keep `g` alive (and at a
+  /// stable address) for the engine's lifetime; the engine itself is
+  /// safely movable (its counters live behind a unique_ptr).
   static SeparatorShortestPaths build(const Digraph& g,
                                       const SeparatorTree& tree,
                                       const Options& options = {}) {
@@ -147,40 +163,8 @@ class SeparatorShortestPaths {
     detail::TreeRun<S> run =
         detail::run_algorithm41<S>(g, tree, ClosureKind::kFloydWarshall);
     run.aug.build_cost = scope.cost();
-    const bool certified = run.aug.cycle_free;
-    auto aug = std::make_shared<const Augmentation<S>>(std::move(run.aug));
-    // One pass over the slots writes each slot's minimum straight into
-    // the engine, E+'s one copy.
-    const EplusPlan& plan = *aug->plan;
-    return SeparatorShortestPaths(
-        g, std::move(aug), options, certified, [&](std::size_t slot) {
-          return detail::slot_min<S>(plan, slot, run.entries);
-        });
-  }
-
-  /// Wraps a precomputed augmentation (e.g. one Algorithm 4.3 built)
-  /// without rebuilding E+. `aug` must carry its tree's slot plan and
-  /// one value per plan slot, in plan order, as every free builder
-  /// leaves it; anything else aborts. The values move into the engine,
-  /// and the engine's augmentation keeps none. The engine freezes
-  /// aug.cycle_free: a certified augmentation's queries skip the
-  /// verification pass.
-  static SeparatorShortestPaths from_augmentation(const Digraph& g,
-                                                  Augmentation<S> aug,
-                                                  const Options& options = {}) {
-    SEPSP_CHECK(aug.levels.level.size() == g.num_vertices());
-    SEPSP_CHECK_MSG(aug.plan != nullptr,
-                    "from_augmentation: the augmentation has no slot plan");
-    SEPSP_CHECK_MSG(aug.values.size() == aug.plan->num_slots(),
-                    "from_augmentation: the augmentation's value count "
-                    "disagrees with its slot plan");
-    const bool certified = aug.cycle_free;
-    auto frozen = std::make_shared<Augmentation<S>>(std::move(aug));
-    SeparatorShortestPaths engine(
-        g, frozen, options, certified,
-        [&](std::size_t slot) { return frozen->values[slot]; });
-    frozen->values = {};
-    return engine;
+    return SeparatorShortestPaths(g, std::move(run.aug), options,
+                                  run.cycle_free, run.entries);
   }
 
   /// Immutable shared handle to an engine: the unit the serving runtime
@@ -195,9 +179,8 @@ class SeparatorShortestPaths {
   }
 
   const Digraph& graph() const { return *g_; }
-  /// Immutable structure with no values: E+'s values are
-  /// shortcut_edges().
-  const Augmentation<S>& augmentation() const { return *aug_; }
+  /// The build's metadata; E+'s values are shortcut_edges().
+  const Augmentation& augmentation() const { return *aug_; }
   /// The certificate frozen with this engine: true when the build proved
   /// the weighting free of negative cycles, so queries skip the
   /// verification pass (QueryResult::negative_cycle is then false).
@@ -331,9 +314,8 @@ class SeparatorShortestPaths {
     EngineStats st;
     st.num_vertices = g_->num_vertices();
     st.num_edges = g_->num_edges();
-    // Counted through the engine's arrays, not the augmentation: no
-    // engine's augmentation has values, and a stored engine's has no
-    // plan either (E+ lives in the image's segments).
+    // Counted through the engine's arrays: a stored engine's
+    // augmentation has no plan (E+ lives in the image's segments).
     st.eplus_edges = shortcut_.size();
     st.bucket_edges = shortcut_.size();
     st.height = aug_->height;
@@ -373,11 +355,15 @@ class SeparatorShortestPaths {
   friend class IncrementalEngine;
   template <Semiring>
   friend class store::StoredEngine;
+  template <Semiring T>
+  friend SeparatorShortestPaths<T> detail::make_engine(
+      const Digraph& g, Augmentation aug, bool cycle_certified,
+      std::span<const typename T::Value> entries);
 
   /// The one place the verification-pass decision is made: an engine
   /// with no edge arrays yet, over `aug`, freezing `cycle_certified`.
   SeparatorShortestPaths(const Digraph& g,
-                         std::shared_ptr<const Augmentation<S>> aug,
+                         std::shared_ptr<const Augmentation> aug,
                          const Options& options, bool cycle_certified)
       : g_(&g),
         aug_(std::move(aug)),
@@ -386,23 +372,23 @@ class SeparatorShortestPaths {
                        !cycle_certified),
         counters_(std::make_unique<Counters>(aug_->height + 1)) {}
 
-  /// The slot-value constructor. `aug` must carry its tree's slot plan.
-  /// E+ aliases the plan's slot array; slot s's value is slot_value(s),
-  /// called once per slot from the pool's threads in one parallel pass
-  /// — build() and IncrementalEngine pass the slot minimum over their
-  /// entry arena, from_augmentation() the free builder's value. The
-  /// engine's values are E+'s only copy.
-  template <typename SlotValue>
-  SeparatorShortestPaths(const Digraph& g,
-                         std::shared_ptr<const Augmentation<S>> aug,
+  /// The slot-value constructor, every build's last step. `entries` is
+  /// the build's entry arena, laid out by aug.plan (which must be set):
+  /// E+ aliases the plan's slot array, and slot s's value is
+  /// slot_min(s) over `entries`, one write per slot in one parallel
+  /// pass. The engine's values are E+'s only copy.
+  SeparatorShortestPaths(const Digraph& g, Augmentation aug,
                          const Options& options, bool cycle_certified,
-                         const SlotValue& slot_value)
-      : SeparatorShortestPaths(g, std::move(aug), options, cycle_certified) {
+                         std::span<const Value> entries)
+      : SeparatorShortestPaths(
+            g, std::make_shared<const Augmentation>(std::move(aug)), options,
+            cycle_certified) {
     SEPSP_TRACE_SPAN("build.buckets");
     plan_ = aug_->plan;
     SEPSP_DCHECK(plan_ != nullptr);
     const EplusPlan& plan = *plan_;
     SEPSP_CHECK(plan.num_levels() == std::size_t{aug_->height} + 1);
+    SEPSP_CHECK(entries.size() == plan.num_entries());
 
     // Base arcs, in CSR order (arc index = position).
     {
@@ -428,7 +414,9 @@ class SeparatorShortestPaths {
     pram::ThreadPool::global().parallel_blocks(
         0, plan.num_slots(),
         [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t s = lo; s < hi; ++s) values.init(s, slot_value(s));
+          for (std::size_t s = lo; s < hi; ++s) {
+            values.init(s, detail::slot_min<S>(plan, s, entries));
+          }
         },
         /*grain=*/std::size_t{1} << 14);
     shortcut_ = EdgeBucket<S>(
@@ -442,11 +430,13 @@ class SeparatorShortestPaths {
   /// page pins instead of owned vectors. The segments hold the heap
   /// engine's arrays verbatim, so this engine replays the exact same
   /// edge order and produces bit-identical distances. It is read-only:
-  /// the refresh hooks abort on it. `g`, `aug`, and the mapped image
-  /// behind `buckets` must outlive it.
+  /// the refresh hooks abort on it. `cycle_certified` is the image's
+  /// certificate flag. `g`, `aug`, and the mapped image behind `buckets`
+  /// must outlive it.
   static SeparatorShortestPaths from_store(
-      const Digraph& g, std::shared_ptr<const Augmentation<S>> aug,
-      const StoredBuckets<S>& buckets, const Options& options) {
+      const Digraph& g, std::shared_ptr<const Augmentation> aug,
+      const StoredBuckets<S>& buckets, const Options& options,
+      bool cycle_certified) {
     SEPSP_CHECK_MSG(
         buckets.bucket_offset.size() ==
                 EplusPlan::num_buckets(aug->height) + 1 &&
@@ -455,8 +445,7 @@ class SeparatorShortestPaths {
         "or the E+ count");
     SEPSP_CHECK_MSG(buckets.base.count == g.num_edges(),
                     "from_store: base bucket count != num_edges");
-    const bool certified = aug->cycle_free;
-    SeparatorShortestPaths out(g, std::move(aug), options, certified);
+    SeparatorShortestPaths out(g, std::move(aug), options, cycle_certified);
     out.base_ = EdgeBucket<S>::from_external(buckets.base);
     out.shortcut_ = EdgeBucket<S>::from_external(buckets.eplus);
     out.bucket_offset_ = buckets.bucket_offset;
@@ -813,12 +802,12 @@ class SeparatorShortestPaths {
 
   const Digraph* g_;
   /// Shared: a fork aliases its origin's (immutable) augmentation.
-  std::shared_ptr<const Augmentation<S>> aug_;
+  std::shared_ptr<const Augmentation> aug_;
   /// The slot plan whose slot array E+ aliases; null for a stored
   /// engine.
   std::shared_ptr<const EplusPlan> plan_;
-  // Frozen at construction, never re-read from aug_: a fork's aug_ is
-  // its IncrementalEngine's, which keeps the build's certificate.
+  // Frozen at construction: a fork freezes the certificate of the
+  // weighting it copies.
   bool cycle_certified_;
   bool detect_cycles_;
   EdgeBucket<S> base_;
@@ -827,5 +816,95 @@ class SeparatorShortestPaths {
   std::vector<std::uint64_t> bucket_offset_;
   std::unique_ptr<Counters> counters_;
 };
+
+namespace detail {
+template <Semiring S>
+SeparatorShortestPaths<S> make_engine(
+    const Digraph& g, Augmentation aug, bool cycle_certified,
+    std::span<const typename S::Value> entries) {
+  return SeparatorShortestPaths<S>(g, std::move(aug), {}, cycle_certified,
+                                   entries);
+}
+}  // namespace detail
+
+/// Builds G+ with Algorithm 4.1 and returns the engine over it. The
+/// tree must decompose g's skeleton. With Floyd–Warshall closures this
+/// is build(g, tree), E+ and certificate bit for bit; the squaring
+/// closure never certifies (run_algorithm41).
+template <Semiring S>
+SeparatorShortestPaths<S> build_augmentation_recursive(
+    const Digraph& g, const SeparatorTree& tree,
+    ClosureKind closure = ClosureKind::kSquaring) {
+  SEPSP_TRACE_SPAN("build.recursive");
+  const pram::CostScope scope;
+  detail::TreeRun<S> run = detail::run_algorithm41<S>(g, tree, closure);
+  run.aug.build_cost = scope.cost();
+  return detail::make_engine<S>(g, std::move(run.aug), run.cycle_free,
+                                run.entries);
+}
+
+/// Measured minimum-weight diameter of the augmented graph from one
+/// source: runs full-edge-set phases over the engine's base and E+
+/// arrays to convergence; the last phase that updated v is the minimum
+/// size of an optimal path to v. Returns the max over reached vertices
+/// (Theorem 3.1 / Figure 2 verification).
+template <Semiring S>
+std::size_t measure_shortcut_radius(const SeparatorShortestPaths<S>& engine,
+                                    Vertex source) {
+  using Value = typename S::Value;
+  const std::size_t n = engine.graph().num_vertices();
+  SEPSP_CHECK(source < n);
+
+  // Synchronous (Jacobi) relaxation: after phase k, dist[v] is exactly
+  // the best value over walks of at most k edges, so the last phase that
+  // updated v equals the minimum size of an optimal path to v.
+  std::vector<Value> dist(n, S::zero());
+  std::vector<std::size_t> last_update(n, 0);
+  dist[source] = S::one();
+  // "Significant" improvements only: floating-point polish (the same
+  // optimal value reached via a different summation order, differing by
+  // ~1e-15) must not count as a phase, or the measured radius reflects
+  // rounding instead of path structure.
+  auto significant = [](Value current, Value candidate) {
+    if constexpr (S::kDetectNegativeCycles) {
+      return S::detect_improves(current, candidate);
+    } else {
+      return S::improves(current, candidate);
+    }
+  };
+  std::vector<Value> next(n);
+  const auto relax_all = [&](const EdgeBucket<S>& edges) {
+    const Vertex* from = edges.from_data();
+    const Vertex* to = edges.to_data();
+    edges.for_each_values_run(
+        [&](std::size_t lo, std::size_t len, const Value* value) {
+          for (std::size_t i = 0; i < len; ++i) {
+            const Value du = dist[from[lo + i]];
+            if (!S::improves(S::zero(), du)) continue;
+            const Value cand = S::extend(du, value[i]);
+            if (S::improves(next[to[lo + i]], cand)) next[to[lo + i]] = cand;
+          }
+        });
+  };
+  for (std::size_t phase = 1;; ++phase) {
+    next.assign(dist.begin(), dist.end());
+    relax_all(engine.base_edges());
+    relax_all(engine.shortcut_edges());
+    bool changed = false;
+    for (Vertex v = 0; v < n; ++v) {
+      if (significant(dist[v], next[v])) {
+        last_update[v] = phase;
+        changed = true;
+      }
+    }
+    dist.swap(next);
+    if (!changed) break;
+    SEPSP_CHECK_MSG(phase <= 4 * n + 4,
+                    "radius measurement diverged (negative cycle?)");
+  }
+  std::size_t radius = 0;
+  for (Vertex v = 0; v < n; ++v) radius = std::max(radius, last_update[v]);
+  return radius;
+}
 
 }  // namespace sepsp

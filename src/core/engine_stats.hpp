@@ -1,7 +1,7 @@
 // Structural and cumulative runtime statistics of one
 // SeparatorShortestPaths engine — the payload of engine.stats().
 //
-// Structural fields (graph/augmentation/schedule shape, build cost) and
+// Structural fields (graph/E+/schedule shape, build metadata) and
 // the engine's own dynamic fields (query counters, batch lane
 // occupancy, per-level scans) are populated in every build mode; this
 // ledger is their only record. Only the four process-wide reads
@@ -42,9 +42,9 @@ struct EngineStats {
   std::uint64_t build_depth = 0;   ///< summed kernel phases of the build
   std::uint64_t critical_depth = 0;  ///< critical-path depth of the build
   /// The build certified no negative cycle, so queries skip the
-  /// verification pass (the engine's frozen copy of
-  /// Augmentation::cycle_free, or the image's certificate flag; false
-  /// for Algorithm 4.3).
+  /// verification pass (the engine's cycle_certified(): the build's
+  /// certificate, or the image's flag; false for Algorithm 4.3 and
+  /// Remark 4.4).
   bool cycle_certified = false;
   std::string simd_tier;  ///< active SIMD dispatch tier (scalar/sse/avx2/avx512)
   std::vector<EngineLevelStats> levels;

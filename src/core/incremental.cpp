@@ -33,8 +33,7 @@ struct IncrementalEngine::State {
   /// diagonal cell below one() (what detail::node_step returned), and how
   /// many nodes do. apply() refreshes the flags of exactly the nodes it
   /// recomputes; any other node's inputs did not change, so its flag
-  /// still holds. negative_nodes == 0 is the current certificate; the
-  /// augmentation keeps the build's.
+  /// still holds. negative_nodes == 0 is the current certificate.
   std::vector<std::uint8_t> negative_diagonal;
   std::size_t negative_nodes = 0;
 
@@ -71,7 +70,7 @@ struct IncrementalEngine::State {
 
   ApplyStats last_stats;
 
-  /// The live engine: the build's immutable augmentation (no values)
+  /// The live engine: the build's immutable metadata (augmentation())
   /// and E+'s one copy, patched in place by apply(). It always runs the
   /// verification pass; snapshot() freezes forks of it.
   std::optional<SeparatorShortestPaths<S>> engine;
@@ -227,10 +226,7 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   // weighting will change, so the live engine certifies nothing.
   const EplusPlan& plan = *s.plan;
   s.engine.emplace(SeparatorShortestPaths<S>(
-      g, std::make_shared<const Augmentation<S>>(std::move(run.aug)), {},
-      /*cycle_certified=*/false, [&](std::size_t slot) {
-        return detail::slot_min<S>(plan, slot, s.entries);
-      }));
+      g, std::move(run.aug), {}, /*cycle_certified=*/false, s.entries));
   s.slot_mark.assign(plan.num_slots(), 0);
   s.work = detail::subtree_work(tree);
   s.delta.resize(tree.num_nodes());
@@ -437,7 +433,7 @@ QueryResult<TropicalD> IncrementalEngine::distances(Vertex source) const {
   return state_->engine->distances(source);
 }
 
-const Augmentation<TropicalD>& IncrementalEngine::augmentation() const {
+const Augmentation& IncrementalEngine::augmentation() const {
   return state_->engine->augmentation();
 }
 

@@ -147,11 +147,11 @@ class IncrementalEngine {
   /// Single-source distances under the current weights.
   QueryResult<TropicalD> distances(Vertex source) const;
 
-  /// The build's structure: immutable, with no values and the build's
-  /// certificate. E+'s current values are
+  /// The build's metadata: immutable, shared by every snapshot. E+'s
+  /// current values are
   /// snapshot().engine->shortcut_edges(); the current certificate is
   /// snapshot().engine->cycle_certified().
-  const Augmentation<TropicalD>& augmentation() const;
+  const Augmentation& augmentation() const;
 
  private:
   IncrementalEngine() = default;

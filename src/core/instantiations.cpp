@@ -8,32 +8,44 @@
 
 namespace sepsp {
 
-template Augmentation<TropicalD> build_augmentation_recursive<TropicalD>(
-    const Digraph&, const SeparatorTree&, ClosureKind);
-template Augmentation<TropicalI> build_augmentation_recursive<TropicalI>(
-    const Digraph&, const SeparatorTree&, ClosureKind);
-template Augmentation<BooleanSR> build_augmentation_recursive<BooleanSR>(
-    const Digraph&, const SeparatorTree&, ClosureKind);
-template Augmentation<BottleneckSR> build_augmentation_recursive<BottleneckSR>(
-    const Digraph&, const SeparatorTree&, ClosureKind);
+template SeparatorShortestPaths<TropicalD>
+build_augmentation_recursive<TropicalD>(const Digraph&, const SeparatorTree&,
+                                        ClosureKind);
+template SeparatorShortestPaths<TropicalI>
+build_augmentation_recursive<TropicalI>(const Digraph&, const SeparatorTree&,
+                                        ClosureKind);
+template SeparatorShortestPaths<BooleanSR>
+build_augmentation_recursive<BooleanSR>(const Digraph&, const SeparatorTree&,
+                                        ClosureKind);
+template SeparatorShortestPaths<BottleneckSR>
+build_augmentation_recursive<BottleneckSR>(const Digraph&, const SeparatorTree&,
+                                           ClosureKind);
 
-template Augmentation<TropicalD> build_augmentation_doubling<TropicalD>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<TropicalI> build_augmentation_doubling<TropicalI>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<BooleanSR> build_augmentation_doubling<BooleanSR>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<BottleneckSR> build_augmentation_doubling<BottleneckSR>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
+template SeparatorShortestPaths<TropicalD>
+build_augmentation_doubling<TropicalD>(const Digraph&, const SeparatorTree&,
+                                       const DoublingOptions&);
+template SeparatorShortestPaths<TropicalI>
+build_augmentation_doubling<TropicalI>(const Digraph&, const SeparatorTree&,
+                                       const DoublingOptions&);
+template SeparatorShortestPaths<BooleanSR>
+build_augmentation_doubling<BooleanSR>(const Digraph&, const SeparatorTree&,
+                                       const DoublingOptions&);
+template SeparatorShortestPaths<BottleneckSR>
+build_augmentation_doubling<BottleneckSR>(const Digraph&, const SeparatorTree&,
+                                          const DoublingOptions&);
 
-template Augmentation<TropicalD> build_augmentation_compact<TropicalD>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<TropicalI> build_augmentation_compact<TropicalI>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<BooleanSR> build_augmentation_compact<BooleanSR>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
-template Augmentation<BottleneckSR> build_augmentation_compact<BottleneckSR>(
-    const Digraph&, const SeparatorTree&, const DoublingOptions&);
+template SeparatorShortestPaths<TropicalD>
+build_augmentation_compact<TropicalD>(const Digraph&, const SeparatorTree&,
+                                      const DoublingOptions&);
+template SeparatorShortestPaths<TropicalI>
+build_augmentation_compact<TropicalI>(const Digraph&, const SeparatorTree&,
+                                      const DoublingOptions&);
+template SeparatorShortestPaths<BooleanSR>
+build_augmentation_compact<BooleanSR>(const Digraph&, const SeparatorTree&,
+                                      const DoublingOptions&);
+template SeparatorShortestPaths<BottleneckSR>
+build_augmentation_compact<BottleneckSR>(const Digraph&, const SeparatorTree&,
+                                         const DoublingOptions&);
 
 // The engine's lane-width switch instantiates its walk at every
 // supported width.

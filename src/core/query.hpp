@@ -1,8 +1,7 @@
 // The types around the engine (core/engine.hpp): the outcome of one
 // query (QueryStats, QueryResult), the struct-of-arrays edge array the
 // leveled schedule streams (EdgeBucket, with the EdgeRange that names a
-// bucket inside it and the mapped-image views StoredBuckets assembles),
-// and the Theorem 3.1 radius probe (measure_shortcut_radius).
+// bucket inside it and the mapped-image views StoredBuckets assembles).
 //
 // Edges are stored struct-of-arrays (from[]/to[]/value[]): one
 // relaxation pass streams three flat arrays instead of chasing
@@ -18,8 +17,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/augment.hpp"
 #include "graph/digraph.hpp"
+#include "semiring/semiring.hpp"
+#include "separator/eplus_plan.hpp"
 #include "util/page_source.hpp"
 #include "util/slab.hpp"
 
@@ -221,71 +221,5 @@ struct EdgeRange {
 
   std::size_t size() const { return hi - lo; }
 };
-
-/// Measured minimum-weight diameter of the augmented graph from one
-/// source: runs full-edge-set phases to convergence; the last phase that
-/// updated v is the minimum size of an optimal path to v. Returns the
-/// max over reached vertices (Theorem 3.1 / Figure 2 verification).
-/// Reads `aug.values`, so `aug` must come from a free-function builder:
-/// an engine's augmentation has none.
-template <Semiring S>
-std::size_t measure_shortcut_radius(const Digraph& g,
-                                    const Augmentation<S>& aug,
-                                    Vertex source) {
-  using Value = typename S::Value;
-  SEPSP_CHECK_MSG(
-      aug.plan != nullptr && aug.values.size() == aug.plan->num_slots(),
-      "measure_shortcut_radius: the augmentation has no slot values");
-  const PairBlock& slots = aug.plan->slots;
-
-  // Synchronous (Jacobi) relaxation: after phase k, dist[v] is exactly
-  // the best value over walks of at most k edges, so the last phase that
-  // updated v equals the minimum size of an optimal path to v.
-  std::vector<Value> dist(g.num_vertices(), S::zero());
-  std::vector<std::size_t> last_update(g.num_vertices(), 0);
-  dist[source] = S::one();
-  // "Significant" improvements only: floating-point polish (the same
-  // optimal value reached via a different summation order, differing by
-  // ~1e-15) must not count as a phase, or the measured radius reflects
-  // rounding instead of path structure.
-  auto significant = [](Value current, Value candidate) {
-    if constexpr (S::kDetectNegativeCycles) {
-      return S::detect_improves(current, candidate);
-    } else {
-      return S::improves(current, candidate);
-    }
-  };
-  std::vector<Value> next(g.num_vertices());
-  for (std::size_t phase = 1;; ++phase) {
-    next.assign(dist.begin(), dist.end());
-    const auto relax = [&](Vertex u, Vertex v, Value w) {
-      if (!S::improves(S::zero(), dist[u])) return;
-      const Value cand = S::extend(dist[u], w);
-      if (S::improves(next[v], cand)) next[v] = cand;
-    };
-    for (Vertex u = 0; u < g.num_vertices(); ++u) {
-      for (const Arc& a : g.out(u)) relax(u, a.to, S::from_weight(a.weight));
-    }
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      relax(slots.from[s], slots.to[s], aug.values[s]);
-    }
-    bool changed = false;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if (significant(dist[v], next[v])) {
-        last_update[v] = phase;
-        changed = true;
-      }
-    }
-    dist.swap(next);
-    if (!changed) break;
-    SEPSP_CHECK_MSG(phase <= 4 * g.num_vertices() + 4,
-                    "radius measurement diverged (negative cycle?)");
-  }
-  std::size_t radius = 0;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    radius = std::max(radius, last_update[v]);
-  }
-  return radius;
-}
 
 }  // namespace sepsp

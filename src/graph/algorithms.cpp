@@ -53,121 +53,6 @@ BfsResult bfs(const Skeleton& s, Vertex source,
   return r;
 }
 
-Components connected_components(const Skeleton& s,
-                                std::span<const std::uint8_t> mask) {
-  const std::size_t n = s.num_vertices();
-  SEPSP_CHECK(mask.empty() || mask.size() == n);
-  Components c;
-  c.id.assign(n, Components::kNoComponent);
-  std::vector<Vertex> stack;
-  for (Vertex root = 0; root < n; ++root) {
-    if (c.id[root] != Components::kNoComponent) continue;
-    if (!mask.empty() && !mask[root]) continue;
-    const auto comp = static_cast<std::uint32_t>(c.count++);
-    c.size.push_back(0);
-    stack.push_back(root);
-    c.id[root] = comp;
-    while (!stack.empty()) {
-      const Vertex u = stack.back();
-      stack.pop_back();
-      ++c.size[comp];
-      for (const Vertex v : s.neighbors(u)) {
-        if (!mask.empty() && !mask[v]) continue;
-        if (c.id[v] == Components::kNoComponent) {
-          c.id[v] = comp;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  return c;
-}
-
-namespace {
-
-// Iterative Tarjan SCC frame.
-struct TarjanFrame {
-  Vertex v;
-  std::size_t arc_index;
-};
-
-}  // namespace
-
-SccResult strongly_connected_components(const Digraph& g) {
-  const std::size_t n = g.num_vertices();
-  SccResult result;
-  result.id.assign(n, static_cast<std::uint32_t>(-1));
-
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<Vertex> scc_stack;
-  std::vector<TarjanFrame> frames;
-  std::uint32_t next_index = 0;
-
-  for (Vertex root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back({root, 0});
-    while (!frames.empty()) {
-      auto& frame = frames.back();
-      const Vertex v = frame.v;
-      if (frame.arc_index == 0) {
-        index[v] = lowlink[v] = next_index++;
-        scc_stack.push_back(v);
-        on_stack[v] = 1;
-      }
-      const auto arcs = g.out(v);
-      bool descended = false;
-      while (frame.arc_index < arcs.size()) {
-        const Vertex w = arcs[frame.arc_index++].to;
-        if (index[w] == kUnvisited) {
-          frames.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) lowlink[v] = std::min(lowlink[v], index[w]);
-      }
-      if (descended) continue;
-      // All arcs processed: close v.
-      if (lowlink[v] == index[v]) {
-        const auto comp = static_cast<std::uint32_t>(result.count++);
-        for (;;) {
-          const Vertex w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = 0;
-          result.id[w] = comp;
-          if (w == v) break;
-        }
-      }
-      frames.pop_back();
-      if (!frames.empty()) {
-        const Vertex parent = frames.back().v;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-      }
-    }
-  }
-  return result;
-}
-
-std::optional<std::vector<Vertex>> topological_order(const Digraph& g) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> in_degree(n, 0);
-  for (const Arc& a : g.arcs()) ++in_degree[a.to];
-  std::vector<Vertex> order;
-  order.reserve(n);
-  for (Vertex v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) order.push_back(v);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (const Arc& a : g.out(order[head])) {
-      if (--in_degree[a.to] == 0) order.push_back(a.to);
-    }
-  }
-  if (order.size() != n) return std::nullopt;
-  return order;
-}
-
 bool is_connected(const Skeleton& s) {
   if (s.num_vertices() == 0) return true;
   const auto r = bfs(s, 0);

@@ -1,10 +1,8 @@
-// Classic graph traversals used across the library: BFS, connected
-// components on skeletons, strongly connected components, topological
-// order.
+// Classic graph traversals used across the library: BFS over digraphs
+// and (optionally masked) skeletons, and skeleton connectivity.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,29 +24,6 @@ BfsResult bfs(const Digraph& g, Vertex source);
 /// where mask[v] is true (mask empty = no restriction).
 BfsResult bfs(const Skeleton& s, Vertex source,
               std::span<const std::uint8_t> mask = {});
-
-/// Connected components of the skeleton; returns component id per vertex
-/// and the number of components. Optional mask restricts to a subset
-/// (masked-out vertices get id kNoComponent).
-struct Components {
-  static constexpr std::uint32_t kNoComponent = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> id;
-  std::size_t count = 0;
-  std::vector<std::size_t> size;  ///< per component
-};
-Components connected_components(const Skeleton& s,
-                                std::span<const std::uint8_t> mask = {});
-
-/// Tarjan strongly connected components (iterative). Components are
-/// numbered in reverse topological order of the condensation.
-struct SccResult {
-  std::vector<std::uint32_t> id;
-  std::size_t count = 0;
-};
-SccResult strongly_connected_components(const Digraph& g);
-
-/// Topological order of a DAG; nullopt if the graph has a cycle.
-std::optional<std::vector<Vertex>> topological_order(const Digraph& g);
 
 /// True if every vertex is reachable from every other in the skeleton.
 bool is_connected(const Skeleton& s);

@@ -18,13 +18,9 @@ std::vector<Vertex> HammockGraph::attachment_vertices() const {
   return out;
 }
 
-namespace {
-
-/// Shared body builder: `ring` joins hammocks pairwise with two edges
-/// closing a cycle; `!ring` joins consecutive hammocks with one bridge.
-HammockGraph build_hammocks(std::size_t num_hammocks, std::size_t rungs,
-                            const WeightModel& weights, Rng& rng, bool ring) {
-  SEPSP_CHECK(num_hammocks >= (ring ? 3u : 2u));
+HammockGraph make_hammock_ring(std::size_t num_hammocks, std::size_t rungs,
+                               const WeightModel& weights, Rng& rng) {
+  SEPSP_CHECK(num_hammocks >= 3);
   SEPSP_CHECK(rungs >= 2);
   const std::size_t n = 2 * rungs * num_hammocks;
 
@@ -51,23 +47,15 @@ HammockGraph build_hammocks(std::size_t num_hammocks, std::size_t rungs,
       const auto v = static_cast<Vertex>(base + i);
       ham.vertices[i] = v;
       out.hammock_of[v] = static_cast<std::uint32_t>(h);
-      if (ring) {
-        // Lay the ring on a circle; rungs fan outward.
-        const double angle =
-            2.0 * 3.14159265358979323846 *
-            (static_cast<double>(h) +
-             static_cast<double>(i / 2) / static_cast<double>(rungs)) /
-            static_cast<double>(num_hammocks);
-        const double radius = 100.0 + (i % 2 == 0 ? 0.0 : 10.0);
-        out.coords[v] = {radius * std::cos(angle), radius * std::sin(angle),
-                         0.0};
-      } else {
-        // Chain: left to right, two rails.
-        out.coords[v] = {
-            static_cast<double>(h) * (static_cast<double>(rungs) + 2.0) +
-                static_cast<double>(i / 2),
-            i % 2 == 0 ? 0.0 : 10.0, 0.0};
-      }
+      // Lay the ring on a circle; rungs fan outward.
+      const double angle =
+          2.0 * 3.14159265358979323846 *
+          (static_cast<double>(h) +
+           static_cast<double>(i / 2) / static_cast<double>(rungs)) /
+          static_cast<double>(num_hammocks);
+      const double radius = 100.0 + (i % 2 == 0 ? 0.0 : 10.0);
+      out.coords[v] = {radius * std::cos(angle), radius * std::sin(angle),
+                       0.0};
     }
     for (std::size_t r = 0; r < rungs; ++r) {
       const auto north = static_cast<Vertex>(base + 2 * r);
@@ -84,36 +72,16 @@ HammockGraph build_hammocks(std::size_t num_hammocks, std::size_t rungs,
                        static_cast<Vertex>(base + 2 * (rungs - 1)),    // NE
                        static_cast<Vertex>(base + 2 * rungs - 1)};     // SE
   }
-  if (ring) {
-    // Join consecutive hammocks east-corners -> next west-corners.
-    for (std::size_t h = 0; h < num_hammocks; ++h) {
-      const Hammock& cur = out.hammocks[h];
-      const Hammock& next = out.hammocks[(h + 1) % num_hammocks];
-      add_bi(cur.attachments[2], next.attachments[0]);
-      add_bi(cur.attachments[3], next.attachments[1]);
-    }
-  } else {
-    // Single bridges NE_h -- NW_{h+1}: detectable via biconnectivity.
-    for (std::size_t h = 0; h + 1 < num_hammocks; ++h) {
-      add_bi(out.hammocks[h].attachments[2],
-             out.hammocks[h + 1].attachments[0]);
-    }
+  // Join consecutive hammocks east-corners -> next west-corners.
+  for (std::size_t h = 0; h < num_hammocks; ++h) {
+    const Hammock& cur = out.hammocks[h];
+    const Hammock& next = out.hammocks[(h + 1) % num_hammocks];
+    add_bi(cur.attachments[2], next.attachments[0]);
+    add_bi(cur.attachments[3], next.attachments[1]);
   }
 
   out.graph = std::move(builder).build();
   return out;
-}
-
-}  // namespace
-
-HammockGraph make_hammock_ring(std::size_t num_hammocks, std::size_t rungs,
-                               const WeightModel& weights, Rng& rng) {
-  return build_hammocks(num_hammocks, rungs, weights, rng, /*ring=*/true);
-}
-
-HammockGraph make_hammock_chain(std::size_t num_hammocks, std::size_t rungs,
-                                const WeightModel& weights, Rng& rng) {
-  return build_hammocks(num_hammocks, rungs, weights, rng, /*ring=*/false);
 }
 
 }  // namespace sepsp

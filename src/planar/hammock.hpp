@@ -49,12 +49,4 @@ struct HammockGraph {
 HammockGraph make_hammock_ring(std::size_t num_hammocks, std::size_t rungs,
                                const WeightModel& weights, Rng& rng);
 
-/// Chain variant: hammocks joined by single bridge edges (NE_i -- NW_i+1)
-/// instead of the ring's double joins. The bridges make the hammock
-/// structure recoverable by pure graph algorithms (biconnected
-/// components; see hammock_detect.hpp), which the ring's 2-connected
-/// joins do not allow without SPQR machinery.
-HammockGraph make_hammock_chain(std::size_t num_hammocks, std::size_t rungs,
-                                const WeightModel& weights, Rng& rng);
-
 }  // namespace sepsp

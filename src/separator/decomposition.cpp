@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "pram/cost_model.hpp"
+#include "separator/finders.hpp"
 #include "util/check.hpp"
 
 namespace sepsp {
@@ -233,8 +234,7 @@ class TreeBuilderImpl {
         finder_(finder),
         options_(options),
         mask_(skeleton.num_vertices(), 0),
-        stamp_(skeleton.num_vertices(), 0),
-        flag_(skeleton.num_vertices(), 0) {
+        stamp_(skeleton.num_vertices(), 0) {
     SEPSP_CHECK(options.leaf_size >= 1);
   }
 
@@ -300,8 +300,9 @@ class TreeBuilderImpl {
       return true;
     }
     // 3. BFS-level fallback (works whenever some vertex has eccentricity
-    //    >= 2 in the induced subgraph).
-    s = bfs_level_separator(verts);
+    //    >= 2 in the induced subgraph): the BFS finder's separator,
+    //    without the balance check.
+    s = sanitize(bfs_finder_(ctx), verts);
     if (!s.empty() && bin_components(verts, s, side1, side2)) {
       separator = std::move(s);
       return true;
@@ -380,85 +381,6 @@ class TreeBuilderImpl {
     return !side1.empty() && !side2.empty();
   }
 
-  /// BFS from a pseudo-peripheral vertex; returns the smallest middle
-  /// level whose two sides are both non-empty (empty vector if the
-  /// induced eccentricity is < 2).
-  std::vector<Vertex> bfs_level_separator(const std::vector<Vertex>& verts) {
-    Vertex start = verts.front();
-    start = masked_bfs(verts, start).farthest;  // double sweep
-    const BfsLevels levels = masked_bfs(verts, start);
-    if (levels.max_level < 2) return {};
-    // flag_ holds the level of each subset vertex (epoch-checked).
-    std::vector<std::size_t> level_count(levels.max_level + 1, 0);
-    std::size_t reached = 0;
-    for (const Vertex v : verts) {
-      if (stamp_[v] == epoch_) {
-        ++level_count[flag_[v]];
-        ++reached;
-      }
-    }
-    // Prefer the thinnest level whose below/above vertex counts are both
-    // at least a quarter of the subset; if none qualifies, maximize the
-    // smaller side. Level-index balance alone is not enough: on wedge-
-    // shaped subsets most vertices sit in the last few levels.
-    const std::size_t quota = reached / 4;
-    std::uint32_t best = 1;
-    std::size_t best_size = static_cast<std::size_t>(-1);
-    std::uint32_t fallback = 1;
-    std::size_t fallback_min_side = 0;
-    std::size_t below = level_count[0];
-    for (std::uint32_t l = 1; l < levels.max_level; ++l) {
-      const std::size_t above = reached - below - level_count[l];
-      const std::size_t min_side = std::min(below, above);
-      if (min_side >= quota && level_count[l] < best_size) {
-        best_size = level_count[l];
-        best = l;
-      }
-      if (min_side > fallback_min_side) {
-        fallback_min_side = min_side;
-        fallback = l;
-      }
-      below += level_count[l];
-    }
-    if (best_size == static_cast<std::size_t>(-1)) best = fallback;
-    std::vector<Vertex> s;
-    s.reserve(level_count[best]);
-    for (const Vertex v : verts) {
-      if (stamp_[v] == epoch_ && flag_[v] == best) s.push_back(v);
-    }
-    return s;
-  }
-
-  struct BfsLevels {
-    Vertex farthest = kInvalidVertex;
-    std::uint32_t max_level = 0;
-  };
-
-  /// BFS within the mask; stores levels into flag_ (validated by stamp_).
-  BfsLevels masked_bfs(const std::vector<Vertex>& verts, Vertex start) {
-    (void)verts;
-    ++epoch_;
-    queue_.clear();
-    queue_.push_back(start);
-    stamp_[start] = epoch_;
-    flag_[start] = 0;
-    BfsLevels result{start, 0};
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const Vertex u = queue_[head];
-      for (const Vertex w : skeleton_.neighbors(u)) {
-        if (!mask_[w] || stamp_[w] == epoch_) continue;
-        stamp_[w] = epoch_;
-        flag_[w] = flag_[u] + 1;
-        queue_.push_back(w);
-        if (flag_[w] > result.max_level) {
-          result.max_level = flag_[w];
-          result.farthest = w;
-        }
-      }
-    }
-    return result;
-  }
-
   /// S = N(v) for a minimum-degree vertex v; side1 = {v}, side2 = rest.
   /// Succeeds iff some vertex is not adjacent to every other.
   std::vector<Vertex> min_degree_separator(const std::vector<Vertex>& verts,
@@ -526,10 +448,9 @@ class TreeBuilderImpl {
 
   std::vector<std::uint8_t> mask_;   // 1 iff vertex in current node
   std::vector<std::uint32_t> stamp_;  // visited epoch per vertex
-  std::vector<std::uint32_t> flag_;   // BFS level per vertex (epoch-gated)
   std::uint32_t epoch_ = 0;
-  std::vector<Vertex> queue_;
   std::vector<Vertex> comp_vertices_;
+  const SeparatorFinder bfs_finder_ = make_bfs_finder();  // step 3
 };
 
 SeparatorTree build_separator_tree(const Skeleton& skeleton,

@@ -37,10 +37,10 @@ struct ServiceOptions {
   unsigned dispatchers = 1;
 
   // --- distance cache -------------------------------------------------
-  /// Master switch; when false every request takes the miss path.
-  bool cache_enabled = true;
   /// Total byte budget across shards for cached distance vectors
-  /// (payload-accounted: n doubles + fixed per-entry overhead).
+  /// (payload-accounted: n doubles + fixed per-entry overhead). 0 turns
+  /// the cache off: an entry larger than its shard's budget is never
+  /// stored, so every request takes the miss path.
   std::size_t cache_capacity_bytes = std::size_t{64} << 20;
   /// Lock shards; higher values cut contention at the cost of slightly
   /// ragged per-shard LRU. Rounded up to a power of two.
@@ -54,7 +54,8 @@ struct ServiceOptions {
   /// submits resolve kInvalid: a caller that never sends st traffic
   /// pays nothing.
   bool point_to_point = true;
-  /// Byte budget of the (epoch, s, t)-keyed answer cache.
+  /// Byte budget of the (epoch, s, t)-keyed answer cache; 0 turns it
+  /// off.
   std::size_t st_cache_capacity_bytes = std::size_t{16} << 20;
   /// Lock shards of the st-cache; rounded up to a power of two.
   std::size_t st_cache_shards = 8;

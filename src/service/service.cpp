@@ -142,23 +142,21 @@ std::future<Reply> QueryService::submit(SingleSource request) {
     return rejected(ReplyStatus::kStopped, RequestKind::kSingleSource);
   }
 
-  if (opts_.cache_enabled) {
-    const Snapshot snap = current();
-    DistanceCache& cache = request.approx ? approx_cache_ : cache_;
-    if (auto value = cache.lookup(snap->epoch, source)) {
-      counters_.completed.fetch_add(1, std::memory_order_relaxed);
-      (request.approx ? counters_.approx_cache_hits : counters_.cache_hits)
-          .fetch_add(1, std::memory_order_relaxed);
-      Reply reply;
-      reply.epoch = snap->epoch;
-      reply.cache_hit = true;
-      reply.latency_ns = ns_between(t0, Clock::now());
-      if (request.approx) {
-        reply.error_bound = snap->approx->certified_error();
-      }
-      reply.value = std::move(value);
-      return ready(std::move(reply));
+  const Snapshot snap = current();
+  DistanceCache& cache = request.approx ? approx_cache_ : cache_;
+  if (auto value = cache.lookup(snap->epoch, source)) {
+    counters_.completed.fetch_add(1, std::memory_order_relaxed);
+    (request.approx ? counters_.approx_cache_hits : counters_.cache_hits)
+        .fetch_add(1, std::memory_order_relaxed);
+    Reply reply;
+    reply.epoch = snap->epoch;
+    reply.cache_hit = true;
+    reply.latency_ns = ns_between(t0, Clock::now());
+    if (request.approx) {
+      reply.error_bound = snap->approx->certified_error();
     }
+    reply.value = std::move(value);
+    return ready(std::move(reply));
   }
 
   Pending pending{source, std::promise<Reply>{}, t0, request.approx};
@@ -221,29 +219,25 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
 
   if (approx) {
     SEPSP_CHECK(snap->approx != nullptr);
-    std::shared_ptr<const CachedStAnswer> answer;
-    if (opts_.cache_enabled) {
-      answer = approx_st_cache_.lookup(snap->epoch, s, t);
-    }
+    std::shared_ptr<const CachedStAnswer> answer =
+        approx_st_cache_.lookup(snap->epoch, s, t);
     const bool hit = answer != nullptr;
     if (!hit) {
       // Resolve from the approximate single-source vector — cached, or
       // computed here and cached so the next source-s request (either
       // shape) reuses it.
       std::shared_ptr<const CachedDistances> vec =
-          opts_.cache_enabled ? approx_cache_.lookup(snap->epoch, s) : nullptr;
+          approx_cache_.lookup(snap->epoch, s);
       if (vec == nullptr) {
         auto fresh = std::make_shared<const CachedDistances>(
             CachedDistances{snap->approx->distances(s), false});
-        if (opts_.cache_enabled) approx_cache_.insert(snap->epoch, s, fresh);
+        approx_cache_.insert(snap->epoch, s, fresh);
         vec = std::move(fresh);
       }
       CachedStAnswer st;
       st.distance = vec->dist[t];
       auto owned = std::make_shared<const CachedStAnswer>(std::move(st));
-      if (opts_.cache_enabled) {
-        approx_st_cache_.insert(snap->epoch, s, t, owned);
-      }
+      approx_st_cache_.insert(snap->epoch, s, t, owned);
       answer = std::move(owned);
     }
     counters_.completed.fetch_add(1, std::memory_order_relaxed);
@@ -266,13 +260,11 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     return rejected(ReplyStatus::kFailed, kind, snap->epoch);
   }
 
-  std::shared_ptr<const CachedStAnswer> answer;
-  if (opts_.cache_enabled) {
-    answer = st_cache_.lookup(snap->epoch, s, t);
-    // A path request upgrades a distance-only entry: treat it as a miss
-    // and replace it with the path-carrying answer below.
-    if (want_path && answer != nullptr && !answer->has_path) answer = nullptr;
-  }
+  std::shared_ptr<const CachedStAnswer> answer =
+      st_cache_.lookup(snap->epoch, s, t);
+  // A path request upgrades a distance-only entry: treat it as a miss
+  // and replace it with the path-carrying answer below.
+  if (want_path && answer != nullptr && !answer->has_path) answer = nullptr;
   const bool hit = answer != nullptr;
   if (!hit) {
     CachedStAnswer fresh;
@@ -294,7 +286,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
       counters_.st_unpack_ns_max.fetch_max(unpack_ns);
     }
     auto owned = std::make_shared<const CachedStAnswer>(std::move(fresh));
-    if (opts_.cache_enabled) st_cache_.insert(snap->epoch, s, t, owned);
+    st_cache_.insert(snap->epoch, s, t, owned);
     answer = std::move(owned);
   }
   counters_.completed.fetch_add(1, std::memory_order_relaxed);
@@ -389,7 +381,7 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     if (answers.count(k) != 0) continue;
     DistanceCache& cache = p.approx ? approx_cache_ : cache_;
     std::shared_ptr<const CachedDistances> value =
-        opts_.cache_enabled ? cache.lookup(snap->epoch, p.source) : nullptr;
+        cache.lookup(snap->epoch, p.source);
     const bool miss = value == nullptr;
     if (miss) (p.approx ? approx_misses : misses).push_back(p.source);
     answers.emplace(k, Answer{std::move(value), miss});
@@ -402,7 +394,7 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     for (std::size_t i = 0; i < misses.size(); ++i) {
       auto value = std::make_shared<const CachedDistances>(CachedDistances{
           std::move(results[i].dist), results[i].negative_cycle});
-      if (opts_.cache_enabled) cache_.insert(snap->epoch, misses[i], value);
+      cache_.insert(snap->epoch, misses[i], value);
       answers[static_cast<std::uint64_t>(misses[i]) << 1].value =
           std::move(value);
     }
@@ -417,9 +409,7 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     for (std::size_t i = 0; i < approx_misses.size(); ++i) {
       auto value = std::make_shared<const CachedDistances>(CachedDistances{
           std::move(results[i].dist), results[i].negative_cycle});
-      if (opts_.cache_enabled) {
-        approx_cache_.insert(snap->epoch, approx_misses[i], value);
-      }
+      approx_cache_.insert(snap->epoch, approx_misses[i], value);
       answers[(static_cast<std::uint64_t>(approx_misses[i]) << 1) | 1].value =
           std::move(value);
     }

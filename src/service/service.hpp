@@ -272,7 +272,7 @@ class QueryService {
   /// Builds this epoch's hub labels (with next hops) from the two
   /// incremental engines and hangs them off `snap` — or leaves
   /// snap.labels null when either engine's snapshot is not certified
-  /// cycle-free (Augmentation::cycle_free). Called inside
+  /// cycle-free (cycle_certified()). Called inside
   /// apply_updates() between snapshot fork and publish — readers keep
   /// the previous snapshot for the whole build, so the cost shows up as
   /// epoch lag, never as swap latency.

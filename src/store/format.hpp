@@ -17,9 +17,9 @@
 // engine opened from the image replays the identical edge order and
 // produces bit-identical distances (the memcmp-enforced parity
 // contract every kernel in this repo obeys).
-// The header's kFlagCycleCertified bit carries the writer's
-// negative-cycle certificate (Augmentation::cycle_free as frozen into
-// the engine), so a stored engine skips the per-query verification
+// The header's kFlagCycleCertified bit carries the written engine's
+// negative-cycle certificate (SeparatorShortestPaths::cycle_certified()),
+// so a stored engine skips the per-query verification
 // pass exactly when the heap engine it was written from does.
 //
 // Layout:
@@ -51,7 +51,7 @@ inline constexpr std::uint32_t kMagic = 0x33504553;
 inline constexpr std::uint32_t kVersion = 6;
 
 /// Header::flags bits. Readers reject any bit outside kKnownFlags.
-inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< cycle_free
+inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< certified
 inline constexpr std::uint64_t kKnownFlags = kFlagCycleCertified;
 
 /// What one directory entry's payload is. From/to segments are Vertex

@@ -5,8 +5,8 @@
 // open() maps the image, validates the header and every directory
 // record against the file's byte bounds (malformed input returns
 // nullopt + reason, never a crash), materializes the small structural
-// state on the heap — the CSR graph, a value-less, level-less
-// Augmentation and the bucket table, O(n + m + height) bytes — and
+// state on the heap — the CSR graph, a plan-less Augmentation (the
+// build metadata) and the bucket table, O(n + m + height) bytes — and
 // builds the engine straight from the mapped buckets: its edge arrays
 // are external views into the mapping. Bucket sweeps then
 // resolve their bytes through page pins, so the resident set is bounded
@@ -17,10 +17,10 @@
 // to the heap engine the image was written from: the image stores the
 // heap engine's edge arrays and bucket table verbatim, and the kernels
 // scan them in the same order. The image's certificate flag is frozen the
-// way from_augmentation() freezes Augmentation::cycle_free: a certified
-// image's engine skips the per-query verification pass, an uncertified
-// one keeps it (if detect_negative_cycles asks), so replies match the
-// heap engine's in distances, negative_cycle, edges_scanned and phases.
+// way every build freezes its certificate: a certified image's engine
+// skips the per-query verification pass, an uncertified one keeps it (if
+// detect_negative_cycles asks), so replies match the heap engine's in
+// distances, negative_cycle, edges_scanned and phases.
 //
 // Lifetime: StoredEngine is a shared handle. snapshot() returns the
 // engine as SeparatorShortestPaths<S>::Snapshot whose control block
@@ -290,17 +290,14 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     impl->graph =
         std::make_unique<Digraph>(std::move(builder).build(false));
   }
-  auto aug = std::make_shared<Augmentation<S>>();
+  auto aug = std::make_shared<Augmentation>();
   aug->height = h.height;
   aug->ell = h.ell;
   aug->critical_depth = h.critical_depth;
   aug->build_cost.work = h.build_work;
   aug->build_cost.depth = h.build_depth;
-  aug->cycle_free = certified;
-  aug->levels.height = h.height;
-  // aug->plan stays null, aug->levels.level and, as in every engine,
-  // aug->values empty: no query reads vertex levels (the walk reads the
-  // bucket table), and E+ lives in the image's segments, read via
+  // aug->plan stays null: no query reads vertex levels (the walk reads
+  // the bucket table), and E+ lives in the image's segments, read via
   // shortcut_edges().
 
   // --- edge views -------------------------------------------------------
@@ -349,12 +346,13 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   }
 
   // --- assemble ----------------------------------------------------------
-  // The certificate freezes as in from_augmentation(): the verification
-  // pass runs only if detect_negative_cycles asks and the image is not
+  // The certificate freezes as in a heap build: the verification pass
+  // runs only if detect_negative_cycles asks and the image is not
   // certified.
   impl->engine = std::make_unique<SeparatorShortestPaths<S>>(
       SeparatorShortestPaths<S>::from_store(*impl->graph, std::move(aug),
-                                            buckets, options.engine));
+                                            buckets, options.engine,
+                                            certified));
   const SeparatorShortestPaths<S>& engine = *impl->engine;
   const ExternalBucketStore<Value>& eplus = buckets.eplus;
   for (std::uint32_t i = 0; i < options.hot_levels && i <= h.height; ++i) {

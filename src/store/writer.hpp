@@ -145,7 +145,7 @@ bool write_engine_image(const std::string& path,
                         std::string* error = nullptr) {
   using Value = typename S::Value;
   const Digraph& g = engine.graph();
-  const Augmentation<S>& aug = engine.augmentation();
+  const Augmentation& aug = engine.augmentation();
 
   // One directory entry and where its payload lives: a contiguous array
   // (backed by `pages` on a stored engine), or an owned bucket's value

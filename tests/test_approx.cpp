@@ -14,6 +14,7 @@
 
 #include "approx/approx.hpp"
 #include "baseline/dijkstra.hpp"
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -320,13 +321,11 @@ TEST(EngineFastPath, SkippingDetectionSavesScansAndStaysExact) {
   typename SeparatorShortestPaths<>::Options fast;
   fast.query.detect_negative_cycles = false;
   // The build certifies these positive weights cycle-free, which skips
-  // the pass already; an uncertified copy of its augmentation pays it.
-  auto uncertified = build_augmentation_recursive<TropicalD>(
-      gg.graph, tree, ClosureKind::kFloydWarshall);
-  ASSERT_TRUE(uncertified.cycle_free);
-  uncertified.cycle_free = false;
-  const auto checked =
-      SeparatorShortestPaths<>::from_augmentation(gg.graph, uncertified);
+  // the pass already; Algorithm 4.3 certifies nothing, so its engine
+  // pays it. The weights are integers: its distances are the exact
+  // build's.
+  const auto checked = build_augmentation_doubling<TropicalD>(gg.graph, tree);
+  ASSERT_FALSE(checked.cycle_certified());
   const auto unchecked = SeparatorShortestPaths<>::build(gg.graph, tree, fast);
   const auto certified = SeparatorShortestPaths<>::build(gg.graph, tree);
   const auto a = checked.distances(0);

@@ -2,8 +2,10 @@
 //   (i)  shortcut weights never undercut true distances, and distances
 //        in G+ equal distances in G,
 //   (ii) the min-weight diameter of G+ respects 4 d_G + 2 ell + 1,
-//   plus: both builders agree, every build lays E+ out one shortcut per
-//   plan slot with defined endpoint levels, shortcut weights are exactly
+//   plus: every builder returns an engine and they agree (Algorithm 4.1
+//   with Floyd–Warshall closures is build() bit for bit on every
+//   semiring), every build lays E+ out one shortcut per plan slot with
+//   defined endpoint levels, shortcut weights are exactly
 //   dist_{G(t)} on the node subgraphs, the E+ slot plan lays out exactly
 //   the pairs Algorithm 4.1 emits and its per-slot minimum reproduces a
 //   stable sort and per-pair combine of the raw emission bit for bit,
@@ -12,7 +14,7 @@
 //   lists every child position, node_step is bit
 //   for bit the textbook steps i-v, critical_depth is the level
 //   schedule's depth, and the negative-cycle certificate
-//   (Augmentation::cycle_free) agrees with a Bellman–Ford oracle.
+//   (cycle_certified()) agrees with a Bellman–Ford oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +29,8 @@
 #include "approx/approx.hpp"
 #include "baseline/negative_cycle.hpp"
 #include "core/builder_doubling.hpp"
-#include "core/builder_recursive.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
-#include "core/query.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 #include "store/stored_engine.hpp"
@@ -40,7 +40,7 @@ namespace sepsp {
 namespace {
 
 // An engine's E+ values, in slot order: its edge arrays hold the one
-// copy (an engine's augmentation has none).
+// copy.
 template <Semiring S>
 std::vector<typename S::Value> eplus_values(
     const SeparatorShortestPaths<S>& engine) {
@@ -99,9 +99,10 @@ std::vector<Family> families() {
 
 TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
   for (const Family& f : families()) {
-    const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
+    const auto values = eplus_values(
+        build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree));
     // Group slots by source to reuse one Dijkstra per source.
-    const PairBlock& slots = aug.plan->slots;
+    const PairBlock& slots = f.tree.eplus_plan()->slots;
     std::map<Vertex, std::vector<std::size_t>> by_source;
     for (std::size_t s = 0; s < slots.size(); ++s) {
       by_source[slots.from[s]].push_back(s);
@@ -109,7 +110,7 @@ TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
     for (const auto& [source, in_slots] : by_source) {
       const DijkstraResult dj = dijkstra(f.gg.graph, source);
       for (const std::size_t s : in_slots) {
-        EXPECT_GE(aug.values[s], dj.dist[slots.to[s]] - 1e-9)
+        EXPECT_GE(values[s], dj.dist[slots.to[s]] - 1e-9)
             << f.name << " shortcut " << source << "->" << slots.to[s];
       }
     }
@@ -118,16 +119,17 @@ TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
 
 TEST(Augmentation, ShortcutEndpointsHaveDefinedLevels) {
   for (const Family& f : families()) {
-    const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
+    const auto engine =
+        build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
     // One value per plan slot, in plan order; zero() slots included.
     const EplusPlan& plan = *f.tree.eplus_plan();
-    ASSERT_EQ(aug.plan.get(), &plan) << f.name;
-    ASSERT_EQ(aug.values.size(), plan.num_slots()) << f.name;
+    ASSERT_EQ(engine.augmentation().plan.get(), &plan) << f.name;
+    ASSERT_EQ(engine.shortcut_edges().size(), plan.num_slots()) << f.name;
     for (std::size_t i = 0; i < plan.num_slots(); ++i) {
       const Vertex u = plan.slots.from[i];
       const Vertex v = plan.slots.to[i];
-      EXPECT_TRUE(aug.levels.defined(u)) << f.name;
-      EXPECT_TRUE(aug.levels.defined(v)) << f.name;
+      EXPECT_TRUE(plan.levels.defined(u)) << f.name;
+      EXPECT_TRUE(plan.levels.defined(v)) << f.name;
       EXPECT_NE(u, v) << f.name;
     }
   }
@@ -145,14 +147,14 @@ void expect_same_value(double got, double want, const std::string& what) {
 TEST(Augmentation, Theorem31DiameterBound) {
   Rng pick(5);
   for (const Family& f : families()) {
-    const auto aug = build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
-    const std::size_t bound = aug.diameter_bound();
+    const auto engine =
+        build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree);
+    const std::size_t bound = engine.augmentation().diameter_bound();
     // Sample a few sources; the radius from each must respect the bound.
     for (int trial = 0; trial < 3; ++trial) {
       const auto source =
           static_cast<Vertex>(pick.next_below(f.gg.graph.num_vertices()));
-      const std::size_t radius =
-          measure_shortcut_radius(f.gg.graph, aug, source);
+      const std::size_t radius = measure_shortcut_radius(engine, source);
       EXPECT_LE(radius, bound) << f.name << " source " << source;
     }
   }
@@ -166,25 +168,28 @@ TEST(Augmentation, AugmentationShrinksRadiusDramatically) {
       make_path(257, WeightModel::uniform(1, 3), rng, /*bidirectional=*/true);
   const Skeleton skel(gg.graph);
   const SeparatorTree tree = build_separator_tree(skel, make_tree_finder());
-  const auto aug = build_augmentation_recursive<TropicalD>(gg.graph, tree);
-  const std::size_t radius = measure_shortcut_radius(gg.graph, aug, 0);
-  EXPECT_LE(radius, aug.diameter_bound());
+  const auto engine = build_augmentation_recursive<TropicalD>(gg.graph, tree);
+  const std::size_t radius = measure_shortcut_radius(engine, 0);
+  EXPECT_LE(radius, engine.augmentation().diameter_bound());
   EXPECT_LT(radius, 64u);   // log-ish, nowhere near 256
-  EXPECT_GE(aug.height, 6u);
+  EXPECT_GE(engine.augmentation().height, 6u);
 }
 
 TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
   for (const Family& f : families()) {
     const auto engine = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
     const std::vector<double> rec = eplus_values(engine);
-    const auto dbl = build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
+    const auto dbl_engine =
+        build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
+    const std::vector<double> dbl = eplus_values(dbl_engine);
     // The shortcut edge sets coincide (same Et definition, one plan);
     // values match.
-    ASSERT_EQ(engine.augmentation().plan, dbl.plan) << f.name;
-    ASSERT_EQ(rec.size(), dbl.values.size()) << f.name;
-    const PairBlock& slots = dbl.plan->slots;
+    ASSERT_EQ(engine.augmentation().plan, dbl_engine.augmentation().plan)
+        << f.name;
+    ASSERT_EQ(rec.size(), dbl.size()) << f.name;
+    const PairBlock& slots = engine.augmentation().plan->slots;
     for (std::size_t i = 0; i < rec.size(); ++i) {
-      expect_same_value(rec[i], dbl.values[i],
+      expect_same_value(rec[i], dbl[i],
                         f.name + " edge " + std::to_string(slots.from[i]) +
                             "->" + std::to_string(slots.to[i]));
     }
@@ -193,13 +198,13 @@ TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
 
 TEST(Augmentation, ClosureKindsAgree) {
   for (const Family& f : families()) {
-    const auto sq = build_augmentation_recursive<TropicalD>(
-        f.gg.graph, f.tree, ClosureKind::kSquaring);
-    const auto fw = build_augmentation_recursive<TropicalD>(
-        f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
-    ASSERT_EQ(sq.values.size(), fw.values.size()) << f.name;
-    for (std::size_t i = 0; i < sq.values.size(); ++i) {
-      expect_same_value(sq.values[i], fw.values[i], f.name);
+    const auto sq = eplus_values(build_augmentation_recursive<TropicalD>(
+        f.gg.graph, f.tree, ClosureKind::kSquaring));
+    const auto fw = eplus_values(build_augmentation_recursive<TropicalD>(
+        f.gg.graph, f.tree, ClosureKind::kFloydWarshall));
+    ASSERT_EQ(sq.size(), fw.size()) << f.name;
+    for (std::size_t i = 0; i < sq.size(); ++i) {
+      expect_same_value(sq[i], fw[i], f.name);
     }
   }
 }
@@ -237,6 +242,7 @@ TEST(Augmentation, CriticalDepthSumsTheDeepestNodePerLevel) {
       const std::uint64_t want = level_schedule_depth(f.tree, closure);
       EXPECT_EQ(build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree,
                                                         closure)
+                    .augmentation()
                     .critical_depth,
                 want)
           << f.name;
@@ -256,11 +262,13 @@ TEST(Augmentation, DoublingWithoutEarlyExitMatches) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({7, 7}));
   DoublingOptions full;
   full.early_exit = false;
-  const auto a = build_augmentation_doubling<TropicalD>(gg.graph, tree);
-  const auto b = build_augmentation_doubling<TropicalD>(gg.graph, tree, full);
-  ASSERT_EQ(a.values.size(), b.values.size());
-  for (std::size_t i = 0; i < a.values.size(); ++i) {
-    EXPECT_NEAR(a.values[i], b.values[i], 1e-12);
+  const auto a =
+      eplus_values(build_augmentation_doubling<TropicalD>(gg.graph, tree));
+  const auto b = eplus_values(
+      build_augmentation_doubling<TropicalD>(gg.graph, tree, full));
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_NEAR(a[i], b[i], 1e-12);
   }
 }
 
@@ -272,7 +280,8 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
   // Round weights to integers via TropicalI and compare with per-node FW.
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
-  const auto aug = build_augmentation_recursive<TropicalI>(gg.graph, tree);
+  const auto values =
+      eplus_values(build_augmentation_recursive<TropicalI>(gg.graph, tree));
   // Reference: the best per-node brute-force subgraph distance of every
   // emitted pair, kInf ("no path") included.
   std::map<std::pair<Vertex, Vertex>, long long> best;
@@ -302,12 +311,12 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
     emit(t.separator);
     emit(t.boundary);
   }
-  const PairBlock& slots = aug.plan->slots;
-  ASSERT_EQ(aug.values.size(), best.size());
+  const PairBlock& slots = tree.eplus_plan()->slots;
+  ASSERT_EQ(values.size(), best.size());
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const auto it = best.find({slots.from[s], slots.to[s]});
     ASSERT_NE(it, best.end());
-    EXPECT_EQ(aug.values[s], it->second)
+    EXPECT_EQ(values[s], it->second)
         << slots.from[s] << "->" << slots.to[s];
   }
 }
@@ -420,6 +429,7 @@ std::map<std::pair<Vertex, Vertex>, typename S::Value> combined_raw_emission(
 
 template <Semiring S>
 void expect_slot_min_matches_sort(const Family& f) {
+  using Value = typename S::Value;
   const auto want = combined_raw_emission<S>(f.gg.graph, f.tree);
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
   const auto got = eplus_values(engine);
@@ -431,6 +441,25 @@ void expect_slot_min_matches_sort(const Family& f) {
     ASSERT_EQ(std::memcmp(&got[i], &it->second, sizeof(it->second)), 0)
         << f.name << " shortcut " << i;
   }
+  // Algorithm 4.1's free builder with Floyd–Warshall closures returns
+  // build()'s engine: E+, certificate and distances bit for bit.
+  const auto free_built = build_augmentation_recursive<S>(
+      f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
+  const auto free_got = eplus_values(free_built);
+  ASSERT_EQ(free_got.size(), got.size()) << f.name;
+  EXPECT_EQ(std::memcmp(free_got.data(), got.data(),
+                        got.size() * sizeof(Value)),
+            0)
+      << f.name;
+  EXPECT_EQ(free_built.cycle_certified(), engine.cycle_certified()) << f.name;
+  const auto a = engine.distances(0);
+  const auto b = free_built.distances(0);
+  ASSERT_EQ(a.dist.size(), b.dist.size()) << f.name;
+  EXPECT_EQ(std::memcmp(a.dist.data(), b.dist.data(),
+                        a.dist.size() * sizeof(Value)),
+            0)
+      << f.name;
+  EXPECT_EQ(a.negative_cycle, b.negative_cycle) << f.name;
 }
 
 TEST(SlotPlan, SlotMinimumIsBitIdenticalToSortAndCombineOnAllSemirings) {
@@ -486,24 +515,24 @@ Family mixed_sign(const Family& f, std::uint64_t seed) {
 template <Semiring S>
 void expect_base_arcs_dominated(const Family& f) {
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
-  const Augmentation<S>& aug = engine.augmentation();
   const EdgeBucket<S>& eplus = engine.shortcut_edges();
-  const EplusPlan& plan = *aug.plan;
+  const EplusPlan& plan = *engine.augmentation().plan;
+  const LevelAssignment& levels = plan.levels;
   const auto& from = plan.slots.from;
   const auto& to = plan.slots.to;
   std::size_t checked = 0;
   for (const EdgeTriple& e : f.gg.graph.edge_list()) {
-    if (e.from == e.to || !aug.levels.defined(e.from) ||
-        !aug.levels.defined(e.to)) {
+    if (e.from == e.to || !levels.defined(e.from) ||
+        !levels.defined(e.to)) {
       continue;
     }
     // Every bucket is (from, to)-sorted: binary search the pair's.
-    const std::uint32_t lu = aug.levels.level[e.from];
-    const std::uint32_t lw = aug.levels.level[e.to];
+    const std::uint32_t lu = levels.level[e.from];
+    const std::uint32_t lw = levels.level[e.to];
     const EplusPlan::Kind kind = lu == lw  ? EplusPlan::kSame
                                  : lu > lw ? EplusPlan::kDown
                                            : EplusPlan::kUp;
-    const std::size_t k = EplusPlan::bucket_rank(kind, lu, aug.height);
+    const std::size_t k = EplusPlan::bucket_rank(kind, lu, levels.height);
     std::size_t lo = plan.bucket_offset[k];
     const std::size_t end = plan.bucket_offset[k + 1];
     std::size_t hi = end;
@@ -745,9 +774,8 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   const auto bwd = SeparatorShortestPaths<>::build(reversed, tree);
   EXPECT_EQ(fwd.augmentation().plan.get(), plan);
   EXPECT_EQ(bwd.augmentation().plan.get(), plan);
-  const auto wrapped = SeparatorShortestPaths<>::from_augmentation(
-      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
-  EXPECT_EQ(wrapped.augmentation().plan.get(), plan);
+  const auto dbl = build_augmentation_doubling<TropicalD>(gg.graph, tree);
+  EXPECT_EQ(dbl.augmentation().plan.get(), plan);
   IncrementalEngine inc = IncrementalEngine::build(gg.graph, tree);
   EXPECT_EQ(inc.augmentation().plan.get(), plan);
   ApproxEngine::Options opts;
@@ -756,23 +784,18 @@ TEST(SlotPlan, EnginesBuiltOnOneTreeShareOnePlan) {
   EXPECT_EQ(approx.engine().augmentation().plan.get(), plan);
 
   // Every engine keeps every plan slot, unreachable ones too, in its
-  // own edge arrays alone: no engine's augmentation holds values.
+  // own edge arrays.
   const auto expect_one_copy = [&](const auto& engine, const char* kind) {
-    EXPECT_TRUE(engine.augmentation().values.empty()) << kind;
     EXPECT_EQ(engine.stats().eplus_edges, plan->num_slots()) << kind;
   };
   expect_one_copy(fwd, "build");
   expect_one_copy(bwd, "build (reversed)");
-  expect_one_copy(wrapped, "from_augmentation");
+  expect_one_copy(dbl, "build_augmentation_doubling");
   expect_one_copy(approx.engine(), "ApproxEngine::engine()");
-  const auto expect_incremental = [&](const char* when) {
-    EXPECT_TRUE(inc.augmentation().values.empty()) << when;
-    expect_one_copy(*inc.snapshot().engine, when);
-  };
-  expect_incremental("IncrementalEngine");
+  expect_one_copy(*inc.snapshot().engine, "IncrementalEngine");
   inc.update_edge(0, 1, 100.0);
   inc.apply();
-  expect_incremental("IncrementalEngine after apply()");
+  expect_one_copy(*inc.snapshot().engine, "IncrementalEngine after apply()");
 
   const std::string path = ::testing::TempDir() + "sepsp_one_plan.img";
   std::string error;
@@ -805,12 +828,12 @@ TEST(SlotPlan, ConcurrentBuildsOnOneTreeAgree) {
 }
 
 TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
-  // Algorithm 4.3 lays its shortcuts out by the plan too, so its
-  // engine shares the bucket layout and answers like the exact one.
+  // Algorithm 4.3 lays its shortcuts out by the plan too, so the engine
+  // it returns shares the bucket layout and answers like the exact one.
   for (const Family& f : families()) {
     const auto exact = SeparatorShortestPaths<>::build(f.gg.graph, f.tree);
-    const auto dbl = SeparatorShortestPaths<>::from_augmentation(
-        f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree));
+    const auto dbl =
+        build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree);
     const auto last = static_cast<Vertex>(f.gg.graph.num_vertices() - 1);
     for (const Vertex s : {Vertex{0}, last}) {
       const auto want = exact.distances(s);
@@ -824,28 +847,6 @@ TEST(SlotPlan, QueryEngineWrapsAnAlgorithm43Build) {
       }
     }
   }
-}
-
-TEST(SlotPlanDeathTest, QueryEngineRejectsAnAugmentationOffItsPlan) {
-  // Slot order is structural (the buckets come from the plan), so what
-  // from_augmentation checks is that the augmentation has a plan and
-  // one value per slot. Re-executes the binary instead of forking it:
-  // the pool's workers are already running.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Family f = families()[0];
-  const auto aug = build_augmentation_recursive<TropicalD>(
-      f.gg.graph, f.tree, ClosureKind::kFloydWarshall);
-  auto planless = aug;
-  planless.plan = nullptr;
-  EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,
-                                                           planless),
-               "has no slot plan");
-  auto short_by_one = aug;
-  ASSERT_FALSE(short_by_one.values.empty());
-  short_by_one.values.pop_back();
-  EXPECT_DEATH(SeparatorShortestPaths<>::from_augmentation(f.gg.graph,
-                                                           short_by_one),
-               "disagrees with its slot plan");
 }
 
 // --- the negative-cycle certificate -----------------------------------
@@ -865,15 +866,15 @@ Digraph reweight(const Digraph& g, const WeightOf& weight_of,
   return std::move(b).build();
 }
 
-// Checks the certificate of the build and of the engine over g against
-// the oracle; returns the oracle's verdict.
+// Checks the certificate of the engines Algorithm 4.1 returns over g
+// against the oracle; returns the oracle's verdict.
 bool expect_certificate_matches_oracle(const Digraph& g,
                                        const SeparatorTree& tree,
                                        const std::string& what) {
   const bool oracle = !find_negative_cycle(g).has_value();
   EXPECT_EQ(build_augmentation_recursive<TropicalD>(
                 g, tree, ClosureKind::kFloydWarshall)
-                .cycle_free,
+                .cycle_certified(),
             oracle)
       << what;
   if (oracle) {
@@ -882,7 +883,7 @@ bool expect_certificate_matches_oracle(const Digraph& g,
     // the range of long long.
     EXPECT_TRUE(build_augmentation_recursive<TropicalI>(
                     g, tree, ClosureKind::kFloydWarshall)
-                    .cycle_free)
+                    .cycle_certified())
         << what;
   }
   const auto engine = SeparatorShortestPaths<>::build(g, tree);
@@ -1041,22 +1042,21 @@ TEST(CycleCertificate, RingAroundTheSeparatorIsCaughtByTheRootClosure) {
 
 TEST(CycleCertificate, OnlyFloydWarshallBuildsCertify) {
   // The squaring closure and Algorithm 4.3 carry no certificate, so
-  // engines wrapping them keep the verification pass.
+  // the engines they return keep the verification pass.
   Rng rng(14);
   const GeneratedGraph gg = make_grid({6, 6}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   EXPECT_TRUE(build_augmentation_recursive<TropicalD>(
                   gg.graph, tree, ClosureKind::kFloydWarshall)
-                  .cycle_free);
-  EXPECT_FALSE(build_augmentation_recursive<TropicalD>(
-                   gg.graph, tree, ClosureKind::kSquaring)
-                   .cycle_free);
+                  .cycle_certified());
+  const auto squaring = build_augmentation_recursive<TropicalD>(
+      gg.graph, tree, ClosureKind::kSquaring);
+  EXPECT_FALSE(squaring.cycle_certified());
+  EXPECT_TRUE(squaring.detects_negative_cycles());
   const auto dbl = build_augmentation_doubling<TropicalD>(gg.graph, tree);
-  EXPECT_FALSE(dbl.cycle_free);
-  const auto engine = SeparatorShortestPaths<>::from_augmentation(gg.graph, dbl);
-  EXPECT_FALSE(engine.cycle_certified());
-  EXPECT_TRUE(engine.detects_negative_cycles());
+  EXPECT_FALSE(dbl.cycle_certified());
+  EXPECT_TRUE(dbl.detects_negative_cycles());
   EXPECT_FALSE(
       SeparatorShortestPaths<>::build(gg.graph, tree).detects_negative_cycles());
 }

@@ -87,6 +87,20 @@ TEST(Decomposition, NullFinderFallbackChainStillValid) {
   const Skeleton skel(gg.graph);
   const SeparatorTree tree = build_separator_tree(skel, make_null_finder());
   expect_valid(tree, skel);
+  // The fallback is the BFS finder's routine, so every split comes from
+  // it either way: the two trees are identical node for node.
+  const SeparatorTree bfs = build_separator_tree(skel, make_bfs_finder());
+  ASSERT_EQ(tree.num_nodes(), bfs.num_nodes());
+  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+    const DecompNode& a = tree.node(id);
+    const DecompNode& b = bfs.node(id);
+    EXPECT_EQ(a.vertices, b.vertices) << "node " << id;
+    EXPECT_EQ(a.separator, b.separator) << "node " << id;
+    EXPECT_EQ(a.boundary, b.boundary) << "node " << id;
+    EXPECT_EQ(a.parent, b.parent) << "node " << id;
+    EXPECT_EQ(a.child, b.child) << "node " << id;
+    EXPECT_EQ(a.level, b.level) << "node " << id;
+  }
 }
 
 TEST(Decomposition, CompleteGraphBecomesOversizedLeafOrPeels) {

@@ -8,9 +8,7 @@
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/engine.hpp"
-#include "core/builder_recursive.hpp"
 #include "core/incremental.hpp"
-#include "core/query.hpp"
 #include "semiring/bitmatrix.hpp"
 #include "semiring/matrix.hpp"
 #include "graph/generators.hpp"
@@ -192,9 +190,10 @@ TEST(EdgeCases, MeasuredRadiusOnTrivialGraphs) {
   b.add_edge(0, 1, 1.0);
   const Digraph g = std::move(b).build();
   const SeparatorTree tree = tree_of(g, 2);
-  const auto aug = build_augmentation_recursive<TropicalD>(g, tree);
-  EXPECT_LE(measure_shortcut_radius(g, aug, 0), aug.diameter_bound());
-  EXPECT_EQ(measure_shortcut_radius(g, aug, 1), 0u);  // nothing reachable
+  const auto engine = build_augmentation_recursive<TropicalD>(g, tree);
+  EXPECT_LE(measure_shortcut_radius(engine, 0),
+            engine.augmentation().diameter_bound());
+  EXPECT_EQ(measure_shortcut_radius(engine, 1), 0u);  // nothing reachable
 }
 
 TEST(EdgeCases, BatchWithDuplicateSources) {

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -42,27 +41,33 @@ std::vector<Vertex> every_kth_vertex(std::size_t n, std::size_t k) {
 // --- Options ----------------------------------------------------------
 
 TEST(EngineOptions, NestedFieldsAreTheSourceOfTruth) {
-  // Algorithm 4.3 certifies nothing, so only the option decides whether
-  // the verification pass (one more phase, |E| + |E+| more scans) runs.
+  // A build over a negative cycle certifies nothing, so only the option
+  // decides whether the verification pass (one more phase, |E| + |E+|
+  // more scans) runs. Arc 0 -> 1 at -20 closes a negative 2-cycle; the
+  // skeleton, and so the tree, is unchanged.
   const Fixture f = make_fixture();
+  GraphBuilder builder(f.gg.graph.num_vertices());
+  for (const EdgeTriple& e : f.gg.graph.edge_list()) {
+    builder.add_edge(e.from, e.to,
+                     e.from == 0 && e.to == 1 ? -20.0 : e.weight);
+  }
+  const Digraph g = std::move(builder).build();
   SeparatorShortestPaths<>::Options opts;
   EXPECT_TRUE(opts.query.detect_negative_cycles);
-  const auto checked = SeparatorShortestPaths<>::from_augmentation(
-      f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree),
-      opts);
+  const auto checked = SeparatorShortestPaths<>::build(g, f.tree, opts);
   opts.query.detect_negative_cycles = false;
-  const auto unchecked = SeparatorShortestPaths<>::from_augmentation(
-      f.gg.graph, build_augmentation_doubling<TropicalD>(f.gg.graph, f.tree),
-      opts);
+  const auto unchecked = SeparatorShortestPaths<>::build(g, f.tree, opts);
+  EXPECT_FALSE(checked.cycle_certified());
   EXPECT_TRUE(checked.detects_negative_cycles());
   EXPECT_FALSE(unchecked.detects_negative_cycles());
   const auto a = checked.distances(0);
   const auto b = unchecked.distances(0);
   EXPECT_EQ(a.dist, b.dist);
+  EXPECT_TRUE(a.negative_cycle);
+  EXPECT_FALSE(b.negative_cycle);
   EXPECT_EQ(a.phases, b.phases + 1);
   EXPECT_EQ(a.edges_scanned,
-            b.edges_scanned + f.gg.graph.num_edges() +
-                checked.shortcut_edges().size());
+            b.edges_scanned + g.num_edges() + checked.shortcut_edges().size());
 }
 
 // --- batch entry points ----------------------------------------------

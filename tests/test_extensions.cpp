@@ -27,9 +27,7 @@ TEST(CompactBuilder, QueriesMatchDijkstra) {
   const GeneratedGraph gg = make_grid({9, 9}, WeightModel::uniform(1, 9), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
-  const auto aug = build_augmentation_compact<TropicalD>(gg.graph, tree);
-  const auto engine =
-      SeparatorShortestPaths<>::from_augmentation(gg.graph, aug);
+  const auto engine = build_augmentation_compact<TropicalD>(gg.graph, tree);
   for (const Vertex src : {Vertex{0}, Vertex{40}, Vertex{80}}) {
     const auto got = engine.distances(src);
     ASSERT_FALSE(got.negative_cycle);
@@ -51,16 +49,18 @@ TEST(CompactBuilder, ValuesBracketedByTrueDistAndPerNodeDist) {
   const auto per_node =
       build_augmentation_recursive<TropicalD>(gg.graph, tree);
   // Same edge set as the per-node builders: one plan, slot for slot.
-  ASSERT_EQ(compact.plan, per_node.plan);
-  ASSERT_EQ(compact.values.size(), per_node.values.size());
-  const PairBlock& slots = compact.plan->slots;
+  ASSERT_EQ(compact.augmentation().plan, per_node.augmentation().plan);
+  const EdgeBucket<TropicalD>& got = compact.shortcut_edges();
+  const EdgeBucket<TropicalD>& node = per_node.shortcut_edges();
+  ASSERT_EQ(got.size(), node.size());
+  const PairBlock& slots = compact.augmentation().plan->slots;
   std::map<Vertex, DijkstraResult> truth;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const Vertex u = slots.from[s];
     auto [it, inserted] = truth.try_emplace(u);
     if (inserted) it->second = dijkstra(gg.graph, u);
-    EXPECT_GE(compact.values[s], it->second.dist[slots.to[s]] - 1e-9);
-    EXPECT_LE(compact.values[s], per_node.values[s] + 1e-9);
+    EXPECT_GE(got.value(s), it->second.dist[slots.to[s]] - 1e-9);
+    EXPECT_LE(got.value(s), node.value(s) + 1e-9);
   }
 }
 
@@ -70,9 +70,7 @@ TEST(CompactBuilder, NegativeWeightsAndOtherSemirings) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({7, 7}));
   {
-    const auto aug = build_augmentation_compact<TropicalD>(gg.graph, tree);
-    const auto engine =
-        SeparatorShortestPaths<>::from_augmentation(gg.graph, aug);
+    const auto engine = build_augmentation_compact<TropicalD>(gg.graph, tree);
     const auto got = engine.distances(0);
     ASSERT_FALSE(got.negative_cycle);
     const auto want =
@@ -82,9 +80,7 @@ TEST(CompactBuilder, NegativeWeightsAndOtherSemirings) {
     }
   }
   {
-    const auto aug = build_augmentation_compact<BooleanSR>(gg.graph, tree);
-    const auto engine =
-        SeparatorShortestPaths<BooleanSR>::from_augmentation(gg.graph, aug);
+    const auto engine = build_augmentation_compact<BooleanSR>(gg.graph, tree);
     const auto got = engine.distances(0);
     for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
       EXPECT_EQ(got.dist[v], 1);  // grid is strongly connected

@@ -81,15 +81,13 @@ FuzzInstance random_instance(std::uint64_t seed) {
   return inst;
 }
 
-// The engine's own Algorithm 4.1 build, or an Algorithm 4.3 E+ wrapped
-// in an engine (from_augmentation).
+// The engine's own Algorithm 4.1 build, or the engine Algorithm 4.3
+// returns.
 SeparatorShortestPaths<> make_engine(const FuzzInstance& inst, bool doubling) {
   if (!doubling) {
     return SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
   }
-  return SeparatorShortestPaths<>::from_augmentation(
-      inst.gg.graph,
-      build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree));
+  return build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree);
 }
 
 TEST(Fuzz, FortyRandomConfigurations) {

@@ -1,4 +1,4 @@
-// Unit tests for skeletons, BFS, components, SCC, topological order.
+// Unit tests for skeletons, BFS and skeleton connectivity.
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
@@ -57,90 +57,6 @@ TEST(Bfs, SkeletonWithMask) {
   EXPECT_EQ(r.hops[1], 1u);                              // same side
   EXPECT_EQ(r.hops[2], BfsResult::kUnreachedHops);       // masked out
   EXPECT_EQ(r.hops[4], BfsResult::kUnreachedHops);       // across the cut
-}
-
-TEST(Components, CountsAndSizes) {
-  GraphBuilder b(6);
-  b.add_edge(0, 1, 1);
-  b.add_edge(2, 3, 1);
-  b.add_edge(3, 4, 1);
-  const Digraph g = std::move(b).build();
-  const Skeleton s(g);
-  const Components c = connected_components(s);
-  EXPECT_EQ(c.count, 3u);  // {0,1}, {2,3,4}, {5}
-  EXPECT_EQ(c.id[0], c.id[1]);
-  EXPECT_EQ(c.id[2], c.id[4]);
-  EXPECT_NE(c.id[0], c.id[2]);
-  std::vector<std::size_t> sizes = c.size;
-  std::sort(sizes.begin(), sizes.end());
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}));
-}
-
-TEST(Components, MaskRestricts) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1, 1);
-  b.add_edge(1, 2, 1);
-  const Digraph g = std::move(b).build();
-  const Skeleton s(g);
-  const std::vector<std::uint8_t> mask{1, 0, 1};
-  const Components c = connected_components(s, mask);
-  EXPECT_EQ(c.count, 2u);
-  EXPECT_EQ(c.id[1], Components::kNoComponent);
-}
-
-TEST(Scc, DecomposesMixedGraph) {
-  // Two 2-cycles joined by a one-way arc, plus a sink.
-  GraphBuilder b(5);
-  b.add_edge(0, 1, 1);
-  b.add_edge(1, 0, 1);
-  b.add_edge(1, 2, 1);
-  b.add_edge(2, 3, 1);
-  b.add_edge(3, 2, 1);
-  b.add_edge(3, 4, 1);
-  const Digraph g = std::move(b).build();
-  const SccResult r = strongly_connected_components(g);
-  EXPECT_EQ(r.count, 3u);
-  EXPECT_EQ(r.id[0], r.id[1]);
-  EXPECT_EQ(r.id[2], r.id[3]);
-  EXPECT_NE(r.id[0], r.id[2]);
-  EXPECT_NE(r.id[4], r.id[2]);
-}
-
-TEST(Scc, SingletonsOnDag) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1, 1);
-  b.add_edge(1, 2, 1);
-  b.add_edge(0, 3, 1);
-  const Digraph g = std::move(b).build();
-  const SccResult r = strongly_connected_components(g);
-  EXPECT_EQ(r.count, 4u);
-}
-
-TEST(Scc, LargeCycleIsOneComponent) {
-  Rng rng(3);
-  const GeneratedGraph gg = make_cycle(500, WeightModel::unit(), rng);
-  const SccResult r = strongly_connected_components(gg.graph);
-  EXPECT_EQ(r.count, 1u);
-}
-
-TEST(Topo, OrdersDagAndRejectsCycle) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1, 1);
-  b.add_edge(0, 2, 1);
-  b.add_edge(1, 3, 1);
-  b.add_edge(2, 3, 1);
-  const Digraph dag = std::move(b).build();
-  const auto order = topological_order(dag);
-  ASSERT_TRUE(order.has_value());
-  std::vector<std::size_t> pos(4);
-  for (std::size_t i = 0; i < order->size(); ++i) pos[(*order)[i]] = i;
-  for (const EdgeTriple& e : dag.edge_list()) {
-    EXPECT_LT(pos[e.from], pos[e.to]);
-  }
-
-  Rng rng(4);
-  const GeneratedGraph cyc = make_cycle(5, WeightModel::unit(), rng);
-  EXPECT_FALSE(topological_order(cyc.graph).has_value());
 }
 
 TEST(IsConnected, DetectsBothCases) {

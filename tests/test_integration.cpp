@@ -50,8 +50,7 @@ TEST(Integration, MixedSign3DGridFullPipeline) {
       build_separator_tree(Skeleton(gg.graph), make_grid_finder(dims));
   ASSERT_EQ(tree.validate(Skeleton(gg.graph)), std::nullopt);
 
-  const auto engine = SeparatorShortestPaths<>::from_augmentation(
-      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
+  const auto engine = build_augmentation_doubling<TropicalD>(gg.graph, tree);
   const auto johnson = Johnson::build(gg.graph);
   ASSERT_TRUE(johnson.has_value());
 

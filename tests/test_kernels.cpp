@@ -450,24 +450,27 @@ TEST(KernelParity, TropicalINegativeCycleSaturatesAtFloor) {
 /// and cost-model charges must all agree.
 template <typename BuildFn>
 void check_build_parity(const BuildFn& build) {
-  Augmentation<TropicalD> blocked, reference;
-  {
+  const auto blocked = [&] {
     KernelMode mode(true);
-    blocked = build();
-  }
-  {
+    return build();
+  }();
+  const auto reference = [&] {
     KernelMode mode(false);
-    reference = build();
-  }
-  ASSERT_EQ(blocked.plan, reference.plan);
-  ASSERT_EQ(blocked.values.size(), reference.values.size());
-  for (std::size_t i = 0; i < blocked.values.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(blocked.values[i]),
-              std::bit_cast<std::uint64_t>(reference.values[i]))
+    return build();
+  }();
+  ASSERT_EQ(blocked.augmentation().plan, reference.augmentation().plan);
+  const EdgeBucket<TropicalD>& a = blocked.shortcut_edges();
+  const EdgeBucket<TropicalD>& b = reference.shortcut_edges();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.value(i)),
+              std::bit_cast<std::uint64_t>(b.value(i)))
         << "shortcut " << i;
   }
-  EXPECT_EQ(blocked.build_cost.work, reference.build_cost.work);
-  EXPECT_EQ(blocked.critical_depth, reference.critical_depth);
+  EXPECT_EQ(blocked.augmentation().build_cost.work,
+            reference.augmentation().build_cost.work);
+  EXPECT_EQ(blocked.augmentation().critical_depth,
+            reference.augmentation().critical_depth);
 }
 
 TEST(KernelParity, EndToEndAugmentation) {

@@ -123,42 +123,41 @@ TEST_P(PropertySweep, DecompositionValidates) {
 }
 
 TEST_P(PropertySweep, ShortcutInvariants) {
-  const auto aug =
+  const auto engine =
       build_augmentation_recursive<TropicalD>(gg_.graph, tree_);
   // Endpoint levels defined; sampled value domination.
   Rng pick(5);
   std::map<Vertex, std::vector<double>> truth;
   std::size_t checked = 0;
-  const PairBlock& slots = aug.plan->slots;
+  const EplusPlan& plan = *engine.augmentation().plan;
+  const PairBlock& slots = plan.slots;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const Vertex u = slots.from[s];
     const Vertex v = slots.to[s];
-    ASSERT_TRUE(aug.levels.defined(u));
-    ASSERT_TRUE(aug.levels.defined(v));
+    ASSERT_TRUE(plan.levels.defined(u));
+    ASSERT_TRUE(plan.levels.defined(v));
     if (checked < 200 && pick.next_bool(0.1)) {
       auto [it, fresh] = truth.try_emplace(u);
       if (fresh) it->second = ground_truth(u);
-      EXPECT_GE(aug.values[s], it->second[v] - 1e-8);
+      EXPECT_GE(engine.shortcut_edges().value(s), it->second[v] - 1e-8);
       ++checked;
     }
   }
 }
 
 TEST_P(PropertySweep, Theorem31RadiusBound) {
-  const auto aug =
+  const auto engine =
       build_augmentation_recursive<TropicalD>(gg_.graph, tree_);
   for (const Vertex src : sample_sources(2)) {
-    EXPECT_LE(measure_shortcut_radius(gg_.graph, aug, src),
-              aug.diameter_bound());
+    EXPECT_LE(measure_shortcut_radius(engine, src),
+              engine.augmentation().diameter_bound());
   }
 }
 
 TEST_P(PropertySweep, AllQueryModesMatchGroundTruth) {
   const auto engine =
       GetParam().doubling
-          ? SeparatorShortestPaths<>::from_augmentation(
-                gg_.graph,
-                build_augmentation_doubling<TropicalD>(gg_.graph, tree_))
+          ? build_augmentation_doubling<TropicalD>(gg_.graph, tree_)
           : SeparatorShortestPaths<>::build(gg_.graph, tree_);
   for (const Vertex src : sample_sources(3)) {
     const std::vector<double> want = ground_truth(src);
@@ -178,9 +177,7 @@ TEST_P(PropertySweep, AllQueryModesMatchGroundTruth) {
 }
 
 TEST_P(PropertySweep, CompactBuilderMatches) {
-  const auto aug = build_augmentation_compact<TropicalD>(gg_.graph, tree_);
-  const auto engine =
-      SeparatorShortestPaths<>::from_augmentation(gg_.graph, aug);
+  const auto engine = build_augmentation_compact<TropicalD>(gg_.graph, tree_);
   const Vertex src = sample_sources(1)[0];
   const std::vector<double> want = ground_truth(src);
   const auto got = engine.distances(src);

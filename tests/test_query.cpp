@@ -82,9 +82,7 @@ class QuerySweep : public ::testing::TestWithParam<Case> {
     if (!GetParam().doubling) {
       return SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
     }
-    return SeparatorShortestPaths<>::from_augmentation(
-        inst.gg.graph,
-        build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree));
+    return build_augmentation_doubling<TropicalD>(inst.gg.graph, inst.tree);
   }
 };
 
@@ -216,8 +214,7 @@ TEST(Query, EnginesOverOneTreeShareTheSlotArray) {
     const EplusPlan& plan = *c.tree.eplus_plan();
     const auto exact = SeparatorShortestPaths<>::build(c.gg.graph, c.tree);
     expect_aliases_plan(exact, plan, c.name + " exact");
-    const auto dbl = SeparatorShortestPaths<>::from_augmentation(
-        c.gg.graph, build_augmentation_doubling<TropicalD>(c.gg.graph, c.tree));
+    const auto dbl = build_augmentation_doubling<TropicalD>(c.gg.graph, c.tree);
     expect_aliases_plan(dbl, plan, c.name + " 4.3");
     // The live engine of an IncrementalEngine, and so the forks its
     // snapshots freeze, share them too.

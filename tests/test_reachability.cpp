@@ -84,13 +84,13 @@ TEST(Reachability, AugmentationUsesBooleanShortcuts) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<BooleanSR>::build(gg.graph, tree);
-  const Augmentation<BooleanSR>& aug = engine.augmentation();
+  const LevelAssignment& levels = engine.augmentation().plan->levels;
   const EdgeBucket<BooleanSR>& eplus = engine.shortcut_edges();
   EXPECT_GT(eplus.size(), 0u);
   for (std::size_t s = 0; s < eplus.size(); ++s) {
     EXPECT_EQ(eplus.value(s), BooleanSR::one());
-    EXPECT_TRUE(aug.levels.defined(aug.plan->slots.from[s]));
-    EXPECT_TRUE(aug.levels.defined(aug.plan->slots.to[s]));
+    EXPECT_TRUE(levels.defined(eplus.from_data()[s]));
+    EXPECT_TRUE(levels.defined(eplus.to_data()[s]));
   }
 }
 
@@ -174,12 +174,13 @@ TEST(Reachability, BooleanEplusIsTropicalSupport) {
         build_augmentation_recursive<BooleanSR>(inst.g, inst.tree);
     const auto dist =
         build_augmentation_recursive<TropicalD>(inst.g, inst.tree);
-    ASSERT_EQ(reach.plan, dist.plan);
-    ASSERT_EQ(reach.values.size(), dist.values.size());
-    for (std::size_t i = 0; i < dist.values.size(); ++i) {
-      EXPECT_EQ(reach.values[i], std::isfinite(dist.values[i])
-                                     ? BooleanSR::one()
-                                     : BooleanSR::zero());
+    ASSERT_EQ(reach.augmentation().plan, dist.augmentation().plan);
+    const EdgeBucket<BooleanSR>& r = reach.shortcut_edges();
+    const EdgeBucket<TropicalD>& d = dist.shortcut_edges();
+    ASSERT_EQ(r.size(), d.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      EXPECT_EQ(r.value(i), std::isfinite(d.value(i)) ? BooleanSR::one()
+                                                      : BooleanSR::zero());
     }
   }
 }

@@ -106,8 +106,7 @@ TEST(SemiringEngines, BothBuildersAgreeOnBottleneck) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   const auto a = SeparatorShortestPaths<BottleneckSR>::build(gg.graph, tree);
-  const auto b = SeparatorShortestPaths<BottleneckSR>::from_augmentation(
-      gg.graph, build_augmentation_doubling<BottleneckSR>(gg.graph, tree));
+  const auto b = build_augmentation_doubling<BottleneckSR>(gg.graph, tree);
   const auto ra = a.distances(0);
   const auto rb = b.distances(0);
   EXPECT_EQ(ra.dist, rb.dist);

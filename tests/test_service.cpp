@@ -105,7 +105,8 @@ TEST(Service, CacheHitIsBitIdenticalAndShared) {
 TEST(Service, CacheDisabledNeverHits) {
   const Fixture f = make_grid_fixture(8, 3);
   ServiceOptions opts;
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   const Reply a = svc.query(5);
   const Reply b = svc.query(5);
@@ -122,7 +123,8 @@ TEST(Service, CoalescesQueuedRequestsIntoFullLaneGroups) {
   ServiceOptions opts;
   opts.lanes = 4;
   opts.dispatchers = 0;  // queue everything; stop() drains
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   std::vector<std::future<Reply>> futures;
   for (Vertex s = 0; s < 8; ++s) futures.push_back(svc.submit(s));
@@ -144,7 +146,8 @@ TEST(Service, DeduplicatesRepeatedSourcesWithinAGroup) {
   ServiceOptions opts;
   opts.lanes = 4;
   opts.dispatchers = 0;
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   std::vector<std::future<Reply>> futures;
   for (int i = 0; i < 4; ++i) futures.push_back(svc.submit(7));
@@ -175,7 +178,8 @@ TEST(Service, OneDispatchFansABacklogAcrossThePool) {
   ServiceOptions opts;
   opts.lanes = kLanes;
   opts.dispatchers = 0;  // queue everything; stop() drains
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   opts.max_queue = requests;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   std::vector<std::future<Reply>> futures;
@@ -199,7 +203,8 @@ TEST(Service, ShedsOnOverloadAndDrainsAdmittedOnStop) {
   opts.lanes = 4;
   opts.dispatchers = 0;
   opts.max_queue = 4;
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   std::vector<std::future<Reply>> futures;
   for (Vertex s = 0; s < 6; ++s) futures.push_back(svc.submit(s));
@@ -234,7 +239,8 @@ TEST(Service, FlushesPartialGroupAtDeadline) {
   ServiceOptions opts;
   opts.lanes = 8;
   opts.max_delay_us = 500;
-  opts.cache_enabled = false;
+  opts.cache_capacity_bytes = 0;  // caches off
+  opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
   // 3 requests never fill an 8-lane group; only the deadline flushes.
   std::vector<std::future<Reply>> futures;

@@ -25,9 +25,7 @@ TEST(Smoke, GridEndToEnd) {
   // in the same engine class.
   for (const bool doubling : {false, true}) {
     const auto engine =
-        doubling ? SeparatorShortestPaths<>::from_augmentation(
-                       gg.graph,
-                       build_augmentation_doubling<TropicalD>(gg.graph, tree))
+        doubling ? build_augmentation_doubling<TropicalD>(gg.graph, tree)
                  : SeparatorShortestPaths<>::build(gg.graph, tree);
     for (const Vertex source : {Vertex{0}, Vertex{40}, Vertex{80}}) {
       const QueryResult<TropicalD> got = engine.distances(source);

@@ -141,8 +141,7 @@ TEST(Store, UncertifiedAlgorithm43EngineKeepsThePass) {
       make_grid({9, 9}, WeightModel::uniform(1, 50), rng);
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
-  const auto heap = SeparatorShortestPaths<TropicalD>::from_augmentation(
-      gg.graph, build_augmentation_doubling<TropicalD>(gg.graph, tree));
+  const auto heap = build_augmentation_doubling<TropicalD>(gg.graph, tree);
   EXPECT_FALSE(heap.cycle_certified());
   expect_round_trip(heap, {0, 13, 40, 77, 80}, "alg43");
 }
