@@ -17,6 +17,9 @@
 // demand queued, and with a pool of two or more participants one
 // dispatch runs both groups in parallel.
 //
+// A hit-scaling row drives 1, 2 and 4 clients of pure cache hits (all
+// request shapes, warm caches) to show what concurrent hits cost.
+//
 // The scaling scenarios run one instance under a production-shaped
 // workload (workload.hpp): a dispatcher-scaling row (1 vs one
 // dispatcher per hardware thread under miss-heavy load — the knob that
@@ -432,6 +435,61 @@ int main(int argc, char** argv) {
     if (!identical) {
       std::cerr << "FAIL: cached reply is not bit-identical\n";
       return 1;
+    }
+  }
+
+  // --- hit scaling: pure cache hits from 1, 2 and 4 clients --------------
+  // A warm cache answers every request of every shape at submit time,
+  // so this measures the hit path alone: what concurrent clients pay
+  // when they hit the same hot keys at once.
+  {
+    ServiceOptions opts = make_options(8, /*cache=*/true);
+    opts.point_to_point = true;
+    opts.approx.enabled = true;
+    QueryService svc(IncrementalEngine::build(st_inst.gg.graph, st_inst.tree),
+                     opts);
+    const std::vector<std::pair<Vertex, Vertex>> hot =
+        pick_pairs(st_inst.n(), 16, 33);
+    constexpr std::size_t kShapes = 5;
+    const auto ask = [&](std::size_t shape, std::pair<Vertex, Vertex> p) {
+      const auto [s, t] = p;
+      switch (shape) {
+        case 0:
+          return svc.query(service::SingleSource{s});
+        case 1:
+          return svc.query(service::SingleSource{s, /*approx=*/true});
+        case 2:
+          return svc.query(StDistance{s, t});
+        case 3:
+          return svc.query(StDistance{s, t, /*approx=*/true});
+        default:
+          return svc.query(StPath{s, t});
+      }
+    };
+    for (const auto& p : hot) {
+      for (std::size_t shape = 0; shape < kShapes; ++shape) ask(shape, p);
+    }
+    for (const std::size_t clients : {1, 2, 4}) {
+      LoadResult r = run_closed_loop(clients, 5000, duration, [&](Rng& pick) {
+        return ask(pick.next_below(kShapes), hot[pick.next_below(hot.size())]);
+      });
+      const double hit_rate =
+          r.ok == 0 ? 0
+                    : static_cast<double>(r.cache_hits) /
+                          static_cast<double>(r.ok);
+      const double p50 = r.latency_us(0.50);
+      const double p999 = r.latency_us(0.999);
+      std::cout << "hit scaling: " << clients << " clients, " << r.qps()
+                << " qps, p50 " << p50 << " us, p99.9 " << p999
+                << " us, hit rate " << hit_rate << "\n";
+      json()
+          .row("hit_scaling")
+          .field("clients", static_cast<std::uint64_t>(clients))
+          .field("qps", r.qps())
+          .field("p50_us", p50)
+          .field("p999_us", p999)
+          .field("hit_rate", hit_rate)
+          .field("failed", r.failed);
     }
   }
 

@@ -14,8 +14,14 @@
 //
 // Admission control: push() reports failure instead of growing past
 // the configured bound; the caller sheds the request.
+//
+// The closed flag is an atomic written under the mutex: push() and
+// pop_batch() read it under the lock as before, and closed() reads it
+// with no lock at all, so the submit path's stopped check (taken on
+// every cache hit) never touches the queue mutex.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -48,7 +54,10 @@ class SubmitQueue {
   bool push(Pending&& p) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
+      if (closed_.load(std::memory_order_relaxed) ||
+          items_.size() >= capacity_) {
+        return false;
+      }
       items_.push_back(std::move(p));
       if (items_.size() > peak_) peak_ = items_.size();
     }
@@ -69,7 +78,10 @@ class SubmitQueue {
                  std::size_t max, std::chrono::microseconds max_delay) {
     out.clear();
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    const auto woken = [&] {
+      return closed_.load(std::memory_order_relaxed) || !items_.empty();
+    };
+    ready_.wait(lock, woken);
     if (items_.empty()) return false;  // closed and drained
     out.push_back(take_front());
     const auto deadline = out.front().enqueued + max_delay;
@@ -78,10 +90,8 @@ class SubmitQueue {
         out.push_back(take_front());
         continue;
       }
-      if (closed_ ||
-          ready_.wait_until(lock, deadline,
-                            [&] { return closed_ || !items_.empty(); }) ==
-              false) {
+      if (closed_.load(std::memory_order_relaxed) ||
+          !ready_.wait_until(lock, deadline, woken)) {
         break;  // deadline hit with nothing new — flush partial group
       }
       if (items_.empty()) break;  // woken by close()
@@ -97,15 +107,14 @@ class SubmitQueue {
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_release);
     }
     ready_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
+  /// Lock-free: a request that reads false here can still be rejected
+  /// by push(), whose check under the lock is the authoritative one.
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   std::size_t depth() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -130,7 +139,7 @@ class SubmitQueue {
   std::condition_variable ready_;
   std::deque<Pending> items_;
   std::size_t peak_ = 0;
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace sepsp::service

@@ -125,7 +125,6 @@ std::future<Reply> QueryService::submit(SingleSource request) {
   SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
   const Vertex source = request.source;
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   counters_.single_source.fetch_add(1, std::memory_order_relaxed);
   if (request.approx) {
     counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
@@ -142,19 +141,19 @@ std::future<Reply> QueryService::submit(SingleSource request) {
     return rejected(ReplyStatus::kStopped, RequestKind::kSingleSource);
   }
 
-  const Snapshot snap = current();
+  // A hit needs only the epoch to probe at, not the snapshot: every
+  // entry at that epoch was computed under its weighting.
+  const std::uint64_t epoch = published_epoch_.load(std::memory_order_acquire);
   DistanceCache& cache = request.approx ? approx_cache_ : cache_;
-  if (auto value = cache.lookup(snap->epoch, source)) {
-    counters_.completed.fetch_add(1, std::memory_order_relaxed);
+  if (auto value = cache.lookup(epoch, source)) {
     (request.approx ? counters_.approx_cache_hits : counters_.cache_hits)
         .fetch_add(1, std::memory_order_relaxed);
     Reply reply;
-    reply.epoch = snap->epoch;
+    reply.epoch = epoch;
     reply.cache_hit = true;
     reply.latency_ns = ns_between(t0, Clock::now());
-    if (request.approx) {
-      reply.error_bound = snap->approx->certified_error();
-    }
+    // The epoch's approximate engine certifies exactly opts_.approx.eps.
+    if (request.approx) reply.error_bound = opts_.approx.eps;
     reply.value = std::move(value);
     return ready(std::move(reply));
   }
@@ -192,7 +191,6 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
   const bool want_path = kind == RequestKind::kStPath;
-  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   (want_path ? counters_.st_path : counters_.st_distance)
       .fetch_add(1, std::memory_order_relaxed);
   if (approx) {
@@ -212,45 +210,59 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     return rejected(ReplyStatus::kStopped, kind);
   }
 
-  // One snapshot load answers the whole request: the epoch the cache is
-  // probed at is the epoch the labels belong to, so a reply can never
+  const auto reply_with = [&](std::uint64_t epoch, bool hit,
+                              std::shared_ptr<const CachedStAnswer> answer,
+                              double error_bound) {
+    Reply reply;
+    reply.kind = kind;
+    reply.epoch = epoch;
+    reply.cache_hit = hit;
+    reply.latency_ns = ns_between(t0, Clock::now());
+    reply.error_bound = error_bound;
+    reply.st = std::move(answer);
+    return ready(std::move(reply));
+  };
+
+  // A hit probes at the published epoch without loading the snapshot.
+  // It stays exact for a negative-cycle epoch: no exact st entry is
+  // ever inserted for an epoch without labels. A path request treats a
+  // distance-only entry as a miss and upgrades it with the
+  // path-carrying answer below.
+  const std::uint64_t epoch = published_epoch_.load(std::memory_order_acquire);
+  StCache& cache = approx ? approx_st_cache_ : st_cache_;
+  if (auto answer = cache.lookup(epoch, s, t);
+      answer != nullptr && (!want_path || answer->has_path)) {
+    (approx ? counters_.approx_st_hits : counters_.st_cache_hits)
+        .fetch_add(1, std::memory_order_relaxed);
+    return reply_with(epoch, /*hit=*/true, std::move(answer),
+                      approx ? opts_.approx.eps : 0.0);
+  }
+
+  // One snapshot load answers the whole miss: the epoch its answer is
+  // cached at is the epoch the labels belong to, so a reply can never
   // pair an answer with a weighting it was not computed under.
   const Snapshot snap = current();
 
   if (approx) {
     SEPSP_CHECK(snap->approx != nullptr);
-    std::shared_ptr<const CachedStAnswer> answer =
-        approx_st_cache_.lookup(snap->epoch, s, t);
-    const bool hit = answer != nullptr;
-    if (!hit) {
-      // Resolve from the approximate single-source vector — cached, or
-      // computed here and cached so the next source-s request (either
-      // shape) reuses it.
-      std::shared_ptr<const CachedDistances> vec =
-          approx_cache_.lookup(snap->epoch, s);
-      if (vec == nullptr) {
-        auto fresh = std::make_shared<const CachedDistances>(
-            CachedDistances{snap->approx->distances(s), false});
-        approx_cache_.insert(snap->epoch, s, fresh);
-        vec = std::move(fresh);
-      }
-      CachedStAnswer st;
-      st.distance = vec->dist[t];
-      auto owned = std::make_shared<const CachedStAnswer>(std::move(st));
-      approx_st_cache_.insert(snap->epoch, s, t, owned);
-      answer = std::move(owned);
+    // Resolve from the approximate single-source vector — cached, or
+    // computed here and cached so the next source-s request (either
+    // shape) reuses it.
+    std::shared_ptr<const CachedDistances> vec =
+        approx_cache_.lookup(snap->epoch, s);
+    if (vec == nullptr) {
+      auto fresh = std::make_shared<const CachedDistances>(
+          CachedDistances{snap->approx->distances(s), false});
+      approx_cache_.insert(snap->epoch, s, fresh);
+      vec = std::move(fresh);
     }
-    counters_.completed.fetch_add(1, std::memory_order_relaxed);
-    (hit ? counters_.approx_st_hits : counters_.approx_st_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    Reply reply;
-    reply.kind = kind;
-    reply.epoch = snap->epoch;
-    reply.cache_hit = hit;
-    reply.latency_ns = ns_between(t0, Clock::now());
-    reply.error_bound = snap->approx->certified_error();
-    reply.st = std::move(answer);
-    return ready(std::move(reply));
+    CachedStAnswer st;
+    st.distance = vec->dist[t];
+    auto owned = std::make_shared<const CachedStAnswer>(std::move(st));
+    approx_st_cache_.insert(snap->epoch, s, t, owned);
+    counters_.approx_st_misses.fetch_add(1, std::memory_order_relaxed);
+    return reply_with(snap->epoch, /*hit=*/false, std::move(owned),
+                      snap->approx->certified_error());
   }
 
   if (snap->labels == nullptr) {
@@ -260,45 +272,26 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     return rejected(ReplyStatus::kFailed, kind, snap->epoch);
   }
 
-  std::shared_ptr<const CachedStAnswer> answer =
-      st_cache_.lookup(snap->epoch, s, t);
-  // A path request upgrades a distance-only entry: treat it as a miss
-  // and replace it with the path-carrying answer below.
-  if (want_path && answer != nullptr && !answer->has_path) answer = nullptr;
-  const bool hit = answer != nullptr;
-  if (!hit) {
-    CachedStAnswer fresh;
-    const auto merge_begin = Clock::now();
-    fresh.distance = snap->labels->distance(s, t);
-    const std::uint64_t merge_ns = ns_between(merge_begin, Clock::now());
-    counters_.st_merge_ns_sum.fetch_add(merge_ns, std::memory_order_relaxed);
-    counters_.st_merge_ns_max.fetch_max(merge_ns);
-    if (want_path) {
-      const auto unpack_begin = Clock::now();
-      fresh.has_path = true;
-      if (fresh.distance !=
-          std::numeric_limits<double>::infinity()) {
-        fresh.path = snap->labels->route(s, t);
-      }
-      const std::uint64_t unpack_ns = ns_between(unpack_begin, Clock::now());
-      counters_.st_unpack_ns_sum.fetch_add(unpack_ns,
-                                           std::memory_order_relaxed);
-      counters_.st_unpack_ns_max.fetch_max(unpack_ns);
+  CachedStAnswer fresh;
+  const auto merge_begin = Clock::now();
+  fresh.distance = snap->labels->distance(s, t);
+  const std::uint64_t merge_ns = ns_between(merge_begin, Clock::now());
+  counters_.st_merge_ns_sum.fetch_add(merge_ns, std::memory_order_relaxed);
+  counters_.st_merge_ns_max.fetch_max(merge_ns);
+  if (want_path) {
+    const auto unpack_begin = Clock::now();
+    fresh.has_path = true;
+    if (fresh.distance != std::numeric_limits<double>::infinity()) {
+      fresh.path = snap->labels->route(s, t);
     }
-    auto owned = std::make_shared<const CachedStAnswer>(std::move(fresh));
-    st_cache_.insert(snap->epoch, s, t, owned);
-    answer = std::move(owned);
+    const std::uint64_t unpack_ns = ns_between(unpack_begin, Clock::now());
+    counters_.st_unpack_ns_sum.fetch_add(unpack_ns, std::memory_order_relaxed);
+    counters_.st_unpack_ns_max.fetch_max(unpack_ns);
   }
-  counters_.completed.fetch_add(1, std::memory_order_relaxed);
-  (hit ? counters_.st_cache_hits : counters_.st_cache_misses)
-      .fetch_add(1, std::memory_order_relaxed);
-  Reply reply;
-  reply.kind = kind;
-  reply.epoch = snap->epoch;
-  reply.cache_hit = hit;
-  reply.latency_ns = ns_between(t0, Clock::now());
-  reply.st = std::move(answer);
-  return ready(std::move(reply));
+  auto owned = std::make_shared<const CachedStAnswer>(std::move(fresh));
+  st_cache_.insert(snap->epoch, s, t, owned);
+  counters_.st_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  return reply_with(snap->epoch, /*hit=*/false, std::move(owned), 0.0);
 }
 
 void QueryService::dispatcher_loop() {
@@ -317,7 +310,6 @@ void QueryService::dispatcher_loop() {
 void QueryService::resolve(Pending& p, const Snapshot& snap,
                            std::shared_ptr<const CachedDistances> value,
                            bool hit) {
-  counters_.completed.fetch_add(1, std::memory_order_relaxed);
   if (p.approx) {
     (hit ? counters_.approx_cache_hits : counters_.approx_cache_misses)
         .fetch_add(1, std::memory_order_relaxed);
@@ -517,8 +509,6 @@ void QueryService::attach_approx(IncrementalEngine::Snapshot& snap) {
 
 ServiceStats QueryService::stats() const {
   ServiceStats out;
-  out.submitted = counters_.submitted.load(std::memory_order_relaxed);
-  out.completed = counters_.completed.load(std::memory_order_relaxed);
   out.shed = counters_.shed.load(std::memory_order_relaxed);
   out.stopped = counters_.stopped.load(std::memory_order_relaxed);
   out.invalid = counters_.invalid.load(std::memory_order_relaxed);
@@ -586,12 +576,20 @@ ServiceStats QueryService::stats() const {
       counters_.coalesce_ns_max.load(std::memory_order_relaxed);
   out.queue_depth = queue_.depth();
   out.queue_peak = queue_.peak_depth();
-  out.epoch = current()->epoch;
+  out.epoch = epoch();
   out.epoch_swaps = counters_.swaps.load(std::memory_order_relaxed);
   out.epoch_lag = counters_.epoch_lag.load(std::memory_order_relaxed);
   out.swap_ns_sum = counters_.swap_ns_sum.load(std::memory_order_relaxed);
   out.swap_ns_max = counters_.swap_ns_max.load(std::memory_order_relaxed);
   out.swap_ns_last = counters_.swap_ns_last.load(std::memory_order_relaxed);
+  // The two totals are derived, not stored: every request bumps exactly
+  // one per-kind admission count and, when it completes, exactly one
+  // hit/miss counter.
+  out.submitted = out.single_source + out.st_distance + out.st_path;
+  out.completed = out.cache_hits + out.cache_misses + out.st_cache_hits +
+                  out.st_cache_misses + out.approx_cache_hits +
+                  out.approx_cache_misses + out.approx_st_hits +
+                  out.approx_st_misses;
   return out;
 }
 

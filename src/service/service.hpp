@@ -153,7 +153,9 @@ class QueryService {
   std::uint64_t apply_updates(std::span<const EdgeUpdate> updates);
 
   /// Epoch of the snapshot queries are currently resolved against.
-  std::uint64_t epoch() const { return current()->epoch; }
+  std::uint64_t epoch() const {
+    return published_epoch_.load(std::memory_order_acquire);
+  }
 
   /// The snapshot new queries would use right now (shareable; useful
   /// for oracle comparisons in tests).
@@ -173,9 +175,11 @@ class QueryService {
   // dispatcher on every request, and adjacent plain atomics would
   // false-share — the submit-path fetch_adds of one core evicting the
   // line under all the others.
+  //
+  // `submitted` and `completed` are not counters: stats() derives them
+  // as the sums of the per-kind admission counts and of the eight
+  // hit/miss counters, so a request bumps two fewer ledger lines.
   struct Counters {
-    PaddedAtomicU64 submitted;
-    PaddedAtomicU64 completed;
     PaddedAtomicU64 shed;
     PaddedAtomicU64 stopped;
     PaddedAtomicU64 invalid;
@@ -192,15 +196,13 @@ class QueryService {
     PaddedAtomicU64 lane_capacity;
     PaddedAtomicU64 coalesce_ns_sum;
     PaddedAtomicU64 coalesce_ns_max;
-    // Per-kind admission counts (submitted = sum of the three).
+    // Per-kind admission counts (their sum is `submitted`).
     PaddedAtomicU64 single_source;
     PaddedAtomicU64 st_distance;
     PaddedAtomicU64 st_path;
     // Per-request st-cache accounting, disjoint from the single-source
-    // hit/miss pair. With the approximate pairs below:
-    // completed == cache_hits + cache_misses + st_cache_hits +
-    // st_cache_misses + approx_cache_hits + approx_cache_misses +
-    // approx_st_hits + approx_st_misses.
+    // hit/miss pair. With the approximate pairs below, their sum is
+    // `completed`.
     PaddedAtomicU64 st_cache_hits;
     PaddedAtomicU64 st_cache_misses;
     // Approximate-mode traffic (requests submitted with approx = true;
@@ -248,16 +250,22 @@ class QueryService {
   // embedded spin bit with relaxed ordering on the load path, which
   // ThreadSanitizer (correctly, per the formal model) reports as a
   // race against store. The lock is held only for the pointer copy —
-  // never while a successor snapshot is built — so readers still
-  // don't block on updates in any meaningful sense.
+  // never while a successor snapshot is built. Only misses, the
+  // dispatchers and apply_updates() read the cell: a cache hit needs
+  // just the epoch, which publish() also stores in published_epoch_.
   Snapshot current() const {
     std::lock_guard<std::mutex> lock(current_mutex_);
     return current_;
   }
 
+  // The epoch is stored under the cell's lock: a thread that reads a
+  // snapshot through current() (a miss, a dispatcher) happens-after
+  // the store, so no later hit can probe an older epoch than the one
+  // a reply has already named.
   void publish(Snapshot snap) {
     std::lock_guard<std::mutex> lock(current_mutex_);
     current_ = std::move(snap);
+    published_epoch_.store(current_->epoch, std::memory_order_release);
   }
 
   void dispatcher_loop();
@@ -306,6 +314,9 @@ class QueryService {
   std::mutex update_mutex_;     // serializes apply_updates()
   mutable std::mutex current_mutex_;  // guards the pointer copy only
   Snapshot current_;            // RCU-style cell readers copy
+  /// current_->epoch, readable without the lock: the cache-hit path's
+  /// probe key. On its own line: submits load it on every request.
+  PaddedAtomicU64 published_epoch_;
   DistanceCache cache_;
   StCache st_cache_;
   /// Approximate-mode answers, keyed by the same (epoch, source) /

@@ -15,8 +15,10 @@ namespace sepsp::service {
 
 struct ServiceStats {
   // --- requests ---------------------------------------------------------
-  std::uint64_t submitted = 0;  ///< submit() calls, all kinds
-  std::uint64_t completed = 0;  ///< replies resolved with kOk
+  /// submit() calls, all kinds; derived as the per-kind sum below.
+  std::uint64_t submitted = 0;
+  /// Replies resolved with kOk; derived as the hit/miss sum below.
+  std::uint64_t completed = 0;
   std::uint64_t shed = 0;       ///< rejected at admission (queue full)
   std::uint64_t stopped = 0;    ///< rejected because the service stopped
   /// Rejected as unservable client input (ReplyStatus::kInvalid).

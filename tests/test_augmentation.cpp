@@ -604,7 +604,9 @@ TEST(SlotPlan, GatherPlanListsEveryChildPosition) {
         }
         ASSERT_EQ(rows.size(), shared) << f.name << " node " << id;
         for (std::size_t k = 0; k < rows.size(); ++k) {
-          if (k > 0) EXPECT_LT(rows[k - 1], rows[k]) << f.name;
+          if (k > 0) {
+            EXPECT_LT(rows[k - 1], rows[k]) << f.name;
+          }
           ASSERT_LT(rows[k], t.boundary.size()) << f.name << " node " << id;
           ASSERT_LT(b_in[k], bc.size()) << f.name << " node " << id;
           EXPECT_EQ(bc[b_in[k]], t.boundary[rows[k]])

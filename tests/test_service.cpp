@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "approx/approx.hpp"
 #include "baseline/dijkstra.hpp"
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
@@ -234,6 +235,53 @@ TEST(Service, RejectsSubmissionsAfterStop) {
   EXPECT_EQ(svc.stats().stopped, 1u);
 }
 
+TEST(Service, CachedAnswersStillResolveStoppedAfterStop) {
+  // A hit takes no queue lock, yet stop() is still observable on it:
+  // sources and pairs the caches could answer resolve kStopped too.
+  const Fixture f = make_grid_fixture(8, 7);
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
+  ASSERT_TRUE(svc.query(9).ok());
+  ASSERT_TRUE(svc.query(9).cache_hit);
+  ASSERT_TRUE(svc.query(StPath{9, 50}).ok());
+  ASSERT_TRUE(svc.query(StPath{9, 50}).cache_hit);
+  svc.stop();
+  EXPECT_EQ(svc.query(9).status, ReplyStatus::kStopped);
+  EXPECT_EQ(svc.query(StDistance{9, 50}).status, ReplyStatus::kStopped);
+  EXPECT_EQ(svc.query(StPath{9, 50}).status, ReplyStatus::kStopped);
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.stopped, 3u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.stopped);
+}
+
+TEST(Service, ApproxHitErrorBoundEqualsItsMissCertifiedError) {
+  // A hit names the bound without loading the epoch's snapshot; it must
+  // be the very bound the miss read off the approximate engine.
+  const Fixture f = make_grid_fixture(8, 14);
+  ServiceOptions opts;
+  opts.point_to_point = false;
+  opts.approx.enabled = true;
+  opts.approx.eps = 0.3;
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
+  const double certified = svc.current_snapshot().approx->certified_error();
+
+  const Reply miss = svc.query(SingleSource{21, /*approx=*/true});
+  const Reply hit = svc.query(SingleSource{21, /*approx=*/true});
+  ASSERT_TRUE(miss.ok());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(miss.error_bound, certified);
+  EXPECT_EQ(hit.error_bound, miss.error_bound);
+
+  const Reply st_miss = svc.query(StDistance{21, 60, /*approx=*/true});
+  const Reply st_hit = svc.query(StDistance{21, 60, /*approx=*/true});
+  EXPECT_FALSE(st_miss.cache_hit);
+  EXPECT_TRUE(st_hit.cache_hit);
+  EXPECT_EQ(st_miss.error_bound, certified);
+  EXPECT_EQ(st_hit.error_bound, st_miss.error_bound);
+}
+
 TEST(Service, FlushesPartialGroupAtDeadline) {
   const Fixture f = make_grid_fixture(8, 8);
   ServiceOptions opts;
@@ -356,10 +404,10 @@ TEST(ServiceSt, StDistanceResolvesAtSubmitTimeAndMatchesDijkstra) {
   ServiceOptions opts;
   opts.dispatchers = 0;  // nothing drains the queue ...
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
-  for (const auto [s, t] : {std::pair<Vertex, Vertex>{0, 80},
-                            {17, 3},
-                            {44, 44},
-                            {80, 0}}) {
+  for (const auto& [s, t] : {std::pair<Vertex, Vertex>{0, 80},
+                             {17, 3},
+                             {44, 44},
+                             {80, 0}}) {
     std::future<Reply> fut = svc.submit(StDistance{s, t});
     // ... so a ready future proves submit-time resolution, no queue hop.
     ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
@@ -378,7 +426,7 @@ TEST(ServiceSt, StDistanceResolvesAtSubmitTimeAndMatchesDijkstra) {
 TEST(ServiceSt, StPathIsDijkstraExact) {
   const Fixture f = make_grid_fixture(8, 21);
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree));
-  for (const auto [s, t] :
+  for (const auto& [s, t] :
        {std::pair<Vertex, Vertex>{0, 63}, {9, 41}, {55, 2}}) {
     const Reply r = svc.query(StPath{s, t});
     ASSERT_TRUE(r.ok());

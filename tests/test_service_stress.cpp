@@ -37,6 +37,7 @@ using service::Reply;
 using service::ReplyStatus;
 using service::RequestKind;
 using service::ServiceOptions;
+using service::SingleSource;
 using service::StDistance;
 using service::StPath;
 
@@ -448,6 +449,150 @@ TEST(ServiceStress, MixedKindsRaceSwapsNeverServeStaleEpochs) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.st_cache_hits +
                 stats.st_cache_misses,
             stats.completed);
+}
+
+TEST(ServiceStress, HitHeavyRaceOnOneShardMatchesOracle) {
+  // The cache-hit path under contention: warm caches big enough for
+  // every answer, one shard each, so all hits of a kind fight over one
+  // shard lock while they probe at the published epoch with no
+  // snapshot load. Submitters share the same hot keys and send all
+  // four request shapes (exact and approximate single-source, exact
+  // and approximate st-distance, st-path) as an updater swaps integer
+  // weightings. Every reply must be right for the epoch it names, and
+  // no submitter may see its reply epochs go backwards.
+  const Fixture f = make_fixture(9, 6);
+  ServiceOptions opts;
+  opts.lanes = 4;
+  opts.max_delay_us = 100;
+  opts.dispatchers = 2;
+  opts.cache_shards = 1;
+  opts.st_cache_shards = 1;
+  opts.approx.enabled = true;
+  opts.approx.eps = 0.25;
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
+  EpochOracle oracle(f.gg.graph, {0, 13, 40, 67, 80});
+  const std::vector<Vertex> targets{5, 44, 80};
+
+  // dist <= got <= (1 + bound) * dist, up to rounding.
+  const auto within = [](double got, double want, double bound) {
+    return std::isinf(want) ? std::isinf(got)
+                            : got >= want - 1e-9 &&
+                                  got <= (1 + bound) * want + 1e-9;
+  };
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 1500;
+  constexpr std::size_t kShapes = 5;
+  std::atomic<std::uint64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Rng pick(170 + t);
+      std::uint64_t last_epoch = 0;
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::size_t idx = pick.next_below(oracle.pool().size());
+        const Vertex s = oracle.pool()[idx];
+        const Vertex target = targets[pick.next_below(targets.size())];
+        const std::size_t shape = (i + t) % kShapes;
+        const bool approx = shape == 1 || shape == 3;
+        Reply r;
+        switch (shape) {
+          case 0:
+          case 1:
+            r = svc.query(SingleSource{s, approx});
+            break;
+          case 2:
+          case 3:
+            r = svc.query(StDistance{s, target, approx});
+            break;
+          default:
+            r = svc.query(StPath{s, target});
+            break;
+        }
+        ASSERT_TRUE(r.ok());
+        EXPECT_GE(r.epoch, last_epoch) << "reply epochs went backwards";
+        last_epoch = r.epoch;
+        const auto* want = oracle.expected(r.epoch, idx);
+        ASSERT_NE(want, nullptr) << "unpublished epoch " << r.epoch;
+        EXPECT_EQ(r.error_bound, approx ? opts.approx.eps : 0.0);
+        switch (shape) {
+          case 0:
+            EXPECT_TRUE(bit_equal(r.dist(), *want)) << "epoch " << r.epoch;
+            break;
+          case 1:
+            for (std::size_t v = 0; v < want->size(); ++v) {
+              EXPECT_TRUE(within(r.dist()[v], (*want)[v], r.error_bound))
+                  << s << "->" << v << " epoch " << r.epoch;
+            }
+            break;
+          case 2:
+            EXPECT_EQ(r.distance(), (*want)[target]) << "epoch " << r.epoch;
+            break;
+          case 3:
+            EXPECT_TRUE(within(r.distance(), (*want)[target], r.error_bound))
+                << s << "->" << target << " epoch " << r.epoch;
+            break;
+          default:
+            EXPECT_EQ(r.distance(), (*want)[target]) << "epoch " << r.epoch;
+            EXPECT_EQ(oracle.path_weight(r.epoch, r.path()), r.distance())
+                << "epoch " << r.epoch;
+            break;
+        }
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  // Swaps are spaced so most requests hit between them.
+  std::atomic<bool> readers_done{false};
+  std::uint64_t epochs_applied = 0;
+  std::thread updater([&] {
+    const auto edges = f.gg.graph.edge_list();
+    Rng pick(13);
+    while (!readers_done.load(std::memory_order_acquire)) {
+      const EdgeTriple& edge = edges[pick.next_below(edges.size())];
+      const EdgeUpdate u{edge.from, edge.to,
+                         static_cast<double>(1 + pick.next_below(9))};
+      const std::uint64_t e = epochs_applied + 1;
+      oracle.advance(u, e);
+      ASSERT_EQ(svc.apply_updates(std::vector<EdgeUpdate>{u}), e);
+      epochs_applied = e;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (auto& t : readers) t.join();
+  readers_done.store(true, std::memory_order_release);
+  updater.join();
+
+  EXPECT_EQ(checked.load(), kThreads * kPerThread);  // zero lost
+  EXPECT_GT(epochs_applied, 0u);
+  // Each thread sends the five shapes round-robin: per shape,
+  // kPerThread / kShapes requests per thread.
+  constexpr std::uint64_t kPerShape = kThreads * kPerThread / kShapes;
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.stopped +
+                                 stats.invalid + stats.failed);
+  EXPECT_EQ(stats.completed, checked.load());
+  EXPECT_EQ(stats.single_source, 2 * kPerShape);
+  EXPECT_EQ(stats.st_distance, 2 * kPerShape);
+  EXPECT_EQ(stats.st_path, kPerShape);
+  EXPECT_EQ(stats.approx_requests, 2 * kPerShape);
+  EXPECT_EQ(stats.single_source + stats.st_distance + stats.st_path,
+            stats.submitted);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.st_cache_hits +
+                stats.st_cache_misses + stats.approx_cache_hits +
+                stats.approx_cache_misses + stats.approx_st_hits +
+                stats.approx_st_misses,
+            stats.completed);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.approx_cache_hits +
+                stats.approx_cache_misses,
+            stats.single_source);
+  EXPECT_EQ(stats.st_cache_hits + stats.st_cache_misses +
+                stats.approx_st_hits + stats.approx_st_misses,
+            stats.st_distance + stats.st_path);
+  EXPECT_GT(stats.cache_hits + stats.st_cache_hits + stats.approx_cache_hits +
+                stats.approx_st_hits,
+            0u);
 }
 
 TEST(ServiceStress, StopUnderLoadResolvesEveryFuture) {
