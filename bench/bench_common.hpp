@@ -113,7 +113,10 @@ class JsonReport {
     return field("kind", kind).field("rss_mb", MemorySample::now().rss_mb);
   }
   JsonReport& field(const std::string& key, const std::string& v) {
-    return raw(key, "\"" + escaped(v) + "\"");
+    std::string quoted(1, '"');
+    quoted += escaped(v);
+    quoted += '"';
+    return raw(key, std::move(quoted));
   }
   JsonReport& field(const std::string& key, const char* v) {
     return field(key, std::string(v));

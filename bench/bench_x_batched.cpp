@@ -119,8 +119,9 @@ void run_instance(const Instance& inst, Table& table) {
 }
 
 /// Batched throughput per SIMD dispatch tier at B = 8 and B = 16: the
-/// scalar tier is the PR 3 autovectorized lane loop, so the speedup
-/// column is the vector substrate's gain on the bucket sweeps alone.
+/// scalar tier is simd::bucket_sweep's lane loop, which takes the width
+/// at run time, so the speedup column is the vector substrate's gain on
+/// the bucket sweeps over that loop.
 void run_tier_instance(const Instance& inst, Table& table) {
   const auto engine = SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
   const std::size_t count =

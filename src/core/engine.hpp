@@ -39,14 +39,15 @@
 // O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford (kept for the
 // T1b ablation as distances_unscheduled()).
 //
-// One walker (walk<B>) runs that schedule for every entry point. Its
-// distance array is lane-major, dist[v * B + lane]: B = 1 is the scalar
-// query (distances, distances_into, distances_seeded) with its guarded
-// compare-then-store loop; B > 1 is the source-batched query
-// (distances_batch, Corollary 5.2's s-source workload), which relaxes B
-// sources per edge load through the dispatched SIMD kernels
-// (semiring/simd.hpp). Lanes never interact, so every lane's distances
-// and counters equal a scalar run of its own source.
+// One walker (walk) runs that schedule for every entry point, at a lane
+// width it takes at run time. Its distance array is lane-major,
+// dist[v * width + lane]: width 1 is the scalar query (distances,
+// distances_into, distances_seeded) with its guarded compare-then-store
+// loop; a wider walk is the source-batched query (distances_batch,
+// Corollary 5.2's s-source workload), which relaxes every lane per edge
+// load through simd::bucket_sweep (semiring/simd.hpp). Lanes never
+// interact, so every lane's distances and counters equal a scalar run
+// of its own source.
 //
 // Edges are stored struct-of-arrays (EdgeBucket, core/query.hpp). E+ is
 // one such array, its slots numbered in sweep order by the tree's slot
@@ -113,15 +114,24 @@ SeparatorShortestPaths<S> make_engine(
 }  // namespace detail
 
 /// Kernel selection for distances_batch(). `lanes` is the number of
-/// sources relaxed per edge load (compile-time-dispatched; one of 1, 2,
-/// 4, 8, 16, 32, or 0 for SeparatorShortestPaths::kBatchLanes).
-/// `{.lanes = 1}` is the per-source path: one independent scalar query
-/// per source — the baseline the batched kernel is benchmarked against,
-/// and the right choice when sources cannot amortize a shared edge
-/// stream.
+/// sources relaxed per edge load (a lane width, see is_lane_width, or 0
+/// for SeparatorShortestPaths::kBatchLanes). `{.lanes = 1}` is the
+/// per-source path: one independent scalar query per source — the
+/// baseline the batched kernel is benchmarked against, and the right
+/// choice when sources cannot amortize a shared edge stream.
 struct BatchPolicy {
   std::size_t lanes = 0;
 };
+
+/// The widest lane block; it sizes the walk's per-lane arrays.
+inline constexpr std::size_t kMaxLanes = 32;
+
+/// The lane widths a batched query runs (BatchPolicy::lanes,
+/// ServiceOptions::lanes): the powers of two up to kMaxLanes, i.e. 1, 2,
+/// 4, 8, 16 and 32.
+constexpr bool is_lane_width(std::size_t lanes) {
+  return lanes != 0 && lanes <= kMaxLanes && (lanes & (lanes - 1)) == 0;
+}
 
 template <Semiring S>
 class SeparatorShortestPaths {
@@ -237,7 +247,7 @@ class SeparatorShortestPaths {
     std::fill(out.begin(), out.end(), S::zero());
     out[source] = S::one();
     QueryStats s;
-    walk<1>(out.data(), {&s, 1});
+    walk(out.data(), 1, {&s, 1});
     return s;
   }
 
@@ -247,29 +257,26 @@ class SeparatorShortestPaths {
   /// running in parallel on the thread pool; `{.lanes = 1}` runs one
   /// scalar query per source. Per-source results are identical either
   /// way — distances bit for bit, counters and negative-cycle flag too:
-  /// lanes never interact. This switch is the one place a runtime lane
-  /// width becomes a compile-time one.
+  /// lanes never interact.
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
-    switch (policy.lanes == 0 ? kBatchLanes : policy.lanes) {
-      case 1:
-        return batch_impl<1>(sources);
-      case 2:
-        return batch_impl<2>(sources);
-      case 4:
-        return batch_impl<4>(sources);
-      case 8:
-        return batch_impl<8>(sources);
-      case 16:
-        return batch_impl<16>(sources);
-      case 32:
-        return batch_impl<32>(sources);
-      default:
-        SEPSP_CHECK_MSG(false,
-                        "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
-                        "(or 0 for the engine default)");
-        return {};
-    }
+    const std::size_t width = policy.lanes == 0 ? kBatchLanes : policy.lanes;
+    SEPSP_CHECK_MSG(is_lane_width(width),
+                    "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
+                    "(or 0 for the engine default)");
+    std::vector<QueryResult<S>> results(sources.size());
+    if (sources.empty()) return results;
+    const std::size_t blocks = (sources.size() + width - 1) / width;
+    pram::ThreadPool::global().parallel_for(
+        0, blocks,
+        [&](std::size_t blk) {
+          const std::size_t lo = blk * width;
+          const std::size_t len = std::min(width, sources.size() - lo);
+          batch_block(sources.subspan(lo, len), width,
+                      std::span(results).subspan(lo, len));
+        },
+        /*grain=*/1);
+    return results;
   }
 
   /// Multi-source query with per-seed initial values: equivalent to a
@@ -286,7 +293,7 @@ class SeparatorShortestPaths {
       SEPSP_CHECK(v < g_->num_vertices());
       r.dist[v] = S::combine(r.dist[v], value);
     }
-    walk<1>(r.dist.data(), {static_cast<QueryStats*>(&r), 1});
+    walk(r.dist.data(), 1, {static_cast<QueryStats*>(&r), 1});
     return r;
   }
 
@@ -299,8 +306,8 @@ class SeparatorShortestPaths {
     r.dist.assign(g_->num_vertices(), S::zero());
     r.dist[source] = S::one();
     const std::span<QueryStats> acct(static_cast<QueryStats*>(&r), 1);
-    passes<1>(base_, &shortcut_, aug_->diameter_bound(), r.dist.data(), acct);
-    detect_negative_cycles<1>(r.dist.data(), acct);
+    passes(base_, &shortcut_, aug_->diameter_bound(), r.dist.data(), 1, acct);
+    detect_negative_cycles(r.dist.data(), 1, acct);
     charge(acct);
     return r;
   }
@@ -488,72 +495,52 @@ class SeparatorShortestPaths {
     return out;
   }
 
-  template <std::size_t B>
-  std::vector<QueryResult<S>> batch_impl(
-      std::span<const Vertex> sources) const {
-    std::vector<QueryResult<S>> results(sources.size());
-    if (sources.empty()) return results;
-    const std::size_t blocks = (sources.size() + B - 1) / B;
-    pram::ThreadPool::global().parallel_for(
-        0, blocks,
-        [&](std::size_t blk) {
-          const std::size_t lo = blk * B;
-          const std::size_t len = std::min(B, sources.size() - lo);
-          batch_block<B>(sources.subspan(lo, len),
-                         std::span(results).subspan(lo, len));
-        },
-        /*grain=*/1);
-    return results;
-  }
-
-  /// The source-batched schedule: one walk for up to B sources over a
-  /// lane-major distance matrix, so each edge load relaxes all B lanes.
-  /// `sources.size()` may be short of B (ragged last block; the unused
-  /// lanes stay unseeded and are not reported). Writes one QueryResult
-  /// per source into `out`, in order, each equal to distances() of that
-  /// source — distances bit for bit, counters and negative-cycle flag
-  /// too.
-  template <std::size_t B>
-  void batch_block(std::span<const Vertex> sources,
+  /// The source-batched schedule: one walk for up to `width` sources
+  /// over a lane-major distance matrix, so each edge load relaxes every
+  /// lane. `sources.size()` may be short of `width` (ragged last block;
+  /// the unused lanes stay unseeded and are not reported). Writes one
+  /// QueryResult per source into `out`, in order, each equal to
+  /// distances() of that source — distances bit for bit, counters and
+  /// negative-cycle flag too.
+  void batch_block(std::span<const Vertex> sources, std::size_t width,
                    std::span<QueryResult<S>> out) const {
-    static_assert(B >= 1 && B <= 64, "lane count out of range");
-    SEPSP_CHECK(!sources.empty() && sources.size() <= B);
+    SEPSP_CHECK(!sources.empty() && sources.size() <= width);
     SEPSP_TRACE_SPAN("query.batch_block");
     const std::size_t n = g_->num_vertices();
-    AlignedVector<Value> dist(padded_size<Value>(n * B), S::zero());
+    AlignedVector<Value> dist(padded_size<Value>(n * width), S::zero());
     for (std::size_t lane = 0; lane < sources.size(); ++lane) {
       SEPSP_CHECK(sources[lane] < n);
-      dist[static_cast<std::size_t>(sources[lane]) * B + lane] = S::one();
+      dist[static_cast<std::size_t>(sources[lane]) * width + lane] = S::one();
     }
-    std::array<QueryStats, B> acct{};
-    walk<B>(dist.data(), {acct.data(), sources.size()});
+    std::array<QueryStats, kMaxLanes> acct{};
+    walk(dist.data(), width, {acct.data(), sources.size()});
     for (std::size_t lane = 0; lane < sources.size(); ++lane) {
       QueryResult<S>& r = out[lane];
       r.dist.resize(n);
-      for (std::size_t v = 0; v < n; ++v) r.dist[v] = dist[v * B + lane];
+      for (std::size_t v = 0; v < n; ++v) r.dist[v] = dist[v * width + lane];
       static_cast<QueryStats&>(r) = acct[lane];
     }
     counters_->blocks.fetch_add(1, std::memory_order_relaxed);
     counters_->lanes_used.fetch_add(sources.size(), std::memory_order_relaxed);
-    counters_->lane_capacity.fetch_add(B, std::memory_order_relaxed);
+    counters_->lane_capacity.fetch_add(width, std::memory_order_relaxed);
   }
 
   /// The leveled schedule, once for every entry point. `dist` is
-  /// lane-major (dist[v * B + lane]) with one seeded lane per `acct`
-  /// entry; lanes past acct.size() stay at zero() and never move.
-  template <std::size_t B>
-  void walk(Value* dist, std::span<QueryStats> acct) const {
+  /// lane-major (dist[v * width + lane], width <= kMaxLanes) with one
+  /// seeded lane per `acct` entry; lanes past acct.size() stay at zero()
+  /// and never move.
+  void walk(Value* dist, std::size_t width, std::span<QueryStats> acct) const {
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      passes<B>(base_, nullptr, aug_->ell, dist, acct);
+      passes(base_, nullptr, aug_->ell, dist, width, acct);
     }
     {
       SEPSP_TRACE_SPAN("query.down_sweep");
       for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
         const EdgeRange same = bucket(EplusPlan::kSame, l);
         const EdgeRange down = bucket(EplusPlan::kDown, l);
-        sweep<B>(same, dist, acct);
-        sweep<B>(down, dist, acct);
+        sweep(same, dist, width, acct);
+        sweep(down, dist, width, acct);
         note_level_scan(l, (same.size() + down.size()) * acct.size());
       }
     }
@@ -562,18 +549,18 @@ class SeparatorShortestPaths {
       for (std::uint32_t l = 0; l <= aug_->height; ++l) {
         const EdgeRange same = bucket(EplusPlan::kSame, l);
         const EdgeRange up = bucket(EplusPlan::kUp, l);
-        sweep<B>(same, dist, acct);
-        sweep<B>(up, dist, acct);
+        sweep(same, dist, width, acct);
+        sweep(up, dist, width, acct);
         note_level_scan(l, (same.size() + up.size()) * acct.size());
       }
     }
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      passes<B>(base_, nullptr, aug_->ell, dist, acct);
+      passes(base_, nullptr, aug_->ell, dist, width, acct);
     }
     {
       SEPSP_TRACE_SPAN("query.detect_cycles");
-      detect_negative_cycles<B>(dist, acct);
+      detect_negative_cycles(dist, width, acct);
     }
     charge(acct);
   }
@@ -582,20 +569,20 @@ class SeparatorShortestPaths {
   /// per-lane early exit: a lane stops accruing counters after its first
   /// pass that changed nothing (that pass still counts) and rides along
   /// as a no-op, its distances already at these buckets' fixpoint.
-  template <std::size_t B>
   void passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
-              std::size_t rounds, Value* dist,
+              std::size_t rounds, Value* dist, std::size_t width,
               std::span<QueryStats> acct) const {
-    std::array<std::uint8_t, B> active{};
+    std::array<std::uint8_t, kMaxLanes> active{};
     std::fill_n(active.begin(), acct.size(), std::uint8_t{1});
     std::size_t live = acct.size();
     const std::size_t edges = first.size() + (second ? second->size() : 0);
     const std::uint32_t phases = second ? 2 : 1;
     for (std::size_t round = 0; round < rounds && live != 0; ++round) {
-      std::array<std::uint8_t, B> changed{};
-      relax<B, true>(first, {0, first.size()}, dist, changed.data());
+      std::array<std::uint8_t, kMaxLanes> changed{};
+      relax<true>(first, {0, first.size()}, dist, width, changed.data());
       if (second) {
-        relax<B, true>(*second, {0, second->size()}, dist, changed.data());
+        relax<true>(*second, {0, second->size()}, dist, width,
+                    changed.data());
       }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         if (!active[lane]) continue;
@@ -611,9 +598,9 @@ class SeparatorShortestPaths {
 
   /// One leveled-sweep bucket pass: every lane is charged the scan (the
   /// sweeps scan their buckets unconditionally).
-  template <std::size_t B>
-  void sweep(EdgeRange range, Value* dist, std::span<QueryStats> acct) const {
-    relax<B, false>(shortcut_, range, dist, nullptr);
+  void sweep(EdgeRange range, Value* dist, std::size_t width,
+             std::span<QueryStats> acct) const {
+    relax<false>(shortcut_, range, dist, width, nullptr);
     for (QueryStats& s : acct) {
       s.edges_scanned += range.size();
       ++s.phases;
@@ -621,30 +608,29 @@ class SeparatorShortestPaths {
   }
 
   /// One relaxation pass over edges [range.lo, range.hi) in every lane;
-  /// with kTrack, ORs
-  /// each lane's "improved" flag into changed[0..B). Values stream run
-  /// by run (a value slab, or a pinned chunk of a mapped image segment),
-  /// each a flat array alongside the shared pair arrays.
+  /// with kTrack, ORs each lane's "improved" flag into changed[0..width).
+  /// Values stream run by run (a value slab, or a pinned chunk of a
+  /// mapped image segment), each a flat array alongside the shared pair
+  /// arrays.
   ///
-  /// B == 1 is the scalar loop: an unreached source is skipped and a
-  /// distance is stored only when it improves. B > 1 hands each run to
-  /// the dispatched vector kernel when the SIMD substrate has a vector
-  /// tier active (semiring/simd.hpp, bit-identical to the lane loop
-  /// here); on the scalar tier it keeps the compile-time-B lane loop,
-  /// the autovectorizable baseline the tiers are measured against.
-  /// combine() is a branch-free select and relax_extend() the
-  /// semiring's unguarded extend (exact for zero() "no path" slot values
-  /// too; an unseeded lane stays at zero(), from which nothing
-  /// improves).
-  template <std::size_t B, bool kTrack>
+  /// Width 1 is the scalar loop: an unreached source is skipped and a
+  /// distance is stored only when it improves. A wider walk hands each
+  /// run to simd::bucket_sweep(_tracked), which takes the width at run
+  /// time: the dispatched vector kernel when a vector tier is active,
+  /// else its lane loop — the baseline the tiers are measured against,
+  /// bit-identical to them. combine() is a branch-free select and
+  /// relax_extend() the semiring's unguarded extend (exact for zero()
+  /// "no path" slot values too; an unseeded lane stays at zero(), from
+  /// which nothing improves).
+  template <bool kTrack>
   void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
-             std::uint8_t* changed) const {
+             std::size_t width, std::uint8_t* changed) const {
     const Vertex* from = edges.from_data();
     const Vertex* to = edges.to_data();
     edges.for_each_values_run(
         range.lo, range.hi,
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if constexpr (B == 1) {
+          if (width == 1) {
             bool any = false;
             for (std::size_t i = 0; i < len; ++i) {
               const Value du = dist[from[lo + i]];
@@ -656,53 +642,27 @@ class SeparatorShortestPaths {
               }
             }
             if constexpr (kTrack) changed[0] |= static_cast<std::uint8_t>(any);
+          } else if constexpr (kTrack) {
+            simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value, len,
+                                          width, changed);
           } else {
-            if (simd::vector_dispatch_active<S>()) {
-              if constexpr (kTrack) {
-                simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value,
-                                              len, B, changed);
-              } else {
-                simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, B);
-              }
-              return;
-            }
-            for (std::size_t i = 0; i < len; ++i) {
-              const Value* du =
-                  dist + static_cast<std::size_t>(from[lo + i]) * B;
-              Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
-              const Value w = value[i];
-              // Staging the source row in a local buffer severs the
-              // (only apparent) aliasing between the rows, so the lane
-              // loop SLP-vectorizes; a self-loop's exact row overlap is
-              // lane-independent either way.
-              Value src[B];
-              for (std::size_t lane = 0; lane < B; ++lane) src[lane] = du[lane];
-              for (std::size_t lane = 0; lane < B; ++lane) {
-                const Value next =
-                    S::combine(dw[lane], relax_extend<S>(src[lane], w));
-                if constexpr (kTrack) {
-                  changed[lane] |= static_cast<std::uint8_t>(next != dw[lane]);
-                }
-                dw[lane] = next;
-              }
-            }
+            simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, width);
           }
         });
-    if constexpr (B > 1) note_simd_cells(range.size() * B);
+    if (width > 1) note_simd_cells(range.size() * width);
   }
 
   /// Final verification pass over E u E+, per lane: the schedule reaches
   /// a fixpoint when no negative cycle is reachable, so any significant
   /// further improvement certifies one (S::detect_improves tolerates
   /// floating-point drift between equivalent summation orders).
-  template <std::size_t B>
-  void detect_negative_cycles(const Value* dist,
+  void detect_negative_cycles(const Value* dist, std::size_t width,
                               std::span<QueryStats> acct) const {
     if (!detect_cycles_) return;
     if constexpr (S::kDetectNegativeCycles) {
-      std::array<bool, B> found{};
-      find_improvable<B>(base_, dist, acct.size(), found);
-      find_improvable<B>(shortcut_, dist, acct.size(), found);
+      std::array<bool, kMaxLanes> found{};
+      find_improvable(base_, dist, width, acct.size(), found);
+      find_improvable(shortcut_, dist, width, acct.size(), found);
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         acct[lane].negative_cycle = found[lane];
         acct[lane].edges_scanned += base_.size() + shortcut_.size();
@@ -713,15 +673,18 @@ class SeparatorShortestPaths {
 
   /// Sets found[lane] for each of the first `lanes` lanes in which some
   /// edge of the bucket still improves its head significantly. Like
-  /// relax(), B == 1 keeps the scalar loop, which stops at the first hit.
-  template <std::size_t B>
+  /// relax(), width 1 keeps the scalar loop, which stops at the first
+  /// hit.
   void find_improvable(const EdgeBucket<S>& edges, const Value* dist,
-                       std::size_t lanes, std::array<bool, B>& found) const {
+                       std::size_t width, std::size_t lanes,
+                       std::array<bool, kMaxLanes>& found) const
+    requires S::kDetectNegativeCycles
+  {
     const Vertex* from = edges.from_data();
     const Vertex* to = edges.to_data();
     edges.for_each_values_run(
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if constexpr (B == 1) {
+          if (width == 1) {
             if (found[0]) return;
             for (std::size_t i = 0; i < len; ++i) {
               const Value du = dist[from[lo + i]];
@@ -735,8 +698,9 @@ class SeparatorShortestPaths {
           } else {
             for (std::size_t i = 0; i < len; ++i) {
               const Value* du =
-                  dist + static_cast<std::size_t>(from[lo + i]) * B;
-              const Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
+                  dist + static_cast<std::size_t>(from[lo + i]) * width;
+              const Value* dw =
+                  dist + static_cast<std::size_t>(to[lo + i]) * width;
               for (std::size_t lane = 0; lane < lanes; ++lane) {
                 if (!S::improves(S::zero(), du[lane])) continue;
                 if (S::detect_improves(dw[lane],

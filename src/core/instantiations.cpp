@@ -47,8 +47,7 @@ template SeparatorShortestPaths<BottleneckSR>
 build_augmentation_compact<BottleneckSR>(const Digraph&, const SeparatorTree&,
                                          const DoublingOptions&);
 
-// The engine's lane-width switch instantiates its walk at every
-// supported width.
+// One walk per semiring: the engine takes its lane width at run time.
 template class SeparatorShortestPaths<TropicalD>;
 template class SeparatorShortestPaths<TropicalI>;
 template class SeparatorShortestPaths<BooleanSR>;

@@ -16,7 +16,7 @@ struct ServiceOptions {
   /// many sources (one batched-kernel block each). A full group also
   /// takes the backlog already queued behind it, up to one group per
   /// pool participant, into the same distances_batch call, whose
-  /// blocks run in parallel. Must be a width the kernel dispatches: 1,
+  /// blocks run in parallel. Must be a lane width (is_lane_width): 1,
   /// 2, 4, 8, 16, or 32.
   std::size_t lanes = 8;
   /// Flush deadline: a partial lane group is dispatched once its oldest
@@ -80,12 +80,11 @@ struct ServiceOptions {
   /// incremental engine already built their E+).
   SeparatorShortestPaths<TropicalD>::Options engine;
 
-  /// Verifies coherence (fatal SEPSP_CHECK on nonsense): a lane width
-  /// the batched kernel cannot dispatch, or a zero-shard cache.
+  /// Verifies coherence (fatal SEPSP_CHECK on nonsense): a lanes value
+  /// that is no lane width, or a zero-shard cache.
   ServiceOptions validated() const {
     ServiceOptions r = *this;
-    SEPSP_CHECK_MSG(r.lanes == 1 || r.lanes == 2 || r.lanes == 4 ||
-                        r.lanes == 8 || r.lanes == 16 || r.lanes == 32,
+    SEPSP_CHECK_MSG(is_lane_width(r.lanes),
                     "ServiceOptions::lanes must be one of 1, 2, 4, 8, 16, 32");
     SEPSP_CHECK_MSG(r.max_queue > 0,
                     "ServiceOptions::max_queue must admit at least one "

@@ -49,15 +49,29 @@ TYPED_TEST(BatchParity, FullAndRaggedBlocksMatchScalarRuns) {
   const auto engine =
       SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
 
-  // A full block and a ragged one (3 of 4 lanes seeded).
-  const std::vector<Vertex> full{0, 13, 40, 80};
-  const std::vector<Vertex> ragged{7, 7, 44};  // duplicate sources allowed
-  for (const auto& sources : {full, ragged}) {
-    const auto block = engine.distances_batch(sources, {.lanes = 4});
-    ASSERT_EQ(block.size(), sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      expect_result_eq(block[i], engine.distances(sources[i]),
-                       "lane " + std::to_string(i));
+  // At every width above 1: one full block, and a full block followed
+  // by a ragged one (width - 1 of width lanes seeded). Both lists step
+  // through the 81 vertices by a stride coprime to 81, so their sources
+  // are distinct, but for the ragged list's repeated first source.
+  const std::size_t n = inst.gg.graph.num_vertices();
+  for (const std::size_t lanes : {2, 4, 8, 16, 32}) {
+    std::vector<Vertex> full(lanes);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      full[i] = static_cast<Vertex>((i * 13) % n);
+    }
+    std::vector<Vertex> ragged(2 * lanes - 1);
+    for (std::size_t i = 0; i < ragged.size(); ++i) {
+      ragged[i] = static_cast<Vertex>((7 + i * 22) % n);
+    }
+    ragged[1] = ragged[0];  // duplicate sources allowed
+    for (const auto& sources : {full, ragged}) {
+      const auto block = engine.distances_batch(sources, {.lanes = lanes});
+      ASSERT_EQ(block.size(), sources.size());
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        expect_result_eq(block[i], engine.distances(sources[i]),
+                         std::to_string(lanes) + " lanes, source " +
+                             std::to_string(i));
+      }
     }
   }
 }
@@ -120,6 +134,19 @@ TEST(BatchQuery, WideLanesHandleShortBlocks) {
     expect_result_eq(block[i], engine.distances(sources[i]),
                      "source " + std::to_string(sources[i]));
   }
+}
+
+TEST(BatchQuery, RejectsWidthsOutsideTheLaneList) {
+  Rng rng(6);
+  const GeneratedGraph gg = make_grid({4, 4}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({4, 4}));
+  const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
+  const std::vector<Vertex> sources{0, 5};
+  EXPECT_DEATH((void)engine.distances_batch(sources, {.lanes = 3}),
+               "BatchPolicy::lanes");
+  EXPECT_DEATH((void)engine.distances_batch(sources, {.lanes = 64}),
+               "BatchPolicy::lanes");
 }
 
 TEST(BatchQuery, EmptySourceListYieldsEmptyBatch) {
