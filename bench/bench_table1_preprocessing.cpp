@@ -11,9 +11,10 @@
 // the gap.
 //
 // --json additionally records wall-clock rows (kind="preprocessing":
-// family, n, m, height, threads, kernels, seconds, work,
-// critical_depth, eplus) and a blocked-vs-naive speedup row on the
-// largest instance of each family, so the BENCH trajectory tracks build
+// family, n, m, height, threads, kernels (vector|scalar), seconds, work,
+// critical_depth, eplus) and a kernel_speedup row on the largest
+// instance of each family — the ambient SIMD tier against
+// simd::force_tier(kScalar) — so the BENCH trajectory tracks build
 // throughput across commits.
 #include <cmath>
 #include <iostream>
@@ -23,6 +24,7 @@
 #include "pram/cost_model.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
+#include "semiring/simd.hpp"
 
 using namespace sepsp;
 using namespace sepsp::bench;
@@ -33,15 +35,17 @@ int pool_threads() {
   return static_cast<int>(pram::ThreadPool::global().concurrency());
 }
 
-/// One timed build; emits the JSON row when --json is active.
-EngineStats timed_build(const Instance& inst, bool blocked) {
-  blocked_kernels_enabled().store(blocked);
+/// One timed build, on the ambient SIMD tier or forced to the scalar
+/// tier; emits the JSON row when --json is active.
+EngineStats timed_build(const Instance& inst, bool vector) {
+  const simd::Tier ambient = simd::active_tier();
+  if (!vector) simd::force_tier(simd::Tier::kScalar);
   WallTimer timer;
   const auto engine =
       build_augmentation_recursive<TropicalD>(inst.gg.graph, inst.tree);
   const double seconds = timer.seconds();
   const EngineStats st = engine.stats();
-  blocked_kernels_enabled().store(true);
+  simd::force_tier(ambient);
   json()
       .row("preprocessing")
       .field("family", inst.family)
@@ -49,7 +53,7 @@ EngineStats timed_build(const Instance& inst, bool blocked) {
       .field("m", static_cast<std::uint64_t>(inst.m()))
       .field("height", static_cast<std::uint64_t>(inst.tree.height()))
       .field("threads", pool_threads())
-      .field("kernels", blocked ? "blocked" : "naive")
+      .field("kernels", vector ? "vector" : "scalar")
       .field("seconds", seconds)
       .field("work", st.build_work)
       .field("critical_depth", st.critical_depth)
@@ -64,7 +68,7 @@ void run_family(const std::string& header, double mu,
   table.set_header({"n", "m", "height", "build work", "work / n^max(1,3mu)",
                     "E+ size"});
   for (const Instance& inst : instances) {
-    const EngineStats st = timed_build(inst, /*blocked=*/true);
+    const EngineStats st = timed_build(inst, /*vector=*/true);
     const double n = static_cast<double>(inst.n());
     const double predicted = std::pow(n, std::max(1.0, 3.0 * mu));
     table.add_row()
@@ -81,28 +85,28 @@ void run_family(const std::string& header, double mu,
   std::cout << "fitted work exponent: " << fit_log_log_slope(*ns, *works)
             << "  (paper: max(1, " << 3.0 * mu << ") plus log factors)\n";
 
-  // Kernel ablation on the family's largest instance: rebuild with the
-  // element-at-a-time reference kernels and record the speedup the
-  // blocked kernels + work-stealing pool deliver.
+  // Kernel ablation on the family's largest instance: rebuild on the
+  // scalar tier and record the speedup the vector kernels deliver.
   const Instance& largest = instances.back();
-  WallTimer blocked_timer;
-  (void)timed_build(largest, /*blocked=*/true);
-  const double blocked_s = blocked_timer.seconds();
-  WallTimer naive_timer;
-  (void)timed_build(largest, /*blocked=*/false);
-  const double naive_s = naive_timer.seconds();
+  WallTimer vector_timer;
+  (void)timed_build(largest, /*vector=*/true);
+  const double vector_s = vector_timer.seconds();
+  WallTimer scalar_timer;
+  (void)timed_build(largest, /*vector=*/false);
+  const double scalar_s = scalar_timer.seconds();
   std::cout << "largest " << largest.family << " (n=" << largest.n()
-            << "): blocked kernels " << blocked_s << "s vs naive " << naive_s
-            << "s — speedup " << naive_s / blocked_s << "x at "
-            << pool_threads() << " threads\n";
+            << "): " << simd::tier_name(simd::active_tier()) << " kernels "
+            << vector_s << "s vs scalar " << scalar_s << "s — speedup "
+            << scalar_s / vector_s << "x at " << pool_threads()
+            << " threads\n";
   json()
       .row("kernel_speedup")
       .field("family", largest.family)
       .field("n", static_cast<std::uint64_t>(largest.n()))
       .field("threads", pool_threads())
-      .field("blocked_seconds", blocked_s)
-      .field("naive_seconds", naive_s)
-      .field("speedup", naive_s / blocked_s);
+      .field("vector_seconds", vector_s)
+      .field("scalar_seconds", scalar_s)
+      .field("speedup", scalar_s / vector_s);
 }
 
 }  // namespace

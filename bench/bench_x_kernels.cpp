@@ -1,10 +1,12 @@
-// X — dense-kernel throughput: naive (element-at-a-time reference) vs
-// cache-blocked min-plus kernels, in cell-updates/sec, plus the
-// vertex->index lookup micro-bench (binary search vs dense scratch map)
-// that motivated the builders' scratch arenas.
+// X — dense-kernel throughput: naive (the element-at-a-time reference
+// oracle, detail::multiply_reference_into / floyd_warshall_reference,
+// called directly) vs the public cache-blocked min-plus kernels, in
+// cell-updates/sec, plus the vertex->index lookup micro-bench (binary
+// search vs dense scratch map) that motivated the builders' scratch
+// arenas.
 //
 // JSON rows (--json):
-//   kind="simd":        compiled_in, compiled, detected, active
+//   kind="simd":        compiled, detected, active
 //   kind="kernel":      kernel, n, mode (naive|blocked), threads, seconds,
 //                       cells, cells_per_sec, speedup_vs_naive
 //   kind="kernel_tier": kernel, n, tier, threads, seconds, cells,
@@ -58,35 +60,67 @@ double time_reps(const F& body) {
   }
 }
 
+/// out = a (x) b through the public kernel, or through the reference.
+void product(const Matrix<TropicalD>& a, const Matrix<TropicalD>& b,
+             Matrix<TropicalD>& out, bool naive) {
+  if (!naive) {
+    multiply_into(a, b, out);
+    return;
+  }
+  out.reset(a.rows(), b.cols());
+  detail::multiply_reference_into(a, b, out);
+}
+
+/// Floyd–Warshall in place through the public kernel or the reference.
+void closure(Matrix<TropicalD>& m, bool naive) {
+  if (naive) {
+    detail::floyd_warshall_reference(m);
+  } else {
+    floyd_warshall(m);
+  }
+}
+
 struct KernelCase {
   std::string name;
-  double (*run)(const Matrix<TropicalD>&, std::uint64_t* cells);
+  double (*run)(const Matrix<TropicalD>&, bool naive, std::uint64_t* cells);
 };
 
-double run_multiply(const Matrix<TropicalD>& input, std::uint64_t* cells) {
+double run_multiply(const Matrix<TropicalD>& input, bool naive,
+                    std::uint64_t* cells) {
   const std::size_t n = input.rows();
   *cells = static_cast<std::uint64_t>(n) * n * n;
   Matrix<TropicalD> out;
-  return time_reps([&] { multiply_into(input, input, out); });
+  return time_reps([&] { product(input, input, out, naive); });
 }
 
-double run_fw(const Matrix<TropicalD>& input, std::uint64_t* cells) {
+double run_fw(const Matrix<TropicalD>& input, bool naive,
+              std::uint64_t* cells) {
   const std::size_t n = input.rows();
   *cells = static_cast<std::uint64_t>(n) * n * n;
   Matrix<TropicalD> work;
   return time_reps([&] {
     work = input;
-    floyd_warshall(work);
+    closure(work, naive);
   });
 }
 
-double run_square(const Matrix<TropicalD>& input, std::uint64_t* cells) {
+/// The naive squaring step is the reference product followed by a
+/// per-cell merge pass.
+double run_square(const Matrix<TropicalD>& input, bool naive,
+                  std::uint64_t* cells) {
   const std::size_t n = input.rows();
   *cells = static_cast<std::uint64_t>(n) * n * (n + 1);  // product + combine
   Matrix<TropicalD> work, scratch;
   return time_reps([&] {
     work = input;
-    (void)square_step(work, scratch);
+    if (!naive) {
+      (void)square_step(work, scratch);
+      return;
+    }
+    product(work, work, scratch, /*naive=*/true);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) work.merge(i, j, scratch.at(i, j));
+    }
   });
 }
 
@@ -107,10 +141,8 @@ void kernel_rows(int threads) {
     const auto input = random_matrix(n, rng);
     for (const KernelCase& kc : cases) {
       std::uint64_t cells = 0;
-      blocked_kernels_enabled().store(false);
-      const double naive_s = kc.run(input, &cells);
-      blocked_kernels_enabled().store(true);
-      const double blocked_s = kc.run(input, &cells);
+      const double naive_s = kc.run(input, /*naive=*/true, &cells);
+      const double blocked_s = kc.run(input, /*naive=*/false, &cells);
       const double naive_rate = static_cast<double>(cells) / naive_s;
       const double blocked_rate = static_cast<double>(cells) / blocked_s;
       table.add_row()
@@ -146,14 +178,13 @@ void simd_info_row() {
             << " active=" << simd::tier_name(simd::active_tier()) << "\n";
   json()
       .row("simd")
-      .field("compiled_in", simd::compiled_in() ? 1 : 0)
       .field("compiled", simd::tier_name(simd::compiled_tier()))
       .field("detected", simd::tier_name(simd::detected_tier()))
       .field("active", simd::tier_name(simd::active_tier()));
 }
 
 /// Blocked-kernel throughput per dispatch tier. The scalar tier runs the
-/// same blocking with plain scalar loops, so speedup_vs_scalar_tier
+/// same blocking with simd.hpp's scalar loops, so speedup_vs_scalar_tier
 /// reads off exactly what the vector substrate buys at each ISA width.
 void tier_rows(int threads) {
   std::vector<std::size_t> sizes = {128, 256};
@@ -173,7 +204,6 @@ void tier_rows(int threads) {
   table.set_header(header);
 
   const simd::Tier ambient = simd::active_tier();
-  blocked_kernels_enabled().store(true);
   Rng rng(31);
   for (const std::size_t n : sizes) {
     const auto input = random_matrix(n, rng);
@@ -185,7 +215,7 @@ void tier_rows(int threads) {
       for (const simd::Tier t : tiers) {
         simd::force_tier(t);
         std::uint64_t cells = 0;
-        const double s = kc.run(input, &cells);
+        const double s = kc.run(input, /*naive=*/false, &cells);
         if (t == simd::Tier::kScalar) scalar_s = s;
         const double rate = static_cast<double>(cells) / s;
         const double speedup = scalar_s / s;
@@ -207,7 +237,7 @@ void tier_rows(int threads) {
   }
   simd::force_tier(ambient);
   table.print(std::cout);
-  std::cout << "(all modes blocked; scalar = plain loops, "
+  std::cout << "(all modes blocked; scalar = simd.hpp's scalar loops, "
                "other columns = explicit vector kernels per ISA)\n";
 }
 
@@ -254,12 +284,12 @@ void node_shape_rows() {
     const std::uint64_t cells =
         static_cast<std::uint64_t>(sh.rows) * sh.mid * sh.cols;
     Matrix<TropicalD> out;
-    const auto run = [&] {
+    const auto run = [&](bool naive) {
       if (fw) {
         out = a;
-        floyd_warshall(out);
+        closure(out, naive);
       } else {
-        multiply_into(a, b, out);
+        product(a, b, out, naive);
       }
     };
     char shape_buf[48];
@@ -285,12 +315,10 @@ void node_shape_rows() {
           .field("ns_per_cell", ns)
           .field("speedup_vs_reference", reference_ns / ns);
     };
-    blocked_kernels_enabled().store(false);
-    emit("reference", time_reps(run));
-    blocked_kernels_enabled().store(true);
+    emit("reference", time_reps([&] { run(/*naive=*/true); }));
     for (const simd::Tier t : tiers) {
       simd::force_tier(t);
-      emit(simd::tier_name(t), time_reps(run));
+      emit(simd::tier_name(t), time_reps([&] { run(/*naive=*/false); }));
     }
   }
   simd::force_tier(ambient);
@@ -426,7 +454,6 @@ int main(int argc, char** argv) {
   node_shape_rows();
   index_map_rows();
   arc_source_rows();
-  blocked_kernels_enabled().store(true);  // leave the default in place
   json().write();
   return 0;
 }

@@ -346,8 +346,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(
-      static_cast<unsigned>(env_int("SEPSP_THREADS", 0)));
+  // A value below 1 falls back to the hardware default, as unset does.
+  static ThreadPool pool([] {
+    const std::int64_t threads = env_int("SEPSP_THREADS", 0);
+    return threads > 0 ? static_cast<unsigned>(threads) : 0u;
+  }());
   SEPSP_OBS_ONLY(obs::gauge("pool.threads").set(
       static_cast<std::int64_t>(pool.concurrency()));)
   return pool;

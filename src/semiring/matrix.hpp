@@ -15,13 +15,14 @@
 // larger ones run one pool task per tile (so a single large closure —
 // e.g. the root separator clique — parallelizes even when it is the
 // only node at its tree level). The element-at-a-time reference kernels
-// (multiply_reference & friends) are kept for the parity suite
-// (tests/test_kernels.cpp) and the naive-vs-blocked rows of
-// bench_x_kernels; blocked and reference kernels produce bit-identical
-// results (identical combine order per cell for multiply/square;
-// identical values for Floyd–Warshall, where cross-tile association of
-// float sums is exercised with exact integer weights — see
-// docs/ALGORITHMS.md "Execution substrate & kernel blocking").
+// (detail::multiply_reference_into, detail::floyd_warshall_reference)
+// are the oracle that the parity suite (tests/test_kernels.cpp) and the
+// naive-vs-blocked rows of bench_x_kernels call directly; blocked and
+// reference kernels produce bit-identical results (identical combine
+// order per cell for multiply/square; identical values for
+// Floyd–Warshall, where cross-tile association of float sums is
+// exercised with exact integer weights — see docs/ALGORITHMS.md
+// "Execution substrate & kernel blocking").
 //
 // All kernels charge the PRAM cost model exactly as the reference
 // versions do: work = cell updates, depth = phases (a product counts as
@@ -51,15 +52,6 @@ using simd::kKernelTile;
 /// (an 81-wide Floyd–Warshall ran slower on two pool threads than on
 /// one).
 inline constexpr std::size_t kSerialKernelCells = std::size_t{1} << 20;
-
-/// Test/bench hook: when false, the public kernels dispatch to the
-/// element-at-a-time reference implementations. Bit-identical results
-/// either way (the parity suite enforces it); flip only to measure or
-/// to cross-check.
-inline std::atomic<bool>& blocked_kernels_enabled() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
 
 /// Row-major rows x cols matrix of semiring values, initialized to
 /// zero() ("no path").
@@ -141,8 +133,9 @@ inline std::size_t tiles_of(std::size_t n) {
   return (n + kKernelTile - 1) / kKernelTile;
 }
 
-/// Reference product: the seed's element-at-a-time loop, serial. Kept
-/// as the parity oracle and the bench baseline.
+/// Reference product, accumulated into `out`: the seed's
+/// element-at-a-time loop, serial. The parity oracle and the bench
+/// baseline; no public kernel calls it.
 template <Semiring S>
 void multiply_reference_into(const Matrix<S>& a, const Matrix<S>& b,
                              Matrix<S>& out) {
@@ -193,6 +186,7 @@ void multiply_blocked_into(const Matrix<S>& a, const Matrix<S>& b,
 }
 
 /// Reference closure: the seed's sequential-in-k loop, serial over rows.
+/// The parity oracle and the bench baseline, as above.
 template <Semiring S>
 void floyd_warshall_reference(Matrix<S>& m) {
   const std::size_t n = m.rows();
@@ -257,18 +251,13 @@ template <Semiring S>
 void multiply_into(const Matrix<S>& a, const Matrix<S>& b, Matrix<S>& out) {
   SEPSP_CHECK(a.cols() == b.rows());
   out.reset(a.rows(), b.cols());
-  if (blocked_kernels_enabled().load(std::memory_order_relaxed)) {
-    detail::multiply_blocked_into(a, b, out);
-  } else {
-    detail::multiply_reference_into(a, b, out);
-  }
+  detail::multiply_blocked_into(a, b, out);
   pram::CostMeter::charge_work(a.rows() * a.cols() * b.cols());
   pram::CostMeter::charge_depth(std::bit_width(a.cols()) + 1);
   SEPSP_OBS_ONLY({
     const std::size_t cells = a.rows() * a.cols() * b.cols();
     detail::KernelObs::get().cells.add(cells);
-    if (blocked_kernels_enabled().load(std::memory_order_relaxed) &&
-        simd::vector_dispatch_active<S>()) {
+    if (simd::vector_dispatch_active<S>()) {
       detail::KernelObs::get().vcells.add(cells);
     }
   })
@@ -324,11 +313,7 @@ template <Semiring S>
 void floyd_warshall(Matrix<S>& m) {
   SEPSP_CHECK(m.is_square());
   const std::size_t n = m.rows();
-  if (blocked_kernels_enabled().load(std::memory_order_relaxed)) {
-    detail::floyd_warshall_blocked(m);
-  } else {
-    detail::floyd_warshall_reference(m);
-  }
+  detail::floyd_warshall_blocked(m);
   pram::CostMeter::charge_work(n * n * n);
   pram::CostMeter::charge_depth(n);
   SEPSP_OBS_ONLY(if (simd::vector_dispatch_active<S>()) {

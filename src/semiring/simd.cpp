@@ -1,15 +1,17 @@
 // Runtime dispatch of the SIMD kernel set (see simd.hpp).
 //
-// Tier availability is a compile-time fact (which tier TUs the build
-// included — SEPSP_SIMD_HAS_* come from src/semiring/CMakeLists.txt);
+// Tier availability is a compile-time fact (which vector tier TUs the
+// build included: the 128-bit tier always, SEPSP_SIMD_HAS_AVX2/AVX512
+// from src/semiring/CMakeLists.txt when the compiler takes the flags);
 // tier usability is a runtime fact (CPUID). The table below wires every
-// Tier index to the best compiled tier at or below it, so dispatch can
-// index with any Tier value; detection clamps the active tier to what
-// the machine actually runs.
+// vector Tier to the best compiled tier at or below it; detection clamps
+// the active tier to what the machine actually runs. The scalar tier has
+// no table: the dispatched entry points run simd.hpp's loops.
 
 #include "semiring/simd.hpp"
 
 #include "obs/obs.hpp"
+#include "util/check.hpp"
 #include "util/env.hpp"
 
 namespace sepsp::simd {
@@ -30,10 +32,7 @@ namespace kernels {
   SEPSP_SIMD_DECLARE_KIND(maxmin_d, double, SUF)     \
   SEPSP_SIMD_DECLARE_KIND(orand_b, unsigned char, SUF)
 
-SEPSP_SIMD_DECLARE_TIER(scalar)
-#if defined(SEPSP_SIMD_HAS_V128)
 SEPSP_SIMD_DECLARE_TIER(v128)
-#endif
 #if defined(SEPSP_SIMD_HAS_AVX2)
 SEPSP_SIMD_DECLARE_TIER(avx2)
 #endif
@@ -59,29 +58,20 @@ namespace {
         SEPSP_SIMD_KIND_ENTRIES(orand_b, SUF)    \
   }
 
-// Indexed by Tier; tiers not compiled in alias the best lower tier.
-const KernelTable kTables[4] = {
-    SEPSP_SIMD_TIER_TABLE(scalar),
-#if defined(SEPSP_SIMD_HAS_V128)
+// Indexed by Tier - 1; tiers not compiled in alias the best lower tier.
+const KernelTable kTables[3] = {
     SEPSP_SIMD_TIER_TABLE(v128),
-#else
-    SEPSP_SIMD_TIER_TABLE(scalar),
-#endif
 #if defined(SEPSP_SIMD_HAS_AVX2)
     SEPSP_SIMD_TIER_TABLE(avx2),
-#elif defined(SEPSP_SIMD_HAS_V128)
-    SEPSP_SIMD_TIER_TABLE(v128),
 #else
-    SEPSP_SIMD_TIER_TABLE(scalar),
+    SEPSP_SIMD_TIER_TABLE(v128),
 #endif
 #if defined(SEPSP_SIMD_HAS_AVX512)
     SEPSP_SIMD_TIER_TABLE(avx512),
 #elif defined(SEPSP_SIMD_HAS_AVX2)
     SEPSP_SIMD_TIER_TABLE(avx2),
-#elif defined(SEPSP_SIMD_HAS_V128)
-    SEPSP_SIMD_TIER_TABLE(v128),
 #else
-    SEPSP_SIMD_TIER_TABLE(scalar),
+    SEPSP_SIMD_TIER_TABLE(v128),
 #endif
 };
 #undef SEPSP_SIMD_TIER_TABLE
@@ -144,23 +134,13 @@ bool parse_tier(std::string_view name, Tier* out) {
   return true;
 }
 
-bool compiled_in() {
-#if defined(SEPSP_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 Tier compiled_tier() {
 #if defined(SEPSP_SIMD_HAS_AVX512)
   return Tier::kAvx512;
 #elif defined(SEPSP_SIMD_HAS_AVX2)
   return Tier::kAvx2;
-#elif defined(SEPSP_SIMD_HAS_V128)
-  return Tier::kSse;
 #else
-  return Tier::kScalar;
+  return Tier::kSse;
 #endif
 }
 
@@ -208,7 +188,8 @@ Tier force_tier(Tier t) {
 }
 
 const KernelTable& table(Tier t) {
-  return kTables[static_cast<std::size_t>(t)];
+  SEPSP_CHECK(t != Tier::kScalar);
+  return kTables[static_cast<std::size_t>(t) - 1];
 }
 
 }  // namespace sepsp::simd

@@ -10,13 +10,15 @@
 // 64x64 output tile (product) or per k-panel (fw_panel), never one per
 // row.
 //
-// Tiers. Four implementations of every kernel are compiled into the
-// library, each in its own translation unit with its own ISA flags:
+// Tiers. Every kernel has a scalar loop, written once in this header,
+// and three vector implementations, each in its own translation unit
+// with its own ISA flags:
 //
-//   kScalar  plain scalar loops (always present; the bit-identity
-//            oracle)
+//   kScalar  the scalar loops below, run inline by the dispatched entry
+//            points (the bit-identity oracle)
 //   kSse     128-bit vectors (x86-64 baseline SSE2; portable fallback —
-//            the same generic-vector code lowers to NEON on aarch64)
+//            the same generic-vector code lowers to NEON on aarch64;
+//            needs no flags, so it is always built)
 //   kAvx2    256-bit vectors, compiled with -mavx2
 //   kAvx512  512-bit vectors, compiled with -mavx512{f,dq,bw,vl}
 //
@@ -24,19 +26,21 @@
 // extensions (elementwise +, ?:, comparisons), NOT raw intrinsics: the
 // language guarantees per-element semantics identical to the scalar
 // operators, and every kernel keeps the scalar loops' per-cell order of
-// combines, so every tier is bit-identical to the scalar reference by
+// combines, so every tier is bit-identical to the scalar loops by
 // construction — enforced by tests/test_simd and tests/test_kernels.
+// The vector tiers run the same scalar loops on the ragged tails their
+// vectors leave.
 //
 // Dispatch. simd::active_tier() is resolved once: the highest tier both
-// compiled in (SEPSP_SIMD CMake option; tier TU availability) and
-// supported by this CPU (CPUID), optionally lowered by the
-// SEPSP_FORCE_ISA environment variable (scalar|sse|avx2|avx512; forcing
-// above hardware/compile support clamps down). Tests may override it at
-// runtime with force_tier(). The templated entry points below read the
-// active tier per call (one relaxed atomic load per kernel call or
-// bucket sweep); semirings without a vector kind run the same loop
-// nests inline with a scalar row step, so code compiled against this
-// header never changes meaning, only speed.
+// built (tier TU availability) and supported by this CPU (CPUID),
+// optionally lowered by the SEPSP_FORCE_ISA environment variable
+// (scalar|sse|avx2|avx512; forcing above hardware/compile support
+// clamps down). Tests may override it at runtime with force_tier(). The
+// templated entry points below read the active tier per call (one
+// relaxed atomic load per kernel call or bucket sweep): on the scalar
+// tier, and for semirings without a vector kind, they run the scalar
+// loops; otherwise they call the tier's KernelTable entry. Code compiled
+// against this header never changes meaning, only speed.
 //
 // Alignment contract. Kernels use unaligned-tolerant loads; callers
 // that want the aligned fast path allocate through AlignedVector
@@ -71,10 +75,7 @@ const char* tier_name(Tier t);
 /// on unknown input, leaving *out untouched.
 bool parse_tier(std::string_view name, Tier* out);
 
-/// True when the library was compiled with SEPSP_SIMD=ON.
-bool compiled_in();
-
-/// Highest tier compiled into this binary (kScalar with SEPSP_SIMD=OFF).
+/// Highest tier compiled into this binary (at least kSse).
 Tier compiled_tier();
 
 /// Highest tier this machine can run: compiled_tier() clamped by CPUID.
@@ -91,39 +92,58 @@ Tier active_tier();
 /// calls process-wide.
 Tier force_tier(Tier t);
 
-// --- dense kernel loop nests -------------------------------------------
-// The per-cell order of the two dense kernels, written once. The scalar
-// tier runs these loops whole; the vector tiers run fw_panel_loops with
-// a vector row step and keep product_loops' order inside their
-// register blocks. `row(o, b, a, n)` performs
-//   o[j] = combine(o[j], extend(a, b[j]))   for j < n,
-// reading each b[j] before writing o[j] (o == b aliases exactly when a
-// Floyd–Warshall pivot row updates itself); it is only called with
-// a != zero(), because both loops skip a zero() multiplier exactly as
-// the reference product does.
+// --- the scalar loops --------------------------------------------------
+// Each kernel's scalar semantics, written once. The scalar tier runs
+// these loops whole (from index 0); the vector tiers (simd_kernels.inc)
+// run them from the index where their whole vectors end, over the
+// ragged tail. `Tag` selects no behaviour: a tier TU instantiates the
+// loops with a tag from its own anonymous namespace, which gives it a
+// private copy (internal linkage) built with its own flags, so the
+// linker can never hand a wider tier's copy to a scalar caller.
 
 /// Tile edge of the blocked kernels: 64x64 doubles = 32 KiB per tile,
 /// so the three tiles a product touches stay L2-resident.
 inline constexpr std::size_t kKernelTile = 64;
 
+/// The row step of the dense loops:
+///   o[j] = combine(o[j], extend(a, b[j]))   for j < n
+/// (tail() starts at a given j), reading each b[j] before writing o[j]
+/// (o == b aliases exactly when a Floyd–Warshall pivot row updates
+/// itself). It is only called with a != zero(), because both loops skip
+/// a zero() multiplier exactly as the reference product does.
+template <Semiring S, typename Tag = void>
+struct ScalarRow {
+  using Value = typename S::Value;
+  void operator()(Value* o, const Value* b, Value a, std::size_t n) const {
+    tail(o, b, a, 0, n);
+  }
+  static void tail(Value* o, const Value* b, Value a, std::size_t j,
+                   std::size_t n) {
+    for (; j < n; ++j) {
+      o[j] = S::combine(o[j], S::extend(a, b[j]));
+    }
+  }
+};
+
 /// o ⊕= a ⊗ b over strided sub-rectangles: o is rows x cols (row stride
 /// ldo), a is rows x mid (lda), b is mid x cols (ldb). Every cell
 /// combines its candidates in ascending k, one kKernelTile slice of k
 /// at a time (so the slice of b stays cache-resident). o must not
-/// overlap a or b.
-template <Semiring S, typename Row>
+/// overlap a or b. The vector tiers keep this order inside their
+/// register blocks.
+template <Semiring S>
 inline void product_loops(typename S::Value* o, std::size_t ldo,
                           const typename S::Value* a, std::size_t lda,
                           const typename S::Value* b, std::size_t ldb,
-                          std::size_t rows, std::size_t mid, std::size_t cols,
-                          Row row) {
+                          std::size_t rows, std::size_t mid,
+                          std::size_t cols) {
   for (std::size_t k0 = 0; k0 < mid; k0 += kKernelTile) {
     const std::size_t k1 = std::min(mid, k0 + kKernelTile);
     for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t k = k0; k < k1; ++k) {
         const auto aik = a[i * lda + k];
         if (!S::improves(S::zero(), aik)) continue;  // aik == zero: skip
-        row(o + i * ldo, b + k * ldb, aik, cols);
+        ScalarRow<S>{}(o + i * ldo, b + k * ldb, aik, cols);
       }
     }
   }
@@ -138,11 +158,12 @@ inline void product_loops(typename S::Value* o, std::size_t ldo,
 ///     the closed diagonal, one kKernelTile column chunk at a time;
 ///   - the column panel (not K) x K, row by row.
 /// What is left for the k-panel is the interior (not K) x (not K),
-/// which reads only the finished panels: a product per tile.
-template <Semiring S, typename Row>
+/// which reads only the finished panels: a product per tile. The
+/// vector tiers pass their own row step, a type private to their TU.
+template <Semiring S, typename Row = ScalarRow<S>>
 inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
                            std::size_t n, std::size_t k0, std::size_t k1,
-                           Row row) {
+                           Row row = {}) {
   const auto sweep = [&](std::size_t i0, std::size_t i1, std::size_t j0,
                          std::size_t j1) {
     for (std::size_t k = k0; k < k1; ++k) {
@@ -175,9 +196,50 @@ inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
   column_panel(k1, n);
 }
 
+/// Fused combine + change detection over one row (square_step's merge
+/// pass): dst[j] = combine(dst[j], src[j]) for each j from the given
+/// start up to n; true iff any of them improves().
+template <Semiring S, typename Tag = void>
+inline bool combine_row_loop(typename S::Value* dst,
+                             const typename S::Value* src, std::size_t j,
+                             std::size_t n) {
+  bool changed = false;
+  for (; j < n; ++j) {
+    if (S::improves(dst[j], src[j])) changed = true;
+    dst[j] = S::combine(dst[j], src[j]);
+  }
+  return changed;
+}
+
+/// One edge of a bucket pass over contiguous lanes: dst[l] =
+/// combine(dst[l], relax_extend(src[l], w)) for each lane l from the
+/// given start up to `lanes`.
+template <Semiring S, typename Tag = void>
+inline void lane_loop(typename S::Value* dst, const typename S::Value* src,
+                      typename S::Value w, std::size_t l, std::size_t lanes) {
+  for (; l < lanes; ++l) {
+    dst[l] = S::combine(dst[l], relax_extend<S>(src[l], w));
+  }
+}
+
+/// lane_loop OR-ing per-lane improvement into changed[l].
+template <Semiring S, typename Tag = void>
+inline void lane_loop_tracked(typename S::Value* dst,
+                              const typename S::Value* src,
+                              typename S::Value w, std::size_t l,
+                              std::size_t lanes, std::uint8_t* changed) {
+  for (; l < lanes; ++l) {
+    const typename S::Value next =
+        S::combine(dst[l], relax_extend<S>(src[l], w));
+    changed[l] |= static_cast<std::uint8_t>(next != dst[l]);
+    dst[l] = next;
+  }
+}
+
 // --- kernel function table ---------------------------------------------
-// One entry per (kernel, semiring kind). Kinds cover the value domains
-// the shipped semirings relax over:
+// One entry per (kernel, semiring kind), one table per vector tier; the
+// scalar tier has no table, it runs the loops above. Kinds cover the
+// value domains the shipped semirings relax over:
 //   minplus_d  double    min / +            (TropicalD)
 //   minplus_i  int64     min / saturating + (TropicalI)
 //   maxmin_d   double    max / min          (BottleneckSR)
@@ -186,24 +248,21 @@ inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
 // Kernel shapes (V = kind's value type):
 //   product(o, ldo, a, lda, b, ldb, rows, mid, cols):
 //                              o ⊕= a ⊗ b over strided sub-rectangles,
-//                              the order of product_loops; vector tiers
-//                              keep a block of output rows x 2 vectors
-//                              in registers across each kKernelTile
-//                              slice of k.
+//                              the order of product_loops, with a block
+//                              of output rows x 2 vectors kept in
+//                              registers across each kKernelTile slice
+//                              of k.
 //   fw_panel(m, ld, n, k0, k1): the sequential phases of one
 //                              Floyd–Warshall k-panel, the order of
 //                              fw_panel_loops, as inline row loops.
-//   combine_row(dst, src, n):  dst[j] = combine(dst[j], src[j]);
-//                              returns nonzero iff any improves() —
-//                              square_step's fused change detection.
+//   combine_row(dst, src, n):  combine_row_loop; returns nonzero iff
+//                              any improves().
 //   sweep(dist, from, to, value, m, lanes):
-//                              for each edge i, relax `lanes`
-//                              contiguous lanes at dist[to[i]*lanes..]
-//                              from dist[from[i]*lanes..] through
-//                              relax_extend — one batched-query bucket
-//                              pass. lanes <= 64.
-//   sweep_tracked(..., changed): same, OR-ing per-lane improvement
-//                              flags into changed[0..lanes).
+//                              lane_loop for each edge i, from
+//                              dist[from[i]*lanes..] to
+//                              dist[to[i]*lanes..] — one batched-query
+//                              bucket pass. lanes <= 64.
+//   sweep_tracked(..., changed): same with lane_loop_tracked.
 template <typename V>
 using ProductKernel = void(V* o, std::size_t ldo, const V* a,
                            std::size_t lda, const V* b, std::size_t ldb,
@@ -250,14 +309,13 @@ struct KernelTable {
   SweepTrackedKernel<unsigned char>* sweep_tracked_orand_b;
 };
 
-/// The kernel set for a tier. Tiers not compiled in alias the next
-/// lower compiled tier, so indexing any Tier value is always safe.
+/// The kernel set for a vector tier (t != kScalar). Tiers not compiled
+/// in alias the next lower compiled tier.
 const KernelTable& table(Tier t);
 
 /// Maps a shipped semiring to its KernelTable members. Semirings
-/// without a specialization run the loop nests above with a scalar row
-/// step and the inline scalar loops in the dispatch wrappers below (and
-/// never touch the table).
+/// without a specialization always run the scalar loops (and never
+/// touch the table).
 template <typename S>
 struct KindTraits;
 
@@ -302,22 +360,9 @@ template <typename S>
 inline constexpr bool kVectorizable = VectorizableSemiring<S>;
 
 // --- dispatched entry points -------------------------------------------
-// Each reads active_tier() once per call. The dense kernels go through
-// the table on every tier (the scalar tier's entries are the loop nests
-// above); the row and sweep kernels take their inline loop on the
-// scalar tier. Semirings without a kind always run inline.
-
-/// Scalar row step of the dense loop nests, for semirings without a
-/// vector kind.
-template <Semiring S>
-struct ScalarRow {
-  void operator()(typename S::Value* o, const typename S::Value* b,
-                  typename S::Value a, std::size_t n) const {
-    for (std::size_t j = 0; j < n; ++j) {
-      o[j] = S::combine(o[j], S::extend(a, b[j]));
-    }
-  }
-};
+// Each reads active_tier() once per call: the scalar loops on the scalar
+// tier, the tier's table entry otherwise. Semirings without a kind
+// always run the scalar loops.
 
 /// o ⊕= a ⊗ b over strided sub-rectangles (see product_loops).
 template <Semiring S>
@@ -326,11 +371,14 @@ inline void product(typename S::Value* o, std::size_t ldo,
                     const typename S::Value* b, std::size_t ldb,
                     std::size_t rows, std::size_t mid, std::size_t cols) {
   if constexpr (kVectorizable<S>) {
-    (*(table(active_tier()).*KindTraits<S>::kProduct))(o, ldo, a, lda, b, ldb,
-                                                      rows, mid, cols);
-  } else {
-    product_loops<S>(o, ldo, a, lda, b, ldb, rows, mid, cols, ScalarRow<S>{});
+    const Tier t = active_tier();
+    if (t != Tier::kScalar) {
+      (*(table(t).*KindTraits<S>::kProduct))(o, ldo, a, lda, b, ldb, rows,
+                                             mid, cols);
+      return;
+    }
   }
+  product_loops<S>(o, ldo, a, lda, b, ldb, rows, mid, cols);
 }
 
 /// The sequential phases of Floyd–Warshall k-panel [k0, k1) of the
@@ -339,14 +387,17 @@ template <Semiring S>
 inline void fw_panel(typename S::Value* m, std::size_t ld, std::size_t n,
                      std::size_t k0, std::size_t k1) {
   if constexpr (kVectorizable<S>) {
-    (*(table(active_tier()).*KindTraits<S>::kFwPanel))(m, ld, n, k0, k1);
-  } else {
-    fw_panel_loops<S>(m, ld, n, k0, k1, ScalarRow<S>{});
+    const Tier t = active_tier();
+    if (t != Tier::kScalar) {
+      (*(table(t).*KindTraits<S>::kFwPanel))(m, ld, n, k0, k1);
+      return;
+    }
   }
+  fw_panel_loops<S>(m, ld, n, k0, k1);
 }
 
-/// Fused combine + change detection over one row (square_step's merge
-/// pass): dst[j] = combine(dst[j], src[j]); true iff any improves().
+/// dst[j] = combine(dst[j], src[j]); true iff any improves() (see
+/// combine_row_loop).
 template <Semiring S>
 inline bool combine_row(typename S::Value* dst, const typename S::Value* src,
                         std::size_t n) {
@@ -356,12 +407,7 @@ inline bool combine_row(typename S::Value* dst, const typename S::Value* src,
       return (table(t).*KindTraits<S>::kCombineRow)(dst, src, n) != 0;
     }
   }
-  bool changed = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (S::improves(dst[j], src[j])) changed = true;
-    dst[j] = S::combine(dst[j], src[j]);
-  }
-  return changed;
+  return combine_row_loop<S>(dst, src, 0, n);
 }
 
 /// One bucket pass of the lane-batched query: for every edge, relax
@@ -378,14 +424,10 @@ inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* from,
       return;
     }
   }
-  using Value = typename S::Value;
   for (std::size_t i = 0; i < m; ++i) {
-    const Value* src = dist + static_cast<std::size_t>(from[i]) * lanes;
-    Value* dst = dist + static_cast<std::size_t>(to[i]) * lanes;
-    const Value w = value[i];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      dst[l] = S::combine(dst[l], relax_extend<S>(src[l], w));
-    }
+    lane_loop<S>(dist + static_cast<std::size_t>(to[i]) * lanes,
+                 dist + static_cast<std::size_t>(from[i]) * lanes, value[i],
+                 0, lanes);
   }
 }
 
@@ -405,16 +447,10 @@ inline void bucket_sweep_tracked(typename S::Value* dist,
       return;
     }
   }
-  using Value = typename S::Value;
   for (std::size_t i = 0; i < m; ++i) {
-    const Value* src = dist + static_cast<std::size_t>(from[i]) * lanes;
-    Value* dst = dist + static_cast<std::size_t>(to[i]) * lanes;
-    const Value w = value[i];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const Value next = S::combine(dst[l], relax_extend<S>(src[l], w));
-      changed[l] |= static_cast<std::uint8_t>(next != dst[l]);
-      dst[l] = next;
-    }
+    lane_loop_tracked<S>(dist + static_cast<std::size_t>(to[i]) * lanes,
+                         dist + static_cast<std::size_t>(from[i]) * lanes,
+                         value[i], 0, lanes, changed);
   }
 }
 

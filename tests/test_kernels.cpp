@@ -1,10 +1,11 @@
-// Parity suite for the cache-blocked dense kernels: blocked and
-// reference (element-at-a-time) implementations must produce
-// bit-identical results — same bytes, not just "close" — on random
-// matrices and adversarial tile-boundary shapes, over all four shipped
-// semirings and on every SIMD tier this machine can run (the blocked
-// kernels are one dispatched simd::product / simd::fw_panel call per
-// tile or panel).
+// Parity suite for the cache-blocked dense kernels: the public kernels
+// and the element-at-a-time reference oracle (detail::
+// multiply_reference_into, detail::floyd_warshall_reference, called
+// directly) must produce bit-identical results — same bytes, not just
+// "close" — on random matrices and adversarial tile-boundary shapes,
+// over all four shipped semirings and on every SIMD tier this machine
+// can run (the blocked kernels are one dispatched simd::product /
+// simd::fw_panel call per tile or panel).
 //
 // Why bit-identity is the right bar: multiply/square_step preserve the
 // per-cell combine order (k strictly ascending for every output cell),
@@ -36,18 +37,49 @@ namespace {
 // multi-tile cases.
 const std::vector<std::size_t> kParitySizes = {1, 7, 8, 9, 63, 64, 65, 200};
 
-/// Sets the kernel toggle for the duration of a scope.
-class KernelMode {
- public:
-  explicit KernelMode(bool blocked)
-      : saved_(blocked_kernels_enabled().load()) {
-    blocked_kernels_enabled().store(blocked);
-  }
-  ~KernelMode() { blocked_kernels_enabled().store(saved_); }
+/// The reference product a (x) b, freshly zeroed.
+template <Semiring S>
+Matrix<S> multiply_reference(const Matrix<S>& a, const Matrix<S>& b) {
+  Matrix<S> out(a.rows(), b.cols());
+  detail::multiply_reference_into(a, b, out);
+  return out;
+}
 
- private:
-  bool saved_;
-};
+/// The reference closure of `input`.
+template <Semiring S>
+Matrix<S> floyd_warshall_reference(Matrix<S> m) {
+  detail::floyd_warshall_reference(m);
+  return m;
+}
+
+/// The reference squaring step: the reference product, then a per-cell
+/// merge pass. Returns true if any cell improved.
+template <Semiring S>
+bool square_step_reference(Matrix<S>& m) {
+  const Matrix<S> product = multiply_reference(m, m);
+  bool changed = false;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      if (S::improves(m.at(i, j), product.at(i, j))) changed = true;
+      m.merge(i, j, product.at(i, j));
+    }
+  }
+  return changed;
+}
+
+/// The reference closure by squaring: the steps of
+/// closure_by_squaring_inplace over square_step_reference.
+template <Semiring S>
+Matrix<S> closure_by_squaring_reference(Matrix<S> m) {
+  const std::size_t n = m.rows();
+  for (std::size_t i = 0; i < n; ++i) m.merge(i, i, S::one());
+  if (n <= 2) return m;
+  const std::size_t steps = std::bit_width(n - 2);
+  for (std::size_t s = 0; s < steps; ++s) {
+    if (!square_step_reference(m)) break;
+  }
+  return m;
+}
 
 /// Exact per-cell comparison. For doubles compare the bit patterns so
 /// that e.g. -0.0 vs +0.0 or differently-rounded sums cannot slip
@@ -100,49 +132,32 @@ Matrix<BooleanSR> random_boolean(std::size_t rows, std::size_t cols, Rng& rng,
 
 template <Semiring S>
 void check_multiply_parity(const Matrix<S>& a, const Matrix<S>& b) {
-  Matrix<S> blocked, reference;
-  {
-    KernelMode mode(true);
-    multiply_into(a, b, blocked);
-  }
-  {
-    KernelMode mode(false);
-    multiply_into(a, b, reference);
-  }
-  expect_bit_identical(blocked, reference, "multiply");
+  Matrix<S> blocked;
+  multiply_into(a, b, blocked);
+  expect_bit_identical(blocked, multiply_reference(a, b), "multiply");
 }
 
 template <Semiring S>
 void check_fw_parity(const Matrix<S>& input) {
   Matrix<S> blocked = input;
-  Matrix<S> reference = input;
-  {
-    KernelMode mode(true);
-    floyd_warshall(blocked);
-  }
-  {
-    KernelMode mode(false);
-    floyd_warshall(reference);
-  }
-  expect_bit_identical(blocked, reference, "floyd_warshall");
+  floyd_warshall(blocked);
+  expect_bit_identical(blocked, floyd_warshall_reference(input),
+                       "floyd_warshall");
 }
 
 template <Semiring S>
 void check_square_parity(const Matrix<S>& input) {
   Matrix<S> blocked = input;
   Matrix<S> reference = input;
-  bool cb, cr;
-  {
-    KernelMode mode(true);
-    Matrix<S> scratch;
-    cb = square_step(blocked, scratch);
-  }
-  {
-    KernelMode mode(false);
-    cr = square_step(reference);  // allocating overload doubles as API check
-  }
+  Matrix<S> scratch;
+  const bool cb = square_step(blocked, scratch);
+  const bool cr = square_step_reference(reference);
   EXPECT_EQ(cb, cr) << "square_step changed flag";
   expect_bit_identical(blocked, reference, "square_step");
+  // The allocating overload doubles as an API check.
+  Matrix<S> allocating = input;
+  EXPECT_EQ(square_step(allocating), cb) << "square_step changed flag";
+  expect_bit_identical(allocating, blocked, "square_step allocating");
 }
 
 TEST(KernelParity, MultiplySquareShapesTropical) {
@@ -280,16 +295,9 @@ TEST(KernelParity, ClosureBySquaringParity) {
   for (const std::size_t n : {9u, 64u, 65u, 129u}) {
     SCOPED_TRACE(n);
     const auto input = random_tropical(n, n, rng, 0.1, false);
-    Matrix<TropicalD> blocked, reference;
-    {
-      KernelMode mode(true);
-      blocked = closure_by_squaring(input);
-    }
-    {
-      KernelMode mode(false);
-      reference = closure_by_squaring(input);
-    }
-    expect_bit_identical(blocked, reference, "closure_by_squaring");
+    expect_bit_identical(closure_by_squaring(input),
+                         closure_by_squaring_reference(input),
+                         "closure_by_squaring");
   }
 }
 
@@ -360,11 +368,7 @@ TYPED_TEST(TierParity, MultiplyEveryDimensionEveryTier) {
     SCOPED_TRACE(::testing::Message() << sh[0] << "x" << sh[1] << "x" << sh[2]);
     const auto a = random_matrix<S>(sh[0], sh[1], rng, 0.6, false);
     const auto b = random_matrix<S>(sh[1], sh[2], rng, 0.6, false);
-    Matrix<S> reference;
-    {
-      KernelMode mode(false);
-      multiply_into(a, b, reference);
-    }
+    const Matrix<S> reference = multiply_reference(a, b);
     for (const simd::Tier t : runnable_tiers()) {
       simd::force_tier(t);
       Matrix<S> blocked;
@@ -390,11 +394,7 @@ TYPED_TEST(TierParity, FloydWarshallEveryTier) {
       SCOPED_TRACE(::testing::Message()
                    << "n=" << n << " integer=" << integer_weights);
       const auto input = random_matrix<S>(n, n, rng, 0.2, integer_weights);
-      Matrix<S> reference = input;
-      {
-        KernelMode mode(false);
-        floyd_warshall(reference);
-      }
+      const Matrix<S> reference = floyd_warshall_reference(input);
       for (const simd::Tier t : runnable_tiers()) {
         simd::force_tier(t);
         Matrix<S> blocked = input;
@@ -423,11 +423,7 @@ TEST(KernelParity, TropicalINegativeCycleSaturatesAtFloor) {
       input.at(i, (i + 1) % n) = -(kInf / 4);
       input.at(i, (i + 7) % n) = 3;
     }
-    Matrix<TropicalI> reference = input;
-    {
-      KernelMode mode(false);
-      floyd_warshall(reference);
-    }
+    const Matrix<TropicalI> reference = floyd_warshall_reference(input);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LT(reference.at(i, i), 0) << "row " << i;
       for (std::size_t j = 0; j < n; ++j) {
@@ -445,32 +441,28 @@ TEST(KernelParity, TropicalINegativeCycleSaturatesAtFloor) {
   }
 }
 
-/// End-to-end: both builders, both closure kernels, blocked vs
-/// reference, on a 17x17 grid — shortcut sets, weights (bit-compared),
-/// and cost-model charges must all agree.
+/// End-to-end: both builders, both closure kernels, the ambient tier
+/// vs the scalar tier, on a 17x17 grid — shortcut sets, weights
+/// (bit-compared), and cost-model charges must all agree.
 template <typename BuildFn>
 void check_build_parity(const BuildFn& build) {
-  const auto blocked = [&] {
-    KernelMode mode(true);
-    return build();
-  }();
-  const auto reference = [&] {
-    KernelMode mode(false);
-    return build();
-  }();
-  ASSERT_EQ(blocked.augmentation().plan, reference.augmentation().plan);
-  const EdgeBucket<TropicalD>& a = blocked.shortcut_edges();
-  const EdgeBucket<TropicalD>& b = reference.shortcut_edges();
+  TierGuard guard;
+  const auto ambient = build();
+  simd::force_tier(simd::Tier::kScalar);
+  const auto scalar = build();
+  ASSERT_EQ(ambient.augmentation().plan, scalar.augmentation().plan);
+  const EdgeBucket<TropicalD>& a = ambient.shortcut_edges();
+  const EdgeBucket<TropicalD>& b = scalar.shortcut_edges();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.value(i)),
               std::bit_cast<std::uint64_t>(b.value(i)))
         << "shortcut " << i;
   }
-  EXPECT_EQ(blocked.augmentation().build_cost.work,
-            reference.augmentation().build_cost.work);
-  EXPECT_EQ(blocked.augmentation().critical_depth,
-            reference.augmentation().critical_depth);
+  EXPECT_EQ(ambient.augmentation().build_cost.work,
+            scalar.augmentation().build_cost.work);
+  EXPECT_EQ(ambient.augmentation().critical_depth,
+            scalar.augmentation().critical_depth);
 }
 
 TEST(KernelParity, EndToEndAugmentation) {

@@ -1,15 +1,19 @@
 // Paper remark (iii): the engine is generic over path-algebra semirings.
-// Boolean and bottleneck instances against brute-force references, and
-// the integer tropical instance against Dijkstra.
+// Boolean and bottleneck instances against brute-force references, the
+// integer tropical instance against Dijkstra, and a semiring without a
+// SIMD kernel kind (the generic scalar path) against TropicalD.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "baseline/dijkstra.hpp"
 #include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "semiring/matrix.hpp"
+#include "semiring/simd.hpp"
 #include "separator/finders.hpp"
 
 namespace sepsp {
@@ -110,6 +114,90 @@ TEST(SemiringEngines, BothBuildersAgreeOnBottleneck) {
   const auto ra = a.distances(0);
   const auto rb = b.distances(0);
   EXPECT_EQ(ra.dist, rb.dist);
+}
+
+/// TropicalD's functions under another name, with no simd::KindTraits:
+/// every kernel it reaches takes the generic scalar path.
+struct PlainTropical {
+  using Value = TropicalD::Value;
+  static constexpr Value zero() { return TropicalD::zero(); }
+  static constexpr Value one() { return TropicalD::one(); }
+  static constexpr Value combine(Value a, Value b) {
+    return TropicalD::combine(a, b);
+  }
+  static constexpr Value extend(Value a, Value b) {
+    return TropicalD::extend(a, b);
+  }
+  static constexpr bool improves(Value current, Value candidate) {
+    return TropicalD::improves(current, candidate);
+  }
+  static constexpr Value extend_unguarded(Value a, Value b) {
+    return TropicalD::extend_unguarded(a, b);
+  }
+  static constexpr Value from_weight(double w) {
+    return TropicalD::from_weight(w);
+  }
+  static constexpr bool kDetectNegativeCycles =
+      TropicalD::kDetectNegativeCycles;
+  static bool detect_improves(Value current, Value candidate) {
+    return TropicalD::detect_improves(current, candidate);
+  }
+};
+static_assert(Semiring<PlainTropical>);
+static_assert(!simd::kVectorizable<PlainTropical>);
+
+/// Every source's distances_batch at each lane width: the generic
+/// engine's dist (memcmp), edges_scanned and negative_cycle equal the
+/// TropicalD engine's.
+void expect_generic_matches(const SeparatorShortestPaths<PlainTropical>& got,
+                            const SeparatorShortestPaths<TropicalD>& want,
+                            std::size_t n, const char* builder) {
+  SCOPED_TRACE(builder);
+  std::vector<Vertex> sources(n);
+  std::iota(sources.begin(), sources.end(), Vertex{0});
+  for (const std::size_t lanes : {1u, 8u, 32u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    const auto g = got.distances_batch(sources, {.lanes = lanes});
+    const auto w = want.distances_batch(sources, {.lanes = lanes});
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(g[i].dist.size(), w[i].dist.size());
+      EXPECT_EQ(std::memcmp(g[i].dist.data(), w[i].dist.data(),
+                            w[i].dist.size() * sizeof(double)),
+                0)
+          << "source " << i;
+      EXPECT_EQ(g[i].edges_scanned, w[i].edges_scanned) << "source " << i;
+      EXPECT_EQ(g[i].negative_cycle, w[i].negative_cycle) << "source " << i;
+    }
+  }
+}
+
+TEST(SemiringEngines, GenericSemiringMatchesTropicalD) {
+  Rng rng(7);
+  const GeneratedGraph gg =
+      make_grid({5, 5, 5}, WeightModel::mixed_sign(), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5, 5}));
+  const std::size_t n = gg.graph.num_vertices();
+  const simd::Tier ambient = simd::active_tier();
+  for (const simd::Tier tier : {ambient, simd::Tier::kScalar}) {
+    SCOPED_TRACE(simd::tier_name(tier));
+    simd::force_tier(tier);
+    expect_generic_matches(
+        SeparatorShortestPaths<PlainTropical>::build(gg.graph, tree),
+        SeparatorShortestPaths<TropicalD>::build(gg.graph, tree), n, "build");
+    expect_generic_matches(
+        build_augmentation_recursive<PlainTropical>(gg.graph, tree,
+                                                    ClosureKind::kSquaring),
+        build_augmentation_recursive<TropicalD>(gg.graph, tree,
+                                                ClosureKind::kSquaring),
+        n, "Algorithm 4.1, squaring");
+    expect_generic_matches(
+        build_augmentation_doubling<PlainTropical>(gg.graph, tree),
+        build_augmentation_doubling<TropicalD>(gg.graph, tree), n,
+        "Algorithm 4.3");
+  }
+  simd::force_tier(ambient);
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 // identity is checked with memcmp, not operator== (so a -0.0 vs +0.0
 // divergence would be caught).
 //
-// The dense kernels (product, fw_panel) are checked entry by entry:
-// every tier against the scalar tier, the scalar tier against a naive
-// per-cell loop, at every width 1..130, at the node shapes of a 9^3
-// grid, on strided sub-rectangles with guard cells around them, and with
-// whole rows and columns of zero().
+// The dense kernels (product, fw_panel) are checked entry by entry, each
+// dispatched under force_tier: every tier against the scalar tier (the
+// loops of simd.hpp) and against a naive per-cell loop, at every width
+// 1..130, at the node shapes of a 9^3 grid, on strided sub-rectangles
+// with guard cells around them, and with whole rows and columns of
+// zero().
 //
 // Also covered: tier naming/parsing, SEPSP_FORCE_ISA resolution (the CI
 // force-isa job runs this whole binary under each forced tier — the
@@ -149,7 +150,16 @@ bool bits_equal(const std::vector<V>& a, const std::vector<V>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(V)) == 0;
 }
 
-// --- kernel-level parity: each tier vs the dispatched scalar loops -----
+// --- kernel-level parity: each tier vs the scalar loops ----------------
+
+/// Runs `body` with dispatch forced to `tier`, then restores the tier
+/// that was active before.
+template <typename F>
+void at_tier(simd::Tier tier, const F& body) {
+  TierGuard guard;
+  simd::force_tier(tier);
+  body();
+}
 
 template <typename S>
 void check_kernel_parity(simd::Tier tier) {
@@ -157,8 +167,6 @@ void check_kernel_parity(simd::Tier tier) {
   SCOPED_TRACE(std::string("tier=") + simd::tier_name(tier) +
                " semiring=" + typeid(S).name());
   Rng rng(1234 + static_cast<int>(tier));
-  const simd::KernelTable& vt = simd::table(tier);
-  const simd::KernelTable& st = simd::table(simd::Tier::kScalar);
 
   for (const std::size_t n : {1u, 3u, 7u, 16u, 33u, 64u, 100u}) {
     // combine_row: fused merge + any-improvement flag.
@@ -166,12 +174,14 @@ void check_kernel_parity(simd::Tier tier) {
     for (auto& v : dst) v = Gen<S>::dist_value(rng);
     for (auto& v : src) v = Gen<S>::dist_value(rng);
     std::vector<Value> d_vec = dst, d_ref = dst;
-    const int c_vec =
-        (vt.*simd::KindTraits<S>::kCombineRow)(d_vec.data(), src.data(), n);
-    const int c_ref =
-        (st.*simd::KindTraits<S>::kCombineRow)(d_ref.data(), src.data(), n);
+    bool c_vec = false;
+    at_tier(tier, [&] {
+      c_vec = simd::combine_row<S>(d_vec.data(), src.data(), n);
+    });
+    const bool c_ref =
+        simd::combine_row_loop<S>(d_ref.data(), src.data(), 0, n);
     EXPECT_TRUE(bits_equal(d_vec, d_ref)) << "combine_row n=" << n;
-    EXPECT_EQ(c_vec != 0, c_ref != 0) << "combine_row changed flag n=" << n;
+    EXPECT_EQ(c_vec, c_ref) << "combine_row changed flag n=" << n;
   }
 
   // Bucket sweeps over a lane-major dist matrix, including self-loops
@@ -192,10 +202,14 @@ void check_kernel_parity(simd::Tier tier) {
     }
 
     std::vector<Value> dv = dist0, dr = dist0;
-    (vt.*simd::KindTraits<S>::kSweep)(dv.data(), from.data(), to.data(),
-                                      value.data(), m, lanes);
-    (st.*simd::KindTraits<S>::kSweep)(dr.data(), from.data(), to.data(),
-                                      value.data(), m, lanes);
+    at_tier(tier, [&] {
+      simd::bucket_sweep<S>(dv.data(), from.data(), to.data(), value.data(),
+                            m, lanes);
+    });
+    at_tier(simd::Tier::kScalar, [&] {
+      simd::bucket_sweep<S>(dr.data(), from.data(), to.data(), value.data(),
+                            m, lanes);
+    });
     EXPECT_TRUE(bits_equal(dv, dr)) << "sweep lanes=" << lanes;
     // And both equal the guarded extend, edge by edge.
     std::vector<Value> dg = dist0;
@@ -209,12 +223,14 @@ void check_kernel_parity(simd::Tier tier) {
 
     std::vector<Value> tv = dist0, tr = dist0;
     std::vector<std::uint8_t> cv(lanes, 0), cr(lanes, 0);
-    (vt.*simd::KindTraits<S>::kSweepTracked)(tv.data(), from.data(), to.data(),
-                                             value.data(), m, lanes,
-                                             cv.data());
-    (st.*simd::KindTraits<S>::kSweepTracked)(tr.data(), from.data(), to.data(),
-                                             value.data(), m, lanes,
-                                             cr.data());
+    at_tier(tier, [&] {
+      simd::bucket_sweep_tracked<S>(tv.data(), from.data(), to.data(),
+                                    value.data(), m, lanes, cv.data());
+    });
+    at_tier(simd::Tier::kScalar, [&] {
+      simd::bucket_sweep_tracked<S>(tr.data(), from.data(), to.data(),
+                                    value.data(), m, lanes, cr.data());
+    });
     EXPECT_TRUE(bits_equal(tv, tr)) << "sweep_tracked lanes=" << lanes;
     for (std::size_t l = 0; l < lanes; ++l) {
       EXPECT_EQ(cv[l] != 0, cr[l] != 0)
@@ -271,8 +287,8 @@ void naive_product(Strided<S>& o, const Strided<S>& a, const Strided<S>& b,
   }
 }
 
-/// One product shape on every runnable tier: each tier's entry must
-/// match the naive loop bit for bit, guard cells included.
+/// One product shape on every runnable tier: each tier's dispatched
+/// product must match the naive loop bit for bit, guard cells included.
 template <typename S>
 void check_product_shape(std::size_t rows, std::size_t mid, std::size_t cols,
                          Rng& rng) {
@@ -288,9 +304,10 @@ void check_product_shape(std::size_t rows, std::size_t mid, std::size_t cols,
   naive_product(want, a, b, mid);
   for (const simd::Tier t : runnable_tiers()) {
     Strided<S> got = o;
-    (*(simd::table(t).*simd::KindTraits<S>::kProduct))(
-        got.at(0, 0), got.ld, a.at(0, 0), a.ld, b.at(0, 0), b.ld, rows, mid,
-        cols);
+    at_tier(t, [&] {
+      simd::product<S>(got.at(0, 0), got.ld, a.at(0, 0), a.ld, b.at(0, 0),
+                       b.ld, rows, mid, cols);
+    });
     ASSERT_TRUE(bits_equal(got.cells, want.cells))
         << "product tier=" << simd::tier_name(t);
   }
@@ -321,21 +338,24 @@ TYPED_TEST(SimdKernelParity, ProductNodeShapesEveryTier) {
 }
 
 /// Runs the whole blocked Floyd–Warshall over an n x n strided
-/// sub-rectangle with one tier's entries: fw_panel per k-panel, then a
-/// product per interior tile (the order of floyd_warshall_blocked).
+/// sub-rectangle with one tier's dispatched entries: fw_panel per
+/// k-panel, then a product per interior tile (the order of
+/// floyd_warshall_blocked).
 template <typename S>
-void fw_with_table(const simd::KernelTable& kt, Strided<S>& m) {
+void fw_at_tier(simd::Tier tier, Strided<S>& m) {
+  TierGuard guard;
+  simd::force_tier(tier);
   const std::size_t n = m.rows;
   const std::size_t T = kKernelTile;
   for (std::size_t k0 = 0; k0 < n; k0 += T) {
     const std::size_t k1 = std::min(n, k0 + T);
-    (*(kt.*simd::KindTraits<S>::kFwPanel))(m.at(0, 0), m.ld, n, k0, k1);
+    simd::fw_panel<S>(m.at(0, 0), m.ld, n, k0, k1);
     for (std::size_t i0 = 0; i0 < n; i0 += T) {
       for (std::size_t j0 = 0; j0 < n; j0 += T) {
         if (i0 == k0 || j0 == k0) continue;
-        (*(kt.*simd::KindTraits<S>::kProduct))(
-            m.at(i0, j0), m.ld, m.at(i0, k0), m.ld, m.at(k0, j0), m.ld,
-            std::min(n, i0 + T) - i0, k1 - k0, std::min(n, j0 + T) - j0);
+        simd::product<S>(m.at(i0, j0), m.ld, m.at(i0, k0), m.ld, m.at(k0, j0),
+                         m.ld, std::min(n, i0 + T) - i0, k1 - k0,
+                         std::min(n, j0 + T) - j0);
       }
     }
   }
@@ -349,10 +369,10 @@ TYPED_TEST(SimdKernelParity, FwPanelStridedEveryTier) {
     Strided<S> input(n, n, rng);
     for (std::size_t j = 0; j < n; ++j) *input.at(n / 2, j) = S::zero();
     Strided<S> want = input;
-    fw_with_table(simd::table(simd::Tier::kScalar), want);
+    fw_at_tier(simd::Tier::kScalar, want);
     for (const simd::Tier t : runnable_tiers()) {
       Strided<S> got = input;
-      fw_with_table(simd::table(t), got);
+      fw_at_tier(t, got);
       ASSERT_TRUE(bits_equal(got.cells, want.cells))
           << "fw_panel tier=" << simd::tier_name(t);
     }
@@ -522,10 +542,9 @@ TEST(SimdDispatch, TierOrderIsCoherent) {
             static_cast<int>(simd::compiled_tier()));
   EXPECT_LE(static_cast<int>(simd::active_tier()),
             static_cast<int>(simd::detected_tier()));
-  if (!simd::compiled_in()) {
-    EXPECT_EQ(simd::compiled_tier(), simd::Tier::kScalar);
-    EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
-  }
+  // The 128-bit tier needs no flags, so every build has it.
+  EXPECT_GE(static_cast<int>(simd::compiled_tier()),
+            static_cast<int>(simd::Tier::kSse));
 }
 
 TEST(SimdDispatch, ForceTierClampsToDetected) {
