@@ -129,7 +129,6 @@ LoadResult run_load(QueryService& service, std::size_t clients,
 ServiceOptions make_options(std::size_t lanes, bool cache) {
   ServiceOptions opts;
   opts.lanes = lanes;
-  opts.max_delay_us = 300;
   // A zero budget stores nothing: the cache-off rows take every miss.
   opts.cache_capacity_bytes = cache ? std::size_t{32} << 20 : 0;
   if (!cache) opts.st_cache_capacity_bytes = 0;
@@ -213,6 +212,7 @@ int main(int argc, char** argv) {
         .field("p99_us", p99)
         .field("p999_us", p999)
         .field("occupancy", s.batch_occupancy())
+        .field("mean_coalesce_us", s.mean_coalesce_us())
         .field("hit_rate", s.hit_rate())
         .field("shed", s.shed)
         .field("swaps", s.epoch_swaps)
@@ -505,6 +505,10 @@ int main(int argc, char** argv) {
   {
     const std::size_t clients = 2 * max_dispatchers;
     std::uint64_t failed = 0;
+    struct Served {
+      double qps;
+      double mean_coalesce_us;
+    };
     const auto serve = [&](std::size_t dispatchers) {
       ServiceOptions lean = make_options(8, /*cache=*/false);
       lean.dispatchers = static_cast<unsigned>(dispatchers);
@@ -512,13 +516,13 @@ int main(int argc, char** argv) {
                        lean);
       const LoadResult r = run_load(svc, clients, wide_pool, duration);
       failed += r.failed;
-      return r.qps();
+      return Served{r.qps(), svc.stats().mean_coalesce_us()};
     };
-    const double single_qps = serve(1);
-    const double scaled_qps = serve(max_dispatchers);
-    const double speedup = single_qps == 0 ? 0 : scaled_qps / single_qps;
-    std::cout << "dispatcher scaling: " << scaled_qps << " qps at "
-              << max_dispatchers << " dispatchers vs " << single_qps
+    const Served single = serve(1);
+    const Served scaled = serve(max_dispatchers);
+    const double speedup = single.qps == 0 ? 0 : scaled.qps / single.qps;
+    std::cout << "dispatcher scaling: " << scaled.qps << " qps at "
+              << max_dispatchers << " dispatchers vs " << single.qps
               << " qps at 1 (" << speedup << "x) on " << hw_threads
               << " hardware threads\n";
     json()
@@ -526,8 +530,10 @@ int main(int argc, char** argv) {
         .field("dispatchers", static_cast<std::uint64_t>(max_dispatchers))
         .field("hardware_threads", static_cast<std::uint64_t>(hw_threads))
         .field("clients", static_cast<std::uint64_t>(clients))
-        .field("single_qps", single_qps)
-        .field("scaled_qps", scaled_qps)
+        .field("single_qps", single.qps)
+        .field("scaled_qps", scaled.qps)
+        .field("single_coalesce_us", single.mean_coalesce_us)
+        .field("scaled_coalesce_us", scaled.mean_coalesce_us)
         .field("speedup", speedup)
         .field("failed", failed);
   }
@@ -546,9 +552,6 @@ int main(int argc, char** argv) {
          {std::size_t{1}, max_dispatchers}) {
       ServiceOptions opts = make_options(8, /*cache=*/true);
       opts.dispatchers = static_cast<unsigned>(dispatchers);
-      // Latency-first coalescing: a 300 us flush deadline would spend
-      // a third of the 1 ms p99 budget waiting for lane-mates.
-      opts.max_delay_us = 50;
       QueryService svc(IncrementalEngine::build(inst.gg.graph, inst.tree),
                        opts);
 
@@ -614,6 +617,7 @@ int main(int argc, char** argv) {
           .field("sustained_qps", sustained_qps)
           .field("p99_budget_us", kP99BudgetUs)
           .field("hit_rate", st.hit_rate())
+          .field("mean_coalesce_us", st.mean_coalesce_us())
           .field("swaps", st.epoch_swaps)
           .field("mean_swap_us", st.mean_swap_us())
           .field("max_swap_us", static_cast<double>(st.swap_ns_max) / 1e3);

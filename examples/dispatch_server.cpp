@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
 
   ServiceOptions opts;
   opts.lanes = 8;
-  opts.max_delay_us = 150;
   opts.dispatchers = static_cast<unsigned>(dispatchers);
   opts.cache_capacity_bytes = std::size_t{8} << 20;
   if (approx) {

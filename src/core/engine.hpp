@@ -613,15 +613,15 @@ class SeparatorShortestPaths {
   /// mapped image segment), each a flat array alongside the shared pair
   /// arrays.
   ///
+  /// Every width extends through relax_extend(), the semiring's
+  /// unguarded extend (exact for zero() "no path" slot values too).
   /// Width 1 is the scalar loop: an unreached source is skipped and a
   /// distance is stored only when it improves. A wider walk hands each
   /// run to simd::bucket_sweep(_tracked), which takes the width at run
   /// time: the dispatched vector kernel when a vector tier is active,
   /// else its lane loop — the baseline the tiers are measured against,
-  /// bit-identical to them. combine() is a branch-free select and
-  /// relax_extend() the semiring's unguarded extend (exact for zero()
-  /// "no path" slot values too; an unseeded lane stays at zero(), from
-  /// which nothing improves).
+  /// bit-identical to them. combine() is a branch-free select; an
+  /// unseeded lane stays at zero(), from which nothing improves.
   template <bool kTrack>
   void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
              std::size_t width, std::uint8_t* changed) const {
@@ -635,7 +635,7 @@ class SeparatorShortestPaths {
             for (std::size_t i = 0; i < len; ++i) {
               const Value du = dist[from[lo + i]];
               if (!S::improves(S::zero(), du)) continue;  // unreached
-              const Value cand = S::extend(du, value[i]);
+              const Value cand = relax_extend<S>(du, value[i]);
               if (S::improves(dist[to[lo + i]], cand)) {
                 dist[to[lo + i]] = cand;
                 any = true;
@@ -690,7 +690,7 @@ class SeparatorShortestPaths {
               const Value du = dist[from[lo + i]];
               if (!S::improves(S::zero(), du)) continue;
               if (S::detect_improves(dist[to[lo + i]],
-                                     S::extend(du, value[i]))) {
+                                     relax_extend<S>(du, value[i]))) {
                 found[0] = true;
                 return;
               }
@@ -703,8 +703,8 @@ class SeparatorShortestPaths {
                   dist + static_cast<std::size_t>(to[lo + i]) * width;
               for (std::size_t lane = 0; lane < lanes; ++lane) {
                 if (!S::improves(S::zero(), du[lane])) continue;
-                if (S::detect_improves(dw[lane],
-                                       S::extend(du[lane], value[i]))) {
+                if (S::detect_improves(
+                        dw[lane], relax_extend<S>(du[lane], value[i]))) {
                   found[lane] = true;
                 }
               }

@@ -340,8 +340,8 @@ HubLabeling<S> HubLabeling<S>::build_payload(
             if (!S::improves(S::zero(), to_mid)) continue;
             const Vertex hop = kHops ? table.next[i * k + mid] : kInvalidVertex;
             for (std::size_t j = 0; j < k; ++j) {
-              relax(i * k + j, S::extend(to_mid, table.dist[mid * k + j]),
-                    hop);
+              relax(i * k + j,
+                    relax_extend<S>(to_mid, table.dist[mid * k + j]), hop);
             }
           }
         }
@@ -376,7 +376,10 @@ typename S::Value HubLabeling<S>::best(Vertex u, Vertex v, Vertex* hop) const {
     } else if (eu.hub > ev.hub) {
       ++j;
     } else {
-      const Value via = S::extend(eu.to_hub, ev.from_hub);
+      // Either side is zero() when the hub and its vertex are not
+      // connected; relax_extend is exact there too (test_semiring pairs
+      // zero() on both sides).
+      const Value via = relax_extend<S>(eu.to_hub, ev.from_hub);
       // Standing at the hub: leave along the hub's out-arc toward v;
       // otherwise move toward the hub.
       if (hop != nullptr && S::improves(best, via)) {

@@ -156,11 +156,12 @@ concept HasUnguardedExtend = requires(typename S::Value a, typename S::Value b) 
 
 /// extend() for relaxation hot loops: selects the semiring's branch-free
 /// extend_unguarded() when it exists, else the guarded extend().
-/// Bit-identical to extend() for every edge value b, zero() included
-/// (buckets keep zero() "no path" slots), and every a a relaxation can
-/// hold (test_semiring enforces the equivalence). This is the single home of the guarded/unguarded
-/// selection shared by the scalar, lane-batched, and SIMD kernels —
-/// do not re-derive it at call sites.
+/// Bit-identical to extend() for every pair of values a relaxation or a
+/// hub-label merge can hold, zero() on either side included (buckets
+/// keep zero() "no path" slots; labels hold zero() for disconnected
+/// pairs); test_semiring enforces the equivalence. This is the single
+/// home of the guarded/unguarded selection shared by the scalar,
+/// lane-batched, and SIMD kernels — do not re-derive it at call sites.
 template <Semiring S>
 constexpr typename S::Value relax_extend(typename S::Value a,
                                          typename S::Value b) {

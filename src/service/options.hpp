@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "core/engine.hpp"
 #include "semiring/semiring.hpp"
@@ -12,18 +11,13 @@ namespace sepsp::service {
 
 struct ServiceOptions {
   // --- batch coalescer ------------------------------------------------
-  /// Lane-group width B: requests are coalesced into groups of this
-  /// many sources (one batched-kernel block each). A full group also
-  /// takes the backlog already queued behind it, up to one group per
-  /// pool participant, into the same distances_batch call, whose
-  /// blocks run in parallel. Must be a lane width (is_lane_width): 1,
-  /// 2, 4, 8, 16, or 32.
+  /// Lane-group width B: a dispatch's misses run in blocks of this many
+  /// sources (one batched-kernel block each). A dispatcher never waits
+  /// for a group to fill: it takes whatever is queued when it comes
+  /// free, up to one group per pool participant, into one
+  /// distances_batch call, whose blocks run in parallel. Must be a lane
+  /// width (is_lane_width): 1, 2, 4, 8, 16, or 32.
   std::size_t lanes = 8;
-  /// Flush deadline: a partial lane group is dispatched once its oldest
-  /// request has waited this long; a full group never waits for it. 0
-  /// flushes immediately (no coalescing beyond what is already
-  /// queued).
-  std::uint32_t max_delay_us = 200;
   /// Admission bound on queued (not yet dispatched) requests; a submit
   /// that would exceed it is shed with ReplyStatus::kShed instead of
   /// growing the queue without bound.

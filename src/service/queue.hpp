@@ -1,16 +1,18 @@
-// Bounded MPMC submission queue with deadline-aware batch pops — the
-// coalescing front of the serving runtime.
+// Bounded MPMC submission queue with batch pops — the coalescing front
+// of the serving runtime.
 //
 // Producers (submit() callers) push one pending request under a single
 // mutex hop; consumers (dispatcher threads) pop a *batch*: block for
-// the first request, keep collecting arrivals until the lane group is
-// full or the oldest popped request has aged past the flush deadline,
-// then take whatever backlog is already queued, without waiting, up to
-// the dispatch cap. One lock round-trip admits a request and one
-// drains a whole dispatch, so the queue costs O(1) lock hops per
-// request and per batch — lock-light in the sense that matters here
-// (the relaxed ring alternatives save nanoseconds the 10^2..10^4-ns
-// batch kernel cannot see, and a plain mutex is trivially TSan-clean).
+// the first request, then take every request already queued behind it,
+// oldest first, up to the dispatch cap, and return without waiting for
+// more. A miss never waits for company: the batch is whatever queued
+// up while the dispatchers were busy, so requests that arrive during a
+// kernel run leave together in the next dispatch. One lock round-trip
+// admits a request and one drains a whole dispatch, so the queue costs
+// O(1) lock hops per request and per batch — lock-light in the sense
+// that matters here (the relaxed ring alternatives save nanoseconds
+// the 10^2..10^4-ns batch kernel cannot see, and a plain mutex is
+// trivially TSan-clean).
 //
 // Admission control: push() reports failure instead of growing past
 // the configured bound; the caller sheds the request.
@@ -66,40 +68,19 @@ class SubmitQueue {
   }
 
   /// Pops the next batch into `out` (cleared first): blocks until a
-  /// request arrives, then collects up to `lanes` requests, waiting at
-  /// most until the first one has aged `max_delay` past its enqueue
-  /// time. A full lane group then also takes, without waiting, the
-  /// requests already queued behind it, up to `max` (>= `lanes`) in
-  /// all; at `max == lanes` this is exactly one lane group. Returns
-  /// false only when the queue is closed *and* drained — the
-  /// dispatcher's exit condition; every admitted request is delivered
-  /// to some batch first.
-  bool pop_batch(std::vector<Pending>& out, std::size_t lanes,
-                 std::size_t max, std::chrono::microseconds max_delay) {
+  /// request arrives or the queue closes, then takes every request
+  /// already queued, oldest first, up to `max` (> 0), without waiting
+  /// for more. Returns false only when the queue is closed *and*
+  /// drained — the dispatcher's exit condition; every admitted request
+  /// is delivered to some batch first.
+  bool pop_batch(std::vector<Pending>& out, std::size_t max) {
     out.clear();
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto woken = [&] {
+    ready_.wait(lock, [&] {
       return closed_.load(std::memory_order_relaxed) || !items_.empty();
-    };
-    ready_.wait(lock, woken);
-    if (items_.empty()) return false;  // closed and drained
-    out.push_back(take_front());
-    const auto deadline = out.front().enqueued + max_delay;
-    while (out.size() < lanes) {
-      if (!items_.empty()) {
-        out.push_back(take_front());
-        continue;
-      }
-      if (closed_.load(std::memory_order_relaxed) ||
-          !ready_.wait_until(lock, deadline, woken)) {
-        break;  // deadline hit with nothing new — flush partial group
-      }
-      if (items_.empty()) break;  // woken by close()
-    }
-    // The backlog: only a full group can find one (a partial group
-    // left the loop above on an empty queue).
+    });
     while (out.size() < max && !items_.empty()) out.push_back(take_front());
-    return true;
+    return !out.empty();
   }
 
   /// Stops admissions and wakes every blocked consumer; already-queued

@@ -301,8 +301,7 @@ void QueryService::dispatcher_loop() {
       opts_.lanes * pram::ThreadPool::global().concurrency();
   std::vector<Pending> group;
   group.reserve(max);
-  const std::chrono::microseconds delay(opts_.max_delay_us);
-  while (queue_.pop_batch(group, opts_.lanes, max, delay)) {
+  while (queue_.pop_batch(group, max)) {
     flush_group(group);
   }
 }
@@ -597,8 +596,9 @@ void QueryService::stop() {
   std::call_once(stop_once_, [this] {
     queue_.close();
     // No background dispatch configured: drain on the caller's thread
-    // so the no-admitted-request-dropped contract still holds. A closed
-    // queue never waits out the flush deadline.
+    // so the no-admitted-request-dropped contract still holds: each
+    // pop takes what is queued, up to the dispatch cap, until none is
+    // left.
     if (dispatchers_.empty()) dispatcher_loop();
     for (std::thread& t : dispatchers_) t.join();
   });

@@ -5,10 +5,10 @@
 //
 //  * Batch coalescer. submit() admits a single-source distance request
 //    into a bounded MPMC queue (queue.hpp) and returns a future.
-//    Dispatcher threads drain the queue into lane groups of `lanes`
-//    sources — flushing a partial group once its oldest request has
-//    waited `max_delay_us` — and a full group also takes the backlog
-//    already queued behind it, up to one group per pool participant.
+//    A free dispatcher takes every request already queued, up to one
+//    lane group of `lanes` sources per pool participant, and starts at
+//    once — a lone miss waits for no company; misses that queue while
+//    a kernel runs leave together in the next dispatch.
 //    Each dispatch resolves with one distances_batch call, which runs
 //    its lane blocks in parallel on the pool, so concurrent traffic
 //    rides the source-batched kernel (the engine's lane blocks) instead

@@ -264,7 +264,6 @@ TEST(ApproxServiceStress, MixedModeQueriesRaceSwaps) {
   const Fixture f = make_fixture(9, 6);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   opts.point_to_point = false;
   opts.approx.enabled = true;

@@ -5,8 +5,13 @@
 // flags, and ragged last blocks.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
+
+#include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "semiring/simd.hpp"
 #include "separator/finders.hpp"
 
 namespace sepsp {
@@ -33,6 +38,26 @@ class BatchParity : public ::testing::Test {
     Rng rng(91);
     Instance inst;
     inst.gg = make_grid({9, 9}, WeightModel::uniform(1, 9), rng);
+    inst.tree = build_separator_tree(Skeleton(inst.gg.graph),
+                                     make_grid_finder({9, 9}));
+    return inst;
+  }
+
+  /// A seeded random 0.7-orientation of a mixed-sign 9x9 grid: each
+  /// arc is kept with probability 0.7, so some vertices are unreachable
+  /// from some sources and their distances stay zero(), and negative
+  /// distances meet zero() edge values.
+  static Instance make_oriented_instance() {
+    Rng rng(91);
+    const GeneratedGraph full =
+        make_grid({9, 9}, WeightModel::mixed_sign(), rng);
+    GraphBuilder b(full.graph.num_vertices());
+    Rng orient(7);
+    for (const EdgeTriple& e : full.graph.edge_list()) {
+      if (orient.next_bool(0.7)) b.add_edge(e.from, e.to, e.weight);
+    }
+    Instance inst;
+    inst.gg.graph = std::move(b).build();
     inst.tree = build_separator_tree(Skeleton(inst.gg.graph),
                                      make_grid_finder({9, 9}));
     return inst;
@@ -91,6 +116,63 @@ TYPED_TEST(BatchParity, EngineBatchMatchesPerSourcePath) {
     expect_result_eq(batched[i], persource[i],
                      "source " + std::to_string(sources[i]));
   }
+}
+
+/// Every source's distances_batch at width 1 against 8, 16 and 32
+/// lanes: dist memcmp-equal, counters and negative_cycle equal.
+template <Semiring S>
+void expect_width_one_matches_lanes(const SeparatorShortestPaths<S>& engine,
+                                    std::size_t n) {
+  std::vector<Vertex> sources(n);
+  std::iota(sources.begin(), sources.end(), Vertex{0});
+  const auto one = engine.distances_batch(sources, {.lanes = 1});
+  ASSERT_EQ(one.size(), n);
+  std::size_t unreached = 0;
+  for (const QueryResult<S>& r : one) {
+    for (const auto d : r.dist) unreached += d == S::zero() ? 1 : 0;
+  }
+  EXPECT_GT(unreached, 0u) << "the instance must leave pairs unreachable";
+  for (const std::size_t lanes : {8u, 16u, 32u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    const auto wide = engine.distances_batch(sources, {.lanes = lanes});
+    ASSERT_EQ(wide.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(wide[i].dist.size(), one[i].dist.size());
+      EXPECT_EQ(std::memcmp(wide[i].dist.data(), one[i].dist.data(),
+                            one[i].dist.size() * sizeof(typename S::Value)),
+                0)
+          << "source " << i;
+      EXPECT_EQ(wide[i].edges_scanned, one[i].edges_scanned) << "source " << i;
+      EXPECT_EQ(wide[i].phases, one[i].phases) << "source " << i;
+      EXPECT_EQ(wide[i].negative_cycle, one[i].negative_cycle)
+          << "source " << i;
+    }
+  }
+}
+
+TYPED_TEST(BatchParity, WidthOneMatchesLanesWithUnreachableVertices) {
+  // The width-1 walk extends zero() slots and zero() edge values here;
+  // the uncertified Algorithm 4.3 engine also runs its negative-cycle
+  // check over them. Both at the ambient tier and on the scalar loops.
+  using S = TypeParam;
+  const auto inst = TestFixture::make_oriented_instance();
+  const std::size_t n = inst.gg.graph.num_vertices();
+  const simd::Tier ambient = simd::active_tier();
+  for (const simd::Tier tier : {ambient, simd::Tier::kScalar}) {
+    SCOPED_TRACE(::testing::Message() << "tier=" << static_cast<int>(tier));
+    simd::force_tier(tier);
+    {
+      SCOPED_TRACE("build");
+      expect_width_one_matches_lanes(
+          SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree), n);
+    }
+    {
+      SCOPED_TRACE("Algorithm 4.3");
+      expect_width_one_matches_lanes(
+          build_augmentation_doubling<S>(inst.gg.graph, inst.tree), n);
+    }
+  }
+  simd::force_tier(ambient);
 }
 
 TEST(BatchQuery, NegativeCycleFlagsArePerLane) {

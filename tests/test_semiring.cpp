@@ -81,9 +81,11 @@ TYPED_TEST(SemiringLaws, ImprovesMatchesCombine) {
 }
 
 TYPED_TEST(SemiringLaws, ExtendUnguardedAgreesWithExtend) {
-  // The batched kernel's branch-free fast path: whenever the semiring
-  // provides extend_unguarded, it must equal extend for every edge value
-  // b, zero() included (buckets keep "no path" slots at zero()).
+  // The relaxation loops' and the hub-label merge's branch-free fast
+  // path: whenever the semiring provides extend_unguarded, it must equal
+  // extend for every pair of values, zero() on either side included
+  // (buckets keep "no path" slots at zero(); labels hold zero() for
+  // disconnected pairs).
   // Negative values are the dangerous case for saturating integer
   // arithmetic: a negative distance plus a kInf edge must stay kInf.
   using S = TypeParam;

@@ -1,7 +1,7 @@
-// The query-serving runtime (src/service/): coalescing, cache
-// semantics, shedding, epoch swaps — single-threaded or lightly
-// threaded determinism tests. The concurrency soak lives in
-// test_service_stress.cpp.
+// The query-serving runtime (src/service/): the submit queue's pop
+// rule, coalescing, cache semantics, shedding, epoch swaps —
+// single-threaded or lightly threaded determinism tests. The
+// concurrency soak lives in test_service_stress.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,6 +27,7 @@ using service::CachedDistances;
 using service::CachedStAnswer;
 using service::DistanceCache;
 using service::EdgeUpdate;
+using service::Pending;
 using service::QueryService;
 using service::Reply;
 using service::ReplyStatus;
@@ -36,6 +37,7 @@ using service::SingleSource;
 using service::StCache;
 using service::StDistance;
 using service::StPath;
+using service::SubmitQueue;
 
 struct Fixture {
   GeneratedGraph gg;
@@ -72,6 +74,69 @@ Digraph reweighted(const Digraph& g, const std::vector<EdgeUpdate>& updates) {
     b.add_edge(e.from, e.to, e.weight);
   }
   return std::move(b).build(/*dedup_min=*/false);
+}
+
+// --- SubmitQueue's pop rule (single-threaded: every pop below finds
+// its requests already queued, or the queue closed, so none blocks) ---
+
+constexpr std::size_t kPopMax = 8;
+
+void push_sources(SubmitQueue& q, Vertex first, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Pending p;
+    p.source = first + static_cast<Vertex>(i);
+    p.enqueued = std::chrono::steady_clock::now();
+    ASSERT_TRUE(q.push(std::move(p)));
+  }
+}
+
+std::vector<Vertex> popped_sources(const std::vector<Pending>& out) {
+  std::vector<Vertex> sources;
+  for (const Pending& p : out) sources.push_back(p.source);
+  return sources;
+}
+
+TEST(SubmitQueue, OneQueuedRequestPopsAlone) {
+  SubmitQueue q(64);
+  push_sources(q, 3, 1);
+  std::vector<Pending> out;
+  ASSERT_TRUE(q.pop_batch(out, kPopMax));
+  EXPECT_EQ(popped_sources(out), (std::vector<Vertex>{3}));
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(SubmitQueue, QueuedRequestsPopTogetherInFifoOrder) {
+  SubmitQueue q(64);
+  push_sources(q, 10, 5);
+  std::vector<Pending> out;
+  ASSERT_TRUE(q.pop_batch(out, kPopMax));
+  EXPECT_EQ(popped_sources(out), (std::vector<Vertex>{10, 11, 12, 13, 14}));
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(SubmitQueue, BacklogPopsAtMostMaxPerBatch) {
+  SubmitQueue q(64);
+  push_sources(q, 100, kPopMax + 3);
+  std::vector<Pending> out;
+  ASSERT_TRUE(q.pop_batch(out, kPopMax));
+  EXPECT_EQ(popped_sources(out),
+            (std::vector<Vertex>{100, 101, 102, 103, 104, 105, 106, 107}));
+  ASSERT_TRUE(q.pop_batch(out, kPopMax));
+  EXPECT_EQ(popped_sources(out), (std::vector<Vertex>{108, 109, 110}));
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(SubmitQueue, ClosedQueueDrainsThenReturnsFalse) {
+  SubmitQueue q(64);
+  push_sources(q, 20, 2);
+  q.close();
+  Pending late;
+  EXPECT_FALSE(q.push(std::move(late)));  // closed: admits nothing
+  std::vector<Pending> out;
+  ASSERT_TRUE(q.pop_batch(out, kPopMax));  // queued before close()
+  EXPECT_EQ(popped_sources(out), (std::vector<Vertex>{20, 21}));
+  EXPECT_FALSE(q.pop_batch(out, kPopMax));  // closed and drained
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Service, ParityWithDijkstra) {
@@ -282,15 +347,15 @@ TEST(Service, ApproxHitErrorBoundEqualsItsMissCertifiedError) {
   EXPECT_EQ(st_hit.error_bound, st_miss.error_bound);
 }
 
-TEST(Service, FlushesPartialGroupAtDeadline) {
+TEST(Service, FlushesPartialGroupWithoutWaiting) {
   const Fixture f = make_grid_fixture(8, 8);
   ServiceOptions opts;
   opts.lanes = 8;
-  opts.max_delay_us = 500;
   opts.cache_capacity_bytes = 0;  // caches off
   opts.st_cache_capacity_bytes = 0;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
-  // 3 requests never fill an 8-lane group; only the deadline flushes.
+  // 3 requests never fill an 8-lane group; the dispatcher runs them
+  // as they come, in as many dispatches as it finds them queued.
   std::vector<std::future<Reply>> futures;
   for (Vertex s = 0; s < 3; ++s) futures.push_back(svc.submit(s));
   for (auto& fut : futures) EXPECT_TRUE(fut.get().ok());

@@ -176,7 +176,6 @@ TEST(ServiceStress, ConcurrentSubmittersMatchOracle) {
   const Fixture f = make_fixture(9, 1);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   opts.point_to_point = false;
   QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
@@ -209,7 +208,6 @@ TEST(ServiceStress, SwapsUnderLoadNeverServeStaleEpochs) {
   const Fixture f = make_fixture(9, 2);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   // Tiny cache: constant churn between hits, evictions, and
   // invalidations while epochs move underneath.
@@ -279,7 +277,6 @@ TEST(ServiceStress, BatchedUpdatesRaceBatchedQueryGroups) {
   const Fixture f = make_fixture(9, 4);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   opts.cache_capacity_bytes = 2 * (81 * sizeof(double) + 128);
   opts.cache_shards = 1;
@@ -350,7 +347,6 @@ TEST(ServiceStress, MixedKindsRaceSwapsNeverServeStaleEpochs) {
   const Fixture f = make_fixture(9, 5);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   opts.cache_capacity_bytes = 2 * (81 * sizeof(double) + 128);
   opts.cache_shards = 1;
@@ -463,7 +459,6 @@ TEST(ServiceStress, HitHeavyRaceOnOneShardMatchesOracle) {
   const Fixture f = make_fixture(9, 6);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 100;
   opts.dispatchers = 2;
   opts.cache_shards = 1;
   opts.st_cache_shards = 1;
@@ -599,7 +594,6 @@ TEST(ServiceStress, StopUnderLoadResolvesEveryFuture) {
   const Fixture f = make_fixture(8, 3);
   ServiceOptions opts;
   opts.lanes = 4;
-  opts.max_delay_us = 50;
   opts.dispatchers = 2;
   opts.max_queue = 64;
   opts.point_to_point = false;
