@@ -27,19 +27,6 @@ double rescaled(long long v, double unit) {
                               : static_cast<double>(v) * unit;
 }
 
-QueryResult<TropicalD> rescaled_result(const QueryResult<TropicalI>& r,
-                                       double unit) {
-  QueryResult<TropicalD> out;
-  out.dist.resize(r.dist.size());
-  for (std::size_t v = 0; v < r.dist.size(); ++v) {
-    out.dist[v] = rescaled(r.dist[v], unit);
-  }
-  out.negative_cycle = r.negative_cycle;
-  out.edges_scanned = r.edges_scanned;
-  out.phases = r.phases;
-  return out;
-}
-
 }  // namespace
 
 ApproxEngine ApproxEngine::build(const Digraph& g, const SeparatorTree& tree,
@@ -127,16 +114,28 @@ QueryStats ApproxEngine::distances_into(Vertex source,
   return stats;
 }
 
-std::vector<QueryResult<TropicalD>> ApproxEngine::distances_batch(
-    std::span<const Vertex> sources, BatchPolicy policy) const {
+void ApproxEngine::distances_batch(std::span<const Vertex> sources,
+                                   std::span<const std::span<double>> rows,
+                                   std::span<QueryStats> stats,
+                                   BatchPolicy policy) const {
   const State& s = *state_;
-  const std::vector<QueryResult<TropicalI>> scaled =
-      s.engine->distances_batch(sources, policy);
-  std::vector<QueryResult<TropicalD>> results(scaled.size());
-  for (std::size_t i = 0; i < scaled.size(); ++i) {
-    results[i] = rescaled_result(scaled[i], s.unit);
+  const std::size_t n = s.scaled.num_vertices();
+  SEPSP_CHECK(rows.size() == sources.size());
+  // Every lane's integer distances go into one buffer on this thread;
+  // the rescale writes them straight into the caller's rows.
+  std::vector<long long> scaled(sources.size() * n);
+  std::vector<std::span<long long>> scaled_rows;
+  scaled_rows.reserve(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    SEPSP_CHECK(rows[i].size() == n);
+    scaled_rows.emplace_back(scaled.data() + i * n, n);
   }
-  return results;
+  s.engine->distances_batch(sources, scaled_rows, stats, policy);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    for (std::size_t v = 0; v < n; ++v) {
+      rows[i][v] = rescaled(scaled_rows[i][v], s.unit);
+    }
+  }
 }
 
 double ApproxEngine::eps() const { return state_->eps; }

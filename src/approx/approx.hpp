@@ -65,13 +65,16 @@ class ApproxEngine {
   /// serving does no per-query heap traffic.
   QueryStats distances_into(Vertex source, std::span<double> out) const;
 
-  /// Batched many-source queries through the exact engine's
+  /// Batched many-source queries through the exact engine's output-form
   /// distances_batch; same BatchPolicy semantics (lanes = 0 picks the
-  /// exact engine's default width). Results are rescaled doubles
-  /// (reported as TropicalD-valued QueryResults with the usual
-  /// zero()-sentinel contract for unreachable vertices).
-  std::vector<QueryResult<TropicalD>> distances_batch(
-      std::span<const Vertex> sources, BatchPolicy policy = {}) const;
+  /// exact engine's default width). rows[i] (size num_vertices)
+  /// receives sources[i]'s rescaled distances (+infinity = unreachable)
+  /// and stats[i] its counters. The integer lanes pass through one
+  /// buffer allocated on the calling thread.
+  void distances_batch(std::span<const Vertex> sources,
+                       std::span<const std::span<double>> rows,
+                       std::span<QueryStats> stats,
+                       BatchPolicy policy = {}) const;
 
   double eps() const;   ///< the end-to-end budget the build was given
   double unit() const;  ///< the rounding unit u = eps * w_min

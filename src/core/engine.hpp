@@ -12,6 +12,7 @@
 //
 //   auto result = engine.distances(source);            // one source
 //   auto batch  = engine.distances_batch(sources);     // batched kernel
+//   engine.distances_batch(sources, rows, stats);      // into caller rows
 //   auto scalar = engine.distances_batch(sources,      // kernel selection
 //                     {.lanes = 16});
 //   engine.stats().print(std::cout);                   // observability
@@ -257,26 +258,52 @@ class SeparatorShortestPaths {
   /// running in parallel on the thread pool; `{.lanes = 1}` runs one
   /// scalar query per source. Per-source results are identical either
   /// way — distances bit for bit, counters and negative-cycle flag too:
-  /// lanes never interact.
+  /// lanes never interact. The rows are allocated here, on the calling
+  /// thread, and filled by the output form below.
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
+    std::vector<QueryResult<S>> results(sources.size());
+    std::vector<std::span<Value>> rows;
+    rows.reserve(sources.size());
+    for (QueryResult<S>& r : results) {
+      r.dist.resize(g_->num_vertices());
+      rows.emplace_back(r.dist);
+    }
+    std::vector<QueryStats> stats(sources.size());
+    distances_batch(sources, rows, stats, policy);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      static_cast<QueryStats&>(results[i]) = stats[i];
+    }
+    return results;
+  }
+
+  /// Output form of distances_batch(): rows[i] (size num_vertices; prior
+  /// contents ignored) receives sources[i]'s distances and stats[i] its
+  /// counters, bit for bit what the vector form returns. Each block
+  /// writes its lanes straight from its lane-major matrix into the rows,
+  /// and that matrix is per-thread scratch, so a pool thread allocates
+  /// nothing once it has run one block this wide: every answer is
+  /// allocated once, by the caller that keeps it.
+  void distances_batch(std::span<const Vertex> sources,
+                       std::span<const std::span<Value>> rows,
+                       std::span<QueryStats> stats,
+                       BatchPolicy policy = {}) const {
     const std::size_t width = policy.lanes == 0 ? kBatchLanes : policy.lanes;
     SEPSP_CHECK_MSG(is_lane_width(width),
                     "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
                     "(or 0 for the engine default)");
-    std::vector<QueryResult<S>> results(sources.size());
-    if (sources.empty()) return results;
+    SEPSP_CHECK(rows.size() == sources.size() &&
+                stats.size() == sources.size());
     const std::size_t blocks = (sources.size() + width - 1) / width;
     pram::ThreadPool::global().parallel_for(
         0, blocks,
         [&](std::size_t blk) {
           const std::size_t lo = blk * width;
           const std::size_t len = std::min(width, sources.size() - lo);
-          batch_block(sources.subspan(lo, len), width,
-                      std::span(results).subspan(lo, len));
+          batch_block(sources.subspan(lo, len), width, rows.subspan(lo, len),
+                      stats.subspan(lo, len));
         },
         /*grain=*/1);
-    return results;
   }
 
   /// Multi-source query with per-seed initial values: equivalent to a
@@ -498,27 +525,37 @@ class SeparatorShortestPaths {
   /// The source-batched schedule: one walk for up to `width` sources
   /// over a lane-major distance matrix, so each edge load relaxes every
   /// lane. `sources.size()` may be short of `width` (ragged last block;
-  /// the unused lanes stay unseeded and are not reported). Writes one
-  /// QueryResult per source into `out`, in order, each equal to
-  /// distances() of that source — distances bit for bit, counters and
-  /// negative-cycle flag too.
+  /// the unused lanes stay unseeded and are not reported). Writes each
+  /// lane into its row and its counters into `stats`, in order, each
+  /// equal to distances() of that source — distances bit for bit,
+  /// counters and negative-cycle flag too.
   void batch_block(std::span<const Vertex> sources, std::size_t width,
-                   std::span<QueryResult<S>> out) const {
+                   std::span<const std::span<Value>> rows,
+                   std::span<QueryStats> stats) const {
     SEPSP_CHECK(!sources.empty() && sources.size() <= width);
     SEPSP_TRACE_SPAN("query.batch_block");
     const std::size_t n = g_->num_vertices();
-    AlignedVector<Value> dist(padded_size<Value>(n * width), S::zero());
+    // The matrix is this thread's scratch and keeps its high-water size.
+    // thread_local is safe because batch_block forks nothing: no
+    // help-first join can run another block on this thread while the
+    // matrix is in use. Node tasks do fork, which is why the builders
+    // lease their scratch instead (core/builder_scratch.hpp).
+    static thread_local AlignedVector<Value> matrix;
+    const std::size_t cells = padded_size<Value>(n * width);
+    if (matrix.size() < cells) matrix.resize(cells);
+    Value* dist = matrix.data();
+    std::fill_n(dist, cells, S::zero());
     for (std::size_t lane = 0; lane < sources.size(); ++lane) {
       SEPSP_CHECK(sources[lane] < n);
+      SEPSP_CHECK(rows[lane].size() == n);
       dist[static_cast<std::size_t>(sources[lane]) * width + lane] = S::one();
     }
     std::array<QueryStats, kMaxLanes> acct{};
-    walk(dist.data(), width, {acct.data(), sources.size()});
+    walk(dist, width, {acct.data(), sources.size()});
     for (std::size_t lane = 0; lane < sources.size(); ++lane) {
-      QueryResult<S>& r = out[lane];
-      r.dist.resize(n);
-      for (std::size_t v = 0; v < n; ++v) r.dist[v] = dist[v * width + lane];
-      static_cast<QueryStats&>(r) = acct[lane];
+      Value* row = rows[lane].data();
+      for (std::size_t v = 0; v < n; ++v) row[v] = dist[v * width + lane];
+      stats[lane] = acct[lane];
     }
     counters_->blocks.fetch_add(1, std::memory_order_relaxed);
     counters_->lanes_used.fetch_add(sources.size(), std::memory_order_relaxed);

@@ -230,27 +230,42 @@ HubLabeling<S> HubLabeling<S>::build_payload(
 
   // One forward + one backward batch per chunk of distinct hubs, then a
   // pooled per-hub scatter into the hub's reserved slots. Chunking bounds
-  // the resident rows (sources x n values per direction); per-lane
-  // parity makes a hub's row independent of the chunk it rides in.
+  // the resident rows (sources x n values per direction): two chunk x n
+  // buffers, allocated once and refilled by every chunk through the
+  // output form. Per-lane parity makes a hub's row independent of the
+  // chunk it rides in.
   constexpr std::size_t kMaxChunk = 256;
+  const std::size_t rows_per_chunk = std::min(kMaxChunk, hubs.size());
+  std::vector<Value> from_buf(rows_per_chunk * n);
+  std::vector<Value> to_buf(rows_per_chunk * n);
+  std::vector<std::span<Value>> from_rows, to_rows;
+  for (std::size_t b = 0; b < rows_per_chunk; ++b) {
+    from_rows.emplace_back(from_buf.data() + b * n, n);
+    to_rows.emplace_back(to_buf.data() + b * n, n);
+  }
+  std::vector<QueryStats> from_stats(rows_per_chunk), to_stats(rows_per_chunk);
   pram::ThreadPool& pool = pram::ThreadPool::global();
   for (std::size_t c0 = 0; c0 < hubs.size(); c0 += kMaxChunk) {
     const std::span<const Vertex> chunk = std::span<const Vertex>(hubs).subspan(
         c0, std::min(kMaxChunk, hubs.size() - c0));
-    const auto from_batch = fwd.distances_batch(chunk);
-    const auto to_batch = bwd.distances_batch(chunk);
+    const std::size_t len = chunk.size();
+    fwd.distances_batch(chunk, std::span(from_rows).first(len),
+                        std::span(from_stats).first(len));
+    bwd.distances_batch(chunk, std::span(to_rows).first(len),
+                        std::span(to_stats).first(len));
     pool.parallel_for(
-        0, chunk.size(),
+        0, len,
         [&](std::size_t b) {
           const Vertex h = chunk[b];
-          const QueryResult<S>& from_h = from_batch[b];
-          const QueryResult<S>& to_h = to_batch[b];
-          SEPSP_CHECK_MSG(!from_h.negative_cycle && !to_h.negative_cycle,
-                          "hub labels need negative-cycle-free input");
+          const std::span<const Value> from_h = from_rows[b];
+          const std::span<const Value> to_h = to_rows[b];
+          SEPSP_CHECK_MSG(
+              !from_stats[b].negative_cycle && !to_stats[b].negative_cycle,
+              "hub labels need negative-cycle-free input");
           const std::size_t t0 = hub_begin[h], t1 = hub_begin[h + 1];
           for (std::size_t t = t0; t < t1; ++t) {
-            s.entries[target_slot[t]] = {h, to_h.dist[target[t]],
-                                         from_h.dist[target[t]]};
+            s.entries[target_slot[t]] = {h, to_h[target[t]],
+                                         from_h[target[t]]};
           }
           if constexpr (kHops) {
             // Shortest-path trees give the hop fields:
@@ -261,9 +276,9 @@ HubLabeling<S> HubLabeling<S>::build_payload(
             //    g-successor of v on an optimal v -> h path, i.e. v's
             //    toward-hub hop.
             const PathTree out_tree =
-                extract_path_tree(g, h, from_h.dist, arc_weights);
+                extract_path_tree(g, h, from_h, arc_weights);
             const PathTree in_tree = extract_path_tree(
-                *reversed, h, to_h.dist, reversed_arc_weights);
+                *reversed, h, to_h, reversed_arc_weights);
             // first[v]: child of h on the tree path to v (memoized lift).
             std::vector<Vertex> first(n, kInvalidVertex);
             std::vector<Vertex> chain;

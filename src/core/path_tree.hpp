@@ -46,7 +46,7 @@ struct PathTree {
 /// BFS-over-tight-arcs construction is acyclic even when zero-weight
 /// cycles make many arcs tight.
 inline PathTree extract_path_tree(const Digraph& g, Vertex source,
-                                  const std::vector<double>& dist,
+                                  std::span<const double> dist,
                                   std::span<const double> arc_weights,
                                   double tolerance = 1e-9) {
   SEPSP_CHECK(dist.size() == g.num_vertices());
@@ -87,7 +87,7 @@ inline PathTree extract_path_tree(const Digraph& g, Vertex source,
 
 /// Baked-weight spelling of extract_path_tree().
 inline PathTree extract_path_tree(const Digraph& g, Vertex source,
-                                  const std::vector<double>& dist,
+                                  std::span<const double> dist,
                                   double tolerance = 1e-9) {
   return extract_path_tree(g, source, dist, std::span<const double>{},
                            tolerance);

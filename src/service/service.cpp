@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -378,33 +379,42 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     answers.emplace(k, Answer{std::move(value), miss});
   }
 
-  if (!misses.empty()) {
+  // Each miss's cache entry is allocated here, on the dispatcher that
+  // keeps it, and the kernel fills its row in place: no answer vector
+  // moves between threads.
+  const auto compute = [&](const std::vector<Vertex>& sources, bool approx) {
+    if (sources.empty()) return;
     SEPSP_TRACE_SPAN("service.batch");
-    std::vector<QueryResult<TropicalD>> results = snap->engine->distances_batch(
-        misses, BatchPolicy{.lanes = opts_.lanes});
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-      auto value = std::make_shared<const CachedDistances>(CachedDistances{
-          std::move(results[i].dist), results[i].negative_cycle});
-      cache_.insert(snap->epoch, misses[i], value);
-      answers[static_cast<std::uint64_t>(misses[i]) << 1].value =
-          std::move(value);
+    std::vector<std::shared_ptr<CachedDistances>> entries;
+    std::vector<std::span<double>> rows;
+    entries.reserve(sources.size());
+    rows.reserve(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      auto entry = std::make_shared<CachedDistances>();
+      entry->dist.resize(num_vertices_);
+      rows.emplace_back(entry->dist);
+      entries.push_back(std::move(entry));
     }
-  }
-
-  if (!approx_misses.empty()) {
-    SEPSP_TRACE_SPAN("service.batch");
-    SEPSP_CHECK(snap->approx != nullptr);
-    std::vector<QueryResult<TropicalD>> results =
-        snap->approx->distances_batch(approx_misses,
-                                      BatchPolicy{.lanes = opts_.lanes});
-    for (std::size_t i = 0; i < approx_misses.size(); ++i) {
-      auto value = std::make_shared<const CachedDistances>(CachedDistances{
-          std::move(results[i].dist), results[i].negative_cycle});
-      approx_cache_.insert(snap->epoch, approx_misses[i], value);
-      answers[(static_cast<std::uint64_t>(approx_misses[i]) << 1) | 1].value =
-          std::move(value);
+    std::vector<QueryStats> stats(sources.size());
+    const BatchPolicy policy{.lanes = opts_.lanes};
+    if (approx) {
+      SEPSP_CHECK(snap->approx != nullptr);
+      snap->approx->distances_batch(sources, rows, stats, policy);
+    } else {
+      snap->engine->distances_batch(sources, rows, stats, policy);
     }
-  }
+    DistanceCache& cache = approx ? approx_cache_ : cache_;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      entries[i]->negative_cycle = stats[i].negative_cycle;
+      std::shared_ptr<const CachedDistances> value = std::move(entries[i]);
+      cache.insert(snap->epoch, sources[i], value);
+      answers[(static_cast<std::uint64_t>(sources[i]) << 1) |
+              static_cast<std::uint64_t>(approx)]
+          .value = std::move(value);
+    }
+  };
+  compute(misses, /*approx=*/false);
+  compute(approx_misses, /*approx=*/true);
 
   for (Pending& p : group) {
     Answer& answer = answers[key(p)];

@@ -175,6 +175,78 @@ TYPED_TEST(BatchParity, WidthOneMatchesLanesWithUnreachableVertices) {
   simd::force_tier(ambient);
 }
 
+/// The output form at `lanes` against the vector form and against
+/// distances_into() of each source: 37 sources (a ragged last block at
+/// every width above 1) into rows laid out in reverse order with a gap
+/// between them, so no row is contiguous with the next.
+template <Semiring S>
+void expect_rows_match_vector_form(const SeparatorShortestPaths<S>& engine,
+                                   std::size_t n, std::size_t lanes) {
+  using Value = typename S::Value;
+  constexpr std::size_t kSources = 37;
+  constexpr std::size_t kGap = 5;
+  std::vector<Vertex> sources(kSources);
+  for (std::size_t i = 0; i < kSources; ++i) {
+    sources[i] = static_cast<Vertex>((3 + i * 29) % n);
+  }
+  std::vector<Value> storage(kSources * (n + kGap), S::one());
+  std::vector<std::span<Value>> rows;
+  for (std::size_t i = 0; i < kSources; ++i) {
+    rows.emplace_back(storage.data() + (kSources - 1 - i) * (n + kGap), n);
+  }
+  std::vector<QueryStats> stats(kSources);
+  engine.distances_batch(sources, rows, stats, {.lanes = lanes});
+  const auto vec = engine.distances_batch(sources, {.lanes = lanes});
+  ASSERT_EQ(vec.size(), kSources);
+  std::vector<Value> single(n);
+  for (std::size_t i = 0; i < kSources; ++i) {
+    SCOPED_TRACE(::testing::Message() << "source " << i);
+    const QueryStats want = engine.distances_into(sources[i], single);
+    EXPECT_EQ(std::memcmp(rows[i].data(), vec[i].dist.data(),
+                          n * sizeof(Value)),
+              0);
+    EXPECT_EQ(std::memcmp(rows[i].data(), single.data(), n * sizeof(Value)),
+              0);
+    for (const QueryStats& got : {stats[i], static_cast<QueryStats>(vec[i])}) {
+      EXPECT_EQ(got.edges_scanned, want.edges_scanned);
+      EXPECT_EQ(got.phases, want.phases);
+      EXPECT_EQ(got.negative_cycle, want.negative_cycle);
+    }
+  }
+  // The gaps between rows are never written.
+  for (std::size_t i = 0; i < kSources; ++i) {
+    for (std::size_t k = 0; k < kGap; ++k) {
+      EXPECT_EQ(storage[i * (n + kGap) + n + k], S::one());
+    }
+  }
+}
+
+TYPED_TEST(BatchParity, IntoRowsMatchVectorForm) {
+  using S = TypeParam;
+  const auto inst = TestFixture::make_oriented_instance();
+  const std::size_t n = inst.gg.graph.num_vertices();
+  const auto built = SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
+  const auto doubling =
+      build_augmentation_doubling<S>(inst.gg.graph, inst.tree);
+  const simd::Tier ambient = simd::active_tier();
+  for (const simd::Tier tier : {ambient, simd::Tier::kScalar}) {
+    SCOPED_TRACE(::testing::Message() << "tier=" << static_cast<int>(tier));
+    simd::force_tier(tier);
+    for (const std::size_t lanes : {1u, 8u, 16u, 32u}) {
+      SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+      {
+        SCOPED_TRACE("build");
+        expect_rows_match_vector_form(built, n, lanes);
+      }
+      {
+        SCOPED_TRACE("Algorithm 4.3");
+        expect_rows_match_vector_form(doubling, n, lanes);
+      }
+    }
+  }
+  simd::force_tier(ambient);
+}
+
 TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
   // A negative triangle in one component; a clean component beside it.
   // Lanes whose source reaches the cycle must flag it, the others not.
