@@ -9,8 +9,9 @@
 // minimum into the query buckets) over >= 5 repetitions after one
 // warm-up build. Each row reports the median, min and max build time,
 // the two phases' shares — the tree pass (the `build.nodes` span, JSON
-// field `tree_pass_ms_median`) and the post-pass (the `build.buckets`
-// span, `post_pass_ms_median`); both 0 when built with SEPSP_OBS=OFF —
+// fields `tree_pass_ms_median` and `tree_pass_ms_min`) and the
+// post-pass (the `build.buckets` span, `post_pass_ms_median` and
+// `post_pass_ms_min`); all 0 when built with SEPSP_OBS=OFF —
 // and the batch time, and the speedups of the medians against one
 // thread. E+ must be
 // bit-identical at every thread count: each child writes its E+ bytes
@@ -49,8 +50,8 @@ namespace {
 struct RowResult {
   unsigned threads = 0;
   double build_median = 0, build_min = 0, build_max = 0;
-  double tree_pass_median = 0;
-  double post_pass_median = 0;
+  double tree_pass_median = 0, tree_pass_min = 0;
+  double post_pass_median = 0, post_pass_min = 0;
   double batch_median = 0;
   std::uint64_t eplus = 0;
   std::uint64_t digest = 0;
@@ -110,13 +111,15 @@ int run_row(const std::string& eplus_path) {
   r.build_min = *std::min_element(build_ms.begin(), build_ms.end());
   r.build_max = *std::max_element(build_ms.begin(), build_ms.end());
   r.tree_pass_median = median(tree_pass_ms);
+  r.tree_pass_min = *std::min_element(tree_pass_ms.begin(), tree_pass_ms.end());
   r.post_pass_median = median(post_pass_ms);
+  r.post_pass_min = *std::min_element(post_pass_ms.begin(), post_pass_ms.end());
   r.batch_median = median(batch_ms);
-  std::printf("row %u %.6f %.6f %.6f %.6f %.6f %.6f %" PRIu64
+  std::printf("row %u %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f %" PRIu64
               " %016" PRIx64 "\n",
               r.threads, r.build_median, r.build_min, r.build_max,
-              r.tree_pass_median, r.post_pass_median, r.batch_median,
-              r.eplus, r.digest);
+              r.tree_pass_median, r.tree_pass_min, r.post_pass_median,
+              r.post_pass_min, r.batch_median, r.eplus, r.digest);
   return 0;
 }
 
@@ -144,8 +147,9 @@ bool run_child(const std::string& exe, unsigned threads,
   std::istringstream in(text.substr(at));
   std::string tag, digest;
   in >> tag >> out->threads >> out->build_median >> out->build_min >>
-      out->build_max >> out->tree_pass_median >> out->post_pass_median >>
-      out->batch_median >> out->eplus >> digest;
+      out->build_max >> out->tree_pass_median >> out->tree_pass_min >>
+      out->post_pass_median >> out->post_pass_min >> out->batch_median >>
+      out->eplus >> digest;
   out->digest = std::stoull(digest, nullptr, 16);
   return static_cast<bool>(in) && out->threads == threads;
 }
@@ -170,7 +174,8 @@ int main(int argc, char** argv) {
               std::to_string(side) + "x" + std::to_string(side) + ", " +
               std::to_string(repetitions()) + " reps per row)");
   table.set_header({"threads", "build ms (median)", "min", "max",
-                    "build speedup", "tree pass ms", "post-pass ms",
+                    "build speedup", "tree pass ms", "min",
+                    "post-pass ms", "min",
                     "64-source batch ms",
                     "batch speedup", "|E+|", "E+ = 1-thread"});
   std::vector<RowResult> rows;
@@ -208,7 +213,9 @@ int main(int argc, char** argv) {
         .cell(r.build_max, 2)
         .cell(one.build_median / r.build_median, 2)
         .cell(r.tree_pass_median, 2)
+        .cell(r.tree_pass_min, 2)
         .cell(r.post_pass_median, 2)
+        .cell(r.post_pass_min, 2)
         .cell(r.batch_median, 2)
         .cell(one.batch_median / r.batch_median, 2)
         .cell(r.eplus)
@@ -226,7 +233,9 @@ int main(int argc, char** argv) {
         .field("build_ms_max", r.build_max)
         .field("build_speedup", one.build_median / r.build_median)
         .field("tree_pass_ms_median", r.tree_pass_median)
+        .field("tree_pass_ms_min", r.tree_pass_min)
         .field("post_pass_ms_median", r.post_pass_median)
+        .field("post_pass_ms_min", r.post_pass_min)
         .field("batch_ms_median", r.batch_median)
         .field("batch_speedup", one.batch_median / r.batch_median)
         .field("eplus_edges", r.eplus)

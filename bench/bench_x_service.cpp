@@ -37,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "core/incremental.hpp"
+#include "obs/obs.hpp"
 #include "service/service.hpp"
 #include "workload.hpp"
 
@@ -489,7 +490,8 @@ int main(int argc, char** argv) {
           .field("p50_us", p50)
           .field("p999_us", p999)
           .field("hit_rate", hit_rate)
-          .field("failed", r.failed);
+          .field("failed", r.failed)
+          .field("obs", static_cast<std::uint64_t>(obs::compiled_in()));
     }
   }
 

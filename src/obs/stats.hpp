@@ -3,9 +3,10 @@
 // Instruments are interned by name: the first counter("x") call creates
 // the counter, later calls return the same object at a stable address,
 // so hot paths look a handle up once (at construction time) and then pay
-// one relaxed atomic per bulk charge. The snapshot types below are plain
-// data and exist in both SEPSP_OBS modes; only the recording machinery
-// compiles away when observability is off.
+// one relaxed atomic per bulk charge, on the charging thread's own cache
+// line. The snapshot types below are plain data and exist in both
+// SEPSP_OBS modes; only the recording machinery compiles away when
+// observability is off.
 #pragma once
 
 #ifndef SEPSP_OBS_ENABLED
@@ -22,6 +23,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/cacheline.hpp"
 
 namespace sepsp::obs {
 
@@ -66,15 +69,18 @@ constexpr bool compiled_in() { return SEPSP_OBS_ENABLED != 0; }
 
 #if SEPSP_OBS_ENABLED
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, striped per thread
+/// (util/cacheline.hpp): the kernel counters are charged by every pool
+/// participant on every node step, and one shared line would make each
+/// charge a cross-core round trip. value() sums the stripes.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) { v_.add(n); }
+  std::uint64_t value() const { return v_.load(); }
+  void reset() { v_.reset(); }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  StripedCounter v_;
 };
 
 /// Last-write-wins instantaneous value (pool width, queue depth, ...).

@@ -4,8 +4,8 @@
 
 namespace sepsp::pram {
 
-std::atomic<std::uint64_t> CostMeter::work_{0};
-std::atomic<std::uint64_t> CostMeter::depth_{0};
+StripedCounter CostMeter::work_;
+StripedCounter CostMeter::depth_;
 
 std::string to_string(const Cost& c) {
   return "work=" + with_commas(c.work) + " depth=" + with_commas(c.depth);

@@ -8,16 +8,18 @@
 // dependent parallel phases. Table-1 benches compare the growth of these
 // counters against the paper's claimed bounds.
 //
-// The counters are two process-wide relaxed atomics shared by every
-// thread; `snapshot()` reads both. Each charge is one relaxed fetch_add,
-// kept out of innermost loops by charging in bulk (e.g. once per query
-// run). Concurrent chargers contend on the same cache line — sharding
-// the counters is an open observability item in ROADMAP.md.
+// The counters are two process-wide StripedCounters
+// (util/cacheline.hpp): each charge is one relaxed fetch_add on the
+// charging thread's own cache line, kept out of innermost loops by
+// charging in bulk (e.g. once per node step or query run), so pool
+// participants charging concurrently never write a shared line.
+// `snapshot()` sums the stripes of both.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "util/cacheline.hpp"
 
 namespace sepsp::pram {
 
@@ -42,29 +44,22 @@ struct Cost {
 class CostMeter {
  public:
   /// Charges `units` of work (bulk charge; call once per inner loop).
-  static void charge_work(std::uint64_t units) {
-    work_.fetch_add(units, std::memory_order_relaxed);
-  }
+  static void charge_work(std::uint64_t units) { work_.add(units); }
 
   /// Charges one unit of depth: one synchronous parallel phase.
-  static void charge_depth(std::uint64_t phases = 1) {
-    depth_.fetch_add(phases, std::memory_order_relaxed);
-  }
+  static void charge_depth(std::uint64_t phases = 1) { depth_.add(phases); }
 
-  static Cost snapshot() {
-    return Cost{work_.load(std::memory_order_relaxed),
-                depth_.load(std::memory_order_relaxed)};
-  }
+  static Cost snapshot() { return Cost{work_.load(), depth_.load()}; }
 
   /// Resets both counters to zero (single-threaded contexts only).
   static void reset() {
-    work_.store(0, std::memory_order_relaxed);
-    depth_.store(0, std::memory_order_relaxed);
+    work_.reset();
+    depth_.reset();
   }
 
  private:
-  static std::atomic<std::uint64_t> work_;
-  static std::atomic<std::uint64_t> depth_;
+  static StripedCounter work_;
+  static StripedCounter depth_;
 };
 
 /// RAII scope that measures the cost of a region.

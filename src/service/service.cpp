@@ -123,22 +123,21 @@ void QueryService::start_dispatchers() {
 QueryService::~QueryService() { stop(); }
 
 std::future<Reply> QueryService::submit(SingleSource request) {
-  SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
   const Vertex source = request.source;
-  counters_.single_source.fetch_add(1, std::memory_order_relaxed);
+  counters_.single_source.add();
   if (request.approx) {
-    counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
+    counters_.approx_requests.add();
   }
   if (source >= num_vertices_ || (request.approx && !opts_.approx.enabled)) {
-    counters_.invalid.fetch_add(1, std::memory_order_relaxed);
+    counters_.invalid.add();
     return rejected(ReplyStatus::kInvalid, RequestKind::kSingleSource);
   }
 
   if (queue_.closed()) {
     // Stopped services reject uniformly — even sources the cache could
     // still answer — so "stopped" is observable, not load-dependent.
-    counters_.stopped.fetch_add(1, std::memory_order_relaxed);
+    counters_.stopped.add();
     return rejected(ReplyStatus::kStopped, RequestKind::kSingleSource);
   }
 
@@ -147,8 +146,7 @@ std::future<Reply> QueryService::submit(SingleSource request) {
   const std::uint64_t epoch = published_epoch_.load(std::memory_order_acquire);
   DistanceCache& cache = request.approx ? approx_cache_ : cache_;
   if (auto value = cache.lookup(epoch, source)) {
-    (request.approx ? counters_.approx_cache_hits : counters_.cache_hits)
-        .fetch_add(1, std::memory_order_relaxed);
+    (request.approx ? counters_.approx_cache_hits : counters_.cache_hits).add();
     Reply reply;
     reply.epoch = epoch;
     reply.cache_hit = true;
@@ -166,10 +164,10 @@ std::future<Reply> QueryService::submit(SingleSource request) {
     // already extracted is the one the caller gets — resolve it here.
     Reply reply;
     if (queue_.closed()) {
-      counters_.stopped.fetch_add(1, std::memory_order_relaxed);
+      counters_.stopped.add();
       reply.status = ReplyStatus::kStopped;
     } else {
-      counters_.shed.fetch_add(1, std::memory_order_relaxed);
+      counters_.shed.add();
       reply.status = ReplyStatus::kShed;
     }
     pending.promise.set_value(std::move(reply));
@@ -189,25 +187,23 @@ std::future<Reply> QueryService::submit(StPath request) {
 
 std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
                                            RequestKind kind, bool approx) {
-  SEPSP_TRACE_SPAN("service.submit");
   const auto t0 = Clock::now();
   const bool want_path = kind == RequestKind::kStPath;
-  (want_path ? counters_.st_path : counters_.st_distance)
-      .fetch_add(1, std::memory_order_relaxed);
+  (want_path ? counters_.st_path : counters_.st_distance).add();
   if (approx) {
-    counters_.approx_requests.fetch_add(1, std::memory_order_relaxed);
+    counters_.approx_requests.add();
   }
   // Approximate st answers come from the approximate distance cache,
   // not from hub labels, so they need approx.enabled but *not*
   // point_to_point.
   const bool served = approx ? opts_.approx.enabled : opts_.point_to_point;
   if (!served || s >= num_vertices_ || t >= num_vertices_) {
-    counters_.invalid.fetch_add(1, std::memory_order_relaxed);
+    counters_.invalid.add();
     return rejected(ReplyStatus::kInvalid, kind);
   }
 
   if (queue_.closed()) {
-    counters_.stopped.fetch_add(1, std::memory_order_relaxed);
+    counters_.stopped.add();
     return rejected(ReplyStatus::kStopped, kind);
   }
 
@@ -233,8 +229,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   StCache& cache = approx ? approx_st_cache_ : st_cache_;
   if (auto answer = cache.lookup(epoch, s, t);
       answer != nullptr && (!want_path || answer->has_path)) {
-    (approx ? counters_.approx_st_hits : counters_.st_cache_hits)
-        .fetch_add(1, std::memory_order_relaxed);
+    (approx ? counters_.approx_st_hits : counters_.st_cache_hits).add();
     return reply_with(epoch, /*hit=*/true, std::move(answer),
                       approx ? opts_.approx.eps : 0.0);
   }
@@ -261,7 +256,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
     st.distance = vec->dist[t];
     auto owned = std::make_shared<const CachedStAnswer>(std::move(st));
     approx_st_cache_.insert(snap->epoch, s, t, owned);
-    counters_.approx_st_misses.fetch_add(1, std::memory_order_relaxed);
+    counters_.approx_st_misses.add();
     return reply_with(snap->epoch, /*hit=*/false, std::move(owned),
                       snap->approx->certified_error());
   }
@@ -269,7 +264,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   if (snap->labels == nullptr) {
     // attach_point_to_point() left this epoch without labels: its
     // weighting has a negative cycle, so st distances are undefined.
-    counters_.failed.fetch_add(1, std::memory_order_relaxed);
+    counters_.failed.add();
     return rejected(ReplyStatus::kFailed, kind, snap->epoch);
   }
 
@@ -277,7 +272,7 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
   const auto merge_begin = Clock::now();
   fresh.distance = snap->labels->distance(s, t);
   const std::uint64_t merge_ns = ns_between(merge_begin, Clock::now());
-  counters_.st_merge_ns_sum.fetch_add(merge_ns, std::memory_order_relaxed);
+  counters_.st_merge_ns_sum.add(merge_ns);
   counters_.st_merge_ns_max.fetch_max(merge_ns);
   if (want_path) {
     const auto unpack_begin = Clock::now();
@@ -286,12 +281,12 @@ std::future<Reply> QueryService::submit_st(Vertex s, Vertex t,
       fresh.path = snap->labels->route(s, t);
     }
     const std::uint64_t unpack_ns = ns_between(unpack_begin, Clock::now());
-    counters_.st_unpack_ns_sum.fetch_add(unpack_ns, std::memory_order_relaxed);
+    counters_.st_unpack_ns_sum.add(unpack_ns);
     counters_.st_unpack_ns_max.fetch_max(unpack_ns);
   }
   auto owned = std::make_shared<const CachedStAnswer>(std::move(fresh));
   st_cache_.insert(snap->epoch, s, t, owned);
-  counters_.st_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  counters_.st_cache_misses.add();
   return reply_with(snap->epoch, /*hit=*/false, std::move(owned), 0.0);
 }
 
@@ -311,11 +306,9 @@ void QueryService::resolve(Pending& p, const Snapshot& snap,
                            std::shared_ptr<const CachedDistances> value,
                            bool hit) {
   if (p.approx) {
-    (hit ? counters_.approx_cache_hits : counters_.approx_cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    (hit ? counters_.approx_cache_hits : counters_.approx_cache_misses).add();
   } else {
-    (hit ? counters_.cache_hits : counters_.cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    (hit ? counters_.cache_hits : counters_.cache_misses).add();
   }
   Reply reply;
   reply.epoch = snap->epoch;
@@ -330,11 +323,10 @@ void QueryService::flush_group(std::vector<Pending>& group) {
   SEPSP_TRACE_SPAN("service.flush");
   const auto dispatched = Clock::now();
   const std::size_t blocks = (group.size() + opts_.lanes - 1) / opts_.lanes;
-  counters_.dispatches.fetch_add(1, std::memory_order_relaxed);
-  counters_.batches.fetch_add(blocks, std::memory_order_relaxed);
-  counters_.lanes_used.fetch_add(group.size(), std::memory_order_relaxed);
-  counters_.lane_capacity.fetch_add(blocks * opts_.lanes,
-                                    std::memory_order_relaxed);
+  counters_.dispatches.add();
+  counters_.batches.add(blocks);
+  counters_.lanes_used.add(group.size());
+  counters_.lane_capacity.add(blocks * opts_.lanes);
   std::uint64_t wait_sum = 0;
   std::uint64_t wait_max = 0;
   for (const Pending& p : group) {
@@ -342,7 +334,7 @@ void QueryService::flush_group(std::vector<Pending>& group) {
     wait_sum += wait;
     wait_max = std::max(wait_max, wait);
   }
-  counters_.coalesce_ns_sum.fetch_add(wait_sum, std::memory_order_relaxed);
+  counters_.coalesce_ns_sum.add(wait_sum);
   counters_.coalesce_ns_max.fetch_max(wait_max);
 
   // Every request in the group resolves against ONE snapshot load: the
@@ -461,8 +453,8 @@ std::uint64_t QueryService::apply_updates(std::span<const EdgeUpdate> updates) {
       std::move(next_snap)));
   swap_ns += ns_between(publish_begin, Clock::now());
   counters_.epoch_lag.store(0, std::memory_order_relaxed);
-  counters_.swaps.fetch_add(1, std::memory_order_relaxed);
-  counters_.swap_ns_sum.fetch_add(swap_ns, std::memory_order_relaxed);
+  counters_.swaps.add();
+  counters_.swap_ns_sum.add(swap_ns);
   counters_.swap_ns_last.store(swap_ns, std::memory_order_relaxed);
   counters_.swap_ns_max.fetch_max(swap_ns);
   cache_.invalidate_older_than(next);
@@ -493,8 +485,8 @@ void QueryService::attach_point_to_point(IncrementalEngine::Snapshot& snap) {
                                         engine_->weights(),
                                         bwd_engine_->weights()));
   const std::uint64_t build_ns = ns_between(t0, Clock::now());
-  counters_.label_builds.fetch_add(1, std::memory_order_relaxed);
-  counters_.label_build_ns_sum.fetch_add(build_ns, std::memory_order_relaxed);
+  counters_.label_builds.add();
+  counters_.label_build_ns_sum.add(build_ns);
   counters_.label_build_ns_last.store(build_ns, std::memory_order_relaxed);
 }
 
@@ -510,85 +502,73 @@ void QueryService::attach_approx(IncrementalEngine::Snapshot& snap) {
       ApproxEngine::build_with_weights(engine_->graph(), engine_->tree(),
                                        engine_->weights(), aopts));
   const std::uint64_t build_ns = ns_between(t0, Clock::now());
-  counters_.approx_builds.fetch_add(1, std::memory_order_relaxed);
-  counters_.approx_build_ns_sum.fetch_add(build_ns,
-                                          std::memory_order_relaxed);
+  counters_.approx_builds.add();
+  counters_.approx_build_ns_sum.add(build_ns);
   counters_.approx_build_ns_last.store(build_ns, std::memory_order_relaxed);
 }
 
 ServiceStats QueryService::stats() const {
   ServiceStats out;
-  out.shed = counters_.shed.load(std::memory_order_relaxed);
-  out.stopped = counters_.stopped.load(std::memory_order_relaxed);
-  out.invalid = counters_.invalid.load(std::memory_order_relaxed);
-  out.failed = counters_.failed.load(std::memory_order_relaxed);
-  out.single_source = counters_.single_source.load(std::memory_order_relaxed);
-  out.st_distance = counters_.st_distance.load(std::memory_order_relaxed);
-  out.st_path = counters_.st_path.load(std::memory_order_relaxed);
+  out.shed = counters_.shed.load();
+  out.stopped = counters_.stopped.load();
+  out.invalid = counters_.invalid.load();
+  out.failed = counters_.failed.load();
+  out.single_source = counters_.single_source.load();
+  out.st_distance = counters_.st_distance.load();
+  out.st_path = counters_.st_path.load();
   const DistanceCache::Stats c = cache_.stats();
-  out.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  out.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
+  out.cache_hits = counters_.cache_hits.load();
+  out.cache_misses = counters_.cache_misses.load();
   out.cache_evictions = c.evictions;
   out.cache_invalidations = c.invalidations;
   out.cache_entries = c.entries;
   out.cache_bytes = c.bytes;
   out.cache_capacity_bytes = cache_.capacity_bytes();
   const StCache::Stats sc = st_cache_.stats();
-  out.st_cache_hits = counters_.st_cache_hits.load(std::memory_order_relaxed);
-  out.st_cache_misses =
-      counters_.st_cache_misses.load(std::memory_order_relaxed);
+  out.st_cache_hits = counters_.st_cache_hits.load();
+  out.st_cache_misses = counters_.st_cache_misses.load();
   out.st_cache_evictions = sc.evictions;
   out.st_cache_invalidations = sc.invalidations;
   out.st_cache_entries = sc.entries;
   out.st_cache_bytes = sc.bytes;
   out.st_cache_capacity_bytes = st_cache_.capacity_bytes();
-  out.st_merge_ns_sum =
-      counters_.st_merge_ns_sum.load(std::memory_order_relaxed);
+  out.st_merge_ns_sum = counters_.st_merge_ns_sum.load();
   out.st_merge_ns_max =
       counters_.st_merge_ns_max.load(std::memory_order_relaxed);
-  out.st_unpack_ns_sum =
-      counters_.st_unpack_ns_sum.load(std::memory_order_relaxed);
+  out.st_unpack_ns_sum = counters_.st_unpack_ns_sum.load();
   out.st_unpack_ns_max =
       counters_.st_unpack_ns_max.load(std::memory_order_relaxed);
-  out.approx_requests =
-      counters_.approx_requests.load(std::memory_order_relaxed);
-  out.approx_cache_hits =
-      counters_.approx_cache_hits.load(std::memory_order_relaxed);
-  out.approx_cache_misses =
-      counters_.approx_cache_misses.load(std::memory_order_relaxed);
-  out.approx_st_hits = counters_.approx_st_hits.load(std::memory_order_relaxed);
-  out.approx_st_misses =
-      counters_.approx_st_misses.load(std::memory_order_relaxed);
+  out.approx_requests = counters_.approx_requests.load();
+  out.approx_cache_hits = counters_.approx_cache_hits.load();
+  out.approx_cache_misses = counters_.approx_cache_misses.load();
+  out.approx_st_hits = counters_.approx_st_hits.load();
+  out.approx_st_misses = counters_.approx_st_misses.load();
   const DistanceCache::Stats ac = approx_cache_.stats();
   out.approx_cache_evictions = ac.evictions;
   out.approx_cache_invalidations = ac.invalidations;
   out.approx_cache_entries = ac.entries;
   out.approx_cache_bytes = ac.bytes;
-  out.approx_builds = counters_.approx_builds.load(std::memory_order_relaxed);
-  out.approx_build_ns_sum =
-      counters_.approx_build_ns_sum.load(std::memory_order_relaxed);
+  out.approx_builds = counters_.approx_builds.load();
+  out.approx_build_ns_sum = counters_.approx_build_ns_sum.load();
   out.approx_build_ns_last =
       counters_.approx_build_ns_last.load(std::memory_order_relaxed);
-  out.label_builds = counters_.label_builds.load(std::memory_order_relaxed);
-  out.label_build_ns_sum =
-      counters_.label_build_ns_sum.load(std::memory_order_relaxed);
+  out.label_builds = counters_.label_builds.load();
+  out.label_build_ns_sum = counters_.label_build_ns_sum.load();
   out.label_build_ns_last =
       counters_.label_build_ns_last.load(std::memory_order_relaxed);
-  out.dispatches = counters_.dispatches.load(std::memory_order_relaxed);
-  out.batches = counters_.batches.load(std::memory_order_relaxed);
-  out.batch_lanes_used = counters_.lanes_used.load(std::memory_order_relaxed);
-  out.batch_lane_capacity =
-      counters_.lane_capacity.load(std::memory_order_relaxed);
-  out.coalesce_ns_sum =
-      counters_.coalesce_ns_sum.load(std::memory_order_relaxed);
+  out.dispatches = counters_.dispatches.load();
+  out.batches = counters_.batches.load();
+  out.batch_lanes_used = counters_.lanes_used.load();
+  out.batch_lane_capacity = counters_.lane_capacity.load();
+  out.coalesce_ns_sum = counters_.coalesce_ns_sum.load();
   out.coalesce_ns_max =
       counters_.coalesce_ns_max.load(std::memory_order_relaxed);
   out.queue_depth = queue_.depth();
   out.queue_peak = queue_.peak_depth();
   out.epoch = epoch();
-  out.epoch_swaps = counters_.swaps.load(std::memory_order_relaxed);
+  out.epoch_swaps = counters_.swaps.load();
   out.epoch_lag = counters_.epoch_lag.load(std::memory_order_relaxed);
-  out.swap_ns_sum = counters_.swap_ns_sum.load(std::memory_order_relaxed);
+  out.swap_ns_sum = counters_.swap_ns_sum.load();
   out.swap_ns_max = counters_.swap_ns_max.load(std::memory_order_relaxed);
   out.swap_ns_last = counters_.swap_ns_last.load(std::memory_order_relaxed);
   // The two totals are derived, not stored: every request bumps exactly

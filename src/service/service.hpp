@@ -53,8 +53,9 @@
 //    cached in separate (epoch, mode)-keyed caches; each approximate
 //    reply is tagged with the engine's certified error bound.
 //
-//  * Observability. Per-stage TraceSpans (service.submit / flush /
-//    batch / swap / label_build) under SEPSP_OBS, plus one ledger of
+//  * Observability. Per-stage TraceSpans (flush / batch / swap /
+//    label_build / approx_build) under SEPSP_OBS; a request opens no
+//    span, its own time is Reply::latency_ns. Plus one ledger of
 //    queue depth, batch occupancy, coalesce latency, hit rate, shed
 //    count, per-kind traffic, label-merge latency, and epoch lag,
 //    surfaced through ServiceStats in every build mode (stats.hpp).
@@ -170,73 +171,74 @@ class QueryService {
   void stop();
 
  private:
-  // Every counter sits alone on its cache line (util/cacheline.hpp):
-  // the ledger is bumped from every submitting thread and every
-  // dispatcher on every request, and adjacent plain atomics would
-  // false-share — the submit-path fetch_adds of one core evicting the
-  // line under all the others.
+  // Every sum is a StripedCounter (util/cacheline.hpp): each thread
+  // adds on its own cache line, so the submitting clients and the
+  // dispatchers, which all bump the ledger on every request, do not
+  // write each other's lines (up to kCounterStripes threads; past that
+  // they share cells round-robin). The maxima and the last-value
+  // gauges do not combine per thread and sit alone on one line each.
   //
   // `submitted` and `completed` are not counters: stats() derives them
   // as the sums of the per-kind admission counts and of the eight
   // hit/miss counters, so a request bumps two fewer ledger lines.
   struct Counters {
-    PaddedAtomicU64 shed;
-    PaddedAtomicU64 stopped;
-    PaddedAtomicU64 invalid;
-    PaddedAtomicU64 failed;
+    StripedCounter shed;
+    StripedCounter stopped;
+    StripedCounter invalid;
+    StripedCounter failed;
     // Per-request hit accounting (a "hit" is any request answered
     // without running the kernel for it — submit-time cache hits,
     // flush-time re-check hits, and in-group dedup shares). The raw
     // DistanceCache counters would double-count the two-phase lookup.
-    PaddedAtomicU64 cache_hits;
-    PaddedAtomicU64 cache_misses;
-    PaddedAtomicU64 dispatches;
-    PaddedAtomicU64 batches;
-    PaddedAtomicU64 lanes_used;
-    PaddedAtomicU64 lane_capacity;
-    PaddedAtomicU64 coalesce_ns_sum;
+    StripedCounter cache_hits;
+    StripedCounter cache_misses;
+    StripedCounter dispatches;
+    StripedCounter batches;
+    StripedCounter lanes_used;
+    StripedCounter lane_capacity;
+    StripedCounter coalesce_ns_sum;
     PaddedAtomicU64 coalesce_ns_max;
     // Per-kind admission counts (their sum is `submitted`).
-    PaddedAtomicU64 single_source;
-    PaddedAtomicU64 st_distance;
-    PaddedAtomicU64 st_path;
+    StripedCounter single_source;
+    StripedCounter st_distance;
+    StripedCounter st_path;
     // Per-request st-cache accounting, disjoint from the single-source
     // hit/miss pair. With the approximate pairs below, their sum is
     // `completed`.
-    PaddedAtomicU64 st_cache_hits;
-    PaddedAtomicU64 st_cache_misses;
+    StripedCounter st_cache_hits;
+    StripedCounter st_cache_misses;
     // Approximate-mode traffic (requests submitted with approx = true;
     // a subset of the per-kind admission counts above) and its own
     // per-request hit/miss ledger — approximate answers live in
     // (epoch, mode)-disjoint caches, so these pairs never overlap the
     // exact ones.
-    PaddedAtomicU64 approx_requests;
-    PaddedAtomicU64 approx_cache_hits;
-    PaddedAtomicU64 approx_cache_misses;
-    PaddedAtomicU64 approx_st_hits;
-    PaddedAtomicU64 approx_st_misses;
+    StripedCounter approx_requests;
+    StripedCounter approx_cache_hits;
+    StripedCounter approx_cache_misses;
+    StripedCounter approx_st_hits;
+    StripedCounter approx_st_misses;
     // Label-merge latency of st misses (the submit-time kernel), and
     // the routing-walk latency of kStPath misses on top of it.
-    PaddedAtomicU64 st_merge_ns_sum;
+    StripedCounter st_merge_ns_sum;
     PaddedAtomicU64 st_merge_ns_max;
-    PaddedAtomicU64 st_unpack_ns_sum;
+    StripedCounter st_unpack_ns_sum;
     PaddedAtomicU64 st_unpack_ns_max;
     // Per-epoch hub-label rebuild cost (off the swap critical path;
     // see attach_point_to_point()).
-    PaddedAtomicU64 label_builds;
-    PaddedAtomicU64 label_build_ns_sum;
+    StripedCounter label_builds;
+    StripedCounter label_build_ns_sum;
     PaddedAtomicU64 label_build_ns_last;
     // Per-epoch approximate-engine rebuild cost (like the label rebuild,
     // off the swap critical path; see attach_approx()).
-    PaddedAtomicU64 approx_builds;
-    PaddedAtomicU64 approx_build_ns_sum;
+    StripedCounter approx_builds;
+    StripedCounter approx_build_ns_sum;
     PaddedAtomicU64 approx_build_ns_last;
-    PaddedAtomicU64 swaps;
+    StripedCounter swaps;
     PaddedAtomicU64 epoch_lag;
     // Snapshot+publish latency of apply_updates() — the epoch-swap cost
     // the structurally-shared snapshots keep proportional to the dirty
     // region.
-    PaddedAtomicU64 swap_ns_sum;
+    StripedCounter swap_ns_sum;
     PaddedAtomicU64 swap_ns_max;
     PaddedAtomicU64 swap_ns_last;
   };

@@ -1,14 +1,18 @@
-// Cache-line-padded atomic counters for hot, concurrently-updated
-// ledgers.
+// Cache-line-padded atomics for hot, concurrently-updated ledgers.
 //
 // A struct of plain adjacent std::atomic<uint64_t> counters puts eight
 // unrelated counters on each 64-byte line: every fetch_add from one
 // worker invalidates the line under all the others (false sharing), so
 // a ledger bumped on every request turns into a cross-core ping-pong
-// exactly at the throughputs it exists to measure. PaddedAtomicU64
-// gives each counter its own line; the forwarding surface mirrors the
-// std::atomic member functions the serving runtime uses, plus the
-// fetch_max its latency maxima need.
+// exactly at the throughputs it exists to measure. Even alone on its
+// line, one counter that several threads add to is still one line
+// they all write (true sharing): a contended fetch_add costs several
+// times an uncontended one.
+//
+// StripedCounter removes both for sums: each thread adds into its own
+// line, and a read adds the lines up. PaddedAtomicU64 keeps a single
+// line for the values that are not sums — maxima (fetch_max) and
+// last-value gauges — where a per-thread copy would not combine.
 //
 // 64 bytes is hardcoded rather than read from
 // std::hardware_destructive_interference_size: GCC warns on ABI
@@ -17,7 +21,9 @@
 // merely half as effective, never wrong).
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace sepsp {
@@ -29,11 +35,6 @@ struct alignas(kCacheLineBytes) PaddedAtomicU64 {
   PaddedAtomicU64() = default;
   explicit PaddedAtomicU64(std::uint64_t init) : value(init) {}
 
-  std::uint64_t fetch_add(std::uint64_t d,
-                          std::memory_order order =
-                              std::memory_order_seq_cst) {
-    return value.fetch_add(d, order);
-  }
   std::uint64_t load(std::memory_order order =
                          std::memory_order_seq_cst) const {
     return value.load(order);
@@ -57,5 +58,42 @@ static_assert(sizeof(PaddedAtomicU64) == kCacheLineBytes,
               "padding must fill exactly one cache line");
 static_assert(alignof(PaddedAtomicU64) == kCacheLineBytes,
               "each counter must start on its own cache line");
+
+/// Cells per StripedCounter. Threads beyond this many share cells
+/// round-robin, which stays exact and only brings back some sharing.
+inline constexpr std::size_t kCounterStripes = 16;
+
+/// A sum that every thread adds to on its own cache line. add() is one
+/// relaxed fetch_add on the caller's cell; load() sums the cells, and a
+/// read that races adds may miss the newest of them but never tears.
+class StripedCounter {
+ public:
+  using Cell = PaddedAtomicU64;
+
+  void add(std::uint64_t n = 1) {
+    cells_[stripe()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t load() const {
+    std::uint64_t sum = 0;
+    for (const Cell& c : cells_) sum += c.load(std::memory_order_relaxed);
+    return sum;
+  }
+  /// Zeroes every cell (quiescent contexts: tests, bench repetitions).
+  void reset() {
+    for (Cell& c : cells_) c.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  /// The calling thread's cell index, the same in every counter: handed
+  /// out round-robin on the thread's first add and fixed for its life.
+  static std::size_t stripe() {
+    static std::atomic<std::size_t> next{0};
+    thread_local const std::size_t mine =
+        next.fetch_add(1, std::memory_order_relaxed) % kCounterStripes;
+    return mine;
+  }
+
+  std::array<Cell, kCounterStripes> cells_{};
+};
 
 }  // namespace sepsp

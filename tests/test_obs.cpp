@@ -17,10 +17,12 @@
 #include "graph/generators.hpp"
 #include "obs/obs.hpp"
 #include "obs/sink.hpp"
+#include "pram/cost_model.hpp"
 #include "separator/finders.hpp"
 #include "service/service.hpp"
 #include "store/stored_engine.hpp"
 #include "store/writer.hpp"
+#include "util/cacheline.hpp"
 
 namespace sepsp::obs {
 namespace {
@@ -206,6 +208,58 @@ TEST(Sink, JsonRecordsAreTyped) {
     EXPECT_NE(out.find("\"test.obs.json\""), std::string::npos);
     EXPECT_NE(out.find("\"kind\": \"span\""), std::string::npos);
   }
+}
+
+// A striped counter's cell is one whole cache line, so no two threads'
+// cells share one.
+static_assert(sizeof(StripedCounter::Cell) == kCacheLineBytes);
+static_assert(alignof(StripedCounter::Cell) == kCacheLineBytes);
+
+TEST(Obs, StripedCounterSumsExactlyAcrossThreads) {
+  // Every summed counter adds on the charging thread's own cell: a
+  // bare StripedCounter, a registry counter and the PRAM cost meter.
+  // Their totals must be exact however the threads fall on cells, and
+  // each reset, run on this thread, must zero the other threads' cells.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kAdds = 100000;
+  constexpr std::uint64_t kTotal = kThreads * kAdds;
+  StripedCounter striped;
+  Counter& c = counter("test.obs.striped");
+  const auto charge_from_threads = [&] {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (std::uint64_t i = 0; i < kAdds; ++i) {
+          striped.add();
+          c.add();
+          pram::CostMeter::charge_work(1);
+          pram::CostMeter::charge_depth(2);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  };
+
+  c.reset();
+  pram::CostMeter::reset();
+  charge_from_threads();
+  EXPECT_EQ(striped.load(), kTotal);
+  if constexpr (compiled_in()) {
+    EXPECT_EQ(c.value(), kTotal);
+  }
+  EXPECT_EQ(pram::CostMeter::snapshot(), (pram::Cost{kTotal, 2 * kTotal}));
+
+  striped.reset();
+  c.reset();
+  pram::CostMeter::reset();
+  EXPECT_EQ(striped.load(), 0u);
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(pram::CostMeter::snapshot(), pram::Cost{});
+
+  charge_from_threads();
+  StatsRegistry::instance().reset_values();
+  EXPECT_EQ(c.value(), 0u);
+  pram::CostMeter::reset();
 }
 
 /// Every instrument name the registry holds, of any kind.

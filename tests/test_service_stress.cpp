@@ -590,6 +590,118 @@ TEST(ServiceStress, HitHeavyRaceOnOneShardMatchesOracle) {
             0u);
 }
 
+TEST(ServiceStress, RacingHitsThenMissBurstKeepLedgerExact) {
+  // The ledger's sums are striped per thread: each client and the
+  // dispatcher add on their own cache lines, and stats() sums the
+  // lines. Two clients race hits of all five request shapes on
+  // one-shard caches, then each sends a burst of misses. Every warm-up
+  // request misses and every later one of the same key hits, so each
+  // hit/miss count and each per-kind count is known exactly.
+  const Fixture f = make_fixture(9, 8);
+  ServiceOptions opts;
+  opts.lanes = 4;
+  opts.dispatchers = 1;
+  opts.cache_shards = 1;
+  opts.st_cache_shards = 1;
+  opts.approx.enabled = true;
+  opts.approx.eps = 0.25;
+  QueryService svc(IncrementalEngine::build(f.gg.graph, f.tree), opts);
+  const std::vector<Vertex> hot{0, 13, 40, 67};
+  const std::vector<Vertex> targets{5, 44, 80};
+  const std::uint64_t keys = hot.size() * targets.size();
+
+  // Warm-up, one miss per key: an st-distance entry carries no path,
+  // so the st-path request after it misses too and adds the path.
+  for (const Vertex s : hot) {
+    ASSERT_TRUE(svc.query(SingleSource{s}).ok());
+    ASSERT_TRUE(svc.query(SingleSource{s, /*approx=*/true}).ok());
+    for (const Vertex t : targets) {
+      ASSERT_TRUE(svc.query(StDistance{s, t}).ok());
+      ASSERT_TRUE(svc.query(StDistance{s, t, /*approx=*/true}).ok());
+      ASSERT_TRUE(svc.query(StPath{s, t}).ok());
+    }
+  }
+
+  constexpr std::size_t kClients = 2;
+  constexpr std::size_t kShapes = 5;
+  constexpr std::size_t kHitsPerClient = 10000;  // a multiple of kShapes
+  constexpr std::uint64_t kPerShape = kClients * kHitsPerClient / kShapes;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      Rng pick(300 + c);
+      for (std::size_t i = 0; i < kHitsPerClient; ++i) {
+        const Vertex s = hot[pick.next_below(hot.size())];
+        const Vertex t = targets[pick.next_below(targets.size())];
+        Reply r;
+        switch (i % kShapes) {
+          case 0:
+            r = svc.query(SingleSource{s});
+            break;
+          case 1:
+            r = svc.query(SingleSource{s, /*approx=*/true});
+            break;
+          case 2:
+            r = svc.query(StDistance{s, t});
+            break;
+          case 3:
+            r = svc.query(StDistance{s, t, /*approx=*/true});
+            break;
+          default:
+            r = svc.query(StPath{s, t});
+            break;
+        }
+        ASSERT_TRUE(r.ok());
+        EXPECT_TRUE(r.cache_hit);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : clients) t.join();
+
+  // The miss burst: each client submits every cold source of its
+  // parity at once, so the dispatcher coalesces them into lane blocks.
+  std::vector<Vertex> cold;
+  for (Vertex v = 0; v < f.gg.graph.num_vertices(); ++v) {
+    if (std::find(hot.begin(), hot.end(), v) == hot.end()) cold.push_back(v);
+  }
+  clients.clear();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<std::future<Reply>> futures;
+      for (std::size_t i = c; i < cold.size(); i += kClients) {
+        futures.push_back(svc.submit(SingleSource{cold[i]}));
+      }
+      for (auto& fut : futures) {
+        const Reply r = fut.get();
+        ASSERT_TRUE(r.ok());
+        EXPECT_FALSE(r.cache_hit);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted, stats.completed);
+  EXPECT_EQ(stats.shed + stats.stopped + stats.invalid + stats.failed, 0u);
+  EXPECT_EQ(stats.single_source, 2 * hot.size() + 2 * kPerShape + cold.size());
+  EXPECT_EQ(stats.st_distance, 2 * keys + 2 * kPerShape);
+  EXPECT_EQ(stats.st_path, keys + kPerShape);
+  EXPECT_EQ(stats.approx_requests, hot.size() + keys + 2 * kPerShape);
+  EXPECT_EQ(stats.cache_hits, kPerShape);
+  EXPECT_EQ(stats.cache_misses, hot.size() + cold.size());
+  EXPECT_EQ(stats.approx_cache_hits, kPerShape);
+  EXPECT_EQ(stats.approx_cache_misses, hot.size());
+  EXPECT_EQ(stats.st_cache_hits, 2 * kPerShape);
+  EXPECT_EQ(stats.st_cache_misses, 2 * keys);
+  EXPECT_EQ(stats.approx_st_hits, kPerShape);
+  EXPECT_EQ(stats.approx_st_misses, keys);
+  EXPECT_EQ(stats.batch_lanes_used, hot.size() * 2 + cold.size());
+}
+
 TEST(ServiceStress, StopUnderLoadResolvesEveryFuture) {
   const Fixture f = make_fixture(8, 3);
   ServiceOptions opts;

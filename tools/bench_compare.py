@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Records and compares perfbench trajectories (BENCH_<n>.json files).
 
-Two subcommands:
+Three subcommands:
 
   collect  Runs perfbench/run.py in two checkouts (a parent and a change),
            alternating which side runs first, for every workload, seed
@@ -21,6 +21,13 @@ Two subcommands:
            1 when any end-to-end metric is flagged worse.
 
       python3 tools/bench_compare.py compare BENCH_16.json
+
+  obs-overhead  Reads two bench_x_service --json files, one from an
+           SEPSP_OBS=ON build and one from an SEPSP_OBS=OFF build on the
+           same host, and prints ON/OFF ratios of the hit_scaling rows'
+           qps and p50 per client count. It reports; it gates nothing.
+
+      python3 tools/bench_compare.py obs-overhead on.json off.json
 """
 
 import argparse
@@ -137,6 +144,28 @@ def compare(args):
     return 1 if worse_end_to_end else 0
 
 
+def obs_overhead(args):
+    sides = []
+    for path, leg in ((args.on, 1), (args.off, 0)):
+        rows = [r for r in json.loads(Path(path).read_text())
+                if r.get("kind") == "hit_scaling"]
+        if not rows:
+            sys.exit(f"{path}: no hit_scaling rows")
+        if any(r.get("obs", leg) != leg for r in rows):
+            sys.exit(f"{path}: hit_scaling rows are not from an "
+                     f"SEPSP_OBS={'ON' if leg else 'OFF'} build")
+        sides.append({r["clients"]: r for r in rows})
+    on, off = sides
+    print(f"{'clients':>7s} {'qps ON':>12s} {'qps OFF':>12s} {'ON/OFF':>7s}"
+          f" {'p50 ON':>9s} {'p50 OFF':>9s} {'ON/OFF':>7s}")
+    for clients in sorted(on.keys() & off.keys()):
+        a, b = on[clients], off[clients]
+        print(f"{clients:>7d} {a['qps']:>12.0f} {b['qps']:>12.0f}"
+              f" {a['qps'] / b['qps']:>7.3f} {a['p50_us']:>9.3f}"
+              f" {b['p50_us']:>9.3f} {a['p50_us'] / b['p50_us']:>7.3f}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser()
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,10 +181,15 @@ def main():
     m = sub.add_parser("compare")
     m.add_argument("bench")
     m.add_argument("--flagged-only", action="store_true")
+    o = sub.add_parser("obs-overhead")
+    o.add_argument("on", help="bench_x_service --json of an SEPSP_OBS=ON build")
+    o.add_argument("off", help="the same of an SEPSP_OBS=OFF build")
     args = parser.parse_args()
     if args.command == "collect":
         collect(args)
         return 0
+    if args.command == "obs-overhead":
+        return obs_overhead(args)
     return compare(args)
 
 
