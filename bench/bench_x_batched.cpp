@@ -118,10 +118,12 @@ void run_instance(const Instance& inst, Table& table) {
   }
 }
 
-/// Batched throughput per SIMD dispatch tier at B = 8 and B = 16: the
+/// Batched throughput per SIMD dispatch tier at B = 1, 8 and 16: the
 /// scalar tier is simd::bucket_sweep's lane loop, which takes the width
 /// at run time, so the speedup column is the vector substrate's gain on
-/// the bucket sweeps over that loop.
+/// the bucket sweeps over that loop. B = 1 is the per-source walk, which
+/// never dispatches (a one-lane pass runs the lane loop at every tier),
+/// so its rows read about 1.0x.
 void run_tier_instance(const Instance& inst, Table& table) {
   const auto engine = SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
   const std::size_t count =
@@ -130,7 +132,7 @@ void run_tier_instance(const Instance& inst, Table& table) {
   const std::span<const Vertex> span(sources);
 
   const simd::Tier ambient = simd::active_tier();
-  for (const std::size_t lanes : {8, 16}) {
+  for (const std::size_t lanes : {1, 8, 16}) {
     double scalar_rate = 0;
     for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
       const simd::Tier tier = static_cast<simd::Tier>(t);

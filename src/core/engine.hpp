@@ -43,12 +43,13 @@
 // One walker (walk) runs that schedule for every entry point, at a lane
 // width it takes at run time. Its distance array is lane-major,
 // dist[v * width + lane]: width 1 is the scalar query (distances,
-// distances_into, distances_seeded) with its guarded compare-then-store
-// loop; a wider walk is the source-batched query (distances_batch,
-// Corollary 5.2's s-source workload), which relaxes every lane per edge
-// load through simd::bucket_sweep (semiring/simd.hpp). Lanes never
-// interact, so every lane's distances and counters equal a scalar run
-// of its own source.
+// distances_into, distances_seeded); a wider walk is the source-batched
+// query (distances_batch, Corollary 5.2's s-source workload), which
+// relaxes every lane per edge load. The engine owns no relaxation loop:
+// every pass at every width is simd::bucket_sweep(_tracked) and the
+// verification pass simd::bucket_detect (semiring/simd.hpp). Lanes
+// never interact, so every lane's distances and counters equal a
+// scalar run of its own source.
 //
 // Edges are stored struct-of-arrays (EdgeBucket, core/query.hpp). E+ is
 // one such array, its slots numbered in sweep order by the tree's slot
@@ -648,17 +649,11 @@ class SeparatorShortestPaths {
   /// with kTrack, ORs each lane's "improved" flag into changed[0..width).
   /// Values stream run by run (a value slab, or a pinned chunk of a
   /// mapped image segment), each a flat array alongside the shared pair
-  /// arrays.
-  ///
-  /// Every width extends through relax_extend(), the semiring's
-  /// unguarded extend (exact for zero() "no path" slot values too).
-  /// Width 1 is the scalar loop: an unreached source is skipped and a
-  /// distance is stored only when it improves. A wider walk hands each
-  /// run to simd::bucket_sweep(_tracked), which takes the width at run
-  /// time: the dispatched vector kernel when a vector tier is active,
-  /// else its lane loop — the baseline the tiers are measured against,
-  /// bit-identical to them. combine() is a branch-free select; an
-  /// unseeded lane stays at zero(), from which nothing improves.
+  /// arrays. Every run goes to simd::bucket_sweep(_tracked), which takes
+  /// the width at run time and stores combine(old, relax_extend(du, w))
+  /// in every lane: the dispatched vector kernel when more than one lane
+  /// runs on a vector tier, else its inline lane loop. An unreached lane
+  /// stays where it is, since extending zero() gives zero().
   template <bool kTrack>
   void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
              std::size_t width, std::uint8_t* changed) const {
@@ -667,87 +662,41 @@ class SeparatorShortestPaths {
     edges.for_each_values_run(
         range.lo, range.hi,
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if (width == 1) {
-            bool any = false;
-            for (std::size_t i = 0; i < len; ++i) {
-              const Value du = dist[from[lo + i]];
-              if (!S::improves(S::zero(), du)) continue;  // unreached
-              const Value cand = relax_extend<S>(du, value[i]);
-              if (S::improves(dist[to[lo + i]], cand)) {
-                dist[to[lo + i]] = cand;
-                any = true;
-              }
-            }
-            if constexpr (kTrack) changed[0] |= static_cast<std::uint8_t>(any);
-          } else if constexpr (kTrack) {
+          if constexpr (kTrack) {
             simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value, len,
                                           width, changed);
           } else {
             simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, width);
           }
         });
-    if (width > 1) note_simd_cells(range.size() * width);
+    note_simd_cells(range.size(), width);
   }
 
   /// Final verification pass over E u E+, per lane: the schedule reaches
   /// a fixpoint when no negative cycle is reachable, so any significant
   /// further improvement certifies one (S::detect_improves tolerates
-  /// floating-point drift between equivalent summation orders).
+  /// floating-point drift between equivalent summation orders). One
+  /// simd::bucket_detect per values run, at every width.
   void detect_negative_cycles(const Value* dist, std::size_t width,
                               std::span<QueryStats> acct) const {
     if (!detect_cycles_) return;
     if constexpr (S::kDetectNegativeCycles) {
       std::array<bool, kMaxLanes> found{};
-      find_improvable(base_, dist, width, acct.size(), found);
-      find_improvable(shortcut_, dist, width, acct.size(), found);
+      for (const EdgeBucket<S>* edges : {&base_, &shortcut_}) {
+        const Vertex* from = edges->from_data();
+        const Vertex* to = edges->to_data();
+        edges->for_each_values_run(
+            [&](std::size_t lo, std::size_t len, const Value* value) {
+              simd::bucket_detect<S>(dist, from + lo, to + lo, value, len,
+                                     width, acct.size(), found.data());
+            });
+      }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         acct[lane].negative_cycle = found[lane];
         acct[lane].edges_scanned += base_.size() + shortcut_.size();
         ++acct[lane].phases;
       }
     }
-  }
-
-  /// Sets found[lane] for each of the first `lanes` lanes in which some
-  /// edge of the bucket still improves its head significantly. Like
-  /// relax(), width 1 keeps the scalar loop, which stops at the first
-  /// hit.
-  void find_improvable(const EdgeBucket<S>& edges, const Value* dist,
-                       std::size_t width, std::size_t lanes,
-                       std::array<bool, kMaxLanes>& found) const
-    requires S::kDetectNegativeCycles
-  {
-    const Vertex* from = edges.from_data();
-    const Vertex* to = edges.to_data();
-    edges.for_each_values_run(
-        [&](std::size_t lo, std::size_t len, const Value* value) {
-          if (width == 1) {
-            if (found[0]) return;
-            for (std::size_t i = 0; i < len; ++i) {
-              const Value du = dist[from[lo + i]];
-              if (!S::improves(S::zero(), du)) continue;
-              if (S::detect_improves(dist[to[lo + i]],
-                                     relax_extend<S>(du, value[i]))) {
-                found[0] = true;
-                return;
-              }
-            }
-          } else {
-            for (std::size_t i = 0; i < len; ++i) {
-              const Value* du =
-                  dist + static_cast<std::size_t>(from[lo + i]) * width;
-              const Value* dw =
-                  dist + static_cast<std::size_t>(to[lo + i]) * width;
-              for (std::size_t lane = 0; lane < lanes; ++lane) {
-                if (!S::improves(S::zero(), du[lane])) continue;
-                if (S::detect_improves(
-                        dw[lane], relax_extend<S>(du[lane], value[i]))) {
-                  found[lane] = true;
-                }
-              }
-            }
-          }
-        });
   }
 
   /// Accounting of one walk, its one path into the ledger: PRAM work per
@@ -774,16 +723,17 @@ class SeparatorShortestPaths {
     counters_->level_scans[level].fetch_add(edges, std::memory_order_relaxed);
   }
 
-  /// Cells (edge x lane relaxations) routed through the dispatched
-  /// vector kernels. No-op on the scalar tier.
-  static void note_simd_cells(std::size_t cells) {
+  /// Cells (edge x lane relaxations) of a pass over `edges` edges at
+  /// `width` lanes that ran through a vector kernel (see
+  /// simd::vector_dispatch_active).
+  static void note_simd_cells(std::size_t edges, std::size_t width) {
 #if SEPSP_OBS_ENABLED
-    if (simd::vector_dispatch_active<S>()) {
+    if (simd::vector_dispatch_active<S>(width)) {
       static obs::Counter& counter = obs::counter("simd.cells");
-      counter.add(cells);
+      counter.add(edges * width);
     }
 #else
-    (void)cells;
+    (void)edges, (void)width;
 #endif
   }
 

@@ -38,9 +38,10 @@
 // clamps down). Tests may override it at runtime with force_tier(). The
 // templated entry points below read the active tier per call (one
 // relaxed atomic load per kernel call or bucket sweep): on the scalar
-// tier, and for semirings without a vector kind, they run the scalar
-// loops; otherwise they call the tier's KernelTable entry. Code compiled
-// against this header never changes meaning, only speed.
+// tier, for semirings without a vector kind and for one-lane bucket
+// passes, they run the scalar loops; otherwise they call the tier's
+// KernelTable entry. Code compiled against this header never changes
+// meaning, only speed.
 //
 // Alignment contract. Kernels use unaligned-tolerant loads; callers
 // that want the aligned fast path allocate through AlignedVector
@@ -55,6 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "semiring/semiring.hpp"
 
@@ -236,6 +238,28 @@ inline void lane_loop_tracked(typename S::Value* dst,
   }
 }
 
+/// The negative-cycle check over m edges of a lane-major matrix of row
+/// width `width`: sets found[l] (l < lanes) when some edge still
+/// improves its head significantly in lane l (S::detect_improves),
+/// skipping unreached lanes. Not dispatched: scalar at every tier.
+template <Semiring S>
+  requires S::kDetectNegativeCycles
+inline void bucket_detect(const typename S::Value* dist,
+                          const std::uint32_t* from, const std::uint32_t* to,
+                          const typename S::Value* value, std::size_t m,
+                          std::size_t width, std::size_t lanes, bool* found) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto* du = dist + static_cast<std::size_t>(from[i]) * width;
+    const auto* dw = dist + static_cast<std::size_t>(to[i]) * width;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (!S::improves(S::zero(), du[l])) continue;  // unreached
+      if (S::detect_improves(dw[l], relax_extend<S>(du[l], value[i]))) {
+        found[l] = true;
+      }
+    }
+  }
+}
+
 // --- kernel function table ---------------------------------------------
 // One entry per (kernel, semiring kind), one table per vector tier; the
 // scalar tier has no table, it runs the loops above. Kinds cover the
@@ -261,7 +285,7 @@ inline void lane_loop_tracked(typename S::Value* dst,
 //                              lane_loop for each edge i, from
 //                              dist[from[i]*lanes..] to
 //                              dist[to[i]*lanes..] — one batched-query
-//                              bucket pass. lanes <= 64.
+//                              bucket pass. 2 <= lanes <= 64.
 //   sweep_tracked(..., changed): same with lane_loop_tracked.
 template <typename V>
 using ProductKernel = void(V* o, std::size_t ldo, const V* a,
@@ -360,9 +384,9 @@ template <typename S>
 inline constexpr bool kVectorizable = VectorizableSemiring<S>;
 
 // --- dispatched entry points -------------------------------------------
-// Each reads active_tier() once per call: the scalar loops on the scalar
-// tier, the tier's table entry otherwise. Semirings without a kind
-// always run the scalar loops.
+// Each reads active_tier() per call: the scalar loops on the scalar
+// tier, the tier's table entry otherwise. Semirings without a kind,
+// and one-lane bucket passes, always run the scalar loops.
 
 /// o ⊕= a ⊗ b over strided sub-rectangles (see product_loops).
 template <Semiring S>
@@ -410,6 +434,27 @@ inline bool combine_row(typename S::Value* dst, const typename S::Value* src,
   return combine_row_loop<S>(dst, src, 0, n);
 }
 
+/// True when kernels dispatched right now would run vector code for S.
+template <Semiring S>
+inline bool vector_dispatch_active() {
+  return kVectorizable<S> && active_tier() != Tier::kScalar;
+}
+
+/// The same for a bucket pass over `lanes` lanes: one lane fills no
+/// vector, and its inline loop beats the table call (EXPERIMENTS.md
+/// note 11).
+template <Semiring S>
+inline bool vector_dispatch_active(std::size_t lanes) {
+  return lanes > 1 && vector_dispatch_active<S>();
+}
+
+/// Calls f(lanes), one lane as a compile-time constant: the lane loop
+/// then compiles to one combine per edge, not a loop versioned for rows.
+template <typename F>
+inline void with_lane_count(std::size_t lanes, F&& f) {
+  lanes == 1 ? f(std::integral_constant<std::size_t, 1>{}) : f(lanes);
+}
+
 /// One bucket pass of the lane-batched query: for every edge, relax
 /// `lanes` contiguous lanes of the lane-major dist matrix. lanes <= 64.
 template <Semiring S>
@@ -418,17 +463,19 @@ inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* from,
                          const typename S::Value* value, std::size_t m,
                          std::size_t lanes) {
   if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kSweep)(dist, from, to, value, m, lanes);
+    if (vector_dispatch_active<S>(lanes)) {
+      (table(active_tier()).*KindTraits<S>::kSweep)(dist, from, to, value, m,
+                                                    lanes);
       return;
     }
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    lane_loop<S>(dist + static_cast<std::size_t>(to[i]) * lanes,
-                 dist + static_cast<std::size_t>(from[i]) * lanes, value[i],
-                 0, lanes);
-  }
+  with_lane_count(lanes, [&](auto width) {
+    for (std::size_t i = 0; i < m; ++i) {
+      lane_loop<S>(dist + static_cast<std::size_t>(to[i]) * width,
+                   dist + static_cast<std::size_t>(from[i]) * width, value[i],
+                   0, width);
+    }
+  });
 }
 
 /// bucket_sweep recording per-lane improvement into changed[0..lanes)
@@ -440,24 +487,19 @@ inline void bucket_sweep_tracked(typename S::Value* dist,
                                  const typename S::Value* value, std::size_t m,
                                  std::size_t lanes, std::uint8_t* changed) {
   if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kSweepTracked)(dist, from, to, value, m, lanes,
-                                               changed);
+    if (vector_dispatch_active<S>(lanes)) {
+      (table(active_tier()).*KindTraits<S>::kSweepTracked)(
+          dist, from, to, value, m, lanes, changed);
       return;
     }
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    lane_loop_tracked<S>(dist + static_cast<std::size_t>(to[i]) * lanes,
-                         dist + static_cast<std::size_t>(from[i]) * lanes,
-                         value[i], 0, lanes, changed);
-  }
-}
-
-/// True when kernels dispatched right now would run vector code for S.
-template <Semiring S>
-inline bool vector_dispatch_active() {
-  return kVectorizable<S> && active_tier() != Tier::kScalar;
+  with_lane_count(lanes, [&](auto width) {
+    for (std::size_t i = 0; i < m; ++i) {
+      lane_loop_tracked<S>(dist + static_cast<std::size_t>(to[i]) * width,
+                           dist + static_cast<std::size_t>(from[i]) * width,
+                           value[i], 0, width, changed);
+    }
+  });
 }
 
 }  // namespace sepsp::simd

@@ -247,9 +247,12 @@ TYPED_TEST(BatchParity, IntoRowsMatchVectorForm) {
   simd::force_tier(ambient);
 }
 
-TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
-  // A negative triangle in one component; a clean component beside it.
-  // Lanes whose source reaches the cycle must flag it, the others not.
+/// A negative triangle in one component; a clean component beside it.
+/// Lanes whose source reaches the cycle must flag it, the others not, at
+/// every width (a one-lane walk included) and at the ambient and scalar
+/// tiers.
+template <Semiring S>
+void expect_negative_cycle_flags_per_lane() {
   GraphBuilder b(7);
   b.add_edge(0, 1, 1.0);
   b.add_edge(1, 0, 1.0);
@@ -261,16 +264,32 @@ TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
   const Digraph g = std::move(b).build();
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_bfs_finder());
-  const auto engine = SeparatorShortestPaths<>::build(g, tree);
+  const auto engine = SeparatorShortestPaths<S>::build(g, tree);
+  ASSERT_TRUE(engine.detects_negative_cycles());
 
   const std::vector<Vertex> sources{0, 2, 5, 1, 3, 6};
-  const auto block = engine.distances_batch(sources, {.lanes = 8});
   const std::vector<bool> want{false, true, true, false, true, true};
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(block[i].negative_cycle, want[i]) << "source " << sources[i];
-    expect_result_eq(block[i], engine.distances(sources[i]),
-                     "source " + std::to_string(sources[i]));
+  const simd::Tier ambient = simd::active_tier();
+  for (const simd::Tier tier : {ambient, simd::Tier::kScalar}) {
+    SCOPED_TRACE(::testing::Message() << "tier=" << static_cast<int>(tier));
+    simd::force_tier(tier);
+    for (const std::size_t lanes : {1u, 8u, 16u, 32u}) {
+      SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+      const auto block = engine.distances_batch(sources, {.lanes = lanes});
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(block[i].negative_cycle, want[i]) << "source " << sources[i];
+        expect_result_eq(block[i], engine.distances(sources[i]),
+                         "source " + std::to_string(sources[i]));
+      }
+    }
   }
+  simd::force_tier(ambient);
+}
+
+TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
+  // The two semirings with kDetectNegativeCycles.
+  expect_negative_cycle_flags_per_lane<TropicalD>();
+  expect_negative_cycle_flags_per_lane<TropicalI>();
 }
 
 TEST(BatchQuery, WideLanesHandleShortBlocks) {

@@ -585,17 +585,40 @@ TEST(SimdDispatch, SimdCellsCounterTracksVectorWork) {
       if (rng.next_bool(0.5)) m.at(i, j) = rng.next_double(1.0, 9.0);
     }
   }
+  // The query walk charges a pass's cells only when it ran through a
+  // vector kernel: never at one lane, always at more on a vector tier.
+  Rng grid_rng(17);
+  const auto gg = make_grid({5, 5}, WeightModel::uniform(1, 9), grid_rng);
+  const auto tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({5, 5}));
+  const auto engine = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
+  ASSERT_FALSE(engine.detects_negative_cycles());
+  const Vertex s = 12;
+  const std::vector<Vertex> copies(8, s);
+  const auto cells_of = [](const auto& body) {
+    const auto before = obs::counter("simd.cells").value();
+    body();
+    return obs::counter("simd.cells").value() - before;
+  };
+
   simd::force_tier(simd::Tier::kScalar);
-  const auto before_scalar = obs::counter("simd.cells").value();
-  (void)multiply(m, m);
-  EXPECT_EQ(obs::counter("simd.cells").value(), before_scalar)
+  EXPECT_EQ(cells_of([&] { (void)multiply(m, m); }), 0u)
       << "scalar tier must not charge simd.cells";
+  EXPECT_EQ(cells_of([&] { (void)engine.distances(s); }), 0u);
+  EXPECT_EQ(
+      cells_of([&] { (void)engine.distances_batch(copies, {.lanes = 8}); }),
+      0u);
   if (simd::detected_tier() == simd::Tier::kScalar) return;
   simd::force_tier(simd::detected_tier());
-  const auto before_vec = obs::counter("simd.cells").value();
-  (void)multiply(m, m);
-  EXPECT_EQ(obs::counter("simd.cells").value() - before_vec,
+  EXPECT_EQ(cells_of([&] { (void)multiply(m, m); }),
             std::uint64_t{40} * 40 * 40);
+  std::uint64_t scanned = 0;
+  EXPECT_EQ(cells_of([&] { scanned = engine.distances(s).edges_scanned; }), 0u)
+      << "a one-lane walk never enters a vector kernel";
+  ASSERT_GT(scanned, 0u);
+  EXPECT_EQ(
+      cells_of([&] { (void)engine.distances_batch(copies, {.lanes = 8}); }),
+      8 * scanned);
 }
 
 TEST(SimdDispatch, EngineStatsReportActiveTier) {
