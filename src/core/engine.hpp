@@ -46,7 +46,7 @@
 // distances_into, distances_seeded); a wider walk is the source-batched
 // query (distances_batch, Corollary 5.2's s-source workload), which
 // relaxes every lane per edge load. The engine owns no relaxation loop:
-// every pass at every width is simd::bucket_sweep(_tracked) and the
+// every pass at every width is simd::bucket_sweep and the
 // verification pass simd::bucket_detect (semiring/simd.hpp). Lanes
 // never interact, so every lane's distances and counters equal a
 // scalar run of its own source.
@@ -649,11 +649,17 @@ class SeparatorShortestPaths {
   /// with kTrack, ORs each lane's "improved" flag into changed[0..width).
   /// Values stream run by run (a value slab, or a pinned chunk of a
   /// mapped image segment), each a flat array alongside the shared pair
-  /// arrays. Every run goes to simd::bucket_sweep(_tracked), which takes
-  /// the width at run time and stores combine(old, relax_extend(du, w))
-  /// in every lane: the dispatched vector kernel when more than one lane
-  /// runs on a vector tier, else its inline lane loop. An unreached lane
-  /// stays where it is, since extending zero() gives zero().
+  /// arrays. Every run goes to simd::bucket_sweep, which takes the width
+  /// at run time and stores combine(old, relax_extend(du, w)) in every
+  /// lane: the dispatched vector kernel when more than one lane runs on
+  /// a vector tier, else its inline lane loop. An unreached lane stays
+  /// where it is, since extending zero() gives zero().
+  ///
+  /// kTrack stays a template parameter although bucket_sweep takes the
+  /// change mask as a pointer: a constant null lets the compiler drop
+  /// the tracked loop from every untracked sweep it inlines. With the
+  /// mask passed at run time, TropicalI's width-1 walk on the 33x33 mesh
+  /// took about 10% longer per source (EXPERIMENTS.md note 12).
   template <bool kTrack>
   void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
              std::size_t width, std::uint8_t* changed) const {
@@ -662,12 +668,8 @@ class SeparatorShortestPaths {
     edges.for_each_values_run(
         range.lo, range.hi,
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if constexpr (kTrack) {
-            simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value, len,
-                                          width, changed);
-          } else {
-            simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, width);
-          }
+          simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, width,
+                                kTrack ? changed : nullptr);
         });
     note_simd_cells(range.size(), width);
   }

@@ -24,8 +24,7 @@ namespace kernels {
   ProductKernel<V> product_##KIND##_##SUF;        \
   FwPanelKernel<V> fw_panel_##KIND##_##SUF;       \
   CombineRowKernel<V> combine_row_##KIND##_##SUF; \
-  SweepKernel<V> sweep_##KIND##_##SUF;            \
-  SweepTrackedKernel<V> sweep_tracked_##KIND##_##SUF;
+  SweepKernel<V> sweep_##KIND##_##SUF;
 #define SEPSP_SIMD_DECLARE_TIER(SUF)                 \
   SEPSP_SIMD_DECLARE_KIND(minplus_d, double, SUF)    \
   SEPSP_SIMD_DECLARE_KIND(minplus_i, long long, SUF) \
@@ -48,8 +47,7 @@ namespace {
 
 #define SEPSP_SIMD_KIND_ENTRIES(KIND, SUF)                             \
   &kernels::product_##KIND##_##SUF, &kernels::fw_panel_##KIND##_##SUF, \
-      &kernels::combine_row_##KIND##_##SUF,                            \
-      &kernels::sweep_##KIND##_##SUF, &kernels::sweep_tracked_##KIND##_##SUF
+      &kernels::combine_row_##KIND##_##SUF, &kernels::sweep_##KIND##_##SUF
 #define SEPSP_SIMD_TIER_TABLE(SUF)               \
   KernelTable {                                  \
     SEPSP_SIMD_KIND_ENTRIES(minplus_d, SUF),     \

@@ -11,8 +11,10 @@
 // row.
 //
 // Tiers. Every kernel has a scalar loop, written once in this header,
-// and three vector implementations, each in its own translation unit
-// with its own ISA flags:
+// and one generic vector body (simd_kernels.inc), written once over
+// each kind's vector ops (its Lanes<S>, the one place a kind's vector
+// semantics are stated) and compiled per vector tier, each in its own
+// translation unit with its own ISA flags:
 //
 //   kScalar  the scalar loops below, run inline by the dispatched entry
 //            points (the bit-identity oracle)
@@ -215,26 +217,28 @@ inline bool combine_row_loop(typename S::Value* dst,
 
 /// One edge of a bucket pass over contiguous lanes: dst[l] =
 /// combine(dst[l], relax_extend(src[l], w)) for each lane l from the
-/// given start up to `lanes`.
-template <Semiring S, typename Tag = void>
+/// given start up to `lanes`. With kTrack, sets bit l of `changed` when
+/// lane l's value changed (a register, not a store per edge).
+template <Semiring S, bool kTrack, typename Tag = void>
 inline void lane_loop(typename S::Value* dst, const typename S::Value* src,
-                      typename S::Value w, std::size_t l, std::size_t lanes) {
-  for (; l < lanes; ++l) {
-    dst[l] = S::combine(dst[l], relax_extend<S>(src[l], w));
-  }
-}
-
-/// lane_loop OR-ing per-lane improvement into changed[l].
-template <Semiring S, typename Tag = void>
-inline void lane_loop_tracked(typename S::Value* dst,
-                              const typename S::Value* src,
-                              typename S::Value w, std::size_t l,
-                              std::size_t lanes, std::uint8_t* changed) {
+                      typename S::Value w, std::size_t l, std::size_t lanes,
+                      std::uint64_t& changed) {
   for (; l < lanes; ++l) {
     const typename S::Value next =
         S::combine(dst[l], relax_extend<S>(src[l], w));
-    changed[l] |= static_cast<std::uint8_t>(next != dst[l]);
+    if constexpr (kTrack) {
+      changed |= static_cast<std::uint64_t>(next != dst[l]) << l;
+    }
     dst[l] = next;
+  }
+}
+
+/// ORs bit l of `bits` into changed[l] for each lane l < lanes.
+template <typename Tag = void>
+inline void or_lane_bits(std::uint8_t* changed, std::uint64_t bits,
+                         std::size_t lanes) {
+  for (std::size_t l = 0; l < lanes; ++l) {
+    changed[l] |= static_cast<std::uint8_t>((bits >> l) & 1);
   }
 }
 
@@ -281,12 +285,14 @@ inline void bucket_detect(const typename S::Value* dist,
 //                              fw_panel_loops, as inline row loops.
 //   combine_row(dst, src, n):  combine_row_loop; returns nonzero iff
 //                              any improves().
-//   sweep(dist, from, to, value, m, lanes):
+//   sweep(dist, from, to, value, m, lanes, changed):
 //                              lane_loop for each edge i, from
 //                              dist[from[i]*lanes..] to
 //                              dist[to[i]*lanes..] — one batched-query
-//                              bucket pass. 2 <= lanes <= 64.
-//   sweep_tracked(..., changed): same with lane_loop_tracked.
+//                              bucket pass. 2 <= lanes <= 64. A null
+//                              `changed` is an untracked pass; else the
+//                              pass ORs each lane's change flag into
+//                              changed[0..lanes).
 template <typename V>
 using ProductKernel = void(V* o, std::size_t ldo, const V* a,
                            std::size_t lda, const V* b, std::size_t ldb,
@@ -300,37 +306,29 @@ using CombineRowKernel = int(V* dst, const V* src, std::size_t n);
 template <typename V>
 using SweepKernel = void(V* dist, const std::uint32_t* from,
                          const std::uint32_t* to, const V* value,
-                         std::size_t m, std::size_t lanes);
-template <typename V>
-using SweepTrackedKernel = void(V* dist, const std::uint32_t* from,
-                                const std::uint32_t* to, const V* value,
-                                std::size_t m, std::size_t lanes,
-                                std::uint8_t* changed);
+                         std::size_t m, std::size_t lanes,
+                         std::uint8_t* changed);
 
 struct KernelTable {
   ProductKernel<double>* product_minplus_d;
   FwPanelKernel<double>* fw_panel_minplus_d;
   CombineRowKernel<double>* combine_row_minplus_d;
   SweepKernel<double>* sweep_minplus_d;
-  SweepTrackedKernel<double>* sweep_tracked_minplus_d;
 
   ProductKernel<long long>* product_minplus_i;
   FwPanelKernel<long long>* fw_panel_minplus_i;
   CombineRowKernel<long long>* combine_row_minplus_i;
   SweepKernel<long long>* sweep_minplus_i;
-  SweepTrackedKernel<long long>* sweep_tracked_minplus_i;
 
   ProductKernel<double>* product_maxmin_d;
   FwPanelKernel<double>* fw_panel_maxmin_d;
   CombineRowKernel<double>* combine_row_maxmin_d;
   SweepKernel<double>* sweep_maxmin_d;
-  SweepTrackedKernel<double>* sweep_tracked_maxmin_d;
 
   ProductKernel<unsigned char>* product_orand_b;
   FwPanelKernel<unsigned char>* fw_panel_orand_b;
   CombineRowKernel<unsigned char>* combine_row_orand_b;
   SweepKernel<unsigned char>* sweep_orand_b;
-  SweepTrackedKernel<unsigned char>* sweep_tracked_orand_b;
 };
 
 /// The kernel set for a vector tier (t != kScalar). Tiers not compiled
@@ -349,7 +347,6 @@ struct KindTraits<TropicalD> {
   static constexpr auto kFwPanel = &KernelTable::fw_panel_minplus_d;
   static constexpr auto kCombineRow = &KernelTable::combine_row_minplus_d;
   static constexpr auto kSweep = &KernelTable::sweep_minplus_d;
-  static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_minplus_d;
 };
 template <>
 struct KindTraits<TropicalI> {
@@ -357,7 +354,6 @@ struct KindTraits<TropicalI> {
   static constexpr auto kFwPanel = &KernelTable::fw_panel_minplus_i;
   static constexpr auto kCombineRow = &KernelTable::combine_row_minplus_i;
   static constexpr auto kSweep = &KernelTable::sweep_minplus_i;
-  static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_minplus_i;
 };
 template <>
 struct KindTraits<BottleneckSR> {
@@ -365,7 +361,6 @@ struct KindTraits<BottleneckSR> {
   static constexpr auto kFwPanel = &KernelTable::fw_panel_maxmin_d;
   static constexpr auto kCombineRow = &KernelTable::combine_row_maxmin_d;
   static constexpr auto kSweep = &KernelTable::sweep_maxmin_d;
-  static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_maxmin_d;
 };
 template <>
 struct KindTraits<BooleanSR> {
@@ -373,7 +368,6 @@ struct KindTraits<BooleanSR> {
   static constexpr auto kFwPanel = &KernelTable::fw_panel_orand_b;
   static constexpr auto kCombineRow = &KernelTable::combine_row_orand_b;
   static constexpr auto kSweep = &KernelTable::sweep_orand_b;
-  static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_orand_b;
 };
 
 /// True when S has a vector kernel kind (the four shipped semirings).
@@ -455,51 +449,44 @@ inline void with_lane_count(std::size_t lanes, F&& f) {
   lanes == 1 ? f(std::integral_constant<std::size_t, 1>{}) : f(lanes);
 }
 
+/// bucket_sweep's scalar loop: lane_loop for every edge.
+template <Semiring S, bool kTrack>
+inline void sweep_loop(typename S::Value* dist, const std::uint32_t* from,
+                       const std::uint32_t* to, const typename S::Value* value,
+                       std::size_t m, std::size_t lanes,
+                       std::uint8_t* changed) {
+  std::uint64_t bits = 0;
+  with_lane_count(lanes, [&](auto width) {
+    for (std::size_t i = 0; i < m; ++i) {
+      lane_loop<S, kTrack>(dist + static_cast<std::size_t>(to[i]) * width,
+                           dist + static_cast<std::size_t>(from[i]) * width,
+                           value[i], 0, width, bits);
+    }
+  });
+  if constexpr (kTrack) or_lane_bits(changed, bits, lanes);
+}
+
 /// One bucket pass of the lane-batched query: for every edge, relax
 /// `lanes` contiguous lanes of the lane-major dist matrix. lanes <= 64.
+/// A non-null `changed` records per-lane improvement into
+/// changed[0..lanes) (OR-semantics; callers zero the array per pass).
 template <Semiring S>
 inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* from,
                          const std::uint32_t* to,
                          const typename S::Value* value, std::size_t m,
-                         std::size_t lanes) {
+                         std::size_t lanes, std::uint8_t* changed = nullptr) {
   if constexpr (kVectorizable<S>) {
     if (vector_dispatch_active<S>(lanes)) {
       (table(active_tier()).*KindTraits<S>::kSweep)(dist, from, to, value, m,
-                                                    lanes);
+                                                    lanes, changed);
       return;
     }
   }
-  with_lane_count(lanes, [&](auto width) {
-    for (std::size_t i = 0; i < m; ++i) {
-      lane_loop<S>(dist + static_cast<std::size_t>(to[i]) * width,
-                   dist + static_cast<std::size_t>(from[i]) * width, value[i],
-                   0, width);
-    }
-  });
-}
-
-/// bucket_sweep recording per-lane improvement into changed[0..lanes)
-/// (OR-semantics; callers zero the array per pass).
-template <Semiring S>
-inline void bucket_sweep_tracked(typename S::Value* dist,
-                                 const std::uint32_t* from,
-                                 const std::uint32_t* to,
-                                 const typename S::Value* value, std::size_t m,
-                                 std::size_t lanes, std::uint8_t* changed) {
-  if constexpr (kVectorizable<S>) {
-    if (vector_dispatch_active<S>(lanes)) {
-      (table(active_tier()).*KindTraits<S>::kSweepTracked)(
-          dist, from, to, value, m, lanes, changed);
-      return;
-    }
+  if (changed != nullptr) {
+    sweep_loop<S, true>(dist, from, to, value, m, lanes, changed);
+  } else {
+    sweep_loop<S, false>(dist, from, to, value, m, lanes, nullptr);
   }
-  with_lane_count(lanes, [&](auto width) {
-    for (std::size_t i = 0; i < m; ++i) {
-      lane_loop_tracked<S>(dist + static_cast<std::size_t>(to[i]) * width,
-                           dist + static_cast<std::size_t>(from[i]) * width,
-                           value[i], 0, width, changed);
-    }
-  });
 }
 
 }  // namespace sepsp::simd

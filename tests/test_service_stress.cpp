@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -285,12 +286,21 @@ TEST(ServiceStress, BatchedUpdatesRaceBatchedQueryGroups) {
   EpochOracle oracle(f.gg.graph, {0, 17, 36, 59, 80});
 
   std::atomic<std::uint64_t> checked{0};
+  std::atomic<std::uint64_t> groups_run{0};
   constexpr std::size_t kThreads = 3;
   constexpr std::size_t kGroups = 40;
+  // Readers run at least kGroups groups each, then keep going until an
+  // update has landed, so every run races at least one swap. The
+  // deadline fails a run whose updater never publishes instead of
+  // letting it hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::vector<std::thread> readers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     readers.emplace_back([&] {
-      for (std::size_t g = 0; g < kGroups; ++g) {
+      for (std::size_t g = 0; g < kGroups || svc.epoch() == 0; ++g) {
+        ASSERT_TRUE(std::chrono::steady_clock::now() < deadline)
+            << "no epoch published after " << g << " groups";
         // One future per pool source, submitted before any resolves:
         // the whole group is in flight at once and typically coalesces
         // into shared lane batches that straddle epoch swaps.
@@ -305,6 +315,7 @@ TEST(ServiceStress, BatchedUpdatesRaceBatchedQueryGroups) {
           EXPECT_TRUE(bit_equal(r.dist(), *want)) << "epoch " << r.epoch;
           checked.fetch_add(1, std::memory_order_relaxed);
         }
+        groups_run.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -331,7 +342,8 @@ TEST(ServiceStress, BatchedUpdatesRaceBatchedQueryGroups) {
   readers_done.store(true, std::memory_order_release);
   updater.join();
 
-  EXPECT_EQ(checked.load(), kThreads * kGroups * oracle.pool().size());
+  EXPECT_GE(groups_run.load(), kThreads * kGroups);
+  EXPECT_EQ(checked.load(), groups_run.load() * oracle.pool().size());
   EXPECT_GT(epochs_applied, 0u);
   const auto stats = svc.stats();
   EXPECT_EQ(stats.epoch_swaps, epochs_applied);

@@ -211,12 +211,17 @@ void check_kernel_parity(simd::Tier tier) {
                             m, lanes);
     });
     EXPECT_TRUE(bits_equal(dv, dr)) << "sweep lanes=" << lanes;
-    // And both equal the guarded extend, edge by edge.
+    // And both equal the guarded extend, edge by edge; a lane's change
+    // flag is set iff some store there changed its value.
     std::vector<Value> dg = dist0;
+    std::vector<std::uint8_t> cg(lanes, 0);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t l = 0; l < lanes; ++l) {
         Value& d = dg[to[i] * lanes + l];
-        d = S::combine(d, S::extend(dg[from[i] * lanes + l], value[i]));
+        const Value next =
+            S::combine(d, S::extend(dg[from[i] * lanes + l], value[i]));
+        cg[l] |= static_cast<std::uint8_t>(next != d);
+        d = next;
       }
     }
     EXPECT_TRUE(bits_equal(dr, dg)) << "guarded sweep lanes=" << lanes;
@@ -224,17 +229,20 @@ void check_kernel_parity(simd::Tier tier) {
     std::vector<Value> tv = dist0, tr = dist0;
     std::vector<std::uint8_t> cv(lanes, 0), cr(lanes, 0);
     at_tier(tier, [&] {
-      simd::bucket_sweep_tracked<S>(tv.data(), from.data(), to.data(),
-                                    value.data(), m, lanes, cv.data());
+      simd::bucket_sweep<S>(tv.data(), from.data(), to.data(), value.data(),
+                            m, lanes, cv.data());
     });
     at_tier(simd::Tier::kScalar, [&] {
-      simd::bucket_sweep_tracked<S>(tr.data(), from.data(), to.data(),
-                                    value.data(), m, lanes, cr.data());
+      simd::bucket_sweep<S>(tr.data(), from.data(), to.data(), value.data(),
+                            m, lanes, cr.data());
     });
-    EXPECT_TRUE(bits_equal(tv, tr)) << "sweep_tracked lanes=" << lanes;
+    EXPECT_TRUE(bits_equal(tv, tr)) << "tracked sweep lanes=" << lanes;
+    EXPECT_TRUE(bits_equal(tr, dg)) << "guarded tracked sweep lanes=" << lanes;
     for (std::size_t l = 0; l < lanes; ++l) {
       EXPECT_EQ(cv[l] != 0, cr[l] != 0)
-          << "sweep_tracked changed flag lane=" << l << " lanes=" << lanes;
+          << "tracked sweep changed flag lane=" << l << " lanes=" << lanes;
+      EXPECT_EQ(cr[l] != 0, cg[l] != 0)
+          << "guarded changed flag lane=" << l << " lanes=" << lanes;
     }
   }
 }
