@@ -253,9 +253,10 @@ Matrix<TropicalD> random_rect(std::size_t rows, std::size_t cols, Rng& rng) {
 
 /// The dense kernels at the shapes Algorithm 4.1 runs on a 9x9x9 grid
 /// (the update-neg3d instance): |B| x |S| x |S| and |B| x |S| x |B|
-/// products and |S|-wide closures. ns per cell update for the
-/// element-at-a-time reference and for the dispatched kernel on every
-/// tier — the kernel layer of an incremental update batch.
+/// products and |S|-wide closures (81 at the root, 45 at level 1, 25
+/// at levels 2-3). ns per cell update for the element-at-a-time
+/// reference and for the dispatched kernel on every tier — the kernel
+/// layer of an incremental update batch.
 void node_shape_rows() {
   struct Shape {
     const char* kernel;
@@ -265,7 +266,8 @@ void node_shape_rows() {
       {"product", 81, 45, 81},    {"product", 81, 45, 45},
       {"product", 81, 25, 81},    {"product", 61, 25, 61},
       {"product", 59, 15, 59},    {"product", 26, 9, 26},
-      {"floyd_warshall", 81, 81, 81}, {"floyd_warshall", 45, 45, 45}};
+      {"floyd_warshall", 81, 81, 81}, {"floyd_warshall", 45, 45, 45},
+      {"floyd_warshall", 25, 25, 25}};
   std::vector<simd::Tier> tiers;
   for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
     tiers.push_back(static_cast<simd::Tier>(t));

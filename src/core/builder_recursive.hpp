@@ -407,8 +407,11 @@ TreeRun<S> run_algorithm41(const Digraph& g, const SeparatorTree& tree,
         node_step<S>(g, tree, id, run.entries, closure, arc_weight, sc);
     run.negative_diagonal[id] = negative ? 1 : 0;
     Value* out = run.entries.data() + plan.node_offset[id];
-    out = std::copy_n(sc.hs.row(0), sc.hs.rows() * sc.hs.cols(), out);
-    out = std::copy_n(sc.bm.row(0), sc.bm.rows() * sc.bm.cols(), out);
+    for (const Matrix<S>* m : {&sc.hs, &sc.bm}) {
+      for (std::size_t i = 0; i < m->rows(); ++i) {
+        out = std::copy_n(m->row(i), m->cols(), out);
+      }
+    }
     SEPSP_DCHECK(out == run.entries.data() + plan.node_offset[id + 1]);
     return true;
   };

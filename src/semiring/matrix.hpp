@@ -24,6 +24,17 @@
 // exercised with exact integer weights — see docs/ALGORITHMS.md
 // "Execution substrate & kernel blocking").
 //
+// Storage. Rows are ld() values apart, ld() being cols() rounded up to
+// a whole 64-byte line of values, on 64-byte-aligned storage
+// (util/aligned.hpp's AlignedVector), and every padding cell holds
+// zero(). The blocked kernels run column ranges that reach the last
+// real column on to ld(), so no row step or product strip ends in a
+// ragged vector tail or splits a line; zero() absorbs under extend and
+// is neutral under combine in all four shipped semirings, so padding
+// stays zero() and the real cells are the ones the packed layout gave,
+// bit for bit. The k and i ranges stay at the real size, and rows are
+// not padded.
+//
 // All kernels charge the PRAM cost model exactly as the reference
 // versions do: work = cell updates, depth = phases (a product counts as
 // one round of depth ceil(log2 k) combining; Floyd–Warshall charges its
@@ -41,6 +52,7 @@
 #include "pram/thread_pool.hpp"
 #include "semiring/semiring.hpp"
 #include "semiring/simd.hpp"
+#include "util/aligned.hpp"
 #include "util/check.hpp"
 
 namespace sepsp {
@@ -48,21 +60,25 @@ namespace sepsp {
 using simd::kKernelTile;
 
 /// Kernels with fewer cell updates than this run as direct kernel calls
-/// on the calling thread: below it a pool fork costs more than it saves
-/// (an 81-wide Floyd–Warshall ran slower on two pool threads than on
-/// one).
+/// on the calling thread: below it a pool fork costs more than it saves.
+/// A probe that split fw_panel's phases across two participants (row
+/// panel by column chunk, column panel by row chunk, interior in 8-row
+/// strips) took the aligned 81-wide closure from 68 to 92 us and the
+/// 96-wide one from 99.5 to 108 us; only products gained (81x45x81:
+/// 27.2 -> 22.1 us). EXPERIMENTS.md note 13.
 inline constexpr std::size_t kSerialKernelCells = std::size_t{1} << 20;
 
 /// Row-major rows x cols matrix of semiring values, initialized to
-/// zero() ("no path").
+/// zero() ("no path"), its rows ld() values apart on 64-byte-aligned
+/// storage, padding cells zero() (see "Storage" above). Rows are not
+/// padded: a 5 x 5 BooleanSR matrix holds 5 rows of 64 bytes.
 template <Semiring S>
 class Matrix {
  public:
   using Value = typename S::Value;
 
   Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), cells_(rows * cols, S::zero()) {}
+  Matrix(std::size_t rows, std::size_t cols) { reset(rows, cols); }
   explicit Matrix(std::size_t n) : Matrix(n, n) {}
 
   static Matrix identity(std::size_t n) {
@@ -73,20 +89,23 @@ class Matrix {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
+  /// Row stride in values: cols() rounded up to whole 64-byte lines.
+  std::size_t ld() const { return ld_; }
   bool is_square() const { return rows_ == cols_; }
 
   Value& at(std::size_t i, std::size_t j) {
     SEPSP_DCHECK(i < rows_ && j < cols_);
-    return cells_[i * cols_ + j];
+    return cells_[i * ld_ + j];
   }
   const Value& at(std::size_t i, std::size_t j) const {
     SEPSP_DCHECK(i < rows_ && j < cols_);
-    return cells_[i * cols_ + j];
+    return cells_[i * ld_ + j];
   }
 
-  /// Flat row pointers for the blocked kernels (no per-cell checks).
-  Value* row(std::size_t i) { return cells_.data() + i * cols_; }
-  const Value* row(std::size_t i) const { return cells_.data() + i * cols_; }
+  /// Flat row pointers for the blocked kernels (no per-cell checks):
+  /// cols() real cells, then zero() padding out to ld().
+  Value* row(std::size_t i) { return cells_.data() + i * ld_; }
+  const Value* row(std::size_t i) const { return cells_.data() + i * ld_; }
 
   /// combine-assign: at(i,j) = combine(at(i,j), v).
   void merge(std::size_t i, std::size_t j, Value v) {
@@ -100,7 +119,8 @@ class Matrix {
   void reset(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
-    cells_.assign(rows * cols, S::zero());
+    ld_ = padded_size<Value>(cols);
+    cells_.assign(rows * ld_, S::zero());
   }
   void reset(std::size_t n) { reset(n, n); }
 
@@ -109,7 +129,8 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<Value> cells_;
+  std::size_t ld_ = 0;
+  AlignedVector<Value> cells_;
 };
 
 namespace detail {
@@ -156,21 +177,23 @@ void multiply_reference_into(const Matrix<S>& a, const Matrix<S>& b,
 /// Blocked product: one simd::product call per 64x64 output tile, over
 /// the whole k range (k ascending for every output cell, exactly the
 /// reference's combine order -> bit-identical), or a single call for a
-/// product below kSerialKernelCells.
+/// product below kSerialKernelCells. The last column tile runs out to
+/// ld(): a padding column of b is zero(), so its output stays zero().
 template <Semiring S>
 void multiply_blocked_into(const Matrix<S>& a, const Matrix<S>& b,
                            Matrix<S>& out) {
   const std::size_t rows = a.rows();
   const std::size_t mid = a.cols();
   const std::size_t cols = b.cols();
+  const std::size_t ld = out.ld();
   constexpr std::size_t T = kKernelTile;
   const std::size_t row_tiles = tiles_of(rows);
   const std::size_t col_tiles = tiles_of(cols);
   SEPSP_OBS_ONLY(
       KernelObs::get().tiles.add(row_tiles * col_tiles * tiles_of(mid));)
   if (rows * mid * cols < kSerialKernelCells) {
-    simd::product<S>(out.row(0), cols, a.row(0), mid, b.row(0), cols, rows,
-                     mid, cols);
+    simd::product<S>(out.row(0), ld, a.row(0), a.ld(), b.row(0), b.ld(), rows,
+                     mid, ld);
     return;
   }
   pram::ThreadPool::global().parallel_for(
@@ -178,9 +201,10 @@ void multiply_blocked_into(const Matrix<S>& a, const Matrix<S>& b,
       [&](std::size_t tile) {
         const std::size_t i0 = (tile / col_tiles) * T;
         const std::size_t j0 = (tile % col_tiles) * T;
-        simd::product<S>(out.row(i0) + j0, cols, a.row(i0), mid,
-                         b.row(0) + j0, cols, std::min(T, rows - i0), mid,
-                         std::min(T, cols - j0));
+        const std::size_t j1 = std::min(cols, j0 + T);
+        simd::product<S>(out.row(i0) + j0, ld, a.row(i0), a.ld(),
+                         b.row(0) + j0, b.ld(), std::min(T, rows - i0), mid,
+                         simd::column_end(j1, cols, ld) - j0);
       },
       /*grain=*/1);
 }
@@ -208,10 +232,12 @@ void floyd_warshall_reference(Matrix<S>& m) {
 /// only itself and the closed diagonal); then every interior tile is
 /// one simd::product of its column-panel and row-panel tiles (each
 /// reads only the finished panels). Matrices that fit one tile take the
-/// diagonal phase only, which IS the reference loop.
+/// diagonal phase only, which IS the reference loop. The k and i ranges
+/// are the real n; column ranges that reach column n run on to ld().
 template <Semiring S>
 void floyd_warshall_blocked(Matrix<S>& m) {
   const std::size_t n = m.rows();
+  const std::size_t ld = m.ld();
   for (std::size_t i = 0; i < n; ++i) m.merge(i, i, S::one());
   constexpr std::size_t T = kKernelTile;
   const std::size_t nt = tiles_of(n);
@@ -219,7 +245,7 @@ void floyd_warshall_blocked(Matrix<S>& m) {
   auto hi = [&](std::size_t t) { return std::min(n, t * T + T); };
   for (std::size_t kt = 0; kt < nt; ++kt) {
     const std::size_t k0 = lo(kt), k1 = hi(kt);
-    simd::fw_panel<S>(m.row(0), n, n, k0, k1);
+    simd::fw_panel<S>(m.row(0), ld, n, ld, k0, k1);
     if (nt == 1) break;
     // Interior tiles, all independent of each other.
     const auto interior = [&](std::size_t x) {
@@ -227,9 +253,9 @@ void floyd_warshall_blocked(Matrix<S>& m) {
       std::size_t jt = x % (nt - 1);
       if (it >= kt) ++it;
       if (jt >= kt) ++jt;
-      simd::product<S>(m.row(lo(it)) + lo(jt), n, m.row(lo(it)) + k0, n,
-                       m.row(k0) + lo(jt), n, hi(it) - lo(it), k1 - k0,
-                       hi(jt) - lo(jt));
+      simd::product<S>(m.row(lo(it)) + lo(jt), ld, m.row(lo(it)) + k0, ld,
+                       m.row(k0) + lo(jt), ld, hi(it) - lo(it), k1 - k0,
+                       simd::column_end(hi(jt), n, ld) - lo(jt));
     };
     const std::size_t interior_tiles = (nt - 1) * (nt - 1);
     if (n * n * n < kSerialKernelCells) {
@@ -286,7 +312,9 @@ bool square_step(Matrix<S>& m, Matrix<S>& scratch) {
       0, n, [&](std::size_t lo, std::size_t hi) {
         bool local = false;
         for (std::size_t i = lo; i < hi; ++i) {
-          if (simd::combine_row<S>(m.row(i), scratch.row(i), n)) local = true;
+          if (simd::combine_row<S>(m.row(i), scratch.row(i), m.ld())) {
+            local = true;
+          }
         }
         if (local) changed.store(true, std::memory_order_relaxed);
       });

@@ -49,8 +49,10 @@
 // that want the aligned fast path allocate through AlignedVector
 // (util/aligned.hpp, 64-byte base) so that every row whose stride is a
 // multiple of the vector width stays aligned. No kernel reads past the
-// extents it is handed — padding is a cache courtesy, not a
-// correctness requirement.
+// extents it is handed. Matrix (semiring/matrix.hpp) pads its row
+// stride to whole 64-byte lines of zero() and hands the dense kernels
+// column extents out to it, so their rows end on whole vectors; the
+// kernels themselves take any extent.
 #pragma once
 
 #include <algorithm>
@@ -153,21 +155,33 @@ inline void product_loops(typename S::Value* o, std::size_t ldo,
   }
 }
 
+/// End of a column range [.., end) of a row of n real cells followed
+/// by zero() padding out to `extent` (Matrix::ld(), semiring/matrix.hpp):
+/// a range that reaches column n runs on to `extent`, so that it ends
+/// on a whole line.
+inline std::size_t column_end(std::size_t end, std::size_t n,
+                              std::size_t extent) {
+  return end == n ? extent : end;
+}
+
 /// The sequential phases of one k-panel K = [k0, k1) of blocked
-/// Floyd–Warshall over the n x n matrix m (row stride ld):
+/// Floyd–Warshall over the n x n matrix m (row stride ld), whose column
+/// ranges that reach column n run on to the column extent `cols`
+/// (n <= cols <= ld; every column past n holds zero(), and stays so):
 ///   - the diagonal tile K x K, closed in place (the reference loop
 ///     restricted to K — for n <= kKernelTile this is the whole
 ///     closure);
 ///   - the row panel K x (not K), each cell sweeping k in K through
 ///     the closed diagonal, one kKernelTile column chunk at a time;
 ///   - the column panel (not K) x K, row by row.
-/// What is left for the k-panel is the interior (not K) x (not K),
-/// which reads only the finished panels: a product per tile. The
-/// vector tiers pass their own row step, a type private to their TU.
+/// The k and i ranges are the real ones. What is left for the k-panel
+/// is the interior (not K) x (not K), which reads only the finished
+/// panels: a product per tile. The vector tiers pass their own row
+/// step, a type private to their TU.
 template <Semiring S, typename Row = ScalarRow<S>>
 inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
-                           std::size_t n, std::size_t k0, std::size_t k1,
-                           Row row = {}) {
+                           std::size_t n, std::size_t cols, std::size_t k0,
+                           std::size_t k1, Row row = {}) {
   const auto sweep = [&](std::size_t i0, std::size_t i1, std::size_t j0,
                          std::size_t j1) {
     for (std::size_t k = k0; k < k1; ++k) {
@@ -178,12 +192,13 @@ inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
       }
     }
   };
-  sweep(k0, k1, k0, k1);
+  const std::size_t k_end = column_end(k1, n, cols);
+  sweep(k0, k1, k0, k_end);
   for (std::size_t j0 = 0; j0 < k0; j0 += kKernelTile) {
     sweep(k0, k1, j0, std::min(k0, j0 + kKernelTile));
   }
   for (std::size_t j0 = k1; j0 < n; j0 += kKernelTile) {
-    sweep(k0, k1, j0, std::min(n, j0 + kKernelTile));
+    sweep(k0, k1, j0, column_end(std::min(n, j0 + kKernelTile), n, cols));
   }
   // A column-panel row reads only itself and the closed diagonal, so
   // running each row through all of K is the same per-cell order.
@@ -192,7 +207,7 @@ inline void fw_panel_loops(typename S::Value* m, std::size_t ld,
       for (std::size_t k = k0; k < k1; ++k) {
         const auto mik = m[i * ld + k];
         if (!S::improves(S::zero(), mik)) continue;
-        row(m + i * ld + k0, m + k * ld + k0, mik, k1 - k0);
+        row(m + i * ld + k0, m + k * ld + k0, mik, k_end - k0);
       }
     }
   };
@@ -280,7 +295,8 @@ inline void bucket_detect(const typename S::Value* dist,
 //                              of output rows x 2 vectors kept in
 //                              registers across each kKernelTile slice
 //                              of k.
-//   fw_panel(m, ld, n, k0, k1): the sequential phases of one
+//   fw_panel(m, ld, n, cols, k0, k1):
+//                              the sequential phases of one
 //                              Floyd–Warshall k-panel, the order of
 //                              fw_panel_loops, as inline row loops.
 //   combine_row(dst, src, n):  combine_row_loop; returns nonzero iff
@@ -300,7 +316,7 @@ using ProductKernel = void(V* o, std::size_t ldo, const V* a,
                            std::size_t cols);
 template <typename V>
 using FwPanelKernel = void(V* m, std::size_t ld, std::size_t n,
-                           std::size_t k0, std::size_t k1);
+                           std::size_t cols, std::size_t k0, std::size_t k1);
 template <typename V>
 using CombineRowKernel = int(V* dst, const V* src, std::size_t n);
 template <typename V>
@@ -400,18 +416,18 @@ inline void product(typename S::Value* o, std::size_t ldo,
 }
 
 /// The sequential phases of Floyd–Warshall k-panel [k0, k1) of the
-/// n x n matrix m (see fw_panel_loops).
+/// n x n matrix m, columns out to `cols` (see fw_panel_loops).
 template <Semiring S>
 inline void fw_panel(typename S::Value* m, std::size_t ld, std::size_t n,
-                     std::size_t k0, std::size_t k1) {
+                     std::size_t cols, std::size_t k0, std::size_t k1) {
   if constexpr (kVectorizable<S>) {
     const Tier t = active_tier();
     if (t != Tier::kScalar) {
-      (*(table(t).*KindTraits<S>::kFwPanel))(m, ld, n, k0, k1);
+      (*(table(t).*KindTraits<S>::kFwPanel))(m, ld, n, cols, k0, k1);
       return;
     }
   }
-  fw_panel_loops<S>(m, ld, n, k0, k1);
+  fw_panel_loops<S>(m, ld, n, cols, k0, k1);
 }
 
 /// dst[j] = combine(dst[j], src[j]); true iff any improves() (see

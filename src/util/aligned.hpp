@@ -67,7 +67,8 @@ using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 /// Rounds an element count up so the allocation covers whole 64-byte
 /// blocks — the padding contract of the lane-major distance matrix
-/// (padding cells are initialized but never read back).
+/// (padding cells are initialized but never read back) and the row
+/// stride of the dense Matrix (semiring/matrix.hpp).
 template <typename T>
 constexpr std::size_t padded_size(std::size_t count) {
   const std::size_t per_block = kSimdAlign / sizeof(T);

@@ -18,6 +18,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "semiring/matrix.hpp"
 #include "semiring/semiring.hpp"
 #include "separator/finders.hpp"
+#include "util/aligned.hpp"
 #include "util/random.hpp"
 
 namespace sepsp {
@@ -403,6 +405,99 @@ TYPED_TEST(TierParity, FloydWarshallEveryTier) {
       }
     }
   }
+}
+
+// --- the stride contract ------------------------------------------------
+
+/// Checks `got` against the reference result `want` under Matrix's
+/// stride contract: every row(i) is 64-byte aligned, its cols() real
+/// cells memcmp-equal want's, and every padding cell out to ld() is
+/// bit-equal to zero().
+template <Semiring S>
+void expect_stride_contract(const Matrix<S>& got, const Matrix<S>& want,
+                            const char* what) {
+  using Value = typename S::Value;
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  ASSERT_EQ(got.ld(), padded_size<Value>(got.cols())) << what;
+  const Value zero = S::zero();
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    const Value* row = got.row(i);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % kSimdAlign, 0u)
+        << what << " row " << i;
+    EXPECT_EQ(std::memcmp(row, want.row(i), got.cols() * sizeof(Value)), 0)
+        << what << " row " << i;
+    for (std::size_t j = got.cols(); j < got.ld(); ++j) {
+      EXPECT_EQ(std::memcmp(&row[j], &zero, sizeof(Value)), 0)
+          << what << " padding cell (" << i << "," << j << ")";
+    }
+  }
+}
+
+template <typename S>
+class StrideContract : public ::testing::Test {};
+TYPED_TEST_SUITE(StrideContract, AllSemirings);
+
+TYPED_TEST(StrideContract, KernelsKeepPaddingZeroAndRowsAligned) {
+  using S = TypeParam;
+  TierGuard guard;
+  Rng rng(41);
+  std::vector<std::array<std::size_t, 3>> shapes;
+  for (const std::size_t n :
+       {1u, 5u, 7u, 9u, 17u, 25u, 45u, 61u, 63u, 64u, 65u, 81u, 96u, 130u}) {
+    shapes.push_back({n, n, n});
+  }
+  // The 3-limited products of a 9^3 grid's nodes: |B| x |S| · |S| x |B|.
+  for (const auto& sh : {std::array<std::size_t, 3>{81, 45, 81},
+                         {81, 25, 81}, {61, 25, 61}}) {
+    shapes.push_back(sh);
+  }
+  for (const auto& [rows, mid, cols] : shapes) {
+    SCOPED_TRACE(::testing::Message() << rows << "x" << mid << "x" << cols);
+    const auto a = random_matrix<S>(rows, mid, rng, 0.5, false);
+    const auto b = random_matrix<S>(mid, cols, rng, 0.5, false);
+    const Matrix<S> want_product = multiply_reference(a, b);
+    const bool square = rows == mid && mid == cols;
+    // Floyd–Warshall on integer weights (multi-tile re-association).
+    const auto fw_input = random_matrix<S>(rows, rows, rng, 0.2, true);
+    const Matrix<S> want_fw = floyd_warshall_reference(fw_input);
+    Matrix<S> want_square = a;
+    if (square) square_step_reference(want_square);
+    const Matrix<S> want_closure =
+        square ? closure_by_squaring_reference(a) : Matrix<S>();
+    for (const simd::Tier t : runnable_tiers()) {
+      simd::force_tier(t);
+      SCOPED_TRACE(simd::tier_name(t));
+      Matrix<S> product;
+      multiply_into(a, b, product);
+      expect_stride_contract(product, want_product, "multiply_into");
+      Matrix<S> fw = fw_input;
+      floyd_warshall(fw);
+      expect_stride_contract(fw, want_fw, "floyd_warshall");
+      if (!square) continue;
+      Matrix<S> stepped = a;
+      Matrix<S> scratch;
+      square_step(stepped, scratch);
+      expect_stride_contract(stepped, want_square, "square_step");
+      Matrix<S> closed = a;
+      closure_by_squaring_inplace(closed, scratch);
+      expect_stride_contract(closed, want_closure,
+                             "closure_by_squaring_inplace");
+    }
+  }
+}
+
+TEST(StrideContract, RowsAreNotPadded) {
+  // A leaf-sized Boolean matrix pads its 5 columns to one 64-byte line
+  // per row, and keeps 5 rows.
+  Matrix<BooleanSR> m(5);
+  EXPECT_EQ(m.rows(), 5u);
+  EXPECT_EQ(m.cols(), 5u);
+  EXPECT_EQ(m.ld(), 64u);
+  EXPECT_EQ(m.row(4) - m.row(0), 4 * 64);
+  floyd_warshall(m);
+  EXPECT_EQ(m.rows(), 5u);
+  EXPECT_EQ(m.ld(), 64u);
 }
 
 TEST(KernelParity, TropicalINegativeCycleSaturatesAtFloor) {

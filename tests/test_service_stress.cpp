@@ -173,6 +173,21 @@ bool bit_equal(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// Blocks a reader until `svc` has published its first update epoch:
+/// a reader that calls it halfway runs the rest of its requests after
+/// at least one swap, so every run races one however the threads are
+/// scheduled. Fails the test after 60 s instead of hanging when the
+/// updater never publishes.
+void await_first_epoch(const QueryService& svc) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (svc.epoch() == 0) {
+    ASSERT_TRUE(std::chrono::steady_clock::now() < deadline)
+        << "no epoch published";
+    std::this_thread::yield();
+  }
+}
+
 TEST(ServiceStress, ConcurrentSubmittersMatchOracle) {
   const Fixture f = make_fixture(9, 1);
   ServiceOptions opts;
@@ -229,6 +244,7 @@ TEST(ServiceStress, SwapsUnderLoadNeverServeStaleEpochs) {
     readers.emplace_back([&, t] {
       Rng pick(80 + t);
       for (std::size_t i = 0; i < kPerThread; ++i) {
+        if (i == kPerThread / 2) await_first_epoch(svc);
         const std::size_t idx = pick.next_below(oracle.pool().size());
         const Reply r = svc.query(oracle.pool()[idx]);
         ASSERT_TRUE(r.ok());
@@ -378,6 +394,7 @@ TEST(ServiceStress, MixedKindsRaceSwapsNeverServeStaleEpochs) {
     readers.emplace_back([&, t] {
       Rng pick(140 + t);
       for (std::size_t i = 0; i < kPerThread; ++i) {
+        if (i == kPerThread / 2) await_first_epoch(svc);
         const std::size_t idx = pick.next_below(oracle.pool().size());
         const Vertex s = oracle.pool()[idx];
         const Vertex target = targets[pick.next_below(targets.size())];
@@ -497,6 +514,7 @@ TEST(ServiceStress, HitHeavyRaceOnOneShardMatchesOracle) {
       Rng pick(170 + t);
       std::uint64_t last_epoch = 0;
       for (std::size_t i = 0; i < kPerThread; ++i) {
+        if (i == kPerThread / 2) await_first_epoch(svc);
         const std::size_t idx = pick.next_below(oracle.pool().size());
         const Vertex s = oracle.pool()[idx];
         const Vertex target = targets[pick.next_below(targets.size())];

@@ -357,7 +357,7 @@ void fw_at_tier(simd::Tier tier, Strided<S>& m) {
   const std::size_t T = kKernelTile;
   for (std::size_t k0 = 0; k0 < n; k0 += T) {
     const std::size_t k1 = std::min(n, k0 + T);
-    simd::fw_panel<S>(m.at(0, 0), m.ld, n, k0, k1);
+    simd::fw_panel<S>(m.at(0, 0), m.ld, n, n, k0, k1);
     for (std::size_t i0 = 0; i0 < n; i0 += T) {
       for (std::size_t j0 = 0; j0 < n; j0 += T) {
         if (i0 == k0 || j0 == k0) continue;
