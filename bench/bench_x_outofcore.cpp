@@ -1,4 +1,4 @@
-// X — the out-of-core engine: serve a v6 image larger than
+// X — the out-of-core engine: serve a v7 image larger than
 // the buffer-pool budget with a bounded resident set, bit-identically.
 //
 // What the store stack (src/store/) is supposed to buy, measured:
@@ -298,7 +298,7 @@ void run_scale(std::size_t side, std::size_t num_sources) {
 int main(int argc, char** argv) {
   parse_args(argc, argv, "x_outofcore");
   const int s = scale();
-  // side 96 -> ~9.2k vertices; the v6 image comfortably exceeds 4x a
+  // side 96 -> ~9.2k vertices; the v7 image comfortably exceeds 4x a
   // /8 budget at every scale because the E+ segments dominate.
   const std::size_t side = s == 0 ? 96 : s == 1 ? 192 : 320;
   const std::size_t num_sources = s == 0 ? 24 : 48;

@@ -31,14 +31,21 @@
 // Theorem 3.1's witness paths have the form
 //   [<= ell edges of E] [shortcuts with a bitonic level sequence]
 //   [<= ell edges of E]
-// where consecutive equal levels appear at most twice. The leveled
-// schedule exploits this: after ell full passes over E, one descending
-// sweep scans, per level L, first the level-L same-level edges and then
-// the edges dropping below L; an ascending sweep mirrors it; ell full E
-// passes finish. Each bucket is scanned O(1) times, so the per-source
-// work is O(ell |E| + |E U E+|) instead of the naive
-// O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford (kept for the
-// T1b ablation as distances_unscheduled()).
+// where consecutive equal levels appear at most twice. The prefix runs
+// from the source to the path's first vertex with a level, so every
+// prefix arc has a tail with no level; every suffix arc, likewise, a
+// head with no level. The leveled schedule exploits this: ell passes
+// over E_lead (the base arcs whose tail has no level), then one
+// descending sweep — the climb — scans, per level L, first the level-L
+// same-level edges and then the edges dropping below L; an ascending
+// sweep mirrors it; ell passes over E_trail (the arcs whose head has no
+// level) finish. Both are ranges of one end-arc array (end_edges()).
+// The climb starts from the source and the few vertices E_lead reaches,
+// so it skips every `from` run whose tail is still unreached in every
+// lane (climb()); the descent does not test. Each bucket is scanned
+// O(1) times, so the per-source work is O(ell |E| + |E U E+|) instead of
+// the naive O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford
+// (kept for the T1b ablation as distances_unscheduled()).
 //
 // One walker (walk) runs that schedule for every entry point, at a lane
 // width it takes at run time. Its distance array is lane-major,
@@ -55,11 +62,14 @@
 // one such array, its slots numbered in sweep order by the tree's slot
 // plan (separator/eplus_plan.hpp): every leveled bucket is a range of
 // it, (from, to)-sorted, and the sweeps read those ranges in the order
-// they lie. The leveled buckets hold E+ alone. Base arcs feed the ell E
-// passes and the verification pass only: an arc (u, v) whose endpoints
-// both have levels lies in some leaf L, so u and v are both in B(L) and
-// the slot (u, v) — in the same bucket, valued at most w(u, v) —
-// relaxes everything the arc would (docs/ALGORITHMS.md §4).
+// they lie. The leveled buckets hold E+ alone. Base arcs feed the ell
+// E_lead and E_trail passes (through their end-arc copies) and the
+// verification pass only: an arc (u, v) whose endpoints both have
+// levels lies in some leaf L, so u and v are both in B(L) and the slot
+// (u, v) — in the same bucket, valued at most w(u, v) — relaxes
+// everything the arc would (docs/ALGORITHMS.md §4). The base array
+// keeps CSR order (arc index = position) for the verification pass,
+// distances_unscheduled() and the image.
 //
 // Structural sharing: the pair structure of E+ is tree-only. Every
 // engine over the tree aliases the plan's slot array and owns only one
@@ -71,8 +81,9 @@
 // are views into a mapped image.
 //
 // Observability: every walk credits the engine's one ledger — queries,
-// edges scanned, phases, and the per-level bucket scans of scheduled
-// walks — in every build mode (stats()). When compiled with SEPSP_OBS
+// edges scanned (the schedule's bucket sizes, skipped climb runs
+// included), phases, the climb slots skipped, and the per-level bucket
+// scans of scheduled walks — in every build mode (stats()). When compiled with SEPSP_OBS
 // (see obs/obs.hpp) a walk also records phase timing spans and the
 // process-wide simd.cells counter. All hooks sit at phase granularity —
 // the inner relaxation loops are identical in both modes.
@@ -203,6 +214,15 @@ class SeparatorShortestPaths {
 
   // --- the augmented graph (stats, the store writer) ---------------------
   const EdgeBucket<S>& base_edges() const { return base_; }
+  /// The end arcs: every base arc with an endpoint that has no level, in
+  /// three classes — tail unleveled only, both unleveled, head unleveled
+  /// only — each in CSR order. The walk's leading passes scan
+  /// lead_edges(), the prefix [0, b) whose tails have no level; its
+  /// trailing passes scan trail_edges(), the suffix [a, size) whose
+  /// heads have no level.
+  const EdgeBucket<S>& end_edges() const { return ends_; }
+  EdgeRange lead_edges() const { return lead_; }
+  EdgeRange trail_edges() const { return trail_; }
   /// E+ in slot (sweep) order with this engine's own (fork-stable)
   /// values.
   const EdgeBucket<S>& shortcut_edges() const { return shortcut_; }
@@ -219,12 +239,13 @@ class SeparatorShortestPaths {
   /// arrays and `other`'s — the structural-sharing test hook.
   std::size_t slabs_shared_with(const SeparatorShortestPaths& other) const {
     return base_.slabs_shared_with(other.base_) +
+           ends_.slabs_shared_with(other.ends_) +
            shortcut_.slabs_shared_with(other.shortcut_);
   }
-  /// Total value slabs across both arrays (denominator for sharing
+  /// Total value slabs across the three arrays (denominator for sharing
   /// ratios).
   std::size_t total_slabs() const {
-    return base_.slab_count() + shortcut_.slab_count();
+    return base_.slab_count() + ends_.slab_count() + shortcut_.slab_count();
   }
 
   // --- queries -------------------------------------------------------------
@@ -334,9 +355,11 @@ class SeparatorShortestPaths {
     r.dist.assign(g_->num_vertices(), S::zero());
     r.dist[source] = S::one();
     const std::span<QueryStats> acct(static_cast<QueryStats*>(&r), 1);
-    passes(base_, &shortcut_, aug_->diameter_bound(), r.dist.data(), 1, acct);
+    const Pass all[] = {{&base_, {0, base_.size()}},
+                        {&shortcut_, {0, shortcut_.size()}}};
+    passes(all, aug_->diameter_bound(), r.dist.data(), 1, acct);
     detect_negative_cycles(r.dist.data(), 1, acct);
-    charge(acct);
+    charge(acct, 0);
     return r;
   }
 
@@ -371,6 +394,8 @@ class SeparatorShortestPaths {
     st.queries = counters_->queries.load(std::memory_order_relaxed);
     st.edges_scanned = counters_->edges.load(std::memory_order_relaxed);
     st.phases = counters_->phases.load(std::memory_order_relaxed);
+    st.climb_slots_skipped =
+        counters_->climb_skipped.load(std::memory_order_relaxed);
     st.batch_blocks = counters_->blocks.load(std::memory_order_relaxed);
     st.batch_lanes_used =
         counters_->lanes_used.load(std::memory_order_relaxed);
@@ -444,6 +469,45 @@ class SeparatorShortestPaths {
       base_ = EdgeBucket<S>(std::move(pairs), std::move(values));
     }
 
+    // End arcs: the base arcs with an unleveled endpoint, tail-only
+    // class, then both, then head-only, each in CSR order; and every
+    // arc's position among them.
+    {
+      const std::size_t m = g.num_edges();
+      const Vertex* from = base_.from_data();
+      const Vertex* to = base_.to_data();
+      std::array<std::vector<std::uint32_t>, 3> classes;
+      for (std::size_t arc = 0; arc < m; ++arc) {
+        const bool tail = !plan.levels.defined(from[arc]);
+        const bool head = !plan.levels.defined(to[arc]);
+        if (tail || head) {
+          classes[tail ? (head ? 1 : 0) : 2].push_back(
+              static_cast<std::uint32_t>(arc));
+        }
+      }
+      const std::size_t count =
+          classes[0].size() + classes[1].size() + classes[2].size();
+      SEPSP_CHECK_MSG(count < kNotEnd, "too many end arcs for u32 positions");
+      auto pairs = std::make_shared<PairBlock>();
+      pairs->from.resize(count);
+      pairs->to.resize(count);
+      SlabVector<Value> values(count);
+      auto position = std::make_shared<std::vector<std::uint32_t>>(m, kNotEnd);
+      std::uint32_t at = 0;
+      for (const std::vector<std::uint32_t>& arcs : classes) {
+        for (const std::uint32_t arc : arcs) {
+          pairs->from[at] = from[arc];
+          pairs->to[at] = to[arc];
+          values.init(at, base_.value(arc));
+          (*position)[arc] = at++;
+        }
+      }
+      ends_ = EdgeBucket<S>(std::move(pairs), std::move(values));
+      lead_ = {0, classes[0].size() + classes[1].size()};
+      trail_ = {classes[0].size(), count};
+      end_position_ = std::move(position);
+    }
+
     // E+'s values, in slot order: every value read resolves here.
     SlabVector<Value> values(plan.num_slots());
     pram::ThreadPool::global().parallel_blocks(
@@ -480,11 +544,18 @@ class SeparatorShortestPaths {
         "or the E+ count");
     SEPSP_CHECK_MSG(buckets.base.count == g.num_edges(),
                     "from_store: base bucket count != num_edges");
+    const auto [a, b] = buckets.ends_split;
+    SEPSP_CHECK_MSG(a <= b && b <= buckets.ends.count,
+                    "from_store: end-arc split out of range");
     SeparatorShortestPaths out(g, std::move(aug), options, cycle_certified);
     out.base_ = EdgeBucket<S>::from_external(buckets.base);
+    out.ends_ = EdgeBucket<S>::from_external(buckets.ends);
+    out.lead_ = {0, b};
+    out.trail_ = {a, buckets.ends.count};
     out.shortcut_ = EdgeBucket<S>::from_external(buckets.eplus);
     out.bucket_offset_ = buckets.bucket_offset;
-    // plan_ stays null: stored engines cannot be reweighted.
+    // plan_ and end_position_ stay null: stored engines cannot be
+    // reweighted.
     return out;
   }
 
@@ -494,11 +565,15 @@ class SeparatorShortestPaths {
   /// indexes g.arcs(); `slot` indexes the plan's slots. Never a fork,
   /// never a stored engine. Returns the number of value slabs the write
   /// had to detach from outstanding forks (the unit of
-  /// `IncrementalEngine::ApplyStats::slabs_copied`).
+  /// `IncrementalEngine::ApplyStats::slabs_copied`). refresh_base also
+  /// patches the arc's end-arc copy, when it has one.
   std::size_t refresh_base(std::size_t arc_index, Value value) {
     SEPSP_CHECK_MSG(plan_ != nullptr,
                     "refresh_base on a stored (read-only) engine");
-    return base_.set_value(arc_index, value) ? 1 : 0;
+    std::size_t copied = base_.set_value(arc_index, value) ? 1 : 0;
+    const std::uint32_t at = (*end_position_)[arc_index];
+    if (at != kNotEnd) copied += ends_.set_value(at, value) ? 1 : 0;
+    return copied;
   }
   std::size_t refresh_shortcut(std::size_t slot, Value value) {
     SEPSP_CHECK_MSG(plan_ != nullptr,
@@ -518,6 +593,10 @@ class SeparatorShortestPaths {
     SeparatorShortestPaths out(*g_, aug_, options, cycle_certified);
     out.plan_ = plan_;
     out.base_ = base_.fork();
+    out.ends_ = ends_.fork();
+    out.lead_ = lead_;
+    out.trail_ = trail_;
+    out.end_position_ = end_position_;
     out.shortcut_ = shortcut_.fork();
     out.bucket_offset_ = bucket_offset_;
     return out;
@@ -570,15 +649,17 @@ class SeparatorShortestPaths {
   void walk(Value* dist, std::size_t width, std::span<QueryStats> acct) const {
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      passes(base_, nullptr, aug_->ell, dist, width, acct);
+      const Pass lead[] = {{&ends_, lead_}};
+      passes(lead, aug_->ell, dist, width, acct);
     }
+    std::uint64_t skipped = 0;
     {
       SEPSP_TRACE_SPAN("query.down_sweep");
       for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
         const EdgeRange same = bucket(EplusPlan::kSame, l);
         const EdgeRange down = bucket(EplusPlan::kDown, l);
-        sweep(same, dist, width, acct);
-        sweep(down, dist, width, acct);
+        skipped += climb(same, dist, width, acct);
+        skipped += climb(down, dist, width, acct);
         note_level_scan(l, (same.size() + down.size()) * acct.size());
       }
     }
@@ -594,33 +675,38 @@ class SeparatorShortestPaths {
     }
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      passes(base_, nullptr, aug_->ell, dist, width, acct);
+      const Pass trail[] = {{&ends_, trail_}};
+      passes(trail, aug_->ell, dist, width, acct);
     }
     {
       SEPSP_TRACE_SPAN("query.detect_cycles");
       detect_negative_cycles(dist, width, acct);
     }
-    charge(acct);
+    charge(acct, skipped);
   }
 
-  /// Up to `rounds` passes over `first` (then `second`, when given) with
+  /// One range of an edge array, a phase of passes().
+  struct Pass {
+    const EdgeBucket<S>* edges;
+    EdgeRange range;
+  };
+
+  /// Up to `rounds` passes, each one phase per part in order, with
   /// per-lane early exit: a lane stops accruing counters after its first
   /// pass that changed nothing (that pass still counts) and rides along
-  /// as a no-op, its distances already at these buckets' fixpoint.
-  void passes(const EdgeBucket<S>& first, const EdgeBucket<S>* second,
-              std::size_t rounds, Value* dist, std::size_t width,
-              std::span<QueryStats> acct) const {
+  /// as a no-op, its distances already at these ranges' fixpoint.
+  void passes(std::span<const Pass> parts, std::size_t rounds, Value* dist,
+              std::size_t width, std::span<QueryStats> acct) const {
     std::array<std::uint8_t, kMaxLanes> active{};
     std::fill_n(active.begin(), acct.size(), std::uint8_t{1});
     std::size_t live = acct.size();
-    const std::size_t edges = first.size() + (second ? second->size() : 0);
-    const std::uint32_t phases = second ? 2 : 1;
+    std::size_t edges = 0;
+    for (const Pass& part : parts) edges += part.range.size();
+    const auto phases = static_cast<std::uint32_t>(parts.size());
     for (std::size_t round = 0; round < rounds && live != 0; ++round) {
       std::array<std::uint8_t, kMaxLanes> changed{};
-      relax<true>(first, {0, first.size()}, dist, width, changed.data());
-      if (second) {
-        relax<true>(*second, {0, second->size()}, dist, width,
-                    changed.data());
+      for (const Pass& part : parts) {
+        relax<true>(*part.edges, part.range, dist, width, changed.data());
       }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         if (!active[lane]) continue;
@@ -639,6 +725,60 @@ class SeparatorShortestPaths {
   void sweep(EdgeRange range, Value* dist, std::size_t width,
              std::span<QueryStats> acct) const {
     relax<false>(shortcut_, range, dist, width, nullptr);
+    charge_scan(range, acct);
+  }
+
+  /// sweep() for the climb (the first sweep), which starts from the
+  /// source and the leading passes' few vertices: a `from` run whose
+  /// tail is zero() in every lane is skipped, and the number of skipped
+  /// slots returned. Relaxing such a run would change nothing, since
+  /// extending zero() gives zero(), so the distances are bit for bit
+  /// those of sweep(). A run is tested only after every earlier slot of
+  /// the bucket has been relaxed (the pending stretch of live runs is
+  /// flushed first, then the run tested again), and each stretch of
+  /// consecutive live runs goes to relax() as one range. Every lane is
+  /// still charged the whole bucket: the counters keep the schedule's
+  /// meaning.
+  std::size_t climb(EdgeRange range, Value* dist, std::size_t width,
+                    std::span<QueryStats> acct) const {
+    const Vertex* from = shortcut_.from_data();
+    const auto unreached = [&](Vertex u) {
+      const Value* du = dist + static_cast<std::size_t>(u) * width;
+      for (std::size_t l = 0; l < width; ++l) {
+        if (du[l] != S::zero()) return false;
+      }
+      return true;
+    };
+    std::size_t skipped = 0;
+    shortcut_.for_each_tails_chunk(
+        range.lo, range.hi, [&](std::size_t lo, std::size_t hi) {
+          std::size_t live = lo;  // the pending stretch is [live, i)
+          for (std::size_t i = lo; i < hi;) {
+            const Vertex u = from[i];
+            std::size_t end = i + 1;
+            while (end < hi && from[end] == u) ++end;
+            bool dead = unreached(u);
+            if (dead && live < i) {
+              relax<false>(shortcut_, {live, i}, dist, width, nullptr);
+              live = i;
+              dead = unreached(u);
+            }
+            if (dead) {
+              skipped += end - i;
+              live = end;
+            }
+            i = end;
+          }
+          if (live < hi) {
+            relax<false>(shortcut_, {live, hi}, dist, width, nullptr);
+          }
+        });
+    charge_scan(range, acct);
+    return skipped;
+  }
+
+  /// Charges every lane one bucket scan: the range's size and a phase.
+  static void charge_scan(EdgeRange range, std::span<QueryStats> acct) {
     for (QueryStats& s : acct) {
       s.edges_scanned += range.size();
       ++s.phases;
@@ -703,9 +843,10 @@ class SeparatorShortestPaths {
 
   /// Accounting of one walk, its one path into the ledger: PRAM work per
   /// lane (every lane's updates really happen), depth once (the lanes
-  /// share the physical phases), and one query per lane with its scans
-  /// and phases.
-  void charge(std::span<const QueryStats> acct) const {
+  /// share the physical phases), one query per lane with its scans and
+  /// phases, and the climb slots the walk skipped (once per walk).
+  void charge(std::span<const QueryStats> acct,
+              std::uint64_t climb_skipped) const {
     std::uint32_t depth = 0;
     std::uint64_t edges = 0, phases = 0;
     for (const QueryStats& s : acct) {
@@ -718,6 +859,8 @@ class SeparatorShortestPaths {
     counters_->queries.fetch_add(acct.size(), std::memory_order_relaxed);
     counters_->edges.fetch_add(edges, std::memory_order_relaxed);
     counters_->phases.fetch_add(phases, std::memory_order_relaxed);
+    counters_->climb_skipped.fetch_add(climb_skipped,
+                                       std::memory_order_relaxed);
   }
 
   /// Credits `edges` scans to the level-l buckets.
@@ -746,6 +889,7 @@ class SeparatorShortestPaths {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> edges{0};
     std::atomic<std::uint64_t> phases{0};
+    std::atomic<std::uint64_t> climb_skipped{0};
     std::atomic<std::uint64_t> blocks{0};
     std::atomic<std::uint64_t> lanes_used{0};
     std::atomic<std::uint64_t> lane_capacity{0};
@@ -763,7 +907,16 @@ class SeparatorShortestPaths {
   // weighting it copies.
   bool cycle_certified_;
   bool detect_cycles_;
-  EdgeBucket<S> base_;
+  EdgeBucket<S> base_;  ///< CSR order: arc index = position
+  /// The end arcs (end_edges()); the walk's base passes scan lead_ and
+  /// trail_, ranges of it.
+  EdgeBucket<S> ends_;
+  EdgeRange lead_;
+  EdgeRange trail_;
+  /// Every arc's position in ends_, or kNotEnd; shared by forks, null
+  /// for a stored engine.
+  std::shared_ptr<const std::vector<std::uint32_t>> end_position_;
+  static constexpr std::uint32_t kNotEnd = static_cast<std::uint32_t>(-1);
   EdgeBucket<S> shortcut_;  ///< E+, slot (sweep) order
   /// Bucket k is shortcut_[bucket_offset_[k], bucket_offset_[k + 1]).
   std::vector<std::uint64_t> bucket_offset_;

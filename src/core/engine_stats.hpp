@@ -63,6 +63,10 @@ struct EngineStats {
   std::uint64_t queries = 0;        ///< engine-initiated query runs
   std::uint64_t edges_scanned = 0;  ///< summed over those runs
   std::uint64_t phases = 0;         ///< summed over those runs
+  /// Climb slots the walks skipped, once per walk (a batched walk skips
+  /// a run only when its tail is unreached in every lane). Not
+  /// subtracted from edges_scanned, which counts the schedule's buckets.
+  std::uint64_t climb_slots_skipped = 0;
   std::uint64_t batch_blocks = 0;      ///< batched kernel blocks executed
   std::uint64_t batch_lanes_used = 0;  ///< seeded lanes over those blocks
   std::uint64_t batch_lane_capacity = 0;  ///< blocks * lane width
@@ -103,6 +107,8 @@ struct EngineStats {
     summary.add_row().cell("queries").cell(with_commas(queries));
     summary.add_row().cell("edges scanned").cell(with_commas(edges_scanned));
     summary.add_row().cell("phases").cell(with_commas(phases));
+    summary.add_row().cell("climb slots skipped").cell(
+        with_commas(climb_slots_skipped));
     summary.add_row().cell("lane occupancy").cell(lane_occupancy(), 3);
     summary.add_row().cell("kernel tiles").cell(with_commas(kernel_tiles));
     summary.add_row().cell("kernel cells").cell(with_commas(kernel_cells));

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -140,10 +141,6 @@ class EdgeBucket {
       values_.for_each_run(lo, hi, std::forward<F>(f));
       return;
     }
-    // 8 slabs' worth per chunk: large enough that pin bookkeeping
-    // vanishes against the scan, small enough that a sweep's pinned
-    // working set stays a handful of pages per array.
-    constexpr std::size_t kChunk = 8 * SlabVector<Value>::kSlabEntries;
     for (; lo < hi; lo += kChunk) {
       const std::size_t len = std::min(kChunk, hi - lo);
       const PinLease lease = pin_span(lo, len);
@@ -153,6 +150,26 @@ class EdgeBucket {
   template <typename F>
   void for_each_values_run(F&& f) const {
     for_each_values_run(0, size(), std::forward<F>(f));
+  }
+
+  /// Streams edges [lo, hi) as chunks f(lo, hi) whose tails
+  /// (from_data()) may be read: an owned array yields one chunk, an
+  /// external one the chunks of for_each_values_run, each under a pin of
+  /// its `from` bytes alone. The climb reads tails here and pins a
+  /// run's heads and values only when it relaxes the run.
+  template <typename F>
+  void for_each_tails_chunk(std::size_t lo, std::size_t hi, F&& f) const {
+    if (!ext_) {
+      if (lo < hi) f(lo, hi);
+      return;
+    }
+    for (; lo < hi; lo += kChunk) {
+      const std::size_t len = std::min(kChunk, hi - lo);
+      PinLease lease;
+      lease.add(ext_->pages, ext_->from_offset + lo * sizeof(Vertex),
+                len * sizeof(Vertex));
+      f(lo, lo + len);
+    }
   }
 
   /// In-place value patch (incremental reweighting). Returns true when
@@ -182,6 +199,12 @@ class EdgeBucket {
   }
 
  private:
+  /// An external bucket's scan unit: 8 slabs' worth per chunk, large
+  /// enough that pin bookkeeping vanishes against the scan, small enough
+  /// that a sweep's pinned working set stays a handful of pages per
+  /// array.
+  static constexpr std::size_t kChunk = 8 * SlabVector<Value>::kSlabEntries;
+
   PinLease pin_span(std::size_t lo, std::size_t len) const {
     PinLease lease;
     if (ext_->pages != nullptr && len != 0) {
@@ -200,17 +223,21 @@ class EdgeBucket {
   std::shared_ptr<const ExternalBucketStore<Value>> ext_;
 };
 
-/// Assembled view of one v6 engine image's edge segments, produced by
+/// Assembled view of one v7 engine image's edge segments, produced by
 /// the store subsystem (store/stored_engine.hpp), which builds an engine
 /// over them. All pointers reference the mapped image and must outlive
 /// the engine. `eplus` is E+ in sweep order and
-/// `bucket_offset` its bucket table (EplusPlan::bucket_offset).
+/// `bucket_offset` its bucket table (EplusPlan::bucket_offset); `ends`
+/// is the engine's end-arc array and `ends_split` its (a, b) split
+/// (SeparatorShortestPaths::end_edges()).
 template <Semiring S>
 struct StoredBuckets {
   using Value = typename S::Value;
   ExternalBucketStore<Value> base;
+  ExternalBucketStore<Value> ends;
   ExternalBucketStore<Value> eplus;
   std::vector<std::uint64_t> bucket_offset;
+  std::array<std::uint64_t, 2> ends_split{};
 };
 
 /// Edges [lo, hi) of one edge array; a leveled bucket is such a range

@@ -1,13 +1,14 @@
-// Serialization v6: the page-aligned on-disk image of a built engine
+// Serialization v7: the page-aligned on-disk image of a built engine
 // (ROADMAP "continent-scale graphs").
 //
-// The v6 image is the repository's one persistence format. It is laid
+// The v7 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
 // which pages are resident. Segments appear in query scan order — the
-// bucket table, the graph CSR, the base arcs, then E+ — and E+ is
-// stored once, its slots numbered in sweep order
+// bucket table and the end-arc split, the graph CSR, the end arcs the
+// base passes scan, E+, then the base arcs the verification pass scans —
+// and E+ is stored once, its slots numbered in sweep order
 // (separator/eplus_plan.hpp): the leveled schedule's buckets are ranges
 // of it, named by the kBucketOffsets table, laid out in the order the
 // sweeps scan them. A cold query therefore faults pages in long
@@ -29,12 +30,13 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers emit and readers accept version 6 only: 1 and 2
+// copyable). Writers emit and readers accept version 7 only: 1 and 2
 // were retired stream formats, 3 lacked the header flags and carried a
 // node-of segment no reader used, 4 stored E+ twice (in slot order and
-// again per leveled bucket), and 5 carried the vertex levels no query
-// reads. The image holds no separator tree and no levels: queries read
-// only the bucket table and the edges.
+// again per leveled bucket), 5 carried the vertex levels no query
+// reads, and 6 lacked the end arcs (the base passes scanned every arc).
+// The image holds no separator tree and no levels: queries read only
+// the bucket table, the end-arc split and the edges.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,7 @@ namespace sepsp::store {
 /// "SEP3" little-endian: the family's magic since v3; `version` tells
 /// the layouts apart.
 inline constexpr std::uint32_t kMagic = 0x33504553;
-inline constexpr std::uint32_t kVersion = 6;
+inline constexpr std::uint32_t kVersion = 7;
 
 /// Header::flags bits. Readers reject any bit outside kKnownFlags.
 inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< certified
@@ -73,6 +75,14 @@ enum class SegmentKind : std::uint32_t {
   /// EplusPlan::bucket_offset: 3 (height + 1) + 1 entries, from 0 to
   /// num_shortcuts, non-decreasing.
   kBucketOffsets = 21,
+  /// The end arcs (SeparatorShortestPaths::end_edges()), any count up
+  /// to num_edges; the three segments agree on it.
+  kEndsFrom = 22,
+  kEndsTo = 23,
+  kEndsValue = 24,
+  /// The end arcs' split (a, b), u64, 2 entries, a <= b <= their count:
+  /// the leading passes scan [0, b), the trailing passes [a, count).
+  kEndsSplit = 25,
 };
 
 /// One directory entry. `offset` is page-aligned; `bytes` is the

@@ -1,17 +1,17 @@
 // Open-from-file engine: the query half of SeparatorShortestPaths
-// served out of a v6 image (store/format.hpp) through a buffer pool
+// served out of a v7 image (store/format.hpp) through a buffer pool
 // (store/pool.hpp).
 //
 // open() maps the image, validates the header and every directory
 // record against the file's byte bounds (malformed input returns
 // nullopt + reason, never a crash), materializes the small structural
 // state on the heap — the CSR graph, a plan-less Augmentation (the
-// build metadata) and the bucket table, O(n + m + height) bytes — and
-// builds the engine straight from the mapped buckets: its edge arrays
-// are external views into the mapping. Bucket sweeps then
-// resolve their bytes through page pins, so the resident set is bounded
-// by the pool budget plus the pinned working set of in-flight queries,
-// not by |E u E+|.
+// build metadata), the bucket table and the end-arc split, O(n + m +
+// height) bytes — and builds the engine straight from the mapped
+// buckets: its edge arrays are external views into the mapping. Bucket
+// sweeps then resolve their bytes through page pins, so the resident
+// set is bounded by the pool budget plus the pinned working set of
+// in-flight queries, not by |E u E+|.
 //
 // The engine is read-only (refresh/apply paths abort) and bit-identical
 // to the heap engine the image was written from: the image stores the
@@ -65,10 +65,12 @@ inline std::size_t element_bytes(SegmentKind kind, std::size_t value_bytes) {
   switch (kind) {
     case SegmentKind::kGraphOffsets:
     case SegmentKind::kBucketOffsets:
+    case SegmentKind::kEndsSplit:
       return sizeof(std::uint64_t);
     case SegmentKind::kGraphArcWeight:
       return sizeof(double);
     case SegmentKind::kBaseValue:
+    case SegmentKind::kEndsValue:
     case SegmentKind::kShortcutValue:
       return value_bytes;
     default:
@@ -213,23 +215,30 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   auto data_at = [&](const SegmentRecord* rec) {
     return base + rec->offset;
   };
+  // Reads a small u64 segment of `count` entries under a pin; false when
+  // it is missing or miscounted.
+  auto read_u64 = [&](SegmentKind kind, std::uint64_t count,
+                      std::vector<std::uint64_t>* out) {
+    const SegmentRecord* rec = find(kind, count);
+    if (rec == nullptr) return false;
+    out->resize(count);
+    PinLease lease;
+    lease.add(impl->pool.get(), rec->offset, rec->bytes);
+    std::memcpy(out->data(), data_at(rec), rec->bytes);
+    return true;
+  };
 
   // --- bucket table -----------------------------------------------------
   // Its (file-bounded) count caps the height before anything is sized
   // by it; its entries must split [0, num_shortcuts) into ranges.
   std::vector<std::uint64_t> bucket_offset;
   {
-    const std::uint64_t want = EplusPlan::num_buckets(h.height) + 1;
-    const SegmentRecord* rec = find(SegmentKind::kBucketOffsets, want);
-    if (rec == nullptr) {
+    if (!read_u64(SegmentKind::kBucketOffsets,
+                  EplusPlan::num_buckets(h.height) + 1, &bucket_offset)) {
       set_error(error, "image: bucket table missing or its count is not "
                        "3 (height + 1) + 1");
       return std::nullopt;
     }
-    bucket_offset.resize(want);
-    PinLease lease;
-    lease.add(impl->pool.get(), rec->offset, rec->bytes);
-    std::memcpy(bucket_offset.data(), data_at(rec), rec->bytes);
     if (bucket_offset.front() != 0) {
       set_error(error, "image: bucket table does not start at 0");
       return std::nullopt;
@@ -303,6 +312,24 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   // --- edge views -------------------------------------------------------
   StoredBuckets<S> buckets;
   buckets.bucket_offset = std::move(bucket_offset);
+  // The end arcs' count is their from segment's (at most m); the split
+  // (a, b) must satisfy a <= b <= that count before anything uses it.
+  std::vector<std::uint64_t> ends_split;
+  const auto ends_rec =
+      index.find(static_cast<std::uint32_t>(SegmentKind::kEndsFrom));
+  const std::uint64_t ends_count =
+      ends_rec == index.end() ? 0 : ends_rec->second->count;
+  if (ends_rec == index.end() || ends_count > m ||
+      !read_u64(SegmentKind::kEndsSplit, 2, &ends_split)) {
+    set_error(error, "image: end-arc segments or split missing");
+    return std::nullopt;
+  }
+  if (ends_split[0] > ends_split[1] || ends_split[1] > ends_count) {
+    set_error(error, "image: end-arc split out of range (need a <= b <= " +
+                         std::to_string(ends_count) + ")");
+    return std::nullopt;
+  }
+  buckets.ends_split = {ends_split[0], ends_split[1]};
   auto view = [&](SegmentKind from_kind, SegmentKind to_kind,
                   SegmentKind value_kind, std::uint64_t count,
                   ExternalBucketStore<Value>* out) {
@@ -324,6 +351,8 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   };
   if (!view(SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
             SegmentKind::kBaseValue, m, &buckets.base) ||
+      !view(SegmentKind::kEndsFrom, SegmentKind::kEndsTo,
+            SegmentKind::kEndsValue, ends_count, &buckets.ends) ||
       !view(SegmentKind::kShortcutFrom, SegmentKind::kShortcutTo,
             SegmentKind::kShortcutValue, h.num_shortcuts, &buckets.eplus)) {
     set_error(error, "image: missing or inconsistent edge segments");
@@ -340,7 +369,8 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     }
     return true;
   };
-  if (!endpoints_ok(buckets.base) || !endpoints_ok(buckets.eplus)) {
+  if (!endpoints_ok(buckets.base) || !endpoints_ok(buckets.ends) ||
+      !endpoints_ok(buckets.eplus)) {
     set_error(error, "image: edge endpoint out of range");
     return std::nullopt;
   }

@@ -1,15 +1,15 @@
-// v6 image writer: gathers a built engine into the page-aligned layout
+// v7 image writer: gathers a built engine into the page-aligned layout
 // of store/format.hpp and writes it with pwritev.
 //
-// The writer serializes the *engine's* edge arrays — base arcs in
-// CSR order, E+ in sweep order — and its bucket table byte for byte,
-// never re-deriving them from the augmentation. E+ is already in scan
-// order, so nothing is reordered. That is the whole parity story: an engine
-// opened from the image (store/stored_engine.hpp) replays the identical
-// edge order, so its distances memcmp-equal the heap engine's. The
-// header's certificate flag is the engine's cycle_certified(), so a
-// stored engine skips the verification pass exactly when its heap twin
-// does.
+// The writer serializes the *engine's* edge arrays — the end arcs, E+
+// in sweep order, base arcs in CSR order — its bucket table and its
+// end-arc split byte for byte, never re-deriving them from the
+// augmentation. E+ is already in scan order, so nothing is reordered.
+// That is the whole parity story: an engine opened from the image
+// (store/stored_engine.hpp) replays the identical edge order, so its
+// distances memcmp-equal the heap engine's. The header's certificate
+// flag is the engine's cycle_certified(), so a stored engine skips the
+// verification pass exactly when its heap twin does.
 //
 // I/O: the header, the directory, every segment's arrays (read in
 // place from the engine's memory) and the zero padding (one static
@@ -134,7 +134,7 @@ class GatherWriter {
 
 }  // namespace writer_detail
 
-/// Writes `engine` as a v6 image at `path`, replacing whatever directory
+/// Writes `engine` as a v7 image at `path`, replacing whatever directory
 /// entry was there with a fresh file. Returns false and fills `error` on
 /// I/O failure (and removes the partial file). The engine may be
 /// heap-built or itself opened from an image, even from `path`
@@ -196,6 +196,9 @@ bool write_engine_image(const std::string& path,
       engine.bucket_offsets();
   add_array(SegmentKind::kBucketOffsets, bucket_offsets.data(),
             bucket_offsets.size());
+  const std::uint64_t ends_split[2] = {engine.trail_edges().lo,
+                                       engine.lead_edges().hi};
+  add_array(SegmentKind::kEndsSplit, ends_split, 2);
   // The CSR as three flat arrays; rebuilt exactly on open since arcs
   // are already sorted.
   std::vector<std::uint64_t> offsets(n + 1, 0);
@@ -213,12 +216,14 @@ bool write_engine_image(const std::string& path,
   add_array(SegmentKind::kGraphOffsets, offsets.data(), n + 1);
   add_array(SegmentKind::kGraphArcTo, arc_to.data(), m);
   add_array(SegmentKind::kGraphArcWeight, arc_weight.data(), m);
-  add_bucket(engine.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
-             SegmentKind::kBaseValue);
+  add_bucket(engine.end_edges(), SegmentKind::kEndsFrom, SegmentKind::kEndsTo,
+             SegmentKind::kEndsValue);
   // E+ in sweep order: the down sweep's same/down buckets from level h
   // down, then the up buckets from level 0 up.
   add_bucket(engine.shortcut_edges(), SegmentKind::kShortcutFrom,
              SegmentKind::kShortcutTo, SegmentKind::kShortcutValue);
+  add_bucket(engine.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
+             SegmentKind::kBaseValue);
 
   // --- assign offsets ---------------------------------------------------
   Header header;

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
@@ -742,6 +744,101 @@ TEST(Incremental, QueryBeforeApplyAborts) {
   IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
   engine.update_edge(0, 1, 3.0);
   EXPECT_DEATH({ (void)engine.distances(0); }, "apply");
+}
+
+// A 50-batch stream that raises and restores arcs, half of them end arcs
+// (an endpoint with no level, so the walk's base passes read their
+// end-arc copies): after every batch the live engine's arrays, end arcs
+// included, and its distances from unleveled sources at 1 and 8 lanes
+// are bit for bit a fresh build's.
+TEST(Incremental, EndArcStreamStaysBitIdenticalToFreshBuilds) {
+  for (const bool mesh : {false, true}) {
+    SCOPED_TRACE(mesh ? "mesh 33x33" : "random tree 2000");
+    Rng rng(mesh ? 33 : 2000);
+    Fixture f;
+    if (mesh) {
+      f.gg = make_triangulated_grid(33, 33, WeightModel::mixed_sign(8.0), rng);
+      f.tree = build_separator_tree(Skeleton(f.gg.graph),
+                                    make_geometric_finder(f.gg.coords));
+    } else {
+      f.gg = make_random_tree(2000, WeightModel::mixed_sign(8.0), rng);
+      f.tree = build_separator_tree(Skeleton(f.gg.graph), make_tree_finder());
+    }
+    const LevelAssignment& levels = f.tree.eplus_plan()->levels;
+    const std::vector<EdgeTriple> original = f.gg.graph.edge_list();
+    std::vector<std::size_t> end_arcs;
+    for (std::size_t arc = 0; arc < original.size(); ++arc) {
+      if (!levels.defined(original[arc].from) ||
+          !levels.defined(original[arc].to)) {
+        end_arcs.push_back(arc);
+      }
+    }
+    ASSERT_FALSE(end_arcs.empty());
+    std::vector<Vertex> sources;
+    for (Vertex v = 0; v < levels.level.size() && sources.size() < 8; ++v) {
+      if (!levels.defined(v)) sources.push_back(v);
+    }
+    sources.push_back(0);
+
+    IncrementalEngine engine = IncrementalEngine::build(f.gg.graph, f.tree);
+    std::vector<EdgeTriple> current = original;
+    Rng pick(47);
+    std::vector<std::size_t> raised;
+    for (int b = 0; b < 50; ++b) {
+      if (b % 2 == 0) {
+        raised.clear();
+        for (int k = 0; k < 4; ++k) {
+          const std::size_t arc = k % 2 == 0
+                                      ? end_arcs[pick.next_below(end_arcs.size())]
+                                      : pick.next_below(original.size());
+          raised.push_back(arc);
+          current[arc].weight += pick.next_double(0.0, 5.0);
+        }
+      } else {
+        for (const std::size_t arc : raised) current[arc] = original[arc];
+      }
+      for (const std::size_t arc : raised) {
+        engine.update_edge(current[arc].from, current[arc].to,
+                           current[arc].weight);
+      }
+      engine.apply();
+      GraphBuilder builder(f.gg.graph.num_vertices());
+      for (const EdgeTriple& e : current) {
+        builder.add_edge(e.from, e.to, e.weight);
+      }
+      const Digraph reference = std::move(builder).build(/*dedup_min=*/false);
+      const auto fresh = SeparatorShortestPaths<>::build(reference, f.tree);
+      const auto live = engine.snapshot().engine;
+      const auto values = [](const EdgeBucket<TropicalD>& bucket) {
+        std::vector<double> out(bucket.size());
+        for (std::size_t i = 0; i < out.size(); ++i) out[i] = bucket.value(i);
+        return out;
+      };
+      for (const auto& [got, want] :
+           {std::pair{values(live->end_edges()), values(fresh.end_edges())},
+            std::pair{values(live->base_edges()), values(fresh.base_edges())},
+            std::pair{values(live->shortcut_edges()),
+                      values(fresh.shortcut_edges())}}) {
+        ASSERT_EQ(got.size(), want.size()) << "batch " << b;
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "batch " << b;
+      }
+      for (const std::size_t lanes : {1u, 8u}) {
+        const auto got = live->distances_batch(sources, {.lanes = lanes});
+        const auto want = fresh.distances_batch(sources, {.lanes = lanes});
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          ASSERT_EQ(std::memcmp(got[i].dist.data(), want[i].dist.data(),
+                                want[i].dist.size() * sizeof(double)),
+                    0)
+              << "batch " << b << " lanes " << lanes << " source "
+              << sources[i];
+          EXPECT_FALSE(got[i].negative_cycle);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

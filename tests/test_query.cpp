@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -393,6 +394,343 @@ TEST(Query, JohnsonAgreesOnNegativeWeights) {
     for (Vertex v = 0; v < gg.graph.num_vertices(); ++v) {
       EXPECT_NEAR(a.dist[v], b.dist[v], 1e-8);
     }
+  }
+}
+
+// --- sources and targets with no level: the end arcs ------------------
+//
+// The walk's leading passes scan only the end arcs whose tail has no
+// level, its trailing passes those whose head has none, and its climb
+// skips runs it has not reached. The instances below are the random
+// tree (1,400-odd of its 2,000 vertices have no level) and the 33 x 33
+// mesh (a handful of leaf-interior vertices), sourced at their
+// unleveled vertices.
+
+struct EndInstance {
+  std::string name;
+  GeneratedGraph gg;
+  SeparatorTree tree;
+};
+
+/// Integer-valued weights: unit, uniform(1, 10) rounded, and mixed
+/// signs as w = k + h(u) - h(v) with integer k >= 0 and potentials h,
+/// so no cycle is negative. Real-valued: uniform and mixed_sign as
+/// drawn.
+Digraph integer_valued(const Digraph& g, const std::string& weights,
+                       Rng& rng) {
+  std::vector<double> h(g.num_vertices(), 0.0);
+  if (weights == "mixed") {
+    for (double& x : h) x = static_cast<double>(rng.next_below(21));
+  }
+  GraphBuilder b(g.num_vertices());
+  for (const EdgeTriple& e : g.edge_list()) {
+    const double k = weights == "unit" ? 1.0 : std::round(std::abs(e.weight));
+    b.add_edge(e.from, e.to, k + h[e.from] - h[e.to]);
+  }
+  return std::move(b).build(/*dedup_min=*/false);
+}
+
+EndInstance end_instance(bool mesh, const WeightModel& wm) {
+  Rng rng(mesh ? 33 : 2000);
+  EndInstance inst;
+  if (mesh) {
+    inst.name = "mesh33";
+    inst.gg = make_triangulated_grid(33, 33, wm, rng);
+    inst.tree = build_separator_tree(Skeleton(inst.gg.graph),
+                                     make_geometric_finder(inst.gg.coords));
+  } else {
+    inst.name = "tree2000";
+    inst.gg = make_random_tree(2000, wm, rng);
+    inst.tree =
+        build_separator_tree(Skeleton(inst.gg.graph), make_tree_finder());
+  }
+  return inst;
+}
+
+/// Up to `limit` unleveled vertices, spread over the id range, then two
+/// leveled ones (a leveled source pays one lead pass and moves on).
+std::vector<Vertex> end_sources(const SeparatorTree& tree, std::size_t limit) {
+  const LevelAssignment& levels = tree.eplus_plan()->levels;
+  std::vector<Vertex> unleveled, leveled;
+  for (Vertex v = 0; v < levels.level.size(); ++v) {
+    (levels.defined(v) ? leveled : unleveled).push_back(v);
+  }
+  std::vector<Vertex> out;
+  const std::size_t step = std::max<std::size_t>(1, unleveled.size() / limit);
+  for (std::size_t i = 0; i < unleveled.size() && out.size() < limit;
+       i += step) {
+    out.push_back(unleveled[i]);
+  }
+  out.push_back(leveled.front());
+  out.push_back(leveled.back());
+  return out;
+}
+
+TEST(EndArcs, SplitHoldsEveryArcWithAnUnleveledEndOnce) {
+  for (const bool mesh : {false, true}) {
+    const EndInstance inst = end_instance(mesh, WeightModel::uniform(1, 10));
+    const auto engine = SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
+    const LevelAssignment& levels = inst.tree.eplus_plan()->levels;
+    const EdgeBucket<TropicalD>& base = engine.base_edges();
+    const EdgeBucket<TropicalD>& ends = engine.end_edges();
+    const EdgeRange lead = engine.lead_edges();
+    const EdgeRange trail = engine.trail_edges();
+    ASSERT_EQ(lead.lo, 0u) << inst.name;
+    ASSERT_EQ(trail.hi, ends.size()) << inst.name;
+    ASSERT_LE(trail.lo, lead.hi) << inst.name;
+    ASSERT_GT(ends.size(), 0u) << inst.name;
+
+    // Each base pair is one arc; map it back to its CSR index.
+    std::map<std::pair<Vertex, Vertex>, std::size_t> arc_of;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      arc_of[{base.from_data()[i], base.to_data()[i]}] = i;
+    }
+    std::vector<int> seen(base.size(), 0);
+    std::size_t last_arc = 0;
+    for (std::size_t i = 0; i < ends.size(); ++i) {
+      const Vertex u = ends.from_data()[i];
+      const Vertex v = ends.to_data()[i];
+      const auto it = arc_of.find({u, v});
+      ASSERT_NE(it, arc_of.end()) << inst.name << " end arc " << i;
+      const std::size_t arc = it->second;
+      ++seen[arc];
+      const bool tail = !levels.defined(u);
+      const bool head = !levels.defined(v);
+      // [0, a) tail only, [a, b) both, [b, size) head only.
+      EXPECT_EQ(tail, i < lead.hi) << inst.name << " end arc " << i;
+      EXPECT_EQ(head, i >= trail.lo) << inst.name << " end arc " << i;
+      // Each class in CSR order.
+      const bool class_start = i == 0 || i == trail.lo || i == lead.hi;
+      if (!class_start) {
+        EXPECT_LT(last_arc, arc) << inst.name << " " << i;
+      }
+      last_arc = arc;
+      const double a = ends.value(i);
+      const double b = base.value(arc);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << inst.name << " " << i;
+    }
+    for (std::size_t arc = 0; arc < base.size(); ++arc) {
+      const bool end = !levels.defined(base.from_data()[arc]) ||
+                       !levels.defined(base.to_data()[arc]);
+      EXPECT_EQ(seen[arc], end ? 1 : 0) << inst.name << " arc " << arc;
+    }
+  }
+}
+
+/// distances_batch at every width in {1, 8, 16, 32} memcmp-equal to the
+/// full E u E+ oracle (distances_unscheduled) of the same engine, with
+/// the negative_cycle flag and each lane's counters equal to its
+/// width-1 run.
+template <Semiring S>
+void expect_matches_unscheduled(const Digraph& g, const SeparatorTree& tree,
+                                const std::vector<Vertex>& sources,
+                                const std::string& what) {
+  using Value = typename S::Value;
+  const auto engine = SeparatorShortestPaths<S>::build(g, tree);
+  std::vector<QueryResult<S>> want;
+  for (const Vertex s : sources) want.push_back(engine.distances_unscheduled(s));
+  const auto one = engine.distances_batch(sources, {.lanes = 1});
+  for (const std::size_t lanes : {1u, 8u, 16u, 32u}) {
+    const auto got = engine.distances_batch(sources, {.lanes = lanes});
+    ASSERT_EQ(got.size(), sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const std::string at = what + " lanes " + std::to_string(lanes) +
+                             " source " + std::to_string(sources[i]);
+      ASSERT_EQ(std::memcmp(got[i].dist.data(), want[i].dist.data(),
+                            want[i].dist.size() * sizeof(Value)),
+                0)
+          << at;
+      EXPECT_EQ(got[i].negative_cycle, want[i].negative_cycle) << at;
+      EXPECT_FALSE(got[i].negative_cycle) << at;
+      EXPECT_EQ(got[i].edges_scanned, one[i].edges_scanned) << at;
+      EXPECT_EQ(got[i].phases, one[i].phases) << at;
+    }
+  }
+}
+
+TEST(EndArcs, IntegerWeightsMatchTheFullOracleInEverySemiring) {
+  for (const bool mesh : {false, true}) {
+    const EndInstance inst = end_instance(mesh, WeightModel::uniform(1, 10));
+    const std::vector<Vertex> sources = end_sources(inst.tree, mesh ? 8 : 14);
+    for (const std::string weights : {"unit", "uniform", "mixed"}) {
+      Rng rng(7);
+      const Digraph g = integer_valued(inst.gg.graph, weights, rng);
+      const std::string what = inst.name + " " + weights;
+      expect_matches_unscheduled<TropicalD>(g, inst.tree, sources,
+                                            what + " TropicalD");
+      expect_matches_unscheduled<TropicalI>(g, inst.tree, sources,
+                                            what + " TropicalI");
+      expect_matches_unscheduled<BooleanSR>(g, inst.tree, sources,
+                                            what + " BooleanSR");
+      expect_matches_unscheduled<BottleneckSR>(g, inst.tree, sources,
+                                               what + " BottleneckSR");
+    }
+  }
+}
+
+TEST(EndArcs, RealWeightsMatchDijkstraAndBellmanFord) {
+  for (const bool mesh : {false, true}) {
+    for (const bool mixed : {false, true}) {
+      const EndInstance inst =
+          end_instance(mesh, mixed ? WeightModel::mixed_sign(8.0)
+                                   : WeightModel::uniform(1, 10));
+      const Digraph& g = inst.gg.graph;
+      const auto engine = SeparatorShortestPaths<>::build(g, inst.tree);
+      const std::vector<Vertex> sources = end_sources(inst.tree, 8);
+      for (const std::size_t lanes : {1u, 8u, 16u, 32u}) {
+        const auto got = engine.distances_batch(sources, {.lanes = lanes});
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          const std::vector<double> want =
+              mixed ? bellman_ford(g, sources[i]).dist
+                    : dijkstra(g, sources[i]).dist;
+          EXPECT_FALSE(got[i].negative_cycle);
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            if (std::isinf(want[v])) {
+              ASSERT_TRUE(std::isinf(got[i].dist[v])) << v;
+            } else {
+              ASSERT_NEAR(got[i].dist[v], want[v], 1e-8)
+                  << inst.name << (mixed ? " mixed" : " uniform")
+                  << " lanes " << lanes << " source " << sources[i]
+                  << " v " << v;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The climb written out slot by slot for a block of sources: ell
+/// rounds over the lead arcs, then the first sweep's buckets in order,
+/// where a `from` run is skipped when its tail is unreached in every
+/// source at the moment the run is reached. Returns the skipped slots.
+template <Semiring S>
+std::uint64_t reference_climb_skips(const SeparatorShortestPaths<S>& engine,
+                                    const std::vector<Vertex>& sources) {
+  using Value = typename S::Value;
+  const std::size_t n = engine.graph().num_vertices();
+  std::vector<std::vector<Value>> dist(sources.size(),
+                                       std::vector<Value>(n, S::zero()));
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    dist[k][sources[k]] = S::one();
+  }
+  const auto relax = [&](const EdgeBucket<S>& edges, std::size_t i) {
+    for (std::vector<Value>& d : dist) {
+      const Value du = d[edges.from_data()[i]];
+      if (!S::improves(S::zero(), du)) continue;
+      Value& dv = d[edges.to_data()[i]];
+      dv = S::combine(dv, S::extend(du, edges.value(i)));
+    }
+  };
+  const EdgeRange lead = engine.lead_edges();
+  for (std::size_t round = 0; round < engine.augmentation().ell; ++round) {
+    for (std::size_t i = lead.lo; i < lead.hi; ++i) {
+      relax(engine.end_edges(), i);
+    }
+  }
+  const EdgeBucket<S>& eplus = engine.shortcut_edges();
+  std::uint64_t skipped = 0;
+  for (std::uint32_t l = engine.augmentation().height + 1; l-- > 0;) {
+    for (const EplusPlan::Kind kind : {EplusPlan::kSame, EplusPlan::kDown}) {
+      const EdgeRange r = engine.bucket(kind, l);
+      for (std::size_t i = r.lo; i < r.hi;) {
+        const Vertex u = eplus.from_data()[i];
+        std::size_t end = i;
+        while (end < r.hi && eplus.from_data()[end] == u) ++end;
+        const bool unreached = std::all_of(
+            dist.begin(), dist.end(),
+            [&](const std::vector<Value>& d) { return d[u] == S::zero(); });
+        for (; i < end; ++i) {
+          if (unreached) {
+            ++skipped;
+          } else {
+            relax(eplus, i);
+          }
+        }
+      }
+    }
+  }
+  return skipped;
+}
+
+TEST(EndArcs, ClimbSkipsExactlyTheRunsStillUnreachedWhenReached) {
+  // The engine tests a run's tail only after the bucket's earlier slots
+  // are relaxed, so its skip count is the slot-by-slot reference's, for
+  // one source and for a block of eight, and a batch of copies of one
+  // source skips what that source skips alone.
+  for (const bool mesh : {false, true}) {
+    const EndInstance inst = end_instance(mesh, WeightModel::uniform(1, 10));
+    const auto engine =
+        SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
+    const auto skips_of = [&](const auto& body) {
+      const std::uint64_t before = engine.stats().climb_slots_skipped;
+      body();
+      return engine.stats().climb_slots_skipped - before;
+    };
+    // The unleveled sources, then every 7th vertex: a flush that reaches
+    // the tail it was flushed for is rare, and needs many sources to
+    // show.
+    std::vector<Vertex> sources = end_sources(inst.tree, 8);
+    for (Vertex v = 0; v < inst.gg.graph.num_vertices(); v += 7) {
+      sources.push_back(v);
+    }
+    std::uint64_t total = 0;
+    for (const Vertex s : sources) {
+      const std::uint64_t want = reference_climb_skips(engine, {s});
+      EXPECT_EQ(skips_of([&] { (void)engine.distances(s); }), want)
+          << inst.name << " source " << s;
+      const std::vector<Vertex> copies(8, s);
+      EXPECT_EQ(skips_of([&] {
+                  (void)engine.distances_batch(copies, {.lanes = 8});
+                }),
+                want)
+          << inst.name << " 8 copies of " << s;
+      total += want;
+    }
+    EXPECT_GT(total, 0u) << inst.name;
+    ASSERT_GE(sources.size(), 8u) << inst.name;
+    const std::vector<Vertex> block(sources.begin(), sources.begin() + 8);
+    EXPECT_EQ(skips_of([&] {
+                (void)engine.distances_batch(block, {.lanes = 8});
+              }),
+              reference_climb_skips(engine, block))
+        << inst.name << " block of 8";
+  }
+}
+
+TEST(EndArcs, NegativeCycleThroughUnleveledVerticesIsStillFlagged) {
+  // A negative 2-cycle on one tree arc between two unleveled vertices:
+  // every source that reaches it is flagged, in every lane.
+  const EndInstance inst = end_instance(false, WeightModel::uniform(1, 10));
+  const LevelAssignment& levels = inst.tree.eplus_plan()->levels;
+  std::vector<EdgeTriple> edges = inst.gg.graph.edge_list();
+  std::size_t bad = edges.size();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!levels.defined(edges[i].from) && !levels.defined(edges[i].to)) {
+      bad = i;
+      break;
+    }
+  }
+  ASSERT_LT(bad, edges.size());
+  const Vertex u = edges[bad].from, v = edges[bad].to;
+  GraphBuilder b(inst.gg.graph.num_vertices());
+  for (EdgeTriple e : edges) {
+    if ((e.from == u && e.to == v) || (e.from == v && e.to == u)) {
+      e.weight = -3.0;
+    }
+    b.add_edge(e.from, e.to, e.weight);
+  }
+  const Digraph g = std::move(b).build(/*dedup_min=*/false);
+  const auto engine =
+      build_augmentation_doubling<TropicalD>(g, inst.tree);
+  ASSERT_TRUE(engine.detects_negative_cycles());
+  const std::vector<Vertex> sources = end_sources(inst.tree, 8);
+  const auto got = engine.distances_batch(sources, {.lanes = 8});
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    // The tree is connected in both directions: every source reaches
+    // the cycle.
+    EXPECT_TRUE(got[i].negative_cycle) << "source " << sources[i];
+    EXPECT_TRUE(engine.distances(sources[i]).negative_cycle);
   }
 }
 

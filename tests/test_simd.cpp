@@ -620,13 +620,30 @@ TEST(SimdDispatch, SimdCellsCounterTracksVectorWork) {
   simd::force_tier(simd::detected_tier());
   EXPECT_EQ(cells_of([&] { (void)multiply(m, m); }),
             std::uint64_t{40} * 40 * 40);
+  // The climb's skipped slots run through no kernel, so the batch
+  // charges its lanes' scans less the slots its walk skipped.
+  const auto skipped_of = [&](const auto& body) {
+    const std::uint64_t before = engine.stats().climb_slots_skipped;
+    body();
+    return engine.stats().climb_slots_skipped - before;
+  };
   std::uint64_t scanned = 0;
-  EXPECT_EQ(cells_of([&] { scanned = engine.distances(s).edges_scanned; }), 0u)
+  std::uint64_t single_skipped = 0;
+  EXPECT_EQ(cells_of([&] {
+              single_skipped = skipped_of(
+                  [&] { scanned = engine.distances(s).edges_scanned; });
+            }),
+            0u)
       << "a one-lane walk never enters a vector kernel";
   ASSERT_GT(scanned, 0u);
-  EXPECT_EQ(
-      cells_of([&] { (void)engine.distances_batch(copies, {.lanes = 8}); }),
-      8 * scanned);
+  std::uint64_t skipped = 0;
+  const std::uint64_t batch_cells = cells_of([&] {
+    skipped = skipped_of(
+        [&] { (void)engine.distances_batch(copies, {.lanes = 8}); });
+  });
+  EXPECT_GT(skipped, 0u) << "the climb starts from s alone";
+  EXPECT_EQ(skipped, single_skipped) << "eight copies skip what one does";
+  EXPECT_EQ(batch_cells, 8 * (scanned - skipped));
 }
 
 TEST(SimdDispatch, EngineStatsReportActiveTier) {

@@ -1,4 +1,4 @@
-// Out-of-core engine (src/store/): v6 image round trips under every
+// Out-of-core engine (src/store/): v7 image round trips under every
 // semiring, the certificate flag, the buffer pool's residency
 // accounting, eviction storms under a tiny budget, rewriting an image
 // that a live engine still maps, open-time validation of damaged
@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder_doubling.hpp"
@@ -132,6 +133,57 @@ TEST(Store, RoundTripTropicalD) { round_trip_semiring<TropicalD>("trod"); }
 TEST(Store, RoundTripTropicalI) { round_trip_semiring<TropicalI>("troi"); }
 TEST(Store, RoundTripBoolean) { round_trip_semiring<BooleanSR>("bool"); }
 TEST(Store, RoundTripBottleneck) { round_trip_semiring<BottleneckSR>("botn"); }
+
+/// A heap engine over `g` and its stored twin, memcmp-equal at 1, 8, 16
+/// and 32 lanes from `sources`.
+template <Semiring S>
+void expect_stored_matches_heap(const Digraph& g, const SeparatorTree& tree,
+                                const std::vector<Vertex>& sources,
+                                const std::string& stem) {
+  const auto heap = SeparatorShortestPaths<S>::build(g, tree);
+  TempFile file(temp_path(stem));
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(file.path, heap, &error)) << error;
+  const auto stored = store::StoredEngine<S>::open(file.path, {}, &error);
+  ASSERT_TRUE(stored.has_value()) << error;
+  ASSERT_EQ(stored->engine().end_edges().size(), heap.end_edges().size());
+  for (const std::size_t lanes : {1u, 8u, 16u, 32u}) {
+    const auto want = heap.distances_batch(sources, {.lanes = lanes});
+    const auto got = stored->engine().distances_batch(sources, {.lanes = lanes});
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      expect_same_reply(got[i], want[i],
+                        stem + " lanes " + std::to_string(lanes) +
+                            " source " + std::to_string(sources[i]));
+    }
+  }
+}
+
+TEST(Store, UnleveledSourcesMatchTheHeapEngineInEverySemiring) {
+  // The random tree and the 33 x 33 mesh, sourced at vertices with no
+  // level: their base passes run over the image's end arcs.
+  for (const bool mesh : {false, true}) {
+    Rng rng(mesh ? 33 : 2000);
+    const GeneratedGraph gg =
+        mesh ? make_triangulated_grid(33, 33, WeightModel::mixed_sign(8.0), rng)
+             : make_random_tree(2000, WeightModel::mixed_sign(8.0), rng);
+    const SeparatorTree tree = build_separator_tree(
+        Skeleton(gg.graph), mesh ? make_geometric_finder(gg.coords)
+                                 : make_tree_finder());
+    const LevelAssignment& levels = tree.eplus_plan()->levels;
+    std::vector<Vertex> sources;
+    for (Vertex v = 0; v < levels.level.size() && sources.size() < 10; ++v) {
+      if (!levels.defined(v)) sources.push_back(v);
+    }
+    ASSERT_FALSE(sources.empty());
+    sources.push_back(1);
+    const std::string stem = mesh ? "ends_mesh" : "ends_tree";
+    expect_stored_matches_heap<TropicalD>(gg.graph, tree, sources, stem + "_d");
+    expect_stored_matches_heap<TropicalI>(gg.graph, tree, sources, stem + "_i");
+    expect_stored_matches_heap<BooleanSR>(gg.graph, tree, sources, stem + "_b");
+    expect_stored_matches_heap<BottleneckSR>(gg.graph, tree, sources,
+                                             stem + "_n");
+  }
+}
 
 TEST(Store, UncertifiedAlgorithm43EngineKeepsThePass) {
   // Algorithm 4.3 certifies nothing, so the image carries flag 0 and
@@ -518,10 +570,10 @@ TEST_F(StoreDamage, RejectsCorruptDirectory) {
 
 TEST_F(StoreDamage, RejectsUnknownVersion) {
   // Versions 1 and 2 were the retired stream formats, 3 the layout
-  // without header flags, 4 the layout that stored E+ twice; 6 and
-  // later are layouts this reader cannot know. All must be refused by
-  // name.
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 99u}) {
+  // without header flags, 4 the layout that stored E+ twice, 5 the one
+  // with vertex levels, 6 the one without end arcs; 8 and later are
+  // layouts this reader cannot know. All must be refused by name.
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 99u}) {
     auto bad = image_;
     std::memcpy(bad.data() + offsetof(store::Header, version), &version,
                 sizeof version);
@@ -565,6 +617,31 @@ TEST_F(StoreDamage, SurvivesByteFlipFuzz) {
     if (rec.bytes == 0) continue;
     positions.push_back(rec.offset + rng.next_below(rec.bytes));
   }
+  // And the end-arc pages by name: every byte of the split, and 20
+  // flips in each of the three end-arc segments.
+  std::size_t end_segments = 0;
+  for (const store::SegmentRecord& rec : dir) {
+    switch (static_cast<store::SegmentKind>(rec.kind)) {
+      case store::SegmentKind::kEndsSplit:
+        for (std::size_t b = 0; b < rec.bytes; ++b) {
+          positions.push_back(rec.offset + b);
+        }
+        ++end_segments;
+        break;
+      case store::SegmentKind::kEndsFrom:
+      case store::SegmentKind::kEndsTo:
+      case store::SegmentKind::kEndsValue:
+        ASSERT_GT(rec.bytes, 0u);
+        for (int i = 0; i < 20; ++i) {
+          positions.push_back(rec.offset + rng.next_below(rec.bytes));
+        }
+        ++end_segments;
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_EQ(end_segments, 4u);
   std::size_t opened = 0;
   for (const std::size_t pos : positions) {
     auto bad = image_;
@@ -634,6 +711,95 @@ TEST_F(StoreDamage, RejectsOutOfRangeShortcutEndpoint) {
     return;
   }
   FAIL() << "image has no shortcut-target segment";
+}
+
+// The end arcs (v7): open() refuses an image without them, a split
+// outside them and an endpoint past the vertices, since the base passes
+// index both unchecked.
+class StoreEnds : public StoreDamage {
+ protected:
+  std::size_t record_at(store::SegmentKind kind) const {
+    const std::vector<store::SegmentRecord> dir = directory();
+    for (std::size_t i = 0; i < dir.size(); ++i) {
+      if (dir[i].kind == static_cast<std::uint32_t>(kind)) return i;
+    }
+    ADD_FAILURE() << "image has no segment of kind "
+                  << static_cast<std::uint32_t>(kind);
+    return 0;
+  }
+  /// The image with the split's two entries replaced by (a, b).
+  std::vector<char> with_split(std::uint64_t a, std::uint64_t b) const {
+    const store::SegmentRecord rec =
+        directory()[record_at(store::SegmentKind::kEndsSplit)];
+    auto bad = image_;
+    const std::uint64_t split[2] = {a, b};
+    std::memcpy(bad.data() + rec.offset, split, sizeof split);
+    return bad;
+  }
+  std::uint64_t ends_count() const {
+    return directory()[record_at(store::SegmentKind::kEndsFrom)].count;
+  }
+};
+
+TEST_F(StoreEnds, WrittenImageHoldsTheEngineEndArcs) {
+  // A 7 x 7 grid's leaves keep interior vertices, so it has end arcs.
+  EXPECT_GT(ends_count(), 0u);
+  std::string error;
+  const auto stored = open_bytes(image_, &error);
+  ASSERT_TRUE(stored.has_value()) << error;
+  const auto& engine = stored->engine();
+  EXPECT_EQ(engine.end_edges().size(), ends_count());
+  EXPECT_LE(engine.trail_edges().lo, engine.lead_edges().hi);
+  EXPECT_EQ(engine.lead_edges().lo, 0u);
+  EXPECT_EQ(engine.trail_edges().hi, ends_count());
+}
+
+TEST_F(StoreEnds, RejectsAMissingEndsSegment) {
+  for (const store::SegmentKind kind :
+       {store::SegmentKind::kEndsFrom, store::SegmentKind::kEndsTo,
+        store::SegmentKind::kEndsValue, store::SegmentKind::kEndsSplit}) {
+    std::vector<store::SegmentRecord> dir = directory();
+    dir[record_at(kind)].kind = 99;  // no reader knows kind 99
+    auto bad = image_;
+    std::memcpy(bad.data() + header().directory_offset, dir.data(),
+                dir.size() * sizeof(store::SegmentRecord));
+    expect_rejected(bad, "missing end-arc segment");
+  }
+}
+
+TEST_F(StoreEnds, RejectsASplitOutOfRange) {
+  const std::uint64_t count = ends_count();
+  ASSERT_GT(count, 0u);
+  for (const auto& [a, b] :
+       {std::pair<std::uint64_t, std::uint64_t>{1, 0},
+        {count, count - 1},
+        {0, count + 1},
+        {count + 1, count + 1},
+        {0, ~std::uint64_t{0}}}) {
+    const std::string reason = expect_rejected(with_split(a, b), "split");
+    EXPECT_NE(reason.find("end-arc split out of range"), std::string::npos)
+        << "a " << a << ", b " << b << ": " << reason;
+  }
+  // The bounds themselves are legal: a = b = count leads over every end
+  // arc and trails over none.
+  std::string error;
+  EXPECT_TRUE(open_bytes(with_split(count, count), &error).has_value())
+      << error;
+}
+
+TEST_F(StoreEnds, RejectsAnOutOfRangeEndpoint) {
+  const auto past_end = static_cast<Vertex>(header().num_vertices);
+  for (const store::SegmentKind kind :
+       {store::SegmentKind::kEndsFrom, store::SegmentKind::kEndsTo}) {
+    const store::SegmentRecord rec = directory()[record_at(kind)];
+    ASSERT_GT(rec.count, 0u);
+    auto bad = image_;
+    std::memcpy(bad.data() + rec.offset + (rec.count - 1) * sizeof(Vertex),
+                &past_end, sizeof past_end);
+    const std::string reason = expect_rejected(bad, "end-arc endpoint == n");
+    EXPECT_NE(reason.find("edge endpoint out of range"), std::string::npos)
+        << reason;
+  }
 }
 
 // The bucket table splits E+ into the sweep's ranges; the kernels index
