@@ -58,7 +58,7 @@ struct MemorySample {
   }
 };
 
-/// An engine's E+ in slot order as packed (from, to, value) records:
+/// An engine's E+ in slot order as packed (tail, to, value) records:
 /// the bytes the E+ digests hash and the per-thread-count E+ dumps hold.
 inline std::string eplus_bytes(
     const SeparatorShortestPaths<TropicalD>& engine) {
@@ -68,10 +68,13 @@ inline std::string eplus_bytes(
   const auto put = [&out](const auto& x) {
     out.append(reinterpret_cast<const char*>(&x), sizeof x);
   };
-  for (std::size_t s = 0; s < eplus.size(); ++s) {
-    put(eplus.from_data()[s]);
-    put(eplus.to_data()[s]);
-    put(eplus.value(s));
+  const std::uint32_t* start = eplus.start_data();
+  for (std::size_t r = 0; r < eplus.num_runs(); ++r) {
+    for (std::size_t s = start[r]; s < start[r + 1]; ++s) {
+      put(eplus.tail_data()[r]);
+      put(eplus.to_data()[s]);
+      put(eplus.value(s));
+    }
   }
   return out;
 }

@@ -99,9 +99,12 @@ int main() {
         edges.push_back({u, a.to, a.weight});
       }
     }
-    for (std::size_t slot = 0; slot < eplus.size(); ++slot) {
-      edges.push_back({eplus.from_data()[slot], eplus.to_data()[slot],
-                       eplus.value(slot)});
+    const std::uint32_t* start = eplus.start_data();
+    for (std::size_t r = 0; r < eplus.num_runs(); ++r) {
+      for (std::size_t slot = start[r]; slot < start[r + 1]; ++slot) {
+        edges.push_back({eplus.tail_data()[r], eplus.to_data()[slot],
+                         eplus.value(slot)});
+      }
     }
     std::vector<double> dist(gg.graph.num_vertices(), TropicalD::zero());
     std::vector<Vertex> parent(gg.graph.num_vertices(), kInvalidVertex);

@@ -119,10 +119,10 @@ void run_instance(const Instance& inst, Table& table) {
 }
 
 /// Batched throughput per SIMD dispatch tier at B = 1, 8 and 16: the
-/// scalar tier is simd::bucket_sweep's lane loop, which takes the width
+/// scalar tier is simd::bucket_sweep's run loop, which takes the width
 /// at run time, so the speedup column is the vector substrate's gain on
 /// the bucket sweeps over that loop. B = 1 is the per-source walk, which
-/// never dispatches (a one-lane pass runs the lane loop at every tier),
+/// never dispatches (a one-lane pass runs the run loop at every tier),
 /// so its rows read about 1.0x.
 void run_tier_instance(const Instance& inst, Table& table) {
   const auto engine = SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);

@@ -6,7 +6,7 @@
 //   ./dimacs_tool generate --out=net --side=24 --seed=1
 //       writes net.gr / net.co (triangulated planar mesh)
 //   ./dimacs_tool preprocess --graph=net
-//       writes net.img (the engine's v7 image, store/format.hpp)
+//       writes net.img (the engine's v8 image, store/format.hpp)
 //   ./dimacs_tool query --graph=net --source=0 --target=575
 //       opens net.img and answers (validates against Dijkstra);
 //       exits 2 on a vertex id outside [0, n)

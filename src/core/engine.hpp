@@ -41,11 +41,12 @@
 // sweep mirrors it; ell passes over E_trail (the arcs whose head has no
 // level) finish. Both are ranges of one end-arc array (end_edges()).
 // The climb starts from the source and the few vertices E_lead reaches,
-// so it skips every `from` run whose tail is still unreached in every
-// lane (climb()); the descent does not test. Each bucket is scanned
-// O(1) times, so the per-source work is O(ell |E| + |E U E+|) instead of
-// the naive O((|E| + |E+|) * diam) of diameter-bounded Bellman–Ford
-// (kept for the T1b ablation as distances_unscheduled()).
+// so it skips every run whose tail is still unreached in every lane,
+// testing the run through its run entry (climb()); the descent does not
+// test. Each bucket is scanned O(1) times, so the per-source work is
+// O(ell |E| + |E U E+|) instead of the naive O((|E| + |E+|) * diam) of
+// diameter-bounded Bellman–Ford (kept for the T1b ablation as
+// distances_unscheduled()).
 //
 // One walker (walk) runs that schedule for every entry point, at a lane
 // width it takes at run time. Its distance array is lane-major,
@@ -53,27 +54,34 @@
 // distances_into, distances_seeded); a wider walk is the source-batched
 // query (distances_batch, Corollary 5.2's s-source workload), which
 // relaxes every lane per edge load. The engine owns no relaxation loop:
-// every pass at every width is simd::bucket_sweep and the
-// verification pass simd::bucket_detect (semiring/simd.hpp). Lanes
-// never interact, so every lane's distances and counters equal a
-// scalar run of its own source.
+// every sweep at every width is simd::bucket_sweep, every E-pass
+// simd::tracked_sweep and the verification pass simd::bucket_detect
+// (semiring/simd.hpp), all over runs. Lanes never interact, so every
+// lane's distances and counters equal a scalar run of its own source.
 //
-// Edges are stored struct-of-arrays (EdgeBucket, core/query.hpp). E+ is
-// one such array, its slots numbered in sweep order by the tree's slot
-// plan (separator/eplus_plan.hpp): every leveled bucket is a range of
-// it, (from, to)-sorted, and the sweeps read those ranges in the order
-// they lie. The leveled buckets hold E+ alone. Base arcs feed the ell
-// E_lead and E_trail passes (through their end-arc copies) and the
-// verification pass only: an arc (u, v) whose endpoints both have
-// levels lies in some leaf L, so u and v are both in B(L) and the slot
-// (u, v) — in the same bucket, valued at most w(u, v) — relaxes
-// everything the arc would (docs/ALGORITHMS.md §4). The base array
-// keeps CSR order (arc index = position) for the verification pass,
-// distances_unscheduled() and the image.
+// Edges are stored struct-of-arrays in run form (EdgeBucket,
+// core/query.hpp; PairBlock, separator/eplus_plan.hpp): one (tail,
+// start) entry per run of slots that leave one vertex, to[] and the
+// value per slot. A run is cut at a bucket or end-arc class boundary, a
+// change of tail, every slab multiple and right after a self-loop, so
+// no slot after a run's first one writes the tail's row and every pass
+// loads the tail's lanes once per run, in registers (docs/ALGORITHMS.md
+// §4). E+ is one such array, its slots numbered in sweep order by the
+// tree's slot plan (separator/eplus_plan.hpp): every leveled bucket is
+// a range of whole runs of it, (from, to)-sorted, and the sweeps read
+// those ranges in the order they lie. The leveled buckets hold E+
+// alone. Base arcs feed the ell E_lead and E_trail passes (through
+// their end-arc copies) and the verification pass only: an arc (u, v)
+// whose endpoints both have levels lies in some leaf L, so u and v are
+// both in B(L) and the slot (u, v) — in the same bucket, valued at most
+// w(u, v) — relaxes everything the arc would (docs/ALGORITHMS.md §4).
+// The base array keeps CSR order (arc index = position) for the
+// verification pass, distances_unscheduled() and the image; its runs
+// are the CSR out-lists.
 //
 // Structural sharing: the pair structure of E+ is tree-only. Every
-// engine over the tree aliases the plan's slot array and owns only one
-// value per slot, in slab-chunked copy-on-write storage
+// engine over the tree aliases the plan's run and slot arrays and owns
+// only one value per slot, in slab-chunked copy-on-write storage
 // (util/slab.hpp); its Augmentation is build metadata. Two owners
 // reach behind the public API: IncrementalEngine patches its live
 // engine's values in place and freezes O(#slabs) forks of it as
@@ -216,10 +224,11 @@ class SeparatorShortestPaths {
   const EdgeBucket<S>& base_edges() const { return base_; }
   /// The end arcs: every base arc with an endpoint that has no level, in
   /// three classes — tail unleveled only, both unleveled, head unleveled
-  /// only — each in CSR order. The walk's leading passes scan
-  /// lead_edges(), the prefix [0, b) whose tails have no level; its
-  /// trailing passes scan trail_edges(), the suffix [a, size) whose
-  /// heads have no level.
+  /// only — each in CSR order, a run cut at each class boundary. The
+  /// walk's leading passes scan lead_edges(), the prefix [0, b) whose
+  /// tails have no level; its trailing passes scan trail_edges(), the
+  /// suffix [a, size) whose heads have no level. Both are ranges of
+  /// whole runs.
   const EdgeBucket<S>& end_edges() const { return ends_; }
   EdgeRange lead_edges() const { return lead_; }
   EdgeRange trail_edges() const { return trail_; }
@@ -228,12 +237,12 @@ class SeparatorShortestPaths {
   const EdgeBucket<S>& shortcut_edges() const { return shortcut_; }
   /// The bucket table (EplusPlan::bucket_offset) over shortcut_edges().
   std::span<const std::uint64_t> bucket_offsets() const {
-    return bucket_offset_;
+    return buckets_->offset;
   }
-  /// Kind's level-l bucket as a range of shortcut_edges().
+  /// Kind's level-l bucket as a range of whole runs of
+  /// shortcut_edges().
   EdgeRange bucket(EplusPlan::Kind kind, std::uint32_t level) const {
-    const std::size_t k = EplusPlan::bucket_rank(kind, level, aug_->height);
-    return {bucket_offset_[k], bucket_offset_[k + 1]};
+    return buckets_->range[EplusPlan::bucket_rank(kind, level, aug_->height)];
   }
   /// Value slabs shared (pointer-identical) between this engine's
   /// arrays and `other`'s — the structural-sharing test hook.
@@ -355,8 +364,7 @@ class SeparatorShortestPaths {
     r.dist.assign(g_->num_vertices(), S::zero());
     r.dist[source] = S::one();
     const std::span<QueryStats> acct(static_cast<QueryStats*>(&r), 1);
-    const Pass all[] = {{&base_, {0, base_.size()}},
-                        {&shortcut_, {0, shortcut_.size()}}};
+    const Pass all[] = {{&base_, base_.all()}, {&shortcut_, shortcut_.all()}};
     passes(all, aug_->diameter_bound(), r.dist.data(), 1, acct);
     detect_negative_cycles(r.dist.data(), 1, acct);
     charge(acct, 0);
@@ -450,61 +458,62 @@ class SeparatorShortestPaths {
     SEPSP_CHECK(plan.num_levels() == std::size_t{aug_->height} + 1);
     SEPSP_CHECK(entries.size() == plan.num_entries());
 
-    // Base arcs, in CSR order (arc index = position).
+    // Base arcs, in CSR order (arc index = position): one run per
+    // vertex with out-arcs, cut by PairBlock's rules.
+    const std::size_t m = g.num_edges();
     {
-      const std::size_t m = g.num_edges();
       auto pairs = std::make_shared<PairBlock>();
-      pairs->from.resize(m);
-      pairs->to.resize(m);
+      pairs->reserve(m, g.num_vertices());
       SlabVector<Value> values(m);
       std::size_t arc = 0;
       for (Vertex u = 0; u < g.num_vertices(); ++u) {
         for (const Arc& a : g.out(u)) {
-          pairs->from[arc] = u;
-          pairs->to[arc] = a.to;
-          values.init(arc, S::from_weight(a.weight));
-          ++arc;
+          pairs->append(u, a.to, false);
+          values.init(arc++, S::from_weight(a.weight));
         }
       }
       base_ = EdgeBucket<S>(std::move(pairs), std::move(values));
     }
 
     // End arcs: the base arcs with an unleveled endpoint, tail-only
-    // class, then both, then head-only, each in CSR order; and every
-    // arc's position among them.
+    // class, then both, then head-only, each in CSR order and cut from
+    // the next; and every arc's position among them.
     {
-      const std::size_t m = g.num_edges();
-      const Vertex* from = base_.from_data();
+      const Vertex* tail = base_.tail_data();
+      const std::uint32_t* start = base_.start_data();
       const Vertex* to = base_.to_data();
-      std::array<std::vector<std::uint32_t>, 3> classes;
-      for (std::size_t arc = 0; arc < m; ++arc) {
-        const bool tail = !plan.levels.defined(from[arc]);
-        const bool head = !plan.levels.defined(to[arc]);
-        if (tail || head) {
-          classes[tail ? (head ? 1 : 0) : 2].push_back(
-              static_cast<std::uint32_t>(arc));
+      // Each class's (arc, tail) pairs, in CSR order.
+      std::array<std::vector<std::pair<std::uint32_t, Vertex>>, 3> classes;
+      for (std::size_t r = 0; r < base_.num_runs(); ++r) {
+        const bool t = !plan.levels.defined(tail[r]);
+        for (std::uint32_t arc = start[r]; arc < start[r + 1]; ++arc) {
+          const bool h = !plan.levels.defined(to[arc]);
+          if (t || h) classes[t ? (h ? 1 : 0) : 2].emplace_back(arc, tail[r]);
         }
       }
       const std::size_t count =
           classes[0].size() + classes[1].size() + classes[2].size();
       SEPSP_CHECK_MSG(count < kNotEnd, "too many end arcs for u32 positions");
       auto pairs = std::make_shared<PairBlock>();
-      pairs->from.resize(count);
-      pairs->to.resize(count);
+      pairs->reserve(count, count);
       SlabVector<Value> values(count);
       auto position = std::make_shared<std::vector<std::uint32_t>>(m, kNotEnd);
+      std::array<std::size_t, 4> run_at{};  // each class's first run
       std::uint32_t at = 0;
-      for (const std::vector<std::uint32_t>& arcs : classes) {
-        for (const std::uint32_t arc : arcs) {
-          pairs->from[at] = from[arc];
-          pairs->to[at] = to[arc];
+      for (std::size_t c = 0; c < 3; ++c) {
+        run_at[c] = pairs->num_runs();
+        bool first = true;
+        for (const auto& [arc, u] : classes[c]) {
+          pairs->append(u, to[arc], std::exchange(first, false));
           values.init(at, base_.value(arc));
           (*position)[arc] = at++;
         }
       }
+      run_at[3] = pairs->num_runs();
       ends_ = EdgeBucket<S>(std::move(pairs), std::move(values));
-      lead_ = {0, classes[0].size() + classes[1].size()};
-      trail_ = {classes[0].size(), count};
+      const std::size_t b = classes[0].size() + classes[1].size();
+      lead_ = {0, b, 0, run_at[2]};
+      trail_ = {classes[0].size(), count, run_at[1], run_at[3]};
       end_position_ = std::move(position);
     }
 
@@ -521,7 +530,20 @@ class SeparatorShortestPaths {
     shortcut_ = EdgeBucket<S>(
         std::shared_ptr<const PairBlock>(plan_, &plan.slots),
         std::move(values));
-    bucket_offset_ = plan.bucket_offset;
+    set_buckets(plan.bucket_offset, plan.bucket_run);
+  }
+
+  /// The bucket table (slot offsets) and its run offsets.
+  void set_buckets(std::vector<std::uint64_t> offsets,
+                   std::span<const std::uint32_t> runs) {
+    auto table = std::make_shared<BucketTable>();
+    table->range.reserve(runs.size() - 1);
+    for (std::size_t k = 0; k + 1 < runs.size(); ++k) {
+      table->range.push_back(
+          {offsets[k], offsets[k + 1], runs[k], runs[k + 1]});
+    }
+    table->offset = std::move(offsets);
+    buckets_ = std::move(table);
   }
 
   /// An engine over a mapped image (store::StoredEngine::open): base and
@@ -539,6 +561,7 @@ class SeparatorShortestPaths {
     SEPSP_CHECK_MSG(
         buckets.bucket_offset.size() ==
                 EplusPlan::num_buckets(aug->height) + 1 &&
+            buckets.bucket_run.size() == buckets.bucket_offset.size() &&
             buckets.bucket_offset.back() == buckets.eplus.count,
         "from_store: bucket table disagrees with the augmentation height "
         "or the E+ count");
@@ -550,10 +573,10 @@ class SeparatorShortestPaths {
     SeparatorShortestPaths out(g, std::move(aug), options, cycle_certified);
     out.base_ = EdgeBucket<S>::from_external(buckets.base);
     out.ends_ = EdgeBucket<S>::from_external(buckets.ends);
-    out.lead_ = {0, b};
-    out.trail_ = {a, buckets.ends.count};
+    out.lead_ = out.ends_.range(0, b);
+    out.trail_ = out.ends_.range(a, buckets.ends.count);
     out.shortcut_ = EdgeBucket<S>::from_external(buckets.eplus);
-    out.bucket_offset_ = buckets.bucket_offset;
+    out.set_buckets(buckets.bucket_offset, buckets.bucket_run);
     // plan_ and end_position_ stay null: stored engines cannot be
     // reweighted.
     return out;
@@ -598,7 +621,7 @@ class SeparatorShortestPaths {
     out.trail_ = trail_;
     out.end_position_ = end_position_;
     out.shortcut_ = shortcut_.fork();
-    out.bucket_offset_ = bucket_offset_;
+    out.buckets_ = buckets_;
     return out;
   }
 
@@ -706,7 +729,7 @@ class SeparatorShortestPaths {
     for (std::size_t round = 0; round < rounds && live != 0; ++round) {
       std::array<std::uint8_t, kMaxLanes> changed{};
       for (const Pass& part : parts) {
-        relax<true>(*part.edges, part.range, dist, width, changed.data());
+        tracked_pass(*part.edges, part.range, dist, width, changed.data());
       }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
         if (!active[lane]) continue;
@@ -724,24 +747,28 @@ class SeparatorShortestPaths {
   /// sweeps scan their buckets unconditionally).
   void sweep(EdgeRange range, Value* dist, std::size_t width,
              std::span<QueryStats> acct) const {
-    relax<false>(shortcut_, range, dist, width, nullptr);
+    shortcut_.for_each_chunk(
+        range, [&](std::size_t lo, std::size_t hi, const Value* value) {
+          sweep_runs(shortcut_, lo, hi, value, dist, width);
+        });
     charge_scan(range, acct);
   }
 
   /// sweep() for the climb (the first sweep), which starts from the
-  /// source and the leading passes' few vertices: a `from` run whose
-  /// tail is zero() in every lane is skipped, and the number of skipped
-  /// slots returned. Relaxing such a run would change nothing, since
-  /// extending zero() gives zero(), so the distances are bit for bit
-  /// those of sweep(). A run is tested only after every earlier slot of
-  /// the bucket has been relaxed (the pending stretch of live runs is
-  /// flushed first, then the run tested again), and each stretch of
-  /// consecutive live runs goes to relax() as one range. Every lane is
-  /// still charged the whole bucket: the counters keep the schedule's
-  /// meaning.
+  /// source and the leading passes' few vertices: a run whose tail is
+  /// zero() in every lane is skipped, and the number of skipped slots
+  /// returned. Relaxing such a run would change nothing, since extending
+  /// zero() gives zero(), so the distances are bit for bit those of
+  /// sweep(). A run is tested through its run entry only after every
+  /// earlier slot of the bucket has been relaxed (the pending stretch of
+  /// live runs is flushed first, then the run tested again), and each
+  /// stretch of consecutive live runs goes to the kernel as one call.
+  /// Every lane is still charged the whole bucket: the counters keep the
+  /// schedule's meaning.
   std::size_t climb(EdgeRange range, Value* dist, std::size_t width,
                     std::span<QueryStats> acct) const {
-    const Vertex* from = shortcut_.from_data();
+    const Vertex* tail = shortcut_.tail_data();
+    const std::uint32_t* start = shortcut_.start_data();
     const auto unreached = [&](Vertex u) {
       const Value* du = dist + static_cast<std::size_t>(u) * width;
       for (std::size_t l = 0; l < width; ++l) {
@@ -750,28 +777,28 @@ class SeparatorShortestPaths {
       return true;
     };
     std::size_t skipped = 0;
-    shortcut_.for_each_tails_chunk(
-        range.lo, range.hi, [&](std::size_t lo, std::size_t hi) {
-          std::size_t live = lo;  // the pending stretch is [live, i)
-          for (std::size_t i = lo; i < hi;) {
-            const Vertex u = from[i];
-            std::size_t end = i + 1;
-            while (end < hi && from[end] == u) ++end;
-            bool dead = unreached(u);
-            if (dead && live < i) {
-              relax<false>(shortcut_, {live, i}, dist, width, nullptr);
-              live = i;
-              dead = unreached(u);
+    shortcut_.for_each_chunk(
+        range, [&](std::size_t lo, std::size_t hi, const Value* value) {
+          // Runs [live, r) are pending; slot j's value is value[j - base].
+          const std::size_t base = start[lo];
+          const auto flush = [&](std::size_t first, std::size_t last) {
+            sweep_runs(shortcut_, first, last, value + (start[first] - base),
+                       dist, width);
+          };
+          std::size_t live = lo;
+          for (std::size_t r = lo; r < hi; ++r) {
+            bool dead = unreached(tail[r]);
+            if (dead && live < r) {
+              flush(live, r);
+              live = r;
+              dead = unreached(tail[r]);
             }
             if (dead) {
-              skipped += end - i;
-              live = end;
+              skipped += start[r + 1] - start[r];
+              live = r + 1;
             }
-            i = end;
           }
-          if (live < hi) {
-            relax<false>(shortcut_, {live, hi}, dist, width, nullptr);
-          }
+          if (live < hi) flush(live, hi);
         });
     charge_scan(range, acct);
     return skipped;
@@ -785,52 +812,58 @@ class SeparatorShortestPaths {
     }
   }
 
-  /// One relaxation pass over edges [range.lo, range.hi) in every lane;
-  /// with kTrack, ORs each lane's "improved" flag into changed[0..width).
-  /// Values stream run by run (a value slab, or a pinned chunk of a
-  /// mapped image segment), each a flat array alongside the shared pair
-  /// arrays. Every run goes to simd::bucket_sweep, which takes the width
-  /// at run time and stores combine(old, relax_extend(du, w)) in every
-  /// lane: the dispatched vector kernel when more than one lane runs on
-  /// a vector tier, else its inline lane loop. An unreached lane stays
-  /// where it is, since extending zero() gives zero().
-  ///
-  /// kTrack stays a template parameter although bucket_sweep takes the
-  /// change mask as a pointer: a constant null lets the compiler drop
-  /// the tracked loop from every untracked sweep it inlines. With the
-  /// mask passed at run time, TropicalI's width-1 walk on the 33x33 mesh
-  /// took about 10% longer per source (EXPERIMENTS.md note 12).
-  template <bool kTrack>
-  void relax(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
-             std::size_t width, std::uint8_t* changed) const {
-    const Vertex* from = edges.from_data();
-    const Vertex* to = edges.to_data();
-    edges.for_each_values_run(
-        range.lo, range.hi,
-        [&](std::size_t lo, std::size_t len, const Value* value) {
-          simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, width,
-                                kTrack ? changed : nullptr);
+  /// One tracked relaxation pass over the runs of `range` in every lane
+  /// (an E-pass): simd::tracked_sweep's inline run loop per chunk (a
+  /// value slab, or a pinned chunk of a mapped image segment), ORing
+  /// each lane's "improved" flag into changed[0..width). It runs inline
+  /// at every width but keeps its simd.cells, so the counter reads as
+  /// when it dispatched.
+  void tracked_pass(const EdgeBucket<S>& edges, EdgeRange range, Value* dist,
+                    std::size_t width, std::uint8_t* changed) const {
+    const std::uint32_t* start = edges.start_data();
+    edges.for_each_chunk(
+        range, [&](std::size_t lo, std::size_t hi, const Value* value) {
+          simd::tracked_sweep<S>(dist, edges.tail_data() + lo, start + lo,
+                                 hi - lo, edges.to_data() + start[lo], value,
+                                 width, changed);
         });
     note_simd_cells(range.size(), width);
+  }
+
+  /// Untracked simd::bucket_sweep over runs [lo, hi) of `edges`, whose
+  /// values start at `value` (slot start_data()[lo]): the dispatched
+  /// vector kernel when more than one lane runs on a vector tier, else
+  /// its inline run loop. Both store combine(old, relax_extend(du, w))
+  /// in every lane, du read once per run; an unreached lane stays where
+  /// it is, since extending zero() gives zero(). Credits the simd.cells
+  /// it relaxed.
+  static void sweep_runs(const EdgeBucket<S>& edges, std::size_t lo,
+                         std::size_t hi, const Value* value, Value* dist,
+                         std::size_t width) {
+    const std::uint32_t* start = edges.start_data();
+    simd::bucket_sweep<S>(dist, edges.tail_data() + lo, start + lo, hi - lo,
+                          edges.to_data() + start[lo], value, width);
+    note_simd_cells(start[hi] - start[lo], width);
   }
 
   /// Final verification pass over E u E+, per lane: the schedule reaches
   /// a fixpoint when no negative cycle is reachable, so any significant
   /// further improvement certifies one (S::detect_improves tolerates
   /// floating-point drift between equivalent summation orders). One
-  /// simd::bucket_detect per values run, at every width.
+  /// simd::bucket_detect per chunk of runs, at every width.
   void detect_negative_cycles(const Value* dist, std::size_t width,
                               std::span<QueryStats> acct) const {
     if (!detect_cycles_) return;
     if constexpr (S::kDetectNegativeCycles) {
       std::array<bool, kMaxLanes> found{};
       for (const EdgeBucket<S>* edges : {&base_, &shortcut_}) {
-        const Vertex* from = edges->from_data();
-        const Vertex* to = edges->to_data();
-        edges->for_each_values_run(
-            [&](std::size_t lo, std::size_t len, const Value* value) {
-              simd::bucket_detect<S>(dist, from + lo, to + lo, value, len,
-                                     width, acct.size(), found.data());
+        const std::uint32_t* start = edges->start_data();
+        edges->for_each_chunk(
+            edges->all(),
+            [&](std::size_t lo, std::size_t hi, const Value* value) {
+              simd::bucket_detect<S>(dist, edges->tail_data() + lo, start + lo,
+                                     hi - lo, edges->to_data() + start[lo],
+                                     value, width, acct.size(), found.data());
             });
       }
       for (std::size_t lane = 0; lane < acct.size(); ++lane) {
@@ -868,9 +901,10 @@ class SeparatorShortestPaths {
     counters_->level_scans[level].fetch_add(edges, std::memory_order_relaxed);
   }
 
-  /// Cells (edge x lane relaxations) of a pass over `edges` edges at
-  /// `width` lanes that ran through a vector kernel (see
-  /// simd::vector_dispatch_active).
+  /// Cells (edge x lane relaxations) of a pass over `edges` edges at a
+  /// `width` that dispatches to a vector kernel (see
+  /// simd::vector_dispatch_active): the untracked sweeps that ran
+  /// through it, and the tracked E-passes beside them.
   static void note_simd_cells(std::size_t edges, std::size_t width) {
 #if SEPSP_OBS_ENABLED
     if (simd::vector_dispatch_active<S>(width)) {
@@ -918,8 +952,13 @@ class SeparatorShortestPaths {
   std::shared_ptr<const std::vector<std::uint32_t>> end_position_;
   static constexpr std::uint32_t kNotEnd = static_cast<std::uint32_t>(-1);
   EdgeBucket<S> shortcut_;  ///< E+, slot (sweep) order
-  /// Bucket k is shortcut_[bucket_offset_[k], bucket_offset_[k + 1]).
-  std::vector<std::uint64_t> bucket_offset_;
+  /// Bucket k is shortcut_[offset[k], offset[k + 1]), the runs
+  /// range[k]. Immutable; forks share it.
+  struct BucketTable {
+    std::vector<std::uint64_t> offset;
+    std::vector<EdgeRange> range;
+  };
+  std::shared_ptr<const BucketTable> buckets_;
   std::unique_ptr<Counters> counters_;
 };
 
@@ -980,15 +1019,18 @@ std::size_t measure_shortcut_radius(const SeparatorShortestPaths<S>& engine,
   };
   std::vector<Value> next(n);
   const auto relax_all = [&](const EdgeBucket<S>& edges) {
-    const Vertex* from = edges.from_data();
+    const Vertex* tail = edges.tail_data();
+    const std::uint32_t* start = edges.start_data();
     const Vertex* to = edges.to_data();
-    edges.for_each_values_run(
-        [&](std::size_t lo, std::size_t len, const Value* value) {
-          for (std::size_t i = 0; i < len; ++i) {
-            const Value du = dist[from[lo + i]];
+    edges.for_each_chunk(
+        edges.all(), [&](std::size_t lo, std::size_t hi, const Value* value) {
+          for (std::size_t r = lo; r < hi; ++r) {
+            const Value du = dist[tail[r]];
             if (!S::improves(S::zero(), du)) continue;
-            const Value cand = S::extend(du, value[i]);
-            if (S::improves(next[to[lo + i]], cand)) next[to[lo + i]] = cand;
+            for (std::size_t i = start[r]; i < start[r + 1]; ++i) {
+              const Value cand = S::extend(du, value[i - start[lo]]);
+              if (S::improves(next[to[i]], cand)) next[to[i]] = cand;
+            }
           }
         });
   };

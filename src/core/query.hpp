@@ -3,12 +3,15 @@
 // leveled schedule streams (EdgeBucket, with the EdgeRange that names a
 // bucket inside it and the mapped-image views StoredBuckets assembles).
 //
-// Edges are stored struct-of-arrays (from[]/to[]/value[]): one
-// relaxation pass streams three flat arrays instead of chasing
-// interleaved structs, at any lane width. The (from, to) arrays are
-// immutable and shared; the values sit in slab-chunked copy-on-write
-// storage (util/slab.hpp), so a fork of an edge array costs O(#slabs)
-// pointer copies and a later write detaches just the slab it touches.
+// Edges are stored struct-of-arrays in run form: one (tail, start)
+// entry per run of slots that leave one vertex, and to[]/value[] per
+// slot (PairBlock, separator/eplus_plan.hpp). One relaxation pass
+// streams flat arrays instead of chasing interleaved structs, and loads
+// each tail's lanes once per run, at any lane width. The run and head
+// arrays are immutable and shared; the values sit in slab-chunked
+// copy-on-write storage (util/slab.hpp), so a fork of an edge array
+// costs O(#slabs) pointer copies and a later write detaches just the
+// slab it touches.
 #pragma once
 
 #include <algorithm>
@@ -53,36 +56,55 @@ struct QueryResult : QueryStats {
   bool reached(Vertex v) const { return S::improves(S::zero(), dist[v]); }
 };
 
-/// One bucket's SoA segments inside a page-aligned engine image
-/// (store/format.hpp): three parallel arrays mapped read-only, plus the
+/// One edge array's segments inside a page-aligned engine image
+/// (store/format.hpp), in run form (PairBlock): the run tails and run
+/// starts, the per-slot heads and values, all mapped read-only, plus the
 /// byte offsets the residency accounting pins through. `pages` may be
-/// null (all-resident image; pins become no-ops).
+/// null (all-resident image; pins become no-ops). open() has validated
+/// the runs (tails < n, starts from 0 to count, strictly increasing, no
+/// run across a chunk boundary).
 template <typename Value>
 struct ExternalBucketStore {
-  const Vertex* from = nullptr;
+  const Vertex* tail = nullptr;
+  const std::uint32_t* start = nullptr;  ///< runs + 1 entries
   const Vertex* to = nullptr;
   const Value* value = nullptr;
-  std::size_t count = 0;
-  std::uint64_t from_offset = 0;
+  std::size_t count = 0;  ///< slots
+  std::size_t runs = 0;
+  std::uint64_t tail_offset = 0;
+  std::uint64_t start_offset = 0;
   std::uint64_t to_offset = 0;
   std::uint64_t value_offset = 0;
   PageSource* pages = nullptr;
 };
 
-/// One edge array in struct-of-arrays layout. The (from, to) pair
-/// arrays are an immutable PairBlock shared by every fork (and, for E+,
-/// by every engine over the tree); the values sit in slab-chunked
+/// Slots [lo, hi) of one edge array, whole runs [run_lo, run_hi) of it;
+/// a leveled bucket is such a range of E+, E_lead and E_trail such
+/// ranges of the end arcs.
+struct EdgeRange {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::size_t run_lo = 0;
+  std::size_t run_hi = 0;
+
+  std::size_t size() const { return hi - lo; }
+};
+
+/// One edge array in struct-of-arrays run form. The (tail, start, to)
+/// structure is an immutable PairBlock shared by every fork (and, for
+/// E+, by every engine over the tree); the values sit in slab-chunked
 /// copy-on-write storage so set_value() on one copy never disturbs
-/// another. Shared by the scalar and lane loops of the engine's walk and
-/// the dispatched vector kernels (semiring/simd.hpp), which tolerate
-/// unaligned runs: a range that starts inside a slab streams from there.
+/// another. Every pass of the engine's walk and the dispatched vector
+/// kernels (semiring/simd.hpp) read it in chunks of whole runs
+/// (for_each_chunk): no run crosses a slab multiple, so every chunk's
+/// values are flat.
 ///
-/// A bucket is either *owned* (the above) or *external*: a read-only
+/// An array is either *owned* (the above) or *external*: a read-only
 /// view into an mmapped engine image whose residency a PageSource
-/// controls. External buckets are immutable — set_value/refresh are
-/// fatal — and every kernel reads them through for_each_values_run(),
-/// which pins each chunk's pages for the duration of its scan. Edge
-/// order is identical in both modes, so results are bit-identical.
+/// controls. External arrays are immutable — set_value is fatal — and
+/// every kernel reads them through for_each_chunk(), which pins each
+/// chunk's pages for the duration of its scan. Edge order and runs are
+/// identical in both modes, so results are bit-identical.
 template <Semiring S>
 class EdgeBucket {
  public:
@@ -90,8 +112,7 @@ class EdgeBucket {
 
   EdgeBucket() = default;
 
-  /// An owned bucket: `values[i]` belongs to the pair (pairs->from[i],
-  /// pairs->to[i]).
+  /// An owned array: `values[i]` belongs to slot i of `pairs`.
   EdgeBucket(std::shared_ptr<const PairBlock> pairs, SlabVector<Value> values)
       : pairs_(std::move(pairs)), values_(std::move(values)) {
     SEPSP_CHECK(pairs_->size() == values_.size());
@@ -109,72 +130,87 @@ class EdgeBucket {
     return pairs_ ? pairs_->size() : 0;
   }
   bool empty() const { return size() == 0; }
+  std::size_t num_runs() const {
+    if (ext_) return ext_->runs;
+    return pairs_ ? pairs_->num_runs() : 0;
+  }
 
   // --- frozen access ----------------------------------------------------
-  const Vertex* from_data() const {
-    if (ext_) return ext_->from;
-    return pairs_ ? pairs_->from.data() : nullptr;
+  /// Run r's tail; its slots are [start_data()[r], start_data()[r + 1]).
+  const Vertex* tail_data() const {
+    if (ext_) return ext_->tail;
+    return pairs_ ? pairs_->tail.data() : nullptr;
+  }
+  /// num_runs() + 1 entries, from 0 to size().
+  const std::uint32_t* start_data() const {
+    if (ext_) return ext_->start;
+    return pairs_ ? pairs_->start.data() : kNoRuns;
   }
   const Vertex* to_data() const {
     if (ext_) return ext_->to;
     return pairs_ ? pairs_->to.data() : nullptr;
   }
-  /// The mapped segments behind an external bucket; null when owned.
+  /// The mapped segments behind an external array; null when owned.
   const ExternalBucketStore<Value>* external() const { return ext_.get(); }
   /// Owned value store (slab introspection, the image writer). External
-  /// buckets have no slab store — read through for_each_values_run().
+  /// arrays have no slab store — read through for_each_chunk().
   const SlabVector<Value>& values() const { return values_; }
   Value value(std::size_t i) const {
     return ext_ ? ext_->value[i] : values_[i];
   }
 
-  /// Streams the values of edges [lo, hi) as contiguous runs
-  /// f(lo, len, value_ptr) — the single value-access path of every
-  /// relaxation kernel. Owned arrays yield one run per value slab
-  /// touched; external ones yield fixed-size chunks, each scanned under
-  /// a page pin covering the chunk's from/to/value bytes (residency
-  /// accounting + eviction protection). Run boundaries differ between
-  /// the modes but edge order does not.
-  template <typename F>
-  void for_each_values_run(std::size_t lo, std::size_t hi, F&& f) const {
-    if (!ext_) {
-      values_.for_each_run(lo, hi, std::forward<F>(f));
-      return;
-    }
-    for (; lo < hi; lo += kChunk) {
-      const std::size_t len = std::min(kChunk, hi - lo);
-      const PinLease lease = pin_span(lo, len);
-      f(lo, len, ext_->value + lo);
-    }
+  /// The range of whole runs covering slots [lo, hi); both must be run
+  /// starts (or size()).
+  EdgeRange range(std::size_t lo, std::size_t hi) const {
+    const std::uint32_t* start = start_data();
+    const std::uint32_t* end = start + num_runs() + 1;
+    const auto run = [&](std::size_t slot) {
+      const std::uint32_t* at = std::lower_bound(start, end, slot);
+      SEPSP_CHECK_MSG(at != end && *at == slot,
+                      "edge range bound is not a run start");
+      return static_cast<std::size_t>(at - start);
+    };
+    return {lo, hi, run(lo), run(hi)};
   }
-  template <typename F>
-  void for_each_values_run(F&& f) const {
-    for_each_values_run(0, size(), std::forward<F>(f));
-  }
+  EdgeRange all() const { return {0, size(), 0, num_runs()}; }
 
-  /// Streams edges [lo, hi) as chunks f(lo, hi) whose tails
-  /// (from_data()) may be read: an owned array yields one chunk, an
-  /// external one the chunks of for_each_values_run, each under a pin of
-  /// its `from` bytes alone. The climb reads tails here and pins a
-  /// run's heads and values only when it relaxes the run.
+  /// Streams runs [r, r_end) as chunks f(r_lo, r_hi, value) of whole
+  /// runs whose values are flat: value points at slot
+  /// start_data()[r_lo]. The single value-access path of every
+  /// relaxation kernel. Owned arrays yield one chunk per value slab
+  /// touched; external ones one per kChunk slots, each scanned under a
+  /// page pin covering the chunk's run, head and value bytes (residency
+  /// accounting + eviction protection). No run crosses either boundary.
   template <typename F>
-  void for_each_tails_chunk(std::size_t lo, std::size_t hi, F&& f) const {
-    if (!ext_) {
-      if (lo < hi) f(lo, hi);
-      return;
+  void for_each_chunk(std::size_t r, std::size_t r_end, F&& f) const {
+    const std::uint32_t* start = start_data();
+    const std::size_t unit = ext_ ? kChunk : SlabVector<Value>::kSlabEntries;
+    while (r < r_end) {
+      const std::size_t lo = start[r];
+      const std::size_t cap = (lo / unit + 1) * unit;
+      const std::size_t next =
+          start[r_end] <= cap
+              ? r_end
+              : static_cast<std::size_t>(
+                    std::lower_bound(start + r + 1, start + r_end, cap) -
+                    start);
+      if (!ext_) {
+        f(r, next, values_.slab_data(lo / unit) + lo % unit);
+      } else {
+        const PinLease lease = pin_runs(r, next);
+        f(r, next, ext_->value + lo);
+      }
+      r = next;
     }
-    for (; lo < hi; lo += kChunk) {
-      const std::size_t len = std::min(kChunk, hi - lo);
-      PinLease lease;
-      lease.add(ext_->pages, ext_->from_offset + lo * sizeof(Vertex),
-                len * sizeof(Vertex));
-      f(lo, lo + len);
-    }
+  }
+  template <typename F>
+  void for_each_chunk(EdgeRange range, F&& f) const {
+    for_each_chunk(range.run_lo, range.run_hi, std::forward<F>(f));
   }
 
   /// In-place value patch (incremental reweighting). Returns true when
   /// the write detached a slab shared with a fork (copy-on-write).
-  /// External buckets are read-only.
+  /// External arrays are read-only.
   bool set_value(std::size_t i, Value v) {
     SEPSP_CHECK_MSG(!ext_, "EdgeBucket: cannot patch an external (stored) "
                            "bucket — the image is read-only");
@@ -183,7 +219,7 @@ class EdgeBucket {
 
   /// Structurally-shared copy: aliases the pair block and every value
   /// slab; the origin's next set_value() on a shared slab clones it.
-  /// External buckets fork by aliasing the mapped view.
+  /// External arrays fork by aliasing the mapped view.
   EdgeBucket fork() {
     EdgeBucket out;
     out.pairs_ = pairs_;
@@ -199,21 +235,32 @@ class EdgeBucket {
   }
 
  private:
-  /// An external bucket's scan unit: 8 slabs' worth per chunk, large
+  /// An external array's scan unit: 8 slabs' worth per chunk, large
   /// enough that pin bookkeeping vanishes against the scan, small enough
   /// that a sweep's pinned working set stays a handful of pages per
-  /// array.
+  /// array. A multiple of the slab, so runs never cross it either.
   static constexpr std::size_t kChunk = 8 * SlabVector<Value>::kSlabEntries;
+  static_assert(SlabVector<Value>::kSlabEntries == PairBlock::kRunSlots,
+                "runs are cut at the value slab");
 
-  PinLease pin_span(std::size_t lo, std::size_t len) const {
+  /// The start array of an array with no pair block: no runs.
+  static constexpr std::uint32_t kNoRuns[1] = {0};
+
+  /// Pins runs [r, r_end)'s tails and starts, and their slots' heads and
+  /// values.
+  PinLease pin_runs(std::size_t r, std::size_t r_end) const {
     PinLease lease;
-    if (ext_->pages != nullptr && len != 0) {
-      lease.add(ext_->pages, ext_->from_offset + lo * sizeof(Vertex),
-                len * sizeof(Vertex));
+    const std::size_t lo = ext_->start[r];
+    const std::size_t hi = ext_->start[r_end];
+    if (ext_->pages != nullptr && r < r_end) {
+      lease.add(ext_->pages, ext_->tail_offset + r * sizeof(Vertex),
+                (r_end - r) * sizeof(Vertex));
+      lease.add(ext_->pages, ext_->start_offset + r * sizeof(std::uint32_t),
+                (r_end - r + 1) * sizeof(std::uint32_t));
       lease.add(ext_->pages, ext_->to_offset + lo * sizeof(Vertex),
-                len * sizeof(Vertex));
+                (hi - lo) * sizeof(Vertex));
       lease.add(ext_->pages, ext_->value_offset + lo * sizeof(Value),
-                len * sizeof(Value));
+                (hi - lo) * sizeof(Value));
     }
     return lease;
   }
@@ -223,13 +270,15 @@ class EdgeBucket {
   std::shared_ptr<const ExternalBucketStore<Value>> ext_;
 };
 
-/// Assembled view of one v7 engine image's edge segments, produced by
+/// Assembled view of one v8 engine image's edge segments, produced by
 /// the store subsystem (store/stored_engine.hpp), which builds an engine
 /// over them. All pointers reference the mapped image and must outlive
 /// the engine. `eplus` is E+ in sweep order and
 /// `bucket_offset` its bucket table (EplusPlan::bucket_offset); `ends`
 /// is the engine's end-arc array and `ends_split` its (a, b) split
-/// (SeparatorShortestPaths::end_edges()).
+/// (SeparatorShortestPaths::end_edges()). Every bucket offset and both
+/// split points are run starts; `bucket_run` (EplusPlan::bucket_run)
+/// numbers the run each bucket offset starts.
 template <Semiring S>
 struct StoredBuckets {
   using Value = typename S::Value;
@@ -237,16 +286,8 @@ struct StoredBuckets {
   ExternalBucketStore<Value> ends;
   ExternalBucketStore<Value> eplus;
   std::vector<std::uint64_t> bucket_offset;
+  std::vector<std::uint32_t> bucket_run;
   std::array<std::uint64_t, 2> ends_split{};
-};
-
-/// Edges [lo, hi) of one edge array; a leveled bucket is such a range
-/// of E+.
-struct EdgeRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-
-  std::size_t size() const { return hi - lo; }
 };
 
 }  // namespace sepsp

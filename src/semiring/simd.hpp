@@ -249,7 +249,6 @@ inline void lane_loop(typename S::Value* dst, const typename S::Value* src,
 }
 
 /// ORs bit l of `bits` into changed[l] for each lane l < lanes.
-template <typename Tag = void>
 inline void or_lane_bits(std::uint8_t* changed, std::uint64_t bits,
                          std::size_t lanes) {
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -257,23 +256,80 @@ inline void or_lane_bits(std::uint8_t* changed, std::uint64_t bits,
   }
 }
 
-/// The negative-cycle check over m edges of a lane-major matrix of row
-/// width `width`: sets found[l] (l < lanes) when some edge still
-/// improves its head significantly in lane l (S::detect_improves),
-/// skipping unreached lanes. Not dispatched: scalar at every tier.
+/// Calls f(lanes), one lane as a compile-time constant: the lane loop
+/// then compiles to one combine per edge, not a loop versioned for rows.
+template <typename F>
+inline void with_lane_count(std::size_t lanes, F&& f) {
+  lanes == 1 ? f(std::integral_constant<std::size_t, 1>{}) : f(lanes);
+}
+
+/// The run form every edge pass takes (PairBlock, separator/eplus_plan.hpp):
+/// `runs` runs, run r leaving vertex tail[r] over slots [start[r],
+/// start[r + 1]), whose heads and values sit at to[j - start[0]] and
+/// value[j - start[0]] (the arrays begin at the first run's first slot).
+/// The lane-major matrix dist has row width `lanes` <= 64.
+///
+/// run_loop is one pass: lane_loop for every slot, from the tail's lanes
+/// read once per run. No slot after a run's first one writes the tail's
+/// row (a run ends right after a self-loop), so that is exactly the
+/// per-slot order. With kTrack, sets bit l of `bits` when lane l
+/// changed.
+template <Semiring S, bool kTrack>
+inline void run_loop(typename S::Value* dist, const std::uint32_t* tail,
+                     const std::uint32_t* start, std::size_t runs,
+                     const std::uint32_t* to, const typename S::Value* value,
+                     std::size_t lanes, std::uint64_t& bits) {
+  with_lane_count(lanes, [&](auto width) {
+    const std::size_t base = start[0];
+    for (std::size_t r = 0; r < runs; ++r) {
+      typename S::Value src[64];
+      std::copy_n(dist + static_cast<std::size_t>(tail[r]) * width,
+                  std::size_t{width}, src);
+      const std::size_t end = start[r + 1] - base;
+      for (std::size_t j = start[r] - base; j < end; ++j) {
+        lane_loop<S, kTrack>(dist + static_cast<std::size_t>(to[j]) * width,
+                             src, value[j], 0, width, bits);
+      }
+    }
+  });
+}
+
+/// The tracked pass (the E_lead and E_trail passes,
+/// distances_unscheduled): run_loop at every width, ORing each lane's
+/// change flag into changed[0..lanes) (callers zero it per pass). Not
+/// dispatched.
+template <Semiring S>
+inline void tracked_sweep(typename S::Value* dist, const std::uint32_t* tail,
+                          const std::uint32_t* start, std::size_t runs,
+                          const std::uint32_t* to,
+                          const typename S::Value* value, std::size_t lanes,
+                          std::uint8_t* changed) {
+  std::uint64_t bits = 0;
+  run_loop<S, true>(dist, tail, start, runs, to, value, lanes, bits);
+  or_lane_bits(changed, bits, lanes);
+}
+
+/// The negative-cycle check over runs in run_loop's form: sets found[l]
+/// (l < active lanes) when some slot still improves its head
+/// significantly in lane l (S::detect_improves), skipping unreached
+/// lanes. Not dispatched: scalar at every tier.
 template <Semiring S>
   requires S::kDetectNegativeCycles
 inline void bucket_detect(const typename S::Value* dist,
-                          const std::uint32_t* from, const std::uint32_t* to,
-                          const typename S::Value* value, std::size_t m,
-                          std::size_t width, std::size_t lanes, bool* found) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto* du = dist + static_cast<std::size_t>(from[i]) * width;
-    const auto* dw = dist + static_cast<std::size_t>(to[i]) * width;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (!S::improves(S::zero(), du[l])) continue;  // unreached
-      if (S::detect_improves(dw[l], relax_extend<S>(du[l], value[i]))) {
-        found[l] = true;
+                          const std::uint32_t* tail, const std::uint32_t* start,
+                          std::size_t runs, const std::uint32_t* to,
+                          const typename S::Value* value, std::size_t width,
+                          std::size_t lanes, bool* found) {
+  const std::size_t base = start[0];
+  for (std::size_t r = 0; r < runs; ++r) {
+    const auto* du = dist + static_cast<std::size_t>(tail[r]) * width;
+    for (std::size_t j = start[r] - base; j < start[r + 1] - base; ++j) {
+      const auto* dw = dist + static_cast<std::size_t>(to[j]) * width;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        if (!S::improves(S::zero(), du[l])) continue;  // unreached
+        if (S::detect_improves(dw[l], relax_extend<S>(du[l], value[j]))) {
+          found[l] = true;
+        }
       }
     }
   }
@@ -301,14 +357,12 @@ inline void bucket_detect(const typename S::Value* dist,
 //                              fw_panel_loops, as inline row loops.
 //   combine_row(dst, src, n):  combine_row_loop; returns nonzero iff
 //                              any improves().
-//   sweep(dist, from, to, value, m, lanes, changed):
-//                              lane_loop for each edge i, from
-//                              dist[from[i]*lanes..] to
-//                              dist[to[i]*lanes..] — one batched-query
-//                              bucket pass. 2 <= lanes <= 64. A null
-//                              `changed` is an untracked pass; else the
-//                              pass ORs each lane's change flag into
-//                              changed[0..lanes).
+//   sweep(dist, tail, start, runs, to, value, lanes):
+//                              run_loop untracked — one batched-query
+//                              bucket pass over runs, each tail's lanes
+//                              held in registers for its whole run when
+//                              the row is 1, 2, 4 or 8 vectors.
+//                              2 <= lanes <= 64.
 template <typename V>
 using ProductKernel = void(V* o, std::size_t ldo, const V* a,
                            std::size_t lda, const V* b, std::size_t ldb,
@@ -320,10 +374,10 @@ using FwPanelKernel = void(V* m, std::size_t ld, std::size_t n,
 template <typename V>
 using CombineRowKernel = int(V* dst, const V* src, std::size_t n);
 template <typename V>
-using SweepKernel = void(V* dist, const std::uint32_t* from,
+using SweepKernel = void(V* dist, const std::uint32_t* tail,
+                         const std::uint32_t* start, std::size_t runs,
                          const std::uint32_t* to, const V* value,
-                         std::size_t m, std::size_t lanes,
-                         std::uint8_t* changed);
+                         std::size_t lanes);
 
 struct KernelTable {
   ProductKernel<double>* product_minplus_d;
@@ -458,51 +512,23 @@ inline bool vector_dispatch_active(std::size_t lanes) {
   return lanes > 1 && vector_dispatch_active<S>();
 }
 
-/// Calls f(lanes), one lane as a compile-time constant: the lane loop
-/// then compiles to one combine per edge, not a loop versioned for rows.
-template <typename F>
-inline void with_lane_count(std::size_t lanes, F&& f) {
-  lanes == 1 ? f(std::integral_constant<std::size_t, 1>{}) : f(lanes);
-}
-
-/// bucket_sweep's scalar loop: lane_loop for every edge.
-template <Semiring S, bool kTrack>
-inline void sweep_loop(typename S::Value* dist, const std::uint32_t* from,
-                       const std::uint32_t* to, const typename S::Value* value,
-                       std::size_t m, std::size_t lanes,
-                       std::uint8_t* changed) {
-  std::uint64_t bits = 0;
-  with_lane_count(lanes, [&](auto width) {
-    for (std::size_t i = 0; i < m; ++i) {
-      lane_loop<S, kTrack>(dist + static_cast<std::size_t>(to[i]) * width,
-                           dist + static_cast<std::size_t>(from[i]) * width,
-                           value[i], 0, width, bits);
-    }
-  });
-  if constexpr (kTrack) or_lane_bits(changed, bits, lanes);
-}
-
-/// One bucket pass of the lane-batched query: for every edge, relax
-/// `lanes` contiguous lanes of the lane-major dist matrix. lanes <= 64.
-/// A non-null `changed` records per-lane improvement into
-/// changed[0..lanes) (OR-semantics; callers zero the array per pass).
+/// One untracked bucket pass of the lane-batched query over runs (see
+/// run_loop): the tier's vector kernel when vector_dispatch_active,
+/// else run_loop inline.
 template <Semiring S>
-inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* from,
+inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* tail,
+                         const std::uint32_t* start, std::size_t runs,
                          const std::uint32_t* to,
-                         const typename S::Value* value, std::size_t m,
-                         std::size_t lanes, std::uint8_t* changed = nullptr) {
+                         const typename S::Value* value, std::size_t lanes) {
   if constexpr (kVectorizable<S>) {
     if (vector_dispatch_active<S>(lanes)) {
-      (table(active_tier()).*KindTraits<S>::kSweep)(dist, from, to, value, m,
-                                                    lanes, changed);
+      (table(active_tier()).*KindTraits<S>::kSweep)(dist, tail, start, runs,
+                                                    to, value, lanes);
       return;
     }
   }
-  if (changed != nullptr) {
-    sweep_loop<S, true>(dist, from, to, value, m, lanes, changed);
-  } else {
-    sweep_loop<S, false>(dist, from, to, value, m, lanes, nullptr);
-  }
+  std::uint64_t bits = 0;
+  run_loop<S, false>(dist, tail, start, runs, to, value, lanes, bits);
 }
 
 }  // namespace sepsp::simd

@@ -181,22 +181,34 @@ EplusPlan build_eplus_plan(const SeparatorTree& tree) {
     plan.owner_offset[s + 1] += plan.owner_offset[s];
   }
 
-  // Every slot's pair and owners (its run, in ascending entry order),
-  // and every off-diagonal entry's slot.
-  PairBlock& slots = plan.slots;
-  slots.from.resize(num_slots);
-  slots.to.resize(num_slots);
+  // Every slot's owners (its run of equal pairs, in ascending entry
+  // order) and tail, every off-diagonal entry's slot; then the slots in
+  // run form, a run cut at every bucket boundary.
+  std::vector<Vertex> tail(num_slots), head(num_slots);
   plan.entry_slot.assign(total, EplusPlan::kNoSlot);
   for (std::size_t r = 0; r < num_slots; ++r) {
     const std::uint32_t s = slot_of_run[r];
-    slots.from[s] = from[order[run_start[r]]];
-    slots.to[s] = to[order[run_start[r]]];
+    tail[s] = from[order[run_start[r]]];
+    head[s] = to[order[run_start[r]]];
     std::uint32_t o = plan.owner_offset[s];
     for (std::uint32_t k = run_start[r]; k < run_start[r + 1]; ++k) {
       plan.entry_slot[order[k]] = s;
       sorted[o++] = order[k];
     }
   }
+  // The entries' pairs are spent: free them before the slot arrays grow.
+  std::vector<Vertex>().swap(from);
+  std::vector<Vertex>().swap(to);
+  PairBlock& slots = plan.slots;
+  slots.to.reserve(num_slots);
+  plan.bucket_run.resize(num_buckets + 1);
+  for (std::size_t k = 0; k < num_buckets; ++k) {
+    plan.bucket_run[k] = static_cast<std::uint32_t>(slots.num_runs());
+    for (std::size_t s = bucket[k]; s < bucket[k + 1]; ++s) {
+      slots.append(tail[s], head[s], s == bucket[k]);
+    }
+  }
+  plan.bucket_run[num_buckets] = static_cast<std::uint32_t>(slots.num_runs());
   plan.owner_entry = std::move(sorted);
   plan.gather = build_gather_plan(tree);
   return plan;

@@ -22,9 +22,11 @@
 // adds no edges: it fixes the order in which E u E+ is scanned. The
 // plan therefore numbers the slots in sweep order — for l = h..0 the
 // level-l same bucket then the level-l down bucket, then the up
-// buckets of levels 0..h — and (from, to) order inside each bucket.
-// Every bucket is a range of the one slot array, so every engine over
-// the tree aliases that array and owns one value per slot.
+// buckets of levels 0..h — and (from, to) order inside each bucket,
+// so the slots that leave one vertex are contiguous: the slot array is
+// stored as runs (PairBlock), one (tail, start) entry per run. Every
+// bucket is a range of whole runs of the one slot array, so every
+// engine over the tree aliases that array and owns one value per slot.
 //
 // Beside it rides the gather plan: where each internal node's steps
 // read its children's boundary matrices. It too depends only on the
@@ -33,11 +35,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "util/aligned.hpp"
+#include "util/check.hpp"
+#include "util/slab.hpp"
 
 namespace sepsp {
 
@@ -95,14 +100,51 @@ struct LevelAssignment {
   bool defined(Vertex v) const { return level[v] != kUndefined; }
 };
 
-/// The (from, to) structure of an edge array (E+, or the base arcs),
-/// struct-of-arrays and 64-byte aligned. Immutable once built; engines
-/// share it.
+/// The (tail, to) structure of an edge array (E+, the base arcs or the
+/// end arcs) in run form, struct-of-arrays and 64-byte aligned. A run is
+/// a stretch of slots that leave one vertex: run r's slots are
+/// [start[r], start[r + 1]), all with tail tail[r], and slot i's head is
+/// to[i]. append() cuts a run at a caller's boundary (a bucket, an
+/// end-arc class), at a change of tail, at every multiple of
+/// kRunSlots (so no run straddles a value slab or a stored chunk) and
+/// right after a self-loop. Under these cuts no slot after a run's first
+/// one writes its tail's row, so a sweep may load the tail's lanes once
+/// per run (docs/ALGORITHMS.md §4). Immutable once built; engines share
+/// it.
 struct PairBlock {
-  AlignedVector<Vertex> from;
-  AlignedVector<Vertex> to;
+  /// The slab size (SlabVector::kSlabEntries): runs never cross one of
+  /// its multiples.
+  static constexpr std::size_t kRunSlots = SlabVector<Vertex>::kSlabEntries;
 
-  std::size_t size() const { return from.size(); }
+  AlignedVector<Vertex> tail;                   ///< one per run
+  AlignedVector<std::uint32_t> start = {0};     ///< one per run, then size()
+  AlignedVector<Vertex> to;                     ///< one per slot
+
+  std::size_t size() const { return to.size(); }
+  std::size_t num_runs() const { return tail.size(); }
+
+  /// Room for `slots` slots in at most `runs` runs plus the slab cuts.
+  void reserve(std::size_t slots, std::size_t runs) {
+    to.reserve(slots);
+    tail.reserve(runs + slots / kRunSlots);
+    start.reserve(runs + slots / kRunSlots + 1);
+  }
+
+  /// Appends slot (u, v); `cut` opens a new run whatever the tail.
+  void append(Vertex u, Vertex v, bool cut) {
+    const std::size_t s = to.size();
+    if (cut || s % kRunSlots == 0 || tail.back() != u || to.back() == u) {
+      // A run holds at most kRunSlots slots, so checking where each run
+      // opens keeps every start a u32.
+      SEPSP_CHECK_MSG(
+          s <= std::numeric_limits<std::uint32_t>::max() - kRunSlots,
+          "edge array exceeds 2^32 - 1 slots (u32 run starts)");
+      tail.push_back(u);
+      start.push_back(static_cast<std::uint32_t>(s));
+    }
+    to.push_back(v);
+    start.back() = static_cast<std::uint32_t>(s + 1);
+  }
 };
 
 /// Weight-independent layout of E+ over one separator tree.
@@ -139,13 +181,16 @@ struct EplusPlan {
   /// (|B|^2 cells, row-major), diagonals included. Size num_nodes + 1.
   std::vector<std::size_t> node_offset;
   /// One slot per distinct pair, in sweep order: by bucket rank, then
-  /// (from, to).
+  /// (from, to); in run form, with a run cut at every bucket boundary.
   PairBlock slots;
   /// Bucket k holds slots [bucket_offset[k], bucket_offset[k + 1]),
   /// k = bucket_rank(kind, level, levels.height). Both endpoints of
   /// every slot have a level (they lie in some S(t)), so every slot sits
   /// in exactly one bucket. Size num_buckets(levels.height) + 1.
   std::vector<std::uint64_t> bucket_offset;
+  /// Bucket k's runs of `slots` are [bucket_run[k], bucket_run[k + 1]):
+  /// every bucket boundary is a run boundary. Same size.
+  std::vector<std::uint32_t> bucket_run;
   /// The slot of every entry; kNoSlot for a diagonal cell.
   std::vector<std::uint32_t> entry_slot;
   /// Owner CSR: slot s's entries are owner_entry[owner_offset[s] ..

@@ -1,7 +1,7 @@
-// Serialization v7: the page-aligned on-disk image of a built engine
+// Serialization v8: the page-aligned on-disk image of a built engine
 // (ROADMAP "continent-scale graphs").
 //
-// The v7 image is the repository's one persistence format. It is laid
+// The v8 image is the repository's one persistence format. It is laid
 // out to be *mapped*: every segment starts on a 4 KiB page boundary and
 // stores its array verbatim, so an engine can serve queries straight
 // out of the mapping with a buffer pool (store/pool.hpp) controlling
@@ -13,6 +13,14 @@
 // of it, named by the kBucketOffsets table, laid out in the order the
 // sweeps scan them. A cold query therefore faults pages in long
 // sequential runs instead of seeking.
+//
+// Every edge array is stored in run form (PairBlock,
+// separator/eplus_plan.hpp): a run-tail segment and a run-start segment
+// (one more entry than runs, from 0 to the slot count) beside the
+// per-slot head and value segments. Every bucket offset and both points
+// of the end-arc split are run starts, and no run crosses a multiple of
+// SlabVector::kSlabEntries; the reader checks both before any kernel
+// reads a run.
 //
 // The edge segments hold the heap engine's arrays byte for byte; an
 // engine opened from the image replays the identical edge order and
@@ -30,11 +38,12 @@
 //
 // All integers are little-endian PODs; value segments store the
 // semiring's Value type verbatim (all shipped semirings are trivially
-// copyable). Writers emit and readers accept version 7 only: 1 and 2
+// copyable). Writers emit and readers accept version 8 only: 1 and 2
 // were retired stream formats, 3 lacked the header flags and carried a
 // node-of segment no reader used, 4 stored E+ twice (in slot order and
 // again per leveled bucket), 5 carried the vertex levels no query
-// reads, and 6 lacked the end arcs (the base passes scanned every arc).
+// reads, 6 lacked the end arcs (the base passes scanned every arc), and
+// 7 stored every edge array's tails per slot instead of per run.
 // The image holds no separator tree and no levels: queries read only
 // the bucket table, the end-arc split and the edges.
 #pragma once
@@ -50,40 +59,61 @@ namespace sepsp::store {
 /// "SEP3" little-endian: the family's magic since v3; `version` tells
 /// the layouts apart.
 inline constexpr std::uint32_t kMagic = 0x33504553;
-inline constexpr std::uint32_t kVersion = 7;
+inline constexpr std::uint32_t kVersion = 8;
 
 /// Header::flags bits. Readers reject any bit outside kKnownFlags.
 inline constexpr std::uint64_t kFlagCycleCertified = 1;  ///< certified
 inline constexpr std::uint64_t kKnownFlags = kFlagCycleCertified;
 
-/// What one directory entry's payload is. From/to segments are Vertex
-/// (u32) arrays; value segments are Value arrays; the CSR offsets and
-/// the bucket table are u64, arc weights double. Kind 1 is retired (v5
-/// stored LevelAssignment::level there), and so are kind 2 (v3's
-/// LevelAssignment::node) and kinds 12-20 (v4's per-level copies of the
-/// leveled buckets).
+/// What one directory entry's payload is. Run-tail and head segments
+/// are Vertex (u32) arrays, run starts u32; value segments are Value
+/// arrays; the CSR offsets and the bucket table are u64, arc weights
+/// double. Kind 1 is retired (v5 stored LevelAssignment::level there),
+/// and so are kind 2 (v3's LevelAssignment::node), kinds 12-20 (v4's
+/// per-level copies of the leveled buckets) and kinds 6, 9 and 22 (v7's
+/// per-slot tails).
 enum class SegmentKind : std::uint32_t {
   kGraphOffsets = 3,  ///< CSR row offsets, n + 1 entries
   kGraphArcTo = 4,    ///< CSR arc targets, m entries
   kGraphArcWeight = 5,  ///< CSR arc weights, m entries
-  kBaseFrom = 6,
-  kBaseTo = 7,
+  kBaseTo = 7,  ///< the base arcs in CSR order, num_edges slots
   kBaseValue = 8,
-  kShortcutFrom = 9,  ///< E+ in sweep order, num_shortcuts entries
-  kShortcutTo = 10,
+  kShortcutTo = 10,  ///< E+ in sweep order, num_shortcuts slots
   kShortcutValue = 11,
   /// EplusPlan::bucket_offset: 3 (height + 1) + 1 entries, from 0 to
   /// num_shortcuts, non-decreasing.
   kBucketOffsets = 21,
   /// The end arcs (SeparatorShortestPaths::end_edges()), any count up
-  /// to num_edges; the three segments agree on it.
-  kEndsFrom = 22,
+  /// to num_edges; the head and value segments agree on it.
   kEndsTo = 23,
   kEndsValue = 24,
   /// The end arcs' split (a, b), u64, 2 entries, a <= b <= their count:
   /// the leading passes scan [0, b), the trailing passes [a, count).
   kEndsSplit = 25,
+  /// Each edge array's runs: the tails (one per run) and the starts
+  /// (runs + 1 entries, strictly increasing from 0 to the slot count).
+  kBaseRunTail = 26,
+  kBaseRunStart = 27,
+  kShortcutRunTail = 28,
+  kShortcutRunStart = 29,
+  kEndsRunTail = 30,
+  kEndsRunStart = 31,
 };
+
+/// The four segments of one edge array in run form: run tails, run
+/// starts, heads and values.
+struct EdgeArraySegments {
+  SegmentKind tail, start, to, value;
+};
+inline constexpr EdgeArraySegments kBaseSegments{
+    SegmentKind::kBaseRunTail, SegmentKind::kBaseRunStart,
+    SegmentKind::kBaseTo, SegmentKind::kBaseValue};
+inline constexpr EdgeArraySegments kEndsSegments{
+    SegmentKind::kEndsRunTail, SegmentKind::kEndsRunStart,
+    SegmentKind::kEndsTo, SegmentKind::kEndsValue};
+inline constexpr EdgeArraySegments kShortcutSegments{
+    SegmentKind::kShortcutRunTail, SegmentKind::kShortcutRunStart,
+    SegmentKind::kShortcutTo, SegmentKind::kShortcutValue};
 
 /// One directory entry. `offset` is page-aligned; `bytes` is the
 /// unpadded payload size (count * element size — the reader verifies).

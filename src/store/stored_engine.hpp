@@ -1,5 +1,5 @@
 // Open-from-file engine: the query half of SeparatorShortestPaths
-// served out of a v7 image (store/format.hpp) through a buffer pool
+// served out of a v8 image (store/format.hpp) through a buffer pool
 // (store/pool.hpp).
 //
 // open() maps the image, validates the header and every directory
@@ -312,11 +312,11 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
   // --- edge views -------------------------------------------------------
   StoredBuckets<S> buckets;
   buckets.bucket_offset = std::move(bucket_offset);
-  // The end arcs' count is their from segment's (at most m); the split
+  // The end arcs' count is their head segment's (at most m); the split
   // (a, b) must satisfy a <= b <= that count before anything uses it.
   std::vector<std::uint64_t> ends_split;
   const auto ends_rec =
-      index.find(static_cast<std::uint32_t>(SegmentKind::kEndsFrom));
+      index.find(static_cast<std::uint32_t>(SegmentKind::kEndsTo));
   const std::uint64_t ends_count =
       ends_rec == index.end() ? 0 : ends_rec->second->count;
   if (ends_rec == index.end() || ends_count > m ||
@@ -330,48 +330,103 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     return std::nullopt;
   }
   buckets.ends_split = {ends_split[0], ends_split[1]};
-  auto view = [&](SegmentKind from_kind, SegmentKind to_kind,
-                  SegmentKind value_kind, std::uint64_t count,
-                  ExternalBucketStore<Value>* out) {
-    const SegmentRecord* from_rec = find(from_kind, count);
-    const SegmentRecord* to_rec2 = find(to_kind, count);
-    const SegmentRecord* value_rec = find(value_kind, count);
-    if (from_rec == nullptr || to_rec2 == nullptr || value_rec == nullptr) {
+  // One edge array's four segments. Its runs are validated here, before
+  // any kernel reads them, so the kernels index dist[] unchecked exactly
+  // as over heap arrays: every run tail and head < n, run starts
+  // strictly increasing from 0 to the slot count, and no run across a
+  // slab multiple.
+  auto view = [&](const char* name, const EdgeArraySegments& kinds,
+                  std::uint64_t count, ExternalBucketStore<Value>* out) {
+    const auto tail_it = index.find(static_cast<std::uint32_t>(kinds.tail));
+    const std::uint64_t runs =
+        tail_it == index.end() ? 0 : tail_it->second->count;
+    const SegmentRecord* tail_rec = find(kinds.tail, runs);
+    const SegmentRecord* start_rec = find(kinds.start, runs + 1);
+    const SegmentRecord* to_rec2 = find(kinds.to, count);
+    const SegmentRecord* value_rec = find(kinds.value, count);
+    if (to_rec2 == nullptr || value_rec == nullptr) {
+      set_error(error, "image: missing or inconsistent edge segments");
       return false;
     }
-    out->from = reinterpret_cast<const Vertex*>(data_at(from_rec));
+    if (tail_rec == nullptr || start_rec == nullptr) {
+      set_error(error, std::string("image: ") + name +
+                           " run segments missing or miscounted");
+      return false;
+    }
+    out->tail = reinterpret_cast<const Vertex*>(data_at(tail_rec));
+    out->start = reinterpret_cast<const std::uint32_t*>(data_at(start_rec));
     out->to = reinterpret_cast<const Vertex*>(data_at(to_rec2));
     out->value = reinterpret_cast<const Value*>(data_at(value_rec));
     out->count = count;
-    out->from_offset = from_rec->offset;
+    out->runs = runs;
+    out->tail_offset = tail_rec->offset;
+    out->start_offset = start_rec->offset;
     out->to_offset = to_rec2->offset;
     out->value_offset = value_rec->offset;
     out->pages = impl->pool.get();
-    return true;
-  };
-  if (!view(SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
-            SegmentKind::kBaseValue, m, &buckets.base) ||
-      !view(SegmentKind::kEndsFrom, SegmentKind::kEndsTo,
-            SegmentKind::kEndsValue, ends_count, &buckets.ends) ||
-      !view(SegmentKind::kShortcutFrom, SegmentKind::kShortcutTo,
-            SegmentKind::kShortcutValue, h.num_shortcuts, &buckets.eplus)) {
-    set_error(error, "image: missing or inconsistent edge segments");
-    return std::nullopt;
-  }
-  // Edge endpoints index vertices; validate once here so the kernels
-  // can index dist[] unchecked, exactly like heap arrays.
-  auto endpoints_ok = [&](const ExternalBucketStore<Value>& b) {
     PinLease lease;
-    lease.add(impl->pool.get(), b.from_offset, b.count * sizeof(Vertex));
-    lease.add(impl->pool.get(), b.to_offset, b.count * sizeof(Vertex));
-    for (std::uint64_t i = 0; i < b.count; ++i) {
-      if (b.from[i] >= n || b.to[i] >= n) return false;
+    lease.add(impl->pool.get(), tail_rec->offset, tail_rec->bytes);
+    lease.add(impl->pool.get(), start_rec->offset, start_rec->bytes);
+    lease.add(impl->pool.get(), to_rec2->offset, to_rec2->bytes);
+    const std::uint32_t* start = out->start;
+    if (start[0] != 0 || start[runs] != count) {
+      set_error(error, std::string("image: ") + name +
+                           " run starts do not run from 0 to the slot count");
+      return false;
+    }
+    constexpr std::size_t kSlab = PairBlock::kRunSlots;
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      if (out->tail[r] >= n) {
+        set_error(error,
+                  std::string("image: ") + name + " run tail out of range");
+        return false;
+      }
+      if (start[r + 1] <= start[r] || start[r + 1] > count) {
+        set_error(error, std::string("image: ") + name +
+                             " run starts not strictly increasing");
+        return false;
+      }
+      if (start[r] / kSlab != (start[r + 1] - 1) / kSlab) {
+        set_error(error, std::string("image: ") + name +
+                             " run crosses a slab boundary");
+        return false;
+      }
+    }
+    for (std::uint64_t j = 0; j < count; ++j) {
+      if (out->to[j] >= n) {
+        set_error(error, "image: edge endpoint out of range");
+        return false;
+      }
     }
     return true;
   };
-  if (!endpoints_ok(buckets.base) || !endpoints_ok(buckets.ends) ||
-      !endpoints_ok(buckets.eplus)) {
-    set_error(error, "image: edge endpoint out of range");
+  if (!view("base", kBaseSegments, m, &buckets.base) ||
+      !view("end-arc", kEndsSegments, ends_count, &buckets.ends) ||
+      !view("E+", kShortcutSegments, h.num_shortcuts, &buckets.eplus)) {
+    return std::nullopt;
+  }
+  // The walk reads every bucket and both halves of the end arcs as
+  // whole runs: each bucket offset names the run it starts.
+  {
+    const std::uint32_t* start = buckets.eplus.start;
+    const std::uint32_t* end = start + buckets.eplus.runs + 1;
+    for (const std::uint64_t offset : buckets.bucket_offset) {
+      const std::uint32_t* at = std::lower_bound(start, end, offset);
+      if (at == end || *at != offset) {
+        set_error(error, "image: bucket offset " + std::to_string(offset) +
+                             " is not an E+ run start");
+        return std::nullopt;
+      }
+      buckets.bucket_run.push_back(static_cast<std::uint32_t>(at - start));
+    }
+  }
+  const auto run_start = [](const ExternalBucketStore<Value>& b,
+                            std::uint64_t slot) {
+    return std::binary_search(b.start, b.start + b.runs + 1, slot);
+  };
+  if (!run_start(buckets.ends, ends_split[0]) ||
+      !run_start(buckets.ends, ends_split[1])) {
+    set_error(error, "image: end-arc split is not a run start");
     return std::nullopt;
   }
 
@@ -390,8 +445,11 @@ std::optional<StoredEngine<S>> StoredEngine<S>::open(const std::string& path,
     for (const EplusPlan::Kind kind :
          {EplusPlan::kSame, EplusPlan::kDown, EplusPlan::kUp}) {
       const EdgeRange r = engine.bucket(kind, l);
-      impl->pool->prefetch(eplus.from_offset + r.lo * sizeof(Vertex),
-                           r.size() * sizeof(Vertex));
+      impl->pool->prefetch(eplus.tail_offset + r.run_lo * sizeof(Vertex),
+                           (r.run_hi - r.run_lo) * sizeof(Vertex));
+      impl->pool->prefetch(
+          eplus.start_offset + r.run_lo * sizeof(std::uint32_t),
+          (r.run_hi - r.run_lo + 1) * sizeof(std::uint32_t));
       impl->pool->prefetch(eplus.to_offset + r.lo * sizeof(Vertex),
                            r.size() * sizeof(Vertex));
       impl->pool->prefetch(eplus.value_offset + r.lo * sizeof(Value),

@@ -1,4 +1,4 @@
-// v7 image writer: gathers a built engine into the page-aligned layout
+// v8 image writer: gathers a built engine into the page-aligned layout
 // of store/format.hpp and writes it with pwritev.
 //
 // The writer serializes the *engine's* edge arrays — the end arcs, E+
@@ -134,7 +134,7 @@ class GatherWriter {
 
 }  // namespace writer_detail
 
-/// Writes `engine` as a v7 image at `path`, replacing whatever directory
+/// Writes `engine` as a v8 image at `path`, replacing whatever directory
 /// entry was there with a fresh file. Returns false and fills `error` on
 /// I/O failure (and removes the partial file). The engine may be
 /// heap-built or itself opened from an image, even from `path`
@@ -170,21 +170,26 @@ bool write_engine_image(const std::string& path,
     s.page_offset = page_offset;
     return s;
   };
-  // An edge array's three SoA segments, read where they live: the
-  // mapped segments of a stored engine, or the pair block and value
-  // slabs of a heap one.
-  auto add_bucket = [&](const EdgeBucket<S>& bucket, SegmentKind from_kind,
-                        SegmentKind to_kind, SegmentKind value_kind) {
+  // An edge array's four run-form segments (run tails, run starts,
+  // heads, values), read where they live: the mapped segments of a
+  // stored engine, or the pair block and value slabs of a heap one.
+  auto add_bucket = [&](const EdgeBucket<S>& bucket,
+                        const EdgeArraySegments& kinds) {
     const std::uint64_t count = bucket.size();
+    const std::uint64_t runs = bucket.num_runs();
     if (const ExternalBucketStore<Value>* ext = bucket.external()) {
-      add_array(from_kind, ext->from, count, ext->pages, ext->from_offset);
-      add_array(to_kind, ext->to, count, ext->pages, ext->to_offset);
-      add_array(value_kind, ext->value, count, ext->pages, ext->value_offset);
+      add_array(kinds.tail, ext->tail, runs, ext->pages, ext->tail_offset);
+      add_array(kinds.start, ext->start, runs + 1, ext->pages,
+                ext->start_offset);
+      add_array(kinds.to, ext->to, count, ext->pages, ext->to_offset);
+      add_array(kinds.value, ext->value, count, ext->pages,
+                ext->value_offset);
       return;
     }
-    add_array(from_kind, bucket.from_data(), count);
-    add_array(to_kind, bucket.to_data(), count);
-    add_array(value_kind, static_cast<const Value*>(nullptr), count).slabs =
+    add_array(kinds.tail, bucket.tail_data(), runs);
+    add_array(kinds.start, bucket.start_data(), runs + 1);
+    add_array(kinds.to, bucket.to_data(), count);
+    add_array(kinds.value, static_cast<const Value*>(nullptr), count).slabs =
         &bucket.values();
   };
 
@@ -216,14 +221,11 @@ bool write_engine_image(const std::string& path,
   add_array(SegmentKind::kGraphOffsets, offsets.data(), n + 1);
   add_array(SegmentKind::kGraphArcTo, arc_to.data(), m);
   add_array(SegmentKind::kGraphArcWeight, arc_weight.data(), m);
-  add_bucket(engine.end_edges(), SegmentKind::kEndsFrom, SegmentKind::kEndsTo,
-             SegmentKind::kEndsValue);
+  add_bucket(engine.end_edges(), kEndsSegments);
   // E+ in sweep order: the down sweep's same/down buckets from level h
   // down, then the up buckets from level 0 up.
-  add_bucket(engine.shortcut_edges(), SegmentKind::kShortcutFrom,
-             SegmentKind::kShortcutTo, SegmentKind::kShortcutValue);
-  add_bucket(engine.base_edges(), SegmentKind::kBaseFrom, SegmentKind::kBaseTo,
-             SegmentKind::kBaseValue);
+  add_bucket(engine.shortcut_edges(), kShortcutSegments);
+  add_bucket(engine.base_edges(), kBaseSegments);
 
   // --- assign offsets ---------------------------------------------------
   Header header;

@@ -36,6 +36,8 @@
 #include "store/stored_engine.hpp"
 #include "store/writer.hpp"
 
+#include "edge_runs.hpp"
+
 namespace sepsp {
 namespace {
 
@@ -103,9 +105,10 @@ TEST(Augmentation, ShortcutsNeverUndercutTrueDistances) {
         build_augmentation_recursive<TropicalD>(f.gg.graph, f.tree));
     // Group slots by source to reuse one Dijkstra per source.
     const PairBlock& slots = f.tree.eplus_plan()->slots;
+    const std::vector<Vertex> from = slot_tails(slots);
     std::map<Vertex, std::vector<std::size_t>> by_source;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      by_source[slots.from[s]].push_back(s);
+      by_source[from[s]].push_back(s);
     }
     for (const auto& [source, in_slots] : by_source) {
       const DijkstraResult dj = dijkstra(f.gg.graph, source);
@@ -125,8 +128,9 @@ TEST(Augmentation, ShortcutEndpointsHaveDefinedLevels) {
     const EplusPlan& plan = *f.tree.eplus_plan();
     ASSERT_EQ(engine.augmentation().plan.get(), &plan) << f.name;
     ASSERT_EQ(engine.shortcut_edges().size(), plan.num_slots()) << f.name;
+    const std::vector<Vertex> from = slot_tails(plan.slots);
     for (std::size_t i = 0; i < plan.num_slots(); ++i) {
-      const Vertex u = plan.slots.from[i];
+      const Vertex u = from[i];
       const Vertex v = plan.slots.to[i];
       EXPECT_TRUE(plan.levels.defined(u)) << f.name;
       EXPECT_TRUE(plan.levels.defined(v)) << f.name;
@@ -188,9 +192,10 @@ TEST(Augmentation, BothBuildersProduceIdenticalDistances) {
         << f.name;
     ASSERT_EQ(rec.size(), dbl.size()) << f.name;
     const PairBlock& slots = engine.augmentation().plan->slots;
+    const std::vector<Vertex> slot_from = slot_tails(slots);
     for (std::size_t i = 0; i < rec.size(); ++i) {
       expect_same_value(rec[i], dbl[i],
-                        f.name + " edge " + std::to_string(slots.from[i]) +
+                        f.name + " edge " + std::to_string(slot_from[i]) +
                             "->" + std::to_string(slots.to[i]));
     }
   }
@@ -312,12 +317,13 @@ TEST(Augmentation, ExactIntegerShortcutsEqualSubgraphDistances) {
     emit(t.boundary);
   }
   const PairBlock& slots = tree.eplus_plan()->slots;
+  const std::vector<Vertex> slot_from = slot_tails(slots);
   ASSERT_EQ(values.size(), best.size());
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    const auto it = best.find({slots.from[s], slots.to[s]});
+    const auto it = best.find({slot_from[s], slots.to[s]});
     ASSERT_NE(it, best.end());
     EXPECT_EQ(values[s], it->second)
-        << slots.from[s] << "->" << slots.to[s];
+        << slot_from[s] << "->" << slots.to[s];
   }
 }
 
@@ -364,9 +370,10 @@ TEST(SlotPlan, SlotsAreTheDistinctEmittedPairsOnceEach) {
     // Slots are in sweep order, not (from, to) order: sorted, they are
     // the distinct off-diagonal pairs, each exactly once.
     ASSERT_EQ(plan.num_slots(), distinct.size()) << f.name;
+    const std::vector<Vertex> slot_from = slot_tails(plan.slots);
     std::vector<std::pair<Vertex, Vertex>> slot_pairs;
     for (std::size_t s = 0; s < plan.num_slots(); ++s) {
-      slot_pairs.emplace_back(plan.slots.from[s], plan.slots.to[s]);
+      slot_pairs.emplace_back(slot_from[s], plan.slots.to[s]);
     }
     std::sort(slot_pairs.begin(), slot_pairs.end());
     EXPECT_EQ(slot_pairs, distinct) << f.name;
@@ -379,7 +386,7 @@ TEST(SlotPlan, SlotsAreTheDistinctEmittedPairsOnceEach) {
         continue;
       }
       ASSERT_LT(slot, plan.num_slots()) << f.name << " entry " << e;
-      ASSERT_EQ(plan.slots.from[slot], pairs[e].first)
+      ASSERT_EQ(slot_from[slot], pairs[e].first)
           << f.name << " entry " << e;
       ASSERT_EQ(plan.slots.to[slot], pairs[e].second)
           << f.name << " entry " << e;
@@ -434,9 +441,10 @@ void expect_slot_min_matches_sort(const Family& f) {
   const auto engine = SeparatorShortestPaths<S>::build(f.gg.graph, f.tree);
   const auto got = eplus_values(engine);
   const PairBlock& slots = engine.augmentation().plan->slots;
+  const std::vector<Vertex> slot_from = slot_tails(slots);
   ASSERT_EQ(got.size(), want.size()) << f.name;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const auto it = want.find({slots.from[i], slots.to[i]});
+    const auto it = want.find({slot_from[i], slots.to[i]});
     ASSERT_NE(it, want.end()) << f.name << " shortcut " << i;
     ASSERT_EQ(std::memcmp(&got[i], &it->second, sizeof(it->second)), 0)
         << f.name << " shortcut " << i;
@@ -479,8 +487,8 @@ TEST(SlotPlan, SignedZeroTieKeepsTheLaterOwner) {
   constexpr std::uint32_t kNo = EplusPlan::kNoSlot;
   EplusPlan plan;
   plan.node_offset = {0, 4, 8};
-  plan.slots.from = {3, 7};
-  plan.slots.to = {7, 3};
+  plan.slots.append(3, 7, true);
+  plan.slots.append(7, 3, true);
   plan.entry_slot = {kNo, 0, 1, kNo, kNo, 0, 1, kNo};
   plan.owner_offset = {0, 2, 4};
   plan.owner_entry = {1, 5, 2, 6};
@@ -518,7 +526,7 @@ void expect_base_arcs_dominated(const Family& f) {
   const EdgeBucket<S>& eplus = engine.shortcut_edges();
   const EplusPlan& plan = *engine.augmentation().plan;
   const LevelAssignment& levels = plan.levels;
-  const auto& from = plan.slots.from;
+  const std::vector<Vertex> from = slot_tails(plan.slots);
   const auto& to = plan.slots.to;
   std::size_t checked = 0;
   for (const EdgeTriple& e : f.gg.graph.edge_list()) {

@@ -16,6 +16,8 @@
 #include "separator/treewidth_separator.hpp"
 #include "core/engine.hpp"
 #include "baseline/dijkstra.hpp"
+
+#include "edge_runs.hpp"
 #include <cmath>
 
 namespace sepsp {
@@ -235,19 +237,20 @@ void expect_bucket_layout(const SeparatorTree& tree, const std::string& what) {
   EXPECT_EQ(std::count(rank_seen.begin(), rank_seen.end(), 1),
             static_cast<std::ptrdiff_t>(buckets))
       << what;
+  const std::vector<Vertex> slot_from = slot_tails(plan.slots);
   for (std::size_t k = 0; k < buckets; ++k) {
     ASSERT_LE(plan.bucket_offset[k], plan.bucket_offset[k + 1]) << what;
     for (std::size_t s = plan.bucket_offset[k] + 1;
          s < plan.bucket_offset[k + 1]; ++s) {
-      EXPECT_TRUE(plan.slots.from[s - 1] < plan.slots.from[s] ||
-                  (plan.slots.from[s - 1] == plan.slots.from[s] &&
+      EXPECT_TRUE(slot_from[s - 1] < slot_from[s] ||
+                  (slot_from[s - 1] == slot_from[s] &&
                    plan.slots.to[s - 1] < plan.slots.to[s]))
           << what << " bucket " << k << " slot " << s;
     }
   }
   ASSERT_EQ(plan.slots.to.size(), plan.num_slots()) << what;
   for (std::size_t s = 0; s < plan.num_slots(); ++s) {
-    const Vertex u = plan.slots.from[s];
+    const Vertex u = slot_from[s];
     const Vertex v = plan.slots.to[s];
     // Every slot joins two vertices of some S(t) or B(t): both levelled.
     ASSERT_TRUE(lv.defined(u) && lv.defined(v)) << what << " slot " << s;

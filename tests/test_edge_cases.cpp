@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baseline/bellman_ford.hpp"
 #include "baseline/dijkstra.hpp"
@@ -68,6 +70,59 @@ TEST(EdgeCases, NegativeSelfLoopIsANegativeCycle) {
   EXPECT_TRUE(bellman_ford(g, 0).negative_cycle);
   // Unreachable from 1's perspective? 1 reaches itself: still flagged.
   EXPECT_TRUE(engine.distances(1).negative_cycle);
+}
+
+/// A chain 0 -> 1 -> ... -> 7 whose vertex 3 also has arcs to 0, 6
+/// and 7 and a self-loop of weight `loop`: in CSR order the self-loop
+/// sits in the middle of 3's out-list, with more arcs from 3 after it.
+Digraph self_loop_mid_list(double loop) {
+  GraphBuilder b(8);
+  for (Vertex v = 0; v + 1 < 8; ++v) b.add_edge(v, v + 1, 1.0);
+  b.add_edge(3, 0, 2.0);
+  b.add_edge(3, 3, loop);
+  b.add_edge(3, 6, 1.5);
+  b.add_edge(3, 7, 3.0);
+  return std::move(b).build();
+}
+
+TEST(EdgeCases, SelfLoopInTheMiddleOfAnOutListEndsItsRun) {
+  for (const double loop : {0.75, -0.25}) {
+    const Digraph g = self_loop_mid_list(loop);
+    for (const std::size_t leaf : {std::size_t{4}, std::size_t{8}}) {
+      const auto engine = SeparatorShortestPaths<>::build(g, tree_of(g, leaf));
+      // The base run of 3 ends at the self-loop; 3's later arcs open
+      // the next run.
+      const EdgeBucket<TropicalD>& base = engine.base_edges();
+      bool cut = false;
+      for (std::size_t r = 0; r + 1 < base.num_runs(); ++r) {
+        const std::uint32_t last = base.start_data()[r + 1] - 1;
+        if (base.tail_data()[r] == 3 && base.to_data()[last] == 3) {
+          EXPECT_EQ(base.tail_data()[r + 1], 3u);
+          cut = true;
+        }
+      }
+      EXPECT_TRUE(cut) << "leaf size " << leaf;
+      std::vector<Vertex> sources(8);
+      for (Vertex v = 0; v < 8; ++v) sources[v] = v;
+      for (const std::size_t lanes : {1u, 8u, 32u}) {
+        const auto got = engine.distances_batch(sources, {.lanes = lanes});
+        for (const Vertex s : sources) {
+          const auto want = bellman_ford(g, s);
+          const std::string at = "loop " + std::to_string(loop) + " leaf " +
+                                 std::to_string(leaf) + " lanes " +
+                                 std::to_string(lanes) + " source " +
+                                 std::to_string(s);
+          // Sources that reach 3 reach the negative self-loop.
+          EXPECT_EQ(got[s].negative_cycle, want.negative_cycle) << at;
+          EXPECT_EQ(got[s].negative_cycle, loop < 0 && s <= 3) << at;
+          if (want.negative_cycle) continue;
+          for (Vertex v = 0; v < 8; ++v) {
+            EXPECT_DOUBLE_EQ(got[s].dist[v], want.dist[v]) << at << " v " << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EdgeCases, ParallelArcsKeepTheMinimum) {

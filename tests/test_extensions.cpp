@@ -17,6 +17,8 @@
 #include "separator/cycle_separator.hpp"
 #include "separator/finders.hpp"
 
+#include "edge_runs.hpp"
+
 namespace sepsp {
 namespace {
 
@@ -54,9 +56,10 @@ TEST(CompactBuilder, ValuesBracketedByTrueDistAndPerNodeDist) {
   const EdgeBucket<TropicalD>& node = per_node.shortcut_edges();
   ASSERT_EQ(got.size(), node.size());
   const PairBlock& slots = compact.augmentation().plan->slots;
+  const std::vector<Vertex> slot_from = slot_tails(slots);
   std::map<Vertex, DijkstraResult> truth;
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    const Vertex u = slots.from[s];
+    const Vertex u = slot_from[s];
     auto [it, inserted] = truth.try_emplace(u);
     if (inserted) it->second = dijkstra(gg.graph, u);
     EXPECT_GE(got.value(s), it->second.dist[slots.to[s]] - 1e-9);

@@ -18,6 +18,8 @@
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 
+#include "edge_runs.hpp"
+
 namespace sepsp {
 namespace {
 
@@ -82,9 +84,10 @@ void expect_matches_exact_build(const IncrementalEngine& engine,
   const std::vector<double> want = eplus_values(engine_build);
   ASSERT_EQ(got.size(), want.size());
   const PairBlock& slots = engine.augmentation().plan->slots;
+  const std::vector<Vertex> slot_from = slot_tails(slots);
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
-        << "shortcut " << i << " (" << slots.from[i] << "->" << slots.to[i]
+        << "shortcut " << i << " (" << slot_from[i] << "->" << slots.to[i]
         << ")";
   }
 }

@@ -24,6 +24,8 @@
 #include "separator/cycle_separator.hpp"
 #include "separator/finders.hpp"
 
+#include "edge_runs.hpp"
+
 namespace sepsp {
 namespace {
 
@@ -131,8 +133,9 @@ TEST_P(PropertySweep, ShortcutInvariants) {
   std::size_t checked = 0;
   const EplusPlan& plan = *engine.augmentation().plan;
   const PairBlock& slots = plan.slots;
+  const std::vector<Vertex> slot_from = slot_tails(slots);
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    const Vertex u = slots.from[s];
+    const Vertex u = slot_from[s];
     const Vertex v = slots.to[s];
     ASSERT_TRUE(plan.levels.defined(u));
     ASSERT_TRUE(plan.levels.defined(v));

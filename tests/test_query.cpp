@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -21,6 +22,8 @@
 #include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
+
+#include "edge_runs.hpp"
 
 namespace sepsp {
 namespace {
@@ -191,7 +194,8 @@ void expect_aliases_plan(const SeparatorShortestPaths<S>& q,
                          const EplusPlan& plan, const std::string& what) {
   const EdgeBucket<S>& eplus = q.shortcut_edges();
   ASSERT_EQ(eplus.size(), plan.num_slots()) << what;
-  EXPECT_EQ(eplus.from_data(), plan.slots.from.data()) << what;
+  EXPECT_EQ(eplus.tail_data(), plan.slots.tail.data()) << what;
+  EXPECT_EQ(eplus.start_data(), plan.slots.start.data()) << what;
   EXPECT_EQ(eplus.to_data(), plan.slots.to.data()) << what;
   EXPECT_EQ(eplus.values().size(), plan.num_slots()) << what;
   ASSERT_TRUE(std::equal(q.bucket_offsets().begin(), q.bucket_offsets().end(),
@@ -205,6 +209,11 @@ void expect_aliases_plan(const SeparatorShortestPaths<S>& q,
       const EdgeRange r = q.bucket(kind, l);
       EXPECT_EQ(r.lo, plan.bucket_offset[k]) << what;
       EXPECT_EQ(r.hi, plan.bucket_offset[k + 1]) << what;
+      // Whole runs: the bucket's first run starts at its first slot.
+      EXPECT_EQ(r.run_lo, plan.bucket_run[k]) << what;
+      EXPECT_EQ(r.run_hi, plan.bucket_run[k + 1]) << what;
+      EXPECT_EQ(eplus.start_data()[r.run_lo], r.lo) << what;
+      EXPECT_EQ(eplus.start_data()[r.run_hi], r.hi) << what;
     }
   }
   EXPECT_EQ(q.stats().bucket_edges, plan.num_slots()) << what;
@@ -232,13 +241,14 @@ TEST(Query, EnginesOverOneTreeShareTheSlotArray) {
   }
 }
 
-// The value bytes of one bucket, run by run.
+// The value bytes of one bucket, chunk by chunk.
 template <Semiring S>
 std::vector<typename S::Value> bucket_values(const EdgeBucket<S>& b) {
   std::vector<typename S::Value> out;
-  b.for_each_values_run([&](std::size_t, std::size_t len,
-                            const typename S::Value* v) {
-    out.insert(out.end(), v, v + len);
+  const std::uint32_t* start = b.start_data();
+  b.for_each_chunk(b.all(), [&](std::size_t lo, std::size_t hi,
+                                const typename S::Value* v) {
+    out.insert(out.end(), v, v + (start[hi] - start[lo]));
   });
   return out;
 }
@@ -481,14 +491,16 @@ TEST(EndArcs, SplitHoldsEveryArcWithAnUnleveledEndOnce) {
     ASSERT_GT(ends.size(), 0u) << inst.name;
 
     // Each base pair is one arc; map it back to its CSR index.
+    const std::vector<Vertex> base_from = slot_tails(base);
+    const std::vector<Vertex> ends_from = slot_tails(ends);
     std::map<std::pair<Vertex, Vertex>, std::size_t> arc_of;
     for (std::size_t i = 0; i < base.size(); ++i) {
-      arc_of[{base.from_data()[i], base.to_data()[i]}] = i;
+      arc_of[{base_from[i], base.to_data()[i]}] = i;
     }
     std::vector<int> seen(base.size(), 0);
     std::size_t last_arc = 0;
     for (std::size_t i = 0; i < ends.size(); ++i) {
-      const Vertex u = ends.from_data()[i];
+      const Vertex u = ends_from[i];
       const Vertex v = ends.to_data()[i];
       const auto it = arc_of.find({u, v});
       ASSERT_NE(it, arc_of.end()) << inst.name << " end arc " << i;
@@ -510,7 +522,7 @@ TEST(EndArcs, SplitHoldsEveryArcWithAnUnleveledEndOnce) {
       EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << inst.name << " " << i;
     }
     for (std::size_t arc = 0; arc < base.size(); ++arc) {
-      const bool end = !levels.defined(base.from_data()[arc]) ||
+      const bool end = !levels.defined(base_from[arc]) ||
                        !levels.defined(base.to_data()[arc]);
       EXPECT_EQ(seen[arc], end ? 1 : 0) << inst.name << " arc " << arc;
     }
@@ -614,9 +626,13 @@ std::uint64_t reference_climb_skips(const SeparatorShortestPaths<S>& engine,
   for (std::size_t k = 0; k < sources.size(); ++k) {
     dist[k][sources[k]] = S::one();
   }
+  const std::vector<Vertex> ends_from = slot_tails(engine.end_edges());
+  const std::vector<Vertex> eplus_from = slot_tails(engine.shortcut_edges());
   const auto relax = [&](const EdgeBucket<S>& edges, std::size_t i) {
+    const std::vector<Vertex>& from =
+        &edges == &engine.end_edges() ? ends_from : eplus_from;
     for (std::vector<Value>& d : dist) {
-      const Value du = d[edges.from_data()[i]];
+      const Value du = d[from[i]];
       if (!S::improves(S::zero(), du)) continue;
       Value& dv = d[edges.to_data()[i]];
       dv = S::combine(dv, S::extend(du, edges.value(i)));
@@ -634,9 +650,9 @@ std::uint64_t reference_climb_skips(const SeparatorShortestPaths<S>& engine,
     for (const EplusPlan::Kind kind : {EplusPlan::kSame, EplusPlan::kDown}) {
       const EdgeRange r = engine.bucket(kind, l);
       for (std::size_t i = r.lo; i < r.hi;) {
-        const Vertex u = eplus.from_data()[i];
+        const Vertex u = eplus_from[i];
         std::size_t end = i;
-        while (end < r.hi && eplus.from_data()[end] == u) ++end;
+        while (end < r.hi && eplus_from[end] == u) ++end;
         const bool unreached = std::all_of(
             dist.begin(), dist.end(),
             [&](const std::vector<Value>& d) { return d[u] == S::zero(); });
@@ -731,6 +747,129 @@ TEST(EndArcs, NegativeCycleThroughUnleveledVerticesIsStillFlagged) {
     // the cycle.
     EXPECT_TRUE(got[i].negative_cycle) << "source " << sources[i];
     EXPECT_TRUE(engine.distances(sources[i]).negative_cycle);
+  }
+}
+
+// --- run tables ----------------------------------------------------------
+
+using Pairs = std::vector<std::pair<Vertex, Vertex>>;
+
+/// `edges` is `want` (slot i's (from, to) pair) in run form: the runs
+/// tile the array, every (tail, to) read back equals want's pair at the
+/// same position, every cut is one of PairBlock's four rules (a caller
+/// boundary in `bounds`, a change of tail, a slab multiple, the slot
+/// after a self-loop) and every slot where a rule applies opens a run.
+/// Counts the cuts only the slab rule makes into *slab_cuts.
+template <Semiring S>
+void expect_run_form(const EdgeBucket<S>& edges, const Pairs& want,
+                     const std::vector<std::size_t>& bounds,
+                     const std::string& what, std::size_t* slab_cuts) {
+  const std::size_t n = edges.size();
+  const std::size_t runs = edges.num_runs();
+  const Vertex* tail = edges.tail_data();
+  const std::uint32_t* start = edges.start_data();
+  ASSERT_EQ(n, want.size()) << what;
+  ASSERT_EQ(start[0], 0u) << what;
+  ASSERT_EQ(start[runs], n) << what;
+  std::vector<char> opens(n + 1, 0), bound(n + 1, 0);
+  for (std::size_t r = 0; r < runs; ++r) {
+    ASSERT_LT(start[r], start[r + 1]) << what << " run " << r;
+    opens[start[r]] = 1;
+    for (std::size_t i = start[r]; i < start[r + 1]; ++i) {
+      ASSERT_EQ(tail[r], want[i].first) << what << " slot " << i;
+      ASSERT_EQ(edges.to_data()[i], want[i].second) << what << " slot " << i;
+    }
+  }
+  for (const std::size_t b : bounds) bound[b] = 1;
+  *slab_cuts = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const bool tail_change = want[i].first != want[i - 1].first;
+    const bool self_loop = want[i - 1].first == want[i - 1].second;
+    const bool slab = i % PairBlock::kRunSlots == 0;
+    EXPECT_EQ(opens[i] != 0, bound[i] || tail_change || slab || self_loop)
+        << what << " slot " << i;
+    if (slab && !bound[i] && !tail_change && !self_loop) ++*slab_cuts;
+  }
+}
+
+/// The (from, to) pair of every slot of E+, read from the tree through
+/// the slot's first owner entry (EplusPlan::node_offset's layout).
+Pairs eplus_pairs(const SeparatorTree& tree, const EplusPlan& plan) {
+  Pairs out;
+  for (std::size_t s = 0; s < plan.num_slots(); ++s) {
+    const std::size_t e = plan.owner_entry[plan.owner_offset[s]];
+    const std::size_t id = static_cast<std::size_t>(
+        std::upper_bound(plan.node_offset.begin(), plan.node_offset.end(), e) -
+        plan.node_offset.begin() - 1);
+    const DecompNode& t = tree.node(id);
+    std::size_t k = e - plan.node_offset[id];
+    const std::size_t sep = t.separator.size() * t.separator.size();
+    const std::vector<Vertex>& verts = k < sep ? t.separator : t.boundary;
+    if (k >= sep) k -= sep;
+    out.emplace_back(verts[k / verts.size()], verts[k % verts.size()]);
+  }
+  return out;
+}
+
+TEST(RunTable, EveryEdgeArrayIsItsPairsInRunForm) {
+  struct RunCase {
+    std::string name;
+    GeneratedGraph gg;
+    SeparatorTree tree;
+  };
+  std::vector<RunCase> cases;
+  for (const bool mesh : {true, false}) {
+    EndInstance inst = end_instance(mesh, WeightModel::uniform(1, 10));
+    cases.push_back({inst.name, std::move(inst.gg), std::move(inst.tree)});
+  }
+  {
+    Rng rng(9);
+    RunCase c{"grid9^3", make_grid({9, 9, 9}, WeightModel::mixed_sign(6.0), rng),
+           {}};
+    c.tree = build_separator_tree(Skeleton(c.gg.graph),
+                                  make_grid_finder({9, 9, 9}));
+    cases.push_back(std::move(c));
+  }
+  for (const RunCase& c : cases) {
+    const Digraph& g = c.gg.graph;
+    const EplusPlan& plan = *c.tree.eplus_plan();
+    const auto engine = SeparatorShortestPaths<>::build(g, c.tree);
+    std::size_t slab_cuts = 0;
+
+    // E+: cut at every bucket boundary.
+    const std::vector<std::size_t> buckets(plan.bucket_offset.begin(),
+                                           plan.bucket_offset.end());
+    expect_run_form(engine.shortcut_edges(), eplus_pairs(c.tree, plan),
+                    buckets, c.name + " E+", &slab_cuts);
+    if (c.name == "grid9^3") {
+      EXPECT_GT(slab_cuts, 0u) << "grid 9^3 has E+ runs across slab multiples";
+    }
+
+    // Base arcs: the CSR out-lists.
+    Pairs base;
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      for (const Arc& a : g.out(u)) base.emplace_back(u, a.to);
+    }
+    expect_run_form(engine.base_edges(), base, {}, c.name + " base",
+                    &slab_cuts);
+
+    // End arcs: tail-only | both | head-only, each in CSR order, cut at
+    // the class boundaries.
+    const LevelAssignment& levels = plan.levels;
+    std::array<Pairs, 3> classes;
+    for (const auto& [u, v] : base) {
+      const bool tail = !levels.defined(u);
+      const bool head = !levels.defined(v);
+      if (tail || head) classes[tail ? (head ? 1 : 0) : 2].emplace_back(u, v);
+    }
+    Pairs ends;
+    for (const Pairs& k : classes) ends.insert(ends.end(), k.begin(), k.end());
+    const std::size_t a = classes[0].size();
+    const std::size_t b = a + classes[1].size();
+    expect_run_form(engine.end_edges(), ends, {a, b}, c.name + " ends",
+                    &slab_cuts);
+    EXPECT_EQ(engine.lead_edges().hi, b) << c.name;
+    EXPECT_EQ(engine.trail_edges().lo, a) << c.name;
   }
 }
 

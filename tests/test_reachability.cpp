@@ -12,6 +12,8 @@
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
 
+#include "edge_runs.hpp"
+
 namespace sepsp {
 namespace {
 
@@ -87,9 +89,10 @@ TEST(Reachability, AugmentationUsesBooleanShortcuts) {
   const LevelAssignment& levels = engine.augmentation().plan->levels;
   const EdgeBucket<BooleanSR>& eplus = engine.shortcut_edges();
   EXPECT_GT(eplus.size(), 0u);
+  const std::vector<Vertex> from = slot_tails(eplus);
   for (std::size_t s = 0; s < eplus.size(); ++s) {
     EXPECT_EQ(eplus.value(s), BooleanSR::one());
-    EXPECT_TRUE(levels.defined(eplus.from_data()[s]));
+    EXPECT_TRUE(levels.defined(from[s]));
     EXPECT_TRUE(levels.defined(eplus.to_data()[s]));
   }
 }

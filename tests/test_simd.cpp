@@ -184,8 +184,8 @@ void check_kernel_parity(simd::Tier tier) {
     EXPECT_EQ(c_vec, c_ref) << "combine_row changed flag n=" << n;
   }
 
-  // Bucket sweeps over a lane-major dist matrix, including self-loops
-  // and repeated targets, at ragged lane counts.
+  // Bucket sweeps over a lane-major dist matrix, in run form, including
+  // self-loops and repeated targets, at ragged lane counts.
   for (const std::size_t lanes : {1u, 3u, 8u, 16u, 23u, 64u}) {
     const std::size_t verts = 17;
     const std::size_t m = 60;
@@ -193,23 +193,27 @@ void check_kernel_parity(simd::Tier tier) {
     for (auto& v : dist0) v = Gen<S>::dist_value(rng);
     std::vector<std::uint32_t> from(m), to(m);
     std::vector<Value> value(m);
+    PairBlock runs;
     for (std::size_t i = 0; i < m; ++i) {
-      from[i] = static_cast<std::uint32_t>(rng.next_below(verts));
-      // Every 8th edge is a self-loop (exact row aliasing).
-      to[i] = (i % 8 == 0) ? from[i]
+      // Runs of about four slots per tail; every 8th edge is a
+      // self-loop (exact row aliasing), which ends its run.
+      from[i] = (i % 4 == 0) ? static_cast<std::uint32_t>(rng.next_below(verts))
+                             : from[i - 1];
+      to[i] = (i % 8 == 6) ? from[i]
                            : static_cast<std::uint32_t>(rng.next_below(verts));
       value[i] = Gen<S>::edge_value(rng);
+      runs.append(from[i], to[i], false);
     }
+    ASSERT_LT(runs.num_runs(), m);
+    const auto sweep = [&](std::vector<Value>& d) {
+      simd::bucket_sweep<S>(d.data(), runs.tail.data(), runs.start.data(),
+                            runs.num_runs(), runs.to.data(), value.data(),
+                            lanes);
+    };
 
     std::vector<Value> dv = dist0, dr = dist0;
-    at_tier(tier, [&] {
-      simd::bucket_sweep<S>(dv.data(), from.data(), to.data(), value.data(),
-                            m, lanes);
-    });
-    at_tier(simd::Tier::kScalar, [&] {
-      simd::bucket_sweep<S>(dr.data(), from.data(), to.data(), value.data(),
-                            m, lanes);
-    });
+    at_tier(tier, [&] { sweep(dv); });
+    at_tier(simd::Tier::kScalar, [&] { sweep(dr); });
     EXPECT_TRUE(bits_equal(dv, dr)) << "sweep lanes=" << lanes;
     // And both equal the guarded extend, edge by edge; a lane's change
     // flag is set iff some store there changed its value.
@@ -226,21 +230,14 @@ void check_kernel_parity(simd::Tier tier) {
     }
     EXPECT_TRUE(bits_equal(dr, dg)) << "guarded sweep lanes=" << lanes;
 
-    std::vector<Value> tv = dist0, tr = dist0;
-    std::vector<std::uint8_t> cv(lanes, 0), cr(lanes, 0);
-    at_tier(tier, [&] {
-      simd::bucket_sweep<S>(tv.data(), from.data(), to.data(), value.data(),
-                            m, lanes, cv.data());
-    });
-    at_tier(simd::Tier::kScalar, [&] {
-      simd::bucket_sweep<S>(tr.data(), from.data(), to.data(), value.data(),
-                            m, lanes, cr.data());
-    });
-    EXPECT_TRUE(bits_equal(tv, tr)) << "tracked sweep lanes=" << lanes;
+    // The tracked pass runs inline at every tier.
+    std::vector<Value> tr = dist0;
+    std::vector<std::uint8_t> cr(lanes, 0);
+    simd::tracked_sweep<S>(tr.data(), runs.tail.data(), runs.start.data(),
+                           runs.num_runs(), runs.to.data(), value.data(),
+                           lanes, cr.data());
     EXPECT_TRUE(bits_equal(tr, dg)) << "guarded tracked sweep lanes=" << lanes;
     for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(cv[l] != 0, cr[l] != 0)
-          << "tracked sweep changed flag lane=" << l << " lanes=" << lanes;
       EXPECT_EQ(cr[l] != 0, cg[l] != 0)
           << "guarded changed flag lane=" << l << " lanes=" << lanes;
     }

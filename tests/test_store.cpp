@@ -1,4 +1,4 @@
-// Out-of-core engine (src/store/): v7 image round trips under every
+// Out-of-core engine (src/store/): v8 image round trips under every
 // semiring, the certificate flag, the buffer pool's residency
 // accounting, eviction storms under a tiny budget, rewriting an image
 // that a live engine still maps, open-time validation of damaged
@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/dijkstra.hpp"
 #include "core/builder_doubling.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
@@ -321,6 +322,74 @@ TEST(Store, StoredEngineWrittenOntoItsOwnPathReopensBitIdentical) {
 }
 
 // ---------------------------------------------------------------------
+// Runs are cut at every slab multiple (PairBlock::kRunSlots), so that
+// no run straddles a value slab or a stored chunk. Two instances where a
+// run of one tail crosses one: a star's centre, whose out-list is one
+// base run of more than a slab, and grid 9^3's E+.
+
+/// How many runs of `edges` open at a slab multiple with the tail of
+/// the run before them.
+template <Semiring S>
+std::size_t slab_cuts(const EdgeBucket<S>& edges) {
+  std::size_t cuts = 0;
+  for (std::size_t r = 1; r < edges.num_runs(); ++r) {
+    const std::uint32_t at = edges.start_data()[r];
+    if (at % PairBlock::kRunSlots == 0 &&
+        edges.tail_data()[r] == edges.tail_data()[r - 1]) {
+      ++cuts;
+    }
+  }
+  return cuts;
+}
+
+/// Distances equal Dijkstra at widths 1 and 8, and the stored engine
+/// answers as the heap engine.
+void expect_exact_and_stored(const Digraph& g, const SeparatorTree& tree,
+                             const std::vector<Vertex>& sources,
+                             const std::string& stem) {
+  const auto heap = SeparatorShortestPaths<TropicalD>::build(g, tree);
+  for (const std::size_t lanes : {1u, 8u}) {
+    const auto got = heap.distances_batch(sources, {.lanes = lanes});
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const std::vector<double> want = dijkstra(g, sources[i]).dist;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_NEAR(got[i].dist[v], want[v], 1e-9)
+            << stem << " lanes " << lanes << " source " << sources[i]
+            << " v " << v;
+      }
+    }
+  }
+  expect_round_trip(heap, sources, stem);
+}
+
+TEST(RunCuts, StarCentreBaseRunIsCutAtASlabMultiple) {
+  constexpr Vertex kLeaves = 2 * PairBlock::kRunSlots + 100;
+  Rng rng(21);
+  GraphBuilder b(kLeaves + 1);
+  for (Vertex v = 1; v <= kLeaves; ++v) {
+    b.add_edge(0, v, rng.next_double(1.0, 9.0));
+    b.add_edge(v, 0, rng.next_double(1.0, 9.0));
+  }
+  const Digraph g = std::move(b).build();
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(g), make_tree_finder());
+  const auto engine = SeparatorShortestPaths<TropicalD>::build(g, tree);
+  EXPECT_GE(slab_cuts(engine.base_edges()), 1u);
+  expect_exact_and_stored(g, tree, {0, 1, 2048, kLeaves}, "star");
+}
+
+TEST(RunCuts, GridEplusRunIsCutAtASlabMultiple) {
+  Rng rng(22);
+  const GeneratedGraph gg =
+      make_grid({9, 9, 9}, WeightModel::uniform(1, 10), rng);
+  const SeparatorTree tree = build_separator_tree(
+      Skeleton(gg.graph), make_grid_finder({9, 9, 9}));
+  const auto engine = SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
+  EXPECT_GT(slab_cuts(engine.shortcut_edges()), 0u);
+  expect_exact_and_stored(gg.graph, tree, {0, 91, 364, 500, 728}, "grid9^3");
+}
+
+// ---------------------------------------------------------------------
 // BufferPool unit tests over a synthetic pattern file.
 
 TEST(Store, PoolResidencyAndEviction) {
@@ -571,9 +640,11 @@ TEST_F(StoreDamage, RejectsCorruptDirectory) {
 TEST_F(StoreDamage, RejectsUnknownVersion) {
   // Versions 1 and 2 were the retired stream formats, 3 the layout
   // without header flags, 4 the layout that stored E+ twice, 5 the one
-  // with vertex levels, 6 the one without end arcs; 8 and later are
-  // layouts this reader cannot know. All must be refused by name.
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 99u}) {
+  // with vertex levels, 6 the one without end arcs, 7 the one with
+  // per-slot tails; 9 and later are layouts this reader cannot know.
+  // All must be refused by name.
+  for (const std::uint32_t version :
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 99u}) {
     auto bad = image_;
     std::memcpy(bad.data() + offsetof(store::Header, version), &version,
                 sizeof version);
@@ -617,31 +688,36 @@ TEST_F(StoreDamage, SurvivesByteFlipFuzz) {
     if (rec.bytes == 0) continue;
     positions.push_back(rec.offset + rng.next_below(rec.bytes));
   }
-  // And the end-arc pages by name: every byte of the split, and 20
-  // flips in each of the three end-arc segments.
-  std::size_t end_segments = 0;
+  // And the end-arc and run pages by name: every byte of the split, and
+  // 20 flips in each end-arc segment and each array's run segments.
+  std::size_t named_segments = 0;
   for (const store::SegmentRecord& rec : dir) {
     switch (static_cast<store::SegmentKind>(rec.kind)) {
       case store::SegmentKind::kEndsSplit:
         for (std::size_t b = 0; b < rec.bytes; ++b) {
           positions.push_back(rec.offset + b);
         }
-        ++end_segments;
+        ++named_segments;
         break;
-      case store::SegmentKind::kEndsFrom:
       case store::SegmentKind::kEndsTo:
       case store::SegmentKind::kEndsValue:
+      case store::SegmentKind::kEndsRunTail:
+      case store::SegmentKind::kEndsRunStart:
+      case store::SegmentKind::kBaseRunTail:
+      case store::SegmentKind::kBaseRunStart:
+      case store::SegmentKind::kShortcutRunTail:
+      case store::SegmentKind::kShortcutRunStart:
         ASSERT_GT(rec.bytes, 0u);
         for (int i = 0; i < 20; ++i) {
           positions.push_back(rec.offset + rng.next_below(rec.bytes));
         }
-        ++end_segments;
+        ++named_segments;
         break;
       default:
         break;
     }
   }
-  ASSERT_EQ(end_segments, 4u);
+  ASSERT_EQ(named_segments, 9u);
   std::size_t opened = 0;
   for (const std::size_t pos : positions) {
     auto bad = image_;
@@ -713,7 +789,7 @@ TEST_F(StoreDamage, RejectsOutOfRangeShortcutEndpoint) {
   FAIL() << "image has no shortcut-target segment";
 }
 
-// The end arcs (v7): open() refuses an image without them, a split
+// The end arcs (since v7): open() refuses an image without them, a split
 // outside them and an endpoint past the vertices, since the base passes
 // index both unchecked.
 class StoreEnds : public StoreDamage {
@@ -737,7 +813,7 @@ class StoreEnds : public StoreDamage {
     return bad;
   }
   std::uint64_t ends_count() const {
-    return directory()[record_at(store::SegmentKind::kEndsFrom)].count;
+    return directory()[record_at(store::SegmentKind::kEndsTo)].count;
   }
 };
 
@@ -756,8 +832,9 @@ TEST_F(StoreEnds, WrittenImageHoldsTheEngineEndArcs) {
 
 TEST_F(StoreEnds, RejectsAMissingEndsSegment) {
   for (const store::SegmentKind kind :
-       {store::SegmentKind::kEndsFrom, store::SegmentKind::kEndsTo,
-        store::SegmentKind::kEndsValue, store::SegmentKind::kEndsSplit}) {
+       {store::SegmentKind::kEndsRunTail, store::SegmentKind::kEndsRunStart,
+        store::SegmentKind::kEndsTo, store::SegmentKind::kEndsValue,
+        store::SegmentKind::kEndsSplit}) {
     std::vector<store::SegmentRecord> dir = directory();
     dir[record_at(kind)].kind = 99;  // no reader knows kind 99
     auto bad = image_;
@@ -789,17 +866,165 @@ TEST_F(StoreEnds, RejectsASplitOutOfRange) {
 
 TEST_F(StoreEnds, RejectsAnOutOfRangeEndpoint) {
   const auto past_end = static_cast<Vertex>(header().num_vertices);
-  for (const store::SegmentKind kind :
-       {store::SegmentKind::kEndsFrom, store::SegmentKind::kEndsTo}) {
+  for (const auto& [kind, want] :
+       {std::pair{store::SegmentKind::kEndsRunTail, "run tail out of range"},
+        std::pair{store::SegmentKind::kEndsTo, "edge endpoint out of range"}}) {
     const store::SegmentRecord rec = directory()[record_at(kind)];
     ASSERT_GT(rec.count, 0u);
     auto bad = image_;
     std::memcpy(bad.data() + rec.offset + (rec.count - 1) * sizeof(Vertex),
                 &past_end, sizeof past_end);
     const std::string reason = expect_rejected(bad, "end-arc endpoint == n");
-    EXPECT_NE(reason.find("edge endpoint out of range"), std::string::npos)
-        << reason;
+    EXPECT_NE(reason.find(want), std::string::npos) << reason;
   }
+}
+
+// The runs (v8): every edge array's run tails and starts are validated
+// before any kernel reads them, and every malformed one is refused by
+// name.
+class StoreRuns : public StoreEnds {
+ protected:
+  static constexpr store::EdgeArraySegments kArrays[3] = {
+      store::kBaseSegments, store::kEndsSegments, store::kShortcutSegments};
+
+  std::vector<std::uint32_t> u32s(store::SegmentKind kind) const {
+    const store::SegmentRecord rec = directory()[record_at(kind)];
+    std::vector<std::uint32_t> out(rec.count);
+    std::memcpy(out.data(), image_.data() + rec.offset, rec.bytes);
+    return out;
+  }
+  /// The image with entry i of a u32 segment set to x.
+  std::vector<char> with_u32(store::SegmentKind kind, std::size_t i,
+                             std::uint32_t x) const {
+    const store::SegmentRecord rec = directory()[record_at(kind)];
+    auto bad = image_;
+    std::memcpy(bad.data() + rec.offset + i * sizeof x, &x, sizeof x);
+    return bad;
+  }
+  /// The first run of at least two slots in `starts`.
+  static std::size_t long_run(const std::vector<std::uint32_t>& starts) {
+    for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
+      if (starts[r + 1] - starts[r] >= 2) return r;
+    }
+    ADD_FAILURE() << "no run of two slots";
+    return 0;
+  }
+  void expect_reason(const std::vector<char>& bytes, const std::string& want) {
+    const std::string reason = expect_rejected(bytes, want.c_str());
+    EXPECT_NE(reason.find(want), std::string::npos) << reason;
+  }
+};
+
+TEST_F(StoreRuns, RejectsAMissingRunSegment) {
+  for (const store::EdgeArraySegments& a : kArrays) {
+    for (const store::SegmentKind kind : {a.tail, a.start}) {
+      std::vector<store::SegmentRecord> dir = directory();
+      dir[record_at(kind)].kind = 99;
+      auto bad = image_;
+      std::memcpy(bad.data() + header().directory_offset, dir.data(),
+                  dir.size() * sizeof(store::SegmentRecord));
+      expect_reason(bad, "run segments missing or miscounted");
+    }
+  }
+}
+
+TEST_F(StoreRuns, RejectsARunTailPastTheVertices) {
+  const auto n = static_cast<std::uint32_t>(header().num_vertices);
+  for (const store::EdgeArraySegments& a : kArrays) {
+    expect_reason(with_u32(a.tail, 0, n), "run tail out of range");
+  }
+}
+
+TEST_F(StoreRuns, RejectsRunStartsOutOfOrderOrOffTheEnds) {
+  for (const store::EdgeArraySegments& a : kArrays) {
+    const std::vector<std::uint32_t> starts = u32s(a.start);
+    ASSERT_GE(starts.size(), 3u);
+    const std::size_t last = starts.size() - 1;
+    expect_reason(with_u32(a.start, 0, 1), "do not run from 0");
+    expect_reason(with_u32(a.start, last, starts[last] - 1),
+                  "do not run from 0");
+    expect_reason(with_u32(a.start, last, starts[last] + 1),
+                  "do not run from 0");
+    // A repeated start (an empty run), and one that goes back.
+    expect_reason(with_u32(a.start, 1, starts[2]), "not strictly increasing");
+    expect_reason(with_u32(a.start, 1, 0), "not strictly increasing");
+  }
+}
+
+TEST_F(StoreRuns, RejectsABucketOffsetInsideARun) {
+  const std::vector<std::uint32_t> starts =
+      u32s(store::SegmentKind::kShortcutRunStart);
+  const store::SegmentRecord rec =
+      directory()[record_at(store::SegmentKind::kBucketOffsets)];
+  std::vector<std::uint64_t> t(rec.count);
+  std::memcpy(t.data(), image_.data() + rec.offset, rec.bytes);
+  // The first nonempty bucket whose first run has two slots: move its
+  // offset one slot into that run (the table stays monotone).
+  std::size_t k = 1;
+  while (k + 1 < t.size() &&
+         (t[k] == t[k + 1] ||
+          *std::upper_bound(starts.begin(), starts.end(), t[k]) - t[k] < 2)) {
+    ++k;
+  }
+  ASSERT_LT(k + 1, t.size());
+  ++t[k];
+  auto bad = image_;
+  std::memcpy(bad.data() + rec.offset, t.data(), rec.bytes);
+  expect_reason(bad, "is not an E+ run start");
+}
+
+TEST_F(StoreRuns, RejectsAnEndArcSplitInsideARun) {
+  const std::vector<std::uint32_t> starts =
+      u32s(store::SegmentKind::kEndsRunStart);
+  const std::uint64_t inside = starts[long_run(starts)] + 1;
+  expect_reason(with_split(inside, inside), "split is not a run start");
+  expect_reason(with_split(0, inside), "split is not a run start");
+}
+
+TEST(StoreRunsAtScale, RejectsARunAcrossASlabMultiple) {
+  // A star whose centre's out-list is one run cut at slot kRunSlots:
+  // moving that cut one slot on makes the run before it cross.
+  constexpr Vertex kLeaves = PairBlock::kRunSlots + 100;
+  GraphBuilder b(kLeaves + 1);
+  for (Vertex v = 1; v <= kLeaves; ++v) {
+    b.add_edge(0, v, 1.0);
+    b.add_edge(v, 0, 1.0);
+  }
+  const Digraph g = std::move(b).build();
+  const auto heap = SeparatorShortestPaths<TropicalD>::build(
+      g, build_separator_tree(Skeleton(g), make_tree_finder()));
+  TempFile file(temp_path("slab_run"));
+  std::string error;
+  ASSERT_TRUE(store::write_engine_image(file.path, heap, &error)) << error;
+  std::vector<char> image = slurp(file.path);
+  store::Header h;
+  std::memcpy(&h, image.data(), sizeof h);
+  std::vector<store::SegmentRecord> dir(h.num_segments);
+  std::memcpy(dir.data(), image.data() + h.directory_offset,
+              dir.size() * sizeof(store::SegmentRecord));
+  bool forged = false;
+  for (const store::SegmentRecord& rec : dir) {
+    if (rec.kind !=
+        static_cast<std::uint32_t>(store::SegmentKind::kBaseRunStart)) {
+      continue;
+    }
+    for (std::size_t r = 1; r + 1 < rec.count && !forged; ++r) {
+      std::uint32_t at;
+      std::memcpy(&at, image.data() + rec.offset + r * sizeof at, sizeof at);
+      if (at % PairBlock::kRunSlots != 0) continue;
+      ++at;
+      std::memcpy(image.data() + rec.offset + r * sizeof at, &at, sizeof at);
+      forged = true;
+    }
+  }
+  ASSERT_TRUE(forged);
+  {
+    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+  EXPECT_FALSE(store::StoredEngine<TropicalD>::open(file.path, {}, &error));
+  EXPECT_NE(error.find("run crosses a slab boundary"), std::string::npos)
+      << error;
 }
 
 // The bucket table splits E+ into the sweep's ranges; the kernels index
